@@ -62,8 +62,8 @@ const MinEntries = 64
 // |1 keeps live tags distinct from the zero of an empty or released
 // slot; the byte comes from bits the slot index does not use, so
 // colliding keys in one window still usually disagree on the tag. (The
-// doorkeeper draws its own tag from h>>56 — a different byte, so the
-// two filters stay decorrelated.)
+// doorkeeper's wider tag shares this byte; its slots are indexed by
+// other bits of the hash, so the two filters still err independently.)
 func tagOf(h uint64) uint8 { return uint8(h>>48) | 1 }
 
 // Table is the per-worker cache: open-addressed, fixed size, power of
@@ -86,13 +86,18 @@ type Table struct {
 	// 1-byte registry index instead of an 8-byte pointer — and the
 	// entries array stays pointer-free, invisible to the GC scanner.
 	gents []*GenTable
-	// door is the admission filter: one tag byte per hash bucket. A key
-	// is admitted (installable) only on its second sighting, so a churn
-	// flood of never-repeating flows rarely installs anything and cannot
-	// thrash the table — the graceful-degradation property the
-	// SYN-flood scenario pins. Tags persist after admission, so an
-	// established flow evicted by a collision re-admits immediately.
-	door []uint8
+	// door is the admission filter: one 15-bit tag per hash bucket. A
+	// key is admitted (installable) only on its second sighting, so a
+	// churn flood of never-repeating flows installs next to nothing and
+	// cannot thrash the table — the graceful-degradation property the
+	// SYN-flood scenario pins. The tag is wide because a false admission
+	// is dear twice over: it buys a dead-on-arrival install, and the
+	// engine takes an install for evidence of established traffic and
+	// leaves cold mode. One-byte tags passed 1.6% of never-seen keys,
+	// which kept a flooded worker classifying a quarter of the flood.
+	// Tags persist after admission, so an established flow evicted by a
+	// collision re-admits immediately.
+	door []uint16
 }
 
 // NewTable builds a cache with at least requested entries, rounded up
@@ -106,7 +111,7 @@ func NewTable(requested int) *Table {
 		mask:    uint64(n - 1),
 		tags:    make([]uint8, n),
 		entries: make([]Entry, n),
-		door:    make([]uint8, n),
+		door:    make([]uint16, n),
 		gents:   []*GenTable{nil},
 	}
 }
@@ -219,7 +224,7 @@ func (t *Table) Release(e *Entry) {
 func (t *Table) Admit(h uint64) bool {
 	s1 := (h >> 20) & t.mask
 	s2 := (h >> 36) & t.mask
-	tag := uint8(h>>56) | 1
+	tag := uint16(h>>48) | 1
 	if t.door[s1] == tag || t.door[s2] == tag {
 		return true
 	}

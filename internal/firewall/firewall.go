@@ -20,6 +20,7 @@ import (
 	"vignat/internal/flow"
 	"vignat/internal/libvig"
 	"vignat/internal/netstack"
+	"vignat/internal/nf/nfkit"
 	"vignat/internal/nf/telemetry"
 )
 
@@ -159,6 +160,10 @@ type Firewall struct {
 	// cached verdict could rejuvenate a freed (possibly reallocated)
 	// index and keep forwarding unsolicited external traffic.
 	fpGens *fastpath.GenTable
+	// burst holds the parses and hashes the Prefetch hook made of the
+	// burst in flight; ProcessAt takes each packet's instead of
+	// parsing again.
+	burst nfkit.Burst
 
 	perPacketExpiry             bool
 	processed, dropped, expired uint64
@@ -242,8 +247,11 @@ func (fw *Firewall) ExpireAt(now libvig.Time) int {
 // prodEnv binds Env to the real table; the same structure as the NAT's
 // prodEnv.
 type prodEnv struct {
-	fw           *Firewall
-	pkt          netstack.Packet
+	fw *Firewall
+	// p is the packet in hand: the burst scratch's entry when the
+	// Prefetch hook parsed this frame, own otherwise.
+	p            *nfkit.Parsed
+	own          nfkit.Parsed
 	fromInternal bool
 	now          libvig.Time
 	verdict      Verdict
@@ -258,21 +266,21 @@ type prodEnv struct {
 var _ Env = (*prodEnv)(nil)
 
 func (e *prodEnv) reset(frame []byte, fromInternal bool, now libvig.Time) {
-	_ = e.pkt.Parse(frame)
+	e.p = e.fw.burst.Take(frame, &e.own)
 	e.fromInternal = fromInternal
 	e.now = now
 	e.verdict = VerdictDrop
 	e.reason = ReasonDropParse
 }
 
-func (e *prodEnv) FrameIntact() bool     { return len(e.pkt.Data) >= netstack.EthHeaderLen }
-func (e *prodEnv) EtherIsIPv4() bool     { return e.pkt.EtherType == netstack.EtherTypeIPv4 }
-func (e *prodEnv) IPv4HeaderValid() bool { return e.pkt.L3Valid }
-func (e *prodEnv) NotFragment() bool     { return !e.pkt.Fragment }
+func (e *prodEnv) FrameIntact() bool     { return len(e.p.Pkt.Data) >= netstack.EthHeaderLen }
+func (e *prodEnv) EtherIsIPv4() bool     { return e.p.Pkt.EtherType == netstack.EtherTypeIPv4 }
+func (e *prodEnv) IPv4HeaderValid() bool { return e.p.Pkt.L3Valid }
+func (e *prodEnv) NotFragment() bool     { return !e.p.Pkt.Fragment }
 func (e *prodEnv) L4Supported() bool {
-	return e.pkt.Proto == flow.TCP || e.pkt.Proto == flow.UDP
+	return e.p.Pkt.Proto == flow.TCP || e.p.Pkt.Proto == flow.UDP
 }
-func (e *prodEnv) L4HeaderIntact() bool     { return e.pkt.L4Valid }
+func (e *prodEnv) L4HeaderIntact() bool     { return e.p.Pkt.L4Valid }
 func (e *prodEnv) PacketFromInternal() bool { return e.fromInternal }
 
 func (e *prodEnv) ExpireSessions() {
@@ -284,12 +292,12 @@ func (e *prodEnv) ExpireSessions() {
 }
 
 func (e *prodEnv) LookupOutbound() (SessionHandle, bool) {
-	i, ok := e.fw.dmap.GetByFst(e.pkt.FlowID())
+	i, ok := e.fw.dmap.GetByFstHashed(e.p.ID, e.p.Hash)
 	return SessionHandle(i), ok
 }
 
 func (e *prodEnv) LookupInbound() (SessionHandle, bool) {
-	i, ok := e.fw.dmap.GetBySnd(e.pkt.FlowID())
+	i, ok := e.fw.dmap.GetBySndHashed(e.p.ID, e.p.Hash)
 	if !ok {
 		e.reason = ReasonDropUnsolicited // the miss decides the drop
 	}
@@ -302,8 +310,8 @@ func (e *prodEnv) CreateSession() (SessionHandle, bool) {
 		e.reason = ReasonDropTableFull
 		return 0, false
 	}
-	out := e.pkt.FlowID()
-	if err := e.fw.dmap.Put(idx, session{Out: out, In: out.Reverse()}); err != nil {
+	out := e.p.ID
+	if err := e.fw.dmap.PutFstHashed(idx, session{Out: out, In: out.Reverse()}, e.p.Hash); err != nil {
 		_ = e.fw.chain.Free(idx)
 		e.reason = ReasonDropTableFull
 		return 0, false

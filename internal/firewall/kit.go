@@ -37,6 +37,11 @@ func Kit(capacity int, timeout time.Duration, clock libvig.Clock) nfkit.Decl[*Fi
 			}
 			return nf.Forward
 		},
+		// The burst's first expiry sweep and every packet's lookup start
+		// their table loads here, together (nfkit.PrefetchFlows).
+		Prefetch: func(fw *Firewall, pkts []nf.Pkt, now libvig.Time) {
+			nfkit.PrefetchFlows(&fw.burst, pkts, true, fw.dmap, fw.chain, fw.perPacketExpiry, now-fw.texp+1)
+		},
 		Expire:             (*Firewall).ExpireAt,
 		SetPerPacketExpiry: (*Firewall).SetPerPacketExpiry,
 		Stats: func(fw *Firewall) nf.Stats {

@@ -64,6 +64,13 @@ func Kit(cfg Config, clock libvig.Clock) nfkit.Decl[*Balancer] {
 		Process: func(b *Balancer, frame []byte, fromInternal bool, now libvig.Time) nf.Verdict {
 			return verdictOf(b.ProcessAt(frame, fromInternal, now))
 		},
+		// The burst's first sticky-expiry sweep and every packet's
+		// lookup start their table loads here, together
+		// (nfkit.PrefetchFlows): the client tuple is the first key, so
+		// the first-key side is whichever side the clients are on.
+		Prefetch: func(b *Balancer, pkts []nf.Pkt, now libvig.Time) {
+			nfkit.PrefetchFlows(&b.burst, pkts, b.cfg.ClientsInternal, b.flows, b.flowChain, b.perPacketExpiry, now-b.texp+1)
+		},
 		Expire:             (*Balancer).ExpireAt,
 		SetPerPacketExpiry: (*Balancer).SetPerPacketExpiry,
 		Stats: func(b *Balancer) nf.Stats {

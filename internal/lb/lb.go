@@ -29,6 +29,7 @@ import (
 	"vignat/internal/flow"
 	"vignat/internal/libvig"
 	"vignat/internal/netstack"
+	"vignat/internal/nf/nfkit"
 	"vignat/internal/nf/telemetry"
 )
 
@@ -313,6 +314,10 @@ type Balancer struct {
 	// sticky index, bumped whenever a sticky entry is erased — by
 	// inactivity expiry or because its backend drained.
 	fpGens *fastpath.GenTable
+	// burst holds the parses and hashes the Prefetch hook made of the
+	// burst in flight; ProcessAt takes each packet's instead of
+	// parsing again.
+	burst nfkit.Burst
 }
 
 // New builds a balancer from cfg, drawing time from clock.
@@ -587,8 +592,11 @@ func clientKeyOfReply(reply flow.ID, vip flow.Addr) flow.ID {
 // and firewall's prodEnv. It is embedded in Balancer and reset per
 // packet, so the fast path allocates nothing.
 type prodEnv struct {
-	lb           *Balancer
-	pkt          netstack.Packet
+	lb *Balancer
+	// p is the packet in hand: the burst scratch's entry when the
+	// Prefetch hook parsed this frame, own otherwise.
+	p            *nfkit.Parsed
+	own          nfkit.Parsed
 	fromInternal bool
 	now          libvig.Time
 	verdict      Verdict
@@ -603,7 +611,7 @@ type prodEnv struct {
 var _ Env = (*prodEnv)(nil)
 
 func (e *prodEnv) reset(frame []byte, fromInternal bool, now libvig.Time) {
-	_ = e.pkt.Parse(frame)
+	e.p = e.lb.burst.Take(frame, &e.own)
 	e.fromInternal = fromInternal
 	e.now = now
 	e.verdict = VerdictDrop
@@ -612,22 +620,22 @@ func (e *prodEnv) reset(frame []byte, fromInternal bool, now libvig.Time) {
 
 // --- packet predicates ---
 
-func (e *prodEnv) FrameIntact() bool     { return len(e.pkt.Data) >= netstack.EthHeaderLen }
-func (e *prodEnv) EtherIsIPv4() bool     { return e.pkt.EtherType == netstack.EtherTypeIPv4 }
-func (e *prodEnv) IPv4HeaderValid() bool { return e.pkt.L3Valid }
-func (e *prodEnv) NotFragment() bool     { return !e.pkt.Fragment }
+func (e *prodEnv) FrameIntact() bool     { return len(e.p.Pkt.Data) >= netstack.EthHeaderLen }
+func (e *prodEnv) EtherIsIPv4() bool     { return e.p.Pkt.EtherType == netstack.EtherTypeIPv4 }
+func (e *prodEnv) IPv4HeaderValid() bool { return e.p.Pkt.L3Valid }
+func (e *prodEnv) NotFragment() bool     { return !e.p.Pkt.Fragment }
 func (e *prodEnv) L4Supported() bool {
-	return e.pkt.Proto == flow.TCP || e.pkt.Proto == flow.UDP
+	return e.p.Pkt.Proto == flow.TCP || e.p.Pkt.Proto == flow.UDP
 }
-func (e *prodEnv) L4HeaderIntact() bool { return e.pkt.L4Valid }
+func (e *prodEnv) L4HeaderIntact() bool { return e.p.Pkt.L4Valid }
 
 func (e *prodEnv) PacketFromClient() bool {
 	return e.fromInternal == e.lb.cfg.ClientsInternal
 }
 
 func (e *prodEnv) DstIsVIP() bool {
-	return e.pkt.DstIP == e.lb.cfg.VIP &&
-		(e.lb.cfg.VIPPort == 0 || e.pkt.DstPort == e.lb.cfg.VIPPort)
+	return e.p.Pkt.DstIP == e.lb.cfg.VIP &&
+		(e.lb.cfg.VIPPort == 0 || e.p.Pkt.DstPort == e.lb.cfg.VIPPort)
 }
 
 // --- libVig operations ---
@@ -641,17 +649,17 @@ func (e *prodEnv) ExpireState() {
 }
 
 func (e *prodEnv) LookupSticky() (FlowHandle, bool) {
-	i, ok := e.lb.flows.GetByFst(e.pkt.FlowID())
+	i, ok := e.lb.flows.GetByFstHashed(e.p.ID, e.p.Hash)
 	return FlowHandle(i), ok
 }
 
 func (e *prodEnv) LookupReply() (FlowHandle, bool) {
-	i, ok := e.lb.flows.GetBySnd(e.pkt.FlowID())
+	i, ok := e.lb.flows.GetBySndHashed(e.p.ID, e.p.Hash)
 	return FlowHandle(i), ok
 }
 
 func (e *prodEnv) SelectBackend() (BackendHandle, bool) {
-	i, ok := e.lb.cht.Lookup(e.pkt.FlowID().Hash())
+	i, ok := e.lb.cht.Lookup(e.p.Hash)
 	if !ok {
 		e.reason = ReasonDropNoBackend
 	}
@@ -670,9 +678,9 @@ func (e *prodEnv) CreateSticky(bh BackendHandle) (FlowHandle, bool) {
 		e.reason = ReasonDropTableFull
 		return 0, false
 	}
-	client := e.pkt.FlowID()
+	client := e.p.ID
 	s := sticky{Client: client, Reply: replyKey(client, be.IP), Backend: int32(bh)}
-	if err := lb.flows.Put(idx, s); err != nil {
+	if err := lb.flows.PutFstHashed(idx, s, e.p.Hash); err != nil {
 		_ = lb.flowChain.Free(idx)
 		e.reason = ReasonDropTableFull
 		return 0, false
@@ -698,13 +706,13 @@ func (e *prodEnv) ForwardToBackend(h FlowHandle) {
 		e.verdict = VerdictDrop
 		return
 	}
-	e.pkt.SetDstIP(s.Reply.SrcIP) // the backend's address
+	e.p.Pkt.SetDstIP(s.Reply.SrcIP) // the backend's address
 	e.verdict = VerdictToBackend
 	e.reason = ReasonFwdBackend
 }
 
 func (e *prodEnv) ForwardToClient(h FlowHandle) {
-	e.pkt.SetSrcIP(e.lb.cfg.VIP)
+	e.p.Pkt.SetSrcIP(e.lb.cfg.VIP)
 	e.verdict = VerdictToClient
 	e.reason = ReasonFwdClient
 	_ = h

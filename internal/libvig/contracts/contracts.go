@@ -119,20 +119,49 @@ func (c *CheckedRing[T]) check(op string) error {
 // --- Map ---
 
 // CheckedMap runs a concrete libVig map against the partial-function
-// model of the mapp predicate.
+// model of the mapp predicate, in either construction. After every
+// mutation it re-derives the chain counters from the stored hashes
+// (Map.CheckInvariant) and compares the whole contents with the model.
 type CheckedMap[K libvig.Key] struct {
 	Impl  *libvig.Map[K]
 	Model map[K]int
 	Cap   int
+	// Keys is the record store behind the keyless construction (nil for
+	// NewCheckedMap): Keys[v] is the key value v was put under, what a
+	// DoubleMap's value array is to its two key maps. The map itself
+	// stores no key and asks here on a hash match, so the store must
+	// keep each key stable from Put to erase; a test that writes to it
+	// behind the wrapper's back breaks exactly that precondition.
+	Keys map[int]K
 }
 
-// NewCheckedMap builds the pair.
+// NewCheckedMap builds the pair around a key-storing map.
 func NewCheckedMap[K libvig.Key](capacity int) (*CheckedMap[K], error) {
 	m, err := libvig.NewMap[K](capacity)
 	if err != nil {
 		return nil, err
 	}
 	return &CheckedMap[K]{Impl: m, Model: make(map[K]int), Cap: capacity}, nil
+}
+
+// NewCheckedKeylessMap builds the pair around a keyless map whose keys
+// live in the wrapper's Keys store.
+func NewCheckedKeylessMap[K libvig.Key](capacity int) (*CheckedMap[K], error) {
+	c := &CheckedMap[K]{Model: make(map[K]int), Cap: capacity, Keys: make(map[int]K)}
+	m, err := libvig.NewKeylessMap(capacity, func(v int) K { return c.Keys[v] })
+	if err != nil {
+		return nil, err
+	}
+	c.Impl = m
+	return c, nil
+}
+
+// ValueTaken reports whether a keyless map already stores value v. Such
+// a value names a record with a key of its own, so putting another key
+// under it is outside the keyless precondition and Put refuses it.
+func (c *CheckedMap[K]) ValueTaken(v int) bool {
+	_, taken := c.Keys[v]
+	return taken
 }
 
 // Get checks the mapp Get post-condition.
@@ -152,7 +181,18 @@ func (c *CheckedMap[K]) Get(k K) (int, bool, error) {
 func (c *CheckedMap[K]) Put(k K, v int) error {
 	_, dup := c.Model[k]
 	full := len(c.Model) == c.Cap
+	if c.Keys != nil {
+		if c.ValueTaken(v) {
+			return fmt.Errorf("contracts: value %d already names a record", v)
+		}
+		// Stage the record before indexing it, as DoubleMap.Put does: a
+		// duplicate check that matches v's hash reads the key from here.
+		c.Keys[v] = k
+	}
 	err := c.Impl.Put(k, v)
+	if err != nil && c.Keys != nil {
+		delete(c.Keys, v)
+	}
 	switch {
 	case dup:
 		if err == nil {
@@ -168,29 +208,63 @@ func (c *CheckedMap[K]) Put(k K, v int) error {
 		}
 		c.Model[k] = v
 	}
-	return c.sizeCheck("Put")
+	return c.check("Put")
 }
 
 // Erase checks the mapp Erase pre/post-conditions.
 func (c *CheckedMap[K]) Erase(k K) error {
-	_, present := c.Model[k]
+	v, present := c.Model[k]
 	err := c.Impl.Erase(k)
 	if present {
 		if err != nil {
 			return &Violation{"Erase", "failed to erase present key: " + err.Error()}
 		}
-		delete(c.Model, k)
+		c.forget(k, v)
 	} else if err == nil {
 		return &Violation{"Erase", fmt.Sprintf("erased absent key %v", k)}
 	}
-	return c.sizeCheck("Erase")
+	return c.check("Erase")
 }
 
-func (c *CheckedMap[K]) sizeCheck(op string) error {
+// EraseValue checks the by-value erase: it removes exactly the key that
+// hashes to h and maps to v, and fails when the model holds none.
+func (c *CheckedMap[K]) EraseValue(h uint64, v int) error {
+	var key K
+	present := false
+	for k, mv := range c.Model {
+		if mv == v && k.Hash() == h {
+			key, present = k, true
+		}
+	}
+	err := c.Impl.EraseValue(h, v)
+	if present {
+		if err != nil {
+			return &Violation{"EraseValue", "failed to erase a present (hash, value): " + err.Error()}
+		}
+		c.forget(key, v)
+	} else if err == nil {
+		return &Violation{"EraseValue", fmt.Sprintf("erased (%#x, %d), which the model does not hold", h, v)}
+	}
+	return c.check("EraseValue")
+}
+
+func (c *CheckedMap[K]) forget(k K, v int) {
+	delete(c.Model, k)
+	if c.Keys != nil {
+		delete(c.Keys, v)
+	}
+}
+
+// check is the per-step refinement check: size, the chain-counter
+// invariant, and the full contents.
+func (c *CheckedMap[K]) check(op string) error {
 	if c.Impl.Size() != len(c.Model) {
 		return &Violation{op, fmt.Sprintf("size %d, model %d", c.Impl.Size(), len(c.Model))}
 	}
-	return nil
+	if err := c.Impl.CheckInvariant(); err != nil {
+		return &Violation{op, err.Error()}
+	}
+	return c.FullCheck()
 }
 
 // FullCheck verifies the complete map contents against the model — the

@@ -115,10 +115,16 @@ func (c *CheckedDoubleMap[K1, K2]) GetBySnd(k K2) error {
 	return nil
 }
 
-// check validates size and the per-index store against the model.
+// check validates size, the representation invariant (every busy
+// index's stored hashes are its keys' hashes, both key maps agree with
+// the store, chain counters re-derived) and the per-index store against
+// the model.
 func (c *CheckedDoubleMap[K1, K2]) check(op string) error {
 	if c.Impl.Size() != len(c.Model) {
 		return &Violation{op, fmt.Sprintf("size %d, model %d", c.Impl.Size(), len(c.Model))}
+	}
+	if err := c.Impl.CheckInvariant(); err != nil {
+		return &Violation{op, err.Error()}
 	}
 	for i, e := range c.Model {
 		got := c.Impl.Value(i)

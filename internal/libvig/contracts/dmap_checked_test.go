@@ -65,3 +65,33 @@ func TestCheckedDoubleMapDetectsViolation(t *testing.T) {
 		t.Fatal("divergence not detected")
 	}
 }
+
+// TestCheckedDoubleMapDetectsKeyMutation: the DoubleMap keeps both key
+// hashes per index from Put to Erase and stores no key copy, so a caller
+// that rewrites a key through Value breaks the representation. The
+// invariant check (stored hashes equal the hashes of the value's keys)
+// must say so.
+func TestCheckedDoubleMapDetectsKeyMutation(t *testing.T) {
+	c, err := NewCheckedDoubleMap[qKey, qKey](4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put(0, qKey{V: 1}, qKey{V: 2}, 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Impl.CheckInvariant(); err != nil {
+		t.Fatalf("a well-formed map fails its invariant: %v", err)
+	}
+	c.Impl.Value(0).K2 = qKey{V: 9}
+	if err := c.Impl.CheckInvariant(); err == nil {
+		t.Fatal("a key rewritten in place went unnoticed")
+	}
+	// Erase goes by the stored hashes and the index, not by the keys, so
+	// even the damaged record comes out and leaves the maps consistent.
+	if err := c.Impl.Erase(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Impl.CheckInvariant(); err != nil {
+		t.Fatal(err)
+	}
+}

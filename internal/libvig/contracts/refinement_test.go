@@ -90,6 +90,78 @@ func TestMapRefinement(t *testing.T) {
 	}
 }
 
+// wKey hashes into four values only, so nearly every probe meets slots
+// whose 64-bit hash matches another key's: the case in which a keyless
+// map must tell keys apart through its record store, and a by-value
+// erase by the value alone.
+type wKey struct {
+	V uint8
+}
+
+func (k wKey) Hash() uint64 { return uint64(k.V % 4) }
+
+// TestKeylessMapRefinement drives the keyless construction — no key in
+// the map, equality resolved through the wrapper's record store — and
+// the by-value erase against the same partial-function model. The
+// wrapper re-derives the chain counters after every step.
+func TestKeylessMapRefinement(t *testing.T) {
+	type kOp struct {
+		Code uint8
+		Key  wKey
+		Val  uint8
+	}
+	const capacity = 13
+	f := func(ops []kOp) bool {
+		m, err := NewCheckedKeylessMap[wKey](capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range ops {
+			v := int(op.Val) % capacity
+			switch op.Code % 4 {
+			case 0:
+				if m.ValueTaken(v) {
+					continue // v names another record: not a legal put
+				}
+				err = m.Put(op.Key, v)
+			case 1:
+				err = m.Erase(op.Key)
+			case 2:
+				// Often a live (hash, value) pair, often not.
+				err = m.EraseValue(op.Key.Hash(), v)
+			case 3:
+				_, _, err = m.Get(op.Key)
+			}
+			if err != nil {
+				t.Log(err)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckedMapDetectsUnstableKeyOf: a keyless map is only as good as
+// its key recovery. Change the key under a stored value behind the
+// map's back — the precondition DoubleMap keeps by never letting fk1 and
+// fk2 of a stored value change — and the next checked step must object.
+func TestCheckedMapDetectsUnstableKeyOf(t *testing.T) {
+	m, err := NewCheckedKeylessMap[qKey](4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Put(qKey{V: 1}, 0); err != nil {
+		t.Fatal(err)
+	}
+	m.Keys[0] = qKey{V: 2}
+	if err := m.Put(qKey{V: 3}, 1); err == nil {
+		t.Fatal("checker accepted a map whose key recovery changed its answer")
+	}
+}
+
 func TestDChainRefinement(t *testing.T) {
 	f := func(ops []rOp) bool {
 		c, err := NewCheckedDChain(9)

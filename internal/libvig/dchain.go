@@ -213,6 +213,18 @@ func (c *DChain) Oldest() (int, Time, bool) {
 	return int(i), c.timestamps[i], true
 }
 
+// After returns the allocated index next younger than allocated index
+// i, and its timestamp: with Oldest, a read-only walk of the expiry
+// order. ok is false at the young end. Requires i allocated (unchecked:
+// the index comes from Oldest or After).
+func (c *DChain) After(i int) (int, Time, bool) {
+	n := c.next[i]
+	if int(n) == c.allocHead() {
+		return 0, 0, false
+	}
+	return int(n), c.timestamps[n], true
+}
+
 // Free releases index i regardless of age (used by NFs that remove state
 // for reasons other than expiry, e.g. TCP FIN tracking extensions).
 // Requires i allocated (checked).

@@ -208,3 +208,34 @@ func TestDChainChurn(t *testing.T) {
 		}
 	}
 }
+
+// TestDChainAfterWalksExpiryOrder: Oldest and After visit exactly what
+// AllocatedAsc lists, in that order, and change nothing.
+func TestDChainAfterWalksExpiryOrder(t *testing.T) {
+	c, _ := NewDChain(8)
+	for now := Time(1); now <= 6; now++ {
+		if _, err := c.Allocate(now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_ = c.Rejuvenate(2, 7)
+	_ = c.Free(4)
+	want := c.AllocatedAsc(nil)
+	var got []int
+	last := Time(0)
+	for i, ts, ok := c.Oldest(); ok; i, ts, ok = c.After(i) {
+		if ts < last {
+			t.Fatalf("timestamps out of order at index %d", i)
+		}
+		last = ts
+		got = append(got, i)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("walked %v, allocated %v", got, want)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("walked %v, allocated %v", got, want)
+		}
+	}
+}

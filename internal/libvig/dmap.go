@@ -1,6 +1,9 @@
 package libvig
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+)
 
 // DoubleMap errors.
 var (
@@ -26,14 +29,25 @@ var (
 //	Erase(i):   requires i ∈ dom M    ensures M' = M \ {i}
 //	GetByFst(k): ensures result = (i, true) iff ∃(i,v)∈M. fk1(v)=k
 //	GetBySnd(k): symmetric for fk2. M never changes on gets.
+//
+// Each key lives once, inside vals[i]: the two key maps are keyless
+// (NewKeylessMap) and recover a key through the store. Precondition,
+// which is the keyless map's: the caller may write a stored value
+// through Value, but fk1 and fk2 of it must not change between Put and
+// Erase. Both key hashes are kept per index from Put to Erase, so Erase
+// rehashes nothing and compares no key, and the home slots of an index
+// about to expire can be found from sequential memory
+// (PrefetchExpiring).
 type DoubleMap[K1 Key, K2 Key, V any] struct {
-	byFst *Map[K1]
-	bySnd *Map[K2]
-	vals  []V
-	busy  []bool
-	fk1   func(*V) K1
-	fk2   func(*V) K2
-	size  int
+	byFst  *Map[K1]
+	bySnd  *Map[K2]
+	vals   []V
+	busy   []bool
+	hashes [][2]uint64 // hashes[i] = {fk1(vals[i]).Hash(), fk2(vals[i]).Hash()} while busy[i]
+	fk1    func(*V) K1
+	fk2    func(*V) K2
+	size   int
+	sink   uint64 // keeps the prefetch loads alive
 }
 
 // NewDoubleMap returns a double-keyed map of the given capacity. fk1 and
@@ -45,25 +59,28 @@ func NewDoubleMap[K1 Key, K2 Key, V any](capacity int, fk1 func(*V) K1, fk2 func
 	if fk1 == nil || fk2 == nil {
 		return nil, errors.New("libvig: nil key extractor")
 	}
-	a, err := NewMap[K1](capacity)
-	if err != nil {
-		return nil, err
-	}
-	b, err := NewMap[K2](capacity)
-	if err != nil {
-		return nil, err
-	}
 	vals := make([]V, capacity)
 	busy := make([]bool, capacity)
+	hashes := make([][2]uint64, capacity)
 	prefault(vals)
 	prefault(busy)
+	prefault(hashes)
+	a, err := NewKeylessMap(capacity, func(i int) K1 { return fk1(&vals[i]) })
+	if err != nil {
+		return nil, err
+	}
+	b, err := NewKeylessMap(capacity, func(i int) K2 { return fk2(&vals[i]) })
+	if err != nil {
+		return nil, err
+	}
 	return &DoubleMap[K1, K2, V]{
-		byFst: a,
-		bySnd: b,
-		vals:  vals,
-		busy:  busy,
-		fk1:   fk1,
-		fk2:   fk2,
+		byFst:  a,
+		bySnd:  b,
+		vals:   vals,
+		busy:   busy,
+		hashes: hashes,
+		fk1:    fk1,
+		fk2:    fk2,
 	}, nil
 }
 
@@ -84,6 +101,17 @@ func (m *DoubleMap[K1, K2, V]) GetBySnd(k K2) (int, bool) {
 	return m.bySnd.Get(k)
 }
 
+// GetByFstHashed is GetByFst for a caller that already holds
+// h = k.Hash() (a burst's prefetch stage computed it).
+func (m *DoubleMap[K1, K2, V]) GetByFstHashed(k K1, h uint64) (int, bool) {
+	return m.byFst.GetHashed(k, h)
+}
+
+// GetBySndHashed is GetBySnd for a caller that already holds h = k.Hash().
+func (m *DoubleMap[K1, K2, V]) GetBySndHashed(k K2, h uint64) (int, bool) {
+	return m.bySnd.GetHashed(k, h)
+}
+
 // Value returns a pointer to the value stored at index i. The pointee is
 // owned by the DoubleMap; per the libVig pointer discipline (§5.1.2) the
 // caller may read and write the value but must not retain the pointer
@@ -99,31 +127,43 @@ func (m *DoubleMap[K1, K2, V]) Value(i int) *V {
 // Put stores v at index i and indexes it under both keys.
 // Requires: i in range and free, both keys absent. All checked; on error
 // the map is unchanged.
-func (m *DoubleMap[K1, K2, V]) Put(i int, v V) error {
+func (m *DoubleMap[K1, K2, V]) Put(i int, v V) error { return m.put(i, v, 0, false) }
+
+// PutFstHashed is Put for a caller that already holds the first key's
+// hash, h1 = fk1(v).Hash() — the hash its lookup miss just used.
+func (m *DoubleMap[K1, K2, V]) PutFstHashed(i int, v V, h1 uint64) error {
+	return m.put(i, v, h1, true)
+}
+
+func (m *DoubleMap[K1, K2, V]) put(i int, v V, h1 uint64, hashed bool) error {
 	if i < 0 || i >= len(m.vals) {
 		return ErrChainRange
 	}
 	if m.busy[i] {
 		return ErrDMapIndexBusy
 	}
-	// Stage the value in its (preallocated) cell before indexing, so the
-	// key extractors see the stored copy — keeps the packet path free of
-	// heap allocation (passing &v to a function pointer would force v to
-	// escape).
+	// Stage the value in its (preallocated) cell before indexing: the
+	// keyless maps read keys from the stored copy, and passing &v to a
+	// function pointer would force v to escape to the heap.
 	m.vals[i] = v
 	k1, k2 := m.fk1(&m.vals[i]), m.fk2(&m.vals[i])
-	if err := m.byFst.Put(k1, i); err != nil {
+	if !hashed {
+		h1 = k1.Hash()
+	}
+	h2 := k2.Hash()
+	if err := m.byFst.PutHashed(k1, h1, i); err != nil {
 		var zero V
 		m.vals[i] = zero
 		return err
 	}
-	if err := m.bySnd.Put(k2, i); err != nil {
+	if err := m.bySnd.PutHashed(k2, h2, i); err != nil {
 		// Roll back so a duplicate second key cannot corrupt the map.
-		_ = m.byFst.Erase(k1)
+		_ = m.byFst.EraseValue(h1, i)
 		var zero V
 		m.vals[i] = zero
 		return err
 	}
+	m.hashes[i] = [2]uint64{h1, h2}
 	m.busy[i] = true
 	m.size++
 	return nil
@@ -138,11 +178,11 @@ func (m *DoubleMap[K1, K2, V]) Erase(i int) error {
 	if !m.busy[i] {
 		return ErrDMapIndexFree
 	}
-	v := &m.vals[i]
-	if err := m.byFst.Erase(m.fk1(v)); err != nil {
+	h := m.hashes[i]
+	if err := m.byFst.EraseValue(h[0], i); err != nil {
 		return err
 	}
-	if err := m.bySnd.Erase(m.fk2(v)); err != nil {
+	if err := m.bySnd.EraseValue(h[1], i); err != nil {
 		return err
 	}
 	var zero V
@@ -167,4 +207,59 @@ func (m *DoubleMap[K1, K2, V]) ForEach(fn func(i int, v *V) bool) {
 			}
 		}
 	}
+}
+
+// PrefetchFst starts bringing the home slot of hash h in the first-key
+// map into cache, for a burst stage that knows which keys the packets
+// behind it will look up. Go exposes no prefetch instruction, so this is
+// a plain load whose result nothing waits on: issued back to back for a
+// burst's hashes, the loads miss in parallel instead of one per probe.
+// A pure read.
+func (m *DoubleMap[K1, K2, V]) PrefetchFst(h uint64) { m.sink += m.byFst.touch(h) }
+
+// PrefetchSnd is PrefetchFst for the second-key map.
+func (m *DoubleMap[K1, K2, V]) PrefetchSnd(h uint64) { m.sink += m.bySnd.touch(h) }
+
+// PrefetchExpiring does the same for the two home slots of each index
+// the next ExpireItems(chain, deadline, …) will free, oldest first, at
+// most max of them: it walks chain read-only and finds the slots from
+// the hashes kept per index. A pure read.
+func (m *DoubleMap[K1, K2, V]) PrefetchExpiring(chain *DChain, deadline Time, max int) {
+	i, ts, ok := chain.Oldest()
+	for ; ok && ts < deadline && max > 0; max-- {
+		h := m.hashes[i]
+		m.sink += m.byFst.touch(h[0]) + m.bySnd.touch(h[1])
+		i, ts, ok = chain.After(i)
+	}
+}
+
+// CheckInvariant verifies the representation invariant: every busy
+// index's stored hashes are the hashes of its value's keys, both key
+// maps hold exactly the busy indices under those keys, and each map's
+// own invariant holds. For contract checking and tests: O(capacity).
+func (m *DoubleMap[K1, K2, V]) CheckInvariant() error {
+	busy := 0
+	for i := range m.vals {
+		if !m.busy[i] {
+			continue
+		}
+		busy++
+		k1, k2 := m.fk1(&m.vals[i]), m.fk2(&m.vals[i])
+		if h := [2]uint64{k1.Hash(), k2.Hash()}; h != m.hashes[i] {
+			return fmt.Errorf("libvig: index %d stores hashes %#x, its keys hash to %#x", i, m.hashes[i], h)
+		}
+		if j, ok := m.byFst.Get(k1); !ok || j != i {
+			return fmt.Errorf("libvig: index %d's first key resolves to (%d, %v)", i, j, ok)
+		}
+		if j, ok := m.bySnd.Get(k2); !ok || j != i {
+			return fmt.Errorf("libvig: index %d's second key resolves to (%d, %v)", i, j, ok)
+		}
+	}
+	if busy != m.size || m.byFst.Size() != busy || m.bySnd.Size() != busy {
+		return fmt.Errorf("libvig: %d busy indices, size %d, key maps %d and %d", busy, m.size, m.byFst.Size(), m.bySnd.Size())
+	}
+	if err := m.byFst.CheckInvariant(); err != nil {
+		return err
+	}
+	return m.bySnd.CheckInvariant()
 }

@@ -190,3 +190,64 @@ func TestDMapChurn(t *testing.T) {
 		}
 	}
 }
+
+// TestDMapHashedAndPrefetchArePure: the hashed entry points agree with
+// the plain ones, and the prefetch stage — home slots of a burst's keys
+// and of the indices about to expire — changes nothing anyone can
+// observe.
+func TestDMapHashedAndPrefetchArePure(t *testing.T) {
+	const cap = 32
+	m := newTestDMap(t, cap)
+	chain, err := NewDChain(cap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for now := Time(1); now <= 20; now++ {
+		i, err := chain.Allocate(now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := pairVal{a: tKey{v: uint64(i), weak: i%2 == 0}, b: tKey{v: uint64(1000 + i)}, data: i}
+		if i%2 == 0 {
+			err = m.Put(i, v)
+		} else {
+			err = m.PutFstHashed(i, v, v.a.Hash())
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	snapshot := func() (vals []pairVal, order []int) {
+		m.ForEach(func(_ int, v *pairVal) bool { vals = append(vals, *v); return true })
+		return vals, chain.AllocatedAsc(nil)
+	}
+	vals0, order0 := snapshot()
+	m.PrefetchExpiring(chain, 11, 4)    // fewer than would expire
+	m.PrefetchExpiring(chain, 1000, 64) // more than are allocated
+	m.PrefetchExpiring(chain, 0, 64)    // none due
+	for h := uint64(0); h < 100; h++ {
+		m.PrefetchFst(h * 0x9e3779b97f4a7c15)
+		m.PrefetchSnd(h)
+	}
+	vals1, order1 := snapshot()
+	if len(vals0) != len(vals1) || len(order0) != len(order1) {
+		t.Fatal("prefetch changed the population")
+	}
+	for i := range vals0 {
+		if vals0[i] != vals1[i] || order0[i] != order1[i] {
+			t.Fatalf("prefetch changed entry %d", i)
+		}
+	}
+	if err := m.CheckInvariant(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		a, b := tKey{v: uint64(i), weak: i%2 == 0}, tKey{v: uint64(1000 + i)}
+		if got, ok := m.GetByFstHashed(a, a.Hash()); !ok || got != i {
+			t.Fatalf("GetByFstHashed %d: (%d, %v)", i, got, ok)
+		}
+		if got, ok := m.GetBySndHashed(b, b.Hash()); !ok || got != i {
+			t.Fatalf("GetBySndHashed %d: (%d, %v)", i, got, ok)
+		}
+	}
+}

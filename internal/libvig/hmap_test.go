@@ -156,3 +156,66 @@ func TestMapBadCapacity(t *testing.T) {
 		t.Fatal("negative capacity accepted")
 	}
 }
+
+// TestMapKeylessAndEraseValue: a keyless map resolves equality through
+// keyOf, and EraseValue removes by (hash, value) with no key in hand —
+// under a hash so weak that every probe meets matching hashes.
+func TestMapKeylessAndEraseValue(t *testing.T) {
+	const n = 24
+	keys := make([]tKey, n)
+	m, err := NewKeylessMap(n+1, func(v int) tKey { return keys[v] })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range keys {
+		keys[i] = tKey{v: uint64(i), weak: true}
+		if err := m.Put(keys[i], i); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+	}
+	if err := m.Put(keys[5], 5); !errors.Is(err, ErrMapDupKey) {
+		t.Fatalf("duplicate through keyOf: %v", err)
+	}
+	for i := 0; i < n; i += 2 {
+		if err := m.EraseValue(keys[i].Hash(), i); err != nil {
+			t.Fatalf("erase value %d: %v", i, err)
+		}
+		if err := m.EraseValue(keys[i].Hash(), i); !errors.Is(err, ErrMapNoKey) {
+			t.Fatalf("second erase of value %d: %v", i, err)
+		}
+	}
+	for i := range keys {
+		v, ok := m.Get(keys[i])
+		if ok != (i%2 == 1) || (ok && v != i) {
+			t.Fatalf("key %d: (%d, %v)", i, v, ok)
+		}
+	}
+	// Right value, wrong hash: not this key.
+	if err := m.EraseValue(keys[1].Hash()+1, 1); !errors.Is(err, ErrMapNoKey) {
+		t.Fatalf("erase under a foreign hash: %v", err)
+	}
+	if err := m.CheckInvariant(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Size() != n/2 {
+		t.Fatalf("size %d", m.Size())
+	}
+}
+
+func TestMapRejectsUnstorableValues(t *testing.T) {
+	m, _ := NewMap[tKey](4)
+	for _, v := range []int{-1, 1<<31 - 1} {
+		if err := m.Put(tKey{v: 1}, v); !errors.Is(err, ErrMapBadValue) {
+			t.Fatalf("value %d: %v", v, err)
+		}
+	}
+	if m.Size() != 0 {
+		t.Fatal("a refused put changed the map")
+	}
+	if err := m.Put(tKey{v: 1}, 1<<31-2); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := m.Get(tKey{v: 1}); !ok || v != 1<<31-2 {
+		t.Fatalf("largest value: (%d, %v)", v, ok)
+	}
+}

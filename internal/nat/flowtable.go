@@ -97,6 +97,16 @@ func (t *FlowTable) LookupInt(id flow.ID) (int, bool) { return t.dmap.GetByFst(i
 // LookupExt finds the flow whose external-side key matches id.
 func (t *FlowTable) LookupExt(id flow.ID) (int, bool) { return t.dmap.GetBySnd(id) }
 
+// LookupIntHashed is LookupInt for a caller that holds h = id.Hash().
+func (t *FlowTable) LookupIntHashed(id flow.ID, h uint64) (int, bool) {
+	return t.dmap.GetByFstHashed(id, h)
+}
+
+// LookupExtHashed is LookupExt for a caller that holds h = id.Hash().
+func (t *FlowTable) LookupExtHashed(id flow.ID, h uint64) (int, bool) {
+	return t.dmap.GetBySndHashed(id, h)
+}
+
 // Flow returns the flow stored at index i (nil if free). The pointee is
 // owned by the table; callers must not retain it across Expire/Remove.
 func (t *FlowTable) Flow(i int) *flow.Flow { return t.dmap.Value(i) }
@@ -116,6 +126,12 @@ func (t *FlowTable) LastActivity(i int) (libvig.Time, error) {
 // index or no port — with equal capacities they exhaust together).
 // This is Fig. 6 ll.14-17.
 func (t *FlowTable) Add(intKey flow.ID, now libvig.Time) (idx int, ok bool) {
+	return t.AddHashed(intKey, intKey.Hash(), now)
+}
+
+// AddHashed is Add for a caller that holds h = intKey.Hash() — the hash
+// the lookup that missed just used.
+func (t *FlowTable) AddHashed(intKey flow.ID, h uint64, now libvig.Time) (idx int, ok bool) {
 	idx, err := t.chain.Allocate(now)
 	if err != nil {
 		return 0, false
@@ -126,7 +142,7 @@ func (t *FlowTable) Add(intKey flow.ID, now libvig.Time) (idx int, ok bool) {
 		return 0, false
 	}
 	f := flow.MakeFlow(intKey, t.extIP, port)
-	if err := t.dmap.Put(idx, f); err != nil {
+	if err := t.dmap.PutFstHashed(idx, f, h); err != nil {
 		// Key collision: e.g. a retransmitted first packet racing an
 		// existing flow is impossible (lookup precedes add), but an
 		// internal key equal to an existing one must not corrupt the

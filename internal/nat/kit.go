@@ -59,6 +59,12 @@ func kit(cfg Config, clock libvig.Clock, steer *steering) nfkit.Decl[*NAT] {
 		Process: func(n *NAT, frame []byte, fromInternal bool, now libvig.Time) nf.Verdict {
 			return verdictOf(n.ProcessAt(frame, fromInternal, now))
 		},
+		// The burst's first Fig. 6 sweep and every packet's lookup start
+		// their table loads here, together (nfkit.PrefetchFlows).
+		Prefetch: func(n *NAT, pkts []nf.Pkt, now libvig.Time) {
+			t := n.table
+			nfkit.PrefetchFlows(&n.burst, pkts, true, t.dmap, t.chain, n.perPacketExpiry, now-n.cfg.TimeoutNanos()+1)
+		},
 		Expire:             (*NAT).ExpireAt,
 		SetPerPacketExpiry: (*NAT).SetPerPacketExpiry,
 		Stats: func(n *NAT) nf.Stats {

@@ -7,6 +7,7 @@ import (
 	"vignat/internal/libvig"
 	"vignat/internal/nat/stateless"
 	"vignat/internal/netstack"
+	"vignat/internal/nf/nfkit"
 	"vignat/internal/nf/telemetry"
 )
 
@@ -60,6 +61,10 @@ type NAT struct {
 	// fpGens invalidates engine flow-cache entries: one generation per
 	// flow index, bumped by the table's erase hook whenever a flow dies.
 	fpGens *fastpath.GenTable
+	// burst holds the parses and hashes the Prefetch hook made of the
+	// burst in flight; ProcessAt takes each packet's instead of
+	// parsing again.
+	burst nfkit.Burst
 }
 
 // New builds a NAT from cfg, drawing time from clock.
@@ -138,9 +143,11 @@ func (n *NAT) ExpireAt(now libvig.Time) int {
 // emits rewrite the frame in place. It is embedded in NAT and reset per
 // packet, so the fast path allocates nothing.
 type prodEnv struct {
-	nat          *NAT
-	pkt          netstack.Packet
-	parseErr     error
+	nat *NAT
+	// p is the packet in hand: the burst scratch's entry when the
+	// Prefetch hook parsed this frame, own otherwise.
+	p            *nfkit.Parsed
+	own          nfkit.Parsed
 	fromInternal bool
 	now          libvig.Time
 	verdict      stateless.Verdict
@@ -154,7 +161,7 @@ type prodEnv struct {
 var _ stateless.Env = (*prodEnv)(nil)
 
 func (e *prodEnv) reset(frame []byte, fromInternal bool, now libvig.Time) {
-	e.parseErr = e.pkt.Parse(frame)
+	e.p = e.nat.burst.Take(frame, &e.own)
 	e.fromInternal = fromInternal
 	e.now = now
 	e.verdict = stateless.VerdictDrop
@@ -163,19 +170,19 @@ func (e *prodEnv) reset(frame []byte, fromInternal bool, now libvig.Time) {
 
 // --- packet predicates ---
 
-func (e *prodEnv) FrameIntact() bool { return len(e.pkt.Data) >= netstack.EthHeaderLen }
+func (e *prodEnv) FrameIntact() bool { return len(e.p.Pkt.Data) >= netstack.EthHeaderLen }
 
-func (e *prodEnv) EtherIsIPv4() bool { return e.pkt.EtherType == netstack.EtherTypeIPv4 }
+func (e *prodEnv) EtherIsIPv4() bool { return e.p.Pkt.EtherType == netstack.EtherTypeIPv4 }
 
-func (e *prodEnv) IPv4HeaderValid() bool { return e.pkt.L3Valid }
+func (e *prodEnv) IPv4HeaderValid() bool { return e.p.Pkt.L3Valid }
 
-func (e *prodEnv) NotFragment() bool { return !e.pkt.Fragment }
+func (e *prodEnv) NotFragment() bool { return !e.p.Pkt.Fragment }
 
 func (e *prodEnv) L4Supported() bool {
-	return e.pkt.Proto == flow.TCP || e.pkt.Proto == flow.UDP
+	return e.p.Pkt.Proto == flow.TCP || e.p.Pkt.Proto == flow.UDP
 }
 
-func (e *prodEnv) L4HeaderIntact() bool { return e.pkt.L4Valid }
+func (e *prodEnv) L4HeaderIntact() bool { return e.p.Pkt.L4Valid }
 
 func (e *prodEnv) PacketFromInternal() bool { return e.fromInternal }
 
@@ -193,12 +200,12 @@ func (e *prodEnv) ExpireFlows() {
 }
 
 func (e *prodEnv) LookupInternal() (stateless.FlowHandle, bool) {
-	i, ok := e.nat.table.LookupInt(e.pkt.FlowID())
+	i, ok := e.nat.table.LookupIntHashed(e.p.ID, e.p.Hash)
 	return stateless.FlowHandle(i), ok
 }
 
 func (e *prodEnv) LookupExternal() (stateless.FlowHandle, bool) {
-	i, ok := e.nat.table.LookupExt(e.pkt.FlowID())
+	i, ok := e.nat.table.LookupExtHashed(e.p.ID, e.p.Hash)
 	if !ok {
 		e.reason = ReasonDropUnsolicited // the miss decides the drop
 	}
@@ -206,7 +213,7 @@ func (e *prodEnv) LookupExternal() (stateless.FlowHandle, bool) {
 }
 
 func (e *prodEnv) AllocateFlow() (stateless.FlowHandle, bool) {
-	i, ok := e.nat.table.Add(e.pkt.FlowID(), e.now)
+	i, ok := e.nat.table.AddHashed(e.p.ID, e.p.Hash, e.now)
 	if ok {
 		e.nat.stats.FlowsCreated++
 	} else {
@@ -223,16 +230,16 @@ func (e *prodEnv) Rejuvenate(h stateless.FlowHandle) {
 
 func (e *prodEnv) EmitExternal(h stateless.FlowHandle) {
 	f := e.nat.table.Flow(int(h))
-	e.pkt.SetSrcIP(f.ExtKey.DstIP) // EXT_IP
-	e.pkt.SetSrcPort(f.ExtPort())
+	e.p.Pkt.SetSrcIP(f.ExtKey.DstIP) // EXT_IP
+	e.p.Pkt.SetSrcPort(f.ExtPort())
 	e.verdict = stateless.VerdictToExternal
 	e.reason = ReasonFwdOut
 }
 
 func (e *prodEnv) EmitInternal(h stateless.FlowHandle) {
 	f := e.nat.table.Flow(int(h))
-	e.pkt.SetDstIP(f.IntIP())
-	e.pkt.SetDstPort(f.IntPort())
+	e.p.Pkt.SetDstIP(f.IntIP())
+	e.p.Pkt.SetDstPort(f.IntPort())
 	e.verdict = stateless.VerdictToInternal
 	e.reason = ReasonFwdIn
 }

@@ -9,6 +9,8 @@ import (
 	"vignat/internal/libvig"
 	"vignat/internal/nat/stateless"
 	"vignat/internal/netstack"
+	"vignat/internal/nf"
+	"vignat/internal/nf/nfkit"
 )
 
 func testNAT(t *testing.T, cap int, timeout time.Duration, clock libvig.Clock) *NAT {
@@ -282,6 +284,48 @@ func TestNATProbePathNoAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("probe worst case allocates %.1f times per packet", allocs)
+	}
+}
+
+// TestNATPrefetchedBurstNoAllocs: a burst through the derived adapter —
+// the Prefetch hook's parse, hash and table loads for all 32 packets,
+// then the per-packet loop taking its parses from the burst scratch —
+// is allocation-free in the flow-creation worst case: every burst
+// expires the previous burst's 32 flows and creates 32 more. The scratch
+// must actually have been used: the hook armed it, the loop drained it.
+func TestNATPrefetchedBurstNoAllocs(t *testing.T) {
+	clock := libvig.NewVirtualClock(0)
+	n := testNAT(t, 1024, time.Millisecond, clock)
+	adapter := AsNF(n)
+	const burst = 32
+	fresh := make([][]byte, burst)
+	pkts := make([]nf.Pkt, burst)
+	for i := range pkts {
+		fresh[i] = frameFor(t, intKey(i))
+		pkts[i] = nf.Pkt{Frame: make([]byte, len(fresh[i])), FromInternal: true}
+	}
+	verdicts := make([]nf.Verdict, burst)
+	allocs := testing.AllocsPerRun(200, func() {
+		for i := range pkts {
+			copy(pkts[i].Frame, fresh[i])
+		}
+		clock.Advance(2 * time.Millisecond.Nanoseconds())
+		adapter.ProcessBatch(pkts, verdicts)
+		for i, v := range verdicts {
+			if v != nf.Forward {
+				t.Fatalf("packet %d: %v", i, v)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a prefetched burst allocates %.1f times", allocs)
+	}
+	if st := n.Stats(); st.FlowsCreated != st.Processed || st.FlowsExpired != st.Processed-burst {
+		t.Fatalf("not the flow-creation regime: %+v", st)
+	}
+	var own nfkit.Parsed
+	if n.burst.Take(pkts[0].Frame, &own) != &own {
+		t.Fatal("the burst scratch outlived its burst")
 	}
 }
 

@@ -95,7 +95,10 @@ type BatchAtter interface {
 // still-warm table — or a sampled install — a new flow seen twice,
 // the front of a new established population — re-warms it. Under
 // sustained churn, the steady state of a flood of never-repeating
-// flows, classification overhead falls to 1/coldSample of itself.
+// flows, classification overhead falls to 1/coldSample of itself: the
+// doorkeeper's 15-bit tags pass a never-seen key once in ~16,000
+// lookups, so a flood's dead-on-arrival installs are too rare to keep
+// bouncing the worker out of cold mode.
 const (
 	coldAfter  = 8
 	coldSample = 16 // must be a power of two
@@ -178,15 +181,25 @@ func (wk *worker) processShardFast(li, s int, now libvig.Time) {
 		lo, hi := m.Words(pkts[i].FromInternal)
 		h := fastpath.HashWords(lo, hi)
 		m.H = h
-		if e := wk.cache.FindWords(lo, hi, h); e != nil && e.Shard() == int32(s) {
+		e := wk.findFor(s, lo, hi, h)
+		if e != nil {
 			// A candidate hit: the NF-order-preserving point of no
 			// return. Everything queued before this packet runs first,
 			// then the packet's own Fig. 6 expiry (the engine replays it
 			// in per-packet mode; in amortized mode the top-of-poll sweep
 			// already ran), and only then is the entry's liveness judged —
 			// the expiry may be exactly what kills it.
+			was := installed
 			flushRun(i)
 			runStart = i
+			if installed != was {
+				// The flush's installs may have displaced the very slot e
+				// points at, which would now hold another flow's aux and
+				// template: look the key up again. Gone, it is a miss.
+				e = wk.findFor(s, lo, hi, h)
+			}
+		}
+		if e != nil {
 			if !expired {
 				if hasQuiet {
 					qe.ExpireQuiet(now)
@@ -246,6 +259,16 @@ func (wk *worker) processShardFast(li, s int, now libvig.Time) {
 	if p.fastSink != nil {
 		p.fastSink.AddFastPath(s, hits, misses, evictions, bypassed)
 	}
+}
+
+// findFor returns shard s's cache entry for a packed key, nil on a miss.
+// An entry installed for another shard is a miss: correctness never
+// depends on steering, only affinity does.
+func (wk *worker) findFor(s int, lo, hi, h uint64) *fastpath.Entry {
+	if e := wk.cache.FindWords(lo, hi, h); e != nil && e.Shard() == int32(s) {
+		return e
+	}
+	return nil
 }
 
 // offerAdmitted walks the doorkeeper-admitted positions of a

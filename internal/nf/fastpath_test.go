@@ -14,6 +14,7 @@ import (
 
 	"vignat/internal/discard"
 	"vignat/internal/dpdk"
+	"vignat/internal/fastpath"
 	"vignat/internal/flow"
 	"vignat/internal/lb"
 	"vignat/internal/libvig"
@@ -705,4 +706,155 @@ func TestFastPathConfigResolution(t *testing.T) {
 			t.Fatal("non-participating NF must resolve to no cache")
 		}
 	})
+}
+
+// TestFastPathHitSurvivesEvictingInstall is the regression test for a
+// hit's entry going stale inside its own burst: the engine finds a
+// packet's entry, then flushes the slow run queued before it, and that
+// flush's installs may displace the very slot the entry sits in — the
+// packet must not then be rewritten from the new occupant's template.
+// Every frame must match the uncached pipeline's.
+func TestFastPathHitSurvivesEvictingInstall(t *testing.T) {
+	extIP := flow.MakeAddr(198, 18, 1, 1)
+	natCfg := nat.Config{Capacity: 4096, Timeout: time.Hour, ExternalIP: extIP, ExternalPort: 1}
+	type fr = struct {
+		b        []byte
+		internal bool
+	}
+	buf := make([]byte, 2048)
+	outbound := func(i int) (flow.ID, fr) {
+		id := flow.ID{
+			SrcIP:   flow.MakeAddr(10, byte(i>>16), byte(i>>8), byte(i)),
+			DstIP:   flow.MakeAddr(198, 51, 100, 7),
+			SrcPort: uint16(5000 + i%50000), DstPort: 80, Proto: flow.UDP,
+		}
+		return id, fr{b: append([]byte(nil), udpFrame(t, buf, id)...), internal: true}
+	}
+	rigs := func() (on, off *natRig, clock *libvig.VirtualClock) {
+		clock = libvig.NewVirtualClock(0)
+		return newNATRig(t, clock, natCfg, nf.DefaultFastPathEntries, false),
+			newNATRig(t, clock, natCfg, nf.FastPathDisabled, false), clock
+	}
+
+	// Forced: nine flows whose cache keys share one home slot. Eight fill
+	// its probe window in order, the first of them in the home slot
+	// itself; the ninth, admitted on its second sighting, can then only be
+	// installed by displacing the home slot. Put it in a burst ahead of a
+	// packet of the flow that sits there.
+	t.Run("forced", func(t *testing.T) {
+		on, off, clock := rigs()
+		mask := uint64(on.pipe.FastPathEntries() - 1)
+		var same []fr
+		for i, home := 0, uint64(0); len(same) < 9; i++ {
+			id, f := outbound(i)
+			h := fastpath.Key{ID: id, FromInternal: true}.Hash() & mask
+			if len(same) == 0 {
+				home = h
+			}
+			if h == home {
+				same = append(same, f)
+			}
+		}
+		stepBoth(t, on, off, clock, same[:8]) // first sighting
+		stepBoth(t, on, off, clock, same[:8]) // admitted, installed in order
+		stepBoth(t, on, off, clock, same[8:]) // the ninth's first sighting
+		before := on.pipe.Stats()
+		stepBoth(t, on, off, clock, []fr{same[8], same[0]})
+		after := on.pipe.Stats()
+		if after.FastPathEvictions == before.FastPathEvictions {
+			t.Fatalf("the ninth flow's install displaced nothing: %+v", after)
+		}
+		stepBoth(t, on, off, clock, same)
+	})
+
+	// The population that first showed the defect (benchmark/README.md):
+	// 2,048 active flows are 4,096 keys against 8,192 entries, a load at
+	// which installs evict now and then, half of each burst outbound and
+	// half replies.
+	t.Run("population", func(t *testing.T) {
+		const flows, bursts = 2048, 20000
+		on, off, clock := rigs()
+		out := make([]fr, flows)
+		in := make([]fr, flows)
+		for i := range out {
+			var id flow.ID
+			id, out[i] = outbound(i)
+			// The allocator hands ports out in order, the same on both rigs.
+			reply := flow.ID{
+				SrcIP: id.DstIP, DstIP: extIP,
+				SrcPort: 80, DstPort: uint16(int(nat.DefaultPortBase) + i), Proto: flow.UDP,
+			}
+			in[i] = fr{b: append([]byte(nil), udpFrame(t, buf, reply)...), internal: false}
+		}
+		for i := 0; i < flows; i += 16 {
+			stepBoth(t, on, off, clock, out[i:i+16])
+		}
+		rng := uint64(1)
+		next := func() int {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			return int(rng>>33) % flows
+		}
+		burst := make([]fr, 0, 32)
+		for b := 0; b < bursts; b++ {
+			burst = burst[:0]
+			for i := 0; i < 16; i++ {
+				burst = append(burst, out[next()])
+			}
+			for i := 0; i < 16; i++ {
+				burst = append(burst, in[next()])
+			}
+			stepBoth(t, on, off, clock, burst)
+			clock.Advance(int64(time.Microsecond))
+		}
+		ps := on.pipe.Stats()
+		if ps.FastPathHits == 0 || ps.FastPathEvictions == 0 {
+			t.Fatalf("the traffic must both hit and evict: %+v", ps)
+		}
+		if onStats, offStats := on.nat.Stats(), off.nat.Stats(); onStats != offStats {
+			t.Fatalf("NAT core stats diverge\n fast: %+v\n slow: %+v", onStats, offStats)
+		}
+	})
+}
+
+// TestFastPathColdStaysColdUnderChurn pins the doorkeeper's false
+// admissions to a level at which a flood cannot re-warm a cold worker:
+// an admitted key is installed, and an install takes the worker out of
+// cold mode for at least coldAfter bursts. With one-byte tags 1.6% of
+// never-seen keys were admitted and the worker classified a quarter of
+// a flood of never-repeating tuples for nothing.
+func TestFastPathColdStaysColdUnderChurn(t *testing.T) {
+	const packets = 1 << 20
+	clock := libvig.NewVirtualClock(0)
+	natCfg := nat.Config{Capacity: 4096, Timeout: time.Millisecond, ExternalIP: flow.MakeAddr(198, 18, 1, 1), ExternalPort: 1}
+	rig := newNATRig(t, clock, natCfg, nf.DefaultFastPathEntries, false)
+	buf := make([]byte, 2048)
+	bufs := make([]*dpdk.Mbuf, 64)
+	id := flow.ID{DstIP: flow.MakeAddr(198, 51, 100, 7), DstPort: 80, Proto: flow.UDP}
+	for seq := uint32(1); seq <= packets; {
+		for i := 0; i < nf.DefaultBurst; i, seq = i+1, seq+1 {
+			// A multiplicative walk of the 2^32 addresses: no tuple repeats.
+			id.SrcIP, id.SrcPort = flow.Addr(seq*2654435761), uint16(seq)
+			if !rig.intPort.DeliverRx(udpFrame(t, buf, id), clock.Now()) {
+				t.Fatal("rx rejected")
+			}
+		}
+		clock.Advance(int64(nf.DefaultBurst * time.Microsecond))
+		if _, err := rig.pipe.Poll(); err != nil {
+			t.Fatal(err)
+		}
+		for k := rig.extPort.DrainTx(bufs); k > 0; k = rig.extPort.DrainTx(bufs) {
+			for _, m := range bufs[:k] {
+				if err := m.Pool().Free(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	ps := rig.pipe.Stats()
+	if ps.TxPackets != packets || ps.FastPathHits != 0 {
+		t.Fatalf("every packet opens a flow and none can hit: %+v", ps)
+	}
+	if share := float64(ps.FastPathBypassed) / packets; share < 0.9 {
+		t.Fatalf("bypassed share %.3f under never-repeating tuples, want ≥ 0.9: %+v", share, ps)
+	}
 }

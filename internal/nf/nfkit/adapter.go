@@ -58,6 +58,9 @@ func (a *Adapter[C]) ProcessBatch(pkts []nf.Pkt, verdicts []nf.Verdict) {
 // (nf.BatchAtter). The engine's fast path uses it so the many small
 // slow runs of a mixed burst share the engine's one clock read.
 func (a *Adapter[C]) ProcessBatchAt(pkts []nf.Pkt, verdicts []nf.Verdict, now libvig.Time) {
+	if a.d.Prefetch != nil && len(pkts) > 1 {
+		a.d.Prefetch(a.core, pkts, now)
+	}
 	for i := range pkts {
 		verdicts[i] = a.d.Process(a.core, pkts[i].Frame, pkts[i].FromInternal, now)
 	}

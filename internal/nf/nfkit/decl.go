@@ -72,6 +72,17 @@ type Decl[C any] struct {
 	// collapses here). It must be allocation-free on the steady state.
 	Process func(core C, frame []byte, fromInternal bool, now libvig.Time) nf.Verdict
 
+	// Prefetch, when set, runs once before the per-packet loop of a
+	// burst of more than one packet, at the burst's timestamp: the
+	// core's chance to look at the whole burst and start loading the
+	// state lines its packets will need, so that their cache misses
+	// overlap instead of queueing one probe at a time (see
+	// PrefetchFlows). It must be observationally pure — reads of NF
+	// state, writes to scratch only — so that verdicts, state, counters
+	// and expiry order are the same with the hook present or absent,
+	// and allocation-free.
+	Prefetch func(core C, pkts []nf.Pkt, now libvig.Time)
+
 	// Expire advances state expiry to now without processing a packet,
 	// returning the number of entries freed. Nil declares a stateless
 	// NF (nothing ever expires).

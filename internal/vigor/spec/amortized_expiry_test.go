@@ -13,6 +13,7 @@ package spec_test
 import (
 	"encoding/binary"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -23,6 +24,7 @@ import (
 	"vignat/internal/nat/stateless"
 	"vignat/internal/netstack"
 	"vignat/internal/nf"
+	"vignat/internal/nf/nfkit"
 	"vignat/internal/vigor/spec"
 )
 
@@ -32,10 +34,12 @@ const (
 	amoTimeout = 300 * time.Millisecond
 )
 
-// amoRig is one mode's complete test stand.
+// amoRig is one configuration's complete test stand.
 type amoRig struct {
+	name    string
 	clock   *libvig.VirtualClock
-	nat     *nat.Sharded
+	decl    nfkit.Decl[*nat.NAT]
+	nat     *nfkit.Sharded[*nat.NAT]
 	pipe    *nf.Pipeline
 	intPort *dpdk.Port
 	extPort *dpdk.Port
@@ -43,17 +47,27 @@ type amoRig struct {
 	oracle  *spec.Oracle
 }
 
-func buildAmoRig(t *testing.T, amortized bool) *amoRig {
+// buildAmoRig builds a sharded NAT on a pipeline in the given expiry
+// mode, from the NAT's declaration as shipped or with its Prefetch hook
+// stripped.
+func buildAmoRig(t *testing.T, amortized, prefetch bool) *amoRig {
 	t.Helper()
 	clock := libvig.NewVirtualClock(0)
-	n, err := nat.NewSharded(nat.Config{
+	decl := nat.Kit(nat.Config{
 		Capacity: amoCap, Timeout: amoTimeout, ExternalIP: extIP,
 		PortBase: confPortBase, InternalPort: 0, ExternalPort: 1,
-	}, clock, amoShards)
+	}, clock)
+	if decl.Prefetch == nil {
+		t.Fatal("the NAT declares no Prefetch hook")
+	}
+	if !prefetch {
+		decl.Prefetch = nil
+	}
+	n, err := nfkit.NewSharded(decl, amoShards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &amoRig{clock: clock, nat: n}
+	r := &amoRig{name: rigName(amortized, prefetch), clock: clock, decl: decl, nat: n}
 	mkPort := func(id uint16) *dpdk.Port {
 		ps := make([]*dpdk.Mempool, amoShards)
 		for q := range ps {
@@ -83,6 +97,47 @@ func buildAmoRig(t *testing.T, amortized bool) *amoRig {
 	}
 	r.oracle = spec.NewOracle(amoCap, amoTimeout.Nanoseconds(), extIP, confPortBase, amoCap)
 	return r
+}
+
+func rigName(amortized, prefetch bool) string {
+	name := "per-packet"
+	if amortized {
+		name = "amortized"
+	}
+	if !prefetch {
+		name += ", no prefetch"
+	}
+	return name
+}
+
+// sameFinalState demands that two cores of one declaration ended a
+// trace in the same state: the same migratable records (every table
+// entry with its DChain stamp, in index order) and the same counter
+// vector (stats and per-reason counts).
+func sameFinalState[C any](t *testing.T, what string, d nfkit.Decl[C], a, b C) {
+	t.Helper()
+	if ra, rb := d.Codec.Snapshot(a), d.Codec.Snapshot(b); !reflect.DeepEqual(ra, rb) {
+		t.Fatalf("%s: final table contents diverged:\n%+v\n%+v", what, ra, rb)
+	}
+	if ca, cb := d.Codec.Counters(a), d.Codec.Counters(b); !reflect.DeepEqual(ca, cb) {
+		t.Fatalf("%s: counters and reason counts diverged:\n%v\n%v", what, ca, cb)
+	}
+}
+
+// natTotals sums the shards' NAT counters and live flows.
+func (r *amoRig) natTotals() (st nat.Stats, flows int) {
+	for _, n := range r.nat.Cores() {
+		flows += n.Table().Size()
+	}
+	return nfkit.AggregateStats(r.nat, (*nat.NAT).Stats, func(agg *nat.Stats, one nat.Stats) {
+		agg.Processed += one.Processed
+		agg.Dropped += one.Dropped
+		agg.ForwardedOut += one.ForwardedOut
+		agg.ForwardedIn += one.ForwardedIn
+		agg.FlowsCreated += one.FlowsCreated
+		agg.FlowsExpired += one.FlowsExpired
+		agg.ParseFailures += one.ParseFailures
+	}), flows
 }
 
 type amoObserved struct {
@@ -123,9 +178,28 @@ func (r *amoRig) pollAndDrain(t *testing.T, drain []*dpdk.Mbuf) map[uint32]amoOb
 }
 
 func TestAmortizedExpiryOracleEquivalence(t *testing.T) {
-	perPacket := buildAmoRig(t, false)
-	amortized := buildAmoRig(t, true)
-	rigs := []*amoRig{perPacket, amortized}
+	runAmoTrace(t, []*amoRig{buildAmoRig(t, false, true), buildAmoRig(t, true, true)}, 7)
+}
+
+// TestPrefetchObservationallyPureNAT: the burst-wide prefetch stage is
+// reads and scratch only. The same randomized trace through the NAT as
+// declared and with the hook stripped from its Decl, in both expiry
+// modes, must give bit-identical outputs, final table contents,
+// counters and reason counts. Bursts are wide here so that each shard's
+// run has packets to prefetch for.
+func TestPrefetchObservationallyPureNAT(t *testing.T) {
+	runAmoTrace(t, []*amoRig{
+		buildAmoRig(t, false, true), buildAmoRig(t, false, false),
+		buildAmoRig(t, true, true), buildAmoRig(t, true, false),
+	}, 24)
+}
+
+// runAmoTrace drives every rig through one randomized conformance trace
+// of at most maxBurst packets a poll under lock-step virtual clocks.
+// Every rig must match rigs[0] output for output and in its final state,
+// and each must satisfy the RFC 3022 oracle on its own.
+func runAmoTrace(t *testing.T, rigs []*amoRig, maxBurst int) {
+	ref := rigs[0]
 
 	intIDs := make([]flow.ID, 32)
 	for i := range intIDs {
@@ -171,8 +245,10 @@ func TestAmortizedExpiryOracleEquivalence(t *testing.T) {
 				r.clock.Advance(d)
 			}
 		}
-		if perPacket.clock.Now() != amortized.clock.Now() {
-			t.Fatal("virtual clocks diverged")
+		for _, r := range rigs {
+			if r.clock.Now() != ref.clock.Now() {
+				t.Fatal("virtual clocks diverged")
+			}
 		}
 
 		// Build one burst of distinct flows (a flow appears at most once
@@ -180,7 +256,7 @@ func TestAmortizedExpiryOracleEquivalence(t *testing.T) {
 		// the oracle adopts).
 		var deliveries []delivery
 		used := map[int]bool{}
-		burst := 1 + rng.Intn(7)
+		burst := 1 + rng.Intn(maxBurst)
 		if iter%97 == 96 {
 			burst = 0 // idle poll: only the expiry sweeps run
 		}
@@ -230,29 +306,30 @@ func TestAmortizedExpiryOracleEquivalence(t *testing.T) {
 			deliveries = append(deliveries, d)
 		}
 
-		outPP := perPacket.pollAndDrain(t, drain)
-		outAM := amortized.pollAndDrain(t, drain)
-
-		// The tentpole assertion: the two modes' observable behavior is
-		// identical, packet for packet.
-		if len(outPP) != len(outAM) {
-			t.Fatalf("iter %d: per-packet forwarded %d, amortized %d", iter, len(outPP), len(outAM))
+		outs := make([]map[uint32]amoObserved, len(rigs))
+		for ri, r := range rigs {
+			outs[ri] = r.pollAndDrain(t, drain)
 		}
-		for s, o := range outPP {
-			if outAM[s] != o {
-				t.Fatalf("iter %d seq %d: per-packet %+v, amortized %+v", iter, s, o, outAM[s])
+		outPP := outs[0]
+
+		// The tentpole assertion: every rig's observable behavior is
+		// identical, packet for packet.
+		for ri, out := range outs[1:] {
+			if len(outPP) != len(out) {
+				t.Fatalf("iter %d: %s forwarded %d, %s %d", iter, ref.name, len(outPP), rigs[ri+1].name, len(out))
+			}
+			for s, o := range outPP {
+				if out[s] != o {
+					t.Fatalf("iter %d seq %d: %s %+v, %s %+v", iter, s, ref.name, o, rigs[ri+1].name, out[s])
+				}
 			}
 		}
 
-		// Both runs must also each satisfy RFC 3022.
+		// Every run must also satisfy RFC 3022 on its own.
 		for _, d := range deliveries {
 			for ri, r := range rigs {
 				obs := spec.Observed{Verdict: stateless.VerdictDrop}
-				outs := outPP
-				if ri == 1 {
-					outs = outAM
-				}
-				if o, ok := outs[d.seq]; ok {
+				if o, ok := outs[ri][d.seq]; ok {
 					obs.Tuple = o.tuple
 					if o.toExternal {
 						obs.Verdict = stateless.VerdictToExternal
@@ -278,13 +355,15 @@ func TestAmortizedExpiryOracleEquivalence(t *testing.T) {
 	if total < 4000 {
 		t.Fatalf("only %d packets driven", total)
 	}
-	// Final state and counters agree across modes.
-	if a, b := perPacket.nat.Flows(), amortized.nat.Flows(); a != b {
-		t.Fatalf("live flows diverged: per-packet %d, amortized %d", a, b)
-	}
-	sa, sb := perPacket.nat.Stats(), amortized.nat.Stats()
-	if sa != sb {
-		t.Fatalf("NAT counters diverged:\nper-packet %+v\namortized  %+v", sa, sb)
+	// Final state and counters agree across rigs, shard by shard.
+	sa, flows := ref.natTotals()
+	for _, r := range rigs[1:] {
+		if sb, fb := r.natTotals(); sa != sb || flows != fb {
+			t.Fatalf("NAT totals diverged:\n%s %+v, %d flows\n%s %+v, %d flows", ref.name, sa, flows, r.name, sb, fb)
+		}
+		for shard, core := range r.nat.Cores() {
+			sameFinalState(t, ref.name+" vs "+r.name, r.decl, ref.nat.Core(shard), core)
+		}
 	}
 	if sa.FlowsExpired == 0 || sa.FlowsCreated == 0 {
 		t.Fatalf("churn too weak to mean anything: %+v", sa)

@@ -12,7 +12,6 @@
 package spec_test
 
 import (
-	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"testing"
@@ -26,6 +25,7 @@ import (
 	"vignat/internal/nat"
 	"vignat/internal/netstack"
 	"vignat/internal/nf"
+	"vignat/internal/nf/nfkit"
 	"vignat/internal/policer"
 )
 
@@ -41,8 +41,9 @@ const (
 
 var chainVIP = flow.MakeAddr(10, 53, 53, 53)
 
-// chainRig is one expiry mode's complete gateway stand.
+// chainRig is one configuration's complete gateway stand.
 type chainRig struct {
+	name    string
 	clock   *libvig.VirtualClock
 	fw      *firewall.Firewall
 	pol     *policer.Policer
@@ -55,6 +56,30 @@ type chainRig struct {
 }
 
 func buildChainRig(t *testing.T, amortized bool, fastPath int) *chainRig {
+	return buildChainRigFrom(t, amortized, fastPath, true)
+}
+
+// decls returns the gateway's four declarations for the rig's own
+// cores, as shipped or with every Prefetch hook stripped.
+func (r *chainRig) decls(t *testing.T, prefetch bool) (nfkit.Decl[*firewall.Firewall], nfkit.Decl[*policer.Policer], nfkit.Decl[*lb.Balancer], nfkit.Decl[*nat.NAT]) {
+	t.Helper()
+	fwD := firewall.Kit(chainCap, chainTimeout, r.clock)
+	polD := policer.Kit(r.pol.Config(), r.clock)
+	lbD := lb.Kit(r.lb.Config(), r.clock)
+	natD := nat.Kit(r.nat.Config(), r.clock)
+	if fwD.Prefetch == nil || lbD.Prefetch == nil || natD.Prefetch == nil {
+		t.Fatal("a DoubleMap-backed NF declares no Prefetch hook")
+	}
+	if !prefetch {
+		fwD.Prefetch, polD.Prefetch, lbD.Prefetch, natD.Prefetch = nil, nil, nil, nil
+	}
+	return fwD, polD, lbD, natD
+}
+
+// buildChainRigFrom builds the gateway in the given expiry mode, its
+// elements adapted from their declarations as shipped or with the
+// Prefetch hooks stripped.
+func buildChainRigFrom(t *testing.T, amortized bool, fastPath int, prefetch bool) *chainRig {
 	t.Helper()
 	clock := libvig.NewVirtualClock(0)
 	natCfg := nat.Config{
@@ -92,8 +117,10 @@ func buildChainRig(t *testing.T, amortized bool, fastPath int) *chainRig {
 			t.Fatal(err)
 		}
 	}
+	r := &chainRig{name: rigName(amortized, prefetch), clock: clock, fw: fw, pol: pol, lb: gwLB, nat: gwNAT}
+	fwD, polD, lbD, natD := r.decls(t, prefetch)
 	chain, err := nf.NewChain("homegw",
-		firewall.AsNF(fw), policer.AsNF(pol), lb.AsNF(gwLB), nat.AsNF(gwNAT))
+		fwD.Adapt(fw), polD.Adapt(pol), lbD.Adapt(gwLB), natD.Adapt(gwNAT))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,10 +146,8 @@ func buildChainRig(t *testing.T, amortized bool, fastPath int) *chainRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &chainRig{
-		clock: clock, fw: fw, pol: pol, lb: gwLB, nat: gwNAT,
-		pipe: pipe, intPort: intPort, extPort: extPort, pool: pool,
-	}
+	r.pipe, r.intPort, r.extPort, r.pool = pipe, intPort, extPort, pool
+	return r
 }
 
 // chainObserved is one output, keyed by its sequence tag: which side it
@@ -159,9 +184,28 @@ func (r *chainRig) pollAndDrain(t *testing.T, drain []*dpdk.Mbuf) map[uint32]cha
 }
 
 func TestAmortizedExpiryOracleEquivalenceChain(t *testing.T) {
-	perPacket := buildChainRig(t, false, nf.FastPathDisabled)
-	amortized := buildChainRig(t, true, nf.FastPathDisabled)
-	rigs := []*chainRig{perPacket, amortized}
+	runChainTrace(t, []*chainRig{
+		buildChainRig(t, false, nf.FastPathDisabled), buildChainRig(t, true, nf.FastPathDisabled),
+	}, 6)
+}
+
+// TestPrefetchObservationallyPureChain is the gateway's half of the
+// purity argument (see TestPrefetchObservationallyPureNAT): firewall,
+// balancer and NAT each prefetch for the sub-burst the element before
+// them let through, and stripping all three hooks must change nothing.
+func TestPrefetchObservationallyPureChain(t *testing.T) {
+	runChainTrace(t, []*chainRig{
+		buildChainRigFrom(t, false, nf.FastPathDisabled, true), buildChainRigFrom(t, false, nf.FastPathDisabled, false),
+		buildChainRigFrom(t, true, nf.FastPathDisabled, true), buildChainRigFrom(t, true, nf.FastPathDisabled, false),
+	}, 8)
+}
+
+// runChainTrace drives every rig through one randomized gateway trace
+// of at most maxBurst packets a poll (one per host) under lock-step
+// virtual clocks. Every rig must match rigs[0] byte for byte and in the
+// final state of all four NFs.
+func runChainTrace(t *testing.T, rigs []*chainRig, maxBurst int) {
+	perPacket := rigs[0]
 
 	const nHosts = 8
 	type flowKey struct {
@@ -216,8 +260,10 @@ func TestAmortizedExpiryOracleEquivalenceChain(t *testing.T) {
 				r.clock.Advance(d)
 			}
 		}
-		if perPacket.clock.Now() != amortized.clock.Now() {
-			t.Fatal("virtual clocks diverged")
+		for _, r := range rigs {
+			if r.clock.Now() != perPacket.clock.Now() {
+				t.Fatal("virtual clocks diverged")
+			}
 		}
 
 		type delivery struct {
@@ -228,7 +274,7 @@ func TestAmortizedExpiryOracleEquivalenceChain(t *testing.T) {
 		}
 		var deliveries []delivery
 		usedHost := map[int]bool{}
-		burst := 1 + rng.Intn(6)
+		burst := 1 + rng.Intn(maxBurst)
 		if iter%89 == 88 {
 			burst = 0 // idle poll: only the expiry sweeps run
 		}
@@ -285,21 +331,19 @@ func TestAmortizedExpiryOracleEquivalenceChain(t *testing.T) {
 		}
 
 		outPP := perPacket.pollAndDrain(t, drain)
-		outAM := amortized.pollAndDrain(t, drain)
 
-		// The tentpole assertion: the two modes' observable behavior is
+		// The tentpole assertion: every rig's observable behavior is
 		// identical, packet for packet, byte for byte.
-		if len(outPP) != len(outAM) {
-			t.Fatalf("iter %d: per-packet forwarded %d, amortized %d", iter, len(outPP), len(outAM))
-		}
-		for s, o := range outPP {
-			oam, ok := outAM[s]
-			if !ok {
-				t.Fatalf("iter %d seq %d: forwarded per-packet, dropped amortized", iter, s)
+		for _, r := range rigs[1:] {
+			out := r.pollAndDrain(t, drain)
+			if len(outPP) != len(out) {
+				t.Fatalf("iter %d: %s forwarded %d, %s %d", iter, perPacket.name, len(outPP), r.name, len(out))
 			}
-			if o.toExternal != oam.toExternal || !bytes.Equal([]byte(o.frame), []byte(oam.frame)) {
-				t.Fatalf("iter %d seq %d: outputs diverged\nper-packet ext=%v % x\namortized  ext=%v % x",
-					iter, s, o.toExternal, o.frame, oam.toExternal, oam.frame)
+			for s, o := range outPP {
+				if other, ok := out[s]; !ok || o != other {
+					t.Fatalf("iter %d seq %d: outputs diverged\n%s ext=%v % x\n%s forwarded=%v ext=%v % x",
+						iter, s, perPacket.name, o.toExternal, o.frame, r.name, ok, other.toExternal, other.frame)
+				}
 			}
 		}
 
@@ -321,35 +365,15 @@ func TestAmortizedExpiryOracleEquivalenceChain(t *testing.T) {
 	if total < 3000 {
 		t.Fatalf("only %d packets driven", total)
 	}
-	// Final state and counters agree across modes, NF by NF.
-	if a, b := perPacket.nat.Table().Size(), amortized.nat.Table().Size(); a != b {
-		t.Fatalf("live NAT flows diverged: %d vs %d", a, b)
-	}
-	if a, b := perPacket.fw.Sessions(), amortized.fw.Sessions(); a != b {
-		t.Fatalf("live firewall sessions diverged: %d vs %d", a, b)
-	}
-	if a, b := perPacket.lb.Flows(), amortized.lb.Flows(); a != b {
-		t.Fatalf("live sticky entries diverged: %d vs %d", a, b)
-	}
-	if a, b := perPacket.pol.Subscribers(), amortized.pol.Subscribers(); a != b {
-		t.Fatalf("tracked subscribers diverged: %d vs %d", a, b)
-	}
-	if a, b := perPacket.nat.Stats(), amortized.nat.Stats(); a != b {
-		t.Fatalf("NAT counters diverged:\nper-packet %+v\namortized  %+v", a, b)
-	}
-	if a, b := perPacket.pol.Stats(), amortized.pol.Stats(); a != b {
-		t.Fatalf("policer counters diverged:\nper-packet %+v\namortized  %+v", a, b)
-	}
-	if a, b := perPacket.lb.Stats(), amortized.lb.Stats(); a != b {
-		t.Fatalf("LB counters diverged:\nper-packet %+v\namortized  %+v", a, b)
-	}
-	ppProc, ppDrop := perPacket.fw.Stats()
-	amProc, amDrop := amortized.fw.Stats()
-	if ppProc != amProc || ppDrop != amDrop {
-		t.Fatalf("firewall counters diverged: %d/%d vs %d/%d", ppProc, ppDrop, amProc, amDrop)
-	}
-	if a, b := perPacket.fw.Expired(), amortized.fw.Expired(); a != b {
-		t.Fatalf("firewall expiry diverged: %d vs %d", a, b)
+	// Final state and counters agree across rigs, NF by NF: every table
+	// entry with its stamp, every counter, every reason count.
+	for _, r := range rigs[1:] {
+		what := perPacket.name + " vs " + r.name
+		fwD, polD, lbD, natD := r.decls(t, true)
+		sameFinalState(t, what+": firewall", fwD, perPacket.fw, r.fw)
+		sameFinalState(t, what+": policer", polD, perPacket.pol, r.pol)
+		sameFinalState(t, what+": lb", lbD, perPacket.lb, r.lb)
+		sameFinalState(t, what+": nat", natD, perPacket.nat, r.nat)
 	}
 	// The churn must actually have exercised every NF's expiry —
 	// including the firewall's, whose amortized switch is the new part.
