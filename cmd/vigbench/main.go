@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	vigbench [-fig 12|12x|13|14|v1|pipeline|lb|policer|fastpath|telemetry|ablation|all] [-scale F]
+//	vigbench [-fig 12|12x|13|14|v1|fastpath|telemetry|ablation|all] [-scale F]
 //
 // -scale shrinks experiment durations (1.0 = full paper-shaped run,
 // 0.2 = quick look). Absolute numbers are testbed-model calibrated; the
@@ -21,14 +21,8 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "which experiment: 12, 12x, 13, 14, v1, pipeline, lb, policer, fastpath, telemetry, ablation, all")
+	fig := flag.String("fig", "all", "which experiment: 12, 12x, 13, 14, v1, fastpath, telemetry, ablation, all")
 	scale := flag.Float64("scale", 1.0, "duration scale (0.2 = quick)")
-	benchOut := flag.String("bench-out", "BENCH_pipeline.json",
-		"where the pipeline experiment writes its machine-readable results (empty disables)")
-	lbOut := flag.String("lb-out", "BENCH_lb.json",
-		"where the lb experiment writes its machine-readable results (empty disables)")
-	policerOut := flag.String("policer-out", "BENCH_policer.json",
-		"where the policer experiment writes its machine-readable results (empty disables)")
 	fastpathOut := flag.String("fastpath-out", "BENCH_fastpath.json",
 		"where the fastpath experiment writes its machine-readable results (empty disables)")
 	telemetryOut := flag.String("telemetry-out", "BENCH_telemetry.json",
@@ -100,60 +94,6 @@ func main() {
 		return nil
 	})
 
-	run("pipeline", func() error {
-		fmt.Println("=== NF pipeline: per-packet vs batched, measured multi-queue worker scaling ===")
-		rows, err := experiments.PipelineScaling(experiments.PipelineConfig{Scale: s})
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatPipeline(rows))
-		if *benchOut != "" {
-			if err := experiments.WritePipelineJSON(*benchOut, rows); err != nil {
-				return err
-			}
-			fmt.Printf("(results written to %s)\n", *benchOut)
-		}
-		return nil
-	})
-
-	run("lb", func() error {
-		fmt.Println("=== Maglev-style LB: batched cost vs the sharded NAT, CHT disruption ===")
-		rows, err := experiments.LBScaling(experiments.LBConfig{Scale: s})
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatLB(rows))
-		disruption, err := experiments.CHTDisruption(nil, 0)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		fmt.Print(experiments.FormatCHTDisruption(disruption))
-		if *lbOut != "" {
-			if err := experiments.WriteLBJSON(*lbOut, rows, disruption); err != nil {
-				return err
-			}
-			fmt.Printf("(results written to %s)\n", *lbOut)
-		}
-		return nil
-	})
-
-	run("policer", func() error {
-		fmt.Println("=== Traffic policer: batched vs per-packet, cost vs the sharded NAT ===")
-		rows, err := experiments.PolicerScaling(experiments.PolicerConfig{Scale: s})
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatPolicer(rows))
-		if *policerOut != "" {
-			if err := experiments.WritePolicerJSON(*policerOut, rows); err != nil {
-				return err
-			}
-			fmt.Printf("(results written to %s)\n", *policerOut)
-		}
-		return nil
-	})
-
 	run("fastpath", func() error {
 		fmt.Println("=== Established-flow fast path: ns/pkt vs established-traffic share ===")
 		rows, err := experiments.FastPathSweep(experiments.FastPathConfig{Scale: s})
@@ -209,7 +149,7 @@ func main() {
 	// A -fig value that matched no experiment is a user error, not a
 	// silent no-op: name the figure and list the valid ones.
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "vigbench: unknown figure %q (valid: 12, 12x, 13, 14, v1, pipeline, lb, policer, fastpath, telemetry, ablation, all)\n", *fig)
+		fmt.Fprintf(os.Stderr, "vigbench: unknown figure %q (valid: 12, 12x, 13, 14, v1, fastpath, telemetry, ablation, all)\n", *fig)
 		flag.Usage()
 		os.Exit(2)
 	}

@@ -8,7 +8,7 @@
 //
 //	viglb [-backends N] [-flows N] [-packets N] [-timeout D]
 //	      [-capacity N] [-shards N] [-workers N] [-burst N]
-//	      [-amortized] [-metrics addr] [-churn]
+//	      [-metrics addr] [-churn]
 //
 // -shards > 1 partitions the sticky table RSS-style. The balancer
 // needs no port-range trick to shard: a backend reply carries the

@@ -8,8 +8,8 @@
 // Usage:
 //
 //	vignat [-flows N] [-packets N] [-timeout D] [-capacity N]
-//	       [-shards N] [-workers N] [-burst N] [-amortized]
-//	       [-metrics addr] [-verify]
+//	       [-shards N] [-workers N] [-burst N] [-metrics addr]
+//	       [-verify]
 //
 // -shards > 1 partitions the NAT RSS-style: each shard owns a disjoint
 // slice of the flow table and of the external port range, so steering

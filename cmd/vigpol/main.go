@@ -9,7 +9,7 @@
 //
 //	vigpol [-rate B/s] [-bucket B] [-subscribers N] [-flood F]
 //	       [-packets N] [-timeout D] [-capacity N] [-shards N]
-//	       [-workers N] [-burst N] [-amortized] [-metrics addr]
+//	       [-workers N] [-burst N] [-metrics addr]
 //
 // NOTE: -burst is the engine's RX/TX burst size (packets), shared with
 // every demo binary; the per-subscriber bucket depth — which older
@@ -20,9 +20,6 @@
 // only state key is the client IP, so ingress steers by destination
 // address, egress by source address, and every subscriber lives on
 // exactly one shard with no locks.
-//
-// -amortized switches the engine to once-per-poll expiry (the
-// oracle-equivalent batching of the Fig. 6 sweep).
 //
 // -metrics serves every shard's StatsSnapshot over HTTP/expvar while
 // the run is in flight — the scrape is a handful of atomic loads and
@@ -83,10 +80,6 @@ func main() {
 				frames[f] = netstack.Craft(make([]byte, netstack.FrameLen(spec)), spec)
 			}
 
-			amortizedNote := ""
-			if o.Amortize {
-				amortizedNote = ", amortized expiry"
-			}
 			var delivered atomic.Int64
 			return &nfkit.Run{
 				NF:             pol,
@@ -97,9 +90,9 @@ func main() {
 				FromInternal:   false, // downstream traffic enters upstream-side
 				InternalPortID: 0,     // subscriber side
 				ExternalPortID: 1,     // upstream side
-				Banner: fmt.Sprintf("vigpol: rate=%d B/s burst=%d B Texp=%v CAP=%d, %d shards, %d workers, rx burst %d, %d subscribers (%d flooded), %d packets%s",
+				Banner: fmt.Sprintf("vigpol: rate=%d B/s burst=%d B Texp=%v CAP=%d, %d shards, %d workers, rx burst %d, %d subscribers (%d flooded), %d packets",
 					*rate, *bucket, o.Timeout, o.Capacity, pol.Shards(), o.Workers, o.Burst,
-					*subscribers, nFlooded, o.Packets, amortizedNote),
+					*subscribers, nFlooded, o.Packets),
 				OnDelivered: func(_ int, frame []byte) {
 					delivered.Add(int64(len(frame)))
 				},

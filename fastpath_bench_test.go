@@ -23,6 +23,10 @@ import (
 	"vignat/internal/nf"
 )
 
+// benchNFFlows is the established population of the Hit100 scenario:
+// small enough that every flow stays in the cache and in L2.
+const benchNFFlows = 256
+
 // setupFastPathPipe builds the 1-shard NAT pipeline used by all
 // fast-path benchmarks, with the cache sized fastPath (or disabled).
 func setupFastPathPipe(b *testing.B, fastPath int) (*nf.Pipeline, *dpdk.Port, *dpdk.Port, *dpdk.Mempool) {

@@ -3,50 +3,7 @@ package experiments
 import (
 	"encoding/json"
 	"os"
-	"runtime"
-	"time"
 )
-
-// PipelineBench is the machine-readable record of one pipeline-scaling
-// run, written as BENCH_pipeline.json so CI can track the perf
-// trajectory across commits. GOMAXPROCS/NumCPU are recorded because
-// the measured column is wall-clock goroutine parallelism: on a
-// single-core runner it flattens at 1× while the modeled column keeps
-// the per-shard scaling shape.
-type PipelineBench struct {
-	Experiment  string `json:"experiment"`
-	GeneratedAt string `json:"generated_at"`
-	GoVersion   string `json:"go_version"`
-	GOMAXPROCS  int    `json:"gomaxprocs"`
-	NumCPU      int    `json:"num_cpu"`
-	// Transport is the dpdk.Transport backend the packets crossed.
-	// The scaling experiment always runs on the in-memory rings — wire
-	// backends pay kernel syscall costs that would corrupt the ns/pkt
-	// trajectory (see EXPERIMENTS.md) — but the field makes every
-	// record self-describing should a wire variant ever be recorded.
-	Transport string `json:"transport"`
-	// PrimaryColumn names the column CI should track across commits:
-	// "measured" (real goroutine parallelism) on multi-core runners,
-	// "modeled" (per-shard isolation makespan) on single-core hosts
-	// where the measured curve flattens at 1× regardless of the code.
-	PrimaryColumn string        `json:"primary_column"`
-	Rows          []PipelineRow `json:"rows"`
-}
-
-// WritePipelineJSON writes rows (plus host metadata) to path as
-// indented JSON.
-func WritePipelineJSON(path string, rows []PipelineRow) error {
-	return writeBenchJSON(path, PipelineBench{
-		Experiment:    "pipeline-scaling",
-		GeneratedAt:   time.Now().UTC().Format(time.RFC3339),
-		GoVersion:     runtime.Version(),
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		NumCPU:        runtime.NumCPU(),
-		Transport:     "mem",
-		PrimaryColumn: PipelinePrimaryColumn(),
-		Rows:          rows,
-	})
-}
 
 // writeBenchJSON marshals one bench record to path as indented JSON.
 func writeBenchJSON(path string, rec any) error {

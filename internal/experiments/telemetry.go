@@ -161,7 +161,7 @@ func newTelRig(telemetry int) (*telRig, error) {
 		return nil, err
 	}
 	// The policer's budget is generous: over-rate clipping is a
-	// behavior experiment (chain_amortized, fastpath conformance), not
+	// behavior experiment (chain purity, fastpath conformance), not
 	// an overhead one, and a starved meter would let drop processing
 	// replace the forward path being timed.
 	pol, err := policer.New(policer.Config{
@@ -205,12 +205,11 @@ func newTelRig(telemetry int) (*telRig, error) {
 		return nil, err
 	}
 	engine, err := nf.NewPipeline(chain, nf.Config{
-		Internal:        intPort,
-		External:        extPort,
-		Clock:           clock,
-		AmortizedExpiry: true,
-		FastPath:        nf.FastPathDisabled, // the chain declines it anyway
-		Telemetry:       telemetry,
+		Internal:  intPort,
+		External:  extPort,
+		Clock:     clock,
+		FastPath:  nf.FastPathDisabled, // the chain declines it anyway
+		Telemetry: telemetry,
 	})
 	if err != nil {
 		return nil, err
@@ -562,8 +561,7 @@ func FormatTelemetry(r *TelemetryResult) string {
 }
 
 // TelemetryBench is the machine-readable record, written as
-// BENCH_telemetry.json so CI can hold the ≤3% overhead budget and the
-// telemetry-disabled baseline across commits.
+// BENCH_telemetry.json so CI can hold the ≤3% overhead budget.
 type TelemetryBench struct {
 	Experiment  string           `json:"experiment"`
 	GeneratedAt string           `json:"generated_at"`

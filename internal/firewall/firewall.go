@@ -165,7 +165,6 @@ type Firewall struct {
 	// parsing again.
 	burst nfkit.Burst
 
-	perPacketExpiry             bool
 	processed, dropped, expired uint64
 	// reasonCounts[r] totals packets tagged with reason r; lastReason
 	// is the most recent tag. Single-writer, like every hot counter.
@@ -186,7 +185,7 @@ func New(capacity int, timeout time.Duration, clock libvig.Clock) (*Firewall, er
 	if err != nil {
 		return nil, err
 	}
-	fw := &Firewall{dmap: dm, chain: ch, clock: clock, texp: timeout.Nanoseconds(), perPacketExpiry: true}
+	fw := &Firewall{dmap: dm, chain: ch, clock: clock, texp: timeout.Nanoseconds()}
 	fw.fpGens = fastpath.NewGenTable(capacity)
 	fw.erasers = []libvig.IndexEraser{
 		libvig.IndexEraserFunc(fw.dmap.Erase),
@@ -198,15 +197,6 @@ func New(capacity int, timeout time.Duration, clock libvig.Clock) (*Firewall, er
 
 // Sessions returns the number of live sessions.
 func (fw *Firewall) Sessions() int { return fw.dmap.Size() }
-
-// SetPerPacketExpiry switches the Fig. 6 in-line expiry on or off; off
-// defers all expiry to explicit ExpireAt calls (the engine's amortized
-// once-per-poll mode). It reports true: the firewall supports both
-// modes, which is what lets a chained home gateway amortize end to end.
-func (fw *Firewall) SetPerPacketExpiry(on bool) bool {
-	fw.perPacketExpiry = on
-	return true
-}
 
 // Stats returns (processed, dropped).
 func (fw *Firewall) Stats() (processed, dropped uint64) { return fw.processed, fw.dropped }
@@ -285,10 +275,7 @@ func (e *prodEnv) PacketFromInternal() bool { return e.fromInternal }
 
 func (e *prodEnv) ExpireSessions() {
 	// Same Fig. 6 convention as the NAT: expire when last+Texp <= now.
-	// In amortized mode the engine expires once per poll instead.
-	if e.fw.perPacketExpiry {
-		_ = e.fw.ExpireAt(e.now)
-	}
+	_ = e.fw.ExpireAt(e.now)
 }
 
 func (e *prodEnv) LookupOutbound() (SessionHandle, bool) {

@@ -40,10 +40,9 @@ func Kit(capacity int, timeout time.Duration, clock libvig.Clock) nfkit.Decl[*Fi
 		// The burst's first expiry sweep and every packet's lookup start
 		// their table loads here, together (nfkit.PrefetchFlows).
 		Prefetch: func(fw *Firewall, pkts []nf.Pkt, now libvig.Time) {
-			nfkit.PrefetchFlows(&fw.burst, pkts, true, fw.dmap, fw.chain, fw.perPacketExpiry, now-fw.texp+1)
+			nfkit.PrefetchFlows(&fw.burst, pkts, true, fw.dmap, fw.chain, now-fw.texp+1)
 		},
-		Expire:             (*Firewall).ExpireAt,
-		SetPerPacketExpiry: (*Firewall).SetPerPacketExpiry,
+		Expire: (*Firewall).ExpireAt,
 		Stats: func(fw *Firewall) nf.Stats {
 			processed, dropped := fw.Stats()
 			return nf.Stats{

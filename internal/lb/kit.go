@@ -69,10 +69,9 @@ func Kit(cfg Config, clock libvig.Clock) nfkit.Decl[*Balancer] {
 		// (nfkit.PrefetchFlows): the client tuple is the first key, so
 		// the first-key side is whichever side the clients are on.
 		Prefetch: func(b *Balancer, pkts []nf.Pkt, now libvig.Time) {
-			nfkit.PrefetchFlows(&b.burst, pkts, b.cfg.ClientsInternal, b.flows, b.flowChain, b.perPacketExpiry, now-b.texp+1)
+			nfkit.PrefetchFlows(&b.burst, pkts, b.cfg.ClientsInternal, b.flows, b.flowChain, now-b.texp+1)
 		},
-		Expire:             (*Balancer).ExpireAt,
-		SetPerPacketExpiry: (*Balancer).SetPerPacketExpiry,
+		Expire: (*Balancer).ExpireAt,
 		Stats: func(b *Balancer) nf.Stats {
 			s := b.Stats()
 			return nf.Stats{

@@ -303,9 +303,8 @@ type Balancer struct {
 	flowScratch []int // backend-removal sweep scratch, preallocated
 	clock       libvig.Clock
 
-	perPacketExpiry bool
-	stats           Stats
-	env             prodEnv
+	stats Stats
+	env   prodEnv
 	// reasonCounts[r] totals packets tagged with reason r; lastReason
 	// is the most recent tag. Single-writer, like the stats fields.
 	reasonCounts [numReasons]uint64
@@ -362,8 +361,6 @@ func New(cfg Config, clock libvig.Clock) (*Balancer, error) {
 		flowChain:    flowChain,
 		flowScratch:  make([]int, 0, cfg.Capacity),
 		clock:        clock,
-
-		perPacketExpiry: true,
 	}
 	// One generation slot per sticky index, plus one extra: slot
 	// cfg.Capacity is the sticky-creation epoch guarding cached
@@ -393,16 +390,6 @@ func (b *Balancer) Stats() Stats { return b.stats }
 
 // Flows returns the number of live sticky entries.
 func (b *Balancer) Flows() int { return b.flows.Size() }
-
-// SetPerPacketExpiry switches the Fig. 6 in-line expiry on or off; off
-// defers all expiry (sticky entries and backend liveness alike) to
-// explicit ExpireAt calls (the engine's amortized once-per-poll mode).
-// It reports true: the balancer supports both modes, which is what
-// lets a chained home gateway amortize end to end.
-func (b *Balancer) SetPerPacketExpiry(on bool) bool {
-	b.perPacketExpiry = on
-	return true
-}
 
 // LiveBackends returns the number of live backends.
 func (b *Balancer) LiveBackends() int { return b.cht.Live() }
@@ -642,10 +629,7 @@ func (e *prodEnv) DstIsVIP() bool {
 
 func (e *prodEnv) ExpireState() {
 	// Same Fig. 6 convention as the NAT: expire when last+Texp <= now.
-	// In amortized mode the engine expires once per poll instead.
-	if e.lb.perPacketExpiry {
-		_ = e.lb.ExpireAt(e.now)
-	}
+	_ = e.lb.ExpireAt(e.now)
 }
 
 func (e *prodEnv) LookupSticky() (FlowHandle, bool) {

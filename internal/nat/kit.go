@@ -63,10 +63,9 @@ func kit(cfg Config, clock libvig.Clock, steer *steering) nfkit.Decl[*NAT] {
 		// their table loads here, together (nfkit.PrefetchFlows).
 		Prefetch: func(n *NAT, pkts []nf.Pkt, now libvig.Time) {
 			t := n.table
-			nfkit.PrefetchFlows(&n.burst, pkts, true, t.dmap, t.chain, n.perPacketExpiry, now-n.cfg.TimeoutNanos()+1)
+			nfkit.PrefetchFlows(&n.burst, pkts, true, t.dmap, t.chain, now-n.cfg.TimeoutNanos()+1)
 		},
-		Expire:             (*NAT).ExpireAt,
-		SetPerPacketExpiry: (*NAT).SetPerPacketExpiry,
+		Expire: (*NAT).ExpireAt,
 		Stats: func(n *NAT) nf.Stats {
 			s := n.Stats()
 			return nf.Stats{

@@ -48,12 +48,11 @@ type Stats struct {
 // lives in preallocated libVig structures (27 MB peak RSS in the paper —
 // here, dominated by the 65535-entry table).
 type NAT struct {
-	cfg             Config
-	table           *FlowTable
-	clock           libvig.Clock
-	perPacketExpiry bool
-	stats           Stats
-	env             prodEnv
+	cfg   Config
+	table *FlowTable
+	clock libvig.Clock
+	stats Stats
+	env   prodEnv
 	// reasonCounts[r] totals packets tagged with reason r; lastReason
 	// is the most recent tag. Single-writer, like the stats fields.
 	reasonCounts [numReasons]uint64
@@ -76,19 +75,11 @@ func New(cfg Config, clock libvig.Clock) (*NAT, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &NAT{cfg: cfg, table: t, clock: clock, perPacketExpiry: true}
+	n := &NAT{cfg: cfg, table: t, clock: clock}
 	n.env.nat = n
 	n.fpGens = fastpath.NewGenTable(cfg.Capacity)
 	t.SetEraseHook(n.fpGens.Bump)
 	return n, nil
-}
-
-// SetPerPacketExpiry switches the Fig. 6 in-line expiry on or off; off
-// defers all expiry to explicit ExpireAt calls (the engine's amortized
-// once-per-poll mode). It reports true: the NAT supports both modes.
-func (n *NAT) SetPerPacketExpiry(on bool) bool {
-	n.perPacketExpiry = on
-	return true
 }
 
 // Config returns the NAT's configuration.
@@ -133,6 +124,8 @@ func (n *NAT) ProcessAt(frame []byte, fromInternal bool, now libvig.Time) statel
 // processing a packet — the pipeline's idle-poll expiration hook. It
 // returns the number of flows freed.
 func (n *NAT) ExpireAt(now libvig.Time) int {
+	// Fig. 6 expires when timestamp+Texp <= now; Expire frees strictly
+	// below its deadline, hence the +1.
 	freed := n.table.Expire(now - n.cfg.TimeoutNanos() + 1)
 	n.stats.FlowsExpired += uint64(freed)
 	return freed
@@ -188,16 +181,7 @@ func (e *prodEnv) PacketFromInternal() bool { return e.fromInternal }
 
 // --- libVig operations ---
 
-func (e *prodEnv) ExpireFlows() {
-	// Fig. 6 expires when timestamp+Texp <= now; Expire frees strictly
-	// below its deadline, hence the +1. In amortized mode the engine
-	// expires once per poll instead.
-	if !e.nat.perPacketExpiry {
-		return
-	}
-	n := e.nat.table.Expire(e.now - e.nat.cfg.TimeoutNanos() + 1)
-	e.nat.stats.FlowsExpired += uint64(n)
-}
+func (e *prodEnv) ExpireFlows() { _ = e.nat.ExpireAt(e.now) }
 
 func (e *prodEnv) LookupInternal() (stateless.FlowHandle, bool) {
 	i, ok := e.nat.table.LookupIntHashed(e.p.ID, e.p.Hash)

@@ -207,18 +207,6 @@ func (c *Chain) directionPass(pkts []Pkt, verdicts []Verdict, fromInternal bool)
 	}
 }
 
-// SetPerPacketExpiry forwards the expiry-mode switch to every element,
-// reporting true only when all of them switched (a half-switched chain
-// would mix expiry disciplines mid-burst).
-func (c *Chain) SetPerPacketExpiry(on bool) bool {
-	ok := true
-	for _, e := range c.elems {
-		em, supported := e.(ExpiryModer)
-		ok = supported && em.SetPerPacketExpiry(on) && ok
-	}
-	return ok
-}
-
 // Expire advances expiry on every element.
 func (c *Chain) Expire(now libvig.Time) int {
 	n := 0

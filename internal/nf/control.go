@@ -225,15 +225,6 @@ func (p *Pipeline) reshardLocked(rs Resharder, n int) error {
 		return err
 	}
 
-	// The new cores come up in their constructor's expiry mode; a
-	// pipeline running amortized sweeps must switch them again.
-	if p.amortized {
-		em, ok := p.nf.(ExpiryModer)
-		if !ok || !em.SetPerPacketExpiry(false) {
-			return fmt.Errorf("nf: %s lost amortized expiry across reshard", p.nf.Name())
-		}
-	}
-
 	// Retire the old workers' engine counters, then rebuild the worker
 	// set (per-shard tables, flow caches, batchers, telemetry blocks)
 	// for the new count.

@@ -132,12 +132,11 @@ func (wk *worker) processShardFast(li, s int, now libvig.Time) {
 	oc := 0 // consumed prefix of wk.offer
 	sampling := wk.cold
 	// expired tracks whether this shard's Fig. 6 sweep has run at the
-	// burst's timestamp. In amortized mode the top-of-poll sweep already
-	// did; in per-packet mode the first slow run (the NF sweeps in-line
-	// per packet) or the first cache hit triggers it, and repeats at the
-	// same now are no-ops — nothing new crosses the deadline while now
-	// stands still — so once is enough for the whole burst.
-	expired := p.amortized
+	// burst's timestamp. The first slow run (the NF sweeps in-line per
+	// packet) or the first cache hit triggers it, and repeats at the same
+	// now are no-ops — nothing new crosses the deadline while now stands
+	// still — so once is enough for the whole burst.
+	expired := false
 	qe, hasQuiet := snf.(quietExpirer)
 	qb, hasQuietBatch := snf.(quietBatcher)
 	flushRun := func(end int) {
@@ -186,9 +185,8 @@ func (wk *worker) processShardFast(li, s int, now libvig.Time) {
 			// A candidate hit: the NF-order-preserving point of no
 			// return. Everything queued before this packet runs first,
 			// then the packet's own Fig. 6 expiry (the engine replays it
-			// in per-packet mode; in amortized mode the top-of-poll sweep
-			// already ran), and only then is the entry's liveness judged —
-			// the expiry may be exactly what kills it.
+			// once per burst), and only then is the entry's liveness
+			// judged — the expiry may be exactly what kills it.
 			was := installed
 			flushRun(i)
 			runStart = i

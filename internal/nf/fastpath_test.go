@@ -32,7 +32,7 @@ type natRig struct {
 	extPort *dpdk.Port
 }
 
-func newNATRig(t *testing.T, clock libvig.Clock, natCfg nat.Config, fastPath int, amortized bool) *natRig {
+func newNATRig(t *testing.T, clock libvig.Clock, natCfg nat.Config, fastPath int) *natRig {
 	t.Helper()
 	sharded, err := nat.NewSharded(natCfg, clock, 1)
 	if err != nil {
@@ -41,7 +41,7 @@ func newNATRig(t *testing.T, clock libvig.Clock, natCfg nat.Config, fastPath int
 	pool, intPort, extPort := twoPorts(t, 256)
 	pipe, err := nf.NewPipeline(sharded, nf.Config{
 		Internal: intPort, External: extPort, Clock: clock,
-		FastPath: fastPath, AmortizedExpiry: amortized,
+		FastPath: fastPath,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -115,8 +115,8 @@ func TestFastPathNATMatchesSlowPath(t *testing.T) {
 	extIP := flow.MakeAddr(198, 18, 1, 1)
 	clock := libvig.NewVirtualClock(0)
 	natCfg := nat.Config{Capacity: 256, Timeout: time.Hour, ExternalIP: extIP, ExternalPort: 1}
-	on := newNATRig(t, clock, natCfg, 1024, false)
-	off := newNATRig(t, clock, natCfg, nf.FastPathDisabled, false)
+	on := newNATRig(t, clock, natCfg, 1024)
+	off := newNATRig(t, clock, natCfg, nf.FastPathDisabled)
 	if on.pipe.FastPathEntries() == 0 {
 		t.Fatal("fast rig resolved to no cache")
 	}
@@ -187,73 +187,66 @@ func TestFastPathNATMatchesSlowPath(t *testing.T) {
 }
 
 // TestFastPathExpiryInvalidation pins invalidation through state
-// expiry, in both expiry modes: a cached flow whose state expires must
-// not be served from the cache — the packet takes the slow path,
-// re-resolves (a fresh flow, possibly a different port), and the
-// cached rig stays byte-identical with the uncached one throughout.
+// expiry: a cached flow whose state expires must not be served from
+// the cache — the packet takes the slow path, re-resolves (a fresh
+// flow, possibly a different port), and the cached rig stays
+// byte-identical with the uncached one throughout.
 func TestFastPathExpiryInvalidation(t *testing.T) {
-	for _, mode := range []struct {
-		name      string
-		amortized bool
-	}{{"per-packet", false}, {"amortized", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			extIP := flow.MakeAddr(198, 18, 1, 1)
-			clock := libvig.NewVirtualClock(0)
-			timeout := 100 * time.Millisecond
-			natCfg := nat.Config{Capacity: 64, Timeout: timeout, ExternalIP: extIP, ExternalPort: 1}
-			on := newNATRig(t, clock, natCfg, 512, mode.amortized)
-			off := newNATRig(t, clock, natCfg, nf.FastPathDisabled, mode.amortized)
+	extIP := flow.MakeAddr(198, 18, 1, 1)
+	clock := libvig.NewVirtualClock(0)
+	timeout := 100 * time.Millisecond
+	natCfg := nat.Config{Capacity: 64, Timeout: timeout, ExternalIP: extIP, ExternalPort: 1}
+	on := newNATRig(t, clock, natCfg, 512)
+	off := newNATRig(t, clock, natCfg, nf.FastPathDisabled)
 
-			buf := make([]byte, 2048)
-			id := flow.ID{
-				SrcIP: flow.MakeAddr(10, 0, 0, 1), DstIP: flow.MakeAddr(198, 51, 100, 7),
-				SrcPort: 5000, DstPort: 80, Proto: flow.UDP,
-			}
-			type fr = struct {
-				b        []byte
-				internal bool
-			}
-			one := []fr{{b: udpFrame(t, buf, id), internal: true}}
+	buf := make([]byte, 2048)
+	id := flow.ID{
+		SrcIP: flow.MakeAddr(10, 0, 0, 1), DstIP: flow.MakeAddr(198, 51, 100, 7),
+		SrcPort: 5000, DstPort: 80, Proto: flow.UDP,
+	}
+	type fr = struct {
+		b        []byte
+		internal bool
+	}
+	one := []fr{{b: udpFrame(t, buf, id), internal: true}}
 
-			// Establish (install on second sighting), then hit.
-			stepBoth(t, on, off, clock, one)
-			stepBoth(t, on, off, clock, one)
-			stepBoth(t, on, off, clock, one)
-			hitsBefore := on.pipe.Stats().FastPathHits
-			if hitsBefore == 0 {
-				t.Fatal("flow never hit the cache")
-			}
+	// Establish (install on second sighting), then hit.
+	stepBoth(t, on, off, clock, one)
+	stepBoth(t, on, off, clock, one)
+	stepBoth(t, on, off, clock, one)
+	hitsBefore := on.pipe.Stats().FastPathHits
+	if hitsBefore == 0 {
+		t.Fatal("flow never hit the cache")
+	}
 
-			// Let the flow expire, then send a stale packet. The cached
-			// entry's guard must be dead: slow path re-resolves.
-			clock.Advance(timeout.Nanoseconds() + 1)
-			stepBoth(t, on, off, clock, one)
+	// Let the flow expire, then send a stale packet. The cached
+	// entry's guard must be dead: slow path re-resolves.
+	clock.Advance(timeout.Nanoseconds() + 1)
+	stepBoth(t, on, off, clock, one)
 
-			st := on.nat.Stats()
-			if st.FlowsExpired == 0 {
-				t.Fatal("flow never expired")
-			}
-			if st.FlowsCreated != 2 {
-				t.Fatalf("stale packet did not re-resolve: %d flows created, want 2", st.FlowsCreated)
-			}
-			ps := on.pipe.Stats()
-			if ps.FastPathHits != hitsBefore {
-				t.Fatal("stale packet was served from the cache")
-			}
-			if ps.FastPathEvictions == 0 {
-				t.Fatal("dead entry was not reclaimed")
-			}
-			if onStats, offStats := on.nat.Stats(), off.nat.Stats(); onStats != offStats {
-				t.Fatalf("NAT core stats diverge after expiry\n fast: %+v\n slow: %+v", onStats, offStats)
-			}
+	st := on.nat.Stats()
+	if st.FlowsExpired == 0 {
+		t.Fatal("flow never expired")
+	}
+	if st.FlowsCreated != 2 {
+		t.Fatalf("stale packet did not re-resolve: %d flows created, want 2", st.FlowsCreated)
+	}
+	ps := on.pipe.Stats()
+	if ps.FastPathHits != hitsBefore {
+		t.Fatal("stale packet was served from the cache")
+	}
+	if ps.FastPathEvictions == 0 {
+		t.Fatal("dead entry was not reclaimed")
+	}
+	if onStats, offStats := on.nat.Stats(), off.nat.Stats(); onStats != offStats {
+		t.Fatalf("NAT core stats diverge after expiry\n fast: %+v\n slow: %+v", onStats, offStats)
+	}
 
-			// The re-resolved flow is cacheable again.
-			stepBoth(t, on, off, clock, one)
-			stepBoth(t, on, off, clock, one)
-			if on.pipe.Stats().FastPathHits == hitsBefore {
-				t.Fatal("re-resolved flow never re-entered the cache")
-			}
-		})
+	// The re-resolved flow is cacheable again.
+	stepBoth(t, on, off, clock, one)
+	stepBoth(t, on, off, clock, one)
+	if on.pipe.Stats().FastPathHits == hitsBefore {
+		t.Fatal("re-resolved flow never re-entered the cache")
 	}
 }
 
@@ -386,7 +379,7 @@ func TestFastPathChurnBoundedOverhead(t *testing.T) {
 		bufs := make([]*dpdk.Mbuf, 64)
 		for r := 0; r < rounds; r++ {
 			clock := libvig.NewVirtualClock(0)
-			rig := newNATRig(t, clock, natCfg, fastPath, false)
+			rig := newNATRig(t, clock, natCfg, fastPath)
 			seq := uint32(0)
 			start := time.Now()
 			for b := 0; b < burstsPerRound; b++ {
@@ -447,8 +440,8 @@ func TestFastPathAdaptiveBypass(t *testing.T) {
 	extIP := flow.MakeAddr(198, 18, 1, 1)
 	clock := libvig.NewVirtualClock(0)
 	natCfg := nat.Config{Capacity: 512, Timeout: time.Hour, ExternalIP: extIP, ExternalPort: 1}
-	on := newNATRig(t, clock, natCfg, 1024, false)
-	off := newNATRig(t, clock, natCfg, nf.FastPathDisabled, false)
+	on := newNATRig(t, clock, natCfg, 1024)
+	off := newNATRig(t, clock, natCfg, nf.FastPathDisabled)
 
 	buf := make([]byte, 2048)
 	type fr = struct {
@@ -530,7 +523,7 @@ func TestFastPathMetricsExposure(t *testing.T) {
 	extIP := flow.MakeAddr(198, 18, 1, 1)
 	clock := libvig.NewVirtualClock(0)
 	natCfg := nat.Config{Capacity: 64, Timeout: time.Hour, ExternalIP: extIP, ExternalPort: 1}
-	rig := newNATRig(t, clock, natCfg, 256, false)
+	rig := newNATRig(t, clock, natCfg, 256)
 
 	buf := make([]byte, 2048)
 	id := flow.ID{
@@ -732,8 +725,8 @@ func TestFastPathHitSurvivesEvictingInstall(t *testing.T) {
 	}
 	rigs := func() (on, off *natRig, clock *libvig.VirtualClock) {
 		clock = libvig.NewVirtualClock(0)
-		return newNATRig(t, clock, natCfg, nf.DefaultFastPathEntries, false),
-			newNATRig(t, clock, natCfg, nf.FastPathDisabled, false), clock
+		return newNATRig(t, clock, natCfg, nf.DefaultFastPathEntries),
+			newNATRig(t, clock, natCfg, nf.FastPathDisabled), clock
 	}
 
 	// Forced: nine flows whose cache keys share one home slot. Eight fill
@@ -826,7 +819,7 @@ func TestFastPathColdStaysColdUnderChurn(t *testing.T) {
 	const packets = 1 << 20
 	clock := libvig.NewVirtualClock(0)
 	natCfg := nat.Config{Capacity: 4096, Timeout: time.Millisecond, ExternalIP: flow.MakeAddr(198, 18, 1, 1), ExternalPort: 1}
-	rig := newNATRig(t, clock, natCfg, nf.DefaultFastPathEntries, false)
+	rig := newNATRig(t, clock, natCfg, nf.DefaultFastPathEntries)
 	buf := make([]byte, 2048)
 	bufs := make([]*dpdk.Mbuf, 64)
 	id := flow.ID{DstIP: flow.MakeAddr(198, 51, 100, 7), DstPort: 80, Proto: flow.UDP}

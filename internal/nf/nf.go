@@ -116,25 +116,17 @@ type NF interface {
 	ProcessBatch(pkts []Pkt, verdicts []Verdict)
 
 	// Expire advances the NF's state expiry to now without processing a
-	// packet, returning the number of entries freed. The pipeline calls
-	// it on idle polls so state drains even when no traffic arrives —
-	// per-packet NFs expire on their own during Process.
+	// packet, returning the number of entries freed. NFs expire on their
+	// own at the top of every Process (Fig. 6); the pipeline calls
+	// Expire in exactly two places: on idle polls, so state drains even
+	// when no traffic arrives, and once per shard burst before its first
+	// flow-cache hit, replaying the sweep that packet's Process would
+	// have run. A second call at an unchanged now must free nothing and
+	// change nothing — the once-per-burst replay rests on it.
 	Expire(now libvig.Time) int
 
 	// NFStats snapshots the engine-visible counters.
 	NFStats() Stats
-}
-
-// ExpiryModer is implemented by NFs that can run with their Fig. 6
-// in-line (per-packet) expiry disabled, deferring all state expiry to
-// explicit Expire calls — the engine's amortized once-per-poll mode
-// (Config.AmortizedExpiry). SetPerPacketExpiry reports whether the NF
-// — and, for compositions, every component — actually switched; the
-// pipeline refuses amortized mode when it cannot guarantee the switch,
-// since a half-switched chain would expire twice with different
-// deadlines.
-type ExpiryModer interface {
-	SetPerPacketExpiry(on bool) bool
 }
 
 // ReasonStatser is implemented by NFs that declare a telemetry reason

@@ -21,7 +21,6 @@ type Adapter[C any] struct {
 
 var (
 	_ nf.NF            = (*Adapter[int])(nil)
-	_ nf.ExpiryModer   = (*Adapter[int])(nil)
 	_ nf.FastPather    = (*Adapter[int])(nil)
 	_ nf.ReasonStatser = (*Adapter[int])(nil)
 )
@@ -72,17 +71,6 @@ func (a *Adapter[C]) Expire(now libvig.Time) int {
 		return 0
 	}
 	return a.d.Expire(a.core, now)
-}
-
-// SetPerPacketExpiry forwards the expiry-mode switch to the core. An
-// NF that declares no switch reports true only when it is stateless
-// (there is nothing to switch), false otherwise — the pipeline then
-// refuses amortized mode rather than silently double-expiring.
-func (a *Adapter[C]) SetPerPacketExpiry(on bool) bool {
-	if a.d.SetPerPacketExpiry == nil {
-		return a.d.Expire == nil
-	}
-	return a.d.SetPerPacketExpiry(a.core, on)
 }
 
 // NFStats snapshots the core's engine-visible counters.

@@ -71,15 +71,12 @@ func (b *Burst) Take(frame []byte, own *Parsed) *Parsed {
 // flows over a DoubleMap keyed by the 5-tuple as seen from either side:
 // it starts the loads of (a) the home slots of the flows the burst's
 // first packet will expire at deadline — the one Fig. 6 sweep of the
-// burst that frees anything, now standing still; pass sweep=false when
-// expiry is amortized and the engine has already swept — and (b) each
+// burst that frees anything, now standing still — and (b) each
 // packet's own home slot, in the first-key map when the packet arrived
 // on the first key's side and in the second-key map otherwise.
 func PrefetchFlows[V any](b *Burst, pkts []nf.Pkt, fstFromInternal bool,
-	m *libvig.DoubleMap[flow.ID, flow.ID, V], chain *libvig.DChain, sweep bool, deadline libvig.Time) {
-	if sweep {
-		m.PrefetchExpiring(chain, deadline, len(pkts))
-	}
+	m *libvig.DoubleMap[flow.ID, flow.ID, V], chain *libvig.DChain, deadline libvig.Time) {
+	m.PrefetchExpiring(chain, deadline, len(pkts))
 	ents := b.Fill(pkts)
 	for i := range ents {
 		if pkts[i].FromInternal == fstFromInternal {

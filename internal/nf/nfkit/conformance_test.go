@@ -11,6 +11,8 @@
 package nfkit_test
 
 import (
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -23,6 +25,7 @@ import (
 	"vignat/internal/nat"
 	"vignat/internal/netstack"
 	"vignat/internal/nf"
+	"vignat/internal/nf/nfkit"
 	"vignat/internal/policer"
 )
 
@@ -44,6 +47,8 @@ type shardCase struct {
 	name string
 	// build constructs the 4-shard NF and a per-shard live-state drill.
 	build func(t *testing.T, clock libvig.Clock) (shardedNF, func(shard int) int)
+	// one constructs a single unsharded core of the same declaration.
+	one func(t *testing.T, clock libvig.Clock) declared
 	// frame crafts session i's client-side frame.
 	frame func(i int) []byte
 	// fromInternal is the side the client-side frames enter on.
@@ -57,20 +62,51 @@ func craft(id flow.ID) []byte {
 
 var confVIP = flow.MakeAddr(198, 18, 10, 10)
 
+// declared is one core behind its adapter, with the state its
+// declaration's codec sees in it.
+type declared struct {
+	nf   nf.NF
+	dump func() ([]nfkit.StateRecord, []uint64)
+}
+
+func declare[C any](t *testing.T, d nfkit.Decl[C]) (declared, C) {
+	t.Helper()
+	core, err := d.New(0, 1, d.Capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return declared{nf: d.Adapt(core), dump: func() ([]nfkit.StateRecord, []uint64) {
+		return d.Codec.Snapshot(core), d.Codec.Counters(core)
+	}}, core
+}
+
 func shardCases() []shardCase {
+	natCfg := nat.Config{
+		Capacity: 4 * confSessions, Timeout: confTimeout,
+		ExternalIP: flow.MakeAddr(198, 18, 1, 1), PortBase: 1000,
+		InternalPort: 0, ExternalPort: 1,
+	}
+	lbCfg := lb.Config{
+		VIP: confVIP, VIPPort: 443, Capacity: 4 * confSessions,
+		Timeout: confTimeout, MaxBackends: 4,
+	}
+	lbBackend := func(i int) flow.Addr { return flow.MakeAddr(10, 1, 0, byte(10+i)) }
+	polCfg := policer.Config{
+		Rate: 1 << 20, Burst: 1 << 20, Capacity: 4 * confSessions, Timeout: confTimeout,
+	}
 	return []shardCase{
 		{
 			name: "vignat",
 			build: func(t *testing.T, clock libvig.Clock) (shardedNF, func(int) int) {
-				n, err := nat.NewSharded(nat.Config{
-					Capacity: 4 * confSessions, Timeout: confTimeout,
-					ExternalIP: flow.MakeAddr(198, 18, 1, 1), PortBase: 1000,
-					InternalPort: 0, ExternalPort: 1,
-				}, clock, confShards)
+				n, err := nat.NewSharded(natCfg, clock, confShards)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return n, func(i int) int { return n.ShardNAT(i).Table().Size() }
+			},
+			one: func(t *testing.T, clock libvig.Clock) declared {
+				d, _ := declare(t, nat.Kit(natCfg, clock))
+				return d
 			},
 			frame: func(i int) []byte {
 				return craft(flow.ID{
@@ -89,6 +125,10 @@ func shardCases() []shardCase {
 				}
 				return fw, func(i int) int { return fw.ShardFirewall(i).Sessions() }
 			},
+			one: func(t *testing.T, clock libvig.Clock) declared {
+				d, _ := declare(t, firewall.Kit(4*confSessions, confTimeout, clock))
+				return d
+			},
 			frame: func(i int) []byte {
 				return craft(flow.ID{
 					SrcIP: flow.MakeAddr(10, 0, byte(i>>8), byte(1+i)), SrcPort: uint16(20000 + i),
@@ -100,19 +140,25 @@ func shardCases() []shardCase {
 		{
 			name: "viglb",
 			build: func(t *testing.T, clock libvig.Clock) (shardedNF, func(int) int) {
-				balancer, err := lb.NewSharded(lb.Config{
-					VIP: confVIP, VIPPort: 443, Capacity: 4 * confSessions,
-					Timeout: confTimeout, MaxBackends: 4,
-				}, clock, confShards)
+				balancer, err := lb.NewSharded(lbCfg, clock, confShards)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for i := 0; i < 4; i++ {
-					if _, err := balancer.AddBackend(flow.MakeAddr(10, 1, 0, byte(10+i)), clock.Now()); err != nil {
+					if _, err := balancer.AddBackend(lbBackend(i), clock.Now()); err != nil {
 						t.Fatal(err)
 					}
 				}
 				return balancer, func(i int) int { return balancer.ShardBalancer(i).Flows() }
+			},
+			one: func(t *testing.T, clock libvig.Clock) declared {
+				d, b := declare(t, lb.Kit(lbCfg, clock))
+				for i := 0; i < 4; i++ {
+					if _, err := b.AddBackend(lbBackend(i), clock.Now()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return d
 			},
 			frame: func(i int) []byte {
 				return craft(flow.ID{
@@ -125,13 +171,15 @@ func shardCases() []shardCase {
 		{
 			name: "vigpol",
 			build: func(t *testing.T, clock libvig.Clock) (shardedNF, func(int) int) {
-				pol, err := policer.NewSharded(policer.Config{
-					Rate: 1 << 20, Burst: 1 << 20, Capacity: 4 * confSessions, Timeout: confTimeout,
-				}, clock, confShards)
+				pol, err := policer.NewSharded(polCfg, clock, confShards)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return pol, func(i int) int { return pol.ShardPolicer(i).Subscribers() }
+			},
+			one: func(t *testing.T, clock libvig.Clock) declared {
+				d, _ := declare(t, policer.Kit(polCfg, clock))
+				return d
 			},
 			frame: func(i int) []byte {
 				return craft(flow.ID{
@@ -375,5 +423,101 @@ func TestShardedConformanceAllNFs(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRepeatExpireAtSameNowIsNoOp pins the fact the engine's
+// once-per-burst expiry replay rests on (processShardFast runs a
+// shard's sweep once for a whole burst): on every stateful NF a second
+// Expire at an unchanged now frees nothing and leaves the migratable
+// records and the counter vector exactly as the first left them. Half
+// the sessions are stale at the sweep and half are not, so the
+// comparison is over a table that is neither full nor empty.
+func TestRepeatExpireAtSameNowIsNoOp(t *testing.T) {
+	for _, tc := range shardCases() {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			clock := libvig.NewVirtualClock(0)
+			d := tc.one(t, clock)
+			for i := 0; i < confSessions; i++ {
+				if i == confSessions/2 {
+					clock.Advance(libvig.Time(confTimeout.Nanoseconds() * 2 / 3))
+				}
+				clock.Advance(1000)
+				if v := d.nf.Process(tc.frame(i), tc.fromInternal); v != nf.Forward {
+					t.Fatalf("session %d not admitted: %v", i, v)
+				}
+			}
+			clock.Advance(libvig.Time(confTimeout.Nanoseconds() / 2))
+			now := clock.Now()
+
+			if freed := d.nf.Expire(now); freed != confSessions/2 {
+				t.Fatalf("first sweep freed %d, want the stale half (%d)", freed, confSessions/2)
+			}
+			recs, counters := d.dump()
+			if len(recs) == 0 {
+				t.Fatal("nothing survived the sweep; the comparison would be vacuous")
+			}
+			if freed := d.nf.Expire(now); freed != 0 {
+				t.Fatalf("repeat sweep at the same now freed %d", freed)
+			}
+			recs2, counters2 := d.dump()
+			if !reflect.DeepEqual(recs, recs2) {
+				t.Fatalf("repeat sweep changed the records:\n%+v\n%+v", recs, recs2)
+			}
+			if !reflect.DeepEqual(counters, counters2) {
+				t.Fatalf("repeat sweep changed the counters:\n%v\n%v", counters, counters2)
+			}
+		})
+	}
+}
+
+// TestReshardRefusesMisdeclaredCodec: a codec that places a record on
+// shard n of n has no home for it under the new steering, so the whole
+// reshard is refused — naming the NF and the record type — and
+// copy-then-switch leaves the composition as it was.
+func TestReshardRefusesMisdeclaredCodec(t *testing.T) {
+	clock := libvig.NewVirtualClock(0)
+	d := firewall.Kit(4*confSessions, confTimeout, clock)
+	codec := *d.Codec
+	codec.Shard = func(_ nfkit.StateRecord, shards int) int { return shards }
+	d.Codec = &codec
+	s, err := nfkit.NewSharded(d, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < confSessions; i++ {
+		clock.Advance(1000)
+		frame := craft(flow.ID{
+			SrcIP: flow.MakeAddr(10, 0, 0, byte(1+i)), SrcPort: uint16(20000 + i),
+			DstIP: flow.MakeAddr(93, 184, 216, 34), DstPort: 80, Proto: flow.TCP,
+		})
+		if v := s.Process(frame, true); v != nf.Forward {
+			t.Fatalf("session %d not admitted: %v", i, v)
+		}
+	}
+	cores := s.Cores()
+	sessions := func() (n int) {
+		for _, c := range s.Cores() {
+			n += c.Sessions()
+		}
+		return n
+	}
+
+	err = s.Reshard(3)
+	if err == nil {
+		t.Fatal("reshard accepted a record placed on shard 3 of 3")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "nfkit: "+d.Name+" ") || !strings.Contains(msg, "a firewall.") {
+		t.Fatalf("refusal does not name both the NF and the record type: %v", err)
+	}
+	if s.Shards() != 2 || s.Core(0) != cores[0] || s.Core(1) != cores[1] {
+		t.Fatalf("refused reshard changed the composition: %d shards", s.Shards())
+	}
+	if got := sessions(); got != confSessions {
+		t.Fatalf("%d sessions after the refusal, want %d", got, confSessions)
+	}
+	if s.Migrated() != 0 || s.MigrationDropped() != 0 {
+		t.Fatalf("refused reshard moved the books: migrated %d, dropped %d", s.Migrated(), s.MigrationDropped())
 	}
 }

@@ -94,12 +94,6 @@ type Decl[C any] struct {
 	// the declaration only maps them out.
 	Stats func(core C) nf.Stats
 
-	// SetPerPacketExpiry switches the core's Fig. 6 in-line expiry on
-	// or off, reporting whether the switch happened — the engine's
-	// amortized once-per-poll mode. Nil means: vacuously switchable
-	// when the NF is stateless (Expire nil), unsupported otherwise.
-	SetPerPacketExpiry func(core C, on bool) bool
-
 	// ShardOf steers a frame to the shard owning its flow, for the
 	// given shard count. It must be consistent (both directions of a
 	// session yield the same shard), allocation-free, and safe for

@@ -27,9 +27,9 @@ import (
 
 // Options are the shared engine flags every demo binary exposes:
 // -packets, -timeout, -capacity, -shards, -workers, -burst, -metrics,
-// -amortized, plus the transport selection (-transport with its
-// address flags and -duration). Workers is resolved (0 → one per
-// shard) and validated before Build runs.
+// plus the transport selection (-transport with its address flags and
+// -duration). Workers is resolved (0 → one per shard) and validated
+// before Build runs.
 type Options struct {
 	Packets  int
 	Timeout  time.Duration
@@ -38,7 +38,6 @@ type Options struct {
 	Workers  int
 	Burst    int
 	Metrics  string
-	Amortize bool
 	// Telemetry and TraceSample mirror nf.Config's fields: telemetry 1
 	// enables the per-worker histograms and trace ring, -1 forces them
 	// off, 0 defers to VIGNAT_TELEMETRY; the sample is the trace ring's
@@ -146,7 +145,6 @@ func Main(app App) {
 	flag.IntVar(&o.Workers, "workers", 0, "run-to-completion workers / RSS queue pairs (0 = one per shard)")
 	flag.IntVar(&o.Burst, "burst", nf.DefaultBurst, "RX/TX burst size")
 	flag.StringVar(&o.Metrics, "metrics", "", "serve StatsSnapshot over HTTP/expvar on this address (e.g. :9090)")
-	flag.BoolVar(&o.Amortize, "amortized", false, "engine-level once-per-poll expiry instead of per-packet")
 	flag.IntVar(&o.Telemetry, "telemetry", 0, "per-worker latency histograms + trace ring: 1 on, -1 off, 0 defer to VIGNAT_TELEMETRY")
 	flag.IntVar(&o.TraceSample, "trace-sample", 0, "trace ring sampling period, 1 record per N packets (0 = default, negative = histograms only)")
 	flag.StringVar(&o.Transport, "transport", "mem", "packet I/O backend: mem (in-memory harness), udp, unix")
@@ -217,14 +215,13 @@ func run(app App, o *Options) error {
 		return err
 	}
 	pipe, err := nf.NewPipeline(b.NF, nf.Config{
-		Internal:        intPort,
-		External:        extPort,
-		Burst:           o.Burst,
-		Workers:         o.Workers,
-		Clock:           clock,
-		AmortizedExpiry: o.Amortize,
-		Telemetry:       o.Telemetry,
-		TraceSample:     o.TraceSample,
+		Internal:    intPort,
+		External:    extPort,
+		Burst:       o.Burst,
+		Workers:     o.Workers,
+		Clock:       clock,
+		Telemetry:   o.Telemetry,
+		TraceSample: o.TraceSample,
 	})
 	if err != nil {
 		return err
@@ -435,15 +432,14 @@ func runWire(app App, o *Options) error {
 	defer extPort.Close()
 
 	pipe, err := nf.NewPipeline(b.NF, nf.Config{
-		Internal:        intPort,
-		External:        extPort,
-		Burst:           o.Burst,
-		Workers:         o.Workers,
-		Clock:           clock,
-		AmortizedExpiry: o.Amortize,
-		Telemetry:       o.Telemetry,
-		TraceSample:     o.TraceSample,
-		IdleWait:        wireIdleWait,
+		Internal:    intPort,
+		External:    extPort,
+		Burst:       o.Burst,
+		Workers:     o.Workers,
+		Clock:       clock,
+		Telemetry:   o.Telemetry,
+		TraceSample: o.TraceSample,
+		IdleWait:    wireIdleWait,
 	})
 	if err != nil {
 		return err

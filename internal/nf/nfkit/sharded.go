@@ -53,9 +53,8 @@ type shardedState[C any] struct {
 }
 
 var (
-	_ nf.NF          = (*Sharded[int])(nil)
-	_ nf.Sharder     = (*Sharded[int])(nil)
-	_ nf.ExpiryModer = (*Sharded[int])(nil)
+	_ nf.NF      = (*Sharded[int])(nil)
+	_ nf.Sharder = (*Sharded[int])(nil)
 )
 
 // buildState constructs nShards fresh cores plus their counted block.
@@ -198,11 +197,6 @@ func (s *Sharded[C]) CountedShard(i int) *nf.CountedNF {
 // SyncAll publishes every shard's pending counter deltas.
 func (s *Sharded[C]) SyncAll() { s.state.Load().counted.SyncAll() }
 
-// SetPerPacketExpiry forwards the expiry-mode switch to every shard.
-func (s *Sharded[C]) SetPerPacketExpiry(on bool) bool {
-	return s.state.Load().counted.SetPerPacketExpiry(on)
-}
-
 // Expire advances expiry on every shard.
 func (s *Sharded[C]) Expire(now libvig.Time) int { return s.state.Load().counted.Expire(now) }
 
@@ -278,7 +272,8 @@ func (s *Sharded[C]) MigrationDropped() uint64 { return s.migrationDropped }
 // partitioning, and the folded counters are seeded and pre-published,
 // all before the single atomic store that commits the move — so a
 // refused reshard (bad count, constructor failure, broadcast-restore
-// failure) leaves the composition exactly as it was, and an observer
+// failure, a codec placing a record outside the new shard count)
+// leaves the composition exactly as it was, and an observer
 // never sees counters dip. Per-record restore failures on
 // non-broadcast records degrade to dropped sessions (counted in
 // MigrationDropped) rather than refusing the whole move, matching how
@@ -361,7 +356,10 @@ func (s *Sharded[C]) Reshard(n int) error {
 			continue
 		}
 		if target >= n {
-			target = 0 // misdeclared codec: clamp like ShardOf does
+			// A placement outside the new count is a codec bug, not a
+			// placement: any shard picked for it is one the new steering
+			// never looks in. Refuse; nothing is committed yet.
+			return fmt.Errorf("nfkit: %s reshard to %d: codec placed a %T record on shard %d", d.Name, n, rec.Data, target)
 		}
 		if err := c.Restore(st.cores[target], rec); err != nil {
 			dropped++

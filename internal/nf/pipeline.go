@@ -71,16 +71,6 @@ type Config struct {
 	// drains without traffic. Workers expire only the shards they own,
 	// preserving the one-goroutine-per-shard guarantee.
 	Clock libvig.Clock
-	// AmortizedExpiry moves expiry from inside every packet (Fig. 6's
-	// expire-then-process) to once per poll at the engine level: each
-	// worker expires the shards it owns at the top of every poll, and
-	// the NF's own per-packet expiry is switched off (the NF must
-	// implement ExpiryModer and accept the switch). Observable behavior
-	// is identical whenever the clock does not advance mid-poll — the
-	// engine's deadline now−Texp equals the one every packet of the
-	// poll would have used — and with a live clock expiry lags by at
-	// most one poll, the standard Texp slack. Requires Clock.
-	AmortizedExpiry bool
 	// FastPath sizes the per-worker established-flow cache (entries
 	// per worker): packets of flows the NF has already resolved skip
 	// parse dispatch, ProcessPacket, and the libVig lookups, taking a
@@ -88,8 +78,7 @@ type Config struct {
 	// bit-identical to the slow path (hits replay the same state
 	// mutations in the same order). A positive value enables the cache
 	// at that size and requires Clock — hits rejuvenate state on the
-	// NF's timeline, exactly like AmortizedExpiry's engine-driven
-	// sweeps. Zero defers to the FastPathEnv environment variable
+	// NF's timeline. Zero defers to the FastPathEnv environment variable
 	// (still requiring Clock; without one the cache silently stays
 	// off). FastPathDisabled forces it off. NFs that do not implement
 	// FastPather (or decline it) are unaffected either way.
@@ -214,14 +203,13 @@ func (s *PipelineStats) add(other PipelineStats) {
 // including on error paths — the leak discipline Vigor's checker
 // enforces.
 type Pipeline struct {
-	nf        NF
-	sharder   Sharder
-	intPort   *dpdk.Port
-	extPort   *dpdk.Port
-	burst     int
-	clock     libvig.Clock
-	amortized bool
-	shardNFs  []NF
+	nf       NF
+	sharder  Sharder
+	intPort  *dpdk.Port
+	extPort  *dpdk.Port
+	burst    int
+	clock    libvig.Clock
+	shardNFs []NF
 	// fastNFs[s] is shard s's NF as a FastPather, nil when the shard
 	// does not participate in the flow cache (read-only after
 	// construction). fastHits[s] is the same shard's hit handler,
@@ -362,23 +350,6 @@ func NewPipeline(n NF, cfg Config) (*Pipeline, error) {
 	if ns := sharder.Shards(); ns < 1 {
 		return nil, fmt.Errorf("nf: %s reports %d shards", n.Name(), ns)
 	}
-	if cfg.AmortizedExpiry {
-		if cfg.Clock == nil {
-			return nil, errors.New("nf: amortized expiry needs a clock")
-		}
-		em, ok := n.(ExpiryModer)
-		if !ok {
-			return nil, fmt.Errorf("nf: %s cannot switch off per-packet expiry", n.Name())
-		}
-		if !em.SetPerPacketExpiry(false) {
-			// A composition may have switched some components before one
-			// refused; restore them so the NF is never left half-switched
-			// (a later per-packet-mode pipeline over the same NF would
-			// otherwise silently stop expiring under sustained traffic).
-			em.SetPerPacketExpiry(true)
-			return nil, fmt.Errorf("nf: %s cannot switch off per-packet expiry", n.Name())
-		}
-	}
 	fastEntries, err := resolveFastPath(cfg.FastPath, cfg.Clock != nil)
 	if err != nil {
 		return nil, err
@@ -394,7 +365,6 @@ func NewPipeline(n NF, cfg Config) (*Pipeline, error) {
 		extPort:     cfg.External,
 		burst:       burst,
 		clock:       cfg.Clock,
-		amortized:   cfg.AmortizedExpiry,
 		idleWait:    cfg.IdleWait,
 		fastEntries: fastEntries,
 	}
@@ -663,18 +633,10 @@ func (p *Pipeline) PollWorker(w int) (int, error) {
 		wk.pkts[li] = wk.pkts[li][:0]
 		wk.bufs[li] = wk.bufs[li][:0]
 	}
-	if p.amortized && len(wk.shards) > 0 {
-		// Amortized mode: one expiry sweep over the worker's shards per
-		// poll, in place of the sweep every packet would have run.
-		now := p.clock.Now()
-		for _, s := range wk.shards {
-			p.shardNFs[s].Expire(now)
-		}
-	}
 	n := wk.rxSteer(p.intPort, true)
 	n += wk.rxSteer(p.extPort, false)
 	if n == 0 {
-		if !p.amortized && p.clock != nil && len(wk.shards) > 0 {
+		if p.clock != nil && len(wk.shards) > 0 {
 			now := p.clock.Now()
 			for _, s := range wk.shards {
 				p.shardNFs[s].Expire(now)

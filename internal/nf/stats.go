@@ -285,15 +285,6 @@ func (c *CountedNF) Expire(now libvig.Time) int {
 // NFStats returns the shard's published counters (atomic loads).
 func (c *CountedNF) NFStats() Stats { return c.block.ShardSnapshot(c.shard) }
 
-// SetPerPacketExpiry forwards the expiry-mode switch to the inner NF,
-// reporting false when it does not support switching.
-func (c *CountedNF) SetPerPacketExpiry(on bool) bool {
-	if em, ok := c.inner.(ExpiryModer); ok {
-		return em.SetPerPacketExpiry(on)
-	}
-	return false
-}
-
 // LastReasonName returns the declared label of the most recently
 // processed packet's reason, or "" when the inner NF declares no
 // taxonomy — the trace ring's best-effort label. Owner goroutine only.
@@ -392,16 +383,6 @@ func (c *CountedShards) SyncAll() {
 	for i := range c.counted {
 		c.counted[i].Sync()
 	}
-}
-
-// SetPerPacketExpiry forwards the expiry-mode switch to every shard,
-// reporting true only when all of them switched.
-func (c *CountedShards) SetPerPacketExpiry(on bool) bool {
-	ok := true
-	for _, shard := range c.counted {
-		ok = shard.SetPerPacketExpiry(on) && ok
-	}
-	return ok
 }
 
 // Expire advances expiry on every shard.

@@ -45,8 +45,7 @@ func Kit(cfg Config, clock libvig.Clock) nfkit.Decl[*Policer] {
 		Process: func(p *Policer, frame []byte, fromInternal bool, now libvig.Time) nf.Verdict {
 			return verdictOf(p.ProcessAt(frame, fromInternal, now))
 		},
-		Expire:             (*Policer).ExpireAt,
-		SetPerPacketExpiry: (*Policer).SetPerPacketExpiry,
+		Expire: (*Policer).ExpireAt,
 		Stats: func(p *Policer) nf.Stats {
 			s := p.Stats()
 			return nf.Stats{

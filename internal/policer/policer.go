@@ -218,10 +218,9 @@ type Policer struct {
 	buckets *libvig.TokenBucket
 	erasers []libvig.IndexEraser
 
-	clock           libvig.Clock
-	perPacketExpiry bool
-	stats           Stats
-	env             prodEnv
+	clock libvig.Clock
+	stats Stats
+	env   prodEnv
 	// reasonCounts[r] totals packets tagged with reason r; lastReason
 	// is the most recent tag. Single-writer, like the stats fields.
 	reasonCounts [numReasons]uint64
@@ -253,14 +252,13 @@ func New(cfg Config, clock libvig.Clock) (*Policer, error) {
 		return nil, err
 	}
 	p := &Policer{
-		cfg:             cfg,
-		texp:            cfg.Timeout.Nanoseconds(),
-		subs:            subs,
-		addrs:           addrs,
-		chain:           chain,
-		buckets:         buckets,
-		clock:           clock,
-		perPacketExpiry: true,
+		cfg:     cfg,
+		texp:    cfg.Timeout.Nanoseconds(),
+		subs:    subs,
+		addrs:   addrs,
+		chain:   chain,
+		buckets: buckets,
+		clock:   clock,
 	}
 	p.erasers = []libvig.IndexEraser{libvig.IndexEraserFunc(p.eraseSubscriber)}
 	p.env.pol = p
@@ -303,14 +301,6 @@ func (p *Policer) Budget(addr flow.Addr, now libvig.Time) (int64, bool) {
 		return 0, false
 	}
 	return lvl, true
-}
-
-// SetPerPacketExpiry switches the Fig. 6 in-line expiry on or off; off
-// defers all expiry to explicit ExpireAt calls (the engine's amortized
-// once-per-poll mode). It reports true: the policer supports both modes.
-func (p *Policer) SetPerPacketExpiry(on bool) bool {
-	p.perPacketExpiry = on
-	return true
 }
 
 // ExpireAt removes every subscriber idle since before now−Texp without
@@ -400,10 +390,7 @@ func (e *prodEnv) PacketFromInternal() bool { return e.fromInternal }
 
 func (e *prodEnv) ExpireState() {
 	// Same Fig. 6 convention as the NAT: expire when last+Texp <= now.
-	// In amortized mode the engine expires once per poll instead.
-	if e.pol.perPacketExpiry {
-		_ = e.pol.ExpireAt(e.now)
-	}
+	_ = e.pol.ExpireAt(e.now)
 }
 
 func (e *prodEnv) LookupBucket() (BucketHandle, bool) {

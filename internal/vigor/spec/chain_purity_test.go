@@ -1,14 +1,8 @@
-// Chain-wide amortized-expiry equivalence: with the firewall and the
-// balancer now switchable through the kit's uniform ExpiryModer, the
-// full firewall→policer→LB→NAT home-gateway chain can amortize end to
-// end — the engine expires the whole chain once per poll and every
-// element's Fig. 6 in-line sweep is off. This test pins the roadmap's
-// "extend the switch" item the way the NAT-only test pins the single
-// NF: the same randomized gateway trace through a per-packet-mode and
-// an amortized-mode chain under lock-step virtual clocks must produce
-// bit-identical outputs (port and full frame bytes, so every NAT and
-// VIP rewrite is compared too), identical final state in all four
-// NFs, and identical counters.
+// Prefetch purity on the firewall→policer→LB→NAT home-gateway chain:
+// the same randomized gateway trace through N chains under lock-step
+// virtual clocks must produce bit-identical outputs (port and full
+// frame bytes, so every NAT and VIP rewrite is compared too), identical
+// final state in all four NFs, and identical counters.
 package spec_test
 
 import (
@@ -55,10 +49,6 @@ type chainRig struct {
 	pool    *dpdk.Mempool
 }
 
-func buildChainRig(t *testing.T, amortized bool, fastPath int) *chainRig {
-	return buildChainRigFrom(t, amortized, fastPath, true)
-}
-
 // decls returns the gateway's four declarations for the rig's own
 // cores, as shipped or with every Prefetch hook stripped.
 func (r *chainRig) decls(t *testing.T, prefetch bool) (nfkit.Decl[*firewall.Firewall], nfkit.Decl[*policer.Policer], nfkit.Decl[*lb.Balancer], nfkit.Decl[*nat.NAT]) {
@@ -76,10 +66,9 @@ func (r *chainRig) decls(t *testing.T, prefetch bool) (nfkit.Decl[*firewall.Fire
 	return fwD, polD, lbD, natD
 }
 
-// buildChainRigFrom builds the gateway in the given expiry mode, its
-// elements adapted from their declarations as shipped or with the
-// Prefetch hooks stripped.
-func buildChainRigFrom(t *testing.T, amortized bool, fastPath int, prefetch bool) *chainRig {
+// buildChainRig builds the gateway, its elements adapted from their
+// declarations as shipped or with the Prefetch hooks stripped.
+func buildChainRig(t *testing.T, fastPath int, prefetch bool) *chainRig {
 	t.Helper()
 	clock := libvig.NewVirtualClock(0)
 	natCfg := nat.Config{
@@ -117,7 +106,7 @@ func buildChainRigFrom(t *testing.T, amortized bool, fastPath int, prefetch bool
 			t.Fatal(err)
 		}
 	}
-	r := &chainRig{name: rigName(amortized, prefetch), clock: clock, fw: fw, pol: pol, lb: gwLB, nat: gwNAT}
+	r := &chainRig{name: rigName(prefetch), clock: clock, fw: fw, pol: pol, lb: gwLB, nat: gwNAT}
 	fwD, polD, lbD, natD := r.decls(t, prefetch)
 	chain, err := nf.NewChain("homegw",
 		fwD.Adapt(fw), polD.Adapt(pol), lbD.Adapt(gwLB), natD.Adapt(gwNAT))
@@ -137,11 +126,10 @@ func buildChainRigFrom(t *testing.T, amortized bool, fastPath int, prefetch bool
 		t.Fatal(err)
 	}
 	pipe, err := nf.NewPipeline(chain, nf.Config{
-		Internal:        intPort,
-		External:        extPort,
-		Clock:           clock,
-		AmortizedExpiry: amortized,
-		FastPath:        fastPath,
+		Internal: intPort,
+		External: extPort,
+		Clock:    clock,
+		FastPath: fastPath,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -183,20 +171,13 @@ func (r *chainRig) pollAndDrain(t *testing.T, drain []*dpdk.Mbuf) map[uint32]cha
 	return out
 }
 
-func TestAmortizedExpiryOracleEquivalenceChain(t *testing.T) {
-	runChainTrace(t, []*chainRig{
-		buildChainRig(t, false, nf.FastPathDisabled), buildChainRig(t, true, nf.FastPathDisabled),
-	}, 6)
-}
-
 // TestPrefetchObservationallyPureChain is the gateway's half of the
 // purity argument (see TestPrefetchObservationallyPureNAT): firewall,
 // balancer and NAT each prefetch for the sub-burst the element before
 // them let through, and stripping all three hooks must change nothing.
 func TestPrefetchObservationallyPureChain(t *testing.T) {
 	runChainTrace(t, []*chainRig{
-		buildChainRigFrom(t, false, nf.FastPathDisabled, true), buildChainRigFrom(t, false, nf.FastPathDisabled, false),
-		buildChainRigFrom(t, true, nf.FastPathDisabled, true), buildChainRigFrom(t, true, nf.FastPathDisabled, false),
+		buildChainRig(t, nf.FastPathDisabled, true), buildChainRig(t, nf.FastPathDisabled, false),
 	}, 8)
 }
 
@@ -205,7 +186,7 @@ func TestPrefetchObservationallyPureChain(t *testing.T) {
 // virtual clocks. Every rig must match rigs[0] byte for byte and in the
 // final state of all four NFs.
 func runChainTrace(t *testing.T, rigs []*chainRig, maxBurst int) {
-	perPacket := rigs[0]
+	ref := rigs[0]
 
 	const nHosts = 8
 	type flowKey struct {
@@ -213,8 +194,8 @@ func runChainTrace(t *testing.T, rigs []*chainRig, maxBurst int) {
 		dns  bool
 	}
 	// lastExt[k] is flow k's translated tuple as last observed leaving
-	// the per-packet rig (the rigs must agree on it — checked every
-	// poll — so replies crafted against it are valid on both).
+	// the reference rig (the rigs must agree on it — checked every
+	// poll — so replies crafted against it are valid on all).
 	lastExt := map[flowKey]flow.ID{}
 
 	outboundID := func(h int, dns bool) flow.ID {
@@ -261,7 +242,7 @@ func runChainTrace(t *testing.T, rigs []*chainRig, maxBurst int) {
 			}
 		}
 		for _, r := range rigs {
-			if r.clock.Now() != perPacket.clock.Now() {
+			if r.clock.Now() != ref.clock.Now() {
 				t.Fatal("virtual clocks diverged")
 			}
 		}
@@ -300,7 +281,7 @@ func runChainTrace(t *testing.T, rigs []*chainRig, maxBurst int) {
 				}
 				id = ext.Reverse()
 				// Fat replies make the policer's budget bite: the
-				// over-rate clips must land identically in both modes.
+				// over-rate clips must land identically on every rig.
 				payloadLen = 4 + rng.Intn(1400)
 			case 6: // unsolicited external junk (dropped by the NAT)
 				id = flow.ID{
@@ -330,19 +311,19 @@ func runChainTrace(t *testing.T, rigs []*chainRig, maxBurst int) {
 			total++
 		}
 
-		outPP := perPacket.pollAndDrain(t, drain)
+		outRef := ref.pollAndDrain(t, drain)
 
-		// The tentpole assertion: every rig's observable behavior is
-		// identical, packet for packet, byte for byte.
+		// Every rig's observable behavior is identical, packet for
+		// packet, byte for byte.
 		for _, r := range rigs[1:] {
 			out := r.pollAndDrain(t, drain)
-			if len(outPP) != len(out) {
-				t.Fatalf("iter %d: %s forwarded %d, %s %d", iter, perPacket.name, len(outPP), r.name, len(out))
+			if len(outRef) != len(out) {
+				t.Fatalf("iter %d: %s forwarded %d, %s %d", iter, ref.name, len(outRef), r.name, len(out))
 			}
-			for s, o := range outPP {
+			for s, o := range outRef {
 				if other, ok := out[s]; !ok || o != other {
 					t.Fatalf("iter %d seq %d: outputs diverged\n%s ext=%v % x\n%s forwarded=%v ext=%v % x",
-						iter, s, perPacket.name, o.toExternal, o.frame, r.name, ok, other.toExternal, other.frame)
+						iter, s, ref.name, o.toExternal, o.frame, r.name, ok, other.toExternal, other.frame)
 				}
 			}
 		}
@@ -352,7 +333,7 @@ func runChainTrace(t *testing.T, rigs []*chainRig, maxBurst int) {
 			if !d.outbound {
 				continue
 			}
-			if o, ok := outPP[d.seq]; ok && o.toExternal {
+			if o, ok := outRef[d.seq]; ok && o.toExternal {
 				var p netstack.Packet
 				if err := p.Parse([]byte(o.frame)); err != nil {
 					t.Fatal(err)
@@ -368,20 +349,19 @@ func runChainTrace(t *testing.T, rigs []*chainRig, maxBurst int) {
 	// Final state and counters agree across rigs, NF by NF: every table
 	// entry with its stamp, every counter, every reason count.
 	for _, r := range rigs[1:] {
-		what := perPacket.name + " vs " + r.name
+		what := ref.name + " vs " + r.name
 		fwD, polD, lbD, natD := r.decls(t, true)
-		sameFinalState(t, what+": firewall", fwD, perPacket.fw, r.fw)
-		sameFinalState(t, what+": policer", polD, perPacket.pol, r.pol)
-		sameFinalState(t, what+": lb", lbD, perPacket.lb, r.lb)
-		sameFinalState(t, what+": nat", natD, perPacket.nat, r.nat)
+		sameFinalState(t, what+": firewall", fwD, ref.fw, r.fw)
+		sameFinalState(t, what+": policer", polD, ref.pol, r.pol)
+		sameFinalState(t, what+": lb", lbD, ref.lb, r.lb)
+		sameFinalState(t, what+": nat", natD, ref.nat, r.nat)
 	}
-	// The churn must actually have exercised every NF's expiry —
-	// including the firewall's, whose amortized switch is the new part.
-	natStats, polStats, lbStats := perPacket.nat.Stats(), perPacket.pol.Stats(), perPacket.lb.Stats()
+	// The churn must actually have exercised every NF's expiry.
+	natStats, polStats, lbStats := ref.nat.Stats(), ref.pol.Stats(), ref.lb.Stats()
 	if natStats.FlowsExpired == 0 || polStats.BucketsExpired == 0 || lbStats.FlowsExpired == 0 ||
-		perPacket.fw.Expired() == 0 {
+		ref.fw.Expired() == 0 {
 		t.Fatalf("churn too weak: nat expired %d, pol expired %d, lb expired %d, fw expired %d",
-			natStats.FlowsExpired, polStats.BucketsExpired, lbStats.FlowsExpired, perPacket.fw.Expired())
+			natStats.FlowsExpired, polStats.BucketsExpired, lbStats.FlowsExpired, ref.fw.Expired())
 	}
 	if polStats.DroppedOverRate == 0 {
 		t.Fatalf("policer never clipped; fatten the replies")

@@ -37,7 +37,7 @@ type fpPipeRig struct {
 	extPort *dpdk.Port
 }
 
-func buildFPRig(t *testing.T, n nf.NF, clock libvig.Clock, fastPath int, amortized bool) *fpPipeRig {
+func buildFPRig(t *testing.T, n nf.NF, clock libvig.Clock, fastPath int) *fpPipeRig {
 	t.Helper()
 	pool, err := dpdk.NewMempool(512)
 	if err != nil {
@@ -53,7 +53,7 @@ func buildFPRig(t *testing.T, n nf.NF, clock libvig.Clock, fastPath int, amortiz
 	}
 	pipe, err := nf.NewPipeline(n, nf.Config{
 		Internal: intPort, External: extPort, Clock: clock,
-		FastPath: fastPath, AmortizedExpiry: amortized,
+		FastPath: fastPath,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -132,157 +132,150 @@ func fpCompareOutputs(t *testing.T, iter int, on, off map[uint32]chainObserved) 
 // criterion: a long randomized trace — session creation, steady
 // repeats (cache hits), replies, expiry churn, junk — through a cached
 // and an uncached VigNAT pipeline, one packet per poll so the RFC 3022
-// oracle's per-step expiry matches the engine's, in both expiry modes.
-// Every packet demands (a) byte-identical behavior across rigs and (b)
-// oracle agreement on the cached rig's observation.
+// oracle's per-step expiry matches the engine's. Every packet demands
+// (a) byte-identical behavior across rigs and (b) oracle agreement on
+// the cached rig's observation.
 func TestFastPathNATConformanceOracle(t *testing.T) {
-	for _, mode := range []struct {
-		name      string
-		amortized bool
-	}{{"per-packet", false}, {"amortized", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			natCfg := nat.Config{
-				Capacity: confCap, Timeout: confTimeout, ExternalIP: extIP,
-				PortBase: confPortBase, InternalPort: 0, ExternalPort: 1,
-			}
-			clock := libvig.NewVirtualClock(0)
-			mkNAT := func() *nat.Sharded {
-				n, err := nat.NewSharded(natCfg, clock, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return n
-			}
-			onNAT, offNAT := mkNAT(), mkNAT()
-			on := buildFPRig(t, onNAT, clock, 1024, mode.amortized)
-			off := buildFPRig(t, offNAT, clock, nf.FastPathDisabled, mode.amortized)
-			if on.pipe.FastPathEntries() == 0 || off.pipe.FastPathEntries() != 0 {
-				t.Fatal("rig fast-path resolution wrong")
-			}
-			oracle := spec.NewOracle(confCap, confTimeout.Nanoseconds(), extIP, confPortBase, confCap)
-
-			intIDs := make([]flow.ID, 48)
-			for i := range intIDs {
-				proto := flow.UDP
-				if i%2 == 0 {
-					proto = flow.TCP
-				}
-				intIDs[i] = flow.ID{
-					SrcIP:   flow.MakeAddr(10, 0, 0, byte(1+i)),
-					SrcPort: uint16(20000 + i),
-					DstIP:   flow.MakeAddr(93, 184, 216, byte(1+i%5)),
-					DstPort: uint16(80 + i%3),
-					Proto:   proto,
-				}
-			}
-			lastExt := map[int]flow.ID{}
-			rng := rand.New(rand.NewSource(97))
-			buf := make([]byte, 2048)
-			drain := make([]*dpdk.Mbuf, 8)
-
-			// step sends one packet through both rigs and the oracle.
-			step := func(stepN int, id flow.ID, fromInternal bool) (flow.ID, bool) {
-				spec2 := &netstack.FrameSpec{ID: id, PayloadLen: 4}
-				frame := netstack.Craft(buf[:netstack.FrameLen(spec2)], spec2)
-				for _, r := range []*fpPipeRig{on, off} {
-					port := r.intPort
-					if !fromInternal {
-						port = r.extPort
-					}
-					if !port.DeliverRx(frame, clock.Now()) {
-						t.Fatal("rx rejected")
-					}
-					if _, err := r.pipe.Poll(); err != nil {
-						t.Fatal(err)
-					}
-				}
-				onFrame, onExt, onOK := on.fpDrainOne(t, drain)
-				offFrame, offExt, offOK := off.fpDrainOne(t, drain)
-				if onOK != offOK || (onOK && (onExt != offExt || !bytes.Equal(onFrame, offFrame))) {
-					t.Fatalf("step %d (%v fromInternal=%v): rigs diverged", stepN, id, fromInternal)
-				}
-				var got spec.Observed
-				got.Verdict = stateless.VerdictDrop
-				var out flow.ID
-				if onOK {
-					var p netstack.Packet
-					if err := p.Parse(onFrame); err != nil {
-						t.Fatalf("forwarded frame unparseable: %v", err)
-					}
-					out = p.FlowID()
-					got.Tuple = out
-					got.Verdict = stateless.VerdictToInternal
-					if onExt {
-						got.Verdict = stateless.VerdictToExternal
-					}
-				}
-				natable := id.Proto == flow.TCP || id.Proto == flow.UDP
-				if err := oracle.Step(id, fromInternal, natable, clock.Now(), got); err != nil {
-					t.Fatalf("step %d (cached rig vs oracle): %v", stepN, err)
-				}
-				return out, onOK
-			}
-
-			for stepN := 0; stepN < 4000; stepN++ {
-				if rng.Intn(31) == 0 {
-					// Expiry churn: everything ages out, cached entries die.
-					clock.Advance(libvig.Time(2 * confTimeout.Nanoseconds()))
-				} else {
-					clock.Advance(libvig.Time(rng.Intn(40_000_000)))
-				}
-				switch rng.Intn(10) {
-				case 0, 1, 2, 3, 4: // outbound (repeats are the hit traffic)
-					i := rng.Intn(len(intIDs))
-					if out, ok := step(stepN, intIDs[i], true); ok {
-						lastExt[i] = out
-					}
-				case 5, 6, 7: // reply against the last observed translation
-					if len(lastExt) == 0 {
-						continue
-					}
-					var i int
-					k := rng.Intn(len(lastExt))
-					for key := range lastExt {
-						if k == 0 {
-							i = key
-							break
-						}
-						k--
-					}
-					step(stepN, lastExt[i].Reverse(), false)
-				case 8: // unsolicited external junk
-					step(stepN, flow.ID{
-						SrcIP:   flow.MakeAddr(203, 0, 113, byte(rng.Intn(250))),
-						SrcPort: uint16(1024 + rng.Intn(60000)),
-						DstIP:   extIP,
-						DstPort: uint16(confPortBase + rng.Intn(confCap+10)),
-						Proto:   flow.UDP,
-					}, false)
-				case 9: // non-NATable
-					id := intIDs[rng.Intn(len(intIDs))]
-					id.Proto = flow.ICMP
-					step(stepN, id, true)
-				}
-			}
-
-			if a, b := onNAT.Stats(), offNAT.Stats(); a != b {
-				t.Fatalf("NAT counters diverged\ncached   %+v\nuncached %+v", a, b)
-			}
-			ps := on.pipe.Stats()
-			if ps.FastPathHits == 0 || ps.FastPathEvictions == 0 {
-				t.Fatalf("trace never exercised the cache: %+v", ps)
-			}
-			if onNAT.Stats().FlowsExpired == 0 {
-				t.Fatal("trace never exercised expiry")
-			}
-			for _, r := range []*fpPipeRig{on, off} {
-				if r.pool.InUse() != 0 {
-					t.Fatalf("mbuf leak: %d in use", r.pool.InUse())
-				}
-			}
-			t.Logf("NAT fast-path conformance: %+v; nat %+v", ps, onNAT.Stats())
-		})
+	natCfg := nat.Config{
+		Capacity: confCap, Timeout: confTimeout, ExternalIP: extIP,
+		PortBase: confPortBase, InternalPort: 0, ExternalPort: 1,
 	}
+	clock := libvig.NewVirtualClock(0)
+	mkNAT := func() *nat.Sharded {
+		n, err := nat.NewSharded(natCfg, clock, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	onNAT, offNAT := mkNAT(), mkNAT()
+	on := buildFPRig(t, onNAT, clock, 1024)
+	off := buildFPRig(t, offNAT, clock, nf.FastPathDisabled)
+	if on.pipe.FastPathEntries() == 0 || off.pipe.FastPathEntries() != 0 {
+		t.Fatal("rig fast-path resolution wrong")
+	}
+	oracle := spec.NewOracle(confCap, confTimeout.Nanoseconds(), extIP, confPortBase, confCap)
+
+	intIDs := make([]flow.ID, 48)
+	for i := range intIDs {
+		proto := flow.UDP
+		if i%2 == 0 {
+			proto = flow.TCP
+		}
+		intIDs[i] = flow.ID{
+			SrcIP:   flow.MakeAddr(10, 0, 0, byte(1+i)),
+			SrcPort: uint16(20000 + i),
+			DstIP:   flow.MakeAddr(93, 184, 216, byte(1+i%5)),
+			DstPort: uint16(80 + i%3),
+			Proto:   proto,
+		}
+	}
+	lastExt := map[int]flow.ID{}
+	rng := rand.New(rand.NewSource(97))
+	buf := make([]byte, 2048)
+	drain := make([]*dpdk.Mbuf, 8)
+
+	// step sends one packet through both rigs and the oracle.
+	step := func(stepN int, id flow.ID, fromInternal bool) (flow.ID, bool) {
+		spec2 := &netstack.FrameSpec{ID: id, PayloadLen: 4}
+		frame := netstack.Craft(buf[:netstack.FrameLen(spec2)], spec2)
+		for _, r := range []*fpPipeRig{on, off} {
+			port := r.intPort
+			if !fromInternal {
+				port = r.extPort
+			}
+			if !port.DeliverRx(frame, clock.Now()) {
+				t.Fatal("rx rejected")
+			}
+			if _, err := r.pipe.Poll(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		onFrame, onExt, onOK := on.fpDrainOne(t, drain)
+		offFrame, offExt, offOK := off.fpDrainOne(t, drain)
+		if onOK != offOK || (onOK && (onExt != offExt || !bytes.Equal(onFrame, offFrame))) {
+			t.Fatalf("step %d (%v fromInternal=%v): rigs diverged", stepN, id, fromInternal)
+		}
+		var got spec.Observed
+		got.Verdict = stateless.VerdictDrop
+		var out flow.ID
+		if onOK {
+			var p netstack.Packet
+			if err := p.Parse(onFrame); err != nil {
+				t.Fatalf("forwarded frame unparseable: %v", err)
+			}
+			out = p.FlowID()
+			got.Tuple = out
+			got.Verdict = stateless.VerdictToInternal
+			if onExt {
+				got.Verdict = stateless.VerdictToExternal
+			}
+		}
+		natable := id.Proto == flow.TCP || id.Proto == flow.UDP
+		if err := oracle.Step(id, fromInternal, natable, clock.Now(), got); err != nil {
+			t.Fatalf("step %d (cached rig vs oracle): %v", stepN, err)
+		}
+		return out, onOK
+	}
+
+	for stepN := 0; stepN < 4000; stepN++ {
+		if rng.Intn(31) == 0 {
+			// Expiry churn: everything ages out, cached entries die.
+			clock.Advance(libvig.Time(2 * confTimeout.Nanoseconds()))
+		} else {
+			clock.Advance(libvig.Time(rng.Intn(40_000_000)))
+		}
+		switch rng.Intn(10) {
+		case 0, 1, 2, 3, 4: // outbound (repeats are the hit traffic)
+			i := rng.Intn(len(intIDs))
+			if out, ok := step(stepN, intIDs[i], true); ok {
+				lastExt[i] = out
+			}
+		case 5, 6, 7: // reply against the last observed translation
+			if len(lastExt) == 0 {
+				continue
+			}
+			var i int
+			k := rng.Intn(len(lastExt))
+			for key := range lastExt {
+				if k == 0 {
+					i = key
+					break
+				}
+				k--
+			}
+			step(stepN, lastExt[i].Reverse(), false)
+		case 8: // unsolicited external junk
+			step(stepN, flow.ID{
+				SrcIP:   flow.MakeAddr(203, 0, 113, byte(rng.Intn(250))),
+				SrcPort: uint16(1024 + rng.Intn(60000)),
+				DstIP:   extIP,
+				DstPort: uint16(confPortBase + rng.Intn(confCap+10)),
+				Proto:   flow.UDP,
+			}, false)
+		case 9: // non-NATable
+			id := intIDs[rng.Intn(len(intIDs))]
+			id.Proto = flow.ICMP
+			step(stepN, id, true)
+		}
+	}
+
+	if a, b := onNAT.Stats(), offNAT.Stats(); a != b {
+		t.Fatalf("NAT counters diverged\ncached   %+v\nuncached %+v", a, b)
+	}
+	ps := on.pipe.Stats()
+	if ps.FastPathHits == 0 || ps.FastPathEvictions == 0 {
+		t.Fatalf("trace never exercised the cache: %+v", ps)
+	}
+	if onNAT.Stats().FlowsExpired == 0 {
+		t.Fatal("trace never exercised expiry")
+	}
+	for _, r := range []*fpPipeRig{on, off} {
+		if r.pool.InUse() != 0 {
+			t.Fatalf("mbuf leak: %d in use", r.pool.InUse())
+		}
+	}
+	t.Logf("NAT fast-path conformance: %+v; nat %+v", ps, onNAT.Stats())
 }
 
 // TestFastPathPolicerConformanceOracle is the policer leg: bursty
@@ -309,8 +302,8 @@ func TestFastPathPolicerConformanceOracle(t *testing.T) {
 		return p
 	}
 	onPol, offPol := mkPol(), mkPol()
-	on := buildFPRig(t, onPol, clock, 1024, false)
-	off := buildFPRig(t, offPol, clock, nf.FastPathDisabled, false)
+	on := buildFPRig(t, onPol, clock, 1024)
+	off := buildFPRig(t, offPol, clock, nf.FastPathDisabled)
 	oracle := spec.NewPolicerOracle(fpPolRate, fpPolBurst, 0, fpPolTexp.Nanoseconds())
 
 	subscribers := make([]flow.Addr, 24)
@@ -458,7 +451,7 @@ func TestFastPathPolicerOverRateOnHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rig := buildFPRig(t, pol, clock, 256, false)
+	rig := buildFPRig(t, pol, clock, 256)
 	sub := flow.MakeAddr(10, 0, 1, 10)
 	id := flow.ID{
 		SrcIP: flow.MakeAddr(198, 51, 100, 7), SrcPort: 443,
@@ -542,8 +535,8 @@ func TestFastPathLBConformanceDrain(t *testing.T) {
 		return b
 	}
 	onLB, offLB := mkLB(), mkLB()
-	on := buildFPRig(t, onLB, clock, 1024, false)
-	off := buildFPRig(t, offLB, clock, nf.FastPathDisabled, false)
+	on := buildFPRig(t, onLB, clock, 1024)
+	off := buildFPRig(t, offLB, clock, nf.FastPathDisabled)
 
 	backendIPs := make([]flow.Addr, 6)
 	backendIdx := map[flow.Addr]int{}
@@ -708,8 +701,8 @@ func TestFastPathFirewallConformance(t *testing.T) {
 		return fw
 	}
 	onFW, offFW := mkFW(), mkFW()
-	on := buildFPRig(t, onFW, clock, 1024, false)
-	off := buildFPRig(t, offFW, clock, nf.FastPathDisabled, false)
+	on := buildFPRig(t, onFW, clock, 1024)
+	off := buildFPRig(t, offFW, clock, nf.FastPathDisabled)
 	if on.pipe.FastPathEntries() == 0 || off.pipe.FastPathEntries() != 0 {
 		t.Fatal("rig fast-path resolution wrong")
 	}
@@ -816,8 +809,8 @@ func TestFastPathFirewallConformance(t *testing.T) {
 // backend drain and expiry spells, must stay bit-identical with an
 // explicitly disabled rig.
 func TestFastPathGatewayChainConformance(t *testing.T) {
-	onRig := buildChainRig(t, false, 4096)
-	offRig := buildChainRig(t, false, nf.FastPathDisabled)
+	onRig := buildChainRig(t, 4096, true)
+	offRig := buildChainRig(t, nf.FastPathDisabled, true)
 	if onRig.pipe.FastPathEntries() != 0 {
 		t.Fatalf("composite chain must decline the cache, resolved %d entries",
 			onRig.pipe.FastPathEntries())

@@ -1,13 +1,8 @@
-// Amortized-expiry equivalence: the engine-level once-per-poll expiry
-// mode (nf.Config.AmortizedExpiry) must be observably identical to the
-// Fig. 6 per-packet discipline. Two sharded NATs run the same randomized
-// conformance trace on two pipelines — one per mode — under lock-step
-// virtual clocks; every output (port and rewritten tuple) must match
-// bit-for-bit, both runs must satisfy the RFC 3022 oracle, and the
-// final state and counters must agree. The equivalence argument this
-// pins: within a poll the clock does not advance, so the engine's one
-// sweep at deadline now−Texp frees exactly the set every packet's
-// in-line sweep would have freed, and expiry is idempotent at fixed now.
+// Prefetch purity on the sharded NAT: N rigs run the same randomized
+// conformance trace on N pipelines under lock-step virtual clocks;
+// every output (port and rewritten tuple) must match bit-for-bit, every
+// run must satisfy the RFC 3022 oracle, and the final state and
+// counters must agree.
 package spec_test
 
 import (
@@ -47,10 +42,9 @@ type amoRig struct {
 	oracle  *spec.Oracle
 }
 
-// buildAmoRig builds a sharded NAT on a pipeline in the given expiry
-// mode, from the NAT's declaration as shipped or with its Prefetch hook
-// stripped.
-func buildAmoRig(t *testing.T, amortized, prefetch bool) *amoRig {
+// buildAmoRig builds a sharded NAT on a pipeline, from the NAT's
+// declaration as shipped or with its Prefetch hook stripped.
+func buildAmoRig(t *testing.T, prefetch bool) *amoRig {
 	t.Helper()
 	clock := libvig.NewVirtualClock(0)
 	decl := nat.Kit(nat.Config{
@@ -67,7 +61,7 @@ func buildAmoRig(t *testing.T, amortized, prefetch bool) *amoRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &amoRig{name: rigName(amortized, prefetch), clock: clock, decl: decl, nat: n}
+	r := &amoRig{name: rigName(prefetch), clock: clock, decl: decl, nat: n}
 	mkPort := func(id uint16) *dpdk.Port {
 		ps := make([]*dpdk.Mempool, amoShards)
 		for q := range ps {
@@ -86,11 +80,10 @@ func buildAmoRig(t *testing.T, amortized, prefetch bool) *amoRig {
 	}
 	r.intPort, r.extPort = mkPort(0), mkPort(1)
 	r.pipe, err = nf.NewPipeline(n, nf.Config{
-		Internal:        r.intPort,
-		External:        r.extPort,
-		Workers:         amoShards,
-		Clock:           clock,
-		AmortizedExpiry: amortized,
+		Internal: r.intPort,
+		External: r.extPort,
+		Workers:  amoShards,
+		Clock:    clock,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -99,15 +92,11 @@ func buildAmoRig(t *testing.T, amortized, prefetch bool) *amoRig {
 	return r
 }
 
-func rigName(amortized, prefetch bool) string {
-	name := "per-packet"
-	if amortized {
-		name = "amortized"
-	}
+func rigName(prefetch bool) string {
 	if !prefetch {
-		name += ", no prefetch"
+		return "no prefetch"
 	}
-	return name
+	return "prefetch"
 }
 
 // sameFinalState demands that two cores of one declaration ended a
@@ -177,21 +166,14 @@ func (r *amoRig) pollAndDrain(t *testing.T, drain []*dpdk.Mbuf) map[uint32]amoOb
 	return out
 }
 
-func TestAmortizedExpiryOracleEquivalence(t *testing.T) {
-	runAmoTrace(t, []*amoRig{buildAmoRig(t, false, true), buildAmoRig(t, true, true)}, 7)
-}
-
 // TestPrefetchObservationallyPureNAT: the burst-wide prefetch stage is
 // reads and scratch only. The same randomized trace through the NAT as
-// declared and with the hook stripped from its Decl, in both expiry
-// modes, must give bit-identical outputs, final table contents,
-// counters and reason counts. Bursts are wide here so that each shard's
-// run has packets to prefetch for.
+// declared and with the hook stripped from its Decl must give
+// bit-identical outputs, final table contents, counters and reason
+// counts. Bursts are wide here so that each shard's run has packets to
+// prefetch for.
 func TestPrefetchObservationallyPureNAT(t *testing.T) {
-	runAmoTrace(t, []*amoRig{
-		buildAmoRig(t, false, true), buildAmoRig(t, false, false),
-		buildAmoRig(t, true, true), buildAmoRig(t, true, false),
-	}, 24)
+	runAmoTrace(t, []*amoRig{buildAmoRig(t, true), buildAmoRig(t, false)}, 24)
 }
 
 // runAmoTrace drives every rig through one randomized conformance trace
@@ -216,7 +198,7 @@ func runAmoTrace(t *testing.T, rigs []*amoRig, maxBurst int) {
 		}
 	}
 	// lastExt[i] is flow i's translated tuple as last observed on the
-	// per-packet rig; both rigs must agree on it, so replies crafted
+	// reference rig; all rigs must agree on it, so replies crafted
 	// against it are valid (or raced by expiry — also checked) on both.
 	lastExt := map[int]flow.ID{}
 
@@ -310,15 +292,15 @@ func runAmoTrace(t *testing.T, rigs []*amoRig, maxBurst int) {
 		for ri, r := range rigs {
 			outs[ri] = r.pollAndDrain(t, drain)
 		}
-		outPP := outs[0]
+		outRef := outs[0]
 
-		// The tentpole assertion: every rig's observable behavior is
-		// identical, packet for packet.
+		// Every rig's observable behavior is identical, packet for
+		// packet.
 		for ri, out := range outs[1:] {
-			if len(outPP) != len(out) {
-				t.Fatalf("iter %d: %s forwarded %d, %s %d", iter, ref.name, len(outPP), rigs[ri+1].name, len(out))
+			if len(outRef) != len(out) {
+				t.Fatalf("iter %d: %s forwarded %d, %s %d", iter, ref.name, len(outRef), rigs[ri+1].name, len(out))
 			}
-			for s, o := range outPP {
+			for s, o := range outRef {
 				if out[s] != o {
 					t.Fatalf("iter %d seq %d: %s %+v, %s %+v", iter, s, ref.name, o, rigs[ri+1].name, out[s])
 				}
@@ -341,7 +323,7 @@ func runAmoTrace(t *testing.T, rigs []*amoRig, maxBurst int) {
 					t.Fatalf("iter %d seq %d rig %d: %v", iter, d.seq, ri, err)
 				}
 			}
-			if o, ok := outPP[d.seq]; ok && d.fromInternal && d.natable && o.toExternal {
+			if o, ok := outRef[d.seq]; ok && d.fromInternal && d.natable && o.toExternal {
 				for i := range intIDs {
 					if intIDs[i] == d.id {
 						lastExt[i] = o.tuple

@@ -1,20 +1,17 @@
 #!/usr/bin/env bash
 # Telemetry bench guard: holds the observability layer to its budget.
 #
-#   telemetry_guard.sh FRESH.json [BASELINE.json]
+#   telemetry_guard.sh FRESH.json
 #
 # Fails if, in the fresh run,
-#   1. the telemetry-enabled gateway overhead exceeds 3%,
-#   2. either side of the NAT fast/slow histogram split is empty, or
-#   3. the telemetry-disabled gateway ns/pkt regressed >3% against the
-#      committed baseline (skipped when no baseline is given or with
-#      TELEMETRY_GUARD_NO_BASELINE=1 — e.g. while re-recording the
-#      baseline on a new runner class, where absolute ns/pkt moves for
-#      reasons that are not code).
+#   1. the telemetry-enabled gateway overhead exceeds 3%, or
+#   2. either side of the NAT fast/slow histogram split is empty.
+# Both are paired within one run on one host. The absolute ns/pkt of
+# the telemetry-off leg is not held to a committed figure: the host's
+# speed wanders by more than any budget one could set on it.
 set -euo pipefail
 
-fresh=${1:?usage: telemetry_guard.sh FRESH.json [BASELINE.json]}
-baseline=${2:-}
+fresh=${1:?usage: telemetry_guard.sh FRESH.json}
 
 # First numeric value of a top-level-unique key in the indented JSON.
 val() {
@@ -24,8 +21,7 @@ val() {
 overhead=$(val "$fresh" overhead_pct)
 fast=$(val "$fresh" fast_pkts)
 slow=$(val "$fresh" slow_pkts)
-off=$(val "$fresh" ns_per_pkt_off)
-for v in "$overhead" "$fast" "$slow" "$off"; do
+for v in "$overhead" "$fast" "$slow"; do
     [ -n "$v" ] || { echo "telemetry guard: $fresh is missing a required field" >&2; exit 1; }
 done
 
@@ -37,15 +33,4 @@ if [ "$fast" -eq 0 ] || [ "$slow" -eq 0 ]; then
     echo "telemetry guard: fast/slow split empty (fast=$fast slow=$slow)" >&2
     exit 1
 fi
-
-if [ -n "$baseline" ] && [ "${TELEMETRY_GUARD_NO_BASELINE:-0}" != "1" ]; then
-    base_off=$(val "$baseline" ns_per_pkt_off)
-    [ -n "$base_off" ] || { echo "telemetry guard: $baseline is missing ns_per_pkt_off" >&2; exit 1; }
-    if awk -v f="$off" -v b="$base_off" 'BEGIN {exit !(100 * (f - b) / b > 3.0)}'; then
-        echo "telemetry guard: telemetry-disabled gateway regressed: ${off} ns/pkt vs baseline ${base_off} (>3%)" >&2
-        exit 1
-    fi
-    echo "telemetry guard: ok (overhead ${overhead}%, fast=$fast slow=$slow, off ${off} ns/pkt vs baseline ${base_off})"
-else
-    echo "telemetry guard: ok (overhead ${overhead}%, fast=$fast slow=$slow, off ${off} ns/pkt, baseline check skipped)"
-fi
+echo "telemetry guard: ok (overhead ${overhead}%, fast=$fast slow=$slow)"
