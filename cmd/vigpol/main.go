@@ -21,7 +21,7 @@
 // address, egress by source address, and every subscriber lives on
 // exactly one shard with no locks.
 //
-// -metrics serves every shard's StatsSnapshot over HTTP/expvar while
+// -metrics serves every shard's StatsSnapshot over HTTP while
 // the run is in flight — the scrape is a handful of atomic loads and
 // never touches worker-owned state.
 package main

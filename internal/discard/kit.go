@@ -16,10 +16,11 @@ import (
 // pipeline; this binding is what runs on the pipeline, whose TX
 // batcher plays the role Fig. 1's ring plays for the callback-driven
 // form). The NF is stateless and clockless — the smallest possible
-// declaration: a Process closure, a stats map, and a steering hash.
+// declaration: a Process closure, a two-cell counter array, and a
+// steering hash.
 
 // Reason IDs: the discard protocol's declared outcome taxonomy —
-// two reasons for a two-path NF (see symSpec's classifier).
+// two reasons for a two-path NF (symSpec's Spec names each path's).
 const (
 	ReasonFwd telemetry.ReasonID = iota
 	ReasonDropPort9
@@ -56,38 +57,31 @@ func processFrame(env frameEnv) {
 type prodFrameEnv struct {
 	port9   bool
 	verdict nf.Verdict
+	reason  telemetry.ReasonID
 }
 
 func (e *prodFrameEnv) DstPortIs9() bool { return e.port9 }
-func (e *prodFrameEnv) Forward()         { e.verdict = nf.Forward }
-func (e *prodFrameEnv) Drop()            { e.verdict = nf.Drop }
+func (e *prodFrameEnv) Forward()         { e.verdict, e.reason = nf.Forward, ReasonFwd }
+func (e *prodFrameEnv) Drop()            { e.verdict, e.reason = nf.Drop, ReasonDropPort9 }
 
 // Frame is the stateless production core the kit binds: drop frames
 // addressed to port 9 (RFC 863), forward everything else unmodified.
 type Frame struct {
-	stats nf.Stats
-	// reasonCounts[r] totals frames tagged with reason r; lastReason is
-	// the most recent tag. Single-writer, like the stats fields.
-	reasonCounts [numReasons]uint64
-	lastReason   telemetry.ReasonID
+	// counters[r] totals frames tagged with reason r — the NF's whole
+	// counter array: it is stateless, so no lifecycle counts follow;
+	// lastReason is the most recent tag. Single-writer.
+	counters   [numReasons]uint64
+	lastReason telemetry.ReasonID
 }
 
 // ProcessAt runs one frame; the NF is clockless, so now is unused.
 // Frames that do not parse carry port 0 and are forwarded, matching
 // FromFrame's convention.
 func (d *Frame) ProcessAt(frame []byte, _ bool, _ libvig.Time) nf.Verdict {
-	d.stats.Processed++
 	e := prodFrameEnv{port9: FromFrame(frame).Port == 9}
 	processFrame(&e)
-	if e.verdict == nf.Drop {
-		d.stats.Dropped++
-		d.reasonCounts[ReasonDropPort9]++
-		d.lastReason = ReasonDropPort9
-	} else {
-		d.stats.Forwarded++
-		d.reasonCounts[ReasonFwd]++
-		d.lastReason = ReasonFwd
-	}
+	d.counters[e.reason]++
+	d.lastReason = e.reason
 	return e.verdict
 }
 
@@ -107,28 +101,15 @@ func symSpec() *nfkit.SymSpec {
 		NF:      "discard",
 		Outputs: []string{"forward", "drop"},
 		Drive:   func(d *nfkit.SymDriver) { processFrame(frameSym{d}) },
-		Spec: func(p *nfkit.SymPath) error {
-			is9, asked := p.Ret("dst_port_is_9")
-			if !asked {
-				return fmt.Errorf("port predicate never evaluated")
-			}
-			if is9 && p.Output() != "drop" {
-				return fmt.Errorf("port-9 frame must drop, path does %s", p.Output())
-			}
-			if !is9 && p.Output() != "forward" {
-				return fmt.Errorf("non-port-9 frame must forward, path does %s", p.Output())
-			}
-			return nil
-		},
-		PathReason: func(p *nfkit.SymPath) (telemetry.ReasonID, error) {
+		Spec: func(p *nfkit.SymPath) (telemetry.ReasonID, error) {
 			is9, asked := p.Ret("dst_port_is_9")
 			if !asked {
 				return 0, fmt.Errorf("port predicate never evaluated")
 			}
 			if is9 {
-				return ReasonDropPort9, nil
+				return p.Judge("port-9 frame", "drop", ReasonDropPort9)
 			}
-			return ReasonFwd, nil
+			return p.Judge("non-port-9 frame", "forward", ReasonFwd)
 		},
 	}
 }
@@ -143,7 +124,8 @@ func Kit() nfkit.Decl[*Frame] {
 		Process: func(d *Frame, frame []byte, fromInternal bool, now libvig.Time) nf.Verdict {
 			return d.ProcessAt(frame, fromInternal, now)
 		},
-		Stats: func(d *Frame) nf.Stats { return d.stats },
+		Stats:    func(d *Frame) nf.Stats { return nfkit.StatsOf(Reasons, d.counters[:], 0) },
+		Counters: func(d *Frame) []uint64 { return d.counters[:] },
 		ShardOf: func(frame []byte, fromInternal bool, shards int) int {
 			var scratch netstack.Packet
 			if err := scratch.Parse(frame); err != nil || !scratch.NATable() {
@@ -151,10 +133,7 @@ func Kit() nfkit.Decl[*Frame] {
 			}
 			return int(scratch.FlowID().Hash() % uint64(shards))
 		},
-		Reasons: Reasons,
-		ReasonCounts: func(d *Frame) []uint64 {
-			return d.reasonCounts[:]
-		},
+		Reasons:    Reasons,
 		LastReason: func(d *Frame) telemetry.ReasonID { return d.lastReason },
 		Sym:        symSpec(),
 	}

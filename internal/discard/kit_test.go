@@ -7,7 +7,6 @@ import (
 	"vignat/internal/netstack"
 	"vignat/internal/nf"
 	"vignat/internal/nf/nfkit"
-	"vignat/internal/nf/telemetry"
 )
 
 // frameTo crafts a UDP frame destined for dst.
@@ -54,7 +53,9 @@ func TestFrameReasonsConsistent(t *testing.T) {
 	t.Log(rep.Summary())
 }
 
-// TestFrameReasonCounts checks production tagging matches the verdicts.
+// TestFrameReasonCounts checks production tagging matches the verdicts
+// and that each frame is counted once: one cell of the counter array
+// moves per frame, and the engine-visible stats are a view of it.
 func TestFrameReasonCounts(t *testing.T) {
 	d := &Frame{}
 	if v := d.ProcessAt(frameTo(t, 9), true, 0); v != nf.Drop {
@@ -63,19 +64,13 @@ func TestFrameReasonCounts(t *testing.T) {
 	if v := d.ProcessAt(frameTo(t, 80), true, 0); v != nf.Forward {
 		t.Fatalf("port-80 frame: verdict %v, want Forward", v)
 	}
-	if d.reasonCounts[ReasonDropPort9] != 1 || d.reasonCounts[ReasonFwd] != 1 {
-		t.Fatalf("reason counts %v, want one each", d.reasonCounts)
+	if d.counters != [numReasons]uint64{ReasonFwd: 1, ReasonDropPort9: 1} {
+		t.Fatalf("counters %v, want one each", d.counters)
 	}
 	if d.lastReason != ReasonFwd {
 		t.Fatalf("lastReason %d, want ReasonFwd", d.lastReason)
 	}
-	var drops uint64
-	for id, n := range d.reasonCounts {
-		if Reasons.IsDrop(telemetry.ReasonID(id)) {
-			drops += n
-		}
-	}
-	if drops != d.stats.Dropped {
-		t.Fatalf("drop-class reasons sum to %d, stats.Dropped is %d", drops, d.stats.Dropped)
+	if got, want := Kit().Stats(d), (nf.Stats{Processed: 2, Forwarded: 1, Dropped: 1}); got != want {
+		t.Fatalf("stats view %+v, want %+v", got, want)
 	}
 }

@@ -19,14 +19,14 @@ import (
 	"vignat/internal/fastpath"
 	"vignat/internal/flow"
 	"vignat/internal/libvig"
-	"vignat/internal/netstack"
+	"vignat/internal/nf"
 	"vignat/internal/nf/nfkit"
 	"vignat/internal/nf/telemetry"
 )
 
 // Reason IDs: the firewall's declared outcome taxonomy, cross-checked
 // against the symbolic path enumeration (every ID below maps onto ≥1
-// enumerated path; see symspec.go's pathReason).
+// enumerated path; symspec.go's checkSpec names each path's reason).
 const (
 	ReasonFwdOut telemetry.ReasonID = iota
 	ReasonFwdIn
@@ -34,6 +34,13 @@ const (
 	ReasonDropTableFull
 	ReasonDropUnsolicited
 	numReasons
+)
+
+// The lifecycle counter, which follows the reason cells in the
+// firewall's counter array (the nfkit layout contract).
+const (
+	ctrExpired = int(numReasons) + iota
+	numCounters
 )
 
 // Reasons is the firewall's outcome taxonomy.
@@ -165,11 +172,11 @@ type Firewall struct {
 	// parsing again.
 	burst nfkit.Burst
 
-	processed, dropped, expired uint64
-	// reasonCounts[r] totals packets tagged with reason r; lastReason
-	// is the most recent tag. Single-writer, like every hot counter.
-	reasonCounts [numReasons]uint64
-	lastReason   telemetry.ReasonID
+	// counters[r] totals packets tagged with reason r — the only tally
+	// a packet moves — followed by the sessions-expired count;
+	// lastReason is the most recent tag. Single-writer.
+	counters   [numCounters]uint64
+	lastReason telemetry.ReasonID
 }
 
 // New builds a firewall tracking up to capacity sessions with the given
@@ -198,11 +205,20 @@ func New(capacity int, timeout time.Duration, clock libvig.Clock) (*Firewall, er
 // Sessions returns the number of live sessions.
 func (fw *Firewall) Sessions() int { return fw.dmap.Size() }
 
-// Stats returns (processed, dropped).
-func (fw *Firewall) Stats() (processed, dropped uint64) { return fw.processed, fw.dropped }
+// nfStats is the engine-visible view of the counter array.
+func (fw *Firewall) nfStats() nf.Stats {
+	return nfkit.StatsOf(Reasons, fw.counters[:], fw.counters[ctrExpired])
+}
+
+// Stats returns (processed, dropped): every packet is one reason cell,
+// the dropped ones the drop-class cells.
+func (fw *Firewall) Stats() (processed, dropped uint64) {
+	s := fw.nfStats()
+	return s.Processed, s.Dropped
+}
 
 // Expired returns the total sessions freed by expiry.
-func (fw *Firewall) Expired() uint64 { return fw.expired }
+func (fw *Firewall) Expired() uint64 { return fw.counters[ctrExpired] }
 
 // Process runs one frame through the firewall. Frames are never
 // modified.
@@ -216,11 +232,7 @@ func (fw *Firewall) ProcessAt(frame []byte, fromInternal bool, now libvig.Time) 
 	e := &fw.env
 	e.reset(frame, fromInternal, now)
 	ProcessPacket(e)
-	fw.processed++
-	if e.verdict == VerdictDrop {
-		fw.dropped++
-	}
-	fw.reasonCounts[e.reason]++
+	fw.counters[e.reason]++
 	fw.lastReason = e.reason
 	return e.verdict
 }
@@ -230,21 +242,17 @@ func (fw *Firewall) ProcessAt(frame []byte, fromInternal bool, now libvig.Time) 
 // number of sessions freed.
 func (fw *Firewall) ExpireAt(now libvig.Time) int {
 	freed, _ := libvig.ExpireItems(fw.chain, now-fw.texp+1, fw.erasers...)
-	fw.expired += uint64(freed)
+	fw.counters[ctrExpired] += uint64(freed)
 	return freed
 }
 
 // prodEnv binds Env to the real table; the same structure as the NAT's
 // prodEnv.
 type prodEnv struct {
-	fw *Firewall
-	// p is the packet in hand: the burst scratch's entry when the
-	// Prefetch hook parsed this frame, own otherwise.
-	p            *nfkit.Parsed
-	own          nfkit.Parsed
-	fromInternal bool
-	now          libvig.Time
-	verdict      Verdict
+	nfkit.PktGuards // the parse chain and arrival side, over packet P
+	fw              *Firewall
+	now             libvig.Time
+	verdict         Verdict
 	// reason tags the packet's outcome. The decisive env-call sites
 	// overwrite the parse-failure default (the policer's
 	// overRate/tableFull flags are the same pattern): a create failure
@@ -256,22 +264,11 @@ type prodEnv struct {
 var _ Env = (*prodEnv)(nil)
 
 func (e *prodEnv) reset(frame []byte, fromInternal bool, now libvig.Time) {
-	e.p = e.fw.burst.Take(frame, &e.own)
-	e.fromInternal = fromInternal
+	e.Take(&e.fw.burst, frame, fromInternal)
 	e.now = now
 	e.verdict = VerdictDrop
 	e.reason = ReasonDropParse
 }
-
-func (e *prodEnv) FrameIntact() bool     { return len(e.p.Pkt.Data) >= netstack.EthHeaderLen }
-func (e *prodEnv) EtherIsIPv4() bool     { return e.p.Pkt.EtherType == netstack.EtherTypeIPv4 }
-func (e *prodEnv) IPv4HeaderValid() bool { return e.p.Pkt.L3Valid }
-func (e *prodEnv) NotFragment() bool     { return !e.p.Pkt.Fragment }
-func (e *prodEnv) L4Supported() bool {
-	return e.p.Pkt.Proto == flow.TCP || e.p.Pkt.Proto == flow.UDP
-}
-func (e *prodEnv) L4HeaderIntact() bool     { return e.p.Pkt.L4Valid }
-func (e *prodEnv) PacketFromInternal() bool { return e.fromInternal }
 
 func (e *prodEnv) ExpireSessions() {
 	// Same Fig. 6 convention as the NAT: expire when last+Texp <= now.
@@ -279,12 +276,12 @@ func (e *prodEnv) ExpireSessions() {
 }
 
 func (e *prodEnv) LookupOutbound() (SessionHandle, bool) {
-	i, ok := e.fw.dmap.GetByFstHashed(e.p.ID, e.p.Hash)
+	i, ok := e.fw.dmap.GetByFstHashed(e.P.ID, e.P.Hash)
 	return SessionHandle(i), ok
 }
 
 func (e *prodEnv) LookupInbound() (SessionHandle, bool) {
-	i, ok := e.fw.dmap.GetBySndHashed(e.p.ID, e.p.Hash)
+	i, ok := e.fw.dmap.GetBySndHashed(e.P.ID, e.P.Hash)
 	if !ok {
 		e.reason = ReasonDropUnsolicited // the miss decides the drop
 	}
@@ -297,8 +294,8 @@ func (e *prodEnv) CreateSession() (SessionHandle, bool) {
 		e.reason = ReasonDropTableFull
 		return 0, false
 	}
-	out := e.p.ID
-	if err := e.fw.dmap.PutFstHashed(idx, session{Out: out, In: out.Reverse()}, e.p.Hash); err != nil {
+	out := e.P.ID
+	if err := e.fw.dmap.PutFstHashed(idx, session{Out: out, In: out.Reverse()}, e.P.Hash); err != nil {
 		_ = e.fw.chain.Free(idx)
 		e.reason = ReasonDropTableFull
 		return 0, false

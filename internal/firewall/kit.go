@@ -42,22 +42,15 @@ func Kit(capacity int, timeout time.Duration, clock libvig.Clock) nfkit.Decl[*Fi
 		Prefetch: func(fw *Firewall, pkts []nf.Pkt, now libvig.Time) {
 			nfkit.PrefetchFlows(&fw.burst, pkts, true, fw.dmap, fw.chain, now-fw.texp+1)
 		},
-		Expire: (*Firewall).ExpireAt,
-		Stats: func(fw *Firewall) nf.Stats {
-			processed, dropped := fw.Stats()
-			return nf.Stats{
-				Processed: processed,
-				Forwarded: processed - dropped,
-				Dropped:   dropped,
-				Expired:   fw.Expired(),
-			}
-		},
+		Expire:   (*Firewall).ExpireAt,
+		Stats:    (*Firewall).nfStats,
+		Counters: func(fw *Firewall) []uint64 { return fw.counters[:] },
 		// The fast path caches live sessions: Offer resolves the
 		// direction-appropriate membership lookup (the only state read
 		// the established branch performs — the firewall rewrites
 		// nothing, so the cached template is an identity rewrite), and
 		// Hit replays that branch's mutations: rejuvenate plus the
-		// processed counter and the direction's reason tag (aux carries
+		// direction's reason cell (aux carries
 		// the session index shifted over a direction bit, the same
 		// encoding the NAT uses). The fpGens eraser bumps generations on
 		// expiry, so a dead session's cached verdict misses instead of
@@ -80,12 +73,11 @@ func Kit(capacity int, timeout time.Duration, clock libvig.Clock) nfkit.Decl[*Fi
 			},
 			Hit: func(fw *Firewall, aux uint64, _ int, now libvig.Time) nf.Verdict {
 				_ = fw.chain.Rejuvenate(int(aux>>1), now)
-				fw.processed++
 				r := ReasonFwdIn
 				if aux&1 != 0 {
 					r = ReasonFwdOut
 				}
-				fw.reasonCounts[r]++
+				fw.counters[r]++
 				fw.lastReason = r
 				return nf.Forward
 			},
@@ -103,13 +95,10 @@ func Kit(capacity int, timeout time.Duration, clock libvig.Clock) nfkit.Decl[*Fi
 			}
 			return int(id.Hash() % uint64(shards))
 		},
-		Reasons: Reasons,
-		ReasonCounts: func(fw *Firewall) []uint64 {
-			return fw.reasonCounts[:]
-		},
+		Reasons:    Reasons,
 		LastReason: func(fw *Firewall) telemetry.ReasonID { return fw.lastReason },
 		Codec:      shardCodec(),
-		Sym:        symSpec(),
+		Sym:        symSpecFor(ProcessPacket),
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // This file is the firewall's shard codec: session snapshot/restore
-// and the counter fold. Both directions of a session steer by the
+// (counters move through Decl.Counters, generically). Both directions of a session steer by the
 // normalized (outbound) tuple's hash, so a session's home under any
 // shard count is pure arithmetic on its own key — no steering
 // override, no partition constraint.
@@ -35,8 +35,8 @@ func (fw *Firewall) snapshotRecords() []nfkit.StateRecord {
 }
 
 // restoreRecord replays one session into the core, fully or not at
-// all. No creation counter exists to bump; processed/dropped move only
-// through the counter fold.
+// all. No creation counter exists to bump, and a restore is no
+// packet: no reason cell moves.
 func (fw *Firewall) restoreRecord(rec nfkit.StateRecord) error {
 	d, ok := rec.Data.(sessionRec)
 	if !ok {
@@ -53,26 +53,6 @@ func (fw *Firewall) restoreRecord(rec nfkit.StateRecord) error {
 	return nil
 }
 
-// counterVector captures the core's counters in the codec's fixed
-// order: processed, dropped, expired, then the reason taxonomy.
-func (fw *Firewall) counterVector() []uint64 {
-	v := []uint64{fw.processed, fw.dropped, fw.expired}
-	return append(v, fw.reasonCounts[:]...)
-}
-
-// seedCounters adds a counterVector into the core.
-func (fw *Firewall) seedCounters(v []uint64) {
-	if len(v) < 3+int(numReasons) {
-		return
-	}
-	fw.processed += v[0]
-	fw.dropped += v[1]
-	fw.expired += v[2]
-	for i := 0; i < int(numReasons); i++ {
-		fw.reasonCounts[i] += v[3+i]
-	}
-}
-
 // shardCodec is the firewall's migration declaration.
 func shardCodec() *nfkit.ShardCodec[*Firewall] {
 	return &nfkit.ShardCodec[*Firewall]{
@@ -85,7 +65,5 @@ func shardCodec() *nfkit.ShardCodec[*Firewall] {
 			}
 			return int(d.out.Hash() % uint64(shards))
 		},
-		Counters: (*Firewall).counterVector,
-		Seed:     (*Firewall).seedCounters,
 	}
 }

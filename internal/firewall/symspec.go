@@ -18,24 +18,12 @@ import (
 // action.
 
 // fwSym drives ProcessPacket under the engine via the kit driver.
-type fwSym struct{ d *nfkit.SymDriver }
+// The parse chain and the arrival side are the kit's guard set.
+type fwSym struct{ nfkit.SymGuards }
 
 var _ Env = fwSym{}
 
-func (e fwSym) FrameIntact() bool     { return e.d.Guard("frame_intact") }
-func (e fwSym) EtherIsIPv4() bool     { return e.d.Guard("ether_is_ipv4") }
-func (e fwSym) IPv4HeaderValid() bool { return e.d.Guard("ipv4_header_valid") }
-func (e fwSym) NotFragment() bool     { return e.d.Guard("not_fragment") }
-func (e fwSym) L4Supported() bool     { return e.d.Guard("l4_supported") }
-func (e fwSym) L4HeaderIntact() bool  { return e.d.GuardFlag("l4_header_intact", "l4") }
-
-func (e fwSym) PacketFromInternal() bool {
-	d := e.d.GuardFlag("packet_from_internal", "from_internal")
-	e.d.Set("iface_known", true)
-	return d
-}
-
-func (e fwSym) ExpireSessions() { e.d.Note("expire_sessions") }
+func (e fwSym) ExpireSessions() { e.D.Note("expire_sessions") }
 
 // sessionVarNames are the model variables every minted session handle
 // carries: the session's outbound tuple.
@@ -47,23 +35,23 @@ var sessionVarNames = []string{
 // the packet tuple by the given correspondence (the contract atoms of
 // the dmap model).
 func (e fwSym) mintSession(srcIP, srcPort, dstIP, dstPort string) SessionHandle {
-	h := e.d.Mint(sessionVarNames...)
-	e.d.Bind(h,
-		sym.EqVV(e.d.HVar(h, "sess_out_src_ip"), e.d.Var(srcIP)),
-		sym.EqVV(e.d.HVar(h, "sess_out_src_port"), e.d.Var(srcPort)),
-		sym.EqVV(e.d.HVar(h, "sess_out_dst_ip"), e.d.Var(dstIP)),
-		sym.EqVV(e.d.HVar(h, "sess_out_dst_port"), e.d.Var(dstPort)),
-		sym.EqVV(e.d.HVar(h, "sess_proto"), e.d.Var("pkt_proto")),
+	h := e.D.Mint(sessionVarNames...)
+	e.D.Bind(h,
+		sym.EqVV(e.D.HVar(h, "sess_out_src_ip"), e.D.Var(srcIP)),
+		sym.EqVV(e.D.HVar(h, "sess_out_src_port"), e.D.Var(srcPort)),
+		sym.EqVV(e.D.HVar(h, "sess_out_dst_ip"), e.D.Var(dstIP)),
+		sym.EqVV(e.D.HVar(h, "sess_out_dst_port"), e.D.Var(dstPort)),
+		sym.EqVV(e.D.HVar(h, "sess_proto"), e.D.Var("pkt_proto")),
 	)
 	return SessionHandle(h)
 }
 
 func (e fwSym) LookupOutbound() (SessionHandle, bool) {
-	e.d.Require(e.d.Flag("l4"), "P2: session key from unvalidated L4 header")
-	e.d.Require(e.d.Flag("iface_known") && e.d.Flag("from_internal"),
+	e.D.Require(e.D.Flag("l4"), "P2: session key from unvalidated L4 header")
+	e.D.Require(e.D.Flag("iface_known") && e.D.Flag("from_internal"),
 		"P4: outbound lookup for a non-internal packet")
-	if !e.d.Decide("dmap_get_by_out_key") {
-		e.d.Set("missed_out", true)
+	if !e.D.Decide("dmap_get_by_out_key") {
+		e.D.Set("missed_out", true)
 		return 0, false
 	}
 	// Contract: the found session's outbound key equals the packet.
@@ -71,10 +59,10 @@ func (e fwSym) LookupOutbound() (SessionHandle, bool) {
 }
 
 func (e fwSym) LookupInbound() (SessionHandle, bool) {
-	e.d.Require(e.d.Flag("l4"), "P2: session key from unvalidated L4 header")
-	e.d.Require(e.d.Flag("iface_known") && !e.d.Flag("from_internal"),
+	e.D.Require(e.D.Flag("l4"), "P2: session key from unvalidated L4 header")
+	e.D.Require(e.D.Flag("iface_known") && !e.D.Flag("from_internal"),
 		"P4: inbound lookup for a non-external packet")
-	if !e.d.Decide("dmap_get_by_in_key") {
+	if !e.D.Decide("dmap_get_by_in_key") {
 		return 0, false
 	}
 	// Contract: the packet equals the session's reply tuple, i.e. the
@@ -83,67 +71,32 @@ func (e fwSym) LookupInbound() (SessionHandle, bool) {
 }
 
 func (e fwSym) CreateSession() (SessionHandle, bool) {
-	e.d.Require(e.d.Flag("missed_out"), "P4: session creation without a preceding outbound miss")
-	if !e.d.Decide("session_create") {
+	e.D.Require(e.D.Flag("missed_out"), "P4: session creation without a preceding outbound miss")
+	if !e.D.Decide("session_create") {
 		return 0, false
 	}
 	return e.mintSession("pkt_src_ip", "pkt_src_port", "pkt_dst_ip", "pkt_dst_port"), true
 }
 
 func (e fwSym) Rejuvenate(h SessionHandle) {
-	e.d.Require(e.d.Valid(int(h)), "P2: rejuvenate on invalid session handle %d", h)
-	e.d.NoteOn("dchain_rejuvenate", int(h))
+	e.D.Require(e.D.Valid(int(h)), "P2: rejuvenate on invalid session handle %d", h)
+	e.D.NoteOn("dchain_rejuvenate", int(h))
 }
 
-func (e fwSym) ForwardOut() { e.d.Output("forward_out") }
-func (e fwSym) ForwardIn()  { e.d.Output("forward_in") }
-func (e fwSym) Drop()       { e.d.Output("drop") }
+func (e fwSym) ForwardOut() { e.D.Output("forward_out") }
+func (e fwSym) ForwardIn()  { e.D.Output("forward_in") }
+func (e fwSym) Drop()       { e.D.Output("drop") }
 
-// symSpec is the firewall's symbolic-verification declaration; Verify
-// and the Kit declaration both hang off it.
-func symSpec() *nfkit.SymSpec {
-	return symSpecFor(ProcessPacket)
-}
-
+// symSpecFor is the firewall's symbolic-verification declaration over
+// the given stateless logic; Verify and the Kit declaration both hang
+// off it.
 func symSpecFor(logic func(Env)) *nfkit.SymSpec {
 	return &nfkit.SymSpec{
-		NF:         "firewall",
-		Outputs:    []string{"forward_out", "forward_in", "drop"},
-		Drive:      func(d *nfkit.SymDriver) { logic(fwSym{d}) },
-		Spec:       checkSpec,
-		PathReason: pathReason,
+		NF:      "firewall",
+		Outputs: []string{"forward_out", "forward_in", "drop"},
+		Drive:   func(d *nfkit.SymDriver) { logic(fwSym{nfkit.SymGuards{D: d}}) },
+		Spec:    checkSpec,
 	}
-}
-
-// pathReason classifies one enumerated symbolic path onto the declared
-// reason taxonomy — the mapping VerifyReasons cross-checks: every
-// declared reason must label ≥1 path, every drop path exactly one
-// drop-class reason. It mirrors checkSpec's branch structure, so a
-// taxonomy that drifts from the verified paths fails the derived test.
-func pathReason(p *nfkit.SymPath) (telemetry.ReasonID, error) {
-	for _, g := range []string{"frame_intact", "ether_is_ipv4", "ipv4_header_valid",
-		"not_fragment", "l4_supported", "l4_header_intact"} {
-		val, evaluated := p.Ret(g)
-		if !evaluated || !val {
-			return ReasonDropParse, nil
-		}
-	}
-	fromInternal, ok := p.Ret("packet_from_internal")
-	if !ok {
-		return 0, fmt.Errorf("interface never determined")
-	}
-	if fromInternal {
-		hit, _ := p.Ret("dmap_get_by_out_key")
-		created, createdAsked := p.Ret("session_create")
-		if hit || (createdAsked && created) {
-			return ReasonFwdOut, nil
-		}
-		return ReasonDropTableFull, nil
-	}
-	if hit, _ := p.Ret("dmap_get_by_in_key"); hit {
-		return ReasonFwdIn, nil
-	}
-	return ReasonDropUnsolicited, nil
 }
 
 // Verify runs the derived pipeline on the firewall's stateless logic
@@ -166,54 +119,38 @@ func verifyLogic(logic func(Env)) (*nfkit.Report, error) {
 }
 
 // checkSpec is the firewall's RFC-style specification, trace form.
-func checkSpec(p *nfkit.SymPath) error {
-	out := p.Output()
-	// Non-parseable → drop.
-	for _, g := range []string{"frame_intact", "ether_is_ipv4", "ipv4_header_valid",
-		"not_fragment", "l4_supported", "l4_header_intact"} {
-		val, evaluated := p.Ret(g)
-		if !evaluated || !val {
-			if out != "drop" {
-				return fmt.Errorf("non-parseable packet must drop, path does %s", out)
-			}
-			return nil
-		}
+// Each branch names the reason of the outcome it demands, so the
+// taxonomy cross-check (VerifyReasons) reads its classification off the
+// same walk that judges the path.
+func checkSpec(p *nfkit.SymPath) (telemetry.ReasonID, error) {
+	if !p.Parseable() {
+		return p.Judge("non-parseable packet", "drop", ReasonDropParse)
 	}
 	fromInternal, ok := p.Ret("packet_from_internal")
 	if !ok {
-		return fmt.Errorf("interface never determined")
+		return 0, fmt.Errorf("interface never determined")
 	}
 	if fromInternal {
 		hit, _ := p.Ret("dmap_get_by_out_key")
 		created, createdAsked := p.Ret("session_create")
-		switch {
-		case hit || (createdAsked && created):
-			if out != "forward_out" {
-				return fmt.Errorf("internal packet with session must forward, does %s", out)
-			}
-		default:
-			if out != "drop" {
-				return fmt.Errorf("internal packet without session capacity must drop, does %s", out)
-			}
+		if hit || (createdAsked && created) {
+			return p.Judge("internal packet with a session", "forward_out", ReasonFwdOut)
 		}
-		return nil
+		return p.Judge("internal packet without session capacity", "drop", ReasonDropTableFull)
 	}
-	hit, _ := p.Ret("dmap_get_by_in_key")
-	if !hit {
-		if out != "drop" {
-			return fmt.Errorf("unsolicited external packet must drop, does %s", out)
-		}
-		return nil
+	if hit, _ := p.Ret("dmap_get_by_in_key"); !hit {
+		return p.Judge("unsolicited external packet", "drop", ReasonDropUnsolicited)
 	}
-	if out != "forward_in" {
-		return fmt.Errorf("external packet of live session must forward, does %s", out)
+	r, err := p.Judge("external packet of a live session", "forward_in", ReasonFwdIn)
+	if err != nil {
+		return 0, err
 	}
 	// The matched session must really be the packet's: its outbound
 	// tuple must be the packet's reverse (entailed by the model/contract
 	// atoms on the path).
 	c := p.Find("dmap_get_by_in_key")
 	if !p.HasHandle(c.Handle) {
-		return fmt.Errorf("forwarding via unknown session handle %d", c.Handle)
+		return 0, fmt.Errorf("forwarding via unknown session handle %d", c.Handle)
 	}
 	want := []sym.Atom{
 		sym.EqVV(p.HVar(c.Handle, "sess_out_src_ip"), p.Var("pkt_dst_ip")),
@@ -221,7 +158,7 @@ func checkSpec(p *nfkit.SymPath) error {
 		sym.EqVV(p.HVar(c.Handle, "sess_proto"), p.Var("pkt_proto")),
 	}
 	if ok, failing := p.EntailsAll(want...); !ok {
-		return fmt.Errorf("session match not entailed: %v", failing)
+		return 0, fmt.Errorf("session match not entailed: %v", failing)
 	}
-	return nil
+	return r, nil
 }

@@ -73,14 +73,9 @@ func Kit(cfg Config, clock libvig.Clock) nfkit.Decl[*Balancer] {
 		},
 		Expire: (*Balancer).ExpireAt,
 		Stats: func(b *Balancer) nf.Stats {
-			s := b.Stats()
-			return nf.Stats{
-				Processed: s.Processed,
-				Forwarded: s.ToBackend + s.ToClient + s.Passthrough,
-				Dropped:   s.Dropped,
-				Expired:   s.FlowsExpired,
-			}
+			return nfkit.StatsOf(b.reasons, b.counters[:], b.counters[ctrFlowsExpired])
 		},
+		Counters: func(b *Balancer) []uint64 { return b.counters[:] },
 		// The fast path caches VIP flows by their sticky entry,
 		// client-side non-VIP passthrough by configuration alone, and
 		// backend-side no-session passthrough under the epoch guard: a
@@ -112,25 +107,20 @@ func Kit(cfg Config, clock libvig.Clock) nfkit.Decl[*Balancer] {
 				return uint64(idx)<<2 | fpToClient, b.fpGens.Guard(idx), true
 			},
 			Hit: func(b *Balancer, aux uint64, _ int, now libvig.Time) nf.Verdict {
-				b.stats.Processed++
 				var r telemetry.ReasonID
 				switch aux & 3 {
 				case fpToBackend:
 					_ = b.flowChain.Rejuvenate(int(aux>>2), now)
-					b.stats.ToBackend++
 					r = ReasonFwdBackend
 				case fpToClient:
 					_ = b.flowChain.Rejuvenate(int(aux>>2), now)
-					b.stats.ToClient++
 					r = ReasonFwdClient
 				case fpPassNoSession:
-					b.stats.Passthrough++
 					r = ReasonPassNoSession
 				default:
-					b.stats.Passthrough++
 					r = ReasonPassNonVIP
 				}
-				b.reasonCounts[r]++
+				b.counters[r]++
 				b.lastReason = r
 				return nf.Forward
 			},
@@ -151,10 +141,7 @@ func Kit(cfg Config, clock libvig.Clock) nfkit.Decl[*Balancer] {
 		// The taxonomy and the symbolic spec share cfg.Passthrough, so
 		// the cross-check proves the deployed orientation, not a fixed
 		// one.
-		Reasons: ReasonsFor(cfg.Passthrough),
-		ReasonCounts: func(b *Balancer) []uint64 {
-			return b.reasonCounts[:]
-		},
+		Reasons:    ReasonsFor(cfg.Passthrough),
 		LastReason: func(b *Balancer) telemetry.ReasonID { return b.lastReason },
 		Codec:      shardCodec(),
 		Sym:        symSpecFor(ProcessPacket, cfg.Passthrough),
@@ -238,16 +225,4 @@ func (s *Sharded) Heartbeat(i int, now libvig.Time) error {
 }
 
 // Stats aggregates the shards' balancer-level counters.
-func (s *Sharded) Stats() Stats {
-	return nfkit.AggregateStats(s.Sharded, (*Balancer).Stats, func(agg *Stats, st Stats) {
-		agg.Processed += st.Processed
-		agg.Dropped += st.Dropped
-		agg.ToBackend += st.ToBackend
-		agg.ToClient += st.ToClient
-		agg.Passthrough += st.Passthrough
-		agg.FlowsCreated += st.FlowsCreated
-		agg.FlowsExpired += st.FlowsExpired
-		agg.FlowsUnpinned += st.FlowsUnpinned
-		agg.BackendsExpired += st.BackendsExpired
-	})
-}
+func (s *Sharded) Stats() Stats { return statsOf(s.Core(0).reasons, s.Counters()) }

@@ -28,14 +28,13 @@ import (
 	"vignat/internal/fastpath"
 	"vignat/internal/flow"
 	"vignat/internal/libvig"
-	"vignat/internal/netstack"
 	"vignat/internal/nf/nfkit"
 	"vignat/internal/nf/telemetry"
 )
 
 // Reason IDs: the balancer's declared outcome taxonomy, cross-checked
-// against the symbolic path enumeration (see symspec.go's
-// pathReasonFor). The IDs are config-independent; whether the two
+// against the symbolic path enumeration (symspec.go's checkSpec names
+// each path's reason). The IDs are config-independent; whether the two
 // not-owned classifications forward or drop depends on
 // Config.Passthrough, so the ReasonSet — names and drop classes — is
 // built per configuration by ReasonsFor.
@@ -48,6 +47,16 @@ const (
 	ReasonDropNoBackend
 	ReasonDropTableFull
 	numReasons
+)
+
+// The lifecycle counters, which follow the reason cells in the
+// balancer's counter array (the nfkit layout contract).
+const (
+	ctrFlowsCreated = int(numReasons) + iota
+	ctrFlowsExpired
+	ctrFlowsUnpinned
+	ctrBackendsExpired
+	numCounters
 )
 
 // ReasonsFor builds the balancer's outcome taxonomy for one
@@ -167,8 +176,9 @@ type FlowHandle int
 // BackendHandle references a backend slot.
 type BackendHandle int
 
-// Stats counts the balancer's externally visible actions. The sticky
-// table's accounting invariant is
+// Stats counts the balancer's externally visible actions: a read-time
+// view of the counter array, in which every packet is one reason cell.
+// The sticky table's accounting invariant is
 //
 //	FlowsCreated − FlowsExpired − FlowsUnpinned == live flows:
 //
@@ -184,6 +194,25 @@ type Stats struct {
 	FlowsExpired    uint64
 	FlowsUnpinned   uint64 // sticky entries erased because their backend left
 	BackendsExpired uint64
+}
+
+// statsOf is the Stats view of a balancer counter array (one core's,
+// or the cell-by-cell sum of several) under the given orientation's
+// taxonomy: standalone, the two not-owned classifications are drops
+// and nothing passes through.
+func statsOf(set *telemetry.ReasonSet, c []uint64) Stats {
+	s := nfkit.StatsOf(set, c, c[ctrFlowsExpired])
+	return Stats{
+		Processed:       s.Processed,
+		Dropped:         s.Dropped,
+		ToBackend:       c[ReasonFwdBackend],
+		ToClient:        c[ReasonFwdClient],
+		Passthrough:     s.Forwarded - c[ReasonFwdBackend] - c[ReasonFwdClient],
+		FlowsCreated:    c[ctrFlowsCreated],
+		FlowsExpired:    c[ctrFlowsExpired],
+		FlowsUnpinned:   c[ctrFlowsUnpinned],
+		BackendsExpired: c[ctrBackendsExpired],
+	}
 }
 
 // Env is the balancer's window onto the world — the same pattern as the
@@ -303,12 +332,16 @@ type Balancer struct {
 	flowScratch []int // backend-removal sweep scratch, preallocated
 	clock       libvig.Clock
 
-	stats Stats
-	env   prodEnv
-	// reasonCounts[r] totals packets tagged with reason r; lastReason
-	// is the most recent tag. Single-writer, like the stats fields.
-	reasonCounts [numReasons]uint64
-	lastReason   telemetry.ReasonID
+	env prodEnv
+	// reasons is the taxonomy of this balancer's orientation
+	// (ReasonsFor(cfg.Passthrough)): its drop classes are what the
+	// Stats view reads Dropped off. counters[r] totals packets tagged
+	// with reason r — the only tally a packet moves — followed by the
+	// ctr* lifecycle counts; lastReason is the most recent tag.
+	// Single-writer.
+	reasons    *telemetry.ReasonSet
+	counters   [numCounters]uint64
+	lastReason telemetry.ReasonID
 	// fpGens invalidates engine flow-cache entries: one generation per
 	// sticky index, bumped whenever a sticky entry is erased — by
 	// inactivity expiry or because its backend drained.
@@ -361,6 +394,7 @@ func New(cfg Config, clock libvig.Clock) (*Balancer, error) {
 		flowChain:    flowChain,
 		flowScratch:  make([]int, 0, cfg.Capacity),
 		clock:        clock,
+		reasons:      ReasonsFor(cfg.Passthrough),
 	}
 	// One generation slot per sticky index, plus one extra: slot
 	// cfg.Capacity is the sticky-creation epoch guarding cached
@@ -386,7 +420,7 @@ func (b *Balancer) eraseFlow(i int) error {
 func (b *Balancer) Config() Config { return b.cfg }
 
 // Stats returns a snapshot of the counters.
-func (b *Balancer) Stats() Stats { return b.stats }
+func (b *Balancer) Stats() Stats { return statsOf(b.reasons, b.counters[:]) }
 
 // Flows returns the number of live sticky entries.
 func (b *Balancer) Flows() int { return b.flows.Size() }
@@ -487,7 +521,7 @@ func (b *Balancer) removeBackend(i int) (int, error) {
 		b.fpGens.Bump(fi)
 		unpinned++
 	}
-	b.stats.FlowsUnpinned += uint64(unpinned)
+	b.counters[ctrFlowsUnpinned] += uint64(unpinned)
 	return unpinned, nil
 }
 
@@ -497,7 +531,7 @@ func (b *Balancer) removeBackend(i int) (int, error) {
 // number of sticky entries freed.
 func (b *Balancer) ExpireAt(now libvig.Time) int {
 	freed, _ := libvig.ExpireItems(b.flowChain, now-b.texp+1, b.flowErasers...)
-	b.stats.FlowsExpired += uint64(freed)
+	b.counters[ctrFlowsExpired] += uint64(freed)
 	if b.btxp > 0 {
 		for {
 			i, ts, ok := b.backendChain.Oldest()
@@ -510,7 +544,7 @@ func (b *Balancer) ExpireAt(now libvig.Time) int {
 			if _, err := b.removeBackend(i); err != nil {
 				break
 			}
-			b.stats.BackendsExpired++
+			b.counters[ctrBackendsExpired]++
 		}
 	}
 	return freed
@@ -530,18 +564,7 @@ func (b *Balancer) ProcessAt(frame []byte, fromInternal bool, now libvig.Time) V
 	e := &b.env
 	e.reset(frame, fromInternal, now)
 	ProcessPacket(e)
-	b.stats.Processed++
-	switch e.verdict {
-	case VerdictDrop:
-		b.stats.Dropped++
-	case VerdictToBackend:
-		b.stats.ToBackend++
-	case VerdictToClient:
-		b.stats.ToClient++
-	case VerdictPassthrough:
-		b.stats.Passthrough++
-	}
-	b.reasonCounts[e.reason]++
+	b.counters[e.reason]++
 	b.lastReason = e.reason
 	return e.verdict
 }
@@ -579,14 +602,10 @@ func clientKeyOfReply(reply flow.ID, vip flow.Addr) flow.ID {
 // and firewall's prodEnv. It is embedded in Balancer and reset per
 // packet, so the fast path allocates nothing.
 type prodEnv struct {
-	lb *Balancer
-	// p is the packet in hand: the burst scratch's entry when the
-	// Prefetch hook parsed this frame, own otherwise.
-	p            *nfkit.Parsed
-	own          nfkit.Parsed
-	fromInternal bool
-	now          libvig.Time
-	verdict      Verdict
+	nfkit.PktGuards // the parse chain and arrival side, over packet P
+	lb              *Balancer
+	now             libvig.Time
+	verdict         Verdict
 	// reason tags the packet's outcome. The decisive env-call sites
 	// overwrite the parse-failure default: a failed backend selection
 	// means no-backend, a failed sticky creation table-full, the
@@ -598,8 +617,7 @@ type prodEnv struct {
 var _ Env = (*prodEnv)(nil)
 
 func (e *prodEnv) reset(frame []byte, fromInternal bool, now libvig.Time) {
-	e.p = e.lb.burst.Take(frame, &e.own)
-	e.fromInternal = fromInternal
+	e.Take(&e.lb.burst, frame, fromInternal)
 	e.now = now
 	e.verdict = VerdictDrop
 	e.reason = ReasonDropParse
@@ -607,22 +625,13 @@ func (e *prodEnv) reset(frame []byte, fromInternal bool, now libvig.Time) {
 
 // --- packet predicates ---
 
-func (e *prodEnv) FrameIntact() bool     { return len(e.p.Pkt.Data) >= netstack.EthHeaderLen }
-func (e *prodEnv) EtherIsIPv4() bool     { return e.p.Pkt.EtherType == netstack.EtherTypeIPv4 }
-func (e *prodEnv) IPv4HeaderValid() bool { return e.p.Pkt.L3Valid }
-func (e *prodEnv) NotFragment() bool     { return !e.p.Pkt.Fragment }
-func (e *prodEnv) L4Supported() bool {
-	return e.p.Pkt.Proto == flow.TCP || e.p.Pkt.Proto == flow.UDP
-}
-func (e *prodEnv) L4HeaderIntact() bool { return e.p.Pkt.L4Valid }
-
 func (e *prodEnv) PacketFromClient() bool {
-	return e.fromInternal == e.lb.cfg.ClientsInternal
+	return e.FromInternal == e.lb.cfg.ClientsInternal
 }
 
 func (e *prodEnv) DstIsVIP() bool {
-	return e.p.Pkt.DstIP == e.lb.cfg.VIP &&
-		(e.lb.cfg.VIPPort == 0 || e.p.Pkt.DstPort == e.lb.cfg.VIPPort)
+	return e.P.Pkt.DstIP == e.lb.cfg.VIP &&
+		(e.lb.cfg.VIPPort == 0 || e.P.Pkt.DstPort == e.lb.cfg.VIPPort)
 }
 
 // --- libVig operations ---
@@ -633,17 +642,17 @@ func (e *prodEnv) ExpireState() {
 }
 
 func (e *prodEnv) LookupSticky() (FlowHandle, bool) {
-	i, ok := e.lb.flows.GetByFstHashed(e.p.ID, e.p.Hash)
+	i, ok := e.lb.flows.GetByFstHashed(e.P.ID, e.P.Hash)
 	return FlowHandle(i), ok
 }
 
 func (e *prodEnv) LookupReply() (FlowHandle, bool) {
-	i, ok := e.lb.flows.GetBySndHashed(e.p.ID, e.p.Hash)
+	i, ok := e.lb.flows.GetBySndHashed(e.P.ID, e.P.Hash)
 	return FlowHandle(i), ok
 }
 
 func (e *prodEnv) SelectBackend() (BackendHandle, bool) {
-	i, ok := e.lb.cht.Lookup(e.p.Hash)
+	i, ok := e.lb.cht.Lookup(e.P.Hash)
 	if !ok {
 		e.reason = ReasonDropNoBackend
 	}
@@ -662,14 +671,14 @@ func (e *prodEnv) CreateSticky(bh BackendHandle) (FlowHandle, bool) {
 		e.reason = ReasonDropTableFull
 		return 0, false
 	}
-	client := e.p.ID
+	client := e.P.ID
 	s := sticky{Client: client, Reply: replyKey(client, be.IP), Backend: int32(bh)}
-	if err := lb.flows.PutFstHashed(idx, s, e.p.Hash); err != nil {
+	if err := lb.flows.PutFstHashed(idx, s, e.P.Hash); err != nil {
 		_ = lb.flowChain.Free(idx)
 		e.reason = ReasonDropTableFull
 		return 0, false
 	}
-	lb.stats.FlowsCreated++
+	lb.counters[ctrFlowsCreated]++
 	// The new sticky's reply tuple may be cached as a no-session
 	// passthrough; retire every such entry by bumping the epoch slot.
 	lb.fpGens.Bump(lb.flowChain.Capacity())
@@ -690,13 +699,13 @@ func (e *prodEnv) ForwardToBackend(h FlowHandle) {
 		e.verdict = VerdictDrop
 		return
 	}
-	e.p.Pkt.SetDstIP(s.Reply.SrcIP) // the backend's address
+	e.P.Pkt.SetDstIP(s.Reply.SrcIP) // the backend's address
 	e.verdict = VerdictToBackend
 	e.reason = ReasonFwdBackend
 }
 
 func (e *prodEnv) ForwardToClient(h FlowHandle) {
-	e.p.Pkt.SetSrcIP(e.lb.cfg.VIP)
+	e.P.Pkt.SetSrcIP(e.lb.cfg.VIP)
 	e.verdict = VerdictToClient
 	e.reason = ReasonFwdClient
 	_ = h

@@ -133,42 +133,6 @@ func (b *Balancer) restoreRecord(rec nfkit.StateRecord) error {
 	}
 }
 
-// counterVector captures the core's counters in the codec's fixed
-// order: the nine Stats fields, then the reason taxonomy.
-func (b *Balancer) counterVector() []uint64 {
-	v := []uint64{
-		b.stats.Processed,
-		b.stats.Dropped,
-		b.stats.ToBackend,
-		b.stats.ToClient,
-		b.stats.Passthrough,
-		b.stats.FlowsCreated,
-		b.stats.FlowsExpired,
-		b.stats.FlowsUnpinned,
-		b.stats.BackendsExpired,
-	}
-	return append(v, b.reasonCounts[:]...)
-}
-
-// seedCounters adds a counterVector into the core.
-func (b *Balancer) seedCounters(v []uint64) {
-	if len(v) < 9+int(numReasons) {
-		return
-	}
-	b.stats.Processed += v[0]
-	b.stats.Dropped += v[1]
-	b.stats.ToBackend += v[2]
-	b.stats.ToClient += v[3]
-	b.stats.Passthrough += v[4]
-	b.stats.FlowsCreated += v[5]
-	b.stats.FlowsExpired += v[6]
-	b.stats.FlowsUnpinned += v[7]
-	b.stats.BackendsExpired += v[8]
-	for i := 0; i < int(numReasons); i++ {
-		b.reasonCounts[i] += v[9+i]
-	}
-}
-
 // shardCodec is the balancer's migration declaration.
 func shardCodec() *nfkit.ShardCodec[*Balancer] {
 	return &nfkit.ShardCodec[*Balancer]{
@@ -181,7 +145,5 @@ func shardCodec() *nfkit.ShardCodec[*Balancer] {
 			}
 			return int(d.client.Hash() % uint64(shards))
 		},
-		Counters: (*Balancer).counterVector,
-		Seed:     (*Balancer).seedCounters,
 	}
 }

@@ -23,32 +23,27 @@ import (
 // action forwards or drops by configuration, and the model mirrors
 // that, so each configuration's enumerated paths carry the outputs its
 // deployment actually produces.
+// The parse chain is the kit's guard set; the side test is the
+// balancer's own (client/backend, not internal/external).
 type lbSym struct {
-	d           *nfkit.SymDriver
+	nfkit.SymGuards
 	passthrough bool
 }
 
 var _ Env = lbSym{}
 
-func (e lbSym) FrameIntact() bool     { return e.d.Guard("frame_intact") }
-func (e lbSym) EtherIsIPv4() bool     { return e.d.Guard("ether_is_ipv4") }
-func (e lbSym) IPv4HeaderValid() bool { return e.d.Guard("ipv4_header_valid") }
-func (e lbSym) NotFragment() bool     { return e.d.Guard("not_fragment") }
-func (e lbSym) L4Supported() bool     { return e.d.Guard("l4_supported") }
-func (e lbSym) L4HeaderIntact() bool  { return e.d.GuardFlag("l4_header_intact", "l4") }
-
 func (e lbSym) PacketFromClient() bool {
-	d := e.d.GuardFlag("packet_from_client", "from_client")
-	e.d.Set("iface_known", true)
+	d := e.D.GuardFlag("packet_from_client", "from_client")
+	e.D.Set("iface_known", true)
 	return d
 }
 
 func (e lbSym) DstIsVIP() bool {
-	e.d.Require(e.d.Flag("l4"), "P2: VIP test on unvalidated headers")
-	return e.d.GuardFlag("dst_is_vip", "dst_vip")
+	e.D.Require(e.D.Flag("l4"), "P2: VIP test on unvalidated headers")
+	return e.D.GuardFlag("dst_is_vip", "dst_vip")
 }
 
-func (e lbSym) ExpireState() { e.d.Note("expire_flows") }
+func (e lbSym) ExpireState() { e.D.Note("expire_flows") }
 
 // stickyVarNames are the model variables every minted sticky handle
 // carries: the pinned client tuple and the backend it maps to.
@@ -57,41 +52,41 @@ var stickyVarNames = []string{
 }
 
 func (e lbSym) LookupSticky() (FlowHandle, bool) {
-	e.d.Require(e.d.Flag("l4"), "P2: sticky key from unvalidated L4 header")
-	e.d.Require(e.d.Flag("iface_known") && e.d.Flag("from_client") && e.d.Flag("dst_vip"),
+	e.D.Require(e.D.Flag("l4"), "P2: sticky key from unvalidated L4 header")
+	e.D.Require(e.D.Flag("iface_known") && e.D.Flag("from_client") && e.D.Flag("dst_vip"),
 		"P4: sticky lookup for a non-VIP or non-client packet")
-	if !e.d.Decide("sticky_get_by_client") {
-		e.d.Set("sticky_missed", true)
+	if !e.D.Decide("sticky_get_by_client") {
+		e.D.Set("sticky_missed", true)
 		return 0, false
 	}
 	// Contract: the found entry's client tuple equals the packet.
-	h := e.d.Mint(stickyVarNames...)
-	e.d.Bind(h,
-		sym.EqVV(e.d.HVar(h, "cl_src_ip"), e.d.Var("pkt_src_ip")),
-		sym.EqVV(e.d.HVar(h, "cl_src_port"), e.d.Var("pkt_src_port")),
-		sym.EqVV(e.d.HVar(h, "cl_dst_ip"), e.d.Var("pkt_dst_ip")),
-		sym.EqVV(e.d.HVar(h, "cl_dst_port"), e.d.Var("pkt_dst_port")),
-		sym.EqVV(e.d.HVar(h, "cl_proto"), e.d.Var("pkt_proto")),
+	h := e.D.Mint(stickyVarNames...)
+	e.D.Bind(h,
+		sym.EqVV(e.D.HVar(h, "cl_src_ip"), e.D.Var("pkt_src_ip")),
+		sym.EqVV(e.D.HVar(h, "cl_src_port"), e.D.Var("pkt_src_port")),
+		sym.EqVV(e.D.HVar(h, "cl_dst_ip"), e.D.Var("pkt_dst_ip")),
+		sym.EqVV(e.D.HVar(h, "cl_dst_port"), e.D.Var("pkt_dst_port")),
+		sym.EqVV(e.D.HVar(h, "cl_proto"), e.D.Var("pkt_proto")),
 	)
 	return FlowHandle(h), true
 }
 
 func (e lbSym) LookupReply() (FlowHandle, bool) {
-	e.d.Require(e.d.Flag("l4"), "P2: reply key from unvalidated L4 header")
-	e.d.Require(e.d.Flag("iface_known") && !e.d.Flag("from_client"),
+	e.D.Require(e.D.Flag("l4"), "P2: reply key from unvalidated L4 header")
+	e.D.Require(e.D.Flag("iface_known") && !e.D.Flag("from_client"),
 		"P4: reply lookup for a non-backend packet")
-	if !e.d.Decide("sticky_get_by_reply") {
+	if !e.D.Decide("sticky_get_by_reply") {
 		return 0, false
 	}
 	// Contract: the packet equals the entry's reply tuple — source is
 	// the pinned backend, destination the pinned client.
-	h := e.d.Mint(stickyVarNames...)
-	e.d.Bind(h,
-		sym.EqVV(e.d.HVar(h, "sticky_backend_ip"), e.d.Var("pkt_src_ip")),
-		sym.EqVV(e.d.HVar(h, "cl_dst_port"), e.d.Var("pkt_src_port")),
-		sym.EqVV(e.d.HVar(h, "cl_src_ip"), e.d.Var("pkt_dst_ip")),
-		sym.EqVV(e.d.HVar(h, "cl_src_port"), e.d.Var("pkt_dst_port")),
-		sym.EqVV(e.d.HVar(h, "cl_proto"), e.d.Var("pkt_proto")),
+	h := e.D.Mint(stickyVarNames...)
+	e.D.Bind(h,
+		sym.EqVV(e.D.HVar(h, "sticky_backend_ip"), e.D.Var("pkt_src_ip")),
+		sym.EqVV(e.D.HVar(h, "cl_dst_port"), e.D.Var("pkt_src_port")),
+		sym.EqVV(e.D.HVar(h, "cl_src_ip"), e.D.Var("pkt_dst_ip")),
+		sym.EqVV(e.D.HVar(h, "cl_src_port"), e.D.Var("pkt_dst_port")),
+		sym.EqVV(e.D.HVar(h, "cl_proto"), e.D.Var("pkt_proto")),
 	)
 	return FlowHandle(h), true
 }
@@ -99,123 +94,78 @@ func (e lbSym) LookupReply() (FlowHandle, bool) {
 func (e lbSym) SelectBackend() (BackendHandle, bool) {
 	// Stickiness discipline: consulting the CHT before the sticky table
 	// has missed would let a live flow re-select mid-stream.
-	e.d.Require(e.d.Flag("sticky_missed"), "P4: backend selection without a preceding sticky miss")
-	if !e.d.Decide("cht_lookup") {
+	e.D.Require(e.D.Flag("sticky_missed"), "P4: backend selection without a preceding sticky miss")
+	if !e.D.Decide("cht_lookup") {
 		return 0, false
 	}
 	// Contract: the CHT only ever returns live backends.
-	h := e.d.Mint("backend_ip", "backend_live")
-	e.d.Bind(h, sym.EqVC(e.d.HVar(h, "backend_live"), 1))
+	h := e.D.Mint("backend_ip", "backend_live")
+	e.D.Bind(h, sym.EqVC(e.D.HVar(h, "backend_live"), 1))
 	return BackendHandle(h), true
 }
 
 func (e lbSym) CreateSticky(b BackendHandle) (FlowHandle, bool) {
-	e.d.Require(e.d.Flag("sticky_missed"), "P4: sticky creation without a preceding miss")
+	e.D.Require(e.D.Flag("sticky_missed"), "P4: sticky creation without a preceding miss")
 	// Capability discipline: a sticky entry may only pin a backend the
 	// CHT actually returned — i.e. a live one. Steering to a dead (or
 	// never-selected) backend is exactly the bug this catches.
-	e.d.Require(e.d.Valid(int(b)), "P2: sticky creation from invalid backend handle %d", b)
-	if !e.d.Decide("sticky_create") {
+	e.D.Require(e.D.Valid(int(b)), "P2: sticky creation from invalid backend handle %d", b)
+	if !e.D.Decide("sticky_create") {
 		return 0, false
 	}
-	h := e.d.Mint(stickyVarNames...)
+	h := e.D.Mint(stickyVarNames...)
 	atoms := []sym.Atom{
-		sym.EqVV(e.d.HVar(h, "cl_src_ip"), e.d.Var("pkt_src_ip")),
-		sym.EqVV(e.d.HVar(h, "cl_src_port"), e.d.Var("pkt_src_port")),
-		sym.EqVV(e.d.HVar(h, "cl_dst_ip"), e.d.Var("pkt_dst_ip")),
-		sym.EqVV(e.d.HVar(h, "cl_dst_port"), e.d.Var("pkt_dst_port")),
-		sym.EqVV(e.d.HVar(h, "cl_proto"), e.d.Var("pkt_proto")),
+		sym.EqVV(e.D.HVar(h, "cl_src_ip"), e.D.Var("pkt_src_ip")),
+		sym.EqVV(e.D.HVar(h, "cl_src_port"), e.D.Var("pkt_src_port")),
+		sym.EqVV(e.D.HVar(h, "cl_dst_ip"), e.D.Var("pkt_dst_ip")),
+		sym.EqVV(e.D.HVar(h, "cl_dst_port"), e.D.Var("pkt_dst_port")),
+		sym.EqVV(e.D.HVar(h, "cl_proto"), e.D.Var("pkt_proto")),
 	}
-	if e.d.Valid(int(b)) {
-		atoms = append(atoms, sym.EqVV(e.d.HVar(h, "sticky_backend_ip"), e.d.HVar(int(b), "backend_ip")))
+	if e.D.Valid(int(b)) {
+		atoms = append(atoms, sym.EqVV(e.D.HVar(h, "sticky_backend_ip"), e.D.HVar(int(b), "backend_ip")))
 	}
-	e.d.Bind(h, atoms...)
+	e.D.Bind(h, atoms...)
 	return FlowHandle(h), true
 }
 
 func (e lbSym) Rejuvenate(h FlowHandle) {
-	e.d.Require(e.d.Valid(int(h)), "P2: rejuvenate on invalid sticky handle %d", h)
-	e.d.NoteOn("dchain_rejuvenate", int(h))
+	e.D.Require(e.D.Valid(int(h)), "P2: rejuvenate on invalid sticky handle %d", h)
+	e.D.NoteOn("dchain_rejuvenate", int(h))
 }
 
 func (e lbSym) ForwardToBackend(h FlowHandle) {
-	e.d.Require(e.d.Valid(int(h)), "P2: forward via invalid sticky handle %d", h)
-	e.d.Output("forward_to_backend")
+	e.D.Require(e.D.Valid(int(h)), "P2: forward via invalid sticky handle %d", h)
+	e.D.Output("forward_to_backend")
 }
 
 func (e lbSym) ForwardToClient(h FlowHandle) {
-	e.d.Require(e.d.Valid(int(h)), "P2: forward via invalid sticky handle %d", h)
-	e.d.Output("forward_to_client")
+	e.D.Require(e.D.Valid(int(h)), "P2: forward via invalid sticky handle %d", h)
+	e.D.Output("forward_to_client")
 }
 
 func (e lbSym) Passthrough() {
 	if e.passthrough {
-		e.d.Output("passthrough")
+		e.D.Output("passthrough")
 	} else {
-		e.d.Output("drop")
+		e.D.Output("drop")
 	}
 }
-func (e lbSym) Drop() { e.d.Output("drop") }
+func (e lbSym) Drop() { e.D.Output("drop") }
 
-// symSpec is the balancer's symbolic-verification declaration, in the
-// service-chain (passthrough) orientation Verify has always proven.
-func symSpec() *nfkit.SymSpec {
-	return symSpecFor(ProcessPacket, true)
-}
-
+// symSpecFor is the balancer's symbolic-verification declaration for
+// one Passthrough orientation.
 func symSpecFor(logic func(Env), passthrough bool) *nfkit.SymSpec {
-	return &nfkit.SymSpec{
-		NF:         "viglb",
-		Outputs:    []string{"forward_to_backend", "forward_to_client", "passthrough", "drop"},
-		Drive:      func(d *nfkit.SymDriver) { logic(lbSym{d: d, passthrough: passthrough}) },
-		Spec:       checkSpecFor(passthrough),
-		PathReason: pathReasonFor(passthrough),
+	// Not-owned traffic must pass through in service-chain mode and
+	// drop standalone.
+	passOut := "passthrough"
+	if !passthrough {
+		passOut = "drop"
 	}
-}
-
-// pathReasonFor classifies one enumerated symbolic path onto the
-// declared taxonomy for the given orientation; VerifyReasons
-// cross-checks the mapping (the Kit declares ReasonsFor(passthrough)
-// next to symSpecFor(..., passthrough), so classes line up by
-// construction only when the tagging code does too).
-func pathReasonFor(passthrough bool) func(p *nfkit.SymPath) (telemetry.ReasonID, error) {
-	_ = passthrough // the IDs are orientation-independent; only the set's classes flip
-	return func(p *nfkit.SymPath) (telemetry.ReasonID, error) {
-		for _, g := range []string{"frame_intact", "ether_is_ipv4", "ipv4_header_valid",
-			"not_fragment", "l4_supported", "l4_header_intact"} {
-			val, evaluated := p.Ret(g)
-			if !evaluated || !val {
-				return ReasonDropParse, nil
-			}
-		}
-		fromClient, ok := p.Ret("packet_from_client")
-		if !ok {
-			return 0, fmt.Errorf("side never determined")
-		}
-		if fromClient {
-			isVIP, vipAsked := p.Ret("dst_is_vip")
-			if !vipAsked {
-				return 0, fmt.Errorf("client packet's VIP test never ran")
-			}
-			if !isVIP {
-				return ReasonPassNonVIP, nil
-			}
-			hit, _ := p.Ret("sticky_get_by_client")
-			selected, selectAsked := p.Ret("cht_lookup")
-			created, createAsked := p.Ret("sticky_create")
-			switch {
-			case hit, createAsked && created:
-				return ReasonFwdBackend, nil
-			case selectAsked && !selected:
-				return ReasonDropNoBackend, nil
-			default:
-				return ReasonDropTableFull, nil
-			}
-		}
-		if hit, _ := p.Ret("sticky_get_by_reply"); hit {
-			return ReasonFwdClient, nil
-		}
-		return ReasonPassNoSession, nil
+	return &nfkit.SymSpec{
+		NF:      "viglb",
+		Outputs: []string{"forward_to_backend", "forward_to_client", "passthrough", "drop"},
+		Drive:   func(d *nfkit.SymDriver) { logic(lbSym{nfkit.SymGuards{D: d}, passthrough}) },
+		Spec:    func(p *nfkit.SymPath) (telemetry.ReasonID, error) { return checkSpec(p, passOut) },
 	}
 }
 
@@ -243,107 +193,82 @@ func verifyLogic(logic func(Env)) (*nfkit.Report, error) {
 	return nfkit.VerifySym(*symSpecFor(logic, true))
 }
 
-// checkSpecFor is the balancer's steering specification, trace form,
-// for one Passthrough orientation: not-owned traffic must pass through
-// in service-chain mode and drop standalone.
-func checkSpecFor(passthrough bool) func(p *nfkit.SymPath) error {
-	passOut := "passthrough"
-	if !passthrough {
-		passOut = "drop"
-	}
-	return func(p *nfkit.SymPath) error { return checkSpec(p, passOut) }
-}
-
-// checkSpec checks one path, with passOut the output not-owned traffic
-// must take.
-func checkSpec(p *nfkit.SymPath, passOut string) error {
-	out := p.Output()
-	// Non-parseable → drop.
-	for _, g := range []string{"frame_intact", "ether_is_ipv4", "ipv4_header_valid",
-		"not_fragment", "l4_supported", "l4_header_intact"} {
-		val, evaluated := p.Ret(g)
-		if !evaluated || !val {
-			if out != "drop" {
-				return fmt.Errorf("non-parseable packet must drop, path does %s", out)
-			}
-			return nil
-		}
+// checkSpec is the balancer's steering specification, trace form: it
+// checks one path, with passOut the output not-owned traffic must take
+// in the orientation being proven, and names the reason of the branch
+// the path fell in. The reason IDs are orientation-independent — only
+// the taxonomy's drop classes flip (ReasonsFor) — so the Kit declaring
+// ReasonsFor(passthrough) next to symSpecFor(..., passthrough) lines
+// classes up by construction only when the tagging code does too.
+func checkSpec(p *nfkit.SymPath, passOut string) (telemetry.ReasonID, error) {
+	if !p.Parseable() {
+		return p.Judge("non-parseable packet", "drop", ReasonDropParse)
 	}
 	fromClient, ok := p.Ret("packet_from_client")
 	if !ok {
-		return fmt.Errorf("side never determined")
+		return 0, fmt.Errorf("side never determined")
 	}
 	if fromClient {
 		isVIP, vipAsked := p.Ret("dst_is_vip")
 		if !vipAsked {
-			return fmt.Errorf("client packet's VIP test never ran")
+			return 0, fmt.Errorf("client packet's VIP test never ran")
 		}
 		if !isVIP {
-			if out != passOut {
-				return fmt.Errorf("non-VIP client packet must %s, does %s", passOut, out)
-			}
-			return nil
+			return p.Judge("non-VIP client packet", passOut, ReasonPassNonVIP)
 		}
 		hit, _ := p.Ret("sticky_get_by_client")
 		selected, selectAsked := p.Ret("cht_lookup")
 		created, createAsked := p.Ret("sticky_create")
 		switch {
 		case hit:
-			if out != "forward_to_backend" {
-				return fmt.Errorf("sticky VIP packet must forward to its backend, does %s", out)
+			r, err := p.Judge("sticky VIP packet", "forward_to_backend", ReasonFwdBackend)
+			if err != nil {
+				return 0, err
 			}
-			return entailSticky(p, "sticky_get_by_client")
+			return r, entailSticky(p, "sticky_get_by_client")
 		case selectAsked && !selected:
-			if out != "drop" {
-				return fmt.Errorf("VIP packet with no live backend must drop, does %s", out)
-			}
-			return nil
+			return p.Judge("VIP packet with no live backend", "drop", ReasonDropNoBackend)
 		case createAsked && !created:
-			if out != "drop" {
-				return fmt.Errorf("VIP packet at full sticky table must drop, does %s", out)
-			}
-			return nil
+			return p.Judge("VIP packet at full sticky table", "drop", ReasonDropTableFull)
 		case createAsked && created:
-			if out != "forward_to_backend" {
-				return fmt.Errorf("newly pinned VIP packet must forward to its backend, does %s", out)
+			r, err := p.Judge("newly pinned VIP packet", "forward_to_backend", ReasonFwdBackend)
+			if err != nil {
+				return 0, err
 			}
 			if err := entailSticky(p, "sticky_create"); err != nil {
-				return err
+				return 0, err
 			}
 			// The new entry's backend must be the CHT's selection — a
 			// live one (the CHT contract).
 			sc := p.Find("sticky_create")
 			bc := p.Find("cht_lookup")
 			if bc == nil || !p.HasHandle(bc.Handle) {
-				return fmt.Errorf("sticky created without a backend selection")
+				return 0, fmt.Errorf("sticky created without a backend selection")
 			}
 			want := []sym.Atom{
 				sym.EqVV(p.HVar(sc.Handle, "sticky_backend_ip"), p.HVar(bc.Handle, "backend_ip")),
 				sym.EqVC(p.HVar(bc.Handle, "backend_live"), 1),
 			}
 			if ok, failing := p.EntailsAll(want...); !ok {
-				return fmt.Errorf("live-backend pinning not entailed: %v", failing)
+				return 0, fmt.Errorf("live-backend pinning not entailed: %v", failing)
 			}
-			return nil
+			return r, nil
 		default:
-			return fmt.Errorf("VIP packet neither steered nor refused (out %s)", out)
+			return 0, fmt.Errorf("VIP packet neither steered nor refused (out %s)", p.Output())
 		}
 	}
-	hit, _ := p.Ret("sticky_get_by_reply")
-	if !hit {
-		if out != passOut {
-			return fmt.Errorf("non-session backend packet must %s, does %s", passOut, out)
-		}
-		return nil
+	if hit, _ := p.Ret("sticky_get_by_reply"); !hit {
+		return p.Judge("non-session backend packet", passOut, ReasonPassNoSession)
 	}
-	if out != "forward_to_client" {
-		return fmt.Errorf("backend reply of a live session must forward to the client restoring the VIP, does %s", out)
+	r, err := p.Judge("backend reply of a live session", "forward_to_client", ReasonFwdClient)
+	if err != nil {
+		return 0, err
 	}
 	// The matched entry must really be the reply's: the packet's source
 	// is its pinned backend and its destination the pinned client.
 	c := p.Find("sticky_get_by_reply")
 	if !p.HasHandle(c.Handle) {
-		return fmt.Errorf("forwarding via unknown sticky handle %d", c.Handle)
+		return 0, fmt.Errorf("forwarding via unknown sticky handle %d", c.Handle)
 	}
 	want := []sym.Atom{
 		sym.EqVV(p.HVar(c.Handle, "sticky_backend_ip"), p.Var("pkt_src_ip")),
@@ -351,9 +276,9 @@ func checkSpec(p *nfkit.SymPath, passOut string) error {
 		sym.EqVV(p.HVar(c.Handle, "cl_proto"), p.Var("pkt_proto")),
 	}
 	if ok, failing := p.EntailsAll(want...); !ok {
-		return fmt.Errorf("reply match not entailed: %v", failing)
+		return 0, fmt.Errorf("reply match not entailed: %v", failing)
 	}
-	return nil
+	return r, nil
 }
 
 // entailSticky checks that the sticky entry minted by the named call

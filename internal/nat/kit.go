@@ -67,18 +67,13 @@ func kit(cfg Config, clock libvig.Clock, steer *steering) nfkit.Decl[*NAT] {
 		},
 		Expire: (*NAT).ExpireAt,
 		Stats: func(n *NAT) nf.Stats {
-			s := n.Stats()
-			return nf.Stats{
-				Processed: s.Processed,
-				Forwarded: s.ForwardedOut + s.ForwardedIn,
-				Dropped:   s.Dropped,
-				Expired:   s.FlowsExpired,
-			}
+			return nfkit.StatsOf(Reasons, n.counters[:], n.counters[ctrFlowsExpired])
 		},
+		Counters: func(n *NAT) []uint64 { return n.counters[:] },
 		// The fast path caches established flows: Offer resolves the
 		// direction-appropriate lookup (Fig. 6's get_dmap — the only
 		// state read the established branch performs), Hit replays that
-		// branch's mutations (rejuvenate + counters; the engine replays
+		// branch's mutations (rejuvenate + the reason cell; the engine replays
 		// the rewrite from its template). Erasures bump fpGens through
 		// the table hook, so a dead flow's cached entry misses.
 		FastPath: &nfkit.FastPathHooks[*NAT]{
@@ -101,15 +96,11 @@ func kit(cfg Config, clock libvig.Clock, steer *steering) nfkit.Decl[*NAT] {
 			},
 			Hit: func(n *NAT, aux uint64, _ int, now libvig.Time) nf.Verdict {
 				_ = n.table.Rejuvenate(int(aux>>1), now)
-				n.stats.Processed++
 				r := ReasonFwdIn
 				if aux&1 != 0 {
-					n.stats.ForwardedOut++
 					r = ReasonFwdOut
-				} else {
-					n.stats.ForwardedIn++
 				}
-				n.reasonCounts[r]++
+				n.counters[r]++
 				n.lastReason = r
 				return nf.Forward
 			},
@@ -136,10 +127,7 @@ func kit(cfg Config, clock libvig.Clock, steer *steering) nfkit.Decl[*NAT] {
 			}
 			return off / perShard
 		},
-		Reasons: Reasons,
-		ReasonCounts: func(n *NAT) []uint64 {
-			return n.reasonCounts[:]
-		},
+		Reasons:    Reasons,
 		LastReason: func(n *NAT) telemetry.ReasonID { return n.lastReason },
 		Codec:      shardCodec(cfg),
 		Sym:        symSpec(),
@@ -213,14 +201,4 @@ func (s *Sharded) Flows() int {
 }
 
 // Stats aggregates the shards' NAT-level counters.
-func (s *Sharded) Stats() Stats {
-	return nfkit.AggregateStats(s.Sharded, (*NAT).Stats, func(agg *Stats, st Stats) {
-		agg.Processed += st.Processed
-		agg.Dropped += st.Dropped
-		agg.ForwardedOut += st.ForwardedOut
-		agg.ForwardedIn += st.ForwardedIn
-		agg.FlowsCreated += st.FlowsCreated
-		agg.FlowsExpired += st.FlowsExpired
-		agg.ParseFailures += st.ParseFailures
-	})
-}
+func (s *Sharded) Stats() Stats { return statsOf(s.Counters()) }

@@ -9,11 +9,11 @@ import (
 )
 
 // This file is the NAT's shard codec: the snapshot/restore walk over
-// the flow table and the counter fold that make NAT shards movable
-// units. Flows migrate to the shard whose external-port range holds
-// their port — the only placement that keeps an inbound reply's
-// port-arithmetic steering correct without renumbering the port an
-// external peer already targets. Outbound consistency for flows whose
+// the flow table that makes NAT shards movable units (counters move
+// through Decl.Counters, generically). Flows migrate to the shard
+// whose external-port range holds their port — the only placement
+// that keeps an inbound reply's port-arithmetic steering correct
+// without renumbering the port an external peer already targets. Outbound consistency for flows whose
 // hash shard moved away is restored by the steering override
 // (steer.go), which the Sharded wrapper rebuilds after every reshard.
 
@@ -48,38 +48,6 @@ func (n *NAT) restoreRecord(rec nfkit.StateRecord) error {
 	return n.table.Restore(d.intKey, d.extPort, rec.Stamp)
 }
 
-// counterVector captures the core's full counter state in the codec's
-// fixed order: the seven Stats fields, then the reason taxonomy.
-func (n *NAT) counterVector() []uint64 {
-	v := []uint64{
-		n.stats.Processed,
-		n.stats.Dropped,
-		n.stats.ForwardedOut,
-		n.stats.ForwardedIn,
-		n.stats.FlowsCreated,
-		n.stats.FlowsExpired,
-		n.stats.ParseFailures,
-	}
-	return append(v, n.reasonCounts[:]...)
-}
-
-// seedCounters adds a counterVector into the core.
-func (n *NAT) seedCounters(v []uint64) {
-	if len(v) < 7+int(numReasons) {
-		return
-	}
-	n.stats.Processed += v[0]
-	n.stats.Dropped += v[1]
-	n.stats.ForwardedOut += v[2]
-	n.stats.ForwardedIn += v[3]
-	n.stats.FlowsCreated += v[4]
-	n.stats.FlowsExpired += v[5]
-	n.stats.ParseFailures += v[6]
-	for i := 0; i < int(numReasons); i++ {
-		n.reasonCounts[i] += v[7+i]
-	}
-}
-
 // shardCodec is the NAT's migration declaration for cfg.
 func shardCodec(cfg Config) *nfkit.ShardCodec[*NAT] {
 	return &nfkit.ShardCodec[*NAT]{
@@ -104,7 +72,5 @@ func shardCodec(cfg Config) *nfkit.ShardCodec[*NAT] {
 			}
 			return off / per
 		},
-		Counters: (*NAT).counterVector,
-		Seed:     (*NAT).seedCounters,
 	}
 }

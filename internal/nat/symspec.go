@@ -16,29 +16,16 @@ import (
 // declaration re-expresses the same decision structure through the
 // shared SymDriver so the NAT participates in the derived cross-checks
 // every other NF gets from its declaration — in particular the
-// reason-taxonomy/path conformance (VerifyReasons), which needs a
-// per-path classifier over the kit's SymPath vocabulary.
+// reason-taxonomy/path conformance (VerifyReasons), which needs each
+// path's reason named over the kit's SymPath vocabulary.
 
 // natSym drives stateless.ProcessPacket under the engine via the kit
-// driver.
-type natSym struct{ d *nfkit.SymDriver }
+// driver; the parse chain and the arrival side are the kit's guard set.
+type natSym struct{ nfkit.SymGuards }
 
 var _ stateless.Env = natSym{}
 
-func (e natSym) FrameIntact() bool     { return e.d.Guard("frame_intact") }
-func (e natSym) EtherIsIPv4() bool     { return e.d.Guard("ether_is_ipv4") }
-func (e natSym) IPv4HeaderValid() bool { return e.d.Guard("ipv4_header_valid") }
-func (e natSym) NotFragment() bool     { return e.d.Guard("not_fragment") }
-func (e natSym) L4Supported() bool     { return e.d.Guard("l4_supported") }
-func (e natSym) L4HeaderIntact() bool  { return e.d.GuardFlag("l4_header_intact", "l4") }
-
-func (e natSym) PacketFromInternal() bool {
-	d := e.d.GuardFlag("packet_from_internal", "from_internal")
-	e.d.Set("iface_known", true)
-	return d
-}
-
-func (e natSym) ExpireFlows() { e.d.Note("expire_flows") }
+func (e natSym) ExpireFlows() { e.D.Note("expire_flows") }
 
 // flowVarNames are the model variables every minted flow handle
 // carries: the flow's internal 5-tuple and its allocated external port.
@@ -51,78 +38,77 @@ var flowVarNames = []string{
 // packet tuple (the contract atoms of the flow-table model for
 // internal-side matches and allocations).
 func (e natSym) mintIntFlow() stateless.FlowHandle {
-	h := e.d.Mint(flowVarNames...)
-	e.d.Bind(h,
-		sym.EqVV(e.d.HVar(h, "flow_int_src_ip"), e.d.Var("pkt_src_ip")),
-		sym.EqVV(e.d.HVar(h, "flow_int_src_port"), e.d.Var("pkt_src_port")),
-		sym.EqVV(e.d.HVar(h, "flow_int_dst_ip"), e.d.Var("pkt_dst_ip")),
-		sym.EqVV(e.d.HVar(h, "flow_int_dst_port"), e.d.Var("pkt_dst_port")),
-		sym.EqVV(e.d.HVar(h, "flow_proto"), e.d.Var("pkt_proto")),
+	h := e.D.Mint(flowVarNames...)
+	e.D.Bind(h,
+		sym.EqVV(e.D.HVar(h, "flow_int_src_ip"), e.D.Var("pkt_src_ip")),
+		sym.EqVV(e.D.HVar(h, "flow_int_src_port"), e.D.Var("pkt_src_port")),
+		sym.EqVV(e.D.HVar(h, "flow_int_dst_ip"), e.D.Var("pkt_dst_ip")),
+		sym.EqVV(e.D.HVar(h, "flow_int_dst_port"), e.D.Var("pkt_dst_port")),
+		sym.EqVV(e.D.HVar(h, "flow_proto"), e.D.Var("pkt_proto")),
 	)
 	return stateless.FlowHandle(h)
 }
 
 func (e natSym) LookupInternal() (stateless.FlowHandle, bool) {
-	e.d.Require(e.d.Flag("l4"), "P2: flow key from unvalidated L4 header")
-	e.d.Require(e.d.Flag("iface_known") && e.d.Flag("from_internal"),
+	e.D.Require(e.D.Flag("l4"), "P2: flow key from unvalidated L4 header")
+	e.D.Require(e.D.Flag("iface_known") && e.D.Flag("from_internal"),
 		"P4: internal lookup for a non-internal packet")
-	if !e.d.Decide("flow_get_by_int_key") {
-		e.d.Set("missed_int", true)
+	if !e.D.Decide("flow_get_by_int_key") {
+		e.D.Set("missed_int", true)
 		return 0, false
 	}
 	return e.mintIntFlow(), true
 }
 
 func (e natSym) LookupExternal() (stateless.FlowHandle, bool) {
-	e.d.Require(e.d.Flag("l4"), "P2: flow key from unvalidated L4 header")
-	e.d.Require(e.d.Flag("iface_known") && !e.d.Flag("from_internal"),
+	e.D.Require(e.D.Flag("l4"), "P2: flow key from unvalidated L4 header")
+	e.D.Require(e.D.Flag("iface_known") && !e.D.Flag("from_internal"),
 		"P4: external lookup for a non-external packet")
-	if !e.d.Decide("flow_get_by_ext_key") {
+	if !e.D.Decide("flow_get_by_ext_key") {
 		return 0, false
 	}
 	// Contract: the found flow's external port is the packet's
 	// destination port (the reply names the flow by its allocation).
-	h := e.d.Mint(flowVarNames...)
-	e.d.Bind(h,
-		sym.EqVV(e.d.HVar(h, "flow_ext_port"), e.d.Var("pkt_dst_port")),
-		sym.EqVV(e.d.HVar(h, "flow_proto"), e.d.Var("pkt_proto")),
+	h := e.D.Mint(flowVarNames...)
+	e.D.Bind(h,
+		sym.EqVV(e.D.HVar(h, "flow_ext_port"), e.D.Var("pkt_dst_port")),
+		sym.EqVV(e.D.HVar(h, "flow_proto"), e.D.Var("pkt_proto")),
 	)
 	return stateless.FlowHandle(h), true
 }
 
 func (e natSym) AllocateFlow() (stateless.FlowHandle, bool) {
-	e.d.Require(e.d.Flag("missed_int"), "P4: flow allocation without a preceding internal miss")
-	if !e.d.Decide("flow_allocate") {
+	e.D.Require(e.D.Flag("missed_int"), "P4: flow allocation without a preceding internal miss")
+	if !e.D.Decide("flow_allocate") {
 		return 0, false
 	}
 	return e.mintIntFlow(), true
 }
 
 func (e natSym) Rejuvenate(h stateless.FlowHandle) {
-	e.d.Require(e.d.Valid(int(h)), "P2: rejuvenate on invalid flow handle %d", h)
-	e.d.NoteOn("dchain_rejuvenate", int(h))
+	e.D.Require(e.D.Valid(int(h)), "P2: rejuvenate on invalid flow handle %d", h)
+	e.D.NoteOn("dchain_rejuvenate", int(h))
 }
 
 func (e natSym) EmitExternal(h stateless.FlowHandle) {
-	e.d.Require(e.d.Valid(int(h)), "P2: emit via invalid flow handle %d", h)
-	e.d.Output("emit_external")
+	e.D.Require(e.D.Valid(int(h)), "P2: emit via invalid flow handle %d", h)
+	e.D.Output("emit_external")
 }
 
 func (e natSym) EmitInternal(h stateless.FlowHandle) {
-	e.d.Require(e.d.Valid(int(h)), "P2: emit via invalid flow handle %d", h)
-	e.d.Output("emit_internal")
+	e.D.Require(e.D.Valid(int(h)), "P2: emit via invalid flow handle %d", h)
+	e.D.Output("emit_internal")
 }
 
-func (e natSym) Drop() { e.d.Output("drop") }
+func (e natSym) Drop() { e.D.Output("drop") }
 
 // symSpec is the NAT's derived symbolic declaration.
 func symSpec() *nfkit.SymSpec {
 	return &nfkit.SymSpec{
-		NF:         "vignat",
-		Outputs:    []string{"emit_external", "emit_internal", "drop"},
-		Drive:      func(d *nfkit.SymDriver) { stateless.ProcessPacket(natSym{d}) },
-		Spec:       checkSpec,
-		PathReason: pathReason,
+		NF:      "vignat",
+		Outputs: []string{"emit_external", "emit_internal", "drop"},
+		Drive:   func(d *nfkit.SymDriver) { stateless.ProcessPacket(natSym{nfkit.SymGuards{D: d}}) },
+		Spec:    checkSpec,
 	}
 }
 
@@ -134,88 +120,11 @@ func VerifyDerived() (*nfkit.Report, error) {
 }
 
 // checkSpec is the NAT's RFC 3022 specification in the derived trace
-// form: the same decision tree the bespoke validator enforces.
-func checkSpec(p *nfkit.SymPath) error {
-	out := p.Output()
-	for _, g := range []string{"frame_intact", "ether_is_ipv4", "ipv4_header_valid",
-		"not_fragment", "l4_supported", "l4_header_intact"} {
-		val, evaluated := p.Ret(g)
-		if !evaluated || !val {
-			if out != "drop" {
-				return fmt.Errorf("non-NATable packet must drop, path does %s", out)
-			}
-			return nil
-		}
-	}
-	fromInternal, ok := p.Ret("packet_from_internal")
-	if !ok {
-		return fmt.Errorf("interface never determined")
-	}
-	if fromInternal {
-		hit, _ := p.Ret("flow_get_by_int_key")
-		created, createdAsked := p.Ret("flow_allocate")
-		switch {
-		case hit || (createdAsked && created):
-			if out != "emit_external" {
-				return fmt.Errorf("internal packet with a flow must emit external, does %s", out)
-			}
-			// The matched/created flow must really be the packet's.
-			bind := p.Find("flow_get_by_int_key")
-			if !hit {
-				bind = p.Find("flow_allocate")
-			}
-			if !p.HasHandle(bind.Handle) {
-				return fmt.Errorf("emitting via unknown flow handle %d", bind.Handle)
-			}
-			want := []sym.Atom{
-				sym.EqVV(p.HVar(bind.Handle, "flow_int_src_ip"), p.Var("pkt_src_ip")),
-				sym.EqVV(p.HVar(bind.Handle, "flow_int_src_port"), p.Var("pkt_src_port")),
-				sym.EqVV(p.HVar(bind.Handle, "flow_proto"), p.Var("pkt_proto")),
-			}
-			if ok, failing := p.EntailsAll(want...); !ok {
-				return fmt.Errorf("flow binding not entailed: %v", failing)
-			}
-		default:
-			if out != "drop" {
-				return fmt.Errorf("internal packet without table capacity must drop, does %s", out)
-			}
-		}
-		return nil
-	}
-	hit, _ := p.Ret("flow_get_by_ext_key")
-	if !hit {
-		if out != "drop" {
-			return fmt.Errorf("unsolicited external packet must drop, does %s", out)
-		}
-		return nil
-	}
-	if out != "emit_internal" {
-		return fmt.Errorf("external packet of a live flow must emit internal, does %s", out)
-	}
-	c := p.Find("flow_get_by_ext_key")
-	if !p.HasHandle(c.Handle) {
-		return fmt.Errorf("emitting via unknown flow handle %d", c.Handle)
-	}
-	want := []sym.Atom{
-		sym.EqVV(p.HVar(c.Handle, "flow_ext_port"), p.Var("pkt_dst_port")),
-		sym.EqVV(p.HVar(c.Handle, "flow_proto"), p.Var("pkt_proto")),
-	}
-	if ok, failing := p.EntailsAll(want...); !ok {
-		return fmt.Errorf("reply match not entailed: %v", failing)
-	}
-	return nil
-}
-
-// pathReason classifies one enumerated symbolic path onto the declared
-// reason taxonomy; VerifyReasons cross-checks the mapping against the
-// same enumeration checkSpec judges.
-func pathReason(p *nfkit.SymPath) (telemetry.ReasonID, error) {
-	for _, g := range []string{"frame_intact", "ether_is_ipv4", "ipv4_header_valid",
-		"not_fragment", "l4_supported", "l4_header_intact"} {
-		val, evaluated := p.Ret(g)
-		if !evaluated || !val {
-			return ReasonDropParse, nil
-		}
+// form: the same decision tree the bespoke validator enforces. Each
+// branch names the reason of the outcome it demands.
+func checkSpec(p *nfkit.SymPath) (telemetry.ReasonID, error) {
+	if !p.Parseable() {
+		return p.Judge("non-NATable packet", "drop", ReasonDropParse)
 	}
 	fromInternal, ok := p.Ret("packet_from_internal")
 	if !ok {
@@ -224,13 +133,48 @@ func pathReason(p *nfkit.SymPath) (telemetry.ReasonID, error) {
 	if fromInternal {
 		hit, _ := p.Ret("flow_get_by_int_key")
 		created, createdAsked := p.Ret("flow_allocate")
-		if hit || (createdAsked && created) {
-			return ReasonFwdOut, nil
+		if !hit && !(createdAsked && created) {
+			return p.Judge("internal packet without table capacity", "drop", ReasonDropTableFull)
 		}
-		return ReasonDropTableFull, nil
+		r, err := p.Judge("internal packet with a flow", "emit_external", ReasonFwdOut)
+		if err != nil {
+			return 0, err
+		}
+		// The matched/created flow must really be the packet's.
+		bind := p.Find("flow_get_by_int_key")
+		if !hit {
+			bind = p.Find("flow_allocate")
+		}
+		if !p.HasHandle(bind.Handle) {
+			return 0, fmt.Errorf("emitting via unknown flow handle %d", bind.Handle)
+		}
+		want := []sym.Atom{
+			sym.EqVV(p.HVar(bind.Handle, "flow_int_src_ip"), p.Var("pkt_src_ip")),
+			sym.EqVV(p.HVar(bind.Handle, "flow_int_src_port"), p.Var("pkt_src_port")),
+			sym.EqVV(p.HVar(bind.Handle, "flow_proto"), p.Var("pkt_proto")),
+		}
+		if ok, failing := p.EntailsAll(want...); !ok {
+			return 0, fmt.Errorf("flow binding not entailed: %v", failing)
+		}
+		return r, nil
 	}
-	if hit, _ := p.Ret("flow_get_by_ext_key"); hit {
-		return ReasonFwdIn, nil
+	if hit, _ := p.Ret("flow_get_by_ext_key"); !hit {
+		return p.Judge("unsolicited external packet", "drop", ReasonDropUnsolicited)
 	}
-	return ReasonDropUnsolicited, nil
+	r, err := p.Judge("external packet of a live flow", "emit_internal", ReasonFwdIn)
+	if err != nil {
+		return 0, err
+	}
+	c := p.Find("flow_get_by_ext_key")
+	if !p.HasHandle(c.Handle) {
+		return 0, fmt.Errorf("emitting via unknown flow handle %d", c.Handle)
+	}
+	want := []sym.Atom{
+		sym.EqVV(p.HVar(c.Handle, "flow_ext_port"), p.Var("pkt_dst_port")),
+		sym.EqVV(p.HVar(c.Handle, "flow_proto"), p.Var("pkt_proto")),
+	}
+	if ok, failing := p.EntailsAll(want...); !ok {
+		return 0, fmt.Errorf("reply match not entailed: %v", failing)
+	}
+	return r, nil
 }

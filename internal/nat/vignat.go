@@ -3,17 +3,15 @@ package nat
 import (
 	"vignat/internal/dpdk"
 	"vignat/internal/fastpath"
-	"vignat/internal/flow"
 	"vignat/internal/libvig"
 	"vignat/internal/nat/stateless"
-	"vignat/internal/netstack"
 	"vignat/internal/nf/nfkit"
 	"vignat/internal/nf/telemetry"
 )
 
 // Reason IDs: the NAT's declared outcome taxonomy, cross-checked
-// against the derived symbolic path enumeration (see symspec.go's
-// pathReason).
+// against the derived symbolic path enumeration (symspec.go's
+// checkSpec names each path's reason).
 const (
 	ReasonFwdOut telemetry.ReasonID = iota
 	ReasonFwdIn
@@ -21,6 +19,14 @@ const (
 	ReasonDropTableFull
 	ReasonDropUnsolicited
 	numReasons
+)
+
+// The lifecycle counters, which follow the reason cells in the NAT's
+// counter array (the nfkit layout contract).
+const (
+	ctrFlowsCreated = int(numReasons) + iota
+	ctrFlowsExpired
+	numCounters
 )
 
 // Reasons is the NAT's outcome taxonomy.
@@ -32,7 +38,8 @@ var Reasons = telemetry.MustReasonSet("vignat",
 	telemetry.Reason{ID: ReasonDropUnsolicited, Name: "drop_unsolicited", Drop: true, Help: "external packet matching no flow"},
 )
 
-// Stats counts VigNAT's externally visible actions.
+// Stats counts VigNAT's externally visible actions: a read-time view
+// of the counter array, in which every packet is one reason cell.
 type Stats struct {
 	Processed     uint64
 	Dropped       uint64
@@ -43,6 +50,21 @@ type Stats struct {
 	ParseFailures uint64
 }
 
+// statsOf is the Stats view of a NAT counter array (one core's, or the
+// cell-by-cell sum of several).
+func statsOf(c []uint64) Stats {
+	s := nfkit.StatsOf(Reasons, c, c[ctrFlowsExpired])
+	return Stats{
+		Processed:     s.Processed,
+		Dropped:       s.Dropped,
+		ForwardedOut:  c[ReasonFwdOut],
+		ForwardedIn:   c[ReasonFwdIn],
+		FlowsCreated:  c[ctrFlowsCreated],
+		FlowsExpired:  c[ctrFlowsExpired],
+		ParseFailures: c[ReasonDropParse],
+	}
+}
+
 // NAT is the production VigNAT: the verified stateless logic bound to the
 // libVig flow table. Per-packet processing is allocation-free; all state
 // lives in preallocated libVig structures (27 MB peak RSS in the paper —
@@ -51,12 +73,12 @@ type NAT struct {
 	cfg   Config
 	table *FlowTable
 	clock libvig.Clock
-	stats Stats
 	env   prodEnv
-	// reasonCounts[r] totals packets tagged with reason r; lastReason
-	// is the most recent tag. Single-writer, like the stats fields.
-	reasonCounts [numReasons]uint64
-	lastReason   telemetry.ReasonID
+	// counters[r] totals packets tagged with reason r — the only tally
+	// a packet moves — followed by the ctr* lifecycle counts;
+	// lastReason is the most recent tag. Single-writer.
+	counters   [numCounters]uint64
+	lastReason telemetry.ReasonID
 	// fpGens invalidates engine flow-cache entries: one generation per
 	// flow index, bumped by the table's erase hook whenever a flow dies.
 	fpGens *fastpath.GenTable
@@ -89,7 +111,7 @@ func (n *NAT) Config() Config { return n.cfg }
 func (n *NAT) Table() *FlowTable { return n.table }
 
 // Stats returns a snapshot of the counters.
-func (n *NAT) Stats() Stats { return n.stats }
+func (n *NAT) Stats() Stats { return statsOf(n.counters[:]) }
 
 // Process runs one frame through the NAT at the clock's current time.
 // The frame is rewritten in place when forwarded. fromInternal says which
@@ -106,16 +128,7 @@ func (n *NAT) ProcessAt(frame []byte, fromInternal bool, now libvig.Time) statel
 	e := &n.env
 	e.reset(frame, fromInternal, now)
 	stateless.ProcessPacket(e)
-	n.stats.Processed++
-	switch e.verdict {
-	case stateless.VerdictDrop:
-		n.stats.Dropped++
-	case stateless.VerdictToExternal:
-		n.stats.ForwardedOut++
-	case stateless.VerdictToInternal:
-		n.stats.ForwardedIn++
-	}
-	n.reasonCounts[e.reason]++
+	n.counters[e.reason]++
 	n.lastReason = e.reason
 	return e.verdict
 }
@@ -127,7 +140,7 @@ func (n *NAT) ExpireAt(now libvig.Time) int {
 	// Fig. 6 expires when timestamp+Texp <= now; Expire frees strictly
 	// below its deadline, hence the +1.
 	freed := n.table.Expire(now - n.cfg.TimeoutNanos() + 1)
-	n.stats.FlowsExpired += uint64(freed)
+	n.counters[ctrFlowsExpired] += uint64(freed)
 	return freed
 }
 
@@ -136,14 +149,10 @@ func (n *NAT) ExpireAt(now libvig.Time) int {
 // emits rewrite the frame in place. It is embedded in NAT and reset per
 // packet, so the fast path allocates nothing.
 type prodEnv struct {
-	nat *NAT
-	// p is the packet in hand: the burst scratch's entry when the
-	// Prefetch hook parsed this frame, own otherwise.
-	p            *nfkit.Parsed
-	own          nfkit.Parsed
-	fromInternal bool
-	now          libvig.Time
-	verdict      stateless.Verdict
+	nfkit.PktGuards // the parse chain and arrival side, over packet P
+	nat             *NAT
+	now             libvig.Time
+	verdict         stateless.Verdict
 	// reason tags the packet's outcome. The decisive env-call sites
 	// overwrite the parse-failure default: an allocation failure means
 	// table-full, an external miss unsolicited, the emits stamp the
@@ -154,42 +163,23 @@ type prodEnv struct {
 var _ stateless.Env = (*prodEnv)(nil)
 
 func (e *prodEnv) reset(frame []byte, fromInternal bool, now libvig.Time) {
-	e.p = e.nat.burst.Take(frame, &e.own)
-	e.fromInternal = fromInternal
+	e.Take(&e.nat.burst, frame, fromInternal)
 	e.now = now
 	e.verdict = stateless.VerdictDrop
 	e.reason = ReasonDropParse
 }
-
-// --- packet predicates ---
-
-func (e *prodEnv) FrameIntact() bool { return len(e.p.Pkt.Data) >= netstack.EthHeaderLen }
-
-func (e *prodEnv) EtherIsIPv4() bool { return e.p.Pkt.EtherType == netstack.EtherTypeIPv4 }
-
-func (e *prodEnv) IPv4HeaderValid() bool { return e.p.Pkt.L3Valid }
-
-func (e *prodEnv) NotFragment() bool { return !e.p.Pkt.Fragment }
-
-func (e *prodEnv) L4Supported() bool {
-	return e.p.Pkt.Proto == flow.TCP || e.p.Pkt.Proto == flow.UDP
-}
-
-func (e *prodEnv) L4HeaderIntact() bool { return e.p.Pkt.L4Valid }
-
-func (e *prodEnv) PacketFromInternal() bool { return e.fromInternal }
 
 // --- libVig operations ---
 
 func (e *prodEnv) ExpireFlows() { _ = e.nat.ExpireAt(e.now) }
 
 func (e *prodEnv) LookupInternal() (stateless.FlowHandle, bool) {
-	i, ok := e.nat.table.LookupIntHashed(e.p.ID, e.p.Hash)
+	i, ok := e.nat.table.LookupIntHashed(e.P.ID, e.P.Hash)
 	return stateless.FlowHandle(i), ok
 }
 
 func (e *prodEnv) LookupExternal() (stateless.FlowHandle, bool) {
-	i, ok := e.nat.table.LookupExtHashed(e.p.ID, e.p.Hash)
+	i, ok := e.nat.table.LookupExtHashed(e.P.ID, e.P.Hash)
 	if !ok {
 		e.reason = ReasonDropUnsolicited // the miss decides the drop
 	}
@@ -197,9 +187,9 @@ func (e *prodEnv) LookupExternal() (stateless.FlowHandle, bool) {
 }
 
 func (e *prodEnv) AllocateFlow() (stateless.FlowHandle, bool) {
-	i, ok := e.nat.table.AddHashed(e.p.ID, e.p.Hash, e.now)
+	i, ok := e.nat.table.AddHashed(e.P.ID, e.P.Hash, e.now)
 	if ok {
-		e.nat.stats.FlowsCreated++
+		e.nat.counters[ctrFlowsCreated]++
 	} else {
 		e.reason = ReasonDropTableFull
 	}
@@ -214,16 +204,16 @@ func (e *prodEnv) Rejuvenate(h stateless.FlowHandle) {
 
 func (e *prodEnv) EmitExternal(h stateless.FlowHandle) {
 	f := e.nat.table.Flow(int(h))
-	e.p.Pkt.SetSrcIP(f.ExtKey.DstIP) // EXT_IP
-	e.p.Pkt.SetSrcPort(f.ExtPort())
+	e.P.Pkt.SetSrcIP(f.ExtKey.DstIP) // EXT_IP
+	e.P.Pkt.SetSrcPort(f.ExtPort())
 	e.verdict = stateless.VerdictToExternal
 	e.reason = ReasonFwdOut
 }
 
 func (e *prodEnv) EmitInternal(h stateless.FlowHandle) {
 	f := e.nat.table.Flow(int(h))
-	e.p.Pkt.SetDstIP(f.IntIP())
-	e.p.Pkt.SetDstPort(f.IntPort())
+	e.P.Pkt.SetDstIP(f.IntIP())
+	e.P.Pkt.SetDstPort(f.IntPort())
 	e.verdict = stateless.VerdictToInternal
 	e.reason = ReasonFwdIn
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"net"
@@ -12,7 +11,6 @@ import (
 	"net/http/pprof"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"vignat/internal/nf/telemetry"
@@ -63,17 +61,6 @@ func SourceOf(name string, nfi NF, snapshot func() Stats, pipe *Pipeline) Metric
 	return src
 }
 
-// expvar's registry is global and write-once, so ServeMetrics publishes
-// each name once as a Func that reads through this slot table. Close
-// unbinds the slot (the Func then reports nil) and a later ServeMetrics
-// rebinds it — no stale closure ever serves an old source — while a
-// name that is still bound, or was published by someone else entirely,
-// is a collision ServeMetrics reports instead of silently skipping.
-var (
-	expvarMu    sync.Mutex
-	expvarSlots = map[string]func() Stats{}
-)
-
 // Metrics is a running metrics endpoint: the engine's scrape surface
 // over the per-shard stats cells and the per-worker telemetry blocks.
 // It serves
@@ -82,8 +69,6 @@ var (
 //	                the Accept header asks for text/plain or OpenMetrics
 //	                (what a Prometheus scraper sends), JSON otherwise;
 //	                ?format=prometheus|json overrides.
-//	/debug/vars   — the standard Go expvar surface (same numbers, plus
-//	                the runtime's own variables)
 //	/debug/pprof/ — the standard Go profiling surface (heap, CPU,
 //	                goroutine, ...)
 //	/debug/trace  — the sampled per-packet trace rings as JSON, for
@@ -100,25 +85,25 @@ type Metrics struct {
 }
 
 // ServeMetrics listens on addr (e.g. ":9090", or "127.0.0.1:0" for an
-// ephemeral port) and serves the sources until Close. Source names must
-// be unique among the endpoints currently open in the process; a name
-// already serving (or taken in the expvar registry by a foreign
-// publisher) is an error naming the duplicate, not a silent skip.
+// ephemeral port) and serves the sources until Close. Source names key
+// the JSON document and label every series, so one endpoint's sources
+// must be named apart.
 func ServeMetrics(addr string, sources ...MetricSource) (*Metrics, error) {
 	if len(sources) == 0 {
 		return nil, errors.New("nf: metrics endpoint needs at least one source")
 	}
+	seen := make(map[string]bool, len(sources))
 	for _, s := range sources {
 		if s.Name == "" || s.Snapshot == nil {
 			return nil, errors.New("nf: metric source needs a name and a snapshot function")
 		}
-	}
-	if err := bindExpvar(sources); err != nil {
-		return nil, err
+		if seen[s.Name] {
+			return nil, fmt.Errorf("nf: metric source %q named twice", s.Name)
+		}
+		seen[s.Name] = true
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		unbindExpvar(sources)
 		return nil, fmt.Errorf("nf: metrics listen: %w", err)
 	}
 	m := &Metrics{ln: ln, sources: sources}
@@ -126,7 +111,6 @@ func ServeMetrics(addr string, sources ...MetricSource) (*Metrics, error) {
 	m.mux = mux
 	mux.HandleFunc("/metrics", m.handleMetrics)
 	mux.HandleFunc("/debug/trace", m.handleTrace)
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -135,55 +119,6 @@ func ServeMetrics(addr string, sources ...MetricSource) (*Metrics, error) {
 	m.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	go func() { _ = m.srv.Serve(ln) }()
 	return m, nil
-}
-
-// bindExpvar claims every source's expvar slot or reports the
-// collision. All-or-nothing: a failed claim releases the ones made.
-func bindExpvar(sources []MetricSource) error {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	bound := make([]string, 0, len(sources))
-	fail := func(err error) error {
-		for _, name := range bound {
-			expvarSlots[name] = nil
-		}
-		return err
-	}
-	for _, s := range sources {
-		name := "nf." + s.Name
-		slot, ours := expvarSlots[name]
-		switch {
-		case slot != nil:
-			return fail(fmt.Errorf("nf: metric source %q already serving (expvar name %q is bound; close the other endpoint first)", s.Name, name))
-		case !ours && expvar.Get(name) != nil:
-			return fail(fmt.Errorf("nf: metric source %q collides with a foreign expvar publication %q", s.Name, name))
-		}
-		expvarSlots[name] = s.Snapshot
-		bound = append(bound, name)
-		if !ours {
-			name := name
-			expvar.Publish(name, expvar.Func(func() any {
-				expvarMu.Lock()
-				snap := expvarSlots[name]
-				expvarMu.Unlock()
-				if snap == nil {
-					return nil
-				}
-				return snap()
-			}))
-		}
-	}
-	return nil
-}
-
-// unbindExpvar releases the sources' slots (the write-once expvar
-// entries stay registered and report nil until a rebind).
-func unbindExpvar(sources []MetricSource) {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	for _, s := range sources {
-		expvarSlots["nf."+s.Name] = nil
-	}
 }
 
 // sourceJSON is one source's /metrics JSON rendering: the flat Stats
@@ -378,22 +313,11 @@ func (m *Metrics) Handle(pattern string, h http.Handler) {
 	m.mux.Handle(pattern, h)
 }
 
-// Close stops serving immediately — in-flight scrapes are abandoned —
-// and releases the sources' expvar slots: the write-once registry
-// entries stay published but report nil until a later ServeMetrics
-// rebinds the names.
-func (m *Metrics) Close() error {
-	err := m.srv.Close()
-	unbindExpvar(m.sources)
-	return err
-}
+// Close stops serving immediately — in-flight scrapes are abandoned.
+func (m *Metrics) Close() error { return m.srv.Close() }
 
 // Shutdown is the graceful counterpart of Close: it stops accepting
-// new connections, waits for in-flight requests to finish (bounded by
-// ctx), then releases the expvar slots. A control verb that arrived
-// just before shutdown gets its response instead of a reset.
-func (m *Metrics) Shutdown(ctx context.Context) error {
-	err := m.srv.Shutdown(ctx)
-	unbindExpvar(m.sources)
-	return err
-}
+// new connections and waits for in-flight requests to finish (bounded
+// by ctx). A control verb that arrived just before shutdown gets its
+// response instead of a reset.
+func (m *Metrics) Shutdown(ctx context.Context) error { return m.srv.Shutdown(ctx) }

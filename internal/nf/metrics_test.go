@@ -1,7 +1,7 @@
 // Concurrency coverage for the stats-scrape surfaces: CountedShards'
 // padded atomic cells scraped while policer shards process traffic on
 // their own goroutines (the metrics-endpoint pattern, pinned under
-// -race by CI), and the HTTP/expvar endpoint itself serving mid-run.
+// -race by CI), and the HTTP endpoint itself serving mid-run.
 package nf_test
 
 import (
@@ -116,8 +116,8 @@ func TestCountedShardsConcurrentScrapeWithPolicer(t *testing.T) {
 }
 
 // TestServeMetricsScrapesUnderTraffic runs the HTTP endpoint against a
-// policer being driven concurrently and checks both surfaces: the JSON
-// /metrics document and the expvar registry.
+// policer being driven concurrently and checks the JSON /metrics
+// document.
 func TestServeMetricsScrapesUnderTraffic(t *testing.T) {
 	s, frames := buildScrapePolicer(t, generousPolicer)
 	m, err := nf.ServeMetrics("127.0.0.1:0",
@@ -166,19 +166,6 @@ func TestServeMetricsScrapesUnderTraffic(t *testing.T) {
 	resp.Body.Close()
 	if got := doc["vigpol-test"].Processed; got != scrapeShards*2000 {
 		t.Fatalf("endpoint reports %d processed, want %d", got, scrapeShards*2000)
-	}
-	// The expvar surface carries the same source.
-	resp, err = http.Get(fmt.Sprintf("http://%s/debug/vars", m.Addr()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var vars map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if _, ok := vars["nf.vigpol-test"]; !ok {
-		t.Fatal("expvar registry missing nf.vigpol-test")
 	}
 }
 
@@ -246,30 +233,23 @@ func sumU64(vs []uint64) uint64 {
 	return s
 }
 
-// TestServeMetricsDuplicateAndReopen pins the expvar collision
-// contract: a second endpoint reusing a live source name is an error
-// naming the duplicate (not a silent skip), and after Close the
-// write-once expvar entry serves the NEW source on reopen rather than
-// a stale closure over the old one.
+// TestServeMetricsDuplicateAndReopen: one endpoint's sources must be
+// named apart (the name keys the JSON document), and a name is free
+// again the moment its endpoint closes — a fresh listener serves the
+// new source under it. Nothing about a name outlives its endpoint.
 func TestServeMetricsDuplicateAndReopen(t *testing.T) {
 	snapA := func() nf.Stats { return nf.Stats{Processed: 1} }
-	m1, err := nf.ServeMetrics("127.0.0.1:0", nf.MetricSource{Name: "dup-src", Snapshot: snapA})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nf.ServeMetrics("127.0.0.1:0",
-		nf.MetricSource{Name: "dup-src", Snapshot: snapA}); err == nil || !strings.Contains(err.Error(), "dup-src") {
-		m1.Close()
-		t.Fatalf("duplicate live source not rejected by name (err=%v)", err)
-	}
-	if err := m1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The same name twice in one call is the same collision.
 	if _, err := nf.ServeMetrics("127.0.0.1:0",
 		nf.MetricSource{Name: "dup-twice", Snapshot: snapA},
 		nf.MetricSource{Name: "dup-twice", Snapshot: snapA}); err == nil || !strings.Contains(err.Error(), "dup-twice") {
 		t.Fatalf("same-call duplicate not rejected by name (err=%v)", err)
+	}
+	m1, err := nf.ServeMetrics("127.0.0.1:0", nf.MetricSource{Name: "dup-src", Snapshot: snapA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m1.Close(); err != nil {
+		t.Fatal(err)
 	}
 	snapB := func() nf.Stats { return nf.Stats{Processed: 77} }
 	m2, err := nf.ServeMetrics("127.0.0.1:0", nf.MetricSource{Name: "dup-src", Snapshot: snapB})
@@ -277,21 +257,17 @@ func TestServeMetricsDuplicateAndReopen(t *testing.T) {
 		t.Fatalf("reopen after close rejected: %v", err)
 	}
 	defer m2.Close()
-	resp, err := http.Get("http://" + m2.Addr() + "/debug/vars")
+	resp, err := http.Get("http://" + m2.Addr() + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var vars map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
+	var doc map[string]nf.Stats
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
-	var got nf.Stats
-	if err := json.Unmarshal(vars["nf.dup-src"], &got); err != nil {
-		t.Fatalf("nf.dup-src not decodable after reopen: %v", err)
-	}
-	if got.Processed != 77 {
-		t.Fatalf("expvar serves Processed=%d after reopen, want 77 (stale closure?)", got.Processed)
+	if got := doc["dup-src"].Processed; got != 77 {
+		t.Fatalf("/metrics serves Processed=%d after reopen, want 77", got)
 	}
 }
 

@@ -80,13 +80,14 @@ func (a *Adapter[C]) NFStats() nf.Stats { return a.d.Stats(a.core) }
 // declares none (nf.ReasonStatser consumers must check).
 func (a *Adapter[C]) ReasonSet() *telemetry.ReasonSet { return a.d.Reasons }
 
-// ReasonCounts returns the core's live per-reason totals (owner
-// goroutine only), nil when no taxonomy is declared.
+// ReasonCounts returns the core's live per-reason totals — the reason
+// prefix of its counter array (owner goroutine only) — nil when no
+// taxonomy is declared.
 func (a *Adapter[C]) ReasonCounts() []uint64 {
-	if a.d.ReasonCounts == nil {
+	if a.d.Reasons == nil {
 		return nil
 	}
-	return a.d.ReasonCounts(a.core)
+	return a.d.Counters(a.core)[:a.d.Reasons.Len()]
 }
 
 // LastReason returns the reason tagged on the most recently processed

@@ -67,6 +67,35 @@ func (b *Burst) Take(frame []byte, own *Parsed) *Parsed {
 	return own
 }
 
+// PktGuards is the embeddable production binding of the guards every
+// flow-table NF's Env opens with — the six-predicate parse chain and
+// the arrival side, answered from the packet in hand (SymGuards is the
+// symbolic binding of the same methods). A per-NF prodEnv embeds it,
+// calls Take per packet, and keys its state operations by P.
+type PktGuards struct {
+	// P is the packet in hand: the burst scratch's entry when the
+	// Prefetch hook parsed this frame, own otherwise.
+	P            *Parsed
+	own          Parsed
+	FromInternal bool
+}
+
+// Take makes frame the packet in hand (see Burst.Take).
+func (g *PktGuards) Take(b *Burst, frame []byte, fromInternal bool) {
+	g.P = b.Take(frame, &g.own)
+	g.FromInternal = fromInternal
+}
+
+func (g *PktGuards) FrameIntact() bool     { return len(g.P.Pkt.Data) >= netstack.EthHeaderLen }
+func (g *PktGuards) EtherIsIPv4() bool     { return g.P.Pkt.EtherType == netstack.EtherTypeIPv4 }
+func (g *PktGuards) IPv4HeaderValid() bool { return g.P.Pkt.L3Valid }
+func (g *PktGuards) NotFragment() bool     { return !g.P.Pkt.Fragment }
+func (g *PktGuards) L4Supported() bool {
+	return g.P.Pkt.Proto == flow.TCP || g.P.Pkt.Proto == flow.UDP
+}
+func (g *PktGuards) L4HeaderIntact() bool     { return g.P.Pkt.L4Valid }
+func (g *PktGuards) PacketFromInternal() bool { return g.FromInternal }
+
 // PrefetchFlows is the Prefetch hook of an NF whose state is a DChain of
 // flows over a DoubleMap keyed by the 5-tuple as seen from either side:
 // it starts the loads of (a) the home slots of the flows the burst's

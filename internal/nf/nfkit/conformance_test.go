@@ -7,10 +7,17 @@
 // totals decompose exactly by steering), and the counted stats surface
 // aggregates per-shard cells while being scraped concurrently with
 // traffic. Run under -race in CI: the workers poll from their own
-// goroutines while a scraper hammers the snapshots.
+// goroutines while a scraper hammers the snapshots. A last leg per NF
+// (countedOnce) checks that every counting surface — the per-NF Stats
+// view, the counted snapshot, the reason snapshot, the Prometheus text
+// — is the same read of the one declared counter array, with the flow
+// cache on and off and across a 2→4→3 reshard.
 package nfkit_test
 
 import (
+	"fmt"
+	"io"
+	"net/http"
 	"reflect"
 	"strings"
 	"sync"
@@ -18,6 +25,7 @@ import (
 	"time"
 
 	"vignat/internal/dpdk"
+	"vignat/internal/fastpath"
 	"vignat/internal/firewall"
 	"vignat/internal/flow"
 	"vignat/internal/lb"
@@ -26,6 +34,7 @@ import (
 	"vignat/internal/netstack"
 	"vignat/internal/nf"
 	"vignat/internal/nf/nfkit"
+	"vignat/internal/nf/telemetry"
 	"vignat/internal/policer"
 )
 
@@ -53,6 +62,43 @@ type shardCase struct {
 	frame func(i int) []byte
 	// fromInternal is the side the client-side frames enter on.
 	fromInternal bool
+	// counted constructs the NF for the counted-once leg: two shards,
+	// cntCap state entries in all, tight enough that the trace fills it.
+	counted func(t *testing.T, clock libvig.Clock) counted
+	// wantReasons are the outcomes the counted-once trace must reach.
+	wantReasons []string
+}
+
+// countedSharded is what the counted-once leg reads of a kit-derived
+// sharded NF: the summed counter array and every surface derived from it.
+type countedSharded interface {
+	shardedNF
+	Counters() []uint64
+	ReasonSet() *telemetry.ReasonSet
+	ReasonSnapshot() []uint64
+}
+
+// counted is one NF under the counted-once leg.
+type counted struct {
+	s countedSharded
+	// vectors copies every shard's full Decl.Counters array.
+	vectors func() [][]uint64
+	// view collapses the NF's own exported Stats() view onto the four
+	// engine-visible fields.
+	view func() nf.Stats
+}
+
+// cntCap divides by every shard count on the leg's schedule (2, 4, 3).
+const cntCap = 12
+
+func vectorsOf[C any](s *nfkit.Sharded[C], d nfkit.Decl[C]) func() [][]uint64 {
+	return func() [][]uint64 {
+		var out [][]uint64
+		for _, core := range s.Cores() {
+			out = append(out, append([]uint64(nil), d.Counters(core)...))
+		}
+		return out
+	}
 }
 
 func craft(id flow.ID) []byte {
@@ -76,7 +122,8 @@ func declare[C any](t *testing.T, d nfkit.Decl[C]) (declared, C) {
 		t.Fatal(err)
 	}
 	return declared{nf: d.Adapt(core), dump: func() ([]nfkit.StateRecord, []uint64) {
-		return d.Codec.Snapshot(core), d.Codec.Counters(core)
+		// Counters is the live array; the comparison needs a copy.
+		return d.Codec.Snapshot(core), append([]uint64(nil), d.Counters(core)...)
 	}}, core
 }
 
@@ -115,6 +162,20 @@ func shardCases() []shardCase {
 				})
 			},
 			fromInternal: true,
+			counted: func(t *testing.T, clock libvig.Clock) counted {
+				cfg := natCfg
+				cfg.Capacity = cntCap
+				n, err := nat.NewSharded(cfg, clock, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return counted{s: n, vectors: vectorsOf(n.Sharded, nat.Kit(cfg, clock)), view: func() nf.Stats {
+					st := n.Stats()
+					return nf.Stats{Processed: st.Processed, Forwarded: st.ForwardedOut + st.ForwardedIn,
+						Dropped: st.Dropped, Expired: st.FlowsExpired}
+				}}
+			},
+			wantReasons: []string{"fwd_out", "fwd_in", "drop_parse", "drop_table_full", "drop_unsolicited"},
 		},
 		{
 			name: "firewall",
@@ -136,6 +197,22 @@ func shardCases() []shardCase {
 				})
 			},
 			fromInternal: true,
+			counted: func(t *testing.T, clock libvig.Clock) counted {
+				fw, err := firewall.NewSharded(cntCap, confTimeout, clock, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d := firewall.Kit(cntCap, confTimeout, clock)
+				return counted{s: fw, vectors: vectorsOf(fw.Sharded, d), view: func() (st nf.Stats) {
+					for _, core := range fw.Cores() {
+						processed, dropped := core.Stats()
+						st.Add(nf.Stats{Processed: processed, Forwarded: processed - dropped,
+							Dropped: dropped, Expired: core.Expired()})
+					}
+					return st
+				}}
+			},
+			wantReasons: []string{"fwd_out", "fwd_in", "drop_parse", "drop_table_full", "drop_unsolicited"},
 		},
 		{
 			name: "viglb",
@@ -167,6 +244,26 @@ func shardCases() []shardCase {
 				})
 			},
 			fromInternal: false, // clients face the external port
+			counted: func(t *testing.T, clock libvig.Clock) counted {
+				cfg := lbCfg
+				cfg.Capacity = cntCap
+				b, err := lb.NewSharded(cfg, clock, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 4; i++ {
+					if _, err := b.AddBackend(lbBackend(i), clock.Now()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return counted{s: b, vectors: vectorsOf(b.Sharded, lb.Kit(cfg, clock)), view: func() nf.Stats {
+					st := b.Stats()
+					return nf.Stats{Processed: st.Processed, Forwarded: st.ToBackend + st.ToClient + st.Passthrough,
+						Dropped: st.Dropped, Expired: st.FlowsExpired}
+				}}
+			},
+			// Standalone (Passthrough off): not-owned traffic drops.
+			wantReasons: []string{"fwd_backend", "fwd_client", "drop_no_session", "drop_parse", "drop_table_full"},
 		},
 		{
 			name: "vigpol",
@@ -188,6 +285,21 @@ func shardCases() []shardCase {
 				})
 			},
 			fromInternal: false, // downstream traffic enters upstream-side
+			counted: func(t *testing.T, clock libvig.Clock) counted {
+				// Two frames of budget and next to no refill: a
+				// subscriber's third packet is over rate.
+				cfg := policer.Config{Rate: 1, Burst: 100, Capacity: cntCap, Timeout: confTimeout}
+				pol, err := policer.NewSharded(cfg, clock, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return counted{s: pol, vectors: vectorsOf(pol.Sharded, policer.Kit(cfg, clock)), view: func() nf.Stats {
+					st := pol.Stats()
+					return nf.Stats{Processed: st.Processed, Forwarded: st.Conformed + st.Passthrough,
+						Dropped: st.Dropped(), Expired: st.BucketsExpired}
+				}}
+			},
+			wantReasons: []string{"passthrough", "conform", "drop_malformed", "drop_table_full", "drop_over_rate"},
 		},
 	}
 }
@@ -200,6 +312,14 @@ type confRig struct {
 }
 
 func buildConfRig(t *testing.T, s shardedNF, clock libvig.Clock) *confRig {
+	t.Helper()
+	return buildConfRigWith(t, s, clock, confShards, 0)
+}
+
+// buildConfRigWith is buildConfRig at a given worker count (the ports
+// keep confShards queue pairs, the headroom a live reshard grows into)
+// and flow-cache setting (nf.Config.FastPath).
+func buildConfRigWith(t *testing.T, s shardedNF, clock libvig.Clock, workers, fastPath int) *confRig {
 	t.Helper()
 	r := &confRig{}
 	mkPort := func(id uint16) *dpdk.Port {
@@ -221,7 +341,7 @@ func buildConfRig(t *testing.T, s shardedNF, clock libvig.Clock) *confRig {
 	r.intPort, r.extPort = mkPort(0), mkPort(1)
 	var err error
 	r.pipe, err = nf.NewPipeline(s, nf.Config{
-		Internal: r.intPort, External: r.extPort, Workers: confShards, Clock: clock,
+		Internal: r.intPort, External: r.extPort, Workers: workers, Clock: clock, FastPath: fastPath,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -422,7 +542,219 @@ func TestShardedConformanceAllNFs(t *testing.T) {
 					t.Fatalf("mbuf leak: %d in use", p.InUse())
 				}
 			}
+
+			t.Run("counted once", func(t *testing.T) { countedOnce(t, tc) })
 		})
+	}
+}
+
+// cntRig is one side of the counted-once leg: the NF on its pipeline,
+// with its metrics endpoint.
+type cntRig struct {
+	counted
+	*confRig
+	name    string
+	metrics *nf.Metrics
+}
+
+// countedOnce is the counted-once leg: one mixed trace — both forward
+// directions, a parse failure, table-full refusals, an unsolicited (or
+// over-rate) drop, an expiry — through two rigs in lock step, flow
+// cache on and off, resharded 2→4→3 with their tables full. After every
+// poll the two rigs' full per-shard counter arrays are identical, and
+// on each rig every counting surface is the same read of that array.
+func countedOnce(t *testing.T, tc shardCase) {
+	clock := libvig.NewVirtualClock(0)
+	rigs := make([]*cntRig, 2)
+	for i, fastPath := range []int{64, nf.FastPathDisabled} {
+		c := tc.counted(t, clock)
+		r := &cntRig{counted: c, confRig: buildConfRigWith(t, c.s, clock, 2, fastPath),
+			name: fmt.Sprintf("%s-cnt%d", tc.name, i)}
+		var err error
+		if r.metrics, err = nf.ServeMetrics("127.0.0.1:0", nf.SourceOf(r.name, c.s, c.s.StatsSnapshot, nil)); err != nil {
+			t.Fatal(err)
+		}
+		defer r.metrics.Close()
+		rigs[i] = r
+	}
+	on, off := rigs[0], rigs[1]
+
+	check := func(step string) {
+		t.Helper()
+		if va, vb := on.vectors(), off.vectors(); !reflect.DeepEqual(va, vb) {
+			t.Fatalf("%s: counter arrays diverged, cache on vs off:\n%v\n%v", step, va, vb)
+		}
+		for _, r := range rigs {
+			r.checkSurfaces(t, step)
+		}
+	}
+	// burst delivers the frames to both rigs, polls each once, and
+	// returns what the cache-off rig forwarded.
+	burst := func(step string, fromInternal bool, frames ...[]byte) [][]byte {
+		t.Helper()
+		clock.Advance(1000)
+		var out [][]byte
+		for _, r := range rigs {
+			rx, tx := r.extPort, r.intPort
+			if fromInternal {
+				rx, tx = r.intPort, r.extPort
+			}
+			for _, f := range frames {
+				if !rx.DeliverRx(append([]byte(nil), f...), clock.Now()) {
+					t.Fatalf("%s: RX queue rejected a frame", step)
+				}
+			}
+			if _, err := r.pipe.Poll(); err != nil {
+				t.Fatal(err)
+			}
+			out = drainAll(t, tx)
+		}
+		check(step)
+		return out
+	}
+
+	arp := craft(flow.ID{SrcIP: 1, DstIP: 2, Proto: flow.UDP})
+	arp[12], arp[13] = 0x08, 0x06 // not IPv4
+	round := func(shards int) {
+		step := func(s string) string { return fmt.Sprintf("%d shards, %s", shards, s) }
+		base := shards * 100
+		sessions := [][]byte{tc.frame(base), tc.frame(base + 1), tc.frame(base + 2), tc.frame(base + 3)}
+		// Forward direction, three sightings each: slow path, cache
+		// install, cache hit (the stingy policer's third is over rate).
+		var outputs [][]byte
+		for i := 0; i < 3; i++ {
+			if out := burst(step("client side"), tc.fromInternal, sessions...); i == 0 {
+				outputs = out
+			}
+		}
+		// Return direction of whatever got through.
+		var replies [][]byte
+		for _, out := range outputs {
+			replies = append(replies, reverseFrame(t, out))
+		}
+		for i := 0; i < 3 && len(replies) > 0; i++ {
+			burst(step("return side"), !tc.fromInternal, replies...)
+		}
+		// Parse failures: a runt and a non-IPv4 frame.
+		burst(step("junk"), tc.fromInternal, arp[:10], arp)
+		// More new sessions than the whole NF can hold.
+		var flood [][]byte
+		for i := 0; i < 2*cntCap; i++ {
+			flood = append(flood, tc.frame(base+10+i))
+		}
+		burst(step("table full"), tc.fromInternal, flood...)
+		// Return-side traffic of no session.
+		burst(step("unsolicited"), !tc.fromInternal, reverseFrame(t, tc.frame(base+90)))
+	}
+	for _, shards := range []int{2, 4, 3} {
+		if shards != 2 {
+			for _, r := range rigs {
+				if err := r.pipe.SetWorkers(shards); err != nil {
+					t.Fatalf("reshard to %d: %v", shards, err)
+				}
+			}
+			check(fmt.Sprintf("reshard to %d", shards))
+		}
+		round(shards)
+		for _, r := range rigs {
+			r.checkProm(t, fmt.Sprintf("%d shards", shards))
+		}
+	}
+	// Expiry: everything idles out under the next packet's sweep.
+	clock.Advance(libvig.Time(2 * confTimeout.Nanoseconds()))
+	burst("expiry", tc.fromInternal, tc.frame(999))
+
+	snap := on.s.StatsSnapshot()
+	if snap.FastPathHits == 0 {
+		t.Fatal("the cache-on rig never took a cache hit; the on/off comparison would be vacuous")
+	}
+	if snap.Expired == 0 {
+		t.Fatal("nothing expired")
+	}
+	set, cells := on.s.ReasonSet(), on.s.Counters()
+	for _, name := range tc.wantReasons {
+		if r, ok := set.ByName(name); !ok || cells[r.ID] == 0 {
+			t.Fatalf("the trace never reached outcome %q (declared: %v): %v", name, ok, cells)
+		}
+	}
+	for _, r := range rigs {
+		for _, p := range r.pools {
+			if p.InUse() != 0 {
+				t.Fatalf("mbuf leak: %d in use", p.InUse())
+			}
+		}
+	}
+}
+
+// checkSurfaces demands that every in-process counting surface of the
+// rig's NF is a read of its declared counter array.
+func (r *cntRig) checkSurfaces(t *testing.T, step string) {
+	t.Helper()
+	set := r.s.ReasonSet()
+	sum := make([]uint64, len(r.s.Counters()))
+	for _, v := range r.vectors() {
+		for i, n := range v {
+			sum[i] += n
+		}
+	}
+	if got := r.s.Counters(); !reflect.DeepEqual(got, sum) {
+		t.Fatalf("%s: Sharded.Counters %v, the shards' arrays sum to %v", step, got, sum)
+	}
+	cells := sum[:set.Len()]
+	processed := sumU64(cells)
+	snap := r.s.StatsSnapshot()
+	if snap.Processed != processed || snap.Dropped != set.SumDrops(cells) || snap.Forwarded != processed-snap.Dropped {
+		t.Fatalf("%s: snapshot %+v, reason cells %v (drops %d)", step, snap, cells, set.SumDrops(cells))
+	}
+	if got := r.s.ReasonSnapshot(); !reflect.DeepEqual(got, cells) {
+		t.Fatalf("%s: reason snapshot %v, reason cells %v", step, got, cells)
+	}
+	want := nf.Stats{Processed: snap.Processed, Forwarded: snap.Forwarded, Dropped: snap.Dropped, Expired: snap.Expired}
+	if view := r.view(); view != want {
+		t.Fatalf("%s: Stats() view %+v, counted snapshot %+v", step, view, want)
+	}
+}
+
+// checkProm demands the same of the Prometheus text: one nf_reason_total
+// series per declared reason, valued by its cell and classed by the set,
+// under totals that are the cells' sums.
+func (r *cntRig) checkProm(t *testing.T, step string) {
+	t.Helper()
+	req, err := http.NewRequest("GET", "http://"+r.metrics.Addr()+"/metrics", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", "text/plain")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := "\n" + string(body)
+	set, cells := r.s.ReasonSet(), r.s.Counters()
+	processed := sumU64(cells[:set.Len()])
+	for _, reason := range set.Reasons() {
+		class := "forward"
+		if reason.Drop {
+			class = "drop"
+		}
+		line := fmt.Sprintf("\nnf_reason_total{nf=%q,reason=%q,class=%q} %d\n", r.name, reason.Name, class, cells[reason.ID])
+		if !strings.Contains(doc, line) {
+			t.Fatalf("%s: exposition lacks %q", step, line[1:])
+		}
+	}
+	for metric, want := range map[string]uint64{
+		"nf_processed_total": processed,
+		"nf_dropped_total":   set.SumDrops(cells),
+		"nf_forwarded_total": processed - set.SumDrops(cells),
+	} {
+		if line := fmt.Sprintf("\n%s{nf=%q} %d\n", metric, r.name, want); !strings.Contains(doc, line) {
+			t.Fatalf("%s: exposition lacks %q", step, line[1:])
+		}
 	}
 }
 
@@ -469,6 +801,119 @@ func TestRepeatExpireAtSameNowIsNoOp(t *testing.T) {
 				t.Fatalf("repeat sweep changed the counters:\n%v\n%v", counters, counters2)
 			}
 		})
+	}
+}
+
+// TestEachPacketCountedOnce: on every stateful NF, N packets of an
+// established session move exactly one cell of the declared counter
+// array by exactly N — through the slow path and again through the
+// flow-cache hit hook — and no other cell at all: there is no second
+// tally for a packet to land in.
+func TestEachPacketCountedOnce(t *testing.T) {
+	const n = 100
+	for _, tc := range shardCases() {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			clock := libvig.NewVirtualClock(0)
+			d := tc.one(t, clock)
+			frame := tc.frame(0)
+			var p netstack.Packet
+			if err := p.Parse(frame); err != nil {
+				t.Fatal(err)
+			}
+			key := fastpath.Key{ID: p.FlowID(), FromInternal: tc.fromInternal}
+			if v := d.nf.Process(append([]byte(nil), frame...), tc.fromInternal); v != nf.Forward {
+				t.Fatalf("session not admitted: %v", v)
+			}
+			fp := d.nf.(nf.FastPather)
+			aux, _, ok := fp.FastOffer(key)
+			if !ok {
+				t.Fatal("established session not offered to the flow cache")
+			}
+			moved := -1
+			for path, one := range map[string]func(){
+				"slow path": func() { d.nf.Process(append([]byte(nil), frame...), tc.fromInternal) },
+				"cache hit": func() { fp.FastHit(aux, len(frame), clock.Now()) },
+			} {
+				_, before := d.dump()
+				for i := 0; i < n; i++ {
+					one()
+				}
+				_, after := d.dump()
+				for i := range after {
+					switch after[i] - before[i] {
+					case 0:
+					case n:
+						if moved >= 0 && moved != i {
+							t.Fatalf("%s: cell %d moved, the other path moved cell %d", path, i, moved)
+						}
+						moved = i
+					default:
+						t.Fatalf("%s: cell %d moved by %d under %d packets:\n%v\n%v", path, i, after[i]-before[i], n, before, after)
+					}
+				}
+				if got := sumU64(after) - sumU64(before); got != n {
+					t.Fatalf("%s: the array's sum rose by %d under %d packets:\n%v\n%v", path, got, n, before, after)
+				}
+			}
+			if st := d.nf.NFStats(); st.Processed != 2*n+1 || st.Forwarded != 2*n+1 {
+				t.Fatalf("stats view %+v after %d forwarded packets", st, 2*n+1)
+			}
+		})
+	}
+}
+
+func sumU64(vs []uint64) (sum uint64) {
+	for _, v := range vs {
+		sum += v
+	}
+	return sum
+}
+
+// TestReshardRefusesMismatchedCounters: a Counters closure whose arrays
+// differ in length between cores leaves some cell with nowhere to fold
+// to. The reshard is refused before anything is built — naming the NF
+// and both lengths — not truncated to the shorter array.
+func TestReshardRefusesMismatchedCounters(t *testing.T) {
+	clock := libvig.NewVirtualClock(0)
+	d := firewall.Kit(4*confSessions, confTimeout, clock)
+	full := d.Counters
+	var short *firewall.Firewall
+	d.Counters = func(fw *firewall.Firewall) []uint64 {
+		if fw == short {
+			return full(fw)[:len(full(fw))-1]
+		}
+		return full(fw)
+	}
+	built := 0
+	newCore := d.New
+	d.New = func(shard, shards, perShard int) (*firewall.Firewall, error) {
+		built++
+		return newCore(shard, shards, perShard)
+	}
+	s, err := nfkit.NewSharded(d, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short = s.Core(1)
+	built = 0
+	cores := s.Cores()
+
+	err = s.Reshard(3)
+	if err == nil {
+		t.Fatal("reshard folded counter arrays of different lengths")
+	}
+	long := len(full(short))
+	for _, want := range []string{"nfkit: " + d.Name + " ", fmt.Sprintf("keeps %d counters", long-1), fmt.Sprintf("keeps %d", long)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("refusal does not say %q: %v", want, err)
+		}
+	}
+	if built != 0 {
+		t.Fatalf("%d cores were built before the refusal", built)
+	}
+	if s.Shards() != 2 || s.Core(0) != cores[0] || s.Core(1) != cores[1] {
+		t.Fatalf("refused reshard changed the composition: %d shards", s.Shards())
 	}
 }
 

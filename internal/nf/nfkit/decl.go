@@ -16,18 +16,32 @@
 // and output actions. From that declaration the kit derives:
 //
 //   - the allocation-free production binding onto the engine
-//     (Adapter: clock-once batches, verdict mapping, expiry modes);
+//     (Adapter: clock-once batches, verdict mapping, the reason-count
+//     prefix of the declared counter array);
 //   - the counted, concurrently-scrapeable sharded composition
 //     (Sharded[C] over nf.CountedShards — one implementation instead
 //     of three copies);
 //   - the symbolic-verification run (VerifySym: path enumeration,
-//     P2/P4 discipline, single-output rule, solver entailment), so a
-//     new NF's proof costs a SymSpec, not an engine binding;
+//     P2/P4 discipline, single-output rule, solver entailment) and
+//     the taxonomy cross-check fed by the same Spec walk
+//     (VerifyReasons), so a new NF's proof costs a SymSpec, not an
+//     engine binding;
 //   - the demo-binary scaffolding (Main: flags, ports, pipeline,
 //     steering, drive loop, accounting).
 //
 // A new NF — the roadmap's DNS cache or NAT64 — therefore costs its
 // stateless logic, its libVig state, and one Decl.
+//
+// Counting is declared once too. A core keeps one flat []uint64 and
+// hands it out through Decl.Counters; the layout contract is: the
+// reason cells first, one per declared Reason in ReasonID order, then
+// whatever lifecycle counters the NF keeps (flows created, entries
+// expired, ...), in an order only the NF's own Stats view needs to
+// know. Each packet increments exactly one reason cell. Everything
+// else is read off that array: Adapter.ReasonCounts is its prefix,
+// Sharded.Counters its sum over shards, Reshard folds it into the new
+// composition cell by cell, and the per-NF Stats types are views
+// computed from it and the ReasonSet's drop classes (StatsOf).
 package nfkit
 
 import (
@@ -88,11 +102,19 @@ type Decl[C any] struct {
 	// NF (nothing ever expires).
 	Expire func(core C, now libvig.Time) int
 
-	// Stats snapshots the core's engine-visible counters. The kit
-	// never counts on the core's behalf: counters stay single-writer
-	// inside the core (where tests and oracles already read them) and
-	// the declaration only maps them out.
+	// Stats snapshots the core's engine-visible counters — a view of
+	// the Counters array (StatsOf computes everything but Expired from
+	// the reason cells). The kit never counts on the core's behalf:
+	// counters stay single-writer inside the core and the declaration
+	// only maps them out.
 	Stats func(core C) nf.Stats
+
+	// Counters returns the core's live counter array — its own
+	// single-writer storage, not a copy, read and (by Reshard only)
+	// added to by the goroutine that owns the core. Layout: reason
+	// cells first, in ReasonID order, then the NF's lifecycle counters;
+	// every core of one declaration returns the same length.
+	Counters func(core C) []uint64
 
 	// ShardOf steers a frame to the shard owning its flow, for the
 	// given shard count. It must be consistent (both directions of a
@@ -115,19 +137,15 @@ type Decl[C any] struct {
 
 	// Reasons, when set, declares the NF's outcome taxonomy: every
 	// packet the core processes is tagged with one ReasonID from this
-	// set, counted in ReasonCounts. The taxonomy is cross-checked
-	// against the symbolic path enumeration (VerifyReasons via
-	// Sym.PathReason): every declared reason must be reachable by ≥1
-	// enumerated path and every drop path must map to exactly one
-	// drop-class reason — the labels are derived from the proof, not
-	// hand-maintained. Requires ReasonCounts and LastReason.
+	// set and counted in that reason's cell of Counters (the counted
+	// wrapper mirrors deltas into padded scrapeable cells). The
+	// taxonomy is cross-checked against the symbolic path enumeration
+	// (VerifyReasons, fed by the reason Sym.Spec names for each path):
+	// every declared reason must be reachable by ≥1 enumerated path and
+	// every drop path must map to exactly one drop-class reason — the
+	// labels are derived from the proof, not hand-maintained. Requires
+	// Counters and LastReason.
 	Reasons *telemetry.ReasonSet
-
-	// ReasonCounts returns the core's live per-reason totals, indexed
-	// by ReasonID — the core's own single-writer storage, read only by
-	// the owning worker (the counted wrapper mirrors deltas into padded
-	// scrapeable cells).
-	ReasonCounts func(core C) []uint64
 
 	// LastReason returns the reason tagged on the core's most recently
 	// processed packet (the sampled trace ring's label).
@@ -163,8 +181,9 @@ type StateRecord struct {
 	Data any
 }
 
-// ShardCodec is the declarative form of shard migration: five closures
-// from which the kit derives Sharded.Reshard. Snapshot and Restore
+// ShardCodec is the declarative form of shard migration: the closures
+// from which the kit derives Sharded.Reshard (counters need none: they
+// move through Decl.Counters). Snapshot and Restore
 // must round-trip — restoring a core's snapshot into a fresh core of
 // the same configuration yields observably identical state (same
 // lookups, same expiry order, same counters-relevant behavior) — and
@@ -190,13 +209,6 @@ type ShardCodec[C any] struct {
 	// negative result broadcasts the record to every shard (state
 	// every shard replicates, like the balancer's backend table).
 	Shard func(rec StateRecord, shards int) int
-	// Counters captures the core's full internal counter vector
-	// (stats plus reason counts, in a codec-chosen fixed order);
-	// Seed adds such a vector into a fresh core's counters. Reshard
-	// folds the old cores' vectors and seeds the sum into new shard 0,
-	// so aggregated totals stay continuous and monotone across a move.
-	Counters func(core C) []uint64
-	Seed     func(core C, counters []uint64)
 }
 
 // FastPathHooks is the declarative form of nf.FastPather: the two
@@ -234,33 +246,27 @@ func (d *Decl[C]) validate(forSharding bool) error {
 	if d.FastPath != nil && (d.FastPath.Offer == nil || d.FastPath.Hit == nil) {
 		return fmt.Errorf("nfkit: %s declares a partial fast path (needs both Offer and Hit)", d.Name)
 	}
-	if d.Reasons != nil && (d.ReasonCounts == nil || d.LastReason == nil) {
-		return fmt.Errorf("nfkit: %s declares a reason taxonomy without ReasonCounts/LastReason", d.Name)
+	if d.Reasons != nil && (d.Counters == nil || d.LastReason == nil) {
+		return fmt.Errorf("nfkit: %s declares a reason taxonomy without Counters/LastReason", d.Name)
 	}
-	if d.Reasons == nil && (d.ReasonCounts != nil || d.LastReason != nil) {
-		return fmt.Errorf("nfkit: %s declares reason hooks without a Reasons taxonomy", d.Name)
+	if d.Reasons == nil && d.LastReason != nil {
+		return fmt.Errorf("nfkit: %s declares LastReason without a Reasons taxonomy", d.Name)
 	}
 	return nil
 }
 
-// VerifyReasons cross-checks the declared reason taxonomy against the
-// declared symbolic spec's enumerated paths (see the package-level
-// VerifyReasons). It is the uniform entry the conformance test calls
-// on every Kit: errors when the declaration carries no Sym, no
-// Sym.PathReason, or no Reasons — an NF that declares a taxonomy
-// without the proof-side classifier is exactly the drift the check
-// exists to catch.
-func (d Decl[C]) VerifyReasons() (*ReasonReport, error) {
-	if err := d.validate(false); err != nil {
-		return nil, err
+// StatsOf is the engine-visible view of a counter array laid out per
+// the package contract: every packet lands in exactly one reason cell,
+// so Processed is the sum of the reason cells, Dropped the sum of the
+// drop-class ones, and Forwarded the rest. expired is the NF's own
+// lifecycle count of state entries freed.
+func StatsOf(set *telemetry.ReasonSet, counters []uint64, expired uint64) nf.Stats {
+	var processed uint64
+	for _, n := range counters[:set.Len()] {
+		processed += n
 	}
-	if d.Reasons == nil {
-		return nil, fmt.Errorf("nfkit: %s declares no reason taxonomy", d.Name)
-	}
-	if d.Sym == nil {
-		return nil, fmt.Errorf("nfkit: %s declares a reason taxonomy but no symbolic spec to check it against", d.Name)
-	}
-	return VerifyReasons(*d.Sym, d.Reasons)
+	dropped := set.SumDrops(counters)
+	return nf.Stats{Processed: processed, Forwarded: processed - dropped, Dropped: dropped, Expired: expired}
 }
 
 // now reads the declared clock, or 0 for clockless NFs.

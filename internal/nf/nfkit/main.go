@@ -144,7 +144,7 @@ func Main(app App) {
 	flag.IntVar(&o.Shards, "shards", 1, "NF shards (disjoint state partitions)")
 	flag.IntVar(&o.Workers, "workers", 0, "run-to-completion workers / RSS queue pairs (0 = one per shard)")
 	flag.IntVar(&o.Burst, "burst", nf.DefaultBurst, "RX/TX burst size")
-	flag.StringVar(&o.Metrics, "metrics", "", "serve StatsSnapshot over HTTP/expvar on this address (e.g. :9090)")
+	flag.StringVar(&o.Metrics, "metrics", "", "serve /metrics (JSON and Prometheus text), /debug/pprof/ and /debug/trace on this address (e.g. :9090)")
 	flag.IntVar(&o.Telemetry, "telemetry", 0, "per-worker latency histograms + trace ring: 1 on, -1 off, 0 defer to VIGNAT_TELEMETRY")
 	flag.IntVar(&o.TraceSample, "trace-sample", 0, "trace ring sampling period, 1 record per N packets (0 = default, negative = histograms only)")
 	flag.StringVar(&o.Transport, "transport", "mem", "packet I/O backend: mem (in-memory harness), udp, unix")
@@ -233,7 +233,7 @@ func run(app App, o *Options) error {
 			return err
 		}
 		defer m.Close()
-		fmt.Printf("metrics: http://%s/metrics (expvar at /debug/vars, profiles at /debug/pprof/, trace at /debug/trace)\n", m.Addr())
+		fmt.Printf("metrics: http://%s/metrics (profiles at /debug/pprof/, trace at /debug/trace)\n", m.Addr())
 	}
 
 	if b.Banner != "" {
@@ -469,7 +469,7 @@ func runWire(app App, o *Options) error {
 			ctl.Mount(m)
 			fmt.Printf("control: http://%s/control/v1/status\n", m.Addr())
 		}
-		fmt.Printf("metrics: http://%s/metrics (expvar at /debug/vars, profiles at /debug/pprof/, trace at /debug/trace)\n", m.Addr())
+		fmt.Printf("metrics: http://%s/metrics (profiles at /debug/pprof/, trace at /debug/trace)\n", m.Addr())
 	}
 	if b.Banner != "" {
 		fmt.Println(b.Banner)

@@ -230,14 +230,37 @@ func (s *Sharded[C]) ShardReasonSnapshot(i int) []uint64 {
 	return s.state.Load().counted.ShardReasonSnapshot(i)
 }
 
-// AggregateStats folds an NF-specific per-core stats snapshot across
-// shards: the helper the per-NF Stats() aggregators share.
-func AggregateStats[C, S any](s *Sharded[C], snap func(C) S, add func(agg *S, one S)) S {
-	var agg S
-	for _, core := range s.Cores() {
-		add(&agg, snap(core))
+// Counters returns the declared counter arrays summed across shards,
+// cell by cell — what the per-NF Stats() aggregators take their view
+// of. It reads the cores' own storage, so like every drill-down it
+// must not run concurrently with packet processing.
+func (s *Sharded[C]) Counters() []uint64 {
+	sum, err := foldCounters(&s.decl, s.Cores())
+	if err != nil {
+		// A misdeclared Counters closure; nothing traffic can cause.
+		panic(fmt.Sprintf("nfkit: %s: %v", s.decl.Name, err))
 	}
-	return agg
+	return sum
+}
+
+// foldCounters sums the cores' counter arrays cell by cell, refusing
+// arrays of differing lengths: a cell with no counterpart would have
+// to be dropped, and a counter may not vanish silently.
+func foldCounters[C any](d *Decl[C], cores []C) ([]uint64, error) {
+	if d.Counters == nil {
+		return nil, nil
+	}
+	sum := make([]uint64, len(d.Counters(cores[0])))
+	for i, core := range cores {
+		v := d.Counters(core)
+		if len(v) != len(sum) {
+			return nil, fmt.Errorf("shard %d keeps %d counters, shard 0 keeps %d", i, len(v), len(sum))
+		}
+		for j, n := range v {
+			sum[j] += n
+		}
+	}
+	return sum, nil
 }
 
 // Broadcast runs a control-plane operation on every shard in shard
@@ -269,21 +292,22 @@ func (s *Sharded[C]) MigrationDropped() uint64 { return s.migrationDropped }
 // every state record through the declared codec — the hitless-reshard
 // verb. The protocol is copy-then-switch: fresh cores are built,
 // every record is restored into the shard owning it under the new
-// partitioning, and the folded counters are seeded and pre-published,
-// all before the single atomic store that commits the move — so a
-// refused reshard (bad count, constructor failure, broadcast-restore
-// failure, a codec placing a record outside the new shard count)
-// leaves the composition exactly as it was, and an observer
+// partitioning, and the folded counters are added in and
+// pre-published, all before the single atomic store that commits the
+// move — so a refused reshard (bad count, counter arrays of differing
+// lengths, constructor failure, broadcast-restore failure, a codec
+// placing a record outside the new shard count) leaves the
+// composition exactly as it was, and an observer
 // never sees counters dip. Per-record restore failures on
 // non-broadcast records degrade to dropped sessions (counted in
 // MigrationDropped) rather than refusing the whole move, matching how
 // a hash-skewed repartition must behave when one destination shard
 // cannot hold its share.
 //
-// Counters survive the move: the old cores' internal counter vectors
-// are folded and seeded into new shard 0 (codec Seed), and the new
-// counted block syncs once before the swap, so the aggregate snapshot
-// stays continuous and monotone. Restores never bump creation
+// Counters survive the move: the old cores' counter arrays
+// (Decl.Counters) are summed cell by cell into new shard 0's, and the
+// new counted block syncs once before the swap, so the aggregate
+// snapshot stays continuous and monotone. Restores never bump creation
 // counters (codec contract), so created−expired−unpinned−
 // migrationDropped == live holds across the move.
 //
@@ -308,22 +332,15 @@ func (s *Sharded[C]) Reshard(n int) error {
 	}
 	old := s.state.Load()
 
-	// Snapshot every old core and fold the counter vectors.
+	// Fold the counter arrays (refusing before anything is built when
+	// they cannot be), then snapshot every old core.
+	counters, err := foldCounters(d, old.cores)
+	if err != nil {
+		return fmt.Errorf("nfkit: %s reshard to %d: %w", d.Name, n, err)
+	}
 	var recs []StateRecord
 	for _, core := range old.cores {
 		recs = append(recs, c.Snapshot(core)...)
-	}
-	var counters []uint64
-	if c.Counters != nil {
-		for _, core := range old.cores {
-			v := c.Counters(core)
-			if counters == nil {
-				counters = make([]uint64, len(v))
-			}
-			for i := 0; i < len(v) && i < len(counters); i++ {
-				counters[i] += v[i]
-			}
-		}
 	}
 
 	// Restore order: structural pass first, stamp order within a pass,
@@ -368,10 +385,17 @@ func (s *Sharded[C]) Reshard(n int) error {
 		moved++
 	}
 
-	if counters != nil && c.Seed != nil {
-		c.Seed(st.cores[0], counters)
+	if counters != nil {
+		into := d.Counters(st.cores[0])
+		if len(into) != len(counters) {
+			return fmt.Errorf("nfkit: %s reshard to %d: new shard 0 keeps %d counters, the old shards kept %d",
+				d.Name, n, len(into), len(counters))
+		}
+		for i, v := range counters {
+			into[i] += v
+		}
 	}
-	// Pre-publish the seeded totals into the new padded cells, so the
+	// Pre-publish the folded totals into the new padded cells, so the
 	// commit below never exposes a zeroed snapshot to a scraper.
 	st.counted.SyncAll()
 

@@ -141,3 +141,25 @@ func (d *SymDriver) Output(name string) {
 	d.Require(d.emitted <= 1, "P4: more than one output action")
 	d.m.Record(trace.Call{Kind: trace.CallGeneric, Name: name, Handle: -1})
 }
+
+// SymGuards is the embeddable symbolic binding of the guards every
+// packet-parsing NF's Env opens with: the six-predicate parse chain
+// (SymPath.Parseable reads the same names back) and the arrival side,
+// each a named fork point, with the discipline flags the state models
+// consult — "l3"/"l4" once the IPv4/L4 header is validated,
+// "iface_known" and "from_internal" once the side is. A per-NF *Sym
+// env embeds it and writes only its own state models and outputs.
+type SymGuards struct{ D *SymDriver }
+
+func (g SymGuards) FrameIntact() bool     { return g.D.Guard("frame_intact") }
+func (g SymGuards) EtherIsIPv4() bool     { return g.D.Guard("ether_is_ipv4") }
+func (g SymGuards) IPv4HeaderValid() bool { return g.D.GuardFlag("ipv4_header_valid", "l3") }
+func (g SymGuards) NotFragment() bool     { return g.D.Guard("not_fragment") }
+func (g SymGuards) L4Supported() bool     { return g.D.Guard("l4_supported") }
+func (g SymGuards) L4HeaderIntact() bool  { return g.D.GuardFlag("l4_header_intact", "l4") }
+
+func (g SymGuards) PacketFromInternal() bool {
+	d := g.D.GuardFlag("packet_from_internal", "from_internal")
+	g.D.Set("iface_known", true)
+	return d
+}

@@ -29,15 +29,14 @@ type SymSpec struct {
 	// stateless logic exactly once.
 	Drive func(d *SymDriver)
 	// Spec checks one feasible path against the NF's semantic
-	// specification (P1), returning an error describing the violation.
-	Spec func(p *SymPath) error
-	// PathReason, when set, classifies one feasible path onto the NF's
-	// declared reason taxonomy (Decl.Reasons). VerifyReasons uses it to
-	// cross-check the taxonomy against the enumerated paths: every path
-	// must classify, drop paths (output action "drop") must carry
-	// drop-class reasons and only those, and every declared reason must
-	// label at least one path.
-	PathReason func(p *SymPath) (telemetry.ReasonID, error)
+	// specification (P1), returning an error describing the violation,
+	// and names the outcome it judged: the reason, in the NF's declared
+	// taxonomy (Decl.Reasons), of the branch of the specification the
+	// path fell in. The one walk of the decision tree that decides what
+	// the path must output is thereby also the one that classifies it,
+	// which is what VerifyReasons cross-checks the taxonomy against. An
+	// NF without a taxonomy returns 0.
+	Spec func(p *SymPath) (telemetry.ReasonID, error)
 }
 
 // Report summarizes one NF's verification, in the shape every per-NF
@@ -79,6 +78,15 @@ type SymPath struct {
 // Output returns the path's single output action.
 func (p *SymPath) Output() string { return p.out }
 
+// Judge closes one branch of a Spec: the branch's packets (who) must all
+// take the output action want, and a path that does has outcome r.
+func (p *SymPath) Judge(who, want string, r telemetry.ReasonID) (telemetry.ReasonID, error) {
+	if p.out != want {
+		return 0, fmt.Errorf("%s must %s, path does %s", who, want, p.out)
+	}
+	return r, nil
+}
+
 // Find returns the path's first recorded call with the given name, or
 // nil.
 func (p *SymPath) Find(name string) *trace.Call {
@@ -98,6 +106,25 @@ func (p *SymPath) Ret(name string) (val, evaluated bool) {
 		return false, false
 	}
 	return c.Ret, true
+}
+
+// Passed reports whether the path evaluated every named guard and each
+// held — false as soon as one failed or (short-circuited behind an
+// earlier failure) never ran.
+func (p *SymPath) Passed(guards ...string) bool {
+	for _, g := range guards {
+		if val, evaluated := p.Ret(g); !evaluated || !val {
+			return false
+		}
+	}
+	return true
+}
+
+// Parseable is Passed over the six-predicate parse chain SymGuards
+// names: the path's packet is one a flow-table NF may key state by.
+func (p *SymPath) Parseable() bool {
+	return p.Passed("frame_intact", "ether_is_ipv4", "ipv4_header_valid",
+		"not_fragment", "l4_supported", "l4_header_intact")
 }
 
 // Var returns the path's packet variable with the given name (as named
@@ -120,12 +147,11 @@ func (p *SymPath) EntailsAll(want ...sym.Atom) (bool, sym.Atom) {
 	return ok, failing
 }
 
-// VerifySym runs the declared NF logic through the shared symbolic
-// pipeline: exhaustive symbolic execution of Drive, then the lazy
-// checks — single output action per path over the declared vocabulary
-// (P4), the discipline violations the models raised (P2), and the
-// declared per-path semantic specification (P1).
-func VerifySym(s SymSpec) (*Report, error) {
+// explore runs the exhaustive symbolic execution of s.Drive and hands
+// every feasible path to visit, with the number of declared output
+// actions it emitted (the P4 count) — the walk VerifySym and
+// VerifyReasons share.
+func explore(s SymSpec, visit func(i int, p *SymPath, outs int)) (*symbex.Result, error) {
 	if s.Drive == nil || s.Spec == nil {
 		return nil, errors.New("nfkit: symbolic spec needs Drive and Spec")
 	}
@@ -140,8 +166,6 @@ func VerifySym(s SymSpec) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{NF: s.NF, Paths: len(res.Paths), Tasks: res.TraceCount()}
-	rep.P2Violations = res.Violations
 	outSet := make(map[string]bool, len(s.Outputs))
 	for _, o := range s.Outputs {
 		outSet[o] = true
@@ -152,7 +176,6 @@ func VerifySym(s SymSpec) (*Report, error) {
 		if !ok {
 			return nil, fmt.Errorf("nfkit: path %d carries no driver vocabulary", i)
 		}
-		// Output discipline (P4): exactly one declared output action.
 		outs := 0
 		var outName string
 		for j := range t.Seq {
@@ -162,16 +185,34 @@ func VerifySym(s SymSpec) (*Report, error) {
 				outName = c.Name
 			}
 		}
+		visit(i, &SymPath{t: t, d: d, out: outName, solver: &solver}, outs)
+	}
+	return res, nil
+}
+
+// VerifySym runs the declared NF logic through the shared symbolic
+// pipeline: exhaustive symbolic execution of Drive, then the lazy
+// checks — single output action per path over the declared vocabulary
+// (P4), the discipline violations the models raised (P2), and the
+// declared per-path semantic specification (P1).
+func VerifySym(s SymSpec) (*Report, error) {
+	rep := &Report{NF: s.NF}
+	res, err := explore(s, func(i int, p *SymPath, outs int) {
+		// Output discipline (P4): exactly one declared output action.
 		if outs != 1 {
 			rep.P4Violations = append(rep.P4Violations,
 				fmt.Sprintf("path %d: %d output actions", i, outs))
-			continue
+			return
 		}
 		// P1: the NF's semantic decision tree.
-		if err := s.Spec(&SymPath{t: t, d: d, out: outName, solver: &solver}); err != nil {
+		if _, err := s.Spec(p); err != nil {
 			rep.P1Failures = append(rep.P1Failures, fmt.Sprintf("path %d: %v", i, err))
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
+	rep.Paths, rep.Tasks, rep.P2Violations = len(res.Paths), res.TraceCount(), res.Violations
 	return rep, nil
 }
 
@@ -207,11 +248,16 @@ func (r *ReasonReport) Summary() string {
 		status, r.NF, r.Paths, len(r.PathsPerReason), len(r.Failures))
 }
 
-// VerifyReasons cross-checks a declared reason taxonomy against the
-// NF's enumerated symbolic paths. It re-runs the same exploration as
-// VerifySym and demands, per path: the spec's PathReason classifies it
-// (totality), the returned ID is declared in set, and the path's class
-// matches the reason's — a path whose single output action is
+// VerifyReasons cross-checks the declared reason taxonomy against the
+// declared symbolic spec's enumerated paths — the uniform entry the
+// conformance tests call on every Kit. It errors when the declaration
+// carries no Sym or no Reasons: an NF that declares a taxonomy without
+// the proof that names its outcomes is exactly the drift the check
+// exists to catch. It re-runs the same exploration as VerifySym and
+// demands, per path: the Spec judges it without error and so names its
+// reason (totality — a path the specification rejects has no outcome to
+// classify), the returned ID is declared in the set, and the path's
+// class matches the reason's — a path whose single output action is
 // DropOutput must map to a Drop reason, every other path to a non-Drop
 // one. Finally every declared reason must label at least one path, so
 // a reason no verified path can produce (dead taxonomy) fails too.
@@ -219,75 +265,51 @@ func (r *ReasonReport) Summary() string {
 // Paths that fail the single-output rule are reported as failures here
 // as well (they cannot be classified); run VerifySym for the full P4
 // diagnosis.
-func VerifyReasons(s SymSpec, set *telemetry.ReasonSet) (*ReasonReport, error) {
-	if s.Drive == nil {
-		return nil, errors.New("nfkit: symbolic spec needs Drive")
-	}
-	if s.PathReason == nil {
-		return nil, errors.New("nfkit: symbolic spec declares no PathReason classifier")
-	}
-	if set == nil {
-		return nil, errors.New("nfkit: no reason taxonomy to cross-check")
-	}
-	if len(s.Outputs) == 0 {
-		return nil, errors.New("nfkit: symbolic spec declares no output actions")
-	}
-	res, err := symbex.Explore(func(m *symbex.Machine) {
-		d := newSymDriver(m, s.Outputs)
-		s.Drive(d)
-		m.AttachMeta(d)
-	})
-	if err != nil {
+func (d Decl[C]) VerifyReasons() (*ReasonReport, error) {
+	if err := d.validate(false); err != nil {
 		return nil, err
 	}
-	rep := &ReasonReport{NF: s.NF, Paths: len(res.Paths), PathsPerReason: make([]int, set.Len())}
-	outSet := make(map[string]bool, len(s.Outputs))
-	for _, o := range s.Outputs {
-		outSet[o] = true
+	if d.Reasons == nil {
+		return nil, fmt.Errorf("nfkit: %s declares no reason taxonomy", d.Name)
 	}
-	var solver sym.Solver
-	for i, t := range res.Paths {
-		d, ok := t.Meta.(*SymDriver)
-		if !ok {
-			return nil, fmt.Errorf("nfkit: path %d carries no driver vocabulary", i)
-		}
-		outs := 0
-		var outName string
-		for j := range t.Seq {
-			c := &t.Seq[j]
-			if c.Kind == trace.CallGeneric && outSet[c.Name] {
-				outs++
-				outName = c.Name
-			}
-		}
+	if d.Sym == nil {
+		return nil, fmt.Errorf("nfkit: %s declares a reason taxonomy but no symbolic spec to check it against", d.Name)
+	}
+	s, set := *d.Sym, d.Reasons
+	rep := &ReasonReport{NF: s.NF, PathsPerReason: make([]int, set.Len())}
+	res, err := explore(s, func(i int, p *SymPath, outs int) {
 		if outs != 1 {
 			rep.Failures = append(rep.Failures,
 				fmt.Sprintf("path %d: %d output actions, cannot classify", i, outs))
-			continue
+			return
 		}
-		id, err := s.PathReason(&SymPath{t: t, d: d, out: outName, solver: &solver})
+		id, err := s.Spec(p)
 		if err != nil {
 			rep.Failures = append(rep.Failures,
-				fmt.Sprintf("path %d (%s): unclassifiable: %v", i, outName, err))
-			continue
+				fmt.Sprintf("path %d (%s): unclassifiable: %v", i, p.out, err))
+			return
 		}
 		if int(id) >= set.Len() {
 			rep.Failures = append(rep.Failures,
 				fmt.Sprintf("path %d (%s): reason id %d not declared in taxonomy %q",
-					i, outName, id, set.NF()))
-			continue
+					i, p.out, id, set.NF()))
+			return
 		}
 		rep.PathsPerReason[id]++
-		isDropPath := outName == DropOutput
+		isDropPath := p.out == DropOutput
 		if isDropPath && !set.IsDrop(id) {
 			rep.Failures = append(rep.Failures,
 				fmt.Sprintf("path %d drops but reason %q is not drop-class", i, set.Name(id)))
 		}
 		if !isDropPath && set.IsDrop(id) {
 			rep.Failures = append(rep.Failures,
-				fmt.Sprintf("path %d outputs %s but reason %q is drop-class", i, outName, set.Name(id)))
+				fmt.Sprintf("path %d outputs %s but reason %q is drop-class", i, p.out, set.Name(id)))
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
+	rep.Paths = len(res.Paths)
 	for id, n := range rep.PathsPerReason {
 		if n == 0 {
 			rep.Failures = append(rep.Failures,

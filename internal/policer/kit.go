@@ -47,14 +47,9 @@ func Kit(cfg Config, clock libvig.Clock) nfkit.Decl[*Policer] {
 		},
 		Expire: (*Policer).ExpireAt,
 		Stats: func(p *Policer) nf.Stats {
-			s := p.Stats()
-			return nf.Stats{
-				Processed: s.Processed,
-				Forwarded: s.Conformed + s.Passthrough,
-				Dropped:   s.Dropped(),
-				Expired:   s.BucketsExpired,
-			}
+			return nfkit.StatsOf(Reasons, p.counters[:], p.counters[ctrBucketsExpired])
 		},
+		Counters: func(p *Policer) []uint64 { return p.counters[:] },
 		// The fast path never bypasses rate limiting: a meter hit
 		// carries only the bucket index, and Hit re-runs the real
 		// charge, so an over-budget packet drops exactly as on the slow
@@ -74,25 +69,21 @@ func Kit(cfg Config, clock libvig.Clock) nfkit.Decl[*Policer] {
 				return uint64(idx) << 1, p.fpGens.Guard(idx), true
 			},
 			Hit: func(p *Policer, aux uint64, pktLen int, now libvig.Time) nf.Verdict {
-				p.stats.Processed++
-				if aux&1 != 0 {
-					p.stats.Passthrough++
-					p.reasonCounts[ReasonPassthrough]++
-					p.lastReason = ReasonPassthrough
-					return nf.Forward
+				r := ReasonPassthrough
+				if aux&1 == 0 {
+					idx := int(aux >> 1)
+					_ = p.chain.Rejuvenate(idx, now)
+					r = ReasonConform
+					if !p.buckets.Charge(idx, pktLen, now) {
+						r = ReasonDropOverRate
+					}
 				}
-				idx := int(aux >> 1)
-				_ = p.chain.Rejuvenate(idx, now)
-				if p.buckets.Charge(idx, pktLen, now) {
-					p.stats.Conformed++
-					p.reasonCounts[ReasonConform]++
-					p.lastReason = ReasonConform
-					return nf.Forward
+				p.counters[r]++
+				p.lastReason = r
+				if r == ReasonDropOverRate {
+					return nf.Drop
 				}
-				p.stats.DroppedOverRate++
-				p.reasonCounts[ReasonDropOverRate]++
-				p.lastReason = ReasonDropOverRate
-				return nf.Drop
+				return nf.Forward
 			},
 		},
 		ShardOf: func(frame []byte, fromInternal bool, shards int) int {
@@ -106,13 +97,10 @@ func Kit(cfg Config, clock libvig.Clock) nfkit.Decl[*Policer] {
 			}
 			return int(addr.Hash() % uint64(shards))
 		},
-		Reasons: Reasons,
-		ReasonCounts: func(p *Policer) []uint64 {
-			return p.reasonCounts[:]
-		},
+		Reasons:    Reasons,
 		LastReason: func(p *Policer) telemetry.ReasonID { return p.lastReason },
 		Codec:      shardCodec(),
-		Sym:        symSpec(),
+		Sym:        symSpecFor(ProcessPacket),
 	}
 }
 
@@ -152,15 +140,4 @@ func (s *Sharded) Subscribers() int {
 }
 
 // Stats aggregates the shards' policer-level counters.
-func (s *Sharded) Stats() Stats {
-	return nfkit.AggregateStats(s.Sharded, (*Policer).Stats, func(agg *Stats, st Stats) {
-		agg.Processed += st.Processed
-		agg.Passthrough += st.Passthrough
-		agg.Conformed += st.Conformed
-		agg.DroppedOverRate += st.DroppedOverRate
-		agg.DroppedTableFull += st.DroppedTableFull
-		agg.DroppedMalformed += st.DroppedMalformed
-		agg.BucketsCreated += st.BucketsCreated
-		agg.BucketsExpired += st.BucketsExpired
-	})
-}
+func (s *Sharded) Stats() Stats { return statsOf(s.Counters()) }

@@ -9,9 +9,10 @@ import (
 )
 
 // This file is the policer's control-plane surface: the live rate
-// resize and the shard codec's core half (snapshot, restore, counter
-// fold). The codec closures in kit.go delegate here so the state walk
-// stays next to the state it serializes.
+// resize and the shard codec's core half (snapshot, restore; counters
+// move through Decl.Counters, generically). The codec closures in
+// kit.go delegate here so the state walk stays next to the state it
+// serializes.
 
 // Resize changes the shared (rate, burst) configuration live. Every
 // bucket is settled at the old rate before the new terms apply and
@@ -125,48 +126,12 @@ func shardOfRecord(rec nfkit.StateRecord, shards int) int {
 	return int(d.addr.Hash() % uint64(shards))
 }
 
-// counterVector captures the core's full counter state in the codec's
-// fixed order: the eight Stats fields, then the reason taxonomy.
-func (p *Policer) counterVector() []uint64 {
-	v := []uint64{
-		p.stats.Processed,
-		p.stats.Passthrough,
-		p.stats.Conformed,
-		p.stats.DroppedOverRate,
-		p.stats.DroppedTableFull,
-		p.stats.DroppedMalformed,
-		p.stats.BucketsCreated,
-		p.stats.BucketsExpired,
-	}
-	return append(v, p.reasonCounts[:]...)
-}
-
-// seedCounters adds a counterVector into the core.
-func (p *Policer) seedCounters(v []uint64) {
-	if len(v) < 8+int(numReasons) {
-		return
-	}
-	p.stats.Processed += v[0]
-	p.stats.Passthrough += v[1]
-	p.stats.Conformed += v[2]
-	p.stats.DroppedOverRate += v[3]
-	p.stats.DroppedTableFull += v[4]
-	p.stats.DroppedMalformed += v[5]
-	p.stats.BucketsCreated += v[6]
-	p.stats.BucketsExpired += v[7]
-	for i := 0; i < int(numReasons); i++ {
-		p.reasonCounts[i] += v[8+i]
-	}
-}
-
 // shardCodec is the policer's migration declaration.
 func shardCodec() *nfkit.ShardCodec[*Policer] {
 	return &nfkit.ShardCodec[*Policer]{
 		Snapshot: (*Policer).snapshotRecords,
 		Restore:  (*Policer).restoreRecord,
 		Shard:    shardOfRecord,
-		Counters: (*Policer).counterVector,
-		Seed:     (*Policer).seedCounters,
 	}
 }
 

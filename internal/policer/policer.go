@@ -31,11 +31,13 @@ import (
 	"vignat/internal/flow"
 	"vignat/internal/libvig"
 	"vignat/internal/netstack"
+	"vignat/internal/nf/nfkit"
 	"vignat/internal/nf/telemetry"
 )
 
 // Reason IDs: the policer's declared outcome taxonomy, cross-checked
-// against the symbolic path enumeration (see symspec.go's pathReason).
+// against the symbolic path enumeration (symspec.go's checkSpec names
+// each path's reason).
 const (
 	ReasonPassthrough telemetry.ReasonID = iota
 	ReasonConform
@@ -43,6 +45,14 @@ const (
 	ReasonDropTableFull
 	ReasonDropOverRate
 	numReasons
+)
+
+// The lifecycle counters, which follow the reason cells in the
+// policer's counter array (the nfkit layout contract).
+const (
+	ctrBucketsCreated = int(numReasons) + iota
+	ctrBucketsExpired
+	numCounters
 )
 
 // Reasons is the policer's outcome taxonomy.
@@ -119,9 +129,10 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// Stats counts the policer's externally visible actions. The subscriber
-// accounting invariant is BucketsCreated − BucketsExpired == tracked
-// subscribers.
+// Stats counts the policer's externally visible actions: a read-time
+// view of the counter array, in which every packet is one reason cell.
+// The subscriber accounting invariant is BucketsCreated −
+// BucketsExpired == tracked subscribers.
 type Stats struct {
 	Processed        uint64
 	Passthrough      uint64 // egress, never metered
@@ -136,6 +147,22 @@ type Stats struct {
 // Dropped returns the total packets dropped, over all causes.
 func (s Stats) Dropped() uint64 {
 	return s.DroppedOverRate + s.DroppedTableFull + s.DroppedMalformed
+}
+
+// statsOf is the Stats view of a policer counter array (one core's, or
+// the cell-by-cell sum of several).
+func statsOf(c []uint64) Stats {
+	s := nfkit.StatsOf(Reasons, c, c[ctrBucketsExpired])
+	return Stats{
+		Processed:        s.Processed,
+		Passthrough:      c[ReasonPassthrough],
+		Conformed:        c[ReasonConform],
+		DroppedOverRate:  c[ReasonDropOverRate],
+		DroppedTableFull: c[ReasonDropTableFull],
+		DroppedMalformed: c[ReasonDropMalformed],
+		BucketsCreated:   c[ctrBucketsCreated],
+		BucketsExpired:   c[ctrBucketsExpired],
+	}
 }
 
 // Env is the policer's window onto the world — the same pattern as the
@@ -219,12 +246,12 @@ type Policer struct {
 	erasers []libvig.IndexEraser
 
 	clock libvig.Clock
-	stats Stats
 	env   prodEnv
-	// reasonCounts[r] totals packets tagged with reason r; lastReason
-	// is the most recent tag. Single-writer, like the stats fields.
-	reasonCounts [numReasons]uint64
-	lastReason   telemetry.ReasonID
+	// counters[r] totals packets tagged with reason r — the only tally
+	// a packet moves — followed by the ctr* lifecycle counts;
+	// lastReason is the most recent tag. Single-writer.
+	counters   [numCounters]uint64
+	lastReason telemetry.ReasonID
 	// fpGens invalidates engine flow-cache entries: one generation per
 	// bucket index, bumped when the subscriber's state is erased.
 	fpGens *fastpath.GenTable
@@ -284,7 +311,7 @@ func (p *Policer) eraseSubscriber(i int) error {
 func (p *Policer) Config() Config { return p.cfg }
 
 // Stats returns a snapshot of the counters.
-func (p *Policer) Stats() Stats { return p.stats }
+func (p *Policer) Stats() Stats { return statsOf(p.counters[:]) }
 
 // Subscribers returns the number of currently tracked subscribers.
 func (p *Policer) Subscribers() int { return p.subs.Size() }
@@ -308,7 +335,7 @@ func (p *Policer) Budget(addr flow.Addr, now libvig.Time) (int64, bool) {
 // number of subscribers freed.
 func (p *Policer) ExpireAt(now libvig.Time) int {
 	freed, _ := libvig.ExpireItems(p.chain, now-p.texp+1, p.erasers...)
-	p.stats.BucketsExpired += uint64(freed)
+	p.counters[ctrBucketsExpired] += uint64(freed)
 	return freed
 }
 
@@ -325,32 +352,8 @@ func (p *Policer) ProcessAt(frame []byte, fromInternal bool, now libvig.Time) Ve
 	e := &p.env
 	e.reset(frame, fromInternal, now)
 	ProcessPacket(e)
-	p.stats.Processed++
-	// The reason tag falls out of the same decision the stats switch
-	// already makes — the overRate/tableFull flags the env raised.
-	var r telemetry.ReasonID
-	switch e.verdict {
-	case VerdictConform:
-		p.stats.Conformed++
-		r = ReasonConform
-	case VerdictPassthrough:
-		p.stats.Passthrough++
-		r = ReasonPassthrough
-	default:
-		switch {
-		case e.overRate:
-			p.stats.DroppedOverRate++
-			r = ReasonDropOverRate
-		case e.tableFull:
-			p.stats.DroppedTableFull++
-			r = ReasonDropTableFull
-		default:
-			p.stats.DroppedMalformed++
-			r = ReasonDropMalformed
-		}
-	}
-	p.reasonCounts[r]++
-	p.lastReason = r
+	p.counters[e.reason]++
+	p.lastReason = e.reason
 	return e.verdict
 }
 
@@ -363,8 +366,11 @@ type prodEnv struct {
 	fromInternal bool
 	now          libvig.Time
 	verdict      Verdict
-	overRate     bool
-	tableFull    bool
+	// reason tags the packet's outcome. The decisive env-call sites
+	// overwrite the malformed default: a creation failure means
+	// table-full, a refused charge over-rate, the forwarding outputs
+	// stamp their own — the same pattern as the other NFs.
+	reason telemetry.ReasonID
 }
 
 var _ Env = (*prodEnv)(nil)
@@ -374,8 +380,7 @@ func (e *prodEnv) reset(frame []byte, fromInternal bool, now libvig.Time) {
 	e.fromInternal = fromInternal
 	e.now = now
 	e.verdict = VerdictDrop
-	e.overRate = false
-	e.tableFull = false
+	e.reason = ReasonDropMalformed
 }
 
 // --- packet predicates ---
@@ -402,23 +407,23 @@ func (e *prodEnv) CreateBucket() (BucketHandle, bool) {
 	pol := e.pol
 	idx, err := pol.chain.Allocate(e.now)
 	if err != nil {
-		e.tableFull = true
+		e.reason = ReasonDropTableFull
 		return 0, false
 	}
 	if err := pol.subs.Put(e.pkt.DstIP, idx); err != nil {
 		_ = pol.chain.Free(idx)
-		e.tableFull = true
+		e.reason = ReasonDropTableFull
 		return 0, false
 	}
 	if err := pol.addrs.Set(idx, e.pkt.DstIP); err != nil {
 		_ = pol.subs.Erase(e.pkt.DstIP)
 		_ = pol.chain.Free(idx)
-		e.tableFull = true
+		e.reason = ReasonDropTableFull
 		return 0, false
 	}
 	// A fresh (or re-admitted) subscriber starts with a full burst.
 	_ = pol.buckets.Fill(idx, e.now)
-	pol.stats.BucketsCreated++
+	pol.counters[ctrBucketsCreated]++
 	return BucketHandle(idx), true
 }
 
@@ -430,13 +435,13 @@ func (e *prodEnv) Charge(h BucketHandle) bool {
 	// The charge is the wire length: what the subscriber's link carries.
 	ok := e.pol.buckets.Charge(int(h), len(e.pkt.Data), e.now)
 	if !ok {
-		e.overRate = true
+		e.reason = ReasonDropOverRate
 	}
 	return ok
 }
 
 // --- output actions ---
 
-func (e *prodEnv) Forward()     { e.verdict = VerdictConform }
-func (e *prodEnv) Passthrough() { e.verdict = VerdictPassthrough }
+func (e *prodEnv) Forward()     { e.verdict, e.reason = VerdictConform, ReasonConform }
+func (e *prodEnv) Passthrough() { e.verdict, e.reason = VerdictPassthrough, ReasonPassthrough }
 func (e *prodEnv) Drop()        { e.verdict = VerdictDrop }

@@ -16,114 +16,67 @@ import (
 // come from nfkit.VerifySym.
 
 // polSym drives ProcessPacket under the engine via the kit driver.
-type polSym struct{ d *nfkit.SymDriver }
+// The IPv4 guards and the arrival side are the kit's guard set (the
+// policer asks only the first three of the parse chain: it meters any
+// IPv4 packet).
+type polSym struct{ nfkit.SymGuards }
 
 var _ Env = polSym{}
 
-func (e polSym) FrameIntact() bool { return e.d.Guard("frame_intact") }
-func (e polSym) EtherIsIPv4() bool { return e.d.Guard("ether_is_ipv4") }
-func (e polSym) IPv4HeaderValid() bool {
-	return e.d.GuardFlag("ipv4_header_valid", "l3")
-}
-
-func (e polSym) PacketFromInternal() bool {
-	d := e.d.GuardFlag("packet_from_internal", "from_internal")
-	e.d.Set("iface_known", true)
-	e.d.Set("ingress", !d)
-	return d
-}
-
-func (e polSym) ExpireState() { e.d.Note("expire_subscribers") }
+func (e polSym) ExpireState() { e.D.Note("expire_subscribers") }
 
 // mintBucket mints a bucket handle bound to the packet's destination —
 // the subscriber the packet is headed for (the map/bucket contract).
 func (e polSym) mintBucket() BucketHandle {
-	h := e.d.Mint("bucket_client_ip")
-	e.d.Bind(h, sym.EqVV(e.d.HVar(h, "bucket_client_ip"), e.d.Var("pkt_dst_ip")))
+	h := e.D.Mint("bucket_client_ip")
+	e.D.Bind(h, sym.EqVV(e.D.HVar(h, "bucket_client_ip"), e.D.Var("pkt_dst_ip")))
 	return BucketHandle(h)
 }
 
 func (e polSym) LookupBucket() (BucketHandle, bool) {
-	e.d.Require(e.d.Flag("l3"), "P2: subscriber key from unvalidated IPv4 header")
-	e.d.Require(e.d.Flag("iface_known") && e.d.Flag("ingress"),
+	e.D.Require(e.D.Flag("l3"), "P2: subscriber key from unvalidated IPv4 header")
+	e.D.Require(e.D.Flag("iface_known") && !e.D.Flag("from_internal"),
 		"P4: bucket lookup for a non-ingress packet")
-	if !e.d.Decide("map_get_by_client_ip") {
-		e.d.Set("missed", true)
+	if !e.D.Decide("map_get_by_client_ip") {
+		e.D.Set("missed", true)
 		return 0, false
 	}
 	return e.mintBucket(), true
 }
 
 func (e polSym) CreateBucket() (BucketHandle, bool) {
-	e.d.Require(e.d.Flag("missed"), "P4: bucket creation without a preceding lookup miss")
-	if !e.d.Decide("bucket_create") {
+	e.D.Require(e.D.Flag("missed"), "P4: bucket creation without a preceding lookup miss")
+	if !e.D.Decide("bucket_create") {
 		return 0, false
 	}
 	return e.mintBucket(), true
 }
 
 func (e polSym) Rejuvenate(h BucketHandle) {
-	e.d.Require(e.d.Valid(int(h)), "P2: rejuvenate on invalid bucket handle %d", h)
-	e.d.NoteOn("dchain_rejuvenate", int(h))
+	e.D.Require(e.D.Valid(int(h)), "P2: rejuvenate on invalid bucket handle %d", h)
+	e.D.NoteOn("dchain_rejuvenate", int(h))
 }
 
 func (e polSym) Charge(h BucketHandle) bool {
-	e.d.Require(e.d.Valid(int(h)), "P2: charge on invalid bucket handle %d", h)
-	e.d.Require(!e.d.Flag("charged"), "P4: a packet charged more than once")
-	e.d.Set("charged", true)
-	return e.d.Decide("bucket_charge")
+	e.D.Require(e.D.Valid(int(h)), "P2: charge on invalid bucket handle %d", h)
+	e.D.Require(!e.D.Flag("charged"), "P4: a packet charged more than once")
+	e.D.Set("charged", true)
+	return e.D.Decide("bucket_charge")
 }
 
-func (e polSym) Forward()     { e.d.Output("conform_forward") }
-func (e polSym) Passthrough() { e.d.Output("passthrough") }
-func (e polSym) Drop()        { e.d.Output("drop") }
+func (e polSym) Forward()     { e.D.Output("conform_forward") }
+func (e polSym) Passthrough() { e.D.Output("passthrough") }
+func (e polSym) Drop()        { e.D.Output("drop") }
 
-// symSpec is the policer's symbolic-verification declaration.
-func symSpec() *nfkit.SymSpec {
-	return symSpecFor(ProcessPacket)
-}
-
+// symSpecFor is the policer's symbolic-verification declaration over
+// the given stateless logic.
 func symSpecFor(logic func(Env)) *nfkit.SymSpec {
 	return &nfkit.SymSpec{
-		NF:         "vigpol",
-		Outputs:    []string{"conform_forward", "passthrough", "drop"},
-		Drive:      func(d *nfkit.SymDriver) { logic(polSym{d}) },
-		Spec:       checkSpec,
-		PathReason: pathReason,
+		NF:      "vigpol",
+		Outputs: []string{"conform_forward", "passthrough", "drop"},
+		Drive:   func(d *nfkit.SymDriver) { logic(polSym{nfkit.SymGuards{D: d}}) },
+		Spec:    checkSpec,
 	}
-}
-
-// pathReason classifies one enumerated symbolic path onto the declared
-// reason taxonomy; VerifyReasons cross-checks the mapping. It mirrors
-// checkSpec's branch structure, so a taxonomy drifting from the
-// verified paths fails the derived test.
-func pathReason(p *nfkit.SymPath) (telemetry.ReasonID, error) {
-	for _, g := range []string{"frame_intact", "ether_is_ipv4", "ipv4_header_valid"} {
-		val, evaluated := p.Ret(g)
-		if !evaluated || !val {
-			return ReasonDropMalformed, nil
-		}
-	}
-	fromInternal, ok := p.Ret("packet_from_internal")
-	if !ok {
-		return 0, fmt.Errorf("interface never determined")
-	}
-	if fromInternal {
-		return ReasonPassthrough, nil
-	}
-	hit, _ := p.Ret("map_get_by_client_ip")
-	created, createdAsked := p.Ret("bucket_create")
-	if !hit && !(createdAsked && created) {
-		return ReasonDropTableFull, nil
-	}
-	conformed, chargedAsked := p.Ret("bucket_charge")
-	if !chargedAsked {
-		return 0, fmt.Errorf("ingress packet with a bucket was never charged")
-	}
-	if !conformed {
-		return ReasonDropOverRate, nil
-	}
-	return ReasonConform, nil
 }
 
 // Verify runs the derived pipeline on the policer's stateless logic
@@ -148,52 +101,40 @@ func verifyLogic(logic func(Env)) (*nfkit.Report, error) {
 	return nfkit.VerifySym(*symSpecFor(logic))
 }
 
-// checkSpec is the policer's rate-enforcement specification, trace form.
-func checkSpec(p *nfkit.SymPath) error {
-	out := p.Output()
-	// Non-IPv4 → drop.
-	for _, g := range []string{"frame_intact", "ether_is_ipv4", "ipv4_header_valid"} {
-		val, evaluated := p.Ret(g)
-		if !evaluated || !val {
-			if out != "drop" {
-				return fmt.Errorf("non-IPv4 packet must drop, path does %s", out)
-			}
-			return nil
-		}
+// checkSpec is the policer's rate-enforcement specification, trace
+// form. Each branch names the reason of the outcome it demands, so the
+// taxonomy cross-check (VerifyReasons) reads its classification off the
+// same walk that judges the path.
+func checkSpec(p *nfkit.SymPath) (telemetry.ReasonID, error) {
+	if !p.Passed("frame_intact", "ether_is_ipv4", "ipv4_header_valid") {
+		return p.Judge("non-IPv4 packet", "drop", ReasonDropMalformed)
 	}
 	fromInternal, ok := p.Ret("packet_from_internal")
 	if !ok {
-		return fmt.Errorf("interface never determined")
+		return 0, fmt.Errorf("interface never determined")
 	}
 	if fromInternal {
-		if out != "passthrough" {
-			return fmt.Errorf("egress packet must pass through, does %s", out)
+		r, err := p.Judge("egress packet", "passthrough", ReasonPassthrough)
+		if err == nil && (p.Find("map_get_by_client_ip") != nil || p.Find("bucket_charge") != nil) {
+			return 0, fmt.Errorf("egress packet touched subscriber state")
 		}
-		if p.Find("map_get_by_client_ip") != nil || p.Find("bucket_charge") != nil {
-			return fmt.Errorf("egress packet touched subscriber state")
-		}
-		return nil
+		return r, err
 	}
 	hit, _ := p.Ret("map_get_by_client_ip")
 	created, createdAsked := p.Ret("bucket_create")
 	if !hit && !(createdAsked && created) {
-		if out != "drop" {
-			return fmt.Errorf("untracked subscriber at full table must drop, does %s", out)
-		}
-		return nil
+		return p.Judge("untracked subscriber at full table", "drop", ReasonDropTableFull)
 	}
 	conformed, chargedAsked := p.Ret("bucket_charge")
 	if !chargedAsked {
-		return fmt.Errorf("ingress packet with a bucket was never charged")
+		return 0, fmt.Errorf("ingress packet with a bucket was never charged")
 	}
 	if !conformed {
-		if out != "drop" {
-			return fmt.Errorf("over-rate packet must drop, does %s", out)
-		}
-		return nil
+		return p.Judge("over-rate packet", "drop", ReasonDropOverRate)
 	}
-	if out != "conform_forward" {
-		return fmt.Errorf("conforming packet must forward, does %s", out)
+	r, err := p.Judge("conforming packet", "conform_forward", ReasonConform)
+	if err != nil {
+		return 0, err
 	}
 	// The charged bucket must really be the destination subscriber's
 	// (entailed by the model/contract atoms on the path).
@@ -202,11 +143,11 @@ func checkSpec(p *nfkit.SymPath) error {
 		bind = p.Find("bucket_create")
 	}
 	if !p.HasHandle(bind.Handle) {
-		return fmt.Errorf("forwarding via unknown bucket handle %d", bind.Handle)
+		return 0, fmt.Errorf("forwarding via unknown bucket handle %d", bind.Handle)
 	}
 	want := sym.EqVV(p.HVar(bind.Handle, "bucket_client_ip"), p.Var("pkt_dst_ip"))
 	if ok, failing := p.EntailsAll(want); !ok {
-		return fmt.Errorf("bucket binding not entailed: %v", failing)
+		return 0, fmt.Errorf("bucket binding not entailed: %v", failing)
 	}
-	return nil
+	return r, nil
 }
