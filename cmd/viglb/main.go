@@ -81,7 +81,6 @@ func main() {
 			run := &nfkit.Run{
 				NF:             balancer,
 				ShardOf:        balancer.ShardOf,
-				Snapshot:       balancer.StatsSnapshot,
 				Backends:       balancer,
 				Frames:         frames,
 				FromInternal:   false, // clients face the external port

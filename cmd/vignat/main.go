@@ -78,7 +78,6 @@ func main() {
 			return &nfkit.Run{
 				NF:             n,
 				ShardOf:        n.ShardOf,
-				Snapshot:       n.StatsSnapshot,
 				Frames:         frames,
 				FromInternal:   true,
 				InternalPortID: cfg.InternalPort,

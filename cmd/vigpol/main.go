@@ -21,9 +21,9 @@
 // address, egress by source address, and every subscriber lives on
 // exactly one shard with no locks.
 //
-// -metrics serves every shard's StatsSnapshot over HTTP while
-// the run is in flight — the scrape is a handful of atomic loads and
-// never touches worker-owned state.
+// -metrics serves the shards' published counters over HTTP while the
+// run is in flight — the scrape is a handful of atomic loads and never
+// touches worker-owned state.
 package main
 
 import (
@@ -84,7 +84,6 @@ func main() {
 			return &nfkit.Run{
 				NF:             pol,
 				ShardOf:        pol.ShardOf,
-				Snapshot:       pol.StatsSnapshot,
 				Rate:           pol,
 				Frames:         frames,
 				FromInternal:   false, // downstream traffic enters upstream-side

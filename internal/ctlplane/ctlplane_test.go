@@ -112,9 +112,9 @@ func (r *memRig) drive(t *testing.T, w int, frames [][]byte, clock libvig.Clock,
 
 // mountCtl serves the controller on an ephemeral metrics endpoint and
 // returns its base URL.
-func mountCtl(t *testing.T, name string, ctl *ctlplane.Controller, snap func() nf.Stats) string {
+func mountCtl(t *testing.T, name string, ctl *ctlplane.Controller, src nf.NF) string {
 	t.Helper()
-	m, err := nf.ServeMetrics("127.0.0.1:0", nf.MetricSource{Name: name, Snapshot: snap})
+	m, err := nf.ServeMetrics("127.0.0.1:0", nf.SourceOf(name, src, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestDrainBackendUnderTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := mountCtl(t, "ctl-lb-test", ctl, balancer.StatsSnapshot)
+	base := mountCtl(t, "ctl-lb-test", ctl, balancer)
 
 	// Client frames pre-steered per worker: queue w carries exactly the
 	// flows whose declared shard is w.
@@ -270,7 +270,7 @@ func TestResizeRateUnderTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := mountCtl(t, "ctl-pol-test", ctl, pol.StatsSnapshot)
+	base := mountCtl(t, "ctl-pol-test", ctl, pol)
 
 	perWorker := make([][][]byte, ctlWorkers)
 	for i := 0; i < ctlFlows; i++ {
@@ -364,7 +364,7 @@ func TestWorkersVerbUnderTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := mountCtl(t, "ctl-nat-test", ctl, n.StatsSnapshot)
+	base := mountCtl(t, "ctl-nat-test", ctl, n)
 
 	if err := pipe.Start(); err != nil {
 		t.Fatal(err)

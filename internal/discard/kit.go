@@ -124,7 +124,7 @@ func Kit() nfkit.Decl[*Frame] {
 		Process: func(d *Frame, frame []byte, fromInternal bool, now libvig.Time) nf.Verdict {
 			return d.ProcessAt(frame, fromInternal, now)
 		},
-		Stats:    func(d *Frame) nf.Stats { return nfkit.StatsOf(Reasons, d.counters[:], 0) },
+		Stats:    func(c []uint64) nf.Stats { return nfkit.StatsOf(Reasons, c, 0) },
 		Counters: func(d *Frame) []uint64 { return d.counters[:] },
 		ShardOf: func(frame []byte, fromInternal bool, shards int) int {
 			var scratch netstack.Packet

@@ -70,7 +70,7 @@ func TestFrameReasonCounts(t *testing.T) {
 	if d.lastReason != ReasonFwd {
 		t.Fatalf("lastReason %d, want ReasonFwd", d.lastReason)
 	}
-	if got, want := Kit().Stats(d), (nf.Stats{Processed: 2, Forwarded: 1, Dropped: 1}); got != want {
+	if got, want := Kit().Stats(d.counters[:]), (nf.Stats{Processed: 2, Forwarded: 1, Dropped: 1}); got != want {
 		t.Fatalf("stats view %+v, want %+v", got, want)
 	}
 }

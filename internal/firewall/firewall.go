@@ -205,15 +205,15 @@ func New(capacity int, timeout time.Duration, clock libvig.Clock) (*Firewall, er
 // Sessions returns the number of live sessions.
 func (fw *Firewall) Sessions() int { return fw.dmap.Size() }
 
-// nfStats is the engine-visible view of the counter array.
-func (fw *Firewall) nfStats() nf.Stats {
-	return nfkit.StatsOf(Reasons, fw.counters[:], fw.counters[ctrExpired])
+// nfStats is the engine-visible view of a counter array.
+func nfStats(c []uint64) nf.Stats {
+	return nfkit.StatsOf(Reasons, c, c[ctrExpired])
 }
 
 // Stats returns (processed, dropped): every packet is one reason cell,
 // the dropped ones the drop-class cells.
 func (fw *Firewall) Stats() (processed, dropped uint64) {
-	s := fw.nfStats()
+	s := nfStats(fw.counters[:])
 	return s.Processed, s.Dropped
 }
 

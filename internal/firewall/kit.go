@@ -43,7 +43,7 @@ func Kit(capacity int, timeout time.Duration, clock libvig.Clock) nfkit.Decl[*Fi
 			nfkit.PrefetchFlows(&fw.burst, pkts, true, fw.dmap, fw.chain, now-fw.texp+1)
 		},
 		Expire:   (*Firewall).ExpireAt,
-		Stats:    (*Firewall).nfStats,
+		Stats:    nfStats,
 		Counters: func(fw *Firewall) []uint64 { return fw.counters[:] },
 		// The fast path caches live sessions: Offer resolves the
 		// direction-appropriate membership lookup (the only state read

@@ -72,8 +72,8 @@ func Kit(cfg Config, clock libvig.Clock) nfkit.Decl[*Balancer] {
 			nfkit.PrefetchFlows(&b.burst, pkts, b.cfg.ClientsInternal, b.flows, b.flowChain, now-b.texp+1)
 		},
 		Expire: (*Balancer).ExpireAt,
-		Stats: func(b *Balancer) nf.Stats {
-			return nfkit.StatsOf(b.reasons, b.counters[:], b.counters[ctrFlowsExpired])
+		Stats: func(c []uint64) nf.Stats {
+			return nfkit.StatsOf(ReasonsFor(cfg.Passthrough), c, c[ctrFlowsExpired])
 		},
 		Counters: func(b *Balancer) []uint64 { return b.counters[:] },
 		// The fast path caches VIP flows by their sticky entry,
@@ -224,5 +224,6 @@ func (s *Sharded) Heartbeat(i int, now libvig.Time) error {
 	return s.Broadcast(func(_ int, b *Balancer) error { return b.Heartbeat(i, now) })
 }
 
-// Stats aggregates the shards' balancer-level counters.
+// Stats is the balancer-level view of the shards' published counters,
+// safe to call under traffic.
 func (s *Sharded) Stats() Stats { return statsOf(s.Core(0).reasons, s.Counters()) }

@@ -66,8 +66,8 @@ func kit(cfg Config, clock libvig.Clock, steer *steering) nfkit.Decl[*NAT] {
 			nfkit.PrefetchFlows(&n.burst, pkts, true, t.dmap, t.chain, now-n.cfg.TimeoutNanos()+1)
 		},
 		Expire: (*NAT).ExpireAt,
-		Stats: func(n *NAT) nf.Stats {
-			return nfkit.StatsOf(Reasons, n.counters[:], n.counters[ctrFlowsExpired])
+		Stats: func(c []uint64) nf.Stats {
+			return nfkit.StatsOf(Reasons, c, c[ctrFlowsExpired])
 		},
 		Counters: func(n *NAT) []uint64 { return n.counters[:] },
 		// The fast path caches established flows: Offer resolves the
@@ -200,5 +200,6 @@ func (s *Sharded) Flows() int {
 	return total
 }
 
-// Stats aggregates the shards' NAT-level counters.
+// Stats is the NAT-level view of the shards' published counters, safe
+// to call under traffic.
 func (s *Sharded) Stats() Stats { return statsOf(s.Counters()) }

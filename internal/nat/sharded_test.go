@@ -254,7 +254,7 @@ func TestShardedValidation(t *testing.T) {
 }
 
 // TestShardedStatsSnapshot pins the per-shard stats surface: the
-// padded cells agree with the NATs' own counters once processing
+// published blocks agree with the NATs' own counters once processing
 // returns, per shard and in aggregate.
 func TestShardedStatsSnapshot(t *testing.T) {
 	s := shardedForTest(t, 4)
@@ -271,13 +271,13 @@ func TestShardedStatsSnapshot(t *testing.T) {
 		t.Fatal("junk forwarded")
 	}
 
-	agg := s.StatsSnapshot()
+	agg := s.NFStats()
 	if agg.Processed != 257 || agg.Forwarded != 256 || agg.Dropped != 1 {
 		t.Fatalf("aggregate snapshot %+v", agg)
 	}
 	var perShard nf.Stats
 	for i := 0; i < s.Shards(); i++ {
-		shard := s.ShardStatsSnapshot(i)
+		shard := s.ShardScrape(i).Stats
 		perShard.Add(shard)
 		natStats := s.ShardNAT(i).Stats()
 		if shard.Processed != natStats.Processed {
@@ -292,15 +292,16 @@ func TestShardedStatsSnapshot(t *testing.T) {
 	if perShard != agg {
 		t.Fatalf("per-shard sum %+v != aggregate %+v", perShard, agg)
 	}
-	if s.NFStats() != agg {
-		t.Fatalf("NFStats %+v != StatsSnapshot %+v", s.NFStats(), agg)
+	if view := s.Stats(); view.Processed != agg.Processed || view.ForwardedOut+view.ForwardedIn != agg.Forwarded {
+		t.Fatalf("NAT-level view %+v != aggregate %+v", view, agg)
 	}
 }
 
 // TestShardedStatsConcurrentScrape is the metrics-endpoint pattern the
 // ROADMAP item asks for: one goroutine per shard drives traffic through
-// its Shard(i) NF while a scraper loops StatsSnapshot. Run under -race
-// (CI does) this pins that snapshots never touch shard state
+// its Shard(i) NF, publishing after every burst as the engine would,
+// while a scraper loops NFStats and the NAT-level Stats view. Run under
+// -race (CI does) this pins that neither touches shard state
 // non-atomically.
 func TestShardedStatsConcurrentScrape(t *testing.T) {
 	const shards = 4
@@ -332,7 +333,8 @@ func TestShardedStatsConcurrentScrape(t *testing.T) {
 				scraped <- last
 				return
 			default:
-				last = s.StatsSnapshot().Processed
+				last = s.NFStats().Processed
+				_ = s.Stats()
 			}
 		}
 	}()
@@ -357,6 +359,7 @@ func TestShardedStatsConcurrentScrape(t *testing.T) {
 					pkts = append(pkts, nf.Pkt{Frame: scratch[j][:n], FromInternal: true})
 				}
 				snf.ProcessBatch(pkts, verd)
+				snf.(nf.Publisher).Publish(nf.FlowCache{})
 			}
 		}(sh)
 	}
@@ -364,7 +367,7 @@ func TestShardedStatsConcurrentScrape(t *testing.T) {
 	close(stop)
 	<-scraped
 
-	if got := s.StatsSnapshot().Processed; got != shards*perShard {
+	if got := s.NFStats().Processed; got != shards*perShard {
 		t.Fatalf("processed %d want %d", got, shards*perShard)
 	}
 }

@@ -66,12 +66,7 @@ func (c *Chain) LastReasonName() string {
 	if c.lastDrop < 0 || c.lastDrop >= len(c.elems) {
 		return ""
 	}
-	switch e := c.elems[c.lastDrop].(type) {
-	case ReasonStatser:
-		if set := e.ReasonSet(); set != nil {
-			return set.Name(e.LastReason())
-		}
-	case interface{ LastReasonName() string }:
+	if e, ok := c.elems[c.lastDrop].(interface{ LastReasonName() string }); ok {
 		return e.LastReasonName()
 	}
 	return ""

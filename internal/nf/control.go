@@ -155,9 +155,8 @@ func (p *Pipeline) Running() bool {
 //  2. sweep every RX queue of both ports through the OLD composition
 //     (frames already steered under the old partitioning are settled
 //     by the state that owns them);
-//  3. retire the NF-level fast-path totals and reshard the NF through
-//     its codec (hitless-or-refused: a refusal leaves everything as
-//     it was);
+//  3. reshard the NF through its codec, its published counters with
+//     it (hitless-or-refused: a refusal leaves everything as it was);
 //  4. rebuild workers, caches, and telemetry for n queues, fold the
 //     old workers' engine counters into the pipeline base so Stats
 //     stays continuous, and re-program both ports' RSS — only after
@@ -216,11 +215,6 @@ func (p *Pipeline) reshardLocked(rs Resharder, n int) error {
 	if err := p.sweepQueues(); err != nil {
 		return err
 	}
-	// The NF-level fast-path counters live in the counted stats block
-	// the reshard replaces (they are engine-written, not core state),
-	// so they are carried across by hand, like the engine's own base.
-	fp := p.nf.NFStats()
-
 	if err := rs.Reshard(n); err != nil {
 		return err
 	}
@@ -240,9 +234,6 @@ func (p *Pipeline) reshardLocked(rs Resharder, n int) error {
 	// Only now that the destination shards own the migrated state does
 	// the wire steering change.
 	p.installRSS()
-	if p.fastSink != nil && (fp.FastPathHits|fp.FastPathMisses|fp.FastPathEvictions|fp.FastPathBypassed) != 0 {
-		p.fastSink.AddFastPath(0, fp.FastPathHits, fp.FastPathMisses, fp.FastPathEvictions, fp.FastPathBypassed)
-	}
 	// Frames delivered while the swap ran sit wherever the old
 	// steering put them; settle them through the new composition.
 	return p.sweepQueues()

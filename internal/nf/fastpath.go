@@ -30,8 +30,7 @@ import (
 //     entry misses and the packet takes the slow path.
 type FastPather interface {
 	// FastPathEnabled reports whether the NF declares fast-path hooks
-	// at all (wrappers forward this; the engine resolves it once at
-	// construction).
+	// at all (the engine resolves it once at construction).
 	FastPathEnabled() bool
 	FastOffer(key fastpath.Key) (aux uint64, guard fastpath.Guard, ok bool)
 	FastHit(aux uint64, pktLen int, now libvig.Time) Verdict
@@ -44,46 +43,18 @@ type FastPather interface {
 type FastHitFunc func(aux uint64, pktLen int, now libvig.Time) Verdict
 
 // FastHitFuncer is optionally implemented by FastPathers that can hand
-// out their hit handler as a pre-bound closure (nfkit's adapter does;
-// wrappers forward to the innermost implementation).
+// out their hit handler as a pre-bound closure (nfkit's adapter does).
 type FastHitFuncer interface {
 	FastHitFunc() FastHitFunc
 }
 
-// FastPathCounter receives the engine's per-burst flow-cache counters
-// for a shard. nf.CountedShards implements it (the counters land in
-// the same padded cells the metrics endpoint scrapes); the pipeline
-// resolves it from its NF once at construction.
-type FastPathCounter interface {
-	AddFastPath(shard int, hits, misses, evictions, bypassed uint64)
-}
-
-// syncer lets the engine publish a counted shard's pending counter
-// deltas after a fast-processed burst (CountedNF implements it).
-type syncer interface{ Sync() }
-
-// quietExpirer lets the engine run a shard's expiry sweep without the
-// per-call stats publication Expire performs (CountedNF implements
-// it); the burst-end Sync picks the movement up instead.
-type quietExpirer interface{ ExpireQuiet(now libvig.Time) }
-
-// quietBatcher lets the engine process a slow run without the per-call
-// stats publication ProcessBatch performs and at the engine's burst
-// timestamp instead of a fresh clock read (CountedNF implements it).
-// A mixed burst fragments into one run per cache hit, and paying the
-// publication atomics plus a clock read per fragment rather than per
-// burst is measurable at mid hit rates; the burst-end Sync publishes
-// everything at once.
-type quietBatcher interface {
-	ProcessBatchQuiet(pkts []Pkt, verdicts []Verdict, now libvig.Time)
-}
-
 // BatchAtter is optionally implemented by NFs that can process a burst
 // at a caller-supplied timestamp instead of reading their own clock
-// (nfkit adapters do). CountedNF's quiet batch path uses it so every
-// fragment of a fast-path burst shares the engine's one clock read —
-// the exact semantics of "batches read the clock once", applied to the
-// whole burst rather than each fragment.
+// (nfkit adapters do). The engine's fast path fragments a mixed burst
+// into one slow run per cache hit and runs each through it, so every
+// fragment shares the engine's one clock read — the exact semantics of
+// "batches read the clock once", applied to the whole burst rather
+// than each fragment.
 type BatchAtter interface {
 	ProcessBatchAt(pkts []Pkt, verdicts []Verdict, now libvig.Time)
 }
@@ -137,12 +108,11 @@ func (wk *worker) processShardFast(li, s int, now libvig.Time) {
 	// now are no-ops — nothing new crosses the deadline while now stands
 	// still — so once is enough for the whole burst.
 	expired := false
-	qe, hasQuiet := snf.(quietExpirer)
-	qb, hasQuietBatch := snf.(quietBatcher)
+	ba, _ := snf.(BatchAtter)
 	flushRun := func(end int) {
 		if end > runStart {
-			if hasQuietBatch {
-				qb.ProcessBatchQuiet(pkts[runStart:end], verd[runStart:end], now)
+			if ba != nil {
+				ba.ProcessBatchAt(pkts[runStart:end], verd[runStart:end], now)
 			} else {
 				snf.ProcessBatch(pkts[runStart:end], verd[runStart:end])
 			}
@@ -199,11 +169,7 @@ func (wk *worker) processShardFast(li, s int, now libvig.Time) {
 		}
 		if e != nil {
 			if !expired {
-				if hasQuiet {
-					qe.ExpireQuiet(now)
-				} else {
-					snf.Expire(now)
-				}
+				snf.Expire(now)
 				expired = true
 			}
 			if !wk.cache.Live(e) {
@@ -230,8 +196,8 @@ func (wk *worker) processShardFast(li, s int, now libvig.Time) {
 		}
 	}
 	flushRun(len(pkts))
-	if sy, ok := snf.(syncer); ok {
-		sy.Sync()
+	if pub := p.publishers[s]; pub != nil {
+		pub.Publish(FlowCache{fcHits: hits, fcMisses: misses, fcEvictions: evictions, fcBypassed: bypassed})
 	}
 	// Mode transitions. A cold worker re-warms on evidence of
 	// established traffic: a sampled hit (returning flows, table still
@@ -254,9 +220,6 @@ func (wk *worker) processShardFast(li, s int, now libvig.Time) {
 	wk.stats.FastPathMisses += misses
 	wk.stats.FastPathBypassed += bypassed
 	wk.stats.FastPathEvictions += evictions
-	if p.fastSink != nil {
-		p.fastSink.AddFastPath(s, hits, misses, evictions, bypassed)
-	}
 }
 
 // findFor returns shard s's cache entry for a packed key, nil on a miss.

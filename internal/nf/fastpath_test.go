@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"testing"
 	"time"
 
@@ -177,9 +178,9 @@ func TestFastPathNATMatchesSlowPath(t *testing.T) {
 	if off.pipe.Stats().FastPathHits != 0 {
 		t.Fatal("uncached rig recorded fast-path hits")
 	}
-	// The hits surfaced through the sharded stats block too.
-	if snap := on.nat.StatsSnapshot(); snap.FastPathHits != ps.FastPathHits {
-		t.Fatalf("ShardStats hits %d != pipeline hits %d", snap.FastPathHits, ps.FastPathHits)
+	// The hits surfaced through the shard's published block too.
+	if snap := on.nat.NFStats(); snap.FastPathHits != ps.FastPathHits {
+		t.Fatalf("published hits %d != pipeline hits %d", snap.FastPathHits, ps.FastPathHits)
 	}
 	if on.pool.InUse() != 0 || off.pool.InUse() != 0 {
 		t.Fatal("mbufs leaked")
@@ -518,7 +519,7 @@ func TestFastPathAdaptiveBypass(t *testing.T) {
 
 // TestFastPathMetricsExposure pins the observability satellite: the
 // flow-cache counters travel the whole stats plumbing — engine →
-// ShardStats padded cells → /metrics JSON.
+// the shard's published block → /metrics JSON.
 func TestFastPathMetricsExposure(t *testing.T) {
 	extIP := flow.MakeAddr(198, 18, 1, 1)
 	clock := libvig.NewVirtualClock(0)
@@ -539,13 +540,12 @@ func TestFastPathMetricsExposure(t *testing.T) {
 		}
 		drainFrames(t, rig.extPort)
 	}
-	snap := rig.nat.StatsSnapshot()
+	snap := rig.nat.NFStats()
 	if snap.FastPathHits == 0 || snap.FastPathMisses == 0 {
 		t.Fatalf("shard stats missing fast-path counters: %+v", snap)
 	}
 
-	m, err := nf.ServeMetrics("127.0.0.1:0",
-		nf.MetricSource{Name: "vignat-fast", Snapshot: rig.nat.StatsSnapshot})
+	m, err := nf.ServeMetrics("127.0.0.1:0", nf.SourceOf("vignat-fast", rig.nat, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,24 +566,162 @@ func TestFastPathMetricsExposure(t *testing.T) {
 	}
 }
 
-// TestShardStatsAddFastPath pins the dedicated counter entry point.
-func TestShardStatsAddFastPath(t *testing.T) {
-	block, err := nf.NewShardStats(2)
-	if err != nil {
-		t.Fatal(err)
+// TestBlockPublishFlowCache pins how the engine's flow-cache counters
+// reach a block: as per-burst deltas that accumulate behind the core's
+// own counters, which are copied as they stand, and never across blocks.
+func TestBlockPublishFlowCache(t *testing.T) {
+	blocks := []*nf.Block{nf.NewBlock(3), nf.NewBlock(3)}
+	blocks[1].Publish([]uint64{7, 0, 1}, nf.FlowCache{10, 3, 1, 2})
+	blocks[1].Publish([]uint64{7, 2, 1}, nf.FlowCache{5, 0, 0, 4})
+	counters, fc := blocks[1].Snapshot()
+	if !reflect.DeepEqual(counters, []uint64{7, 2, 1}) {
+		t.Fatalf("published counters %v, want the array as last published", counters)
 	}
-	block.AddFastPath(1, 10, 3, 1, 2)
-	block.AddFastPath(1, 5, 0, 0, 4)
-	got := block.ShardSnapshot(1)
+	got := nf.Stats{}.With(fc)
 	if got.FastPathHits != 15 || got.FastPathMisses != 3 || got.FastPathEvictions != 1 || got.FastPathBypassed != 6 {
 		t.Fatalf("shard snapshot %+v", got)
 	}
-	if other := block.ShardSnapshot(0); other.FastPathHits != 0 {
-		t.Fatalf("counters leaked across cells: %+v", other)
+	if counters, fc := blocks[0].Snapshot(); fc != (nf.FlowCache{}) || !reflect.DeepEqual(counters, make([]uint64, 3)) {
+		t.Fatalf("counters leaked across blocks: %v %v", counters, fc)
 	}
-	agg := block.Snapshot()
-	if agg.FastPathHits != 15 || agg.FastPathMisses != 3 || agg.FastPathEvictions != 1 || agg.FastPathBypassed != 6 {
-		t.Fatalf("aggregate %+v", agg)
+}
+
+// countingShard is a real shard behind counters of how the engine
+// drives it: whole-burst ProcessBatch calls, ProcessBatchAt fragments,
+// and publications with the flow-cache counters they carried.
+type countingShard struct {
+	nf.NF
+	nf.FastPather
+	batches, fragments int
+	published          []nf.FlowCache
+}
+
+func (c *countingShard) ProcessBatch(pkts []nf.Pkt, verdicts []nf.Verdict) {
+	c.batches++
+	c.NF.ProcessBatch(pkts, verdicts)
+}
+
+func (c *countingShard) ProcessBatchAt(pkts []nf.Pkt, verdicts []nf.Verdict, now libvig.Time) {
+	c.fragments++
+	c.NF.(nf.BatchAtter).ProcessBatchAt(pkts, verdicts, now)
+}
+
+func (c *countingShard) Publish(fc nf.FlowCache) {
+	c.published = append(c.published, fc)
+	c.NF.(nf.Publisher).Publish(fc)
+}
+
+// countingSharder hands the engine a one-shard NAT's shard wrapped in
+// a countingShard.
+type countingSharder struct {
+	*nat.Sharded
+	shard *countingShard
+}
+
+func (c countingSharder) Shard(int) nf.NF { return c.shard }
+
+// TestMixedBurstPublishesOnce pins the publication cadence: a burst
+// alternating cache hits and misses runs its slow fragments and its
+// hits without publishing and moves the shard's block exactly once, at
+// its end, with the burst's flow-cache counters; an uncached burst
+// publishes once after its one ProcessBatch; an idle poll publishes
+// only when its sweep freed something. After each, the block holds the
+// core's counter array cell for cell.
+func TestMixedBurstPublishesOnce(t *testing.T) {
+	const flows = 8
+	clock := libvig.NewVirtualClock(0)
+	natCfg := nat.Config{Capacity: 64, Timeout: time.Second, ExternalIP: flow.MakeAddr(198, 18, 1, 1), ExternalPort: 1}
+	type rig struct {
+		sharded          *nat.Sharded
+		shard            *countingShard
+		pipe             *nf.Pipeline
+		intPort, extPort *dpdk.Port
+	}
+	build := func(fastPath int) *rig {
+		sharded, err := nat.NewSharded(natCfg, clock, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		real := sharded.Shard(0)
+		r := &rig{sharded: sharded, shard: &countingShard{NF: real, FastPather: real.(nf.FastPather)}}
+		_, r.intPort, r.extPort = twoPorts(t, 256)
+		r.pipe, err = nf.NewPipeline(countingSharder{sharded, r.shard}, nf.Config{
+			Internal: r.intPort, External: r.extPort, Clock: clock, FastPath: fastPath,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	coreCounters := nat.Kit(natCfg, clock).Counters
+	buf := make([]byte, 2048)
+	frameOf := func(i int) []byte {
+		return udpFrame(t, buf, flow.ID{
+			SrcIP: flow.MakeAddr(10, 0, 0, byte(1+i)), DstIP: flow.MakeAddr(198, 51, 100, 7),
+			SrcPort: uint16(5000 + i), DstPort: 80,
+		})
+	}
+	// poll delivers the flows' frames as one burst, polls once, and
+	// returns what that one poll did to the shard.
+	poll := func(r *rig, ids ...int) (batches, fragments int, published []nf.FlowCache) {
+		t.Helper()
+		clock.Advance(1000)
+		for _, i := range ids {
+			if !r.intPort.DeliverRx(frameOf(i), clock.Now()) {
+				t.Fatal("rx rejected")
+			}
+		}
+		b, f, p := r.shard.batches, r.shard.fragments, len(r.shard.published)
+		if _, err := r.pipe.Poll(); err != nil {
+			t.Fatal(err)
+		}
+		drainFrames(t, r.extPort)
+		if got, want := r.sharded.ShardScrape(0).Counters, coreCounters(r.sharded.ShardNAT(0)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("published block %v, the core's array %v", got, want)
+		}
+		return r.shard.batches - b, r.shard.fragments - f, r.shard.published[p:]
+	}
+
+	on, off := build(1024), build(nf.FastPathDisabled)
+	established := make([]int, flows)
+	mixed := make([]int, 0, 2*flows)
+	for i := range established {
+		established[i] = i
+		mixed = append(mixed, i, 100+i) // a hit, then a never-seen flow
+	}
+	// Three sightings: slow path, doorkeeper admission + install, hits.
+	for i := 0; i < 3; i++ {
+		poll(on, established...)
+	}
+
+	batches, fragments, published := poll(on, mixed...)
+	if len(published) != 1 {
+		t.Fatalf("a mixed burst published %d times, want once", len(published))
+	}
+	if want := (nf.FlowCache{flows, flows, 0, 0}); published[0] != want {
+		t.Fatalf("the burst's publication carried %v, want %v (hits, misses, evictions, bypassed)", published[0], want)
+	}
+	if batches != 0 || fragments < flows-1 {
+		t.Fatalf("mixed burst ran %d whole batches and %d fragments, want 0 and one per miss between hits", batches, fragments)
+	}
+
+	batches, fragments, published = poll(off, mixed...)
+	if batches != 1 || fragments != 0 || len(published) != 1 || published[0] != (nf.FlowCache{}) {
+		t.Fatalf("uncached burst: %d batches, %d fragments, publications %v; want one batch, one empty-handed publication",
+			batches, fragments, published)
+	}
+
+	// An idle poll with nothing to free publishes nothing; one whose
+	// sweep frees the table publishes once.
+	if _, _, published = poll(on); len(published) != 0 {
+		t.Fatalf("an idle poll that freed nothing published %v", published)
+	}
+	clock.Advance(libvig.Time(2 * natCfg.Timeout.Nanoseconds()))
+	if _, _, published = poll(on); len(published) != 1 {
+		t.Fatalf("an idle poll that expired every flow published %d times, want once", len(published))
+	}
+	if st := on.sharded.NFStats(); st.Expired != 2*flows {
+		t.Fatalf("published Expired %d after the sweep, want %d", st.Expired, 2*flows)
 	}
 }
 

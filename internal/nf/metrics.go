@@ -17,19 +17,14 @@ import (
 )
 
 // MetricSource names one stats surface the metrics endpoint exposes.
-// Snapshot must be safe to call from any goroutine at any time —
-// CountedShards.StatsSnapshot (per-shard padded atomic cells) is the
+// Read must be safe to call from any goroutine at any time —
+// nfkit.Sharded's Scrape (one read of each shard's Block) is the
 // intended producer; Pipeline.Stats, which walks worker-owned state, is
-// not. The optional fields extend the exposition when the source has
-// more to say; all of them must honor the same any-goroutine contract.
+// not. The endpoint calls it exactly once per source per scrape and
+// derives every series of that document from the one result.
 type MetricSource struct {
-	Name     string
-	Snapshot func() Stats
-	// Reasons, when set, is the NF's declared outcome taxonomy and
-	// ReasonCounts its aggregated per-reason totals (indexed by
-	// ReasonID) — CountedShards.ReasonSnapshot is the intended producer.
-	Reasons      *telemetry.ReasonSet
-	ReasonCounts func() []uint64
+	Name string
+	Read func() Scrape
 	// Telemetry, when set, supplies the engine telemetry block backing
 	// the latency histograms and the sampled trace ring; it may return
 	// nil (telemetry disabled), in which case those sections are simply
@@ -37,23 +32,14 @@ type MetricSource struct {
 	Telemetry func() *telemetry.PipelineTel
 }
 
-// ReasonSnapshotter is the concurrency-safe per-reason scrape surface
-// sharded NFs expose (CountedShards implements it; the padded per-shard
-// reason cells are the backing store).
-type ReasonSnapshotter interface {
-	ReasonSet() *telemetry.ReasonSet
-	ReasonSnapshot() []uint64
-}
-
 // SourceOf assembles the richest MetricSource the given NF supports:
-// the mandatory Stats snapshot, the per-reason totals when the NF
-// exposes the concurrency-safe reason surface, and the engine
+// its Scrape when it is a Scraper, else its bare NFStats (which must
+// then be safe to call concurrently with traffic), and the engine
 // telemetry when pipe carries one.
-func SourceOf(name string, nfi NF, snapshot func() Stats, pipe *Pipeline) MetricSource {
-	src := MetricSource{Name: name, Snapshot: snapshot}
-	if rs, ok := nfi.(ReasonSnapshotter); ok && rs.ReasonSet() != nil {
-		src.Reasons = rs.ReasonSet()
-		src.ReasonCounts = rs.ReasonSnapshot
+func SourceOf(name string, nfi NF, pipe *Pipeline) MetricSource {
+	src := MetricSource{Name: name, Read: func() Scrape { return Scrape{Stats: nfi.NFStats()} }}
+	if sc, ok := nfi.(Scraper); ok {
+		src.Read = sc.Scrape
 	}
 	if pipe != nil {
 		src.Telemetry = pipe.Telemetry
@@ -62,7 +48,7 @@ func SourceOf(name string, nfi NF, snapshot func() Stats, pipe *Pipeline) Metric
 }
 
 // Metrics is a running metrics endpoint: the engine's scrape surface
-// over the per-shard stats cells and the per-worker telemetry blocks.
+// over the per-shard counter blocks and the per-worker telemetry blocks.
 // It serves
 //
 //	/metrics      — content-negotiated: Prometheus text exposition when
@@ -74,9 +60,9 @@ func SourceOf(name string, nfi NF, snapshot func() Stats, pipe *Pipeline) Metric
 //	/debug/trace  — the sampled per-packet trace rings as JSON, for
 //	                sources wired to an engine with telemetry enabled
 //
-// Scrapes run concurrently with traffic: the snapshot path is a
-// handful of uncontended atomic loads per shard (histograms add one
-// load per bucket) and never touches worker-owned state.
+// Scrapes run concurrently with traffic: a source is read once per
+// scrape, a handful of uncontended atomic loads per shard (histograms
+// add one load per bucket), and never touches worker-owned state.
 type Metrics struct {
 	ln      net.Listener
 	srv     *http.Server
@@ -94,8 +80,8 @@ func ServeMetrics(addr string, sources ...MetricSource) (*Metrics, error) {
 	}
 	seen := make(map[string]bool, len(sources))
 	for _, s := range sources {
-		if s.Name == "" || s.Snapshot == nil {
-			return nil, errors.New("nf: metric source needs a name and a snapshot function")
+		if s.Name == "" || s.Read == nil {
+			return nil, errors.New("nf: metric source needs a name and a read function")
 		}
 		if seen[s.Name] {
 			return nil, fmt.Errorf("nf: metric source %q named twice", s.Name)
@@ -155,12 +141,12 @@ func (m *Metrics) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	out := make(map[string]sourceJSON, len(m.sources))
 	for _, s := range m.sources {
-		j := sourceJSON{Stats: s.Snapshot()}
-		if s.Reasons != nil && s.ReasonCounts != nil {
-			counts := s.ReasonCounts()
-			j.Reasons = make(map[string]uint64, len(counts))
-			for id, n := range counts {
-				j.Reasons[s.Reasons.Name(telemetry.ReasonID(id))] = n
+		sc := s.Read()
+		j := sourceJSON{Stats: sc.Stats}
+		if sc.Reasons != nil {
+			j.Reasons = make(map[string]uint64, sc.Reasons.Len())
+			for id, n := range sc.Counters[:sc.Reasons.Len()] {
+				j.Reasons[sc.Reasons.Name(telemetry.ReasonID(id))] = n
 			}
 		}
 		out[s.Name] = j
@@ -207,31 +193,35 @@ var telHists = []struct {
 // counters, the per-reason totals with their drop/forward class, and
 // the merged per-worker histograms in cumulative-bucket form.
 func (m *Metrics) writeProm(w io.Writer) {
+	reads := make([]Scrape, len(m.sources))
+	for i, s := range m.sources {
+		reads[i] = s.Read()
+	}
 	for _, c := range statCounters {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", c.name, c.help, c.name)
-		for _, s := range m.sources {
-			fmt.Fprintf(w, "%s{nf=%q} %d\n", c.name, s.Name, c.get(s.Snapshot()))
+		for i, s := range m.sources {
+			fmt.Fprintf(w, "%s{nf=%q} %d\n", c.name, s.Name, c.get(reads[i].Stats))
 		}
 	}
 
 	headed := false
-	for _, s := range m.sources {
-		if s.Reasons == nil || s.ReasonCounts == nil {
+	for i, s := range m.sources {
+		set := reads[i].Reasons
+		if set == nil {
 			continue
 		}
 		if !headed {
 			fmt.Fprintf(w, "# HELP nf_reason_total Packets per declared, path-conformance-checked outcome reason.\n# TYPE nf_reason_total counter\n")
 			headed = true
 		}
-		counts := s.ReasonCounts()
-		for id, n := range counts {
+		for id, n := range reads[i].Counters[:set.Len()] {
 			rid := telemetry.ReasonID(id)
 			class := "forward"
-			if s.Reasons.IsDrop(rid) {
+			if set.IsDrop(rid) {
 				class = "drop"
 			}
 			fmt.Fprintf(w, "nf_reason_total{nf=%q,reason=%q,class=%q} %d\n",
-				s.Name, s.Reasons.Name(rid), class, n)
+				s.Name, set.Name(rid), class, n)
 		}
 	}
 

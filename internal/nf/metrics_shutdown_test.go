@@ -14,8 +14,8 @@ import (
 )
 
 func TestMetricsHandleAndShutdown(t *testing.T) {
-	snap := func() nf.Stats { return nf.Stats{Processed: 5} }
-	m, err := nf.ServeMetrics("127.0.0.1:0", nf.MetricSource{Name: "shutdown-src", Snapshot: snap})
+	read := func() nf.Scrape { return nf.Scrape{Stats: nf.Stats{Processed: 5}} }
+	m, err := nf.ServeMetrics("127.0.0.1:0", nf.MetricSource{Name: "shutdown-src", Read: read})
 	if err != nil {
 		t.Fatal(err)
 	}

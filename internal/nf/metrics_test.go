@@ -1,5 +1,5 @@
-// Concurrency coverage for the stats-scrape surfaces: CountedShards'
-// padded atomic cells scraped while policer shards process traffic on
+// Concurrency coverage for the stats-scrape surfaces: the shards'
+// published blocks scraped while policer shards process traffic on
 // their own goroutines (the metrics-endpoint pattern, pinned under
 // -race by CI), and the HTTP endpoint itself serving mid-run.
 package nf_test
@@ -60,11 +60,19 @@ func buildScrapePolicer(t testing.TB, cfg policer.Config) (*policer.Sharded, [][
 	return s, frames
 }
 
-// TestCountedShardsConcurrentScrapeWithPolicer drives every policer
-// shard from its own goroutine — the run-to-completion arrangement —
-// while scraper goroutines hammer StatsSnapshot and per-shard
-// snapshots. Snapshots must be race-free and monotone.
-func TestCountedShardsConcurrentScrapeWithPolicer(t *testing.T) {
+// processPublished drives one frame through a shard the way the engine
+// drives a burst: process, then publish.
+func processPublished(shard nf.NF, frame []byte, fromInternal bool) nf.Verdict {
+	v := shard.Process(frame, fromInternal)
+	shard.(nf.Publisher).Publish(nf.FlowCache{})
+	return v
+}
+
+// TestBlocksConcurrentScrapeWithPolicer drives every policer shard
+// from its own goroutine — the run-to-completion arrangement — while
+// a scraper goroutine hammers NFStats and the per-shard scrapes.
+// Snapshots must be race-free and monotone.
+func TestBlocksConcurrentScrapeWithPolicer(t *testing.T) {
 	s, frames := buildScrapePolicer(t, generousPolicer)
 	const perShard = 3000
 
@@ -75,14 +83,14 @@ func TestCountedShardsConcurrentScrapeWithPolicer(t *testing.T) {
 		defer close(scraperDone)
 		var last uint64
 		for {
-			snap := s.StatsSnapshot()
+			snap := s.NFStats()
 			if snap.Processed < last {
 				t.Error("aggregate snapshot went backwards")
 				return
 			}
 			last = snap.Processed
 			for i := 0; i < s.Shards(); i++ {
-				_ = s.ShardStatsSnapshot(i) // per-shard scrape races the owner too
+				_ = s.ShardScrape(i) // per-shard scrape races the owner too
 			}
 			select {
 			case <-stop:
@@ -95,10 +103,10 @@ func TestCountedShardsConcurrentScrapeWithPolicer(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			shard := s.Shard(w) // counted wrapper: every call syncs the cell
+			shard := s.Shard(w)
 			for i := 0; i < perShard; i++ {
 				f := frames[w][i%len(frames[w])]
-				if shard.Process(f, false) != nf.Forward {
+				if processPublished(shard, f, false) != nf.Forward {
 					t.Error("warmed ingress dropped")
 					return
 				}
@@ -109,19 +117,55 @@ func TestCountedShardsConcurrentScrapeWithPolicer(t *testing.T) {
 	close(stop)
 	<-scraperDone
 
-	snap := s.StatsSnapshot()
+	snap := s.NFStats()
 	if snap.Processed != scrapeShards*perShard || snap.Forwarded != scrapeShards*perShard {
 		t.Fatalf("final snapshot %+v, want %d processed", snap, scrapeShards*perShard)
 	}
 }
 
+// scrapedSource is one source of the JSON /metrics document.
+type scrapedSource struct {
+	nf.Stats
+	Reasons map[string]uint64 `json:"reasons"`
+}
+
+// scrapeJSON fetches and decodes the JSON /metrics document.
+func scrapeJSON(t *testing.T, addr string) map[string]scrapedSource {
+	t.Helper()
+	resp, err := http.Get(fmt.Sprintf("http://%s/metrics", addr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc map[string]scrapedSource
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
+
+// reasonSum is the total over the source's per-reason counts.
+func (s scrapedSource) reasonSum() (sum uint64) {
+	for _, n := range s.Reasons {
+		sum += n
+	}
+	return sum
+}
+
+// consistent reports whether one scraped document's totals are one
+// read of the counters: processed = Σ reasons = forwarded + dropped.
+func consistent(processed, forwarded, dropped, reasonSum uint64) bool {
+	return processed == reasonSum && processed == forwarded+dropped
+}
+
 // TestServeMetricsScrapesUnderTraffic runs the HTTP endpoint against a
 // policer being driven concurrently and checks the JSON /metrics
-// document.
+// document: every scrape taken under traffic is consistent with
+// itself, and the drill-downs (Sharded.Counters, the policer-level
+// Stats view) are safe to call alongside.
 func TestServeMetricsScrapesUnderTraffic(t *testing.T) {
 	s, frames := buildScrapePolicer(t, generousPolicer)
-	m, err := nf.ServeMetrics("127.0.0.1:0",
-		nf.MetricSource{Name: "vigpol-test", Snapshot: s.StatsSnapshot})
+	m, err := nf.ServeMetrics("127.0.0.1:0", nf.SourceOf("vigpol-test", s, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,38 +178,80 @@ func TestServeMetricsScrapesUnderTraffic(t *testing.T) {
 			defer wg.Done()
 			shard := s.Shard(w)
 			for i := 0; i < 2000; i++ {
-				shard.Process(frames[w][i%len(frames[w])], false)
+				processPublished(shard, frames[w][i%len(frames[w])], false)
 			}
 		}(w)
 	}
-	// Scrape while the workers run, then once after the join.
-	for i := 0; i < 3; i++ {
-		resp, err := http.Get(fmt.Sprintf("http://%s/metrics", m.Addr()))
-		if err != nil {
-			t.Fatal(err)
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	// Scrape while the workers run (at least three times), then once
+	// after the join.
+	for i, running := 0, true; running || i < 3; i++ {
+		_, _ = s.Counters(), s.Stats()
+		src, ok := scrapeJSON(t, m.Addr())["vigpol-test"]
+		if !ok {
+			t.Fatal("metrics document missing source")
 		}
-		var doc map[string]nf.Stats
-		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-			t.Fatal(err)
+		if !consistent(src.Processed, src.Forwarded, src.Dropped, src.reasonSum()) {
+			t.Fatalf("scrape %d: processed %d, Σ reasons %d, forwarded %d + dropped %d",
+				i, src.Processed, src.reasonSum(), src.Forwarded, src.Dropped)
 		}
-		resp.Body.Close()
-		if _, ok := doc["vigpol-test"]; !ok {
-			t.Fatalf("metrics document missing source: %v", doc)
+		select {
+		case <-done:
+			running = false
+		default:
 		}
 	}
-	wg.Wait()
 
-	resp, err := http.Get(fmt.Sprintf("http://%s/metrics", m.Addr()))
+	if got := scrapeJSON(t, m.Addr())["vigpol-test"].Processed; got != scrapeShards*2000 {
+		t.Fatalf("endpoint reports %d processed, want %d", got, scrapeShards*2000)
+	}
+}
+
+// TestScrapeReadsEachSourceOnce: one /metrics document is one read of
+// each source, in either rendering — what makes its series consistent
+// with one another whatever the counters do between two reads.
+func TestScrapeReadsEachSourceOnce(t *testing.T) {
+	reads := make([]int, 2)
+	source := func(i int) nf.MetricSource {
+		return nf.MetricSource{Name: fmt.Sprintf("once-%d", i), Read: func() nf.Scrape {
+			reads[i]++
+			// A source whose counters move between any two reads.
+			n := uint64(reads[i])
+			return nf.Scrape{
+				Stats:    nf.Stats{Processed: 3 * n, Forwarded: 2 * n, Dropped: n},
+				Reasons:  policer.Reasons,
+				Counters: []uint64{policer.ReasonConform: 2 * n, policer.ReasonDropOverRate: n},
+			}
+		}}
+	}
+	m, err := nf.ServeMetrics("127.0.0.1:0", source(0), source(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc map[string]nf.Stats
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
+	defer m.Close()
+
+	for name, src := range scrapeJSON(t, m.Addr()) {
+		if !consistent(src.Processed, src.Forwarded, src.Dropped, src.reasonSum()) {
+			t.Fatalf("JSON %s: %+v with reasons %v", name, src.Stats, src.Reasons)
+		}
 	}
-	resp.Body.Close()
-	if got := doc["vigpol-test"].Processed; got != scrapeShards*2000 {
-		t.Fatalf("endpoint reports %d processed, want %d", got, scrapeShards*2000)
+	if reads[0] != 1 || reads[1] != 1 {
+		t.Fatalf("a JSON scrape read the sources %v times, want once each", reads)
+	}
+	doc := scrapeProm(t, m.Addr())
+	if reads[0] != 2 || reads[1] != 2 {
+		t.Fatalf("a Prometheus scrape read the sources %v times in all, want twice each", reads)
+	}
+	for i := range reads {
+		sel := fmt.Sprintf(`nf="once-%d"`, i)
+		one := func(metric string) uint64 { return sumU64(promVals(t, doc, metric, sel)) }
+		if !consistent(one("nf_processed_total"), one("nf_forwarded_total"), one("nf_dropped_total"), one("nf_reason_total")) {
+			t.Fatalf("Prometheus %s is not one read:\n%s", sel, doc)
+		}
 	}
 }
 
@@ -238,21 +324,21 @@ func sumU64(vs []uint64) uint64 {
 // again the moment its endpoint closes — a fresh listener serves the
 // new source under it. Nothing about a name outlives its endpoint.
 func TestServeMetricsDuplicateAndReopen(t *testing.T) {
-	snapA := func() nf.Stats { return nf.Stats{Processed: 1} }
+	readA := func() nf.Scrape { return nf.Scrape{Stats: nf.Stats{Processed: 1}} }
 	if _, err := nf.ServeMetrics("127.0.0.1:0",
-		nf.MetricSource{Name: "dup-twice", Snapshot: snapA},
-		nf.MetricSource{Name: "dup-twice", Snapshot: snapA}); err == nil || !strings.Contains(err.Error(), "dup-twice") {
+		nf.MetricSource{Name: "dup-twice", Read: readA},
+		nf.MetricSource{Name: "dup-twice", Read: readA}); err == nil || !strings.Contains(err.Error(), "dup-twice") {
 		t.Fatalf("same-call duplicate not rejected by name (err=%v)", err)
 	}
-	m1, err := nf.ServeMetrics("127.0.0.1:0", nf.MetricSource{Name: "dup-src", Snapshot: snapA})
+	m1, err := nf.ServeMetrics("127.0.0.1:0", nf.MetricSource{Name: "dup-src", Read: readA})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := m1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	snapB := func() nf.Stats { return nf.Stats{Processed: 77} }
-	m2, err := nf.ServeMetrics("127.0.0.1:0", nf.MetricSource{Name: "dup-src", Snapshot: snapB})
+	readB := func() nf.Scrape { return nf.Scrape{Stats: nf.Stats{Processed: 77}} }
+	m2, err := nf.ServeMetrics("127.0.0.1:0", nf.MetricSource{Name: "dup-src", Read: readB})
 	if err != nil {
 		t.Fatalf("reopen after close rejected: %v", err)
 	}
@@ -274,13 +360,15 @@ func TestServeMetricsDuplicateAndReopen(t *testing.T) {
 // TestServeMetricsPrometheusReasonConformance is the in-process scrape
 // conformance check CI pins under -race: a starved policer driven from
 // one goroutine per shard while the Prometheus surface is scraped
-// mid-traffic. Counters must be monotone across scrapes, and once
-// traffic quiesces the drop-class reason totals must sum exactly to
-// Dropped (the taxonomy invariant the symbolic cross-check promises).
+// mid-traffic. Every scrape must be consistent with itself (processed =
+// Σ reasons = forwarded + dropped) and monotone on the one before, and
+// once traffic quiesces the drop-class reason totals must sum exactly
+// to Dropped (the taxonomy invariant the symbolic cross-check
+// promises).
 func TestServeMetricsPrometheusReasonConformance(t *testing.T) {
 	starved := policer.Config{Rate: 1, Burst: 1, Capacity: 1024, Timeout: time.Hour}
 	s, frames := buildScrapePolicer(t, starved)
-	m, err := nf.ServeMetrics("127.0.0.1:0", nf.SourceOf("vigpol-prom", s, s.StatsSnapshot, nil))
+	m, err := nf.ServeMetrics("127.0.0.1:0", nf.SourceOf("vigpol-prom", s, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,6 +393,11 @@ func TestServeMetricsPrometheusReasonConformance(t *testing.T) {
 				return
 			}
 			last = vals[0]
+			one := func(metric string) uint64 { return sumU64(promVals(t, doc, metric, `nf="vigpol-prom"`)) }
+			if !consistent(vals[0], one("nf_forwarded_total"), one("nf_dropped_total"), one("nf_reason_total")) {
+				t.Errorf("a scrape under traffic is not one read of the counters:\n%s", doc)
+				return
+			}
 			select {
 			case <-stop:
 				return
@@ -321,11 +414,11 @@ func TestServeMetricsPrometheusReasonConformance(t *testing.T) {
 				f := frames[w][i%len(frames[w])]
 				// Ingress: the 1-byte budget rejects every frame (over
 				// rate). Egress: unmetered passthrough, forwarded.
-				if shard.Process(f, false) != nf.Drop {
+				if processPublished(shard, f, false) != nf.Drop {
 					t.Error("starved ingress forwarded")
 					return
 				}
-				if shard.Process(f, true) != nf.Forward {
+				if processPublished(shard, f, true) != nf.Forward {
 					t.Error("egress passthrough dropped")
 					return
 				}
@@ -356,19 +449,7 @@ func TestServeMetricsPrometheusReasonConformance(t *testing.T) {
 
 	// The JSON surface carries the same reasons and agrees with the
 	// snapshot the cells report.
-	resp, err := http.Get("http://" + m.Addr() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var jdoc map[string]struct {
-		nf.Stats
-		Reasons map[string]uint64 `json:"reasons"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&jdoc); err != nil {
-		t.Fatal(err)
-	}
-	src := jdoc["vigpol-prom"]
+	src := scrapeJSON(t, m.Addr())["vigpol-prom"]
 	var jsonDropSum uint64
 	for name, n := range src.Reasons {
 		if r, ok := policer.Reasons.ByName(name); ok && r.Drop {
@@ -394,7 +475,7 @@ func TestMetricsTelemetryTraceExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, err := nf.ServeMetrics("127.0.0.1:0",
-		nf.SourceOf("discard-tel", pipe.NF(), pipe.NF().NFStats, pipe))
+		nf.SourceOf("discard-tel", pipe.NF(), pipe))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,10 +13,7 @@
 // its input/fwd threads.
 package nf
 
-import (
-	"vignat/internal/libvig"
-	"vignat/internal/nf/telemetry"
-)
+import "vignat/internal/libvig"
 
 // Verdict is the pipeline-level outcome for one packet. NFs in this
 // repository are two-interface middleboxes, so "forward" always means
@@ -122,33 +119,14 @@ type NF interface {
 	// when no traffic arrives, and once per shard burst before its first
 	// flow-cache hit, replaying the sweep that packet's Process would
 	// have run. A second call at an unchanged now must free nothing and
-	// change nothing — the once-per-burst replay rests on it.
+	// change nothing — the once-per-burst replay rests on it. Where the
+	// NF's counters are read through a Block (Publisher), the burst's one
+	// Publish carries what the replay freed, and an idle sweep is
+	// published only when it freed something.
 	Expire(now libvig.Time) int
 
 	// NFStats snapshots the engine-visible counters.
 	NFStats() Stats
-}
-
-// ReasonStatser is implemented by NFs that declare a telemetry reason
-// taxonomy: every packet outcome is tagged with a ReasonID from the
-// declared set, and the per-reason totals ride the same single-writer
-// counter discipline as the rest of NFStats. The nfkit adapter derives
-// the implementation from Decl.Reasons; the engine's counted wrappers
-// mirror the totals into padded per-shard cells so they are scrapeable
-// race-free.
-type ReasonStatser interface {
-	// ReasonSet returns the NF's declared taxonomy, or nil when the
-	// implementation carries none (derived adapters implement the
-	// interface unconditionally; consumers must check).
-	ReasonSet() *telemetry.ReasonSet
-	// ReasonCounts returns the NF's live per-reason totals, indexed by
-	// ReasonID. The slice is the NF's own single-writer storage: only
-	// the owning worker may read it (snapshots go through the counted
-	// wrapper's mirrored cells).
-	ReasonCounts() []uint64
-	// LastReason returns the reason tagged on the most recently
-	// processed packet — the trace ring's best-effort label.
-	LastReason() telemetry.ReasonID
 }
 
 // Sharder is implemented by NFs whose state is partitioned into

@@ -6,7 +6,6 @@ import (
 	"vignat/internal/fastpath"
 	"vignat/internal/libvig"
 	"vignat/internal/nf"
-	"vignat/internal/nf/telemetry"
 )
 
 // Adapter is the derived production binding of one core onto the
@@ -20,9 +19,8 @@ type Adapter[C any] struct {
 }
 
 var (
-	_ nf.NF            = (*Adapter[int])(nil)
-	_ nf.FastPather    = (*Adapter[int])(nil)
-	_ nf.ReasonStatser = (*Adapter[int])(nil)
+	_ nf.NF         = (*Adapter[int])(nil)
+	_ nf.FastPather = (*Adapter[int])(nil)
 )
 
 // Adapt exposes an existing core as a pipeline network function, the
@@ -73,34 +71,22 @@ func (a *Adapter[C]) Expire(now libvig.Time) int {
 	return a.d.Expire(a.core, now)
 }
 
-// NFStats snapshots the core's engine-visible counters.
-func (a *Adapter[C]) NFStats() nf.Stats { return a.d.Stats(a.core) }
+// NFStats is the declared view of the core's own counter array (owner
+// goroutine only, like everything else on a bare adapter).
+func (a *Adapter[C]) NFStats() nf.Stats { return a.d.Stats(a.counters()) }
 
-// ReasonSet returns the declared outcome taxonomy, nil when the NF
-// declares none (nf.ReasonStatser consumers must check).
-func (a *Adapter[C]) ReasonSet() *telemetry.ReasonSet { return a.d.Reasons }
-
-// ReasonCounts returns the core's live per-reason totals — the reason
-// prefix of its counter array (owner goroutine only) — nil when no
-// taxonomy is declared.
-func (a *Adapter[C]) ReasonCounts() []uint64 {
-	if a.d.Reasons == nil {
+// counters returns the core's live counter array, nil when the
+// declaration keeps none.
+func (a *Adapter[C]) counters() []uint64 {
+	if a.d.Counters == nil {
 		return nil
 	}
-	return a.d.Counters(a.core)[:a.d.Reasons.Len()]
+	return a.d.Counters(a.core)
 }
 
-// LastReason returns the reason tagged on the most recently processed
-// packet (owner goroutine only; zero when no taxonomy is declared).
-func (a *Adapter[C]) LastReason() telemetry.ReasonID {
-	if a.d.LastReason == nil {
-		return 0
-	}
-	return a.d.LastReason(a.core)
-}
-
-// LastReasonName returns the declared label of LastReason, "" when no
-// taxonomy is declared — the trace ring's label hook.
+// LastReasonName returns the declared label of the reason tagged on
+// the most recently processed packet, "" when no taxonomy is declared
+// — the trace ring's best-effort label (owner goroutine only).
 func (a *Adapter[C]) LastReasonName() string {
 	if a.d.Reasons == nil {
 		return ""

@@ -92,7 +92,7 @@ func TestAdapterRunsPrefetchOncePerBurst(t *testing.T) {
 			c.log = append(c.log, 1)
 			return nf.Forward
 		},
-		Stats: func(*core) nf.Stats { return nf.Stats{} },
+		Stats: func([]uint64) nf.Stats { return nf.Stats{} },
 	}
 	c := &core{}
 	a := d.Adapt(c)

@@ -4,14 +4,16 @@
 // lands on — and creates state in — exactly the shard the declaration
 // names), both directions of a session steer to the same shard (the
 // reply is looked up, not re-admitted), shards are isolated (state
-// totals decompose exactly by steering), and the counted stats surface
-// aggregates per-shard cells while being scraped concurrently with
-// traffic. Run under -race in CI: the workers poll from their own
-// goroutines while a scraper hammers the snapshots. A last leg per NF
-// (countedOnce) checks that every counting surface — the per-NF Stats
-// view, the counted snapshot, the reason snapshot, the Prometheus text
-// — is the same read of the one declared counter array, with the flow
-// cache on and off and across a 2→4→3 reshard.
+// totals decompose exactly by steering), and the published stats
+// surface aggregates per-shard blocks while being scraped concurrently
+// with traffic. Run under -race in CI: the workers poll from their own
+// goroutines while a scraper hammers every reader-side surface,
+// drill-downs included. A last leg per NF (countedOnce) checks that
+// every shard's published block is its core's declared counter array
+// plus the engine's flow-cache cells after every poll, and that every
+// counting surface — the per-NF Stats view, the scrape, the Prometheus
+// text — is the same read of it, with the flow cache on and off and
+// across a 2→4→3 reshard that the aggregate never dips over.
 package nfkit_test
 
 import (
@@ -24,6 +26,7 @@ import (
 	"testing"
 	"time"
 
+	"vignat/internal/discard"
 	"vignat/internal/dpdk"
 	"vignat/internal/fastpath"
 	"vignat/internal/firewall"
@@ -34,7 +37,6 @@ import (
 	"vignat/internal/netstack"
 	"vignat/internal/nf"
 	"vignat/internal/nf/nfkit"
-	"vignat/internal/nf/telemetry"
 	"vignat/internal/policer"
 )
 
@@ -45,17 +47,19 @@ const (
 )
 
 // shardedNF is what every kit-derived sharded NF exposes (promoted
-// from nfkit.Sharded and nf.CountedShards).
+// from nfkit.Sharded).
 type shardedNF interface {
 	nf.Sharder
-	StatsSnapshot() nf.Stats
-	ShardStatsSnapshot(i int) nf.Stats
+	nf.Scraper
+	ShardScrape(i int) nf.Scrape
+	Counters() []uint64
 }
 
 type shardCase struct {
 	name string
-	// build constructs the 4-shard NF and a per-shard live-state drill.
-	build func(t *testing.T, clock libvig.Clock) (shardedNF, func(shard int) int)
+	// build constructs the 4-shard NF, a per-shard live-state drill, and
+	// the NF's own Stats() drill-down (nil when it has none).
+	build func(t *testing.T, clock libvig.Clock) (shardedNF, func(shard int) int, func())
 	// one constructs a single unsharded core of the same declaration.
 	one func(t *testing.T, clock libvig.Clock) declared
 	// frame crafts session i's client-side frame.
@@ -69,18 +73,9 @@ type shardCase struct {
 	wantReasons []string
 }
 
-// countedSharded is what the counted-once leg reads of a kit-derived
-// sharded NF: the summed counter array and every surface derived from it.
-type countedSharded interface {
-	shardedNF
-	Counters() []uint64
-	ReasonSet() *telemetry.ReasonSet
-	ReasonSnapshot() []uint64
-}
-
 // counted is one NF under the counted-once leg.
 type counted struct {
-	s countedSharded
+	s shardedNF
 	// vectors copies every shard's full Decl.Counters array.
 	vectors func() [][]uint64
 	// view collapses the NF's own exported Stats() view onto the four
@@ -144,12 +139,12 @@ func shardCases() []shardCase {
 	return []shardCase{
 		{
 			name: "vignat",
-			build: func(t *testing.T, clock libvig.Clock) (shardedNF, func(int) int) {
+			build: func(t *testing.T, clock libvig.Clock) (shardedNF, func(int) int, func()) {
 				n, err := nat.NewSharded(natCfg, clock, confShards)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return n, func(i int) int { return n.ShardNAT(i).Table().Size() }
+				return n, func(i int) int { return n.ShardNAT(i).Table().Size() }, func() { _ = n.Stats() }
 			},
 			one: func(t *testing.T, clock libvig.Clock) declared {
 				d, _ := declare(t, nat.Kit(natCfg, clock))
@@ -179,12 +174,12 @@ func shardCases() []shardCase {
 		},
 		{
 			name: "firewall",
-			build: func(t *testing.T, clock libvig.Clock) (shardedNF, func(int) int) {
+			build: func(t *testing.T, clock libvig.Clock) (shardedNF, func(int) int, func()) {
 				fw, err := firewall.NewSharded(4*confSessions, confTimeout, clock, confShards)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return fw, func(i int) int { return fw.ShardFirewall(i).Sessions() }
+				return fw, func(i int) int { return fw.ShardFirewall(i).Sessions() }, nil
 			},
 			one: func(t *testing.T, clock libvig.Clock) declared {
 				d, _ := declare(t, firewall.Kit(4*confSessions, confTimeout, clock))
@@ -216,7 +211,7 @@ func shardCases() []shardCase {
 		},
 		{
 			name: "viglb",
-			build: func(t *testing.T, clock libvig.Clock) (shardedNF, func(int) int) {
+			build: func(t *testing.T, clock libvig.Clock) (shardedNF, func(int) int, func()) {
 				balancer, err := lb.NewSharded(lbCfg, clock, confShards)
 				if err != nil {
 					t.Fatal(err)
@@ -226,7 +221,7 @@ func shardCases() []shardCase {
 						t.Fatal(err)
 					}
 				}
-				return balancer, func(i int) int { return balancer.ShardBalancer(i).Flows() }
+				return balancer, func(i int) int { return balancer.ShardBalancer(i).Flows() }, func() { _ = balancer.Stats() }
 			},
 			one: func(t *testing.T, clock libvig.Clock) declared {
 				d, b := declare(t, lb.Kit(lbCfg, clock))
@@ -267,12 +262,12 @@ func shardCases() []shardCase {
 		},
 		{
 			name: "vigpol",
-			build: func(t *testing.T, clock libvig.Clock) (shardedNF, func(int) int) {
+			build: func(t *testing.T, clock libvig.Clock) (shardedNF, func(int) int, func()) {
 				pol, err := policer.NewSharded(polCfg, clock, confShards)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return pol, func(i int) int { return pol.ShardPolicer(i).Subscribers() }
+				return pol, func(i int) int { return pol.ShardPolicer(i).Subscribers() }, func() { _ = pol.Stats() }
 			},
 			one: func(t *testing.T, clock libvig.Clock) declared {
 				d, _ := declare(t, policer.Kit(polCfg, clock))
@@ -411,15 +406,17 @@ func TestShardedConformanceAllNFs(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			clock := libvig.NewVirtualClock(0)
-			s, state := tc.build(t, clock)
+			s, state, drillDown := tc.build(t, clock)
 			rig := buildConfRig(t, s, clock)
 			rxPort, txPort := rig.extPort, rig.intPort
 			if tc.fromInternal {
 				rxPort, txPort = rig.intPort, rig.extPort
 			}
 
-			// A concurrent scraper races the workers on the counted
-			// stats surface for the whole test (the -race guarantee).
+			// A concurrent scraper races the workers on every
+			// reader-side surface, the Counters and per-NF Stats
+			// drill-downs included, for the whole test (the -race
+			// guarantee).
 			stop := make(chan struct{})
 			var scraper sync.WaitGroup
 			scraper.Add(1)
@@ -431,9 +428,12 @@ func TestShardedConformanceAllNFs(t *testing.T) {
 						return
 					default:
 					}
-					_ = s.StatsSnapshot()
+					_, _ = s.NFStats(), s.Counters()
+					if drillDown != nil {
+						drillDown()
+					}
 					for i := 0; i < confShards; i++ {
-						_ = s.ShardStatsSnapshot(i)
+						_ = s.ShardScrape(i)
 					}
 				}
 			}()
@@ -523,12 +523,12 @@ func TestShardedConformanceAllNFs(t *testing.T) {
 			}
 
 			// Stats aggregation: the snapshot is exactly the sum of the
-			// per-shard cells, and counts every processed packet.
+			// per-shard blocks, and counts every processed packet.
 			var sum nf.Stats
 			for i := 0; i < confShards; i++ {
-				sum.Add(s.ShardStatsSnapshot(i))
+				sum.Add(s.ShardScrape(i).Stats)
 			}
-			snap := s.StatsSnapshot()
+			snap := s.NFStats()
 			if snap != sum {
 				t.Fatalf("aggregate %+v ≠ per-shard sum %+v", snap, sum)
 			}
@@ -555,6 +555,9 @@ type cntRig struct {
 	*confRig
 	name    string
 	metrics *nf.Metrics
+	// last is the aggregate checkSurfaces read last: the summed counter
+	// array, then the four flow-cache cells.
+	last []uint64
 }
 
 // countedOnce is the counted-once leg: one mixed trace — both forward
@@ -562,7 +565,9 @@ type cntRig struct {
 // over-rate) drop, an expiry — through two rigs in lock step, flow
 // cache on and off, resharded 2→4→3 with their tables full. After every
 // poll the two rigs' full per-shard counter arrays are identical, and
-// on each rig every counting surface is the same read of that array.
+// on each rig every shard's published block is its core's array plus
+// the engine's flow-cache cells, every counting surface is the same
+// read of the blocks, and no aggregate cell is below its last reading.
 func countedOnce(t *testing.T, tc shardCase) {
 	clock := libvig.NewVirtualClock(0)
 	rigs := make([]*cntRig, 2)
@@ -571,7 +576,7 @@ func countedOnce(t *testing.T, tc shardCase) {
 		r := &cntRig{counted: c, confRig: buildConfRigWith(t, c.s, clock, 2, fastPath),
 			name: fmt.Sprintf("%s-cnt%d", tc.name, i)}
 		var err error
-		if r.metrics, err = nf.ServeMetrics("127.0.0.1:0", nf.SourceOf(r.name, c.s, c.s.StatsSnapshot, nil)); err != nil {
+		if r.metrics, err = nf.ServeMetrics("127.0.0.1:0", nf.SourceOf(r.name, c.s, nil)); err != nil {
 			t.Fatal(err)
 		}
 		defer r.metrics.Close()
@@ -664,14 +669,14 @@ func countedOnce(t *testing.T, tc shardCase) {
 	clock.Advance(libvig.Time(2 * confTimeout.Nanoseconds()))
 	burst("expiry", tc.fromInternal, tc.frame(999))
 
-	snap := on.s.StatsSnapshot()
+	snap := on.s.NFStats()
 	if snap.FastPathHits == 0 {
 		t.Fatal("the cache-on rig never took a cache hit; the on/off comparison would be vacuous")
 	}
 	if snap.Expired == 0 {
 		t.Fatal("nothing expired")
 	}
-	set, cells := on.s.ReasonSet(), on.s.Counters()
+	set, cells := on.s.Scrape().Reasons, on.s.Counters()
 	for _, name := range tc.wantReasons {
 		if r, ok := set.ByName(name); !ok || cells[r.ID] == 0 {
 			t.Fatalf("the trace never reached outcome %q (declared: %v): %v", name, ok, cells)
@@ -686,33 +691,59 @@ func countedOnce(t *testing.T, tc shardCase) {
 	}
 }
 
-// checkSurfaces demands that every in-process counting surface of the
-// rig's NF is a read of its declared counter array.
+// checkSurfaces demands that every shard's published block is its
+// core's declared counter array, that the blocks' flow-cache cells are
+// the engine's own, that every in-process counting surface of the
+// rig's NF is a read of the blocks, and that no aggregate cell dipped
+// since the last check.
 func (r *cntRig) checkSurfaces(t *testing.T, step string) {
 	t.Helper()
-	set := r.s.ReasonSet()
-	sum := make([]uint64, len(r.s.Counters()))
-	for _, v := range r.vectors() {
-		for i, n := range v {
-			sum[i] += n
+	scrape := r.s.Scrape()
+	set := scrape.Reasons
+	sum := make([]uint64, len(scrape.Counters))
+	var fc nf.FlowCache
+	for i, v := range r.vectors() {
+		shard := r.s.ShardScrape(i)
+		if !reflect.DeepEqual(shard.Counters, v) {
+			t.Fatalf("%s: shard %d published %v, its core counts %v", step, i, shard.Counters, v)
+		}
+		fc.Add(flowCacheOf(shard.Stats))
+		for j, n := range v {
+			sum[j] += n
 		}
 	}
-	if got := r.s.Counters(); !reflect.DeepEqual(got, sum) {
-		t.Fatalf("%s: Sharded.Counters %v, the shards' arrays sum to %v", step, got, sum)
+	ps := r.pipe.Stats()
+	if want := (nf.FlowCache{ps.FastPathHits, ps.FastPathMisses, ps.FastPathEvictions, ps.FastPathBypassed}); fc != want {
+		t.Fatalf("%s: the blocks' flow-cache cells sum to %v, the engine counted %v", step, fc, want)
+	}
+	if !reflect.DeepEqual(scrape.Counters, sum) || !reflect.DeepEqual(r.s.Counters(), sum) {
+		t.Fatalf("%s: Scrape %v / Counters %v, the shards' arrays sum to %v", step, scrape.Counters, r.s.Counters(), sum)
 	}
 	cells := sum[:set.Len()]
 	processed := sumU64(cells)
-	snap := r.s.StatsSnapshot()
+	snap := scrape.Stats
 	if snap.Processed != processed || snap.Dropped != set.SumDrops(cells) || snap.Forwarded != processed-snap.Dropped {
 		t.Fatalf("%s: snapshot %+v, reason cells %v (drops %d)", step, snap, cells, set.SumDrops(cells))
 	}
-	if got := r.s.ReasonSnapshot(); !reflect.DeepEqual(got, cells) {
-		t.Fatalf("%s: reason snapshot %v, reason cells %v", step, got, cells)
-	}
 	want := nf.Stats{Processed: snap.Processed, Forwarded: snap.Forwarded, Dropped: snap.Dropped, Expired: snap.Expired}
 	if view := r.view(); view != want {
-		t.Fatalf("%s: Stats() view %+v, counted snapshot %+v", step, view, want)
+		t.Fatalf("%s: Stats() view %+v, published snapshot %+v", step, view, want)
 	}
+	if got := r.s.NFStats(); got != want.With(fc) {
+		t.Fatalf("%s: NFStats %+v, the blocks say %+v", step, got, want.With(fc))
+	}
+	now := append(sum, fc[:]...)
+	for i := range r.last {
+		if now[i] < r.last[i] {
+			t.Fatalf("%s: aggregate cell %d dipped %d → %d", step, i, r.last[i], now[i])
+		}
+	}
+	r.last = now
+}
+
+// flowCacheOf is the flow-cache part of a Stats view, in block order.
+func flowCacheOf(s nf.Stats) nf.FlowCache {
+	return nf.FlowCache{s.FastPathHits, s.FastPathMisses, s.FastPathEvictions, s.FastPathBypassed}
 }
 
 // checkProm demands the same of the Prometheus text: one nf_reason_total
@@ -735,7 +766,7 @@ func (r *cntRig) checkProm(t *testing.T, step string) {
 		t.Fatal(err)
 	}
 	doc := "\n" + string(body)
-	set, cells := r.s.ReasonSet(), r.s.Counters()
+	set, cells := r.s.Scrape().Reasons, r.s.Counters()
 	processed := sumU64(cells[:set.Len()])
 	for _, reason := range set.Reasons() {
 		class := "forward"
@@ -754,6 +785,44 @@ func (r *cntRig) checkProm(t *testing.T, step string) {
 	} {
 		if line := fmt.Sprintf("\n%s{nf=%q} %d\n", metric, r.name, want); !strings.Contains(doc, line) {
 			t.Fatalf("%s: exposition lacks %q", step, line[1:])
+		}
+	}
+}
+
+// TestDiscardPublishedBlocks is countedOnce's block check for the fifth
+// NF, which keeps no state and declares no codec and so sits outside
+// shardCases: sharded two ways on the pipeline, after every poll each
+// shard's published block is its core's counter array, and the scrape
+// is their sum.
+func TestDiscardPublishedBlocks(t *testing.T) {
+	d := discard.Kit()
+	s, err := nfkit.NewSharded(d, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig := buildConfRigWith(t, s, nil, 2, nf.FastPathDisabled)
+	for round := 0; round < 4; round++ {
+		for i := 0; i < 16; i++ {
+			frame := craft(flow.ID{
+				SrcIP: flow.MakeAddr(10, 0, byte(round), byte(1+i)), SrcPort: uint16(4000 + i),
+				DstIP: flow.MakeAddr(198, 51, 100, 1), DstPort: uint16(9 + 71*(i%2)), Proto: flow.UDP,
+			})
+			if !rig.intPort.DeliverRx(frame, 0) {
+				t.Fatal("RX queue rejected a frame")
+			}
+		}
+		if _, err := rig.pipe.Poll(); err != nil {
+			t.Fatal(err)
+		}
+		drainAll(t, rig.extPort)
+		for i, core := range s.Cores() {
+			if got, want := s.ShardScrape(i).Counters, d.Counters(core); !reflect.DeepEqual(got, want) || sumU64(want) == 0 {
+				t.Fatalf("round %d: shard %d published %v, its core counts %v", round, i, got, want)
+			}
+		}
+		n := uint64(16 * (round + 1))
+		if want := (nf.Stats{Processed: n, Forwarded: n / 2, Dropped: n / 2}); s.NFStats() != want {
+			t.Fatalf("round %d: scrape %+v, want %+v", round, s.NFStats(), want)
 		}
 	}
 }

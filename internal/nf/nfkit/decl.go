@@ -18,9 +18,9 @@
 //   - the allocation-free production binding onto the engine
 //     (Adapter: clock-once batches, verdict mapping, the reason-count
 //     prefix of the declared counter array);
-//   - the counted, concurrently-scrapeable sharded composition
-//     (Sharded[C] over nf.CountedShards — one implementation instead
-//     of three copies);
+//   - the concurrently-scrapeable sharded composition (Sharded[C],
+//     each shard publishing into its own nf.Block — one
+//     implementation instead of three copies);
 //   - the symbolic-verification run (VerifySym: path enumeration,
 //     P2/P4 discipline, single-output rule, solver entailment) and
 //     the taxonomy cross-check fed by the same Spec walk
@@ -32,16 +32,19 @@
 // A new NF — the roadmap's DNS cache or NAT64 — therefore costs its
 // stateless logic, its libVig state, and one Decl.
 //
-// Counting is declared once too. A core keeps one flat []uint64 and
-// hands it out through Decl.Counters; the layout contract is: the
-// reason cells first, one per declared Reason in ReasonID order, then
-// whatever lifecycle counters the NF keeps (flows created, entries
-// expired, ...), in an order only the NF's own Stats view needs to
-// know. Each packet increments exactly one reason cell. Everything
-// else is read off that array: Adapter.ReasonCounts is its prefix,
-// Sharded.Counters its sum over shards, Reshard folds it into the new
-// composition cell by cell, and the per-NF Stats types are views
-// computed from it and the ReasonSet's drop classes (StatsOf).
+// Counting is declared once and published once. A core keeps one flat
+// []uint64 and hands it out through Decl.Counters; the layout contract
+// is: the reason cells first, one per declared Reason in ReasonID
+// order, then whatever lifecycle counters the NF keeps (flows created,
+// entries expired, ...), in an order only the NF's own Stats view
+// needs to know. Each packet increments exactly one reason cell. A
+// sharded core's array is copied, whole, into its shard's nf.Block
+// once per burst (nf.Publisher), and everything a reader sees is a
+// function of one read of those blocks: Decl.Stats and the per-NF
+// Stats types are views of the array computed from it and the
+// ReasonSet's drop classes (StatsOf), the reason totals are its
+// prefix, Sharded.Counters its sum over shards, and Reshard folds it
+// into the new composition cell by cell.
 package nfkit
 
 import (
@@ -102,18 +105,20 @@ type Decl[C any] struct {
 	// NF (nothing ever expires).
 	Expire func(core C, now libvig.Time) int
 
-	// Stats snapshots the core's engine-visible counters — a view of
-	// the Counters array (StatsOf computes everything but Expired from
-	// the reason cells). The kit never counts on the core's behalf:
-	// counters stay single-writer inside the core and the declaration
-	// only maps them out.
-	Stats func(core C) nf.Stats
+	// Stats is the engine-visible view of a Counters array — the
+	// core's own, or a published copy of it, or several shards' summed
+	// (StatsOf computes everything but Expired from the reason cells).
+	// The kit never counts on the core's behalf: counters stay
+	// single-writer inside the core and the declaration only maps them
+	// out. A declaration without Counters is handed nil.
+	Stats func(counters []uint64) nf.Stats
 
 	// Counters returns the core's live counter array — its own
-	// single-writer storage, not a copy, read and (by Reshard only)
-	// added to by the goroutine that owns the core. Layout: reason
-	// cells first, in ReasonID order, then the NF's lifecycle counters;
-	// every core of one declaration returns the same length.
+	// single-writer storage, not a copy, read (to publish it) and, by
+	// Reshard only, added to by the goroutine that owns the core.
+	// Layout: reason cells first, in ReasonID order, then the NF's
+	// lifecycle counters; every core of one declaration returns the
+	// same length.
 	Counters func(core C) []uint64
 
 	// ShardOf steers a frame to the shard owning its flow, for the
@@ -137,8 +142,7 @@ type Decl[C any] struct {
 
 	// Reasons, when set, declares the NF's outcome taxonomy: every
 	// packet the core processes is tagged with one ReasonID from this
-	// set and counted in that reason's cell of Counters (the counted
-	// wrapper mirrors deltas into padded scrapeable cells). The
+	// set and counted in that reason's cell of Counters. The
 	// taxonomy is cross-checked against the symbolic path enumeration
 	// (VerifyReasons, fed by the reason Sym.Spec names for each path):
 	// every declared reason must be reachable by ≥1 enumerated path and
@@ -267,6 +271,13 @@ func StatsOf(set *telemetry.ReasonSet, counters []uint64, expired uint64) nf.Sta
 	}
 	dropped := set.SumDrops(counters)
 	return nf.Stats{Processed: processed, Forwarded: processed - dropped, Dropped: dropped, Expired: expired}
+}
+
+// scrape is every reader-side surface of one read of published
+// counters: the declared Stats view with the engine's flow-cache cells
+// beside it, and the array itself under the declared taxonomy.
+func (d *Decl[C]) scrape(counters []uint64, fc nf.FlowCache) nf.Scrape {
+	return nf.Scrape{Stats: d.Stats(counters).With(fc), Reasons: d.Reasons, Counters: counters}
 }
 
 // now reads the declared clock, or 0 for clockless NFs.

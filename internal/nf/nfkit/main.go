@@ -84,13 +84,13 @@ type App struct {
 
 // Run is what an App's Build hands the kit to drive.
 type Run struct {
-	// NF is the (usually sharded) network function.
+	// NF is the (usually sharded) network function. Its NFStats feeds
+	// the metrics endpoint and the report, so it must be safe to call
+	// concurrently with traffic (nfkit.Sharded's is).
 	NF nf.NF
 	// ShardOf pre-steers the traffic per worker, standing in for the
 	// NIC's hardware RSS hash on the wire side.
 	ShardOf func(frame []byte, fromInternal bool) int
-	// Snapshot is the concurrency-safe stats surface (metrics, report).
-	Snapshot func() nf.Stats
 	// Frames is the traffic, delivered round-robin, one clock
 	// microsecond apart.
 	Frames [][]byte
@@ -197,8 +197,6 @@ func run(app App, o *Options) error {
 		return fmt.Errorf("app declares no NF")
 	case b.ShardOf == nil:
 		return fmt.Errorf("app declares no steering")
-	case b.Snapshot == nil:
-		return fmt.Errorf("app declares no stats snapshot")
 	case b.Report == nil:
 		return fmt.Errorf("app declares no report")
 	case len(b.Frames) == 0:
@@ -228,7 +226,7 @@ func run(app App, o *Options) error {
 	}
 
 	if o.Metrics != "" {
-		m, err := nf.ServeMetrics(o.Metrics, nf.SourceOf(app.Name, b.NF, b.Snapshot, pipe))
+		m, err := nf.ServeMetrics(o.Metrics, nf.SourceOf(app.Name, b.NF, pipe))
 		if err != nil {
 			return err
 		}
@@ -330,7 +328,7 @@ func run(app App, o *Options) error {
 	}
 	elapsed := time.Since(start)
 
-	rep := &RunReport{Elapsed: elapsed, Now: clock.Now(), Pipe: pipe.Stats(), Snapshot: b.Snapshot()}
+	rep := &RunReport{Elapsed: elapsed, Now: clock.Now(), Pipe: pipe.Stats(), Snapshot: b.NF.NFStats()}
 	if err := b.Report(os.Stdout, rep); err != nil {
 		return err
 	}
@@ -384,8 +382,6 @@ func runWire(app App, o *Options) error {
 		return fmt.Errorf("app declares no NF")
 	case b.ShardOf == nil:
 		return fmt.Errorf("app declares no steering")
-	case b.Snapshot == nil:
-		return fmt.Errorf("app declares no stats snapshot")
 	}
 	if o.Control && o.Metrics == "" {
 		return fmt.Errorf("-control needs -metrics (the management API mounts on the metrics mux)")
@@ -446,7 +442,7 @@ func runWire(app App, o *Options) error {
 	}
 
 	if o.Metrics != "" {
-		m, err := nf.ServeMetrics(o.Metrics, nf.SourceOf(app.Name, b.NF, b.Snapshot, pipe))
+		m, err := nf.ServeMetrics(o.Metrics, nf.SourceOf(app.Name, b.NF, pipe))
 		if err != nil {
 			return err
 		}
@@ -513,7 +509,7 @@ func runWire(app App, o *Options) error {
 	ps := pipe.Stats()
 	fmt.Printf("ran %.1fs on %s transport: %.3f Mpps forwarded\n",
 		elapsed.Seconds(), o.Transport, float64(ps.TxPackets)/elapsed.Seconds()/1e6)
-	nf.FprintEngineReport(os.Stdout, ps, b.Snapshot())
+	nf.FprintEngineReport(os.Stdout, ps, b.NF.NFStats())
 	is, es := intPort.Stats(), extPort.Stats()
 	fmt.Printf("  internal: rx=%d rx_dropped=%d tx=%d tx_dropped=%d | external: rx=%d rx_dropped=%d tx=%d tx_dropped=%d\n",
 		is.RxPackets, is.RxDropped, is.TxPackets, is.TxDropped,

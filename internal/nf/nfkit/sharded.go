@@ -7,14 +7,14 @@ import (
 
 	"vignat/internal/libvig"
 	"vignat/internal/nf"
-	"vignat/internal/nf/telemetry"
 )
 
 // Sharded is the derived RSS-style sharded composition: nShards
 // independent cores, each built by the declaration's shard
-// constructor, steered by the declared ShardOf, counted through one
-// nf.CountedShards stats block. It replaces the three near-identical
-// per-NF Sharded implementations (NAT, balancer, policer) with one.
+// constructor, steered by the declared ShardOf, each publishing its
+// counter array into its own nf.Block. It replaces the three
+// near-identical per-NF Sharded implementations (NAT, balancer,
+// policer) with one.
 //
 // Every packet touches exactly one shard, shards share no mutable
 // state, and the pipeline may run them on distinct workers with no
@@ -22,13 +22,17 @@ import (
 // multi-queue DPDK NF gets from NIC RSS, exactly as before the kit;
 // what changed is that the composition is now written once.
 //
-// The composition's (cores, counted-stats) pair is published through
-// one atomic pointer so that Reshard — the live worker-change verb —
-// can swap the whole partitioning in a single store: packet-path
-// readers are quiesced by the pipeline around the swap, and the
-// always-on readers that are not (metrics scrapes hitting the padded
-// stats cells) see either the old block or the new one, never a torn
-// mix.
+// The composition's shards (cores and their blocks) sit behind one
+// atomic pointer so that Reshard — the live worker-change verb — can
+// swap the whole partitioning in a single store: packet-path readers
+// are quiesced by the pipeline around the swap, and the always-on
+// readers that are not (metrics scrapes reading the blocks) see either
+// the old generation or the new one, never a torn mix.
+//
+// Nothing a reader is handed comes from a core: NFStats, Scrape,
+// Counters and the per-NF Stats views on top of it are all functions
+// of one read of the blocks, so all of them may run concurrently with
+// packet processing.
 type Sharded[C any] struct {
 	decl  Decl[C]
 	state atomic.Pointer[shardedState[C]]
@@ -46,36 +50,61 @@ type Sharded[C any] struct {
 }
 
 // shardedState is one immutable generation of the composition: the
-// cores and their counted-stats block always swap together.
+// cores and their blocks always swap together.
 type shardedState[C any] struct {
-	counted *nf.CountedShards
-	cores   []C
+	shards []*shard[C]
+	cores  []C
+}
+
+// shard is what the engine is handed for one partition: the core's
+// adapter plus the block its counters are published in. Everything the
+// engine calls per packet or per fragment is the adapter's own method,
+// promoted; the shard adds only the publication (nf.Publisher), which
+// whoever drives it calls once its burst is done.
+type shard[C any] struct {
+	*Adapter[C]
+	block *nf.Block
+}
+
+// Publish copies the core's counter array into the shard's block and
+// adds the burst's flow-cache counters.
+func (sh *shard[C]) Publish(fc nf.FlowCache) { sh.block.Publish(sh.counters(), fc) }
+
+// published reads every shard's block once and sums them cell by cell.
+func (st *shardedState[C]) published() ([]uint64, nf.FlowCache) {
+	sum, fc := st.shards[0].block.Snapshot()
+	for _, sh := range st.shards[1:] {
+		c, f := sh.block.Snapshot()
+		for i, v := range c {
+			sum[i] += v
+		}
+		fc.Add(f)
+	}
+	return sum, fc
 }
 
 var (
-	_ nf.NF      = (*Sharded[int])(nil)
-	_ nf.Sharder = (*Sharded[int])(nil)
+	_ nf.NF        = (*Sharded[int])(nil)
+	_ nf.Sharder   = (*Sharded[int])(nil)
+	_ nf.Scraper   = (*Sharded[int])(nil)
+	_ nf.Publisher = (*shard[int])(nil)
 )
 
-// buildState constructs nShards fresh cores plus their counted block.
+// buildState constructs nShards fresh cores, each with its block.
 func buildState[C any](d *Decl[C], nShards int) (*shardedState[C], error) {
 	perShard := 0
 	if d.Capacity > 0 {
 		perShard = d.Capacity / nShards
 	}
-	st := &shardedState[C]{cores: make([]C, nShards)}
-	shardNFs := make([]nf.NF, nShards)
+	st := &shardedState[C]{cores: make([]C, nShards), shards: make([]*shard[C], nShards)}
 	for i := 0; i < nShards; i++ {
 		core, err := d.New(i, nShards, perShard)
 		if err != nil {
 			return nil, fmt.Errorf("nfkit: %s shard %d: %w", d.Name, i, err)
 		}
 		st.cores[i] = core
-		shardNFs[i] = d.Adapt(core)
-	}
-	var err error
-	if st.counted, err = nf.NewCountedShards(shardNFs); err != nil {
-		return nil, err
+		a := d.Adapt(core)
+		st.shards[i] = &shard[C]{Adapter: a, block: nf.NewBlock(len(a.counters()))}
 	}
 	return st, nil
 }
@@ -138,22 +167,7 @@ func (s *Sharded[C]) Cores() []C { return s.state.Load().cores }
 // and safe for concurrent use whenever the declared function is, which
 // the declaration contract requires.
 func (s *Sharded[C]) ShardOf(frame []byte, fromInternal bool) int {
-	n := len(s.state.Load().cores)
-	if n == 1 {
-		return 0
-	}
-	shard := s.decl.ShardOf(frame, fromInternal, n)
-	if shard < 0 || shard >= n {
-		return 0
-	}
-	return shard
-}
-
-// Process steers one frame to its shard and runs it there.
-func (s *Sharded[C]) Process(frame []byte, fromInternal bool) nf.Verdict {
-	st := s.state.Load()
-	shard := s.shardOf(st, frame, fromInternal)
-	return st.counted.CountedShard(shard).Process(frame, fromInternal)
+	return s.shardOf(s.state.Load(), frame, fromInternal)
 }
 
 // shardOf is ShardOf against an already-loaded state generation.
@@ -169,7 +183,17 @@ func (s *Sharded[C]) shardOf(st *shardedState[C], frame []byte, fromInternal boo
 	return shard
 }
 
-// ProcessBatch steers and processes a burst, reading the clock once.
+// Process steers one frame to its shard, runs it there and publishes.
+func (s *Sharded[C]) Process(frame []byte, fromInternal bool) nf.Verdict {
+	st := s.state.Load()
+	sh := st.shards[s.shardOf(st, frame, fromInternal)]
+	v := sh.Process(frame, fromInternal)
+	sh.Publish(nf.FlowCache{})
+	return v
+}
+
+// ProcessBatch steers and processes a burst, reading the clock once,
+// and publishes every shard once.
 func (s *Sharded[C]) ProcessBatch(pkts []nf.Pkt, verdicts []nf.Verdict) {
 	st := s.state.Load()
 	now := s.decl.now()
@@ -177,69 +201,54 @@ func (s *Sharded[C]) ProcessBatch(pkts []nf.Pkt, verdicts []nf.Verdict) {
 		shard := s.shardOf(st, pkts[i].Frame, pkts[i].FromInternal)
 		verdicts[i] = s.decl.Process(st.cores[shard], pkts[i].Frame, pkts[i].FromInternal, now)
 	}
-	st.counted.SyncAll()
+	for _, sh := range st.shards {
+		sh.Publish(nf.FlowCache{})
+	}
 }
-
-// The nf.CountedShards surface, forwarded through the current state
-// generation (see the type comment for why the indirection exists).
 
 // Shards returns the shard count.
-func (s *Sharded[C]) Shards() int { return s.state.Load().counted.Shards() }
+func (s *Sharded[C]) Shards() int { return len(s.state.Load().cores) }
 
-// Shard returns shard i as a standalone counted NF.
-func (s *Sharded[C]) Shard(i int) nf.NF { return s.state.Load().counted.Shard(i) }
+// Shard returns shard i as a standalone NF for the engine to drive: a
+// bare adapter that is also an nf.Publisher. It never publishes by
+// itself — its driver does, once per burst.
+func (s *Sharded[C]) Shard(i int) nf.NF { return s.state.Load().shards[i] }
 
-// CountedShard returns shard i's counted wrapper.
-func (s *Sharded[C]) CountedShard(i int) *nf.CountedNF {
-	return s.state.Load().counted.CountedShard(i)
-}
-
-// SyncAll publishes every shard's pending counter deltas.
-func (s *Sharded[C]) SyncAll() { s.state.Load().counted.SyncAll() }
-
-// Expire advances expiry on every shard.
-func (s *Sharded[C]) Expire(now libvig.Time) int { return s.state.Load().counted.Expire(now) }
-
-// NFStats returns StatsSnapshot.
-func (s *Sharded[C]) NFStats() nf.Stats { return s.state.Load().counted.NFStats() }
-
-// StatsSnapshot returns the counters aggregated across shards, safe
-// concurrently with traffic (and with a live reshard: the atomic state
-// load pins one generation for the whole read).
-func (s *Sharded[C]) StatsSnapshot() nf.Stats { return s.state.Load().counted.StatsSnapshot() }
-
-// ShardStatsSnapshot returns shard i's counters.
-func (s *Sharded[C]) ShardStatsSnapshot(i int) nf.Stats {
-	return s.state.Load().counted.ShardStatsSnapshot(i)
-}
-
-// AddFastPath folds the engine's flow-cache counters into shard i.
-func (s *Sharded[C]) AddFastPath(i int, hits, misses, evictions, bypassed uint64) {
-	s.state.Load().counted.AddFastPath(i, hits, misses, evictions, bypassed)
-}
-
-// ReasonSet returns the declared taxonomy, or nil.
-func (s *Sharded[C]) ReasonSet() *telemetry.ReasonSet { return s.state.Load().counted.ReasonSet() }
-
-// ReasonSnapshot returns the per-reason totals aggregated across
-// shards, or nil when no taxonomy is declared.
-func (s *Sharded[C]) ReasonSnapshot() []uint64 { return s.state.Load().counted.ReasonSnapshot() }
-
-// ShardReasonSnapshot returns shard i's per-reason totals, or nil.
-func (s *Sharded[C]) ShardReasonSnapshot(i int) []uint64 {
-	return s.state.Load().counted.ShardReasonSnapshot(i)
-}
-
-// Counters returns the declared counter arrays summed across shards,
-// cell by cell — what the per-NF Stats() aggregators take their view
-// of. It reads the cores' own storage, so like every drill-down it
-// must not run concurrently with packet processing.
-func (s *Sharded[C]) Counters() []uint64 {
-	sum, err := foldCounters(&s.decl, s.Cores())
-	if err != nil {
-		// A misdeclared Counters closure; nothing traffic can cause.
-		panic(fmt.Sprintf("nfkit: %s: %v", s.decl.Name, err))
+// Expire advances expiry on every shard, publishing the ones that
+// freed something.
+func (s *Sharded[C]) Expire(now libvig.Time) int {
+	total := 0
+	for _, sh := range s.state.Load().shards {
+		if n := sh.Expire(now); n > 0 {
+			total += n
+			sh.Publish(nf.FlowCache{})
+		}
 	}
+	return total
+}
+
+// NFStats returns the engine-visible counters aggregated across
+// shards: Scrape's Stats.
+func (s *Sharded[C]) NFStats() nf.Stats { return s.Scrape().Stats }
+
+// Scrape reads every shard's block once and returns every reader-side
+// surface of that one read. It is safe concurrently with traffic, and
+// with a live reshard: the atomic state load pins one generation for
+// the whole read.
+func (s *Sharded[C]) Scrape() nf.Scrape {
+	return s.decl.scrape(s.state.Load().published())
+}
+
+// ShardScrape is Scrape of shard i's block alone.
+func (s *Sharded[C]) ShardScrape(i int) nf.Scrape {
+	return s.decl.scrape(s.state.Load().shards[i].block.Snapshot())
+}
+
+// Counters returns the declared counter arrays as published, summed
+// across shards cell by cell — what the per-NF Stats() aggregators
+// take their view of.
+func (s *Sharded[C]) Counters() []uint64 {
+	sum, _ := s.state.Load().published()
 	return sum
 }
 
@@ -265,12 +274,15 @@ func foldCounters[C any](d *Decl[C], cores []C) ([]uint64, error) {
 
 // Broadcast runs a control-plane operation on every shard in shard
 // order, stopping at the first error — the pattern every replicated
-// control operation (backend add/remove, heartbeat) uses. Like all
-// control-path mutations in the repository it must not run
-// concurrently with packet processing.
+// control operation (backend add/remove, heartbeat) uses — and
+// publishes each shard it ran on (a drained backend unpins flows, a
+// counted event). Like all control-path mutations in the repository it
+// must not run concurrently with packet processing.
 func (s *Sharded[C]) Broadcast(op func(shard int, core C) error) error {
-	for i, core := range s.Cores() {
-		if err := op(i, core); err != nil {
+	for i, sh := range s.state.Load().shards {
+		err := op(i, sh.core)
+		sh.Publish(nf.FlowCache{})
+		if err != nil {
 			return err
 		}
 	}
@@ -305,9 +317,10 @@ func (s *Sharded[C]) MigrationDropped() uint64 { return s.migrationDropped }
 // cannot hold its share.
 //
 // Counters survive the move: the old cores' counter arrays
-// (Decl.Counters) are summed cell by cell into new shard 0's, and the
-// new counted block syncs once before the swap, so the aggregate
-// snapshot stays continuous and monotone. Restores never bump creation
+// (Decl.Counters) are summed cell by cell into new shard 0's, the old
+// blocks' flow-cache cells ride along, and every new block is
+// published once before the swap, so the aggregate snapshot stays
+// continuous and monotone. Restores never bump creation
 // counters (codec contract), so created−expired−unpinned−
 // migrationDropped == live holds across the move.
 //
@@ -395,9 +408,14 @@ func (s *Sharded[C]) Reshard(n int) error {
 			into[i] += v
 		}
 	}
-	// Pre-publish the folded totals into the new padded cells, so the
-	// commit below never exposes a zeroed snapshot to a scraper.
-	st.counted.SyncAll()
+	// Pre-publish the new blocks, shard 0's with the old blocks'
+	// flow-cache cells folded in like the counters above, so the commit
+	// below never exposes a zeroed snapshot to a scraper.
+	_, fc := old.published()
+	st.shards[0].Publish(fc)
+	for _, sh := range st.shards[1:] {
+		sh.Publish(nf.FlowCache{})
+	}
 
 	// Commit: everything above touched only locals.
 	s.state.Store(st)

@@ -216,9 +216,9 @@ type Pipeline struct {
 	// pre-bound at construction so a cache hit costs one indirect call.
 	fastNFs  []FastPather
 	fastHits []FastHitFunc
-	// fastSink receives per-shard flow-cache counters, when the NF's
-	// stats surface accepts them.
-	fastSink FastPathCounter
+	// publishers[s] is shard s's NF as a Publisher, nil when its
+	// counters are not read through a Block.
+	publishers []Publisher
 	// fastEntries is the per-worker cache size; 0 disables the cache.
 	fastEntries int
 	// tel is the engine telemetry (nil when disabled — the hot path's
@@ -368,7 +368,6 @@ func NewPipeline(n NF, cfg Config) (*Pipeline, error) {
 		idleWait:    cfg.IdleWait,
 		fastEntries: fastEntries,
 	}
-	p.fastSink, _ = n.(FastPathCounter)
 	if telOn {
 		sample := cfg.TraceSample
 		switch {
@@ -408,12 +407,14 @@ func (p *Pipeline) rebuild(nWorkers int) error {
 	p.shardNFs = make([]NF, nShards)
 	p.fastNFs = make([]FastPather, nShards)
 	p.fastHits = make([]FastHitFunc, nShards)
+	p.publishers = make([]Publisher, nShards)
 	p.ownerLocal = make([]int, nShards)
 	p.workers = make([]*worker, nWorkers)
 	fastEntries := p.fastEntries
 	anyFast := false
 	for s := 0; s < nShards; s++ {
 		p.shardNFs[s] = p.sharder.Shard(s)
+		p.publishers[s], _ = p.shardNFs[s].(Publisher)
 		p.ownerLocal[s] = s / nWorkers // local slot within the owning worker
 		if fastEntries > 0 {
 			if fp, ok := p.shardNFs[s].(FastPather); ok && fp.FastPathEnabled() {
@@ -487,25 +488,19 @@ func (p *Pipeline) rebuild(nWorkers int) error {
 func (p *Pipeline) installRSS() {
 	sharder := p.sharder
 	ns, nw := len(p.shardNFs), len(p.workers)
-	clamp := func(s int) int {
-		if s < 0 || s >= ns {
-			return 0
-		}
-		return s
-	}
 	p.intPort.SetRSS(func(frame []byte) int {
-		return clamp(sharder.ShardOf(frame, true)) % nw
+		return clampShard(sharder.ShardOf(frame, true), ns) % nw
 	})
 	p.extPort.SetRSS(func(frame []byte) int {
-		return clamp(sharder.ShardOf(frame, false)) % nw
+		return clampShard(sharder.ShardOf(frame, false), ns) % nw
 	})
 }
 
-// clampShard maps out-of-range steering results onto shard 0 (the
-// frame will be dropped by whichever shard sees it; the clamp only
+// clampShard maps a steering result outside [0, shards) onto shard 0
+// (the frame will be dropped by whichever shard sees it; the clamp only
 // keeps misbehaving steering functions memory-safe).
-func (p *Pipeline) clampShard(s int) int {
-	if s < 0 || s >= len(p.shardNFs) {
+func clampShard(s, shards int) int {
+	if s < 0 || s >= shards {
 		return 0
 	}
 	return s
@@ -639,7 +634,9 @@ func (p *Pipeline) PollWorker(w int) (int, error) {
 		if p.clock != nil && len(wk.shards) > 0 {
 			now := p.clock.Now()
 			for _, s := range wk.shards {
-				p.shardNFs[s].Expire(now)
+				if p.shardNFs[s].Expire(now) > 0 {
+					p.publish(s)
+				}
 			}
 		}
 		if p.idleWait > 0 {
@@ -677,6 +674,7 @@ func (p *Pipeline) PollWorker(w int) (int, error) {
 			wk.processShardFast(li, s, now)
 		} else {
 			p.shardNFs[s].ProcessBatch(wk.pkts[li], wk.verd[li])
+			p.publish(s)
 		}
 		if timed {
 			perPkt := uint64(time.Since(p.telEpoch)-burstStart) / uint64(np)
@@ -696,12 +694,20 @@ func (p *Pipeline) PollWorker(w int) (int, error) {
 	return n, err
 }
 
+// publish brings shard s's Block up to date when there are no
+// flow-cache counters to add: after an uncached burst or an idle sweep.
+func (p *Pipeline) publish(s int) {
+	if pub := p.publishers[s]; pub != nil {
+		pub.Publish(FlowCache{})
+	}
+}
+
 // maybeTrace leaves one sampled trace record per Sample packets seen
 // on timed polls (so the effective period is Sample×TimingStride
 // processed packets): the final packet of the burst that crossed the
-// threshold,
-// with the burst's amortized per-packet cost and best-effort reason
-// and chain-element labels. Called only with telemetry enabled.
+// threshold, with the burst's amortized per-packet cost and
+// best-effort reason and chain-element labels. Called only with
+// telemetry enabled.
 func (wk *worker) maybeTrace(li, s, np int, perPkt uint64, pureHit bool, now libvig.Time) {
 	sample := wk.sample
 	if sample == 0 {
@@ -765,7 +771,7 @@ func (wk *worker) rxSteer(port *dpdk.Port, fromInternal bool) int {
 		if len(wk.shards) > 1 {
 			// With one owned shard every frame lands in slot 0; only
 			// multi-shard workers pay the steering parse again.
-			s := p.clampShard(p.sharder.ShardOf(m.Data, fromInternal))
+			s := clampShard(p.sharder.ShardOf(m.Data, fromInternal), len(p.shardNFs))
 			if s%len(p.workers) == wk.id {
 				li = p.ownerLocal[s]
 			}

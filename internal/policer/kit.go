@@ -46,8 +46,8 @@ func Kit(cfg Config, clock libvig.Clock) nfkit.Decl[*Policer] {
 			return verdictOf(p.ProcessAt(frame, fromInternal, now))
 		},
 		Expire: (*Policer).ExpireAt,
-		Stats: func(p *Policer) nf.Stats {
-			return nfkit.StatsOf(Reasons, p.counters[:], p.counters[ctrBucketsExpired])
+		Stats: func(c []uint64) nf.Stats {
+			return nfkit.StatsOf(Reasons, c, c[ctrBucketsExpired])
 		},
 		Counters: func(p *Policer) []uint64 { return p.counters[:] },
 		// The fast path never bypasses rate limiting: a meter hit
@@ -139,5 +139,6 @@ func (s *Sharded) Subscribers() int {
 	return total
 }
 
-// Stats aggregates the shards' policer-level counters.
+// Stats is the policer-level view of the shards' published counters,
+// safe to call under traffic.
 func (s *Sharded) Stats() Stats { return statsOf(s.Counters()) }

@@ -232,7 +232,7 @@ func TestShardedPolicerAffinityAndStats(t *testing.T) {
 	if st.Conformed != 32 || st.Passthrough != 32 {
 		t.Fatalf("aggregate stats %+v", st)
 	}
-	snap := s.StatsSnapshot()
+	snap := s.NFStats()
 	if snap.Processed != 64 || snap.Forwarded != 64 {
 		t.Fatalf("snapshot %+v", snap)
 	}
