@@ -2,16 +2,18 @@
 // client side vigwire cannot play (vigwire speaks the NAT's RFC 3022
 // dialect and runs lock-step against its oracle). vigblast is
 // open-loop: it crafts client or subscriber frames and sends each as
-// one UDP datagram — the dpdk udp transport's frames-as-datagrams
-// framing — to a daemon's external-port socket, paced by -interval,
-// never waiting for replies. That is exactly the shape the wire smoke
-// test needs to hold a viglb or vigpol daemon under live traffic while
-// control-plane verbs land on /control/v1.
+// one datagram — the dpdk socket transports' frames-as-datagrams
+// framing, over UDP or a unix SOCK_SEQPACKET connection — to a daemon's
+// external-port socket, paced by -interval, never waiting for replies.
+// That is exactly the shape the wire smoke test needs to hold a viglb
+// or vigpol daemon under live traffic while control-plane verbs land on
+// /control/v1, and, unpaced, to hand a daemon bursts to batch.
 //
 // Usage:
 //
 //	vigblast -peer 127.0.0.1:19301 -kind lb -flows 64 -packets 4000
 //	vigblast -peer 127.0.0.1:19401 -kind policer -flows 32 -packets 4000
+//	vigblast -transport unix -peer /tmp/nat-ext -interval 0 -packets 20000
 //
 // -kind lb sends distinct client tuples to the viglb VIP
 // (198.18.10.10:443, the address cmd/viglb hardcodes), pinning one
@@ -37,7 +39,8 @@ func craft(id flow.ID, payload int) []byte {
 }
 
 func main() {
-	peer := flag.String("peer", "", "daemon socket to blast (its external port's queue-0 address)")
+	transport := flag.String("transport", "udp", "wire backend: udp or unix (must match the daemon's)")
+	peer := flag.String("peer", "", "daemon socket to blast (its external port's queue-0 address; unix: its path prefix)")
 	kind := flag.String("kind", "lb", "frame shape: lb (client→VIP) or policer (downstream→subscriber)")
 	flows := flag.Int("flows", 64, "distinct client/subscriber tuples to cycle through")
 	packets := flag.Int("packets", 4000, "total datagrams to send")
@@ -78,7 +81,13 @@ func main() {
 		frames[i] = craft(id, *payload)
 	}
 
-	conn, err := net.Dial("udp", *peer)
+	network, addr := "udp", *peer
+	if *transport == "unix" {
+		network, addr = "unixpacket", *peer+".q0"
+	} else if *transport != "udp" {
+		fail(fmt.Errorf("unknown -transport %q (want udp or unix)", *transport))
+	}
+	conn, err := net.Dial(network, addr)
 	if err != nil {
 		fail(err)
 	}

@@ -3,7 +3,6 @@ package dpdk
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"vignat/internal/libvig"
 )
@@ -162,15 +161,23 @@ func (p *Port) QueueStats(q int) PortStats { return p.tr.QueueStats(q) }
 // in-memory backend (a no-op: rings stay drainable).
 func (p *Port) Close() error { return p.tr.Close() }
 
-// WaitRxQueue blocks until queue q plausibly has receivable traffic or
-// d elapses: the idle-poll parking hook. Transports with a waitable fd
-// (the socket backends) select on it; the rest sleep out the budget.
-func (p *Port) WaitRxQueue(q int, d time.Duration) {
-	if w, ok := p.tr.(RxWaiter); ok {
-		w.WaitRx(q, d)
-		return
+// WireStats returns queue q's syscall counters, all zero on a transport
+// that makes no syscalls (the in-memory one). Unlike QueueStats it may
+// be called while traffic flows.
+func (p *Port) WireStats(q int) WireStats {
+	if w, ok := p.tr.(interface{ WireStats(q int) WireStats }); ok {
+		return w.WireStats(q)
 	}
-	time.Sleep(d)
+	return WireStats{}
+}
+
+// rxFD returns the descriptor WaitRx polls for queue q (-1: the
+// transport has none) and whether the queue has frames already.
+func (p *Port) rxFD(q int) (fd int, ready bool) {
+	if s, ok := p.tr.(interface{ rxFD(q int) (int, bool) }); ok {
+		return s.rxFD(q)
+	}
+	return -1, false
 }
 
 // --- NF side (the DPDK API surface VigNAT uses) ---

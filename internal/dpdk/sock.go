@@ -4,21 +4,33 @@ import (
 	"fmt"
 	"net"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
+	"unsafe"
 
 	"vignat/internal/libvig"
 )
 
-// This file is the shared machinery of the socket transports: the
-// kernel is the wire, one nonblocking socket per queue, frames as
-// datagrams. What a NIC does in hardware — receive timestamping and
-// RSS steering — happens here in software: frames are stamped with the
-// configured clock at read time, and a frame the RSS function steers
-// to a different queue than the socket it arrived on is re-steered
-// through that queue's staging channel (the indirection-table hop a
-// NIC performs before DMA). Everything mbuf-shaped obeys the same
+// This file is the whole I/O path of the socket transports: the kernel
+// is the wire, frames are datagrams, and one burst is a handful of
+// syscalls whatever its size. Every queue has one pollable descriptor —
+// a datagram transport's socket, or a connection-oriented transport's
+// epoll set holding its listener and accepted connections. An idle
+// worker blocks on it (WaitRx, over both of its ports at once); a burst
+// asks it what is ready before touching anything, so a listener is
+// accepted from only when a peer is pending and a connection is read
+// only when it has frames, recvmmsg(2) taking as many as the burst has
+// room for and sendmmsg(2) sending the whole TX burst. udp.go and
+// unix.go only open, bind and dial.
+//
+// What a NIC does in hardware — receive timestamping and RSS steering —
+// happens here in software: frames are stamped with the configured
+// clock at read time, and a frame the RSS function steers to a
+// different queue than the socket it arrived on is re-steered through
+// that queue's staging channel (the indirection-table hop a NIC
+// performs before DMA). Everything mbuf-shaped obeys the same
 // conservation discipline as the in-memory backend.
 
 // DefaultStagingDepth bounds each queue's software-RSS re-steering
@@ -68,12 +80,67 @@ func (cfg *SocketConfig) withDefaults() SocketConfig {
 	return c
 }
 
+// WireStats counts what one queue of a socket transport asked of the
+// kernel. Frames over syscalls is the batching the wire achieved; the
+// in-memory transport makes no syscalls and reads zero throughout.
+type WireStats struct {
+	RxSyscalls uint64 `json:"rx_syscalls"` // readiness queries, accepts and recvmmsg calls
+	RxFrames   uint64 `json:"rx_frames"`   // frames those recvmmsg calls returned
+	TxSyscalls uint64 `json:"tx_syscalls"` // sendmmsg calls
+	TxAgain    uint64 `json:"tx_eagain"`   // sendmmsg calls the kernel refused with EAGAIN/ENOBUFS
+}
+
+// wireCounters is WireStats as its queue keeps it: written by the one
+// goroutine driving the queue, readable by a scrape at any time.
+type wireCounters struct {
+	rxSyscalls, rxFrames, txSyscalls, txAgain atomic.Uint64
+}
+
+// mmsgBatch is how many frames one recvmmsg/sendmmsg call carries at
+// most; a larger burst takes more than one call.
+const mmsgBatch = 32
+
+// mmsghdr is struct mmsghdr: a msghdr and the byte count the kernel
+// reports for it.
+type mmsghdr struct {
+	hdr syscall.Msghdr
+	len uint32
+}
+
+// mmsg is one queue's recvmmsg/sendmmsg scratch, wired once at
+// construction: every header points at its own iovec, the receive
+// iovecs point at rxBufs, the transmit iovecs are pointed at the
+// burst's mbufs call by call.
+type mmsg struct {
+	rxHdrs [mmsgBatch]mmsghdr
+	rxIovs [mmsgBatch]syscall.Iovec
+	rxBufs [mmsgBatch][DataRoomSize]byte
+	txHdrs [mmsgBatch]mmsghdr
+	txIovs [mmsgBatch]syscall.Iovec
+}
+
+func newMmsg() *mmsg {
+	v := &mmsg{}
+	for i := range v.rxHdrs {
+		v.rxIovs[i].Base = &v.rxBufs[i][0]
+		v.rxIovs[i].SetLen(DataRoomSize)
+		v.rxHdrs[i].hdr.Iov = &v.rxIovs[i]
+		v.rxHdrs[i].hdr.Iovlen = 1
+		v.txHdrs[i].hdr.Iov = &v.txIovs[i]
+		v.txHdrs[i].hdr.Iovlen = 1
+	}
+	return v
+}
+
 // stagedFrame is a frame parked between the socket it arrived on and
-// the queue RSS steers it to, carrying its read-time stamp.
+// the queue RSS steers it to, carrying its read-time stamp. It returns
+// to the free ring of the queue that staged it (from) once the target
+// queue has copied it into an mbuf.
 type stagedFrame struct {
 	buf    [DataRoomSize]byte
 	n      int
 	rxTime libvig.Time
+	from   int
 }
 
 // sockQueue is the per-queue state shared by the socket transports.
@@ -83,10 +150,26 @@ type stagedFrame struct {
 // and the target's staging buffer is full (the drop charges the
 // receiving queue, whose goroutine is the one running).
 type sockQueue struct {
-	fd      int
+	// mu keeps a concurrent Close from pulling the descriptors out from
+	// under a burst. It is uncontended on the packet path (one goroutine
+	// per queue) and never held across a blocking call.
+	mu sync.Mutex
+	// fd is the queue's pollable descriptor, fixed at construction: a
+	// datagram transport's socket, or the epoll set a connection-oriented
+	// transport keeps listen and conns in.
+	fd     int
+	listen int   // accepts peers into the epoll set; -1 on a datagram transport
+	conns  []int // accepted connections, all registered in the epoll set
+	tx     int   // where TxBurst sends; -1 while the link is down
+	events [8]syscall.EpollEvent
+
 	stats   PortStats
+	io      wireCounters
+	vec     *mmsg
 	staging chan *stagedFrame
-	scratch []byte // DataRoomSize+1: one spare byte detects oversize frames
+	// free recycles the staged frames this queue's receive path
+	// allocated, so steady-state re-steering allocates nothing.
+	free chan *stagedFrame
 }
 
 // sock is the common core of UDPTransport and UnixTransport.
@@ -102,18 +185,28 @@ type sock struct {
 	rss    atomic.Value
 	queues []sockQueue
 	closed atomic.Bool
+	// dial brings a connection-oriented queue's TX link up, reporting
+	// whether qu.tx is now usable; nil on a datagram transport, whose
+	// queues transmit on their own socket.
+	dial func(qu *sockQueue) bool
+	// peer is the destination every sendmmsg header names (a raw
+	// sockaddr); nil on a connected link.
+	peer    *byte
+	peerLen uint32
 }
 
-func newSock(name string, cfg SocketConfig) *sock {
-	s := &sock{name: name, cfg: cfg, clock: cfg.Clock, queues: make([]sockQueue, cfg.Queues)}
+func (s *sock) init(name string, cfg SocketConfig) {
+	s.name, s.cfg, s.clock = name, cfg, cfg.Clock
+	s.queues = make([]sockQueue, cfg.Queues)
 	for q := range s.queues {
-		s.queues[q] = sockQueue{
-			fd:      -1,
-			staging: make(chan *stagedFrame, cfg.StagingDepth),
-			scratch: make([]byte, DataRoomSize+1),
-		}
+		qu := &s.queues[q]
+		qu.fd, qu.listen, qu.tx = -1, -1, -1
+		qu.vec = newMmsg()
+		qu.staging = make(chan *stagedFrame, cfg.StagingDepth)
+		// Sized to every frame the queue can have parked on the others
+		// at once, so a recycled frame always finds room.
+		qu.free = make(chan *stagedFrame, (cfg.Queues-1)*cfg.StagingDepth)
 	}
-	return s
 }
 
 func (s *sock) Name() string { return s.name }
@@ -132,7 +225,19 @@ func (s *sock) loadRSS() func(frame []byte) int {
 
 func (s *sock) QueueStats(q int) PortStats { return s.queues[q].stats }
 
-func (s *sock) bindPools(portID uint16, pools []*Mempool) error {
+// WireStats returns queue q's syscall counters; safe under traffic.
+func (s *sock) WireStats(q int) WireStats {
+	io := &s.queues[q].io
+	return WireStats{
+		RxSyscalls: io.rxSyscalls.Load(),
+		RxFrames:   io.rxFrames.Load(),
+		TxSyscalls: io.txSyscalls.Load(),
+		TxAgain:    io.txAgain.Load(),
+	}
+}
+
+// Bind attaches the port identity and per-queue RX mempools.
+func (s *sock) Bind(portID uint16, pools []*Mempool) error {
 	if len(pools) != len(s.queues) {
 		return fmt.Errorf("dpdk: %d pools for %d queues", len(pools), len(s.queues))
 	}
@@ -170,17 +275,11 @@ func (s *sock) makeMbuf(q int, frame []byte, now libvig.Time) *Mbuf {
 	return m
 }
 
-// place routes one frame received on queue rq: oversize frames drop
-// (defined behavior — a frame that cannot fit an mbuf is cut, not
-// truncated into a valid-looking prefix), frames RSS keeps on rq
+// place routes one frame received on queue rq: frames RSS keeps on rq
 // become mbufs immediately, and frames steered elsewhere park in the
 // target queue's staging channel for its next RxBurst. Returns the
 // updated fill count of bufs.
 func (s *sock) place(rq int, frame []byte, now libvig.Time, bufs []*Mbuf, n int) int {
-	if len(frame) > DataRoomSize {
-		s.queues[rq].stats.RxDropped++
-		return n
-	}
 	tq := s.steerOf(frame)
 	if tq < 0 || tq == rq {
 		if m := s.makeMbuf(rq, frame, now); m != nil {
@@ -189,12 +288,19 @@ func (s *sock) place(rq int, frame []byte, now libvig.Time, bufs []*Mbuf, n int)
 		}
 		return n
 	}
-	sf := &stagedFrame{n: len(frame), rxTime: now}
-	copy(sf.buf[:], frame)
+	qu := &s.queues[rq]
+	var sf *stagedFrame
+	select {
+	case sf = <-qu.free:
+	default:
+		sf = &stagedFrame{from: rq}
+	}
+	sf.n, sf.rxTime = copy(sf.buf[:], frame), now
 	select {
 	case s.queues[tq].staging <- sf:
 	default:
-		s.queues[rq].stats.RxDropped++ // staging full: charge the receiver
+		qu.stats.RxDropped++ // staging full: charge the receiver
+		qu.recycle(sf)
 	}
 	return n
 }
@@ -209,6 +315,7 @@ func (s *sock) drainStaging(q int, bufs []*Mbuf) int {
 				bufs[n] = m
 				n++
 			}
+			s.queues[sf.from].recycle(sf)
 		default:
 			return n
 		}
@@ -216,9 +323,259 @@ func (s *sock) drainStaging(q int, bufs []*Mbuf) int {
 	return n
 }
 
-// stagingReady reports whether queue q has parked frames (WaitRx must
-// not sleep past traffic that is already here).
-func (s *sock) stagingReady(q int) bool { return len(s.queues[q].staging) > 0 }
+// RxBurst receives up to len(bufs) frames on queue q: parked
+// re-steered frames first, then whatever the queue's descriptor says
+// is ready. A datagram socket is its own readiness query (an empty one
+// answers EAGAIN); a connection-oriented queue asks its epoll set
+// without blocking, accepts one pending peer when the listener is
+// readable (asking again, since a fresh connection usually arrives
+// with frames behind it), and reads only the connections reported
+// readable. A read of zero bytes is the peer's FIN; the connection is
+// retired, and a reconnecting peer is accepted like any other.
+func (s *sock) RxBurst(q int, bufs []*Mbuf) int {
+	qu := &s.queues[q]
+	qu.mu.Lock()
+	defer qu.mu.Unlock()
+	if s.closed.Load() {
+		return 0
+	}
+	n := s.drainStaging(q, bufs)
+	if qu.listen < 0 {
+		n, _ = s.recvBatch(q, qu.fd, bufs, n)
+		return n
+	}
+	for again := true; again && n < len(bufs); {
+		again = false
+		nev := epollReady(qu.fd, qu.events[:])
+		qu.io.rxSyscalls.Add(1)
+		for _, ev := range qu.events[:nev] {
+			if n == len(bufs) {
+				break // level-triggered: what is left is reported again
+			}
+			fd := int(ev.Fd)
+			if fd == qu.listen {
+				again = s.accept(qu) || again
+				continue
+			}
+			var gone bool
+			if n, gone = s.recvBatch(q, fd, bufs, n); gone {
+				qu.retire(fd)
+			}
+		}
+	}
+	return n
+}
+
+// accept takes one pending connection off queue qu's listener into its
+// epoll set, reporting whether it did.
+func (s *sock) accept(qu *sockQueue) bool {
+	fd, _, e := syscall.RawSyscall6(syscall.SYS_ACCEPT4, uintptr(qu.listen), 0, 0, syscall.SOCK_NONBLOCK, 0, 0)
+	qu.io.rxSyscalls.Add(1)
+	if e != 0 {
+		return false // the peer gave up first, or the listener is closed
+	}
+	ev := syscall.EpollEvent{Events: syscall.EPOLLIN, Fd: int32(fd)}
+	if err := syscall.EpollCtl(qu.fd, syscall.EPOLL_CTL_ADD, int(fd), &ev); err != nil {
+		_ = syscall.Close(int(fd))
+		return false
+	}
+	qu.conns = append(qu.conns, int(fd))
+	return true
+}
+
+// recycle returns a staged frame this queue allocated to its free ring.
+func (qu *sockQueue) recycle(sf *stagedFrame) {
+	select {
+	case qu.free <- sf:
+	default: // cannot happen while the ring holds every frame the queue can stage
+	}
+}
+
+// retire closes an accepted connection (which also leaves the epoll
+// set) and forgets it.
+func (qu *sockQueue) retire(fd int) {
+	_ = syscall.Close(fd)
+	for i, c := range qu.conns {
+		if c == fd {
+			qu.conns = append(qu.conns[:i], qu.conns[i+1:]...)
+			return
+		}
+	}
+}
+
+// recvBatch reads frames from fd into bufs[n:] with recvmmsg until the
+// socket is drained (a short count — no read is spent on learning
+// EAGAIN) or the burst is full, returning the new fill count and
+// whether fd is finished: a connection that read end-of-stream or a
+// hard error. Oversize frames are dropped and counted, never truncated
+// into a valid-looking prefix (the kernel flags them MSG_TRUNC); each
+// frame kept gets its own clock stamp.
+func (s *sock) recvBatch(q, fd int, bufs []*Mbuf, n int) (int, bool) {
+	qu := &s.queues[q]
+	v := qu.vec
+	for n < len(bufs) {
+		want := min(len(bufs)-n, mmsgBatch)
+		r, _, e := syscall.RawSyscall6(syscall.SYS_RECVMMSG, uintptr(fd),
+			uintptr(unsafe.Pointer(&v.rxHdrs[0])), uintptr(want), syscall.MSG_DONTWAIT, 0, 0)
+		qu.io.rxSyscalls.Add(1)
+		if e == syscall.EINTR {
+			continue
+		}
+		if e != 0 {
+			return n, !wouldBlock(e)
+		}
+		got, fin, frames := int(r), false, uint64(0)
+		for i := 0; i < got; i++ {
+			h := &v.rxHdrs[i]
+			switch {
+			case h.len == 0 && qu.listen >= 0:
+				fin = true // every message after end-of-stream reads empty too
+				continue
+			case h.hdr.Flags&syscall.MSG_TRUNC != 0:
+				qu.stats.RxDropped++
+			default:
+				n = s.place(q, v.rxBufs[i][:h.len], s.clock.Now(), bufs, n)
+			}
+			frames++
+		}
+		qu.io.rxFrames.Add(frames)
+		if fin || got < want {
+			return n, fin
+		}
+	}
+	return n, false
+}
+
+// TxBurst sends up to len(bufs) frames on queue q with sendmmsg,
+// freeing the mbufs the kernel took. A send that would block — the
+// peer's buffers are full, real backpressure — rejects the tail back
+// to the caller with every mbuf conserved, and so does a link that is
+// down (no peer set, or nobody listening there: a NIC with no cable).
+// A short count is not yet a verdict: the next call names the reason.
+// A hard error consumes the one frame it was reported for as
+// TxDropped; on a connection it also retires the descriptor, and the
+// rest of the burst redials.
+func (s *sock) TxBurst(q int, bufs []*Mbuf) int {
+	qu := &s.queues[q]
+	qu.mu.Lock()
+	defer qu.mu.Unlock()
+	v := qu.vec
+	n := 0
+send:
+	for n < len(bufs) && !s.closed.Load() {
+		if qu.tx < 0 && (s.dial == nil || !s.dial(qu)) {
+			break
+		}
+		batch := bufs[n:min(len(bufs), n+mmsgBatch)]
+		for i, m := range batch {
+			v.txIovs[i].Base = unsafe.SliceData(m.Data)
+			v.txIovs[i].SetLen(len(m.Data))
+			v.txHdrs[i].hdr.Name, v.txHdrs[i].hdr.Namelen = s.peer, s.peerLen
+		}
+		r, _, e := syscall.RawSyscall6(sysSendmmsg, uintptr(qu.tx),
+			uintptr(unsafe.Pointer(&v.txHdrs[0])), uintptr(len(batch)), syscall.MSG_DONTWAIT|syscall.MSG_NOSIGNAL, 0, 0)
+		qu.io.txSyscalls.Add(1)
+		switch {
+		case e == 0:
+			for _, m := range batch[:r] {
+				_ = m.Pool().Free(m)
+			}
+			qu.stats.TxPackets += uint64(r)
+			n += int(r)
+		case e == syscall.EINTR:
+		case wouldBlock(e):
+			qu.io.txAgain.Add(1)
+			break send // caller keeps bufs[n:]
+		default:
+			qu.stats.TxDropped++ // sent into a broken link: consumed, not delivered
+			_ = bufs[n].Pool().Free(bufs[n])
+			n++
+			if s.dial != nil {
+				_ = syscall.Close(qu.tx)
+				qu.tx = -1
+			}
+		}
+	}
+	qu.stats.TxDropped += uint64(len(bufs) - n)
+	return n
+}
+
+// Close shuts every descriptor; in-flight bursts end gracefully.
+func (s *sock) Close() error {
+	if s.closed.Swap(true) {
+		return nil
+	}
+	for q := range s.queues {
+		qu := &s.queues[q]
+		qu.mu.Lock()
+		fds := append([]int{qu.fd, qu.listen}, qu.conns...)
+		if qu.tx != qu.fd { // a datagram queue transmits on the socket it receives on
+			fds = append(fds, qu.tx)
+		}
+		for _, fd := range fds {
+			if fd >= 0 {
+				_ = syscall.Close(fd)
+			}
+		}
+		qu.conns, qu.tx = nil, -1
+		qu.mu.Unlock()
+	}
+	return nil
+}
+
+// rxFD returns queue q's pollable descriptor, or reports that there is
+// nothing to wait for: re-steered frames are already parked for the
+// queue, or the transport is closed.
+func (s *sock) rxFD(q int) (fd int, ready bool) {
+	return s.queues[q].fd, s.closed.Load() || len(s.queues[q].staging) > 0
+}
+
+// pollFd is struct pollfd, pollIn its POLLIN.
+type pollFd struct {
+	fd              int32
+	events, revents int16
+}
+
+const pollIn = 0x1
+
+// WaitRx blocks until queue q of port a or of port b has something to
+// receive — frames, or a peer waiting to be accepted — or d passes:
+// one ppoll(2) over the two queues' descriptors, so traffic on either
+// port ends the wait at once. It is how an idle wire-mode worker parks
+// (nf.Config.IdleWait). A port with nothing to poll, such as one on the
+// in-memory transport, contributes nothing, and the call then only
+// sleeps.
+func WaitRx(a, b *Port, q int, d time.Duration) {
+	fa, ra := a.rxFD(q)
+	fb, rb := b.rxFD(q)
+	if ra || rb {
+		return
+	}
+	fds := [2]pollFd{{fd: int32(fa), events: pollIn}, {fd: int32(fb), events: pollIn}}
+	ts := syscall.NsecToTimespec(d.Nanoseconds())
+	_, _, _ = syscall.Syscall6(syscall.SYS_PPOLL, uintptr(unsafe.Pointer(&fds[0])), uintptr(len(fds)),
+		uintptr(unsafe.Pointer(&ts)), 0, 0, 0)
+}
+
+// Sleep blocks the calling thread for d at the kernel timer's
+// resolution. time.Sleep will not do for the tens of microseconds a
+// wire-mode worker moderates its wakes by: an otherwise idle process
+// sleeps in the runtime's netpoller, whose timeout counts whole
+// milliseconds.
+func Sleep(d time.Duration) {
+	ts := syscall.NsecToTimespec(d.Nanoseconds())
+	_ = syscall.Nanosleep(&ts, nil) // an early return on a signal only shortens the gap
+}
+
+// epollReady asks epoll set epfd what is ready without blocking.
+func epollReady(epfd int, events []syscall.EpollEvent) int {
+	n, _, e := syscall.RawSyscall6(syscall.SYS_EPOLL_PWAIT, uintptr(epfd),
+		uintptr(unsafe.Pointer(&events[0])), uintptr(len(events)), 0, 0, 0)
+	if e != 0 {
+		return 0
+	}
+	return int(n)
+}
 
 // setBufs applies the configured socket buffer sizes to fd.
 func setBufs(fd int, cfg *SocketConfig) error {
@@ -237,36 +594,8 @@ func setBufs(fd int, cfg *SocketConfig) error {
 
 // wouldBlock reports the errnos that mean "retry later" rather than a
 // failed send/receive.
-func wouldBlock(err error) bool {
-	return err == syscall.EAGAIN || err == syscall.EWOULDBLOCK || err == syscall.ENOBUFS
-}
-
-// waitFDs blocks until one of fds is readable or d elapses, via
-// select(2). Descriptors outside FD_SETSIZE (or an empty set) fall
-// back to sleeping out the budget — parking, not correctness, is at
-// stake.
-func waitFDs(fds []int, d time.Duration) {
-	var set syscall.FdSet
-	maxfd := -1
-	for _, fd := range fds {
-		if fd < 0 {
-			continue
-		}
-		if fd >= 1024 {
-			time.Sleep(d)
-			return
-		}
-		set.Bits[fd/64] |= 1 << (uint(fd) % 64)
-		if fd > maxfd {
-			maxfd = fd
-		}
-	}
-	if maxfd < 0 {
-		time.Sleep(d)
-		return
-	}
-	tv := syscall.NsecToTimeval(d.Nanoseconds())
-	_, _ = syscall.Select(maxfd+1, &set, nil, nil, &tv)
+func wouldBlock(e syscall.Errno) bool {
+	return e == syscall.EAGAIN || e == syscall.EWOULDBLOCK || e == syscall.ENOBUFS
 }
 
 // parseUDPAddr resolves a numeric "host:port" into a sockaddr (no DNS:

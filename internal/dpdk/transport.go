@@ -1,7 +1,5 @@
 package dpdk
 
-import "time"
-
 // Transport is the per-queue packet-I/O engine under a Port: the layer
 // that owns framing, receive timestamping, per-queue statistics, and
 // the mbuf conservation discipline, while Port keeps the stable DPDK
@@ -52,13 +50,4 @@ type Transport interface {
 	// Close releases the backend's resources (sockets, files). The mem
 	// backend's rings survive Close so parked mbufs stay drainable.
 	Close() error
-}
-
-// RxWaiter is optionally implemented by transports that can block
-// until queue q has receivable traffic or d elapses — the hook behind
-// nf.Config.IdleWait, so socket-backed pipelines park in the kernel
-// instead of spinning. Transports without a waitable fd fall back to
-// sleeping (Port.WaitRxQueue handles that).
-type RxWaiter interface {
-	WaitRx(q int, d time.Duration)
 }

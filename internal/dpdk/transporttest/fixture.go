@@ -8,6 +8,7 @@
 package transporttest
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -33,6 +34,10 @@ type Backend struct {
 	// after a bounded number of accepted frames — no consumer drains
 	// the far end. Nil when HasTxBackpressure is false.
 	NewBackpressure func(t *testing.T, poolSize int) *dpdk.Port
+	// NewPeer builds a further tester-side endpoint sending to queue 0
+	// of a port New built: a second cable into the same NIC. Nil when
+	// the backend's wire is the only way in (mem).
+	NewPeer func(t *testing.T, port *dpdk.Port) testbed.Wire
 }
 
 const (
@@ -67,7 +72,7 @@ func rxCollect(p *dpdk.Port, want int, timeout time.Duration) [][]*dpdk.Mbuf {
 		}
 		total += progress
 		if progress == 0 {
-			p.WaitRxQueue(0, time.Millisecond)
+			dpdk.WaitRx(p, p, 0, time.Millisecond)
 		}
 	}
 	return perQ
@@ -90,6 +95,13 @@ func Run(t *testing.T, b Backend) {
 	t.Run("PoolExhaustion", func(t *testing.T) { testPoolExhaustion(t, b) })
 	t.Run("TxBackpressure", func(t *testing.T) { testTxBackpressure(t, b) })
 	t.Run("CloseMidBurst", func(t *testing.T) { testCloseMidBurst(t, b) })
+	t.Run("TxShortBatch", func(t *testing.T) { testTxShortBatch(t, b) })
+	t.Run("RxShortBatch", func(t *testing.T) { testRxShortBatch(t, b) })
+	t.Run("OversizeMidBatch", func(t *testing.T) { testOversizeMidBatch(t, b) })
+	t.Run("EmptyFrameMidBatch", func(t *testing.T) { testEmptyFrameMidBatch(t, b) })
+	t.Run("SecondPeer", func(t *testing.T) { testSecondPeer(t, b) })
+	t.Run("PeerDeathMidTx", func(t *testing.T) { testPeerDeathMidTx(t, b) })
+	t.Run("NoAllocs", func(t *testing.T) { testNoAllocs(t, b) })
 }
 
 // testBurstRoundtrip sends a burst through the wire, receives it on
@@ -373,4 +385,316 @@ func testCloseMidBurst(t *testing.T, b Backend) {
 	if pool.InUse() != 0 {
 		t.Fatalf("pool leaks %d mbufs after close", pool.InUse())
 	}
+}
+
+// sendAll hands the frames to the wire back to back, so a socket
+// backend finds them queued together and reads them as one batch.
+func sendAll(t *testing.T, wire testbed.Wire, frames ...[]byte) {
+	t.Helper()
+	for i, f := range frames {
+		if !wire.Send(f, libvig.Time(1000*(i+1))) {
+			t.Fatalf("send %d of %d failed", i, len(frames))
+		}
+	}
+}
+
+// allocFrames takes k mbufs from pool, each carrying frame.
+func allocFrames(t *testing.T, pool *dpdk.Mempool, k int, frame []byte) []*dpdk.Mbuf {
+	t.Helper()
+	bufs := make([]*dpdk.Mbuf, k)
+	for i := range bufs {
+		if bufs[i] = pool.Alloc(); bufs[i] == nil {
+			t.Fatalf("pool empty after %d allocations", i)
+		}
+		if err := bufs[i].SetFrame(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return bufs
+}
+
+// drainAndCheck frees whatever the transport parked for the wire and
+// checks the pool is whole again.
+func drainAndCheck(t *testing.T, port *dpdk.Port, pool *dpdk.Mempool) {
+	t.Helper()
+	if pool.InUse() != port.TxQueueLen() {
+		t.Fatalf("pool holds %d mbufs but transport parks %d", pool.InUse(), port.TxQueueLen())
+	}
+	drain := make([]*dpdk.Mbuf, 64)
+	for n := port.DrainTx(drain); n > 0; n = port.DrainTx(drain) {
+		freeAll(t, drain[:n])
+	}
+	if pool.InUse() != 0 {
+		t.Fatalf("pool leaks %d mbufs", pool.InUse())
+	}
+}
+
+// testTxShortBatch hands a whole burst to a TX path with room for only
+// part of it: the transport takes a prefix (one sendmmsg that stops
+// early on the socket backends), and the caller still owns exactly the
+// rest — every mbuf counted once, as sent or as rejected.
+func testTxShortBatch(t *testing.T, b Backend) {
+	if !b.HasTxBackpressure {
+		t.Skipf("%s is lossy: a full far end drops instead of backpressuring", b.Name)
+	}
+	const n = 32
+	port := b.NewBackpressure(t, n)
+	pool := port.Pool()
+	bufs := allocFrames(t, pool, n, mkFrame(0, 1, 1024))
+	k := port.TxBurstQueue(0, bufs)
+	if k <= 0 || k >= n {
+		t.Fatalf("a bounded TX path accepted %d of %d frames, want a proper prefix", k, n)
+	}
+	freeAll(t, bufs[k:]) // ours: a double free or a foreign mbuf fails here
+	st := port.Stats()
+	if st.TxPackets != uint64(k) || st.TxDropped != uint64(n-k) {
+		t.Fatalf("stats tx=%d tx_dropped=%d, want %d/%d", st.TxPackets, st.TxDropped, k, n-k)
+	}
+	if w := port.WireStats(0); w.TxSyscalls > 0 && w.TxAgain == 0 {
+		t.Fatalf("the kernel refused the tail but TxAgain=0 (%+v)", w)
+	}
+	drainAndCheck(t, port, pool)
+}
+
+// testRxShortBatch receives fewer frames than the burst has room for:
+// the short count is the answer — the burst does not go back to learn
+// that the queue is empty — and the next, empty burst on the now
+// established connection costs one readiness query and touches neither
+// the listener nor the connection.
+func testRxShortBatch(t *testing.T, b Backend) {
+	const k = 5
+	port, wire := b.New(t, 1, 2*k)
+	sendAll(t, wire, mkFrame(0, 0, frameLen)) // brings the connection up
+	freeAll(t, rxCollect(port, 1, collectTimeout)[0])
+	frames := make([][]byte, k)
+	for i := range frames {
+		frames[i] = mkFrame(0, byte(i+1), frameLen)
+	}
+	sendAll(t, wire, frames...)
+	bufs := make([]*dpdk.Mbuf, 32)
+	var got []*dpdk.Mbuf
+	before := port.WireStats(0)
+	bursts := uint64(0)
+	for deadline := time.Now().Add(collectTimeout); len(got) < k && time.Now().Before(deadline); bursts++ {
+		n := port.RxBurstQueue(0, bufs)
+		got = append(got, bufs[:n]...)
+	}
+	after := port.WireStats(0)
+	if len(got) != k {
+		t.Fatalf("received %d frames, want %d", len(got), k)
+	}
+	for i, m := range got {
+		if m.Data[1] != byte(i+1) {
+			t.Fatalf("frame %d carries id %d: batch out of order", i, m.Data[1])
+		}
+	}
+	freeAll(t, got)
+	// Per burst at most one readiness query and one recvmmsg.
+	if d := after.RxSyscalls - before.RxSyscalls; d > 2*bursts {
+		t.Fatalf("%d bursts made %d RX syscalls", bursts, d)
+	}
+	if d := after.RxFrames - before.RxFrames; after.RxSyscalls > 0 && d != k {
+		t.Fatalf("recvmmsg returned %d frames, want %d", d, k)
+	}
+	if n := port.RxBurstQueue(0, bufs); n != 0 {
+		t.Fatalf("empty queue yielded %d frames", n)
+	}
+	if d := port.WireStats(0).RxSyscalls - after.RxSyscalls; d > 1 {
+		t.Fatalf("an empty burst made %d syscalls, want one readiness query", d)
+	}
+	if port.Pool().InUse() != 0 {
+		t.Fatalf("pool leaks %d mbufs", port.Pool().InUse())
+	}
+}
+
+// testOversizeMidBatch puts a frame that cannot fit an mbuf between two
+// that can: only it is dropped, and its neighbours arrive whole.
+func testOversizeMidBatch(t *testing.T, b Backend) {
+	port, wire := b.New(t, 1, 16)
+	oversize := make([]byte, dpdk.DataRoomSize+1)
+	sendAll(t, wire, mkFrame(0, 1, frameLen))
+	wire.Send(oversize, 2000) // mem rejects at delivery, sockets at read
+	sendAll(t, wire, mkFrame(0, 3, frameLen))
+	got := rxCollect(port, 2, collectTimeout)[0]
+	if len(got) != 2 || got[0].Data[1] != 1 || got[1].Data[1] != 3 ||
+		len(got[0].Data) != frameLen || len(got[1].Data) != frameLen {
+		t.Fatalf("want the two valid frames in order, got %d frames", len(got))
+	}
+	if st := port.Stats(); st.RxDropped != 1 || st.RxPackets != 2 {
+		t.Fatalf("rx=%d rx_dropped=%d, want 2/1", st.RxPackets, st.RxDropped)
+	}
+	freeAll(t, got)
+	if port.Pool().InUse() != 0 {
+		t.Fatalf("pool leaks %d mbufs", port.Pool().InUse())
+	}
+}
+
+// testEmptyFrameMidBatch sends a zero-length frame between two real
+// ones. On a connection that is end-of-stream: the frames around it
+// still arrive, the connection is retired, and the peer's next
+// connection is picked up. On a datagram or in-memory wire it is just
+// an empty frame. Either way nothing leaks.
+func testEmptyFrameMidBatch(t *testing.T, b Backend) {
+	port, wire := b.New(t, 1, 16)
+	sendAll(t, wire, mkFrame(0, 1, frameLen), nil, mkFrame(0, 3, frameLen))
+	seen := map[byte]bool{}
+	collect := func(want byte) {
+		t.Helper()
+		for deadline := time.Now().Add(collectTimeout); !seen[want]; {
+			for _, m := range rxCollect(port, 1, 10*time.Millisecond)[0] {
+				if len(m.Data) > 0 {
+					seen[m.Data[1]] = true
+				}
+				freeAll(t, []*dpdk.Mbuf{m})
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("frame %d never arrived (have %v)", want, seen)
+			}
+		}
+	}
+	collect(1)
+	collect(3)
+	// A peer whose connection was retired learns so on its next send and
+	// redials on the one after.
+	for deadline := time.Now().Add(collectTimeout); !wire.Send(mkFrame(0, 9, frameLen), 9000); {
+		if time.Now().After(deadline) {
+			t.Fatal("peer could not reach the port again")
+		}
+	}
+	collect(9)
+	if port.Pool().InUse() != 0 {
+		t.Fatalf("pool leaks %d mbufs", port.Pool().InUse())
+	}
+}
+
+// testSecondPeer connects a second sender while the first is streaming
+// and receives with a bare RxBurst loop — no wait call in between,
+// which is how the benchmark harness drives a transport: a burst must
+// find new connections and readable sockets on its own.
+func testSecondPeer(t *testing.T, b Backend) {
+	if b.NewPeer == nil {
+		t.Skipf("%s has one way in", b.Name)
+	}
+	const k = 8
+	port, first := b.New(t, 1, 4*k)
+	for i := 0; i < k; i++ {
+		sendAll(t, first, mkFrame(0, byte(i), frameLen))
+	}
+	second := b.NewPeer(t, port)
+	for i := 0; i < k; i++ {
+		sendAll(t, first, mkFrame(0, byte(k+i), frameLen))
+		sendAll(t, second, mkFrame(0, byte(2*k+i), frameLen))
+	}
+	seen := map[byte]bool{}
+	bufs := make([]*dpdk.Mbuf, 4) // small bursts: the new peer is found mid-stream
+	for deadline := time.Now().Add(collectTimeout); len(seen) < 3*k && time.Now().Before(deadline); {
+		n := port.RxBurstQueue(0, bufs)
+		for _, m := range bufs[:n] {
+			seen[m.Data[1]] = true
+		}
+		freeAll(t, bufs[:n])
+	}
+	if len(seen) != 3*k {
+		t.Fatalf("received %d distinct frames from two peers, want %d", len(seen), 3*k)
+	}
+	if port.Pool().InUse() != 0 {
+		t.Fatalf("pool leaks %d mbufs", port.Pool().InUse())
+	}
+}
+
+// testPeerDeathMidTx takes the far end away between two TX bursts. The
+// second burst meets whatever the backend makes of that — a broken
+// connection, an unanswered datagram, a ring nobody drains — and every
+// mbuf of it is still counted exactly once: sent, consumed as dropped,
+// or rejected back to the caller.
+func testPeerDeathMidTx(t *testing.T, b Backend) {
+	const k = 8
+	port, wire := b.New(t, 1, 4*k)
+	pool := port.Pool()
+	frame := mkFrame(0, 1, frameLen)
+	if n := port.TxBurstQueue(0, allocFrames(t, pool, k, frame)); n != k {
+		t.Fatalf("healthy link accepted %d of %d", n, k)
+	}
+	_ = wire.Close()
+	for round := 0; round < 2; round++ { // the second finds the link already down
+		bufs := allocFrames(t, pool, k, frame)
+		n := port.TxBurstQueue(0, bufs)
+		freeAll(t, bufs[n:])
+	}
+	if st := port.Stats(); st.TxPackets+st.TxDropped != 3*k {
+		t.Fatalf("tx=%d tx_dropped=%d, want them to sum to %d", st.TxPackets, st.TxDropped, 3*k)
+	}
+	drainAndCheck(t, port, pool)
+}
+
+// testNoAllocs holds the steady-state packet path to zero heap
+// allocations per call: the idle wait, a burst that receives, a burst
+// that finds nothing, a burst that transmits — on one queue, and on two
+// with every frame re-steered from the queue it arrived on to the
+// other (the staged frames recycle).
+func testNoAllocs(t *testing.T, b Backend) {
+	const k, runs = 4, 10
+	check := func(what string, f func()) {
+		t.Helper()
+		if a := testing.AllocsPerRun(runs, f); a != 0 {
+			t.Errorf("%s allocates %.1f times a call", what, a)
+		}
+	}
+	bufs := make([]*dpdk.Mbuf, 32)
+	for _, nq := range []int{1, 2} {
+		port, wire := b.New(t, nq, 64)
+		port.SetRSS(func(f []byte) int { return int(f[0]) })
+		last := nq - 1 // frames arrive on queue 0 and are steered here
+		// Everything the measured calls receive is sent first: the
+		// tester's own sends allocate.
+		for i := 0; i < (runs+1)*k; i++ {
+			sendAll(t, wire, mkFrame(byte(last), byte(i), frameLen))
+		}
+		check(fmt.Sprintf("%d-queue receiving burst", nq), func() {
+			got := 0
+			for deadline := time.Now().Add(collectTimeout); got < k && time.Now().Before(deadline); {
+				if last != 0 {
+					if n := port.RxBurstQueue(0, bufs[:k]); n != 0 {
+						t.Errorf("queue 0 kept %d frames steered to queue %d", n, last)
+					}
+				}
+				n := port.RxBurstQueue(last, bufs[:k-got])
+				for _, m := range bufs[:n] {
+					_ = m.Pool().Free(m)
+				}
+				got += n
+			}
+		})
+		check(fmt.Sprintf("%d-queue empty burst", nq), func() {
+			for q := 0; q < nq; q++ {
+				if n := port.RxBurstQueue(q, bufs); n != 0 {
+					t.Errorf("drained queue %d yielded %d frames", q, n)
+				}
+			}
+		})
+		check(fmt.Sprintf("%d-queue idle wait", nq), func() { dpdk.WaitRx(port, port, last, time.Microsecond) })
+		if port.QueuePool(0).InUse() != 0 {
+			t.Fatalf("pool leaks %d mbufs", port.QueuePool(0).InUse())
+		}
+	}
+
+	// TX against a far end that only buffers: the tester's wire would
+	// allocate for every frame it reads.
+	var port *dpdk.Port
+	if b.HasTxBackpressure {
+		port = b.NewBackpressure(t, 64)
+	} else {
+		port, _ = b.New(t, 1, 64)
+	}
+	pool := port.Pool()
+	frame := mkFrame(0, 1, frameLen)
+	one := make([]*dpdk.Mbuf, 1)
+	check("transmitting burst", func() {
+		one[0] = pool.Alloc()
+		_ = one[0].SetFrame(frame)
+		if port.TxBurstQueue(0, one) == 0 {
+			_ = pool.Free(one[0])
+		}
+	})
+	drainAndCheck(t, port, pool)
 }

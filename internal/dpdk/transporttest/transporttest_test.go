@@ -2,6 +2,7 @@ package transporttest
 
 import (
 	"net"
+	"strings"
 	"testing"
 
 	"vignat/internal/dpdk"
@@ -72,6 +73,18 @@ func udpBackend() Backend {
 			t.Cleanup(func() { _ = port.Close(); _ = wire.Close() })
 			return port, wire
 		},
+		NewPeer: func(t *testing.T, port *dpdk.Port) testbed.Wire {
+			t.Helper()
+			wire, err := testbed.NewUDPWire("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := wire.SetPeer(port.Transport().(*dpdk.UDPTransport).LocalAddr(0)); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = wire.Close() })
+			return wire
+		},
 	}
 }
 
@@ -101,6 +114,19 @@ func unixBackend() Backend {
 			}
 			t.Cleanup(func() { _ = port.Close(); _ = wire.Close() })
 			return port, wire
+		},
+		NewPeer: func(t *testing.T, port *dpdk.Port) testbed.Wire {
+			t.Helper()
+			wire, err := testbed.NewUnixWire(t.TempDir() + "/wire")
+			if err != nil {
+				t.Fatal(err)
+			}
+			nf := strings.TrimSuffix(port.Transport().(*dpdk.UnixTransport).LocalAddr(0), ".q0")
+			if err := wire.SetPeer(nf); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = wire.Close() })
+			return wire
 		},
 		NewBackpressure: func(t *testing.T, poolSize int) *dpdk.Port {
 			t.Helper()

@@ -3,24 +3,24 @@ package dpdk
 import (
 	"fmt"
 	"syscall"
-	"time"
+	"unsafe"
 )
 
 // UDPTransport carries frames as UDP datagrams between processes: one
-// nonblocking SOCK_DGRAM socket per queue, bound to consecutive local
-// ports, every queue transmitting to the single peer endpoint (the far
-// end's software RSS puts each frame on the queue its flow belongs
-// to). Datagram boundaries are frame boundaries, so no framing layer
-// is needed; like a real wire, delivery is lossy under pressure — a
-// full receiver drops, it does not backpressure the sender.
+// nonblocking SOCK_DGRAM socket per queue (the queue's pollable
+// descriptor, see sock.go), bound to consecutive local ports, every
+// queue transmitting to the single peer endpoint (the far end's
+// software RSS puts each frame on the queue its flow belongs to).
+// Datagram boundaries are frame boundaries, so no framing layer is
+// needed; like a real wire, delivery is lossy under pressure — a full
+// receiver drops, it does not backpressure the sender.
 type UDPTransport struct {
 	sock
-	peer  syscall.Sockaddr
-	local []*syscall.SockaddrInet4 // per-queue bound addresses (after ephemeral resolution)
+	peerAddr syscall.RawSockaddrInet4 // what sock.peer points at
+	local    []*syscall.SockaddrInet4 // per-queue bound addresses (after ephemeral resolution)
 }
 
 var _ Transport = (*UDPTransport)(nil)
-var _ RxWaiter = (*UDPTransport)(nil)
 
 // NewUDPTransport opens cfg.Queues UDP sockets bound to consecutive
 // ports starting at cfg.Local's (0 = ephemeral; read the result back
@@ -34,44 +34,50 @@ func NewUDPTransport(cfg SocketConfig) (*UDPTransport, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &UDPTransport{sock: *newSock("udp", c), local: make([]*syscall.SockaddrInet4, c.Queues)}
-	if c.Peer != "" {
-		if t.peer, err = parseUDPAddr(c.Peer); err != nil {
+	t := &UDPTransport{local: make([]*syscall.SockaddrInet4, c.Queues)}
+	t.init("udp", c)
+	for q := range t.queues {
+		if err := t.bindOn(q, base); err != nil {
+			_ = t.Close()
 			return nil, err
 		}
 	}
-	for q := 0; q < c.Queues; q++ {
-		fd, err := syscall.Socket(syscall.AF_INET, syscall.SOCK_DGRAM|syscall.SOCK_NONBLOCK, 0)
-		if err != nil {
-			_ = t.Close()
-			return nil, fmt.Errorf("dpdk: udp socket: %w", err)
-		}
-		t.queues[q].fd = fd
-		if err := setBufs(fd, &c); err != nil {
+	if c.Peer != "" {
+		if err := t.SetPeer(c.Peer); err != nil {
 			_ = t.Close()
 			return nil, err
 		}
-		bind := *base
-		if base.Port != 0 {
-			bind.Port = base.Port + q
-		}
-		if err := syscall.Bind(fd, &bind); err != nil {
-			_ = t.Close()
-			return nil, fmt.Errorf("dpdk: udp bind %s+%d: %w", c.Local, q, err)
-		}
-		sa, err := syscall.Getsockname(fd)
-		if err != nil {
-			_ = t.Close()
-			return nil, fmt.Errorf("dpdk: udp getsockname: %w", err)
-		}
-		bound, ok := sa.(*syscall.SockaddrInet4)
-		if !ok {
-			_ = t.Close()
-			return nil, fmt.Errorf("dpdk: udp getsockname: unexpected family")
-		}
-		t.local[q] = bound
 	}
 	return t, nil
+}
+
+// bindOn opens queue q's socket at base's port + q.
+func (t *UDPTransport) bindOn(q int, base *syscall.SockaddrInet4) error {
+	fd, err := syscall.Socket(syscall.AF_INET, syscall.SOCK_DGRAM|syscall.SOCK_NONBLOCK, 0)
+	if err != nil {
+		return fmt.Errorf("dpdk: udp socket: %w", err)
+	}
+	t.queues[q].fd = fd
+	if err := setBufs(fd, &t.cfg); err != nil {
+		return err
+	}
+	bind := *base
+	if base.Port != 0 {
+		bind.Port = base.Port + q
+	}
+	if err := syscall.Bind(fd, &bind); err != nil {
+		return fmt.Errorf("dpdk: udp bind %s+%d: %w", t.cfg.Local, q, err)
+	}
+	sa, err := syscall.Getsockname(fd)
+	if err != nil {
+		return fmt.Errorf("dpdk: udp getsockname: %w", err)
+	}
+	bound, ok := sa.(*syscall.SockaddrInet4)
+	if !ok {
+		return fmt.Errorf("dpdk: udp getsockname: unexpected family")
+	}
+	t.local[q] = bound
+	return nil
 }
 
 // LocalAddr returns queue q's bound "ip:port" (resolving ephemeral
@@ -81,94 +87,19 @@ func (t *UDPTransport) LocalAddr(q int) string {
 	return fmt.Sprintf("%d.%d.%d.%d:%d", sa.Addr[0], sa.Addr[1], sa.Addr[2], sa.Addr[3], sa.Port)
 }
 
-// SetPeer (re)targets transmission; call before traffic.
+// SetPeer (re)targets transmission; call before traffic. It is what
+// brings every queue's TX side up: each transmits on its own socket.
 func (t *UDPTransport) SetPeer(addr string) error {
 	sa, err := parseUDPAddr(addr)
 	if err != nil {
 		return err
 	}
-	t.peer = sa
-	return nil
-}
-
-// Bind attaches the port identity and per-queue RX mempools.
-func (t *UDPTransport) Bind(portID uint16, pools []*Mempool) error {
-	return t.bindPools(portID, pools)
-}
-
-// RxBurst receives up to len(bufs) frames on queue q: parked
-// re-steered frames first, then the queue's own socket, re-steering as
-// the RSS function directs.
-func (t *UDPTransport) RxBurst(q int, bufs []*Mbuf) int {
-	if t.closed.Load() {
-		return 0
-	}
-	n := t.drainStaging(q, bufs)
-	qu := &t.queues[q]
-	for n < len(bufs) {
-		sz, _, err := syscall.Recvfrom(qu.fd, qu.scratch, 0)
-		if err == syscall.EINTR {
-			continue
-		}
-		if err != nil {
-			break // EAGAIN (drained) or EBADF (closed mid-burst): both end the burst
-		}
-		n = t.place(q, qu.scratch[:sz], t.clock.Now(), bufs, n)
-	}
-	return n
-}
-
-// TxBurst sends up to len(bufs) frames as datagrams to the peer.
-// Accepted mbufs are freed here (the kernel owns the bytes once sendto
-// returns); a would-block send rejects the tail back to the caller,
-// conserving every mbuf. Hard send errors consume the frame as
-// TxDropped — the moral equivalent of a NIC's link-down discard.
-func (t *UDPTransport) TxBurst(q int, bufs []*Mbuf) int {
-	qu := &t.queues[q]
-	if t.closed.Load() || t.peer == nil {
-		qu.stats.TxDropped += uint64(len(bufs))
-		return 0
-	}
-	n := 0
-	for n < len(bufs) {
-		m := bufs[n]
-		err := syscall.Sendto(qu.fd, m.Data, 0, t.peer)
-		if err == syscall.EINTR {
-			continue
-		}
-		if wouldBlock(err) {
-			break // caller keeps bufs[n:]
-		}
-		if err != nil {
-			qu.stats.TxDropped++ // sent into a broken link: consumed, not delivered
-		} else {
-			qu.stats.TxPackets++
-		}
-		_ = m.Pool().Free(m)
-		n++
-	}
-	qu.stats.TxDropped += uint64(len(bufs) - n)
-	return n
-}
-
-// WaitRx parks in select(2) on queue q's socket until traffic arrives
-// or d elapses; parked staging frames return immediately.
-func (t *UDPTransport) WaitRx(q int, d time.Duration) {
-	if t.closed.Load() || t.stagingReady(q) {
-		return
-	}
-	waitFDs([]int{t.queues[q].fd}, d)
-}
-
-// Close shuts every socket; in-flight bursts end gracefully.
-func (t *UDPTransport) Close() error {
-	if t.closed.Swap(true) {
-		return nil
-	}
+	t.peerAddr = syscall.RawSockaddrInet4{Family: syscall.AF_INET, Addr: sa.Addr}
+	port := (*[2]byte)(unsafe.Pointer(&t.peerAddr.Port)) // network byte order
+	port[0], port[1] = byte(sa.Port>>8), byte(sa.Port)
+	t.peer, t.peerLen = (*byte)(unsafe.Pointer(&t.peerAddr)), syscall.SizeofSockaddrInet4
 	for q := range t.queues {
-		if t.queues[q].fd >= 0 {
-			_ = syscall.Close(t.queues[q].fd)
-		}
+		t.queues[q].tx = t.queues[q].fd
 	}
 	return nil
 }

@@ -3,15 +3,15 @@ package dpdk
 import (
 	"fmt"
 	"os"
-	"sync"
 	"syscall"
-	"time"
 )
 
 // UnixTransport carries frames over unix-domain SOCK_SEQPACKET
 // connections: sequenced, reliable, message-boundary-preserving — the
 // closest AF_UNIX comes to a lossless NIC-to-NIC cable. Each queue
-// listens at "<local>.q<N>"; transmission connects to the peer's
+// listens at "<local>.q<N>", the listener and every connection it
+// accepts registered in one epoll set per queue (the queue's pollable
+// descriptor, see sock.go); transmission connects to the peer's
 // queue-0 listener (the far end's software RSS re-steers, so one
 // endpoint suffices), and unlike UDP the kernel backpressures: a full
 // peer turns into EAGAIN, which TxBurst surfaces as a rejected tail
@@ -20,21 +20,9 @@ import (
 type UnixTransport struct {
 	sock
 	localPath, peerPath string
-	uq                  []unixQueue
-}
-
-// unixQueue guards the mutable descriptor state a concurrent Close
-// must see consistently. The mutex is uncontended on the packet path
-// (one goroutine per queue); stats stay single-writer outside it.
-type unixQueue struct {
-	mu       sync.Mutex
-	listenFD int
-	conns    []int
-	txFD     int
 }
 
 var _ Transport = (*UnixTransport)(nil)
-var _ RxWaiter = (*UnixTransport)(nil)
 
 // NewUnixTransport opens cfg.Queues SOCK_SEQPACKET listeners at
 // "<cfg.Local>.q<N>" (stale socket files are replaced).
@@ -43,36 +31,44 @@ func NewUnixTransport(cfg SocketConfig) (*UnixTransport, error) {
 	if c.Local == "" {
 		return nil, fmt.Errorf("dpdk: unix transport needs a local path")
 	}
-	t := &UnixTransport{
-		sock:      *newSock("unix", c),
-		localPath: c.Local,
-		peerPath:  c.Peer,
-		uq:        make([]unixQueue, c.Queues),
-	}
-	for q := 0; q < c.Queues; q++ {
-		t.uq[q] = unixQueue{listenFD: -1, txFD: -1}
-		fd, err := syscall.Socket(syscall.AF_UNIX, syscall.SOCK_SEQPACKET|syscall.SOCK_NONBLOCK, 0)
-		if err != nil {
-			_ = t.Close()
-			return nil, fmt.Errorf("dpdk: unix socket: %w", err)
-		}
-		t.uq[q].listenFD = fd
-		if err := setBufs(fd, &c); err != nil {
+	t := &UnixTransport{localPath: c.Local, peerPath: c.Peer}
+	t.init("unix", c)
+	t.dial = t.connect
+	for q := range t.queues {
+		if err := t.listenOn(q); err != nil {
 			_ = t.Close()
 			return nil, err
 		}
-		path := unixQueuePath(c.Local, q)
-		_ = os.Remove(path)
-		if err := syscall.Bind(fd, &syscall.SockaddrUnix{Name: path}); err != nil {
-			_ = t.Close()
-			return nil, fmt.Errorf("dpdk: unix bind %s: %w", path, err)
-		}
-		if err := syscall.Listen(fd, 8); err != nil {
-			_ = t.Close()
-			return nil, fmt.Errorf("dpdk: unix listen %s: %w", path, err)
-		}
 	}
 	return t, nil
+}
+
+// listenOn opens queue q's listener and the epoll set it lives in.
+func (t *UnixTransport) listenOn(q int) error {
+	qu := &t.queues[q]
+	var err error
+	if qu.fd, err = syscall.EpollCreate1(0); err != nil {
+		return fmt.Errorf("dpdk: unix epoll: %w", err)
+	}
+	if qu.listen, err = syscall.Socket(syscall.AF_UNIX, syscall.SOCK_SEQPACKET|syscall.SOCK_NONBLOCK, 0); err != nil {
+		return fmt.Errorf("dpdk: unix socket: %w", err)
+	}
+	if err := setBufs(qu.listen, &t.cfg); err != nil {
+		return err
+	}
+	path := t.LocalAddr(q)
+	_ = os.Remove(path)
+	if err := syscall.Bind(qu.listen, &syscall.SockaddrUnix{Name: path}); err != nil {
+		return fmt.Errorf("dpdk: unix bind %s: %w", path, err)
+	}
+	if err := syscall.Listen(qu.listen, 8); err != nil {
+		return fmt.Errorf("dpdk: unix listen %s: %w", path, err)
+	}
+	ev := syscall.EpollEvent{Events: syscall.EPOLLIN, Fd: int32(qu.listen)}
+	if err := syscall.EpollCtl(qu.fd, syscall.EPOLL_CTL_ADD, qu.listen, &ev); err != nil {
+		return fmt.Errorf("dpdk: unix epoll add %s: %w", path, err)
+	}
+	return nil
 }
 
 func unixQueuePath(prefix string, q int) string { return fmt.Sprintf("%s.q%d", prefix, q) }
@@ -87,174 +83,32 @@ func (t *UnixTransport) SetPeer(prefix string) error {
 	return nil
 }
 
-// Bind attaches the port identity and per-queue RX mempools.
-func (t *UnixTransport) Bind(portID uint16, pools []*Mempool) error {
-	return t.bindPools(portID, pools)
-}
-
-// acceptAll drains the pending-connection backlog into the queue's
-// connection set (callers hold uq.mu).
-func (t *UnixTransport) acceptAll(q int) {
-	uq := &t.uq[q]
-	for {
-		nfd, _, err := syscall.Accept4(uq.listenFD, syscall.SOCK_NONBLOCK)
-		if err != nil {
-			return // EAGAIN (no more pending) or EBADF (closed)
-		}
-		uq.conns = append(uq.conns, nfd)
-	}
-}
-
-// RxBurst receives up to len(bufs) frames on queue q: parked
-// re-steered frames first, then fair passes over every accepted
-// connection until all would block or the burst fills. A read of zero
-// bytes is the peer's FIN; the connection is retired (a reconnecting
-// peer is picked up by the accept loop).
-func (t *UnixTransport) RxBurst(q int, bufs []*Mbuf) int {
-	if t.closed.Load() {
-		return 0
-	}
-	n := t.drainStaging(q, bufs)
-	qu := &t.queues[q]
-	uq := &t.uq[q]
-	uq.mu.Lock()
-	defer uq.mu.Unlock()
-	t.acceptAll(q)
-	progress := true
-	for n < len(bufs) && progress {
-		progress = false
-		for ci := 0; ci < len(uq.conns) && n < len(bufs); ci++ {
-			sz, err := syscall.Read(uq.conns[ci], qu.scratch)
-			if err == syscall.EINTR {
-				ci--
-				continue
-			}
-			if wouldBlock(err) {
-				continue
-			}
-			if err != nil || sz == 0 { // error or EOF: retire the connection
-				_ = syscall.Close(uq.conns[ci])
-				uq.conns = append(uq.conns[:ci], uq.conns[ci+1:]...)
-				ci--
-				continue
-			}
-			progress = true
-			n = t.place(q, qu.scratch[:sz], t.clock.Now(), bufs, n)
-		}
-	}
-	return n
-}
-
-// ensureTx returns queue q's connected TX descriptor, dialing the
-// peer's queue-0 listener lazily (callers hold uq.mu). A missing or
-// refusing peer yields -1: link down.
-func (t *UnixTransport) ensureTx(q int) int {
-	uq := &t.uq[q]
-	if uq.txFD >= 0 {
-		return uq.txFD
-	}
+// connect dials the peer's queue-0 listener for qu's TX side, lazily,
+// from TxBurst. A missing or refusing peer leaves the link down.
+func (t *UnixTransport) connect(qu *sockQueue) bool {
 	if t.peerPath == "" {
-		return -1
+		return false
 	}
 	fd, err := syscall.Socket(syscall.AF_UNIX, syscall.SOCK_SEQPACKET|syscall.SOCK_NONBLOCK, 0)
 	if err != nil {
-		return -1
+		return false
 	}
-	if err := setBufs(fd, &t.cfg); err != nil {
+	if setBufs(fd, &t.cfg) != nil ||
+		syscall.Connect(fd, &syscall.SockaddrUnix{Name: unixQueuePath(t.peerPath, 0)}) != nil {
 		_ = syscall.Close(fd)
-		return -1
+		return false
 	}
-	if err := syscall.Connect(fd, &syscall.SockaddrUnix{Name: unixQueuePath(t.peerPath, 0)}); err != nil {
-		_ = syscall.Close(fd)
-		return -1
-	}
-	uq.txFD = fd
-	return fd
-}
-
-// TxBurst sends up to len(bufs) frames over the queue's peer
-// connection. EAGAIN (the peer's buffers are full — real backpressure)
-// rejects the tail back to the caller with every mbuf conserved; a
-// broken connection (EPIPE/ECONNRESET) consumes the frame as
-// TxDropped, retires the descriptor, and redials on the next burst.
-func (t *UnixTransport) TxBurst(q int, bufs []*Mbuf) int {
-	qu := &t.queues[q]
-	if t.closed.Load() {
-		qu.stats.TxDropped += uint64(len(bufs))
-		return 0
-	}
-	uq := &t.uq[q]
-	uq.mu.Lock()
-	defer uq.mu.Unlock()
-	n := 0
-	for n < len(bufs) {
-		fd := t.ensureTx(q)
-		if fd < 0 { // link down: consume as dropped, like a NIC with no cable
-			qu.stats.TxDropped++
-			m := bufs[n]
-			_ = m.Pool().Free(m)
-			n++
-			continue
-		}
-		m := bufs[n]
-		_, err := syscall.Write(fd, m.Data)
-		if err == syscall.EINTR {
-			continue
-		}
-		if wouldBlock(err) {
-			break // caller keeps bufs[n:]
-		}
-		if err != nil {
-			// Connection died mid-burst: this frame is consumed-dropped;
-			// later frames redial.
-			qu.stats.TxDropped++
-			_ = syscall.Close(fd)
-			uq.txFD = -1
-		} else {
-			qu.stats.TxPackets++
-		}
-		_ = m.Pool().Free(m)
-		n++
-	}
-	qu.stats.TxDropped += uint64(len(bufs) - n)
-	return n
-}
-
-// WaitRx parks in select(2) on the queue's listener and connections
-// until traffic (or a new connection) arrives or d elapses.
-func (t *UnixTransport) WaitRx(q int, d time.Duration) {
-	if t.closed.Load() || t.stagingReady(q) {
-		return
-	}
-	uq := &t.uq[q]
-	uq.mu.Lock()
-	fds := append([]int{uq.listenFD}, uq.conns...)
-	uq.mu.Unlock()
-	waitFDs(fds, d)
+	qu.tx = fd
+	return true
 }
 
 // Close shuts every listener, connection, and TX descriptor and
 // removes the socket files; in-flight bursts end gracefully.
 func (t *UnixTransport) Close() error {
-	if t.closed.Swap(true) {
-		return nil
+	for q := range t.queues {
+		if t.queues[q].listen >= 0 && !t.closed.Load() {
+			_ = os.Remove(t.LocalAddr(q))
+		}
 	}
-	for q := range t.uq {
-		uq := &t.uq[q]
-		uq.mu.Lock()
-		if uq.listenFD >= 0 {
-			_ = syscall.Close(uq.listenFD)
-			_ = os.Remove(unixQueuePath(t.localPath, q))
-		}
-		for _, fd := range uq.conns {
-			_ = syscall.Close(fd)
-		}
-		uq.conns = nil
-		if uq.txFD >= 0 {
-			_ = syscall.Close(uq.txFD)
-			uq.txFD = -1
-		}
-		uq.mu.Unlock()
-	}
-	return nil
+	return t.sock.Close()
 }

@@ -83,6 +83,20 @@ type pipeDrivers struct {
 	err     error
 }
 
+// yieldEvery is how many polls a drive goroutine runs between yields.
+// A wire-mode worker sleeps in syscalls and never blocks in the Go
+// scheduler, so to the runtime it is one goroutine hogging its P: after
+// 10 ms sysmon wants it preempted, cannot preempt a P that is inside a
+// syscall, and instead retakes that P at every tick it finds it there —
+// which keeps sysmon ticking at 20 µs and sends the worker back from
+// every sleep through the scheduler's slow path. At the thousands of
+// sleeps a second the moderated wire makes, that was a third of the
+// daemon's CPU (EXPERIMENTS.md "Wire path": 1783 → 1215 ms per 5 s).
+// A yield is a pass through the scheduler, which clears the mark; 16
+// polls are 1–2 ms under load, and yielding four times less often
+// measured the same.
+const yieldEvery = 16
+
 // Start spawns one drive goroutine per worker, each looping PollWorker
 // on its own queue pair — the deployment mode wire binaries use, and
 // the one that makes SetWorkers fully self-service (the pipeline owns
@@ -106,11 +120,14 @@ func (p *Pipeline) startDriversLocked() {
 		d.wg.Add(1)
 		go func(w int) {
 			defer d.wg.Done()
-			for {
+			for polls := 1; ; polls++ {
 				select {
 				case <-d.stop:
 					return
 				default:
+				}
+				if polls%yieldEvery == 0 {
+					runtime.Gosched()
 				}
 				if _, err := p.PollWorker(w); err != nil {
 					d.errOnce.Do(func() { d.err = err })

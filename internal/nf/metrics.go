@@ -13,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"vignat/internal/dpdk"
 	"vignat/internal/nf/telemetry"
 )
 
@@ -30,6 +31,11 @@ type MetricSource struct {
 	// nil (telemetry disabled), in which case those sections are simply
 	// absent. Pipeline.Telemetry is the intended producer.
 	Telemetry func() *telemetry.PipelineTel
+	// Wire, when set, supplies the per-queue wire counters (waits,
+	// moderated sleeps, syscalls against frames); it may return nil (the
+	// pipeline is not in wire mode), and the series are then absent.
+	// Pipeline.Wire is the intended producer.
+	Wire func() []WireQueue
 }
 
 // SourceOf assembles the richest MetricSource the given NF supports:
@@ -43,6 +49,7 @@ func SourceOf(name string, nfi NF, pipe *Pipeline) MetricSource {
 	}
 	if pipe != nil {
 		src.Telemetry = pipe.Telemetry
+		src.Wire = pipe.Wire
 	}
 	return src
 }
@@ -113,6 +120,7 @@ func ServeMetrics(addr string, sources ...MetricSource) (*Metrics, error) {
 type sourceJSON struct {
 	Stats
 	Reasons map[string]uint64 `json:"reasons,omitempty"`
+	Wire    []WireQueue       `json:"wire,omitempty"`
 }
 
 // wantsProm decides the /metrics rendering: Prometheus text when the
@@ -149,10 +157,34 @@ func (m *Metrics) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				j.Reasons[sc.Reasons.Name(telemetry.ReasonID(id))] = n
 			}
 		}
+		if s.Wire != nil {
+			j.Wire = s.Wire()
+		}
 		out[s.Name] = j
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(out)
+}
+
+// wireSeries orders the wire counters for exposition: the two a worker
+// keeps for its queue pair, then the four each port keeps per queue.
+var wireSeries = []struct {
+	name, help string
+	pair       func(WireQueue) uint64
+	port       func(dpdk.WireStats) uint64
+}{
+	{name: "nf_wire_waits_total", help: "Times a worker blocked until its queue pair had traffic or the idle wait passed.",
+		pair: func(q WireQueue) uint64 { return q.Waits }},
+	{name: "nf_wire_sleeps_total", help: "Times a worker slept the moderation gap after draining its queues.",
+		pair: func(q WireQueue) uint64 { return q.Sleeps }},
+	{name: "nf_wire_rx_syscalls_total", help: "Syscalls made receiving: readiness queries, accepts, recvmmsg.",
+		port: func(s dpdk.WireStats) uint64 { return s.RxSyscalls }},
+	{name: "nf_wire_rx_frames_total", help: "Frames recvmmsg returned.",
+		port: func(s dpdk.WireStats) uint64 { return s.RxFrames }},
+	{name: "nf_wire_tx_syscalls_total", help: "sendmmsg calls.",
+		port: func(s dpdk.WireStats) uint64 { return s.TxSyscalls }},
+	{name: "nf_wire_tx_eagain_total", help: "sendmmsg calls refused because the peer's buffers were full.",
+		port: func(s dpdk.WireStats) uint64 { return s.TxAgain }},
 }
 
 // statCounters orders the Stats fields for exposition.
@@ -222,6 +254,30 @@ func (m *Metrics) writeProm(w io.Writer) {
 			}
 			fmt.Fprintf(w, "nf_reason_total{nf=%q,reason=%q,class=%q} %d\n",
 				s.Name, set.Name(rid), class, n)
+		}
+	}
+
+	wires := make([][]WireQueue, len(m.sources))
+	inWireMode := false
+	for i, s := range m.sources {
+		if s.Wire != nil {
+			wires[i] = s.Wire()
+			inWireMode = inWireMode || wires[i] != nil
+		}
+	}
+	if inWireMode {
+		for _, c := range wireSeries {
+			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", c.name, c.help, c.name)
+			for i, s := range m.sources {
+				for _, q := range wires[i] {
+					if c.pair != nil {
+						fmt.Fprintf(w, "%s{nf=%q,queue=\"%d\"} %d\n", c.name, s.Name, q.Queue, c.pair(q))
+						continue
+					}
+					fmt.Fprintf(w, "%s{nf=%q,port=\"internal\",queue=\"%d\"} %d\n", c.name, s.Name, q.Queue, c.port(q.Internal))
+					fmt.Fprintf(w, "%s{nf=%q,port=\"external\",queue=\"%d\"} %d\n", c.name, s.Name, q.Queue, c.port(q.External))
+				}
+			}
 		}
 	}
 

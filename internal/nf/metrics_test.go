@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"vignat/internal/discard"
+	"vignat/internal/dpdk"
 	"vignat/internal/flow"
 	"vignat/internal/libvig"
 	"vignat/internal/netstack"
@@ -504,6 +506,9 @@ func TestMetricsTelemetryTraceExposition(t *testing.T) {
 	if occ := promVals(t, doc, "nf_burst_occupancy_count", `nf="discard-tel"`); len(occ) != 1 || occ[0] != 2 {
 		t.Fatalf("nf_burst_occupancy_count %v, want [2]", occ)
 	}
+	if strings.Contains(doc, "nf_wire_") {
+		t.Fatal("a busy-polling in-memory pipeline exposes wire series")
+	}
 
 	resp, err := http.Get("http://" + m.Addr() + "/debug/trace")
 	if err != nil {
@@ -542,5 +547,102 @@ func TestMetricsTelemetryTraceExposition(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("/debug/pprof/ returned %d", resp2.StatusCode)
+	}
+}
+
+// TestMetricsWireExposition scrapes a wire-mode pipeline: what its
+// queue pair did — frames against syscalls on each port, waits and
+// moderated sleeps — is on /metrics in both renderings, read while the
+// engine could be running.
+func TestMetricsWireExposition(t *testing.T) {
+	const frames = 5
+	side := func(id uint16) (*dpdk.Port, *dpdk.UDPTransport) {
+		tr, err := dpdk.NewUDPTransport(dpdk.SocketConfig{Local: "127.0.0.1:0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool, err := dpdk.NewMempool(32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		port, err := dpdk.NewPortOn(id, tr, []*dpdk.Mempool{pool})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = port.Close() })
+		return port, tr
+	}
+	intPort, intTr := side(0)
+	extPort, _ := side(1)
+	pipe, err := nf.NewPipeline(discard.NewFrameNF(), nf.Config{
+		Internal: intPort, External: extPort, IdleWait: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := nf.ServeMetrics("127.0.0.1:0", nf.SourceOf("wired", pipe.NF(), pipe))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+
+	conn, err := net.Dial("udp", intTr.LocalAddr(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	buf := make([]byte, 2048)
+	id := flow.ID{SrcIP: flow.MakeAddr(10, 0, 0, 1), DstIP: flow.MakeAddr(198, 51, 100, 1), SrcPort: 4000, DstPort: 80}
+	for i := 0; i < frames; i++ {
+		if _, err := conn.Write(udpFrame(t, buf, id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for got, deadline := 0, time.Now().Add(5*time.Second); got < frames; {
+		n, err := pipe.PollWorker(0)
+		if err != nil || time.Now().After(deadline) {
+			t.Fatalf("polled %d of %d frames: %v", got, frames, err)
+		}
+		got += n
+	}
+
+	doc := scrapeProm(t, m.Addr())
+	one := func(metric string, sel ...string) uint64 {
+		t.Helper()
+		vs := promVals(t, doc, metric, append(sel, `nf="wired"`, `queue="0"`)...)
+		if len(vs) != 1 {
+			t.Fatalf("%s%v has %d samples, want 1", metric, sel, len(vs))
+		}
+		return vs[0]
+	}
+	if v := one("nf_wire_rx_frames_total", `port="internal"`); v != frames {
+		t.Fatalf("internal port received %d frames by its own count, want %d", v, frames)
+	}
+	if sys := one("nf_wire_rx_syscalls_total", `port="internal"`); sys == 0 {
+		t.Fatal("frames arrived by no syscall")
+	}
+	if v := one("nf_wire_rx_frames_total", `port="external"`); v != 0 {
+		t.Fatalf("silent external port counts %d frames", v)
+	}
+	// The external port has no peer: the link is down, nothing is sent.
+	if v := one("nf_wire_tx_syscalls_total", `port="external"`) + one("nf_wire_tx_eagain_total", `port="external"`); v != 0 {
+		t.Fatalf("a port with no peer made %d TX syscalls", v)
+	}
+	if one("nf_wire_sleeps_total") == 0 {
+		t.Fatal("a partial burst was not followed by a moderated sleep")
+	}
+	_ = one("nf_wire_waits_total")
+
+	resp, err := http.Get("http://" + m.Addr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var js map[string]struct{ Wire []nf.WireQueue }
+	if err := json.NewDecoder(resp.Body).Decode(&js); err != nil {
+		t.Fatal(err)
+	}
+	if w := js["wired"].Wire; len(w) != 1 || w[0].Internal.RxFrames != frames {
+		t.Fatalf("JSON wire section %+v, want one queue with %d frames in", w, frames)
 	}
 }

@@ -360,9 +360,11 @@ func newWireTransport(kind string, queues int, local, peer string, clock libvig.
 	return nil, fmt.Errorf("unknown transport %q", kind)
 }
 
-// wireIdleWait is how long an idle wire-mode worker parks in select(2)
-// per poll. Long enough to burn no measurable CPU between packets,
-// short enough that expiry sweeps stay fresh.
+// wireIdleWait is how long a wire-mode worker that found nothing blocks
+// waiting for either port before it sweeps expiry again (the engine's
+// moderation gap, not this, paces a worker under traffic). Long enough
+// to burn no measurable CPU on a silent wire, short enough that expiry
+// sweeps stay fresh.
 const wireIdleWait = 2 * time.Millisecond
 
 // runWire runs the NF as a daemon over kernel sockets: the peer
@@ -514,6 +516,7 @@ func runWire(app App, o *Options) error {
 	fmt.Printf("  internal: rx=%d rx_dropped=%d tx=%d tx_dropped=%d | external: rx=%d rx_dropped=%d tx=%d tx_dropped=%d\n",
 		is.RxPackets, is.RxDropped, is.TxPackets, is.TxDropped,
 		es.RxPackets, es.RxDropped, es.TxPackets, es.TxDropped)
+	nf.FprintWireReport(os.Stdout, pipe.Wire())
 	// Socket transports hold no mbufs at rest: everything RxBurst
 	// allocated was transmitted-and-freed or freed on drop, so the
 	// pools must be whole again.

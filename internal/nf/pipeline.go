@@ -102,15 +102,34 @@ type Config struct {
 	// harnesses that assert on histogram counts set 1 to time every
 	// poll.
 	TimingStride int
-	// IdleWait, when positive, parks an idle PollWorker (zero packets
-	// after its expiry sweep) for up to that long waiting for RX
-	// traffic, half the budget on each port. On socket transports the
-	// wait is a select(2) on the queue's descriptor — wire mode burns
-	// no CPU between packets; on the in-memory transport it is a plain
-	// sleep, so lock-step harnesses leave it zero and busy-poll like
-	// DPDK.
+	// IdleWait, when positive, switches the worker from busy-polling to
+	// the wire's idle policy, chosen by what the poll just saw. A poll
+	// that found nothing runs its expiry sweep and then blocks until the
+	// worker's queue on either port is readable or IdleWait passes — one
+	// wait over both descriptors (dpdk.WaitRx), so wire mode burns no
+	// CPU between packets, the first packet after idle is served at
+	// once, and expiry keeps the IdleWait cadence. A poll whose bursts
+	// did not fill has drained both queues: the worker sleeps
+	// moderationGap and then reads without asking. A poll that filled a
+	// burst polls again immediately. On the in-memory transport the wait
+	// is a plain sleep, so lock-step harnesses leave IdleWait zero and
+	// busy-poll like DPDK.
 	IdleWait time.Duration
 }
+
+// moderationGap is how long a wire-mode worker sleeps after a poll
+// that drained its queues without filling a burst: a NIC's rx-usecs.
+// Waking for every packet costs more CPU than forwarding it, so the gap
+// lets a few packets share one wake; latency pays for it (a reply
+// usually arrives just after the worker went back to sleep). The value
+// is measured, EXPERIMENTS.md "Wire path": on nat_wire at 50k packets/s
+// gaps of 1/30/50/75/100 µs read a p50 of 128/174/210/253/301 µs and
+// 6338/5128/4706/4163/3861 ns of daemon CPU per packet, against 637 µs
+// and 4499 ns for the serial millisecond waits this policy replaced —
+// 50 µs is the smallest gap that does not spend more CPU than those did.
+// (The sleep itself overshoots by ~95 µs on that host: 50 µs of kernel
+// timer slack plus the VM's wake latency.)
+const moderationGap = 50 * time.Microsecond
 
 // resolveFastPath turns Config.FastPath plus the environment into a
 // per-worker entry count (0 = disabled).
@@ -238,8 +257,16 @@ type Pipeline struct {
 	// timed when telTick&telMask == 0 (stride from Config.TimingStride,
 	// default telemetry.TimingStride).
 	telMask uint64
-	// idleWait is the idle-poll parking budget (0 = busy-poll).
+	// idleWait is the idle-poll parking budget (0 = busy-poll). wait and
+	// sleep are how a worker spends it — dpdk.WaitRx over its queue on
+	// both ports and dpdk.Sleep, fields so a test can watch the policy
+	// without a clock — and idle[w] counts worker w's uses of each; it
+	// is sized to the ports, not the worker set, so a scrape can read it
+	// across worker-count changes.
 	idleWait time.Duration
+	wait     func(w int, d time.Duration)
+	sleep    func(d time.Duration)
+	idle     []idleCounters
 	// ownerLocal[s] is the owning worker's local slot for shard s
 	// (read-only between worker changes, shared by all workers).
 	ownerLocal []int
@@ -254,6 +281,9 @@ type Pipeline struct {
 	base  PipelineStats
 	drv   *pipeDrivers
 }
+
+// idleCounters counts one worker's blocking waits and moderated sleeps.
+type idleCounters struct{ waits, sleeps atomic.Uint64 }
 
 // worker is one run-to-completion execution context: a queue pair
 // index, the shards it owns, and all the scratch the packet path
@@ -366,7 +396,12 @@ func NewPipeline(n NF, cfg Config) (*Pipeline, error) {
 		burst:       burst,
 		clock:       cfg.Clock,
 		idleWait:    cfg.IdleWait,
+		sleep:       dpdk.Sleep,
 		fastEntries: fastEntries,
+	}
+	p.wait = func(w int, d time.Duration) { dpdk.WaitRx(p.intPort, p.extPort, w, d) }
+	if p.idleWait > 0 {
+		p.idle = make([]idleCounters, min(p.intPort.Queues(), p.extPort.Queues()))
 	}
 	if telOn {
 		sample := cfg.TraceSample
@@ -587,7 +622,10 @@ func (p *Pipeline) Poll() (int, error) {
 // burst from its queue on each port, steer to its shards, process, TX
 // through its own batchers. It returns the number of packets pulled
 // from the RX queues. On an idle poll (zero packets) it advances
-// expiry on the worker's own shards if a clock was configured.
+// expiry on the worker's own shards if a clock was configured. With
+// Config.IdleWait set it also decides, before returning, how the worker
+// passes the time until its next poll (block, sleep the moderation gap,
+// or neither).
 //
 // Distinct workers may be polled from distinct goroutines
 // concurrently; a single worker must not.
@@ -628,8 +666,9 @@ func (p *Pipeline) PollWorker(w int) (int, error) {
 		wk.pkts[li] = wk.pkts[li][:0]
 		wk.bufs[li] = wk.bufs[li][:0]
 	}
-	n := wk.rxSteer(p.intPort, true)
-	n += wk.rxSteer(p.extPort, false)
+	nInt := wk.rxSteer(p.intPort, true)
+	nExt := wk.rxSteer(p.extPort, false)
+	n := nInt + nExt
 	if n == 0 {
 		if p.clock != nil && len(wk.shards) > 0 {
 			now := p.clock.Now()
@@ -640,10 +679,12 @@ func (p *Pipeline) PollWorker(w int) (int, error) {
 			}
 		}
 		if p.idleWait > 0 {
-			// Park until traffic plausibly arrived on either port: wire
-			// mode's alternative to the DPDK busy-poll.
-			p.intPort.WaitRxQueue(w, p.idleWait/2)
-			p.extPort.WaitRxQueue(w, p.idleWait/2)
+			// Nothing anywhere: block until either port has traffic. The
+			// worker holds no NF state while parked, so a control verb
+			// need not wait the park out.
+			wk.inPoll.Store(false)
+			p.idle[w].waits.Add(1)
+			p.wait(w, p.idleWait)
 		}
 		return 0, nil
 	}
@@ -690,6 +731,14 @@ func (p *Pipeline) PollWorker(w int) (int, error) {
 	err := wk.emit()
 	if timed {
 		tel.PollNs.Observe(uint64(time.Since(p.telEpoch) - pollStart))
+	}
+	if p.idleWait > 0 && nInt < p.burst && nExt < p.burst {
+		// Neither burst filled, so both queues are drained: let the next
+		// few packets gather instead of waking for each (see
+		// moderationGap). The next poll reads without waiting.
+		wk.inPoll.Store(false)
+		p.idle[w].sleeps.Add(1)
+		p.sleep(moderationGap)
 	}
 	return n, err
 }

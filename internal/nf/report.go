@@ -15,6 +15,57 @@ func FprintEngineReport(w io.Writer, ps PipelineStats, snap Stats) {
 		ps.Polls, ps.RxPackets, ps.TxPackets, ps.TxFreed, snap.Forwarded, snap.Dropped, snap.Expired)
 }
 
+// WireQueue is what one worker's queue pair did on the wire: how often
+// the worker blocked waiting for traffic, how often it slept the
+// moderation gap, and the syscalls its queue on each port made for the
+// frames it moved.
+type WireQueue struct {
+	Queue    int            `json:"queue"`
+	Waits    uint64         `json:"waits"`
+	Sleeps   uint64         `json:"sleeps"`
+	Internal dpdk.WireStats `json:"internal"`
+	External dpdk.WireStats `json:"external"`
+}
+
+// Wire returns the wire counters of every queue pair the ports
+// provision, nil unless Config.IdleWait put the pipeline in wire mode.
+// Every cell has one writer and is read atomically, so unlike Stats it
+// may be called while the workers run.
+func (p *Pipeline) Wire() []WireQueue {
+	if p.idle == nil {
+		return nil
+	}
+	out := make([]WireQueue, len(p.idle))
+	for q := range out {
+		out[q] = WireQueue{
+			Queue:    q,
+			Waits:    p.idle[q].waits.Load(),
+			Sleeps:   p.idle[q].sleeps.Load(),
+			Internal: p.intPort.WireStats(q),
+			External: p.extPort.WireStats(q),
+		}
+	}
+	return out
+}
+
+// FprintWireReport writes one line per queue pair after the engine
+// report: wakes (waits + sleeps) against frames says how many packets
+// shared one wake, frames against syscalls how many shared one
+// recvmmsg or sendmmsg.
+func FprintWireReport(w io.Writer, queues []WireQueue) {
+	for _, q := range queues {
+		fmt.Fprintf(w, "  wire q%d: waits=%d sleeps=%d", q.Queue, q.Waits, q.Sleeps)
+		for _, side := range []struct {
+			name string
+			s    dpdk.WireStats
+		}{{"internal", q.Internal}, {"external", q.External}} {
+			fmt.Fprintf(w, " | %s: rx_syscalls=%d rx_frames=%d tx_syscalls=%d tx_eagain=%d",
+				side.name, side.s.RxSyscalls, side.s.RxFrames, side.s.TxSyscalls, side.s.TxAgain)
+		}
+		fmt.Fprintln(w)
+	}
+}
+
 // NewWorkerPorts builds the multi-queue port arrangement every demo
 // binary needs: one RX/TX queue pair per worker, each with its own
 // mempool of poolSize mbufs (concurrent workers never share an

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Two-process UDP smoke test: a vignat daemon in wire mode and the
-# vigwire generator/sink exchange real packets over loopback UDP
-# sockets — separate processes, kernel transport, no shared memory.
+# Two-process smoke test: a vignat daemon in wire mode and the vigwire
+# generator/sink exchange real packets over loopback sockets — UDP
+# first, unix SOCK_SEQPACKET (the transport the benchmark measures) in
+# the last leg — separate processes, kernel transport, no shared memory.
 # The run passes only if vigwire's RFC 3022 oracle accepts every
 # observed translation, including the return traffic, and the NAT
 # shuts down cleanly (zero drops, no mbuf leaks) on SIGINT.
@@ -22,7 +23,11 @@
 # Every control transaction is recorded in reshard_trace.json (JSONL),
 # the artifact CI uploads. Two further legs then hold a viglb and a
 # vigpol wire daemon under open-loop traffic (vigblast) while a live
-# backend drain/add and a rate resize land over /control/v1.
+# backend drain/add and a rate resize land over /control/v1. The last
+# leg repeats the oracle exchange over the unix transport and then
+# blasts the daemon unpaced; its end-of-run wire counters must show
+# that it both parked (blocking waits) and batched (fewer RX syscalls
+# than frames).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -32,6 +37,7 @@ lb_metrics=127.0.0.1:19891
 pol_metrics=127.0.0.1:19892
 trace=reshard_trace.json
 bin=$(mktemp -d)
+sock=$(mktemp -d) # the unix leg's sockets; short, their paths hold 108 bytes
 nat_pid=""
 wire_pid=""
 lb_pid=""
@@ -43,7 +49,7 @@ cleanup() {
     [ -n "$nat_pid" ] && kill "$nat_pid" 2>/dev/null || true
     [ -n "$lb_pid" ] && kill "$lb_pid" 2>/dev/null || true
     [ -n "$pol_pid" ] && kill "$pol_pid" 2>/dev/null || true
-    rm -rf "$bin"
+    rm -rf "$bin" "$sock"
 }
 trap cleanup EXIT
 
@@ -279,5 +285,44 @@ kill -INT "$pol_pid"
 wait "$pol_pid"
 pol_pid=""
 echo "wire smoke: policer resized live (processed=$pol_processed), bad resize rejected with 400, clean shutdown"
+
+# --- Leg 4: the unix transport, lock-step then unpaced ---------------
+
+"$bin/vignat" -verify=false -transport unix -workers 1 \
+    -int-local "$sock/ni" -int-peer "$sock/gi" \
+    -ext-local "$sock/ne" -ext-peer "$sock/ge" \
+    -duration 60s > "$bin/nat_unix.out" &
+nat_pid=$!
+sleep 1
+
+# Lock-step: one packet in flight, so the daemon parks between packets.
+"$bin/vigwire" -transport unix \
+    -int-local "$sock/gi" -int-peer "$sock/ni" \
+    -ext-local "$sock/ge" -ext-peer "$sock/ne" \
+    -flows 64 -packets 1024
+# Unpaced: frames queue faster than one wake can take them one by one.
+# (Client frames for a balancer's VIP: the NAT drops them as unsolicited
+# once it has received them, and receiving them is what is under test.)
+"$bin/vigblast" -transport unix -kind lb -peer "$sock/ne" -flows 64 -packets 20000 -interval 0
+
+kill -INT "$nat_pid"
+wait "$nat_pid"
+nat_pid=""
+wire_line=$(grep '^  wire q0:' "$bin/nat_unix.out") || {
+    echo "wire smoke: the unix daemon printed no wire counters" >&2
+    cat "$bin/nat_unix.out" >&2
+    exit 1
+}
+field() {
+    printf '%s\n' "$wire_line" | grep -o "$1=[0-9]*" | awk -F= '{s += $2} END {print s + 0}'
+}
+waits=$(field waits)
+rx_syscalls=$(field rx_syscalls)
+rx_frames=$(field rx_frames)
+if [ "$waits" -eq 0 ] || [ "$rx_frames" -lt 21000 ] || [ "$rx_syscalls" -ge "$rx_frames" ]; then
+    echo "wire smoke: unix leg: waits=$waits rx_syscalls=$rx_syscalls rx_frames=$rx_frames; want waits > 0 (parked) and rx_syscalls < rx_frames (batched) over at least 21000 frames" >&2
+    exit 1
+fi
+echo "wire smoke: unix oracle clean; $rx_frames frames in $rx_syscalls RX syscalls, $waits blocking waits, clean shutdown"
 
 echo "wire smoke: OK ($(wc -l < "$trace") control transactions traced to $trace)"
