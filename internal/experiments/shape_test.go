@@ -8,10 +8,13 @@ import (
 )
 
 // TestFig12Shape asserts the paper's qualitative result on a scaled-down
-// run: latency ordering No-op < Unverified < Verified ≪ Linux at every
-// occupancy, with the three DPDK NFs within a microsecond band of the
-// baseline and Linux several times higher.
+// run: both NATs cost more than the no-op forwarder, the verified NAT's
+// latency is within a band of the unverified one's (the paper's
+// headline claim — not an ordering: the two sit ~1% apart and which is
+// ahead is run-to-run noise and moves with every flow-path change), and
+// Linux is several times higher than all of them, at every occupancy.
 func TestFig12Shape(t *testing.T) {
+	const band = 0.25 // verified within ±25% of unverified; the full run tracks much closer
 	rows, err := Fig12(Fig12Config{Timeout: 2 * time.Second, FlowCounts: []int{1000, 60000}, Scale: 0.15})
 	if err != nil {
 		t.Fatal(err)
@@ -23,28 +26,26 @@ func TestFig12Shape(t *testing.T) {
 		lin := r.Latency[NFLinux]
 		t.Logf("bg=%d: noop=%v unverified=%v verified=%v linux=%v",
 			r.BackgroundFlows, noop, unv, ver, lin)
-		if !(noop < unv) {
-			t.Errorf("bg=%d: no-op (%v) not faster than unverified (%v)", r.BackgroundFlows, noop, unv)
+		if !(noop < unv && noop < ver) {
+			t.Errorf("bg=%d: no-op (%v) not faster than both NATs (%v, %v)", r.BackgroundFlows, noop, unv, ver)
 		}
-		if !(unv < ver) {
-			t.Errorf("bg=%d: unverified (%v) not faster than verified (%v)", r.BackgroundFlows, unv, ver)
+		if ratio := float64(ver) / float64(unv); ratio < 1-band || ratio > 1+band {
+			t.Errorf("bg=%d: verified (%v) not within ±%.0f%% of unverified (%v)", r.BackgroundFlows, ver, 100*band, unv)
 		}
-		if !(lin > 3*noop) {
-			t.Errorf("bg=%d: Linux (%v) not ≫ DPDK baseline (%v)", r.BackgroundFlows, lin, noop)
-		}
-		// The verified NAT stays in the same ballpark as the unverified
-		// one — the paper's headline claim. Allow generous slack for a
-		// scaled-down noisy run; the full run tracks much closer.
-		if ver > 2*unv {
-			t.Errorf("bg=%d: verified (%v) more than 2x unverified (%v)", r.BackgroundFlows, ver, unv)
+		if !(lin > 3*noop && lin > 3*unv && lin > 3*ver) {
+			t.Errorf("bg=%d: Linux (%v) not ≫ the DPDK NFs (%v, %v, %v)", r.BackgroundFlows, lin, noop, unv, ver)
 		}
 	}
 }
 
-// TestFig14Shape asserts the throughput ordering and the paper's rough
-// factors: Linux far below the DPDK NATs, verified within a reasonable
-// factor of unverified (paper: 10% penalty).
+// TestFig14Shape asserts the paper's rough throughput factors: both NATs
+// below the no-op forwarder, the verified NAT within a band of the
+// unverified one (paper: 10% penalty; again a band, not an ordering),
+// Linux far below both.
 func TestFig14Shape(t *testing.T) {
+	// The scaled-down run's verified/unverified ratio wanders 0.75–0.95
+	// on a shared host, hence the width.
+	const band = 0.45
 	rows, err := Fig14(Fig14Config{FlowCounts: []int{10000}, Scale: 0.2})
 	if err != nil {
 		t.Fatal(err)
@@ -56,14 +57,14 @@ func TestFig14Shape(t *testing.T) {
 	lin := r.Throughput[NFLinux]
 	t.Logf("flows=%d: noop=%.2f unverified=%.2f verified=%.2f linux=%.2f Mpps",
 		r.Flows, noop/1e6, unv/1e6, ver/1e6, lin/1e6)
-	if !(noop > unv && unv > ver && ver > lin) {
-		t.Fatalf("throughput ordering broken")
+	if !(noop > unv && noop > ver) {
+		t.Errorf("no-op (%.2f) not faster than both NATs (%.2f, %.2f)", noop/1e6, unv/1e6, ver/1e6)
 	}
-	if ver < 0.55*unv {
-		t.Errorf("verified (%.2f) below 55%% of unverified (%.2f)", ver/1e6, unv/1e6)
+	if ratio := ver / unv; ratio < 1-band || ratio > 1+band {
+		t.Errorf("verified (%.2f) not within ±%.0f%% of unverified (%.2f)", ver/1e6, 100*band, unv/1e6)
 	}
-	if lin > 0.5*ver {
-		t.Errorf("Linux (%.2f) not ≪ verified (%.2f)", lin/1e6, ver/1e6)
+	if lin > 0.5*ver || lin > 0.5*unv {
+		t.Errorf("Linux (%.2f) not ≪ the NATs (%.2f, %.2f)", lin/1e6, unv/1e6, ver/1e6)
 	}
 }
 

@@ -1,6 +1,7 @@
 package contracts
 
 import (
+	"errors"
 	"fmt"
 
 	"vignat/internal/libvig"
@@ -18,17 +19,30 @@ type dmapEntry[K1, K2 libvig.Key] struct {
 // two key indexes are exactly the projections of the stored values.
 // The value type is a (K1, K2, int) record so the checker can validate
 // both key directions without knowing the NF's value semantics.
+//
+// The model is the same for both constructions: an indexed map
+// (Index set) differs only in Put's precondition, which additionally
+// requires the second key to name the index it is put at.
 type CheckedDoubleMap[K1, K2 libvig.Key] struct {
 	Impl  *libvig.DoubleMap[K1, K2, dmapEntry[K1, K2]]
 	Model map[int]dmapEntry[K1, K2]
 	Cap   int
+	Index func(K2) int // nil for a hash-keyed second key
 }
 
-// NewCheckedDoubleMap builds the pair.
-func NewCheckedDoubleMap[K1, K2 libvig.Key](capacity int) (*CheckedDoubleMap[K1, K2], error) {
-	m, err := libvig.NewDoubleMap[K1, K2, dmapEntry[K1, K2]](capacity,
-		func(e *dmapEntry[K1, K2]) K1 { return e.K1 },
-		func(e *dmapEntry[K1, K2]) K2 { return e.K2 })
+// NewCheckedDoubleMap builds the pair: around a map that hashes both
+// keys when index is nil, around one that resolves its second key
+// through index otherwise.
+func NewCheckedDoubleMap[K1, K2 libvig.Key](capacity int, index func(K2) int) (*CheckedDoubleMap[K1, K2], error) {
+	fk1 := func(e *dmapEntry[K1, K2]) K1 { return e.K1 }
+	fk2 := func(e *dmapEntry[K1, K2]) K2 { return e.K2 }
+	var m *libvig.DoubleMap[K1, K2, dmapEntry[K1, K2]]
+	var err error
+	if index == nil {
+		m, err = libvig.NewDoubleMap(capacity, fk1, fk2)
+	} else {
+		m, err = libvig.NewIndexedDoubleMap(capacity, fk1, fk2, index)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -36,6 +50,7 @@ func NewCheckedDoubleMap[K1, K2 libvig.Key](capacity int) (*CheckedDoubleMap[K1,
 		Impl:  m,
 		Model: make(map[int]dmapEntry[K1, K2]),
 		Cap:   capacity,
+		Index: index,
 	}, nil
 }
 
@@ -57,17 +72,22 @@ func (c *CheckedDoubleMap[K1, K2]) hasK2(k K2) (int, bool) {
 	return 0, false
 }
 
-// Put checks the dmappingp Put contract: fresh index, fresh keys.
+// Put checks the dmappingp Put contract: fresh index, fresh keys and,
+// in an indexed map, a second key that names the index.
 func (c *CheckedDoubleMap[K1, K2]) Put(i int, k1 K1, k2 K2, v int) error {
 	_, busy := c.Model[i]
 	_, dup1 := c.hasK1(k1)
 	_, dup2 := c.hasK2(k2)
 	outOfRange := i < 0 || i >= c.Cap
+	mismatch := c.Index != nil && c.Index(k2) != i
 	err := c.Impl.Put(i, dmapEntry[K1, K2]{V: v, K1: k1, K2: k2})
-	shouldFail := busy || dup1 || dup2 || outOfRange
+	shouldFail := busy || dup1 || dup2 || outOfRange || mismatch
 	if shouldFail {
 		if err == nil {
-			return &Violation{"Put", fmt.Sprintf("accepted invalid insert at %d (busy=%v dup1=%v dup2=%v range=%v)", i, busy, dup1, dup2, outOfRange)}
+			return &Violation{"Put", fmt.Sprintf("accepted invalid insert at %d (busy=%v dup1=%v dup2=%v range=%v mismatch=%v)", i, busy, dup1, dup2, outOfRange, mismatch)}
+		}
+		if mismatch && !busy && !outOfRange && !errors.Is(err, libvig.ErrDMapIndexMismatch) {
+			return &Violation{"Put", "second key names another index, refused as: " + err.Error()}
 		}
 		return c.check("Put")
 	}

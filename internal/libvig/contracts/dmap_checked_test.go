@@ -5,7 +5,19 @@ import (
 	"testing/quick"
 )
 
-func TestDoubleMapRefinement(t *testing.T) {
+func TestDoubleMapRefinement(t *testing.T) { testDoubleMapRefinement(t, nil) }
+
+// TestIndexedDoubleMapRefinement drives the index-keyed construction
+// against the same dmappingp model: the second key's low four bits name
+// the index (less 2, so keys fall off both ends of the range) and its
+// high four are the part of the key only the compare sees. Half the
+// puts carry a key that names their index; the rest are refused, and
+// the map must be unchanged after each.
+func TestIndexedDoubleMapRefinement(t *testing.T) {
+	testDoubleMapRefinement(t, func(k qKey) int { return int(k.V%16) - 2 })
+}
+
+func testDoubleMapRefinement(t *testing.T, index func(qKey) int) {
 	type dop struct {
 		Code uint8
 		Idx  uint8
@@ -14,7 +26,7 @@ func TestDoubleMapRefinement(t *testing.T) {
 		Val  uint8
 	}
 	f := func(ops []dop) bool {
-		c, err := NewCheckedDoubleMap[qKey, qKey](9)
+		c, err := NewCheckedDoubleMap[qKey, qKey](9, index)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -22,6 +34,9 @@ func TestDoubleMapRefinement(t *testing.T) {
 			idx := int(op.Idx) % 11 // includes out-of-range probes
 			switch op.Code % 4 {
 			case 0:
+				if index != nil && op.Val%2 == 0 {
+					op.KB.V = op.KB.V&0xF0 | uint8(idx+2)
+				}
 				if err := c.Put(idx, op.KA, op.KB, int(op.Val)); err != nil {
 					t.Log(err)
 					return false
@@ -53,7 +68,7 @@ func TestDoubleMapRefinement(t *testing.T) {
 // TestCheckedDoubleMapDetectsViolation: the meta-test that the checker
 // is not vacuous.
 func TestCheckedDoubleMapDetectsViolation(t *testing.T) {
-	c, err := NewCheckedDoubleMap[qKey, qKey](4)
+	c, err := NewCheckedDoubleMap[qKey, qKey](4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +87,7 @@ func TestCheckedDoubleMapDetectsViolation(t *testing.T) {
 // invariant check (stored hashes equal the hashes of the value's keys)
 // must say so.
 func TestCheckedDoubleMapDetectsKeyMutation(t *testing.T) {
-	c, err := NewCheckedDoubleMap[qKey, qKey](4)
+	c, err := NewCheckedDoubleMap[qKey, qKey](4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,7 +106,10 @@ func (c *DChain) linkBefore(i, at int32) {
 
 // linkAfter inserts i right after at. Freed indices go to the free
 // list's head so the next allocation reuses the cache-hot index (the
-// LIFO reuse DPDK-style allocators rely on).
+// LIFO reuse DPDK-style allocators rely on). Where an index names a
+// resource a peer can still address — the NAT's external port is
+// portBase + index — immediate reuse is safe because expiry is the
+// quarantine: an index is freed only Texp after its last use.
 func (c *DChain) linkAfter(i, at int32) {
 	n := c.next[at]
 	c.next[at] = i

@@ -7,8 +7,9 @@ import (
 
 // DoubleMap errors.
 var (
-	ErrDMapIndexBusy = errors.New("libvig: index already occupied")
-	ErrDMapIndexFree = errors.New("libvig: index not occupied")
+	ErrDMapIndexBusy     = errors.New("libvig: index already occupied")
+	ErrDMapIndexFree     = errors.New("libvig: index not occupied")
+	ErrDMapIndexMismatch = errors.New("libvig: second key indexes a different slot")
 )
 
 // DoubleMap is libVig's flow table substrate (§5.1.1, Fig. 8): a
@@ -38,12 +39,26 @@ var (
 // rehashes nothing and compares no key, and the home slots of an index
 // about to expire can be found from sequential memory
 // (PrefetchExpiring).
+//
+// A second key that already names its value's index needs no key map
+// (NewIndexedDoubleMap, VigNAT's external port = start_port + index):
+//
+//	Put(i,v):   additionally requires index(fk2(v)) = i, which makes
+//	            fk2(v) fresh by itself — its only possible holder is
+//	            the free index i
+//	GetBySnd(k): i = index(k); result = (i, true) iff i ∈ dom M ∧
+//	            fk2(M(i)) = k — the same set as above, found by
+//	            arithmetic and one key compare
+//
+// Such a map keeps no bySnd, hashes no second key, and its contract is
+// otherwise the one above.
 type DoubleMap[K1 Key, K2 Key, V any] struct {
 	byFst  *Map[K1]
-	bySnd  *Map[K2]
+	bySnd  *Map[K2]     // exactly one of bySnd and index is set, at construction
+	index  func(K2) int // the second key's index function
 	vals   []V
 	busy   []bool
-	hashes [][2]uint64 // hashes[i] = {fk1(vals[i]).Hash(), fk2(vals[i]).Hash()} while busy[i]
+	hashes [][2]uint64 // hashes[i] = {fk1(vals[i]).Hash(), fk2(vals[i]).Hash()} while busy[i]; the latter 0 in an indexed map
 	fk1    func(*V) K1
 	fk2    func(*V) K2
 	size   int
@@ -53,6 +68,37 @@ type DoubleMap[K1 Key, K2 Key, V any] struct {
 // NewDoubleMap returns a double-keyed map of the given capacity. fk1 and
 // fk2 extract the two keys from a stored value; they must be pure.
 func NewDoubleMap[K1 Key, K2 Key, V any](capacity int, fk1 func(*V) K1, fk2 func(*V) K2) (*DoubleMap[K1, K2, V], error) {
+	m, err := newDoubleMap(capacity, fk1, fk2)
+	if err != nil {
+		return nil, err
+	}
+	vals := m.vals
+	m.bySnd, err = NewKeylessMap(capacity, func(i int) K2 { return fk2(&vals[i]) })
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// NewIndexedDoubleMap returns a double-keyed map whose second key names
+// the index its value lives at: index(fk2(v)) must be the i of every
+// Put(i, v). index must be pure and total — any int for a key no stored
+// value can carry, out of range included — and is the whole second-key
+// lookup: no second key is hashed or filed anywhere.
+func NewIndexedDoubleMap[K1 Key, K2 Key, V any](capacity int, fk1 func(*V) K1, fk2 func(*V) K2, index func(K2) int) (*DoubleMap[K1, K2, V], error) {
+	if index == nil {
+		return nil, errors.New("libvig: nil second-key index function")
+	}
+	m, err := newDoubleMap(capacity, fk1, fk2)
+	if err != nil {
+		return nil, err
+	}
+	m.index = index
+	return m, nil
+}
+
+// newDoubleMap builds everything but the second key's resolution.
+func newDoubleMap[K1 Key, K2 Key, V any](capacity int, fk1 func(*V) K1, fk2 func(*V) K2) (*DoubleMap[K1, K2, V], error) {
 	if capacity <= 0 {
 		return nil, ErrBadCapacity
 	}
@@ -69,13 +115,8 @@ func NewDoubleMap[K1 Key, K2 Key, V any](capacity int, fk1 func(*V) K1, fk2 func
 	if err != nil {
 		return nil, err
 	}
-	b, err := NewKeylessMap(capacity, func(i int) K2 { return fk2(&vals[i]) })
-	if err != nil {
-		return nil, err
-	}
 	return &DoubleMap[K1, K2, V]{
 		byFst:  a,
-		bySnd:  b,
 		vals:   vals,
 		busy:   busy,
 		hashes: hashes,
@@ -98,7 +139,21 @@ func (m *DoubleMap[K1, K2, V]) GetByFst(k K1) (int, bool) {
 
 // GetBySnd returns the index of the value whose second key equals k.
 func (m *DoubleMap[K1, K2, V]) GetBySnd(k K2) (int, bool) {
+	if m.index != nil {
+		return m.getByIndex(k)
+	}
 	return m.bySnd.Get(k)
+}
+
+// getByIndex resolves a second key by the index it names. The key
+// compare is what makes the answer exact: an index says where a key
+// would live, not that it does.
+func (m *DoubleMap[K1, K2, V]) getByIndex(k K2) (int, bool) {
+	i := m.index(k)
+	if i < 0 || i >= len(m.vals) || !m.busy[i] || m.fk2(&m.vals[i]) != k {
+		return 0, false
+	}
+	return i, true
 }
 
 // GetByFstHashed is GetByFst for a caller that already holds
@@ -109,6 +164,9 @@ func (m *DoubleMap[K1, K2, V]) GetByFstHashed(k K1, h uint64) (int, bool) {
 
 // GetBySndHashed is GetBySnd for a caller that already holds h = k.Hash().
 func (m *DoubleMap[K1, K2, V]) GetBySndHashed(k K2, h uint64) (int, bool) {
+	if m.index != nil {
+		return m.getByIndex(k)
+	}
 	return m.bySnd.GetHashed(k, h)
 }
 
@@ -125,8 +183,9 @@ func (m *DoubleMap[K1, K2, V]) Value(i int) *V {
 }
 
 // Put stores v at index i and indexes it under both keys.
-// Requires: i in range and free, both keys absent. All checked; on error
-// the map is unchanged.
+// Requires: i in range and free, both keys absent and, in an indexed
+// map, the second key naming i (ErrDMapIndexMismatch). All checked; on
+// error the map is unchanged.
 func (m *DoubleMap[K1, K2, V]) Put(i int, v V) error { return m.put(i, v, 0, false) }
 
 // PutFstHashed is Put for a caller that already holds the first key's
@@ -147,26 +206,35 @@ func (m *DoubleMap[K1, K2, V]) put(i int, v V, h1 uint64, hashed bool) error {
 	// function pointer would force v to escape to the heap.
 	m.vals[i] = v
 	k1, k2 := m.fk1(&m.vals[i]), m.fk2(&m.vals[i])
+	if m.index != nil && m.index(k2) != i {
+		return m.unstage(i, ErrDMapIndexMismatch)
+	}
 	if !hashed {
 		h1 = k1.Hash()
 	}
-	h2 := k2.Hash()
 	if err := m.byFst.PutHashed(k1, h1, i); err != nil {
-		var zero V
-		m.vals[i] = zero
-		return err
+		return m.unstage(i, err)
 	}
-	if err := m.bySnd.PutHashed(k2, h2, i); err != nil {
-		// Roll back so a duplicate second key cannot corrupt the map.
-		_ = m.byFst.EraseValue(h1, i)
-		var zero V
-		m.vals[i] = zero
-		return err
+	var h2 uint64
+	if m.bySnd != nil {
+		h2 = k2.Hash()
+		if err := m.bySnd.PutHashed(k2, h2, i); err != nil {
+			// Roll back so a duplicate second key cannot corrupt the map.
+			_ = m.byFst.EraseValue(h1, i)
+			return m.unstage(i, err)
+		}
 	}
 	m.hashes[i] = [2]uint64{h1, h2}
 	m.busy[i] = true
 	m.size++
 	return nil
+}
+
+// unstage clears the cell a refused put staged its value in.
+func (m *DoubleMap[K1, K2, V]) unstage(i int, err error) error {
+	var zero V
+	m.vals[i] = zero
+	return err
 }
 
 // Erase removes the value at index i from the store and from both key
@@ -182,8 +250,10 @@ func (m *DoubleMap[K1, K2, V]) Erase(i int) error {
 	if err := m.byFst.EraseValue(h[0], i); err != nil {
 		return err
 	}
-	if err := m.bySnd.EraseValue(h[1], i); err != nil {
-		return err
+	if m.bySnd != nil {
+		if err := m.bySnd.EraseValue(h[1], i); err != nil {
+			return err
+		}
 	}
 	var zero V
 	m.vals[i] = zero
@@ -217,26 +287,41 @@ func (m *DoubleMap[K1, K2, V]) ForEach(fn func(i int, v *V) bool) {
 // A pure read.
 func (m *DoubleMap[K1, K2, V]) PrefetchFst(h uint64) { m.sink += m.byFst.touch(h) }
 
-// PrefetchSnd is PrefetchFst for the second-key map.
-func (m *DoubleMap[K1, K2, V]) PrefetchSnd(h uint64) { m.sink += m.bySnd.touch(h) }
+// PrefetchSnd is PrefetchFst for second key k, h = k.Hash(): the home
+// slot of h in the second-key map, or in an indexed map the cells the
+// lookup of k will read — the occupancy flag and the record of the
+// index k names.
+func (m *DoubleMap[K1, K2, V]) PrefetchSnd(k K2, h uint64) {
+	if m.index == nil {
+		m.sink += m.bySnd.touch(h)
+		return
+	}
+	if _, ok := m.getByIndex(k); ok {
+		m.sink++
+	}
+}
 
-// PrefetchExpiring does the same for the two home slots of each index
-// the next ExpireItems(chain, deadline, …) will free, oldest first, at
-// most max of them: it walks chain read-only and finds the slots from
-// the hashes kept per index. A pure read.
+// PrefetchExpiring does the same for the home slots of each index the
+// next ExpireItems(chain, deadline, …) will free, oldest first, at most
+// max of them: it walks chain read-only and finds the slots from the
+// hashes kept per index. A pure read.
 func (m *DoubleMap[K1, K2, V]) PrefetchExpiring(chain *DChain, deadline Time, max int) {
 	i, ts, ok := chain.Oldest()
 	for ; ok && ts < deadline && max > 0; max-- {
 		h := m.hashes[i]
-		m.sink += m.byFst.touch(h[0]) + m.bySnd.touch(h[1])
+		m.sink += m.byFst.touch(h[0])
+		if m.bySnd != nil {
+			m.sink += m.bySnd.touch(h[1])
+		}
 		i, ts, ok = chain.After(i)
 	}
 }
 
 // CheckInvariant verifies the representation invariant: every busy
-// index's stored hashes are the hashes of its value's keys, both key
-// maps hold exactly the busy indices under those keys, and each map's
-// own invariant holds. For contract checking and tests: O(capacity).
+// index's stored hashes are the hashes of its value's keys, both keys
+// resolve to exactly the busy indices — through the key maps, or for an
+// indexed second key through the index it names — and each map's own
+// invariant holds. For contract checking and tests: O(capacity).
 func (m *DoubleMap[K1, K2, V]) CheckInvariant() error {
 	busy := 0
 	for i := range m.vals {
@@ -245,21 +330,32 @@ func (m *DoubleMap[K1, K2, V]) CheckInvariant() error {
 		}
 		busy++
 		k1, k2 := m.fk1(&m.vals[i]), m.fk2(&m.vals[i])
-		if h := [2]uint64{k1.Hash(), k2.Hash()}; h != m.hashes[i] {
+		h := [2]uint64{k1.Hash(), 0}
+		if m.bySnd != nil {
+			h[1] = k2.Hash()
+		}
+		if h != m.hashes[i] {
 			return fmt.Errorf("libvig: index %d stores hashes %#x, its keys hash to %#x", i, m.hashes[i], h)
 		}
 		if j, ok := m.byFst.Get(k1); !ok || j != i {
 			return fmt.Errorf("libvig: index %d's first key resolves to (%d, %v)", i, j, ok)
 		}
-		if j, ok := m.bySnd.Get(k2); !ok || j != i {
+		if j, ok := m.GetBySnd(k2); !ok || j != i {
 			return fmt.Errorf("libvig: index %d's second key resolves to (%d, %v)", i, j, ok)
 		}
 	}
-	if busy != m.size || m.byFst.Size() != busy || m.bySnd.Size() != busy {
-		return fmt.Errorf("libvig: %d busy indices, size %d, key maps %d and %d", busy, m.size, m.byFst.Size(), m.bySnd.Size())
+	snd := busy
+	if m.bySnd != nil {
+		snd = m.bySnd.Size()
+	}
+	if busy != m.size || m.byFst.Size() != busy || snd != busy {
+		return fmt.Errorf("libvig: %d busy indices, size %d, key maps %d and %d", busy, m.size, m.byFst.Size(), snd)
 	}
 	if err := m.byFst.CheckInvariant(); err != nil {
 		return err
+	}
+	if m.bySnd == nil {
+		return nil
 	}
 	return m.bySnd.CheckInvariant()
 }

@@ -22,6 +22,20 @@ func newTestDMap(t *testing.T, cap int) *DoubleMap[tKey, tKey, pairVal] {
 	return m
 }
 
+// newIndexedTestDMap keys the second key by arithmetic: b.v = 1000 + i,
+// and the weak flag is the part of the key the index does not see.
+func newIndexedTestDMap(t *testing.T, cap int) *DoubleMap[tKey, tKey, pairVal] {
+	t.Helper()
+	m, err := NewIndexedDoubleMap[tKey, tKey, pairVal](cap,
+		func(v *pairVal) tKey { return v.a },
+		func(v *pairVal) tKey { return v.b },
+		func(b tKey) int { return int(b.v) - 1000 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestDMapPutGetBothKeys(t *testing.T) {
 	m := newTestDMap(t, 4)
 	v := pairVal{a: tKey{v: 1}, b: tKey{v: 100}, data: 7}
@@ -197,7 +211,11 @@ func TestDMapChurn(t *testing.T) {
 // observe.
 func TestDMapHashedAndPrefetchArePure(t *testing.T) {
 	const cap = 32
-	m := newTestDMap(t, cap)
+	t.Run("hashed", func(t *testing.T) { testDMapHashedAndPrefetchArePure(t, cap, newTestDMap(t, cap)) })
+	t.Run("indexed", func(t *testing.T) { testDMapHashedAndPrefetchArePure(t, cap, newIndexedTestDMap(t, cap)) })
+}
+
+func testDMapHashedAndPrefetchArePure(t *testing.T, cap int, m *DoubleMap[tKey, tKey, pairVal]) {
 	chain, err := NewDChain(cap)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +245,7 @@ func TestDMapHashedAndPrefetchArePure(t *testing.T) {
 	m.PrefetchExpiring(chain, 0, 64)    // none due
 	for h := uint64(0); h < 100; h++ {
 		m.PrefetchFst(h * 0x9e3779b97f4a7c15)
-		m.PrefetchSnd(h)
+		m.PrefetchSnd(tKey{v: 990 + h}, h) // below, inside and beyond the indexed range
 	}
 	vals1, order1 := snapshot()
 	if len(vals0) != len(vals1) || len(order0) != len(order1) {
@@ -249,5 +267,58 @@ func TestDMapHashedAndPrefetchArePure(t *testing.T) {
 		if got, ok := m.GetBySndHashed(b, b.Hash()); !ok || got != i {
 			t.Fatalf("GetBySndHashed %d: (%d, %v)", i, got, ok)
 		}
+	}
+}
+
+// TestIndexedDMap: a second key that names its index is resolved by
+// arithmetic and one compare. A key that indexes an occupied slot but
+// is not the stored key misses; a put whose second key names another
+// slot is refused with its own error and leaves the map as it was.
+func TestIndexedDMap(t *testing.T) {
+	m := newIndexedTestDMap(t, 4)
+	if err := m.Put(2, pairVal{a: tKey{v: 7}, b: tKey{v: 1002}, data: 70}); err != nil {
+		t.Fatal(err)
+	}
+	if i, ok := m.GetBySnd(tKey{v: 1002}); !ok || i != 2 {
+		t.Fatalf("GetBySnd: (%d, %v)", i, ok)
+	}
+	for _, k := range []tKey{{v: 1002, weak: true}, {v: 1001}, {v: 999}, {v: 1004}, {v: 0}} {
+		if i, ok := m.GetBySnd(k); ok {
+			t.Fatalf("GetBySnd(%+v) found index %d", k, i)
+		}
+		if i, ok := m.GetBySndHashed(k, k.Hash()); ok {
+			t.Fatalf("GetBySndHashed(%+v) found index %d", k, i)
+		}
+	}
+	if err := m.Put(1, pairVal{a: tKey{v: 8}, b: tKey{v: 1003}}); !errors.Is(err, ErrDMapIndexMismatch) {
+		t.Fatalf("put under a key naming another slot: %v", err)
+	}
+	if err := m.Put(2, pairVal{a: tKey{v: 8}, b: tKey{v: 1002}}); !errors.Is(err, ErrDMapIndexBusy) {
+		t.Fatalf("put at a busy index: %v", err)
+	}
+	if err := m.Put(3, pairVal{a: tKey{v: 7}, b: tKey{v: 1003}}); !errors.Is(err, ErrMapDupKey) {
+		t.Fatalf("duplicate first key: %v", err)
+	}
+	if m.Size() != 1 || m.Occupied(1) || m.Occupied(3) {
+		t.Fatalf("refused puts left a mark: size %d", m.Size())
+	}
+	if _, ok := m.GetByFst(tKey{v: 8}); ok {
+		t.Fatal("a refused put's first key is reachable")
+	}
+	if err := m.CheckInvariant(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Erase(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m.GetBySnd(tKey{v: 1002}); ok {
+		t.Fatal("second key survived the erase")
+	}
+	if err := m.CheckInvariant(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewIndexedDoubleMap[tKey, tKey, pairVal](4,
+		func(v *pairVal) tKey { return v.a }, func(v *pairVal) tKey { return v.b }, nil); err == nil {
+		t.Fatal("nil index function accepted")
 	}
 }

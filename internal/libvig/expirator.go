@@ -2,7 +2,8 @@ package libvig
 
 // IndexEraser is the hook the expirator uses to tear down per-index state
 // in sibling structures when an index expires. VigNAT passes the flow
-// table (DoubleMap.Erase) and the port allocator here.
+// table (DoubleMap.Erase) here; the index being the flow's port, there
+// is nothing else to release.
 type IndexEraser interface {
 	// EraseIndex releases all state associated with index i.
 	EraseIndex(i int) error
@@ -25,7 +26,7 @@ func (f IndexEraserFunc) EraseIndex(i int) error { return f(i) }
 //
 // The per-packet call pattern in the NAT is
 //
-//	ExpireItems(chain, deadline=now-Texp, flowtable, portalloc)
+//	ExpireItems(chain, deadline=now-Texp, flowtable)
 //
 // which implements Fig. 6's expire_flows(t).
 func ExpireItems(chain *DChain, deadline Time, erasers ...IndexEraser) (int, error) {

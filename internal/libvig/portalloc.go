@@ -19,6 +19,13 @@ var (
 // uses of a port (the flow only dies Texp after its last packet), and
 // LIFO keeps the allocator's working set cache-hot at any occupancy.
 //
+// The NAT's flow table no longer draws from this allocator: a flow's
+// port is portBase plus its DChain index (nat.FlowTable), so there the
+// same argument rests on the chain's free list, which is LIFO for the
+// same reason (DChain.linkAfter) and frees an index only Texp after its
+// flow's last packet. The allocator stays for NFs whose ports are not
+// index-shaped, with its contract and refinement test.
+//
 // Contract sketch:
 //
 //	portsp(p, F, base, count) ≡ F ⊆ [base, base+count) is the allocated

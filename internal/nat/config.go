@@ -2,8 +2,8 @@
 // the stateless logic (internal/nat/stateless), the libVig flow table,
 // and the dpdk substrate. The configuration surface matches the paper's
 // three static parameters — flow-table capacity (CAP), flow timeout
-// (Texp), external IP (EXT_IP) — plus the port range the allocator
-// manages.
+// (Texp), external IP (EXT_IP) — plus the port range the flow table
+// owns.
 package nat
 
 import (
@@ -38,7 +38,7 @@ type Config struct {
 	Timeout time.Duration
 	// ExternalIP is EXT_IP: the address written into outgoing sources.
 	ExternalIP flow.Addr
-	// PortBase is the first external port the allocator manages.
+	// PortBase is the first external port: flow index i holds PortBase+i.
 	PortBase uint16
 	// InternalPort / ExternalPort are the dpdk port indices of the two
 	// interfaces.

@@ -8,15 +8,18 @@ import (
 )
 
 // FlowTable is the paper's flow table: the composition of a double-keyed
-// map (which flow lives where), a double chain (which index is live and
-// how stale), and a port allocator (which external port each flow owns).
-// The same index identifies a flow in all three structures; that shared
-// index is the composition invariant the contracts package checks.
+// map (which flow lives where) and a double chain (which index is live
+// and how stale). The same index identifies a flow in both, and names
+// its external port: the flow at index i owns port portBase+i, as in
+// VigNAT's flow manager (start_port + index). A port is therefore free
+// exactly when its index is, no allocator hands it out, and an external
+// key is resolved by subtracting portBase — the map files flows under
+// their internal key only.
 type FlowTable struct {
-	dmap  *libvig.DoubleMap[flow.ID, flow.ID, flow.Flow]
-	chain *libvig.DChain
-	ports *libvig.PortAllocator
-	extIP flow.Addr
+	dmap     *libvig.DoubleMap[flow.ID, flow.ID, flow.Flow]
+	chain    *libvig.DChain
+	extIP    flow.Addr
+	portBase uint16
 	// erasers is built once so the per-packet expiry path is
 	// allocation-free.
 	erasers []libvig.IndexEraser
@@ -27,13 +30,18 @@ type FlowTable struct {
 }
 
 // NewFlowTable builds a flow table for capacity flows behind extIP,
-// allocating external ports from portBase upward (one port per possible
-// flow, as in VigNAT where the port space bounds the flow space).
+// owning the external ports [portBase, portBase+capacity) — one port
+// per possible flow, as in VigNAT where the port space bounds the flow
+// space — which must end within the 16-bit port space (ErrPortRange).
 func NewFlowTable(capacity int, extIP flow.Addr, portBase uint16) (*FlowTable, error) {
-	dm, err := libvig.NewDoubleMap[flow.ID, flow.ID, flow.Flow](
+	if int(portBase)+capacity > 1<<16 {
+		return nil, fmt.Errorf("nat: flow table ports: %w", libvig.ErrPortRange)
+	}
+	dm, err := libvig.NewIndexedDoubleMap[flow.ID, flow.ID, flow.Flow](
 		capacity,
 		func(f *flow.Flow) flow.ID { return f.IntKey },
 		func(f *flow.Flow) flow.ID { return f.ExtKey },
+		func(ext flow.ID) int { return int(ext.DstPort) - int(portBase) },
 	)
 	if err != nil {
 		return nil, fmt.Errorf("nat: flow table dmap: %w", err)
@@ -42,25 +50,15 @@ func NewFlowTable(capacity int, extIP flow.Addr, portBase uint16) (*FlowTable, e
 	if err != nil {
 		return nil, fmt.Errorf("nat: flow table chain: %w", err)
 	}
-	pa, err := libvig.NewPortAllocator(portBase, capacity)
-	if err != nil {
-		return nil, fmt.Errorf("nat: flow table ports: %w", err)
-	}
-	t := &FlowTable{dmap: dm, chain: ch, ports: pa, extIP: extIP}
+	t := &FlowTable{dmap: dm, chain: ch, extIP: extIP, portBase: portBase}
 	t.erasers = []libvig.IndexEraser{libvig.IndexEraserFunc(t.eraseIndex)}
 	return t, nil
 }
 
-// eraseIndex tears down all state of flow i: its external port and its
-// table entry. It is the eraser the expirator invokes.
+// eraseIndex tears down the table entry of flow i, and with it the
+// flow's hold on port portBase+i. It is the eraser the expirator
+// invokes.
 func (t *FlowTable) eraseIndex(i int) error {
-	f := t.dmap.Value(i)
-	if f == nil {
-		return libvig.ErrDMapIndexFree
-	}
-	if err := t.ports.Release(f.ExtPort()); err != nil {
-		return err
-	}
 	if err := t.dmap.Erase(i); err != nil {
 		return err
 	}
@@ -122,9 +120,8 @@ func (t *FlowTable) LastActivity(i int) (libvig.Time, error) {
 }
 
 // Add creates a flow for internal-side key intKey at time now, allocating
-// an index and an external port. ok is false when the table is full (no
-// index or no port — with equal capacities they exhaust together).
-// This is Fig. 6 ll.14-17.
+// an index and with it the external port portBase+index. ok is false
+// when the table is full. This is Fig. 6 ll.14-17.
 func (t *FlowTable) Add(intKey flow.ID, now libvig.Time) (idx int, ok bool) {
 	return t.AddHashed(intKey, intKey.Hash(), now)
 }
@@ -136,42 +133,37 @@ func (t *FlowTable) AddHashed(intKey flow.ID, h uint64, now libvig.Time) (idx in
 	if err != nil {
 		return 0, false
 	}
-	port, err := t.ports.Allocate()
-	if err != nil {
-		_ = t.chain.Free(idx)
-		return 0, false
-	}
-	f := flow.MakeFlow(intKey, t.extIP, port)
+	f := flow.MakeFlow(intKey, t.extIP, t.portBase+uint16(idx))
 	if err := t.dmap.PutFstHashed(idx, f, h); err != nil {
 		// Key collision: e.g. a retransmitted first packet racing an
 		// existing flow is impossible (lookup precedes add), but an
 		// internal key equal to an existing one must not corrupt the
 		// table. Roll back.
-		_ = t.ports.Release(port)
 		_ = t.chain.Free(idx)
 		return 0, false
 	}
 	return idx, true
 }
 
-// Restore re-creates a migrated flow: a chain slot at its original
-// stamp (the shard codec replays records in stamp order, so the chain
-// contract's monotonicity holds), its original external port — which
-// must lie in this shard's range — and the table entry. No creation
-// counter moves: a migrated flow was created once, on the shard it
-// came from.
+// Restore re-creates a migrated flow at the index its external port
+// names, at its original stamp (the shard codec replays records in
+// stamp order, so the chain contract's monotonicity holds). A port
+// outside this shard's range is refused with ErrPortRange and one a
+// live flow holds with ErrPortBusy; a refused restore leaves chain and
+// table as they were. No creation counter moves: a migrated flow was
+// created once, on the shard it came from.
 func (t *FlowTable) Restore(intKey flow.ID, extPort uint16, stamp libvig.Time) error {
-	idx, err := t.chain.Allocate(stamp)
-	if err != nil {
+	idx := int(extPort) - int(t.portBase)
+	if idx < 0 || idx >= t.Capacity() {
+		return libvig.ErrPortRange
+	}
+	if t.chain.IsAllocated(idx) {
+		return libvig.ErrPortBusy
+	}
+	if err := t.chain.AllocateIndex(idx, stamp); err != nil {
 		return err
 	}
-	if err := t.ports.AllocateSpecific(extPort); err != nil {
-		_ = t.chain.Free(idx)
-		return err
-	}
-	f := flow.MakeFlow(intKey, t.extIP, extPort)
-	if err := t.dmap.Put(idx, f); err != nil {
-		_ = t.ports.Release(extPort)
+	if err := t.dmap.Put(idx, flow.MakeFlow(intKey, t.extIP, extPort)); err != nil {
 		_ = t.chain.Free(idx)
 		return err
 	}
@@ -181,18 +173,8 @@ func (t *FlowTable) Restore(intKey flow.ID, extPort uint16, stamp libvig.Time) e
 // Remove deletes flow i regardless of age (administrative removal; also
 // used by extensions like TCP RST/FIN tracking).
 func (t *FlowTable) Remove(i int) error {
-	f := t.dmap.Value(i)
-	if f == nil {
-		return libvig.ErrDMapIndexFree
-	}
-	if err := t.ports.Release(f.ExtPort()); err != nil {
+	if err := t.eraseIndex(i); err != nil {
 		return err
-	}
-	if err := t.dmap.Erase(i); err != nil {
-		return err
-	}
-	if t.eraseHook != nil {
-		t.eraseHook(i)
 	}
 	return t.chain.Free(i)
 }

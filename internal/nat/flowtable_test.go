@@ -1,6 +1,7 @@
 package nat
 
 import (
+	"errors"
 	"testing"
 
 	"vignat/internal/flow"
@@ -143,7 +144,8 @@ func TestFlowTableDuplicateAddFails(t *testing.T) {
 
 // TestFlowTableInvariant is the implementation-side check of the P5
 // contract invariant: every stored flow is consistent, behind EXT_IP,
-// with an in-range, unique external port.
+// with an in-range, unique external port — the port its index names —
+// and is found from outside by exactly its external key.
 func TestFlowTableInvariant(t *testing.T) {
 	const cap = 128
 	ft, _ := NewFlowTable(cap, tExtIP, 1000)
@@ -166,13 +168,124 @@ func TestFlowTableInvariant(t *testing.T) {
 			t.Errorf("flow %d inconsistent: %v", i, f)
 		}
 		p := f.ExtPort()
-		if int(p) < 1000 || int(p) >= 1000+cap {
-			t.Errorf("flow %d port %d out of range", i, p)
+		if int(p) != 1000+i {
+			t.Errorf("flow %d holds port %d, its index names %d", i, p, 1000+i)
 		}
 		if ports[p] {
 			t.Errorf("port %d assigned twice", p)
 		}
 		ports[p] = true
+		if got, ok := ft.LookupExt(f.ExtKey); !ok || got != i {
+			t.Errorf("flow %d: LookupExt of its own key: (%d, %v)", i, got, ok)
+		}
+		// The port alone finds the slot; only the whole key finds the flow.
+		for what, change := range map[string]func(*flow.ID){
+			"remote IP":   func(k *flow.ID) { k.SrcIP++ },
+			"remote port": func(k *flow.ID) { k.SrcPort++ },
+			"protocol":    func(k *flow.ID) { k.Proto = flow.TCP },
+			"external IP": func(k *flow.ID) { k.DstIP++ },
+		} {
+			k := f.ExtKey
+			change(&k)
+			if got, ok := ft.LookupExt(k); ok {
+				t.Errorf("flow %d: a key differing in %s found index %d", i, what, got)
+			}
+		}
 		return true
 	})
+	// Ports no live flow holds, in range and on both sides of it.
+	for _, p := range []uint16{0, 999, 1000 + cap, 65535} {
+		if got, ok := ft.LookupExt(flow.ID{SrcIP: flow.MakeAddr(8, 8, 8, 8), DstIP: tExtIP, SrcPort: 53, DstPort: p, Proto: flow.UDP}); ok {
+			t.Errorf("port %d outside the range found index %d", p, got)
+		}
+	}
+}
+
+// TestFlowTableExpiredPortsReturnLIFO: the port a flow is handed is the
+// one its chain index names, so the quarantine a reused port gets is
+// the chain's — an index is only free again Texp after its flow's last
+// packet — and a burst that expires and then creates hands the ports
+// back newest-freed first.
+func TestFlowTableExpiredPortsReturnLIFO(t *testing.T) {
+	const cap = 8
+	ft, _ := NewFlowTable(cap, tExtIP, 1000)
+	for i := 0; i < cap; i++ {
+		if _, ok := ft.Add(intKey(i), libvig.Time(i)); !ok {
+			t.Fatalf("add %d", i)
+		}
+	}
+	if _, ok := ft.Add(intKey(99), cap); ok {
+		t.Fatal("full table accepted a flow")
+	}
+	if n := ft.Expire(3); n != 3 { // flows 0, 1, 2, oldest first
+		t.Fatalf("expired %d flows, want 3", n)
+	}
+	for n, want := range []uint16{1002, 1001, 1000} {
+		idx, ok := ft.Add(intKey(100+n), libvig.Time(cap+n))
+		if !ok {
+			t.Fatalf("add %d after expiry failed", n)
+		}
+		if got := ft.Flow(idx).ExtPort(); got != want {
+			t.Fatalf("flow %d after the sweep got port %d, want %d", n, got, want)
+		}
+	}
+	if _, ok := ft.Add(intKey(200), 2*cap); ok {
+		t.Fatal("full table accepted a flow")
+	}
+}
+
+// TestFlowTablePortRange: the table owns [portBase, portBase+capacity),
+// which must fit the port space, and Restore claims exactly the index a
+// port names — or nothing.
+func TestFlowTablePortRange(t *testing.T) {
+	if _, err := NewFlowTable(8, tExtIP, 65529); !errors.Is(err, libvig.ErrPortRange) {
+		t.Fatalf("ports 65529…65536 accepted: %v", err)
+	}
+	ft, err := NewFlowTable(8, tExtIP, 65528)
+	if err != nil {
+		t.Fatalf("ports 65528…65535 refused: %v", err)
+	}
+	idx, ok := ft.Add(intKey(0), 10)
+	if !ok || ft.Flow(idx).ExtPort() != 65528 {
+		t.Fatalf("first flow: index %d ok %v", idx, ok)
+	}
+	for _, tc := range []struct {
+		name string
+		key  flow.ID
+		port uint16
+		want error
+	}{
+		{"below the range", intKey(1), 65527, libvig.ErrPortRange},
+		{"far below the range", intKey(1), 1, libvig.ErrPortRange},
+		{"held by a live flow", intKey(1), 65528, libvig.ErrPortBusy},
+		{"duplicate internal key", intKey(0), 65530, libvig.ErrMapDupKey},
+	} {
+		if err := ft.Restore(tc.key, tc.port, 20); !errors.Is(err, tc.want) {
+			t.Fatalf("restore %s: %v, want %v", tc.name, err, tc.want)
+		}
+		if ft.Size() != 1 || ft.chain.Size() != 1 {
+			t.Fatalf("restore %s left a mark: table %d, chain %d", tc.name, ft.Size(), ft.chain.Size())
+		}
+		if err := ft.dmap.CheckInvariant(); err != nil {
+			t.Fatalf("restore %s: %v", tc.name, err)
+		}
+	}
+	if err := ft.Restore(intKey(1), 65535, 20); err != nil {
+		t.Fatalf("restore at the last port: %v", err)
+	}
+	f := ft.Flow(7)
+	if f == nil || f.IntKey != intKey(1) || f.ExtPort() != 65535 {
+		t.Fatalf("restored flow not at the index its port names: %v", f)
+	}
+	if got, ok := ft.LookupExt(f.ExtKey); !ok || got != 7 {
+		t.Fatalf("LookupExt of the restored flow: (%d, %v)", got, ok)
+	}
+	if ts, _ := ft.LastActivity(7); ts != 20 {
+		t.Fatalf("restored stamp %d", ts)
+	}
+	// A table above the range of a small one: ports past the end.
+	small, _ := NewFlowTable(4, tExtIP, 1000)
+	if err := small.Restore(intKey(2), 1004, 1); !errors.Is(err, libvig.ErrPortRange) {
+		t.Fatalf("restore past the range: %v", err)
+	}
 }

@@ -34,9 +34,9 @@ func verdictOf(v stateless.Verdict) nf.Verdict {
 // owns capacity/n flows and the external port range
 // [PortBase+i·(capacity/n), PortBase+(i+1)·(capacity/n)): partitioned
 // ports are what make RSS-style steering consistent without locks —
-// outbound packets steer by flow hash, the owning shard allocates from
-// its own range, and an inbound reply's destination port alone names
-// the shard.
+// outbound packets steer by flow hash, the owning shard's flow at index
+// j holds the j-th port of its own range, and an inbound reply's
+// destination port alone names the shard and the index.
 func Kit(cfg Config, clock libvig.Clock) nfkit.Decl[*NAT] {
 	return kit(cfg, clock, nil)
 }

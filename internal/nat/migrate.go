@@ -11,11 +11,13 @@ import (
 // This file is the NAT's shard codec: the snapshot/restore walk over
 // the flow table that makes NAT shards movable units (counters move
 // through Decl.Counters, generically). Flows migrate to the shard
-// whose external-port range holds their port — the only placement
-// that keeps an inbound reply's port-arithmetic steering correct
-// without renumbering the port an external peer already targets. Outbound consistency for flows whose
-// hash shard moved away is restored by the steering override
-// (steer.go), which the Sharded wrapper rebuilds after every reshard.
+// whose external-port range holds their port, to the index the port
+// names there — the only placement that keeps an inbound reply's
+// port-arithmetic steering and lookup correct without renumbering the
+// port an external peer already targets. Outbound consistency for
+// flows whose hash shard moved away is restored by the steering
+// override (steer.go), which the Sharded wrapper rebuilds after every
+// reshard.
 
 // flowRec migrates one flow: its internal-side identity and the
 // external port it holds. The external IP is configuration; the DChain
@@ -39,7 +41,8 @@ func (n *NAT) snapshotRecords() []nfkit.StateRecord {
 }
 
 // restoreRecord replays one flow into the core, fully or not at all
-// (FlowTable.Restore rolls back). FlowsCreated does not move.
+// (FlowTable.Restore refuses a port that is not this shard's or not
+// free before it touches anything). FlowsCreated does not move.
 func (n *NAT) restoreRecord(rec nfkit.StateRecord) error {
 	d, ok := rec.Data.(flowRec)
 	if !ok {

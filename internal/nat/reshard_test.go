@@ -69,7 +69,19 @@ func TestReshardPreservesTranslations(t *testing.T) {
 		if dropped := s.MigrationDropped(); dropped != 0 {
 			t.Fatalf("%s: %d records dropped", when, dropped)
 		}
+		per := capacity / s.Shards()
 		for i, id := range ids {
+			// The flow kept its external port, so it lives on the shard
+			// whose range holds that port, at the index the port names.
+			off := int(ext[i].SrcPort) - 1000
+			tbl := s.ShardNAT(off / per).Table()
+			idx, ok := tbl.LookupExt(ext[i].Reverse())
+			if !ok || idx != off%per {
+				t.Fatalf("%s: flow %d: LookupExt on shard %d: (%d, %v), port names index %d", when, i, off/per, idx, ok, off%per)
+			}
+			if f := tbl.Flow(idx); f.IntKey != id || f.ExtPort() != ext[i].SrcPort {
+				t.Fatalf("%s: flow %d: shard %d index %d holds %v", when, i, off/per, idx, f)
+			}
 			// Outbound still translates to the same external tuple, via
 			// the steering override if the flow's hash no longer matches
 			// its port-range home.

@@ -102,7 +102,9 @@ func (g *PktGuards) PacketFromInternal() bool { return g.FromInternal }
 // first packet will expire at deadline — the one Fig. 6 sweep of the
 // burst that frees anything, now standing still — and (b) each
 // packet's own home slot, in the first-key map when the packet arrived
-// on the first key's side and in the second-key map otherwise.
+// on the first key's side and in the second-key map otherwise — or,
+// where the second key is an index (the NAT's external port), the
+// record that index names.
 func PrefetchFlows[V any](b *Burst, pkts []nf.Pkt, fstFromInternal bool,
 	m *libvig.DoubleMap[flow.ID, flow.ID, V], chain *libvig.DChain, deadline libvig.Time) {
 	m.PrefetchExpiring(chain, deadline, len(pkts))
@@ -111,7 +113,7 @@ func PrefetchFlows[V any](b *Burst, pkts []nf.Pkt, fstFromInternal bool,
 		if pkts[i].FromInternal == fstFromInternal {
 			m.PrefetchFst(ents[i].Hash)
 		} else {
-			m.PrefetchSnd(ents[i].Hash)
+			m.PrefetchSnd(ents[i].ID, ents[i].Hash)
 		}
 	}
 }

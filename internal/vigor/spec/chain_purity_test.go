@@ -288,7 +288,7 @@ func runChainTrace(t *testing.T, rigs []*chainRig, maxBurst int) {
 					SrcIP:   flow.MakeAddr(203, 0, 113, byte(rng.Intn(250))),
 					SrcPort: uint16(1024 + rng.Intn(60000)),
 					DstIP:   extIP,
-					DstPort: uint16(confPortBase + rng.Intn(chainCap+10)),
+					DstPort: uint16(confPortBase - 5 + rng.Intn(chainCap+15)), // live ports, free ones, and both sides of the range
 					Proto:   flow.UDP,
 				}
 			case 7: // non-NATable outbound (dropped by the firewall)

@@ -266,7 +266,7 @@ func runAmoTrace(t *testing.T, rigs []*amoRig, maxBurst int) {
 					SrcIP:   flow.MakeAddr(203, 0, 113, byte(rng.Intn(250))),
 					SrcPort: uint16(1024 + rng.Intn(60000)),
 					DstIP:   extIP,
-					DstPort: uint16(confPortBase + rng.Intn(amoCap+10)),
+					DstPort: uint16(confPortBase - 5 + rng.Intn(amoCap+15)), // live ports, free ones, and both sides of the range
 					Proto:   flow.UDP,
 				}
 			case 7: // non-NATable
