@@ -396,7 +396,7 @@ func main() {
 	fmt.Printf("  packets forwarded: %d, dropped: %d, policed: %d\n", c.sent, c.dropped, c.policed)
 	fmt.Printf("  flows created: %d, expired: %d, live now: %d\n",
 		st.FlowsCreated, st.FlowsExpired, gwNAT.Table().Size())
-	fmt.Printf("  firewall sessions live: %d\n", fw.Sessions())
+	fmt.Printf("  firewall sessions live: %d\n", fw.Table().Size())
 	if *usePol {
 		pst := gwPol.Stats()
 		fmt.Printf("  policer: %d conformed, %d clipped (surge), %d hosts tracked\n",
@@ -435,7 +435,7 @@ func main() {
 	if gwNAT.Table().Size() != oracle.Size() {
 		log.Fatal("NAT and spec oracle disagree on live sessions")
 	}
-	if fw.Sessions() != gwNAT.Table().Size() {
+	if fw.Table().Size() != gwNAT.Table().Size() {
 		log.Fatal("firewall and NAT disagree on live sessions")
 	}
 	if pool.InUse() != 0 {

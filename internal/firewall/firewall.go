@@ -16,7 +16,6 @@ package firewall
 import (
 	"time"
 
-	"vignat/internal/fastpath"
 	"vignat/internal/flow"
 	"vignat/internal/libvig"
 	"vignat/internal/nf"
@@ -145,7 +144,7 @@ func ProcessPacket(env Env) {
 }
 
 // session is the table record: the outbound tuple and its reverse —
-// stored in the same DoubleMap shape as the NAT's flow, which is what
+// stored in the same flow-table shape as the NAT's flow, which is what
 // lets the libVig contracts carry over unchanged.
 type session struct {
 	Out flow.ID // as seen leaving (src = internal host)
@@ -153,24 +152,13 @@ type session struct {
 }
 
 // Firewall is the production binding: the verified stateless logic over
-// a libVig dmap+dchain composition.
+// the kit's flow table, whose guards keep a cached verdict from
+// re-admitting unsolicited traffic through a freed, reallocated index.
 type Firewall struct {
-	dmap    *libvig.DoubleMap[flow.ID, flow.ID, session]
-	chain   *libvig.DChain
-	erasers []libvig.IndexEraser
-	clock   libvig.Clock
-	texp    libvig.Time
-	env     prodEnv
-	// fpGens invalidates engine flow-cache entries: one generation per
-	// session index, bumped by an eraser whenever a session expires —
-	// the same discipline as the NAT's erase hook. Without the guard a
-	// cached verdict could rejuvenate a freed (possibly reallocated)
-	// index and keep forwarding unsolicited external traffic.
-	fpGens *fastpath.GenTable
-	// burst holds the parses and hashes the Prefetch hook made of the
-	// burst in flight; ProcessAt takes each packet's instead of
-	// parsing again.
-	burst nfkit.Burst
+	table *nfkit.FlowTable[session]
+	clock libvig.Clock
+	texp  libvig.Time
+	env   prodEnv
 
 	// counters[r] totals packets tagged with reason r — the only tally
 	// a packet moves — followed by the sessions-expired count;
@@ -182,28 +170,19 @@ type Firewall struct {
 // New builds a firewall tracking up to capacity sessions with the given
 // inactivity timeout.
 func New(capacity int, timeout time.Duration, clock libvig.Clock) (*Firewall, error) {
-	dm, err := libvig.NewDoubleMap[flow.ID, flow.ID, session](capacity,
+	t, err := nfkit.NewFlowTable(capacity, true,
 		func(s *session) flow.ID { return s.Out },
 		func(s *session) flow.ID { return s.In })
 	if err != nil {
 		return nil, err
 	}
-	ch, err := libvig.NewDChain(capacity)
-	if err != nil {
-		return nil, err
-	}
-	fw := &Firewall{dmap: dm, chain: ch, clock: clock, texp: timeout.Nanoseconds()}
-	fw.fpGens = fastpath.NewGenTable(capacity)
-	fw.erasers = []libvig.IndexEraser{
-		libvig.IndexEraserFunc(fw.dmap.Erase),
-		libvig.IndexEraserFunc(func(i int) error { fw.fpGens.Bump(i); return nil }),
-	}
+	fw := &Firewall{table: t, clock: clock, texp: timeout.Nanoseconds()}
 	fw.env.fw = fw
 	return fw, nil
 }
 
-// Sessions returns the number of live sessions.
-func (fw *Firewall) Sessions() int { return fw.dmap.Size() }
+// Table exposes the session table (tests, spec conformance checking).
+func (fw *Firewall) Table() *nfkit.FlowTable[session] { return fw.table }
 
 // nfStats is the engine-visible view of a counter array.
 func nfStats(c []uint64) nf.Stats {
@@ -241,7 +220,7 @@ func (fw *Firewall) ProcessAt(frame []byte, fromInternal bool, now libvig.Time) 
 // processing a packet (the pipeline's idle-poll hook), returning the
 // number of sessions freed.
 func (fw *Firewall) ExpireAt(now libvig.Time) int {
-	freed, _ := libvig.ExpireItems(fw.chain, now-fw.texp+1, fw.erasers...)
+	freed := fw.table.Expire(now - fw.texp + 1)
 	fw.counters[ctrExpired] += uint64(freed)
 	return freed
 }
@@ -264,7 +243,7 @@ type prodEnv struct {
 var _ Env = (*prodEnv)(nil)
 
 func (e *prodEnv) reset(frame []byte, fromInternal bool, now libvig.Time) {
-	e.Take(&e.fw.burst, frame, fromInternal)
+	e.Take(&e.fw.table.Burst, frame, fromInternal)
 	e.now = now
 	e.verdict = VerdictDrop
 	e.reason = ReasonDropParse
@@ -276,12 +255,12 @@ func (e *prodEnv) ExpireSessions() {
 }
 
 func (e *prodEnv) LookupOutbound() (SessionHandle, bool) {
-	i, ok := e.fw.dmap.GetByFstHashed(e.P.ID, e.P.Hash)
+	i, ok := e.fw.table.LookupFst(e.P.ID, e.P.Hash)
 	return SessionHandle(i), ok
 }
 
 func (e *prodEnv) LookupInbound() (SessionHandle, bool) {
-	i, ok := e.fw.dmap.GetBySndHashed(e.P.ID, e.P.Hash)
+	i, ok := e.fw.table.LookupSnd(e.P.ID, e.P.Hash)
 	if !ok {
 		e.reason = ReasonDropUnsolicited // the miss decides the drop
 	}
@@ -289,22 +268,15 @@ func (e *prodEnv) LookupInbound() (SessionHandle, bool) {
 }
 
 func (e *prodEnv) CreateSession() (SessionHandle, bool) {
-	idx, err := e.fw.chain.Allocate(e.now)
-	if err != nil {
+	idx, ok := e.fw.table.Add(session{Out: e.P.ID, In: e.P.ID.Reverse()}, e.P.Hash, e.now)
+	if !ok {
 		e.reason = ReasonDropTableFull
-		return 0, false
 	}
-	out := e.P.ID
-	if err := e.fw.dmap.PutFstHashed(idx, session{Out: out, In: out.Reverse()}, e.P.Hash); err != nil {
-		_ = e.fw.chain.Free(idx)
-		e.reason = ReasonDropTableFull
-		return 0, false
-	}
-	return SessionHandle(idx), true
+	return SessionHandle(idx), ok
 }
 
 func (e *prodEnv) Rejuvenate(h SessionHandle) {
-	_ = e.fw.chain.Rejuvenate(int(h), e.now)
+	_ = e.fw.table.Rejuvenate(int(h), e.now)
 }
 
 func (e *prodEnv) ForwardOut() { e.verdict, e.reason = VerdictForwardOut, ReasonFwdOut }

@@ -42,8 +42,8 @@ func TestFirewallOutboundAlwaysForwards(t *testing.T) {
 			t.Fatal("firewall modified the packet")
 		}
 	}
-	if fw.Sessions() != 1 {
-		t.Fatalf("sessions %d", fw.Sessions())
+	if fw.Table().Size() != 1 {
+		t.Fatalf("sessions %d", fw.Table().Size())
 	}
 }
 
@@ -59,7 +59,7 @@ func TestFirewallReplyAllowedUnsolicitedDropped(t *testing.T) {
 	if v := fw.Process(fwFrame(t, outKey(5).Reverse()), false); v != VerdictDrop {
 		t.Fatalf("unsolicited %v", v)
 	}
-	if fw.Sessions() != 1 {
+	if fw.Table().Size() != 1 {
 		t.Fatal("external packet created state")
 	}
 }
@@ -72,7 +72,7 @@ func TestFirewallExpiry(t *testing.T) {
 	if v := fw.Process(fwFrame(t, outKey(0).Reverse()), false); v != VerdictDrop {
 		t.Fatalf("reply after expiry %v", v)
 	}
-	if fw.Sessions() != 0 {
+	if fw.Table().Size() != 0 {
 		t.Fatal("session survived expiry")
 	}
 	// Rejuvenation path: keep alive with traffic under the timeout.
@@ -83,7 +83,7 @@ func TestFirewallExpiry(t *testing.T) {
 			t.Fatalf("keepalive %d: %v", i, v)
 		}
 	}
-	if fw.Sessions() != 1 {
+	if fw.Table().Size() != 1 {
 		t.Fatal("keepalive session lost")
 	}
 }

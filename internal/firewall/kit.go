@@ -38,43 +38,22 @@ func Kit(capacity int, timeout time.Duration, clock libvig.Clock) nfkit.Decl[*Fi
 			return nf.Forward
 		},
 		// The burst's first expiry sweep and every packet's lookup start
-		// their table loads here, together (nfkit.PrefetchFlows).
+		// their table loads here, together.
 		Prefetch: func(fw *Firewall, pkts []nf.Pkt, now libvig.Time) {
-			nfkit.PrefetchFlows(&fw.burst, pkts, true, fw.dmap, fw.chain, now-fw.texp+1)
+			fw.table.Prefetch(pkts, now-fw.texp+1)
 		},
 		Expire:   (*Firewall).ExpireAt,
 		Stats:    nfStats,
 		Counters: func(fw *Firewall) []uint64 { return fw.counters[:] },
-		// The fast path caches live sessions: Offer resolves the
-		// direction-appropriate membership lookup (the only state read
-		// the established branch performs — the firewall rewrites
-		// nothing, so the cached template is an identity rewrite), and
-		// Hit replays that branch's mutations: rejuvenate plus the
-		// direction's reason cell (aux carries
-		// the session index shifted over a direction bit, the same
-		// encoding the NAT uses). The fpGens eraser bumps generations on
-		// expiry, so a dead session's cached verdict misses instead of
-		// re-admitting external traffic.
+		// The fast path caches live sessions: the table's Offer is the
+		// membership lookup (the established branch's only state read —
+		// the firewall rewrites nothing, so the cached template is an
+		// identity), its Hit that branch's rejuvenation.
 		FastPath: &nfkit.FastPathHooks[*Firewall]{
-			Offer: func(fw *Firewall, key fastpath.Key) (uint64, fastpath.Guard, bool) {
-				var idx int
-				var ok bool
-				aux := uint64(0)
-				if key.FromInternal {
-					idx, ok = fw.dmap.GetByFst(key.ID)
-					aux = 1
-				} else {
-					idx, ok = fw.dmap.GetBySnd(key.ID)
-				}
-				if !ok {
-					return 0, fastpath.Guard{}, false
-				}
-				return uint64(idx)<<1 | aux, fw.fpGens.Guard(idx), true
-			},
+			Offer: func(fw *Firewall, key fastpath.Key) (uint64, fastpath.Guard, bool) { return fw.table.Offer(key) },
 			Hit: func(fw *Firewall, aux uint64, _ int, now libvig.Time) nf.Verdict {
-				_ = fw.chain.Rejuvenate(int(aux>>1), now)
 				r := ReasonFwdIn
-				if aux&1 != 0 {
+				if fw.table.Hit(aux, now) == nfkit.AuxFst {
 					r = ReasonFwdOut
 				}
 				fw.counters[r]++
@@ -97,14 +76,21 @@ func Kit(capacity int, timeout time.Duration, clock libvig.Clock) nfkit.Decl[*Fi
 		},
 		Reasons:    Reasons,
 		LastReason: func(fw *Firewall) telemetry.ReasonID { return fw.lastReason },
-		Codec:      shardCodec(),
-		Sym:        symSpecFor(ProcessPacket),
+		// Both directions of a session steer by the outbound tuple's
+		// hash, so a session's home under any shard count is arithmetic
+		// on its own key.
+		Families: []nfkit.Family[*Firewall]{
+			nfkit.FlowRecords("sessions", (*Firewall).Table, func(s *session, shards int) int {
+				return int(s.Out.Hash() % uint64(shards))
+			}),
+		},
+		Sym: symSpecFor(ProcessPacket),
 	}
 }
 
 // AsNF exposes an existing firewall as a pipeline network function.
 func AsNF(fw *Firewall) nf.NF {
-	return Kit(fw.dmap.Capacity(), time.Duration(fw.texp), fw.clock).Adapt(fw)
+	return Kit(fw.table.Capacity(), time.Duration(fw.texp), fw.clock).Adapt(fw)
 }
 
 // Sharded is the firewall's derived sharded composition.
@@ -125,12 +111,3 @@ func NewSharded(capacity int, timeout time.Duration, clock libvig.Clock, nShards
 // ShardFirewall returns shard i's underlying firewall (tests, stats
 // drill-down).
 func (s *Sharded) ShardFirewall(i int) *Firewall { return s.Core(i) }
-
-// Sessions returns the number of live sessions across shards.
-func (s *Sharded) Sessions() int {
-	total := 0
-	for _, fw := range s.Cores() {
-		total += fw.Sessions()
-	}
-	return total
-}

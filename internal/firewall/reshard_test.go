@@ -46,7 +46,7 @@ func TestReshardPreservesSessions(t *testing.T) {
 	if dropped := s.MigrationDropped(); dropped != 0 {
 		t.Fatalf("%d records dropped", dropped)
 	}
-	if got := s.Sessions(); got != nSessions {
+	if got, _ := s.Occupancy("sessions"); got != nSessions {
 		t.Fatalf("%d sessions after reshard, want %d", got, nSessions)
 	}
 	for i, id := range ids {
@@ -54,7 +54,7 @@ func TestReshardPreservesSessions(t *testing.T) {
 			t.Fatalf("session %d: reply dropped after reshard (verdict %v)", i, v)
 		}
 	}
-	if got := s.Sessions(); got != nSessions {
+	if got, _ := s.Occupancy("sessions"); got != nSessions {
 		t.Fatalf("replies changed the session count: %d", got)
 	}
 	// The punch-through stays a punch-through, not a pass-all.

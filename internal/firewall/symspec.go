@@ -5,83 +5,47 @@ import (
 
 	"vignat/internal/nf/nfkit"
 	"vignat/internal/nf/telemetry"
-	"vignat/internal/vigor/sym"
 )
 
 // This file is the firewall's symbolic declaration for the kit's
-// derived verification: a thin Env glue translating each interface
-// method into SymDriver calls (the libVig session-table models with
-// their P2/P4 discipline preconditions), and the per-path semantic
-// specification. Path enumeration, the single-output rule, and solver
-// entailment all come from nfkit.VerifySym — the engine, solver, and
-// trace machinery are the same ones VigNAT uses, the amortization in
-// action.
+// derived verification: an Env binding the kit's guard set and
+// flow-table model to the firewall's vocabulary, and the per-path
+// semantic specification. Path enumeration, the single-output rule, and
+// solver entailment all come from nfkit.VerifySym — the engine, solver,
+// and trace machinery are the same ones VigNAT uses.
 
-// fwSym drives ProcessPacket under the engine via the kit driver.
-// The parse chain and the arrival side are the kit's guard set.
-type fwSym struct{ nfkit.SymGuards }
+// fwSym drives ProcessPacket under the engine via the kit driver: the
+// parse chain and the arrival side are the kit's guard set, the
+// session-table operations the kit's model of them.
+type fwSym struct {
+	nfkit.SymGuards
+	sessions nfkit.SymFlowTable[SessionHandle]
+}
 
 var _ Env = fwSym{}
 
+// newFwSym binds the kit's flow-table model to the firewall's
+// vocabulary: a session handle carries the session's outbound tuple,
+// which is the packet's own when found or created from inside and its
+// reverse when found by a reply.
+func newFwSym(d *nfkit.SymDriver) fwSym {
+	return fwSym{nfkit.SymGuards{D: d}, nfkit.SymFlowTable[SessionHandle]{
+		D: d, Noun: "session", FstSide: []string{"from_internal"},
+		GetFst: "dmap_get_by_out_key", GetSnd: "dmap_get_by_in_key", Create: "session_create",
+		Vars: []string{"sess_out_src_ip", "sess_out_src_port", "sess_out_dst_ip", "sess_out_dst_port", "sess_proto"},
+		Fst: [][2]string{{"sess_out_src_ip", "pkt_src_ip"}, {"sess_out_src_port", "pkt_src_port"},
+			{"sess_out_dst_ip", "pkt_dst_ip"}, {"sess_out_dst_port", "pkt_dst_port"}, {"sess_proto", "pkt_proto"}},
+		Snd: [][2]string{{"sess_out_src_ip", "pkt_dst_ip"}, {"sess_out_src_port", "pkt_dst_port"},
+			{"sess_out_dst_ip", "pkt_src_ip"}, {"sess_out_dst_port", "pkt_src_port"}, {"sess_proto", "pkt_proto"}},
+	}}
+}
+
 func (e fwSym) ExpireSessions() { e.D.Note("expire_sessions") }
 
-// sessionVarNames are the model variables every minted session handle
-// carries: the session's outbound tuple.
-var sessionVarNames = []string{
-	"sess_out_src_ip", "sess_out_src_port", "sess_out_dst_ip", "sess_out_dst_port", "sess_proto",
-}
-
-// mintSession mints a session handle whose outbound tuple is bound to
-// the packet tuple by the given correspondence (the contract atoms of
-// the dmap model).
-func (e fwSym) mintSession(srcIP, srcPort, dstIP, dstPort string) SessionHandle {
-	h := e.D.Mint(sessionVarNames...)
-	e.D.Bind(h,
-		sym.EqVV(e.D.HVar(h, "sess_out_src_ip"), e.D.Var(srcIP)),
-		sym.EqVV(e.D.HVar(h, "sess_out_src_port"), e.D.Var(srcPort)),
-		sym.EqVV(e.D.HVar(h, "sess_out_dst_ip"), e.D.Var(dstIP)),
-		sym.EqVV(e.D.HVar(h, "sess_out_dst_port"), e.D.Var(dstPort)),
-		sym.EqVV(e.D.HVar(h, "sess_proto"), e.D.Var("pkt_proto")),
-	)
-	return SessionHandle(h)
-}
-
-func (e fwSym) LookupOutbound() (SessionHandle, bool) {
-	e.D.Require(e.D.Flag("l4"), "P2: session key from unvalidated L4 header")
-	e.D.Require(e.D.Flag("iface_known") && e.D.Flag("from_internal"),
-		"P4: outbound lookup for a non-internal packet")
-	if !e.D.Decide("dmap_get_by_out_key") {
-		e.D.Set("missed_out", true)
-		return 0, false
-	}
-	// Contract: the found session's outbound key equals the packet.
-	return e.mintSession("pkt_src_ip", "pkt_src_port", "pkt_dst_ip", "pkt_dst_port"), true
-}
-
-func (e fwSym) LookupInbound() (SessionHandle, bool) {
-	e.D.Require(e.D.Flag("l4"), "P2: session key from unvalidated L4 header")
-	e.D.Require(e.D.Flag("iface_known") && !e.D.Flag("from_internal"),
-		"P4: inbound lookup for a non-external packet")
-	if !e.D.Decide("dmap_get_by_in_key") {
-		return 0, false
-	}
-	// Contract: the packet equals the session's reply tuple, i.e. the
-	// reverse of the outbound tuple.
-	return e.mintSession("pkt_dst_ip", "pkt_dst_port", "pkt_src_ip", "pkt_src_port"), true
-}
-
-func (e fwSym) CreateSession() (SessionHandle, bool) {
-	e.D.Require(e.D.Flag("missed_out"), "P4: session creation without a preceding outbound miss")
-	if !e.D.Decide("session_create") {
-		return 0, false
-	}
-	return e.mintSession("pkt_src_ip", "pkt_src_port", "pkt_dst_ip", "pkt_dst_port"), true
-}
-
-func (e fwSym) Rejuvenate(h SessionHandle) {
-	e.D.Require(e.D.Valid(int(h)), "P2: rejuvenate on invalid session handle %d", h)
-	e.D.NoteOn("dchain_rejuvenate", int(h))
-}
+func (e fwSym) LookupOutbound() (SessionHandle, bool) { return e.sessions.LookupFst() }
+func (e fwSym) LookupInbound() (SessionHandle, bool)  { return e.sessions.LookupSnd() }
+func (e fwSym) CreateSession() (SessionHandle, bool)  { return e.sessions.Add(nil) }
+func (e fwSym) Rejuvenate(h SessionHandle)            { e.sessions.Rejuvenate(h) }
 
 func (e fwSym) ForwardOut() { e.D.Output("forward_out") }
 func (e fwSym) ForwardIn()  { e.D.Output("forward_in") }
@@ -94,7 +58,7 @@ func symSpecFor(logic func(Env)) *nfkit.SymSpec {
 	return &nfkit.SymSpec{
 		NF:      "firewall",
 		Outputs: []string{"forward_out", "forward_in", "drop"},
-		Drive:   func(d *nfkit.SymDriver) { logic(fwSym{nfkit.SymGuards{D: d}}) },
+		Drive:   func(d *nfkit.SymDriver) { logic(newFwSym(d)) },
 		Spec:    checkSpec,
 	}
 }
@@ -148,17 +112,6 @@ func checkSpec(p *nfkit.SymPath) (telemetry.ReasonID, error) {
 	// The matched session must really be the packet's: its outbound
 	// tuple must be the packet's reverse (entailed by the model/contract
 	// atoms on the path).
-	c := p.Find("dmap_get_by_in_key")
-	if !p.HasHandle(c.Handle) {
-		return 0, fmt.Errorf("forwarding via unknown session handle %d", c.Handle)
-	}
-	want := []sym.Atom{
-		sym.EqVV(p.HVar(c.Handle, "sess_out_src_ip"), p.Var("pkt_dst_ip")),
-		sym.EqVV(p.HVar(c.Handle, "sess_out_dst_ip"), p.Var("pkt_src_ip")),
-		sym.EqVV(p.HVar(c.Handle, "sess_proto"), p.Var("pkt_proto")),
-	}
-	if ok, failing := p.EntailsAll(want...); !ok {
-		return 0, fmt.Errorf("session match not entailed: %v", failing)
-	}
-	return r, nil
+	return r, p.Bound("dmap_get_by_in_key", [2]string{"sess_out_src_ip", "pkt_dst_ip"},
+		[2]string{"sess_out_dst_ip", "pkt_src_ip"}, [2]string{"sess_proto", "pkt_proto"})
 }

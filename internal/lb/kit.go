@@ -12,13 +12,13 @@ import (
 	"vignat/internal/nf/telemetry"
 )
 
-// Fast-path aux encodings: sticky index << 2 | kind. Passthrough
-// entries carry no index (the classification is pure configuration).
+// Fast-path aux kinds beside the sticky table's own two (a sticky found
+// by its client tuple, nfkit.AuxFst, or by its reply tuple, AuxSnd):
+// the passthrough entries, which carry no index — the classification is
+// pure configuration.
 const (
-	fpToBackend     = 0 // client → backend, rejuvenates the sticky entry
-	fpToClient      = 1 // backend → client, rejuvenates the sticky entry
-	fpPassthrough   = 2 // client-side non-VIP traffic, stateless
-	fpPassNoSession = 3 // backend-side traffic with no live sticky entry
+	fpPassthrough   = nfkit.AuxStateless     // client-side non-VIP traffic
+	fpPassNoSession = nfkit.AuxStateless + 1 // backend-side traffic with no live sticky entry
 )
 
 // This file is the balancer's one nfkit declaration. Unlike the NAT —
@@ -65,11 +65,9 @@ func Kit(cfg Config, clock libvig.Clock) nfkit.Decl[*Balancer] {
 			return verdictOf(b.ProcessAt(frame, fromInternal, now))
 		},
 		// The burst's first sticky-expiry sweep and every packet's
-		// lookup start their table loads here, together
-		// (nfkit.PrefetchFlows): the client tuple is the first key, so
-		// the first-key side is whichever side the clients are on.
+		// lookup start their table loads here, together.
 		Prefetch: func(b *Balancer, pkts []nf.Pkt, now libvig.Time) {
-			nfkit.PrefetchFlows(&b.burst, pkts, b.cfg.ClientsInternal, b.flows, b.flowChain, now-b.texp+1)
+			b.flows.Prefetch(pkts, now-b.texp+1)
 		},
 		Expire: (*Balancer).ExpireAt,
 		Stats: func(c []uint64) nf.Stats {
@@ -78,42 +76,27 @@ func Kit(cfg Config, clock libvig.Clock) nfkit.Decl[*Balancer] {
 		Counters: func(b *Balancer) []uint64 { return b.counters[:] },
 		// The fast path caches VIP flows by their sticky entry,
 		// client-side non-VIP passthrough by configuration alone, and
-		// backend-side no-session passthrough under the epoch guard: a
-		// sticky entry created later could turn the very same tuple into
-		// a rewrite, so the cached verdict is pinned to the
-		// sticky-creation epoch (the extra GenTable slot past the flow
-		// indices) and any sticky creation retires it wholesale.
+		// backend-side no-session passthrough under the table's miss
+		// guard: a sticky entry created later could turn the very same
+		// tuple into a rewrite, so any sticky creation retires it.
 		FastPath: &nfkit.FastPathHooks[*Balancer]{
 			Offer: func(b *Balancer, key fastpath.Key) (uint64, fastpath.Guard, bool) {
-				if key.FromInternal == cfg.ClientsInternal {
-					// Client side.
-					if key.ID.DstIP != cfg.VIP ||
-						(cfg.VIPPort != 0 && key.ID.DstPort != cfg.VIPPort) {
-						return fpPassthrough, fastpath.Guard{}, true
-					}
-					idx, ok := b.flows.GetByFst(key.ID)
-					if !ok {
-						return 0, fastpath.Guard{}, false
-					}
-					return uint64(idx)<<2 | fpToBackend, b.fpGens.Guard(idx), true
+				fromClient := key.FromInternal == cfg.ClientsInternal
+				if fromClient && (key.ID.DstIP != cfg.VIP || (cfg.VIPPort != 0 && key.ID.DstPort != cfg.VIPPort)) {
+					return fpPassthrough, fastpath.Guard{}, true
 				}
-				idx, ok := b.flows.GetBySnd(key.ID)
-				if !ok {
-					if !cfg.Passthrough {
-						return 0, fastpath.Guard{}, false
-					}
-					return fpPassNoSession, b.fpGens.Guard(b.flowChain.Capacity()), true
+				aux, guard, ok := b.flows.Offer(key)
+				if !ok && !fromClient && cfg.Passthrough {
+					return fpPassNoSession, b.flows.MissGuard(), true
 				}
-				return uint64(idx)<<2 | fpToClient, b.fpGens.Guard(idx), true
+				return aux, guard, ok
 			},
 			Hit: func(b *Balancer, aux uint64, _ int, now libvig.Time) nf.Verdict {
 				var r telemetry.ReasonID
-				switch aux & 3 {
-				case fpToBackend:
-					_ = b.flowChain.Rejuvenate(int(aux>>2), now)
+				switch b.flows.Hit(aux, now) {
+				case nfkit.AuxFst:
 					r = ReasonFwdBackend
-				case fpToClient:
-					_ = b.flowChain.Rejuvenate(int(aux>>2), now)
+				case nfkit.AuxSnd:
 					r = ReasonFwdClient
 				case fpPassNoSession:
 					r = ReasonPassNoSession
@@ -143,7 +126,7 @@ func Kit(cfg Config, clock libvig.Clock) nfkit.Decl[*Balancer] {
 		// one.
 		Reasons:    ReasonsFor(cfg.Passthrough),
 		LastReason: func(b *Balancer) telemetry.ReasonID { return b.lastReason },
-		Codec:      shardCodec(),
+		Families:   families(),
 		Sym:        symSpecFor(ProcessPacket, cfg.Passthrough),
 	}
 }
@@ -177,11 +160,8 @@ func (s *Sharded) ShardBalancer(i int) *Balancer { return s.Core(i) }
 
 // Flows returns the number of live sticky entries across shards.
 func (s *Sharded) Flows() int {
-	total := 0
-	for _, b := range s.Cores() {
-		total += b.Flows()
-	}
-	return total
+	live, _ := s.Occupancy(stickiesFamily)
+	return live
 }
 
 // LiveBackends returns the number of live backends (identical on every

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"time"
 
-	"vignat/internal/fastpath"
 	"vignat/internal/flow"
 	"vignat/internal/libvig"
 	"vignat/internal/nf/nfkit"
@@ -301,7 +300,7 @@ func ProcessPacket(env Env) {
 }
 
 // sticky is the flow-table record: the client-side tuple and the
-// backend-side reply tuple it maps to, stored in the same DoubleMap
+// backend-side reply tuple it maps to, stored in the same flow-table
 // shape as the NAT's flow and the firewall's session — which is what
 // lets the libVig contracts carry over unchanged.
 type sticky struct {
@@ -316,7 +315,7 @@ type backend struct {
 }
 
 // Balancer is the production binding: the stateless logic over a CHT,
-// a backend-liveness DChain, and a DoubleMap+DChain sticky table.
+// a backend-liveness DChain, and the kit's flow table of stickies.
 type Balancer struct {
 	cfg  Config
 	texp libvig.Time
@@ -326,11 +325,8 @@ type Balancer struct {
 	backends     *libvig.Vector[backend]
 	backendChain *libvig.DChain
 
-	flows       *libvig.DoubleMap[flow.ID, flow.ID, sticky]
-	flowChain   *libvig.DChain
-	flowErasers []libvig.IndexEraser
-	flowScratch []int // backend-removal sweep scratch, preallocated
-	clock       libvig.Clock
+	flows *nfkit.FlowTable[sticky] // pins every client tuple to its backend
+	clock libvig.Clock
 
 	env prodEnv
 	// reasons is the taxonomy of this balancer's orientation
@@ -342,14 +338,6 @@ type Balancer struct {
 	reasons    *telemetry.ReasonSet
 	counters   [numCounters]uint64
 	lastReason telemetry.ReasonID
-	// fpGens invalidates engine flow-cache entries: one generation per
-	// sticky index, bumped whenever a sticky entry is erased — by
-	// inactivity expiry or because its backend drained.
-	fpGens *fastpath.GenTable
-	// burst holds the parses and hashes the Prefetch hook made of the
-	// burst in flight; ProcessAt takes each packet's instead of
-	// parsing again.
-	burst nfkit.Burst
 }
 
 // New builds a balancer from cfg, drawing time from clock.
@@ -373,15 +361,11 @@ func New(cfg Config, clock libvig.Clock) (*Balancer, error) {
 	if err != nil {
 		return nil, err
 	}
-	flows, err := libvig.NewDoubleMap[flow.ID, flow.ID, sticky](cfg.Capacity,
+	flows, err := nfkit.NewFlowTable(cfg.Capacity, cfg.ClientsInternal,
 		func(s *sticky) flow.ID { return s.Client },
 		func(s *sticky) flow.ID { return s.Reply })
 	if err != nil {
-		return nil, err
-	}
-	flowChain, err := libvig.NewDChain(cfg.Capacity)
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("lb: %w", err)
 	}
 	b := &Balancer{
 		cfg:          cfg,
@@ -391,39 +375,21 @@ func New(cfg Config, clock libvig.Clock) (*Balancer, error) {
 		backends:     backends,
 		backendChain: backendChain,
 		flows:        flows,
-		flowChain:    flowChain,
-		flowScratch:  make([]int, 0, cfg.Capacity),
 		clock:        clock,
 		reasons:      ReasonsFor(cfg.Passthrough),
 	}
-	// One generation slot per sticky index, plus one extra: slot
-	// cfg.Capacity is the sticky-creation epoch guarding cached
-	// backend-side no-session passthrough verdicts (kit.go Offer).
-	b.fpGens = fastpath.NewGenTable(cfg.Capacity + 1)
-	b.flowErasers = []libvig.IndexEraser{libvig.IndexEraserFunc(b.eraseFlow)}
 	b.env.lb = b
 	return b, nil
 }
 
-// eraseFlow tears down sticky entry i and invalidates any engine
-// flow-cache entries guarding it. It is the eraser the expirator
-// invokes; the backend-drain sweep erases directly and bumps itself.
-func (b *Balancer) eraseFlow(i int) error {
-	if err := b.flows.Erase(i); err != nil {
-		return err
-	}
-	b.fpGens.Bump(i)
-	return nil
-}
+// Table exposes the sticky table (tests, spec conformance checking).
+func (b *Balancer) Table() *nfkit.FlowTable[sticky] { return b.flows }
 
 // Config returns the balancer's configuration.
 func (b *Balancer) Config() Config { return b.cfg }
 
 // Stats returns a snapshot of the counters.
 func (b *Balancer) Stats() Stats { return statsOf(b.reasons, b.counters[:]) }
-
-// Flows returns the number of live sticky entries.
-func (b *Balancer) Flows() int { return b.flows.Size() }
 
 // LiveBackends returns the number of live backends.
 func (b *Balancer) LiveBackends() int { return b.cht.Live() }
@@ -458,15 +424,20 @@ func (b *Balancer) AddBackend(ip flow.Addr, now libvig.Time) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("lb: backend pool full: %w", err)
 	}
-	if err := b.backends.Set(idx, backend{IP: ip}); err != nil {
-		_ = b.backendChain.Free(idx)
-		return 0, err
+	return idx, b.seatBackend(idx, ip)
+}
+
+// seatBackend fills freshly allocated pool slot idx — address vector
+// and CHT — or gives the slot back.
+func (b *Balancer) seatBackend(idx int, ip flow.Addr) error {
+	err := b.backends.Set(idx, backend{IP: ip})
+	if err == nil {
+		err = b.cht.AddBackend(idx, uint64(ip))
 	}
-	if err := b.cht.AddBackend(idx, uint64(ip)); err != nil {
+	if err != nil {
 		_ = b.backendChain.Free(idx)
-		return 0, err
 	}
-	return idx, nil
+	return err
 }
 
 // RemoveBackend drains backend i: it leaves the CHT (survivor buckets
@@ -477,8 +448,7 @@ func (b *Balancer) RemoveBackend(i int) error {
 	if !b.cht.IsLive(i) {
 		return errors.New("lb: backend not live")
 	}
-	_, err := b.removeBackend(i)
-	return err
+	return b.removeBackend(i)
 }
 
 // Heartbeat refreshes backend i's liveness at now.
@@ -494,35 +464,19 @@ func (b *Balancer) Heartbeat(i int, now libvig.Time) error {
 // flows, counted as unpinned. The liveness chain is released first so
 // that even if a later step errored, the expiry loop's Oldest() has
 // moved past this backend and liveness expiry cannot wedge on it.
-func (b *Balancer) removeBackend(i int) (int, error) {
+func (b *Balancer) removeBackend(i int) error {
 	if b.backendChain.IsAllocated(i) {
 		if err := b.backendChain.Free(i); err != nil {
-			return 0, err
+			return err
 		}
 	}
 	if err := b.cht.RemoveBackend(i); err != nil {
-		return 0, err
+		return err
 	}
-	// Erase the sticky flows pinned to the dead backend. The sweep is
-	// O(live flows) on the control path; the packet path never runs it.
-	unpinned := 0
-	b.flowScratch = b.flowChain.AllocatedAsc(b.flowScratch[:0])
-	for _, fi := range b.flowScratch {
-		s := b.flows.Value(fi)
-		if s == nil || int(s.Backend) != i {
-			continue
-		}
-		if err := b.flowChain.Free(fi); err != nil {
-			return unpinned, err
-		}
-		if err := b.flows.Erase(fi); err != nil {
-			return unpinned, err
-		}
-		b.fpGens.Bump(fi)
-		unpinned++
-	}
-	b.counters[ctrFlowsUnpinned] += uint64(unpinned)
-	return unpinned, nil
+	// Remove the sticky flows pinned to the dead backend: O(live flows),
+	// which only a backend's departure ever pays.
+	b.counters[ctrFlowsUnpinned] += uint64(b.flows.RemoveIf(func(s *sticky) bool { return int(s.Backend) == i }))
+	return nil
 }
 
 // ExpireAt removes every sticky entry idle since before now−Texp and
@@ -530,7 +484,7 @@ func (b *Balancer) removeBackend(i int) (int, error) {
 // processing a packet (the pipeline's idle-poll hook). It returns the
 // number of sticky entries freed.
 func (b *Balancer) ExpireAt(now libvig.Time) int {
-	freed, _ := libvig.ExpireItems(b.flowChain, now-b.texp+1, b.flowErasers...)
+	freed := b.flows.Expire(now - b.texp + 1)
 	b.counters[ctrFlowsExpired] += uint64(freed)
 	if b.btxp > 0 {
 		for {
@@ -541,7 +495,7 @@ func (b *Balancer) ExpireAt(now libvig.Time) int {
 			// removeBackend frees the liveness slot first, so even on
 			// an (invariant-breach) error Oldest() has advanced and
 			// the loop cannot wedge on the same backend.
-			if _, err := b.removeBackend(i); err != nil {
+			if err := b.removeBackend(i); err != nil {
 				break
 			}
 			b.counters[ctrBackendsExpired]++
@@ -617,7 +571,7 @@ type prodEnv struct {
 var _ Env = (*prodEnv)(nil)
 
 func (e *prodEnv) reset(frame []byte, fromInternal bool, now libvig.Time) {
-	e.Take(&e.lb.burst, frame, fromInternal)
+	e.Take(&e.lb.flows.Burst, frame, fromInternal)
 	e.now = now
 	e.verdict = VerdictDrop
 	e.reason = ReasonDropParse
@@ -642,12 +596,12 @@ func (e *prodEnv) ExpireState() {
 }
 
 func (e *prodEnv) LookupSticky() (FlowHandle, bool) {
-	i, ok := e.lb.flows.GetByFstHashed(e.P.ID, e.P.Hash)
+	i, ok := e.lb.flows.LookupFst(e.P.ID, e.P.Hash)
 	return FlowHandle(i), ok
 }
 
 func (e *prodEnv) LookupReply() (FlowHandle, bool) {
-	i, ok := e.lb.flows.GetBySndHashed(e.P.ID, e.P.Hash)
+	i, ok := e.lb.flows.LookupSnd(e.P.ID, e.P.Hash)
 	return FlowHandle(i), ok
 }
 
@@ -661,32 +615,19 @@ func (e *prodEnv) SelectBackend() (BackendHandle, bool) {
 
 func (e *prodEnv) CreateSticky(bh BackendHandle) (FlowHandle, bool) {
 	lb := e.lb
-	be, err := lb.backends.Get(int(bh))
-	if err != nil {
-		e.reason = ReasonDropTableFull
-		return 0, false
+	if be, err := lb.backends.Get(int(bh)); err == nil {
+		s := sticky{Client: e.P.ID, Reply: replyKey(e.P.ID, be.IP), Backend: int32(bh)}
+		if idx, ok := lb.flows.Add(s, e.P.Hash, e.now); ok {
+			lb.counters[ctrFlowsCreated]++
+			return FlowHandle(idx), true
+		}
 	}
-	idx, err := lb.flowChain.Allocate(e.now)
-	if err != nil {
-		e.reason = ReasonDropTableFull
-		return 0, false
-	}
-	client := e.P.ID
-	s := sticky{Client: client, Reply: replyKey(client, be.IP), Backend: int32(bh)}
-	if err := lb.flows.PutFstHashed(idx, s, e.P.Hash); err != nil {
-		_ = lb.flowChain.Free(idx)
-		e.reason = ReasonDropTableFull
-		return 0, false
-	}
-	lb.counters[ctrFlowsCreated]++
-	// The new sticky's reply tuple may be cached as a no-session
-	// passthrough; retire every such entry by bumping the epoch slot.
-	lb.fpGens.Bump(lb.flowChain.Capacity())
-	return FlowHandle(idx), true
+	e.reason = ReasonDropTableFull
+	return 0, false
 }
 
 func (e *prodEnv) Rejuvenate(h FlowHandle) {
-	_ = e.lb.flowChain.Rejuvenate(int(h), e.now)
+	_ = e.lb.flows.Rejuvenate(int(h), e.now)
 }
 
 // --- output actions ---

@@ -161,7 +161,7 @@ func TestBalancerSticky(t *testing.T) {
 			}
 		}
 	}
-	if got := b.Flows(); got != 32 {
+	if got := b.Table().Size(); got != 32 {
 		t.Fatalf("%d sticky entries, want 32", got)
 	}
 }
@@ -175,7 +175,7 @@ func TestBalancerExpiry(t *testing.T) {
 	if b.Process(frame, false) != lb.VerdictToBackend {
 		t.Fatal("drop")
 	}
-	if b.Flows() != 1 {
+	if b.Table().Size() != 1 {
 		t.Fatal("no sticky entry")
 	}
 	// Idle for exactly Texp: the entry must expire on the next touch.
@@ -183,7 +183,7 @@ func TestBalancerExpiry(t *testing.T) {
 	if n := b.ExpireAt(clock.Now()); n != 1 {
 		t.Fatalf("expired %d entries, want 1", n)
 	}
-	if b.Flows() != 0 {
+	if b.Table().Size() != 0 {
 		t.Fatal("entry survived Texp")
 	}
 	if b.Stats().FlowsExpired != 1 {
@@ -270,8 +270,8 @@ func TestBalancerAnyPortVIP(t *testing.T) {
 		}
 		backendOf[port] = p.DstIP
 	}
-	if b.Flows() != len(ports) {
-		t.Fatalf("%d sticky entries for %d ports", b.Flows(), len(ports))
+	if b.Table().Size() != len(ports) {
+		t.Fatalf("%d sticky entries for %d ports", b.Table().Size(), len(ports))
 	}
 	// Each port's reply must match its own flow and restore the VIP.
 	for _, port := range ports {
@@ -315,12 +315,12 @@ func TestBalancerUnpinnedAccounting(t *testing.T) {
 	if st.FlowsUnpinned == 0 {
 		t.Fatal("drain unpinned nothing; test proves nothing")
 	}
-	if int(st.FlowsCreated-st.FlowsExpired-st.FlowsUnpinned) != b.Flows() {
+	if int(st.FlowsCreated-st.FlowsExpired-st.FlowsUnpinned) != b.Table().Size() {
 		t.Fatalf("accounting: created %d − expired %d − unpinned %d ≠ live %d",
-			st.FlowsCreated, st.FlowsExpired, st.FlowsUnpinned, b.Flows())
+			st.FlowsCreated, st.FlowsExpired, st.FlowsUnpinned, b.Table().Size())
 	}
-	if int(st.FlowsUnpinned)+b.Flows() != 32 {
-		t.Fatalf("unpinned %d + live %d ≠ 32 created", st.FlowsUnpinned, b.Flows())
+	if int(st.FlowsUnpinned)+b.Table().Size() != 32 {
+		t.Fatalf("unpinned %d + live %d ≠ 32 created", st.FlowsUnpinned, b.Table().Size())
 	}
 }
 

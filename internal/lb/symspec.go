@@ -13,7 +13,7 @@ import (
 // composition" item), obtained through the kit's derived pipeline
 // rather than a bespoke engine integration. The models are the CHT
 // (consistent-hash lookup over the live backend set) and the sticky
-// table (the firewall's DoubleMap shape), each publishing its contract
+// table (the kit's flow-table model), each publishing its contract
 // atoms; the discipline checks enforce the balancer's own P4 rules:
 // backend selection only after a sticky miss (stickiness), sticky
 // creation only from a successfully selected — hence live — backend.
@@ -23,14 +23,34 @@ import (
 // action forwards or drops by configuration, and the model mirrors
 // that, so each configuration's enumerated paths carry the outputs its
 // deployment actually produces.
-// The parse chain is the kit's guard set; the side test is the
-// balancer's own (client/backend, not internal/external).
+// The parse chain is the kit's guard set and the sticky table the kit's
+// flow-table model; the side test is the balancer's own (client/backend,
+// not internal/external), as are the VIP test and the CHT.
 type lbSym struct {
 	nfkit.SymGuards
+	stickies    nfkit.SymFlowTable[FlowHandle]
 	passthrough bool
 }
 
 var _ Env = lbSym{}
+
+// newLbSym binds the kit's flow-table model to the balancer's
+// vocabulary: a sticky handle carries the pinned client tuple and the
+// backend it maps to; found or created by client tuple (a VIP packet
+// from the client side), its client tuple is the packet's; found by
+// reply tuple, the packet's source is the pinned backend and its
+// destination the pinned client.
+func newLbSym(d *nfkit.SymDriver, passthrough bool) lbSym {
+	return lbSym{nfkit.SymGuards{D: d}, nfkit.SymFlowTable[FlowHandle]{
+		D: d, Noun: "sticky", FstSide: []string{"from_client", "dst_vip"},
+		GetFst: "sticky_get_by_client", GetSnd: "sticky_get_by_reply", Create: "sticky_create",
+		Vars: []string{"cl_src_ip", "cl_src_port", "cl_dst_ip", "cl_dst_port", "cl_proto", "sticky_backend_ip"},
+		Fst: [][2]string{{"cl_src_ip", "pkt_src_ip"}, {"cl_src_port", "pkt_src_port"},
+			{"cl_dst_ip", "pkt_dst_ip"}, {"cl_dst_port", "pkt_dst_port"}, {"cl_proto", "pkt_proto"}},
+		Snd: [][2]string{{"sticky_backend_ip", "pkt_src_ip"}, {"cl_dst_port", "pkt_src_port"},
+			{"cl_src_ip", "pkt_dst_ip"}, {"cl_src_port", "pkt_dst_port"}, {"cl_proto", "pkt_proto"}},
+	}, passthrough}
+}
 
 func (e lbSym) PacketFromClient() bool {
 	d := e.D.GuardFlag("packet_from_client", "from_client")
@@ -45,56 +65,13 @@ func (e lbSym) DstIsVIP() bool {
 
 func (e lbSym) ExpireState() { e.D.Note("expire_flows") }
 
-// stickyVarNames are the model variables every minted sticky handle
-// carries: the pinned client tuple and the backend it maps to.
-var stickyVarNames = []string{
-	"cl_src_ip", "cl_src_port", "cl_dst_ip", "cl_dst_port", "cl_proto", "sticky_backend_ip",
-}
-
-func (e lbSym) LookupSticky() (FlowHandle, bool) {
-	e.D.Require(e.D.Flag("l4"), "P2: sticky key from unvalidated L4 header")
-	e.D.Require(e.D.Flag("iface_known") && e.D.Flag("from_client") && e.D.Flag("dst_vip"),
-		"P4: sticky lookup for a non-VIP or non-client packet")
-	if !e.D.Decide("sticky_get_by_client") {
-		e.D.Set("sticky_missed", true)
-		return 0, false
-	}
-	// Contract: the found entry's client tuple equals the packet.
-	h := e.D.Mint(stickyVarNames...)
-	e.D.Bind(h,
-		sym.EqVV(e.D.HVar(h, "cl_src_ip"), e.D.Var("pkt_src_ip")),
-		sym.EqVV(e.D.HVar(h, "cl_src_port"), e.D.Var("pkt_src_port")),
-		sym.EqVV(e.D.HVar(h, "cl_dst_ip"), e.D.Var("pkt_dst_ip")),
-		sym.EqVV(e.D.HVar(h, "cl_dst_port"), e.D.Var("pkt_dst_port")),
-		sym.EqVV(e.D.HVar(h, "cl_proto"), e.D.Var("pkt_proto")),
-	)
-	return FlowHandle(h), true
-}
-
-func (e lbSym) LookupReply() (FlowHandle, bool) {
-	e.D.Require(e.D.Flag("l4"), "P2: reply key from unvalidated L4 header")
-	e.D.Require(e.D.Flag("iface_known") && !e.D.Flag("from_client"),
-		"P4: reply lookup for a non-backend packet")
-	if !e.D.Decide("sticky_get_by_reply") {
-		return 0, false
-	}
-	// Contract: the packet equals the entry's reply tuple — source is
-	// the pinned backend, destination the pinned client.
-	h := e.D.Mint(stickyVarNames...)
-	e.D.Bind(h,
-		sym.EqVV(e.D.HVar(h, "sticky_backend_ip"), e.D.Var("pkt_src_ip")),
-		sym.EqVV(e.D.HVar(h, "cl_dst_port"), e.D.Var("pkt_src_port")),
-		sym.EqVV(e.D.HVar(h, "cl_src_ip"), e.D.Var("pkt_dst_ip")),
-		sym.EqVV(e.D.HVar(h, "cl_src_port"), e.D.Var("pkt_dst_port")),
-		sym.EqVV(e.D.HVar(h, "cl_proto"), e.D.Var("pkt_proto")),
-	)
-	return FlowHandle(h), true
-}
+func (e lbSym) LookupSticky() (FlowHandle, bool) { return e.stickies.LookupFst() }
+func (e lbSym) LookupReply() (FlowHandle, bool)  { return e.stickies.LookupSnd() }
 
 func (e lbSym) SelectBackend() (BackendHandle, bool) {
 	// Stickiness discipline: consulting the CHT before the sticky table
 	// has missed would let a live flow re-select mid-stream.
-	e.D.Require(e.D.Flag("sticky_missed"), "P4: backend selection without a preceding sticky miss")
+	e.D.Require(e.stickies.Missed(), "P4: backend selection without a preceding sticky miss")
 	if !e.D.Decide("cht_lookup") {
 		return 0, false
 	}
@@ -105,41 +82,27 @@ func (e lbSym) SelectBackend() (BackendHandle, bool) {
 }
 
 func (e lbSym) CreateSticky(b BackendHandle) (FlowHandle, bool) {
-	e.D.Require(e.D.Flag("sticky_missed"), "P4: sticky creation without a preceding miss")
 	// Capability discipline: a sticky entry may only pin a backend the
 	// CHT actually returned — i.e. a live one. Steering to a dead (or
 	// never-selected) backend is exactly the bug this catches.
 	e.D.Require(e.D.Valid(int(b)), "P2: sticky creation from invalid backend handle %d", b)
-	if !e.D.Decide("sticky_create") {
-		return 0, false
-	}
-	h := e.D.Mint(stickyVarNames...)
-	atoms := []sym.Atom{
-		sym.EqVV(e.D.HVar(h, "cl_src_ip"), e.D.Var("pkt_src_ip")),
-		sym.EqVV(e.D.HVar(h, "cl_src_port"), e.D.Var("pkt_src_port")),
-		sym.EqVV(e.D.HVar(h, "cl_dst_ip"), e.D.Var("pkt_dst_ip")),
-		sym.EqVV(e.D.HVar(h, "cl_dst_port"), e.D.Var("pkt_dst_port")),
-		sym.EqVV(e.D.HVar(h, "cl_proto"), e.D.Var("pkt_proto")),
-	}
-	if e.D.Valid(int(b)) {
-		atoms = append(atoms, sym.EqVV(e.D.HVar(h, "sticky_backend_ip"), e.D.HVar(int(b), "backend_ip")))
-	}
-	e.D.Bind(h, atoms...)
-	return FlowHandle(h), true
+	return e.stickies.Add(func(h int) []sym.Atom {
+		if !e.D.Valid(int(b)) {
+			return nil
+		}
+		return []sym.Atom{sym.EqVV(e.D.HVar(h, "sticky_backend_ip"), e.D.HVar(int(b), "backend_ip"))}
+	})
 }
 
-func (e lbSym) Rejuvenate(h FlowHandle) {
-	e.D.Require(e.D.Valid(int(h)), "P2: rejuvenate on invalid sticky handle %d", h)
-	e.D.NoteOn("dchain_rejuvenate", int(h))
-}
+func (e lbSym) Rejuvenate(h FlowHandle) { e.stickies.Rejuvenate(h) }
 
 func (e lbSym) ForwardToBackend(h FlowHandle) {
-	e.D.Require(e.D.Valid(int(h)), "P2: forward via invalid sticky handle %d", h)
+	e.stickies.Held(h, "forward via")
 	e.D.Output("forward_to_backend")
 }
 
 func (e lbSym) ForwardToClient(h FlowHandle) {
-	e.D.Require(e.D.Valid(int(h)), "P2: forward via invalid sticky handle %d", h)
+	e.stickies.Held(h, "forward via")
 	e.D.Output("forward_to_client")
 }
 
@@ -164,7 +127,7 @@ func symSpecFor(logic func(Env), passthrough bool) *nfkit.SymSpec {
 	return &nfkit.SymSpec{
 		NF:      "viglb",
 		Outputs: []string{"forward_to_backend", "forward_to_client", "passthrough", "drop"},
-		Drive:   func(d *nfkit.SymDriver) { logic(lbSym{nfkit.SymGuards{D: d}, passthrough}) },
+		Drive:   func(d *nfkit.SymDriver) { logic(newLbSym(d, passthrough)) },
 		Spec:    func(p *nfkit.SymPath) (telemetry.ReasonID, error) { return checkSpec(p, passOut) },
 	}
 }
@@ -266,35 +229,13 @@ func checkSpec(p *nfkit.SymPath, passOut string) (telemetry.ReasonID, error) {
 	}
 	// The matched entry must really be the reply's: the packet's source
 	// is its pinned backend and its destination the pinned client.
-	c := p.Find("sticky_get_by_reply")
-	if !p.HasHandle(c.Handle) {
-		return 0, fmt.Errorf("forwarding via unknown sticky handle %d", c.Handle)
-	}
-	want := []sym.Atom{
-		sym.EqVV(p.HVar(c.Handle, "sticky_backend_ip"), p.Var("pkt_src_ip")),
-		sym.EqVV(p.HVar(c.Handle, "cl_src_ip"), p.Var("pkt_dst_ip")),
-		sym.EqVV(p.HVar(c.Handle, "cl_proto"), p.Var("pkt_proto")),
-	}
-	if ok, failing := p.EntailsAll(want...); !ok {
-		return 0, fmt.Errorf("reply match not entailed: %v", failing)
-	}
-	return r, nil
+	return r, p.Bound("sticky_get_by_reply", [2]string{"sticky_backend_ip", "pkt_src_ip"},
+		[2]string{"cl_src_ip", "pkt_dst_ip"}, [2]string{"cl_proto", "pkt_proto"})
 }
 
 // entailSticky checks that the sticky entry minted by the named call
 // really pins the packet's client tuple.
-func entailSticky(p *nfkit.SymPath, callName string) error {
-	c := p.Find(callName)
-	if c == nil || !p.HasHandle(c.Handle) {
-		return fmt.Errorf("forwarding via unknown sticky handle")
-	}
-	want := []sym.Atom{
-		sym.EqVV(p.HVar(c.Handle, "cl_src_ip"), p.Var("pkt_src_ip")),
-		sym.EqVV(p.HVar(c.Handle, "cl_src_port"), p.Var("pkt_src_port")),
-		sym.EqVV(p.HVar(c.Handle, "cl_proto"), p.Var("pkt_proto")),
-	}
-	if ok, failing := p.EntailsAll(want...); !ok {
-		return fmt.Errorf("client pinning not entailed: %v", failing)
-	}
-	return nil
+func entailSticky(p *nfkit.SymPath, call string) error {
+	return p.Bound(call, [2]string{"cl_src_ip", "pkt_src_ip"},
+		[2]string{"cl_src_port", "pkt_src_port"}, [2]string{"cl_proto", "pkt_proto"})
 }

@@ -20,6 +20,15 @@ func intKey(i int) flow.ID {
 	}
 }
 
+// lastActivity reads flow idx's stamp off the table's walk.
+func lastActivity(ft *FlowTable, idx int) (ts libvig.Time) {
+	ft.ForEach(func(i int, _ *flow.Flow, last libvig.Time) bool {
+		ts = last
+		return i != idx
+	})
+	return ts
+}
+
 func TestFlowTableAddLookup(t *testing.T) {
 	ft, err := NewFlowTable(8, tExtIP, 1000)
 	if err != nil {
@@ -32,17 +41,17 @@ func TestFlowTableAddLookup(t *testing.T) {
 	if got, ok := ft.LookupInt(intKey(1)); !ok || got != idx {
 		t.Fatalf("LookupInt: %d %v", got, ok)
 	}
-	f := ft.Flow(idx)
+	f := ft.Value(idx)
 	if f == nil {
 		t.Fatal("Flow nil")
 	}
-	if got, ok := ft.LookupExt(f.ExtKey); !ok || got != idx {
+	if got, ok := ft.LookupSnd(f.ExtKey, 0); !ok || got != idx {
 		t.Fatalf("LookupExt: %d %v", got, ok)
 	}
 	if !f.Consistent(tExtIP) {
 		t.Fatalf("inconsistent stored flow: %v", f)
 	}
-	if ts, _ := ft.LastActivity(idx); ts != 100 {
+	if ts := lastActivity(ft, idx); ts != 100 {
 		t.Fatalf("last activity %d", ts)
 	}
 }
@@ -65,8 +74,8 @@ func TestFlowTableCapacity(t *testing.T) {
 func TestFlowTableExpireReleasesEverything(t *testing.T) {
 	ft, _ := NewFlowTable(4, tExtIP, 1000)
 	idx, _ := ft.Add(intKey(0), 10)
-	extKey := ft.Flow(idx).ExtKey
-	port := ft.Flow(idx).ExtPort()
+	extKey := ft.Value(idx).ExtKey
+	port := ft.Value(idx).ExtPort()
 	n := ft.Expire(11)
 	if n != 1 {
 		t.Fatalf("expired %d", n)
@@ -77,7 +86,7 @@ func TestFlowTableExpireReleasesEverything(t *testing.T) {
 	if _, ok := ft.LookupInt(intKey(0)); ok {
 		t.Fatal("internal key survived expiry")
 	}
-	if _, ok := ft.LookupExt(extKey); ok {
+	if _, ok := ft.LookupSnd(extKey, 0); ok {
 		t.Fatal("external key survived expiry")
 	}
 	// The port must be free again: the table can host a new flow that
@@ -86,9 +95,9 @@ func TestFlowTableExpireReleasesEverything(t *testing.T) {
 	if !ok {
 		t.Fatal("add after expiry failed")
 	}
-	if ft.Flow(idx2).ExtPort() != port {
+	if ft.Value(idx2).ExtPort() != port {
 		// LIFO reuse should hand the same port back immediately.
-		t.Fatalf("expected port %d reuse, got %d", port, ft.Flow(idx2).ExtPort())
+		t.Fatalf("expected port %d reuse, got %d", port, ft.Value(idx2).ExtPort())
 	}
 }
 
@@ -175,7 +184,7 @@ func TestFlowTableInvariant(t *testing.T) {
 			t.Errorf("port %d assigned twice", p)
 		}
 		ports[p] = true
-		if got, ok := ft.LookupExt(f.ExtKey); !ok || got != i {
+		if got, ok := ft.LookupSnd(f.ExtKey, 0); !ok || got != i {
 			t.Errorf("flow %d: LookupExt of its own key: (%d, %v)", i, got, ok)
 		}
 		// The port alone finds the slot; only the whole key finds the flow.
@@ -187,7 +196,7 @@ func TestFlowTableInvariant(t *testing.T) {
 		} {
 			k := f.ExtKey
 			change(&k)
-			if got, ok := ft.LookupExt(k); ok {
+			if got, ok := ft.LookupSnd(k, 0); ok {
 				t.Errorf("flow %d: a key differing in %s found index %d", i, what, got)
 			}
 		}
@@ -195,7 +204,7 @@ func TestFlowTableInvariant(t *testing.T) {
 	})
 	// Ports no live flow holds, in range and on both sides of it.
 	for _, p := range []uint16{0, 999, 1000 + cap, 65535} {
-		if got, ok := ft.LookupExt(flow.ID{SrcIP: flow.MakeAddr(8, 8, 8, 8), DstIP: tExtIP, SrcPort: 53, DstPort: p, Proto: flow.UDP}); ok {
+		if got, ok := ft.LookupSnd(flow.ID{SrcIP: flow.MakeAddr(8, 8, 8, 8), DstIP: tExtIP, SrcPort: 53, DstPort: p, Proto: flow.UDP}, 0); ok {
 			t.Errorf("port %d outside the range found index %d", p, got)
 		}
 	}
@@ -225,7 +234,7 @@ func TestFlowTableExpiredPortsReturnLIFO(t *testing.T) {
 		if !ok {
 			t.Fatalf("add %d after expiry failed", n)
 		}
-		if got := ft.Flow(idx).ExtPort(); got != want {
+		if got := ft.Value(idx).ExtPort(); got != want {
 			t.Fatalf("flow %d after the sweep got port %d, want %d", n, got, want)
 		}
 	}
@@ -246,7 +255,7 @@ func TestFlowTablePortRange(t *testing.T) {
 		t.Fatalf("ports 65528…65535 refused: %v", err)
 	}
 	idx, ok := ft.Add(intKey(0), 10)
-	if !ok || ft.Flow(idx).ExtPort() != 65528 {
+	if !ok || ft.Value(idx).ExtPort() != 65528 {
 		t.Fatalf("first flow: index %d ok %v", idx, ok)
 	}
 	for _, tc := range []struct {
@@ -255,37 +264,37 @@ func TestFlowTablePortRange(t *testing.T) {
 		port uint16
 		want error
 	}{
-		{"below the range", intKey(1), 65527, libvig.ErrPortRange},
-		{"far below the range", intKey(1), 1, libvig.ErrPortRange},
-		{"held by a live flow", intKey(1), 65528, libvig.ErrPortBusy},
+		{"below the range", intKey(1), 65527, libvig.ErrChainRange},
+		{"far below the range", intKey(1), 1, libvig.ErrChainRange},
+		{"held by a live flow", intKey(1), 65528, libvig.ErrChainBusy},
 		{"duplicate internal key", intKey(0), 65530, libvig.ErrMapDupKey},
 	} {
-		if err := ft.Restore(tc.key, tc.port, 20); !errors.Is(err, tc.want) {
+		if err := ft.Restore(flow.MakeFlow(tc.key, tExtIP, tc.port), 20); !errors.Is(err, tc.want) {
 			t.Fatalf("restore %s: %v, want %v", tc.name, err, tc.want)
 		}
-		if ft.Size() != 1 || ft.chain.Size() != 1 {
-			t.Fatalf("restore %s left a mark: table %d, chain %d", tc.name, ft.Size(), ft.chain.Size())
+		if ft.Size() != 1 {
+			t.Fatalf("restore %s left a mark: table holds %d", tc.name, ft.Size())
 		}
-		if err := ft.dmap.CheckInvariant(); err != nil {
+		if err := ft.CheckInvariant(); err != nil {
 			t.Fatalf("restore %s: %v", tc.name, err)
 		}
 	}
-	if err := ft.Restore(intKey(1), 65535, 20); err != nil {
+	if err := ft.Restore(flow.MakeFlow(intKey(1), tExtIP, 65535), 20); err != nil {
 		t.Fatalf("restore at the last port: %v", err)
 	}
-	f := ft.Flow(7)
+	f := ft.Value(7)
 	if f == nil || f.IntKey != intKey(1) || f.ExtPort() != 65535 {
 		t.Fatalf("restored flow not at the index its port names: %v", f)
 	}
-	if got, ok := ft.LookupExt(f.ExtKey); !ok || got != 7 {
+	if got, ok := ft.LookupSnd(f.ExtKey, 0); !ok || got != 7 {
 		t.Fatalf("LookupExt of the restored flow: (%d, %v)", got, ok)
 	}
-	if ts, _ := ft.LastActivity(7); ts != 20 {
+	if ts := lastActivity(ft, 7); ts != 20 {
 		t.Fatalf("restored stamp %d", ts)
 	}
 	// A table above the range of a small one: ports past the end.
 	small, _ := NewFlowTable(4, tExtIP, 1000)
-	if err := small.Restore(intKey(2), 1004, 1); !errors.Is(err, libvig.ErrPortRange) {
+	if err := small.Restore(flow.MakeFlow(intKey(2), tExtIP, 1004), 1); !errors.Is(err, libvig.ErrChainRange) {
 		t.Fatalf("restore past the range: %v", err)
 	}
 }

@@ -1,6 +1,8 @@
 package nat
 
 import (
+	"fmt"
+
 	"vignat/internal/fastpath"
 	"vignat/internal/flow"
 	"vignat/internal/libvig"
@@ -13,13 +15,11 @@ import (
 
 // This file is the NAT's one nfkit declaration: everything the engine,
 // the sharded composition, and the demo binaries need, in one place.
-// The bespoke AsNF adapter and the hand-written Sharded implementation
-// this replaces were the first copy of the five-part recipe the kit
-// amortizes. (The NAT's authoritative proof predates the kit and stays
-// on the richer CallKind/validator pipeline in vigor/symbex — the
-// paper's original artifact; symspec.go re-expresses the decision
-// structure in the kit's derived form so the reason taxonomy can be
-// cross-checked like every other NF's.)
+// (The NAT's authoritative proof predates the kit and stays on the
+// richer CallKind/validator pipeline in vigor/symbex — the paper's
+// original artifact; symspec.go re-expresses the decision structure in
+// the kit's derived form so the reason taxonomy can be cross-checked
+// like every other NF's.)
 
 // verdictOf collapses the NAT's directional verdict onto the pipeline
 // pair: both forward directions mean "out the opposite interface".
@@ -60,44 +60,24 @@ func kit(cfg Config, clock libvig.Clock, steer *steering) nfkit.Decl[*NAT] {
 			return verdictOf(n.ProcessAt(frame, fromInternal, now))
 		},
 		// The burst's first Fig. 6 sweep and every packet's lookup start
-		// their table loads here, together (nfkit.PrefetchFlows).
+		// their table loads here, together.
 		Prefetch: func(n *NAT, pkts []nf.Pkt, now libvig.Time) {
-			t := n.table
-			nfkit.PrefetchFlows(&n.burst, pkts, true, t.dmap, t.chain, now-n.cfg.TimeoutNanos()+1)
+			n.table.Prefetch(pkts, now-n.cfg.TimeoutNanos()+1)
 		},
 		Expire: (*NAT).ExpireAt,
 		Stats: func(c []uint64) nf.Stats {
 			return nfkit.StatsOf(Reasons, c, c[ctrFlowsExpired])
 		},
 		Counters: func(n *NAT) []uint64 { return n.counters[:] },
-		// The fast path caches established flows: Offer resolves the
-		// direction-appropriate lookup (Fig. 6's get_dmap — the only
-		// state read the established branch performs), Hit replays that
-		// branch's mutations (rejuvenate + the reason cell; the engine replays
-		// the rewrite from its template). Erasures bump fpGens through
-		// the table hook, so a dead flow's cached entry misses.
+		// The fast path caches established flows: the table's Offer is
+		// Fig. 6's get_dmap (the only state read of the established
+		// branch), its Hit that branch's rejuvenation; the reason cell is
+		// the NAT's, the rewrite the engine's template's.
 		FastPath: &nfkit.FastPathHooks[*NAT]{
-			Offer: func(n *NAT, key fastpath.Key) (uint64, fastpath.Guard, bool) {
-				var idx int
-				var ok bool
-				if key.FromInternal {
-					idx, ok = n.table.LookupInt(key.ID)
-				} else {
-					idx, ok = n.table.LookupExt(key.ID)
-				}
-				if !ok {
-					return 0, fastpath.Guard{}, false
-				}
-				aux := uint64(idx) << 1
-				if key.FromInternal {
-					aux |= 1
-				}
-				return aux, n.fpGens.Guard(idx), true
-			},
+			Offer: func(n *NAT, key fastpath.Key) (uint64, fastpath.Guard, bool) { return n.table.Offer(key) },
 			Hit: func(n *NAT, aux uint64, _ int, now libvig.Time) nf.Verdict {
-				_ = n.table.Rejuvenate(int(aux>>1), now)
 				r := ReasonFwdIn
-				if aux&1 != 0 {
+				if n.table.Hit(aux, now) == nfkit.AuxFst {
 					r = ReasonFwdOut
 				}
 				n.counters[r]++
@@ -119,19 +99,47 @@ func kit(cfg Config, clock libvig.Clock, steer *steering) nfkit.Decl[*NAT] {
 				}
 				return int(id.Hash() % uint64(shards))
 			}
-			// Only the inbound port-range branch pays the split math.
-			perShard := cfg.Capacity / shards
-			off := int(scratch.DstPort) - int(cfg.PortBase)
-			if off < 0 || off >= perShard*shards {
-				return 0
+			// Only the inbound port-range branch pays the split math. A
+			// port no shard owns matches no flow anywhere.
+			if s := cfg.portShard(scratch.DstPort, shards); s >= 0 && s < shards {
+				return s
 			}
-			return off / perShard
+			return 0
 		},
 		Reasons:    Reasons,
 		LastReason: func(n *NAT) telemetry.ReasonID { return n.lastReason },
-		Codec:      shardCodec(cfg),
-		Sym:        symSpec(),
+		// Flows migrate to the shard whose external-port range holds
+		// their port, to the index the port names there: the only
+		// placement that keeps an inbound reply's port-arithmetic steering
+		// and lookup correct without renumbering a port a peer already
+		// targets. Outbound packets follow via the override (steer.go).
+		Families: []nfkit.Family[*NAT]{nfkit.FlowRecords(flowsFamily,
+			func(n *NAT) *nfkit.FlowTable[flow.Flow] { return n.table.FlowTable },
+			func(f *flow.Flow, shards int) int { return cfg.portShard(f.ExtPort(), shards) },
+		)},
+		CheckReshard: func(shards int) error {
+			if cfg.Capacity%shards != 0 {
+				return fmt.Errorf("nat: capacity %d does not divide into %d shards (external port ranges would misalign)",
+					cfg.Capacity, shards)
+			}
+			return nil
+		},
+		Sym: symSpec(),
 	}
+}
+
+// flowsFamily names the NAT's one record family.
+const flowsFamily = "flows"
+
+// portShard returns the shard, of shards, whose external-port range
+// holds port: negative or ≥ shards for a port outside
+// [PortBase, PortBase+Capacity), which no shard owns.
+func (c *Config) portShard(port uint16, shards int) int {
+	off := int(port) - int(c.PortBase)
+	if off < 0 {
+		return -1
+	}
+	return off / (c.Capacity / shards)
 }
 
 // AsNF exposes an existing NAT as a pipeline network function.
@@ -141,9 +149,7 @@ func AsNF(n *NAT) nf.NF { return Kit(n.cfg, n.clock).Adapt(n) }
 // accessors (port-range bookkeeping, flow drill-down) callers use.
 type Sharded struct {
 	*nfkit.Sharded[*NAT]
-	cfg      Config
-	steer    *steering
-	perShard int
+	steer *steering
 }
 
 // NewSharded builds a NAT of nShards shards from cfg, splitting
@@ -160,18 +166,17 @@ func NewSharded(cfg Config, clock libvig.Clock, nShards int) (*Sharded, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Sharded{Sharded: ks, cfg: cfg, steer: steer, perShard: cfg.Capacity / nShards}, nil
+	return &Sharded{Sharded: ks, steer: steer}, nil
 }
 
-// Reshard migrates the NAT to n shards through the derived codec, then
-// re-derives what the codec cannot see globally: the per-shard split
-// bookkeeping and the outbound steering override for flows whose new
-// hash shard is not their port-range home.
+// Reshard migrates the NAT to n shards through the declared families,
+// then re-derives what no family can see globally: the outbound
+// steering override for flows whose new hash shard is not their
+// port-range home.
 func (s *Sharded) Reshard(n int) error {
 	if err := s.Sharded.Reshard(n); err != nil {
 		return err
 	}
-	s.perShard = s.cfg.Capacity / n
 	over := make(map[flow.ID]int)
 	for shard, core := range s.Cores() {
 		core.Table().ForEach(func(_ int, f *flow.Flow, _ libvig.Time) bool {
@@ -189,15 +194,15 @@ func (s *Sharded) Reshard(n int) error {
 func (s *Sharded) ShardNAT(i int) *NAT { return s.Core(i) }
 
 // Capacity returns the total flow capacity across shards.
-func (s *Sharded) Capacity() int { return s.perShard * s.Shards() }
+func (s *Sharded) Capacity() int {
+	_, capacity := s.Occupancy(flowsFamily)
+	return capacity
+}
 
 // Flows returns the number of live flows across shards.
 func (s *Sharded) Flows() int {
-	total := 0
-	for _, n := range s.Cores() {
-		total += n.Table().Size()
-	}
-	return total
+	live, _ := s.Occupancy(flowsFamily)
+	return live
 }
 
 // Stats is the NAT-level view of the shards' published counters, safe

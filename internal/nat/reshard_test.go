@@ -75,11 +75,11 @@ func TestReshardPreservesTranslations(t *testing.T) {
 			// whose range holds that port, at the index the port names.
 			off := int(ext[i].SrcPort) - 1000
 			tbl := s.ShardNAT(off / per).Table()
-			idx, ok := tbl.LookupExt(ext[i].Reverse())
+			idx, ok := tbl.LookupSnd(ext[i].Reverse(), 0)
 			if !ok || idx != off%per {
 				t.Fatalf("%s: flow %d: LookupExt on shard %d: (%d, %v), port names index %d", when, i, off/per, idx, ok, off%per)
 			}
-			if f := tbl.Flow(idx); f.IntKey != id || f.ExtPort() != ext[i].SrcPort {
+			if f := tbl.Value(idx); f.IntKey != id || f.ExtPort() != ext[i].SrcPort {
 				t.Fatalf("%s: flow %d: shard %d index %d holds %v", when, i, off/per, idx, f)
 			}
 			// Outbound still translates to the same external tuple, via

@@ -6,7 +6,6 @@ import (
 	"vignat/internal/nat/stateless"
 	"vignat/internal/nf/nfkit"
 	"vignat/internal/nf/telemetry"
-	"vignat/internal/vigor/sym"
 )
 
 // This file is the NAT's symbolic declaration in the kit's *derived*
@@ -20,83 +19,47 @@ import (
 // path's reason named over the kit's SymPath vocabulary.
 
 // natSym drives stateless.ProcessPacket under the engine via the kit
-// driver; the parse chain and the arrival side are the kit's guard set.
-type natSym struct{ nfkit.SymGuards }
+// driver: the parse chain and the arrival side are the kit's guard set,
+// the flow-table operations the kit's model of them.
+type natSym struct {
+	nfkit.SymGuards
+	flows nfkit.SymFlowTable[stateless.FlowHandle]
+}
 
 var _ stateless.Env = natSym{}
 
+// newNatSym binds the kit's flow-table model to the NAT's vocabulary:
+// a flow handle carries the flow's internal 5-tuple and its allocated
+// external port; found or created by internal key, its internal tuple
+// is the packet's; found by external key, its external port is the
+// packet's destination port (the reply names the flow by its
+// allocation).
+func newNatSym(d *nfkit.SymDriver) natSym {
+	return natSym{nfkit.SymGuards{D: d}, nfkit.SymFlowTable[stateless.FlowHandle]{
+		D: d, Noun: "flow", FstSide: []string{"from_internal"},
+		GetFst: "flow_get_by_int_key", GetSnd: "flow_get_by_ext_key", Create: "flow_allocate",
+		Vars: []string{"flow_int_src_ip", "flow_int_src_port", "flow_int_dst_ip", "flow_int_dst_port",
+			"flow_proto", "flow_ext_port"},
+		Fst: [][2]string{{"flow_int_src_ip", "pkt_src_ip"}, {"flow_int_src_port", "pkt_src_port"},
+			{"flow_int_dst_ip", "pkt_dst_ip"}, {"flow_int_dst_port", "pkt_dst_port"}, {"flow_proto", "pkt_proto"}},
+		Snd: [][2]string{{"flow_ext_port", "pkt_dst_port"}, {"flow_proto", "pkt_proto"}},
+	}}
+}
+
 func (e natSym) ExpireFlows() { e.D.Note("expire_flows") }
 
-// flowVarNames are the model variables every minted flow handle
-// carries: the flow's internal 5-tuple and its allocated external port.
-var flowVarNames = []string{
-	"flow_int_src_ip", "flow_int_src_port", "flow_int_dst_ip", "flow_int_dst_port",
-	"flow_proto", "flow_ext_port",
-}
-
-// mintIntFlow mints a flow handle whose internal tuple is bound to the
-// packet tuple (the contract atoms of the flow-table model for
-// internal-side matches and allocations).
-func (e natSym) mintIntFlow() stateless.FlowHandle {
-	h := e.D.Mint(flowVarNames...)
-	e.D.Bind(h,
-		sym.EqVV(e.D.HVar(h, "flow_int_src_ip"), e.D.Var("pkt_src_ip")),
-		sym.EqVV(e.D.HVar(h, "flow_int_src_port"), e.D.Var("pkt_src_port")),
-		sym.EqVV(e.D.HVar(h, "flow_int_dst_ip"), e.D.Var("pkt_dst_ip")),
-		sym.EqVV(e.D.HVar(h, "flow_int_dst_port"), e.D.Var("pkt_dst_port")),
-		sym.EqVV(e.D.HVar(h, "flow_proto"), e.D.Var("pkt_proto")),
-	)
-	return stateless.FlowHandle(h)
-}
-
-func (e natSym) LookupInternal() (stateless.FlowHandle, bool) {
-	e.D.Require(e.D.Flag("l4"), "P2: flow key from unvalidated L4 header")
-	e.D.Require(e.D.Flag("iface_known") && e.D.Flag("from_internal"),
-		"P4: internal lookup for a non-internal packet")
-	if !e.D.Decide("flow_get_by_int_key") {
-		e.D.Set("missed_int", true)
-		return 0, false
-	}
-	return e.mintIntFlow(), true
-}
-
-func (e natSym) LookupExternal() (stateless.FlowHandle, bool) {
-	e.D.Require(e.D.Flag("l4"), "P2: flow key from unvalidated L4 header")
-	e.D.Require(e.D.Flag("iface_known") && !e.D.Flag("from_internal"),
-		"P4: external lookup for a non-external packet")
-	if !e.D.Decide("flow_get_by_ext_key") {
-		return 0, false
-	}
-	// Contract: the found flow's external port is the packet's
-	// destination port (the reply names the flow by its allocation).
-	h := e.D.Mint(flowVarNames...)
-	e.D.Bind(h,
-		sym.EqVV(e.D.HVar(h, "flow_ext_port"), e.D.Var("pkt_dst_port")),
-		sym.EqVV(e.D.HVar(h, "flow_proto"), e.D.Var("pkt_proto")),
-	)
-	return stateless.FlowHandle(h), true
-}
-
-func (e natSym) AllocateFlow() (stateless.FlowHandle, bool) {
-	e.D.Require(e.D.Flag("missed_int"), "P4: flow allocation without a preceding internal miss")
-	if !e.D.Decide("flow_allocate") {
-		return 0, false
-	}
-	return e.mintIntFlow(), true
-}
-
-func (e natSym) Rejuvenate(h stateless.FlowHandle) {
-	e.D.Require(e.D.Valid(int(h)), "P2: rejuvenate on invalid flow handle %d", h)
-	e.D.NoteOn("dchain_rejuvenate", int(h))
-}
+func (e natSym) LookupInternal() (stateless.FlowHandle, bool) { return e.flows.LookupFst() }
+func (e natSym) LookupExternal() (stateless.FlowHandle, bool) { return e.flows.LookupSnd() }
+func (e natSym) AllocateFlow() (stateless.FlowHandle, bool)   { return e.flows.Add(nil) }
+func (e natSym) Rejuvenate(h stateless.FlowHandle)            { e.flows.Rejuvenate(h) }
 
 func (e natSym) EmitExternal(h stateless.FlowHandle) {
-	e.D.Require(e.D.Valid(int(h)), "P2: emit via invalid flow handle %d", h)
+	e.flows.Held(h, "emit via")
 	e.D.Output("emit_external")
 }
 
 func (e natSym) EmitInternal(h stateless.FlowHandle) {
-	e.D.Require(e.D.Valid(int(h)), "P2: emit via invalid flow handle %d", h)
+	e.flows.Held(h, "emit via")
 	e.D.Output("emit_internal")
 }
 
@@ -107,7 +70,7 @@ func symSpec() *nfkit.SymSpec {
 	return &nfkit.SymSpec{
 		NF:      "vignat",
 		Outputs: []string{"emit_external", "emit_internal", "drop"},
-		Drive:   func(d *nfkit.SymDriver) { stateless.ProcessPacket(natSym{nfkit.SymGuards{D: d}}) },
+		Drive:   func(d *nfkit.SymDriver) { stateless.ProcessPacket(newNatSym(d)) },
 		Spec:    checkSpec,
 	}
 }
@@ -141,22 +104,12 @@ func checkSpec(p *nfkit.SymPath) (telemetry.ReasonID, error) {
 			return 0, err
 		}
 		// The matched/created flow must really be the packet's.
-		bind := p.Find("flow_get_by_int_key")
+		call := "flow_get_by_int_key"
 		if !hit {
-			bind = p.Find("flow_allocate")
+			call = "flow_allocate"
 		}
-		if !p.HasHandle(bind.Handle) {
-			return 0, fmt.Errorf("emitting via unknown flow handle %d", bind.Handle)
-		}
-		want := []sym.Atom{
-			sym.EqVV(p.HVar(bind.Handle, "flow_int_src_ip"), p.Var("pkt_src_ip")),
-			sym.EqVV(p.HVar(bind.Handle, "flow_int_src_port"), p.Var("pkt_src_port")),
-			sym.EqVV(p.HVar(bind.Handle, "flow_proto"), p.Var("pkt_proto")),
-		}
-		if ok, failing := p.EntailsAll(want...); !ok {
-			return 0, fmt.Errorf("flow binding not entailed: %v", failing)
-		}
-		return r, nil
+		return r, p.Bound(call, [2]string{"flow_int_src_ip", "pkt_src_ip"},
+			[2]string{"flow_int_src_port", "pkt_src_port"}, [2]string{"flow_proto", "pkt_proto"})
 	}
 	if hit, _ := p.Ret("flow_get_by_ext_key"); !hit {
 		return p.Judge("unsolicited external packet", "drop", ReasonDropUnsolicited)
@@ -165,16 +118,6 @@ func checkSpec(p *nfkit.SymPath) (telemetry.ReasonID, error) {
 	if err != nil {
 		return 0, err
 	}
-	c := p.Find("flow_get_by_ext_key")
-	if !p.HasHandle(c.Handle) {
-		return 0, fmt.Errorf("emitting via unknown flow handle %d", c.Handle)
-	}
-	want := []sym.Atom{
-		sym.EqVV(p.HVar(c.Handle, "flow_ext_port"), p.Var("pkt_dst_port")),
-		sym.EqVV(p.HVar(c.Handle, "flow_proto"), p.Var("pkt_proto")),
-	}
-	if ok, failing := p.EntailsAll(want...); !ok {
-		return 0, fmt.Errorf("reply match not entailed: %v", failing)
-	}
-	return r, nil
+	return r, p.Bound("flow_get_by_ext_key",
+		[2]string{"flow_ext_port", "pkt_dst_port"}, [2]string{"flow_proto", "pkt_proto"})
 }

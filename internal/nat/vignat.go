@@ -2,7 +2,6 @@ package nat
 
 import (
 	"vignat/internal/dpdk"
-	"vignat/internal/fastpath"
 	"vignat/internal/libvig"
 	"vignat/internal/nat/stateless"
 	"vignat/internal/nf/nfkit"
@@ -71,7 +70,7 @@ func statsOf(c []uint64) Stats {
 // here, dominated by the 65535-entry table).
 type NAT struct {
 	cfg   Config
-	table *FlowTable
+	table FlowTable // by value: one load fewer on every table operation
 	clock libvig.Clock
 	env   prodEnv
 	// counters[r] totals packets tagged with reason r — the only tally
@@ -79,13 +78,6 @@ type NAT struct {
 	// lastReason is the most recent tag. Single-writer.
 	counters   [numCounters]uint64
 	lastReason telemetry.ReasonID
-	// fpGens invalidates engine flow-cache entries: one generation per
-	// flow index, bumped by the table's erase hook whenever a flow dies.
-	fpGens *fastpath.GenTable
-	// burst holds the parses and hashes the Prefetch hook made of the
-	// burst in flight; ProcessAt takes each packet's instead of
-	// parsing again.
-	burst nfkit.Burst
 }
 
 // New builds a NAT from cfg, drawing time from clock.
@@ -97,10 +89,8 @@ func New(cfg Config, clock libvig.Clock) (*NAT, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &NAT{cfg: cfg, table: t, clock: clock}
+	n := &NAT{cfg: cfg, table: *t, clock: clock}
 	n.env.nat = n
-	n.fpGens = fastpath.NewGenTable(cfg.Capacity)
-	t.SetEraseHook(n.fpGens.Bump)
 	return n, nil
 }
 
@@ -108,7 +98,7 @@ func New(cfg Config, clock libvig.Clock) (*NAT, error) {
 func (n *NAT) Config() Config { return n.cfg }
 
 // Table exposes the flow table (tests, spec conformance checking).
-func (n *NAT) Table() *FlowTable { return n.table }
+func (n *NAT) Table() *FlowTable { return &n.table }
 
 // Stats returns a snapshot of the counters.
 func (n *NAT) Stats() Stats { return statsOf(n.counters[:]) }
@@ -163,7 +153,7 @@ type prodEnv struct {
 var _ stateless.Env = (*prodEnv)(nil)
 
 func (e *prodEnv) reset(frame []byte, fromInternal bool, now libvig.Time) {
-	e.Take(&e.nat.burst, frame, fromInternal)
+	e.Take(&e.nat.table.Burst, frame, fromInternal)
 	e.now = now
 	e.verdict = stateless.VerdictDrop
 	e.reason = ReasonDropParse
@@ -174,12 +164,12 @@ func (e *prodEnv) reset(frame []byte, fromInternal bool, now libvig.Time) {
 func (e *prodEnv) ExpireFlows() { _ = e.nat.ExpireAt(e.now) }
 
 func (e *prodEnv) LookupInternal() (stateless.FlowHandle, bool) {
-	i, ok := e.nat.table.LookupIntHashed(e.P.ID, e.P.Hash)
+	i, ok := e.nat.table.LookupFst(e.P.ID, e.P.Hash)
 	return stateless.FlowHandle(i), ok
 }
 
 func (e *prodEnv) LookupExternal() (stateless.FlowHandle, bool) {
-	i, ok := e.nat.table.LookupExtHashed(e.P.ID, e.P.Hash)
+	i, ok := e.nat.table.LookupSnd(e.P.ID, e.P.Hash)
 	if !ok {
 		e.reason = ReasonDropUnsolicited // the miss decides the drop
 	}
@@ -203,7 +193,7 @@ func (e *prodEnv) Rejuvenate(h stateless.FlowHandle) {
 // --- output actions ---
 
 func (e *prodEnv) EmitExternal(h stateless.FlowHandle) {
-	f := e.nat.table.Flow(int(h))
+	f := e.nat.table.Value(int(h))
 	e.P.Pkt.SetSrcIP(f.ExtKey.DstIP) // EXT_IP
 	e.P.Pkt.SetSrcPort(f.ExtPort())
 	e.verdict = stateless.VerdictToExternal
@@ -211,7 +201,7 @@ func (e *prodEnv) EmitExternal(h stateless.FlowHandle) {
 }
 
 func (e *prodEnv) EmitInternal(h stateless.FlowHandle) {
-	f := e.nat.table.Flow(int(h))
+	f := e.nat.table.Value(int(h))
 	e.P.Pkt.SetDstIP(f.IntIP())
 	e.P.Pkt.SetDstPort(f.IntPort())
 	e.verdict = stateless.VerdictToInternal

@@ -324,7 +324,7 @@ func TestNATPrefetchedBurstNoAllocs(t *testing.T) {
 		t.Fatalf("not the flow-creation regime: %+v", st)
 	}
 	var own nfkit.Parsed
-	if n.burst.Take(pkts[0].Frame, &own) != &own {
+	if n.table.Burst.Take(pkts[0].Frame, &own) != &own {
 		t.Fatal("the burst scratch outlived its burst")
 	}
 }

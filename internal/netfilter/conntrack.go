@@ -9,7 +9,7 @@
 // lookup/creation/expiry work. What is modelled: the kernel-path cost
 // (interrupts, softirq, qdisc, no kernel bypass), which the paper names
 // as the reason NetFilter is ~4× slower — the testbed package charges
-// that as a per-packet overhead constant (see testbed.KernelPathCost).
+// that as a per-packet overhead constant (see testbed.KernelCost).
 package netfilter
 
 import (

@@ -28,8 +28,8 @@ import (
 // Resharder is implemented by NFs whose shard count can change live:
 // Reshard(n) rebuilds the composition at n shards, migrating every
 // state record to the shard owning it under the new partitioning.
-// nfkit.Sharded derives the implementation from the declared
-// ShardCodec; the pipeline's SetWorkers drives it.
+// nfkit.Sharded derives the implementation from the declared record
+// families; the pipeline's SetWorkers drives it.
 type Resharder interface {
 	Reshard(n int) error
 }

@@ -2,7 +2,6 @@ package nfkit
 
 import (
 	"vignat/internal/flow"
-	"vignat/internal/libvig"
 	"vignat/internal/netstack"
 	"vignat/internal/nf"
 )
@@ -95,25 +94,3 @@ func (g *PktGuards) L4Supported() bool {
 }
 func (g *PktGuards) L4HeaderIntact() bool     { return g.P.Pkt.L4Valid }
 func (g *PktGuards) PacketFromInternal() bool { return g.FromInternal }
-
-// PrefetchFlows is the Prefetch hook of an NF whose state is a DChain of
-// flows over a DoubleMap keyed by the 5-tuple as seen from either side:
-// it starts the loads of (a) the home slots of the flows the burst's
-// first packet will expire at deadline — the one Fig. 6 sweep of the
-// burst that frees anything, now standing still — and (b) each
-// packet's own home slot, in the first-key map when the packet arrived
-// on the first key's side and in the second-key map otherwise — or,
-// where the second key is an index (the NAT's external port), the
-// record that index names.
-func PrefetchFlows[V any](b *Burst, pkts []nf.Pkt, fstFromInternal bool,
-	m *libvig.DoubleMap[flow.ID, flow.ID, V], chain *libvig.DChain, deadline libvig.Time) {
-	m.PrefetchExpiring(chain, deadline, len(pkts))
-	ents := b.Fill(pkts)
-	for i := range ents {
-		if pkts[i].FromInternal == fstFromInternal {
-			m.PrefetchFst(ents[i].Hash)
-		} else {
-			m.PrefetchSnd(ents[i].ID, ents[i].Hash)
-		}
-	}
-}

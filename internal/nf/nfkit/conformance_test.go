@@ -104,10 +104,10 @@ func craft(id flow.ID) []byte {
 var confVIP = flow.MakeAddr(198, 18, 10, 10)
 
 // declared is one core behind its adapter, with the state its
-// declaration's codec sees in it.
+// declaration's record families see in it.
 type declared struct {
 	nf   nf.NF
-	dump func() ([]nfkit.StateRecord, []uint64)
+	dump func() ([]string, []uint64)
 }
 
 func declare[C any](t *testing.T, d nfkit.Decl[C]) (declared, C) {
@@ -116,9 +116,9 @@ func declare[C any](t *testing.T, d nfkit.Decl[C]) (declared, C) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return declared{nf: d.Adapt(core), dump: func() ([]nfkit.StateRecord, []uint64) {
+	return declared{nf: d.Adapt(core), dump: func() ([]string, []uint64) {
 		// Counters is the live array; the comparison needs a copy.
-		return d.Codec.Snapshot(core), append([]uint64(nil), d.Counters(core)...)
+		return d.Snapshot(core), append([]uint64(nil), d.Counters(core)...)
 	}}, core
 }
 
@@ -179,7 +179,7 @@ func shardCases() []shardCase {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return fw, func(i int) int { return fw.ShardFirewall(i).Sessions() }, nil
+				return fw, func(i int) int { return fw.ShardFirewall(i).Table().Size() }, nil
 			},
 			one: func(t *testing.T, clock libvig.Clock) declared {
 				d, _ := declare(t, firewall.Kit(4*confSessions, confTimeout, clock))
@@ -221,7 +221,7 @@ func shardCases() []shardCase {
 						t.Fatal(err)
 					}
 				}
-				return balancer, func(i int) int { return balancer.ShardBalancer(i).Flows() }, func() { _ = balancer.Stats() }
+				return balancer, func(i int) int { return balancer.ShardBalancer(i).Table().Size() }, func() { _ = balancer.Stats() }
 			},
 			one: func(t *testing.T, clock libvig.Clock) declared {
 				d, b := declare(t, lb.Kit(lbCfg, clock))
@@ -986,16 +986,24 @@ func TestReshardRefusesMismatchedCounters(t *testing.T) {
 	}
 }
 
-// TestReshardRefusesMisdeclaredCodec: a codec that places a record on
+// misplaced is the record of TestReshardRefusesMisdeclaredCodec's
+// family.
+type misplaced struct{}
+
+// TestReshardRefusesMisdeclaredCodec: a family that places a record on
 // shard n of n has no home for it under the new steering, so the whole
 // reshard is refused — naming the NF and the record type — and
 // copy-then-switch leaves the composition as it was.
 func TestReshardRefusesMisdeclaredCodec(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	d := firewall.Kit(4*confSessions, confTimeout, clock)
-	codec := *d.Codec
-	codec.Shard = func(_ nfkit.StateRecord, shards int) int { return shards }
-	d.Codec = &codec
+	d.Families = append(d.Families[:len(d.Families):len(d.Families)],
+		nfkit.Records[*firewall.Firewall, misplaced]{
+			Name:    "misplaced",
+			Each:    func(_ *firewall.Firewall, emit func(misplaced, libvig.Time)) { emit(misplaced{}, 0) },
+			Restore: func(*firewall.Firewall, misplaced, libvig.Time) error { return nil },
+			ShardOf: func(_ *misplaced, shards int) int { return shards },
+		})
 	s, err := nfkit.NewSharded(d, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -1013,7 +1021,7 @@ func TestReshardRefusesMisdeclaredCodec(t *testing.T) {
 	cores := s.Cores()
 	sessions := func() (n int) {
 		for _, c := range s.Cores() {
-			n += c.Sessions()
+			n += c.Table().Size()
 		}
 		return n
 	}
@@ -1022,7 +1030,7 @@ func TestReshardRefusesMisdeclaredCodec(t *testing.T) {
 	if err == nil {
 		t.Fatal("reshard accepted a record placed on shard 3 of 3")
 	}
-	if msg := err.Error(); !strings.Contains(msg, "nfkit: "+d.Name+" ") || !strings.Contains(msg, "a firewall.") {
+	if msg := err.Error(); !strings.Contains(msg, "nfkit: "+d.Name+" ") || !strings.Contains(msg, "a nfkit_test.misplaced record") {
 		t.Fatalf("refusal does not name both the NF and the record type: %v", err)
 	}
 	if s.Shards() != 2 || s.Core(0) != cores[0] || s.Core(1) != cores[1] {

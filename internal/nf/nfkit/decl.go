@@ -1,26 +1,16 @@
-// Package nfkit is the declarative NF-authoring surface: one
-// registration per network function, from which everything the rest of
-// the repository used to hand-roll per NF is derived.
-//
-// The paper's thesis is that one amortized verification toolchain
-// should serve many NFs. The first four NFs here (NAT, firewall,
-// balancer, policer) each repeated the same five-part recipe in
-// near-identical adapter code: a per-NF `AsNF` adapter onto nf.NF, a
-// per-NF `Sharded` wrapper (three almost literal copies), a per-NF
-// batch loop reading the clock once, a per-NF stats mapping, and a
-// per-NF symbolic environment driving the same engine with the same
-// discipline checks. nfkit collapses the recipe into a single
-// capability declaration — Decl — naming the NF's processing entry
-// point, its state-expiry hooks, its shard-steering function, and (via
-// SymSpec in verify.go) its guard predicates, state-operation models,
-// and output actions. From that declaration the kit derives:
+// Package nfkit is the declarative NF-authoring surface: what the
+// paper's libVig authors write once so that a second NF costs only its
+// stateless logic. An NF is one capability declaration — Decl — naming
+// its processing entry point, its expiry hook, its shard steering, its
+// record families and (via SymSpec in verify.go) its symbolic models and
+// output actions. From that declaration the kit derives:
 //
 //   - the allocation-free production binding onto the engine
 //     (Adapter: clock-once batches, verdict mapping, the reason-count
 //     prefix of the declared counter array);
-//   - the concurrently-scrapeable sharded composition (Sharded[C],
-//     each shard publishing into its own nf.Block — one
-//     implementation instead of three copies);
+//   - the concurrently-scrapeable sharded composition (Sharded[C], each
+//     shard publishing into its own nf.Block), its live reshard and its
+//     per-family occupancy;
 //   - the symbolic-verification run (VerifySym: path enumeration,
 //     P2/P4 discipline, single-output rule, solver entailment) and
 //     the taxonomy cross-check fed by the same Spec walk
@@ -29,8 +19,19 @@
 //   - the demo-binary scaffolding (Main: flags, ports, pipeline,
 //     steering, drive loop, accounting).
 //
+// State is declared the same way. An NF that keeps per-flow state owns
+// a FlowTable[V] — the double map, double chain, generation guards and
+// burst scratch composed once, every erasure through one path — and
+// says only what V is; its symbolic Env embeds SymFlowTable,
+// the one model of that table's operations, beside SymGuards, the one
+// model of the parse chain, and names its calls and its key↔packet
+// correspondence. What survives a reshard is a list of typed record
+// families (Decl.Families): FlowRecords derives a flow table's from the
+// table accessor and a shard-of-record function, anything else (the
+// balancer's backend pool, the policer's buckets) is a hand-written
+// Records value; no record is ever held outside its family's closures.
 // A new NF — the roadmap's DNS cache or NAT64 — therefore costs its
-// stateless logic, its libVig state, and one Decl.
+// stateless logic, the record type of its table, and one Decl.
 //
 // Counting is declared once and published once. A core keeps one flat
 // []uint64 and hands it out through Decl.Counters; the layout contract
@@ -94,7 +95,7 @@ type Decl[C any] struct {
 	// core's chance to look at the whole burst and start loading the
 	// state lines its packets will need, so that their cache misses
 	// overlap instead of queueing one probe at a time (see
-	// PrefetchFlows). It must be observationally pure — reads of NF
+	// FlowTable.Prefetch). It must be observationally pure — reads of NF
 	// state, writes to scratch only — so that verdicts, state, counters
 	// and expiry order are the same with the hook present or absent,
 	// and allocation-free.
@@ -155,64 +156,26 @@ type Decl[C any] struct {
 	// processed packet (the sampled trace ring's label).
 	LastReason func(core C) telemetry.ReasonID
 
-	// Codec, when set, makes the NF's shards movable, serializable
-	// units: the control plane snapshots a shard's state into
-	// StateRecords, rebuilds the composition at a different shard
-	// count, and restores every record into the shard that owns it
-	// under the new partitioning — the live-reshard verb. Nil keeps
-	// the shard count fixed at construction.
-	Codec *ShardCodec[C]
+	// Families, when set, lists the record families the core's state is
+	// made of, in restore order — a family whose records name another's
+	// (the balancer's stickies name backend slots) comes after it — which
+	// makes the NF's shards movable units: the control plane rebuilds
+	// the composition at a different shard count and restores every
+	// record into the shard that owns it under the new partitioning (the
+	// live-reshard verb), and Sharded.Occupancy answers how full each
+	// family is. Counters need no family: they move through Counters.
+	// Empty keeps the shard count fixed at construction.
+	Families []Family[C]
+
+	// CheckReshard, when set, vetoes shard counts the NF cannot
+	// repartition to (the NAT requires capacity divisible by the shard
+	// count, or the external port ranges would misalign with the table
+	// split).
+	CheckReshard func(shards int) error
 
 	// Sym, when set, is the NF's symbolic-verification declaration;
 	// Verify() derives the full proof run from it. See verify.go.
 	Sym *SymSpec
-}
-
-// StateRecord is one migratable unit of NF state — a flow-table
-// session, an LB backend or sticky flow, a policer subscriber — as the
-// shard codec serializes it. Records are restored in ascending
-// (Pass, Stamp) order: Pass separates structurally dependent families
-// (LB backends must exist before the stickies that reference them),
-// and Stamp carries the record's DChain last-touch time so each
-// restore replays allocations in stamp order, preserving both the
-// expiry order and the DChain contract's stamp monotonicity.
-type StateRecord struct {
-	// Pass is the restore ordering class (lower restores first).
-	Pass int
-	// Stamp is the record's last-touch time.
-	Stamp libvig.Time
-	// Data is the NF-opaque payload the codec's Restore interprets.
-	Data any
-}
-
-// ShardCodec is the declarative form of shard migration: the closures
-// from which the kit derives Sharded.Reshard (counters need none: they
-// move through Decl.Counters). Snapshot and Restore
-// must round-trip — restoring a core's snapshot into a fresh core of
-// the same configuration yields observably identical state (same
-// lookups, same expiry order, same counters-relevant behavior) — and
-// Restore must NOT bump creation counters: a migrated session was
-// created once, on the old shard, and the aggregate conservation law
-// (created − expired − unpinned − migration-dropped == live) must hold
-// across the move.
-type ShardCodec[C any] struct {
-	// Check, when set, vetoes shard counts the NF cannot partition to
-	// (the NAT requires capacity divisible by the shard count, or the
-	// external port ranges would misalign with the table split).
-	Check func(shards int) error
-	// Snapshot serializes every migratable record the core holds, in
-	// any order (Reshard sorts by (Pass, Stamp) before restoring).
-	Snapshot func(core C) []StateRecord
-	// Restore replays one record into a core. It must either fully
-	// apply the record or leave the core unchanged (rolling back
-	// partial effects), so a failed record degrades to a dropped
-	// session rather than corrupted state.
-	Restore func(core C, rec StateRecord) error
-	// Shard maps a record to the shard owning it under the given
-	// count, consistently with the declared ShardOf steering. A
-	// negative result broadcasts the record to every shard (state
-	// every shard replicates, like the balancer's backend table).
-	Shard func(rec StateRecord, shards int) int
 }
 
 // FastPathHooks is the declarative form of nf.FastPather: the two

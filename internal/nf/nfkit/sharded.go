@@ -2,7 +2,6 @@ package nfkit
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"vignat/internal/libvig"
@@ -53,7 +52,15 @@ type Sharded[C any] struct {
 // cores and their blocks always swap together.
 type shardedState[C any] struct {
 	shards []*shard[C]
-	cores  []C
+}
+
+// cores lists the generation's cores in shard order.
+func (st *shardedState[C]) cores() []C {
+	cores := make([]C, len(st.shards))
+	for i, sh := range st.shards {
+		cores[i] = sh.core
+	}
+	return cores
 }
 
 // shard is what the engine is handed for one partition: the core's
@@ -96,13 +103,12 @@ func buildState[C any](d *Decl[C], nShards int) (*shardedState[C], error) {
 	if d.Capacity > 0 {
 		perShard = d.Capacity / nShards
 	}
-	st := &shardedState[C]{cores: make([]C, nShards), shards: make([]*shard[C], nShards)}
+	st := &shardedState[C]{shards: make([]*shard[C], nShards)}
 	for i := 0; i < nShards; i++ {
 		core, err := d.New(i, nShards, perShard)
 		if err != nil {
 			return nil, fmt.Errorf("nfkit: %s shard %d: %w", d.Name, i, err)
 		}
-		st.cores[i] = core
 		a := d.Adapt(core)
 		st.shards[i] = &shard[C]{Adapter: a, block: nf.NewBlock(len(a.counters()))}
 	}
@@ -145,20 +151,19 @@ func NewSharded[C any](d Decl[C], nShards int) (*Sharded[C], error) {
 
 // Name identifies the sharded NF.
 func (s *Sharded[C]) Name() string {
-	if n := len(s.state.Load().cores); n > 1 {
+	if n := s.Shards(); n > 1 {
 		return fmt.Sprintf("%s×%d", s.decl.Name, n)
 	}
 	return s.decl.Name
 }
 
 // Core returns shard i's production core (tests, stats drill-down).
-func (s *Sharded[C]) Core(i int) C { return s.state.Load().cores[i] }
+func (s *Sharded[C]) Core(i int) C { return s.state.Load().shards[i].core }
 
-// Cores returns every shard's core, in shard order. The slice is the
-// composition's own; callers must not mutate it. A Reshard replaces
-// it wholesale, so long-lived callers should re-read rather than
-// cache.
-func (s *Sharded[C]) Cores() []C { return s.state.Load().cores }
+// Cores returns every shard's core, in shard order, as of this call: a
+// Reshard replaces them all, so long-lived callers should re-read
+// rather than cache.
+func (s *Sharded[C]) Cores() []C { return s.state.Load().cores() }
 
 // ShardOf steers a frame to the shard owning its flow via the declared
 // steering function, clamping misdeclared results onto shard 0 (the
@@ -172,7 +177,7 @@ func (s *Sharded[C]) ShardOf(frame []byte, fromInternal bool) int {
 
 // shardOf is ShardOf against an already-loaded state generation.
 func (s *Sharded[C]) shardOf(st *shardedState[C], frame []byte, fromInternal bool) int {
-	n := len(st.cores)
+	n := len(st.shards)
 	if n == 1 {
 		return 0
 	}
@@ -199,7 +204,7 @@ func (s *Sharded[C]) ProcessBatch(pkts []nf.Pkt, verdicts []nf.Verdict) {
 	now := s.decl.now()
 	for i := range pkts {
 		shard := s.shardOf(st, pkts[i].Frame, pkts[i].FromInternal)
-		verdicts[i] = s.decl.Process(st.cores[shard], pkts[i].Frame, pkts[i].FromInternal, now)
+		verdicts[i] = s.decl.Process(st.shards[shard].core, pkts[i].Frame, pkts[i].FromInternal, now)
 	}
 	for _, sh := range st.shards {
 		sh.Publish(nf.FlowCache{})
@@ -207,7 +212,7 @@ func (s *Sharded[C]) ProcessBatch(pkts []nf.Pkt, verdicts []nf.Verdict) {
 }
 
 // Shards returns the shard count.
-func (s *Sharded[C]) Shards() int { return len(s.state.Load().cores) }
+func (s *Sharded[C]) Shards() int { return len(s.state.Load().shards) }
 
 // Shard returns shard i as a standalone NF for the engine to drive: a
 // bare adapter that is also an nf.Publisher. It never publishes by
@@ -301,105 +306,64 @@ func (s *Sharded[C]) Migrated() uint64 { return s.migrated }
 func (s *Sharded[C]) MigrationDropped() uint64 { return s.migrationDropped }
 
 // Reshard rebuilds the composition at a new shard count, migrating
-// every state record through the declared codec — the hitless-reshard
-// verb. The protocol is copy-then-switch: fresh cores are built,
-// every record is restored into the shard owning it under the new
-// partitioning, and the folded counters are added in and
-// pre-published, all before the single atomic store that commits the
-// move — so a refused reshard (bad count, counter arrays of differing
-// lengths, constructor failure, broadcast-restore failure, a codec
-// placing a record outside the new shard count) leaves the
-// composition exactly as it was, and an observer
-// never sees counters dip. Per-record restore failures on
-// non-broadcast records degrade to dropped sessions (counted in
-// MigrationDropped) rather than refusing the whole move, matching how
-// a hash-skewed repartition must behave when one destination shard
-// cannot hold its share.
-//
-// Counters survive the move: the old cores' counter arrays
-// (Decl.Counters) are summed cell by cell into new shard 0's, the old
-// blocks' flow-cache cells ride along, and every new block is
-// published once before the swap, so the aggregate snapshot stays
-// continuous and monotone. Restores never bump creation
-// counters (codec contract), so created−expired−unpinned−
-// migrationDropped == live holds across the move.
+// every record of every declared family (Decl.Families) — the hitless-reshard
+// verb. The protocol is copy-then-switch: fresh cores are built, each
+// family in declaration order restores its records, in stamp order,
+// into the shards that own them under the new partitioning, and the old
+// cores' counter arrays (Decl.Counters) are summed cell by cell into new
+// shard 0's and every new block pre-published, the old blocks'
+// flow-cache cells riding along — all before the single atomic store
+// that commits the move. A refused reshard (bad count, counter arrays of
+// differing lengths, constructor failure, a replicated family's restore
+// failing, a family placing a record outside the new shard count)
+// therefore leaves the composition exactly as it was, and an observer
+// never sees counters dip. A placed record its destination refuses
+// degrades to a dropped session (MigrationDropped) rather than refusing
+// the whole move, as a hash-skewed repartition must when one shard
+// cannot hold its share; restores never bump creation counters (the
+// Records contract), so created−expired−unpinned−migrationDropped ==
+// live holds across the move.
 //
 // Like every control-path mutation it must not run concurrently with
 // packet processing; the pipeline quiesces its workers around it.
 func (s *Sharded[C]) Reshard(n int) error {
 	d := &s.decl
-	if d.Codec == nil {
-		return fmt.Errorf("nfkit: %s declares no shard codec", d.Name)
-	}
-	c := d.Codec
-	if c.Snapshot == nil || c.Restore == nil || c.Shard == nil {
-		return fmt.Errorf("nfkit: %s declares a partial shard codec", d.Name)
+	if len(d.Families) == 0 {
+		return fmt.Errorf("nfkit: %s declares no record families", d.Name)
 	}
 	if err := checkShardCount(d, n); err != nil {
 		return err
 	}
-	if c.Check != nil {
-		if err := c.Check(n); err != nil {
+	if d.CheckReshard != nil {
+		if err := d.CheckReshard(n); err != nil {
 			return fmt.Errorf("nfkit: %s cannot reshard to %d: %w", d.Name, n, err)
 		}
 	}
 	old := s.state.Load()
+	from := old.cores()
 
-	// Fold the counter arrays (refusing before anything is built when
-	// they cannot be), then snapshot every old core.
-	counters, err := foldCounters(d, old.cores)
+	// Fold the counter arrays, refusing before anything is built when
+	// they cannot be.
+	counters, err := foldCounters(d, from)
 	if err != nil {
 		return fmt.Errorf("nfkit: %s reshard to %d: %w", d.Name, n, err)
 	}
-	var recs []StateRecord
-	for _, core := range old.cores {
-		recs = append(recs, c.Snapshot(core)...)
-	}
-
-	// Restore order: structural pass first, stamp order within a pass,
-	// so DChain allocations replay with monotone timestamps and
-	// referenced state (LB backends) exists before its referrers.
-	sort.SliceStable(recs, func(i, j int) bool {
-		if recs[i].Pass != recs[j].Pass {
-			return recs[i].Pass < recs[j].Pass
-		}
-		return recs[i].Stamp < recs[j].Stamp
-	})
-
 	st, err := buildState(d, n)
 	if err != nil {
 		return fmt.Errorf("nfkit: %s reshard to %d: %w", d.Name, n, err)
 	}
-
+	to := st.cores()
 	var moved, dropped uint64
-	for _, rec := range recs {
-		target := c.Shard(rec, n)
-		if target < 0 {
-			// Broadcast records are structural (replicated control
-			// state); a failure here refuses the whole reshard.
-			for i := range st.cores {
-				if err := c.Restore(st.cores[i], rec); err != nil {
-					return fmt.Errorf("nfkit: %s reshard to %d: broadcast restore: %w", d.Name, n, err)
-				}
-				moved++
-			}
-			continue
+	for _, f := range d.Families {
+		m, dr, err := f.move(from, to)
+		if err != nil {
+			return fmt.Errorf("nfkit: %s reshard to %d: %w", d.Name, n, err)
 		}
-		if target >= n {
-			// A placement outside the new count is a codec bug, not a
-			// placement: any shard picked for it is one the new steering
-			// never looks in. Refuse; nothing is committed yet.
-			return fmt.Errorf("nfkit: %s reshard to %d: codec placed a %T record on shard %d", d.Name, n, rec.Data, target)
-		}
-		if err := c.Restore(st.cores[target], rec); err != nil {
-			dropped++
-			continue
-		}
-		moved++
+		moved, dropped = moved+m, dropped+dr
 	}
 
 	if counters != nil {
-		into := d.Counters(st.cores[0])
+		into := d.Counters(to[0])
 		if len(into) != len(counters) {
 			return fmt.Errorf("nfkit: %s reshard to %d: new shard 0 keeps %d counters, the old shards kept %d",
 				d.Name, n, len(into), len(counters))

@@ -147,6 +147,25 @@ func (p *SymPath) EntailsAll(want ...sym.Atom) (bool, sym.Atom) {
 	return ok, failing
 }
 
+// Bound checks that the record the named call minted is the packet's:
+// the path constraints entail, for each pair, that the handle's model
+// variable equals the packet variable — the Spec-side reading of the
+// correspondence a model (SymFlowTable's Fst, Snd) binds at the call.
+func (p *SymPath) Bound(call string, pairs ...[2]string) error {
+	c := p.Find(call)
+	if c == nil || !p.HasHandle(c.Handle) {
+		return fmt.Errorf("%s minted no handle", call)
+	}
+	want := make([]sym.Atom, len(pairs))
+	for i, pair := range pairs {
+		want[i] = sym.EqVV(p.HVar(c.Handle, pair[0]), p.Var(pair[1]))
+	}
+	if ok, failing := p.EntailsAll(want...); !ok {
+		return fmt.Errorf("%s binding not entailed: %v", call, failing)
+	}
+	return nil
+}
+
 // explore runs the exhaustive symbolic execution of s.Drive and hands
 // every feasible path to visit, with the number of declared output
 // actions it emitted (the P4 count) — the walk VerifySym and

@@ -99,7 +99,7 @@ func Kit(cfg Config, clock libvig.Clock) nfkit.Decl[*Policer] {
 		},
 		Reasons:    Reasons,
 		LastReason: func(p *Policer) telemetry.ReasonID { return p.lastReason },
-		Codec:      shardCodec(),
+		Families:   families(),
 		Sym:        symSpecFor(ProcessPacket),
 	}
 }
@@ -132,11 +132,8 @@ func (s *Sharded) ShardPolicer(i int) *Policer { return s.Core(i) }
 
 // Subscribers returns the number of tracked subscribers across shards.
 func (s *Sharded) Subscribers() int {
-	total := 0
-	for _, p := range s.Cores() {
-		total += p.Subscribers()
-	}
-	return total
+	live, _ := s.Occupancy(subscribersFamily)
+	return live
 }
 
 // Stats is the policer-level view of the shards' published counters,

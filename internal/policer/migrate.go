@@ -1,18 +1,14 @@
 package policer
 
 import (
-	"fmt"
-
 	"vignat/internal/flow"
 	"vignat/internal/libvig"
 	"vignat/internal/nf/nfkit"
 )
 
 // This file is the policer's control-plane surface: the live rate
-// resize and the shard codec's core half (snapshot, restore; counters
-// move through Decl.Counters, generically). The codec closures in
-// kit.go delegate here so the state walk stays next to the state it
-// serializes.
+// resize and the declaration of its migratable state (counters move
+// through Decl.Counters, generically).
 
 // Resize changes the shared (rate, burst) configuration live. Every
 // bucket is settled at the old rate before the new terms apply and
@@ -34,104 +30,68 @@ func (p *Policer) Resize(rate, burst int64, now libvig.Time) error {
 // cfgRecord migrates the live (rate, burst) pair: the policer's shard
 // constructor rebuilds cores from the construction-time config, so a
 // resize applied through the control plane must ride the reshard or it
-// would silently revert. Broadcast to every shard, restored before any
-// subscriber (Pass 0) so bucket levels clamp against the right depth.
+// would silently revert. Replicated to every shard, and the first
+// family, so bucket levels clamp against the right depth.
 type cfgRecord struct {
 	rate  int64
 	burst int64
 }
 
 // subRecord migrates one subscriber: identity, budget, and the bucket
-// clock the budget was settled at. The DChain stamp rides the
-// StateRecord envelope.
+// clock the budget was settled at. The DChain stamp rides beside it.
 type subRecord struct {
 	addr       flow.Addr
 	levelUnits int64
 	lastRefill libvig.Time
 }
 
-// record ordering classes.
-const (
-	passConfig = iota
-	passSubscriber
-)
+// subscribersFamily names the subscriber table's record family.
+const subscribersFamily = "subscribers"
 
-// snapshotRecords serializes the core's migratable state: the live
-// config, then every subscriber with its DChain stamp.
-func (p *Policer) snapshotRecords() []nfkit.StateRecord {
-	idxs := p.chain.AllocatedAsc(nil)
-	recs := make([]nfkit.StateRecord, 0, len(idxs)+1)
-	recs = append(recs, nfkit.StateRecord{
-		Pass: passConfig,
-		Data: cfgRecord{rate: p.cfg.Rate, burst: p.cfg.Burst},
-	})
-	for _, i := range idxs {
-		addr, err := p.addrs.Get(i)
-		if err != nil {
-			continue
-		}
-		stamp, _ := p.chain.Timestamp(i)
-		level, _ := p.buckets.LevelUnits(i)
-		last, _ := p.buckets.LastRefill(i)
-		recs = append(recs, nfkit.StateRecord{
-			Pass:  passSubscriber,
-			Stamp: stamp,
-			Data:  subRecord{addr: addr, levelUnits: level, lastRefill: last},
-		})
-	}
-	return recs
-}
-
-// restoreRecord replays one record into the core, fully or not at all.
-// Subscriber restores do NOT bump BucketsCreated: the subscriber was
-// admitted once, on the shard it migrated from.
-func (p *Policer) restoreRecord(rec nfkit.StateRecord) error {
-	switch d := rec.Data.(type) {
-	case cfgRecord:
-		// Buckets are empty at Pass 0, so now=0 settles nothing.
-		return p.Resize(d.rate, d.burst, 0)
-	case subRecord:
-		idx, err := p.chain.Allocate(rec.Stamp)
-		if err != nil {
-			return err
-		}
-		if err := p.subs.Put(d.addr, idx); err != nil {
-			_ = p.chain.Free(idx)
-			return err
-		}
-		if err := p.addrs.Set(idx, d.addr); err != nil {
-			_ = p.subs.Erase(d.addr)
-			_ = p.chain.Free(idx)
-			return err
-		}
-		if err := p.buckets.Restore(idx, d.levelUnits, d.lastRefill); err != nil {
-			_ = p.subs.Erase(d.addr)
-			_ = p.chain.Free(idx)
-			return err
-		}
-		return nil
-	default:
-		return fmt.Errorf("policer: unknown state record %T", rec.Data)
-	}
-}
-
-// shardOfRecord maps a record to its owner under the new partitioning,
-// consistently with the declared ShardOf steering (both directions hash
-// the subscriber address).
-func shardOfRecord(rec nfkit.StateRecord, shards int) int {
-	d, ok := rec.Data.(subRecord)
-	if !ok {
-		return -1 // config broadcasts
-	}
-	return int(d.addr.Hash() % uint64(shards))
-}
-
-// shardCodec is the policer's migration declaration.
-func shardCodec() *nfkit.ShardCodec[*Policer] {
-	return &nfkit.ShardCodec[*Policer]{
-		Snapshot: (*Policer).snapshotRecords,
-		Restore:  (*Policer).restoreRecord,
-		Shard:    shardOfRecord,
+// families declares the policer's migratable state.
+func families() []nfkit.Family[*Policer] {
+	return []nfkit.Family[*Policer]{
+		nfkit.Records[*Policer, cfgRecord]{
+			Name: "config",
+			Each: func(p *Policer, emit func(cfgRecord, libvig.Time)) {
+				emit(cfgRecord{rate: p.cfg.Rate, burst: p.cfg.Burst}, 0)
+			},
+			// Buckets are empty when the config lands, so now=0 settles
+			// nothing.
+			Restore: func(p *Policer, c cfgRecord, _ libvig.Time) error { return p.Resize(c.rate, c.burst, 0) },
+		},
+		nfkit.Records[*Policer, subRecord]{
+			Name: subscribersFamily,
+			Each: func(p *Policer, emit func(subRecord, libvig.Time)) {
+				for i, stamp, ok := p.chain.Oldest(); ok; i, stamp, ok = p.chain.After(i) {
+					addr, err := p.addrs.Get(i)
+					if err != nil {
+						continue
+					}
+					level, _ := p.buckets.LevelUnits(i)
+					last, _ := p.buckets.LastRefill(i)
+					emit(subRecord{addr: addr, levelUnits: level, lastRefill: last}, stamp)
+				}
+			},
+			// BucketsCreated does not move: the subscriber was admitted
+			// once, on the shard it migrated from.
+			Restore: func(p *Policer, s subRecord, stamp libvig.Time) error {
+				idx, err := p.admit(s.addr, stamp)
+				if err != nil {
+					return err
+				}
+				if err := p.buckets.Restore(idx, s.levelUnits, s.lastRefill); err != nil {
+					_ = p.subs.Erase(s.addr)
+					_ = p.chain.Free(idx)
+					return err
+				}
+				return nil
+			},
+			// Both directions of the declared steering hash the
+			// subscriber address.
+			ShardOf:   func(s *subRecord, shards int) int { return int(s.addr.Hash() % uint64(shards)) },
+			Occupancy: func(p *Policer) (int, int) { return p.Subscribers(), p.cfg.Capacity },
+		},
 	}
 }
 

@@ -307,6 +307,27 @@ func (p *Policer) eraseSubscriber(i int) error {
 	return nil
 }
 
+// admit gives addr a bucket index stamped at stamp — chain, map and
+// address vector together or not at all. Its two callers say what the
+// bucket holds: the packet path fills it, a restore puts back what it
+// held.
+func (p *Policer) admit(addr flow.Addr, stamp libvig.Time) (int, error) {
+	idx, err := p.chain.Allocate(stamp)
+	if err != nil {
+		return 0, err
+	}
+	if err := p.subs.Put(addr, idx); err != nil {
+		_ = p.chain.Free(idx)
+		return 0, err
+	}
+	if err := p.addrs.Set(idx, addr); err != nil {
+		_ = p.subs.Erase(addr)
+		_ = p.chain.Free(idx)
+		return 0, err
+	}
+	return idx, nil
+}
+
 // Config returns the policer's configuration.
 func (p *Policer) Config() Config { return p.cfg }
 
@@ -404,26 +425,14 @@ func (e *prodEnv) LookupBucket() (BucketHandle, bool) {
 }
 
 func (e *prodEnv) CreateBucket() (BucketHandle, bool) {
-	pol := e.pol
-	idx, err := pol.chain.Allocate(e.now)
+	idx, err := e.pol.admit(e.pkt.DstIP, e.now)
 	if err != nil {
 		e.reason = ReasonDropTableFull
 		return 0, false
 	}
-	if err := pol.subs.Put(e.pkt.DstIP, idx); err != nil {
-		_ = pol.chain.Free(idx)
-		e.reason = ReasonDropTableFull
-		return 0, false
-	}
-	if err := pol.addrs.Set(idx, e.pkt.DstIP); err != nil {
-		_ = pol.subs.Erase(e.pkt.DstIP)
-		_ = pol.chain.Free(idx)
-		e.reason = ReasonDropTableFull
-		return 0, false
-	}
 	// A fresh (or re-admitted) subscriber starts with a full burst.
-	_ = pol.buckets.Fill(idx, e.now)
-	pol.counters[ctrBucketsCreated]++
+	_ = e.pol.buckets.Fill(idx, e.now)
+	e.pol.counters[ctrBucketsCreated]++
 	return BucketHandle(idx), true
 }
 

@@ -138,16 +138,9 @@ func checkSpec(p *nfkit.SymPath) (telemetry.ReasonID, error) {
 	}
 	// The charged bucket must really be the destination subscriber's
 	// (entailed by the model/contract atoms on the path).
-	bind := p.Find("map_get_by_client_ip")
+	call := "map_get_by_client_ip"
 	if !hit {
-		bind = p.Find("bucket_create")
+		call = "bucket_create"
 	}
-	if !p.HasHandle(bind.Handle) {
-		return 0, fmt.Errorf("forwarding via unknown bucket handle %d", bind.Handle)
-	}
-	want := sym.EqVV(p.HVar(bind.Handle, "bucket_client_ip"), p.Var("pkt_dst_ip"))
-	if ok, failing := p.EntailsAll(want); !ok {
-		return 0, fmt.Errorf("bucket binding not entailed: %v", failing)
-	}
-	return r, nil
+	return r, p.Bound(call, [2]string{"bucket_client_ip", "pkt_dst_ip"})
 }

@@ -781,8 +781,9 @@ func TestFastPathFirewallConformance(t *testing.T) {
 		t.Fatalf("firewall counters diverged\ncached   proc=%d drop=%d exp=%d\nuncached proc=%d drop=%d exp=%d",
 			onProc, onDrop, onCore.Expired(), offProc, offDrop, offCore.Expired())
 	}
-	if onFW.Sessions() != offFW.Sessions() {
-		t.Fatalf("session counts diverged: cached %d, uncached %d", onFW.Sessions(), offFW.Sessions())
+	onLive, _ := onFW.Occupancy("sessions")
+	if offLive, _ := offFW.Occupancy("sessions"); onLive != offLive {
+		t.Fatalf("session counts diverged: cached %d, uncached %d", onLive, offLive)
 	}
 	ps := on.pipe.Stats()
 	if ps.FastPathHits == 0 || ps.FastPathEvictions == 0 {

@@ -328,8 +328,8 @@ func TestLBConformanceOnPipeline(t *testing.T) {
 		t.Fatalf("balancer tracks %d sticky flows, oracle %d", impl, specN)
 	}
 	for s := 0; s < lbShards; s++ {
-		if b := balancer.ShardBalancer(s); b.Flows() >= b.Config().Capacity {
-			t.Fatalf("shard %d filled (%d flows); capacity pressure invalidates the unbounded oracle", s, b.Flows())
+		if b := balancer.ShardBalancer(s); b.Table().Size() >= b.Config().Capacity {
+			t.Fatalf("shard %d filled (%d flows); capacity pressure invalidates the unbounded oracle", s, b.Table().Size())
 		}
 	}
 	for _, p := range pools {
@@ -411,7 +411,7 @@ func TestLBConformanceAnyPort(t *testing.T) {
 			assigned[id] = out
 		}
 	}
-	if impl, specN := b.Flows(), oracle.Size(); impl != specN {
+	if impl, specN := b.Table().Size(), oracle.Size(); impl != specN {
 		t.Fatalf("balancer tracks %d sticky flows, oracle %d", impl, specN)
 	}
 }
@@ -473,10 +473,10 @@ func TestLBConformanceCapacityStrict(t *testing.T) {
 		}
 		step(id, true, true)
 	}
-	if impl, specN := b.Flows(), oracle.Size(); impl != specN {
+	if impl, specN := b.Table().Size(), oracle.Size(); impl != specN {
 		t.Fatalf("balancer tracks %d sticky flows, oracle %d", impl, specN)
 	}
-	if b.Flows() != cap {
-		t.Fatalf("expected sustained capacity pressure, table holds %d/%d", b.Flows(), cap)
+	if b.Table().Size() != cap {
+		t.Fatalf("expected sustained capacity pressure, table holds %d/%d", b.Table().Size(), cap)
 	}
 }

@@ -106,7 +106,7 @@ func rigName(prefetch bool) string {
 // stats view is computed from).
 func sameFinalState[C any](t *testing.T, what string, d nfkit.Decl[C], a, b C) {
 	t.Helper()
-	if ra, rb := d.Codec.Snapshot(a), d.Codec.Snapshot(b); !reflect.DeepEqual(ra, rb) {
+	if ra, rb := d.Snapshot(a), d.Snapshot(b); !reflect.DeepEqual(ra, rb) {
 		t.Fatalf("%s: final table contents diverged:\n%+v\n%+v", what, ra, rb)
 	}
 	if ca, cb := d.Counters(a), d.Counters(b); !reflect.DeepEqual(ca, cb) {
