@@ -43,8 +43,9 @@ type Env interface {
 
 // Iteration is one pass of Fig. 1's event loop body (ll.8-16): buffer an
 // acceptable inbound packet if there is room, then forward one buffered
-// packet if possible. Like the NAT's ProcessPacket, it is written once
-// and executed by both the production binding and the symbolic engine.
+// packet if possible. Like the NAT's ProcessPacket, it is written once:
+// the symbolic engine executes it, and the production binding its body,
+// generated as prodIteration over *prodEnv by vigor/instgen.
 func Iteration(env Env) {
 	if !env.RingFull() {
 		if env.Receive() && !env.PacketHasPort9() {

@@ -67,6 +67,9 @@ func (e *prodFrameEnv) Drop()            { e.verdict, e.reason = nf.Drop, Reason
 // Frame is the stateless production core the kit binds: drop frames
 // addressed to port 9 (RFC 863), forward everything else unmodified.
 type Frame struct {
+	// env is reset per frame; a field, because a local handed to
+	// processFrame as a frameEnv would be moved to the heap.
+	env prodFrameEnv
 	// counters[r] totals frames tagged with reason r — the NF's whole
 	// counter array: it is stateless, so no lifecycle counts follow;
 	// lastReason is the most recent tag. Single-writer.
@@ -78,8 +81,9 @@ type Frame struct {
 // Frames that do not parse carry port 0 and are forwarded, matching
 // FromFrame's convention.
 func (d *Frame) ProcessAt(frame []byte, _ bool, _ libvig.Time) nf.Verdict {
-	e := prodFrameEnv{port9: FromFrame(frame).Port == 9}
-	processFrame(&e)
+	e := &d.env
+	*e = prodFrameEnv{port9: FromFrame(frame).Port == 9}
+	processFrame(e)
 	d.counters[e.reason]++
 	d.lastReason = e.reason
 	return e.verdict
@@ -121,8 +125,8 @@ func Kit() nfkit.Decl[*Frame] {
 	return nfkit.Decl[*Frame]{
 		Name: "discard",
 		New:  func(_, _, _ int) (*Frame, error) { return &Frame{}, nil },
-		Process: func(d *Frame, frame []byte, fromInternal bool, now libvig.Time) nf.Verdict {
-			return d.ProcessAt(frame, fromInternal, now)
+		Process: func(d *Frame, pkt *nf.Pkt, now libvig.Time) nf.Verdict {
+			return d.ProcessAt(pkt.Frame, pkt.FromInternal, now)
 		},
 		Stats:    func(c []uint64) nf.Stats { return nfkit.StatsOf(Reasons, c, 0) },
 		Counters: func(d *Frame) []uint64 { return d.counters[:] },

@@ -49,11 +49,13 @@ func (nf *NF) Stats() (received, discarded, sent uint64) {
 	return nf.received, nf.discarded, nf.sent
 }
 
-// RunOnce executes one loop iteration.
+// RunOnce executes one loop iteration: prodIteration, the verified
+// Iteration instantiated at *prodEnv (process_gen.go, written by
+// vigor/instgen).
 func (nf *NF) RunOnce() {
 	e := &nf.env
 	e.got = false
-	Iteration(e)
+	prodIteration(e)
 }
 
 // FromFrame extracts the discard NF's packet view from a raw frame.

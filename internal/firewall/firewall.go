@@ -105,7 +105,8 @@ type Env interface {
 }
 
 // ProcessPacket is the firewall's stateless logic, written once like
-// the NAT's (Fig. 6 analogue):
+// the NAT's and proved in this form; production runs its generated
+// instance (Fig. 6 analogue):
 //
 //	expire → classify → (internal: rejuvenate-or-create, forward;
 //	                     external: forward iff session live, else drop)
@@ -154,6 +155,8 @@ type session struct {
 // Firewall is the production binding: the verified stateless logic over
 // the kit's flow table, whose guards keep a cached verdict from
 // re-admitting unsolicited traffic through a freed, reallocated index.
+// It runs ProcessPacket's body as prodProcessPacket, generated from it
+// by vigor/instgen with *prodEnv for Env.
 type Firewall struct {
 	table *nfkit.FlowTable[session]
 	clock libvig.Clock
@@ -208,12 +211,16 @@ func (fw *Firewall) Process(frame []byte, fromInternal bool) Verdict {
 // ProcessAt is Process at an explicit time, for batched callers that
 // read the clock once per burst.
 func (fw *Firewall) ProcessAt(frame []byte, fromInternal bool, now libvig.Time) Verdict {
+	return fw.process(&nf.Pkt{Frame: frame, FromInternal: fromInternal}, now)
+}
+
+// process runs one packet through prodProcessPacket, ProcessPacket
+// instantiated at *prodEnv (process_gen.go, written by vigor/instgen).
+func (fw *Firewall) process(pkt *nf.Pkt, now libvig.Time) Verdict {
 	e := &fw.env
-	e.reset(frame, fromInternal, now)
-	ProcessPacket(e)
-	fw.counters[e.reason]++
-	fw.lastReason = e.reason
-	return e.verdict
+	e.reset(pkt, now)
+	prodProcessPacket(e)
+	return e.done()
 }
 
 // ExpireAt removes every session idle since before now−Texp without
@@ -242,11 +249,18 @@ type prodEnv struct {
 
 var _ Env = (*prodEnv)(nil)
 
-func (e *prodEnv) reset(frame []byte, fromInternal bool, now libvig.Time) {
-	e.Take(&e.fw.table.Burst, frame, fromInternal)
+func (e *prodEnv) reset(pkt *nf.Pkt, now libvig.Time) {
+	e.Take(&e.fw.table.Burst, pkt)
 	e.now = now
 	e.verdict = VerdictDrop
 	e.reason = ReasonDropParse
+}
+
+// done counts the packet under its reason and returns its verdict.
+func (e *prodEnv) done() Verdict {
+	e.fw.counters[e.reason]++
+	e.fw.lastReason = e.reason
+	return e.verdict
 }
 
 func (e *prodEnv) ExpireSessions() {

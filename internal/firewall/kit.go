@@ -31,8 +31,8 @@ func Kit(capacity int, timeout time.Duration, clock libvig.Clock) nfkit.Decl[*Fi
 		New: func(_, _, perShard int) (*Firewall, error) {
 			return New(perShard, timeout, clock)
 		},
-		Process: func(fw *Firewall, frame []byte, fromInternal bool, now libvig.Time) nf.Verdict {
-			if fw.ProcessAt(frame, fromInternal, now) == VerdictDrop {
+		Process: func(fw *Firewall, pkt *nf.Pkt, now libvig.Time) nf.Verdict {
+			if fw.process(pkt, now) == VerdictDrop {
 				return nf.Drop
 			}
 			return nf.Forward

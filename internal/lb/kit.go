@@ -61,8 +61,8 @@ func Kit(cfg Config, clock libvig.Clock) nfkit.Decl[*Balancer] {
 			shardCfg.Capacity = perShard
 			return New(shardCfg, clock)
 		},
-		Process: func(b *Balancer, frame []byte, fromInternal bool, now libvig.Time) nf.Verdict {
-			return verdictOf(b.ProcessAt(frame, fromInternal, now))
+		Process: func(b *Balancer, pkt *nf.Pkt, now libvig.Time) nf.Verdict {
+			return verdictOf(b.process(pkt, now))
 		},
 		// The burst's first sticky-expiry sweep and every packet's
 		// lookup start their table loads here, together.

@@ -27,6 +27,7 @@ import (
 
 	"vignat/internal/flow"
 	"vignat/internal/libvig"
+	"vignat/internal/nf"
 	"vignat/internal/nf/nfkit"
 	"vignat/internal/nf/telemetry"
 )
@@ -215,8 +216,9 @@ func statsOf(set *telemetry.ReasonSet, c []uint64) Stats {
 }
 
 // Env is the balancer's window onto the world — the same pattern as the
-// NAT's and firewall's stateless Env, so the logic is written once and
-// both the production binding and future symbolic drivers execute it.
+// NAT's and firewall's stateless Env, so the logic is written once: the
+// symbolic driver executes ProcessPacket, and production its body,
+// generated as prodProcessPacket over *prodEnv by vigor/instgen.
 type Env interface {
 	// Packet predicates (fork points; same guard ordering rules).
 	FrameIntact() bool
@@ -515,12 +517,16 @@ func (b *Balancer) Process(frame []byte, fromInternal bool) Verdict {
 // ProcessAt is Process at an explicit time, for batched callers that
 // read the clock once per burst.
 func (b *Balancer) ProcessAt(frame []byte, fromInternal bool, now libvig.Time) Verdict {
+	return b.process(&nf.Pkt{Frame: frame, FromInternal: fromInternal}, now)
+}
+
+// process runs one packet through prodProcessPacket, ProcessPacket
+// instantiated at *prodEnv (process_gen.go, written by vigor/instgen).
+func (b *Balancer) process(pkt *nf.Pkt, now libvig.Time) Verdict {
 	e := &b.env
-	e.reset(frame, fromInternal, now)
-	ProcessPacket(e)
-	b.counters[e.reason]++
-	b.lastReason = e.reason
-	return e.verdict
+	e.reset(pkt, now)
+	prodProcessPacket(e)
+	return e.done()
 }
 
 // replyKey derives the backend-side reply tuple for a client tuple
@@ -570,11 +576,18 @@ type prodEnv struct {
 
 var _ Env = (*prodEnv)(nil)
 
-func (e *prodEnv) reset(frame []byte, fromInternal bool, now libvig.Time) {
-	e.Take(&e.lb.flows.Burst, frame, fromInternal)
+func (e *prodEnv) reset(pkt *nf.Pkt, now libvig.Time) {
+	e.Take(&e.lb.flows.Burst, pkt)
 	e.now = now
 	e.verdict = VerdictDrop
 	e.reason = ReasonDropParse
+}
+
+// done counts the packet under its reason and returns its verdict.
+func (e *prodEnv) done() Verdict {
+	e.lb.counters[e.reason]++
+	e.lb.lastReason = e.reason
+	return e.verdict
 }
 
 // --- packet predicates ---

@@ -56,8 +56,8 @@ func kit(cfg Config, clock libvig.Clock, steer *steering) nfkit.Decl[*NAT] {
 			shardCfg.PortBase = cfg.PortBase + uint16(shard*perShard)
 			return New(shardCfg, clock)
 		},
-		Process: func(n *NAT, frame []byte, fromInternal bool, now libvig.Time) nf.Verdict {
-			return verdictOf(n.ProcessAt(frame, fromInternal, now))
+		Process: func(n *NAT, pkt *nf.Pkt, now libvig.Time) nf.Verdict {
+			return verdictOf(n.process(pkt, now))
 		},
 		// The burst's first Fig. 6 sweep and every packet's lookup start
 		// their table loads here, together.

@@ -2,12 +2,15 @@
 // code the paper verifies by exhaustive symbolic execution (§5.2.1).
 //
 // The logic is written exactly once, against the Env interface. The
-// production dataplane (internal/nat) binds Env to the real libVig flow
-// table and the dpdk substrate; the verification toolchain
-// (internal/vigor/symbex) binds it to symbolic models that fork execution
-// at every predicate and record symbolic traces. This mirrors the paper's
-// architecture: the same stateless C code runs under DPDK in production
-// and under KLEE with libVig models during verification.
+// verification toolchain (internal/vigor/symbex) binds Env to symbolic
+// models that fork execution at every predicate and record symbolic
+// traces. The production dataplane (internal/nat) runs the same body
+// bound to the real libVig flow table and the dpdk substrate: where the
+// paper links one C file against two libraries, vigor/instgen copies
+// this function's body, byte for byte, into internal/nat as
+// prodProcessPacket, taking the concrete *prodEnv instead of Env, so
+// that no env call is an interface dispatch. Regenerating the copy is a
+// test, and so is running one trace through both.
 //
 // Because all state access and all packet-content branching go through
 // Env, the function body below contains no other control-flow inputs:
@@ -116,8 +119,8 @@ type Env interface {
 // ProcessPacket is the stateless NAT: a direct transcription of the
 // paper's Fig. 6 (expire → update → forward). It must remain free of any
 // state or branching not routed through env — the verification result
-// applies to this function, and the production NF executes this same
-// function.
+// applies to this function, and the production NF executes its body
+// (internal/nat's prodProcessPacket, generated from it).
 func ProcessPacket(env Env) {
 	// Packet P arrives at time t → expire_flows(t)  (Fig. 6 l.2).
 	env.ExpireFlows()

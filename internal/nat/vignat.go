@@ -4,6 +4,7 @@ import (
 	"vignat/internal/dpdk"
 	"vignat/internal/libvig"
 	"vignat/internal/nat/stateless"
+	"vignat/internal/nf"
 	"vignat/internal/nf/nfkit"
 	"vignat/internal/nf/telemetry"
 )
@@ -115,12 +116,17 @@ func (n *NAT) Process(frame []byte, fromInternal bool) stateless.Verdict {
 // clock once per burst and feed the same timestamp to every packet,
 // the way DPDK NFs sample the TSC once per rx_burst.
 func (n *NAT) ProcessAt(frame []byte, fromInternal bool, now libvig.Time) stateless.Verdict {
+	return n.process(&nf.Pkt{Frame: frame, FromInternal: fromInternal}, now)
+}
+
+// process runs one packet through prodProcessPacket: the verified
+// stateless.ProcessPacket instantiated at *prodEnv (process_gen.go,
+// written by vigor/instgen), so that every env call is a direct one.
+func (n *NAT) process(pkt *nf.Pkt, now libvig.Time) stateless.Verdict {
 	e := &n.env
-	e.reset(frame, fromInternal, now)
-	stateless.ProcessPacket(e)
-	n.counters[e.reason]++
-	n.lastReason = e.reason
-	return e.verdict
+	e.reset(pkt, now)
+	prodProcessPacket(e)
+	return e.done()
 }
 
 // ExpireAt removes every flow idle since before now−Texp, without
@@ -152,11 +158,18 @@ type prodEnv struct {
 
 var _ stateless.Env = (*prodEnv)(nil)
 
-func (e *prodEnv) reset(frame []byte, fromInternal bool, now libvig.Time) {
-	e.Take(&e.nat.table.Burst, frame, fromInternal)
+func (e *prodEnv) reset(pkt *nf.Pkt, now libvig.Time) {
+	e.Take(&e.nat.table.Burst, pkt)
 	e.now = now
 	e.verdict = stateless.VerdictDrop
 	e.reason = ReasonDropParse
+}
+
+// done counts the packet under its reason and returns its verdict.
+func (e *prodEnv) done() stateless.Verdict {
+	e.nat.counters[e.reason]++
+	e.nat.lastReason = e.reason
+	return e.verdict
 }
 
 // --- libVig operations ---

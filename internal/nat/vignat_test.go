@@ -10,7 +10,6 @@ import (
 	"vignat/internal/nat/stateless"
 	"vignat/internal/netstack"
 	"vignat/internal/nf"
-	"vignat/internal/nf/nfkit"
 )
 
 func testNAT(t *testing.T, cap int, timeout time.Duration, clock libvig.Clock) *NAT {
@@ -323,8 +322,8 @@ func TestNATPrefetchedBurstNoAllocs(t *testing.T) {
 	if st := n.Stats(); st.FlowsCreated != st.Processed || st.FlowsExpired != st.Processed-burst {
 		t.Fatalf("not the flow-creation regime: %+v", st)
 	}
-	var own nfkit.Parsed
-	if n.table.Burst.Take(pkts[0].Frame, &own) != &own {
+	var own nf.Parsed
+	if n.table.Burst.Take(&pkts[0], &own) != &own {
 		t.Fatal("the burst scratch outlived its burst")
 	}
 }

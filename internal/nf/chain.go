@@ -25,10 +25,12 @@ type Chain struct {
 	// runs each element once over the whole surviving burst, so the
 	// element's code and state stay hot in cache for the burst instead
 	// of being evicted per packet — the i-cache batching DPDK service
-	// chains rely on.
+	// chains rely on. parses[i] is packet i's one parse, which every
+	// element is handed instead of parsing and hashing the frame again.
 	batchPkts []Pkt
 	batchVerd []Verdict
 	batchIdx  []int
+	parses    []Parsed
 
 	// lastDrop is the index (internal→external order) of the element
 	// that dropped the most recently dropped packet, -1 before the
@@ -116,15 +118,24 @@ func (c *Chain) Process(frame []byte, fromInternal bool) Verdict {
 // group is processed before the external-side group. Per-packet
 // observable behavior (verdicts, rewrites, stats) is identical to
 // len(pkts) Process calls.
+//
+// Each packet is parsed once, here, unless it arrives with a parse, and
+// every element is handed that parse in its Pkt: an element's rewrite
+// goes through the parse's setters, so the next element finds it
+// current and re-derives only the tuple and hash (Parsed.Refresh).
 func (c *Chain) ProcessBatch(pkts []Pkt, verdicts []Verdict) {
 	c.stats.Processed += uint64(len(pkts))
 	if cap(c.batchPkts) < len(pkts) {
 		c.batchPkts = make([]Pkt, 0, len(pkts))
 		c.batchVerd = make([]Verdict, len(pkts))
 		c.batchIdx = make([]int, 0, len(pkts))
+		c.parses = make([]Parsed, len(pkts))
 	}
 	for i := range pkts {
 		verdicts[i] = Forward // provisional; direction passes mark drops
+		if pkts[i].Parsed == nil {
+			c.parses[i].Parse(pkts[i].Frame)
+		}
 	}
 	c.directionPass(pkts, verdicts, true)
 	c.directionPass(pkts, verdicts, false)
@@ -139,15 +150,8 @@ func (c *Chain) ProcessBatch(pkts []Pkt, verdicts []Verdict) {
 
 // directionPass runs the sub-burst travelling in one direction through
 // the chain in that direction's element order, compacting the survivor
-// set after each element so dropped packets never reach later elements.
-//
-// The first element's pass is fused with the engine's steer pass
-// whenever it can be: the pipeline's rxSteer emits each shard's burst
-// direction-grouped (the internal port's frames before the external
-// port's), so a direction's packets arrive as one contiguous run and
-// the first element can process that run in place — no scratch copy.
-// Later elements (and non-contiguous callers) still compact survivors
-// through the scratch burst.
+// set into the scratch burst after each element so dropped packets never
+// reach later elements.
 func (c *Chain) directionPass(pkts []Pkt, verdicts []Verdict, fromInternal bool) {
 	live := c.batchIdx[:0]
 	for i := range pkts {
@@ -155,38 +159,20 @@ func (c *Chain) directionPass(pkts []Pkt, verdicts []Verdict, fromInternal bool)
 			live = append(live, i)
 		}
 	}
-	if len(live) == 0 {
-		return
-	}
-	step := 0
-	if lo := live[0]; live[len(live)-1]-lo == len(live)-1 {
-		// Contiguous run: the steer pass already built this element's
-		// input, so the first element reads pkts directly.
-		ei := 0
-		if !fromInternal {
-			ei = len(c.elems) - 1
-		}
-		c.elems[ei].ProcessBatch(pkts[lo:lo+len(live)], c.batchVerd)
-		kept := live[:0]
-		for j, i := range live {
-			if c.batchVerd[j] == Forward {
-				kept = append(kept, i)
-			} else {
-				verdicts[i] = Drop
-				c.lastDrop = ei
-			}
-		}
-		live = kept
-		step = 1
-	}
-	for ; step < len(c.elems) && len(live) > 0; step++ {
+	for step := 0; step < len(c.elems) && len(live) > 0; step++ {
 		ei := step
 		if !fromInternal {
 			ei = len(c.elems) - 1 - step
 		}
-		sub := c.batchPkts[:0]
-		for _, i := range live {
-			sub = append(sub, pkts[i])
+		// Field by field: a Pkt built whole on the stack and copied in
+		// stalls on store forwarding.
+		sub := c.batchPkts[:len(live)]
+		for j, i := range live {
+			s := &sub[j]
+			s.Frame, s.FromInternal, s.Parsed = pkts[i].Frame, fromInternal, pkts[i].Parsed
+			if s.Parsed == nil {
+				s.Parsed = &c.parses[i]
+			}
 		}
 		c.elems[ei].ProcessBatch(sub, c.batchVerd)
 		kept := live[:0]

@@ -13,7 +13,11 @@
 // its input/fwd threads.
 package nf
 
-import "vignat/internal/libvig"
+import (
+	"vignat/internal/flow"
+	"vignat/internal/libvig"
+	"vignat/internal/netstack"
+)
 
 // Verdict is the pipeline-level outcome for one packet. NFs in this
 // repository are two-interface middleboxes, so "forward" always means
@@ -48,6 +52,50 @@ func (v Verdict) String() string {
 type Pkt struct {
 	Frame        []byte
 	FromInternal bool
+	// Parsed, when set, is Frame's parse, made once for every element of
+	// a Chain. An NF handed one rewrites the frame only through its
+	// setters, which keep it the frame's parse for the element after,
+	// and calls Refresh before it trusts ID and Hash.
+	Parsed *Parsed
+}
+
+// Parsed is what a flow-table NF needs of a frame before it touches its
+// state: the header parse, the 5-tuple and the 5-tuple's hash — the key
+// and the hash of every lookup and insert the packet will make.
+type Parsed struct {
+	Pkt  netstack.Packet
+	ID   flow.ID // Pkt.FlowID()
+	Hash uint64  // ID.Hash()
+}
+
+// Parse fills p from frame.
+func (p *Parsed) Parse(frame []byte) {
+	_ = p.Pkt.Parse(frame) // the validity flags carry the outcome
+	p.derive()
+}
+
+// Refresh brings ID and Hash up to date after an NF rewrote the frame
+// through Pkt's setters, which write addresses and ports only: the
+// tuple is re-read and hashed again only when one of those changed.
+func (p *Parsed) Refresh() {
+	k := &p.Pkt
+	if k.NATable() && (k.SrcIP != p.ID.SrcIP || k.DstIP != p.ID.DstIP || k.SrcPort != p.ID.SrcPort || k.DstPort != p.ID.DstPort) {
+		p.derive()
+	}
+}
+
+// derive sets ID to Pkt.FlowID() and Hash to its hash. It spells the
+// tuple out instead of calling FlowID, and Refresh compares it field by
+// field, because a flow.ID (five fields, so kept in memory) that is
+// stored in pieces and reloaded whole stalls store forwarding, on every
+// packet.
+func (p *Parsed) derive() {
+	var id flow.ID
+	if k := &p.Pkt; k.NATable() {
+		id = flow.ID{SrcIP: k.SrcIP, DstIP: k.DstIP, SrcPort: k.SrcPort, DstPort: k.DstPort, Proto: k.Proto}
+	}
+	p.Hash = id.Hash()
+	p.ID = id
 }
 
 // Stats are the engine-visible counters every NF exposes. NFs keep

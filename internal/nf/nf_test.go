@@ -344,11 +344,11 @@ func TestChainBatchMatchesPerPacket(t *testing.T) {
 
 // TestChainBatchGroupedMatchesPerPacket drives a direction-grouped
 // burst — the exact shape the engine's steer pass emits (the internal
-// port's frames first, then the external port's) — through the fused
-// first-element pass, and checks verdict-for-verdict agreement with
-// per-packet processing. Together with TestChainBatchMatchesPerPacket
-// (interleaved directions, the copying fallback) this pins that the
-// steer/first-element fusion is observably invisible.
+// port's frames first, then the external port's) — through the chain,
+// and checks verdict-for-verdict agreement with per-packet processing.
+// Together with TestChainBatchMatchesPerPacket (interleaved directions)
+// this pins that the batch's grouping, and its one parse per packet, are
+// observably invisible.
 func TestChainBatchGroupedMatchesPerPacket(t *testing.T) {
 	mkChain := func() *nf.Chain {
 		c, err := nf.NewChain("t", &parityNF{}, discard.NewFrameNF())
@@ -376,8 +376,7 @@ func TestChainBatchGroupedMatchesPerPacket(t *testing.T) {
 		frame[0] = byte(i % 3 % 2) // some dropped by the parity element
 		pkts = append(pkts, nf.Pkt{Frame: frame, FromInternal: fromInternal})
 	}
-	// Internal group first, external group second — two contiguous
-	// runs, both eligible for the fused pass.
+	// Internal group first, external group second.
 	for i := 0; i < 20; i++ {
 		mk(i, true)
 	}
@@ -397,8 +396,8 @@ func TestChainBatchGroupedMatchesPerPacket(t *testing.T) {
 		t.Fatalf("stats diverge: batched %+v, per-packet %+v", bs, ps)
 	}
 
-	// A single-direction burst starting mid-slice is still contiguous:
-	// the fused pass must respect the offset.
+	// A single-direction burst starting mid-slice: the chain's scratch
+	// (its parses included) is indexed from the sub-slice's start.
 	single := mkChain()
 	sub := pkts[3:17]
 	verd := make([]nf.Verdict, len(sub))

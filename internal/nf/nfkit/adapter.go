@@ -16,6 +16,9 @@ import (
 type Adapter[C any] struct {
 	d    Decl[C]
 	core C
+	// one is the packet Process hands the core: a field, not a local,
+	// because a pointer through the declared closure would escape.
+	one nf.Pkt
 }
 
 var (
@@ -42,7 +45,8 @@ func (a *Adapter[C]) Name() string { return a.d.Name }
 
 // Process runs one frame at the declared clock's current time.
 func (a *Adapter[C]) Process(frame []byte, fromInternal bool) nf.Verdict {
-	return a.d.Process(a.core, frame, fromInternal, a.d.now())
+	a.one.Frame, a.one.FromInternal = frame, fromInternal
+	return a.d.Process(a.core, &a.one, a.d.now())
 }
 
 // ProcessBatch processes a burst, reading the clock once for the whole
@@ -59,7 +63,7 @@ func (a *Adapter[C]) ProcessBatchAt(pkts []nf.Pkt, verdicts []nf.Verdict, now li
 		a.d.Prefetch(a.core, pkts, now)
 	}
 	for i := range pkts {
-		verdicts[i] = a.d.Process(a.core, pkts[i].Frame, pkts[i].FromInternal, now)
+		verdicts[i] = a.d.Process(a.core, &pkts[i], now)
 	}
 }
 

@@ -6,22 +6,6 @@ import (
 	"vignat/internal/nf"
 )
 
-// Parsed is what a flow-table NF needs of a frame before it touches its
-// state: the header parse, the 5-tuple and the 5-tuple's hash — the key
-// and the hash of every lookup and insert the packet will make.
-type Parsed struct {
-	Pkt  netstack.Packet
-	ID   flow.ID // Pkt.FlowID()
-	Hash uint64  // ID.Hash()
-}
-
-// Parse fills p from frame.
-func (p *Parsed) Parse(frame []byte) {
-	_ = p.Pkt.Parse(frame) // the validity flags carry the outcome
-	p.ID = p.Pkt.FlowID()
-	p.Hash = p.ID.Hash()
-}
-
 // burstPrefetchMax bounds the packets of one burst a Burst keeps; the
 // rest of a longer burst is parsed by the per-packet path as before.
 const burstPrefetchMax = 64
@@ -36,53 +20,80 @@ const burstPrefetchMax = 64
 // any burst of mbufs: its frames are distinct buffers, and between the
 // hook and packet i's Process only the Process of packets before i
 // runs, which writes no frame but its own.
+//
+// A packet that carries its parse (nf.Pkt.Parsed, a chain's) is never
+// parsed here: its entry is that parse, refreshed, so that an element
+// after one that rewrote the frame keys its state by the rewritten
+// tuple.
 type Burst struct {
 	n, next int
-	ents    [burstPrefetchMax]Parsed
+	ents    [burstPrefetchMax]*nf.Parsed
+	parses  [burstPrefetchMax]nf.Parsed // the entries parsed here
 }
 
-// Fill parses the burst's leading packets into the scratch, arms it, and
-// returns the entries, index-aligned with pkts.
-func (b *Burst) Fill(pkts []nf.Pkt) []Parsed {
+// Fill arms the scratch with the parses of the burst's leading packets
+// and returns them, index-aligned with pkts.
+func (b *Burst) Fill(pkts []nf.Pkt) []*nf.Parsed {
 	b.n, b.next = min(len(pkts), len(b.ents)), 0
 	for i := range b.ents[:b.n] {
-		b.ents[i].Parse(pkts[i].Frame)
+		b.ents[i] = parseOf(&pkts[i], &b.parses[i])
 	}
 	return b.ents[:b.n]
 }
 
-// Take returns frame's parse: the scratch's entry when frame is the next
-// one due, and otherwise own, parsed here.
-func (b *Burst) Take(frame []byte, own *Parsed) *Parsed {
+// Take returns pkt's parse: the scratch's entry when pkt's frame is the
+// next one due, and otherwise parseOf's.
+func (b *Burst) Take(pkt *nf.Pkt, own *nf.Parsed) *nf.Parsed {
 	if b.next < b.n {
-		p := &b.ents[b.next]
-		if d := p.Pkt.Data; len(d) == len(frame) && len(d) > 0 && &d[0] == &frame[0] {
+		p := b.ents[b.next]
+		if d := p.Pkt.Data; len(d) == len(pkt.Frame) && len(d) > 0 && &d[0] == &pkt.Frame[0] {
 			b.next++
 			return p
 		}
 		b.n = 0
 	}
-	own.Parse(frame)
+	return parseOf(pkt, own)
+}
+
+// parseOf is the parse pkt carries, refreshed, or else own, parsed here.
+func parseOf(pkt *nf.Pkt, own *nf.Parsed) *nf.Parsed {
+	if p := pkt.Parsed; p != nil {
+		p.Refresh()
+		return p
+	}
+	own.Parse(pkt.Frame)
 	return own
 }
 
 // PktGuards is the embeddable production binding of the guards every
-// flow-table NF's Env opens with — the six-predicate parse chain and
-// the arrival side, answered from the packet in hand (SymGuards is the
-// symbolic binding of the same methods). A per-NF prodEnv embeds it,
-// calls Take per packet, and keys its state operations by P.
+// NF's Env opens with — the parse chain and the arrival side, answered
+// from the packet in hand (SymGuards is the symbolic binding of the
+// same methods). A per-NF prodEnv embeds it, calls Take per packet, and
+// keys its state operations by P.
 type PktGuards struct {
-	// P is the packet in hand: the burst scratch's entry when the
-	// Prefetch hook parsed this frame, own otherwise.
-	P            *Parsed
-	own          Parsed
+	// P is the packet in hand: the parse it carried, the burst scratch's
+	// entry when the Prefetch hook parsed this frame, own otherwise.
+	P            *nf.Parsed
+	own          nf.Parsed
 	FromInternal bool
 }
 
-// Take makes frame the packet in hand (see Burst.Take).
-func (g *PktGuards) Take(b *Burst, frame []byte, fromInternal bool) {
-	g.P = b.Take(frame, &g.own)
-	g.FromInternal = fromInternal
+// Take makes pkt the packet in hand (see Burst.Take).
+func (g *PktGuards) Take(b *Burst, pkt *nf.Pkt) {
+	g.P = b.Take(pkt, &g.own)
+	g.FromInternal = pkt.FromInternal
+}
+
+// TakeHeaders is Take for an NF that keys nothing by the 5-tuple and so
+// keeps no burst scratch (the policer): P is the parse pkt carries, or
+// else own with the headers parsed and ID and Hash left underived —
+// such an NF must not read them.
+func (g *PktGuards) TakeHeaders(pkt *nf.Pkt) {
+	if g.P = pkt.Parsed; g.P == nil {
+		_ = g.own.Pkt.Parse(pkt.Frame) // the validity flags carry the outcome
+		g.P = &g.own
+	}
+	g.FromInternal = pkt.FromInternal
 }
 
 func (g *PktGuards) FrameIntact() bool     { return len(g.P.Pkt.Data) >= netstack.EthHeaderLen }

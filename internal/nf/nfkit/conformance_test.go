@@ -873,6 +873,102 @@ func TestRepeatExpireAtSameNowIsNoOp(t *testing.T) {
 	}
 }
 
+// TestBatchesAllocateNothing: a burst through each NF's adapter — its
+// Prefetch hook, then its generated instance over every packet — and a
+// burst through the firewall→policer→balancer→NAT chain, each packet
+// parsed once and that parse handed to all four, allocate nothing in
+// the steady state. Every burst restores its frames (the NAT and the
+// balancer rewrite them) and carries both sides, and every eighth comes
+// after a quiet spell past the timeout, so that state is created, found
+// and expired.
+func TestBatchesAllocateNothing(t *testing.T) {
+	const burst = 32
+	run := func(t *testing.T, n nf.NF, clock *libvig.VirtualClock, frame func(i int) []byte, fromInternal bool) {
+		t.Helper()
+		fresh := make([][]byte, burst)
+		pkts := make([]nf.Pkt, burst)
+		for i := range pkts {
+			fresh[i] = frame(i)
+			pkts[i] = nf.Pkt{Frame: make([]byte, len(fresh[i])), FromInternal: fromInternal == (i%4 != 3)}
+		}
+		verdicts := make([]nf.Verdict, burst)
+		runs := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			for i := range pkts {
+				copy(pkts[i].Frame, fresh[i])
+			}
+			if runs++; clock != nil && runs%8 == 0 {
+				clock.Advance(libvig.Time(2 * confTimeout.Nanoseconds()))
+			} else if clock != nil {
+				clock.Advance(1000)
+			}
+			n.ProcessBatch(pkts, verdicts)
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: a burst allocates %.1f times", n.Name(), allocs)
+		}
+	}
+	for _, tc := range shardCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := libvig.NewVirtualClock(0)
+			run(t, tc.one(t, clock).nf, clock, tc.frame, tc.fromInternal)
+		})
+	}
+	t.Run("discard", func(t *testing.T) {
+		run(t, discard.NewFrameNF(), nil, func(i int) []byte {
+			return craft(flow.ID{
+				SrcIP: flow.MakeAddr(10, 0, 0, byte(1+i)), SrcPort: uint16(4000 + i),
+				DstIP: flow.MakeAddr(198, 51, 100, 1), DstPort: uint16(9 + 71*(i%2)), Proto: flow.UDP,
+			})
+		}, true)
+	})
+	t.Run("chain", func(t *testing.T) {
+		clock := libvig.NewVirtualClock(0)
+		fw, err := firewall.New(4*confSessions, confTimeout, clock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pol, err := policer.New(policer.Config{Rate: 1 << 20, Burst: 1 << 20, Capacity: 4 * confSessions, Timeout: confTimeout}, clock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bal, err := lb.New(lb.Config{
+			VIP: confVIP, VIPPort: 443, Capacity: 4 * confSessions, Timeout: confTimeout,
+			MaxBackends: 4, ClientsInternal: true, Passthrough: true,
+		}, clock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bal.AddBackend(flow.MakeAddr(10, 1, 0, 10), 0); err != nil {
+			t.Fatal(err)
+		}
+		gw, err := nat.New(nat.Config{
+			Capacity: 4 * confSessions, Timeout: confTimeout, ExternalIP: flow.MakeAddr(198, 18, 1, 1),
+			PortBase: 1000, InternalPort: 0, ExternalPort: 1,
+		}, clock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := nf.NewChain("gateway", firewall.AsNF(fw), policer.AsNF(pol), lb.AsNF(bal), nat.AsNF(gw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		run(t, c, clock, func(i int) []byte {
+			dst, port := flow.MakeAddr(93, 184, 216, 34), uint16(80)
+			if i%3 == 0 {
+				dst, port = confVIP, 443
+			}
+			return craft(flow.ID{
+				SrcIP: flow.MakeAddr(10, 0, 0, byte(1+i)), SrcPort: uint16(20000 + i),
+				DstIP: dst, DstPort: port, Proto: flow.UDP,
+			})
+		}, true)
+		if st := gw.Stats(); st.ForwardedOut == 0 || st.FlowsExpired == 0 {
+			t.Fatalf("the chain's bursts never reached the NAT's flow churn: %+v", st)
+		}
+	})
+}
+
 // TestEachPacketCountedOnce: on every stateful NF, N packets of an
 // established session move exactly one cell of the declared counter
 // array by exactly N — through the slow path and again through the

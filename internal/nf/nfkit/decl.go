@@ -7,7 +7,13 @@
 //
 //   - the allocation-free production binding onto the engine
 //     (Adapter: clock-once batches, verdict mapping, the reason-count
-//     prefix of the declared counter array);
+//     prefix of the declared counter array). What Decl.Process runs is
+//     the NF's verified function instantiated at its production Env —
+//     the same body with the Env interface replaced by the concrete
+//     *prodEnv, written by vigor/instgen — and each packet's parse is
+//     the one it carries when a chain made one (nf.Pkt.Parsed, taken by
+//     PktGuards through Burst), so an element after another neither
+//     dispatches through Env nor parses the frame again;
 //   - the concurrently-scrapeable sharded composition (Sharded[C], each
 //     shard publishing into its own nf.Block), its live reshard and its
 //     per-family occupancy;
@@ -85,10 +91,11 @@ type Decl[C any] struct {
 	// NewSharded; Adapt does not use it.
 	New func(shard, shards, perShard int) (C, error)
 
-	// Process runs one frame through the core at an explicit time,
+	// Process runs one packet through the core at an explicit time,
 	// returning the engine-level verdict (the NF's own richer verdict
-	// collapses here). It must be allocation-free on the steady state.
-	Process func(core C, frame []byte, fromInternal bool, now libvig.Time) nf.Verdict
+	// collapses here). It must be allocation-free on the steady state,
+	// and it honors the packet's parse when it carries one (nf.Pkt).
+	Process func(core C, pkt *nf.Pkt, now libvig.Time) nf.Verdict
 
 	// Prefetch, when set, runs once before the per-packet loop of a
 	// burst of more than one packet, at the burst's timestamp: the

@@ -192,12 +192,12 @@ func (t *FlowTable[V]) CheckInvariant() error {
 	return t.m.CheckInvariant()
 }
 
-// Prefetch is its owner's Decl.Prefetch: it parses the burst into the
-// scratch and starts the loads of (a) the home slots of the records the
-// burst's first packet will expire at deadline — the one Fig. 6 sweep
-// of the burst that frees anything — and (b) each packet's own home
-// slot, in the map of the key its side sees (in an indexed table, the
-// record the second key names).
+// Prefetch is its owner's Decl.Prefetch: it fills the scratch with the
+// burst's parses (a chain's, or made here) and starts the loads of (a)
+// the home slots of the records the burst's first packet will expire at
+// deadline — the one Fig. 6 sweep of the burst that frees anything —
+// and (b) each packet's own home slot, in the map of the key its side
+// sees (in an indexed table, the record the second key names).
 func (t *FlowTable[V]) Prefetch(pkts []nf.Pkt, deadline libvig.Time) {
 	t.m.PrefetchExpiring(t.chain, deadline, len(pkts))
 	ents := t.Burst.Fill(pkts)

@@ -204,7 +204,7 @@ func (s *Sharded[C]) ProcessBatch(pkts []nf.Pkt, verdicts []nf.Verdict) {
 	now := s.decl.now()
 	for i := range pkts {
 		shard := s.shardOf(st, pkts[i].Frame, pkts[i].FromInternal)
-		verdicts[i] = s.decl.Process(st.shards[shard].core, pkts[i].Frame, pkts[i].FromInternal, now)
+		verdicts[i] = s.decl.Process(st.shards[shard].core, &pkts[i], now)
 	}
 	for _, sh := range st.shards {
 		sh.Publish(nf.FlowCache{})

@@ -858,7 +858,11 @@ func (wk *worker) rxSteer(port *dpdk.Port, fromInternal bool) int {
 				li = p.ownerLocal[s]
 			}
 		}
-		wk.pkts[li] = append(wk.pkts[li], Pkt{Frame: m.Data, FromInternal: fromInternal})
+		// Field by field into the slot: a Pkt built whole on the stack
+		// and copied in stalls on store forwarding, once a packet.
+		k := len(wk.pkts[li])
+		wk.pkts[li] = append(wk.pkts[li], Pkt{})
+		wk.pkts[li][k].Frame, wk.pkts[li][k].FromInternal = m.Data, fromInternal
 		wk.bufs[li] = append(wk.bufs[li], m)
 	}
 	return cnt

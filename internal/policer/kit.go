@@ -42,8 +42,8 @@ func Kit(cfg Config, clock libvig.Clock) nfkit.Decl[*Policer] {
 			shardCfg.Capacity = perShard
 			return New(shardCfg, clock)
 		},
-		Process: func(p *Policer, frame []byte, fromInternal bool, now libvig.Time) nf.Verdict {
-			return verdictOf(p.ProcessAt(frame, fromInternal, now))
+		Process: func(p *Policer, pkt *nf.Pkt, now libvig.Time) nf.Verdict {
+			return verdictOf(p.process(pkt, now))
 		},
 		Expire: (*Policer).ExpireAt,
 		Stats: func(c []uint64) nf.Stats {

@@ -30,7 +30,7 @@ import (
 	"vignat/internal/fastpath"
 	"vignat/internal/flow"
 	"vignat/internal/libvig"
-	"vignat/internal/netstack"
+	"vignat/internal/nf"
 	"vignat/internal/nf/nfkit"
 	"vignat/internal/nf/telemetry"
 )
@@ -167,8 +167,9 @@ func statsOf(c []uint64) Stats {
 
 // Env is the policer's window onto the world — the same pattern as the
 // NAT's, firewall's, and balancer's stateless Env, so the logic is
-// written once and both the production binding and the symbolic engine
-// execute it.
+// written once: the symbolic engine executes ProcessPacket, and
+// production its body, generated as prodProcessPacket over *prodEnv by
+// vigor/instgen.
 type Env interface {
 	// Packet predicates (fork points; same guard ordering rules). The
 	// policer meters any IPv4 packet — fragments and non-TCP/UDP
@@ -370,23 +371,29 @@ func (p *Policer) Process(frame []byte, fromInternal bool) Verdict {
 // ProcessAt is Process at an explicit time, for batched callers that
 // read the clock once per burst.
 func (p *Policer) ProcessAt(frame []byte, fromInternal bool, now libvig.Time) Verdict {
+	return p.process(&nf.Pkt{Frame: frame, FromInternal: fromInternal}, now)
+}
+
+// process runs one packet through prodProcessPacket, ProcessPacket
+// instantiated at *prodEnv (process_gen.go, written by vigor/instgen).
+func (p *Policer) process(pkt *nf.Pkt, now libvig.Time) Verdict {
 	e := &p.env
-	e.reset(frame, fromInternal, now)
-	ProcessPacket(e)
-	p.counters[e.reason]++
-	p.lastReason = e.reason
-	return e.verdict
+	e.reset(pkt, now)
+	prodProcessPacket(e)
+	return e.done()
 }
 
 // prodEnv binds Env to the real structures; the same shape as every
 // other NF's prodEnv. It is embedded in Policer and reset per packet,
 // so the fast path allocates nothing.
 type prodEnv struct {
-	pol          *Policer
-	pkt          netstack.Packet
-	fromInternal bool
-	now          libvig.Time
-	verdict      Verdict
+	// The parse chain (the policer asks only its first three guards)
+	// and the arrival side, over packet P: a chain's parse when the
+	// packet carries one, the policer's own header parse otherwise.
+	nfkit.PktGuards
+	pol     *Policer
+	now     libvig.Time
+	verdict Verdict
 	// reason tags the packet's outcome. The decisive env-call sites
 	// overwrite the malformed default: a creation failure means
 	// table-full, a refused charge over-rate, the forwarding outputs
@@ -396,21 +403,19 @@ type prodEnv struct {
 
 var _ Env = (*prodEnv)(nil)
 
-func (e *prodEnv) reset(frame []byte, fromInternal bool, now libvig.Time) {
-	_ = e.pkt.Parse(frame)
-	e.fromInternal = fromInternal
+func (e *prodEnv) reset(pkt *nf.Pkt, now libvig.Time) {
+	e.TakeHeaders(pkt)
 	e.now = now
 	e.verdict = VerdictDrop
 	e.reason = ReasonDropMalformed
 }
 
-// --- packet predicates ---
-
-func (e *prodEnv) FrameIntact() bool     { return len(e.pkt.Data) >= netstack.EthHeaderLen }
-func (e *prodEnv) EtherIsIPv4() bool     { return e.pkt.EtherType == netstack.EtherTypeIPv4 }
-func (e *prodEnv) IPv4HeaderValid() bool { return e.pkt.L3Valid }
-
-func (e *prodEnv) PacketFromInternal() bool { return e.fromInternal }
+// done counts the packet under its reason and returns its verdict.
+func (e *prodEnv) done() Verdict {
+	e.pol.counters[e.reason]++
+	e.pol.lastReason = e.reason
+	return e.verdict
+}
 
 // --- libVig operations ---
 
@@ -420,12 +425,12 @@ func (e *prodEnv) ExpireState() {
 }
 
 func (e *prodEnv) LookupBucket() (BucketHandle, bool) {
-	i, ok := e.pol.subs.Get(e.pkt.DstIP)
+	i, ok := e.pol.subs.Get(e.P.Pkt.DstIP)
 	return BucketHandle(i), ok
 }
 
 func (e *prodEnv) CreateBucket() (BucketHandle, bool) {
-	idx, err := e.pol.admit(e.pkt.DstIP, e.now)
+	idx, err := e.pol.admit(e.P.Pkt.DstIP, e.now)
 	if err != nil {
 		e.reason = ReasonDropTableFull
 		return 0, false
@@ -442,7 +447,7 @@ func (e *prodEnv) Rejuvenate(h BucketHandle) {
 
 func (e *prodEnv) Charge(h BucketHandle) bool {
 	// The charge is the wire length: what the subscriber's link carries.
-	ok := e.pol.buckets.Charge(int(h), len(e.pkt.Data), e.now)
+	ok := e.pol.buckets.Charge(int(h), len(e.P.Pkt.Data), e.now)
 	if !ok {
 		e.reason = ReasonDropOverRate
 	}
