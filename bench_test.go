@@ -20,10 +20,9 @@ import (
 	"vignat/internal/moongen"
 	"vignat/internal/nat"
 	"vignat/internal/netstack"
+	"vignat/internal/nf/nfkit"
 	"vignat/internal/testbed"
 	"vignat/internal/unverified"
-	"vignat/internal/vigor/symbex"
-	"vignat/internal/vigor/validator"
 )
 
 // benchScale keeps `go test -bench=.` affordable while preserving the
@@ -92,30 +91,26 @@ func BenchmarkFig14Throughput(b *testing.B) {
 
 // --- Table V1: verification pipeline statistics ---
 
+// BenchmarkTableV1Validation proves every Table V1 declaration at 1 and
+// 4 validation workers, reporting the exploration and the validation
+// wall time per proof pass beside ns/op.
 func BenchmarkTableV1Validation(b *testing.B) {
-	res, err := symbex.RunNAT(symbex.NATEnvConfig{
-		Policy: symbex.ModelExact, PortBase: experiments.PortBase, PortCount: experiments.Capacity,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("ESE", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := symbex.RunNAT(symbex.NATEnvConfig{
-				Policy: symbex.ModelExact, PortBase: experiments.PortBase, PortCount: experiments.Capacity,
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	proofs := experiments.Proofs()
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("validate-%dworker", workers), func(b *testing.B) {
+			var explore, validate time.Duration
 			for i := 0; i < b.N; i++ {
-				rep := validator.Validate(res, validator.Config{Workers: workers})
-				if !rep.OK() {
-					b.Fatal("proof failed")
+				for _, p := range proofs {
+					rep, err := nfkit.VerifySym(*p.Sym, nfkit.ModelExact, workers)
+					if err != nil || !rep.OK() {
+						b.Fatalf("%s: proof failed: %v", p.Name, err)
+					}
+					explore += rep.Explore
+					validate += rep.Validate
 				}
 			}
+			b.ReportMetric(float64(explore.Nanoseconds())/float64(b.N), "explore-ns/op")
+			b.ReportMetric(float64(validate.Nanoseconds())/float64(b.N), "validate-ns/op")
 		})
 	}
 }

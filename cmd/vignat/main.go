@@ -21,9 +21,10 @@
 // goroutine running the run-to-completion loop — deliver, poll, drain —
 // with no synchronization anywhere on the packet path.
 //
-// With -verify the binary first runs the verification pipeline and
-// refuses to start on a failed proof — the deployment story the paper
-// argues for: the artifact you run is the artifact you proved.
+// With -verify (the default) the binary first proves the NAT it is about
+// to run — the declaration of this configuration, port range included —
+// and refuses to start on a failed proof: the deployment story the paper
+// argues for, the artifact you run is the artifact you proved.
 package main
 
 import (
@@ -32,7 +33,7 @@ import (
 	"io"
 	"time"
 
-	"vignat/internal/core"
+	"vignat/internal/flow"
 	"vignat/internal/libvig"
 	"vignat/internal/moongen"
 	"vignat/internal/nat"
@@ -47,12 +48,14 @@ func main() {
 		Name:            "vignat",
 		DefaultCapacity: nat.DefaultCapacity,
 		Build: func(o *nfkit.Options, clock libvig.Clock) (*nfkit.Run, error) {
-			cfg := core.DefaultConfig(core.IPv4(198, 18, 1, 1))
-			cfg.Timeout = o.Timeout
-			cfg.Capacity = o.Capacity
+			cfg := nat.Config{Capacity: o.Capacity, Timeout: o.Timeout,
+				ExternalIP: flow.MakeAddr(198, 18, 1, 1), ExternalPort: 1}
+			if err := cfg.Validate(); err != nil {
+				return nil, err
+			}
 
 			if *verify {
-				rep, err := core.Verify(cfg, 0)
+				rep, err := nfkit.VerifySym(*nat.Kit(cfg, clock).Sym, nfkit.ModelExact, 0)
 				if err != nil {
 					return nil, err
 				}

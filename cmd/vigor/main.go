@@ -1,17 +1,22 @@
 // Command vigor runs the verification pipeline — exhaustive symbolic
-// execution plus lazy-proof validation (the paper's §5) — over the NFs
-// in this repository and prints a Fig. 7-style report.
+// execution plus lazy-proof validation (the paper's §5), nfkit.VerifySym
+// — over the NFs in this repository and prints a Fig. 7-style report.
 //
 // Usage:
 //
-//	vigor [-nf nat|discard] [-model exact|over|under] [-workers N]
-//	      [-traces] [-inventory]
+//	vigor [-nf all|nat|firewall|lb|lb-passthrough|policer|discard|ring]
+//	      [-model exact|over|under] [-workers N] [-traces] [-inventory]
 //
-// -model selects the symbolic model, including the two deliberately
-// broken ones from the paper's Fig. 4, whose failure modes the report
-// then demonstrates. -traces dumps every symbolic trace in the Fig. 9
+// -nf names one declaration (the five NFs' at the evaluation's
+// configuration, the balancer in both orientations, plus the discard
+// example's ring loop) or all of them. -model selects the symbolic
+// models, including the two deliberately broken ones of the paper's
+// Fig. 4, whose failure modes the report then demonstrates: over fails
+// P1, under fails P5 (for the frame-level discard, which has no state
+// model, the three coincide). -workers sets the validation workers
+// (0 = all CPUs). -traces dumps every symbolic trace in the Fig. 9
 // format. -inventory prints the code-size breakdown (the paper's §5.1.3
-// statistics analogue).
+// statistics analogue). The exit status is 1 when any proof fails.
 package main
 
 import (
@@ -25,14 +30,12 @@ import (
 
 	"vignat/internal/discard"
 	"vignat/internal/experiments"
-	"vignat/internal/firewall"
-	"vignat/internal/vigor/symbex"
-	"vignat/internal/vigor/validator"
+	"vignat/internal/nf/nfkit"
 )
 
 func main() {
-	nf := flag.String("nf", "nat", "network function to verify: nat, discard, or firewall")
-	model := flag.String("model", "exact", "symbolic model: exact, over (Fig.4b), under (Fig.4c)")
+	name := flag.String("nf", "all", "declaration to verify: all, nat, firewall, lb, lb-passthrough, policer, discard or ring")
+	modelName := flag.String("model", "exact", "symbolic model: exact, over (Fig.4b), under (Fig.4c)")
 	workers := flag.Int("workers", 0, "validation workers (0 = all CPUs)")
 	traces := flag.Bool("traces", false, "dump symbolic traces (Fig. 9 format)")
 	inventory := flag.Bool("inventory", false, "print code inventory and exit")
@@ -46,98 +49,43 @@ func main() {
 		return
 	}
 
-	switch *nf {
-	case "nat":
-		runNAT(*model, *workers, *traces)
-	case "discard":
-		runDiscard(*model)
-	case "firewall":
-		runFirewall()
-	default:
-		fmt.Fprintf(os.Stderr, "vigor: unknown nf %q\n", *nf)
+	model := nfkit.ModelExact
+	for model.String() != *modelName {
+		if model++; model > nfkit.ModelUnder {
+			fmt.Fprintf(os.Stderr, "vigor: unknown model %q\n", *modelName)
+			os.Exit(2)
+		}
+	}
+	proofs := append(experiments.Proofs(),
+		experiments.Proof{Name: "discard", Sym: discard.Kit().Sym},
+		experiments.Proof{Name: "ring", Sym: discard.RingSym()})
+	ran, failed := 0, false
+	for _, p := range proofs {
+		if *name != "all" && *name != p.Name {
+			continue
+		}
+		ran++
+		rep, err := nfkit.VerifySym(*p.Sym, model, *workers)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "vigor:", err)
+			os.Exit(1)
+		}
+		fmt.Printf("%s: %s\n", p.Name, rep.Summary())
+		for _, f := range rep.Failures() {
+			fmt.Println("  " + f)
+		}
+		if *traces {
+			for i, t := range rep.Traces {
+				fmt.Printf("--- %s path %d ---\n%s\n", p.Name, i, t.String())
+			}
+		}
+		failed = failed || !rep.OK()
+	}
+	if ran == 0 {
+		fmt.Fprintf(os.Stderr, "vigor: unknown nf %q\n", *name)
 		os.Exit(2)
 	}
-}
-
-func runFirewall() {
-	rep, err := firewall.Verify()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vigor:", err)
-		os.Exit(1)
-	}
-	fmt.Println(rep.Summary())
-	if !rep.OK() {
-		os.Exit(1)
-	}
-}
-
-func natPolicy(model string) symbex.ModelPolicy {
-	switch model {
-	case "over":
-		return symbex.ModelOverApprox
-	case "under":
-		return symbex.ModelUnderApprox
-	default:
-		return symbex.ModelExact
-	}
-}
-
-func runNAT(model string, workers int, dumpTraces bool) {
-	cfg := symbex.NATEnvConfig{
-		Policy:    natPolicy(model),
-		PortBase:  experiments.PortBase,
-		PortCount: experiments.Capacity,
-	}
-	res, err := symbex.RunNAT(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vigor:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("exhaustive symbolic execution: %d feasible paths, %d pruned, %d verification tasks\n",
-		len(res.Paths), res.Pruned, res.TraceCount())
-	if dumpTraces {
-		for i, t := range res.Paths {
-			fmt.Printf("--- path %d ---\n%s\n", i, t.String())
-		}
-	}
-	rep := validator.Validate(res, validator.Config{Workers: workers})
-	fmt.Println(rep.Summary())
-	for _, v := range rep.Verdicts {
-		if !v.OK() {
-			fmt.Printf("  path %d: P1=%v P4=%v P5=%v\n", v.Path, v.P1Err, v.P4Errs, v.P5Errs)
-		}
-	}
-	if !rep.OK() {
-		os.Exit(1)
-	}
-}
-
-func runDiscard(model string) {
-	var m discard.RingModel
-	switch model {
-	case "over":
-		m = discard.RingModelOverApprox
-	case "under":
-		m = discard.RingModelUnderApprox
-	default:
-		m = discard.RingModelExact
-	}
-	rep, err := discard.Verify(m)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vigor:", err)
-		os.Exit(1)
-	}
-	fmt.Println(rep.Summary())
-	for _, f := range rep.P1Failures {
-		fmt.Println("  P1:", f)
-	}
-	for _, f := range rep.P5Failures {
-		fmt.Println("  P5:", f)
-	}
-	for _, f := range rep.P2Violations {
-		fmt.Println("  P2:", f)
-	}
-	if !rep.OK() {
+	if failed {
 		os.Exit(1)
 	}
 }
@@ -151,7 +99,8 @@ func printInventory() error {
 		"internal/firewall":         "stateful firewall NF (extension)",
 		"internal/libvig/contracts": "libVig contracts (P3 harness)",
 		"internal/nat":              "VigNAT (production)",
-		"internal/vigor":            "Vigor toolchain (ESE+validator)",
+		"internal/vigor":            "Vigor toolchain (ESE engine, spec oracles)",
+		"internal/nf/nfkit":         "NF kit (models, verifier, engine binding)",
 		"internal/netstack":         "packet codec",
 		"internal/dpdk":             "DPDK substrate",
 		"internal/moongen":          "traffic generator",
@@ -159,6 +108,8 @@ func printInventory() error {
 		"internal/unverified":       "unverified NAT baseline",
 		"internal/netfilter":        "NetFilter baseline",
 		"internal/discard":          "discard example NF",
+		"internal/lb":               "load balancer NF",
+		"internal/policer":          "traffic policer NF",
 	}
 	type row struct {
 		name       string

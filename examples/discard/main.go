@@ -18,6 +18,7 @@ import (
 	"vignat/internal/libvig"
 	"vignat/internal/netstack"
 	"vignat/internal/nf"
+	"vignat/internal/nf/nfkit"
 )
 
 func main() {
@@ -95,13 +96,13 @@ func main() {
 	// --- Verification: the §3 pipeline with each Fig. 4 model. ---
 	for _, m := range []struct {
 		name  string
-		model discard.RingModel
+		model nfkit.Model
 	}{
-		{"model (a) exact       ", discard.RingModelExact},
-		{"model (b) over-approx ", discard.RingModelOverApprox},
-		{"model (c) under-approx", discard.RingModelUnderApprox},
+		{"model (a) exact       ", nfkit.ModelExact},
+		{"model (b) over-approx ", nfkit.ModelOver},
+		{"model (c) under-approx", nfkit.ModelUnder},
 	} {
-		rep, err := discard.Verify(m.model)
+		rep, err := nfkit.VerifySym(*discard.RingSym(), m.model, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -34,12 +34,13 @@ import (
 	"log"
 	"time"
 
-	"vignat/internal/core"
 	"vignat/internal/dpdk"
 	"vignat/internal/firewall"
 	"vignat/internal/flow"
 	"vignat/internal/lb"
+	"vignat/internal/libvig"
 	"vignat/internal/nat"
+	"vignat/internal/nat/stateless"
 	"vignat/internal/netstack"
 	"vignat/internal/nf"
 	"vignat/internal/policer"
@@ -65,13 +66,11 @@ func main() {
 	usePol := flag.Bool("police", true, "police per-host download rate with the token-bucket policer")
 	flag.Parse()
 
-	extIP := core.IPv4(203, 0, 113, 77)
-	cfg := core.DefaultConfig(extIP)
-	cfg.Timeout = texp
-	cfg.Capacity = 1024
-	clock := core.NewVirtualClock()
+	extIP := flow.MakeAddr(203, 0, 113, 77)
+	cfg := nat.Config{Capacity: 1024, Timeout: texp, ExternalIP: extIP, PortBase: nat.DefaultPortBase, ExternalPort: 1}
+	clock := libvig.NewVirtualClock(0)
 
-	gwNAT, err := core.New(cfg, clock)
+	gwNAT, err := nat.New(cfg, clock)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,10 +81,10 @@ func main() {
 
 	// The upstream resolver pool the VIP fronts.
 	resolvers := []flow.Addr{
-		core.IPv4(9, 9, 9, 9),
-		core.IPv4(9, 9, 9, 10),
-		core.IPv4(9, 9, 9, 11),
-		core.IPv4(9, 9, 9, 12),
+		flow.MakeAddr(9, 9, 9, 9),
+		flow.MakeAddr(9, 9, 9, 10),
+		flow.MakeAddr(9, 9, 9, 11),
+		flow.MakeAddr(9, 9, 9, 12),
 	}
 	var gwLB *lb.Balancer
 	resolverIdx := map[flow.Addr]int{}
@@ -150,11 +149,11 @@ func main() {
 
 	oracle := spec.NewOracle(cfg.Capacity, texp.Nanoseconds(), extIP, cfg.PortBase, cfg.Capacity)
 
-	dns := flow.ID{DstIP: core.IPv4(9, 9, 9, 9), DstPort: dnsPort, Proto: flow.UDP}
+	dns := flow.ID{DstIP: flow.MakeAddr(9, 9, 9, 9), DstPort: dnsPort, Proto: flow.UDP}
 	if *useLB {
 		dns.DstIP = resolverVIP // hosts query the VIP, not a resolver
 	}
-	video := flow.ID{DstIP: core.IPv4(151, 101, 1, 1), DstPort: 443, Proto: flow.TCP}
+	video := flow.ID{DstIP: flow.MakeAddr(151, 101, 1, 1), DstPort: 443, Proto: flow.TCP}
 
 	type counters struct{ sent, dropped, policed int }
 	var c counters
@@ -200,7 +199,7 @@ func main() {
 			log.Fatal(err)
 		}
 
-		obs := spec.Observed{Verdict: core.VerdictDrop}
+		obs := spec.Observed{Verdict: stateless.VerdictDrop}
 		for _, out := range []*dpdk.Port{extPort, intPort} {
 			k := out.DrainTx(drain)
 			if k == 0 {
@@ -215,9 +214,9 @@ func main() {
 			}
 			obs.Tuple = p.FlowID()
 			if out == extPort {
-				obs.Verdict = core.VerdictToExternal
+				obs.Verdict = stateless.VerdictToExternal
 			} else {
-				obs.Verdict = core.VerdictToInternal
+				obs.Verdict = stateless.VerdictToInternal
 			}
 			if err := pool.Free(drain[0]); err != nil {
 				log.Fatal(err)
@@ -230,7 +229,7 @@ func main() {
 			// the policer stage: the budget decides, and the chain's
 			// observable outcome must match it.
 			got := policer.VerdictConform
-			if obs.Verdict == core.VerdictDrop {
+			if obs.Verdict == stateless.VerdictDrop {
 				got = policer.VerdictDrop
 			}
 			if err := polOracle.Step(inward.DstIP, wire, true, true, clock.Now(), got); err != nil {
@@ -241,7 +240,7 @@ func main() {
 				// Feed the RFC 3022 oracle the reconstructed NAT output
 				// so its session state (the rejuvenation that did
 				// happen) stays exact.
-				obs.Verdict = core.VerdictToInternal
+				obs.Verdict = stateless.VerdictToInternal
 				obs.Tuple = inward
 				if err := oracle.Step(id, fromInternal, true, clock.Now(), obs); err != nil {
 					log.Fatalf("RFC 3022 violation (clipped reply): %v", err)
@@ -255,7 +254,7 @@ func main() {
 		if *useLB && fromInternal && id.DstIP == resolverVIP {
 			// A VIP query must come out aimed at a live resolver; feed
 			// the oracle the balancer-resolved tuple.
-			if obs.Verdict != core.VerdictToExternal {
+			if obs.Verdict != stateless.VerdictToExternal {
 				log.Fatalf("VIP query %v not forwarded (verdict %v)", id, obs.Verdict)
 			}
 			if !isResolver(obs.Tuple.DstIP) {
@@ -267,7 +266,7 @@ func main() {
 			oracleID.DstIP = obs.Tuple.DstIP
 		}
 		if *useLB && !fromInternal && isResolver(id.SrcIP) && id.SrcPort == dnsPort &&
-			obs.Verdict == core.VerdictToInternal {
+			obs.Verdict == stateless.VerdictToInternal {
 			// The balancer restored the resolver's source to the VIP
 			// after the NAT's rewrite; assert that, then un-restore for
 			// the RFC 3022 check of the NAT's own action.
@@ -280,7 +279,7 @@ func main() {
 		if err := oracle.Step(oracleID, fromInternal, true, clock.Now(), obs); err != nil {
 			log.Fatalf("RFC 3022 violation: %v", err)
 		}
-		if obs.Verdict == core.VerdictDrop {
+		if obs.Verdict == stateless.VerdictDrop {
 			c.dropped++
 			return flow.ID{}
 		}
@@ -317,7 +316,7 @@ func main() {
 		}
 
 		for h := 0; h < nHosts; h++ {
-			host := core.IPv4(192, 168, 1, byte(10+h))
+			host := flow.MakeAddr(192, 168, 1, byte(10+h))
 			if now%(500*time.Millisecond) == 0 {
 				id := video
 				id.SrcIP, id.SrcPort = host, uint16(52000+h)
@@ -384,7 +383,7 @@ func main() {
 			// Unsolicited scan from outside: no session, must drop — at
 			// the NAT, before the policer ever sees it.
 			probe := flow.ID{
-				SrcIP: core.IPv4(198, 51, 100, 99), SrcPort: 31337,
+				SrcIP: flow.MakeAddr(198, 51, 100, 99), SrcPort: 31337,
 				DstIP: extIP, DstPort: 17, Proto: flow.UDP,
 			}
 			process(probe, false, 64, flow.ID{})

@@ -1,31 +1,36 @@
 // Quickstart: build a verified NAT, push a session through it both
-// ways, and inspect the rewrites — the five-minute tour of the public
-// API.
+// ways, inspect the rewrites, and prove the NAT you just ran — the
+// five-minute tour of the API.
 package main
 
 import (
 	"fmt"
 	"log"
 
-	"vignat/internal/core"
 	"vignat/internal/flow"
+	"vignat/internal/libvig"
+	"vignat/internal/nat"
 	"vignat/internal/netstack"
+	"vignat/internal/nf/nfkit"
 )
 
 func main() {
 	// 1. Configure: external IP, table capacity (CAP), expiry (Texp).
-	cfg := core.DefaultConfig(core.IPv4(203, 0, 113, 1))
-	clock := core.NewVirtualClock()
-	nat, err := core.New(cfg, clock)
+	cfg := nat.Config{ExternalIP: flow.MakeAddr(203, 0, 113, 1), ExternalPort: 1}
+	if err := cfg.Validate(); err != nil { // CAP and Texp take their defaults
+		log.Fatal(err)
+	}
+	clock := libvig.NewVirtualClock(0)
+	n, err := nat.New(cfg, clock)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// 2. An internal host opens a connection to a web server.
 	session := flow.ID{
-		SrcIP:   core.IPv4(10, 0, 0, 42),
+		SrcIP:   flow.MakeAddr(10, 0, 0, 42),
 		SrcPort: 51234,
-		DstIP:   core.IPv4(93, 184, 216, 34),
+		DstIP:   flow.MakeAddr(93, 184, 216, 34),
 		DstPort: 80,
 		Proto:   flow.TCP,
 	}
@@ -34,7 +39,7 @@ func main() {
 	fmt.Println("outbound before NAT:", tuple(frame))
 
 	// 3. The NAT rewrites in place and tells you what it did.
-	verdict := nat.Process(frame, true /* from internal interface */)
+	verdict := n.Process(frame, true /* from internal interface */)
 	fmt.Println("verdict:", verdict)
 	fmt.Println("outbound after NAT: ", tuple(frame))
 
@@ -45,15 +50,16 @@ func main() {
 	fmt.Println("reply before NAT:   ", tuple(reply))
 
 	// 5. ...and the NAT forwards it back to the internal host.
-	verdict = nat.Process(reply, false /* from external interface */)
+	verdict = n.Process(reply, false /* from external interface */)
 	fmt.Println("verdict:", verdict)
 	fmt.Println("reply after NAT:    ", tuple(reply))
 
 	// 6. State is visible for inspection.
-	fmt.Printf("live flows: %d (capacity %d)\n", nat.Table().Size(), cfg.Capacity)
+	fmt.Printf("live flows: %d (capacity %d)\n", n.Table().Size(), cfg.Capacity)
 
-	// 7. And the NAT you just ran is the NAT that gets verified.
-	report, err := core.Verify(cfg, 0)
+	// 7. And the NAT you just ran is the NAT that gets verified: its
+	// declaration for this configuration carries the proof.
+	report, err := nfkit.VerifySym(*nat.Kit(cfg, clock).Sym, nfkit.ModelExact, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,8 +4,8 @@
 // rest through another interface, buffering bursts in a libVig ring
 // (Fig. 1). It exists to demonstrate the Vigor toolchain end to end on
 // a small NF: the stateless logic below goes through the same symbolic
-// execution + lazy validation pipeline as the NAT, including the three
-// ring models of Fig. 4 and their distinct failure modes.
+// execution + lazy validation pipeline as the NAT (RingSym), including
+// the three ring models of Fig. 4 and their distinct failure modes.
 package discard
 
 // PacketHandle is an opaque reference to a buffered packet, analogous to

@@ -12,10 +12,10 @@ import (
 
 // This file is the discard protocol's nfkit declaration: the
 // frame-level face of the §3 running example on the shared engine
-// (the ring-buffered NF in prod.go demonstrates the verification
-// pipeline; this binding is what runs on the pipeline, whose TX
-// batcher plays the role Fig. 1's ring plays for the callback-driven
-// form). The NF is stateless and clockless — the smallest possible
+// (the ring-buffered NF in prod.go, proved by RingSym, demonstrates
+// Fig. 4's three models; this binding is what runs on the pipeline,
+// whose TX batcher plays the role Fig. 1's ring plays for the
+// callback-driven form). The NF is stateless and clockless — the smallest possible
 // declaration: a Process closure, a two-cell counter array, and a
 // steering hash.
 

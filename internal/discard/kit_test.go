@@ -22,17 +22,16 @@ func frameTo(t *testing.T, dst uint16) []byte {
 	return netstack.Craft(make([]byte, netstack.FrameLen(spec)), spec)
 }
 
-// TestFrameVerified runs the kit-derived pipeline on the frame-level
-// logic: two paths, one guard (the ring-model proof in verify.go covers
-// the §3 callback form; this covers the pipeline binding).
+// TestFrameVerified runs the pipeline on the frame-level logic: two
+// paths, one guard (RingSym's proof covers the §3 callback form; this
+// covers the pipeline binding).
 func TestFrameVerified(t *testing.T) {
-	rep, err := nfkit.VerifySym(*symSpec())
+	rep, err := nfkit.VerifySym(*symSpec(), nfkit.ModelExact, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.OK() {
-		t.Fatalf("proof failed: %s\nP1=%v\nP2=%v\nP4=%v",
-			rep.Summary(), rep.P1Failures, rep.P2Violations, rep.P4Violations)
+		t.Fatalf("proof failed: %s\n%v", rep.Summary(), rep.Failures())
 	}
 	if rep.Paths != 2 {
 		t.Fatalf("paths %d, want 2", rep.Paths)

@@ -98,17 +98,24 @@ func TestFig13Shape(t *testing.T) {
 }
 
 // TestTableV1PipelineHealthy runs the verification-statistics experiment
-// once and checks the proof completes with the expected path count.
+// once and checks every proof completes over its expected path count,
+// the NAT's over the expected task count.
 func TestTableV1PipelineHealthy(t *testing.T) {
 	tv, err := RunTableV1(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tv.ProofComplete {
-		t.Fatal("pipeline proof incomplete")
+	want := []int{11, 11, 13, 13, 9}
+	if len(tv.Rows) != len(want) {
+		t.Fatalf("%d rows, want %d", len(tv.Rows), len(want))
 	}
-	if tv.Paths != 11 || tv.Tasks != 109 {
-		t.Fatalf("paths=%d tasks=%d", tv.Paths, tv.Tasks)
+	for i, r := range tv.Rows {
+		if !r.ProofComplete || r.Paths != want[i] {
+			t.Fatalf("%s: complete=%v paths=%d, want a complete proof over %d", r.NF, r.ProofComplete, r.Paths, want[i])
+		}
+	}
+	if tv.Rows[0].Tasks != 109 {
+		t.Fatalf("nat tasks=%d, want 109", tv.Rows[0].Tasks)
 	}
 	t.Log("\n" + tv.Format())
 }

@@ -5,79 +5,103 @@ import (
 	"strings"
 	"time"
 
+	"vignat/internal/firewall"
 	"vignat/internal/flow"
+	"vignat/internal/lb"
 	"vignat/internal/libvig"
 	"vignat/internal/nat"
+	"vignat/internal/nf/nfkit"
+	"vignat/internal/policer"
 	"vignat/internal/unverified"
-	"vignat/internal/vigor/symbex"
-	"vignat/internal/vigor/validator"
 )
 
-// TableV1 holds the verification statistics the paper reports in-text
-// (§5.2.1–§5.2.2): path and trace counts from exhaustive symbolic
-// execution, and validation wall time at 1 and N workers (the paper:
-// 108 paths, 431 traces, 38 min on one core, 11 min on four).
-type TableV1 struct {
-	Paths          int
-	Tasks          int
-	Pruned         int
-	ESETime        time.Duration
-	Validate1      time.Duration
-	ValidateN      time.Duration
-	WorkersN       int
-	ProofComplete  bool
-	P2Violations   int
-	ValidationRuns int // repetitions used to stabilize timing
+// Proof is one symbolic declaration Table V1 reports, named as the
+// command line does.
+type Proof struct {
+	Name string
+	Sym  *nfkit.SymSpec
 }
 
-// RunTableV1 executes the full verification pipeline and times it.
-// repeat > 1 repeats validation to de-noise the (fast) Go timings.
+// Proofs are the five flow- and subscriber-table declarations at the
+// evaluation's configuration — the NAT, the firewall, the balancer in
+// both orientations, the policer — each proved by nfkit.VerifySym.
+func Proofs() []Proof {
+	clock := libvig.NewVirtualClock(0)
+	const texp = 2 * time.Second
+	lbCfg := lb.Config{VIP: flow.MakeAddr(198, 18, 0, 1), Capacity: Capacity, Timeout: texp, MaxBackends: 16}
+	lbChain := lbCfg
+	lbChain.Passthrough = true
+	return []Proof{
+		{"nat", nat.Kit(nat.Config{Capacity: Capacity, Timeout: texp, ExternalIP: ExtIP, PortBase: PortBase,
+			ExternalPort: 1}, clock).Sym},
+		{"firewall", firewall.Kit(Capacity, texp, clock).Sym},
+		{"lb", lb.Kit(lbCfg, clock).Sym},
+		{"lb-passthrough", lb.Kit(lbChain, clock).Sym},
+		{"policer", policer.Kit(policer.Config{Rate: 1 << 20, Burst: 1 << 16, Capacity: Capacity, Timeout: texp}, clock).Sym},
+	}
+}
+
+// TableV1Row is one NF's verification statistics, the paper's in-text
+// figures (§5.2.1–§5.2.2): path and task counts from exhaustive symbolic
+// execution, its time, and validation wall time at 1 and N workers (the
+// paper's NAT: 108 paths, 431 traces, 38 min on one core, 11 min on
+// four).
+type TableV1Row struct {
+	NF                            string
+	Paths, Tasks                  int
+	Explore, Validate1, ValidateN time.Duration
+	ProofComplete                 bool
+}
+
+// TableV1 is the verification statistics of every proof in Proofs.
+type TableV1 struct {
+	Rows []TableV1Row
+	// WorkersN is the N of ValidateN; Runs the repetitions averaged to
+	// stabilize the (fast) Go timings.
+	WorkersN, Runs int
+}
+
+// RunTableV1 proves every declaration in Proofs at 1 and at workers
+// validation workers, repeat times each, and averages the timings.
 func RunTableV1(workers, repeat int) (*TableV1, error) {
 	if repeat <= 0 {
 		repeat = 1
 	}
-	cfg := symbex.NATEnvConfig{Policy: symbex.ModelExact, PortBase: PortBase, PortCount: Capacity}
-	start := time.Now()
-	res, err := symbex.RunNAT(cfg)
-	if err != nil {
-		return nil, err
+	tv := &TableV1{WorkersN: workers, Runs: repeat}
+	for _, p := range Proofs() {
+		row := TableV1Row{NF: p.Name, ProofComplete: true}
+		for i := 0; i < repeat; i++ {
+			for _, w := range []int{1, workers} {
+				rep, err := nfkit.VerifySym(*p.Sym, nfkit.ModelExact, w)
+				if err != nil {
+					return nil, err
+				}
+				row.Paths, row.Tasks = rep.Paths, rep.Tasks
+				row.ProofComplete = row.ProofComplete && rep.OK()
+				row.Explore += rep.Explore / time.Duration(2*repeat)
+				if w == 1 {
+					row.Validate1 += rep.Validate / time.Duration(repeat)
+				} else {
+					row.ValidateN += rep.Validate / time.Duration(repeat)
+				}
+			}
+		}
+		tv.Rows = append(tv.Rows, row)
 	}
-	eseTime := time.Since(start)
-
-	time1 := time.Duration(0)
-	timeN := time.Duration(0)
-	var rep *validator.Report
-	for i := 0; i < repeat; i++ {
-		r1 := validator.Validate(res, validator.Config{Workers: 1})
-		time1 += r1.Elapsed
-		rep = validator.Validate(res, validator.Config{Workers: workers})
-		timeN += rep.Elapsed
-	}
-	return &TableV1{
-		Paths:          len(res.Paths),
-		Tasks:          res.TraceCount(),
-		Pruned:         res.Pruned,
-		ESETime:        eseTime,
-		Validate1:      time1 / time.Duration(repeat),
-		ValidateN:      timeN / time.Duration(repeat),
-		WorkersN:       rep.Workers,
-		ProofComplete:  rep.OK(),
-		P2Violations:   len(rep.P2Violations),
-		ValidationRuns: repeat,
-	}, nil
+	return tv, nil
 }
 
 // Format renders the verification statistics table.
 func (t *TableV1) Format() string {
 	b := &strings.Builder{}
-	fmt.Fprintf(b, "verification statistics (paper: 108 paths, 431 tasks, <1 min ESE, 38/11 min validate)\n")
-	fmt.Fprintf(b, "  feasible paths:          %d\n", t.Paths)
-	fmt.Fprintf(b, "  verification tasks:      %d (paths + prefixes)\n", t.Tasks)
-	fmt.Fprintf(b, "  infeasible pruned:       %d\n", t.Pruned)
-	fmt.Fprintf(b, "  exhaustive symb. exec.:  %s\n", t.ESETime.Round(time.Microsecond))
-	fmt.Fprintf(b, "  validation x1 worker:    %s\n", t.Validate1.Round(time.Microsecond))
-	fmt.Fprintf(b, "  validation x%d workers:   %s\n", t.WorkersN, t.ValidateN.Round(time.Microsecond))
-	fmt.Fprintf(b, "  proof complete:          %v (P2 violations: %d)\n", t.ProofComplete, t.P2Violations)
+	fmt.Fprintf(b, "verification statistics (paper, NAT only: 108 paths, 431 tasks, <1 min ESE, 38/11 min validate at 1/4 cores)\n")
+	fmt.Fprintf(b, "%-16s%7s%7s%12s%14s%14s  %s\n", "NF", "paths", "tasks", "explore",
+		"validate x1", fmt.Sprintf("validate x%d", t.WorkersN), "proof")
+	for _, r := range t.Rows {
+		fmt.Fprintf(b, "%-16s%7d%7d%12s%14s%14s  %v\n", r.NF, r.Paths, r.Tasks,
+			r.Explore.Round(time.Microsecond), r.Validate1.Round(time.Microsecond),
+			r.ValidateN.Round(time.Microsecond), r.ProofComplete)
+	}
 	return b.String()
 }
 

@@ -141,8 +141,7 @@ func TestFirewallVerified(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !rep.OK() {
-		t.Fatalf("proof failed: %s\nP1=%v\nP2=%v\nP4=%v",
-			rep.Summary(), rep.P1Failures, rep.P2Violations, rep.P4Violations)
+		t.Fatalf("proof failed: %s\n%v", rep.Summary(), rep.Failures())
 	}
 	if rep.Paths != 11 {
 		t.Fatalf("paths %d, want 11 (same decision structure as the NAT)", rep.Paths)

@@ -3,16 +3,17 @@ package firewall
 import (
 	"fmt"
 
+	"vignat/internal/flow"
 	"vignat/internal/nf/nfkit"
 	"vignat/internal/nf/telemetry"
 )
 
 // This file is the firewall's symbolic declaration for the kit's
-// derived verification: an Env binding the kit's guard set and
-// flow-table model to the firewall's vocabulary, and the per-path
-// semantic specification. Path enumeration, the single-output rule, and
-// solver entailment all come from nfkit.VerifySym — the engine, solver,
-// and trace machinery are the same ones VigNAT uses.
+// verification: an Env binding the kit's guard set and flow-table model
+// to the firewall's vocabulary, and the per-path semantic specification.
+// Path enumeration, the discipline and single-output rules, model
+// validation and solver entailment all come from nfkit.VerifySym — the
+// one pipeline VigNAT is proved by too.
 
 // fwSym drives ProcessPacket under the engine via the kit driver: the
 // parse chain and the arrival side are the kit's guard set, the
@@ -27,7 +28,8 @@ var _ Env = fwSym{}
 // newFwSym binds the kit's flow-table model to the firewall's
 // vocabulary: a session handle carries the session's outbound tuple,
 // which is the packet's own when found or created from inside and its
-// reverse when found by a reply.
+// reverse when found by a reply. Fig. 4's under-approximate model
+// creates TCP sessions only.
 func newFwSym(d *nfkit.SymDriver) fwSym {
 	return fwSym{nfkit.SymGuards{D: d}, nfkit.SymFlowTable[SessionHandle]{
 		D: d, Noun: "session", FstSide: []string{"from_internal"},
@@ -37,10 +39,11 @@ func newFwSym(d *nfkit.SymDriver) fwSym {
 			{"sess_out_dst_ip", "pkt_dst_ip"}, {"sess_out_dst_port", "pkt_dst_port"}, {"sess_proto", "pkt_proto"}},
 		Snd: [][2]string{{"sess_out_src_ip", "pkt_dst_ip"}, {"sess_out_src_port", "pkt_dst_port"},
 			{"sess_out_dst_ip", "pkt_src_ip"}, {"sess_out_dst_port", "pkt_src_port"}, {"sess_proto", "pkt_proto"}},
+		Pin: "sess_proto", PinAt: uint64(flow.TCP),
 	}}
 }
 
-func (e fwSym) ExpireSessions() { e.D.Note("expire_sessions") }
+func (e fwSym) ExpireSessions() { e.D.Expire("expire_sessions") }
 
 func (e fwSym) LookupOutbound() (SessionHandle, bool) { return e.sessions.LookupFst() }
 func (e fwSym) LookupInbound() (SessionHandle, bool)  { return e.sessions.LookupSnd() }
@@ -79,7 +82,7 @@ func Verify() (*nfkit.Report, error) {
 // verifyLogic runs the pipeline over any firewall-shaped stateless
 // logic; tests use it to demonstrate that buggy variants fail.
 func verifyLogic(logic func(Env)) (*nfkit.Report, error) {
-	return nfkit.VerifySym(*symSpecFor(logic))
+	return nfkit.VerifySym(*symSpecFor(logic), nfkit.ModelExact, 0)
 }
 
 // checkSpec is the firewall's RFC-style specification, trace form.

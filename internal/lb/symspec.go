@@ -3,6 +3,7 @@ package lb
 import (
 	"fmt"
 
+	"vignat/internal/flow"
 	"vignat/internal/nf/nfkit"
 	"vignat/internal/nf/telemetry"
 	"vignat/internal/vigor/sym"
@@ -39,7 +40,8 @@ var _ Env = lbSym{}
 // backend it maps to; found or created by client tuple (a VIP packet
 // from the client side), its client tuple is the packet's; found by
 // reply tuple, the packet's source is the pinned backend and its
-// destination the pinned client.
+// destination the pinned client. Fig. 4's under-approximate model pins
+// TCP clients only.
 func newLbSym(d *nfkit.SymDriver, passthrough bool) lbSym {
 	return lbSym{nfkit.SymGuards{D: d}, nfkit.SymFlowTable[FlowHandle]{
 		D: d, Noun: "sticky", FstSide: []string{"from_client", "dst_vip"},
@@ -49,6 +51,7 @@ func newLbSym(d *nfkit.SymDriver, passthrough bool) lbSym {
 			{"cl_dst_ip", "pkt_dst_ip"}, {"cl_dst_port", "pkt_dst_port"}, {"cl_proto", "pkt_proto"}},
 		Snd: [][2]string{{"sticky_backend_ip", "pkt_src_ip"}, {"cl_dst_port", "pkt_src_port"},
 			{"cl_src_ip", "pkt_dst_ip"}, {"cl_src_port", "pkt_dst_port"}, {"cl_proto", "pkt_proto"}},
+		Pin: "cl_proto", PinAt: uint64(flow.TCP),
 	}, passthrough}
 }
 
@@ -59,11 +62,11 @@ func (e lbSym) PacketFromClient() bool {
 }
 
 func (e lbSym) DstIsVIP() bool {
-	e.D.Require(e.D.Flag("l4"), "P2: VIP test on unvalidated headers")
+	e.D.Require(e.D.Flag("l4_header_intact"), "P2: VIP test on unvalidated headers")
 	return e.D.GuardFlag("dst_is_vip", "dst_vip")
 }
 
-func (e lbSym) ExpireState() { e.D.Note("expire_flows") }
+func (e lbSym) ExpireState() { e.D.Expire("expire_flows") }
 
 func (e lbSym) LookupSticky() (FlowHandle, bool) { return e.stickies.LookupFst() }
 func (e lbSym) LookupReply() (FlowHandle, bool)  { return e.stickies.LookupSnd() }
@@ -77,7 +80,7 @@ func (e lbSym) SelectBackend() (BackendHandle, bool) {
 	}
 	// Contract: the CHT only ever returns live backends.
 	h := e.D.Mint("backend_ip", "backend_live")
-	e.D.Bind(h, sym.EqVC(e.D.HVar(h, "backend_live"), 1))
+	e.D.Bind(h, "CHT.Lookup", []sym.Atom{sym.EqVC(e.D.HVar(h, "backend_live"), 1)})
 	return BackendHandle(h), true
 }
 
@@ -153,7 +156,7 @@ func Verify() (*nfkit.Report, error) {
 // verifyLogic runs the pipeline over any balancer-shaped stateless
 // logic; tests use it to demonstrate that buggy variants fail.
 func verifyLogic(logic func(Env)) (*nfkit.Report, error) {
-	return nfkit.VerifySym(*symSpecFor(logic, true))
+	return nfkit.VerifySym(*symSpecFor(logic, true), nfkit.ModelExact, 0)
 }
 
 // checkSpec is the balancer's steering specification, trace form: it
@@ -208,14 +211,9 @@ func checkSpec(p *nfkit.SymPath, passOut string) (telemetry.ReasonID, error) {
 			if bc == nil || !p.HasHandle(bc.Handle) {
 				return 0, fmt.Errorf("sticky created without a backend selection")
 			}
-			want := []sym.Atom{
+			return r, p.Holds("live-backend pinning",
 				sym.EqVV(p.HVar(sc.Handle, "sticky_backend_ip"), p.HVar(bc.Handle, "backend_ip")),
-				sym.EqVC(p.HVar(bc.Handle, "backend_live"), 1),
-			}
-			if ok, failing := p.EntailsAll(want...); !ok {
-				return 0, fmt.Errorf("live-backend pinning not entailed: %v", failing)
-			}
-			return r, nil
+				sym.EqVC(p.HVar(bc.Handle, "backend_live"), 1))
 		default:
 			return 0, fmt.Errorf("VIP packet neither steered nor refused (out %s)", p.Output())
 		}

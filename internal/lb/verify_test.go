@@ -20,8 +20,7 @@ func TestLBVerified(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !rep.OK() {
-		t.Fatalf("proof failed: %s\nP1=%v\nP2=%v\nP4=%v",
-			rep.Summary(), rep.P1Failures, rep.P2Violations, rep.P4Violations)
+		t.Fatalf("proof failed: %s\n%v", rep.Summary(), rep.Failures())
 	}
 	// 6 guard fail-paths + client{non-VIP, VIP{sticky hit, miss{cht
 	// miss, create ok, create full}}} + backend{reply hit, miss}

@@ -8,9 +8,8 @@ var ErrVectorRange = errors.New("libvig: vector index out of range")
 // Vector is libVig's preallocated value vector (§5.1.1): fixed capacity,
 // borrow/return access. Borrowing hands the caller a pointer to the cell;
 // per the libVig ownership discipline the caller must Return it before the
-// end of the loop iteration — the proofcheck package enforces this for the
-// verified NF, and the vector itself tracks borrow state so that misuse is
-// detectable in checked runs.
+// end of the loop iteration — the vector itself tracks borrow state so
+// that misuse is detectable in checked runs.
 //
 // Contract sketch:
 //

@@ -14,12 +14,8 @@ import (
 )
 
 // This file is the NAT's one nfkit declaration: everything the engine,
-// the sharded composition, and the demo binaries need, in one place.
-// (The NAT's authoritative proof predates the kit and stays on the
-// richer CallKind/validator pipeline in vigor/symbex — the paper's
-// original artifact; symspec.go re-expresses the decision structure in
-// the kit's derived form so the reason taxonomy can be cross-checked
-// like every other NF's.)
+// the sharded composition, the demo binaries and the proof (symspec.go)
+// need, in one place.
 
 // verdictOf collapses the NAT's directional verdict onto the pipeline
 // pair: both forward directions mean "out the opposite interface".
@@ -124,7 +120,7 @@ func kit(cfg Config, clock libvig.Clock, steer *steering) nfkit.Decl[*NAT] {
 			}
 			return nil
 		},
-		Sym: symSpec(),
+		Sym: symSpecFor(cfg, stateless.ProcessPacket),
 	}
 }
 

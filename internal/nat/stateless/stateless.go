@@ -2,12 +2,13 @@
 // code the paper verifies by exhaustive symbolic execution (§5.2.1).
 //
 // The logic is written exactly once, against the Env interface. The
-// verification toolchain (internal/vigor/symbex) binds Env to symbolic
-// models that fork execution at every predicate and record symbolic
-// traces. The production dataplane (internal/nat) runs the same body
-// bound to the real libVig flow table and the dpdk substrate: where the
-// paper links one C file against two libraries, vigor/instgen copies
-// this function's body, byte for byte, into internal/nat as
+// NAT's declaration (internal/nat's symspec.go) binds Env to the kit's
+// symbolic models, which fork the engine (internal/vigor/symbex) at
+// every predicate and record symbolic traces, and nfkit.VerifySym
+// proves every path. The production dataplane (internal/nat) runs the
+// same body bound to the real libVig flow table and the dpdk substrate:
+// where the paper links one C file against two libraries, vigor/instgen
+// copies this function's body, byte for byte, into internal/nat as
 // prodProcessPacket, taking the concrete *prodEnv instead of Env, so
 // that no env call is an interface dispatch. Regenerating the copy is a
 // test, and so is running one trace through both.
@@ -16,7 +17,7 @@
 // Env, the function body below contains no other control-flow inputs:
 // the set of execution paths is exactly the set of Env-decision
 // combinations, which is what makes exhaustive symbolic execution
-// terminate quickly (108 paths for the paper's NAT; the same order here).
+// terminate quickly (108 paths for the paper's NAT; 11 here).
 package stateless
 
 // FlowHandle is an opaque reference to a flow-table entry. Per the libVig

@@ -44,6 +44,27 @@ func parseTuple(t *testing.T, frame []byte) flow.ID {
 	return p.FlowID()
 }
 
+// TestNATDefaultConfigEndToEnd: a NAT configured by its external address
+// alone — Validate's defaults, the paper's experimental setup — translates
+// an outbound UDP session.
+func TestNATDefaultConfigEndToEnd(t *testing.T) {
+	n, err := New(Config{ExternalIP: tExtIP, ExternalPort: 1}, libvig.NewVirtualClock(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := flow.ID{
+		SrcIP: flow.MakeAddr(10, 0, 0, 1), SrcPort: 1234,
+		DstIP: flow.MakeAddr(8, 8, 8, 8), DstPort: 53, Proto: flow.UDP,
+	}
+	f := frameFor(t, id)
+	if v := n.Process(f, true); v != stateless.VerdictToExternal {
+		t.Fatalf("verdict %v", v)
+	}
+	if got := parseTuple(t, f); got.SrcIP != tExtIP || got.SrcPort < DefaultPortBase {
+		t.Fatalf("source not rewritten into EXT_IP's default range: %v", got)
+	}
+}
+
 func TestNATOutboundCreatesAndRewrites(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	n := testNAT(t, 16, time.Second, clock)

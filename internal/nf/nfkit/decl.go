@@ -17,11 +17,13 @@
 //   - the concurrently-scrapeable sharded composition (Sharded[C], each
 //     shard publishing into its own nf.Block), its live reshard and its
 //     per-family occupancy;
-//   - the symbolic-verification run (VerifySym: path enumeration,
-//     P2/P4 discipline, single-output rule, solver entailment) and
-//     the taxonomy cross-check fed by the same Spec walk
-//     (VerifyReasons), so a new NF's proof costs a SymSpec, not an
-//     engine binding;
+//   - the symbolic-verification run — the repository's one verifier
+//     (VerifySym: path enumeration, P2/P4 discipline, single-output
+//     rule, model claims checked against their libVig contract clauses
+//     (P5) under Fig. 4's three models, solver entailment of the Spec
+//     (P1), validated on a worker pool) and the taxonomy cross-check
+//     fed by the same Spec walk (VerifyReasons), so a new NF's proof
+//     costs a SymSpec, not an engine binding;
 //   - the demo-binary scaffolding (Main: flags, ports, pipeline,
 //     steering, drive loop, accounting).
 //

@@ -6,12 +6,12 @@ import "vignat/internal/vigor/sym"
 // SymDriver, written once like the production table: the libVig
 // contracts of lookup, creation and rejuvenation, and the P2/P4
 // discipline every NF owes them — a key only from a validated L4
-// header, each lookup only for a packet from that key's side, creation
-// only after the first-key lookup missed, rejuvenation only of a handle
-// this path minted. An NF's symbolic Env embeds one beside SymGuards
-// and names what is its own: its handle type H, the calls as its Spec
-// reads them back, and how a record's model variables correspond to the
-// packet's under each key.
+// header, a lookup only after the iteration's expiry and only for a
+// packet from that key's side, creation only after the first-key lookup
+// missed, rejuvenation only of a handle this path minted. An NF's
+// symbolic Env embeds one beside SymGuards and names what is its own:
+// its handle type H, the calls as its Spec reads them back, and how a
+// record's model variables correspond to the packet's under each key.
 type SymFlowTable[H ~int] struct {
 	D *SymDriver
 	// Noun names a record in violations ("flow", "session").
@@ -25,29 +25,48 @@ type SymFlowTable[H ~int] struct {
 	// Vars are the model variables every minted handle carries. Fst and
 	// Snd pair them with the packet variables they equal when the
 	// record was found by that key (Fst also when it was just created):
-	// the contract atoms of Fig. 9's enriched lookups.
+	// the key-correspondence clause of the table's contract, which
+	// getByFst and getBySnd establish by comparing the whole key.
 	Vars     []string
 	Fst, Snd [][2]string
+	// Inv, when set, is the rest of the contract: the record invariant
+	// every record the table hands back satisfies (the NAT's: behind
+	// EXT_IP, its port in the configured range).
+	Inv func(h int) []sym.Atom
+	// Pin and PinAt are what the under-approximate model (Fig. 4 (c))
+	// claims of a created record beyond the contract: variable Pin held
+	// at PinAt. An empty Pin claims nothing more.
+	Pin   string
+	PinAt uint64
 }
 
-// mint mints a handle bound to the packet by the given correspondence,
-// plus any further atoms about the handle more, when set, builds.
-func (t SymFlowTable[H]) mint(pairs [][2]string, more func(h int) []sym.Atom) H {
+// mint mints a handle bound, under the named contract clause, to the
+// packet by the given correspondence, plus the invariant, plus any
+// further atoms about the handle more, when set, builds; pin adds the
+// under-approximate model's claim.
+func (t SymFlowTable[H]) mint(clause string, pairs [][2]string, more func(h int) []sym.Atom, pin bool) H {
 	h := t.D.Mint(t.Vars...)
-	atoms := make([]sym.Atom, len(pairs))
+	contract := make([]sym.Atom, len(pairs))
 	for i, p := range pairs {
-		atoms[i] = sym.EqVV(t.D.HVar(h, p[0]), t.D.Var(p[1]))
+		contract[i] = sym.EqVV(t.D.HVar(h, p[0]), t.D.Var(p[1]))
+	}
+	if t.Inv != nil {
+		contract = append(contract, t.Inv(h)...)
 	}
 	if more != nil {
-		atoms = append(atoms, more(h)...)
+		contract = append(contract, more(h)...)
 	}
-	t.D.Bind(h, atoms...)
+	var pins []sym.Atom
+	if pin && t.Pin != "" {
+		pins = []sym.Atom{sym.EqVC(t.D.HVar(h, t.Pin), t.PinAt)}
+	}
+	t.D.Bind(h, clause, contract, pins...)
 	return H(h)
 }
 
 // lookup is the shared half of the two lookups.
 func (t SymFlowTable[H]) lookup(call string, fst bool) bool {
-	t.D.Require(t.D.Flag("l4"), "P2: %s key from unvalidated L4 header", t.Noun)
+	t.D.Require(t.D.Flag("l4_header_intact"), "P2: %s key from unvalidated L4 header", t.Noun)
 	side := t.D.Flag("iface_known") && t.D.Flag(t.FstSide[0]) == fst
 	if fst {
 		for _, f := range t.FstSide[1:] {
@@ -55,7 +74,7 @@ func (t SymFlowTable[H]) lookup(call string, fst bool) bool {
 		}
 	}
 	t.D.Require(side, "P4: %s for a packet not from that key's side", call)
-	return t.D.Decide(call)
+	return t.D.Lookup(call)
 }
 
 // LookupFst models FlowTable.LookupFst; a miss is what licenses Add.
@@ -64,7 +83,7 @@ func (t SymFlowTable[H]) LookupFst() (H, bool) {
 		t.D.Set(t.GetFst+"_missed", true)
 		return 0, false
 	}
-	return t.mint(t.Fst, nil), true
+	return t.mint("FlowTable.LookupFst", t.Fst, nil, false), true
 }
 
 // LookupSnd models FlowTable.LookupSnd.
@@ -72,7 +91,7 @@ func (t SymFlowTable[H]) LookupSnd() (H, bool) {
 	if !t.lookup(t.GetSnd, false) {
 		return 0, false
 	}
-	return t.mint(t.Snd, nil), true
+	return t.mint("FlowTable.LookupSnd", t.Snd, nil, false), true
 }
 
 // Missed reports whether the first-key lookup ran and missed.
@@ -85,7 +104,7 @@ func (t SymFlowTable[H]) Add(more func(h int) []sym.Atom) (H, bool) {
 	if !t.D.Decide(t.Create) {
 		return 0, false
 	}
-	return t.mint(t.Fst, more), true
+	return t.mint("FlowTable.Add", t.Fst, more, true), true
 }
 
 // Rejuvenate models FlowTable.Rejuvenate.

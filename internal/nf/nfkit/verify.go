@@ -3,7 +3,11 @@ package nfkit
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"vignat/internal/nf/telemetry"
 	"vignat/internal/vigor/sym"
@@ -16,14 +20,16 @@ import (
 // against a SymDriver-backed Env, and the per-path semantic check.
 // VerifySym derives the whole proof run from it — exhaustive path
 // enumeration, the single-output (P4) rule over the declared outputs,
-// the P2 discipline violations the driver collected, and the Spec's P1
+// the P2/P4 discipline violations the driver collected, the models'
+// claims checked against their contracts (P5), and the Spec's P1
 // judgment with solver entailment — so a new NF's verification binding
 // is this value, not an engine integration.
 type SymSpec struct {
 	// NF names the proof in reports.
 	NF string
 	// Outputs are the NF's declared output actions; every feasible
-	// path must emit exactly one.
+	// path must emit exactly one. A spec declaring none (the discard
+	// ring's loop iteration, which may idle) skips that rule.
 	Outputs []string
 	// Drive builds the NF's symbolic Env over d and invokes the
 	// stateless logic exactly once.
@@ -39,20 +45,30 @@ type SymSpec struct {
 	Spec func(p *SymPath) (telemetry.ReasonID, error)
 }
 
-// Report summarizes one NF's verification, in the shape every per-NF
-// report already had.
+// Report summarizes one NF's verification: what was proved, under which
+// model, how long exploring and validating took, and every failure by
+// property.
 type Report struct {
-	NF           string
-	Paths        int
-	Tasks        int
-	P1Failures   []string
-	P2Violations []string
-	P4Violations []string
+	NF    string
+	Model Model
+	Paths int
+	Tasks int
+	// Explore is the exhaustive symbolic execution's wall time, Validate
+	// the per-path checks' on the worker pool.
+	Explore, Validate time.Duration
+	P1Failures        []string
+	P2Violations      []string
+	P4Violations      []string
+	P5Violations      []string
+	// Traces are the feasible paths' symbolic traces (Fig. 9), in
+	// enumeration order.
+	Traces []*trace.Trace
 }
 
 // OK reports whether the proof is complete.
 func (r *Report) OK() bool {
-	return r.Paths > 0 && len(r.P1Failures) == 0 && len(r.P2Violations) == 0 && len(r.P4Violations) == 0
+	return r.Paths > 0 && len(r.P1Failures) == 0 && len(r.P2Violations) == 0 &&
+		len(r.P4Violations) == 0 && len(r.P5Violations) == 0
 }
 
 // Summary renders the report.
@@ -61,18 +77,34 @@ func (r *Report) Summary() string {
 	if !r.OK() {
 		status = "PROOF FAILED"
 	}
-	return fmt.Sprintf("%s (%s): %d paths, %d tasks; P1: %d, P2: %d, P4: %d",
-		status, r.NF, r.Paths, r.Tasks, len(r.P1Failures), len(r.P2Violations), len(r.P4Violations))
+	return fmt.Sprintf("%s (%s, %s model): %d paths, %d tasks; P1: %d, P2: %d, P4: %d, P5: %d",
+		status, r.NF, r.Model, r.Paths, r.Tasks,
+		len(r.P1Failures), len(r.P2Violations), len(r.P4Violations), len(r.P5Violations))
+}
+
+// Failures lists every failure, each tagged with its property (the
+// discipline violations the models raised carry their own P2/P4 tag).
+func (r *Report) Failures() []string {
+	all := append([]string(nil), r.P2Violations...)
+	for _, f := range []struct {
+		p  string
+		fs []string
+	}{{"P1", r.P1Failures}, {"P4", r.P4Violations}, {"P5", r.P5Violations}} {
+		for _, s := range f.fs {
+			all = append(all, f.p+": "+s)
+		}
+	}
+	return all
 }
 
 // SymPath is one feasible execution path as the Spec sees it: the
 // trace, the path's vocabulary (via the driver that produced it), and
 // entailment over the path constraints.
 type SymPath struct {
-	t      *trace.Trace
-	d      *SymDriver
-	out    string
-	solver *sym.Solver
+	t    *trace.Trace
+	d    *SymDriver
+	out  string
+	outs int
 }
 
 // Output returns the path's single output action.
@@ -91,7 +123,7 @@ func (p *SymPath) Judge(who, want string, r telemetry.ReasonID) (telemetry.Reaso
 // nil.
 func (p *SymPath) Find(name string) *trace.Call {
 	for i := range p.t.Seq {
-		if p.t.Seq[i].Kind == trace.CallGeneric && p.t.Seq[i].Name == name {
+		if p.t.Seq[i].Name == name {
 			return &p.t.Seq[i]
 		}
 	}
@@ -122,29 +154,27 @@ func (p *SymPath) Passed(guards ...string) bool {
 
 // Parseable is Passed over the six-predicate parse chain SymGuards
 // names: the path's packet is one a flow-table NF may key state by.
-func (p *SymPath) Parseable() bool {
-	return p.Passed("frame_intact", "ether_is_ipv4", "ipv4_header_valid",
-		"not_fragment", "l4_supported", "l4_header_intact")
-}
+func (p *SymPath) Parseable() bool { return p.Passed(parseChain[:]...) }
 
 // Var returns the path's packet variable with the given name (as named
-// by the Drive function).
-func (p *SymPath) Var(name string) sym.Var { return p.d.vars[name] }
+// by the Drive function); a name the path never used is a fresh,
+// unconstrained variable, so nothing is entailed of it.
+func (p *SymPath) Var(name string) sym.Var { return p.d.Var(name) }
 
 // HVar returns handle h's model variable with the given name.
 func (p *SymPath) HVar(h int, name string) sym.Var { return p.d.handles[h][name] }
 
 // HasHandle reports whether h was minted on this path.
-func (p *SymPath) HasHandle(h int) bool {
-	_, ok := p.d.handles[h]
-	return ok
-}
+func (p *SymPath) HasHandle(h int) bool { return p.d.Valid(h) }
 
-// EntailsAll reports whether the path constraints entail every wanted
-// atom, returning the first failing atom otherwise.
-func (p *SymPath) EntailsAll(want ...sym.Atom) (bool, sym.Atom) {
-	ok, failing := p.solver.EntailsAll(p.t.Constraints, want)
-	return ok, failing
+// Holds checks that the path constraints entail every wanted atom — what
+// the Spec demands of the path — naming what failed.
+func (p *SymPath) Holds(what string, want ...sym.Atom) error {
+	var solver sym.Solver
+	if ok, failing := solver.EntailsAll(p.t.Constraints, want); !ok {
+		return fmt.Errorf("%s not entailed: %v", what, failing)
+	}
+	return nil
 }
 
 // Bound checks that the record the named call minted is the packet's:
@@ -160,79 +190,120 @@ func (p *SymPath) Bound(call string, pairs ...[2]string) error {
 	for i, pair := range pairs {
 		want[i] = sym.EqVV(p.HVar(c.Handle, pair[0]), p.Var(pair[1]))
 	}
-	if ok, failing := p.EntailsAll(want...); !ok {
-		return fmt.Errorf("%s binding not entailed: %v", call, failing)
-	}
-	return nil
+	return p.Holds(call+" binding", want...)
 }
 
-// explore runs the exhaustive symbolic execution of s.Drive and hands
-// every feasible path to visit, with the number of declared output
-// actions it emitted (the P4 count) — the walk VerifySym and
+// explore runs the exhaustive symbolic execution of s.Drive under model
+// and returns every feasible path, each with the number of declared
+// output actions it emitted (the P4 count) — the walk VerifySym and
 // VerifyReasons share.
-func explore(s SymSpec, visit func(i int, p *SymPath, outs int)) (*symbex.Result, error) {
+func explore(s SymSpec, model Model) (*symbex.Result, []*SymPath, error) {
 	if s.Drive == nil || s.Spec == nil {
-		return nil, errors.New("nfkit: symbolic spec needs Drive and Spec")
-	}
-	if len(s.Outputs) == 0 {
-		return nil, errors.New("nfkit: symbolic spec declares no output actions")
+		return nil, nil, errors.New("nfkit: symbolic spec needs Drive and Spec")
 	}
 	res, err := symbex.Explore(func(m *symbex.Machine) {
-		d := newSymDriver(m, s.Outputs)
+		d := newSymDriver(m, model, s.Outputs)
 		s.Drive(d)
 		m.AttachMeta(d)
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	outSet := make(map[string]bool, len(s.Outputs))
-	for _, o := range s.Outputs {
-		outSet[o] = true
-	}
-	var solver sym.Solver
+	paths := make([]*SymPath, len(res.Paths))
 	for i, t := range res.Paths {
-		d, ok := t.Meta.(*SymDriver)
-		if !ok {
-			return nil, fmt.Errorf("nfkit: path %d carries no driver vocabulary", i)
-		}
-		outs := 0
-		var outName string
+		p := &SymPath{t: t, d: t.Meta.(*SymDriver)}
 		for j := range t.Seq {
-			c := &t.Seq[j]
-			if c.Kind == trace.CallGeneric && outSet[c.Name] {
-				outs++
-				outName = c.Name
+			if name := t.Seq[j].Name; p.d.outputs[name] {
+				p.outs++
+				p.out = name
 			}
 		}
-		visit(i, &SymPath{t: t, d: d, out: outName, solver: &solver}, outs)
+		paths[i] = p
 	}
-	return res, nil
+	return res, paths, nil
 }
 
-// VerifySym runs the declared NF logic through the shared symbolic
-// pipeline: exhaustive symbolic execution of Drive, then the lazy
-// checks — single output action per path over the declared vocabulary
-// (P4), the discipline violations the models raised (P2), and the
-// declared per-path semantic specification (P1).
-func VerifySym(s SymSpec) (*Report, error) {
-	rep := &Report{NF: s.NF}
-	res, err := explore(s, func(i int, p *SymPath, outs int) {
-		// Output discipline (P4): exactly one declared output action.
-		if outs != 1 {
-			rep.P4Violations = append(rep.P4Violations,
-				fmt.Sprintf("path %d: %d output actions", i, outs))
-			return
-		}
-		// P1: the NF's semantic decision tree.
-		if _, err := s.Spec(p); err != nil {
-			rep.P1Failures = append(rep.P1Failures, fmt.Sprintf("path %d: %v", i, err))
-		}
-	})
+// VerifySym runs the declared NF logic through the one symbolic
+// pipeline, with its state operations under the given model: exhaustive
+// symbolic execution of Drive, then the lazy per-path checks on workers
+// goroutines (0 means GOMAXPROCS) — the single output action over the
+// declared vocabulary (P4), every model claim entailed by the contracts
+// (P5), and the declared semantic specification (P1) — beside the
+// discipline violations the models raised (P2/P4).
+func VerifySym(s SymSpec, model Model, workers int) (*Report, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	start := time.Now()
+	res, paths, err := explore(s, model)
 	if err != nil {
 		return nil, err
 	}
-	rep.Paths, rep.Tasks, rep.P2Violations = len(res.Paths), res.TraceCount(), res.Violations
+	rep := &Report{NF: s.NF, Model: model, Explore: time.Since(start),
+		Paths: len(paths), Tasks: res.TraceCount(), P2Violations: res.Violations, Traces: res.Paths}
+
+	start = time.Now()
+	type verdict struct {
+		p1, p4 string
+		p5     []string
+	}
+	verdicts := make([]verdict, len(paths))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(paths); i = int(next.Add(1) - 1) {
+				p, v := paths[i], &verdicts[i]
+				v.p5 = checkP5(i, p.t)
+				if len(s.Outputs) > 0 && p.outs != 1 {
+					v.p4 = fmt.Sprintf("path %d: %d output actions", i, p.outs)
+				} else if _, err := s.Spec(p); err != nil {
+					v.p1 = fmt.Sprintf("path %d: %v", i, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, v := range verdicts {
+		if v.p1 != "" {
+			rep.P1Failures = append(rep.P1Failures, v.p1)
+		}
+		if v.p4 != "" {
+			rep.P4Violations = append(rep.P4Violations, v.p4)
+		}
+		rep.P5Violations = append(rep.P5Violations, v.p5...)
+	}
+	rep.Validate = time.Since(start)
 	return rep, nil
+}
+
+// checkP5 is lazy model validation (§5.2.3) over one path: every claim a
+// model made about a call's outputs must be entailed by the contracts
+// bound so far on the path — that call's clause and every earlier one's,
+// as the proof checker assumes callee post-conditions. A model claiming
+// more than its contract justifies (under-approximate, Fig. 4 model (c))
+// fails here; one claiming less (over-approximate, model (b)) passes
+// here and fails P1 instead — the paper's Step 3a/3b split.
+func checkP5(i int, t *trace.Trace) []string {
+	var solver sym.Solver
+	var gamma []sym.Atom
+	var errs []string
+	for j := range t.Seq {
+		c := &t.Seq[j]
+		if c.Clause == "" {
+			continue
+		}
+		gamma = append(gamma, c.Contract...)
+		for _, claim := range c.Out {
+			if !solver.Entails(gamma, claim) {
+				errs = append(errs, fmt.Sprintf("path %d: model of %s claims %v, not justified by contract clause %s",
+					i, c.Name, claim, c.Clause))
+			}
+		}
+	}
+	return errs
 }
 
 // DropOutput is the output-action name VerifyReasons treats as the
@@ -296,23 +367,27 @@ func (d Decl[C]) VerifyReasons() (*ReasonReport, error) {
 	}
 	s, set := *d.Sym, d.Reasons
 	rep := &ReasonReport{NF: s.NF, PathsPerReason: make([]int, set.Len())}
-	res, err := explore(s, func(i int, p *SymPath, outs int) {
-		if outs != 1 {
+	_, paths, err := explore(s, ModelExact)
+	if err != nil {
+		return nil, err
+	}
+	for i, p := range paths {
+		if p.outs != 1 {
 			rep.Failures = append(rep.Failures,
-				fmt.Sprintf("path %d: %d output actions, cannot classify", i, outs))
-			return
+				fmt.Sprintf("path %d: %d output actions, cannot classify", i, p.outs))
+			continue
 		}
 		id, err := s.Spec(p)
 		if err != nil {
 			rep.Failures = append(rep.Failures,
 				fmt.Sprintf("path %d (%s): unclassifiable: %v", i, p.out, err))
-			return
+			continue
 		}
 		if int(id) >= set.Len() {
 			rep.Failures = append(rep.Failures,
 				fmt.Sprintf("path %d (%s): reason id %d not declared in taxonomy %q",
 					i, p.out, id, set.NF()))
-			return
+			continue
 		}
 		rep.PathsPerReason[id]++
 		isDropPath := p.out == DropOutput
@@ -324,11 +399,8 @@ func (d Decl[C]) VerifyReasons() (*ReasonReport, error) {
 			rep.Failures = append(rep.Failures,
 				fmt.Sprintf("path %d outputs %s but reason %q is drop-class", i, p.out, set.Name(id)))
 		}
-	})
-	if err != nil {
-		return nil, err
 	}
-	rep.Paths = len(res.Paths)
+	rep.Paths = len(paths)
 	for id, n := range rep.PathsPerReason {
 		if n == 0 {
 			rep.Failures = append(rep.Failures,

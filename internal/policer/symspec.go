@@ -8,12 +8,12 @@ import (
 	"vignat/internal/vigor/sym"
 )
 
-// This file is the policer's symbolic declaration for the kit's
-// derived verification — the §7 amortization, fourth NF on the shared
-// toolchain, now with the engine binding itself amortized: the Env
-// glue below names the subscriber-table and token-bucket models and
-// their P2/P4 preconditions; enumeration, discipline, and entailment
-// come from nfkit.VerifySym.
+// This file is the policer's symbolic declaration — the §7
+// amortization, fourth NF on the shared toolchain, with the engine
+// binding itself amortized: the Env glue below names the
+// subscriber-table and token-bucket models, their contract clauses and
+// their P2/P4 preconditions; enumeration, discipline, model validation
+// and entailment come from nfkit.VerifySym.
 
 // polSym drives ProcessPacket under the engine via the kit driver.
 // The IPv4 guards and the arrival side are the kit's guard set (the
@@ -23,25 +23,32 @@ type polSym struct{ nfkit.SymGuards }
 
 var _ Env = polSym{}
 
-func (e polSym) ExpireState() { e.D.Note("expire_subscribers") }
+func (e polSym) ExpireState() { e.D.Expire("expire_subscribers") }
 
-// mintBucket mints a bucket handle bound to the packet's destination —
-// the subscriber the packet is headed for (the map/bucket contract).
-func (e polSym) mintBucket() BucketHandle {
+// mintBucket mints a bucket handle bound, under the map's contract
+// clause, to the packet's destination — the subscriber the packet is
+// headed for. Fig. 4's under-approximate model creates the bucket of
+// 0.0.0.0 only.
+func (e polSym) mintBucket(clause string, pin bool) BucketHandle {
 	h := e.D.Mint("bucket_client_ip")
-	e.D.Bind(h, sym.EqVV(e.D.HVar(h, "bucket_client_ip"), e.D.Var("pkt_dst_ip")))
+	v := e.D.HVar(h, "bucket_client_ip")
+	var pins []sym.Atom
+	if pin {
+		pins = []sym.Atom{sym.EqVC(v, 0)}
+	}
+	e.D.Bind(h, clause, []sym.Atom{sym.EqVV(v, e.D.Var("pkt_dst_ip"))}, pins...)
 	return BucketHandle(h)
 }
 
 func (e polSym) LookupBucket() (BucketHandle, bool) {
-	e.D.Require(e.D.Flag("l3"), "P2: subscriber key from unvalidated IPv4 header")
+	e.D.Require(e.D.Flag("ipv4_header_valid"), "P2: subscriber key from unvalidated IPv4 header")
 	e.D.Require(e.D.Flag("iface_known") && !e.D.Flag("from_internal"),
 		"P4: bucket lookup for a non-ingress packet")
-	if !e.D.Decide("map_get_by_client_ip") {
+	if !e.D.Lookup("map_get_by_client_ip") {
 		e.D.Set("missed", true)
 		return 0, false
 	}
-	return e.mintBucket(), true
+	return e.mintBucket("Map.Get", false), true
 }
 
 func (e polSym) CreateBucket() (BucketHandle, bool) {
@@ -49,7 +56,7 @@ func (e polSym) CreateBucket() (BucketHandle, bool) {
 	if !e.D.Decide("bucket_create") {
 		return 0, false
 	}
-	return e.mintBucket(), true
+	return e.mintBucket("Map.Put", true), true
 }
 
 func (e polSym) Rejuvenate(h BucketHandle) {
@@ -98,7 +105,7 @@ func Verify() (*nfkit.Report, error) {
 // verifyLogic runs the pipeline over any policer-shaped stateless
 // logic; tests use it to demonstrate that buggy variants fail.
 func verifyLogic(logic func(Env)) (*nfkit.Report, error) {
-	return nfkit.VerifySym(*symSpecFor(logic))
+	return nfkit.VerifySym(*symSpecFor(logic), nfkit.ModelExact, 0)
 }
 
 // checkSpec is the policer's rate-enforcement specification, trace

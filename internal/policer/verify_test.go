@@ -16,8 +16,7 @@ func TestPolicerVerified(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !rep.OK() {
-		t.Fatalf("proof failed: %s\nP1=%v\nP2=%v\nP4=%v",
-			rep.Summary(), rep.P1Failures, rep.P2Violations, rep.P4Violations)
+		t.Fatalf("proof failed: %s\n%v", rep.Summary(), rep.Failures())
 	}
 	// frame guards ×3 fail-paths + egress + ingress{hit×charge(2),
 	// miss×create{charge(2), full}} = 3+1+5 = 9 feasible paths.

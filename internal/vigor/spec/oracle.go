@@ -1,3 +1,12 @@
+// Package spec holds the executable specifications of this
+// repository's NFs as differential-testing oracles: abstract
+// interpreters over spec-level state, fed the same packets as a real
+// NF, that report its first divergence. Oracle is RFC 3022 (the NAT's
+// Fig. 6, the analogue of the paper's separation-logic formalization,
+// §4.1), LBOracle the balancer's steering contract, PolicerOracle the
+// policer's budget law. The trace-level forms of the same
+// specifications, which the proofs weave into symbolic traces (P1), are
+// each NF's SymSpec.Spec, run by nfkit.VerifySym.
 package spec
 
 import (

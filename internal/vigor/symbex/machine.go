@@ -2,7 +2,10 @@
 // toolchain analogue (§5.2.1). It executes the NF's stateless code — the
 // exact function the production dataplane runs — against symbolic models
 // of libVig, forking at every state- or packet-dependent predicate, and
-// records a symbolic trace per feasible path (Fig. 9).
+// records a symbolic trace per feasible path (Fig. 9). The models are
+// nfkit's (SymDriver and the models built on it), and so is the
+// validation of the traces (nfkit.VerifySym): this package is only the
+// engine.
 //
 // Forking uses decision replay: the engine runs the stateless function
 // many times, scripting the first k decisions and defaulting the rest to
@@ -42,7 +45,7 @@ type Machine struct {
 
 func newMachine(script []bool) *Machine {
 	m := &Machine{script: script}
-	m.tr.Seq = append(m.tr.Seq, trace.Call{Kind: trace.CallLoopBegin, Handle: -1})
+	m.tr.Seq = append(m.tr.Seq, trace.Call{Name: trace.LoopBegin, Handle: -1})
 	return m
 }
 
@@ -53,11 +56,11 @@ func (m *Machine) Fresh(name string) sym.Var {
 	return v
 }
 
-// Decide consumes one fork decision for the call kind. The chosen
+// Decide consumes one fork decision for the named call. The chosen
 // branch's atoms join the path constraints; if they make the path
 // infeasible the machine aborts the path (the branch cannot actually be
 // taken, so no trace is recorded for it).
-func (m *Machine) Decide(kind trace.CallKind, name string, ifTrue, ifFalse []sym.Atom) bool {
+func (m *Machine) Decide(name string, ifTrue, ifFalse []sym.Atom) bool {
 	d := false
 	if m.pos < len(m.script) {
 		d = m.script[m.pos]
@@ -69,7 +72,7 @@ func (m *Machine) Decide(kind trace.CallKind, name string, ifTrue, ifFalse []sym
 		atoms = ifTrue
 	}
 	m.tr.Seq = append(m.tr.Seq, trace.Call{
-		Kind: kind, Name: name, Ret: d, HasRet: true, Handle: -1,
+		Name: name, Ret: d, HasRet: true, Handle: -1,
 		Out: atoms, Decision: true,
 	})
 	m.tr.Constraints = append(m.tr.Constraints, atoms...)
@@ -108,12 +111,14 @@ func (m *Machine) Violate(format string, args ...any) {
 // vocabulary) to the trace under construction.
 func (m *Machine) AttachMeta(meta any) { m.tr.Meta = meta }
 
-// AmendLastCall attaches a handle and model-output atoms to the most
-// recently recorded call: models use it to enrich a fork record with
-// the call's outputs, which is how Fig. 9 renders lookups.
-func (m *Machine) AmendLastCall(handle int, out []sym.Atom) {
+// AmendLastCall attaches a handle, the contract clause the call stands
+// for with its post-condition, and the model's output claims to the most
+// recently recorded call: models use it to enrich a fork record with the
+// call's outputs, which is how Fig. 9 renders lookups.
+func (m *Machine) AmendLastCall(handle int, clause string, contract, out []sym.Atom) {
 	last := &m.tr.Seq[len(m.tr.Seq)-1]
-	last.Handle = handle
+	last.Handle, last.Clause = handle, clause
+	last.Contract = append(last.Contract, contract...)
 	last.Out = append(last.Out, out...)
 	m.tr.Constraints = append(m.tr.Constraints, out...)
 }
@@ -129,7 +134,7 @@ type Result struct {
 	Violations []string
 }
 
-// TraceCount returns the number of verification tasks the Validator will
+// TraceCount returns the number of verification tasks the verifier will
 // see: every path trace plus its prefixes, as in the paper's 431 traces
 // for 108 paths.
 func (r *Result) TraceCount() int {
@@ -155,7 +160,7 @@ func Explore(run func(m *Machine)) (*Result, error) {
 		m := newMachine(script)
 		completed := execOne(m, run)
 		if completed {
-			m.tr.Seq = append(m.tr.Seq, trace.Call{Kind: trace.CallLoopEnd, Handle: -1})
+			m.tr.Seq = append(m.tr.Seq, trace.Call{Name: trace.LoopEnd, Handle: -1})
 			m.tr.Decisions = append([]bool(nil), m.decisions...)
 			tcopy := m.tr
 			res.Paths = append(res.Paths, &tcopy)

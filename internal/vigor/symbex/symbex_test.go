@@ -1,94 +1,11 @@
 package symbex
 
 import (
-	"strings"
 	"testing"
 
-	"vignat/internal/nat/stateless"
 	"vignat/internal/vigor/sym"
 	"vignat/internal/vigor/trace"
 )
-
-func natCfg() NATEnvConfig {
-	return NATEnvConfig{Policy: ModelExact, PortBase: 1, PortCount: 65535}
-}
-
-// TestNATPathEnumeration checks the structure of exhaustive symbolic
-// execution over the NAT's stateless code: the six parse-fail paths, the
-// internal-side {hit, miss+alloc, miss+full} paths, and the external
-// {hit, miss} paths — 11 in total, every one ending in exactly one
-// output action.
-func TestNATPathEnumeration(t *testing.T) {
-	res, err := RunNAT(natCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Paths) != 11 {
-		t.Fatalf("feasible paths = %d, want 11", len(res.Paths))
-	}
-	if res.Pruned != 0 {
-		t.Fatalf("pruned %d feasible-looking prefixes", res.Pruned)
-	}
-	if len(res.Violations) != 0 {
-		t.Fatalf("healthy NF produced violations: %v", res.Violations)
-	}
-	drops, fwdExt, fwdInt := 0, 0, 0
-	for i, tr := range res.Paths {
-		out, n := tr.Output()
-		if n != 1 {
-			t.Fatalf("path %d has %d outputs", i, n)
-		}
-		switch out.Kind {
-		case trace.CallDrop:
-			drops++
-		case trace.CallEmitExternal:
-			fwdExt++
-		case trace.CallEmitInternal:
-			fwdInt++
-		}
-		// Every path starts with expiry per Fig. 6.
-		if tr.Find(trace.CallExpireFlows) == nil {
-			t.Fatalf("path %d never expired flows", i)
-		}
-	}
-	// 6 parse drops + alloc-fail drop + external-miss drop = 8 drops;
-	// internal hit + internal alloc = 2 external forwards; 1 internal.
-	if drops != 8 || fwdExt != 2 || fwdInt != 1 {
-		t.Fatalf("path mix drops=%d fwdExt=%d fwdInt=%d", drops, fwdExt, fwdInt)
-	}
-}
-
-// TestNATTraceCountsStable pins the verification-task count (the
-// paper's "431 traces from 108 paths" analogue).
-func TestNATTraceCountsStable(t *testing.T) {
-	res, err := RunNAT(natCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.TraceCount(); got != 109 {
-		t.Fatalf("verification tasks = %d, want 109", got)
-	}
-}
-
-// TestNATDecisionsReplayable: re-running a path's recorded decision
-// vector reproduces the same trace (the engine is deterministic).
-func TestNATDecisionsReplayable(t *testing.T) {
-	res, err := RunNAT(natCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, tr := range res.Paths {
-		m := newMachine(tr.Decisions)
-		env := NewNATEnv(m, natCfg())
-		stateless.ProcessPacket(env)
-		if len(m.decisions) != len(tr.Decisions) {
-			t.Fatalf("path %d: replay consumed %d decisions, had %d", i, len(m.decisions), len(tr.Decisions))
-		}
-		if len(m.tr.Seq)+1 != len(tr.Seq) { // +1: replay lacks LoopEnd
-			t.Fatalf("path %d: replay has %d calls, original %d", i, len(m.tr.Seq)+1, len(tr.Seq))
-		}
-	}
-}
 
 // TestExplorePrunesInfeasible: an NF branching twice on contradictory
 // constraints must have its impossible branch pruned.
@@ -97,14 +14,12 @@ func TestExplorePrunesInfeasible(t *testing.T) {
 		x := m.Fresh("x")
 		// First decision constrains x, second asks the same question;
 		// only consistent combinations are feasible.
-		a := m.Decide(trace.CallGeneric, "x_is_5",
-			[]sym.Atom{sym.EqVC(x, 5)}, []sym.Atom{sym.NeVC(x, 5)})
-		b := m.Decide(trace.CallGeneric, "x_is_5_again",
-			[]sym.Atom{sym.EqVC(x, 5)}, []sym.Atom{sym.NeVC(x, 5)})
+		a := m.Decide("x_is_5", []sym.Atom{sym.EqVC(x, 5)}, []sym.Atom{sym.NeVC(x, 5)})
+		b := m.Decide("x_is_5_again", []sym.Atom{sym.EqVC(x, 5)}, []sym.Atom{sym.NeVC(x, 5)})
 		if a != b {
 			t.Error("engine let contradictory decisions through")
 		}
-		m.Record(trace.Call{Kind: trace.CallDrop, Handle: -1})
+		m.Record(trace.Call{Name: "drop", Handle: -1})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,149 +49,38 @@ func TestAssumeInfeasiblePrunes(t *testing.T) {
 	}
 }
 
-// --- Buggy stateless variants: the engine's dynamic checks (the KLEE
-// sanitizer analogue) must catch each misuse class. ---
-
-// buggySkipL4Check reads flow keys from an unvalidated L4 header.
-func buggySkipL4Check(env stateless.Env) {
-	env.ExpireFlows()
-	if !env.FrameIntact() || !env.EtherIsIPv4() || !env.IPv4HeaderValid() ||
-		!env.NotFragment() || !env.L4Supported() {
-		env.Drop()
-		return
-	}
-	// BUG: L4HeaderIntact never checked before building the key.
-	if env.PacketFromInternal() {
-		if h, ok := env.LookupInternal(); ok {
-			env.Rejuvenate(h)
-			env.EmitExternal(h)
+// TestDecisionsReplayable: re-running a path's recorded decision vector
+// reproduces the same trace (the engine is deterministic).
+func TestDecisionsReplayable(t *testing.T) {
+	nf := func(m *Machine) {
+		x := m.Fresh("x")
+		if m.Decide("frame_intact", nil, nil) &&
+			m.Decide("x_is_5", []sym.Atom{sym.EqVC(x, 5)}, []sym.Atom{sym.NeVC(x, 5)}) {
+			m.Record(trace.Call{Name: "forward", Handle: -1})
 			return
 		}
+		m.Record(trace.Call{Name: "drop", Handle: -1})
 	}
-	env.Drop()
-}
-
-func TestBuggyNFDetectedSkippedGuard(t *testing.T) {
-	res, err := Explore(func(m *Machine) {
-		env := NewNATEnv(m, natCfg())
-		buggySkipL4Check(env)
-	})
+	res, err := Explore(nf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Violations) == 0 {
-		t.Fatal("unvalidated L4 access not detected")
+	if len(res.Paths) != 3 {
+		t.Fatalf("feasible paths %d, want 3", len(res.Paths))
 	}
-}
-
-// buggyEmitWithoutCheck emits using a handle from a failed allocation.
-func buggyEmitWithoutCheck(env stateless.Env) {
-	env.ExpireFlows()
-	if !env.FrameIntact() || !env.EtherIsIPv4() || !env.IPv4HeaderValid() ||
-		!env.NotFragment() || !env.L4Supported() || !env.L4HeaderIntact() {
-		env.Drop()
-		return
-	}
-	if env.PacketFromInternal() {
-		h, ok := env.LookupInternal()
-		if !ok {
-			h, _ = env.AllocateFlow() // BUG: ok ignored
+	for i, tr := range res.Paths {
+		m := newMachine(tr.Decisions)
+		nf(m)
+		if len(m.decisions) != len(tr.Decisions) {
+			t.Fatalf("path %d: replay consumed %d decisions, had %d", i, len(m.decisions), len(tr.Decisions))
 		}
-		env.EmitExternal(h) // may use an invalid handle
-		return
-	}
-	env.Drop()
-}
-
-func TestBuggyNFDetectedInvalidHandle(t *testing.T) {
-	res, err := Explore(func(m *Machine) {
-		env := NewNATEnv(m, natCfg())
-		buggyEmitWithoutCheck(env)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, v := range res.Violations {
-		if strings.Contains(v, "invalid flow handle") {
-			found = true
+		if len(m.tr.Seq)+1 != len(tr.Seq) { // +1: replay lacks the loop-end marker
+			t.Fatalf("path %d: replay has %d calls, original %d", i, len(m.tr.Seq)+1, len(tr.Seq))
 		}
-	}
-	if !found {
-		t.Fatalf("invalid-handle emit not detected: %v", res.Violations)
-	}
-}
-
-// buggyDoubleOutput drops and also emits.
-func buggyDoubleOutput(env stateless.Env) {
-	env.ExpireFlows()
-	if !env.FrameIntact() || !env.EtherIsIPv4() || !env.IPv4HeaderValid() ||
-		!env.NotFragment() || !env.L4Supported() || !env.L4HeaderIntact() {
-		env.Drop()
-		return
-	}
-	if env.PacketFromInternal() {
-		if h, ok := env.LookupInternal(); ok {
-			env.EmitExternal(h)
-			env.Drop() // BUG: second output: packet buffer double-consumed
-			return
+		for j := range m.tr.Seq {
+			if m.tr.Seq[j].Name != tr.Seq[j].Name || m.tr.Seq[j].Ret != tr.Seq[j].Ret {
+				t.Fatalf("path %d: replay call %d is %s, original %s", i, j, m.tr.Seq[j].String(), tr.Seq[j].String())
+			}
 		}
-	}
-	env.Drop()
-}
-
-func TestBuggyNFDetectedDoubleOutput(t *testing.T) {
-	res, err := Explore(func(m *Machine) {
-		env := NewNATEnv(m, natCfg())
-		buggyDoubleOutput(env)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, v := range res.Violations {
-		if strings.Contains(v, "more than one output") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("double output not detected: %v", res.Violations)
-	}
-}
-
-// buggyAllocWithoutLookup allocates without checking for an existing
-// flow — the dmap duplicate-key pre-condition violation.
-func buggyAllocWithoutLookup(env stateless.Env) {
-	env.ExpireFlows()
-	if !env.FrameIntact() || !env.EtherIsIPv4() || !env.IPv4HeaderValid() ||
-		!env.NotFragment() || !env.L4Supported() || !env.L4HeaderIntact() {
-		env.Drop()
-		return
-	}
-	if env.PacketFromInternal() {
-		if h, ok := env.AllocateFlow(); ok { // BUG: no lookup first
-			env.EmitExternal(h)
-			return
-		}
-	}
-	env.Drop()
-}
-
-func TestBuggyNFDetectedAllocWithoutLookup(t *testing.T) {
-	res, err := Explore(func(m *Machine) {
-		env := NewNATEnv(m, natCfg())
-		buggyAllocWithoutLookup(env)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, v := range res.Violations {
-		if strings.Contains(v, "without a preceding LookupInternal miss") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("alloc-without-lookup not detected: %v", res.Violations)
 	}
 }

@@ -1,7 +1,8 @@
 // Package trace defines symbolic traces: the record of how the stateless
 // NF code interacted with (models of) the outside world along one
 // execution path, plus the path constraints — the paper's Fig. 9. The
-// Validator consumes traces to prove P1, P4 and P5 (Fig. 10).
+// verifier (nfkit.VerifySym) consumes traces to prove P1, P4 and P5
+// (Fig. 10).
 package trace
 
 import (
@@ -11,101 +12,43 @@ import (
 	"vignat/internal/vigor/sym"
 )
 
-// CallKind identifies a traced interface call.
-type CallKind uint8
-
-// Traced calls. The first group are the libVig/packet predicates (each a
-// fork point), the second the state operations, the third the outputs.
+// The loop markers every trace opens and closes with (Fig. 9's
+// loop_invariant_produce/consume).
 const (
-	CallInvalid CallKind = iota
-
-	// Predicates (return value recorded in Ret).
-	CallFrameIntact
-	CallEtherIsIPv4
-	CallIPv4HeaderValid
-	CallNotFragment
-	CallL4Supported
-	CallL4HeaderIntact
-	CallFromInternal
-
-	// State operations.
-	CallExpireFlows
-	CallLookupInternal // Ret = found; Handle valid when found
-	CallLookupExternal
-	CallAllocateFlow // Ret = ok; Handle valid when ok
-	CallRejuvenate   // Handle = argument
-
-	// Outputs.
-	CallEmitExternal // Handle = argument
-	CallEmitInternal
-	CallDrop
-
-	// Loop markers (Fig. 9's loop_invariant_produce/consume).
-	CallLoopBegin
-	CallLoopEnd
-
-	// Generic calls for non-NAT NFs (e.g. the discard example); Name
-	// carries the function name.
-	CallGeneric
+	LoopBegin = "loop_invariant_produce"
+	LoopEnd   = "loop_invariant_consume"
 )
-
-var callNames = map[CallKind]string{
-	CallFrameIntact:     "frame_intact",
-	CallEtherIsIPv4:     "ether_is_ipv4",
-	CallIPv4HeaderValid: "ipv4_header_valid",
-	CallNotFragment:     "not_fragment",
-	CallL4Supported:     "l4_supported",
-	CallL4HeaderIntact:  "l4_header_intact",
-	CallFromInternal:    "packet_from_internal",
-	CallExpireFlows:     "expire_flows",
-	CallLookupInternal:  "dmap_get_by_int_key",
-	CallLookupExternal:  "dmap_get_by_ext_key",
-	CallAllocateFlow:    "flow_table_add",
-	CallRejuvenate:      "dchain_rejuvenate",
-	CallEmitExternal:    "emit_external",
-	CallEmitInternal:    "emit_internal",
-	CallDrop:            "drop",
-	CallLoopBegin:       "loop_invariant_produce",
-	CallLoopEnd:         "loop_invariant_consume",
-	CallGeneric:         "call",
-}
-
-// String returns the call's function name.
-func (k CallKind) String() string {
-	if s, ok := callNames[k]; ok {
-		return s
-	}
-	return "invalid"
-}
 
 // Call is one entry in a symbolic trace.
 type Call struct {
-	Kind CallKind
-	// Name further identifies CallGeneric calls.
+	// Name is the traced function.
 	Name string
 	// Ret is the recorded boolean return for predicate calls.
 	Ret bool
 	// HasRet marks whether Ret is meaningful.
 	HasRet bool
-	// Handle is the flow handle involved (lookup/alloc result,
+	// Handle is the record handle involved (lookup/creation result,
 	// rejuvenate/emit argument); -1 when absent.
 	Handle int
-	// Out are the constraint atoms the model emitted for this call's
-	// outputs (e.g. the fresh flow's key equals the packet 5-tuple).
-	// These are what the P5 superset check compares against contracts.
+	// Out are the constraint atoms the model claimed for this call's
+	// outputs (e.g. the fresh flow's key equals the packet 5-tuple), or
+	// the rewrite an output action performs.
 	Out []sym.Atom
+	// Clause names the libVig contract clause a model call stands for,
+	// and Contract is that clause's post-condition over this call's
+	// outputs: the P5 check holds every claim in Out to the contracts
+	// of the calls so far. Empty for calls that model no libVig
+	// operation.
+	Clause   string
+	Contract []sym.Atom
 	// Decision marks calls that consumed a fork decision.
 	Decision bool
 }
 
 // String renders the call Fig. 9-style.
 func (c *Call) String() string {
-	name := c.Kind.String()
-	if c.Kind == CallGeneric {
-		name = c.Name
-	}
 	b := &strings.Builder{}
-	fmt.Fprintf(b, "%s(", name)
+	fmt.Fprintf(b, "%s(", c.Name)
 	if c.Handle >= 0 {
 		fmt.Fprintf(b, "handle=%d", c.Handle)
 	}
@@ -132,59 +75,9 @@ type Trace struct {
 	Violations []string
 	// Decisions is the branch-decision vector that reproduces the path.
 	Decisions []bool
-	// Meta carries NF-specific path metadata (e.g. the NAT's symbolic
-	// variable vocabulary) for the Validator's property weaving.
+	// Meta carries NF-specific path metadata (the path's symbolic
+	// vocabulary) for the verifier's property weaving.
 	Meta any
-}
-
-// Find returns the first call of kind k, or nil.
-func (t *Trace) Find(k CallKind) *Call {
-	for i := range t.Seq {
-		if t.Seq[i].Kind == k {
-			return &t.Seq[i]
-		}
-	}
-	return nil
-}
-
-// FindAll returns all calls of kind k.
-func (t *Trace) FindAll(k CallKind) []*Call {
-	var out []*Call
-	for i := range t.Seq {
-		if t.Seq[i].Kind == k {
-			out = append(out, &t.Seq[i])
-		}
-	}
-	return out
-}
-
-// PredicateValue returns the recorded return of the first call of kind k
-// and whether such a call exists. Predicates the path never evaluated
-// (short-circuited) are absent.
-func (t *Trace) PredicateValue(k CallKind) (bool, bool) {
-	c := t.Find(k)
-	if c == nil || !c.HasRet {
-		return false, false
-	}
-	return c.Ret, true
-}
-
-// Output returns the trace's single output call (emit/drop). A verified
-// path has exactly one; the validator's P4 check enforces that, so this
-// returns the first found plus the count.
-func (t *Trace) Output() (*Call, int) {
-	var first *Call
-	n := 0
-	for i := range t.Seq {
-		switch t.Seq[i].Kind {
-		case CallEmitExternal, CallEmitInternal, CallDrop:
-			if first == nil {
-				first = &t.Seq[i]
-			}
-			n++
-		}
-	}
-	return first, n
 }
 
 // String renders the whole trace in the paper's Fig. 9 style.

@@ -12,61 +12,18 @@ func sampleTrace() *Trace {
 	x := p.Fresh("popped_port")
 	t := &Trace{}
 	t.Seq = []Call{
-		{Kind: CallLoopBegin, Handle: -1},
-		{Kind: CallExpireFlows, Handle: -1},
-		{Kind: CallFrameIntact, Ret: true, HasRet: true, Handle: -1, Decision: true},
-		{Kind: CallFromInternal, Ret: true, HasRet: true, Handle: -1, Decision: true},
-		{Kind: CallLookupInternal, Ret: true, HasRet: true, Handle: 0},
-		{Kind: CallRejuvenate, Handle: 0},
-		{Kind: CallEmitExternal, Handle: 0},
-		{Kind: CallLoopEnd, Handle: -1},
+		{Name: LoopBegin, Handle: -1},
+		{Name: "expire_flows", Handle: -1},
+		{Name: "frame_intact", Ret: true, HasRet: true, Handle: -1, Decision: true},
+		{Name: "packet_from_internal", Ret: true, HasRet: true, Handle: -1, Decision: true},
+		{Name: "flow_get_by_int_key", Ret: true, HasRet: true, Handle: 0},
+		{Name: "dchain_rejuvenate", Handle: 0},
+		{Name: "emit_external", Handle: -1},
+		{Name: LoopEnd, Handle: -1},
 	}
 	t.Constraints = []sym.Atom{sym.NeVC(x, 9)}
 	t.Vars = []sym.Var{x}
 	return t
-}
-
-func TestFindAndPredicateValue(t *testing.T) {
-	tr := sampleTrace()
-	if c := tr.Find(CallLookupInternal); c == nil || !c.Ret || c.Handle != 0 {
-		t.Fatal("Find failed")
-	}
-	if c := tr.Find(CallLookupExternal); c != nil {
-		t.Fatal("Find invented a call")
-	}
-	v, ok := tr.PredicateValue(CallFrameIntact)
-	if !ok || !v {
-		t.Fatal("PredicateValue wrong")
-	}
-	if _, ok := tr.PredicateValue(CallL4Supported); ok {
-		t.Fatal("PredicateValue for absent call")
-	}
-	// ExpireFlows has no recorded return.
-	if _, ok := tr.PredicateValue(CallExpireFlows); ok {
-		t.Fatal("PredicateValue for non-predicate call")
-	}
-}
-
-func TestFindAll(t *testing.T) {
-	tr := sampleTrace()
-	tr.Seq = append(tr.Seq, Call{Kind: CallRejuvenate, Handle: 1})
-	all := tr.FindAll(CallRejuvenate)
-	if len(all) != 2 || all[0].Handle != 0 || all[1].Handle != 1 {
-		t.Fatalf("FindAll %v", all)
-	}
-}
-
-func TestOutput(t *testing.T) {
-	tr := sampleTrace()
-	out, n := tr.Output()
-	if n != 1 || out.Kind != CallEmitExternal {
-		t.Fatalf("Output %v %d", out, n)
-	}
-	tr.Seq = append(tr.Seq, Call{Kind: CallDrop, Handle: -1})
-	_, n = tr.Output()
-	if n != 2 {
-		t.Fatalf("double output count %d", n)
-	}
 }
 
 func TestStringRendering(t *testing.T) {
@@ -74,8 +31,7 @@ func TestStringRendering(t *testing.T) {
 	s := tr.String()
 	for _, want := range []string{
 		"loop_invariant_produce",
-		"dmap_get_by_int_key",
-		"==> true",
+		"flow_get_by_int_key(handle=0) ==> true",
 		"--- constraints ---",
 		":popped_port: != 9",
 		"loop_invariant_consume",
@@ -91,11 +47,11 @@ func TestStringRendering(t *testing.T) {
 }
 
 func TestCallString(t *testing.T) {
-	c := Call{Kind: CallGeneric, Name: "ring_pop_front", Handle: 2}
+	c := Call{Name: "ring_pop_front", Handle: 2}
 	if !strings.Contains(c.String(), "ring_pop_front(handle=2)") {
 		t.Fatalf("call string %q", c.String())
 	}
-	c2 := Call{Kind: CallDrop, Handle: -1}
+	c2 := Call{Name: "drop", Handle: -1}
 	if !strings.Contains(c2.String(), "drop()") {
 		t.Fatalf("drop string %q", c2.String())
 	}
@@ -105,14 +61,5 @@ func TestPrefixes(t *testing.T) {
 	tr := sampleTrace()
 	if tr.Prefixes() != len(tr.Seq) {
 		t.Fatal("prefix count")
-	}
-}
-
-func TestCallKindNames(t *testing.T) {
-	if CallInvalid.String() != "invalid" {
-		t.Fatal("invalid kind name")
-	}
-	if CallExpireFlows.String() != "expire_flows" {
-		t.Fatal("expire name")
 	}
 }
