@@ -35,7 +35,7 @@ var (
 // (NewKeylessMap) and recover a key through the store. Precondition,
 // which is the keyless map's: the caller may write a stored value
 // through Value, but fk1 and fk2 of it must not change between Put and
-// Erase. Both key hashes are kept per index from Put to Erase, so Erase
+// Erase. The key hashes are kept per index from Put to Erase, so Erase
 // rehashes nothing and compares no key, and the home slots of an index
 // about to expire can be found from sequential memory
 // (PrefetchExpiring).
@@ -50,15 +50,19 @@ var (
 //	            fk2(M(i)) = k — the same set as above, found by
 //	            arithmetic and one key compare
 //
-// Such a map keeps no bySnd, hashes no second key, and its contract is
-// otherwise the one above.
+// Such a map keeps no bySnd, hashes no second key — it keeps one hash
+// per index, not two — and its contract is otherwise the one above.
 type DoubleMap[K1 Key, K2 Key, V any] struct {
-	byFst  *Map[K1]
-	bySnd  *Map[K2]     // exactly one of bySnd and index is set, at construction
-	index  func(K2) int // the second key's index function
-	vals   []V
-	busy   []bool
-	hashes [][2]uint64 // hashes[i] = {fk1(vals[i]).Hash(), fk2(vals[i]).Hash()} while busy[i]; the latter 0 in an indexed map
+	byFst *Map[K1]
+	bySnd *Map[K2]     // exactly one of bySnd and index is set, at construction
+	index func(K2) int // the second key's index function
+	vals  []V
+	busy  []bool
+	// hashes holds, while busy[i], fk1(vals[i]).Hash() at hashes[i*width]
+	// and, in a two-key map (width 2), fk2(vals[i]).Hash() beside it, so
+	// an erase reads both from one cache line.
+	hashes []uint64
+	width  int
 	fk1    func(*V) K1
 	fk2    func(*V) K2
 	size   int
@@ -68,7 +72,7 @@ type DoubleMap[K1 Key, K2 Key, V any] struct {
 // NewDoubleMap returns a double-keyed map of the given capacity. fk1 and
 // fk2 extract the two keys from a stored value; they must be pure.
 func NewDoubleMap[K1 Key, K2 Key, V any](capacity int, fk1 func(*V) K1, fk2 func(*V) K2) (*DoubleMap[K1, K2, V], error) {
-	m, err := newDoubleMap(capacity, fk1, fk2)
+	m, err := newDoubleMap(capacity, fk1, fk2, 2)
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +93,7 @@ func NewIndexedDoubleMap[K1 Key, K2 Key, V any](capacity int, fk1 func(*V) K1, f
 	if index == nil {
 		return nil, errors.New("libvig: nil second-key index function")
 	}
-	m, err := newDoubleMap(capacity, fk1, fk2)
+	m, err := newDoubleMap(capacity, fk1, fk2, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -97,8 +101,9 @@ func NewIndexedDoubleMap[K1 Key, K2 Key, V any](capacity int, fk1 func(*V) K1, f
 	return m, nil
 }
 
-// newDoubleMap builds everything but the second key's resolution.
-func newDoubleMap[K1 Key, K2 Key, V any](capacity int, fk1 func(*V) K1, fk2 func(*V) K2) (*DoubleMap[K1, K2, V], error) {
+// newDoubleMap builds everything but the second key's resolution,
+// keeping width hashes per index.
+func newDoubleMap[K1 Key, K2 Key, V any](capacity int, fk1 func(*V) K1, fk2 func(*V) K2, width int) (*DoubleMap[K1, K2, V], error) {
 	if capacity <= 0 {
 		return nil, ErrBadCapacity
 	}
@@ -107,7 +112,7 @@ func newDoubleMap[K1 Key, K2 Key, V any](capacity int, fk1 func(*V) K1, fk2 func
 	}
 	vals := make([]V, capacity)
 	busy := make([]bool, capacity)
-	hashes := make([][2]uint64, capacity)
+	hashes := make([]uint64, width*capacity)
 	prefault(vals)
 	prefault(busy)
 	prefault(hashes)
@@ -120,6 +125,7 @@ func newDoubleMap[K1 Key, K2 Key, V any](capacity int, fk1 func(*V) K1, fk2 func
 		vals:   vals,
 		busy:   busy,
 		hashes: hashes,
+		width:  width,
 		fk1:    fk1,
 		fk2:    fk2,
 	}, nil
@@ -215,16 +221,16 @@ func (m *DoubleMap[K1, K2, V]) put(i int, v V, h1 uint64, hashed bool) error {
 	if err := m.byFst.PutHashed(k1, h1, i); err != nil {
 		return m.unstage(i, err)
 	}
-	var h2 uint64
 	if m.bySnd != nil {
-		h2 = k2.Hash()
+		h2 := k2.Hash()
 		if err := m.bySnd.PutHashed(k2, h2, i); err != nil {
 			// Roll back so a duplicate second key cannot corrupt the map.
 			_ = m.byFst.EraseValue(h1, i)
 			return m.unstage(i, err)
 		}
+		m.hashes[2*i+1] = h2
 	}
-	m.hashes[i] = [2]uint64{h1, h2}
+	m.hashes[i*m.width] = h1
 	m.busy[i] = true
 	m.size++
 	return nil
@@ -246,12 +252,11 @@ func (m *DoubleMap[K1, K2, V]) Erase(i int) error {
 	if !m.busy[i] {
 		return ErrDMapIndexFree
 	}
-	h := m.hashes[i]
-	if err := m.byFst.EraseValue(h[0], i); err != nil {
+	if err := m.byFst.EraseValue(m.hashes[i*m.width], i); err != nil {
 		return err
 	}
 	if m.bySnd != nil {
-		if err := m.bySnd.EraseValue(h[1], i); err != nil {
+		if err := m.bySnd.EraseValue(m.hashes[2*i+1], i); err != nil {
 			return err
 		}
 	}
@@ -308,10 +313,9 @@ func (m *DoubleMap[K1, K2, V]) PrefetchSnd(k K2, h uint64) {
 func (m *DoubleMap[K1, K2, V]) PrefetchExpiring(chain *DChain, deadline Time, max int) {
 	i, ts, ok := chain.Oldest()
 	for ; ok && ts < deadline && max > 0; max-- {
-		h := m.hashes[i]
-		m.sink += m.byFst.touch(h[0])
+		m.sink += m.byFst.touch(m.hashes[i*m.width])
 		if m.bySnd != nil {
-			m.sink += m.bySnd.touch(h[1])
+			m.sink += m.bySnd.touch(m.hashes[2*i+1])
 		}
 		i, ts, ok = chain.After(i)
 	}
@@ -330,12 +334,9 @@ func (m *DoubleMap[K1, K2, V]) CheckInvariant() error {
 		}
 		busy++
 		k1, k2 := m.fk1(&m.vals[i]), m.fk2(&m.vals[i])
-		h := [2]uint64{k1.Hash(), 0}
-		if m.bySnd != nil {
-			h[1] = k2.Hash()
-		}
-		if h != m.hashes[i] {
-			return fmt.Errorf("libvig: index %d stores hashes %#x, its keys hash to %#x", i, m.hashes[i], h)
+		stored := m.hashes[i*m.width : (i+1)*m.width]
+		if stored[0] != k1.Hash() || m.width == 2 && stored[1] != k2.Hash() {
+			return fmt.Errorf("libvig: index %d stores hashes %#x, its keys hash to %#x and %#x", i, stored, k1.Hash(), k2.Hash())
 		}
 		if j, ok := m.byFst.Get(k1); !ok || j != i {
 			return fmt.Errorf("libvig: index %d's first key resolves to (%d, %v)", i, j, ok)

@@ -270,6 +270,41 @@ func testDMapHashedAndPrefetchArePure(t *testing.T, cap int, m *DoubleMap[tKey, 
 	}
 }
 
+// TestDMapHashesPerIndex: an indexed map keeps one hash per index, a
+// two-key map both side by side, and CheckInvariant reads every one of
+// them — a corrupted stored hash is reported in either layout.
+func TestDMapHashesPerIndex(t *testing.T) {
+	const cap = 8
+	for _, tc := range []struct {
+		name  string
+		m     *DoubleMap[tKey, tKey, pairVal]
+		width int
+	}{{"hashed", newTestDMap(t, cap), 2}, {"indexed", newIndexedTestDMap(t, cap), 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := tc.m
+			if len(m.hashes) != tc.width*cap {
+				t.Fatalf("%d hashes for %d indices, want %d per index", len(m.hashes), cap, tc.width)
+			}
+			if err := m.Put(3, pairVal{a: tKey{v: 7}, b: tKey{v: 1003}}); err != nil {
+				t.Fatal(err)
+			}
+			for slot := 3 * tc.width; slot < 4*tc.width; slot++ {
+				m.hashes[slot]++
+				if err := m.CheckInvariant(); err == nil {
+					t.Fatalf("stored hash %d corrupted, invariant still holds", slot)
+				}
+				m.hashes[slot]--
+			}
+			if err := m.Erase(3); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.CheckInvariant(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestIndexedDMap: a second key that names its index is resolved by
 // arithmetic and one compare. A key that indexes an occupied slot but
 // is not the stored key misses; a put whose second key names another

@@ -36,6 +36,9 @@ type MetricSource struct {
 	// pipeline is not in wire mode), and the series are then absent.
 	// Pipeline.Wire is the intended producer.
 	Wire func() []WireQueue
+	// Mempools, when set, supplies each RX queue's mempool size and
+	// high-water mark. Pipeline.Mempools is the intended producer.
+	Mempools func() []MempoolFill
 }
 
 // SourceOf assembles the richest MetricSource the given NF supports:
@@ -50,6 +53,7 @@ func SourceOf(name string, nfi NF, pipe *Pipeline) MetricSource {
 	if pipe != nil {
 		src.Telemetry = pipe.Telemetry
 		src.Wire = pipe.Wire
+		src.Mempools = pipe.Mempools
 	}
 	return src
 }
@@ -119,8 +123,9 @@ func ServeMetrics(addr string, sources ...MetricSource) (*Metrics, error) {
 // keep working and ignore the additions) plus the per-reason totals.
 type sourceJSON struct {
 	Stats
-	Reasons map[string]uint64 `json:"reasons,omitempty"`
-	Wire    []WireQueue       `json:"wire,omitempty"`
+	Reasons  map[string]uint64 `json:"reasons,omitempty"`
+	Wire     []WireQueue       `json:"wire,omitempty"`
+	Mempools []MempoolFill     `json:"mempools,omitempty"`
 }
 
 // wantsProm decides the /metrics rendering: Prometheus text when the
@@ -160,6 +165,9 @@ func (m *Metrics) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		if s.Wire != nil {
 			j.Wire = s.Wire()
 		}
+		if s.Mempools != nil {
+			j.Mempools = s.Mempools()
+		}
 		out[s.Name] = j
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -188,6 +196,16 @@ var wireSeries = []struct {
 		port: func(s dpdk.WireStats) uint64 { return s.TxSyscalls }},
 	{name: "nf_wire_tx_eagain_total", help: "sendmmsg calls refused because the peer's buffers were full.",
 		port: func(s dpdk.WireStats) uint64 { return s.TxAgain }},
+}
+
+// mempoolGauges are the per-queue mempool series.
+var mempoolGauges = []struct {
+	name, help string
+	get        func(MempoolFill) int
+}{
+	{"nf_mempool_high_water", "Most mbufs checked out of an RX queue's mempool at once: its data rooms made resident.",
+		func(f MempoolFill) int { return f.HighWater }},
+	{"nf_mempool_size", "Mbufs in an RX queue's mempool.", func(f MempoolFill) int { return f.Size }},
 }
 
 // statCounters orders the Stats fields for exposition.
@@ -280,6 +298,21 @@ func (m *Metrics) writeProm(w io.Writer) {
 					fmt.Fprintf(w, "%s{nf=%q,port=\"internal\",queue=\"%d\"} %d\n", c.name, s.Name, q.Queue, c.port(q.Internal))
 					fmt.Fprintf(w, "%s{nf=%q,port=\"external\",queue=\"%d\"} %d\n", c.name, s.Name, q.Queue, c.port(q.External))
 				}
+			}
+		}
+	}
+
+	pools := make([][]MempoolFill, len(m.sources))
+	for i, s := range m.sources {
+		if s.Mempools != nil {
+			pools[i] = s.Mempools()
+		}
+	}
+	for _, g := range mempoolGauges {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", g.name, g.help, g.name)
+		for i, s := range m.sources {
+			for _, f := range pools[i] {
+				fmt.Fprintf(w, "%s{nf=%q,port=%q,queue=\"%d\"} %d\n", g.name, s.Name, f.Port, f.Queue, g.get(f))
 			}
 		}
 	}

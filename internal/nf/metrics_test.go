@@ -634,17 +634,51 @@ func TestMetricsWireExposition(t *testing.T) {
 		t.Fatal("a partial burst that sent nothing out was not followed by a moderated sleep")
 	}
 	_ = one("nf_wire_waits_total")
+	// The frames came in through the internal port's pool, at most all
+	// at once; the silent external port's pool never lent an mbuf.
+	if hw := one("nf_mempool_high_water", `port="internal"`); hw == 0 || hw > frames {
+		t.Fatalf("internal mempool high water %d after %d frames", hw, frames)
+	}
+	if hw := one("nf_mempool_high_water", `port="external"`); hw != 0 {
+		t.Fatalf("silent external port's mempool high water %d", hw)
+	}
+	if size := one("nf_mempool_size", `port="internal"`); size != 32 {
+		t.Fatalf("mempool size %d, want 32", size)
+	}
 
 	resp, err := http.Get("http://" + m.Addr() + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var js map[string]struct{ Wire []nf.WireQueue }
+	var js map[string]struct {
+		Wire     []nf.WireQueue
+		Mempools []nf.MempoolFill
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&js); err != nil {
 		t.Fatal(err)
 	}
 	if w := js["wired"].Wire; len(w) != 1 || w[0].Internal.RxFrames != frames {
 		t.Fatalf("JSON wire section %+v, want one queue with %d frames in", w, frames)
+	}
+	if p := js["wired"].Mempools; len(p) != 2 || p[0].Port != "internal" || p[0].HighWater == 0 || p[1].HighWater != 0 {
+		t.Fatalf("JSON mempools section %+v, want the internal pool lent mbufs and the external one none", p)
+	}
+}
+
+// TestEngineReportMempoolLine: the end-of-run report prints every RX
+// queue's high-water mark against its pool size on the line
+// scripts/wire_smoke.sh reads.
+func TestEngineReportMempoolLine(t *testing.T) {
+	var b strings.Builder
+	nf.FprintEngineReport(&b, nf.PipelineStats{}, nf.Stats{}, []nf.MempoolFill{
+		{Port: "internal", Queue: 0, Size: 1024, HighWater: 37},
+		{Port: "internal", Queue: 1, Size: 1024, HighWater: 5},
+		{Port: "external", Queue: 0, Size: 1024, HighWater: 41},
+		{Port: "external", Queue: 1, Size: 1024},
+	})
+	const want = "  mempool high water: internal.q0=37/1024 internal.q1=5/1024 external.q0=41/1024 external.q1=0/1024\n"
+	if lines := strings.SplitAfter(b.String(), "\n"); len(lines) != 3 || lines[1] != want {
+		t.Fatalf("report:\n%s\nwant its second line:\n%s", b.String(), want)
 	}
 }

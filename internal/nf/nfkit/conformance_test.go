@@ -924,47 +924,174 @@ func TestBatchesAllocateNothing(t *testing.T) {
 	})
 	t.Run("chain", func(t *testing.T) {
 		clock := libvig.NewVirtualClock(0)
-		fw, err := firewall.New(4*confSessions, confTimeout, clock)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pol, err := policer.New(policer.Config{Rate: 1 << 20, Burst: 1 << 20, Capacity: 4 * confSessions, Timeout: confTimeout}, clock)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bal, err := lb.New(lb.Config{
-			VIP: confVIP, VIPPort: 443, Capacity: 4 * confSessions, Timeout: confTimeout,
-			MaxBackends: 4, ClientsInternal: true, Passthrough: true,
-		}, clock)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := bal.AddBackend(flow.MakeAddr(10, 1, 0, 10), 0); err != nil {
-			t.Fatal(err)
-		}
-		gw, err := nat.New(nat.Config{
-			Capacity: 4 * confSessions, Timeout: confTimeout, ExternalIP: flow.MakeAddr(198, 18, 1, 1),
-			PortBase: 1000, InternalPort: 0, ExternalPort: 1,
-		}, clock)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := nf.NewChain("gateway", firewall.AsNF(fw), policer.AsNF(pol), lb.AsNF(bal), nat.AsNF(gw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		run(t, c, clock, func(i int) []byte {
-			dst, port := flow.MakeAddr(93, 184, 216, 34), uint16(80)
-			if i%3 == 0 {
-				dst, port = confVIP, 443
-			}
-			return craft(flow.ID{
-				SrcIP: flow.MakeAddr(10, 0, 0, byte(1+i)), SrcPort: uint16(20000 + i),
-				DstIP: dst, DstPort: port, Proto: flow.UDP,
-			})
-		}, true)
+		c, gw := gatewayChain(t, clock)
+		run(t, c, clock, gatewayFrame, true)
 		if st := gw.Stats(); st.ForwardedOut == 0 || st.FlowsExpired == 0 {
 			t.Fatalf("the chain's bursts never reached the NAT's flow churn: %+v", st)
+		}
+	})
+}
+
+// gatewayChain is the firewall→policer→balancer→NAT chain the
+// allocation tests drive, and its NAT.
+func gatewayChain(t *testing.T, clock libvig.Clock) (*nf.Chain, *nat.NAT) {
+	t.Helper()
+	fw, err := firewall.New(4*confSessions, confTimeout, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol, err := policer.New(policer.Config{Rate: 1 << 20, Burst: 1 << 20, Capacity: 4 * confSessions, Timeout: confTimeout}, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bal, err := lb.New(lb.Config{
+		VIP: confVIP, VIPPort: 443, Capacity: 4 * confSessions, Timeout: confTimeout,
+		MaxBackends: 4, ClientsInternal: true, Passthrough: true,
+	}, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bal.AddBackend(flow.MakeAddr(10, 1, 0, 10), 0); err != nil {
+		t.Fatal(err)
+	}
+	gw, err := nat.New(nat.Config{
+		Capacity: 4 * confSessions, Timeout: confTimeout, ExternalIP: flow.MakeAddr(198, 18, 1, 1),
+		PortBase: 1000, InternalPort: 0, ExternalPort: 1,
+	}, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := nf.NewChain("gateway", firewall.AsNF(fw), policer.AsNF(pol), lb.AsNF(bal), nat.AsNF(gw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, gw
+}
+
+// gatewayFrame is client i's frame into the gateway: every third one
+// for the balancer's VIP, the rest for a host outside.
+func gatewayFrame(i int) []byte {
+	dst, port := flow.MakeAddr(93, 184, 216, 34), uint16(80)
+	if i%3 == 0 {
+		dst, port = confVIP, 443
+	}
+	return craft(flow.ID{
+		SrcIP: flow.MakeAddr(10, 0, 0, byte(1+i)), SrcPort: uint16(20000 + i),
+		DstIP: dst, DstPort: port, Proto: flow.UDP,
+	})
+}
+
+// TestPollWorkerAllocatesNothing: the engine's whole poll — RX bursts
+// on both ports, steering, the flow cache, the NF's batch, TX batching
+// — allocates nothing in the steady state on the in-memory transport.
+// Four cases: the sharded NAT with the flow cache on and off, the
+// gateway chain, and an idle poll whose expiry sweep frees every flow
+// the busy poll before it opened. Every busy poll carries a burst of
+// client frames and the replies to the first poll's translations.
+func TestPollWorkerAllocatesNothing(t *testing.T) {
+	const clients = 32
+	natCfg := nat.Config{
+		Capacity: 4 * confSessions, Timeout: confTimeout,
+		ExternalIP: flow.MakeAddr(198, 18, 1, 1), PortBase: 1000,
+		InternalPort: 0, ExternalPort: 1,
+	}
+	run := func(t *testing.T, n nf.NF, clock *libvig.VirtualClock, fastPath int, sweep bool) nf.PipelineStats {
+		t.Helper()
+		mkPort := func(id uint16) *dpdk.Port {
+			pool, err := dpdk.NewMempool(4 * clients)
+			if err != nil {
+				t.Fatal(err)
+			}
+			port, err := dpdk.NewPort(id, dpdk.DefaultRxQueue, dpdk.DefaultTxQueue, pool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return port
+		}
+		intPort, extPort := mkPort(0), mkPort(1)
+		pipe, err := nf.NewPipeline(n, nf.Config{Internal: intPort, External: extPort, Clock: clock, FastPath: fastPath})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames := make([][]byte, clients)
+		for i := range frames {
+			frames[i] = gatewayFrame(i)
+		}
+		var replies [][]byte
+		drain := make([]*dpdk.Mbuf, 2*clients)
+		busy := func(keepReplies bool) {
+			clock.Advance(1000)
+			for _, f := range frames {
+				intPort.DeliverRx(f, clock.Now())
+			}
+			for _, f := range replies {
+				extPort.DeliverRx(f, clock.Now())
+			}
+			if got, err := pipe.PollWorker(0); err != nil || got != clients+len(replies) {
+				t.Fatalf("poll took %d frames (%v), want %d", got, err, clients+len(replies))
+			}
+			for _, port := range []*dpdk.Port{intPort, extPort} {
+				for _, m := range drain[:port.DrainTx(drain)] {
+					if keepReplies && port == extPort {
+						replies = append(replies, reverseFrame(t, m.Data))
+					}
+					if err := m.Pool().Free(m); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		busy(true)
+		if len(replies) == 0 {
+			t.Fatal("the first poll translated nothing")
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			busy(false)
+			if sweep {
+				clock.Advance(libvig.Time(2 * confTimeout.Nanoseconds()))
+				if got, err := pipe.PollWorker(0); err != nil || got != 0 {
+					t.Fatalf("idle poll took %d frames (%v)", got, err)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("a poll allocates %.1f times", allocs)
+		}
+		return pipe.Stats()
+	}
+	shardedNAT := func(t *testing.T, clock libvig.Clock) *nat.Sharded {
+		s, err := nat.NewSharded(natCfg, clock, confShards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name     string
+		fastPath int
+	}{{"nat_cache_on", nf.DefaultFastPathEntries}, {"nat_cache_off", -1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := libvig.NewVirtualClock(0)
+			ps := run(t, shardedNAT(t, clock), clock, tc.fastPath, false)
+			if hit := ps.FastPathHits > 0; hit != (tc.fastPath > 0) {
+				t.Fatalf("flow cache hits %d with the cache set to %d", ps.FastPathHits, tc.fastPath)
+			}
+		})
+	}
+	t.Run("chain", func(t *testing.T) {
+		clock := libvig.NewVirtualClock(0)
+		c, gw := gatewayChain(t, clock)
+		run(t, c, clock, -1, false)
+		if st := gw.Stats(); st.ForwardedIn == 0 {
+			t.Fatalf("no reply came back through the chain's NAT: %+v", st)
+		}
+	})
+	t.Run("idle_sweep", func(t *testing.T) {
+		clock := libvig.NewVirtualClock(0)
+		s := shardedNAT(t, clock)
+		run(t, s, clock, nf.DefaultFastPathEntries, true)
+		if st := s.Stats(); st.FlowsExpired < 100*clients {
+			t.Fatalf("the idle sweeps expired %d flows, want every poll's %d", st.FlowsExpired, clients)
 		}
 	})
 }

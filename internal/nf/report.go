@@ -9,10 +9,44 @@ import (
 
 // FprintEngineReport writes the end-of-run engine summary every demo
 // binary used to hand-roll: the pipeline's counters next to the NF's
-// concurrency-safe snapshot, in one line the binaries share.
-func FprintEngineReport(w io.Writer, ps PipelineStats, snap Stats) {
+// concurrency-safe snapshot, then every RX queue's mempool high-water
+// mark against its size (port.queue=high_water/size): the data rooms
+// the run made resident.
+func FprintEngineReport(w io.Writer, ps PipelineStats, snap Stats, pools []MempoolFill) {
 	fmt.Fprintf(w, "  engine: polls=%d rx=%d tx=%d tx_freed=%d | NF snapshot: fwd=%d drop=%d expired=%d\n",
 		ps.Polls, ps.RxPackets, ps.TxPackets, ps.TxFreed, snap.Forwarded, snap.Dropped, snap.Expired)
+	fmt.Fprint(w, "  mempool high water:")
+	for _, f := range pools {
+		fmt.Fprintf(w, " %s.q%d=%d/%d", f.Port, f.Queue, f.HighWater, f.Size)
+	}
+	fmt.Fprintln(w)
+}
+
+// MempoolFill is one RX queue's mempool: its size, and the most mbufs
+// it has had checked out at once — the number of its data rooms that
+// are resident (dpdk.Mempool.HighWater).
+type MempoolFill struct {
+	Port      string `json:"port"`
+	Queue     int    `json:"queue"`
+	Size      int    `json:"size"`
+	HighWater int    `json:"high_water"`
+}
+
+// Mempools returns the fill of every RX queue's mempool, the internal
+// port's queues first. Sizes never change and high-water marks are read
+// atomically, so unlike Stats it may be called while the workers run.
+func (p *Pipeline) Mempools() []MempoolFill {
+	var out []MempoolFill
+	for _, side := range []struct {
+		name string
+		port *dpdk.Port
+	}{{"internal", p.intPort}, {"external", p.extPort}} {
+		for q := 0; q < side.port.Queues(); q++ {
+			pool := side.port.QueuePool(q)
+			out = append(out, MempoolFill{Port: side.name, Queue: q, Size: pool.Size(), HighWater: pool.HighWater()})
+		}
+	}
+	return out
 }
 
 // WireQueue is what one worker's queue pair did on the wire: how often

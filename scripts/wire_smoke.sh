@@ -13,9 +13,10 @@
 # nf_forwarded_total + nf_dropped_total) and every _total series
 # monotone from one scrape to the next, reshards included; on the
 # quiesced scrape the drop-class reason counters must sum to
-# nf_dropped_total and the per-worker poll histogram must be populated
-# — the live-observability half of the verified-path telemetry
-# acceptance.
+# nf_dropped_total, the per-worker poll histogram must be populated —
+# the live-observability half of the verified-path telemetry
+# acceptance — and every RX queue's mempool high-water mark must be
+# reported and below its pool size.
 #
 # The control plane rides the same run: the NAT mounts /control/v1 on
 # the metrics mux, and mid-exchange the script reshards it 2 → 4 → 3
@@ -27,7 +28,9 @@
 # leg repeats the oracle exchange over the unix transport and then
 # blasts the daemon unpaced; its end-of-run wire counters must show
 # that it parked (blocking waits), woke for replies it knew were coming
-# (reply waits) and batched (fewer RX syscalls than frames).
+# (reply waits) and batched (fewer RX syscalls than frames), its report
+# must show both ports' mempools used and neither exhausted, and its
+# peak resident set (VmHWM, read before SIGINT) must stay under 24 MB.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -201,6 +204,25 @@ if [ -z "$polls" ] || [ "$polls" -eq 0 ]; then
     echo "wire smoke: poll histogram empty with telemetry on" >&2
     exit 1
 fi
+# Every RX queue's mempool reports a high-water mark below its size (8
+# series: two ports, four queues), and the traffic moved some of them.
+printf '%s\n' "$doc" | awk '
+    $1 ~ /^nf_mempool_size[{]/ { key = $1; sub(/^nf_mempool_size/, "", key); size[key] = $2 }
+    $1 ~ /^nf_mempool_high_water[{]/ { key = $1; sub(/^nf_mempool_high_water/, "", key); hw[key] = $2; sum += $2 }
+    END {
+        for (k in hw) {
+            n++
+            if (!(k in size) || hw[k] + 0 >= size[k] + 0) {
+                printf "wire smoke: nf_mempool_high_water%s is %s, not below its pool size %s\n", k, hw[k], size[k]
+                bad = 1
+            }
+        }
+        if (n != 8 || sum == 0) {
+            printf "wire smoke: %d mempool high-water series summing to %d; want 8, populated\n", n, sum
+            bad = 1
+        }
+        exit bad
+    }' >&2 || exit 1
 echo "wire smoke: $scrapes mid-traffic scrapes, processed=$final dropped=$dropped (reason sum $drop_sum), polls=$polls, oracle clean across 2→4→3 reshard"
 
 kill -INT "$nat_pid"
@@ -309,6 +331,16 @@ sleep 1
 # once it has received them, and receiving them is what is under test.)
 "$bin/vigblast" -transport unix -kind lb -peer "$sock/ne" -flows 64 -packets 20000 -interval 0
 
+# The daemon's peak resident set: its mempools' data rooms become
+# resident only as far as the traffic ever filled them, so the whole
+# daemon stays far below the ~32 MB it held when every room was faulted
+# in at start-up.
+hwm_kb=$(awk '$1 == "VmHWM:" {print $2}' "/proc/$nat_pid/status")
+if [ "$hwm_kb" -gt $((24 * 1024)) ]; then
+    echo "wire smoke: unix daemon peaked at $hwm_kb kB resident, want at most 24 MB" >&2
+    exit 1
+fi
+
 kill -INT "$nat_pid"
 wait "$nat_pid"
 nat_pid=""
@@ -330,6 +362,18 @@ if [ "$waits" -eq 0 ] || [ "$reply_waits" -eq 0 ] || [ "$rx_frames" -lt 21000 ] 
     echo "wire smoke: unix leg: waits=$waits reply_waits=$reply_waits rx_syscalls=$rx_syscalls rx_frames=$rx_frames; want waits > 0 (parked), reply_waits > 0 (woke for replies) and rx_syscalls < rx_frames (batched) over at least 21000 frames" >&2
     exit 1
 fi
-echo "wire smoke: unix oracle clean; $rx_frames frames in $rx_syscalls RX syscalls, $waits blocking waits, $reply_waits reply waits, clean shutdown"
+# Both ports received, so both pools lent mbufs, and neither ran dry:
+# "<port>.q0=<high water>/<size>", one per port.
+pool_line=$(grep '^  mempool high water:' "$bin/nat_unix.out") || {
+    echo "wire smoke: the unix daemon printed no mempool high-water marks" >&2
+    exit 1
+}
+if ! printf '%s\n' "$pool_line" | grep -o 'q[0-9]*=[0-9]*/[0-9]*' | awk -F'[=/]' '
+    { n++; if ($2 + 0 == 0 || $2 + 0 >= $3 + 0) bad = 1 }
+    END { exit bad || n != 2 }'; then
+    echo "wire smoke: unix leg: $pool_line; want each port's pool populated and below its size" >&2
+    exit 1
+fi
+echo "wire smoke: unix oracle clean; $rx_frames frames in $rx_syscalls RX syscalls, $waits blocking waits, $reply_waits reply waits, peak RSS $hwm_kb kB,$(printf '%s' "$pool_line" | cut -d: -f2), clean shutdown"
 
 echo "wire smoke: OK ($(wc -l < "$trace") control transactions traced to $trace)"
