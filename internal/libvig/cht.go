@@ -75,7 +75,6 @@ func NewCHT(maxBackends, tableSize int) (*CHT, error) {
 		skip:   make([]uint32, maxBackends),
 		next:   make([]uint32, maxBackends),
 	}
-	prefault(c.table)
 	for i := range c.table {
 		c.table[i] = -1
 	}

@@ -1,6 +1,9 @@
 package libvig
 
-import "errors"
+import (
+	"errors"
+	"sync/atomic"
+)
 
 // DChain errors.
 var (
@@ -42,6 +45,12 @@ type DChain struct {
 	timestamps []Time
 	alloc      []bool
 	size       int
+	// fresh is the lowest never-used cell. The free list is the linked
+	// cells followed by the implicit ascending tail [fresh, capacity),
+	// which nothing has written: construction writes no cell, and a
+	// cell's memory becomes resident only when it is first handed out.
+	// The chain's owner moves it; HighWater reads it from anywhere.
+	fresh atomic.Int32
 }
 
 const (
@@ -50,6 +59,8 @@ const (
 )
 
 // NewDChain returns a chain able to allocate indices in [0, capacity).
+// Its free list is every cell, ascending, so allocation order is
+// deterministic (matches the Vigor implementation).
 func NewDChain(capacity int) (*DChain, error) {
 	if capacity <= 0 {
 		return nil, ErrBadCapacity
@@ -60,20 +71,9 @@ func NewDChain(capacity int) (*DChain, error) {
 		timestamps: make([]Time, capacity),
 		alloc:      make([]bool, capacity),
 	}
-	prefault(c.timestamps)
-	prefault(c.alloc)
-	ah, fh := c.allocHead(), c.freeHead()
-	c.next[ah], c.prev[ah] = int32(ah), int32(ah)
-	// Chain all cells into the free list, ascending, so allocation order
-	// is deterministic (matches the Vigor implementation).
-	prevCell := int32(fh)
-	for i := 0; i < capacity; i++ {
-		c.next[prevCell] = int32(i)
-		c.prev[i] = prevCell
-		prevCell = int32(i)
-	}
-	c.next[prevCell] = int32(fh)
-	c.prev[fh] = prevCell
+	ah, fh := int32(c.allocHead()), int32(c.freeHead())
+	c.next[ah], c.prev[ah] = ah, ah
+	c.next[fh], c.prev[fh] = fh, fh
 	return c, nil
 }
 
@@ -82,6 +82,13 @@ func (c *DChain) freeHead() int  { return len(c.alloc) + freeHeadOff }
 
 // Capacity returns the number of allocatable indices.
 func (c *DChain) Capacity() int { return len(c.alloc) }
+
+// HighWater returns how many cells lie below the never-used boundary:
+// every index ever handed out is one of them, and under Allocate and
+// LIFO reuse alone they number the most indices ever allocated at once.
+// Unlike Size it may be called from any goroutine while the chain's
+// owner allocates.
+func (c *DChain) HighWater() int { return int(c.fresh.Load()) }
 
 // Size returns the number of allocated indices.
 func (c *DChain) Size() int { return c.size }
@@ -124,16 +131,24 @@ func (c *DChain) linkAfter(i, at int32) {
 func (c *DChain) Allocate(now Time) (int, error) {
 	fh := int32(c.freeHead())
 	i := c.next[fh]
-	if i == fh {
+	if i != fh {
+		c.unlink(i)
+	} else if i = c.fresh.Load(); int(i) < len(c.alloc) {
+		c.fresh.Store(i + 1)
+	} else {
 		return 0, ErrChainFull
 	}
-	c.unlink(i)
+	c.take(i, now)
+	return int(i), nil
+}
+
+// take places free index i, already off the free list, at the young end.
+func (c *DChain) take(i int32, now Time) {
 	// Young end = just before the allocated sentinel.
 	c.linkBefore(i, int32(c.allocHead()))
 	c.alloc[i] = true
 	c.timestamps[i] = now
 	c.size++
-	return int(i), nil
 }
 
 // AllocateIndex takes a specific free index, stamps it with now, and
@@ -152,11 +167,17 @@ func (c *DChain) AllocateIndex(i int, now Time) error {
 	if c.alloc[i] {
 		return ErrChainBusy
 	}
-	c.unlink(int32(i))
-	c.linkBefore(int32(i), int32(c.allocHead()))
-	c.alloc[i] = true
-	c.timestamps[i] = now
-	c.size++
+	if f := int(c.fresh.Load()); i >= f {
+		// A never-used cell: the implicit tail's cells before it join the
+		// linked list's end, in the order they already had.
+		for j := f; j < i; j++ {
+			c.linkBefore(int32(j), int32(c.freeHead()))
+		}
+		c.fresh.Store(int32(i + 1))
+	} else {
+		c.unlink(int32(i))
+	}
+	c.take(int32(i), now)
 	return nil
 }
 

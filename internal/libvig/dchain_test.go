@@ -2,6 +2,8 @@ package libvig
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -237,5 +239,207 @@ func TestDChainAfterWalksExpiryOrder(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("walked %v, allocated %v", got, want)
 		}
+	}
+}
+
+// eagerChain is the reference the chain's lazy free list is held to:
+// the free list built whole at construction, every cell in ascending
+// order, a freed cell pushed on its head. It answers every call the
+// chain answers, with the chain's errors.
+type eagerChain struct {
+	free  []int // head first
+	live  []int // old to young
+	stamp []Time
+	alloc []bool
+}
+
+func newEagerChain(capacity int) *eagerChain {
+	e := &eagerChain{stamp: make([]Time, capacity), alloc: make([]bool, capacity)}
+	for i := 0; i < capacity; i++ {
+		e.free = append(e.free, i)
+	}
+	return e
+}
+
+func without(s []int, i int) []int {
+	for k, v := range s {
+		if v == i {
+			return append(s[:k:k], s[k+1:]...)
+		}
+	}
+	panic("eagerChain: index on neither list")
+}
+
+func (e *eagerChain) check(i int, wantAlloc bool) error {
+	switch {
+	case i < 0 || i >= len(e.alloc):
+		return ErrChainRange
+	case e.alloc[i] && !wantAlloc:
+		return ErrChainBusy
+	case !e.alloc[i] && wantAlloc:
+		return ErrChainNotAlloc
+	}
+	return nil
+}
+
+func (e *eagerChain) take(i int, now Time) {
+	e.free = without(e.free, i)
+	e.live = append(e.live, i)
+	e.alloc[i], e.stamp[i] = true, now
+}
+
+func (e *eagerChain) release(i int) {
+	e.live = without(e.live, i)
+	e.free = append([]int{i}, e.free...)
+	e.alloc[i] = false
+}
+
+func (e *eagerChain) Allocate(now Time) (int, error) {
+	if len(e.free) == 0 {
+		return 0, ErrChainFull
+	}
+	i := e.free[0]
+	e.take(i, now)
+	return i, nil
+}
+
+func (e *eagerChain) AllocateIndex(i int, now Time) error {
+	if err := e.check(i, false); err != nil {
+		return err
+	}
+	e.take(i, now)
+	return nil
+}
+
+func (e *eagerChain) Rejuvenate(i int, now Time) error {
+	if err := e.check(i, true); err != nil {
+		return err
+	}
+	e.live = append(without(e.live, i), i)
+	e.stamp[i] = now
+	return nil
+}
+
+func (e *eagerChain) ExpireOne(deadline Time) (int, bool) {
+	if len(e.live) == 0 || e.stamp[e.live[0]] >= deadline {
+		return 0, false
+	}
+	i := e.live[0]
+	e.release(i)
+	return i, true
+}
+
+func (e *eagerChain) Free(i int) error {
+	if err := e.check(i, true); err != nil {
+		return err
+	}
+	e.release(i)
+	return nil
+}
+
+// TestDChainMatchesEagerFreeList drives the chain and the eager
+// reference through the same random sequences — allocations, allocations
+// of chosen indices (never-used ones among them), frees, expiries,
+// rejuvenations, and restores of the live set into a fresh pair in
+// stamp order, as a reshard replays it — and requires the same answer,
+// the same error and the same expiry order after every step: allocation
+// order, and with it every index an NF hands out, is the eager list's.
+func TestDChainMatchesEagerFreeList(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		capacity := 1 + rng.Intn(24)
+		c, _ := NewDChain(capacity)
+		e := newEagerChain(capacity)
+		now := Time(0)
+		for step := 0; step < 400; step++ {
+			now += Time(rng.Intn(3))
+			var op string
+			var got, want any
+			switch k := rng.Intn(12); {
+			case k < 3:
+				op = "Allocate"
+				i, err := c.Allocate(now)
+				j, werr := e.Allocate(now)
+				got, want = [2]any{i, err}, [2]any{j, werr}
+			case k < 6:
+				i := rng.Intn(capacity+2) - 1
+				op = fmt.Sprintf("AllocateIndex(%d)", i)
+				got, want = c.AllocateIndex(i, now), e.AllocateIndex(i, now)
+			case k < 8:
+				i := rng.Intn(capacity)
+				op = fmt.Sprintf("Free(%d)", i)
+				got, want = c.Free(i), e.Free(i)
+			case k < 10:
+				d := now - Time(rng.Intn(6))
+				op = fmt.Sprintf("ExpireOne(%d)", d)
+				i, ok := c.ExpireOne(d)
+				j, wok := e.ExpireOne(d)
+				got, want = [2]any{i, ok}, [2]any{j, wok}
+			case k < 11:
+				i := rng.Intn(capacity)
+				op = fmt.Sprintf("Rejuvenate(%d)", i)
+				got, want = c.Rejuvenate(i, now), e.Rejuvenate(i, now)
+			default:
+				op = "restore"
+				live := e.live
+				c, _ = NewDChain(capacity)
+				e = newEagerChain(capacity)
+				for _, i := range live {
+					if err := c.AllocateIndex(i, now); err != nil {
+						t.Fatalf("seed %d step %d: restoring %d: %v", seed, step, i, err)
+					}
+					_ = e.AllocateIndex(i, now)
+				}
+			}
+			if got != want {
+				t.Fatalf("seed %d step %d: %s = %v, eager list says %v", seed, step, op, got, want)
+			}
+			asc := c.AllocatedAsc(nil)
+			if fmt.Sprint(asc) != fmt.Sprint(e.live) || c.Size() != len(e.live) {
+				t.Fatalf("seed %d step %d: after %s allocated %v (size %d), eager list %v", seed, step, op, asc, c.Size(), e.live)
+			}
+			for _, i := range asc {
+				if i >= c.HighWater() {
+					t.Fatalf("seed %d step %d: index %d allocated at high water %d", seed, step, i, c.HighWater())
+				}
+			}
+		}
+	}
+}
+
+// TestDChainHighWater: allocation and LIFO reuse leave the high water at
+// the most indices ever live at once; allocating a never-used index
+// moves it past that index, and the cells it skipped are handed out
+// next, in order.
+func TestDChainHighWater(t *testing.T) {
+	c, _ := NewDChain(16)
+	if hw := c.HighWater(); hw != 0 {
+		t.Fatalf("new chain: high water %d", hw)
+	}
+	for now := Time(1); now <= 3; now++ {
+		_, _ = c.Allocate(now)
+	}
+	_ = c.Free(1)
+	_ = c.Free(0)
+	for now := Time(4); now <= 5; now++ {
+		_, _ = c.Allocate(now)
+	}
+	if hw := c.HighWater(); hw != 3 {
+		t.Fatalf("3 live at most: high water %d", hw)
+	}
+	_ = c.Free(2)
+	if err := c.AllocateIndex(6, 6); err != nil {
+		t.Fatal(err)
+	}
+	if hw := c.HighWater(); hw != 7 {
+		t.Fatalf("index 6 allocated: high water %d", hw)
+	}
+	var got []int
+	for now := Time(7); now <= 11; now++ {
+		i, _ := c.Allocate(now)
+		got = append(got, i)
+	}
+	if fmt.Sprint(got) != "[2 3 4 5 7]" {
+		t.Fatalf("after index 6, allocated %v, want [2 3 4 5 7]", got)
 	}
 }

@@ -113,9 +113,6 @@ func newDoubleMap[K1 Key, K2 Key, V any](capacity int, fk1 func(*V) K1, fk2 func
 	vals := make([]V, capacity)
 	busy := make([]bool, capacity)
 	hashes := make([]uint64, width*capacity)
-	prefault(vals)
-	prefault(busy)
-	prefault(hashes)
 	a, err := NewKeylessMap(capacity, func(i int) K1 { return fk1(&vals[i]) })
 	if err != nil {
 		return nil, err

@@ -103,9 +103,7 @@ func newSlots(capacity int) ([]slot, error) {
 	for nb < 2*capacity {
 		nb <<= 1
 	}
-	slots := make([]slot, nb)
-	prefault(slots)
-	return slots, nil
+	return make([]slot, nb), nil
 }
 
 // NewMap returns a map that can store up to capacity keys.
@@ -114,9 +112,7 @@ func NewMap[K Key](capacity int) (*Map[K], error) {
 	if err != nil {
 		return nil, err
 	}
-	keys := make([]K, len(slots))
-	prefault(keys)
-	return &Map[K]{slots: slots, mask: uint64(len(slots) - 1), capacity: capacity, keys: keys}, nil
+	return &Map[K]{slots: slots, mask: uint64(len(slots) - 1), capacity: capacity, keys: make([]K, len(slots))}, nil
 }
 
 // NewKeylessMap returns a map of up to capacity keys that stores no key:

@@ -59,7 +59,6 @@ func NewPortAllocator(base uint16, count int) (*PortAllocator, error) {
 		prev:  make([]int32, count+1),
 		nfree: count,
 	}
-	prefault(p.alloc)
 	s := int32(count) // sentinel
 	prevCell := s
 	for i := int32(0); i < int32(count); i++ {

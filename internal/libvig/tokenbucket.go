@@ -68,15 +68,12 @@ func NewTokenBucket(capacity int, rate, burst int64) (*TokenBucket, error) {
 	if burst <= 0 || burst > MaxBurstBytes {
 		return nil, ErrBadBurst
 	}
-	tb := &TokenBucket{
+	return &TokenBucket{
 		rate:       rate,
 		burstUnits: burst * tokenUnitsPerByte,
 		levels:     make([]int64, capacity),
 		last:       make([]Time, capacity),
-	}
-	prefault(tb.levels)
-	prefault(tb.last)
-	return tb, nil
+	}, nil
 }
 
 // Capacity returns the number of buckets.

@@ -67,14 +67,14 @@ func statsOf(c []uint64) Stats {
 
 // NAT is the production VigNAT: the verified stateless logic bound to the
 // libVig flow table. Per-packet processing is allocation-free; all state
-// lives in preallocated libVig structures, which are also resident from
-// construction on (libVig prefaults them, as DPDK locks its hugepages).
-// The paper reports 27 MB peak RSS; the idle unix-transport daemon here
-// holds ~15.4 MB, ~8.3 MB of it anonymous and 6 MB of that the
-// 65,535-entry table. The daemon's mbuf pools are preallocated but not
-// prefaulted: a data room faults in once, the first time the pool hands
-// it out, so only as many rooms as were ever in flight at once are
-// resident (dpdk.Mempool.HighWater).
+// lives in preallocated libVig structures, none of which construction
+// writes: each page of the table faults in once, when a flow first lands
+// on it, so a table is as resident as the flows it has held (at most
+// its ~6 MB for 65,535 flows; FlowTable.HighWater says how many indices
+// it has handed out). The mbuf pools likewise fault a data room in the
+// first time the pool hands it out (dpdk.Mempool.HighWater). The paper
+// reports 27 MB peak RSS; the idle unix-transport daemon here holds
+// ~9.7 MB, ~7 MB of it the binary and libc.
 type NAT struct {
 	cfg   Config
 	table FlowTable // by value: one load fewer on every table operation

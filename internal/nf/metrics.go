@@ -39,16 +39,23 @@ type MetricSource struct {
 	// Mempools, when set, supplies each RX queue's mempool size and
 	// high-water mark. Pipeline.Mempools is the intended producer.
 	Mempools func() []MempoolFill
+	// FlowTables, when set, supplies each shard's flow-table capacity and
+	// high-water mark. A TableFiller NF (nfkit.Sharded) is the intended
+	// producer.
+	FlowTables func() []TableFill
 }
 
 // SourceOf assembles the richest MetricSource the given NF supports:
 // its Scrape when it is a Scraper, else its bare NFStats (which must
-// then be safe to call concurrently with traffic), and the engine
-// telemetry when pipe carries one.
+// then be safe to call concurrently with traffic), its flow tables when
+// it is a TableFiller, and the engine telemetry when pipe carries one.
 func SourceOf(name string, nfi NF, pipe *Pipeline) MetricSource {
 	src := MetricSource{Name: name, Read: func() Scrape { return Scrape{Stats: nfi.NFStats()} }}
 	if sc, ok := nfi.(Scraper); ok {
 		src.Read = sc.Scrape
+	}
+	if tf, ok := nfi.(TableFiller); ok {
+		src.FlowTables = tf.FlowTables
 	}
 	if pipe != nil {
 		src.Telemetry = pipe.Telemetry
@@ -123,9 +130,10 @@ func ServeMetrics(addr string, sources ...MetricSource) (*Metrics, error) {
 // keep working and ignore the additions) plus the per-reason totals.
 type sourceJSON struct {
 	Stats
-	Reasons  map[string]uint64 `json:"reasons,omitempty"`
-	Wire     []WireQueue       `json:"wire,omitempty"`
-	Mempools []MempoolFill     `json:"mempools,omitempty"`
+	Reasons    map[string]uint64 `json:"reasons,omitempty"`
+	Wire       []WireQueue       `json:"wire,omitempty"`
+	Mempools   []MempoolFill     `json:"mempools,omitempty"`
+	FlowTables []TableFill       `json:"flow_tables,omitempty"`
 }
 
 // wantsProm decides the /metrics rendering: Prometheus text when the
@@ -168,6 +176,9 @@ func (m *Metrics) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		if s.Mempools != nil {
 			j.Mempools = s.Mempools()
 		}
+		if s.FlowTables != nil {
+			j.FlowTables = s.FlowTables()
+		}
 		out[s.Name] = j
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -206,6 +217,16 @@ var mempoolGauges = []struct {
 	{"nf_mempool_high_water", "Most mbufs checked out of an RX queue's mempool at once: its data rooms made resident.",
 		func(f MempoolFill) int { return f.HighWater }},
 	{"nf_mempool_size", "Mbufs in an RX queue's mempool.", func(f MempoolFill) int { return f.Size }},
+}
+
+// tableGauges are the per-shard flow-table series.
+var tableGauges = []struct {
+	name, help string
+	get        func(TableFill) int
+}{
+	{"nf_flow_table_high_water", "Flow-table indices a shard has ever handed out: the records it made resident.",
+		func(f TableFill) int { return f.HighWater }},
+	{"nf_flow_table_capacity", "Flows a shard's table can hold.", func(f TableFill) int { return f.Capacity }},
 }
 
 // statCounters orders the Stats fields for exposition.
@@ -313,6 +334,21 @@ func (m *Metrics) writeProm(w io.Writer) {
 		for i, s := range m.sources {
 			for _, f := range pools[i] {
 				fmt.Fprintf(w, "%s{nf=%q,port=%q,queue=\"%d\"} %d\n", g.name, s.Name, f.Port, f.Queue, g.get(f))
+			}
+		}
+	}
+
+	tables := make([][]TableFill, len(m.sources))
+	for i, s := range m.sources {
+		if s.FlowTables != nil {
+			tables[i] = s.FlowTables()
+		}
+	}
+	for _, g := range tableGauges {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", g.name, g.help, g.name)
+		for i, s := range m.sources {
+			for _, f := range tables[i] {
+				fmt.Fprintf(w, "%s{nf=%q,shard=\"%d\"} %d\n", g.name, s.Name, f.Shard, g.get(f))
 			}
 		}
 	}

@@ -20,6 +20,7 @@ import (
 	"vignat/internal/dpdk"
 	"vignat/internal/flow"
 	"vignat/internal/libvig"
+	"vignat/internal/nat"
 	"vignat/internal/netstack"
 	"vignat/internal/nf"
 	"vignat/internal/nf/telemetry"
@@ -667,18 +668,109 @@ func TestMetricsWireExposition(t *testing.T) {
 }
 
 // TestEngineReportMempoolLine: the end-of-run report prints every RX
-// queue's high-water mark against its pool size on the line
-// scripts/wire_smoke.sh reads.
+// queue's high-water mark against its pool size, and every shard's
+// flow-table high-water mark against its capacity, on the lines
+// scripts/wire_smoke.sh reads; an NF without flow tables prints no
+// table line.
 func TestEngineReportMempoolLine(t *testing.T) {
-	var b strings.Builder
-	nf.FprintEngineReport(&b, nf.PipelineStats{}, nf.Stats{}, []nf.MempoolFill{
+	pools := []nf.MempoolFill{
 		{Port: "internal", Queue: 0, Size: 1024, HighWater: 37},
 		{Port: "internal", Queue: 1, Size: 1024, HighWater: 5},
 		{Port: "external", Queue: 0, Size: 1024, HighWater: 41},
 		{Port: "external", Queue: 1, Size: 1024},
+	}
+	const pool = "  mempool high water: internal.q0=37/1024 internal.q1=5/1024 external.q0=41/1024 external.q1=0/1024\n"
+	const table = "  flow table high water: s0=1024/32767 s1=0/32767\n"
+	var b strings.Builder
+	nf.FprintEngineReport(&b, nf.PipelineStats{}, nf.Stats{}, pools, []nf.TableFill{
+		{Shard: 0, Capacity: 32767, HighWater: 1024},
+		{Shard: 1, Capacity: 32767},
 	})
-	const want = "  mempool high water: internal.q0=37/1024 internal.q1=5/1024 external.q0=41/1024 external.q1=0/1024\n"
-	if lines := strings.SplitAfter(b.String(), "\n"); len(lines) != 3 || lines[1] != want {
-		t.Fatalf("report:\n%s\nwant its second line:\n%s", b.String(), want)
+	if lines := strings.SplitAfter(b.String(), "\n"); len(lines) != 4 || lines[1] != pool || lines[2] != table {
+		t.Fatalf("report:\n%s\nwant its second and third lines:\n%s%s", b.String(), pool, table)
+	}
+	b.Reset()
+	nf.FprintEngineReport(&b, nf.PipelineStats{}, nf.Stats{}, pools, nil)
+	if lines := strings.SplitAfter(b.String(), "\n"); len(lines) != 3 || lines[1] != pool {
+		t.Fatalf("report without tables:\n%s\nwant its second and last line:\n%s", b.String(), pool)
+	}
+}
+
+// TestMetricsFlowTableHighWater: while every NAT shard opens flows on
+// its own goroutine, /metrics serves each shard's flow-table high-water
+// mark beside its capacity. No scrape sees a mark fall or pass its
+// capacity, and once the shards are done each mark is the number of
+// flows its shard opened.
+func TestMetricsFlowTableHighWater(t *testing.T) {
+	const shards, capacity = 2, 1024
+	s, err := nat.NewSharded(nat.Config{Capacity: capacity, Timeout: time.Hour,
+		ExternalIP: flow.MakeAddr(192, 0, 2, 1), PortBase: 1024, ExternalPort: 1}, libvig.NewVirtualClock(0), shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := make([][][]byte, shards)
+	for i := 0; i < 600; i++ {
+		spec := &netstack.FrameSpec{ID: flow.ID{
+			SrcIP: flow.MakeAddr(10, 0, byte(i>>8), byte(i)), SrcPort: 5000,
+			DstIP: flow.MakeAddr(198, 51, 100, 7), DstPort: 53,
+			Proto: flow.UDP,
+		}, PayloadLen: 16}
+		frame := netstack.Craft(make([]byte, netstack.FrameLen(spec)), spec)
+		sh := s.ShardOf(frame, true)
+		frames[sh] = append(frames[sh], frame)
+	}
+	m, err := nf.ServeMetrics("127.0.0.1:0", nf.SourceOf("nat-test", s, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+
+	var wg sync.WaitGroup
+	for w := 0; w < shards; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			shard := s.Shard(w)
+			for _, f := range frames[w] {
+				processPublished(shard, f, true)
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	last := make([]uint64, shards)
+	marks := func() []uint64 {
+		t.Helper()
+		doc := scrapeProm(t, m.Addr())
+		out := make([]uint64, shards)
+		for sh := range out {
+			sel := []string{`nf="nat-test"`, fmt.Sprintf(`shard="%d"`, sh)}
+			hw, cp := promVals(t, doc, "nf_flow_table_high_water", sel...), promVals(t, doc, "nf_flow_table_capacity", sel...)
+			if len(hw) != 1 || len(cp) != 1 || cp[0] != capacity/shards {
+				t.Fatalf("shard %d: high water %v, capacity %v; want one of each, capacity %d", sh, hw, cp, capacity/shards)
+			}
+			if hw[0] < last[sh] || hw[0] > cp[0] {
+				t.Fatalf("shard %d: high water %d after %d, capacity %d", sh, hw[0], last[sh], cp[0])
+			}
+			out[sh], last[sh] = hw[0], hw[0]
+		}
+		return out
+	}
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		marks()
+	}
+	got := marks()
+	for sh := range got {
+		if got[sh] != uint64(len(frames[sh])) {
+			t.Fatalf("shard %d: high water %d after %d flows", sh, got[sh], len(frames[sh]))
+		}
 	}
 }

@@ -80,6 +80,11 @@ func (t *FlowTable[V]) Capacity() int { return t.m.Capacity() }
 // Size returns the number of live records.
 func (t *FlowTable[V]) Size() int { return t.m.Size() }
 
+// HighWater returns how many of the table's indices have ever been
+// handed out (libvig.DChain.HighWater): only their records have ever
+// been written. It may be called from any goroutine.
+func (t *FlowTable[V]) HighWater() int { return t.chain.HighWater() }
+
 // Value returns the table's own record at index i (nil if free): not to
 // be kept across Expire/Remove, its keys not to be changed.
 func (t *FlowTable[V]) Value(i int) *V { return t.m.Value(i) }

@@ -332,7 +332,7 @@ func run(app App, o *Options) error {
 	if err := b.Report(os.Stdout, rep); err != nil {
 		return err
 	}
-	nf.FprintEngineReport(os.Stdout, rep.Pipe, rep.Snapshot, pipe.Mempools())
+	nf.FprintEngineReport(os.Stdout, rep.Pipe, rep.Snapshot, pipe.Mempools(), nf.FlowTablesOf(b.NF))
 	rs, ts := rxPort.Stats(), txPort.Stats()
 	fmt.Printf("  rx port: rx=%d rx_dropped=%d | tx port: tx=%d tx_dropped=%d\n",
 		rs.RxPackets, rs.RxDropped, ts.TxPackets, ts.TxDropped)
@@ -511,7 +511,7 @@ func runWire(app App, o *Options) error {
 	ps := pipe.Stats()
 	fmt.Printf("ran %.1fs on %s transport: %.3f Mpps forwarded\n",
 		elapsed.Seconds(), o.Transport, float64(ps.TxPackets)/elapsed.Seconds()/1e6)
-	nf.FprintEngineReport(os.Stdout, ps, b.NF.NFStats(), pipe.Mempools())
+	nf.FprintEngineReport(os.Stdout, ps, b.NF.NFStats(), pipe.Mempools(), nf.FlowTablesOf(b.NF))
 	is, es := intPort.Stats(), extPort.Stats()
 	fmt.Printf("  internal: rx=%d rx_dropped=%d tx=%d tx_dropped=%d | external: rx=%d rx_dropped=%d tx=%d tx_dropped=%d\n",
 		is.RxPackets, is.RxDropped, is.TxPackets, is.TxDropped,

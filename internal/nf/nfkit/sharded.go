@@ -91,10 +91,11 @@ func (st *shardedState[C]) published() ([]uint64, nf.FlowCache) {
 }
 
 var (
-	_ nf.NF        = (*Sharded[int])(nil)
-	_ nf.Sharder   = (*Sharded[int])(nil)
-	_ nf.Scraper   = (*Sharded[int])(nil)
-	_ nf.Publisher = (*shard[int])(nil)
+	_ nf.NF          = (*Sharded[int])(nil)
+	_ nf.Sharder     = (*Sharded[int])(nil)
+	_ nf.Scraper     = (*Sharded[int])(nil)
+	_ nf.TableFiller = (*Sharded[int])(nil)
+	_ nf.Publisher   = (*shard[int])(nil)
 )
 
 // buildState constructs nShards fresh cores, each with its block.

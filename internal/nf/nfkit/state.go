@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"vignat/internal/libvig"
+	"vignat/internal/nf"
 )
 
 // Family is one record family of a declaration (Decl.Families): a
@@ -14,6 +15,7 @@ import (
 type Family[C any] interface {
 	name() string
 	occupancy(core C) (live, capacity int)
+	highWater(core C) (highWater, capacity int)
 	dump(core C, into []string) []string
 	// move restores every record of the from cores into the to cores.
 	// An error refuses the reshard; dropped counts the records a
@@ -50,6 +52,11 @@ type Records[C, R any] struct {
 	// Occupancy counts the core's records of this family and the room it
 	// has for them. Unset, the family cannot be asked (Sharded.Occupancy).
 	Occupancy func(core C) (live, capacity int)
+	// HighWater, when set, counts the core's records of this family that
+	// have ever been resident, and the room it has for them; unlike
+	// Occupancy it may be read while the core's owner runs. Unset, the
+	// family reports no room (Sharded.FlowTables).
+	HighWater func(core C) (highWater, capacity int)
 }
 
 // FlowRecords is the family of a flow table: its records are the
@@ -64,12 +71,20 @@ func FlowRecords[C, V any](name string, table func(C) *FlowTable[V], shardOf fun
 		Restore:   func(core C, v V, stamp libvig.Time) error { return table(core).Restore(v, stamp) },
 		ShardOf:   shardOf,
 		Occupancy: func(core C) (int, int) { return table(core).Size(), table(core).Capacity() },
+		HighWater: func(core C) (int, int) { return table(core).HighWater(), table(core).Capacity() },
 	}
 }
 
 func (r Records[C, R]) name() string { return r.Name }
 
 func (r Records[C, R]) occupancy(core C) (live, capacity int) { return r.Occupancy(core) }
+
+func (r Records[C, R]) highWater(core C) (highWater, capacity int) {
+	if r.HighWater == nil {
+		return 0, 0
+	}
+	return r.HighWater(core)
+}
 
 func (r Records[C, R]) dump(core C, into []string) []string {
 	r.Each(core, func(rec R, stamp libvig.Time) {
@@ -148,4 +163,26 @@ func (s *Sharded[C]) Occupancy(family string) (live, capacity int) {
 		return live, capacity
 	}
 	panic(fmt.Sprintf("nfkit: %s declares no record family %q", s.decl.Name, family))
+}
+
+// FlowTables returns, shard by shard, the high water and capacity of the
+// first family that counts one (FlowRecords does), or nil when none
+// does. High-water marks are read atomically and capacities never
+// change, so unlike Occupancy it may be called while the workers run.
+func (s *Sharded[C]) FlowTables() []nf.TableFill {
+	shards := s.state.Load().shards
+	for _, f := range s.decl.Families {
+		var out []nf.TableFill
+		for i, sh := range shards {
+			hw, capacity := f.highWater(sh.core)
+			if capacity == 0 {
+				break
+			}
+			out = append(out, nf.TableFill{Shard: i, Capacity: capacity, HighWater: hw})
+		}
+		if out != nil {
+			return out
+		}
+	}
+	return nil
 }

@@ -11,8 +11,10 @@ import (
 // binary used to hand-roll: the pipeline's counters next to the NF's
 // concurrency-safe snapshot, then every RX queue's mempool high-water
 // mark against its size (port.queue=high_water/size): the data rooms
-// the run made resident.
-func FprintEngineReport(w io.Writer, ps PipelineStats, snap Stats, pools []MempoolFill) {
+// the run made resident. An NF with flow tables adds each shard's
+// high-water mark against its capacity (s<shard>=high_water/capacity):
+// the table records the run made resident.
+func FprintEngineReport(w io.Writer, ps PipelineStats, snap Stats, pools []MempoolFill, tables []TableFill) {
 	fmt.Fprintf(w, "  engine: polls=%d rx=%d tx=%d tx_freed=%d | NF snapshot: fwd=%d drop=%d expired=%d\n",
 		ps.Polls, ps.RxPackets, ps.TxPackets, ps.TxFreed, snap.Forwarded, snap.Dropped, snap.Expired)
 	fmt.Fprint(w, "  mempool high water:")
@@ -20,6 +22,37 @@ func FprintEngineReport(w io.Writer, ps PipelineStats, snap Stats, pools []Mempo
 		fmt.Fprintf(w, " %s.q%d=%d/%d", f.Port, f.Queue, f.HighWater, f.Size)
 	}
 	fmt.Fprintln(w)
+	if len(tables) > 0 {
+		fmt.Fprint(w, "  flow table high water:")
+		for _, t := range tables {
+			fmt.Fprintf(w, " s%d=%d/%d", t.Shard, t.HighWater, t.Capacity)
+		}
+		fmt.Fprintln(w)
+	}
+}
+
+// TableFill is one shard's flow table: its capacity, and how many of its
+// indices have ever been handed out — only their records are resident
+// (libvig.DChain.HighWater).
+type TableFill struct {
+	Shard     int `json:"shard"`
+	Capacity  int `json:"capacity"`
+	HighWater int `json:"high_water"`
+}
+
+// TableFiller is implemented by NFs whose shards keep flow tables
+// (nfkit.Sharded). FlowTables may be called while the workers run.
+type TableFiller interface {
+	FlowTables() []TableFill
+}
+
+// FlowTablesOf returns n's flow-table fills, nil unless n is a
+// TableFiller.
+func FlowTablesOf(n NF) []TableFill {
+	if f, ok := n.(TableFiller); ok {
+		return f.FlowTables()
+	}
+	return nil
 }
 
 // MempoolFill is one RX queue's mempool: its size, and the most mbufs

@@ -15,8 +15,9 @@
 # quiesced scrape the drop-class reason counters must sum to
 # nf_dropped_total, the per-worker poll histogram must be populated —
 # the live-observability half of the verified-path telemetry
-# acceptance — and every RX queue's mempool high-water mark must be
-# reported and below its pool size.
+# acceptance — every RX queue's mempool high-water mark must be
+# reported and below its pool size, and every shard's flow-table
+# high-water mark reported, populated and at most its capacity.
 #
 # The control plane rides the same run: the NAT mounts /control/v1 on
 # the metrics mux, and mid-exchange the script reshards it 2 → 4 → 3
@@ -29,8 +30,9 @@
 # blasts the daemon unpaced; its end-of-run wire counters must show
 # that it parked (blocking waits), woke for replies it knew were coming
 # (reply waits) and batched (fewer RX syscalls than frames), its report
-# must show both ports' mempools used and neither exhausted, and its
-# peak resident set (VmHWM, read before SIGINT) must stay under 24 MB.
+# must show both ports' mempools and its flow table used and none
+# exhausted, and its peak resident set (VmHWM, read before SIGINT) must
+# stay under 16 MB.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -223,6 +225,25 @@ printf '%s\n' "$doc" | awk '
         }
         exit bad
     }' >&2 || exit 1
+# Every shard's flow table (three after the reshards) reports a
+# high-water mark at most its capacity, and the flows moved some of them.
+printf '%s\n' "$doc" | awk '
+    $1 ~ /^nf_flow_table_capacity[{]/ { key = $1; sub(/^nf_flow_table_capacity/, "", key); capacity[key] = $2 }
+    $1 ~ /^nf_flow_table_high_water[{]/ { key = $1; sub(/^nf_flow_table_high_water/, "", key); hw[key] = $2; sum += $2 }
+    END {
+        for (k in hw) {
+            n++
+            if (!(k in capacity) || hw[k] + 0 > capacity[k] + 0) {
+                printf "wire smoke: nf_flow_table_high_water%s is %s, above its capacity %s\n", k, hw[k], capacity[k]
+                bad = 1
+            }
+        }
+        if (n != 3 || sum == 0) {
+            printf "wire smoke: %d flow-table high-water series summing to %d; want 3, populated\n", n, sum
+            bad = 1
+        }
+        exit bad
+    }' >&2 || exit 1
 echo "wire smoke: $scrapes mid-traffic scrapes, processed=$final dropped=$dropped (reason sum $drop_sum), polls=$polls, oracle clean across 2→4→3 reshard"
 
 kill -INT "$nat_pid"
@@ -331,13 +352,14 @@ sleep 1
 # once it has received them, and receiving them is what is under test.)
 "$bin/vigblast" -transport unix -kind lb -peer "$sock/ne" -flows 64 -packets 20000 -interval 0
 
-# The daemon's peak resident set: its mempools' data rooms become
-# resident only as far as the traffic ever filled them, so the whole
-# daemon stays far below the ~32 MB it held when every room was faulted
-# in at start-up.
+# The daemon's peak resident set: its mempools' data rooms and its flow
+# table's pages become resident only as far as the traffic ever filled
+# them, so the whole daemon stays far below the ~32 MB it held when
+# every room was faulted in at start-up, and the ~15 MB it held while
+# its 6 MB table still was.
 hwm_kb=$(awk '$1 == "VmHWM:" {print $2}' "/proc/$nat_pid/status")
-if [ "$hwm_kb" -gt $((24 * 1024)) ]; then
-    echo "wire smoke: unix daemon peaked at $hwm_kb kB resident, want at most 24 MB" >&2
+if [ "$hwm_kb" -gt $((16 * 1024)) ]; then
+    echo "wire smoke: unix daemon peaked at $hwm_kb kB resident, want at most 16 MB" >&2
     exit 1
 fi
 
@@ -374,6 +396,18 @@ if ! printf '%s\n' "$pool_line" | grep -o 'q[0-9]*=[0-9]*/[0-9]*' | awk -F'[=/]'
     echo "wire smoke: unix leg: $pool_line; want each port's pool populated and below its size" >&2
     exit 1
 fi
-echo "wire smoke: unix oracle clean; $rx_frames frames in $rx_syscalls RX syscalls, $waits blocking waits, $reply_waits reply waits, peak RSS $hwm_kb kB,$(printf '%s' "$pool_line" | cut -d: -f2), clean shutdown"
+# The lock-step exchange opened flows in the one shard's table:
+# "s0=<high water>/<capacity>".
+table_line=$(grep '^  flow table high water:' "$bin/nat_unix.out") || {
+    echo "wire smoke: the unix daemon printed no flow-table high-water mark" >&2
+    exit 1
+}
+if ! printf '%s\n' "$table_line" | grep -o 's[0-9]*=[0-9]*/[0-9]*' | awk -F'[=/]' '
+    { n++; if ($2 + 0 == 0 || $2 + 0 > $3 + 0) bad = 1 }
+    END { exit bad || n != 1 }'; then
+    echo "wire smoke: unix leg: $table_line; want the shard's table populated and within its capacity" >&2
+    exit 1
+fi
+echo "wire smoke: unix oracle clean; $rx_frames frames in $rx_syscalls RX syscalls, $waits blocking waits, $reply_waits reply waits, peak RSS $hwm_kb kB,$(printf '%s' "$pool_line" | cut -d: -f2), flow table$(printf '%s' "$table_line" | cut -d: -f2), clean shutdown"
 
 echo "wire smoke: OK ($(wc -l < "$trace") control transactions traced to $trace)"
