@@ -95,7 +95,10 @@ func BenchmarkFig14Throughput(b *testing.B) {
 // 4 validation workers, reporting the exploration and the validation
 // wall time per proof pass beside ns/op.
 func BenchmarkTableV1Validation(b *testing.B) {
-	proofs := experiments.Proofs()
+	proofs, err := experiments.TableV1Proofs()
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("validate-%dworker", workers), func(b *testing.B) {
 			var explore, validate time.Duration

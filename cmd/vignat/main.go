@@ -1,102 +1,102 @@
-// Command vignat runs the verified NAT on the simulated DPDK substrate:
-// two multi-queue ports, the shared nf.Pipeline engine, and a built-in
-// traffic source standing in for the wire (all supplied by
-// nfkit.Main). It prints periodic statistics, demonstrating the full
-// production composition (netstack ⊕ libVig flow table ⊕ dpdk ports ⊕
-// verified stateless logic ⊕ nf engine).
+// Command vignat is the one NF daemon: it serves whichever row of
+// internal/catalog -nf names — nat (the default), firewall, lb,
+// policer, discard, or the gateway chain (firewall → policer → lb →
+// nat) — on the shared nf.Pipeline engine, either over in-memory ports
+// fed the row's built-in traffic (prints the engine's end-of-run
+// accounting) or, with -transport udp|unix, as a daemon on kernel
+// sockets whose peer process (cmd/vigwire) is the wire.
 //
 // Usage:
 //
-//	vignat [-flows N] [-packets N] [-timeout D] [-capacity N]
+//	vignat [-nf NAME] [-flows N] [-packets N] [-timeout D] [-capacity N]
 //	       [-shards N] [-workers N] [-burst N] [-metrics addr]
-//	       [-verify]
+//	       [-verify] [-backends N] [-rate B/s] [-bucket B] ...
 //
-// -shards > 1 partitions the NAT RSS-style: each shard owns a disjoint
-// slice of the flow table and of the external port range, so steering
-// by flow hash (outbound) and by port range (inbound) always lands a
-// session on the same shard with no locks.
+// -shards > 1 partitions the NF RSS-style: each shard owns a disjoint
+// slice of the state (for the NAT, of the flow table and of the
+// external port range), so steering by flow hash always lands a
+// session on the same shard with no locks. -workers > 1 (default: one
+// per shard) gives each worker its own RX/TX queue pair on both ports,
+// its own per-queue mempools, and its own goroutine running the
+// run-to-completion loop.
 //
-// -workers > 1 (default: one per shard) gives each worker its own RX/TX
-// queue pair on both ports, its own per-queue mempools, and its own
-// goroutine running the run-to-completion loop — deliver, poll, drain —
-// with no synchronization anywhere on the packet path.
-//
-// With -verify (the default) the binary first proves the NAT it is about
-// to run — the declaration of this configuration, port range included —
-// and refuses to start on a failed proof: the deployment story the paper
-// argues for, the artifact you run is the artifact you proved.
+// With -verify (the default) the binary first proves what it is about
+// to run — the declaration of the very NF it built, at this
+// configuration, each element's for the gateway — and refuses to start
+// on a failed proof: the
+// deployment story the paper argues for, the artifact you run is the
+// artifact you proved. An unknown -nf exits 2.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"time"
+	"os"
 
-	"vignat/internal/flow"
+	"vignat/internal/catalog"
 	"vignat/internal/libvig"
-	"vignat/internal/moongen"
-	"vignat/internal/nat"
 	"vignat/internal/nf/nfkit"
 )
 
 func main() {
-	flows := flag.Int("flows", 1000, "number of concurrent flows to simulate")
-	verify := flag.Bool("verify", true, "run the verification pipeline before starting")
+	os.Exit(run(catalog.Rows, os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	nfkit.Main(nfkit.App{
-		Name:            "vignat",
-		DefaultCapacity: nat.DefaultCapacity,
-		Build: func(o *nfkit.Options, clock libvig.Clock) (*nfkit.Run, error) {
-			cfg := nat.Config{Capacity: o.Capacity, Timeout: o.Timeout,
-				ExternalIP: flow.MakeAddr(198, 18, 1, 1), ExternalPort: 1}
-			if err := cfg.Validate(); err != nil {
-				return nil, err
-			}
+// run is the daemon over rows: its exit status.
+func run(rows []catalog.Row, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("vignat", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	o := &catalog.Options{}
+	o.Register(fs)
+	name := fs.String("nf", "nat", "NF to serve: nat, firewall, lb, policer, discard or gateway")
+	verify := fs.Bool("verify", true, "prove the NF before starting")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "vignat: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
+	row, ok := catalog.Find(rows, *name)
+	if !ok || row.New == nil {
+		fmt.Fprintf(stderr, "vignat: unknown nf %q\n", *name)
+		return 2
+	}
+	build := row.Build(o)
+	if *verify {
+		build = proved(stdout, row.Name, build)
+	}
+	if err := nfkit.Serve(stdout, "vignat", &o.Options, build); err != nil {
+		fmt.Fprintf(stderr, "vignat: %v\n", err)
+		return 1
+	}
+	return 0
+}
 
-			if *verify {
-				rep, err := nfkit.VerifySym(*nat.Kit(cfg, clock).Sym, nfkit.ModelExact, 0)
-				if err != nil {
-					return nil, err
-				}
-				fmt.Println(rep.Summary())
-				if !rep.OK() {
-					return nil, fmt.Errorf("refusing to start an unproven NAT")
-				}
-			}
-
-			n, err := nat.NewSharded(cfg, clock, o.Shards)
+// proved is build followed by the proof of every declaration the NF it
+// built runs (each element's for a chain), one summary printed each: a
+// failed proof fails the build, so nothing unproven is ever served.
+func proved(w io.Writer, name string, build nfkit.Build) nfkit.Build {
+	return func(clock libvig.Clock) (*nfkit.Run, error) {
+		run, err := build(clock)
+		if err != nil {
+			return nil, err
+		}
+		proofs := catalog.ProofsOf(name, run.NF)
+		if len(proofs) == 0 {
+			return nil, fmt.Errorf("refusing to start %s: it declares nothing to prove", name)
+		}
+		for _, p := range proofs {
+			rep, err := nfkit.VerifySym(*p.Sym, nfkit.ModelExact, 0)
 			if err != nil {
 				return nil, err
 			}
-			specs, err := moongen.MakeFlows(0, *flows, 0, 17)
-			if err != nil {
-				return nil, err
+			fmt.Fprintf(w, "%s: %s\n", p.Name, rep.Summary())
+			if !rep.OK() {
+				return nil, fmt.Errorf("refusing to start an unproven %s", p.Name)
 			}
-			frames := make([][]byte, len(specs))
-			for f := range specs {
-				frames[f] = specs[f].Frame()
-			}
-
-			return &nfkit.Run{
-				NF:             n,
-				ShardOf:        n.ShardOf,
-				Frames:         frames,
-				FromInternal:   true,
-				InternalPortID: cfg.InternalPort,
-				ExternalPortID: cfg.ExternalPort,
-				Banner: fmt.Sprintf("vignat: CAP=%d Texp=%v EXT_IP=%v, %d shards, %d workers, burst %d, %d flows, %d packets",
-					n.Capacity(), cfg.Timeout, cfg.ExternalIP, n.Shards(), o.Workers, o.Burst, *flows, o.Packets),
-				Report: func(w io.Writer, r *nfkit.RunReport) error {
-					st := n.Stats()
-					fmt.Fprintf(w, "processed %d packets in %v (%.2f Mpps offered)\n",
-						st.Processed, r.Elapsed.Round(time.Millisecond), r.Mpps(st.Processed))
-					fmt.Fprintf(w, "  forwarded out: %-10d dropped: %d\n", st.ForwardedOut, st.Dropped)
-					fmt.Fprintf(w, "  flows created: %-10d expired: %d  live: %d\n",
-						st.FlowsCreated, st.FlowsExpired, n.Flows())
-					return nil
-				},
-			}, nil
-		},
-	})
+		}
+		return run, nil
+	}
 }

@@ -4,7 +4,8 @@
 // in-memory rings and both kernel-socket wires. A transport that
 // passes here is substitutable under every NF in the repository —
 // the spec suites check protocol behavior, this fixture checks the
-// I/O contract those suites stand on.
+// I/O contract those suites stand on. Its tester-side endpoints (Wire,
+// wire.go) are also what cmd/vigwire plays the wire with.
 package transporttest
 
 import (
@@ -14,7 +15,6 @@ import (
 
 	"vignat/internal/dpdk"
 	"vignat/internal/libvig"
-	"vignat/internal/testbed"
 )
 
 // Backend describes one transport under test.
@@ -29,7 +29,7 @@ type Backend struct {
 	// New builds a port on this backend with nQueues queue pairs
 	// drawing from a fresh pool of poolSize mbufs, plus the tester-side
 	// wire talking to it. Cleanup registers with t.
-	New func(t *testing.T, nQueues, poolSize int) (*dpdk.Port, testbed.Wire)
+	New func(t *testing.T, nQueues, poolSize int) (*dpdk.Port, Wire)
 	// NewBackpressure builds a single-queue port whose TX path rejects
 	// after a bounded number of accepted frames — no consumer drains
 	// the far end. Nil when HasTxBackpressure is false.
@@ -37,7 +37,7 @@ type Backend struct {
 	// NewPeer builds a further tester-side endpoint sending to queue 0
 	// of a port New built: a second cable into the same NIC. Nil when
 	// the backend's wire is the only way in (mem).
-	NewPeer func(t *testing.T, port *dpdk.Port) testbed.Wire
+	NewPeer func(t *testing.T, port *dpdk.Port) Wire
 }
 
 const (
@@ -390,7 +390,7 @@ func testCloseMidBurst(t *testing.T, b Backend) {
 
 // sendAll hands the frames to the wire back to back, so a socket
 // backend finds them queued together and reads them as one batch.
-func sendAll(t *testing.T, wire testbed.Wire, frames ...[]byte) {
+func sendAll(t *testing.T, wire Wire, frames ...[]byte) {
 	t.Helper()
 	for i, f := range frames {
 		if !wire.Send(f, libvig.Time(1000*(i+1))) {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"vignat/internal/dpdk"
-	"vignat/internal/testbed"
 )
 
 func newPool(t *testing.T, size int) *dpdk.Mempool {
@@ -22,14 +21,14 @@ func memBackend() Backend {
 	return Backend{
 		Name:              "mem",
 		HasTxBackpressure: true,
-		New: func(t *testing.T, nQueues, poolSize int) (*dpdk.Port, testbed.Wire) {
+		New: func(t *testing.T, nQueues, poolSize int) (*dpdk.Port, Wire) {
 			t.Helper()
 			port, err := dpdk.NewMultiQueuePort(0, nQueues, dpdk.DefaultRxQueue, dpdk.DefaultTxQueue,
 				[]*dpdk.Mempool{newPool(t, poolSize)})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return port, &testbed.MemWire{Port: port}
+			return port, &MemWire{Port: port}
 		},
 		NewBackpressure: func(t *testing.T, poolSize int) *dpdk.Port {
 			t.Helper()
@@ -50,7 +49,7 @@ func udpBackend() Backend {
 	return Backend{
 		Name:              "udp",
 		HasTxBackpressure: false, // loopback UDP drops at a full receiver; the sender never blocks
-		New: func(t *testing.T, nQueues, poolSize int) (*dpdk.Port, testbed.Wire) {
+		New: func(t *testing.T, nQueues, poolSize int) (*dpdk.Port, Wire) {
 			t.Helper()
 			tr, err := dpdk.NewUDPTransport(dpdk.SocketConfig{Queues: nQueues, Local: "127.0.0.1:0"})
 			if err != nil {
@@ -60,7 +59,7 @@ func udpBackend() Backend {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wire, err := testbed.NewUDPWire("127.0.0.1:0")
+			wire, err := NewUDPWire("127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,9 +72,9 @@ func udpBackend() Backend {
 			t.Cleanup(func() { _ = port.Close(); _ = wire.Close() })
 			return port, wire
 		},
-		NewPeer: func(t *testing.T, port *dpdk.Port) testbed.Wire {
+		NewPeer: func(t *testing.T, port *dpdk.Port) Wire {
 			t.Helper()
-			wire, err := testbed.NewUDPWire("127.0.0.1:0")
+			wire, err := NewUDPWire("127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,7 +91,7 @@ func unixBackend() Backend {
 	return Backend{
 		Name:              "unix",
 		HasTxBackpressure: true,
-		New: func(t *testing.T, nQueues, poolSize int) (*dpdk.Port, testbed.Wire) {
+		New: func(t *testing.T, nQueues, poolSize int) (*dpdk.Port, Wire) {
 			t.Helper()
 			dir := t.TempDir()
 			tr, err := dpdk.NewUnixTransport(dpdk.SocketConfig{
@@ -105,7 +104,7 @@ func unixBackend() Backend {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wire, err := testbed.NewUnixWire(dir + "/wire")
+			wire, err := NewUnixWire(dir + "/wire")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,9 +114,9 @@ func unixBackend() Backend {
 			t.Cleanup(func() { _ = port.Close(); _ = wire.Close() })
 			return port, wire
 		},
-		NewPeer: func(t *testing.T, port *dpdk.Port) testbed.Wire {
+		NewPeer: func(t *testing.T, port *dpdk.Port) Wire {
 			t.Helper()
-			wire, err := testbed.NewUnixWire(t.TempDir() + "/wire")
+			wire, err := NewUnixWire(t.TempDir() + "/wire")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,4 +1,4 @@
-package testbed
+package transporttest
 
 import (
 	"fmt"
@@ -86,11 +86,11 @@ type UDPWire struct {
 func NewUDPWire(local string) (*UDPWire, error) {
 	laddr, err := net.ResolveUDPAddr("udp4", local)
 	if err != nil {
-		return nil, fmt.Errorf("testbed: udp wire %q: %w", local, err)
+		return nil, fmt.Errorf("transporttest: udp wire %q: %w", local, err)
 	}
 	conn, err := net.ListenUDP("udp4", laddr)
 	if err != nil {
-		return nil, fmt.Errorf("testbed: udp wire: %w", err)
+		return nil, fmt.Errorf("transporttest: udp wire: %w", err)
 	}
 	return &UDPWire{conn: conn}, nil
 }
@@ -103,7 +103,7 @@ func (w *UDPWire) LocalAddr() string { return w.conn.LocalAddr().String() }
 func (w *UDPWire) SetPeer(addr string) error {
 	peer, err := net.ResolveUDPAddr("udp4", addr)
 	if err != nil {
-		return fmt.Errorf("testbed: udp wire peer %q: %w", addr, err)
+		return fmt.Errorf("transporttest: udp wire peer %q: %w", addr, err)
 	}
 	w.peer = peer
 	return nil
@@ -141,7 +141,6 @@ func (w *UDPWire) Close() error { return w.conn.Close() }
 // frame channel, so Recv observes all middlebox TX queues merged —
 // the same view MemWire's DrainTx sweep gives.
 type UnixWire struct {
-	prefix   string
 	listener *net.UnixListener
 	frames   chan []byte
 
@@ -158,16 +157,12 @@ func NewUnixWire(local string) (*UnixWire, error) {
 	path := local + ".q0"
 	l, err := net.ListenUnix("unixpacket", &net.UnixAddr{Name: path, Net: "unixpacket"})
 	if err != nil {
-		return nil, fmt.Errorf("testbed: unix wire %s: %w", path, err)
+		return nil, fmt.Errorf("transporttest: unix wire %s: %w", path, err)
 	}
-	w := &UnixWire{prefix: local, listener: l, frames: make(chan []byte, 1024)}
+	w := &UnixWire{listener: l, frames: make(chan []byte, 1024)}
 	go w.acceptLoop()
 	return w, nil
 }
-
-// LocalPrefix returns the wire's path prefix — the middlebox
-// transport's Peer.
-func (w *UnixWire) LocalPrefix() string { return w.prefix }
 
 // SetPeer targets the middlebox's path prefix (its queue-0 listener).
 func (w *UnixWire) SetPeer(prefix string) error {

@@ -5,41 +5,13 @@ import (
 	"strings"
 	"time"
 
-	"vignat/internal/firewall"
+	"vignat/internal/catalog"
 	"vignat/internal/flow"
-	"vignat/internal/lb"
 	"vignat/internal/libvig"
 	"vignat/internal/nat"
 	"vignat/internal/nf/nfkit"
-	"vignat/internal/policer"
 	"vignat/internal/unverified"
 )
-
-// Proof is one symbolic declaration Table V1 reports, named as the
-// command line does.
-type Proof struct {
-	Name string
-	Sym  *nfkit.SymSpec
-}
-
-// Proofs are the five flow- and subscriber-table declarations at the
-// evaluation's configuration — the NAT, the firewall, the balancer in
-// both orientations, the policer — each proved by nfkit.VerifySym.
-func Proofs() []Proof {
-	clock := libvig.NewVirtualClock(0)
-	const texp = 2 * time.Second
-	lbCfg := lb.Config{VIP: flow.MakeAddr(198, 18, 0, 1), Capacity: Capacity, Timeout: texp, MaxBackends: 16}
-	lbChain := lbCfg
-	lbChain.Passthrough = true
-	return []Proof{
-		{"nat", nat.Kit(nat.Config{Capacity: Capacity, Timeout: texp, ExternalIP: ExtIP, PortBase: PortBase,
-			ExternalPort: 1}, clock).Sym},
-		{"firewall", firewall.Kit(Capacity, texp, clock).Sym},
-		{"lb", lb.Kit(lbCfg, clock).Sym},
-		{"lb-passthrough", lb.Kit(lbChain, clock).Sym},
-		{"policer", policer.Kit(policer.Config{Rate: 1 << 20, Burst: 1 << 16, Capacity: Capacity, Timeout: texp}, clock).Sym},
-	}
-}
 
 // TableV1Row is one NF's verification statistics, the paper's in-text
 // figures (§5.2.1–§5.2.2): path and task counts from exhaustive symbolic
@@ -53,7 +25,7 @@ type TableV1Row struct {
 	ProofComplete                 bool
 }
 
-// TableV1 is the verification statistics of every proof in Proofs.
+// TableV1 is the verification statistics of every proof in TableV1Proofs.
 type TableV1 struct {
 	Rows []TableV1Row
 	// WorkersN is the N of ValidateN; Runs the repetitions averaged to
@@ -61,14 +33,38 @@ type TableV1 struct {
 	WorkersN, Runs int
 }
 
-// RunTableV1 proves every declaration in Proofs at 1 and at workers
+// TableV1Proofs returns the declarations Table V1 reports: the five
+// flow- and subscriber-table catalog rows — the NAT, the firewall, the
+// balancer in both orientations, the policer — at the daemon's default
+// configuration.
+func TableV1Proofs() ([]catalog.Proof, error) {
+	var proofs []catalog.Proof
+	for _, name := range []string{"nat", "firewall", "lb", "lb-passthrough", "policer"} {
+		row, ok := catalog.Find(catalog.Rows, name)
+		if !ok {
+			return nil, fmt.Errorf("experiments: no catalog row %q", name)
+		}
+		p, err := row.Proofs(catalog.Defaults())
+		if err != nil {
+			return nil, err
+		}
+		proofs = append(proofs, p...)
+	}
+	return proofs, nil
+}
+
+// RunTableV1 proves every declaration of TableV1Proofs at 1 and at workers
 // validation workers, repeat times each, and averages the timings.
 func RunTableV1(workers, repeat int) (*TableV1, error) {
 	if repeat <= 0 {
 		repeat = 1
 	}
+	proofs, err := TableV1Proofs()
+	if err != nil {
+		return nil, err
+	}
 	tv := &TableV1{WorkersN: workers, Runs: repeat}
-	for _, p := range Proofs() {
+	for _, p := range proofs {
 		row := TableV1Row{NF: p.Name, ProofComplete: true}
 		for i := 0; i < repeat; i++ {
 			for _, w := range []int{1, workers} {

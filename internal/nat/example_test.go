@@ -1,7 +1,4 @@
-// Quickstart: build a verified NAT, push a session through it both
-// ways, inspect the rewrites, and prove the NAT you just ran — the
-// five-minute tour of the API.
-package main
+package nat_test
 
 import (
 	"fmt"
@@ -14,7 +11,10 @@ import (
 	"vignat/internal/nf/nfkit"
 )
 
-func main() {
+// Build a verified NAT, push a session through it both ways, inspect
+// the rewrites, and prove the NAT you just ran — the five-minute tour
+// of the API.
+func Example() {
 	// 1. Configure: external IP, table capacity (CAP), expiry (Texp).
 	cfg := nat.Config{ExternalIP: flow.MakeAddr(203, 0, 113, 1), ExternalPort: 1}
 	if err := cfg.Validate(); err != nil { // CAP and Texp take their defaults
@@ -64,6 +64,15 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println(report.Summary())
+	// Output:
+	// outbound before NAT: tcp 10.0.0.42:51234>93.184.216.34:80
+	// verdict: fwd-external
+	// outbound after NAT:  tcp 203.0.113.1:1>93.184.216.34:80
+	// reply before NAT:    tcp 93.184.216.34:80>203.0.113.1:1
+	// verdict: fwd-internal
+	// reply after NAT:     tcp 93.184.216.34:80>10.0.0.42:51234
+	// live flows: 1 (capacity 65535)
+	// PROOF COMPLETE (vignat, exact model): 11 paths, 109 tasks; P1: 0, P2: 0, P4: 0, P5: 0
 }
 
 func tuple(frame []byte) flow.ID {

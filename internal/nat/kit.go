@@ -14,7 +14,7 @@ import (
 )
 
 // This file is the NAT's one nfkit declaration: everything the engine,
-// the sharded composition, the demo binaries and the proof (symspec.go)
+// the sharded composition, the daemon and the proof (symspec.go)
 // need, in one place.
 
 // verdictOf collapses the NAT's directional verdict onto the pipeline

@@ -158,6 +158,10 @@ func (s *Sharded[C]) Name() string {
 	return s.decl.Name
 }
 
+// Sym returns the symbolic declaration of the NF every shard runs: what
+// proving this composition proves.
+func (s *Sharded[C]) Sym() *SymSpec { return s.decl.Sym }
+
 // Core returns shard i's production core (tests, stats drill-down).
 func (s *Sharded[C]) Core(i int) C { return s.state.Load().shards[i].core }
 

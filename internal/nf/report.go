@@ -7,13 +7,13 @@ import (
 	"vignat/internal/dpdk"
 )
 
-// FprintEngineReport writes the end-of-run engine summary every demo
-// binary used to hand-roll: the pipeline's counters next to the NF's
-// concurrency-safe snapshot, then every RX queue's mempool high-water
-// mark against its size (port.queue=high_water/size): the data rooms
-// the run made resident. An NF with flow tables adds each shard's
-// high-water mark against its capacity (s<shard>=high_water/capacity):
-// the table records the run made resident.
+// FprintEngineReport writes the daemon's end-of-run engine summary: the
+// pipeline's counters next to the NF's concurrency-safe snapshot, then
+// every RX queue's mempool high-water mark against its size
+// (port.queue=high_water/size): the data rooms the run made resident. An
+// NF with flow tables adds each shard's high-water mark against its
+// capacity (s<shard>=high_water/capacity): the table records the run
+// made resident.
 func FprintEngineReport(w io.Writer, ps PipelineStats, snap Stats, pools []MempoolFill, tables []TableFill) {
 	fmt.Fprintf(w, "  engine: polls=%d rx=%d tx=%d tx_freed=%d | NF snapshot: fwd=%d drop=%d expired=%d\n",
 		ps.Polls, ps.RxPackets, ps.TxPackets, ps.TxFreed, snap.Forwarded, snap.Dropped, snap.Expired)
@@ -136,11 +136,11 @@ func FprintWireReport(w io.Writer, queues []WireQueue) {
 	}
 }
 
-// NewWorkerPorts builds the multi-queue port arrangement every demo
-// binary needs: one RX/TX queue pair per worker, each with its own
-// mempool of poolSize mbufs (concurrent workers never share an
-// allocator, as DPDK's per-queue rx mempools arrange). It returns the
-// port and its pools, the latter for end-of-run MbufAccounting.
+// NewWorkerPorts builds the in-memory multi-queue port arrangement: one
+// RX/TX queue pair per worker, each with its own mempool of poolSize
+// mbufs (concurrent workers never share an allocator, as DPDK's
+// per-queue rx mempools arrange). It returns the port and its pools, the
+// latter for end-of-run MbufAccounting.
 func NewWorkerPorts(id uint16, workers, poolSize int) (*dpdk.Port, []*dpdk.Mempool, error) {
 	pools := make([]*dpdk.Mempool, workers)
 	for q := range pools {

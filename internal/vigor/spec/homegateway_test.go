@@ -1,39 +1,36 @@
-// Home gateway scenario: the workload the paper's introduction
+// The home gateway, end to end: the workload the paper's introduction
 // motivates — a home router carrying a mix of long-lived TCP sessions
 // (streaming), short UDP exchanges (DNS), idle flows that must expire,
-// and unsolicited outside traffic, all behind one external IP.
+// and unsolicited outside traffic, all behind one external IP — through
+// the chain vignat -nf gateway serves (firewall → policer → LB → NAT,
+// built by the catalog row's own constructor).
 //
-// The gateway is a service chain on the shared nf.Pipeline engine. By
-// default it is firewall → policer → LB → NAT: the Maglev-style
-// balancer fronts a resolver VIP for the home network (clients
+// The balancer fronts a resolver VIP for the home network (clients
 // internal, upstream resolvers external, passthrough for everything
 // else), and the policer enforces a per-host download budget on the
 // translated return traffic — on the internal→external axis it sits
 // just behind the firewall, so inbound packets reach it after the NAT
-// has translated them back and the balancer has restored the VIP,
-// which is exactly when the destination names the subscriber to
-// charge. Every observable NAT action is still cross-checked against
-// the executable RFC 3022 specification (for VIP flows, against the
-// balancer-resolved tuple), the balancer's contract is asserted
-// inline, and the policer is mirrored by its own spec oracle: a
-// mid-run download surge must be clipped on exactly the packets the
-// budget law names, while everything else stays conforming — so the
-// chain remains RFC 3022-oracle-clean end to end. -lb=false and
-// -police=false strip the respective stages.
+// has translated them back and the balancer has restored the VIP, which
+// is exactly when the destination names the subscriber to charge. Every
+// observable NAT action is cross-checked against the executable RFC
+// 3022 specification (for VIP flows, against the balancer-resolved
+// tuple), the balancer's contract is asserted inline, and the policer is
+// mirrored by its own spec oracle: a mid-run download surge must be
+// clipped on exactly the packets the budget law names, while everything
+// else stays conforming — so the chain remains RFC 3022-oracle-clean end
+// to end. This is the only check of the whole chain against all three
+// oracles.
 //
 // The chain runs as a single run-to-completion worker driven lock-step
-// (Pipeline.Poll) so the oracle can observe one packet at a time; the
-// chain still gets element-pass batching inside each burst. Parallel
-// multi-queue operation is cmd/vignat -workers' territory — the oracle
-// needs a deterministic packet order.
-package main
+// (Pipeline.Poll) so the oracles can observe one packet at a time; the
+// chain still gets element-pass batching inside each burst.
+package spec_test
 
 import (
-	"flag"
-	"fmt"
-	"log"
+	"testing"
 	"time"
 
+	"vignat/internal/catalog"
 	"vignat/internal/dpdk"
 	"vignat/internal/firewall"
 	"vignat/internal/flow"
@@ -47,112 +44,60 @@ import (
 	"vignat/internal/vigor/spec"
 )
 
-const (
-	nHosts  = 8
-	texp    = 2 * time.Second
-	simTime = 30 * time.Second
-	dnsPort = 53
+func TestHomeGatewayOracleClean(t *testing.T) {
+	const (
+		nHosts  = 8
+		texp    = 2 * time.Second
+		simTime = 30 * time.Second
 
-	// Per-host download budget: generous against the scripted workload
-	// (~400 B/s per host), tight against the surge.
-	polRate  = 2000 // bytes/second
-	polBurst = 4000 // bytes
-)
-
-var resolverVIP = flow.MakeAddr(10, 53, 53, 53)
-
-func main() {
-	useLB := flag.Bool("lb", true, "front a resolver VIP with the Maglev-style balancer")
-	usePol := flag.Bool("police", true, "police per-host download rate with the token-bucket policer")
-	flag.Parse()
-
-	extIP := flow.MakeAddr(203, 0, 113, 77)
-	cfg := nat.Config{Capacity: 1024, Timeout: texp, ExternalIP: extIP, PortBase: nat.DefaultPortBase, ExternalPort: 1}
+		// Per-host download budget: generous against the scripted
+		// workload (~400 B/s per host), tight against the surge.
+		polRate  = 2000 // bytes/second
+		polBurst = 4000 // bytes
+	)
+	o := catalog.Defaults()
+	o.Capacity, o.Timeout, o.Backends, o.Rate, o.Bucket = 1024, texp, 4, polRate, polBurst
+	row, _ := catalog.Find(catalog.Rows, "gateway")
 	clock := libvig.NewVirtualClock(0)
-
-	gwNAT, err := nat.New(cfg, clock)
+	run, err := row.New(o, clock)
 	if err != nil {
-		log.Fatal(err)
+		t.Fatal(err)
 	}
-	fw, err := firewall.New(cfg.Capacity, texp, clock)
-	if err != nil {
-		log.Fatal(err)
-	}
+	chain := run.NF.(*nf.Chain)
+	elems := chain.Elems()
+	fw, pol, bal, gwNAT := elems[0].(*firewall.Sharded), elems[1].(*policer.Sharded), elems[2].(*lb.Sharded), elems[3].(*nat.Sharded)
 
 	// The upstream resolver pool the VIP fronts.
-	resolvers := []flow.Addr{
-		flow.MakeAddr(9, 9, 9, 9),
-		flow.MakeAddr(9, 9, 9, 10),
-		flow.MakeAddr(9, 9, 9, 11),
-		flow.MakeAddr(9, 9, 9, 12),
-	}
-	var gwLB *lb.Balancer
 	resolverIdx := map[flow.Addr]int{}
-	elems := []nf.NF{firewall.AsNF(fw)}
-
-	var gwPol *policer.Policer
-	var polOracle *spec.PolicerOracle
-	if *usePol {
-		gwPol, err = policer.New(policer.Config{
-			Rate: polRate, Burst: polBurst, Capacity: cfg.Capacity, Timeout: texp,
-		}, clock)
-		if err != nil {
-			log.Fatal(err)
+	for i := 0; i < o.Backends; i++ {
+		ip, live := bal.Backend(i)
+		if !live {
+			t.Fatalf("resolver %d not live", i)
 		}
-		polOracle = spec.NewPolicerOracle(polRate, polBurst, 0, texp.Nanoseconds())
-		elems = append(elems, policer.AsNF(gwPol))
-	}
-	if *useLB {
-		gwLB, err = lb.New(lb.Config{
-			VIP:             resolverVIP,
-			VIPPort:         dnsPort,
-			Capacity:        cfg.Capacity,
-			Timeout:         texp,
-			MaxBackends:     len(resolvers),
-			ClientsInternal: true, // home hosts are the clients
-			Passthrough:     true, // the rest of the gateway's traffic is not ours
-		}, clock)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, ip := range resolvers {
-			idx, err := gwLB.AddBackend(ip, clock.Now())
-			if err != nil {
-				log.Fatal(err)
-			}
-			resolverIdx[ip] = idx
-		}
-		elems = append(elems, lb.AsNF(gwLB))
-	}
-	elems = append(elems, nat.AsNF(gwNAT))
-	chain, err := nf.NewChain("homegw", elems...)
-	if err != nil {
-		log.Fatal(err)
+		resolverIdx[ip] = i
 	}
 
 	pool, err := dpdk.NewMempool(256)
 	if err != nil {
-		log.Fatal(err)
+		t.Fatal(err)
 	}
-	intPort, err := dpdk.NewPort(cfg.InternalPort, dpdk.DefaultRxQueue, dpdk.DefaultTxQueue, pool)
+	intPort, err := dpdk.NewPort(0, dpdk.DefaultRxQueue, dpdk.DefaultTxQueue, pool)
 	if err != nil {
-		log.Fatal(err)
+		t.Fatal(err)
 	}
-	extPort, err := dpdk.NewPort(cfg.ExternalPort, dpdk.DefaultRxQueue, dpdk.DefaultTxQueue, pool)
+	extPort, err := dpdk.NewPort(1, dpdk.DefaultRxQueue, dpdk.DefaultTxQueue, pool)
 	if err != nil {
-		log.Fatal(err)
+		t.Fatal(err)
 	}
 	pipe, err := nf.NewPipeline(chain, nf.Config{Internal: intPort, External: extPort, Clock: clock})
 	if err != nil {
-		log.Fatal(err)
+		t.Fatal(err)
 	}
 
-	oracle := spec.NewOracle(cfg.Capacity, texp.Nanoseconds(), extIP, cfg.PortBase, cfg.Capacity)
+	oracle := spec.NewOracle(o.Capacity, texp.Nanoseconds(), catalog.ExtIP, nat.DefaultPortBase, o.Capacity)
+	polOracle := spec.NewPolicerOracle(polRate, polBurst, 0, texp.Nanoseconds())
 
-	dns := flow.ID{DstIP: flow.MakeAddr(9, 9, 9, 9), DstPort: dnsPort, Proto: flow.UDP}
-	if *useLB {
-		dns.DstIP = resolverVIP // hosts query the VIP, not a resolver
-	}
+	dns := flow.ID{DstIP: catalog.ResolverVIP, DstPort: catalog.ResolverPort, Proto: flow.UDP} // hosts query the VIP, not a resolver
 	video := flow.ID{DstIP: flow.MakeAddr(151, 101, 1, 1), DstPort: 443, Proto: flow.TCP}
 
 	type counters struct{ sent, dropped, policed int }
@@ -193,10 +138,10 @@ func main() {
 			rxPort = extPort
 		}
 		if !rxPort.DeliverRx(frame, clock.Now()) {
-			log.Fatal("RX queue rejected a frame")
+			t.Fatal("RX queue rejected a frame")
 		}
 		if _, err := pipe.Poll(); err != nil {
-			log.Fatal(err)
+			t.Fatal(err)
 		}
 
 		obs := spec.Observed{Verdict: stateless.VerdictDrop}
@@ -206,11 +151,11 @@ func main() {
 				continue
 			}
 			if k > 1 {
-				log.Fatal("one packet in, several out")
+				t.Fatal("one packet in, several out")
 			}
 			var p netstack.Packet
 			if err := p.Parse(drain[0].Data); err != nil {
-				log.Fatal(err)
+				t.Fatal(err)
 			}
 			obs.Tuple = p.FlowID()
 			if out == extPort {
@@ -219,12 +164,12 @@ func main() {
 				obs.Verdict = stateless.VerdictToInternal
 			}
 			if err := pool.Free(drain[0]); err != nil {
-				log.Fatal(err)
+				t.Fatal(err)
 			}
 		}
 
 		expectedInward := !fromInternal && inward != (flow.ID{})
-		if *usePol && expectedInward {
+		if expectedInward {
 			// The policer oracle adjudicates every packet that reaches
 			// the policer stage: the budget decides, and the chain's
 			// observable outcome must match it.
@@ -233,7 +178,7 @@ func main() {
 				got = policer.VerdictDrop
 			}
 			if err := polOracle.Step(inward.DstIP, wire, true, true, clock.Now(), got); err != nil {
-				log.Fatalf("policer spec violation: %v", err)
+				t.Fatalf("policer spec violation: %v", err)
 			}
 			if got == policer.VerdictDrop {
 				// The NAT forwarded; the policer clipped downstream.
@@ -243,7 +188,7 @@ func main() {
 				obs.Verdict = stateless.VerdictToInternal
 				obs.Tuple = inward
 				if err := oracle.Step(id, fromInternal, true, clock.Now(), obs); err != nil {
-					log.Fatalf("RFC 3022 violation (clipped reply): %v", err)
+					t.Fatalf("RFC 3022 violation (clipped reply): %v", err)
 				}
 				c.policed++
 				return flow.ID{}
@@ -251,33 +196,33 @@ func main() {
 		}
 
 		oracleID := id
-		if *useLB && fromInternal && id.DstIP == resolverVIP {
+		if fromInternal && id.DstIP == catalog.ResolverVIP {
 			// A VIP query must come out aimed at a live resolver; feed
 			// the oracle the balancer-resolved tuple.
 			if obs.Verdict != stateless.VerdictToExternal {
-				log.Fatalf("VIP query %v not forwarded (verdict %v)", id, obs.Verdict)
+				t.Fatalf("VIP query %v not forwarded (verdict %v)", id, obs.Verdict)
 			}
 			if !isResolver(obs.Tuple.DstIP) {
-				log.Fatalf("VIP query %v steered to %v, not a resolver", id, obs.Tuple.DstIP)
+				t.Fatalf("VIP query %v steered to %v, not a resolver", id, obs.Tuple.DstIP)
 			}
-			if _, live := gwLB.Backend(resolverIdx[obs.Tuple.DstIP]); !live {
-				log.Fatalf("VIP query %v steered to removed resolver %v", id, obs.Tuple.DstIP)
+			if _, live := bal.Backend(resolverIdx[obs.Tuple.DstIP]); !live {
+				t.Fatalf("VIP query %v steered to removed resolver %v", id, obs.Tuple.DstIP)
 			}
 			oracleID.DstIP = obs.Tuple.DstIP
 		}
-		if *useLB && !fromInternal && isResolver(id.SrcIP) && id.SrcPort == dnsPort &&
+		if !fromInternal && isResolver(id.SrcIP) && id.SrcPort == catalog.ResolverPort &&
 			obs.Verdict == stateless.VerdictToInternal {
 			// The balancer restored the resolver's source to the VIP
 			// after the NAT's rewrite; assert that, then un-restore for
 			// the RFC 3022 check of the NAT's own action.
-			if obs.Tuple.SrcIP != resolverVIP {
-				log.Fatalf("resolver reply reached the host as %v, want VIP %v",
-					obs.Tuple.SrcIP, resolverVIP)
+			if obs.Tuple.SrcIP != catalog.ResolverVIP {
+				t.Fatalf("resolver reply reached the host as %v, want VIP %v",
+					obs.Tuple.SrcIP, catalog.ResolverVIP)
 			}
 			obs.Tuple.SrcIP = id.SrcIP
 		}
 		if err := oracle.Step(oracleID, fromInternal, true, clock.Now(), obs); err != nil {
-			log.Fatalf("RFC 3022 violation: %v", err)
+			t.Fatalf("RFC 3022 violation: %v", err)
 		}
 		if obs.Verdict == stateless.VerdictDrop {
 			c.dropped++
@@ -306,12 +251,12 @@ func main() {
 		clock.Advance(step.Nanoseconds())
 		now := time.Duration(tick) * step
 
-		if *useLB && now == simTime/2 {
+		if now == simTime/2 {
 			// Drain one resolver mid-run. Sticky flows pinned to it are
 			// erased (and must re-select); everyone else's stay put.
-			removed = resolvers[0]
-			if err := gwLB.RemoveBackend(resolverIdx[removed]); err != nil {
-				log.Fatal(err)
+			removed, _ = bal.Backend(0)
+			if err := bal.RemoveBackend(0); err != nil {
+				t.Fatal(err)
 			}
 		}
 
@@ -324,9 +269,9 @@ func main() {
 					// The server acks through the chain: translated
 					// back by the NAT, admitted by the firewall.
 					if process(out.Reverse(), false, 64, id.Reverse()) == (flow.ID{}) {
-						log.Fatal("video reply dropped")
+						t.Fatal("video reply dropped")
 					}
-					if *usePol && h == 0 && now == surgeAt {
+					if h == 0 && now == surgeAt {
 						// The download surge: a back-to-back train of
 						// large segments into host 0, far past its
 						// burst budget. The policer oracle inside
@@ -338,7 +283,7 @@ func main() {
 							}
 						}
 						if surgeDropped == 0 {
-							log.Fatal("download surge was never clipped; the policer policed nothing")
+							t.Fatal("download surge was never clipped; the policer policed nothing")
 						}
 					}
 				}
@@ -352,22 +297,20 @@ func main() {
 				id.SrcIP, id.SrcPort = host, uint16(40000+h)
 				out := process(id, true, 64, flow.ID{})
 				if out == (flow.ID{}) {
-					log.Fatal("DNS query dropped")
+					t.Fatal("DNS query dropped")
 				}
-				if *useLB {
-					resolver := out.DstIP
-					if prev, ok := assigned[h]; ok && resolver != prev {
-						// A flow may move only if its resolver was just
-						// drained (sticky hosts) or its sticky entry
-						// expired and the membership changed (5s hosts).
-						if prev != removed && h < 4 {
-							log.Fatalf("host %d moved %v→%v though its resolver is live and its flow sticky",
-								h, prev, resolver)
-						}
-						remapped++
+				resolver := out.DstIP
+				if prev, ok := assigned[h]; ok && resolver != prev {
+					// A flow may move only if its resolver was just
+					// drained (sticky hosts) or its sticky entry
+					// expired and the membership changed (5s hosts).
+					if prev != removed && h < 4 {
+						t.Fatalf("host %d moved %v→%v though its resolver is live and its flow sticky",
+							h, prev, resolver)
 					}
-					assigned[h] = resolver
+					remapped++
 				}
+				assigned[h] = resolver
 				// The resolver answers; the reply must come back from
 				// the VIP (asserted inside process). The un-restored
 				// inward tuple is the query's reverse with the
@@ -375,7 +318,7 @@ func main() {
 				inward := id.Reverse()
 				inward.SrcIP = out.DstIP
 				if process(out.Reverse(), false, 64, inward) == (flow.ID{}) {
-					log.Fatal("DNS reply dropped")
+					t.Fatal("DNS reply dropped")
 				}
 			}
 		}
@@ -384,61 +327,49 @@ func main() {
 			// the NAT, before the policer ever sees it.
 			probe := flow.ID{
 				SrcIP: flow.MakeAddr(198, 51, 100, 99), SrcPort: 31337,
-				DstIP: extIP, DstPort: 17, Proto: flow.UDP,
+				DstIP: catalog.ExtIP, DstPort: 17, Proto: flow.UDP,
 			}
 			process(probe, false, 64, flow.ID{})
 		}
 	}
 
 	st := gwNAT.Stats()
-	fmt.Printf("home gateway simulation (%v virtual) through %s:\n", simTime, chain.Name())
-	fmt.Printf("  packets forwarded: %d, dropped: %d, policed: %d\n", c.sent, c.dropped, c.policed)
-	fmt.Printf("  flows created: %d, expired: %d, live now: %d\n",
-		st.FlowsCreated, st.FlowsExpired, gwNAT.Table().Size())
-	fmt.Printf("  firewall sessions live: %d\n", fw.Table().Size())
-	if *usePol {
-		pst := gwPol.Stats()
-		fmt.Printf("  policer: %d conformed, %d clipped (surge), %d hosts tracked\n",
-			pst.Conformed, pst.DroppedOverRate, gwPol.Subscribers())
-		if int(pst.DroppedOverRate) != surgeDropped || surgeDropped == 0 {
-			log.Fatalf("policer books disagree: %d clipped on the wire, %d in the stats",
-				surgeDropped, pst.DroppedOverRate)
-		}
-		if pst.DroppedTableFull != 0 || pst.DroppedMalformed != 0 {
-			log.Fatalf("unexpected policer drops: %+v", pst)
-		}
-		if gwPol.Subscribers() != polOracle.Size() {
-			log.Fatalf("policer tracks %d hosts, spec oracle %d", gwPol.Subscribers(), polOracle.Size())
-		}
+	natLive, fwLive := gwNAT.ShardNAT(0).Table().Size(), fw.ShardFirewall(0).Table().Size()
+	t.Logf("home gateway simulation (%v virtual) through %s: %d forwarded, %d dropped, %d policed; flows created %d, expired %d, live %d",
+		simTime, chain.Name(), c.sent, c.dropped, c.policed, st.FlowsCreated, st.FlowsExpired, natLive)
+
+	pst := pol.Stats()
+	if int(pst.DroppedOverRate) != surgeDropped || surgeDropped == 0 {
+		t.Fatalf("policer books disagree: %d clipped on the wire, %d in the stats", surgeDropped, pst.DroppedOverRate)
 	}
-	if *useLB {
-		lst := gwLB.Stats()
-		fmt.Printf("  balancer: %d queries steered, %d replies restored to VIP, %d passthrough, %d sticky expiries\n",
-			lst.ToBackend, lst.ToClient, lst.Passthrough, lst.FlowsExpired)
-		fmt.Printf("  resolver %v drained mid-run: %d host(s) remapped, %d live resolvers remain\n",
-			removed, remapped, gwLB.LiveBackends())
-		if gwLB.LiveBackends() != len(resolvers)-1 {
-			log.Fatal("resolver pool size wrong after drain")
-		}
-		if lst.ToBackend == 0 || lst.ToClient == 0 || lst.Passthrough == 0 {
-			log.Fatal("balancer saw no traffic of some class it must see")
-		}
-		if remapped == 0 {
-			log.Fatal("draining a resolver remapped no flow; the churn proved nothing")
-		}
+	if pst.DroppedTableFull != 0 || pst.DroppedMalformed != 0 {
+		t.Fatalf("unexpected policer drops: %+v", pst)
 	}
-	fmt.Printf("  spec-level state agrees: oracle tracks %d live sessions\n", oracle.Size())
-	if int(st.FlowsCreated-st.FlowsExpired) != gwNAT.Table().Size() {
-		log.Fatal("accounting mismatch")
+	if pol.Subscribers() != polOracle.Size() {
+		t.Fatalf("policer tracks %d hosts, spec oracle %d", pol.Subscribers(), polOracle.Size())
 	}
-	if gwNAT.Table().Size() != oracle.Size() {
-		log.Fatal("NAT and spec oracle disagree on live sessions")
+
+	lst := bal.Stats()
+	if bal.LiveBackends() != len(resolverIdx)-1 {
+		t.Fatalf("%d live resolvers after the drain, want %d", bal.LiveBackends(), len(resolverIdx)-1)
 	}
-	if fw.Table().Size() != gwNAT.Table().Size() {
-		log.Fatal("firewall and NAT disagree on live sessions")
+	if lst.ToBackend == 0 || lst.ToClient == 0 || lst.Passthrough == 0 {
+		t.Fatalf("balancer saw no traffic of some class it must see: %+v", lst)
+	}
+	if remapped == 0 {
+		t.Fatal("draining a resolver remapped no flow; the churn proved nothing")
+	}
+
+	if int(st.FlowsCreated-st.FlowsExpired) != natLive {
+		t.Fatalf("NAT accounting: created %d − expired %d ≠ live %d", st.FlowsCreated, st.FlowsExpired, natLive)
+	}
+	if natLive != oracle.Size() {
+		t.Fatalf("NAT tracks %d sessions, the RFC 3022 oracle %d", natLive, oracle.Size())
+	}
+	if fwLive != natLive {
+		t.Fatalf("firewall tracks %d sessions, the NAT %d", fwLive, natLive)
 	}
 	if pool.InUse() != 0 {
-		log.Fatalf("mbuf leak: %d in use", pool.InUse())
+		t.Fatalf("mbuf leak: %d in use", pool.InUse())
 	}
-	fmt.Println("every observable action conformed to RFC 3022 ✓")
 }

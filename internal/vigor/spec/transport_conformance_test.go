@@ -4,7 +4,7 @@
 // crossing a real kernel wire (UDP datagrams, unix SOCK_SEQPACKET)
 // instead of a test harness ring. The NF, the engine, and the oracle
 // are identical; only the Transport under the ports changes. Passing
-// here is what makes "-transport udp" on the demo binaries a claim
+// here is what makes "-transport udp" on the daemon a claim
 // rather than a hope.
 package spec_test
 
@@ -14,13 +14,13 @@ import (
 	"time"
 
 	"vignat/internal/dpdk"
+	"vignat/internal/dpdk/transporttest"
 	"vignat/internal/flow"
 	"vignat/internal/libvig"
 	"vignat/internal/nat"
 	"vignat/internal/nat/stateless"
 	"vignat/internal/netstack"
 	"vignat/internal/nf"
-	"vignat/internal/testbed"
 	"vignat/internal/vigor/spec"
 )
 
@@ -39,7 +39,7 @@ const (
 // tester holding both wire ends.
 type twRig struct {
 	pipe             *nf.Pipeline
-	intWire, extWire testbed.Wire
+	intWire, extWire transporttest.Wire
 	pools            []*dpdk.Mempool
 }
 
@@ -65,10 +65,10 @@ func buildTransportRig(t *testing.T, kind string, n nf.NF, clock *libvig.Virtual
 		if extPort, err = dpdk.NewPort(1, dpdk.DefaultRxQueue, dpdk.DefaultTxQueue, pool); err != nil {
 			t.Fatal(err)
 		}
-		r.intWire = &testbed.MemWire{Port: intPort}
-		r.extWire = &testbed.MemWire{Port: extPort}
+		r.intWire = &transporttest.MemWire{Port: intPort}
+		r.extWire = &transporttest.MemWire{Port: extPort}
 	case "udp":
-		side := func(id uint16) (*dpdk.Port, *testbed.UDPWire) {
+		side := func(id uint16) (*dpdk.Port, *transporttest.UDPWire) {
 			tr, err := dpdk.NewUDPTransport(dpdk.SocketConfig{Local: "127.0.0.1:0", Clock: clock})
 			if err != nil {
 				t.Fatal(err)
@@ -79,7 +79,7 @@ func buildTransportRig(t *testing.T, kind string, n nf.NF, clock *libvig.Virtual
 			if err != nil {
 				t.Fatal(err)
 			}
-			wire, err := testbed.NewUDPWire("127.0.0.1:0")
+			wire, err := transporttest.NewUDPWire("127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +96,7 @@ func buildTransportRig(t *testing.T, kind string, n nf.NF, clock *libvig.Virtual
 		extPort, r.extWire = side(1)
 	case "unix":
 		dir := t.TempDir()
-		side := func(id uint16, name string) (*dpdk.Port, *testbed.UnixWire) {
+		side := func(id uint16, name string) (*dpdk.Port, *transporttest.UnixWire) {
 			tr, err := dpdk.NewUnixTransport(dpdk.SocketConfig{
 				Local: dir + "/nat-" + name, Peer: dir + "/wire-" + name, Clock: clock,
 			})
@@ -109,7 +109,7 @@ func buildTransportRig(t *testing.T, kind string, n nf.NF, clock *libvig.Virtual
 			if err != nil {
 				t.Fatal(err)
 			}
-			wire, err := testbed.NewUnixWire(dir + "/wire-" + name)
+			wire, err := transporttest.NewUnixWire(dir + "/wire-" + name)
 			if err != nil {
 				t.Fatal(err)
 			}

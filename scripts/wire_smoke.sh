@@ -2,7 +2,8 @@
 # Two-process smoke test: a vignat daemon in wire mode and the vigwire
 # generator/sink exchange real packets over loopback sockets — UDP
 # first, unix SOCK_SEQPACKET (the transport the benchmark measures) in
-# the last leg — separate processes, kernel transport, no shared memory.
+# the last two legs — separate processes, kernel transport, no shared
+# memory.
 # The run passes only if vigwire's RFC 3022 oracle accepts every
 # observed translation, including the return traffic, and the NAT
 # shuts down cleanly (zero drops, no mbuf leaks) on SIGINT.
@@ -23,16 +24,20 @@
 # the metrics mux, and mid-exchange the script reshards it 2 → 4 → 3
 # workers — the oracle must stay clean across both live migrations.
 # Every control transaction is recorded in reshard_trace.json (JSONL),
-# the artifact CI uploads. Two further legs then hold a viglb and a
-# vigpol wire daemon under open-loop traffic (vigblast) while a live
-# backend drain/add and a rate resize land over /control/v1. The last
-# leg repeats the oracle exchange over the unix transport and then
-# blasts the daemon unpaced; its end-of-run wire counters must show
+# the artifact CI uploads. Two further legs then hold a `vignat -nf lb`
+# and a `vignat -nf policer` wire daemon under open-loop traffic
+# (`vigwire -mode blast`) while a live backend drain/add and a rate
+# resize land over /control/v1. The fourth leg repeats the oracle
+# exchange over the unix transport and then blasts the daemon unpaced;
+# its end-of-run wire counters must show
 # that it parked (blocking waits), woke for replies it knew were coming
 # (reply waits) and batched (fewer RX syscalls than frames), its report
 # must show both ports' mempools and its flow table used and none
 # exhausted, and its peak resident set (VmHWM, read before SIGINT) must
-# stay under 16 MB.
+# stay under 16 MB. The last leg serves the home gateway chain
+# (`vignat -nf gateway`: firewall → policer → lb → nat) over the unix
+# transport, and the RFC 3022 oracle exchange must come back clean
+# through it.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -47,6 +52,7 @@ nat_pid=""
 wire_pid=""
 lb_pid=""
 pol_pid=""
+gw_pid=""
 blast_pid=""
 cleanup() {
     [ -n "$blast_pid" ] && kill "$blast_pid" 2>/dev/null || true
@@ -54,15 +60,13 @@ cleanup() {
     [ -n "$nat_pid" ] && kill "$nat_pid" 2>/dev/null || true
     [ -n "$lb_pid" ] && kill "$lb_pid" 2>/dev/null || true
     [ -n "$pol_pid" ] && kill "$pol_pid" 2>/dev/null || true
+    [ -n "$gw_pid" ] && kill "$gw_pid" 2>/dev/null || true
     rm -rf "$bin" "$sock"
 }
 trap cleanup EXIT
 
 go build -o "$bin/vignat" ./cmd/vignat
 go build -o "$bin/vigwire" ./cmd/vigwire
-go build -o "$bin/viglb" ./cmd/viglb
-go build -o "$bin/vigpol" ./cmd/vigpol
-go build -o "$bin/vigblast" ./cmd/vigblast
 
 # One numeric field from a JSON body (flat bodies only — good enough
 # for the control API's replies without a jq dependency).
@@ -87,7 +91,7 @@ rec() {
     -shards 2 -workers 2 -max-workers 4 -capacity 65532 \
     -int-local 127.0.0.1:19001 -int-peer 127.0.0.1:29001 \
     -ext-local 127.0.0.1:19101 -ext-peer 127.0.0.1:29101 \
-    -metrics "$metrics_addr" -telemetry 1 -control \
+    -metrics "$metrics_addr" -telemetry -control \
     -duration 60s &
 nat_pid=$!
 
@@ -252,13 +256,14 @@ nat_pid=""
 
 # --- Leg 2: LB backend drain/add under live traffic -----------------
 
-"$bin/viglb" -transport udp -shards 2 -workers 2 -backends 4 -churn=false \
+"$bin/vignat" -nf lb -transport udp -shards 2 -workers 2 -backends 4 \
     -int-local 127.0.0.1:19201 -ext-local 127.0.0.1:19301 \
     -metrics "$lb_metrics" -control -duration 45s &
 lb_pid=$!
 sleep 1
 
-"$bin/vigblast" -kind lb -peer 127.0.0.1:19301 -flows 64 -packets 3000 -interval 1ms &
+"$bin/vigwire" -mode blast -nf lb -ext-local 127.0.0.1:29301 -ext-peer 127.0.0.1:19301 \
+    -flows 64 -packets 3000 -interval 1ms &
 blast_pid=$!
 sleep 0.5
 
@@ -299,13 +304,14 @@ echo "wire smoke: LB drained+re-added a backend mid-traffic (processed=$lb_proce
 
 # --- Leg 3: policer rate resize under live traffic ------------------
 
-"$bin/vigpol" -transport udp -shards 2 -workers 2 \
+"$bin/vignat" -nf policer -transport udp -shards 2 -workers 2 \
     -int-local 127.0.0.1:19401 -ext-local 127.0.0.1:19501 \
     -metrics "$pol_metrics" -control -duration 45s &
 pol_pid=$!
 sleep 1
 
-"$bin/vigblast" -kind policer -peer 127.0.0.1:19501 -flows 32 -packets 3000 -interval 1ms &
+"$bin/vigwire" -mode blast -nf policer -ext-local 127.0.0.1:29501 -ext-peer 127.0.0.1:19501 \
+    -flows 32 -packets 3000 -interval 1ms &
 blast_pid=$!
 sleep 0.5
 
@@ -348,9 +354,11 @@ sleep 1
     -ext-local "$sock/ge" -ext-peer "$sock/ne" \
     -flows 64 -packets 1024
 # Unpaced: frames queue faster than one wake can take them one by one.
-# (Client frames for a balancer's VIP: the NAT drops them as unsolicited
-# once it has received them, and receiving them is what is under test.)
-"$bin/vigblast" -transport unix -kind lb -peer "$sock/ne" -flows 64 -packets 20000 -interval 0
+# (The balancer's clients, sent to its VIP: the NAT drops them as
+# unsolicited once it has received them, and receiving them is what is
+# under test.)
+"$bin/vigwire" -mode blast -nf lb -transport unix \
+    -ext-local "$sock/ge" -ext-peer "$sock/ne" -flows 64 -packets 20000 -interval 0
 
 # The daemon's peak resident set: its mempools' data rooms and its flow
 # table's pages become resident only as far as the traffic ever filled
@@ -409,5 +417,31 @@ if ! printf '%s\n' "$table_line" | grep -o 's[0-9]*=[0-9]*/[0-9]*' | awk -F'[=/]
     exit 1
 fi
 echo "wire smoke: unix oracle clean; $rx_frames frames in $rx_syscalls RX syscalls, $waits blocking waits, $reply_waits reply waits, peak RSS $hwm_kb kB,$(printf '%s' "$pool_line" | cut -d: -f2), flow table$(printf '%s' "$table_line" | cut -d: -f2), clean shutdown"
+
+# --- Leg 5: the home gateway chain over unix, under the oracle --------
+
+"$bin/vignat" -nf gateway -transport unix -workers 1 \
+    -int-local "$sock/wi" -int-peer "$sock/hi" \
+    -ext-local "$sock/we" -ext-peer "$sock/he" \
+    -duration 60s > "$bin/gw_unix.out" &
+gw_pid=$!
+sleep 1
+
+# The chain's firewall, policer and balancer pass the NAT's traffic
+# through, so the exchange must be RFC 3022-clean end to end.
+"$bin/vigwire" -nf gateway -transport unix \
+    -int-local "$sock/hi" -int-peer "$sock/wi" \
+    -ext-local "$sock/he" -ext-peer "$sock/we" \
+    -flows 64 -packets 1024
+
+kill -INT "$gw_pid"
+wait "$gw_pid"
+gw_pid=""
+if ! grep -q '^mbuf accounting clean' "$bin/gw_unix.out" || [ "$(grep -c 'PROOF COMPLETE' "$bin/gw_unix.out")" -ne 4 ]; then
+    echo "wire smoke: the gateway daemon did not prove its four elements and shut down clean" >&2
+    cat "$bin/gw_unix.out" >&2
+    exit 1
+fi
+echo "wire smoke: gateway chain ($(grep -o 'gateway\[[^]]*\]' "$bin/gw_unix.out" | head -1)) oracle clean over unix, clean shutdown"
 
 echo "wire smoke: OK ($(wc -l < "$trace") control transactions traced to $trace)"
