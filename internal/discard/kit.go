@@ -81,8 +81,13 @@ type Frame struct {
 // Frames that do not parse carry port 0 and are forwarded, matching
 // FromFrame's convention.
 func (d *Frame) ProcessAt(frame []byte, _ bool, _ libvig.Time) nf.Verdict {
+	return d.process(FromFrame(frame).Port == 9)
+}
+
+// process runs one frame whose destination port is or is not 9.
+func (d *Frame) process(port9 bool) nf.Verdict {
 	e := &d.env
-	*e = prodFrameEnv{port9: FromFrame(frame).Port == 9}
+	*e = prodFrameEnv{port9: port9}
 	processFrame(e)
 	d.counters[e.reason]++
 	d.lastReason = e.reason
@@ -125,8 +130,8 @@ func Kit() nfkit.Decl[*Frame] {
 	return nfkit.Decl[*Frame]{
 		Name: "discard",
 		New:  func(_, _, _ int) (*Frame, error) { return &Frame{}, nil },
-		Process: func(d *Frame, pkt *nf.Pkt, now libvig.Time) nf.Verdict {
-			return d.ProcessAt(pkt.Frame, pkt.FromInternal, now)
+		Process: func(d *Frame, pkt *nf.Pkt, _ libvig.Time) nf.Verdict {
+			return d.process(pkt.Parsed.Pkt.NATable() && pkt.Parsed.Pkt.DstPort == 9)
 		},
 		Stats:    func(c []uint64) nf.Stats { return nfkit.StatsOf(Reasons, c, 0) },
 		Counters: func(d *Frame) []uint64 { return d.counters[:] },

@@ -250,7 +250,7 @@ type prodEnv struct {
 var _ Env = (*prodEnv)(nil)
 
 func (e *prodEnv) reset(pkt *nf.Pkt, now libvig.Time) {
-	e.Take(&e.fw.table.Burst, pkt)
+	e.Take(pkt)
 	e.now = now
 	e.verdict = VerdictDrop
 	e.reason = ReasonDropParse

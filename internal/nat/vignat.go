@@ -1,7 +1,6 @@
 package nat
 
 import (
-	"vignat/internal/dpdk"
 	"vignat/internal/libvig"
 	"vignat/internal/nat/stateless"
 	"vignat/internal/nf"
@@ -165,7 +164,7 @@ type prodEnv struct {
 var _ stateless.Env = (*prodEnv)(nil)
 
 func (e *prodEnv) reset(pkt *nf.Pkt, now libvig.Time) {
-	e.Take(&e.nat.table.Burst, pkt)
+	e.Take(pkt)
 	e.now = now
 	e.verdict = stateless.VerdictDrop
 	e.reason = ReasonDropParse
@@ -228,50 +227,3 @@ func (e *prodEnv) EmitInternal(h stateless.FlowHandle) {
 }
 
 func (e *prodEnv) Drop() { e.verdict = stateless.VerdictDrop }
-
-// --- dpdk poll loop ---
-
-// BurstSize is the RX/TX burst VigNAT uses, matching the C implementation.
-const BurstSize = 32
-
-// PollPorts runs one iteration of the VigNAT event loop over the two
-// dpdk ports: rx_burst on each interface, process each packet, tx_burst
-// to the opposite interface or free on drop. It returns the number of
-// packets processed. Mbuf ownership is conserved: every received mbuf is
-// either transmitted or freed (the leak property Vigor's checker
-// enforces — the paper reports catching a real bug here).
-//
-// This is the paper's original single-NF per-packet loop, kept as the
-// baseline the benchmarks compare against; production composition now
-// goes through nf.Pipeline, which batches processing and TX assembly.
-func (n *NAT) PollPorts(intPort, extPort *dpdk.Port, scratch []*dpdk.Mbuf) int {
-	if len(scratch) < BurstSize {
-		scratch = make([]*dpdk.Mbuf, BurstSize) // misuse fallback; callers preallocate
-	}
-	total := 0
-	total += n.pollOne(intPort, extPort, true, scratch)
-	total += n.pollOne(extPort, intPort, false, scratch)
-	return total
-}
-
-func (n *NAT) pollOne(rx, tx *dpdk.Port, fromInternal bool, bufs []*dpdk.Mbuf) int {
-	cnt := rx.RxBurst(bufs[:BurstSize])
-	for i := 0; i < cnt; i++ {
-		m := bufs[i]
-		v := n.Process(m.Data, fromInternal)
-		if v == stateless.VerdictDrop {
-			// Free to the mbuf's own pool, not the RX port's: with
-			// per-queue mempools (or any forwarding topology where the
-			// mbuf did not originate from this port) rx.Pool() is the
-			// wrong allocator and the free would be rejected — a leak.
-			_ = m.Pool().Free(m)
-			continue
-		}
-		if tx.TxBurst(bufs[i:i+1]) == 0 {
-			// TX queue full: the packet is lost, but the mbuf must
-			// still return to its pool.
-			_ = m.Pool().Free(m)
-		}
-	}
-	return cnt
-}

@@ -39,9 +39,17 @@ type Chain struct {
 	lastDrop int
 
 	stats Stats
+
+	// block is the chain's forwarded and dropped counts as of its last
+	// Publish: all a scrape reads of the chain's own counters.
+	block *Block
 }
 
-var _ NF = (*Chain)(nil)
+var (
+	_ NF        = (*Chain)(nil)
+	_ Publisher = (*Chain)(nil)
+	_ Scraper   = (*Chain)(nil)
+)
 
 // NewChain builds a chain from elems, ordered internal→external.
 func NewChain(name string, elems ...NF) (*Chain, error) {
@@ -53,7 +61,7 @@ func NewChain(name string, elems ...NF) (*Chain, error) {
 			return nil, errors.New("nf: nil chain element")
 		}
 	}
-	return &Chain{name: name, elems: elems, lastDrop: -1}, nil
+	return &Chain{name: name, elems: elems, lastDrop: -1, block: NewBlock(2)}, nil
 }
 
 // LastDropElem returns the internal→external index of the element that
@@ -205,4 +213,27 @@ func (c *Chain) NFStats() Stats {
 		s.Expired += e.NFStats().Expired
 	}
 	return s
+}
+
+// Publish copies the chain's forwarded and dropped counts into its
+// Block: the worker that drives the chain calls it once per burst
+// (nf.Publisher).
+func (c *Chain) Publish(fc FlowCache) {
+	cells := [2]uint64{c.stats.Forwarded, c.stats.Dropped}
+	c.block.Publish(cells[:], fc)
+}
+
+// Scrape reads the chain's Block and the Expired of every element that
+// is a Scraper, so it is safe concurrently with traffic; an element
+// that is not one cannot be read then, and counts only in NFStats.
+// Processed is forwarded plus dropped, so one scrape agrees with itself.
+func (c *Chain) Scrape() Scrape {
+	cells, fc := c.block.Snapshot()
+	s := Stats{Processed: cells[0] + cells[1], Forwarded: cells[0], Dropped: cells[1]}
+	for _, e := range c.elems {
+		if sc, ok := e.(Scraper); ok {
+			s.Expired += sc.Scrape().Stats.Expired
+		}
+	}
+	return Scrape{Stats: s.With(fc)}
 }

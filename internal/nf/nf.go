@@ -52,10 +52,12 @@ func (v Verdict) String() string {
 type Pkt struct {
 	Frame        []byte
 	FromInternal bool
-	// Parsed, when set, is Frame's parse, made once for every element of
-	// a Chain. An NF handed one rewrites the frame only through its
-	// setters, which keep it the frame's parse for the element after,
-	// and calls Refresh before it trusts ID and Hash.
+	// Parsed, when set, is Frame's parse: a Chain's, made once for all
+	// its elements, or, for the length of one call, the nfkit adapter's
+	// own. An NF handed one rewrites the frame only through its
+	// setters, which keep it the frame's parse for the element after;
+	// whoever takes it at entry (the adapter) calls Refresh before ID
+	// and Hash are trusted.
 	Parsed *Parsed
 }
 

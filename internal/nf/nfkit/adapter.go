@@ -10,15 +10,23 @@ import (
 
 // Adapter is the derived production binding of one core onto the
 // unified nf.NF interface — what every NF package used to hand-roll in
-// its own nf.go. The adapter adds nothing to the per-packet path
-// beyond the declared verdict mapping; batches read the clock once,
-// like every NF in the repository.
+// its own nf.go — and the one loop that runs a burst on a core:
+// ProcessBatchAt gives every packet one parse, calls the declared
+// Prefetch on the burst and the declared Process on each packet. The
+// adapter adds nothing to the per-packet path beyond that parse and the
+// declared verdict mapping; batches read the clock once, like every NF
+// in the repository.
 type Adapter[C any] struct {
 	d    Decl[C]
 	core C
-	// one is the packet Process hands the core: a field, not a local,
-	// because a pointer through the declared closure would escape.
-	one nf.Pkt
+	// one and oneV are the one-packet burst Process runs: fields, not
+	// locals, because a pointer through the declared closures would
+	// escape.
+	one  [1]nf.Pkt
+	oneV [1]nf.Verdict
+	// parses holds the parses of the burst in flight that the adapter
+	// made itself (grown on demand, stable afterwards).
+	parses []nf.Parsed
 }
 
 var (
@@ -43,10 +51,12 @@ func (a *Adapter[C]) Core() C { return a.core }
 // Name identifies the NF.
 func (a *Adapter[C]) Name() string { return a.d.Name }
 
-// Process runs one frame at the declared clock's current time.
+// Process runs one frame at the declared clock's current time: the
+// batch loop over a one-packet burst.
 func (a *Adapter[C]) Process(frame []byte, fromInternal bool) nf.Verdict {
-	a.one.Frame, a.one.FromInternal = frame, fromInternal
-	return a.d.Process(a.core, &a.one, a.d.now())
+	a.one[0].Frame, a.one[0].FromInternal = frame, fromInternal
+	a.ProcessBatchAt(a.one[:], a.oneV[:], a.d.now())
+	return a.oneV[0]
 }
 
 // ProcessBatch processes a burst, reading the clock once for the whole
@@ -58,12 +68,36 @@ func (a *Adapter[C]) ProcessBatch(pkts []nf.Pkt, verdicts []nf.Verdict) {
 // ProcessBatchAt processes a burst at a caller-supplied timestamp
 // (nf.BatchAtter). The engine's fast path uses it so the many small
 // slow runs of a mixed burst share the engine's one clock read.
+//
+// Every packet is parsed once, on entry: a parse the packet carries (a
+// chain's, which the element before may have rewritten the frame
+// through) is refreshed, any other packet is parsed into the adapter's
+// own scratch and carries that parse until the call returns. Prefetch
+// and every Process read the packet's parse (nf.Pkt.Parsed), so a
+// frame is parsed and hashed once per entry; no pointer into the
+// scratch stays in pkts after the call.
 func (a *Adapter[C]) ProcessBatchAt(pkts []nf.Pkt, verdicts []nf.Verdict, now libvig.Time) {
+	if len(a.parses) < len(pkts) {
+		a.parses = make([]nf.Parsed, len(pkts))
+	}
+	for i := range pkts {
+		if p := pkts[i].Parsed; p != nil {
+			p.Refresh()
+		} else {
+			a.parses[i].Parse(pkts[i].Frame)
+			pkts[i].Parsed = &a.parses[i]
+		}
+	}
 	if a.d.Prefetch != nil && len(pkts) > 1 {
 		a.d.Prefetch(a.core, pkts, now)
 	}
 	for i := range pkts {
 		verdicts[i] = a.d.Process(a.core, &pkts[i], now)
+	}
+	for i := range pkts {
+		if pkts[i].Parsed == &a.parses[i] {
+			pkts[i].Parsed = nil
+		}
 	}
 }
 

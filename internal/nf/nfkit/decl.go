@@ -7,16 +7,20 @@
 //
 //   - the allocation-free production binding onto the engine
 //     (Adapter: clock-once batches, verdict mapping, the reason-count
-//     prefix of the declared counter array). What Decl.Process runs is
-//     the NF's verified function instantiated at its production Env —
-//     the same body with the Env interface replaced by the concrete
-//     *prodEnv, written by vigor/instgen — and each packet's parse is
-//     the one it carries when a chain made one (nf.Pkt.Parsed, taken by
-//     PktGuards through Burst), so an element after another neither
-//     dispatches through Env nor parses the frame again;
-//   - the concurrently-scrapeable sharded composition (Sharded[C], each
-//     shard publishing into its own nf.Block), its live reshard and its
-//     per-family occupancy;
+//     prefix of the declared counter array), whose ProcessBatchAt is
+//     the one loop that runs a burst on a core: it gives every packet
+//     one parse — the one it carries when a chain made one, refreshed,
+//     else the adapter's own — then calls Decl.Prefetch on the burst
+//     and Decl.Process on each packet. What Decl.Process runs is the
+//     NF's verified function instantiated at its production Env — the
+//     same body with the Env interface replaced by the concrete
+//     *prodEnv, written by vigor/instgen — and PktGuards.Take hands it
+//     the packet's parse (nf.Pkt.Parsed), so an element after another
+//     neither dispatches through Env nor parses the frame again;
+//   - the concurrently-scrapeable sharded composition (Sharded[C],
+//     handing each run of same-shard packets to that shard's adapter,
+//     each shard publishing into its own nf.Block), its live reshard
+//     and its per-family occupancy;
 //   - the symbolic-verification run — the repository's one verifier
 //     (VerifySym: path enumeration, P2/P4 discipline, single-output
 //     rule, model claims checked against their libVig contract clauses
@@ -28,8 +32,8 @@
 //     steering, drive loop, accounting).
 //
 // State is declared the same way. An NF that keeps per-flow state owns
-// a FlowTable[V] — the double map, double chain, generation guards and
-// burst scratch composed once, every erasure through one path — and
+// a FlowTable[V] — the double map, double chain and generation guards
+// composed once, every erasure through one path — and
 // says only what V is; its symbolic Env embeds SymFlowTable,
 // the one model of that table's operations, beside SymGuards, the one
 // model of the parse chain, and names its calls and its key↔packet
@@ -95,12 +99,13 @@ type Decl[C any] struct {
 
 	// Process runs one packet through the core at an explicit time,
 	// returning the engine-level verdict (the NF's own richer verdict
-	// collapses here). It must be allocation-free on the steady state,
-	// and it honors the packet's parse when it carries one (nf.Pkt).
+	// collapses here). It must be allocation-free on the steady state.
+	// The adapter calls it with the packet's parse in pkt.Parsed.
 	Process func(core C, pkt *nf.Pkt, now libvig.Time) nf.Verdict
 
 	// Prefetch, when set, runs once before the per-packet loop of a
-	// burst of more than one packet, at the burst's timestamp: the
+	// burst of more than one packet, at the burst's timestamp and with
+	// every packet's parse in place: the
 	// core's chance to look at the whole burst and start loading the
 	// state lines its packets will need, so that their cache misses
 	// overlap instead of queueing one probe at a time (see

@@ -13,7 +13,7 @@ import (
 // that keeps one: a double-keyed map saying which flow lives at which
 // index, a double chain saying which indices are live and how stale,
 // the generation table that kills a cached verdict the moment its
-// index is erased, and the burst scratch whose parses key the lookups.
+// index is erased.
 // V is the stored record; its first key is the flow's 5-tuple as seen
 // from one side, its second the same flow's as seen from the other.
 // Every way a record dies goes through erase, which bumps its index's
@@ -32,9 +32,6 @@ type FlowTable[V any] struct {
 	fstInternal bool
 	// erasers is built once so the per-packet expiry allocates nothing.
 	erasers []libvig.IndexEraser
-	// Burst holds the parses Prefetch made of the burst in flight;
-	// PktGuards.Take drains it.
-	Burst Burst
 }
 
 // NewFlowTable builds a table of capacity records, both keys hashed.
@@ -197,20 +194,19 @@ func (t *FlowTable[V]) CheckInvariant() error {
 	return t.m.CheckInvariant()
 }
 
-// Prefetch is its owner's Decl.Prefetch: it fills the scratch with the
-// burst's parses (a chain's, or made here) and starts the loads of (a)
-// the home slots of the records the burst's first packet will expire at
+// Prefetch is its owner's Decl.Prefetch: from the parses the burst
+// carries (nf.Pkt.Parsed, the adapter's) it starts the loads of (a) the
+// home slots of the records the burst's first packet will expire at
 // deadline — the one Fig. 6 sweep of the burst that frees anything —
 // and (b) each packet's own home slot, in the map of the key its side
 // sees (in an indexed table, the record the second key names).
 func (t *FlowTable[V]) Prefetch(pkts []nf.Pkt, deadline libvig.Time) {
 	t.m.PrefetchExpiring(t.chain, deadline, len(pkts))
-	ents := t.Burst.Fill(pkts)
-	for i := range ents {
-		if pkts[i].FromInternal == t.fstInternal {
-			t.m.PrefetchFst(ents[i].Hash)
+	for i := range pkts {
+		if p := pkts[i].Parsed; pkts[i].FromInternal == t.fstInternal {
+			t.m.PrefetchFst(p.Hash)
 		} else {
-			t.m.PrefetchSnd(ents[i].ID, ents[i].Hash)
+			t.m.PrefetchSnd(p.ID, p.Hash)
 		}
 	}
 }

@@ -63,9 +63,10 @@ type Options struct {
 
 // Run is what a daemon's build hands the kit to drive.
 type Run struct {
-	// NF is the (usually sharded) network function. Its NFStats feeds
-	// the metrics endpoint and the report, so it must be safe to call
-	// concurrently with traffic (nfkit.Sharded's is). When it is an
+	// NF is the (usually sharded) network function. The metrics
+	// endpoint reads it through nf.SourceOf: its Scrape when it is an
+	// nf.Scraper (nfkit.Sharded and nf.Chain are), else its NFStats,
+	// which must then be safe concurrently with traffic. When it is an
 	// nf.Sharder, its ShardOf pre-steers the built-in traffic per
 	// worker, standing in for the NIC's hardware RSS hash.
 	NF nf.NF

@@ -202,14 +202,23 @@ func (s *Sharded[C]) Process(frame []byte, fromInternal bool) nf.Verdict {
 	return v
 }
 
-// ProcessBatch steers and processes a burst, reading the clock once,
-// and publishes every shard once.
+// ProcessBatch steers a burst, hands each run of consecutive packets
+// bound for one shard to that shard's adapter at one clock read, and
+// publishes every shard once.
 func (s *Sharded[C]) ProcessBatch(pkts []nf.Pkt, verdicts []nf.Verdict) {
 	st := s.state.Load()
 	now := s.decl.now()
+	start, shard := 0, 0
 	for i := range pkts {
-		shard := s.shardOf(st, pkts[i].Frame, pkts[i].FromInternal)
-		verdicts[i] = s.decl.Process(st.shards[shard].core, &pkts[i], now)
+		next := s.shardOf(st, pkts[i].Frame, pkts[i].FromInternal)
+		if i > start && next != shard {
+			st.shards[shard].ProcessBatchAt(pkts[start:i], verdicts[start:i], now)
+			start = i
+		}
+		shard = next
+	}
+	if start < len(pkts) {
+		st.shards[shard].ProcessBatchAt(pkts[start:], verdicts[start:], now)
 	}
 	for _, sh := range st.shards {
 		sh.Publish(nf.FlowCache{})

@@ -87,7 +87,7 @@ func (s Stats) With(fc FlowCache) Stats {
 }
 
 // Publisher is implemented by shard NFs whose counters are read through
-// a Block (nfkit.Sharded's shards). Processing never publishes by
+// a Block (nfkit.Sharded's shards, Chain). Processing never publishes by
 // itself: whoever drives the shard calls Publish when its burst is
 // done — the engine once per shard burst (slow-run fragments and cache
 // hits in between publish nothing) and after an idle sweep that freed
@@ -112,7 +112,7 @@ type Scrape struct {
 
 // Scraper is implemented by NFs that can be read concurrently with
 // their own packet processing (nfkit.Sharded: the sum of its shards'
-// blocks).
+// blocks; Chain: its own block and its elements' scrapes).
 type Scraper interface {
 	Scrape() Scrape
 }

@@ -388,8 +388,7 @@ func (p *Policer) process(pkt *nf.Pkt, now libvig.Time) Verdict {
 // so the fast path allocates nothing.
 type prodEnv struct {
 	// The parse chain (the policer asks only its first three guards)
-	// and the arrival side, over packet P: a chain's parse when the
-	// packet carries one, the policer's own header parse otherwise.
+	// and the arrival side, over packet P, the same parse every NF takes.
 	nfkit.PktGuards
 	pol     *Policer
 	now     libvig.Time
@@ -404,7 +403,7 @@ type prodEnv struct {
 var _ Env = (*prodEnv)(nil)
 
 func (e *prodEnv) reset(pkt *nf.Pkt, now libvig.Time) {
-	e.TakeHeaders(pkt)
+	e.Take(pkt)
 	e.now = now
 	e.verdict = VerdictDrop
 	e.reason = ReasonDropMalformed

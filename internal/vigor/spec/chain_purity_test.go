@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"vignat/internal/catalog"
 	"vignat/internal/dpdk"
 	"vignat/internal/firewall"
 	"vignat/internal/flow"
@@ -26,14 +27,14 @@ import (
 const (
 	chainCap     = 64
 	chainTimeout = 300 * time.Millisecond
-	chainDNSPort = 53
+	chainDNSPort = catalog.ResolverPort
 	// Tight per-host budget: the scripted replies overrun it, so the
 	// over-rate clips are part of the compared behavior.
 	chainPolRate  = 2000 // bytes/second
 	chainPolBurst = 1600 // bytes
 )
 
-var chainVIP = flow.MakeAddr(10, 53, 53, 53)
+var chainVIP = catalog.ResolverVIP
 
 // chainRig is one configuration's complete gateway stand.
 type chainRig struct {
@@ -66,38 +67,42 @@ func (r *chainRig) decls(t *testing.T, prefetch bool) (nfkit.Decl[*firewall.Fire
 	return fwD, polD, lbD, natD
 }
 
-// buildChainRig builds the gateway, its elements adapted from their
-// declarations as shipped or with the Prefetch hooks stripped.
-func buildChainRig(t *testing.T, fastPath int, prefetch bool) *chainRig {
+// catalogChainRig builds the gateway the daemon serves (`vignat -nf
+// gateway`): the catalog row's chain of four 1-shard compositions, at
+// a 64-entry table, a short timeout, four resolvers and a tight budget.
+func catalogChainRig(t *testing.T) (*chainRig, *nf.Chain) {
 	t.Helper()
+	o := catalog.Defaults()
+	o.Capacity, o.Timeout, o.Backends, o.Rate, o.Bucket = chainCap, chainTimeout, 4, chainPolRate, chainPolBurst
+	row, _ := catalog.Find(catalog.Rows, "gateway")
 	clock := libvig.NewVirtualClock(0)
-	natCfg := nat.Config{
-		Capacity: chainCap, Timeout: chainTimeout, ExternalIP: extIP,
-		PortBase: confPortBase, InternalPort: 0, ExternalPort: 1,
-	}
-	gwNAT, err := nat.New(natCfg, clock)
+	run, err := row.New(o, clock)
 	if err != nil {
 		t.Fatal(err)
 	}
+	chain := run.NF.(*nf.Chain)
+	el := chain.Elems()
+	return &chainRig{name: "catalog", clock: clock,
+		fw: el[0].(*firewall.Sharded).Core(0), pol: el[1].(*policer.Sharded).Core(0),
+		lb: el[2].(*lb.Sharded).Core(0), nat: el[3].(*nat.Sharded).Core(0)}, chain
+}
+
+// buildChainRig builds the gateway at the catalog row's configuration,
+// from fresh cores adapted from their declarations as shipped or with
+// the Prefetch hooks stripped: the chain the benchmarks time.
+func buildChainRig(t *testing.T, fastPath int, prefetch bool) *chainRig {
+	t.Helper()
+	served, _ := catalogChainRig(t)
+	clock := served.clock
 	fw, err := firewall.New(chainCap, chainTimeout, clock)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol, err := policer.New(policer.Config{
-		Rate: chainPolRate, Burst: chainPolBurst, Capacity: chainCap, Timeout: chainTimeout,
-	}, clock)
+	pol, err := policer.New(served.pol.Config(), clock)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gwLB, err := lb.New(lb.Config{
-		VIP:             chainVIP,
-		VIPPort:         chainDNSPort,
-		Capacity:        chainCap,
-		Timeout:         chainTimeout,
-		MaxBackends:     4,
-		ClientsInternal: true, // home hosts are the clients
-		Passthrough:     true, // the rest of the gateway's traffic is not ours
-	}, clock)
+	gwLB, err := lb.New(served.lb.Config(), clock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,6 +111,10 @@ func buildChainRig(t *testing.T, fastPath int, prefetch bool) *chainRig {
 			t.Fatal(err)
 		}
 	}
+	gwNAT, err := nat.New(served.nat.Config(), clock)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := &chainRig{name: rigName(prefetch), clock: clock, fw: fw, pol: pol, lb: gwLB, nat: gwNAT}
 	fwD, polD, lbD, natD := r.decls(t, prefetch)
 	chain, err := nf.NewChain("homegw",
@@ -113,6 +122,13 @@ func buildChainRig(t *testing.T, fastPath int, prefetch bool) *chainRig {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.serve(t, chain, fastPath)
+	return r
+}
+
+// serve puts chain behind the rig's engine on in-memory ports.
+func (r *chainRig) serve(t *testing.T, chain *nf.Chain, fastPath int) {
+	t.Helper()
 	pool, err := dpdk.NewMempool(512)
 	if err != nil {
 		t.Fatal(err)
@@ -128,14 +144,13 @@ func buildChainRig(t *testing.T, fastPath int, prefetch bool) *chainRig {
 	pipe, err := nf.NewPipeline(chain, nf.Config{
 		Internal: intPort,
 		External: extPort,
-		Clock:    clock,
+		Clock:    r.clock,
 		FastPath: fastPath,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.pipe, r.intPort, r.extPort, r.pool = pipe, intPort, extPort, pool
-	return r
 }
 
 // chainObserved is one output, keyed by its sequence tag: which side it
@@ -175,9 +190,14 @@ func (r *chainRig) pollAndDrain(t *testing.T, drain []*dpdk.Mbuf) map[uint32]cha
 // purity argument (see TestPrefetchObservationallyPureNAT): firewall,
 // balancer and NAT each prefetch for the sub-burst the element before
 // them let through, and stripping all three hooks must change nothing.
+// The third rig is the gateway the daemon serves, four 1-shard
+// compositions in a chain: it must match the adapters' chain byte for
+// byte.
 func TestPrefetchObservationallyPureChain(t *testing.T) {
+	served, chain := catalogChainRig(t)
+	served.serve(t, chain, nf.FastPathDisabled)
 	runChainTrace(t, []*chainRig{
-		buildChainRig(t, nf.FastPathDisabled, true), buildChainRig(t, nf.FastPathDisabled, false),
+		buildChainRig(t, nf.FastPathDisabled, true), buildChainRig(t, nf.FastPathDisabled, false), served,
 	}, 8)
 }
 
@@ -288,7 +308,7 @@ func runChainTrace(t *testing.T, rigs []*chainRig, maxBurst int) {
 					SrcIP:   flow.MakeAddr(203, 0, 113, byte(rng.Intn(250))),
 					SrcPort: uint16(1024 + rng.Intn(60000)),
 					DstIP:   extIP,
-					DstPort: uint16(confPortBase - 5 + rng.Intn(chainCap+15)), // live ports, free ones, and both sides of the range
+					DstPort: uint16(int(ref.nat.Config().PortBase) - 5 + rng.Intn(chainCap+15)), // live ports, free ones, and both sides of the range
 					Proto:   flow.UDP,
 				}
 			case 7: // non-NATable outbound (dropped by the firewall)

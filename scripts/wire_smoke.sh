@@ -37,7 +37,8 @@
 # stay under 16 MB. The last leg serves the home gateway chain
 # (`vignat -nf gateway`: firewall → policer → lb → nat) over the unix
 # transport, and the RFC 3022 oracle exchange must come back clean
-# through it.
+# through it; its /metrics, scraped during the exchange, must count the
+# chain's processed packets (the chain publishes them once per burst).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -45,6 +46,7 @@ cd "$(dirname "$0")/.."
 metrics_addr=127.0.0.1:19890
 lb_metrics=127.0.0.1:19891
 pol_metrics=127.0.0.1:19892
+gw_metrics=127.0.0.1:19893
 trace=reshard_trace.json
 bin=$(mktemp -d)
 sock=$(mktemp -d) # the unix leg's sockets; short, their paths hold 108 bytes
@@ -423,7 +425,7 @@ echo "wire smoke: unix oracle clean; $rx_frames frames in $rx_syscalls RX syscal
 "$bin/vignat" -nf gateway -transport unix -workers 1 \
     -int-local "$sock/wi" -int-peer "$sock/hi" \
     -ext-local "$sock/we" -ext-peer "$sock/he" \
-    -duration 60s > "$bin/gw_unix.out" &
+    -metrics "$gw_metrics" -duration 60s > "$bin/gw_unix.out" &
 gw_pid=$!
 sleep 1
 
@@ -432,7 +434,27 @@ sleep 1
 "$bin/vigwire" -nf gateway -transport unix \
     -int-local "$sock/hi" -int-peer "$sock/wi" \
     -ext-local "$sock/he" -ext-peer "$sock/we" \
-    -flows 64 -packets 1024
+    -flows 64 -packets 1024 &
+wire_pid=$!
+# Scrape the chain while the exchange runs, until a scrape counts
+# something; the last try comes after the exchange, should it be over
+# before any published burst.
+gw_processed=0
+while [ "$gw_processed" -eq 0 ]; do
+    running=0
+    kill -0 "$wire_pid" 2>/dev/null && running=1
+    doc=$(curl -fsS -H 'Accept: text/plain; version=0.0.4' "http://$gw_metrics/metrics")
+    gw_processed=$(metric "$doc" '^nf_processed_total\{')
+    gw_processed=${gw_processed:-0}
+    [ "$running" -eq 1 ] || break
+    sleep 0.02
+done
+wait "$wire_pid"
+wire_pid=""
+if [ "$gw_processed" -eq 0 ]; then
+    echo "wire smoke: no scrape of the gateway counted a processed packet" >&2
+    exit 1
+fi
 
 kill -INT "$gw_pid"
 wait "$gw_pid"
@@ -442,6 +464,6 @@ if ! grep -q '^mbuf accounting clean' "$bin/gw_unix.out" || [ "$(grep -c 'PROOF 
     cat "$bin/gw_unix.out" >&2
     exit 1
 fi
-echo "wire smoke: gateway chain ($(grep -o 'gateway\[[^]]*\]' "$bin/gw_unix.out" | head -1)) oracle clean over unix, clean shutdown"
+echo "wire smoke: gateway chain ($(grep -o 'gateway\[[^]]*\]' "$bin/gw_unix.out" | head -1)) oracle clean over unix, $gw_processed processed at the first scrape that counted any, clean shutdown"
 
 echo "wire smoke: OK ($(wc -l < "$trace") control transactions traced to $trace)"
