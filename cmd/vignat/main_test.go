@@ -82,3 +82,20 @@ func TestRefusesUnprovenNF(t *testing.T) {
 		t.Fatalf("-verify=false: exit %d: %s", code, stderr)
 	}
 }
+
+// TestCapacityIsPerShardMap: a libVig map holds at most 65,535 keys, so
+// one firewall shard refuses -capacity 70000 at start and names the
+// limit, while two shards of 35,000 each start.
+func TestCapacityIsPerShardMap(t *testing.T) {
+	code, stdout, stderr := runArgs(t, catalog.Rows, "-nf", "firewall", "-capacity", "70000", "-packets", "100", "-flows", "10")
+	if code != 1 || !strings.Contains(stderr, "at most 65,535 per map (per shard)") {
+		t.Fatalf("one shard: exit %d, stderr %q; want a refusal naming the limit", code, stderr)
+	}
+	if strings.Contains(stdout, "transport") {
+		t.Fatalf("served a refused configuration:\n%s", stdout)
+	}
+	code, stdout, stderr = runArgs(t, catalog.Rows, "-nf", "firewall", "-capacity", "70000", "-shards", "2", "-packets", "100", "-flows", "10")
+	if code != 0 || !strings.HasSuffix(stdout, "mbuf accounting clean (no leaks)\n") {
+		t.Fatalf("two shards: exit %d: %s\n%s", code, stderr, stdout)
+	}
+}

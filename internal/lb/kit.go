@@ -52,6 +52,9 @@ func verdictOf(v Verdict) nf.Verdict {
 // Kit returns the balancer's capability declaration for cfg: sticky
 // capacity split evenly across shards, the CHT replicated.
 func Kit(cfg Config, clock libvig.Clock) nfkit.Decl[*Balancer] {
+	// One taxonomy per declaration: Stats runs on every scrape and must
+	// not build it again.
+	reasons := ReasonsFor(cfg.Passthrough)
 	return nfkit.Decl[*Balancer]{
 		Name:     "viglb",
 		Clock:    clock,
@@ -71,7 +74,7 @@ func Kit(cfg Config, clock libvig.Clock) nfkit.Decl[*Balancer] {
 		},
 		Expire: (*Balancer).ExpireAt,
 		Stats: func(c []uint64) nf.Stats {
-			return nfkit.StatsOf(ReasonsFor(cfg.Passthrough), c, c[ctrFlowsExpired])
+			return nfkit.StatsOf(reasons, c, c[ctrFlowsExpired])
 		},
 		Counters: func(b *Balancer) []uint64 { return b.counters[:] },
 		// The fast path caches VIP flows by their sticky entry,
@@ -124,7 +127,7 @@ func Kit(cfg Config, clock libvig.Clock) nfkit.Decl[*Balancer] {
 		// The taxonomy and the symbolic spec share cfg.Passthrough, so
 		// the cross-check proves the deployed orientation, not a fixed
 		// one.
-		Reasons:    ReasonsFor(cfg.Passthrough),
+		Reasons:    reasons,
 		LastReason: func(b *Balancer) telemetry.ReasonID { return b.lastReason },
 		Families:   families(),
 		Sym:        symSpecFor(ProcessPacket, cfg.Passthrough),

@@ -634,3 +634,19 @@ func TestShardedLBValidation(t *testing.T) {
 		t.Fatal("composite CHT size accepted")
 	}
 }
+
+// TestDeclaredStatsAllocatesNothing: the declaration's Stats runs on
+// every scrape, and its taxonomy is built once, with the declaration.
+func TestDeclaredStatsAllocatesNothing(t *testing.T) {
+	for _, passthrough := range []bool{false, true} {
+		decl := lb.Kit(lb.Config{VIP: testVIP, Capacity: 4, Timeout: time.Hour, Passthrough: passthrough}, libvig.NewVirtualClock(0))
+		counters := make([]uint64, 16)
+		counters[lb.ReasonDropParse] = 3
+		if n := testing.AllocsPerRun(100, func() { decl.Stats(counters) }); n != 0 {
+			t.Fatalf("passthrough=%v: Stats allocates %v times per call", passthrough, n)
+		}
+		if s := decl.Stats(counters); s.Dropped != 3 || s.Processed != 3 {
+			t.Fatalf("passthrough=%v: %+v", passthrough, s)
+		}
+	}
+}

@@ -227,12 +227,13 @@ func (c *CheckedMap[K]) Erase(k K) error {
 }
 
 // EraseValue checks the by-value erase: it removes exactly the key that
-// hashes to h and maps to v, and fails when the model holds none.
+// maps to v and whose hash has h's low 32 bits — all a slot stores of a
+// hash, its home index included — and fails when the model holds none.
 func (c *CheckedMap[K]) EraseValue(h uint64, v int) error {
 	var key K
 	present := false
 	for k, mv := range c.Model {
-		if mv == v && k.Hash() == h {
+		if mv == v && uint32(k.Hash()) == uint32(h) {
 			key, present = k, true
 		}
 	}

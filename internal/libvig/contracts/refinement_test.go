@@ -90,15 +90,16 @@ func TestMapRefinement(t *testing.T) {
 	}
 }
 
-// wKey hashes into four values only, so nearly every probe meets slots
-// whose 64-bit hash matches another key's: the case in which a keyless
-// map must tell keys apart through its record store, and a by-value
-// erase by the value alone.
+// wKey's low 32 bits take four values only, so nearly every probe meets
+// slots whose stored hash bits match another key's: the case in which a
+// keyless map must tell keys apart through its record store, and a
+// by-value erase by the value alone. The high half, which a map drops,
+// differs between keys.
 type wKey struct {
 	V uint8
 }
 
-func (k wKey) Hash() uint64 { return uint64(k.V % 4) }
+func (k wKey) Hash() uint64 { return uint64(k.V)<<40 | uint64(k.V%4) }
 
 // TestKeylessMapRefinement drives the keyless construction — no key in
 // the map, equality resolved through the wrapper's record store — and

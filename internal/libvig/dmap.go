@@ -35,7 +35,8 @@ var (
 // (NewKeylessMap) and recover a key through the store. Precondition,
 // which is the keyless map's: the caller may write a stored value
 // through Value, but fk1 and fk2 of it must not change between Put and
-// Erase. The key hashes are kept per index from Put to Erase, so Erase
+// Erase. The key hashes' low 32 bits — what the key maps store, home
+// index included — are kept per index from Put to Erase, so Erase
 // rehashes nothing and compares no key, and the home slots of an index
 // about to expire can be found from sequential memory
 // (PrefetchExpiring).
@@ -58,10 +59,12 @@ type DoubleMap[K1 Key, K2 Key, V any] struct {
 	index func(K2) int // the second key's index function
 	vals  []V
 	busy  []bool
-	// hashes holds, while busy[i], fk1(vals[i]).Hash() at hashes[i*width]
-	// and, in a two-key map (width 2), fk2(vals[i]).Hash() beside it, so
-	// an erase reads both from one cache line.
-	hashes []uint64
+	// hashes holds, while busy[i], the low 32 bits of fk1(vals[i]).Hash()
+	// at hashes[i*width] and, in a two-key map (width 2), those of
+	// fk2(vals[i]).Hash() beside it, so an erase reads both from one
+	// cache line. They are all the key maps store of a hash, and all
+	// EraseValue and a prefetch of a home slot read.
+	hashes []uint32
 	width  int
 	fk1    func(*V) K1
 	fk2    func(*V) K2
@@ -112,7 +115,7 @@ func newDoubleMap[K1 Key, K2 Key, V any](capacity int, fk1 func(*V) K1, fk2 func
 	}
 	vals := make([]V, capacity)
 	busy := make([]bool, capacity)
-	hashes := make([]uint64, width*capacity)
+	hashes := make([]uint32, width*capacity)
 	a, err := NewKeylessMap(capacity, func(i int) K1 { return fk1(&vals[i]) })
 	if err != nil {
 		return nil, err
@@ -225,9 +228,9 @@ func (m *DoubleMap[K1, K2, V]) put(i int, v V, h1 uint64, hashed bool) error {
 			_ = m.byFst.EraseValue(h1, i)
 			return m.unstage(i, err)
 		}
-		m.hashes[2*i+1] = h2
+		m.hashes[2*i+1] = uint32(h2)
 	}
-	m.hashes[i*m.width] = h1
+	m.hashes[i*m.width] = uint32(h1)
 	m.busy[i] = true
 	m.size++
 	return nil
@@ -249,11 +252,11 @@ func (m *DoubleMap[K1, K2, V]) Erase(i int) error {
 	if !m.busy[i] {
 		return ErrDMapIndexFree
 	}
-	if err := m.byFst.EraseValue(m.hashes[i*m.width], i); err != nil {
+	if err := m.byFst.EraseValue(uint64(m.hashes[i*m.width]), i); err != nil {
 		return err
 	}
 	if m.bySnd != nil {
-		if err := m.bySnd.EraseValue(m.hashes[2*i+1], i); err != nil {
+		if err := m.bySnd.EraseValue(uint64(m.hashes[2*i+1]), i); err != nil {
 			return err
 		}
 	}
@@ -310,9 +313,9 @@ func (m *DoubleMap[K1, K2, V]) PrefetchSnd(k K2, h uint64) {
 func (m *DoubleMap[K1, K2, V]) PrefetchExpiring(chain *DChain, deadline Time, max int) {
 	i, ts, ok := chain.Oldest()
 	for ; ok && ts < deadline && max > 0; max-- {
-		m.sink += m.byFst.touch(m.hashes[i*m.width])
+		m.sink += m.byFst.touch(uint64(m.hashes[i*m.width]))
 		if m.bySnd != nil {
-			m.sink += m.bySnd.touch(m.hashes[2*i+1])
+			m.sink += m.bySnd.touch(uint64(m.hashes[2*i+1]))
 		}
 		i, ts, ok = chain.After(i)
 	}
@@ -332,8 +335,8 @@ func (m *DoubleMap[K1, K2, V]) CheckInvariant() error {
 		busy++
 		k1, k2 := m.fk1(&m.vals[i]), m.fk2(&m.vals[i])
 		stored := m.hashes[i*m.width : (i+1)*m.width]
-		if stored[0] != k1.Hash() || m.width == 2 && stored[1] != k2.Hash() {
-			return fmt.Errorf("libvig: index %d stores hashes %#x, its keys hash to %#x and %#x", i, stored, k1.Hash(), k2.Hash())
+		if stored[0] != uint32(k1.Hash()) || m.width == 2 && stored[1] != uint32(k2.Hash()) {
+			return fmt.Errorf("libvig: index %d stores hash bits %#x, its keys hash to %#x and %#x", i, stored, k1.Hash(), k2.Hash())
 		}
 		if j, ok := m.byFst.Get(k1); !ok || j != i {
 			return fmt.Errorf("libvig: index %d's first key resolves to (%d, %v)", i, j, ok)

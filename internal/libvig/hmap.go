@@ -12,7 +12,8 @@ import (
 type Key interface {
 	comparable
 	// Hash returns a well-mixed 64-bit hash of the key. Two equal keys
-	// must return equal hashes.
+	// must return equal hashes. A Map stores and compares the low 32
+	// bits only, so those must be well mixed by themselves.
 	Hash() uint64
 }
 
@@ -22,7 +23,7 @@ var (
 	ErrMapDupKey   = errors.New("libvig: key already present")
 	ErrMapNoKey    = errors.New("libvig: key not present")
 	ErrMapBadValue = errors.New("libvig: value out of range")
-	ErrBadCapacity = errors.New("libvig: capacity must be positive")
+	ErrBadCapacity = errors.New("libvig: capacity out of range")
 )
 
 // Map is libVig's "classic hash table" (§5.1.1): a fixed-capacity
@@ -45,9 +46,9 @@ var (
 // does not hold the key: no stored key's probe sequence continues past
 // it.
 //
-// A probe slot carries the key's hash but not the key. A probe compares
-// hashes; only on a 64-bit hash match is the key itself consulted, and
-// where it is kept depends on the construction:
+// A probe slot carries the low 32 bits of the key's hash but not the
+// key. A probe compares those bits; only on a match is the key itself
+// consulted, and where it is kept depends on the construction:
 //
 //   - NewMap keeps the keys in an array parallel to the slots, touched
 //     on a hash match only;
@@ -62,7 +63,7 @@ var (
 //	mapp(m, M, cap) ≡ m represents the partial function M, |M| ≤ cap.
 //	Put:   requires k ∉ dom(M) ∧ |M| < cap   ensures M' = M[k↦v]
 //	Erase: requires k ∈ dom(M)               ensures M' = M \ {k}
-//	EraseValue(h, v): requires ∃k. M(k) = v ∧ hash(k) = h
+//	EraseValue(h, v): requires ∃k. M(k) = v ∧ lo32(hash(k)) = lo32(h)
 //	                                         ensures M' = M \ {k}
 //	Get:   ensures  result = (M(k), k ∈ dom(M)); M unchanged
 type Map[K Key] struct {
@@ -75,29 +76,41 @@ type Map[K Key] struct {
 	keyOf func(v int) K
 }
 
-// slot is one probe target: four to a 64-byte cache line and, the array
-// being line-aligned, never straddling two. A probe step therefore costs
-// at most one memory access, and a burst-wide prefetch of a home slot
-// fetches all of it.
+// slot is one probe target: eight to a 64-byte cache line and, the
+// array being line-aligned, never straddling two. A probe step therefore
+// costs at most one memory access, and a burst-wide prefetch of a home
+// slot fetches it and the seven after it.
+//
+// hash is the low half of the key's hash. The home index h & mask is at
+// most 17 bits (maxMapCapacity), so it is part of what is stored, and
+// EraseValue and CheckInvariant find a slot's home without its key.
 type slot struct {
-	hash  uint64
-	val   int32 // stored value + 1; 0 marks a free slot
-	chain int32
+	hash  uint32
+	val   uint16 // stored value + 1; 0 marks a free slot
+	chain uint16
 }
 
-// The 16-byte budget is load-bearing; either line fails to compile when
+// The 8-byte budget is load-bearing; either line fails to compile when
 // slot grows or shrinks.
 const (
-	_ = uint(16 - unsafe.Sizeof(slot{}))
-	_ = uint(unsafe.Sizeof(slot{}) - 16)
+	_ = uint(8 - unsafe.Sizeof(slot{}))
+	_ = uint(unsafe.Sizeof(slot{}) - 8)
 )
 
+// maxMapCapacity is the most keys one Map holds: chain counts at most
+// every stored key, and val holds value+1, both in 16 bits. A sharded
+// NF builds one map per shard, so the limit is per shard.
+const maxMapCapacity = 1<<16 - 1
+
 // maxMapValue is the largest storable value (val holds value+1).
-const maxMapValue = 1<<31 - 2
+const maxMapValue = 1<<16 - 2
 
 func newSlots(capacity int) ([]slot, error) {
-	if capacity <= 0 || capacity > 1<<31-1 {
+	if capacity <= 0 {
 		return nil, ErrBadCapacity
+	}
+	if capacity > maxMapCapacity {
+		return nil, fmt.Errorf("%w: %d, at most 65,535 per map (per shard)", ErrBadCapacity, capacity)
 	}
 	nb := 1
 	for nb < 2*capacity {
@@ -117,8 +130,8 @@ func NewMap[K Key](capacity int) (*Map[K], error) {
 
 // NewKeylessMap returns a map of up to capacity keys that stores no key:
 // keyOf must return, for every stored value v, the key v was put under
-// (see the Map precondition). It is consulted on 64-bit hash matches
-// only.
+// (see the Map precondition). It is consulted on matches of the stored
+// hash bits only.
 func NewKeylessMap[K Key](capacity int, keyOf func(v int) K) (*Map[K], error) {
 	if keyOf == nil {
 		return nil, errors.New("libvig: nil key recovery function")
@@ -144,14 +157,15 @@ func (m *Map[K]) keyAt(idx uint64) K {
 	return m.keys[idx]
 }
 
-// find walks the probe path of hash h to the busy slot that carries h
-// and either key *k or, when k is nil, stored value val−1. It returns
-// the slot and the number of slots the path crossed before it.
-func (m *Map[K]) find(h uint64, k *K, val int32) (idx uint64, crossed int, ok bool) {
+// find walks the probe path of hash h to the busy slot that carries
+// h's low half and either key *k or, when k is nil, stored value val−1.
+// It returns the slot and the number of slots the path crossed before
+// it.
+func (m *Map[K]) find(h uint64, k *K, val uint16) (idx uint64, crossed int, ok bool) {
 	idx = h & m.mask
 	for crossed = 0; crossed < len(m.slots); crossed++ {
 		s := &m.slots[idx]
-		if s.val != 0 && s.hash == h {
+		if s.val != 0 && s.hash == uint32(h) {
 			if k == nil {
 				if s.val == val {
 					return idx, crossed, true
@@ -188,7 +202,7 @@ func (m *Map[K]) Has(k K) bool {
 }
 
 // Put stores v for key k.
-// Requires k not present, the map not full and 0 ≤ v < 2³¹−1 (checked;
+// Requires k not present, the map not full and 0 ≤ v ≤ 65,534 (checked;
 // violations return ErrMapDupKey / ErrMapFull / ErrMapBadValue and leave
 // the map unchanged).
 func (m *Map[K]) Put(k K, v int) error { return m.PutHashed(k, k.Hash(), v) }
@@ -207,7 +221,7 @@ func (m *Map[K]) PutHashed(k K, h uint64, v int) error {
 	for i := 0; i < len(m.slots); i++ {
 		s := &m.slots[idx]
 		if s.val != 0 {
-			if s.hash == h && m.keyAt(idx) == k {
+			if s.hash == uint32(h) && m.keyAt(idx) == k {
 				return ErrMapDupKey
 			}
 		} else if firstFree < 0 {
@@ -224,8 +238,8 @@ func (m *Map[K]) PutHashed(k K, h uint64, v int) error {
 		return ErrMapFull // unreachable: load factor is bounded by 1/2
 	}
 	dst := &m.slots[firstFree]
-	dst.hash = h
-	dst.val = int32(v) + 1
+	dst.hash = uint32(h)
+	dst.val = uint16(v) + 1
 	if m.keys != nil {
 		m.keys[firstFree] = k
 	}
@@ -253,16 +267,18 @@ func (m *Map[K]) Erase(k K) error {
 }
 
 // EraseValue removes the key that was put under hash h with value v,
-// without rehashing or comparing any key: the caller kept h from Put.
+// without rehashing or comparing any key: the caller kept h, or its low
+// 32 bits, from Put. Only those bits are read.
 // Requires such a key present (checked; returns ErrMapNoKey otherwise).
-// When several keys share the hash, v tells them apart, so values must
-// be unique among keys of one hash — true of any map whose values are
-// indices handed out once each, as the DoubleMap's are.
+// When several keys share the stored bits, v tells them apart, so
+// values must be unique among keys whose hashes share their low 32
+// bits — true of any map whose values are indices handed out once
+// each, as the DoubleMap's are.
 func (m *Map[K]) EraseValue(h uint64, v int) error {
 	if v < 0 || v > maxMapValue {
 		return ErrMapNoKey
 	}
-	idx, crossed, ok := m.find(h, nil, int32(v)+1)
+	idx, crossed, ok := m.find(h, nil, uint16(v)+1)
 	if !ok {
 		return ErrMapNoKey
 	}
@@ -288,7 +304,7 @@ func (m *Map[K]) vacate(h, idx uint64, crossed int) {
 
 // touch loads the home slot of hash h and returns a word of it. A
 // caller that discards the result lets the compiler discard the load.
-func (m *Map[K]) touch(h uint64) uint64 { return m.slots[h&m.mask].hash }
+func (m *Map[K]) touch(h uint64) uint64 { return uint64(m.slots[h&m.mask].hash) }
 
 // ForEach calls fn for every stored (key, value) pair, in unspecified
 // order, until fn returns false. Intended for contract checking and tests.
@@ -304,11 +320,11 @@ func (m *Map[K]) ForEach(fn func(k K, v int) bool) {
 
 // CheckInvariant recomputes the chain counters from the stored hashes
 // and compares them with the live ones; it also checks that every
-// stored key still hashes to its slot's hash (which catches a keyOf
-// that broke its stability precondition) and that the size is right.
-// For contract checking and tests: O(slots).
+// stored key's hash still has its slot's low 32 bits (which catches a
+// keyOf that broke its stability precondition) and that the size is
+// right. For contract checking and tests: O(slots).
 func (m *Map[K]) CheckInvariant() error {
-	want := make([]int32, len(m.slots))
+	want := make([]uint16, len(m.slots))
 	busy := 0
 	for i := range m.slots {
 		s := &m.slots[i]
@@ -316,10 +332,10 @@ func (m *Map[K]) CheckInvariant() error {
 			continue
 		}
 		busy++
-		if got := m.keyAt(uint64(i)).Hash(); got != s.hash {
-			return fmt.Errorf("libvig: slot %d stores hash %#x but its key hashes to %#x", i, s.hash, got)
+		if got := m.keyAt(uint64(i)).Hash(); uint32(got) != s.hash {
+			return fmt.Errorf("libvig: slot %d stores hash bits %#x but its key hashes to %#x", i, s.hash, got)
 		}
-		for j := s.hash & m.mask; j != uint64(i); j = (j + 1) & m.mask {
+		for j := uint64(s.hash) & m.mask; j != uint64(i); j = (j + 1) & m.mask {
 			want[j]++
 		}
 	}

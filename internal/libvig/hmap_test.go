@@ -2,11 +2,14 @@ package libvig
 
 import (
 	"errors"
+	"strings"
 	"testing"
 )
 
 // tKey is a test key with a deliberately weak hash option to force
-// collisions and long probe chains.
+// collisions and long probe chains. Both hashes set high bits, which a
+// map drops: weak keys share their low 32 bits three ways, so they tell
+// apart only by the key.
 type tKey struct {
 	v    uint64
 	weak bool
@@ -14,7 +17,7 @@ type tKey struct {
 
 func (k tKey) Hash() uint64 {
 	if k.weak {
-		return k.v % 3 // heavy collisions
+		return (k.v+1)<<40 | k.v%3 // heavy collisions
 	}
 	x := k.v
 	x ^= x >> 30
@@ -155,6 +158,14 @@ func TestMapBadCapacity(t *testing.T) {
 	if _, err := NewMap[tKey](-5); !errors.Is(err, ErrBadCapacity) {
 		t.Fatal("negative capacity accepted")
 	}
+	// 16-bit values and chain counters bound a map at 65,535 keys.
+	_, err := NewKeylessMap(65536, func(int) tKey { return tKey{} })
+	if !errors.Is(err, ErrBadCapacity) || !strings.Contains(err.Error(), "at most 65,535 per map (per shard)") {
+		t.Fatalf("capacity 65,536: %v", err)
+	}
+	if _, err := NewMap[tKey](65535); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestMapKeylessAndEraseValue: a keyless map resolves equality through
@@ -204,7 +215,7 @@ func TestMapKeylessAndEraseValue(t *testing.T) {
 
 func TestMapRejectsUnstorableValues(t *testing.T) {
 	m, _ := NewMap[tKey](4)
-	for _, v := range []int{-1, 1<<31 - 1} {
+	for _, v := range []int{-1, 65535} {
 		if err := m.Put(tKey{v: 1}, v); !errors.Is(err, ErrMapBadValue) {
 			t.Fatalf("value %d: %v", v, err)
 		}
@@ -212,10 +223,10 @@ func TestMapRejectsUnstorableValues(t *testing.T) {
 	if m.Size() != 0 {
 		t.Fatal("a refused put changed the map")
 	}
-	if err := m.Put(tKey{v: 1}, 1<<31-2); err != nil {
+	if err := m.Put(tKey{v: 1}, 65534); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := m.Get(tKey{v: 1}); !ok || v != 1<<31-2 {
+	if v, ok := m.Get(tKey{v: 1}); !ok || v != 65534 {
 		t.Fatalf("largest value: (%d, %v)", v, ok)
 	}
 }

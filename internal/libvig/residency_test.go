@@ -44,7 +44,7 @@ const residencyChild = "flowtable-residency-child"
 // the race detector, whose shadow memory grows with every byte written):
 //
 //   - construction: the NAT's 65,535-flow table — its keyless Map,
-//     DoubleMap, DChain and generation table, ~6 MB in all — grows
+//     DoubleMap, DChain and generation table, ~4.9 MB in all — grows
 //     VmRSS by under 512 KB, because construction writes none of it;
 //   - flows: 1,024 flows grow it by about the slot pages their hashes
 //     land on plus 1,024 records, not by the capacity.
@@ -84,7 +84,7 @@ func TestFlowTableResidency(t *testing.T) {
 		if tab == nil {
 			t.Skip("no table was built")
 		}
-		// The first-key map's slots: 16 bytes each, the next power of two
+		// The first-key map's slots: SlotBytes each, the next power of two
 		// at or above twice the capacity. A flow writes the slot its hash
 		// homes to; the pages those slots lie on are what its index costs.
 		slots := 1
@@ -97,7 +97,7 @@ func TestFlowTableResidency(t *testing.T) {
 		for i := range keys {
 			keys[i] = flow.ID{SrcIP: flow.Addr(0x0a000000 + i), DstIP: 0xc6336407,
 				SrcPort: uint16(1024 + i), DstPort: 53, Proto: flow.UDP}
-			homes[int(keys[i].Hash()&uint64(slots-1))*16/page] = true
+			homes[int(keys[i].Hash()&uint64(slots-1))*libvig.SlotBytes/page] = true
 		}
 		runtime.GC() // the runtime's own growth after a large allocation settles first
 		before := vmRSS(t)
@@ -115,7 +115,7 @@ func TestFlowTableResidency(t *testing.T) {
 		if grew < lo || grew > hi {
 			t.Fatalf("%d flows grew VmRSS by %d KB, want %d–%d KB (%d slot pages)", flows, grew>>10, lo>>10, hi>>10, len(homes))
 		}
-		t.Logf("%d flows grew VmRSS by %d KB (%d slot pages of %d)", flows, grew>>10, len(homes), slots*16/page)
+		t.Logf("%d flows grew VmRSS by %d KB (%d slot pages of %d)", flows, grew>>10, len(homes), slots*libvig.SlotBytes/page)
 		if hw := tab.HighWater(); hw != flows {
 			t.Fatalf("high water %d after %d flows", hw, flows)
 		}

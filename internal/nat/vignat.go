@@ -69,8 +69,10 @@ func statsOf(c []uint64) Stats {
 // lives in preallocated libVig structures, none of which construction
 // writes: each page of the table faults in once, when a flow first lands
 // on it, so a table is as resident as the flows it has held (at most
-// its ~6 MB for 65,535 flows; FlowTable.HighWater says how many indices
-// it has handed out). The mbuf pools likewise fault a data room in the
+// its ~4.9 MB for 65,535 flows, 1 MB of it the first-key map's 8-byte
+// probe slots; FlowTable.HighWater says how many indices it has handed
+// out). 65,535 is also the most one shard holds: the port space, and a
+// libVig map's limit. The mbuf pools likewise fault a data room in the
 // first time the pool hands it out (dpdk.Mempool.HighWater). The paper
 // reports 27 MB peak RSS; the idle unix-transport daemon here holds
 // ~9.7 MB, ~7 MB of it the binary and libc.

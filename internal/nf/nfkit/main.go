@@ -98,7 +98,7 @@ const internalPortID, externalPortID = 0, 1
 func (o *Options) Register(fs *flag.FlagSet, capacity int) {
 	fs.IntVar(&o.Packets, "packets", 200000, "packets to push through the NF")
 	fs.DurationVar(&o.Timeout, "timeout", 2*time.Second, "state inactivity expiry (Texp)")
-	fs.IntVar(&o.Capacity, "capacity", capacity, "state capacity (CAP)")
+	fs.IntVar(&o.Capacity, "capacity", capacity, "state capacity (CAP), split evenly over -shards; at most 65,535 per shard")
 	fs.IntVar(&o.Shards, "shards", 1, "NF shards (disjoint state partitions)")
 	fs.IntVar(&o.Workers, "workers", 0, "run-to-completion workers / RSS queue pairs (0 = one per shard)")
 	fs.IntVar(&o.Burst, "burst", nf.DefaultBurst, "RX/TX burst size")
