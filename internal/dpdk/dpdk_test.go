@@ -93,7 +93,7 @@ func TestPortDeliverAndRxBurst(t *testing.T) {
 		}
 	}
 	bufs := make([]*Mbuf, 32)
-	n := port.RxBurst(bufs)
+	n := port.RxBurstQueue(0, bufs)
 	if n != 5 {
 		t.Fatalf("rx burst %d want 5", n)
 	}
@@ -273,7 +273,7 @@ func TestPortTxBurstAndDrain(t *testing.T) {
 	pool, _ := NewMempool(16)
 	port, _ := NewPort(0, 4, 2, pool)
 	m1, m2, m3 := pool.Alloc(), pool.Alloc(), pool.Alloc()
-	n := port.TxBurst([]*Mbuf{m1, m2, m3})
+	n := port.TxBurstQueue(0, []*Mbuf{m1, m2, m3})
 	if n != 2 {
 		t.Fatalf("tx burst accepted %d want 2 (queue depth)", n)
 	}

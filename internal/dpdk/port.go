@@ -32,11 +32,10 @@ func (s *PortStats) add(other PortStats) {
 
 // Port is a polled network port with one or more RX/TX queue pairs,
 // RSS-style, layered over a pluggable Transport that owns the actual
-// packet I/O. The NF side uses RxBurst/TxBurst (queue 0) or the
-// queue-indexed variants against any backend; the wire side
-// (DeliverRx/DrainTx) is the in-memory backend's harness surface —
-// with a socket transport the kernel is the wire, and those methods
-// report nothing to deliver or drain.
+// packet I/O. The NF side uses RxBurstQueue/TxBurstQueue against any
+// backend; the wire side (DeliverRx/DrainTx) is the in-memory
+// backend's harness surface — with a socket transport the kernel is
+// the wire, and those methods report nothing to deliver or drain.
 //
 // Concurrency contract: distinct queues may be used by distinct
 // goroutines concurrently — a queue's rings/sockets, mempool, and
@@ -48,8 +47,8 @@ func (s *PortStats) add(other PortStats) {
 type Port struct {
 	ID uint16
 	tr Transport
-	// mem caches the concrete in-memory transport so the hot RxBurst/
-	// TxBurst path on the default backend is a direct call, not an
+	// mem caches the concrete in-memory transport so the hot RX/TX
+	// burst path on the default backend is a direct call, not an
 	// interface dispatch (the ≤3% in-memory regression budget), and so
 	// the wire-side harness methods know whether a wire exists at all.
 	mem *MemTransport
@@ -183,13 +182,10 @@ func (p *Port) WireStats(q int) WireStats {
 
 // --- NF side (the DPDK API surface VigNAT uses) ---
 
-// RxBurst receives up to len(bufs) packets from queue 0 into bufs,
-// returning the count. Ownership of returned mbufs transfers to the
-// caller, which must either TxBurst them or Free them — the leak check
-// depends on it.
-func (p *Port) RxBurst(bufs []*Mbuf) int { return p.RxBurstQueue(0, bufs) }
-
-// RxBurstQueue receives up to len(bufs) packets from queue q.
+// RxBurstQueue receives up to len(bufs) packets from queue q into
+// bufs, returning the count. Ownership of returned mbufs transfers to
+// the caller, which must either transmit them or Free them — the leak
+// check depends on it.
 func (p *Port) RxBurstQueue(q int, bufs []*Mbuf) int {
 	if p.mem != nil {
 		return p.mem.RxBurst(q, bufs)
@@ -197,13 +193,10 @@ func (p *Port) RxBurstQueue(q int, bufs []*Mbuf) int {
 	return p.tr.RxBurst(q, bufs)
 }
 
-// TxBurst enqueues up to len(bufs) packets on queue 0 for
+// TxBurstQueue enqueues up to len(bufs) packets on queue q for
 // transmission, returning how many were accepted. Ownership of
 // accepted mbufs transfers to the transport; rejected ones remain with
 // the caller (DPDK semantics: the caller must free them or retry).
-func (p *Port) TxBurst(bufs []*Mbuf) int { return p.TxBurstQueue(0, bufs) }
-
-// TxBurstQueue enqueues up to len(bufs) packets on queue q.
 func (p *Port) TxBurstQueue(q int, bufs []*Mbuf) int {
 	if p.mem != nil {
 		return p.mem.TxBurst(q, bufs)

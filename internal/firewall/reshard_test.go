@@ -8,6 +8,7 @@ import (
 	"vignat/internal/libvig"
 	"vignat/internal/netstack"
 	"vignat/internal/nf"
+	"vignat/internal/nf/nfkit/nfkittest"
 )
 
 // TestReshardPreservesSessions pins the firewall codec: sessions
@@ -32,7 +33,7 @@ func TestReshardPreservesSessions(t *testing.T) {
 			DstIP: flow.MakeAddr(93, 184, 216, byte(1+i%5)), DstPort: 443, Proto: flow.TCP,
 		}
 		clock.Advance(1_000_000)
-		if v := s.Process(mkFrame(ids[i]), true); v != nf.Forward {
+		if v := nfkittest.Send(s, mkFrame(ids[i]), true); v != nf.Forward {
 			t.Fatalf("session %d: outbound verdict %v", i, v)
 		}
 	}
@@ -50,7 +51,7 @@ func TestReshardPreservesSessions(t *testing.T) {
 		t.Fatalf("%d sessions after reshard, want %d", got, nSessions)
 	}
 	for i, id := range ids {
-		if v := s.Process(mkFrame(id.Reverse()), false); v != nf.Forward {
+		if v := nfkittest.Send(s, mkFrame(id.Reverse()), false); v != nf.Forward {
 			t.Fatalf("session %d: reply dropped after reshard (verdict %v)", i, v)
 		}
 	}
@@ -62,7 +63,7 @@ func TestReshardPreservesSessions(t *testing.T) {
 		SrcIP: flow.MakeAddr(203, 0, 113, 9), SrcPort: 4444,
 		DstIP: flow.MakeAddr(10, 0, 0, 1), DstPort: 5555, Proto: flow.TCP,
 	}
-	if v := s.Process(mkFrame(junk), false); v != nf.Drop {
+	if v := nfkittest.Send(s, mkFrame(junk), false); v != nf.Drop {
 		t.Fatalf("unsolicited external verdict %v, want Drop", v)
 	}
 }

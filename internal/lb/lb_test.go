@@ -10,6 +10,7 @@ import (
 	"vignat/internal/libvig"
 	"vignat/internal/netstack"
 	"vignat/internal/nf"
+	"vignat/internal/nf/nfkit/nfkittest"
 )
 
 var (
@@ -535,7 +536,7 @@ func TestShardedLBReturnAffinity(t *testing.T) {
 		frame := craft(t, buf, id)
 		out := s.ShardOf(frame, false)
 		spread[out]++
-		if s.Process(frame, false) != nf.Forward {
+		if nfkittest.Send(s, frame, false) != nf.Forward {
 			t.Fatal("drop")
 		}
 		var p netstack.Packet
@@ -546,7 +547,7 @@ func TestShardedLBReturnAffinity(t *testing.T) {
 		if in := s.ShardOf(reply, true); in != out {
 			t.Fatalf("flow %d: client side shard %d, reply side shard %d", i, out, in)
 		}
-		if s.Process(reply, true) != nf.Forward {
+		if nfkittest.Send(s, reply, true) != nf.Forward {
 			t.Fatalf("reply %d dropped", i)
 		}
 	}
@@ -570,7 +571,7 @@ func TestShardedLBAgreesWithUnsharded(t *testing.T) {
 		id := clientID(i)
 		f1 := craft(t, buf1, id)
 		f2 := craft(t, buf2, id)
-		if s.Process(f1, false) != nf.Forward {
+		if nfkittest.Send(s, f1, false) != nf.Forward {
 			t.Fatal("sharded drop")
 		}
 		if u.Process(f2, false) != lb.VerdictToBackend {

@@ -9,6 +9,7 @@ import (
 	"vignat/internal/libvig"
 	"vignat/internal/netstack"
 	"vignat/internal/nf"
+	"vignat/internal/nf/nfkit/nfkittest"
 )
 
 // TestReshardPreservesBackendsAndStickies pins the balancer codec:
@@ -64,7 +65,7 @@ func TestReshardPreservesBackendsAndStickies(t *testing.T) {
 		}
 		clock.Advance(1_000_000)
 		f := mkFrame(ids[i])
-		if v := balancer.Process(f, false); v != nf.Forward {
+		if v := nfkittest.Send(balancer, f, false); v != nf.Forward {
 			t.Fatalf("client %d: verdict %v", i, v)
 		}
 		pinned[i] = backendOf(f)
@@ -97,7 +98,7 @@ func TestReshardPreservesBackendsAndStickies(t *testing.T) {
 		// Sticky fidelity: every client still lands on its backend.
 		for i, id := range ids {
 			f := mkFrame(id)
-			if v := balancer.Process(f, false); v != nf.Forward {
+			if v := nfkittest.Send(balancer, f, false); v != nf.Forward {
 				t.Fatalf("%s: client %d verdict %v", when, i, v)
 			}
 			if got := backendOf(f); got != pinned[i] {

@@ -54,7 +54,7 @@ var (
 //     on a hash match only;
 //   - NewKeylessMap keeps no keys at all and recovers the key of a
 //     matching slot from its value through keyOf — for callers (the
-//     DoubleMap) whose values already name a record holding the key.
+//     DoubleMap, the policer) whose values name a record holding it.
 //     Precondition: keyOf(v) is stable from Put(k, v) to the erase of v
 //     and equals k throughout.
 //

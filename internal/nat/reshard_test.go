@@ -8,6 +8,7 @@ import (
 	"vignat/internal/libvig"
 	"vignat/internal/netstack"
 	"vignat/internal/nf"
+	"vignat/internal/nf/nfkit/nfkittest"
 )
 
 // TestReshardPreservesTranslations pins the NAT codec end to end: a
@@ -53,7 +54,7 @@ func TestReshardPreservesTranslations(t *testing.T) {
 		}
 		clock.Set(libvig.Time(i) * 1_000_000)
 		f := mkFrame(ids[i])
-		if v := s.Process(f, true); v != nf.Forward {
+		if v := nfkittest.Send(s, f, true); v != nf.Forward {
 			t.Fatalf("flow %d: outbound verdict %v", i, v)
 		}
 		ext[i] = parse(f)
@@ -86,7 +87,7 @@ func TestReshardPreservesTranslations(t *testing.T) {
 			// the steering override if the flow's hash no longer matches
 			// its port-range home.
 			f := mkFrame(id)
-			if v := s.Process(f, true); v != nf.Forward {
+			if v := nfkittest.Send(s, f, true); v != nf.Forward {
 				t.Fatalf("%s: flow %d outbound verdict %v", when, i, v)
 			}
 			if got := parse(f); got != ext[i] {
@@ -94,7 +95,7 @@ func TestReshardPreservesTranslations(t *testing.T) {
 			}
 			// The reply direction still finds the session.
 			r := mkFrame(ext[i].Reverse())
-			if v := s.Process(r, false); v != nf.Forward {
+			if v := nfkittest.Send(s, r, false); v != nf.Forward {
 				t.Fatalf("%s: flow %d reply verdict %v", when, i, v)
 			}
 			if got := parse(r); got != id.Reverse() {
@@ -123,7 +124,7 @@ func TestReshardPreservesTranslations(t *testing.T) {
 	for i, id := range ids {
 		clock.Set(base + libvig.Time(i)*1_000_000)
 		f := mkFrame(id)
-		if v := s.Process(f, true); v != nf.Forward {
+		if v := nfkittest.Send(s, f, true); v != nf.Forward {
 			t.Fatalf("re-stamp flow %d: %v", i, v)
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"vignat/internal/libvig"
 	"vignat/internal/netstack"
 	"vignat/internal/nf"
+	"vignat/internal/nf/nfkit/nfkittest"
 )
 
 func shardedForTest(t *testing.T, shards int) *Sharded {
@@ -55,7 +56,7 @@ func TestShardedPortRangesDisjoint(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		frame := craftUDP(t, buf, testFlowID(i))
 		shard := s.ShardOf(frame, true)
-		if v := s.Process(frame, true); v != nf.Forward {
+		if v := nfkittest.Send(s, frame, true); v != nf.Forward {
 			t.Fatalf("flow %d dropped", i)
 		}
 		var p netstack.Packet
@@ -81,7 +82,7 @@ func TestShardedReturnAffinity(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		frame := craftUDP(t, buf, testFlowID(i))
 		outShard := s.ShardOf(frame, true)
-		if v := s.Process(frame, true); v != nf.Forward {
+		if v := nfkittest.Send(s, frame, true); v != nf.Forward {
 			t.Fatalf("flow %d dropped", i)
 		}
 		var p netstack.Packet
@@ -93,7 +94,7 @@ func TestShardedReturnAffinity(t *testing.T) {
 		if inShard != outShard {
 			t.Fatalf("flow %d: outbound steered to shard %d, reply to %d", i, outShard, inShard)
 		}
-		if v := s.Process(replyFrame, false); v != nf.Forward {
+		if v := nfkittest.Send(s, replyFrame, false); v != nf.Forward {
 			t.Fatalf("reply %d dropped: session not on the owning shard", i)
 		}
 	}
@@ -141,7 +142,7 @@ func TestShardedOneShardMatchesPlainNAT(t *testing.T) {
 		a := craftUDP(t, bufA, id)
 		b := craftUDP(t, bufB, id)
 		va := verdictOf(plain.Process(a, true))
-		vb := s.Process(b, true)
+		vb := nfkittest.Send(s, b, true)
 		if va != vb {
 			t.Fatalf("packet %d: plain %v, sharded %v", i, va, vb)
 		}
@@ -166,7 +167,7 @@ func TestShardedExpiry(t *testing.T) {
 	}
 	buf := make([]byte, 2048)
 	for i := 0; i < 64; i++ {
-		if v := s.Process(craftUDP(t, buf, testFlowID(i)), true); v != nf.Forward {
+		if v := nfkittest.Send(s, craftUDP(t, buf, testFlowID(i)), true); v != nf.Forward {
 			t.Fatalf("flow %d dropped", i)
 		}
 	}
@@ -261,13 +262,13 @@ func TestShardedStatsSnapshot(t *testing.T) {
 	buf := make([]byte, 128)
 	for i := 0; i < 256; i++ {
 		frame := craftUDP(t, buf, testFlowID(i))
-		if s.Process(frame, true) != nf.Forward {
+		if nfkittest.Send(s, frame, true) != nf.Forward {
 			t.Fatal("outbound dropped")
 		}
 	}
 	// A junk frame that every shard would drop.
 	junk := make([]byte, 60)
-	if s.Process(junk, true) != nf.Drop {
+	if nfkittest.Send(s, junk, true) != nf.Drop {
 		t.Fatal("junk forwarded")
 	}
 

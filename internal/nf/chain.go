@@ -94,38 +94,14 @@ func (c *Chain) Name() string {
 // Elems returns the chain's elements, ordered internal→external.
 func (c *Chain) Elems() []NF { return c.elems }
 
-// Process runs the frame through the chain in direction order.
-func (c *Chain) Process(frame []byte, fromInternal bool) Verdict {
-	c.stats.Processed++
-	if fromInternal {
-		for ei, e := range c.elems {
-			if e.Process(frame, fromInternal) == Drop {
-				c.stats.Dropped++
-				c.lastDrop = ei
-				return Drop
-			}
-		}
-	} else {
-		for i := len(c.elems) - 1; i >= 0; i-- {
-			if c.elems[i].Process(frame, fromInternal) == Drop {
-				c.stats.Dropped++
-				c.lastDrop = i
-				return Drop
-			}
-		}
-	}
-	c.stats.Forwarded++
-	return Forward
-}
-
 // ProcessBatch runs the burst through the chain one *element pass* at
 // a time: every element processes the whole surviving sub-burst before
 // the next element runs, instead of each packet traversing the full
 // chain alone. Packets that share a direction keep their relative
 // order, and — matching the engine's RX order — the internal-side
 // group is processed before the external-side group. Per-packet
-// observable behavior (verdicts, rewrites, stats) is identical to
-// len(pkts) Process calls.
+// observable behavior (verdicts, rewrites, stats) is identical to the
+// packets sent one by one as one-packet bursts.
 //
 // Each packet is parsed once, here, unless it arrives with a parse, and
 // every element is handed that parse in its Pkt: an element's rewrite

@@ -268,13 +268,13 @@ type sweptFrame struct {
 const sweepMax = 4096
 
 // sweepQueues drains every RX queue of both ports and processes the
-// frames through the NF in receive-time order, transmitting forwards
-// on queue 0 and freeing drops — the control plane's poll-boundary
-// settlement. The NF steers internally (Sharded.Process resolves the
-// owning shard per frame), so the sweep is agnostic to which queue a
-// frame sat on — exactly what makes it safe on both sides of an RSS
-// re-program. Mbuf conservation holds on every path; counters fold
-// into the pipeline base.
+// frames through the NF in receive-time order, each as a one-packet
+// burst, transmitting forwards on queue 0 and freeing drops — the
+// control plane's poll-boundary settlement. The NF steers internally
+// (Sharded.ProcessBatch resolves the owning shard per frame), so the
+// sweep is agnostic to which queue a frame sat on — exactly what makes
+// it safe on both sides of an RSS re-program. Mbuf conservation holds
+// on every path; counters fold into the pipeline base.
 func (p *Pipeline) sweepQueues() error {
 	var frames []sweptFrame
 	bufs := make([]*dpdk.Mbuf, p.burst)
@@ -302,9 +302,11 @@ func (p *Pipeline) sweepQueues() error {
 	})
 	var firstErr error
 	out := make([]*dpdk.Mbuf, 1)
+	one, verd := make([]Pkt, 1), make([]Verdict, 1)
 	for _, f := range frames {
 		p.base.RxPackets++
-		if p.nf.Process(f.m.Data, f.fromInternal) != Forward {
+		one[0] = Pkt{Frame: f.m.Data, FromInternal: f.fromInternal}
+		if p.nf.ProcessBatch(one, verd); verd[0] != Forward {
 			p.base.Dropped++
 			if err := f.m.Pool().Free(f.m); err != nil && firstErr == nil {
 				firstErr = err

@@ -9,7 +9,7 @@ import (
 // established-flow cache (Config.FastPath): the engine consults
 // FastOffer after a forwarded slow-path packet to learn which state
 // the verdict resolved against, and routes subsequent packets of the
-// same flow through FastHit, skipping the NF's full per-packet walk.
+// same flow through FastHitFunc, skipping the NF's full per-packet walk.
 //
 // The contract that keeps the cache invisible to observers:
 //
@@ -29,34 +29,27 @@ import (
 //     wires its erasure paths to a fastpath.GenTable), so a stale
 //     entry misses and the packet takes the slow path.
 type FastPather interface {
+	FastHitFuncer
 	// FastPathEnabled reports whether the NF declares fast-path hooks
 	// at all (the engine resolves it once at construction).
 	FastPathEnabled() bool
 	FastOffer(key fastpath.Key) (aux uint64, guard fastpath.Guard, ok bool)
 	FastHit(aux uint64, pktLen int, now libvig.Time) Verdict
+	// ProcessBatchAt is ProcessBatch at the caller's timestamp: the
+	// slow runs between a burst's hits share the engine's clock read.
+	ProcessBatchAt(pkts []Pkt, verdicts []Verdict, now libvig.Time)
 }
 
 // FastHitFunc is a cache-hit handler pre-bound to its NF state: what
 // FastHit does, minus the interface dispatch. The pipeline resolves
-// one per shard at construction (FastHitFuncer when available, a bound
-// FastHit otherwise) so the per-hit call is a single indirect jump.
+// one per shard at construction so the per-hit call is a single
+// indirect jump.
 type FastHitFunc func(aux uint64, pktLen int, now libvig.Time) Verdict
 
-// FastHitFuncer is optionally implemented by FastPathers that can hand
-// out their hit handler as a pre-bound closure (nfkit's adapter does).
+// FastHitFuncer hands out a FastPather's hit handler as a pre-bound
+// closure.
 type FastHitFuncer interface {
 	FastHitFunc() FastHitFunc
-}
-
-// BatchAtter is optionally implemented by NFs that can process a burst
-// at a caller-supplied timestamp instead of reading their own clock
-// (nfkit adapters do). The engine's fast path fragments a mixed burst
-// into one slow run per cache hit and runs each through it, so every
-// fragment shares the engine's one clock read — the exact semantics of
-// "batches read the clock once", applied to the whole burst rather
-// than each fragment.
-type BatchAtter interface {
-	ProcessBatchAt(pkts []Pkt, verdicts []Verdict, now libvig.Time)
 }
 
 // Cold-mode (adaptive bypass) parameters: after coldAfter consecutive
@@ -93,7 +86,6 @@ func (wk *worker) processShardFast(li, s int, now libvig.Time) {
 	p := wk.p
 	fp := p.fastNFs[s]
 	fastHit := p.fastHits[s]
-	snf := p.shardNFs[s]
 	pkts := wk.pkts[li]
 	verd := wk.verd[li]
 	meta := wk.meta[li][:len(pkts)]
@@ -108,14 +100,9 @@ func (wk *worker) processShardFast(li, s int, now libvig.Time) {
 	// now are no-ops — nothing new crosses the deadline while now stands
 	// still — so once is enough for the whole burst.
 	expired := false
-	ba, _ := snf.(BatchAtter)
 	flushRun := func(end int) {
 		if end > runStart {
-			if ba != nil {
-				ba.ProcessBatchAt(pkts[runStart:end], verd[runStart:end], now)
-			} else {
-				snf.ProcessBatch(pkts[runStart:end], verd[runStart:end])
-			}
+			fp.ProcessBatchAt(pkts[runStart:end], verd[runStart:end], now)
 			expired = true
 		}
 		if oc < len(wk.offer) {
@@ -169,7 +156,7 @@ func (wk *worker) processShardFast(li, s int, now libvig.Time) {
 		}
 		if e != nil {
 			if !expired {
-				snf.Expire(now)
+				p.shardNFs[s].Expire(now)
 				expired = true
 			}
 			if !wk.cache.Live(e) {

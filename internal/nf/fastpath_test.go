@@ -603,7 +603,7 @@ func (c *countingShard) ProcessBatch(pkts []nf.Pkt, verdicts []nf.Verdict) {
 
 func (c *countingShard) ProcessBatchAt(pkts []nf.Pkt, verdicts []nf.Verdict, now libvig.Time) {
 	c.fragments++
-	c.NF.(nf.BatchAtter).ProcessBatchAt(pkts, verdicts, now)
+	c.FastPather.ProcessBatchAt(pkts, verdicts, now)
 }
 
 func (c *countingShard) Publish(fc nf.FlowCache) {

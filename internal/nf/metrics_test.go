@@ -23,6 +23,7 @@ import (
 	"vignat/internal/nat"
 	"vignat/internal/netstack"
 	"vignat/internal/nf"
+	"vignat/internal/nf/nfkit/nfkittest"
 	"vignat/internal/nf/telemetry"
 	"vignat/internal/policer"
 )
@@ -66,7 +67,7 @@ func buildScrapePolicer(t testing.TB, cfg policer.Config) (*policer.Sharded, [][
 // processPublished drives one frame through a shard the way the engine
 // drives a burst: process, then publish.
 func processPublished(shard nf.NF, frame []byte, fromInternal bool) nf.Verdict {
-	v := shard.Process(frame, fromInternal)
+	v := nfkittest.Send(shard, frame, fromInternal)
 	shard.(nf.Publisher).Publish(nf.FlowCache{})
 	return v
 }

@@ -1,7 +1,7 @@
 // Package nf is the unified network-function layer: one interface every
 // NF in the repository implements (NAT, firewall, discard, and their
-// compositions) and one Pipeline engine that binds any of them to the
-// dpdk substrate with RX/TX bursting and flow-hash sharding.
+// compositions), entered a burst at a time, and one Pipeline engine
+// binding any of them to the dpdk substrate with flow-hash sharding.
 //
 // Before this package each NF carried its own copy of the poll-loop
 // harness (rx_burst → process → tx_burst, mbuf ownership bookkeeping,
@@ -146,16 +146,13 @@ type NF interface {
 	// Name identifies the NF in stats and logs.
 	Name() string
 
-	// Process runs one frame at the NF's current time, rewriting it in
-	// place when the NF translates. fromInternal says which interface
-	// the frame arrived on.
-	Process(frame []byte, fromInternal bool) Verdict
-
-	// ProcessBatch processes pkts[i] into verdicts[i] for every i. It
-	// must be allocation-free on the steady state and must behave
-	// per-packet like len(pkts) calls to Process, with two sanctioned
+	// ProcessBatch, the one way into an NF as into a DPDK one,
+	// processes pkts[i] into verdicts[i] for every i, rewriting frames
+	// in place when the NF translates. It must be allocation-free on
+	// the steady state and must behave per-packet like the same
+	// packets sent in order as one-packet bursts, with two sanctioned
 	// deviations: implementations may read their clock once for the
-	// whole batch (the amortization DPDK NFs get from reading TSC once
+	// whole burst (the amortization DPDK NFs get from reading TSC once
 	// per burst), and compositions may regroup the burst by direction
 	// — internal-side packets before external-side ones, relative
 	// order preserved within each group, matching the engine's RX
@@ -164,10 +161,10 @@ type NF interface {
 
 	// Expire advances the NF's state expiry to now without processing a
 	// packet, returning the number of entries freed. NFs expire on their
-	// own at the top of every Process (Fig. 6); the pipeline calls
-	// Expire in exactly two places: on idle polls, so state drains even
-	// when no traffic arrives, and once per shard burst before its first
-	// flow-cache hit, replaying the sweep that packet's Process would
+	// own at the top of every packet (Fig. 6); the pipeline calls Expire
+	// in exactly two places: on idle polls, so state drains even when no
+	// traffic arrives, and once per shard burst before its first
+	// flow-cache hit, replaying the sweep that packet's slow path would
 	// have run. A second call at an unchanged now must free nothing and
 	// change nothing — the once-per-burst replay rests on it. Where the
 	// NF's counters are read through a Block (Publisher), the burst's one

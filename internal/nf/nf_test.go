@@ -2,6 +2,7 @@ package nf_test
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -13,12 +14,13 @@ import (
 	"vignat/internal/nat"
 	"vignat/internal/netstack"
 	"vignat/internal/nf"
+	"vignat/internal/nf/nfkit/nfkittest"
 )
 
 // --- test fixtures ---
 
-// recordNF is a scripted NF that logs every Process call and answers
-// with a fixed verdict.
+// recordNF is a scripted NF that logs every packet it is handed and
+// answers with a fixed verdict.
 type recordNF struct {
 	name    string
 	verdict nf.Verdict
@@ -28,20 +30,16 @@ type recordNF struct {
 
 func (r *recordNF) Name() string { return r.name }
 
-func (r *recordNF) Process(frame []byte, fromInternal bool) nf.Verdict {
-	*r.log = append(*r.log, fmt.Sprintf("%s/%v", r.name, fromInternal))
-	r.stats.Processed++
-	if r.verdict == nf.Forward {
-		r.stats.Forwarded++
-	} else {
-		r.stats.Dropped++
-	}
-	return r.verdict
-}
-
 func (r *recordNF) ProcessBatch(pkts []nf.Pkt, verdicts []nf.Verdict) {
 	for i := range pkts {
-		verdicts[i] = r.Process(pkts[i].Frame, pkts[i].FromInternal)
+		*r.log = append(*r.log, fmt.Sprintf("%s/%v", r.name, pkts[i].FromInternal))
+		r.stats.Processed++
+		if r.verdict == nf.Forward {
+			r.stats.Forwarded++
+		} else {
+			r.stats.Dropped++
+		}
+		verdicts[i] = r.verdict
 	}
 }
 
@@ -167,10 +165,10 @@ func TestChainDirectionOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if v := c.Process(nil, true); v != nf.Forward {
+	if v := nfkittest.Send(c, nil, true); v != nf.Forward {
 		t.Fatalf("outbound verdict %v", v)
 	}
-	if v := c.Process(nil, false); v != nf.Forward {
+	if v := nfkittest.Send(c, nil, false); v != nf.Forward {
 		t.Fatalf("inbound verdict %v", v)
 	}
 	want := []string{"a/true", "b/true", "b/false", "a/false"}
@@ -194,7 +192,7 @@ func TestChainDropShortCircuits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := c.Process(nil, true); v != nf.Drop {
+	if v := nfkittest.Send(c, nil, true); v != nf.Drop {
 		t.Fatalf("verdict %v, want drop", v)
 	}
 	if len(log) != 1 || log[0] != "a/true" {
@@ -203,7 +201,7 @@ func TestChainDropShortCircuits(t *testing.T) {
 	// Inbound traverses in reverse, so b (closest to external) drops
 	// nothing and a drops; both run only until the drop.
 	log = log[:0]
-	if v := c.Process(nil, false); v != nf.Drop {
+	if v := nfkittest.Send(c, nil, false); v != nf.Drop {
 		t.Fatalf("verdict %v, want drop", v)
 	}
 	want := []string{"b/false", "a/false"}
@@ -217,18 +215,16 @@ func TestChainDropShortCircuits(t *testing.T) {
 type parityNF struct{ stats nf.Stats }
 
 func (p *parityNF) Name() string { return "parity" }
-func (p *parityNF) Process(frame []byte, fromInternal bool) nf.Verdict {
-	p.stats.Processed++
-	if len(frame) > 0 && frame[0]%2 == 1 {
-		p.stats.Dropped++
-		return nf.Drop
-	}
-	p.stats.Forwarded++
-	return nf.Forward
-}
 func (p *parityNF) ProcessBatch(pkts []nf.Pkt, verdicts []nf.Verdict) {
-	for i := range pkts {
-		verdicts[i] = p.Process(pkts[i].Frame, pkts[i].FromInternal)
+	for i, pkt := range pkts {
+		p.stats.Processed++
+		if len(pkt.Frame) > 0 && pkt.Frame[0]%2 == 1 {
+			p.stats.Dropped++
+			verdicts[i] = nf.Drop
+		} else {
+			p.stats.Forwarded++
+			verdicts[i] = nf.Forward
+		}
 	}
 }
 func (p *parityNF) Expire(now libvig.Time) int { return 0 }
@@ -331,7 +327,7 @@ func TestChainBatchMatchesPerPacket(t *testing.T) {
 	got := make([]nf.Verdict, len(pkts))
 	batched.ProcessBatch(pkts, got)
 	for i := range pkts {
-		want := perPkt.Process(pkts[i].Frame, pkts[i].FromInternal)
+		want := nfkittest.Send(perPkt, pkts[i].Frame, pkts[i].FromInternal)
 		if got[i] != want {
 			t.Fatalf("packet %d: batched %v, per-packet %v", i, got[i], want)
 		}
@@ -387,7 +383,7 @@ func TestChainBatchGroupedMatchesPerPacket(t *testing.T) {
 	got := make([]nf.Verdict, len(pkts))
 	batched.ProcessBatch(pkts, got)
 	for i := range pkts {
-		want := perPkt.Process(pkts[i].Frame, pkts[i].FromInternal)
+		want := nfkittest.Send(perPkt, pkts[i].Frame, pkts[i].FromInternal)
 		if got[i] != want {
 			t.Fatalf("packet %d: batched %v, per-packet %v", i, got[i], want)
 		}
@@ -404,7 +400,7 @@ func TestChainBatchGroupedMatchesPerPacket(t *testing.T) {
 	single.ProcessBatch(sub, verd)
 	ref := mkChain()
 	for i := range sub {
-		if want := ref.Process(sub[i].Frame, sub[i].FromInternal); verd[i] != want {
+		if want := nfkittest.Send(ref, sub[i].Frame, sub[i].FromInternal); verd[i] != want {
 			t.Fatalf("offset packet %d: batched %v, per-packet %v", i, verd[i], want)
 		}
 	}
@@ -674,6 +670,94 @@ func TestPipelineParallelWorkers(t *testing.T) {
 	}
 	if inUseTotal(pools) != 0 {
 		t.Fatalf("%d mbufs leaked", inUseTotal(pools))
+	}
+}
+
+// TestSetWorkersSweepSettlesQueuedFrames delivers outbound and
+// unsolicited inbound frames into a 2-shard NAT's RX queues without
+// polling, then changes the worker count. The reshard's sweep settles
+// every one: each unsolicited frame is dropped, freed and counted, and
+// each outbound frame leaves rewritten exactly as a lock-step twin
+// rewrites the same frames.
+func TestSetWorkersSweepSettlesQueuedFrames(t *testing.T) {
+	const outbound, unsolicited = 24, 8
+	extIP := flow.MakeAddr(198, 18, 1, 1)
+	var frames [][]byte
+	var fromInternal []bool
+	buf := make([]byte, 2048)
+	for i := 0; i < outbound; i++ {
+		id := flow.ID{SrcIP: flow.MakeAddr(10, 0, 0, byte(1+i)), DstIP: flow.MakeAddr(198, 51, 100, 7), SrcPort: uint16(5000 + i), DstPort: 80}
+		frames, fromInternal = append(frames, append([]byte(nil), udpFrame(t, buf, id)...)), append(fromInternal, true)
+		if i%3 == 0 { // to an external port no flow holds
+			id := flow.ID{SrcIP: flow.MakeAddr(203, 0, 113, byte(1+i)), DstIP: extIP, SrcPort: 53, DstPort: uint16(60000 + i)}
+			frames, fromInternal = append(frames, append([]byte(nil), udpFrame(t, buf, id)...)), append(fromInternal, false)
+		}
+	}
+	type rig struct {
+		pipe             *nf.Pipeline
+		pools            []*dpdk.Mempool
+		intPort, extPort *dpdk.Port
+	}
+	build := func() rig {
+		clock := libvig.NewVirtualClock(0)
+		sharded, err := nat.NewSharded(nat.Config{Capacity: 64, Timeout: time.Hour, ExternalIP: extIP, ExternalPort: 1}, clock, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rig{}
+		r.pools, r.intPort, r.extPort = multiQueuePorts(t, 2, 64)
+		if r.pipe, err = nf.NewPipeline(sharded, nf.Config{Internal: r.intPort, External: r.extPort, Workers: 2, Clock: clock}); err != nil {
+			t.Fatal(err)
+		}
+		for i, f := range frames {
+			port := r.extPort
+			if fromInternal[i] {
+				port = r.intPort
+			}
+			if !port.DeliverRx(f, libvig.Time(i+1)) {
+				t.Fatalf("frame %d refused", i)
+			}
+		}
+		return r
+	}
+	swept, twin := build(), build()
+	if err := swept.pipe.SetWorkers(1); err != nil {
+		t.Fatal(err)
+	}
+	for n := -1; n != 0; {
+		var err error
+		if n, err = twin.pipe.Poll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sent := func(r rig) []string {
+		var out []string
+		bufs := make([]*dpdk.Mbuf, 8)
+		for k := r.extPort.DrainTx(bufs); k > 0; k = r.extPort.DrainTx(bufs) {
+			for _, m := range bufs[:k] {
+				out = append(out, string(m.Data))
+				if err := m.Pool().Free(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if k := r.intPort.DrainTx(bufs); k != 0 {
+			t.Fatalf("%d frames sent inside", k)
+		}
+		slices.Sort(out)
+		return out
+	}
+	got, want := sent(swept), sent(twin)
+	if len(got) != outbound || !slices.Equal(got, want) {
+		t.Fatalf("sweep sent %d frames, the lock-step twin %d; equal: %v", len(got), len(want), slices.Equal(got, want))
+	}
+	if st := swept.pipe.Stats(); st.Polls != 0 || st.RxPackets != outbound+unsolicited || st.Dropped != unsolicited || st.TxPackets != outbound {
+		t.Fatalf("swept stats %+v", st)
+	}
+	for _, r := range []rig{swept, twin} {
+		if n := inUseTotal(r.pools); n != 0 {
+			t.Fatalf("%d mbufs leaked", n)
+		}
 	}
 }
 

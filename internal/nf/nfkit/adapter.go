@@ -19,11 +19,6 @@ import (
 type Adapter[C any] struct {
 	d    Decl[C]
 	core C
-	// one and oneV are the one-packet burst Process runs: fields, not
-	// locals, because a pointer through the declared closures would
-	// escape.
-	one  [1]nf.Pkt
-	oneV [1]nf.Verdict
 	// parses holds the parses of the burst in flight that the adapter
 	// made itself (grown on demand, stable afterwards).
 	parses []nf.Parsed
@@ -51,14 +46,6 @@ func (a *Adapter[C]) Core() C { return a.core }
 // Name identifies the NF.
 func (a *Adapter[C]) Name() string { return a.d.Name }
 
-// Process runs one frame at the declared clock's current time: the
-// batch loop over a one-packet burst.
-func (a *Adapter[C]) Process(frame []byte, fromInternal bool) nf.Verdict {
-	a.one[0].Frame, a.one[0].FromInternal = frame, fromInternal
-	a.ProcessBatchAt(a.one[:], a.oneV[:], a.d.now())
-	return a.oneV[0]
-}
-
 // ProcessBatch processes a burst, reading the clock once for the whole
 // batch.
 func (a *Adapter[C]) ProcessBatch(pkts []nf.Pkt, verdicts []nf.Verdict) {
@@ -66,7 +53,7 @@ func (a *Adapter[C]) ProcessBatch(pkts []nf.Pkt, verdicts []nf.Verdict) {
 }
 
 // ProcessBatchAt processes a burst at a caller-supplied timestamp
-// (nf.BatchAtter). The engine's fast path uses it so the many small
+// (nf.FastPather). The engine's fast path uses it so the many small
 // slow runs of a mixed burst share the engine's one clock read.
 //
 // Every packet is parsed once, on entry: a parse the packet carries (a

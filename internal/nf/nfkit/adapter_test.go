@@ -186,9 +186,9 @@ func TestAdapterGivesEachPacketOneParse(t *testing.T) {
 		check(tc.name, tc.pkts, shared)
 	}
 
-	// A lone packet takes the same path, through Process.
+	// A lone packet takes the same path, with no Prefetch.
 	pkts := burstOf(1)
-	a.Process(pkts[0].Frame, true)
+	a.ProcessBatch(pkts, make([]nf.Verdict, 1))
 	if len(c.seen) != 1 || len(c.fetched) != 0 {
 		t.Fatalf("a lone packet: Process saw %d parses, Prefetch %d", len(c.seen), len(c.fetched))
 	}

@@ -37,6 +37,7 @@ import (
 	"vignat/internal/netstack"
 	"vignat/internal/nf"
 	"vignat/internal/nf/nfkit"
+	"vignat/internal/nf/nfkit/nfkittest"
 	"vignat/internal/policer"
 )
 
@@ -845,7 +846,7 @@ func TestRepeatExpireAtSameNowIsNoOp(t *testing.T) {
 					clock.Advance(libvig.Time(confTimeout.Nanoseconds() * 2 / 3))
 				}
 				clock.Advance(1000)
-				if v := d.nf.Process(tc.frame(i), tc.fromInternal); v != nf.Forward {
+				if v := nfkittest.Send(d.nf, tc.frame(i), tc.fromInternal); v != nf.Forward {
 					t.Fatalf("session %d not admitted: %v", i, v)
 				}
 			}
@@ -1114,7 +1115,7 @@ func TestEachPacketCountedOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 			key := fastpath.Key{ID: p.FlowID(), FromInternal: tc.fromInternal}
-			if v := d.nf.Process(append([]byte(nil), frame...), tc.fromInternal); v != nf.Forward {
+			if v := nfkittest.Send(d.nf, append([]byte(nil), frame...), tc.fromInternal); v != nf.Forward {
 				t.Fatalf("session not admitted: %v", v)
 			}
 			fp := d.nf.(nf.FastPather)
@@ -1124,7 +1125,7 @@ func TestEachPacketCountedOnce(t *testing.T) {
 			}
 			moved := -1
 			for path, one := range map[string]func(){
-				"slow path": func() { d.nf.Process(append([]byte(nil), frame...), tc.fromInternal) },
+				"slow path": func() { nfkittest.Send(d.nf, append([]byte(nil), frame...), tc.fromInternal) },
 				"cache hit": func() { fp.FastHit(aux, len(frame), clock.Now()) },
 			} {
 				_, before := d.dump()
@@ -1237,7 +1238,7 @@ func TestReshardRefusesMisdeclaredCodec(t *testing.T) {
 			SrcIP: flow.MakeAddr(10, 0, 0, byte(1+i)), SrcPort: uint16(20000 + i),
 			DstIP: flow.MakeAddr(93, 184, 216, 34), DstPort: 80, Proto: flow.TCP,
 		})
-		if v := s.Process(frame, true); v != nf.Forward {
+		if v := nfkittest.Send(s, frame, true); v != nf.Forward {
 			t.Fatalf("session %d not admitted: %v", i, v)
 		}
 	}

@@ -5,15 +5,15 @@
 // record families and (via SymSpec in verify.go) its symbolic models and
 // output actions. From that declaration the kit derives:
 //
-//   - the allocation-free production binding onto the engine
-//     (Adapter: clock-once batches, verdict mapping, the reason-count
-//     prefix of the declared counter array), whose ProcessBatchAt is
-//     the one loop that runs a burst on a core: it gives every packet
-//     one parse — the one it carries when a chain made one, refreshed,
-//     else the adapter's own — then calls Decl.Prefetch on the burst
-//     and Decl.Process on each packet. What Decl.Process runs is the
-//     NF's verified function instantiated at its production Env — the
-//     same body with the Env interface replaced by the concrete
+//   - the allocation-free production binding onto the engine (Adapter:
+//     clock-once batches, verdict mapping, the reason-count prefix of
+//     the declared counter array), whose ProcessBatchAt is the one loop
+//     that runs a burst on a core, and its only entry: it gives every
+//     packet one parse — the one it carries when a chain made one,
+//     refreshed, else the adapter's own — then calls Decl.Prefetch on
+//     the burst and Decl.Process on each packet. What Decl.Process runs
+//     is the NF's verified function instantiated at its production Env
+//     — the same body with the Env interface replaced by the concrete
 //     *prodEnv, written by vigor/instgen — and PktGuards.Take hands it
 //     the packet's parse (nf.Pkt.Parsed), so an element after another
 //     neither dispatches through Env nor parses the frame again;

@@ -11,6 +11,7 @@ import (
 	"vignat/internal/nat"
 	"vignat/internal/nf"
 	"vignat/internal/nf/nfkit"
+	"vignat/internal/nf/nfkit/nfkittest"
 )
 
 const deathCap = 8
@@ -77,7 +78,7 @@ func everyDeath[V any](t *testing.T, name string, clock *libvig.VirtualClock, tb
 		guards := map[int]fastpath.Guard{}
 		for i := from; i < to; i++ {
 			clock.Advance(1_000_000)
-			if v := f.Process(craft(deathKey(i, vip).ID), true); v != nf.Forward {
+			if v := nfkittest.Send(f, craft(deathKey(i, vip).ID), true); v != nf.Forward {
 				t.Fatalf("%s: session %d not admitted: %v", name, i, v)
 			}
 			_, g, ok := tbl.Offer(deathKey(i, vip))

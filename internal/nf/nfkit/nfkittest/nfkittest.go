@@ -19,6 +19,13 @@ import (
 	"vignat/internal/nf/telemetry"
 )
 
+// Send hands frame to n as a one-packet burst and returns its verdict.
+func Send(n nf.NF, frame []byte, fromInternal bool) nf.Verdict {
+	v := make([]nf.Verdict, 1)
+	n.ProcessBatch([]nf.Pkt{{Frame: frame, FromInternal: fromInternal}}, v)
+	return v[0]
+}
+
 // Trace describes the traffic one NF is driven with.
 type Trace struct {
 	// Clients are tuples as the client side sends them; the trace varies

@@ -193,15 +193,6 @@ func (s *Sharded[C]) shardOf(st *shardedState[C], frame []byte, fromInternal boo
 	return shard
 }
 
-// Process steers one frame to its shard, runs it there and publishes.
-func (s *Sharded[C]) Process(frame []byte, fromInternal bool) nf.Verdict {
-	st := s.state.Load()
-	sh := st.shards[s.shardOf(st, frame, fromInternal)]
-	v := sh.Process(frame, fromInternal)
-	sh.Publish(nf.FlowCache{})
-	return v
-}
-
 // ProcessBatch steers a burst, hands each run of consecutive packets
 // bound for one shard to that shard's adapter at one clock read, and
 // publishes every shard once.

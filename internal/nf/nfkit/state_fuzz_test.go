@@ -16,6 +16,7 @@ import (
 	"vignat/internal/netstack"
 	"vignat/internal/nf"
 	"vignat/internal/nf/nfkit"
+	"vignat/internal/nf/nfkit/nfkittest"
 	"vignat/internal/policer"
 )
 
@@ -136,7 +137,7 @@ func fuzzState[C any](t *testing.T, data []byte, clock *libvig.VirtualClock, c s
 	lastOut := map[int][]byte{}
 	send := func(i int) (forwarded bool, out []byte) {
 		out = c.frame(i)
-		if c.s.Process(out, c.fromInternal) != nf.Forward {
+		if nfkittest.Send(c.s, out, c.fromInternal) != nf.Forward {
 			return false, nil
 		}
 		lastOut[i] = out
@@ -153,7 +154,7 @@ func fuzzState[C any](t *testing.T, data []byte, clock *libvig.VirtualClock, c s
 				if err := p.Parse(out); err != nil {
 					fail("unparseable output: %v", err)
 				}
-				c.s.Process(craft(p.FlowID().Reverse()), !c.fromInternal)
+				nfkittest.Send(c.s, craft(p.FlowID().Reverse()), !c.fromInternal)
 			}
 		case 2: // up to two timeouts, in sixteenths
 			clock.Advance(int64(data[1]%32) * confTimeout.Nanoseconds() / 16)
@@ -162,7 +163,7 @@ func fuzzState[C any](t *testing.T, data []byte, clock *libvig.VirtualClock, c s
 			if c.churn != nil {
 				c.churn(data[1])
 			} else {
-				c.s.Process([]byte{0xde, 0xad}, data[1]%2 == 0)
+				nfkittest.Send(c.s, []byte{0xde, 0xad}, data[1]%2 == 0)
 			}
 		}
 	}

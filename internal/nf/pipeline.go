@@ -472,12 +472,7 @@ func (p *Pipeline) rebuild(nWorkers int) error {
 		if fastEntries > 0 {
 			if fp, ok := p.shardNFs[s].(FastPather); ok && fp.FastPathEnabled() {
 				p.fastNFs[s] = fp
-				if fh, ok := p.shardNFs[s].(FastHitFuncer); ok {
-					p.fastHits[s] = fh.FastHitFunc()
-				}
-				if p.fastHits[s] == nil {
-					p.fastHits[s] = fp.FastHit
-				}
+				p.fastHits[s] = fp.FastHitFunc()
 				anyFast = true
 			}
 		}

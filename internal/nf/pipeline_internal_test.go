@@ -17,8 +17,7 @@ import (
 // cannot import internal/discard without a cycle through nf).
 type passNF struct{}
 
-func (passNF) Name() string                 { return "pass" }
-func (passNF) Process([]byte, bool) Verdict { return Forward }
+func (passNF) Name() string { return "pass" }
 func (passNF) ProcessBatch(pkts []Pkt, v []Verdict) {
 	for i := range pkts {
 		v[i] = Forward

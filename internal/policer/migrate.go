@@ -91,6 +91,7 @@ func families() []nfkit.Family[*Policer] {
 			// subscriber address.
 			ShardOf:   func(s *subRecord, shards int) int { return int(s.addr.Hash() % uint64(shards)) },
 			Occupancy: func(p *Policer) (int, int) { return p.Subscribers(), p.cfg.Capacity },
+			HighWater: func(p *Policer) (int, int) { return p.chain.HighWater(), p.cfg.Capacity },
 		},
 	}
 }

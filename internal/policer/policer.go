@@ -240,8 +240,8 @@ type Policer struct {
 	cfg  Config
 	texp libvig.Time
 
-	subs    *libvig.Map[flow.Addr]    // client IP → bucket index
-	addrs   *libvig.Vector[flow.Addr] // bucket index → client IP (for erasure)
+	subs    *libvig.Map[flow.Addr]    // client IP → bucket index, keyed through addrs
+	addrs   *libvig.Vector[flow.Addr] // bucket index → client IP
 	chain   *libvig.DChain
 	buckets *libvig.TokenBucket
 	erasers []libvig.IndexEraser
@@ -263,11 +263,12 @@ func New(cfg Config, clock libvig.Clock) (*Policer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	subs, err := libvig.NewMap[flow.Addr](cfg.Capacity)
+	addrs, err := libvig.NewVector[flow.Addr](cfg.Capacity)
 	if err != nil {
 		return nil, err
 	}
-	addrs, err := libvig.NewVector[flow.Addr](cfg.Capacity)
+	// keyOf is handed only stored bucket indices, which are in range.
+	subs, err := libvig.NewKeylessMap(cfg.Capacity, func(i int) flow.Addr { a, _ := addrs.Get(i); return a })
 	if err != nil {
 		return nil, err
 	}
@@ -308,21 +309,21 @@ func (p *Policer) eraseSubscriber(i int) error {
 	return nil
 }
 
-// admit gives addr a bucket index stamped at stamp — chain, map and
-// address vector together or not at all. Its two callers say what the
-// bucket holds: the packet path fills it, a restore puts back what it
-// held.
+// admit gives addr a bucket index stamped at stamp — chain, address
+// vector and map together or not at all; the address is set first, so
+// the key the map reads through addrs holds from Put to the erase of
+// idx. Its two callers say what the bucket holds: the packet path
+// fills it, a restore puts back what it held.
 func (p *Policer) admit(addr flow.Addr, stamp libvig.Time) (int, error) {
 	idx, err := p.chain.Allocate(stamp)
 	if err != nil {
 		return 0, err
 	}
-	if err := p.subs.Put(addr, idx); err != nil {
+	if err := p.addrs.Set(idx, addr); err != nil {
 		_ = p.chain.Free(idx)
 		return 0, err
 	}
-	if err := p.addrs.Set(idx, addr); err != nil {
-		_ = p.subs.Erase(addr)
+	if err := p.subs.Put(addr, idx); err != nil {
 		_ = p.chain.Free(idx)
 		return 0, err
 	}

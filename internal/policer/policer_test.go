@@ -8,6 +8,7 @@ import (
 	"vignat/internal/libvig"
 	"vignat/internal/netstack"
 	"vignat/internal/nf"
+	"vignat/internal/nf/nfkit/nfkittest"
 )
 
 func polFrame(t testing.TB, id flow.ID, payload int) []byte {
@@ -218,10 +219,10 @@ func TestShardedPolicerAffinityAndStats(t *testing.T) {
 		if a, b := s.ShardOf(down, false), s.ShardOf(up, true); a != b {
 			t.Fatalf("subscriber %d split across shards %d/%d", i, a, b)
 		}
-		if v := s.Process(down, false); v != nf.Forward {
+		if v := nfkittest.Send(s, down, false); v != nf.Forward {
 			t.Fatalf("ingress %d: %v", i, v)
 		}
-		if v := s.Process(up, true); v != nf.Forward {
+		if v := nfkittest.Send(s, up, true); v != nf.Forward {
 			t.Fatalf("egress %d: %v", i, v)
 		}
 	}
@@ -235,6 +236,17 @@ func TestShardedPolicerAffinityAndStats(t *testing.T) {
 	snap := s.NFStats()
 	if snap.Processed != 64 || snap.Forwarded != 64 {
 		t.Fatalf("snapshot %+v", snap)
+	}
+	// Each shard reports its table fill: the 32 admitted of 4×16.
+	fills, admitted := s.FlowTables(), 0
+	for _, f := range fills {
+		if f.Capacity != 16 {
+			t.Fatalf("shard %d capacity %d, want 16", f.Shard, f.Capacity)
+		}
+		admitted += f.HighWater
+	}
+	if len(fills) != 4 || admitted != 32 {
+		t.Fatalf("flow tables %+v, want 32 admitted across 4 shards", fills)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"vignat/internal/libvig"
 	"vignat/internal/netstack"
 	"vignat/internal/nf"
+	"vignat/internal/nf/nfkit/nfkittest"
 )
 
 // TestReshardPreservesBucketsAndConfig pins the policer codec: a live
@@ -34,7 +35,7 @@ func TestReshardPreservesBucketsAndConfig(t *testing.T) {
 		}, PayloadLen: 64}
 		f := netstack.Craft(make([]byte, netstack.FrameLen(fs)), fs)
 		clock.Advance(1_000_000)
-		if v := s.Process(f, false); v != nf.Forward {
+		if v := nfkittest.Send(s, f, false); v != nf.Forward {
 			t.Fatalf("subscriber %d: verdict %v", i, v)
 		}
 	}
