@@ -20,6 +20,7 @@ import (
 	"vignat/internal/moongen"
 	"vignat/internal/nat"
 	"vignat/internal/netstack"
+	"vignat/internal/nf"
 	"vignat/internal/nf/nfkit"
 	"vignat/internal/testbed"
 	"vignat/internal/unverified"
@@ -251,17 +252,19 @@ func BenchmarkNATProcessHit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	a := nat.AsNF(n)
 	id := benchFlowKeys(1)[0]
 	spec := &netstack.FrameSpec{ID: id}
 	fresh := netstack.Craft(make([]byte, netstack.FrameLen(spec)), spec)
 	work := make([]byte, len(fresh))
+	pkts, verdicts := []nf.Pkt{{Frame: work, FromInternal: true}}, make([]nf.Verdict, 1)
 	copy(work, fresh)
-	n.Process(work, true)
+	a.ProcessBatch(pkts, verdicts)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(work, fresh)
 		clock.Advance(10)
-		n.Process(work, true)
+		a.ProcessBatch(pkts, verdicts)
 	}
 }
 
@@ -277,21 +280,23 @@ func BenchmarkNATProcessProbeWorstCase(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	a := nat.AsNF(n)
 	id := benchFlowKeys(1)[0]
 	spec := &netstack.FrameSpec{ID: id}
 	fresh := netstack.Craft(make([]byte, netstack.FrameLen(spec)), spec)
 	work := make([]byte, len(fresh))
+	pkts, verdicts := []nf.Pkt{{Frame: work, FromInternal: true}}, make([]nf.Verdict, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(work, fresh)
 		clock.Advance(2 * texp.Nanoseconds()) // previous flow has expired
-		n.Process(work, true)
+		a.ProcessBatch(pkts, verdicts)
 	}
 }
 
 func BenchmarkUnverifiedProcessHit(b *testing.B) {
 	clock := libvig.NewVirtualClock(0)
-	n, err := unverified.New(experiments.Capacity, experiments.ExtIP, experiments.PortBase, time.Hour, clock)
+	a, err := unverified.New(experiments.Capacity, experiments.ExtIP, experiments.PortBase, time.Hour, clock)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -299,13 +304,14 @@ func BenchmarkUnverifiedProcessHit(b *testing.B) {
 	spec := &netstack.FrameSpec{ID: id}
 	fresh := netstack.Craft(make([]byte, netstack.FrameLen(spec)), spec)
 	work := make([]byte, len(fresh))
+	pkts, verdicts := []nf.Pkt{{Frame: work, FromInternal: true}}, make([]nf.Verdict, 1)
 	copy(work, fresh)
-	n.Process(work, true)
+	a.ProcessBatch(pkts, verdicts)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(work, fresh)
 		clock.Advance(10)
-		n.Process(work, true)
+		a.ProcessBatch(pkts, verdicts)
 	}
 }
 

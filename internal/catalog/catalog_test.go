@@ -2,6 +2,7 @@ package catalog_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"vignat/internal/catalog"
@@ -12,10 +13,10 @@ import (
 
 // TestGatewayScrapeDuringTraffic is `vignat -nf gateway -metrics`: one
 // goroutine drives the gateway row's chain through the engine while
-// another reads the chain's metrics source. The source must read only
-// what the worker published (run it under -race): every scrape is
-// consistent with itself, none goes backwards, and the one after the
-// worker stops counts every packet.
+// another reads the chain's metrics source, its table fills included.
+// The source must read only what the worker published (run it under
+// -race): every scrape is consistent with itself, none goes backwards,
+// and the one after the worker stops counts every packet.
 func TestGatewayScrapeDuringTraffic(t *testing.T) {
 	const rounds = 300
 	o := catalog.Defaults()
@@ -96,6 +97,12 @@ func TestGatewayScrapeDuringTraffic(t *testing.T) {
 			t.Fatalf("scrape %d: %+v after %+v", scrapes, s, last)
 		}
 		last = s
+		// The chain's table fills are read live too.
+		for _, f := range src.FlowTables() {
+			if f.HighWater > f.Capacity {
+				t.Fatalf("scrape %d: %+v", scrapes, f)
+			}
+		}
 		scrapes++
 	}
 	if want := uint64(rounds * nf.DefaultBurst); last.Processed != want || last.Forwarded == 0 {
@@ -105,4 +112,54 @@ func TestGatewayScrapeDuringTraffic(t *testing.T) {
 		t.Fatalf("mbuf leak: %d in use", pool.InUse())
 	}
 	t.Logf("%d scrapes during %d bursts: %+v", scrapes, rounds, last)
+}
+
+// TestGatewayReportsItsTables: the gateway row's chain reports, to the
+// daemon's report and to /metrics, a flow-table fill for every element
+// that keeps one, labelled with the element, and its cohort's flows
+// show in the firewall's and the NAT's.
+func TestGatewayReportsItsTables(t *testing.T) {
+	o := catalog.Defaults()
+	o.Flows = 64
+	row, _ := catalog.Find(catalog.Rows, "gateway")
+	run, err := row.New(o, libvig.NewVirtualClock(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, fromInternal, err := row.Cohort(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts := make([]nf.Pkt, len(frames))
+	for i, f := range frames {
+		pkts[i] = nf.Pkt{Frame: slices.Clone(f), FromInternal: fromInternal}
+	}
+	run.NF.ProcessBatch(pkts, make([]nf.Verdict, len(pkts)))
+
+	var keepers []string
+	for _, e := range run.NF.(*nf.Chain).Elems() {
+		if len(nf.FlowTablesOf(e)) > 0 {
+			keepers = append(keepers, e.Name())
+		}
+	}
+	src := nf.SourceOf(row.Name, run.NF, nil)
+	if src.FlowTables == nil {
+		t.Fatal("the gateway's metrics source reports no flow tables")
+	}
+	var elems []string
+	hw := map[string]int{}
+	for _, f := range src.FlowTables() {
+		if f.Capacity == 0 || f.HighWater > f.Capacity {
+			t.Fatalf("fill %+v", f)
+		}
+		elems = append(elems, f.Elem)
+		hw[f.Elem] += f.HighWater
+	}
+	if want := []string{"firewall", "vigpol", "viglb", "vignat"}; !slices.Equal(keepers, want) || !slices.Equal(elems, want) {
+		t.Fatalf("fills labelled %v; the chain's table-keeping elements are %v, want %v", elems, keepers, want)
+	}
+	if hw["firewall"] == 0 || hw["vignat"] == 0 {
+		t.Fatalf("high water %v after %d cohort frames", hw, len(frames))
+	}
+	t.Logf("high water after %d cohort frames: %v", len(frames), hw)
 }

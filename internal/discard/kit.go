@@ -77,13 +77,6 @@ type Frame struct {
 	lastReason telemetry.ReasonID
 }
 
-// ProcessAt runs one frame; the NF is clockless, so now is unused.
-// Frames that do not parse carry port 0 and are forwarded, matching
-// FromFrame's convention.
-func (d *Frame) ProcessAt(frame []byte, _ bool, _ libvig.Time) nf.Verdict {
-	return d.process(FromFrame(frame).Port == 9)
-}
-
 // process runs one frame whose destination port is or is not 9.
 func (d *Frame) process(port9 bool) nf.Verdict {
 	e := &d.env

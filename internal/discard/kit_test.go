@@ -7,6 +7,7 @@ import (
 	"vignat/internal/netstack"
 	"vignat/internal/nf"
 	"vignat/internal/nf/nfkit"
+	"vignat/internal/nf/nfkit/nfkittest"
 )
 
 // frameTo crafts a UDP frame destined for dst.
@@ -57,10 +58,11 @@ func TestFrameReasonsConsistent(t *testing.T) {
 // moves per frame, and the engine-visible stats are a view of it.
 func TestFrameReasonCounts(t *testing.T) {
 	d := &Frame{}
-	if v := d.ProcessAt(frameTo(t, 9), true, 0); v != nf.Drop {
+	a := Kit().Adapt(d)
+	if v := nfkittest.Send(a, frameTo(t, 9), true); v != nf.Drop {
 		t.Fatalf("port-9 frame: verdict %v, want Drop", v)
 	}
-	if v := d.ProcessAt(frameTo(t, 80), true, 0); v != nf.Forward {
+	if v := nfkittest.Send(a, frameTo(t, 80), true); v != nf.Forward {
 		t.Fatalf("port-80 frame: verdict %v, want Forward", v)
 	}
 	if d.counters != [numReasons]uint64{ReasonFwd: 1, ReasonDropPort9: 1} {

@@ -65,7 +65,9 @@ var AllNFs = []NFKind{NFNoop, NFUnverified, NFVerified, NFLinux}
 var DPDKNFs = []NFKind{NFNoop, NFUnverified, NFVerified}
 
 // BuildMiddlebox constructs a fresh middlebox of the given kind with its
-// own virtual clock, flow timeout, and the appropriate cost model.
+// own virtual clock, flow timeout, and the appropriate cost model. The
+// verified NAT enters through its adapter (nat.AsNF), the one the
+// engine runs.
 func BuildMiddlebox(kind NFKind, timeout time.Duration) (*testbed.Middlebox, error) {
 	clock := libvig.NewVirtualClock(0)
 	switch kind {
@@ -83,7 +85,7 @@ func BuildMiddlebox(kind NFKind, timeout time.Duration) (*testbed.Middlebox, err
 		if err != nil {
 			return nil, err
 		}
-		return &testbed.Middlebox{NF: n, Clock: clock, Cost: testbed.DPDKCost}, nil
+		return &testbed.Middlebox{NF: nat.AsNF(n), Clock: clock, Cost: testbed.DPDKCost}, nil
 	case NFUnverified:
 		n, err := unverified.New(Capacity, ExtIP, PortBase, timeout, clock)
 		if err != nil {

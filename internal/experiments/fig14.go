@@ -7,6 +7,7 @@ import (
 
 	"vignat/internal/flow"
 	"vignat/internal/moongen"
+	"vignat/internal/nf"
 	"vignat/internal/testbed"
 )
 
@@ -69,11 +70,11 @@ func warmFlows(mb *testbed.Middlebox, n int) error {
 		return err
 	}
 	scratch := make([]byte, 2048)
+	pkts, verdicts := []nf.Pkt{{FromInternal: true}}, make([]nf.Verdict, 1)
 	for i := range flows {
-		frame := scratch[:len(flows[i].Frame())]
-		copy(frame, flows[i].Frame())
+		pkts[0].Frame = scratch[:copy(scratch, flows[i].Frame())]
 		mb.Clock.Advance(1000)
-		mb.NF.Process(frame, true)
+		mb.NF.ProcessBatch(pkts, verdicts)
 	}
 	return nil
 }

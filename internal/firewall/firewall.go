@@ -202,18 +202,6 @@ func (fw *Firewall) Stats() (processed, dropped uint64) {
 // Expired returns the total sessions freed by expiry.
 func (fw *Firewall) Expired() uint64 { return fw.counters[ctrExpired] }
 
-// Process runs one frame through the firewall. Frames are never
-// modified.
-func (fw *Firewall) Process(frame []byte, fromInternal bool) Verdict {
-	return fw.ProcessAt(frame, fromInternal, fw.clock.Now())
-}
-
-// ProcessAt is Process at an explicit time, for batched callers that
-// read the clock once per burst.
-func (fw *Firewall) ProcessAt(frame []byte, fromInternal bool, now libvig.Time) Verdict {
-	return fw.process(&nf.Pkt{Frame: frame, FromInternal: fromInternal}, now)
-}
-
 // process runs one packet through prodProcessPacket, ProcessPacket
 // instantiated at *prodEnv (process_gen.go, written by vigor/instgen).
 func (fw *Firewall) process(pkt *nf.Pkt, now libvig.Time) Verdict {

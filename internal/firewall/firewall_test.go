@@ -7,6 +7,8 @@ import (
 	"vignat/internal/flow"
 	"vignat/internal/libvig"
 	"vignat/internal/netstack"
+	"vignat/internal/nf"
+	"vignat/internal/nf/nfkit/nfkittest"
 )
 
 func fwFrame(t *testing.T, id flow.ID) []byte {
@@ -32,9 +34,10 @@ func TestFirewallOutboundAlwaysForwards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	a := AsNF(fw)
 	f := fwFrame(t, outKey(0))
 	orig := append([]byte(nil), f...)
-	if v := fw.Process(f, true); v != VerdictForwardOut {
+	if v := nfkittest.Send(a, f, true); v != nf.Forward {
 		t.Fatalf("outbound %v", v)
 	}
 	for i := range f {
@@ -50,13 +53,14 @@ func TestFirewallOutboundAlwaysForwards(t *testing.T) {
 func TestFirewallReplyAllowedUnsolicitedDropped(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	fw, _ := New(16, time.Second, clock)
-	fw.Process(fwFrame(t, outKey(0)), true)
+	a := AsNF(fw)
+	nfkittest.Send(a, fwFrame(t, outKey(0)), true)
 	// Reply to the established session.
-	if v := fw.Process(fwFrame(t, outKey(0).Reverse()), false); v != VerdictForwardIn {
+	if v := nfkittest.Send(a, fwFrame(t, outKey(0).Reverse()), false); v != nf.Forward {
 		t.Fatalf("reply %v", v)
 	}
 	// Unsolicited inbound.
-	if v := fw.Process(fwFrame(t, outKey(5).Reverse()), false); v != VerdictDrop {
+	if v := nfkittest.Send(a, fwFrame(t, outKey(5).Reverse()), false); v != nf.Drop {
 		t.Fatalf("unsolicited %v", v)
 	}
 	if fw.Table().Size() != 1 {
@@ -67,19 +71,20 @@ func TestFirewallReplyAllowedUnsolicitedDropped(t *testing.T) {
 func TestFirewallExpiry(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	fw, _ := New(16, time.Second, clock)
-	fw.Process(fwFrame(t, outKey(0)), true)
+	a := AsNF(fw)
+	nfkittest.Send(a, fwFrame(t, outKey(0)), true)
 	clock.Advance(2 * time.Second.Nanoseconds())
-	if v := fw.Process(fwFrame(t, outKey(0).Reverse()), false); v != VerdictDrop {
+	if v := nfkittest.Send(a, fwFrame(t, outKey(0).Reverse()), false); v != nf.Drop {
 		t.Fatalf("reply after expiry %v", v)
 	}
 	if fw.Table().Size() != 0 {
 		t.Fatal("session survived expiry")
 	}
 	// Rejuvenation path: keep alive with traffic under the timeout.
-	fw.Process(fwFrame(t, outKey(1)), true)
+	nfkittest.Send(a, fwFrame(t, outKey(1)), true)
 	for i := 0; i < 5; i++ {
 		clock.Advance(600 * time.Millisecond.Nanoseconds())
-		if v := fw.Process(fwFrame(t, outKey(1)), true); v != VerdictForwardOut {
+		if v := nfkittest.Send(a, fwFrame(t, outKey(1)), true); v != nf.Forward {
 			t.Fatalf("keepalive %d: %v", i, v)
 		}
 	}
@@ -91,13 +96,14 @@ func TestFirewallExpiry(t *testing.T) {
 func TestFirewallTableFullConservative(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	fw, _ := New(2, time.Hour, clock)
-	fw.Process(fwFrame(t, outKey(0)), true)
-	fw.Process(fwFrame(t, outKey(1)), true)
-	if v := fw.Process(fwFrame(t, outKey(2)), true); v != VerdictDrop {
+	a := AsNF(fw)
+	nfkittest.Send(a, fwFrame(t, outKey(0)), true)
+	nfkittest.Send(a, fwFrame(t, outKey(1)), true)
+	if v := nfkittest.Send(a, fwFrame(t, outKey(2)), true); v != nf.Drop {
 		t.Fatalf("over-capacity outbound %v (conservative policy requires drop)", v)
 	}
 	// Existing sessions still pass.
-	if v := fw.Process(fwFrame(t, outKey(0)), true); v != VerdictForwardOut {
+	if v := nfkittest.Send(a, fwFrame(t, outKey(0)), true); v != nf.Forward {
 		t.Fatalf("existing at capacity %v", v)
 	}
 }
@@ -105,12 +111,13 @@ func TestFirewallTableFullConservative(t *testing.T) {
 func TestFirewallNonNATableDropped(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	fw, _ := New(16, time.Second, clock)
+	a := AsNF(fw)
 	id := outKey(0)
 	id.Proto = flow.ICMP
-	if v := fw.Process(fwFrame(t, id), true); v != VerdictDrop {
+	if v := nfkittest.Send(a, fwFrame(t, id), true); v != nf.Drop {
 		t.Fatalf("icmp %v", v)
 	}
-	if v := fw.Process(nil, true); v != VerdictDrop {
+	if v := nfkittest.Send(a, nil, true); v != nf.Drop {
 		t.Fatalf("empty frame %v", v)
 	}
 }
@@ -118,14 +125,16 @@ func TestFirewallNonNATableDropped(t *testing.T) {
 func TestFirewallProcessNoAllocs(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	fw, _ := New(1024, time.Second, clock)
+	a := AsNF(fw)
 	fresh := fwFrame(t, outKey(0))
 	work := make([]byte, len(fresh))
+	pkts, verdicts := []nf.Pkt{{Frame: work, FromInternal: true}}, make([]nf.Verdict, 1)
 	copy(work, fresh)
-	fw.Process(work, true)
+	a.ProcessBatch(pkts, verdicts)
 	allocs := testing.AllocsPerRun(200, func() {
 		copy(work, fresh)
 		clock.Advance(10)
-		fw.Process(work, true)
+		a.ProcessBatch(pkts, verdicts)
 	})
 	if allocs != 0 {
 		t.Fatalf("fast path allocates %.1f times per packet", allocs)

@@ -506,20 +506,6 @@ func (b *Balancer) ExpireAt(now libvig.Time) int {
 	return freed
 }
 
-// Process runs one frame through the balancer at the clock's current
-// time. The frame is rewritten in place when forwarded to a backend or
-// back to a client. fromInternal says which interface the frame arrived
-// on. This is the per-packet fast path: it performs no allocation.
-func (b *Balancer) Process(frame []byte, fromInternal bool) Verdict {
-	return b.ProcessAt(frame, fromInternal, b.clock.Now())
-}
-
-// ProcessAt is Process at an explicit time, for batched callers that
-// read the clock once per burst.
-func (b *Balancer) ProcessAt(frame []byte, fromInternal bool, now libvig.Time) Verdict {
-	return b.process(&nf.Pkt{Frame: frame, FromInternal: fromInternal}, now)
-}
-
 // process runs one packet through prodProcessPacket, ProcessPacket
 // instantiated at *prodEnv (process_gen.go, written by vigor/instgen).
 func (b *Balancer) process(pkt *nf.Pkt, now libvig.Time) Verdict {

@@ -90,6 +90,28 @@ func parseChecked(t *testing.T, frame []byte) netstack.Packet {
 	return p
 }
 
+// send hands frame to n, a balancer's adapter, as a one-packet burst
+// and reads the outcome back as the balancer's own verdict: the reason
+// cell the packet moved tells a forward to a backend, to a client and a
+// passthrough apart.
+func send(t *testing.T, n nf.NF, frame []byte, fromInternal bool) lb.Verdict {
+	t.Helper()
+	if nfkittest.Send(n, frame, fromInternal) == nf.Drop {
+		return lb.VerdictDrop
+	}
+	switch r := n.(interface{ LastReasonName() string }).LastReasonName(); r {
+	case "fwd_backend":
+		return lb.VerdictToBackend
+	case "fwd_client":
+		return lb.VerdictToClient
+	case "pass_non_vip", "pass_no_session":
+		return lb.VerdictPassthrough
+	default:
+		t.Fatalf("forwarded under reason %q", r)
+		return lb.VerdictDrop
+	}
+}
+
 func TestBalancerSteersAndRestores(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	b, ips := balancerForTest(t, clock, 4)
@@ -97,7 +119,8 @@ func TestBalancerSteersAndRestores(t *testing.T) {
 
 	id := clientID(7)
 	frame := craft(t, buf, id)
-	if v := b.Process(frame, false); v != lb.VerdictToBackend {
+	a := lb.AsNF(b)
+	if v := send(t, a, frame, false); v != lb.VerdictToBackend {
 		t.Fatalf("client packet verdict %v", v)
 	}
 	p := parseChecked(t, frame)
@@ -121,7 +144,7 @@ func TestBalancerSteersAndRestores(t *testing.T) {
 		DstIP: id.SrcIP, DstPort: id.SrcPort, Proto: id.Proto,
 	}
 	rframe := craft(t, buf, reply)
-	if v := b.Process(rframe, true); v != lb.VerdictToClient {
+	if v := send(t, a, rframe, true); v != lb.VerdictToClient {
 		t.Fatalf("reply verdict %v", v)
 	}
 	rp := parseChecked(t, rframe)
@@ -142,13 +165,14 @@ func TestBalancerSticky(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	b, _ := balancerForTest(t, clock, 8)
 	buf := make([]byte, 2048)
+	a := lb.AsNF(b)
 
 	first := make(map[int]flow.Addr)
 	for round := 0; round < 5; round++ {
 		clock.Advance((testTexp / 4).Nanoseconds()) // stay within Texp
 		for i := 0; i < 32; i++ {
 			frame := craft(t, buf, clientID(i))
-			if b.Process(frame, false) != lb.VerdictToBackend {
+			if send(t, a, frame, false) != lb.VerdictToBackend {
 				t.Fatal("drop")
 			}
 			var p netstack.Packet
@@ -173,7 +197,8 @@ func TestBalancerExpiry(t *testing.T) {
 	buf := make([]byte, 2048)
 
 	frame := craft(t, buf, clientID(1))
-	if b.Process(frame, false) != lb.VerdictToBackend {
+	a := lb.AsNF(b)
+	if send(t, a, frame, false) != lb.VerdictToBackend {
 		t.Fatal("drop")
 	}
 	if b.Table().Size() != 1 {
@@ -196,11 +221,12 @@ func TestBalancerBackendRemovalRemapsOnlyItsFlows(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	b, ips := balancerForTest(t, clock, 8)
 	buf := make([]byte, 2048)
+	a := lb.AsNF(b)
 
 	assigned := make(map[int]flow.Addr)
 	for i := 0; i < 48; i++ {
 		frame := craft(t, buf, clientID(i))
-		if b.Process(frame, false) != lb.VerdictToBackend {
+		if send(t, a, frame, false) != lb.VerdictToBackend {
 			t.Fatal("drop")
 		}
 		var p netstack.Packet
@@ -217,7 +243,7 @@ func TestBalancerBackendRemovalRemapsOnlyItsFlows(t *testing.T) {
 	}
 	for i := 0; i < 48; i++ {
 		frame := craft(t, buf, clientID(i))
-		if b.Process(frame, false) != lb.VerdictToBackend {
+		if send(t, a, frame, false) != lb.VerdictToBackend {
 			t.Fatal("drop after removal")
 		}
 		var p netstack.Packet
@@ -254,6 +280,7 @@ func TestBalancerAnyPortVIP(t *testing.T) {
 	}
 	addBackends(t, clock, 4, b.AddBackend)
 	buf := make([]byte, 2048)
+	a := lb.AsNF(b)
 
 	ports := []uint16{22, 443, 8080}
 	backendOf := map[uint16]flow.Addr{}
@@ -262,7 +289,7 @@ func TestBalancerAnyPortVIP(t *testing.T) {
 		id := client
 		id.DstPort = port
 		frame := craft(t, buf, id)
-		if v := b.Process(frame, false); v != lb.VerdictToBackend {
+		if v := send(t, a, frame, false); v != lb.VerdictToBackend {
 			t.Fatalf("port %d verdict %v", port, v)
 		}
 		p := parseChecked(t, frame)
@@ -281,7 +308,7 @@ func TestBalancerAnyPortVIP(t *testing.T) {
 			DstIP: client.SrcIP, DstPort: client.SrcPort, Proto: client.Proto,
 		}
 		frame := craft(t, buf, reply)
-		if v := b.Process(frame, true); v != lb.VerdictToClient {
+		if v := send(t, a, frame, true); v != lb.VerdictToClient {
 			t.Fatalf("port %d reply verdict %v", port, v)
 		}
 		if p := parseChecked(t, frame); p.SrcIP != testVIP {
@@ -292,7 +319,7 @@ func TestBalancerAnyPortVIP(t *testing.T) {
 	// any-port clause widened only the VIP match.
 	off := client
 	off.DstIP = flow.MakeAddr(8, 8, 8, 8)
-	if v := b.Process(craft(t, buf, off), false); v != lb.VerdictDrop {
+	if v := send(t, a, craft(t, buf, off), false); v != lb.VerdictDrop {
 		t.Fatalf("non-VIP verdict %v in any-port mode", v)
 	}
 }
@@ -304,8 +331,9 @@ func TestBalancerUnpinnedAccounting(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	b, _ := balancerForTest(t, clock, 4)
 	buf := make([]byte, 2048)
+	a := lb.AsNF(b)
 	for i := 0; i < 32; i++ {
-		if b.Process(craft(t, buf, clientID(i)), false) != lb.VerdictToBackend {
+		if send(t, a, craft(t, buf, clientID(i)), false) != lb.VerdictToBackend {
 			t.Fatal("drop")
 		}
 	}
@@ -345,7 +373,8 @@ func TestBalancerBackendLivenessExpiry(t *testing.T) {
 	}
 	clock.Advance(time.Second.Nanoseconds()/2 + 1)
 	frame := craft(t, buf, clientID(0))
-	if b.Process(frame, false) != lb.VerdictToBackend {
+	a := lb.AsNF(b)
+	if send(t, a, frame, false) != lb.VerdictToBackend {
 		t.Fatal("drop")
 	}
 	if b.LiveBackends() != 1 {
@@ -368,7 +397,8 @@ func TestBalancerDropsWithoutBackends(t *testing.T) {
 	b, _ := balancerForTest(t, clock, 0)
 	buf := make([]byte, 2048)
 	frame := craft(t, buf, clientID(0))
-	if v := b.Process(frame, false); v != lb.VerdictDrop {
+	a := lb.AsNF(b)
+	if v := send(t, a, frame, false); v != lb.VerdictDrop {
 		t.Fatalf("verdict %v with no backends", v)
 	}
 }
@@ -380,13 +410,14 @@ func TestBalancerNonVIPPolicy(t *testing.T) {
 	other.DstIP = flow.MakeAddr(8, 8, 8, 8)
 
 	b, _ := balancerForTest(t, clock, 2)
-	if v := b.Process(craft(t, buf, other), false); v != lb.VerdictDrop {
+	a := lb.AsNF(b)
+	if v := send(t, a, craft(t, buf, other), false); v != lb.VerdictDrop {
 		t.Fatalf("standalone balancer: non-VIP verdict %v, want drop", v)
 	}
 	// Wrong port on the VIP is not VIP traffic either.
 	wrongPort := clientID(0)
 	wrongPort.DstPort = 80
-	if v := b.Process(craft(t, buf, wrongPort), false); v != lb.VerdictDrop {
+	if v := send(t, a, craft(t, buf, wrongPort), false); v != lb.VerdictDrop {
 		t.Fatalf("standalone balancer: wrong-port verdict %v, want drop", v)
 	}
 
@@ -401,7 +432,8 @@ func TestBalancerNonVIPPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	frame := craft(t, buf, other)
-	if v := pt.Process(frame, false); v != lb.VerdictPassthrough {
+	apt := lb.AsNF(pt)
+	if v := send(t, apt, frame, false); v != lb.VerdictPassthrough {
 		t.Fatalf("chained balancer: non-VIP verdict %v, want passthrough", v)
 	}
 	p := parseChecked(t, frame)
@@ -409,7 +441,7 @@ func TestBalancerNonVIPPolicy(t *testing.T) {
 		t.Fatal("passthrough modified the frame")
 	}
 	// An unmatched backend-side packet passes through too.
-	if v := pt.Process(craft(t, buf, other.Reverse()), true); v != lb.VerdictPassthrough {
+	if v := send(t, apt, craft(t, buf, other.Reverse()), true); v != lb.VerdictPassthrough {
 		t.Fatalf("chained balancer: unmatched reply verdict %v, want passthrough", v)
 	}
 }
@@ -425,16 +457,17 @@ func TestBalancerTableFullDrops(t *testing.T) {
 	}
 	addBackends(t, clock, 2, b.AddBackend)
 	buf := make([]byte, 2048)
+	a := lb.AsNF(b)
 	for i := 0; i < 4; i++ {
-		if b.Process(craft(t, buf, clientID(i)), false) != lb.VerdictToBackend {
+		if send(t, a, craft(t, buf, clientID(i)), false) != lb.VerdictToBackend {
 			t.Fatalf("flow %d dropped below capacity", i)
 		}
 	}
-	if v := b.Process(craft(t, buf, clientID(4)), false); v != lb.VerdictDrop {
+	if v := send(t, a, craft(t, buf, clientID(4)), false); v != lb.VerdictDrop {
 		t.Fatalf("fresh flow at capacity: verdict %v, want drop", v)
 	}
 	// Existing flows still pass.
-	if b.Process(craft(t, buf, clientID(2)), false) != lb.VerdictToBackend {
+	if send(t, a, craft(t, buf, clientID(2)), false) != lb.VerdictToBackend {
 		t.Fatal("live flow dropped at capacity")
 	}
 }
@@ -479,7 +512,8 @@ func TestBalancerClientsInternalOrientation(t *testing.T) {
 	}
 	frame := craft(t, buf, id)
 	// Clients are internal now: the VIP-bound packet arrives fromInternal.
-	if v := b.Process(frame, true); v != lb.VerdictToBackend {
+	a := lb.AsNF(b)
+	if v := send(t, a, frame, true); v != lb.VerdictToBackend {
 		t.Fatalf("internal client verdict %v", v)
 	}
 	var p netstack.Packet
@@ -494,7 +528,7 @@ func TestBalancerClientsInternalOrientation(t *testing.T) {
 		SrcIP: backendIP, SrcPort: 53,
 		DstIP: id.SrcIP, DstPort: id.SrcPort, Proto: flow.UDP,
 	})
-	if v := b.Process(reply, false); v != lb.VerdictToClient {
+	if v := send(t, a, reply, false); v != lb.VerdictToClient {
 		t.Fatalf("reply verdict %v", v)
 	}
 	var rp netstack.Packet
@@ -565,6 +599,7 @@ func TestShardedLBAgreesWithUnsharded(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	s, _ := shardedForTest(t, clock, 4, 8)
 	u, _ := balancerForTest(t, clock, 8)
+	au := lb.AsNF(u)
 	buf1 := make([]byte, 2048)
 	buf2 := make([]byte, 2048)
 	for i := 0; i < 48; i++ { // within the unsharded fixture's capacity
@@ -574,7 +609,7 @@ func TestShardedLBAgreesWithUnsharded(t *testing.T) {
 		if nfkittest.Send(s, f1, false) != nf.Forward {
 			t.Fatal("sharded drop")
 		}
-		if u.Process(f2, false) != lb.VerdictToBackend {
+		if send(t, au, f2, false) != lb.VerdictToBackend {
 			t.Fatal("unsharded drop")
 		}
 		var p1, p2 netstack.Packet

@@ -8,6 +8,7 @@ import (
 	"vignat/internal/libvig"
 	"vignat/internal/nat"
 	"vignat/internal/netstack"
+	"vignat/internal/nf"
 	"vignat/internal/nf/nfkit"
 )
 
@@ -38,9 +39,14 @@ func Example() {
 	frame := netstack.Craft(make([]byte, netstack.FrameLen(spec)), spec)
 	fmt.Println("outbound before NAT:", tuple(frame))
 
-	// 3. The NAT rewrites in place and tells you what it did.
-	verdict := n.Process(frame, true /* from internal interface */)
-	fmt.Println("verdict:", verdict)
+	// 3. The NAT runs behind its adapter, the nf.NF the engine drives:
+	// hand it a burst (here of one packet) and it rewrites in place and
+	// tells you what it did. Forward means out the other interface.
+	a := nat.AsNF(n)
+	pkts := []nf.Pkt{{Frame: frame, FromInternal: true /* from internal interface */}}
+	verdicts := make([]nf.Verdict, len(pkts))
+	a.ProcessBatch(pkts, verdicts)
+	fmt.Println("verdict:", verdicts[0])
 	fmt.Println("outbound after NAT: ", tuple(frame))
 
 	// 4. The server replies to the translated endpoint...
@@ -50,8 +56,9 @@ func Example() {
 	fmt.Println("reply before NAT:   ", tuple(reply))
 
 	// 5. ...and the NAT forwards it back to the internal host.
-	verdict = n.Process(reply, false /* from external interface */)
-	fmt.Println("verdict:", verdict)
+	pkts[0] = nf.Pkt{Frame: reply, FromInternal: false /* from external interface */}
+	a.ProcessBatch(pkts, verdicts)
+	fmt.Println("verdict:", verdicts[0])
 	fmt.Println("reply after NAT:    ", tuple(reply))
 
 	// 6. State is visible for inspection.
@@ -66,10 +73,10 @@ func Example() {
 	fmt.Println(report.Summary())
 	// Output:
 	// outbound before NAT: tcp 10.0.0.42:51234>93.184.216.34:80
-	// verdict: fwd-external
+	// verdict: forward
 	// outbound after NAT:  tcp 203.0.113.1:1>93.184.216.34:80
 	// reply before NAT:    tcp 93.184.216.34:80>203.0.113.1:1
-	// verdict: fwd-internal
+	// verdict: forward
 	// reply after NAT:     tcp 93.184.216.34:80>10.0.0.42:51234
 	// live flows: 1 (capacity 65535)
 	// PROOF COMPLETE (vignat, exact model): 11 paths, 109 tasks; P1: 0, P2: 0, P4: 0, P5: 0

@@ -120,17 +120,18 @@ func TestShardedSpreads(t *testing.T) {
 }
 
 // TestShardedOneShardMatchesPlainNAT: with one shard the sharded NAT is
-// behaviorally the plain verified NAT.
+// behaviorally the plain verified NAT behind its adapter.
 func TestShardedOneShardMatchesPlainNAT(t *testing.T) {
 	cfg := Config{
 		Capacity: 128, Timeout: time.Hour,
 		ExternalIP: flow.MakeAddr(198, 18, 1, 1), PortBase: 2000, ExternalPort: 1,
 	}
 	clock := libvig.NewVirtualClock(0)
-	plain, err := New(cfg, clock)
+	core, err := New(cfg, clock)
 	if err != nil {
 		t.Fatal(err)
 	}
+	plain := AsNF(core)
 	s, err := NewSharded(cfg, libvig.NewVirtualClock(0), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +142,7 @@ func TestShardedOneShardMatchesPlainNAT(t *testing.T) {
 		id := testFlowID(i % 8) // revisit flows: exercise hit and miss paths
 		a := craftUDP(t, bufA, id)
 		b := craftUDP(t, bufB, id)
-		va := verdictOf(plain.Process(a, true))
+		va := nfkittest.Send(plain, a, true)
 		vb := nfkittest.Send(s, b, true)
 		if va != vb {
 			t.Fatalf("packet %d: plain %v, sharded %v", i, va, vb)

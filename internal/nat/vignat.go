@@ -111,21 +111,6 @@ func (n *NAT) Table() *FlowTable { return &n.table }
 // Stats returns a snapshot of the counters.
 func (n *NAT) Stats() Stats { return statsOf(n.counters[:]) }
 
-// Process runs one frame through the NAT at the clock's current time.
-// The frame is rewritten in place when forwarded. fromInternal says which
-// interface the frame arrived on. This is the per-packet fast path: it
-// performs no allocation.
-func (n *NAT) Process(frame []byte, fromInternal bool) stateless.Verdict {
-	return n.ProcessAt(frame, fromInternal, n.clock.Now())
-}
-
-// ProcessAt is Process at an explicit time. Batched callers read the
-// clock once per burst and feed the same timestamp to every packet,
-// the way DPDK NFs sample the TSC once per rx_burst.
-func (n *NAT) ProcessAt(frame []byte, fromInternal bool, now libvig.Time) stateless.Verdict {
-	return n.process(&nf.Pkt{Frame: frame, FromInternal: fromInternal}, now)
-}
-
 // process runs one packet through prodProcessPacket: the verified
 // stateless.ProcessPacket instantiated at *prodEnv (process_gen.go,
 // written by vigor/instgen), so that every env call is a direct one.

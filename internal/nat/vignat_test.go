@@ -6,9 +6,9 @@ import (
 
 	"vignat/internal/flow"
 	"vignat/internal/libvig"
-	"vignat/internal/nat/stateless"
 	"vignat/internal/netstack"
 	"vignat/internal/nf"
+	"vignat/internal/nf/nfkit/nfkittest"
 )
 
 func testNAT(t *testing.T, cap int, timeout time.Duration, clock libvig.Clock) *NAT {
@@ -56,7 +56,7 @@ func TestNATDefaultConfigEndToEnd(t *testing.T) {
 		DstIP: flow.MakeAddr(8, 8, 8, 8), DstPort: 53, Proto: flow.UDP,
 	}
 	f := frameFor(t, id)
-	if v := n.Process(f, true); v != stateless.VerdictToExternal {
+	if v := nfkittest.Send(AsNF(n), f, true); v != nf.Forward {
 		t.Fatalf("verdict %v", v)
 	}
 	if got := parseTuple(t, f); got.SrcIP != tExtIP || got.SrcPort < DefaultPortBase {
@@ -67,10 +67,11 @@ func TestNATDefaultConfigEndToEnd(t *testing.T) {
 func TestNATOutboundCreatesAndRewrites(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	n := testNAT(t, 16, time.Second, clock)
+	a := AsNF(n)
 	id := intKey(0)
 	f := frameFor(t, id)
-	v := n.Process(f, true)
-	if v != stateless.VerdictToExternal {
+	v := nfkittest.Send(a, f, true)
+	if v != nf.Forward {
 		t.Fatalf("verdict %v", v)
 	}
 	got := parseTuple(t, f)
@@ -95,15 +96,16 @@ func TestNATOutboundCreatesAndRewrites(t *testing.T) {
 func TestNATHairpinRoundTrip(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	n := testNAT(t, 16, time.Second, clock)
+	a := AsNF(n)
 	id := intKey(3)
 	out := frameFor(t, id)
-	n.Process(out, true)
+	nfkittest.Send(a, out, true)
 	ext := parseTuple(t, out)
 
 	// Build the reply: remote peer answers the translated tuple.
 	reply := frameFor(t, ext.Reverse())
-	v := n.Process(reply, false)
-	if v != stateless.VerdictToInternal {
+	v := nfkittest.Send(a, reply, false)
+	if v != nf.Forward {
 		t.Fatalf("reply verdict %v", v)
 	}
 	back := parseTuple(t, reply)
@@ -118,9 +120,10 @@ func TestNATHairpinRoundTrip(t *testing.T) {
 func TestNATUnsolicitedExternalDropped(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	n := testNAT(t, 16, time.Second, clock)
+	a := AsNF(n)
 	stranger := flow.ID{SrcIP: flow.MakeAddr(9, 9, 9, 9), SrcPort: 9999, DstIP: tExtIP, DstPort: 100, Proto: flow.TCP}
 	f := frameFor(t, stranger)
-	if v := n.Process(f, false); v != stateless.VerdictDrop {
+	if v := nfkittest.Send(a, f, false); v != nf.Drop {
 		t.Fatalf("unsolicited external packet: %v", v)
 	}
 }
@@ -128,11 +131,12 @@ func TestNATUnsolicitedExternalDropped(t *testing.T) {
 func TestNATExternalNeverCreatesState(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	n := testNAT(t, 16, time.Second, clock)
+	a := AsNF(n)
 	stranger := flow.ID{SrcIP: flow.MakeAddr(9, 9, 9, 9), SrcPort: 9999, DstIP: tExtIP, DstPort: 100, Proto: flow.TCP}
 	for i := 0; i < 10; i++ {
 		clock.Advance(1000)
 		f := frameFor(t, stranger)
-		n.Process(f, false)
+		nfkittest.Send(a, f, false)
 	}
 	if n.Table().Size() != 0 {
 		t.Fatal("external packets created flow state")
@@ -142,14 +146,15 @@ func TestNATExternalNeverCreatesState(t *testing.T) {
 func TestNATExpiryEndsSession(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	n := testNAT(t, 16, time.Second, clock)
+	a := AsNF(n)
 	id := intKey(1)
 	out := frameFor(t, id)
-	n.Process(out, true)
+	nfkittest.Send(a, out, true)
 	ext := parseTuple(t, out)
 
 	clock.Advance(2 * time.Second.Nanoseconds())
 	reply := frameFor(t, ext.Reverse())
-	if v := n.Process(reply, false); v != stateless.VerdictDrop {
+	if v := nfkittest.Send(a, reply, false); v != nf.Drop {
 		t.Fatalf("reply on expired session: %v", v)
 	}
 	if n.Stats().FlowsExpired != 1 {
@@ -160,13 +165,14 @@ func TestNATExpiryEndsSession(t *testing.T) {
 func TestNATRejuvenationKeepsSessionAlive(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	n := testNAT(t, 16, time.Second, clock)
+	a := AsNF(n)
 	id := intKey(1)
 	var ext flow.ID
 	// Send a packet every 0.6s for 5s: each refreshes the flow, so it
 	// must survive though its total age far exceeds 1s.
 	for i := 0; i < 9; i++ {
 		out := frameFor(t, id)
-		if v := n.Process(out, true); v != stateless.VerdictToExternal {
+		if v := nfkittest.Send(a, out, true); v != nf.Forward {
 			t.Fatalf("packet %d: %v", i, v)
 		}
 		ext = parseTuple(t, out)
@@ -178,7 +184,7 @@ func TestNATRejuvenationKeepsSessionAlive(t *testing.T) {
 	// Reply path also rejuvenates (Fig. 6 updates timestamps for any
 	// matching packet).
 	reply := frameFor(t, ext.Reverse())
-	if v := n.Process(reply, false); v != stateless.VerdictToInternal {
+	if v := nfkittest.Send(a, reply, false); v != nf.Forward {
 		t.Fatalf("reply: %v", v)
 	}
 }
@@ -186,19 +192,20 @@ func TestNATRejuvenationKeepsSessionAlive(t *testing.T) {
 func TestNATTableFullDropsNewFlows(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	n := testNAT(t, 4, time.Hour, clock)
+	a := AsNF(n)
 	for i := 0; i < 4; i++ {
 		f := frameFor(t, intKey(i))
-		if v := n.Process(f, true); v != stateless.VerdictToExternal {
+		if v := nfkittest.Send(a, f, true); v != nf.Forward {
 			t.Fatalf("flow %d: %v", i, v)
 		}
 	}
 	f := frameFor(t, intKey(99))
-	if v := n.Process(f, true); v != stateless.VerdictDrop {
+	if v := nfkittest.Send(a, f, true); v != nf.Drop {
 		t.Fatalf("over-capacity flow: %v", v)
 	}
 	// Existing flows keep working at capacity.
 	f = frameFor(t, intKey(2))
-	if v := n.Process(f, true); v != stateless.VerdictToExternal {
+	if v := nfkittest.Send(a, f, true); v != nf.Forward {
 		t.Fatalf("existing flow at capacity: %v", v)
 	}
 }
@@ -206,12 +213,13 @@ func TestNATTableFullDropsNewFlows(t *testing.T) {
 func TestNATStablePortPerSession(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	n := testNAT(t, 16, time.Hour, clock)
+	a := AsNF(n)
 	id := intKey(5)
 	out1 := frameFor(t, id)
-	n.Process(out1, true)
+	nfkittest.Send(a, out1, true)
 	p1 := parseTuple(t, out1).SrcPort
 	out2 := frameFor(t, id)
-	n.Process(out2, true)
+	nfkittest.Send(a, out2, true)
 	p2 := parseTuple(t, out2).SrcPort
 	if p1 != p2 {
 		t.Fatalf("session port changed: %d then %d", p1, p2)
@@ -221,10 +229,11 @@ func TestNATStablePortPerSession(t *testing.T) {
 func TestNATDistinctFlowsDistinctPorts(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	n := testNAT(t, 64, time.Hour, clock)
+	a := AsNF(n)
 	seen := map[uint16]bool{}
 	for i := 0; i < 64; i++ {
 		f := frameFor(t, intKey(i))
-		n.Process(f, true)
+		nfkittest.Send(a, f, true)
 		p := parseTuple(t, f).SrcPort
 		if seen[p] {
 			t.Fatalf("port %d reused across live flows", p)
@@ -236,6 +245,7 @@ func TestNATDistinctFlowsDistinctPorts(t *testing.T) {
 func TestNATNonNATableDropped(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	n := testNAT(t, 16, time.Second, clock)
+	a := AsNF(n)
 	cases := map[string][]byte{
 		"empty":     {},
 		"runt":      make([]byte, 10),
@@ -245,7 +255,7 @@ func TestNATNonNATableDropped(t *testing.T) {
 		"truncated": frameFor(t, intKey(0))[:netstack.EthHeaderLen+8],
 	}
 	for name, f := range cases {
-		if v := n.Process(f, true); v != stateless.VerdictDrop {
+		if v := nfkittest.Send(a, f, true); v != nf.Drop {
 			t.Errorf("%s: verdict %v, want drop", name, v)
 		}
 	}
@@ -264,21 +274,24 @@ func fragmentFrame(t *testing.T) []byte {
 	return f
 }
 
-// TestNATProcessNoAllocs pins the preallocation claim: the per-packet
-// fast path performs zero heap allocations, like the C original.
+// TestNATProcessNoAllocs pins the preallocation claim: a one-packet
+// burst through the adapter performs zero heap allocations, like the C
+// original.
 func TestNATProcessNoAllocs(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	n := testNAT(t, 1024, time.Second, clock)
+	a := AsNF(n)
 	id := intKey(1)
 	f := frameFor(t, id)
-	n.Process(f, true) // establish
+	nfkittest.Send(a, f, true) // establish
 
 	fresh := frameFor(t, id)
 	work := make([]byte, len(fresh))
+	pkts, verdicts := []nf.Pkt{{Frame: work, FromInternal: true}}, make([]nf.Verdict, 1)
 	allocs := testing.AllocsPerRun(200, func() {
 		copy(work, fresh)
 		clock.Advance(10)
-		n.Process(work, true)
+		a.ProcessBatch(pkts, verdicts)
 	})
 	if allocs != 0 {
 		t.Fatalf("fast path allocates %.1f times per packet", allocs)
@@ -291,14 +304,16 @@ func TestNATProcessNoAllocs(t *testing.T) {
 func TestNATProbePathNoAllocs(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	n := testNAT(t, 1024, time.Millisecond, clock)
+	a := AsNF(n)
 	id := intKey(1)
 	fresh := frameFor(t, id)
 	work := make([]byte, len(fresh))
+	pkts, verdicts := []nf.Pkt{{Frame: work, FromInternal: true}}, make([]nf.Verdict, 1)
 	allocs := testing.AllocsPerRun(200, func() {
 		copy(work, fresh)
 		clock.Advance(2 * time.Millisecond.Nanoseconds())
-		if v := n.Process(work, true); v != stateless.VerdictToExternal {
-			t.Fatalf("probe path verdict %v", v)
+		if a.ProcessBatch(pkts, verdicts); verdicts[0] != nf.Forward {
+			t.Fatalf("probe path verdict %v", verdicts[0])
 		}
 	})
 	if allocs != 0 {

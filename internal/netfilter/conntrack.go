@@ -18,8 +18,8 @@ import (
 
 	"vignat/internal/flow"
 	"vignat/internal/libvig"
-	"vignat/internal/nat/stateless"
 	"vignat/internal/netstack"
+	"vignat/internal/nf"
 )
 
 // direction of a tuple within a connection.
@@ -238,42 +238,56 @@ func New(capacity int, extIP flow.Addr, portBase uint16, timeout time.Duration, 
 	return &NAT{ct: ct, clock: clock, timeout: timeout.Nanoseconds()}, nil
 }
 
+var _ nf.NF = (*NAT)(nil)
+
 // Conntrack exposes the tracker for tests.
 func (n *NAT) Conntrack() *Conntrack { return n.ct }
 
-// Processed returns the number of packets handled.
-func (n *NAT) Processed() uint64 { return n.processed }
+// Name identifies the NF.
+func (n *NAT) Name() string { return "netfilter" }
 
-// Dropped returns the number of packets dropped.
-func (n *NAT) Dropped() uint64 { return n.dropped }
+// ProcessBatch runs each packet through process, in order.
+func (n *NAT) ProcessBatch(pkts []nf.Pkt, verdicts []nf.Verdict) {
+	for i := range pkts {
+		verdicts[i] = n.process(pkts[i].Frame, pkts[i].FromInternal)
+	}
+}
 
-// Process runs one frame through the masquerade path. Packets from the
+// Expire evicts every connection idle since before now−Texp.
+func (n *NAT) Expire(now libvig.Time) int { return n.ct.expireBefore(now - n.timeout + 1) }
+
+// NFStats reports the packets processed and dropped.
+func (n *NAT) NFStats() nf.Stats {
+	return nf.Stats{Processed: n.processed, Forwarded: n.processed - n.dropped, Dropped: n.dropped}
+}
+
+// process runs one frame through the masquerade path. Packets from the
 // internal interface are SNATed to extIP; reply packets matching the
 // reply tuple are de-NATed. Semantics match iptables MASQUERADE with a
 // default-drop forward policy for unsolicited external packets.
-func (n *NAT) Process(frame []byte, fromInternal bool) stateless.Verdict {
+func (n *NAT) process(frame []byte, fromInternal bool) nf.Verdict {
 	n.processed++
 	now := n.clock.Now()
 	// The kernel expires lazily via its gc worker; per-packet here keeps
 	// occupancy semantics aligned with the other NATs for the testbed.
-	n.ct.expireBefore(now - n.timeout + 1)
+	n.Expire(now)
 
 	p := &n.pkt
 	if err := p.Parse(frame); err != nil || !p.NATable() {
 		n.dropped++
-		return stateless.VerdictDrop
+		return nf.Drop
 	}
 	id := p.FlowID()
 	node := n.ct.lookup(id)
 	if node == nil {
 		if !fromInternal {
 			n.dropped++
-			return stateless.VerdictDrop
+			return nf.Drop
 		}
 		cn := n.ct.create(id, now)
 		if cn == nil {
 			n.dropped++ // table full: kernel drops new connections
-			return stateless.VerdictDrop
+			return nf.Drop
 		}
 		node = &cn.nodes[dirOriginal]
 	}
@@ -284,10 +298,10 @@ func (n *NAT) Process(frame []byte, fromInternal bool) stateless.Verdict {
 	if node.dir == dirOriginal {
 		p.SetSrcIP(n.ct.extIP)
 		p.SetSrcPort(cn.natPort)
-		return stateless.VerdictToExternal
+		return nf.Forward
 	}
 	orig := cn.nodes[dirOriginal].tuple
 	p.SetDstIP(orig.SrcIP)
 	p.SetDstPort(orig.SrcPort)
-	return stateless.VerdictToInternal
+	return nf.Forward
 }

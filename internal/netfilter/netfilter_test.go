@@ -6,8 +6,9 @@ import (
 
 	"vignat/internal/flow"
 	"vignat/internal/libvig"
-	"vignat/internal/nat/stateless"
 	"vignat/internal/netstack"
+	"vignat/internal/nf"
+	"vignat/internal/nf/nfkit/nfkittest"
 )
 
 var extIP = flow.MakeAddr(198, 18, 1, 1)
@@ -93,7 +94,7 @@ func TestNATProcessEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := frame(t, key(3))
-	if v := n.Process(out, true); v != stateless.VerdictToExternal {
+	if v := nfkittest.Send(n, out, true); v != nf.Forward {
 		t.Fatalf("outbound %v", v)
 	}
 	var p netstack.Packet
@@ -102,7 +103,7 @@ func TestNATProcessEndToEnd(t *testing.T) {
 		t.Fatal("not masqueraded")
 	}
 	reply := frame(t, p.FlowID().Reverse())
-	if v := n.Process(reply, false); v != stateless.VerdictToInternal {
+	if v := nfkittest.Send(n, reply, false); v != nf.Forward {
 		t.Fatalf("reply %v", v)
 	}
 	var q netstack.Packet
@@ -116,7 +117,7 @@ func TestNATUnsolicitedDropped(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	n, _ := New(32, extIP, 1000, time.Second, clock)
 	stranger := flow.ID{SrcIP: flow.MakeAddr(9, 9, 9, 9), SrcPort: 1, DstIP: extIP, DstPort: 1000, Proto: flow.UDP}
-	if v := n.Process(frame(t, stranger), false); v != stateless.VerdictDrop {
+	if v := nfkittest.Send(n, frame(t, stranger), false); v != nf.Drop {
 		t.Fatalf("unsolicited %v", v)
 	}
 	if n.Conntrack().Size() != 0 {
@@ -128,11 +129,11 @@ func TestNATTableFull(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	n, _ := New(2, extIP, 1000, time.Hour, clock)
 	for i := 0; i < 2; i++ {
-		if v := n.Process(frame(t, key(i)), true); v != stateless.VerdictToExternal {
+		if v := nfkittest.Send(n, frame(t, key(i)), true); v != nf.Forward {
 			t.Fatalf("conn %d: %v", i, v)
 		}
 	}
-	if v := n.Process(frame(t, key(9)), true); v != stateless.VerdictDrop {
+	if v := nfkittest.Send(n, frame(t, key(9)), true); v != nf.Drop {
 		t.Fatalf("over capacity: %v", v)
 	}
 }

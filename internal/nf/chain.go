@@ -46,9 +46,10 @@ type Chain struct {
 }
 
 var (
-	_ NF        = (*Chain)(nil)
-	_ Publisher = (*Chain)(nil)
-	_ Scraper   = (*Chain)(nil)
+	_ NF          = (*Chain)(nil)
+	_ Publisher   = (*Chain)(nil)
+	_ Scraper     = (*Chain)(nil)
+	_ TableFiller = (*Chain)(nil)
 )
 
 // NewChain builds a chain from elems, ordered internal→external.
@@ -93,6 +94,19 @@ func (c *Chain) Name() string {
 
 // Elems returns the chain's elements, ordered internal→external.
 func (c *Chain) Elems() []NF { return c.elems }
+
+// FlowTables returns the fills of the elements that keep flow tables, in
+// chain order, each labelled with its element's name.
+func (c *Chain) FlowTables() []TableFill {
+	var out []TableFill
+	for _, e := range c.elems {
+		for _, f := range FlowTablesOf(e) {
+			f.Elem = e.Name()
+			out = append(out, f)
+		}
+	}
+	return out
+}
 
 // ProcessBatch runs the burst through the chain one *element pass* at
 // a time: every element processes the whole surviving sub-burst before

@@ -364,7 +364,9 @@ func TestFastPathBackendDrainInvalidation(t *testing.T) {
 // pure churn flood (every packet a never-repeating flow — the SYN-scan
 // shape), the cache never hits, and the doorkeeper keeps installs so
 // rare that total time stays within a generous constant factor of the
-// uncached pipeline. Min-of-rounds damps scheduler noise.
+// uncached pipeline. The rounds alternate uncached and cached, so a
+// change in host speed lands on both sides, and min-of-rounds damps
+// scheduler noise.
 func TestFastPathChurnBoundedOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -374,56 +376,52 @@ func TestFastPathChurnBoundedOverhead(t *testing.T) {
 
 	const rounds = 5
 	const burstsPerRound = 400 // × DefaultBurst packets
-	churnTime := func(fastPath int) time.Duration {
-		best := time.Duration(1<<62 - 1)
-		buf := make([]byte, 2048)
-		bufs := make([]*dpdk.Mbuf, 64)
-		for r := 0; r < rounds; r++ {
-			clock := libvig.NewVirtualClock(0)
-			rig := newNATRig(t, clock, natCfg, fastPath)
-			seq := uint32(0)
-			start := time.Now()
-			for b := 0; b < burstsPerRound; b++ {
-				for i := 0; i < nf.DefaultBurst; i++ {
-					seq++
-					id := flow.ID{
-						SrcIP:   flow.MakeAddr(10, byte(seq>>16), byte(seq>>8), byte(seq)),
-						DstIP:   flow.MakeAddr(198, 51, 100, 7),
-						SrcPort: uint16(seq), DstPort: 80, Proto: flow.UDP,
-					}
-					if !rig.intPort.DeliverRx(udpFrame(t, buf, id), 0) {
-						t.Fatal("rx rejected")
-					}
+	buf := make([]byte, 2048)
+	bufs := make([]*dpdk.Mbuf, 64)
+	churnRound := func(fastPath int) time.Duration {
+		clock := libvig.NewVirtualClock(0)
+		rig := newNATRig(t, clock, natCfg, fastPath)
+		seq := uint32(0)
+		start := time.Now()
+		for b := 0; b < burstsPerRound; b++ {
+			for i := 0; i < nf.DefaultBurst; i++ {
+				seq++
+				id := flow.ID{
+					SrcIP:   flow.MakeAddr(10, byte(seq>>16), byte(seq>>8), byte(seq)),
+					DstIP:   flow.MakeAddr(198, 51, 100, 7),
+					SrcPort: uint16(seq), DstPort: 80, Proto: flow.UDP,
 				}
-				if _, err := rig.pipe.Poll(); err != nil {
-					t.Fatal(err)
-				}
-				for {
-					k := rig.extPort.DrainTx(bufs)
-					if k == 0 {
-						break
-					}
-					for j := 0; j < k; j++ {
-						if err := bufs[j].Pool().Free(bufs[j]); err != nil {
-							t.Fatal(err)
-						}
-					}
+				if !rig.intPort.DeliverRx(udpFrame(t, buf, id), 0) {
+					t.Fatal("rx rejected")
 				}
 			}
-			if el := time.Since(start); el < best {
-				best = el
+			if _, err := rig.pipe.Poll(); err != nil {
+				t.Fatal(err)
 			}
-			if fastPath > 0 {
-				if ps := rig.pipe.Stats(); ps.FastPathHits != 0 {
-					t.Fatalf("churn traffic hit the cache: %+v", ps)
+			for {
+				k := rig.extPort.DrainTx(bufs)
+				if k == 0 {
+					break
+				}
+				for j := 0; j < k; j++ {
+					if err := bufs[j].Pool().Free(bufs[j]); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 		}
-		return best
+		el := time.Since(start)
+		if ps := rig.pipe.Stats(); fastPath > 0 && ps.FastPathHits != 0 {
+			t.Fatalf("churn traffic hit the cache: %+v", ps)
+		}
+		return el
 	}
 
-	slow := churnTime(nf.FastPathDisabled)
-	fast := churnTime(4096)
+	slow, fast := time.Duration(1<<62-1), time.Duration(1<<62-1)
+	for r := 0; r < rounds; r++ {
+		slow = min(slow, churnRound(nf.FastPathDisabled))
+		fast = min(fast, churnRound(4096))
+	}
 	ratio := float64(fast) / float64(slow)
 	t.Logf("churn: cached %v, uncached %v, ratio %.3f", fast, slow, ratio)
 	if ratio > 1.5 {

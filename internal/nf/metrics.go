@@ -40,8 +40,8 @@ type MetricSource struct {
 	// high-water mark. Pipeline.Mempools is the intended producer.
 	Mempools func() []MempoolFill
 	// FlowTables, when set, supplies each shard's flow-table capacity and
-	// high-water mark. A TableFiller NF (nfkit.Sharded) is the intended
-	// producer.
+	// high-water mark. A TableFiller NF (nfkit.Sharded, Chain) is the
+	// intended producer.
 	FlowTables func() []TableFill
 }
 
@@ -348,7 +348,11 @@ func (m *Metrics) writeProm(w io.Writer) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", g.name, g.help, g.name)
 		for i, s := range m.sources {
 			for _, f := range tables[i] {
-				fmt.Fprintf(w, "%s{nf=%q,shard=\"%d\"} %d\n", g.name, s.Name, f.Shard, g.get(f))
+				elem := ""
+				if f.Elem != "" {
+					elem = fmt.Sprintf(",elem=%q", f.Elem)
+				}
+				fmt.Fprintf(w, "%s{nf=%q%s,shard=\"%d\"} %d\n", g.name, s.Name, elem, f.Shard, g.get(f))
 			}
 		}
 	}

@@ -671,8 +671,8 @@ func TestMetricsWireExposition(t *testing.T) {
 // TestEngineReportMempoolLine: the end-of-run report prints every RX
 // queue's high-water mark against its pool size, and every shard's
 // flow-table high-water mark against its capacity, on the lines
-// scripts/wire_smoke.sh reads; an NF without flow tables prints no
-// table line.
+// scripts/wire_smoke.sh reads (a chain's labelled by element); an NF
+// without flow tables prints no table line.
 func TestEngineReportMempoolLine(t *testing.T) {
 	pools := []nf.MempoolFill{
 		{Port: "internal", Queue: 0, Size: 1024, HighWater: 37},
@@ -694,6 +694,16 @@ func TestEngineReportMempoolLine(t *testing.T) {
 	nf.FprintEngineReport(&b, nf.PipelineStats{}, nf.Stats{}, pools, nil)
 	if lines := strings.SplitAfter(b.String(), "\n"); len(lines) != 3 || lines[1] != pool {
 		t.Fatalf("report without tables:\n%s\nwant its second and last line:\n%s", b.String(), pool)
+	}
+	// A chain's tables carry the name of the element keeping each.
+	const chained = "  flow table high water: firewall.s0=64/65535 vignat.s0=64/65535\n"
+	b.Reset()
+	nf.FprintEngineReport(&b, nf.PipelineStats{}, nf.Stats{}, pools, []nf.TableFill{
+		{Elem: "firewall", Capacity: 65535, HighWater: 64},
+		{Elem: "vignat", Capacity: 65535, HighWater: 64},
+	})
+	if lines := strings.SplitAfter(b.String(), "\n"); len(lines) != 4 || lines[2] != chained {
+		t.Fatalf("chain report:\n%s\nwant its third line:\n%s", b.String(), chained)
 	}
 }
 

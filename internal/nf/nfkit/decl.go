@@ -16,7 +16,9 @@
 //     — the same body with the Env interface replaced by the concrete
 //     *prodEnv, written by vigor/instgen — and PktGuards.Take hands it
 //     the packet's parse (nf.Pkt.Parsed), so an element after another
-//     neither dispatches through Env nor parses the frame again;
+//     neither dispatches through Env nor parses the frame again. A core
+//     has no per-frame entry of its own: a lone frame is a one-packet
+//     burst, so Take never parses;
 //   - the concurrently-scrapeable sharded composition (Sharded[C],
 //     handing each run of same-shard packets to that shard's adapter,
 //     each shard publishing into its own nf.Block), its live reshard
@@ -100,7 +102,9 @@ type Decl[C any] struct {
 	// Process runs one packet through the core at an explicit time,
 	// returning the engine-level verdict (the NF's own richer verdict
 	// collapses here). It must be allocation-free on the steady state.
-	// The adapter calls it with the packet's parse in pkt.Parsed.
+	// It is the core's one entry: the adapter (and, in tests,
+	// nfkittest.Differential) calls it with the packet's parse in
+	// pkt.Parsed.
 	Process func(core C, pkt *nf.Pkt, now libvig.Time) nf.Verdict
 
 	// Prefetch, when set, runs once before the per-packet loop of a

@@ -12,22 +12,16 @@ import (
 // same methods). A per-NF prodEnv embeds it, calls Take per packet, and
 // keys its state operations by P.
 type PktGuards struct {
-	// P is the packet in hand: the parse it carried (an adapter's or a
-	// chain's), own otherwise.
+	// P is the packet in hand's parse: the adapter's or a chain's.
 	P            *nf.Parsed
-	own          nf.Parsed
 	FromInternal bool
 }
 
-// Take makes pkt the packet in hand. A packet that reached the core
-// through its adapter carries its parse; only a packet handed to the
-// core's own ProcessAt is parsed here.
+// Take makes pkt the packet in hand. Every packet reaches a core
+// through its adapter (Decl.Process), which attaches a parse, so Take
+// parses nothing.
 func (g *PktGuards) Take(pkt *nf.Pkt) {
-	if g.P = pkt.Parsed; g.P == nil {
-		g.own.Parse(pkt.Frame)
-		g.P = &g.own
-	}
-	g.FromInternal = pkt.FromInternal
+	g.P, g.FromInternal = pkt.Parsed, pkt.FromInternal
 }
 
 func (g *PktGuards) FrameIntact() bool     { return len(g.P.Pkt.Data) >= netstack.EthHeaderLen }

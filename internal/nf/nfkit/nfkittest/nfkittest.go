@@ -44,7 +44,8 @@ type Trace struct {
 // Differential builds two cores of d, applies setup to each, and runs
 // one randomized trace through both: core a through d.Process, which
 // runs the NF's generated instance, core b through iface, which runs
-// the interface function the proof covers over the same production Env.
+// the interface function the proof covers over the same production Env,
+// each handed the packet with its parse attached, as the adapter hands it.
 // After every packet the verdicts, the frame bytes and the counter
 // arrays must agree, and every few hundred packets and at the end so
 // must d.Snapshot; by the end the trace must have reached every reason
@@ -74,8 +75,12 @@ func Differential[C any](t *testing.T, d nfkit.Decl[C], setup func(C), iface fun
 		}
 		id, fromInternal := tr.next(rng, replies)
 		frame := craft(rng, id)
-		pa := nf.Pkt{Frame: frame, FromInternal: fromInternal}
-		pb := nf.Pkt{Frame: slices.Clone(frame), FromInternal: fromInternal}
+		// Each side gets the parse its adapter would attach.
+		var qa, qb nf.Parsed
+		pa := nf.Pkt{Frame: frame, FromInternal: fromInternal, Parsed: &qa}
+		pb := nf.Pkt{Frame: slices.Clone(frame), FromInternal: fromInternal, Parsed: &qb}
+		qa.Parse(pa.Frame)
+		qb.Parse(pb.Frame)
 		va, vb := d.Process(a, &pa, now), iface(b, &pb, now)
 		if va != vb || !slices.Equal(pa.Frame, pb.Frame) {
 			t.Fatalf("packet %d (%v, internal=%v): instance %v % x, interface %v % x", i, id, fromInternal, va, pa.Frame, vb, pb.Frame)

@@ -12,8 +12,8 @@ import (
 // every RX queue's mempool high-water mark against its size
 // (port.queue=high_water/size): the data rooms the run made resident. An
 // NF with flow tables adds each shard's high-water mark against its
-// capacity (s<shard>=high_water/capacity): the table records the run
-// made resident.
+// capacity (s<shard>=high_water/capacity, a chain's prefixed by its
+// element: <elem>.s<shard>=…): the table records the run made resident.
 func FprintEngineReport(w io.Writer, ps PipelineStats, snap Stats, pools []MempoolFill, tables []TableFill) {
 	fmt.Fprintf(w, "  engine: polls=%d rx=%d tx=%d tx_freed=%d | NF snapshot: fwd=%d drop=%d expired=%d\n",
 		ps.Polls, ps.RxPackets, ps.TxPackets, ps.TxFreed, snap.Forwarded, snap.Dropped, snap.Expired)
@@ -25,7 +25,11 @@ func FprintEngineReport(w io.Writer, ps PipelineStats, snap Stats, pools []Mempo
 	if len(tables) > 0 {
 		fmt.Fprint(w, "  flow table high water:")
 		for _, t := range tables {
-			fmt.Fprintf(w, " s%d=%d/%d", t.Shard, t.HighWater, t.Capacity)
+			elem := ""
+			if t.Elem != "" {
+				elem = t.Elem + "."
+			}
+			fmt.Fprintf(w, " %ss%d=%d/%d", elem, t.Shard, t.HighWater, t.Capacity)
 		}
 		fmt.Fprintln(w)
 	}
@@ -35,13 +39,17 @@ func FprintEngineReport(w io.Writer, ps PipelineStats, snap Stats, pools []Mempo
 // indices have ever been handed out — only their records are resident
 // (libvig.DChain.HighWater).
 type TableFill struct {
-	Shard     int `json:"shard"`
-	Capacity  int `json:"capacity"`
-	HighWater int `json:"high_water"`
+	// Elem names the chain element that keeps the table; it is empty
+	// for an NF that is not a chain.
+	Elem      string `json:"elem,omitempty"`
+	Shard     int    `json:"shard"`
+	Capacity  int    `json:"capacity"`
+	HighWater int    `json:"high_water"`
 }
 
 // TableFiller is implemented by NFs whose shards keep flow tables
-// (nfkit.Sharded). FlowTables may be called while the workers run.
+// (nfkit.Sharded), and by a Chain of any such. FlowTables may be called
+// while the workers run.
 type TableFiller interface {
 	FlowTables() []TableFill
 }

@@ -362,19 +362,6 @@ func (p *Policer) ExpireAt(now libvig.Time) int {
 	return freed
 }
 
-// Process runs one frame through the policer at the clock's current
-// time. Frames are never modified. This is the per-packet fast path: it
-// performs no allocation.
-func (p *Policer) Process(frame []byte, fromInternal bool) Verdict {
-	return p.ProcessAt(frame, fromInternal, p.clock.Now())
-}
-
-// ProcessAt is Process at an explicit time, for batched callers that
-// read the clock once per burst.
-func (p *Policer) ProcessAt(frame []byte, fromInternal bool, now libvig.Time) Verdict {
-	return p.process(&nf.Pkt{Frame: frame, FromInternal: fromInternal}, now)
-}
-
 // process runs one packet through prodProcessPacket, ProcessPacket
 // instantiated at *prodEnv (process_gen.go, written by vigor/instgen).
 func (p *Policer) process(pkt *nf.Pkt, now libvig.Time) Verdict {

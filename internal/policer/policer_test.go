@@ -8,6 +8,7 @@ import (
 	"vignat/internal/libvig"
 	"vignat/internal/netstack"
 	"vignat/internal/nf"
+	"vignat/internal/nf/nfkit"
 	"vignat/internal/nf/nfkit/nfkittest"
 )
 
@@ -36,12 +37,32 @@ func newPolicer(t *testing.T, cfg Config, clock libvig.Clock) *Policer {
 	return p
 }
 
+// send hands frame to a, a policer's adapter, as a one-packet burst and
+// reads the outcome back as the policer's own verdict: the reason cell
+// the packet moved tells a conforming forward from a passthrough.
+func send(t *testing.T, a nf.NF, frame []byte, fromInternal bool) Verdict {
+	t.Helper()
+	if nfkittest.Send(a, frame, fromInternal) == nf.Drop {
+		return VerdictDrop
+	}
+	switch r := a.(*nfkit.Adapter[*Policer]).Core().lastReason; r {
+	case ReasonConform:
+		return VerdictConform
+	case ReasonPassthrough:
+		return VerdictPassthrough
+	default:
+		t.Fatalf("forwarded under reason %s", Reasons.Name(r))
+		return VerdictDrop
+	}
+}
+
 // TestPolicerConformingNeverDropped pins the headline spec clause: a
 // sender that stays within rate·Δt + burst is never dropped, even at
 // the exact budget boundary.
 func TestPolicerConformingNeverDropped(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	p := newPolicer(t, Config{Rate: 1000, Burst: 2000, Capacity: 8, Timeout: time.Hour}, clock)
+	a := AsNF(p)
 	frame := polFrame(t, subscriberID(0), 40) // 122-byte wire frames
 	wire := libvig.Time(len(frame))
 	// Interarrival exactly frame/rate seconds: the bucket refills exactly
@@ -49,7 +70,7 @@ func TestPolicerConformingNeverDropped(t *testing.T) {
 	// at a knife's edge forever — and must keep conforming.
 	gap := wire * 1_000_000 // ns per frame at 1000 B/s
 	for i := 0; i < 200; i++ {
-		if v := p.Process(frame, false); v != VerdictConform {
+		if v := send(t, a, frame, false); v != VerdictConform {
 			t.Fatalf("packet %d of an exactly-conforming sender: %v", i, v)
 		}
 		clock.Advance(gap)
@@ -62,16 +83,17 @@ func TestPolicerConformingNeverDropped(t *testing.T) {
 func TestPolicerBurstThenClip(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	p := newPolicer(t, Config{Rate: 1000, Burst: 1000, Capacity: 8, Timeout: time.Hour}, clock)
+	a := AsNF(p)
 	frame := polFrame(t, subscriberID(0), 186)
 	// Back-to-back: exactly ⌊burst/len⌋ frames fit the bucket depth,
 	// then the next is clipped.
 	fit := 1000 / len(frame)
 	for i := 0; i < fit; i++ {
-		if v := p.Process(frame, false); v != VerdictConform {
+		if v := send(t, a, frame, false); v != VerdictConform {
 			t.Fatalf("burst packet %d: %v", i, v)
 		}
 	}
-	if v := p.Process(frame, false); v != VerdictDrop {
+	if v := send(t, a, frame, false); v != VerdictDrop {
 		t.Fatalf("over-burst packet: %v", v)
 	}
 	st := p.Stats()
@@ -83,9 +105,10 @@ func TestPolicerBurstThenClip(t *testing.T) {
 func TestPolicerEgressPassthroughUnmetered(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	p := newPolicer(t, Config{Rate: 1000, Burst: 1000, Capacity: 8, Timeout: time.Hour}, clock)
+	a := AsNF(p)
 	up := polFrame(t, subscriberID(0).Reverse(), 1000) // huge upload frames
 	for i := 0; i < 50; i++ {
-		if v := p.Process(up, true); v != VerdictPassthrough {
+		if v := send(t, a, up, true); v != VerdictPassthrough {
 			t.Fatalf("upload packet %d: %v", i, v)
 		}
 	}
@@ -95,7 +118,7 @@ func TestPolicerEgressPassthroughUnmetered(t *testing.T) {
 	// The frame must cross unmodified.
 	orig := polFrame(t, subscriberID(0).Reverse(), 1000)
 	got := polFrame(t, subscriberID(0).Reverse(), 1000)
-	p.Process(got, true)
+	send(t, a, got, true)
 	for i := range orig {
 		if got[i] != orig[i] {
 			t.Fatal("policer modified an egress frame")
@@ -106,12 +129,13 @@ func TestPolicerEgressPassthroughUnmetered(t *testing.T) {
 func TestPolicerPerSubscriberIsolation(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	p := newPolicer(t, Config{Rate: 1000, Burst: 500, Capacity: 8, Timeout: time.Hour}, clock)
+	a := AsNF(p)
 	flood := polFrame(t, subscriberID(0), 400)
 	// Subscriber 0 floods until clipped…
-	for p.Process(flood, false) == VerdictConform {
+	for send(t, a, flood, false) == VerdictConform {
 	}
 	// …and subscriber 1's budget is untouched.
-	if v := p.Process(polFrame(t, subscriberID(1), 400), false); v != VerdictConform {
+	if v := send(t, a, polFrame(t, subscriberID(1), 400), false); v != VerdictConform {
 		t.Fatalf("victim subscriber clipped by neighbor's flood: %v", v)
 	}
 }
@@ -120,22 +144,23 @@ func TestPolicerExpiryForgetsAndRefills(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	texp := 2 * time.Second
 	p := newPolicer(t, Config{Rate: 10, Burst: 300, Capacity: 8, Timeout: texp}, clock)
+	a := AsNF(p)
 	frame := polFrame(t, subscriberID(0), 186) // 268 B: more than one fits only via a fresh burst
-	if v := p.Process(frame, false); v != VerdictConform {
+	if v := send(t, a, frame, false); v != VerdictConform {
 		t.Fatalf("first packet: %v", v)
 	}
-	if v := p.Process(frame, false); v != VerdictDrop {
+	if v := send(t, a, frame, false); v != VerdictDrop {
 		t.Fatalf("immediate second packet: %v", v)
 	}
 	// Within Texp the trickle refill (10 B/s) is nowhere near a frame.
 	clock.Advance(time.Second.Nanoseconds())
-	if v := p.Process(frame, false); v != VerdictDrop {
+	if v := send(t, a, frame, false); v != VerdictDrop {
 		t.Fatalf("under-refilled packet: %v", v)
 	}
 	// Past Texp from the last packet the subscriber is forgotten; the
 	// next packet re-admits with a full fresh burst.
 	clock.Advance(3 * time.Second.Nanoseconds())
-	if v := p.Process(frame, false); v != VerdictConform {
+	if v := send(t, a, frame, false); v != VerdictConform {
 		t.Fatalf("re-admitted subscriber: %v", v)
 	}
 	st := p.Stats()
@@ -150,19 +175,20 @@ func TestPolicerExpiryForgetsAndRefills(t *testing.T) {
 func TestPolicerTableFullConservative(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	p := newPolicer(t, Config{Rate: 1000, Burst: 4096, Capacity: 2, Timeout: time.Hour}, clock)
+	a := AsNF(p)
 	for i := 0; i < 2; i++ {
-		if v := p.Process(polFrame(t, subscriberID(i), 8), false); v != VerdictConform {
+		if v := send(t, a, polFrame(t, subscriberID(i), 8), false); v != VerdictConform {
 			t.Fatalf("subscriber %d: %v", i, v)
 		}
 	}
-	if v := p.Process(polFrame(t, subscriberID(2), 8), false); v != VerdictDrop {
+	if v := send(t, a, polFrame(t, subscriberID(2), 8), false); v != VerdictDrop {
 		t.Fatalf("over-capacity subscriber %v (conservative policy requires drop)", v)
 	}
 	if p.Stats().DroppedTableFull != 1 {
 		t.Fatalf("stats %+v", p.Stats())
 	}
 	// Tracked subscribers still pass.
-	if v := p.Process(polFrame(t, subscriberID(0), 8), false); v != VerdictConform {
+	if v := send(t, a, polFrame(t, subscriberID(0), 8), false); v != VerdictConform {
 		t.Fatalf("existing at capacity: %v", v)
 	}
 }
@@ -170,12 +196,13 @@ func TestPolicerTableFullConservative(t *testing.T) {
 func TestPolicerMalformedDropped(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	p := newPolicer(t, Config{Rate: 1000, Burst: 4096, Capacity: 8, Timeout: time.Hour}, clock)
-	if v := p.Process(nil, false); v != VerdictDrop {
+	a := AsNF(p)
+	if v := send(t, a, nil, false); v != VerdictDrop {
 		t.Fatalf("empty frame: %v", v)
 	}
 	arp := make([]byte, 60)
 	arp[12], arp[13] = 0x08, 0x06
-	if v := p.Process(arp, false); v != VerdictDrop {
+	if v := send(t, a, arp, false); v != VerdictDrop {
 		t.Fatalf("ARP frame: %v", v)
 	}
 	if p.Stats().DroppedMalformed != 2 {
@@ -184,7 +211,7 @@ func TestPolicerMalformedDropped(t *testing.T) {
 	// ICMP is valid IPv4 and is metered like anything else.
 	id := subscriberID(0)
 	id.Proto = flow.ICMP
-	if v := p.Process(polFrame(t, id, 8), false); v != VerdictConform {
+	if v := send(t, a, polFrame(t, id, 8), false); v != VerdictConform {
 		t.Fatalf("ICMP ingress: %v", v)
 	}
 }
@@ -193,9 +220,11 @@ func TestPolicerProcessNoAllocs(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	p := newPolicer(t, Config{Rate: 1 << 30, Burst: 1 << 30, Capacity: 64, Timeout: time.Hour}, clock)
 	frame := polFrame(t, subscriberID(0), 40)
-	p.Process(frame, false) // admit
+	a := AsNF(p)
+	pkts, verdicts := []nf.Pkt{{Frame: frame}}, make([]nf.Verdict, 1)
+	a.ProcessBatch(pkts, verdicts) // admit
 	allocs := testing.AllocsPerRun(200, func() {
-		if p.Process(frame, false) != VerdictConform {
+		if a.ProcessBatch(pkts, verdicts); verdicts[0] != nf.Forward || p.lastReason != ReasonConform {
 			t.Fatal("drop on warmed path")
 		}
 		clock.Advance(1000)

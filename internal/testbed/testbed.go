@@ -6,7 +6,11 @@
 //   - a *measured* component — the Middlebox NF's actual packet
 //     processing, executed for real on every simulated packet and timed
 //     with the monotonic clock (flow-table lookups, inserts, expiry,
-//     header rewriting: the costs the paper's comparison is about), and
+//     header rewriting: the costs the paper's comparison is about).
+//     Every packet enters the NF the way the engine hands it packets,
+//     as a burst through nf.NF.ProcessBatch — here a preallocated
+//     one-packet burst — so the verified NAT timed is the adapter the
+//     daemon runs, and
 //   - a *modelled* component — wire/NIC propagation and the packet I/O
 //     framework (DPDK poll-mode vs. the kernel path), which are constants
 //     taken from the paper's own baseline measurements (no-op forwarding
@@ -27,7 +31,7 @@ import (
 
 	"vignat/internal/libvig"
 	"vignat/internal/moongen"
-	"vignat/internal/nat/stateless"
+	"vignat/internal/nf"
 )
 
 // procCap clamps individual per-packet processing measurements. Readings
@@ -77,24 +81,27 @@ func clampProc(raw, overhead int64) int64 {
 	return p
 }
 
-// NF is what the testbed can exercise: every NAT in this repository and
-// the no-op forwarder implement it. Process must rewrite frame in place
-// when forwarding and return the verdict.
-type NF interface {
-	Process(frame []byte, fromInternal bool) stateless.Verdict
-}
-
 // Noop is the paper's no-op forwarding baseline: DPDK receive → transmit
 // with no other processing.
 type Noop struct{}
 
-// Process implements NF by forwarding unconditionally.
-func (Noop) Process(frame []byte, fromInternal bool) stateless.Verdict {
-	if fromInternal {
-		return stateless.VerdictToExternal
+var _ nf.NF = Noop{}
+
+// Name identifies the NF.
+func (Noop) Name() string { return "noop" }
+
+// ProcessBatch forwards every packet.
+func (Noop) ProcessBatch(pkts []nf.Pkt, verdicts []nf.Verdict) {
+	for i := range pkts {
+		verdicts[i] = nf.Forward
 	}
-	return stateless.VerdictToInternal
 }
+
+// Expire frees nothing: the no-op keeps no state.
+func (Noop) Expire(libvig.Time) int { return 0 }
+
+// NFStats is zero: the no-op keeps no counters.
+func (Noop) NFStats() nf.Stats { return nf.Stats{} }
 
 // CostModel carries the modelled (non-measured) cost constants.
 type CostModel struct {
@@ -142,9 +149,10 @@ var KernelCost = CostModel{
 // RxQueueDepth is the middlebox ingress queue bound (RX descriptors).
 const RxQueueDepth = 512
 
-// Middlebox wraps an NF with its virtual clock and cost model.
+// Middlebox wraps an NF with its virtual clock and cost model. The NF
+// reads its time from Clock.
 type Middlebox struct {
-	NF    NF
+	NF    nf.NF
 	Clock *libvig.VirtualClock
 	Cost  CostModel
 }
@@ -196,6 +204,7 @@ func MeasureLatency(mb *Middlebox, cfg LatencyConfig) (*moongen.LatencyRecorder,
 	}
 	rec := moongen.NewLatencyRecorder(1 << 14)
 	scratch := make([]byte, 2048)
+	pkts, verdicts := []nf.Pkt{{FromInternal: true}}, make([]nf.Verdict, 1)
 	warmupEnd := cfg.Warmup.Nanoseconds()
 	// The DPDK outlier spikes of Fig. 13 ("two orders of magnitude above
 	// the average... due to DPDK packet processing, not NAT-specific
@@ -226,14 +235,15 @@ func MeasureLatency(mb *Middlebox, cfg LatencyConfig) (*moongen.LatencyRecorder,
 			f := &flows[ev.Flow]
 			frame := scratch[:len(f.Frame())]
 			copy(frame, f.Frame())
+			pkts[0].Frame = frame
 
 			t0 := time.Now()
-			v := mb.NF.Process(frame, true)
+			mb.NF.ProcessBatch(pkts, verdicts)
 			proc := clampProc(time.Since(t0).Nanoseconds(), overhead)
 
 			busyUntil = start + proc + mb.Cost.IOCPU.Nanoseconds()
 			if ev.Probe && ev.Time >= warmupEnd {
-				if v == stateless.VerdictDrop {
+				if verdicts[0] == nf.Drop {
 					return errors.New("testbed: probe packet dropped during latency run")
 				}
 				lat := (busyUntil - arrival) + // queueing + service
@@ -296,6 +306,7 @@ func MeasureThroughput(mb *Middlebox, cfg ThroughputConfig) (float64, error) {
 		return 0, err
 	}
 	scratch := make([]byte, 2048)
+	pkts, verdicts := []nf.Pkt{{FromInternal: true}}, make([]nf.Verdict, 1)
 
 	// Completion-time FIFO ring: the in-flight count is the number of
 	// accepted-but-unfinished packets, bounded by the RX descriptor
@@ -329,10 +340,11 @@ func MeasureThroughput(mb *Middlebox, cfg ThroughputConfig) (float64, error) {
 			f := &flows[i%len(flows)]
 			frame := scratch[:len(f.Frame())]
 			copy(frame, f.Frame())
+			pkts[0].Frame = frame
 			t0 := time.Now()
-			v := mb.NF.Process(frame, true)
+			mb.NF.ProcessBatch(pkts, verdicts)
 			proc := clampProc(time.Since(t0).Nanoseconds(), overhead)
-			if v == stateless.VerdictDrop {
+			if verdicts[0] == nf.Drop {
 				drops++ // NF-level drop also counts as loss
 			}
 			busyUntil = start + proc + ioCPU

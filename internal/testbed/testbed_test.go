@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"vignat/internal/libvig"
-	"vignat/internal/nat/stateless"
+	"vignat/internal/nf"
 )
 
 func noopMB() *Middlebox {
@@ -117,8 +117,11 @@ func TestMeasureLatencyRejectsDrops(t *testing.T) {
 	}
 }
 
-type dropAll struct{}
+// dropAll is the no-op forwarder turned into a black hole.
+type dropAll struct{ Noop }
 
-func (dropAll) Process(frame []byte, fromInternal bool) stateless.Verdict {
-	return stateless.VerdictDrop
+func (dropAll) ProcessBatch(pkts []nf.Pkt, verdicts []nf.Verdict) {
+	for i := range pkts {
+		verdicts[i] = nf.Drop
+	}
 }

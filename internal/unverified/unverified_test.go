@@ -6,8 +6,9 @@ import (
 
 	"vignat/internal/flow"
 	"vignat/internal/libvig"
-	"vignat/internal/nat/stateless"
 	"vignat/internal/netstack"
+	"vignat/internal/nf"
+	"vignat/internal/nf/nfkit/nfkittest"
 )
 
 var extIP = flow.MakeAddr(198, 18, 1, 1)
@@ -118,7 +119,7 @@ func TestUnverifiedNATBasics(t *testing.T) {
 	spec := &netstack.FrameSpec{ID: key(1), PayloadLen: 8}
 	buf := make([]byte, netstack.FrameLen(spec))
 	f := netstack.Craft(buf, spec)
-	if v := n.Process(f, true); v != stateless.VerdictToExternal {
+	if v := nfkittest.Send(n, f, true); v != nf.Forward {
 		t.Fatalf("outbound %v", v)
 	}
 	var p netstack.Packet
@@ -131,11 +132,14 @@ func TestUnverifiedNATBasics(t *testing.T) {
 	}
 	// Reply path.
 	reply := netstack.Craft(buf, &netstack.FrameSpec{ID: p.FlowID().Reverse()})
-	if v := n.Process(reply, false); v != stateless.VerdictToInternal {
+	if v := nfkittest.Send(n, reply, false); v != nf.Forward {
 		t.Fatalf("reply %v", v)
 	}
-	if n.Processed() != 2 || n.Dropped() != 0 {
-		t.Fatalf("counters %d %d", n.Processed(), n.Dropped())
+	if _ = p.Parse(reply); p.DstIP != key(1).SrcIP || p.DstPort != key(1).SrcPort {
+		t.Fatal("reply not de-NATed")
+	}
+	if s := n.NFStats(); s.Processed != 2 || s.Forwarded != 2 || s.Dropped != 0 {
+		t.Fatalf("counters %+v", s)
 	}
 }
 
@@ -148,12 +152,13 @@ func TestUnverifiedNATNoAllocs(t *testing.T) {
 	buf := make([]byte, netstack.FrameLen(spec))
 	fresh := netstack.Craft(buf, spec)
 	work := make([]byte, len(fresh))
+	pkts, verdicts := []nf.Pkt{{Frame: work, FromInternal: true}}, make([]nf.Verdict, 1)
 	copy(work, fresh)
-	n.Process(work, true)
+	n.ProcessBatch(pkts, verdicts)
 	allocs := testing.AllocsPerRun(200, func() {
 		copy(work, fresh)
 		clock.Advance(10)
-		n.Process(work, true)
+		n.ProcessBatch(pkts, verdicts)
 	})
 	if allocs != 0 {
 		t.Fatalf("fast path allocates %.1f times per packet", allocs)

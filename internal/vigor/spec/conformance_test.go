@@ -16,6 +16,8 @@ import (
 	"vignat/internal/nat/stateless"
 	"vignat/internal/netfilter"
 	"vignat/internal/netstack"
+	"vignat/internal/nf"
+	"vignat/internal/nf/nfkit/nfkittest"
 	"vignat/internal/unverified"
 	"vignat/internal/vigor/spec"
 )
@@ -28,12 +30,9 @@ const (
 	confTimeout  = time.Second
 )
 
-// natUnderTest abstracts the three implementations.
-type natUnderTest interface {
-	Process(frame []byte, fromInternal bool) stateless.Verdict
-}
-
-func buildNATs(t *testing.T, clock libvig.Clock) map[string]natUnderTest {
+// buildNATs builds the three implementations, each entered as an nf.NF
+// (the verified NAT through its adapter).
+func buildNATs(t *testing.T, clock libvig.Clock) map[string]nf.NF {
 	t.Helper()
 	v, err := nat.New(nat.Config{
 		Capacity: confCap, Timeout: confTimeout, ExternalIP: extIP,
@@ -46,25 +45,39 @@ func buildNATs(t *testing.T, clock libvig.Clock) map[string]natUnderTest {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nf, err := netfilter.New(confCap, extIP, confPortBase, confTimeout, clock)
+	lin, err := netfilter.New(confCap, extIP, confPortBase, confTimeout, clock)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]natUnderTest{
-		"verified":   v,
+	return map[string]nf.NF{
+		"verified":   nat.AsNF(v),
 		"unverified": u,
-		"netfilter":  nf,
+		"netfilter":  lin,
+	}
+}
+
+// natVerdict reads v back as the NAT's own verdict: a NAT forwards out
+// the interface opposite the arrival side, so the side names the
+// direction.
+func natVerdict(v nf.Verdict, fromInternal bool) stateless.Verdict {
+	switch {
+	case v == nf.Drop:
+		return stateless.VerdictDrop
+	case fromInternal:
+		return stateless.VerdictToExternal
+	default:
+		return stateless.VerdictToInternal
 	}
 }
 
 // step crafts the packet for id, runs it through the NAT, and reports
 // the observation to the oracle.
-func step(t *testing.T, n natUnderTest, o *spec.Oracle, id flow.ID, fromInternal bool, now libvig.Time) error {
+func step(t *testing.T, n nf.NF, o *spec.Oracle, id flow.ID, fromInternal bool, now libvig.Time) error {
 	t.Helper()
 	spec2 := &netstack.FrameSpec{ID: id, PayloadLen: 4}
 	buf := make([]byte, netstack.FrameLen(spec2))
 	frame := netstack.Craft(buf, spec2)
-	v := n.Process(frame, fromInternal)
+	v := natVerdict(nfkittest.Send(n, frame, fromInternal), fromInternal)
 	var got spec.Observed
 	got.Verdict = v
 	if v != stateless.VerdictDrop {
@@ -176,12 +189,11 @@ func TestRFC3022ConformanceRandomized(t *testing.T) {
 // internal flow currently maps to, by sending a probe frame and reading
 // the rewrite. It must be called right after a successful outbound step
 // so it cannot perturb oracle state (re-sending rejuvenates only).
-func currentTranslation(n natUnderTest, id flow.ID) (flow.ID, bool) {
+func currentTranslation(n nf.NF, id flow.ID) (flow.ID, bool) {
 	spec2 := &netstack.FrameSpec{ID: id, PayloadLen: 4}
 	buf := make([]byte, netstack.FrameLen(spec2))
 	frame := netstack.Craft(buf, spec2)
-	v := n.Process(frame, true)
-	if v != stateless.VerdictToExternal {
+	if nfkittest.Send(n, frame, true) != nf.Forward {
 		return flow.ID{}, false
 	}
 	var p netstack.Packet

@@ -19,6 +19,7 @@ import (
 	"vignat/internal/libvig"
 	"vignat/internal/netstack"
 	"vignat/internal/nf"
+	"vignat/internal/nf/nfkit/nfkittest"
 	"vignat/internal/vigor/spec"
 )
 
@@ -345,6 +346,28 @@ func TestLBConformanceOnPipeline(t *testing.T) {
 	t.Logf("conformance: %d packets, %d shards: %+v", total, lbShards, st)
 }
 
+// lbVerdict reads v, a balancer adapter's verdict on the packet it just
+// ran, back as the balancer's own verdict: the reason cell the packet
+// moved tells a forward to a backend, to a client and a passthrough
+// apart.
+func lbVerdict(t *testing.T, a nf.NF, v nf.Verdict) lb.Verdict {
+	t.Helper()
+	if v == nf.Drop {
+		return lb.VerdictDrop
+	}
+	switch r := a.(interface{ LastReasonName() string }).LastReasonName(); r {
+	case "fwd_backend":
+		return lb.VerdictToBackend
+	case "fwd_client":
+		return lb.VerdictToClient
+	case "pass_non_vip", "pass_no_session":
+		return lb.VerdictPassthrough
+	default:
+		t.Fatalf("forwarded under reason %q", r)
+		return lb.VerdictDrop
+	}
+}
+
 // TestLBConformanceAnyPort drives the VIPPort == 0 configuration
 // (every destination port on the VIP is balanced, each a distinct
 // flow) differentially against the oracle, including replies — the
@@ -371,10 +394,11 @@ func TestLBConformanceAnyPort(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(23))
 	buf := make([]byte, 2048)
+	a := lb.AsNF(b)
 	step := func(id flow.ID, fromClient bool) flow.ID {
 		t.Helper()
 		frame := lbCraft(buf, id, 0)
-		v := b.ProcessAt(frame, !fromClient, clock.Now())
+		v := lbVerdict(t, a, nfkittest.Send(a, frame, !fromClient))
 		var got spec.LBObserved
 		got.Verdict = v
 		var out flow.ID
@@ -442,11 +466,12 @@ func TestLBConformanceCapacityStrict(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(11))
 	buf := make([]byte, 2048)
+	a := lb.AsNF(b)
 	step := func(id flow.ID, fromClient, lbable bool) {
 		t.Helper()
 		frame := lbCraft(buf, id, 0)
 		fromInternal := !fromClient // clients face the external port
-		v := b.ProcessAt(frame, fromInternal, clock.Now())
+		v := lbVerdict(t, a, nfkittest.Send(a, frame, fromInternal))
 		var got spec.LBObserved
 		got.Verdict = v
 		if v != lb.VerdictDrop {

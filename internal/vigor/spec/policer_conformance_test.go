@@ -21,6 +21,7 @@ import (
 	"vignat/internal/libvig"
 	"vignat/internal/netstack"
 	"vignat/internal/nf"
+	"vignat/internal/nf/nfkit/nfkittest"
 	"vignat/internal/policer"
 	"vignat/internal/vigor/spec"
 )
@@ -298,6 +299,25 @@ func TestPolicerConformanceOnPipeline(t *testing.T) {
 	t.Logf("conformance: %d packets, %d shards, %d conformed bytes: %+v", total, polShards, conformedBytes, st)
 }
 
+// policerVerdict reads v, a policer adapter's verdict on the packet it
+// just ran, back as the policer's own verdict: the reason cell the
+// packet moved tells a conforming forward from a passthrough.
+func policerVerdict(t *testing.T, a nf.NF, v nf.Verdict) policer.Verdict {
+	t.Helper()
+	if v == nf.Drop {
+		return policer.VerdictDrop
+	}
+	switch r := a.(interface{ LastReasonName() string }).LastReasonName(); r {
+	case "conform":
+		return policer.VerdictConform
+	case "passthrough":
+		return policer.VerdictPassthrough
+	default:
+		t.Fatalf("forwarded under reason %q", r)
+		return policer.VerdictDrop
+	}
+}
+
 // TestPolicerOracleClockRegression drives implementation and oracle in
 // lockstep through a non-monotonic timestamp sequence: a regression
 // must mint tokens on neither side, and — the divergence this pins —
@@ -321,9 +341,12 @@ func TestPolicerOracleClockRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 	oracle := spec.NewPolicerOracle(1000, 2*L, 4, time.Hour.Nanoseconds())
+	a := policer.AsNF(p)
+	pkts, verdicts := []nf.Pkt{{Frame: frame}}, make([]nf.Verdict, 1)
 	step := func(now libvig.Time) {
 		t.Helper()
-		got := p.ProcessAt(frame, false, now)
+		a.(nf.FastPather).ProcessBatchAt(pkts, verdicts, now)
+		got := policerVerdict(t, a, verdicts[0])
 		if err := oracle.Step(sub, int(L), true, true, now, got); err != nil {
 			t.Fatalf("t=%d: %v", now, err)
 		}
@@ -356,6 +379,7 @@ func TestPolicerConformanceCapacityStrict(t *testing.T) {
 	oracle := spec.NewPolicerOracle(polRate, polBurst, cap, polTexp.Nanoseconds())
 	rng := rand.New(rand.NewSource(5))
 	buf := make([]byte, 2048)
+	a := policer.AsNF(p)
 	sawFull := false
 	for i := 0; i < 4000; i++ {
 		clock.Advance(libvig.Time(rng.Intn(int(polTexp.Nanoseconds() / 6))))
@@ -367,7 +391,7 @@ func TestPolicerConformanceCapacityStrict(t *testing.T) {
 			DstIP: sub, DstPort: 8080, Proto: flow.UDP,
 		}
 		frame := polCraft(buf, id, 4+rng.Intn(400), uint32(i))
-		got := p.ProcessAt(frame, false, clock.Now())
+		got := policerVerdict(t, a, nfkittest.Send(a, frame, false))
 		if err := oracle.Step(sub, len(frame), true, true, clock.Now(), got); err != nil {
 			t.Fatalf("packet %d (client %v): %v", i, sub, err)
 		}

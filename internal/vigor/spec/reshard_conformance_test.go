@@ -89,7 +89,7 @@ func buildReshardRig(t *testing.T, clock libvig.Clock) *reshardRig {
 }
 
 // process runs one frame through the pipeline and reports what came
-// out the far side: the wire-level equivalent of NAT.Process.
+// out the far side: the wire-level equivalent of a one-packet burst.
 func (r *reshardRig) process(frame []byte, fromInternal bool, now libvig.Time) (stateless.Verdict, []byte) {
 	r.t.Helper()
 	rxPort, txPort, fwd := r.intPort, r.extPort, stateless.VerdictToExternal

@@ -455,12 +455,24 @@ if [ "$gw_processed" -eq 0 ]; then
     echo "wire smoke: no scrape of the gateway counted a processed packet" >&2
     exit 1
 fi
+# The chain reports its elements' flow tables: one high-water series
+# for each of the four that keeps one, labelled with the element, and
+# the exchange's flows in them.
+doc=$(curl -fsS -H 'Accept: text/plain; version=0.0.4' "http://$gw_metrics/metrics")
+if ! printf '%s\n' "$doc" | awk '
+    $1 ~ /^nf_flow_table_high_water[{].*elem="/ { n++; sum += $2 }
+    END { exit !(n == 4 && sum > 0) }'; then
+    echo "wire smoke: the gateway's /metrics lacks a populated nf_flow_table_high_water series per table-keeping element" >&2
+    printf '%s\n' "$doc" | grep '^nf_flow_table' >&2
+    exit 1
+fi
 
 kill -INT "$gw_pid"
 wait "$gw_pid"
 gw_pid=""
-if ! grep -q '^mbuf accounting clean' "$bin/gw_unix.out" || [ "$(grep -c 'PROOF COMPLETE' "$bin/gw_unix.out")" -ne 4 ]; then
-    echo "wire smoke: the gateway daemon did not prove its four elements and shut down clean" >&2
+if ! grep -q '^mbuf accounting clean' "$bin/gw_unix.out" || [ "$(grep -c 'PROOF COMPLETE' "$bin/gw_unix.out")" -ne 4 ] ||
+    ! grep -q '^  flow table high water: firewall\.s0=' "$bin/gw_unix.out"; then
+    echo "wire smoke: the gateway daemon did not prove its four elements, report their tables and shut down clean" >&2
     cat "$bin/gw_unix.out" >&2
     exit 1
 fi
