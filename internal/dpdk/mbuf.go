@@ -75,12 +75,16 @@ func (m *Mbuf) SetLen(n int) { m.Data = m.Data[:n] }
 // NIC running out of descriptors.
 //
 // Preallocated is not resident. The headers are one array, written at
-// construction; the data rooms are one pointer-free byte slab the GC
-// never scans and construction never writes, so the kernel backs a room
-// with memory the first time a frame is copied into it. The free list is
-// a LIFO stack, so a pool only ever hands out its top few rooms — as
-// many as were once checked out at the same time (HighWater) — and only
-// those are ever resident.
+// construction, and the free stack another: both hold pointers, so both
+// live on the Go heap. The data rooms are one pointer-free byte slab
+// from libvig.Make — outside the heap in any but a -race build, so the
+// collector neither counts nor scans it and nothing ever clears it —
+// that construction never writes, so the kernel backs a room with
+// memory the first time a frame is copied into it. The free list is a
+// LIFO stack, so a pool only ever hands out its top few rooms — as many
+// as were once checked out at the same time (HighWater) — and only
+// those are ever resident. A frame in a room is valid while its mbuf's
+// pool is reachable, as every mbuf (through its pool field) keeps it.
 //
 // One goroutine allocates from a pool and frees to it at a time (the
 // worker owning its queue); HighWater alone may be read from any.
@@ -92,6 +96,7 @@ type Mempool struct {
 	// highWater is total-low, published for readers when low falls.
 	low       int
 	highWater atomic.Int64
+	mem       *libvig.Backing // the slab
 }
 
 // NewMempool preallocates n mbufs (see Mempool for what becomes
@@ -100,9 +105,9 @@ func NewMempool(n int) (*Mempool, error) {
 	if n <= 0 {
 		return nil, errors.New("dpdk: mempool size must be positive")
 	}
-	p := &Mempool{free: make([]*Mbuf, n), top: n, total: n, low: n}
+	p := &Mempool{free: make([]*Mbuf, n), top: n, total: n, low: n, mem: new(libvig.Backing)}
 	headers := make([]Mbuf, n)
-	slab := make([]byte, n*roomStride)
+	slab := libvig.Make[byte](p.mem, n*roomStride)
 	for i := range headers {
 		off := i * roomStride
 		headers[i].Data = slab[off : off : off+DataRoomSize]

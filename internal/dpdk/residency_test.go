@@ -2,11 +2,10 @@ package dpdk
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -27,41 +26,43 @@ func vmRSS(t *testing.T) int {
 	return 0
 }
 
-// residencyChild is the argument that makes the test binary run
-// TestMempoolResidency's checks itself. They need a process whose heap
-// has never held anything else: memory the heap hands out a second time
-// is zeroed, and zeroing faults it in, so only a fresh heap shows what
-// NewMempool itself touches — as in the daemon, which builds its pools
-// at start-up.
-const residencyChild = "mempool-residency-child"
+// collect runs the collector until the finalizers of everything
+// unreachable when it was called have run, so the slabs of dropped pools
+// are unmapped, and returns the free heap to the kernel (see the libvig
+// residency tests).
+func collect() {
+	for range 2 {
+		done := make(chan struct{})
+		runtime.SetFinalizer(&struct{ p *int }{}, func(*struct{ p *int }) { close(done) })
+		runtime.GC()
+		<-done
+	}
+	debug.FreeOSMemory()
+}
 
-// TestMempoolResidency, in a fresh process (Linux only; skipped under
-// the race detector, whose shadow memory grows with every byte written):
+// TestMempoolResidency (Linux only; skipped under the race detector,
+// whose shadow memory grows with every byte written):
 //
 //   - construction: NewMempool(4096), the daemon's pool, grows VmRSS by
 //     under 1 MB — it writes headers only, and its 8.6 MB of data rooms
 //     stay unbacked;
 //   - lifo: k mbufs allocated, each written over its whole room, then
 //     freed in LIFO order make about k rooms resident, further rounds of
-//     the same depth reuse exactly those rooms, and HighWater is k.
+//     the same depth reuse exactly those rooms, and HighWater is k;
+//   - rebuild: the pool dropped and collected, a second one grows VmRSS
+//     by under 1 MB too. Its slab is a fresh mapping, so nothing clears
+//     memory a heap would hand out a second time (which faulted every
+//     room in).
 func TestMempoolResidency(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("resident-set checks read /proc/self/status (Linux only)")
 	}
 	if raceEnabled {
-		t.Skip("the race detector's shadow memory is resident too")
-	}
-	if flag.Arg(0) != residencyChild {
-		out, err := exec.Command(os.Args[0], "-test.run=^TestMempoolResidency$", "-test.count=1", "-test.v", residencyChild).CombinedOutput()
-		if err != nil {
-			t.Fatalf("%v\n%s", err, out)
-		}
-		t.Logf("%s", out)
-		return
+		t.Skip("the race detector's shadow memory is resident too, and its slabs stay on the heap")
 	}
 	const n, k, rounds = 4096, 1024, 4
 	var p *Mempool
-	t.Run("construction", func(t *testing.T) {
+	build := func(t *testing.T) {
 		before := vmRSS(t)
 		var err error
 		if p, err = NewMempool(n); err != nil {
@@ -72,14 +73,16 @@ func TestMempoolResidency(t *testing.T) {
 			t.Fatalf("NewMempool(%d) grew VmRSS by %d KB; its rooms were faulted in at construction", n, grew>>10)
 		}
 		t.Logf("NewMempool(%d) grew VmRSS by %d KB", n, grew>>10)
-	})
+	}
+	collect()
+	t.Run("construction", build)
 	t.Run("lifo", func(t *testing.T) {
 		if p == nil {
 			t.Skip("no pool was built")
 		}
 		full := bytes.Repeat([]byte{0xa5}, DataRoomSize)
 		held := make([]*Mbuf, k)
-		runtime.GC() // the runtime's own growth after a large allocation settles first
+		collect() // the runtime's own growth after a large allocation settles first
 		before := vmRSS(t)
 		var first int
 		for r := 0; r < rounds; r++ {
@@ -112,6 +115,11 @@ func TestMempoolResidency(t *testing.T) {
 		if hw := p.HighWater(); hw != k {
 			t.Fatalf("high water %d after rounds of %d", hw, k)
 		}
+	})
+	t.Run("rebuild", func(t *testing.T) {
+		p = nil
+		collect()
+		build(t)
 	})
 }
 

@@ -1,5 +1,7 @@
 package fastpath
 
+import "vignat/internal/libvig"
+
 // GenTable invalidates cache entries in O(1): one generation counter
 // per NF state index. An entry installed for state index i captures
 // the generation at install time; every erasure of index i bumps the
@@ -15,11 +17,13 @@ package fastpath
 // single-writer discipline as every libVig structure here.
 type GenTable struct {
 	gens []uint32
+	mem  *libvig.Backing // gens
 }
 
 // NewGenTable returns a generation table for capacity state indices.
 func NewGenTable(capacity int) *GenTable {
-	return &GenTable{gens: make([]uint32, capacity)}
+	mem := new(libvig.Backing)
+	return &GenTable{gens: libvig.Make[uint32](mem, capacity), mem: mem}
 }
 
 // Bump invalidates every guard captured for index i. Out-of-range

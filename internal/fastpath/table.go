@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"unsafe"
+
+	"vignat/internal/libvig"
 )
 
 // Entry is one cached flow: the key it answers (packed to two words),
@@ -84,7 +86,7 @@ type Table struct {
 	// gents interns the distinct GenTables guards point at (index 0 is
 	// the nil table of guardless entries), so each entry carries a
 	// 1-byte registry index instead of an 8-byte pointer — and the
-	// entries array stays pointer-free, invisible to the GC scanner.
+	// entries array stays pointer-free, as libvig.Make requires.
 	gents []*GenTable
 	// door is the admission filter: one 15-bit tag per hash bucket. A
 	// key is admitted (installable) only on its second sighting, so a
@@ -98,6 +100,7 @@ type Table struct {
 	// Tags persist after admission, so an established flow evicted by a
 	// collision re-admits immediately.
 	door []uint16
+	mem  *libvig.Backing // tags, entries and door
 }
 
 // NewTable builds a cache with at least requested entries, rounded up
@@ -107,12 +110,14 @@ func NewTable(requested int) *Table {
 	for n < requested {
 		n <<= 1
 	}
+	mem := new(libvig.Backing)
 	return &Table{
 		mask:    uint64(n - 1),
-		tags:    make([]uint8, n),
-		entries: make([]Entry, n),
-		door:    make([]uint16, n),
+		tags:    libvig.Make[uint8](mem, n),
+		entries: libvig.Make[Entry](mem, n),
+		door:    libvig.Make[uint16](mem, n),
 		gents:   []*GenTable{nil},
+		mem:     mem,
 	}
 }
 

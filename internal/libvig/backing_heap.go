@@ -1,0 +1,9 @@
+//go:build !linux || race
+
+package libvig
+
+// mapAnon makes no mapping: under the race detector, whose shadow
+// memory covers the Go heap alone, and off Linux, Make is make.
+func mapAnon(int) []byte { return nil }
+
+func unmapAnon([]byte) {}

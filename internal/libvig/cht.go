@@ -54,6 +54,8 @@ type CHT struct {
 	// walk has advanced this round. Preallocated so repopulation
 	// allocates nothing.
 	next []uint32
+
+	mem *Backing // table
 }
 
 // NewCHT returns a table able to track up to maxBackends backends over
@@ -68,8 +70,10 @@ func NewCHT(maxBackends, tableSize int) (*CHT, error) {
 	if tableSize < maxBackends || !isPrime(tableSize) {
 		return nil, ErrCHTTableSize
 	}
+	mem := new(Backing)
 	c := &CHT{
-		table:  make([]int32, tableSize),
+		table:  Make[int32](mem, tableSize),
+		mem:    mem,
 		live:   make([]bool, maxBackends),
 		offset: make([]uint32, maxBackends),
 		skip:   make([]uint32, maxBackends),

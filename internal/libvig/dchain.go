@@ -51,6 +51,7 @@ type DChain struct {
 	// cell's memory becomes resident only when it is first handed out.
 	// The chain's owner moves it; HighWater reads it from anywhere.
 	fresh atomic.Int32
+	mem   *Backing // next, prev, timestamps and alloc
 }
 
 const (
@@ -65,11 +66,13 @@ func NewDChain(capacity int) (*DChain, error) {
 	if capacity <= 0 {
 		return nil, ErrBadCapacity
 	}
+	mem := new(Backing)
 	c := &DChain{
-		next:       make([]int32, capacity+2),
-		prev:       make([]int32, capacity+2),
-		timestamps: make([]Time, capacity),
-		alloc:      make([]bool, capacity),
+		next:       Make[int32](mem, capacity+2),
+		prev:       Make[int32](mem, capacity+2),
+		timestamps: Make[Time](mem, capacity),
+		alloc:      Make[bool](mem, capacity),
+		mem:        mem,
 	}
 	ah, fh := int32(c.allocHead()), int32(c.freeHead())
 	c.next[ah], c.prev[ah] = ah, ah

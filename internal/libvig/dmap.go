@@ -69,18 +69,19 @@ type DoubleMap[K1 Key, K2 Key, V any] struct {
 	fk1    func(*V) K1
 	fk2    func(*V) K2
 	size   int
-	sink   uint64 // keeps the prefetch loads alive
+	sink   uint64   // keeps the prefetch loads alive
+	mem    *Backing // vals, busy and hashes
 }
 
 // NewDoubleMap returns a double-keyed map of the given capacity. fk1 and
-// fk2 extract the two keys from a stored value; they must be pure.
+// fk2 extract the two keys from a stored value; they must be pure. V
+// must be pointer-free (see Make).
 func NewDoubleMap[K1 Key, K2 Key, V any](capacity int, fk1 func(*V) K1, fk2 func(*V) K2) (*DoubleMap[K1, K2, V], error) {
 	m, err := newDoubleMap(capacity, fk1, fk2, 2)
 	if err != nil {
 		return nil, err
 	}
-	vals := m.vals
-	m.bySnd, err = NewKeylessMap(capacity, func(i int) K2 { return fk2(&vals[i]) })
+	m.bySnd, err = NewKeylessMap(capacity, func(i int) K2 { return fk2(&m.vals[i]) })
 	if err != nil {
 		return nil, err
 	}
@@ -113,22 +114,23 @@ func newDoubleMap[K1 Key, K2 Key, V any](capacity int, fk1 func(*V) K1, fk2 func
 	if fk1 == nil || fk2 == nil {
 		return nil, errors.New("libvig: nil key extractor")
 	}
-	vals := make([]V, capacity)
-	busy := make([]bool, capacity)
-	hashes := make([]uint32, width*capacity)
-	a, err := NewKeylessMap(capacity, func(i int) K1 { return fk1(&vals[i]) })
-	if err != nil {
-		return nil, err
-	}
-	return &DoubleMap[K1, K2, V]{
-		byFst:  a,
-		vals:   vals,
-		busy:   busy,
-		hashes: hashes,
+	mem := new(Backing)
+	m := &DoubleMap[K1, K2, V]{
+		vals:   Make[V](mem, capacity),
+		busy:   Make[bool](mem, capacity),
+		hashes: Make[uint32](mem, width*capacity),
 		width:  width,
 		fk1:    fk1,
 		fk2:    fk2,
-	}, nil
+		mem:    mem,
+	}
+	// The key maps reach the values through m, never through m.vals
+	// alone, so they keep the mappings behind it alive.
+	var err error
+	if m.byFst, err = NewKeylessMap(capacity, func(i int) K1 { return fk1(&m.vals[i]) }); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // Capacity returns the fixed capacity.

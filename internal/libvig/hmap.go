@@ -74,6 +74,7 @@ type Map[K Key] struct {
 	// Exactly one of keys (parallel to slots) and keyOf is set.
 	keys  []K
 	keyOf func(v int) K
+	mem   *Backing // slots and keys
 }
 
 // slot is one probe target: eight to a 64-byte cache line and, the
@@ -105,7 +106,9 @@ const maxMapCapacity = 1<<16 - 1
 // maxMapValue is the largest storable value (val holds value+1).
 const maxMapValue = 1<<16 - 2
 
-func newSlots(capacity int) ([]slot, error) {
+// newMap returns a map of up to capacity keys with its slots and, when
+// keyed, its key array.
+func newMap[K Key](capacity int, keyed bool) (*Map[K], error) {
 	if capacity <= 0 {
 		return nil, ErrBadCapacity
 	}
@@ -116,17 +119,17 @@ func newSlots(capacity int) ([]slot, error) {
 	for nb < 2*capacity {
 		nb <<= 1
 	}
-	return make([]slot, nb), nil
+	m := &Map[K]{mask: uint64(nb - 1), capacity: capacity, mem: new(Backing)}
+	m.slots = Make[slot](m.mem, nb)
+	if keyed {
+		m.keys = Make[K](m.mem, nb)
+	}
+	return m, nil
 }
 
-// NewMap returns a map that can store up to capacity keys.
-func NewMap[K Key](capacity int) (*Map[K], error) {
-	slots, err := newSlots(capacity)
-	if err != nil {
-		return nil, err
-	}
-	return &Map[K]{slots: slots, mask: uint64(len(slots) - 1), capacity: capacity, keys: make([]K, len(slots))}, nil
-}
+// NewMap returns a map that can store up to capacity keys. K must be
+// pointer-free (see Make).
+func NewMap[K Key](capacity int) (*Map[K], error) { return newMap[K](capacity, true) }
 
 // NewKeylessMap returns a map of up to capacity keys that stores no key:
 // keyOf must return, for every stored value v, the key v was put under
@@ -136,11 +139,12 @@ func NewKeylessMap[K Key](capacity int, keyOf func(v int) K) (*Map[K], error) {
 	if keyOf == nil {
 		return nil, errors.New("libvig: nil key recovery function")
 	}
-	slots, err := newSlots(capacity)
+	m, err := newMap[K](capacity, false)
 	if err != nil {
 		return nil, err
 	}
-	return &Map[K]{slots: slots, mask: uint64(len(slots) - 1), capacity: capacity, keyOf: keyOf}, nil
+	m.keyOf = keyOf
+	return m, nil
 }
 
 // Capacity returns the maximum number of storable keys.

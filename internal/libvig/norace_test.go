@@ -1,5 +1,5 @@
 //go:build !race
 
-package libvig_test
+package libvig
 
 const raceEnabled = false

@@ -1,6 +1,6 @@
 //go:build race
 
-package libvig_test
+package libvig
 
 // raceEnabled: the race detector shadows every byte the program writes,
 // so resident-set growth no longer measures the program's own memory.

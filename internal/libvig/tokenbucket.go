@@ -52,6 +52,7 @@ type TokenBucket struct {
 	burstUnits int64
 	levels     []int64
 	last       []Time
+	mem        *Backing // levels and last
 }
 
 // NewTokenBucket returns a vector of capacity buckets, each refilling at
@@ -68,11 +69,13 @@ func NewTokenBucket(capacity int, rate, burst int64) (*TokenBucket, error) {
 	if burst <= 0 || burst > MaxBurstBytes {
 		return nil, ErrBadBurst
 	}
+	mem := new(Backing)
 	return &TokenBucket{
 		rate:       rate,
 		burstUnits: burst * tokenUnitsPerByte,
-		levels:     make([]int64, capacity),
-		last:       make([]Time, capacity),
+		levels:     Make[int64](mem, capacity),
+		last:       Make[Time](mem, capacity),
+		mem:        mem,
 	}, nil
 }
 

@@ -14,8 +14,9 @@ import (
 // index, a double chain saying which indices are live and how stale,
 // the generation table that kills a cached verdict the moment its
 // index is erased.
-// V is the stored record; its first key is the flow's 5-tuple as seen
-// from one side, its second the same flow's as seen from the other.
+// V is the stored record, pointer-free (libvig.Make); its first key is
+// the flow's 5-tuple as seen from one side, its second the same flow's
+// as seen from the other.
 // Every way a record dies goes through erase, which bumps its index's
 // generation: "erased ⇒ cached verdicts dead" holds by construction.
 // Put and Restore, the two ways one is born, bump the creation epoch,
