@@ -15,6 +15,7 @@ package firewall
 
 import (
 	"time"
+	"unsafe"
 
 	"vignat/internal/flow"
 	"vignat/internal/libvig"
@@ -144,13 +145,19 @@ func ProcessPacket(env Env) {
 	}
 }
 
-// session is the table record: the outbound tuple and its reverse —
-// stored in the same flow-table shape as the NAT's flow, which is what
-// lets the libVig contracts carry over unchanged.
+// session is the table record: the outbound tuple, as seen leaving
+// (src = internal host). Its second key, the reply direction, is the
+// reverse tuple, derived rather than stored.
 type session struct {
-	Out flow.ID // as seen leaving (src = internal host)
-	In  flow.ID // the reply direction (reverse tuple)
+	Out flow.ID
 }
+
+// A session is 16 bytes; either line fails to compile when it grows or
+// shrinks.
+const (
+	_ = uint(16 - unsafe.Sizeof(session{}))
+	_ = uint(unsafe.Sizeof(session{}) - 16)
+)
 
 // Firewall is the production binding: the verified stateless logic over
 // the kit's flow table, whose guards keep a cached verdict from
@@ -175,7 +182,7 @@ type Firewall struct {
 func New(capacity int, timeout time.Duration, clock libvig.Clock) (*Firewall, error) {
 	t, err := nfkit.NewFlowTable(capacity, true,
 		func(s *session) flow.ID { return s.Out },
-		func(s *session) flow.ID { return s.In })
+		func(s *session) flow.ID { return s.Out.Reverse() })
 	if err != nil {
 		return nil, err
 	}
@@ -270,7 +277,7 @@ func (e *prodEnv) LookupInbound() (SessionHandle, bool) {
 }
 
 func (e *prodEnv) CreateSession() (SessionHandle, bool) {
-	idx, ok := e.fw.table.Add(session{Out: e.P.ID, In: e.P.ID.Reverse()}, e.P.Hash, e.now)
+	idx, ok := e.fw.table.Add(session{Out: e.P.ID}, e.P.Hash, e.now)
 	if !ok {
 		e.reason = ReasonDropTableFull
 	}

@@ -209,3 +209,50 @@ func TestFirewallBuggyVariantCaught(t *testing.T) {
 		t.Fatalf("expected P1 failures, got %s", rep.Summary())
 	}
 }
+
+// TestFirewallDerivedKeyNearMiss: a session stores its outbound tuple
+// alone and derives the reply direction by reversing it, so only the
+// exact reverse tuple is let in. Each one-field change of it — remote
+// IP, remote port, protocol, a destination other than the internal
+// host — is drop_unsolicited, creates nothing and allocates nothing.
+func TestFirewallDerivedKeyNearMiss(t *testing.T) {
+	fw, err := New(16, time.Second, libvig.NewVirtualClock(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := AsNF(fw)
+	nfkittest.Send(a, fwFrame(t, outKey(1)), true)
+	if v := nfkittest.Send(a, fwFrame(t, outKey(0)), true); v != nf.Forward {
+		t.Fatalf("outbound verdict %v", v)
+	}
+	reply := outKey(0).Reverse()
+	pkts, verdicts := []nf.Pkt{{}}, make([]nf.Verdict, 1)
+	for _, tc := range []struct {
+		name   string
+		change func(*flow.ID)
+	}{
+		{"exact", func(*flow.ID) {}},
+		{"remote IP", func(k *flow.ID) { k.SrcIP++ }},
+		{"remote port", func(k *flow.ID) { k.SrcPort++ }},
+		{"protocol", func(k *flow.ID) { k.Proto = flow.UDP }},
+		{"destination", func(k *flow.ID) { k.DstIP++ }},
+	} {
+		k := reply
+		tc.change(&k)
+		pkts[0] = nf.Pkt{Frame: fwFrame(t, k)}
+		allocs := testing.AllocsPerRun(20, func() { a.ProcessBatch(pkts, verdicts) })
+		want, reason := nf.Drop, ReasonDropUnsolicited
+		if k == reply {
+			want, reason = nf.Forward, ReasonFwdIn
+		}
+		if verdicts[0] != want || fw.lastReason != reason {
+			t.Fatalf("%s (%v): verdict %v reason %d, want %v reason %d", tc.name, k, verdicts[0], fw.lastReason, want, reason)
+		}
+		if allocs != 0 {
+			t.Fatalf("%s: %.1f allocations a packet", tc.name, allocs)
+		}
+		if fw.Table().Size() != 2 {
+			t.Fatalf("%s: table holds %d sessions", tc.name, fw.Table().Size())
+		}
+	}
+}

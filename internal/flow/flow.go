@@ -97,12 +97,14 @@ func (id ID) String() string {
 	return fmt.Sprintf("%s %s:%d>%s:%d", id.Proto, id.SrcIP, id.SrcPort, id.DstIP, id.DstPort)
 }
 
-// Flow is the NAT flow record stored in the flow table: the pair of flow
-// IDs under which the session is reachable. IntKey is the 5-tuple of
-// packets arriving on the internal interface (src = internal host);
-// ExtKey is the 5-tuple of return packets arriving on the external
-// interface (dst = the NAT's external IP and the allocated external
-// port).
+// Flow is a NAT session as a whole: the pair of flow IDs under which it
+// is reachable. IntKey is the 5-tuple of packets arriving on the
+// internal interface (src = internal host); ExtKey is the 5-tuple of
+// return packets arriving on the external interface (dst = the NAT's
+// external IP and the allocated external port). The NAT's flow table
+// stores IntKey alone and derives ExtKey from the record's index and
+// its configuration; a Flow is that derived view, and the record a
+// flow migrates as, built by MakeFlow.
 type Flow struct {
 	IntKey ID
 	ExtKey ID
@@ -127,8 +129,9 @@ func (f *Flow) RemotePort() uint16 { return f.IntKey.DstPort }
 func (f *Flow) Proto() Protocol { return f.IntKey.Proto }
 
 // Consistent reports whether the two keys describe the same session:
-// same protocol, same remote endpoint on both sides. The flow table's
-// contract requires every stored flow to be consistent.
+// same protocol, same remote endpoint on both sides, and extIP the
+// external destination — what MakeFlow builds, and what the NAT checks
+// of a migrated flow before restoring it.
 func (f *Flow) Consistent(extIP Addr) bool {
 	return f.IntKey.Proto == f.ExtKey.Proto &&
 		f.IntKey.DstIP == f.ExtKey.SrcIP &&

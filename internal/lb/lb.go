@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"time"
+	"unsafe"
 
 	"vignat/internal/flow"
 	"vignat/internal/libvig"
@@ -302,14 +303,23 @@ func ProcessPacket(env Env) {
 }
 
 // sticky is the flow-table record: the client-side tuple and the
-// backend-side reply tuple it maps to, stored in the same flow-table
-// shape as the NAT's flow and the firewall's session — which is what
-// lets the libVig contracts carry over unchanged.
+// backend it is pinned to, by slot and by address. Its second key, the
+// reply tuple as the backend answers it, is replyKey(Client, IP),
+// derived rather than stored; IP is written at creation and never
+// changes while the record lives (a backend that leaves takes its
+// stickies with it), as the table's keys must not.
 type sticky struct {
-	Client  flow.ID // as the client sends it (dst = VIP)
-	Reply   flow.ID // as the backend answers it (src = backend)
+	Client  flow.ID   // as the client sends it (dst = VIP)
+	IP      flow.Addr // the backend's address
 	Backend int32
 }
+
+// A sticky is 24 bytes; either line fails to compile when it grows or
+// shrinks.
+const (
+	_ = uint(24 - unsafe.Sizeof(sticky{}))
+	_ = uint(unsafe.Sizeof(sticky{}) - 24)
+)
 
 // backend is one backend slot's identity.
 type backend struct {
@@ -365,7 +375,7 @@ func New(cfg Config, clock libvig.Clock) (*Balancer, error) {
 	}
 	flows, err := nfkit.NewFlowTable(cfg.Capacity, cfg.ClientsInternal,
 		func(s *sticky) flow.ID { return s.Client },
-		func(s *sticky) flow.ID { return s.Reply })
+		func(s *sticky) flow.ID { return replyKey(s.Client, s.IP) })
 	if err != nil {
 		return nil, fmt.Errorf("lb: %w", err)
 	}
@@ -615,7 +625,7 @@ func (e *prodEnv) SelectBackend() (BackendHandle, bool) {
 func (e *prodEnv) CreateSticky(bh BackendHandle) (FlowHandle, bool) {
 	lb := e.lb
 	if be, err := lb.backends.Get(int(bh)); err == nil {
-		s := sticky{Client: e.P.ID, Reply: replyKey(e.P.ID, be.IP), Backend: int32(bh)}
+		s := sticky{Client: e.P.ID, IP: be.IP, Backend: int32(bh)}
 		if idx, ok := lb.flows.Add(s, e.P.Hash, e.now); ok {
 			lb.counters[ctrFlowsCreated]++
 			return FlowHandle(idx), true
@@ -639,7 +649,7 @@ func (e *prodEnv) ForwardToBackend(h FlowHandle) {
 		e.verdict = VerdictDrop
 		return
 	}
-	e.P.Pkt.SetDstIP(s.Reply.SrcIP) // the backend's address
+	e.P.Pkt.SetDstIP(s.IP)
 	e.verdict = VerdictToBackend
 	e.reason = ReasonFwdBackend
 }

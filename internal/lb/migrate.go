@@ -71,10 +71,10 @@ func (b *Balancer) restoreBackend(r backendRec, stamp libvig.Time) error {
 
 // pinsLiveBackend is the sticky family's validate hook: a sticky may
 // only land on a shard whose pool has its backend, at the address its
-// reply tuple was derived from.
+// reply tuple is derived from.
 func (b *Balancer) pinsLiveBackend(s *sticky) error {
 	be, err := b.backends.Get(int(s.Backend))
-	if err != nil || !b.backendChain.IsAllocated(int(s.Backend)) || be.IP != s.Reply.SrcIP {
+	if err != nil || !b.backendChain.IsAllocated(int(s.Backend)) || be.IP != s.IP {
 		return fmt.Errorf("lb: sticky flow names dead backend slot %d", s.Backend)
 	}
 	return nil

@@ -7,3 +7,7 @@ package libvig
 func mapAnon(int) []byte { return nil }
 
 func unmapAnon([]byte) {}
+
+// poisonEnabled: with no mapping there is nothing to poison, so the
+// vigpoison tag changes nothing here.
+const poisonEnabled = false

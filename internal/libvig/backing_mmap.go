@@ -13,7 +13,3 @@ func mapAnon(size int) []byte {
 	}
 	return mem
 }
-
-// unmapAnon unmaps a mapping of mapAnon. It cannot fail: the mapping is
-// one mapAnon made and nothing else unmaps.
-func unmapAnon(mem []byte) { _ = syscall.Munmap(mem) }

@@ -5,19 +5,27 @@ import (
 	"testing/quick"
 )
 
-func TestDoubleMapRefinement(t *testing.T) { testDoubleMapRefinement(t, nil) }
-
-// TestIndexedDoubleMapRefinement drives the index-keyed construction
-// against the same dmappingp model: the second key's low four bits name
-// the index (less 2, so keys fall off both ends of the range) and its
-// high four are the part of the key only the compare sees. Half the
-// puts carry a key that names their index; the rest are refused, and
-// the map must be unchanged after each.
-func TestIndexedDoubleMapRefinement(t *testing.T) {
-	testDoubleMapRefinement(t, func(k qKey) int { return int(k.V%16) - 2 })
+func TestDoubleMapRefinement(t *testing.T) {
+	testDoubleMapRefinement(t, false, func() (*CheckedDoubleMap[qKey, qKey], error) {
+		return NewCheckedDoubleMap[qKey, qKey](9)
+	})
 }
 
-func testDoubleMapRefinement(t *testing.T, index func(qKey) int) {
+// TestIndexedDoubleMapRefinement drives the indexed construction
+// against the same dmappingp model: the second key at index i keeps the
+// high four bits of the key put and sets its low four to i+2, which
+// index reads back (less 2, so probed keys fall off both ends of the
+// range); the high four are the part of the key only the compare sees.
+// Half the second-key probes name the index they are drawn with.
+func TestIndexedDoubleMapRefinement(t *testing.T) {
+	testDoubleMapRefinement(t, true, func() (*CheckedDoubleMap[qKey, qKey], error) {
+		return NewCheckedIndexedDoubleMap[qKey, qKey](9,
+			func(i int, k qKey) qKey { return qKey{V: k.V&0xF0 | uint8(i+2)} },
+			func(k qKey) int { return int(k.V%16) - 2 })
+	})
+}
+
+func testDoubleMapRefinement(t *testing.T, indexed bool, build func() (*CheckedDoubleMap[qKey, qKey], error)) {
 	type dop struct {
 		Code uint8
 		Idx  uint8
@@ -26,7 +34,7 @@ func testDoubleMapRefinement(t *testing.T, index func(qKey) int) {
 		Val  uint8
 	}
 	f := func(ops []dop) bool {
-		c, err := NewCheckedDoubleMap[qKey, qKey](9, index)
+		c, err := build()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,9 +42,6 @@ func testDoubleMapRefinement(t *testing.T, index func(qKey) int) {
 			idx := int(op.Idx) % 11 // includes out-of-range probes
 			switch op.Code % 4 {
 			case 0:
-				if index != nil && op.Val%2 == 0 {
-					op.KB.V = op.KB.V&0xF0 | uint8(idx+2)
-				}
 				if err := c.Put(idx, op.KA, op.KB, int(op.Val)); err != nil {
 					t.Log(err)
 					return false
@@ -52,6 +57,9 @@ func testDoubleMapRefinement(t *testing.T, index func(qKey) int) {
 					return false
 				}
 			case 3:
+				if indexed && op.Val%2 == 0 {
+					op.KB.V = op.KB.V&0xF0 | uint8(idx+2)
+				}
 				if err := c.GetBySnd(op.KB); err != nil {
 					t.Log(err)
 					return false
@@ -68,7 +76,7 @@ func testDoubleMapRefinement(t *testing.T, index func(qKey) int) {
 // TestCheckedDoubleMapDetectsViolation: the meta-test that the checker
 // is not vacuous.
 func TestCheckedDoubleMapDetectsViolation(t *testing.T) {
-	c, err := NewCheckedDoubleMap[qKey, qKey](4, nil)
+	c, err := NewCheckedDoubleMap[qKey, qKey](4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,13 +89,13 @@ func TestCheckedDoubleMapDetectsViolation(t *testing.T) {
 	}
 }
 
-// TestCheckedDoubleMapDetectsKeyMutation: the DoubleMap keeps both key
-// hashes per index from Put to Erase and stores no key copy, so a caller
-// that rewrites a key through Value breaks the representation. The
-// invariant check (stored hashes equal the hashes of the value's keys)
-// must say so.
+// TestCheckedDoubleMapDetectsKeyMutation: the DoubleMap stores no key
+// copy, only the key maps' hash bits, so a caller that rewrites a key
+// through Value breaks the representation. The invariant check (every
+// key resolves to its index, every slot's bits are its key's) must say
+// so.
 func TestCheckedDoubleMapDetectsKeyMutation(t *testing.T) {
-	c, err := NewCheckedDoubleMap[qKey, qKey](4, nil)
+	c, err := NewCheckedDoubleMap[qKey, qKey](4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +109,14 @@ func TestCheckedDoubleMapDetectsKeyMutation(t *testing.T) {
 	if err := c.Impl.CheckInvariant(); err == nil {
 		t.Fatal("a key rewritten in place went unnoticed")
 	}
-	// Erase goes by the stored hashes and the index, not by the keys, so
-	// even the damaged record comes out and leaves the maps consistent.
+	// Erase rehashes the record's keys, so it cannot find the damaged
+	// record's second-key slot: it refuses and changes nothing, and once
+	// the key is put back the record comes out and leaves the maps
+	// consistent.
+	if err := c.Impl.Erase(0); err == nil || c.Impl.Size() != 1 {
+		t.Fatalf("erase of a damaged record: %v, size %d", err, c.Impl.Size())
+	}
+	c.Impl.Value(0).K2 = qKey{V: 2}
 	if err := c.Impl.Erase(0); err != nil {
 		t.Fatal(err)
 	}

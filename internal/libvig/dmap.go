@@ -3,13 +3,13 @@ package libvig
 import (
 	"errors"
 	"fmt"
+	"unsafe"
 )
 
 // DoubleMap errors.
 var (
-	ErrDMapIndexBusy     = errors.New("libvig: index already occupied")
-	ErrDMapIndexFree     = errors.New("libvig: index not occupied")
-	ErrDMapIndexMismatch = errors.New("libvig: second key indexes a different slot")
+	ErrDMapIndexBusy = errors.New("libvig: index already occupied")
+	ErrDMapIndexFree = errors.New("libvig: index not occupied")
 )
 
 // DoubleMap is libVig's flow table substrate (§5.1.1, Fig. 8): a
@@ -31,56 +31,63 @@ var (
 //	GetByFst(k): ensures result = (i, true) iff ∃(i,v)∈M. fk1(v)=k
 //	GetBySnd(k): symmetric for fk2. M never changes on gets.
 //
-// Each key lives once, inside vals[i]: the two key maps are keyless
-// (NewKeylessMap) and recover a key through the store. Precondition,
-// which is the keyless map's: the caller may write a stored value
-// through Value, but fk1 and fk2 of it must not change between Put and
-// Erase. The key hashes' low 32 bits — what the key maps store, home
-// index included — are kept per index from Put to Erase, so Erase
-// rehashes nothing and compares no key, and the home slots of an index
-// about to expire can be found from sequential memory
-// (PrefetchExpiring).
+// Each flow is stored once: a key lives inside vals[i] or is derived
+// from it (and, below, from i), and nothing else keeps it or its hash.
+// The key maps are keyless (NewKeylessMap) and recover a key through
+// the store; Erase and PrefetchExpiring rehash the keys of the record
+// they are given. Precondition, which is the keyless map's: the caller
+// may write a stored value through Value, but its keys must not change
+// between Put and Erase.
 //
-// A second key that already names its value's index needs no key map
-// (NewIndexedDoubleMap, VigNAT's external port = start_port + index):
+// A second key derived from the index its value lives at needs no key
+// map (NewIndexedDoubleMap, VigNAT's external port = start_port + index),
+// and takes the index as well as the value:
 //
-//	Put(i,v):   additionally requires index(fk2(v)) = i, which makes
-//	            fk2(v) fresh by itself — its only possible holder is
-//	            the free index i
+//	fk2(i, v):  the second key of v at i, with index(fk2(i, v)) = i —
+//	            so fk2(i, v) is fresh whenever i is: its only possible
+//	            holder is the free index i
 //	GetBySnd(k): i = index(k); result = (i, true) iff i ∈ dom M ∧
-//	            fk2(M(i)) = k — the same set as above, found by
+//	            fk2(i, M(i)) = k — the same set as above, found by
 //	            arithmetic and one key compare
 //
-// Such a map keeps no bySnd, hashes no second key — it keeps one hash
-// per index, not two — and its contract is otherwise the one above.
+// Such a map keeps no bySnd and hashes no second key; its contract is
+// otherwise the one above.
 type DoubleMap[K1 Key, K2 Key, V any] struct {
 	byFst *Map[K1]
 	bySnd *Map[K2]     // exactly one of bySnd and index is set, at construction
 	index func(K2) int // the second key's index function
 	vals  []V
 	busy  []bool
-	// hashes holds, while busy[i], the low 32 bits of fk1(vals[i]).Hash()
-	// at hashes[i*width] and, in a two-key map (width 2), those of
-	// fk2(vals[i]).Hash() beside it, so an erase reads both from one
-	// cache line. They are all the key maps store of a hash, and all
-	// EraseValue and a prefetch of a home slot read.
-	hashes []uint32
-	width  int
-	fk1    func(*V) K1
-	fk2    func(*V) K2
-	size   int
-	sink   uint64   // keeps the prefetch loads alive
-	mem    *Backing // vals, busy and hashes
+	fk1   func(*V) K1
+	fk2   func(*V) K2          // the second key, in a two-key map
+	at    func(i int, v *V) K2 // the second key of v at index i, in an indexed one
+	size  int
+	// expiring holds the key hashes (their low 32 bits, all a key map
+	// keeps) PrefetchExpiring computed for records about to expire, the
+	// entry of index i at i%expiringMemo. Erase of a record with an entry
+	// takes it instead of rehashing. An entry names its index plus one,
+	// so the zero value names none; a record's keys cannot change while
+	// it lives, so neither can an entry's hashes.
+	expiring [expiringMemo]struct {
+		idx    int32
+		h1, h2 uint32
+	}
+	sink uint64   // keeps the prefetch loads alive
+	mem  *Backing // vals and busy
 }
 
 // NewDoubleMap returns a double-keyed map of the given capacity. fk1 and
 // fk2 extract the two keys from a stored value; they must be pure. V
 // must be pointer-free (see Make).
 func NewDoubleMap[K1 Key, K2 Key, V any](capacity int, fk1 func(*V) K1, fk2 func(*V) K2) (*DoubleMap[K1, K2, V], error) {
-	m, err := newDoubleMap(capacity, fk1, fk2, 2)
+	if fk2 == nil {
+		return nil, errNilKey
+	}
+	m, err := newDoubleMap[K1, K2](capacity, fk1)
 	if err != nil {
 		return nil, err
 	}
+	m.fk2 = fk2
 	m.bySnd, err = NewKeylessMap(capacity, func(i int) K2 { return fk2(&m.vals[i]) })
 	if err != nil {
 		return nil, err
@@ -88,41 +95,43 @@ func NewDoubleMap[K1 Key, K2 Key, V any](capacity int, fk1 func(*V) K1, fk2 func
 	return m, nil
 }
 
-// NewIndexedDoubleMap returns a double-keyed map whose second key names
-// the index its value lives at: index(fk2(v)) must be the i of every
-// Put(i, v). index must be pure and total — any int for a key no stored
-// value can carry, out of range included — and is the whole second-key
-// lookup: no second key is hashed or filed anywhere.
-func NewIndexedDoubleMap[K1 Key, K2 Key, V any](capacity int, fk1 func(*V) K1, fk2 func(*V) K2, index func(K2) int) (*DoubleMap[K1, K2, V], error) {
+// NewIndexedDoubleMap returns a double-keyed map whose second key is
+// derived from the index its value lives at: fk2(i, v) is the second
+// key of v stored at i, and index(fk2(i, v)) must be i for every i in
+// range and every v. index must be pure and total — any int for a key
+// no stored value can carry, out of range included — and is the whole
+// second-key lookup: no second key is hashed or filed anywhere.
+func NewIndexedDoubleMap[K1 Key, K2 Key, V any](capacity int, fk1 func(*V) K1, fk2 func(i int, v *V) K2, index func(K2) int) (*DoubleMap[K1, K2, V], error) {
 	if index == nil {
 		return nil, errors.New("libvig: nil second-key index function")
 	}
-	m, err := newDoubleMap(capacity, fk1, fk2, 1)
+	if fk2 == nil {
+		return nil, errNilKey
+	}
+	m, err := newDoubleMap[K1, K2](capacity, fk1)
 	if err != nil {
 		return nil, err
 	}
-	m.index = index
+	m.at, m.index = fk2, index
 	return m, nil
 }
 
-// newDoubleMap builds everything but the second key's resolution,
-// keeping width hashes per index.
-func newDoubleMap[K1 Key, K2 Key, V any](capacity int, fk1 func(*V) K1, fk2 func(*V) K2, width int) (*DoubleMap[K1, K2, V], error) {
+var errNilKey = errors.New("libvig: nil key extractor")
+
+// newDoubleMap builds everything but the second key's resolution.
+func newDoubleMap[K1 Key, K2 Key, V any](capacity int, fk1 func(*V) K1) (*DoubleMap[K1, K2, V], error) {
 	if capacity <= 0 {
 		return nil, ErrBadCapacity
 	}
-	if fk1 == nil || fk2 == nil {
-		return nil, errors.New("libvig: nil key extractor")
+	if fk1 == nil {
+		return nil, errNilKey
 	}
 	mem := new(Backing)
 	m := &DoubleMap[K1, K2, V]{
-		vals:   Make[V](mem, capacity),
-		busy:   Make[bool](mem, capacity),
-		hashes: Make[uint32](mem, width*capacity),
-		width:  width,
-		fk1:    fk1,
-		fk2:    fk2,
-		mem:    mem,
+		vals: Make[V](mem, capacity),
+		busy: Make[bool](mem, capacity),
+		fk1:  fk1,
+		mem:  mem,
 	}
 	// The key maps reach the values through m, never through m.vals
 	// alone, so they keep the mappings behind it alive.
@@ -158,7 +167,7 @@ func (m *DoubleMap[K1, K2, V]) GetBySnd(k K2) (int, bool) {
 // would live, not that it does.
 func (m *DoubleMap[K1, K2, V]) getByIndex(k K2) (int, bool) {
 	i := m.index(k)
-	if i < 0 || i >= len(m.vals) || !m.busy[i] || m.fk2(&m.vals[i]) != k {
+	if i < 0 || i >= len(m.vals) || !m.busy[i] || m.at(i, &m.vals[i]) != k {
 		return 0, false
 	}
 	return i, true
@@ -191,8 +200,8 @@ func (m *DoubleMap[K1, K2, V]) Value(i int) *V {
 }
 
 // Put stores v at index i and indexes it under both keys.
-// Requires: i in range and free, both keys absent and, in an indexed
-// map, the second key naming i (ErrDMapIndexMismatch). All checked; on
+// Requires: i in range and free, and both keys absent (in an indexed
+// map the second key is absent whenever i is free). All checked; on
 // error the map is unchanged.
 func (m *DoubleMap[K1, K2, V]) Put(i int, v V) error { return m.put(i, v, 0, false) }
 
@@ -213,10 +222,7 @@ func (m *DoubleMap[K1, K2, V]) put(i int, v V, h1 uint64, hashed bool) error {
 	// keyless maps read keys from the stored copy, and passing &v to a
 	// function pointer would force v to escape to the heap.
 	m.vals[i] = v
-	k1, k2 := m.fk1(&m.vals[i]), m.fk2(&m.vals[i])
-	if m.index != nil && m.index(k2) != i {
-		return m.unstage(i, ErrDMapIndexMismatch)
-	}
+	k1 := m.fk1(&m.vals[i])
 	if !hashed {
 		h1 = k1.Hash()
 	}
@@ -224,15 +230,13 @@ func (m *DoubleMap[K1, K2, V]) put(i int, v V, h1 uint64, hashed bool) error {
 		return m.unstage(i, err)
 	}
 	if m.bySnd != nil {
-		h2 := k2.Hash()
-		if err := m.bySnd.PutHashed(k2, h2, i); err != nil {
+		k2 := m.fk2(&m.vals[i])
+		if err := m.bySnd.PutHashed(k2, k2.Hash(), i); err != nil {
 			// Roll back so a duplicate second key cannot corrupt the map.
 			_ = m.byFst.EraseValue(h1, i)
 			return m.unstage(i, err)
 		}
-		m.hashes[2*i+1] = uint32(h2)
 	}
-	m.hashes[i*m.width] = uint32(h1)
 	m.busy[i] = true
 	m.size++
 	return nil
@@ -246,7 +250,10 @@ func (m *DoubleMap[K1, K2, V]) unstage(i int, err error) error {
 }
 
 // Erase removes the value at index i from the store and from both key
-// maps. Requires i occupied (checked).
+// maps, finding its slots by rehashing its keys (or by the hashes
+// PrefetchExpiring kept for it). Requires i occupied (checked). A value
+// whose keys changed since its Put is not found under them: Erase then
+// fails with ErrMapNoKey and changes nothing.
 func (m *DoubleMap[K1, K2, V]) Erase(i int) error {
 	if i < 0 || i >= len(m.vals) {
 		return ErrChainRange
@@ -254,16 +261,32 @@ func (m *DoubleMap[K1, K2, V]) Erase(i int) error {
 	if !m.busy[i] {
 		return ErrDMapIndexFree
 	}
-	if err := m.byFst.EraseValue(uint64(m.hashes[i*m.width]), i); err != nil {
-		return err
-	}
-	if m.bySnd != nil {
-		if err := m.bySnd.EraseValue(uint64(m.hashes[2*i+1]), i); err != nil {
-			return err
+	v := &m.vals[i]
+	var h1, h2 uint64
+	if e := &m.expiring[i%expiringMemo]; int(e.idx) == i+1 {
+		// Only bits a key map keeps: all find reads.
+		h1, h2 = uint64(e.h1), uint64(e.h2)
+		e.idx = 0
+	} else {
+		h1 = m.fk1(v).Hash()
+		if m.bySnd != nil {
+			h2 = m.fk2(v).Hash()
 		}
 	}
+	s1, c1, ok := m.byFst.find(h1, nil, uint16(i)+1)
+	if !ok {
+		return ErrMapNoKey
+	}
+	if m.bySnd != nil {
+		s2, c2, ok := m.bySnd.find(h2, nil, uint16(i)+1)
+		if !ok {
+			return ErrMapNoKey
+		}
+		m.bySnd.vacate(h2, s2, c2)
+	}
+	m.byFst.vacate(h1, s1, c1)
 	var zero V
-	m.vals[i] = zero
+	*v = zero
 	m.busy[i] = false
 	m.size--
 	return nil
@@ -310,24 +333,51 @@ func (m *DoubleMap[K1, K2, V]) PrefetchSnd(k K2, h uint64) {
 
 // PrefetchExpiring does the same for the home slots of each index the
 // next ExpireItems(chain, deadline, …) will free, oldest first, at most
-// max of them: it walks chain read-only and finds the slots from the
-// hashes kept per index. A pure read.
+// max of them: it walks chain read-only and rehashes each record's
+// keys. The hashes are kept for the Erase of each of those records,
+// which then rehashes nothing. Observably a pure read.
+//
+// It runs in three passes, so that the loads of each pass are all in
+// flight at once: the records, then their hashes, then the home slots.
+// Computing a key from a record through fk1 stalls on reading back the
+// key it just stored field by field, and such a stall waits for every
+// load before it, so one pass that hashed and touched in turn would
+// take its cache misses one after another.
 func (m *DoubleMap[K1, K2, V]) PrefetchExpiring(chain *DChain, deadline Time, max int) {
-	i, ts, ok := chain.Oldest()
-	for ; ok && ts < deadline && max > 0; max-- {
-		m.sink += m.byFst.touch(uint64(m.hashes[i*m.width]))
-		if m.bySnd != nil {
-			m.sink += m.bySnd.touch(uint64(m.hashes[2*i+1]))
+	var due [expiringMemo]int32
+	n := 0
+	for i, ts, ok := chain.Oldest(); ok && ts < deadline && n < min(max, len(due)); i, ts, ok = chain.After(i) {
+		if m.busy[i] {
+			due[n] = int32(i)
+			n++
+			m.sink += uint64(*(*byte)(unsafe.Pointer(&m.vals[i])))
 		}
-		i, ts, ok = chain.After(i)
+	}
+	for _, i := range due[:n] {
+		e, v := &m.expiring[i%expiringMemo], &m.vals[i]
+		e.idx, e.h1 = i+1, uint32(m.fk1(v).Hash())
+		if m.bySnd != nil {
+			e.h2 = uint32(m.fk2(v).Hash())
+		}
+	}
+	for _, i := range due[:n] {
+		e := &m.expiring[i%expiringMemo]
+		m.sink += m.byFst.touch(uint64(e.h1))
+		if m.bySnd != nil {
+			m.sink += m.bySnd.touch(uint64(e.h2))
+		}
 	}
 }
 
-// CheckInvariant verifies the representation invariant: every busy
-// index's stored hashes are the hashes of its value's keys, both keys
-// resolve to exactly the busy indices — through the key maps, or for an
-// indexed second key through the index it names — and each map's own
-// invariant holds. For contract checking and tests: O(capacity).
+// expiringMemo is the most records PrefetchExpiring looks ahead at, a
+// burst's worth, and the number of hashes it keeps for their erases.
+const expiringMemo = 32
+
+// CheckInvariant verifies the representation invariant: both keys of
+// every busy index resolve to exactly that index — through the key
+// maps, or for an indexed second key through the index it names — and
+// each map's own invariant holds, which catches a stored key that
+// changed since its Put. For contract checking and tests: O(capacity).
 func (m *DoubleMap[K1, K2, V]) CheckInvariant() error {
 	busy := 0
 	for i := range m.vals {
@@ -335,13 +385,14 @@ func (m *DoubleMap[K1, K2, V]) CheckInvariant() error {
 			continue
 		}
 		busy++
-		k1, k2 := m.fk1(&m.vals[i]), m.fk2(&m.vals[i])
-		stored := m.hashes[i*m.width : (i+1)*m.width]
-		if stored[0] != uint32(k1.Hash()) || m.width == 2 && stored[1] != uint32(k2.Hash()) {
-			return fmt.Errorf("libvig: index %d stores hash bits %#x, its keys hash to %#x and %#x", i, stored, k1.Hash(), k2.Hash())
-		}
-		if j, ok := m.byFst.Get(k1); !ok || j != i {
+		if j, ok := m.byFst.Get(m.fk1(&m.vals[i])); !ok || j != i {
 			return fmt.Errorf("libvig: index %d's first key resolves to (%d, %v)", i, j, ok)
+		}
+		var k2 K2
+		if m.at != nil {
+			k2 = m.at(i, &m.vals[i])
+		} else {
+			k2 = m.fk2(&m.vals[i])
 		}
 		if j, ok := m.GetBySnd(k2); !ok || j != i {
 			return fmt.Errorf("libvig: index %d's second key resolves to (%d, %v)", i, j, ok)

@@ -22,13 +22,14 @@ func newTestDMap(t *testing.T, cap int) *DoubleMap[tKey, tKey, pairVal] {
 	return m
 }
 
-// newIndexedTestDMap keys the second key by arithmetic: b.v = 1000 + i,
-// and the weak flag is the part of the key the index does not see.
+// newIndexedTestDMap derives the second key from the index: its v is
+// 1000 + i, and its weak flag, the part of the key the index does not
+// see, is the stored b's.
 func newIndexedTestDMap(t *testing.T, cap int) *DoubleMap[tKey, tKey, pairVal] {
 	t.Helper()
 	m, err := NewIndexedDoubleMap[tKey, tKey, pairVal](cap,
 		func(v *pairVal) tKey { return v.a },
-		func(v *pairVal) tKey { return v.b },
+		func(i int, v *pairVal) tKey { return tKey{v: uint64(1000 + i), weak: v.b.weak} },
 		func(b tKey) int { return int(b.v) - 1000 })
 	if err != nil {
 		t.Fatal(err)
@@ -270,30 +271,41 @@ func testDMapHashedAndPrefetchArePure(t *testing.T, cap int, m *DoubleMap[tKey, 
 	}
 }
 
-// TestDMapHashesPerIndex: an indexed map keeps one hash per index, a
-// two-key map both side by side, and CheckInvariant reads every one of
-// them — a corrupted stored hash is reported in either layout.
-func TestDMapHashesPerIndex(t *testing.T) {
+// TestDMapEraseRehashesKeys: Erase finds a record's slots by rehashing
+// its keys, so a key rewritten in place through Value is reported by
+// CheckInvariant and makes Erase refuse — changing nothing — until it
+// is put back.
+func TestDMapEraseRehashesKeys(t *testing.T) {
 	const cap = 8
 	for _, tc := range []struct {
-		name  string
-		m     *DoubleMap[tKey, tKey, pairVal]
-		width int
-	}{{"hashed", newTestDMap(t, cap), 2}, {"indexed", newIndexedTestDMap(t, cap), 1}} {
+		name string
+		m    *DoubleMap[tKey, tKey, pairVal]
+	}{{"hashed", newTestDMap(t, cap)}, {"indexed", newIndexedTestDMap(t, cap)}} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := tc.m
-			if len(m.hashes) != tc.width*cap {
-				t.Fatalf("%d hashes for %d indices, want %d per index", len(m.hashes), cap, tc.width)
-			}
 			if err := m.Put(3, pairVal{a: tKey{v: 7}, b: tKey{v: 1003}}); err != nil {
 				t.Fatal(err)
 			}
-			for slot := 3 * tc.width; slot < 4*tc.width; slot++ {
-				m.hashes[slot]++
+			keys := []*tKey{&m.Value(3).a}
+			if m.bySnd != nil {
+				keys = append(keys, &m.Value(3).b)
+			}
+			for _, k := range keys {
+				was := *k
+				k.v += 100
 				if err := m.CheckInvariant(); err == nil {
-					t.Fatalf("stored hash %d corrupted, invariant still holds", slot)
+					t.Fatalf("key %+v rewritten to %+v, invariant still holds", was, *k)
 				}
-				m.hashes[slot]--
+				if err := m.Erase(3); !errors.Is(err, ErrMapNoKey) {
+					t.Fatalf("erase of a record with a rewritten key: %v", err)
+				}
+				if m.Size() != 1 || !m.Occupied(3) {
+					t.Fatalf("refused erase changed the map: size %d", m.Size())
+				}
+				*k = was
+			}
+			if err := m.CheckInvariant(); err != nil {
+				t.Fatal(err)
 			}
 			if err := m.Erase(3); err != nil {
 				t.Fatal(err)
@@ -301,14 +313,17 @@ func TestDMapHashesPerIndex(t *testing.T) {
 			if err := m.CheckInvariant(); err != nil {
 				t.Fatal(err)
 			}
+			if m.Size() != 0 || m.byFst.Size() != 0 {
+				t.Fatalf("size %d, first-key map %d after the erase", m.Size(), m.byFst.Size())
+			}
 		})
 	}
 }
 
-// TestIndexedDMap: a second key that names its index is resolved by
+// TestIndexedDMap: a second key derived from the index is resolved by
 // arithmetic and one compare. A key that indexes an occupied slot but
-// is not the stored key misses; a put whose second key names another
-// slot is refused with its own error and leaves the map as it was.
+// is not the one derived there misses; whatever second key a put's
+// value carries, the one it is found under is its index's.
 func TestIndexedDMap(t *testing.T) {
 	m := newIndexedTestDMap(t, 4)
 	if err := m.Put(2, pairVal{a: tKey{v: 7}, b: tKey{v: 1002}, data: 70}); err != nil {
@@ -325,8 +340,17 @@ func TestIndexedDMap(t *testing.T) {
 			t.Fatalf("GetBySndHashed(%+v) found index %d", k, i)
 		}
 	}
-	if err := m.Put(1, pairVal{a: tKey{v: 8}, b: tKey{v: 1003}}); !errors.Is(err, ErrDMapIndexMismatch) {
-		t.Fatalf("put under a key naming another slot: %v", err)
+	if err := m.Put(1, pairVal{a: tKey{v: 8}, b: tKey{v: 1003, weak: true}}); err != nil {
+		t.Fatalf("put at a free index: %v", err)
+	}
+	if _, ok := m.GetBySnd(tKey{v: 1003, weak: true}); ok {
+		t.Fatal("a put is found under the second key its value carries")
+	}
+	if i, ok := m.GetBySnd(tKey{v: 1001, weak: true}); !ok || i != 1 {
+		t.Fatalf("GetBySnd of the key derived at 1: (%d, %v)", i, ok)
+	}
+	if err := m.Erase(1); err != nil {
+		t.Fatal(err)
 	}
 	if err := m.Put(2, pairVal{a: tKey{v: 8}, b: tKey{v: 1002}}); !errors.Is(err, ErrDMapIndexBusy) {
 		t.Fatalf("put at a busy index: %v", err)
@@ -353,7 +377,7 @@ func TestIndexedDMap(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := NewIndexedDoubleMap[tKey, tKey, pairVal](4,
-		func(v *pairVal) tKey { return v.a }, func(v *pairVal) tKey { return v.b }, nil); err == nil {
+		func(v *pairVal) tKey { return v.a }, func(_ int, v *pairVal) tKey { return v.b }, nil); err == nil {
 		t.Fatal("nil index function accepted")
 	}
 }

@@ -73,18 +73,33 @@ func skipUnlessResident(t *testing.T) {
 	}
 }
 
+// skipIfPoisoned skips a test that counts what dropped structures give
+// back: a vigpoison build keeps every released mapping, inaccessible.
+func skipIfPoisoned(t *testing.T) {
+	t.Helper()
+	if libvig.PoisonEnabled {
+		t.Skip("a vigpoison build never unmaps a released mapping")
+	}
+}
+
 // TestFlowTableResidency (Linux only; skipped under the race detector,
 // whose shadow memory grows with every byte written):
 //
 //   - construction: the NAT's 65,535-flow table — its keyless Map,
-//     DoubleMap, DChain and generation table, ~4.9 MB in all — grows
+//     DoubleMap, DChain and generation table, ~3.5 MB in all — grows
 //     VmRSS by under 512 KB, because construction writes none of it;
 //   - flows: 1,024 flows grow it by about the slot pages their hashes
 //     land on plus 1,024 records, not by the capacity;
 //   - rebuild: the table dropped and collected, a second one grows VmRSS
 //     by under 512 KB too. Its arrays come from fresh mappings, so
 //     nothing clears memory a heap would hand out a second time (which
-//     faulted the whole capacity in).
+//     faulted the whole capacity in);
+//   - fill: the rebuilt table filled to 58,982 flows, nat_established's
+//     90%, grows VmRSS by no more than the pages its flows are written
+//     on — the slot pages their hashes land on, then per index a 16-byte
+//     record, a chain cell, an occupancy flag and a generation — plus
+//     256 KB. Bytes per flow are the bound: a record that stored a key
+//     it can derive, or a per-index hash cell, exceeds it.
 func TestFlowTableResidency(t *testing.T) {
 	skipUnlessResident(t)
 	const capacity, flows = 65535, 1024
@@ -133,10 +148,9 @@ func TestFlowTableResidency(t *testing.T) {
 			}
 		}
 		grew := vmRSS(t) - before
-		// Besides the slot pages, each index writes its record, both
-		// hashes' cell, its chain links, stamp and flags, and its guard:
-		// under 64 bytes, all of them at the low indices the chain hands
-		// out first.
+		// Besides the slot pages, each index writes its record, its chain
+		// links, stamp and flags, and its guard: under 64 bytes, all of
+		// them at the low indices the chain hands out first.
 		lo, hi := len(homes)*page*8/10, len(homes)*page+flows*64+128<<10
 		if grew < lo || grew > hi {
 			t.Fatalf("%d flows grew VmRSS by %d KB, want %d–%d KB (%d slot pages)", flows, grew>>10, lo>>10, hi>>10, len(homes))
@@ -151,10 +165,52 @@ func TestFlowTableResidency(t *testing.T) {
 		collect()
 		build(t)
 	})
+	t.Run("fill", func(t *testing.T) {
+		if tab == nil || tab.Size() != 0 {
+			t.Skip("no empty table was rebuilt")
+		}
+		const fill = 58982
+		// The NAT's record is its internal 5-tuple alone, size-asserted
+		// in internal/nat; the generation table keeps a uint32 an index.
+		const recordBytes, genBytes = 16, 4
+		slots := 1
+		for slots < 2*capacity {
+			slots <<= 1
+		}
+		page := os.Getpagesize()
+		pages := func(n, size int) int { return (n*size + page - 1) / page }
+		keys := make([]flow.ID, fill)
+		homes := map[int]bool{}
+		for i := range keys {
+			keys[i] = flow.ID{SrcIP: flow.Addr(0x0a000000 + i), DstIP: 0xc6336407,
+				SrcPort: uint16(1024 + i), DstPort: 53, Proto: flow.UDP}
+			homes[int(keys[i].Hash()&uint64(slots-1))*libvig.SlotBytes/page] = true
+		}
+		// Indices 0…fill−1, and the chain's two list heads and the
+		// creation epoch past the last index, one page each.
+		perIndex := pages(fill, recordBytes) + pages(fill, libvig.ChainCellBytes) +
+			pages(fill, libvig.OccupancyBytes) + pages(fill, genBytes) + 3
+		want := (len(homes) + perIndex) * page
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		collect()
+		before := vmRSS(t)
+		for i, k := range keys {
+			if _, ok := tab.Add(k, libvig.Time(i)); !ok {
+				t.Fatalf("flow %d refused", i)
+			}
+		}
+		grew := vmRSS(t) - before
+		if hi := want + 256<<10; grew > hi || grew < want*8/10 {
+			t.Fatalf("%d flows grew VmRSS by %d KB, want %d–%d KB (%d slot pages, %d per-index pages)",
+				fill, grew>>10, want*8/10>>10, hi>>10, len(homes), perIndex)
+		}
+		t.Logf("%d flows grew VmRSS by %d KB: %d slot pages and %d per-index pages make %d KB",
+			fill, grew>>10, len(homes), perIndex, want>>10)
+	})
 }
 
 // TestFlowTableOffHeap: building the NAT's 65,535-flow table grows the
-// Go heap by under 64 KB — its ~4.9 MB of arrays are mappings of their
+// Go heap by under 64 KB — its ~3.5 MB of arrays are mappings of their
 // own, which the collector's pacing never counts (Linux only; under the
 // race detector they stay on the heap).
 func TestFlowTableOffHeap(t *testing.T) {
@@ -184,6 +240,7 @@ func TestFlowTableOffHeap(t *testing.T) {
 // of heap, a collection's worth only every ~2,000 cycles.
 func TestFlowTableBuildDropBounded(t *testing.T) {
 	skipUnlessResident(t)
+	skipIfPoisoned(t)
 	const cycles, every = 2000, 100
 	const maxRSS, maxMaps = 2 << 20, 64
 	build := func() {
@@ -225,6 +282,7 @@ func TestFlowTableBuildDropBounded(t *testing.T) {
 // nothing clears a recycled capacity or keeps a dropped one resident.
 func TestReshardResidency(t *testing.T) {
 	skipUnlessResident(t)
+	skipIfPoisoned(t)
 	build := func(capacity, flows int) *nat.Sharded {
 		s, err := nat.NewSharded(nat.Config{
 			Capacity: capacity, ExternalIP: flow.MakeAddr(198, 18, 1, 1),

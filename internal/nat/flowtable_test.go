@@ -22,7 +22,7 @@ func intKey(i int) flow.ID {
 
 // lastActivity reads flow idx's stamp off the table's walk.
 func lastActivity(ft *FlowTable, idx int) (ts libvig.Time) {
-	ft.ForEach(func(i int, _ *flow.Flow, last libvig.Time) bool {
+	ft.ForEach(func(i int, _ *flow.ID, last libvig.Time) bool {
 		ts = last
 		return i != idx
 	})
@@ -41,15 +41,15 @@ func TestFlowTableAddLookup(t *testing.T) {
 	if got, ok := ft.LookupInt(intKey(1)); !ok || got != idx {
 		t.Fatalf("LookupInt: %d %v", got, ok)
 	}
-	f := ft.Value(idx)
-	if f == nil {
-		t.Fatal("Flow nil")
+	f, ok := ft.Flow(idx)
+	if !ok || f.IntKey != intKey(1) {
+		t.Fatalf("Flow: %v %v", &f, ok)
 	}
 	if got, ok := ft.LookupSnd(f.ExtKey, 0); !ok || got != idx {
 		t.Fatalf("LookupExt: %d %v", got, ok)
 	}
 	if !f.Consistent(tExtIP) {
-		t.Fatalf("inconsistent stored flow: %v", f)
+		t.Fatalf("inconsistent stored flow: %v", &f)
 	}
 	if ts := lastActivity(ft, idx); ts != 100 {
 		t.Fatalf("last activity %d", ts)
@@ -74,8 +74,8 @@ func TestFlowTableCapacity(t *testing.T) {
 func TestFlowTableExpireReleasesEverything(t *testing.T) {
 	ft, _ := NewFlowTable(4, tExtIP, 1000)
 	idx, _ := ft.Add(intKey(0), 10)
-	extKey := ft.Value(idx).ExtKey
-	port := ft.Value(idx).ExtPort()
+	f, _ := ft.Flow(idx)
+	extKey, port := f.ExtKey, f.ExtPort()
 	n := ft.Expire(11)
 	if n != 1 {
 		t.Fatalf("expired %d", n)
@@ -95,9 +95,9 @@ func TestFlowTableExpireReleasesEverything(t *testing.T) {
 	if !ok {
 		t.Fatal("add after expiry failed")
 	}
-	if ft.Value(idx2).ExtPort() != port {
+	if f, _ := ft.Flow(idx2); f.ExtPort() != port {
 		// LIFO reuse should hand the same port back immediately.
-		t.Fatalf("expected port %d reuse, got %d", port, ft.Value(idx2).ExtPort())
+		t.Fatalf("expected port %d reuse, got %d", port, f.ExtPort())
 	}
 }
 
@@ -172,9 +172,10 @@ func TestFlowTableInvariant(t *testing.T) {
 		ft.Add(intKey(i), now)
 	}
 	ports := map[uint16]bool{}
-	ft.ForEach(func(i int, f *flow.Flow, last libvig.Time) bool {
+	ft.ForEach(func(i int, _ *flow.ID, last libvig.Time) bool {
+		f, _ := ft.Flow(i)
 		if !f.Consistent(tExtIP) {
-			t.Errorf("flow %d inconsistent: %v", i, f)
+			t.Errorf("flow %d inconsistent: %v", i, &f)
 		}
 		p := f.ExtPort()
 		if int(p) != 1000+i {
@@ -234,8 +235,8 @@ func TestFlowTableExpiredPortsReturnLIFO(t *testing.T) {
 		if !ok {
 			t.Fatalf("add %d after expiry failed", n)
 		}
-		if got := ft.Value(idx).ExtPort(); got != want {
-			t.Fatalf("flow %d after the sweep got port %d, want %d", n, got, want)
+		if f, _ := ft.Flow(idx); f.ExtPort() != want {
+			t.Fatalf("flow %d after the sweep got port %d, want %d", n, f.ExtPort(), want)
 		}
 	}
 	if _, ok := ft.Add(intKey(200), 2*cap); ok {
@@ -255,7 +256,7 @@ func TestFlowTablePortRange(t *testing.T) {
 		t.Fatalf("ports 65528…65535 refused: %v", err)
 	}
 	idx, ok := ft.Add(intKey(0), 10)
-	if !ok || ft.Value(idx).ExtPort() != 65528 {
+	if f, _ := ft.Flow(idx); !ok || f.ExtPort() != 65528 {
 		t.Fatalf("first flow: index %d ok %v", idx, ok)
 	}
 	for _, tc := range []struct {
@@ -282,9 +283,9 @@ func TestFlowTablePortRange(t *testing.T) {
 	if err := ft.Restore(flow.MakeFlow(intKey(1), tExtIP, 65535), 20); err != nil {
 		t.Fatalf("restore at the last port: %v", err)
 	}
-	f := ft.Value(7)
-	if f == nil || f.IntKey != intKey(1) || f.ExtPort() != 65535 {
-		t.Fatalf("restored flow not at the index its port names: %v", f)
+	f, ok := ft.Flow(7)
+	if !ok || f.IntKey != intKey(1) || f.ExtPort() != 65535 {
+		t.Fatalf("restored flow not at the index its port names: %v", &f)
 	}
 	if got, ok := ft.LookupSnd(f.ExtKey, 0); !ok || got != 7 {
 		t.Fatalf("LookupExt of the restored flow: (%d, %v)", got, ok)

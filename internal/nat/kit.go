@@ -109,10 +109,23 @@ func kit(cfg Config, clock libvig.Clock, steer *steering) nfkit.Decl[*NAT] {
 		// placement that keeps an inbound reply's port-arithmetic steering
 		// and lookup correct without renumbering a port a peer already
 		// targets. Outbound packets follow via the override (steer.go).
-		Families: []nfkit.Family[*NAT]{nfkit.FlowRecords(flowsFamily,
-			func(n *NAT) *nfkit.FlowTable[flow.Flow] { return n.table.FlowTable },
-			func(f *flow.Flow, shards int) int { return cfg.portShard(f.ExtPort(), shards) },
-		)},
+		// A flow migrates as its flow.Flow view, both keys: the record
+		// derives its external key from an index that is only this
+		// shard's.
+		Families: []nfkit.Family[*NAT]{nfkit.Records[*NAT, flow.Flow]{
+			Name: flowsFamily,
+			Each: func(n *NAT, emit func(flow.Flow, libvig.Time)) {
+				n.table.ForEach(func(i int, _ *flow.ID, last libvig.Time) bool {
+					f, _ := n.table.Flow(i)
+					emit(f, last)
+					return true
+				})
+			},
+			Restore:   func(n *NAT, f flow.Flow, stamp libvig.Time) error { return n.table.Restore(f, stamp) },
+			ShardOf:   func(f *flow.Flow, shards int) int { return cfg.portShard(f.ExtPort(), shards) },
+			Occupancy: func(n *NAT) (int, int) { return n.table.Size(), n.table.Capacity() },
+			HighWater: func(n *NAT) (int, int) { return n.table.HighWater(), n.table.Capacity() },
+		}},
 		CheckReshard: func(shards int) error {
 			if cfg.Capacity%shards != 0 {
 				return fmt.Errorf("nat: capacity %d does not divide into %d shards (external port ranges would misalign)",
@@ -175,9 +188,9 @@ func (s *Sharded) Reshard(n int) error {
 	}
 	over := make(map[flow.ID]int)
 	for shard, core := range s.Cores() {
-		core.Table().ForEach(func(_ int, f *flow.Flow, _ libvig.Time) bool {
-			if int(f.IntKey.Hash()%uint64(n)) != shard {
-				over[f.IntKey] = shard
+		core.Table().ForEach(func(_ int, id *flow.ID, _ libvig.Time) bool {
+			if int(id.Hash()%uint64(n)) != shard {
+				over[*id] = shard
 			}
 			return true
 		})

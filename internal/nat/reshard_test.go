@@ -80,8 +80,8 @@ func TestReshardPreservesTranslations(t *testing.T) {
 			if !ok || idx != off%per {
 				t.Fatalf("%s: flow %d: LookupExt on shard %d: (%d, %v), port names index %d", when, i, off/per, idx, ok, off%per)
 			}
-			if f := tbl.Value(idx); f.IntKey != id || f.ExtPort() != ext[i].SrcPort {
-				t.Fatalf("%s: flow %d: shard %d index %d holds %v", when, i, off/per, idx, f)
+			if f, _ := tbl.Flow(idx); f.IntKey != id || f.ExtPort() != ext[i].SrcPort {
+				t.Fatalf("%s: flow %d: shard %d index %d holds %v", when, i, off/per, idx, &f)
 			}
 			// Outbound still translates to the same external tuple, via
 			// the steering override if the flow's hash no longer matches

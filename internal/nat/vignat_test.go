@@ -390,3 +390,61 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
 }
+
+// TestNATDerivedKeyNearMiss: a flow's external key is derived from its
+// index and the configuration, never stored, so only the exact reply
+// tuple — the remote endpoint and protocol the record holds, EXT_IP,
+// and the port the index owns — finds the flow. Each one-field change
+// of it is drop_unsolicited, leaves the table as it was and allocates
+// nothing. This kills an inbound compare of the port alone and a port
+// derived one past the index's (portBase+index+1).
+func TestNATDerivedKeyNearMiss(t *testing.T) {
+	n := testNAT(t, 16, time.Second, libvig.NewVirtualClock(0))
+	a := AsNF(n)
+	nfkittest.Send(a, frameFor(t, intKey(9)), true) // a neighbour at index 0
+	id := intKey(3)
+	out := frameFor(t, id)
+	if v := nfkittest.Send(a, out, true); v != nf.Forward {
+		t.Fatalf("outbound verdict %v", v)
+	}
+	reply := parseTuple(t, out).Reverse()
+	if reply.DstPort != n.Config().PortBase+1 {
+		t.Fatalf("second flow translated to port %d, want %d", reply.DstPort, n.Config().PortBase+1)
+	}
+	pkts, verdicts := []nf.Pkt{{}}, make([]nf.Verdict, 1)
+	for _, tc := range []struct {
+		name   string
+		change func(*flow.ID)
+	}{
+		{"exact", func(*flow.ID) {}},
+		{"remote IP", func(k *flow.ID) { k.SrcIP++ }},
+		{"remote port", func(k *flow.ID) { k.SrcPort++ }},
+		{"protocol", func(k *flow.ID) { k.Proto = flow.TCP }},
+		{"destination", func(k *flow.ID) { k.DstIP++ }},
+	} {
+		k := reply
+		tc.change(&k)
+		fresh := frameFor(t, k)
+		pkts[0] = nf.Pkt{Frame: make([]byte, len(fresh))}
+		allocs := testing.AllocsPerRun(20, func() {
+			copy(pkts[0].Frame, fresh)
+			a.ProcessBatch(pkts, verdicts)
+		})
+		want, reason := nf.Drop, ReasonDropUnsolicited
+		if k == reply {
+			want, reason = nf.Forward, ReasonFwdIn
+		}
+		if verdicts[0] != want || n.lastReason != reason {
+			t.Fatalf("%s (%v): verdict %v reason %d, want %v reason %d", tc.name, k, verdicts[0], n.lastReason, want, reason)
+		}
+		if back := parseTuple(t, pkts[0].Frame); k == reply && (back.DstIP != id.SrcIP || back.DstPort != id.SrcPort) {
+			t.Fatalf("exact reply de-NATed to %v", back)
+		}
+		if allocs != 0 {
+			t.Fatalf("%s: %.1f allocations a packet", tc.name, allocs)
+		}
+		if n.Table().Size() != 2 {
+			t.Fatalf("%s: table holds %d flows", tc.name, n.Table().Size())
+		}
+	}
+}

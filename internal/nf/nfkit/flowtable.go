@@ -16,19 +16,20 @@ import (
 // index is erased.
 // V is the stored record, pointer-free (libvig.Make); its first key is
 // the flow's 5-tuple as seen from one side, its second the same flow's
-// as seen from the other.
+// as seen from the other. Each flow is stored once: a record holds
+// what its keys cannot be derived from and no more — the second key is
+// a function of the record (the firewall's reverses the first) or, in
+// an indexed table, of the record and its index (the NAT's external
+// port is its index's).
 // Every way a record dies goes through erase, which bumps its index's
 // generation: "erased ⇒ cached verdicts dead" holds by construction.
-// Put and Restore, the two ways one is born, bump the creation epoch,
-// the guard of a cached miss.
+// Add, Restore and RestoreAt, the ways one is born, bump the creation
+// epoch, the guard of a cached miss.
 type FlowTable[V any] struct {
 	m     *libvig.DoubleMap[flow.ID, flow.ID, V]
 	chain *libvig.DChain
 	// gens[i] guards index i; gens[Capacity()] is the creation epoch.
 	gens *fastpath.GenTable
-	// indexOf, in a table whose second key names its index (the NAT's
-	// external port), is the index v's second key names; nil otherwise.
-	indexOf func(v *V) int
 	// fstInternal: the first key is the internal side's view.
 	fstInternal bool
 	// erasers is built once so the per-packet expiry allocates nothing.
@@ -38,18 +39,20 @@ type FlowTable[V any] struct {
 // NewFlowTable builds a table of capacity records, both keys hashed.
 func NewFlowTable[V any](capacity int, fstInternal bool, fst, snd func(*V) flow.ID) (*FlowTable[V], error) {
 	m, err := libvig.NewDoubleMap[flow.ID, flow.ID, V](capacity, fst, snd)
-	return newFlowTable(m, err, fstInternal, nil)
+	return newFlowTable(m, err, fstInternal)
 }
 
-// NewIndexedFlowTable builds a table whose second key names the index
-// its record lives at (libvig.NewIndexedDoubleMap): a record is built
-// for the index Reserve hands out, and Restore puts one at its index.
-func NewIndexedFlowTable[V any](capacity int, fstInternal bool, fst, snd func(*V) flow.ID, index func(flow.ID) int) (*FlowTable[V], error) {
+// NewIndexedFlowTable builds a table whose second key is derived from
+// the index its record lives at (libvig.NewIndexedDoubleMap): snd(i, v)
+// is the second key of record v at index i, and index(snd(i, v)) = i.
+// A record gets its key from the index Add hands out, and migrates
+// with it (RestoreAt).
+func NewIndexedFlowTable[V any](capacity int, fstInternal bool, fst func(*V) flow.ID, snd func(i int, v *V) flow.ID, index func(flow.ID) int) (*FlowTable[V], error) {
 	m, err := libvig.NewIndexedDoubleMap[flow.ID, flow.ID, V](capacity, fst, snd, index)
-	return newFlowTable(m, err, fstInternal, func(v *V) int { return index(snd(v)) })
+	return newFlowTable(m, err, fstInternal)
 }
 
-func newFlowTable[V any](m *libvig.DoubleMap[flow.ID, flow.ID, V], err error, fstInternal bool, indexOf func(*V) int) (*FlowTable[V], error) {
+func newFlowTable[V any](m *libvig.DoubleMap[flow.ID, flow.ID, V], err error, fstInternal bool) (*FlowTable[V], error) {
 	if err != nil {
 		return nil, fmt.Errorf("flow table map: %w", err)
 	}
@@ -57,7 +60,7 @@ func newFlowTable[V any](m *libvig.DoubleMap[flow.ID, flow.ID, V], err error, fs
 	if err != nil {
 		return nil, fmt.Errorf("flow table chain: %w", err)
 	}
-	t := &FlowTable[V]{m: m, chain: chain, indexOf: indexOf, fstInternal: fstInternal,
+	t := &FlowTable[V]{m: m, chain: chain, fstInternal: fstInternal,
 		gens: fastpath.NewGenTable(m.Capacity() + 1)}
 	t.erasers = []libvig.IndexEraser{libvig.IndexEraserFunc(t.erase)}
 	return t, nil
@@ -94,50 +97,44 @@ func (t *FlowTable[V]) LookupFst(id flow.ID, h uint64) (int, bool) { return t.m.
 func (t *FlowTable[V]) LookupSnd(id flow.ID, h uint64) (int, bool) { return t.m.GetBySndHashed(id, h) }
 
 // Add creates record v at time now, under first-key hash h (Fig. 6
-// ll.14-17): Reserve, then Put. ok is false, and nothing has changed,
-// when the table is full or holds the key.
+// ll.14-17): it allocates an index, stamped now, and files v there —
+// or, refused by the map, releases the index. ok is false, and nothing
+// has changed, when the table is full or holds the key.
 func (t *FlowTable[V]) Add(v V, h uint64, now libvig.Time) (idx int, ok bool) {
-	if idx, ok = t.Reserve(now); ok {
-		ok = t.Put(idx, v, h)
-	}
-	return idx, ok
-}
-
-// Reserve and Put are Add's two halves, for a record that names its own
-// index (an indexed table's): Reserve allocates the index, stamped now,
-// and Put files the record built for it under first-key hash h — or,
-// refused by the map, releases the reservation.
-func (t *FlowTable[V]) Reserve(now libvig.Time) (idx int, ok bool) {
 	idx, err := t.chain.Allocate(now)
-	return idx, err == nil
-}
-
-func (t *FlowTable[V]) Put(idx int, v V, h uint64) bool {
+	if err != nil {
+		return idx, false
+	}
 	if t.m.PutFstHashed(idx, v, h) != nil {
 		_ = t.chain.Free(idx)
-		return false
+		return idx, false
 	}
 	t.gens.Bump(t.Capacity())
-	return true
+	return idx, true
 }
 
-// Restore re-creates a migrated record at its original stamp — at the
-// index its second key names in an indexed table, else at the next free
-// one — or changes nothing (the index out of range or held, the table
-// full, a key present). Records must arrive in stamp order, as the
-// chain's contract demands of any allocation.
+// Restore re-creates a migrated record at its original stamp, at the
+// next free index, or changes nothing (the table full, a key present).
+// RestoreAt does the same at index idx, or changes nothing (idx out of
+// range or held, a key present): an indexed table's records go back to
+// the index their second key was derived from. Records must arrive in
+// stamp order, as the chain's contract demands of any allocation.
 func (t *FlowTable[V]) Restore(v V, stamp libvig.Time) error {
-	var idx int
-	var err error
-	if t.indexOf != nil {
-		idx = t.indexOf(&v)
-		err = t.chain.AllocateIndex(idx, stamp)
-	} else {
-		idx, err = t.chain.Allocate(stamp)
-	}
+	idx, err := t.chain.Allocate(stamp)
 	if err != nil {
 		return err
 	}
+	return t.restore(idx, v)
+}
+
+func (t *FlowTable[V]) RestoreAt(idx int, v V, stamp libvig.Time) error {
+	if err := t.chain.AllocateIndex(idx, stamp); err != nil {
+		return err
+	}
+	return t.restore(idx, v)
+}
+
+func (t *FlowTable[V]) restore(idx int, v V) error {
 	if err := t.m.Put(idx, v); err != nil {
 		_ = t.chain.Free(idx)
 		return err
