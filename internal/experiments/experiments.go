@@ -1,8 +1,8 @@
 // Package experiments regenerates every figure and in-text measurement
 // of the paper's evaluation (§6) plus the verification statistics of §5.
 // Each experiment returns structured rows; cmd/vigbench renders them as
-// the paper-style tables and CSV, and bench_test.go wraps them in
-// testing.B benchmarks. See EXPERIMENTS.md for paper-vs-measured notes.
+// the paper-style tables, and shape_test.go runs each scaled down. See
+// EXPERIMENTS.md for paper-vs-measured notes.
 package experiments
 
 import (
@@ -107,7 +107,7 @@ func BuildMiddlebox(kind NFKind, timeout time.Duration) (*testbed.Middlebox, err
 // the full paper-shaped run, 0.1 a smoke run.
 type Scale float64
 
-// clamp keeps scaled quantities sane.
+// apply scales d, to no less than 100 ms.
 func (s Scale) apply(d time.Duration) time.Duration {
 	if s <= 0 {
 		s = 1
@@ -119,6 +119,7 @@ func (s Scale) apply(d time.Duration) time.Duration {
 	return scaled
 }
 
+// applyInt scales n, to no fewer than 1000.
 func (s Scale) applyInt(n int) int {
 	if s <= 0 {
 		s = 1

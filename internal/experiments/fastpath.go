@@ -6,18 +6,14 @@ import (
 	"strings"
 	"time"
 
-	"vignat/internal/dpdk"
-	"vignat/internal/firewall"
 	"vignat/internal/flow"
-	"vignat/internal/libvig"
-	"vignat/internal/nat"
-	"vignat/internal/netstack"
 	"vignat/internal/nf"
+	"vignat/internal/paired"
 )
 
 // FastPathConfig parameterizes the established-flow fast-path sweep.
 type FastPathConfig struct {
-	// NF selects the network function under the cache: "nat" (default)
+	// NF selects the catalog row under the cache: "nat" (default)
 	// rewrites headers on every packet, so a cache hit still replays the
 	// stored rewrite template; "firewall" rewrites nothing, so its
 	// entries carry the identity flag and a hit skips template replay
@@ -34,9 +30,9 @@ type FastPathConfig struct {
 	// below the NAT's capacity, so at 0% established every fresh packet
 	// is a genuine flow creation, never an allocation failure).
 	Packets int
-	// Rounds is the number of fresh-rig repetitions per data point; the
-	// row keeps the per-rig minimum, the standard defense against
-	// scheduler noise on shared hosts (default 3).
+	// Rounds is the number of pairs per data point: each round times a
+	// fresh cache-off rig and a fresh cache-on rig back to back (default
+	// 12).
 	Rounds int
 	// Entries sizes the flow cache (default nf.DefaultFastPathEntries).
 	Entries int
@@ -45,17 +41,16 @@ type FastPathConfig struct {
 }
 
 // FastPathRow is one hit-rate data point: the same packet sequence
-// driven through two identical single-worker NAT pipelines, one with
-// the flow cache enabled and one with it force-disabled.
+// driven through two identical single-worker pipelines of the catalog
+// row, one with the flow cache enabled and one with it force-disabled.
 //
-// NsOn/NsOff time the engine's Poll calls only — classification, NF
-// or cache, TX assembly. Frame delivery into the RX ring and the TX
-// drain are outside the timed region on both rigs: they model the
-// NIC's DMA engines, which run asynchronously to the NF core on real
-// hardware, and timing them would dilute both sides of the ratio with
-// identical harness cost.
+// NsOn/NsOff are each side's median ns/pkt over the rounds, timing the
+// engine's Poll calls only (see rig.run). Speedup is the paired
+// reading: the median over rounds of the round's plain/cached ratio,
+// with its bootstrap 95% interval [CILo, CIHi] and the rounds the cache
+// won (package paired).
 //
-// Each row runs the NAT at the paper's operating point — the flow
+// Each row runs the NF at the paper's operating point — the flow
 // table filled toward its 65,535 capacity (the evaluation's 64k-flow
 // x-axis) by untouched background flows, each row fitting as many as
 // its own fresh-flow demand leaves room for. StartOccupancy is the
@@ -69,147 +64,56 @@ type FastPathRow struct {
 	NsOn            float64 `json:"ns_per_pkt_on"`
 	NsOff           float64 `json:"ns_per_pkt_off"`
 	Speedup         float64 `json:"speedup"`
+	CILo            float64 `json:"ci_lo"`
+	CIHi            float64 `json:"ci_hi"`
+	PairsWon        int     `json:"pairs_won"`
+	Pairs           int     `json:"pairs"`
 	ObservedHitRate float64 `json:"observed_hit_rate"`
 	StartOccupancy  float64 `json:"start_occupancy"`
 }
 
-// fpRig is one single-worker NAT pipeline with its wire harness.
-type fpRig struct {
-	pipe    *dpdk.Mempool
-	intPort *dpdk.Port
-	extPort *dpdk.Port
-	engine  *nf.Pipeline
-}
-
-func newFPRig(nfName string, fastPath, telemetry int) (*fpRig, error) {
-	var sh nf.NF
-	var err error
-	switch nfName {
-	case "", "nat":
-		sh, err = nat.NewSharded(nat.Config{
-			Capacity:     Capacity,
-			Timeout:      time.Hour,
-			ExternalIP:   ExtIP,
-			PortBase:     PortBase,
-			InternalPort: 0,
-			ExternalPort: 1,
-		}, libvig.NewSystemClock(), 1)
-	case "firewall":
-		sh, err = firewall.NewSharded(Capacity, time.Hour, libvig.NewSystemClock(), 1)
-	default:
-		err = fmt.Errorf("experiments: unknown fastpath NF %q", nfName)
-	}
-	if err != nil {
-		return nil, err
-	}
-	pool, err := dpdk.NewMempool(1024)
-	if err != nil {
-		return nil, err
-	}
-	intPort, err := dpdk.NewPort(0, dpdk.DefaultRxQueue, dpdk.DefaultTxQueue, pool)
-	if err != nil {
-		return nil, err
-	}
-	extPort, err := dpdk.NewPort(1, dpdk.DefaultRxQueue, dpdk.DefaultTxQueue, pool)
-	if err != nil {
-		return nil, err
-	}
-	engine, err := nf.NewPipeline(sh, nf.Config{
-		Internal:  intPort,
-		External:  extPort,
-		Clock:     libvig.NewSystemClock(),
-		FastPath:  fastPath,
-		Telemetry: telemetry,
-		// The split leg reads exact per-burst fast/slow costs, so when
-		// telemetry is on here, every poll is timed.
-		TimingStride: 1,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &fpRig{pipe: pool, intPort: intPort, extPort: extPort, engine: engine}, nil
-}
-
-// run drives frames through the rig in chunks: each chunk is delivered
-// into the RX ring untimed, the Poll calls that consume it are timed,
-// and the TX rings are drained untimed. It returns the summed Poll
-// time.
-func (r *fpRig) run(frames [][]byte, timed bool) (time.Duration, error) {
-	const chunk = 8 * nf.DefaultBurst // half the RX ring
-	drain := make([]*dpdk.Mbuf, nf.DefaultBurst)
-	var elapsed time.Duration
-	for done := 0; done < len(frames); {
-		c := chunk
-		if done+c > len(frames) {
-			c = len(frames) - done
-		}
-		for j := 0; j < c; j++ {
-			if !r.intPort.DeliverRx(frames[done+j], 0) {
-				return 0, fmt.Errorf("experiments: fastpath rx ring rejected frame %d", done+j)
-			}
-		}
-		polls := (c + nf.DefaultBurst - 1) / nf.DefaultBurst
-		start := time.Now()
-		for p := 0; p < polls; p++ {
-			if _, err := r.engine.Poll(); err != nil {
-				return 0, err
-			}
-		}
-		if timed {
-			elapsed += time.Since(start)
-		}
-		for _, port := range []*dpdk.Port{r.extPort, r.intPort} {
-			for {
-				k := port.DrainTx(drain)
-				if k == 0 {
-					break
-				}
-				for i := 0; i < k; i++ {
-					if err := drain[i].Pool().Free(drain[i]); err != nil {
-						return 0, err
-					}
-				}
-			}
-		}
-		done += c
-	}
-	return elapsed, nil
-}
+// warmPasses is how many untimed passes over the established pool
+// install it in the cache. A pool's first sightings are all misses, so
+// the engine's adaptive bypass goes cold and sends most of the first
+// pass (1,680–1,920 of 2,048 packets) and some of the second (240)
+// around the cache unexamined: the doorkeeper first sees those flows
+// on the second or third pass and admits them on the next. After four
+// passes only flows whose entries collide still miss (~15 packets of a
+// 48,000-packet measured region; after three, ~364).
+const warmPasses = 4
 
 // fpEstablishedFrames crafts the warmed flow pool's frames.
-func fpEstablishedFrames(n int) [][]byte {
-	frames := make([][]byte, n)
+func fpEstablishedFrames(n int) []frame {
+	frames := make([]frame, n)
 	for i := range frames {
-		spec := &netstack.FrameSpec{ID: flow.ID{
+		frames[i] = craft(flow.ID{
 			SrcIP:   flow.MakeAddr(10, 0, byte(i>>8), byte(i)),
 			DstIP:   flow.MakeAddr(198, 51, 100, 1),
 			SrcPort: uint16(10000 + i%50000),
 			DstPort: 80,
 			Proto:   flow.UDP,
-		}}
-		frames[i] = netstack.Craft(make([]byte, netstack.FrameLen(spec)), spec)
+		}, true)
 	}
 	return frames
 }
 
 // fpTupleFrames crafts n distinct internal tuples in the 10.<net>/16
 // range. net 1 is the fresh/churn universe — the SYN-flood shape:
-// every packet creates NAT state, none ever hits the cache (the
+// every packet creates NF state, none ever hits the cache (the
 // doorkeeper admits a key only on its second sighting), so it is the
 // slow path plus the full classification overhead. net 2 is the
 // background universe that fills the table toward capacity and is
 // never revisited.
-func fpTupleFrames(n int, net byte) [][]byte {
-	frames := make([][]byte, n)
+func fpTupleFrames(n int, net byte) []frame {
+	frames := make([]frame, n)
 	for i := range frames {
-		spec := &netstack.FrameSpec{ID: flow.ID{
+		frames[i] = craft(flow.ID{
 			SrcIP:   flow.MakeAddr(10, net, byte(i>>8), byte(i)),
 			DstIP:   flow.MakeAddr(198, 51, 100, 2),
 			SrcPort: 7777,
 			DstPort: 443,
 			Proto:   flow.UDP,
-		}}
-		frames[i] = netstack.Craft(make([]byte, netstack.FrameLen(spec)), spec)
+		}, true)
 	}
 	return frames
 }
@@ -218,8 +122,8 @@ func fpTupleFrames(n int, net byte) [][]byte {
 // established, error-diffused so every burst carries the advertised
 // mix rather than alternating long runs of each. It returns the mix
 // and the number of fresh frames consumed.
-func fpMix(established, fresh [][]byte, packets, hitPct int) ([][]byte, int) {
-	mixed := make([][]byte, 0, packets)
+func fpMix(established, fresh []frame, packets, hitPct int) ([]frame, int) {
+	mixed := make([]frame, 0, packets)
 	acc, e, f := 0, 0, 0
 	for i := 0; i < packets; i++ {
 		acc += hitPct
@@ -236,13 +140,11 @@ func fpMix(established, fresh [][]byte, packets, hitPct int) ([][]byte, int) {
 }
 
 // FastPathSweep measures the established-flow fast path across hit
-// rates: for each row it builds twin single-worker NAT pipelines
-// (cache on at cfg.Entries, cache force-disabled), warms the
-// established pool through both (two passes — the second is each
-// flow's second sighting, which admits it past the doorkeeper and
-// installs its entry), then times the identical mixed sequence through
-// each engine. Rounds fresh-rig repetitions are taken per row and the
-// minimum kept.
+// rates: for each row and round it builds twin single-worker pipelines
+// of the catalog row (cache force-disabled, cache on at cfg.Entries),
+// fills each toward capacity, warms the established pool through both,
+// then times the identical mixed sequence through each engine, the two
+// back to back. The rounds' pairs are read by package paired.
 func FastPathSweep(cfg FastPathConfig) ([]FastPathRow, error) {
 	hitPcts := cfg.HitPcts
 	if len(hitPcts) == 0 {
@@ -259,16 +161,15 @@ func FastPathSweep(cfg FastPathConfig) ([]FastPathRow, error) {
 	packets = cfg.Scale.applyInt(packets)
 	rounds := cfg.Rounds
 	if rounds == 0 {
-		// Min-of-rounds only filters scheduler noise if enough rounds land
-		// clean; on a busy single-core host three is not enough, and the
-		// first rounds of a row additionally pay whole-process warm-up
-		// (branch predictors, frequency scaling) that the minimum should
-		// not inherit on either side.
 		rounds = 12
 	}
 	entries := cfg.Entries
 	if entries == 0 {
 		entries = nf.DefaultFastPathEntries
+	}
+	name := cfg.NF
+	if name == "" {
+		name = "nat"
 	}
 	// Capacity budget: background + established + fresh must fit the
 	// flow table (and the port allocator) with a little slack, so every
@@ -285,90 +186,65 @@ func FastPathSweep(cfg FastPathConfig) ([]FastPathRow, error) {
 	// needs (the 100%-established row, which has no fresh flows).
 	bgMax := Capacity - established - slack
 	bgFrames := fpTupleFrames(bgMax, 2)
+	o := rowOptions(Capacity)
 
 	rows := make([]FastPathRow, 0, len(hitPcts))
 	for _, pct := range hitPcts {
 		mixed, fresh := fpMix(estFrames, freshFrames, packets, pct)
 		bg := bgMax - fresh
-		nfName := cfg.NF
-		if nfName == "" {
-			nfName = "nat"
-		}
 		row := FastPathRow{
-			NF:             nfName,
+			NF:             name,
 			HitPct:         pct,
 			StartOccupancy: float64(bg+established) / float64(Capacity),
 		}
-		for round := 0; round < rounds; round++ {
-			var times [2]time.Duration
-			// Alternate which side runs first: rig construction and teardown
-			// leave the allocator in a different state for whoever comes
-			// second, and the minimum should not inherit that bias.
-			order := []int{0, 1}
-			if round%2 == 1 {
-				order = []int{1, 0}
+		t, err := alternate(rounds, func(side int) (float64, error) {
+			// Telemetry force-off: the ratio must not absorb the
+			// observability layer's (small) cost on either side.
+			ecfg := nf.Config{FastPath: nf.FastPathDisabled, Telemetry: nf.TelemetryDisabled}
+			if side == 1 {
+				ecfg.FastPath = entries
 			}
-			for _, side := range order {
-				fastPath := entries
-				if side == 1 {
-					fastPath = nf.FastPathDisabled
-				}
-				// Telemetry force-off: the sweep's ratio must not absorb
-				// the observability layer's (small) cost on either side.
-				rig, err := newFPRig(cfg.NF, fastPath, nf.TelemetryDisabled)
-				if err != nil {
-					return nil, err
-				}
-				// Fill toward capacity with background flows (created once,
-				// never revisited), then three untimed warm passes over the
-				// established pool: create every flow, revisit it so the
-				// doorkeeper admits and the cache installs, and once more
-				// because the background flood left the engine's adaptive
-				// bypass cold — the early packets of a pass are sampled
-				// rather than probed until the first install re-warms it.
-				if _, err := rig.run(bgFrames[:bg], false); err != nil {
-					return nil, err
-				}
-				for pass := 0; pass < 3; pass++ {
-					if _, err := rig.run(estFrames, false); err != nil {
-						return nil, err
-					}
-				}
-				// Rig construction just allocated megabytes (the NAT's
-				// prefaulted tables); collect them now so the GC does not
-				// fire inside the timed window. The packet path itself is
-				// allocation-free.
-				runtime.GC()
-				before := rig.engine.Stats()
-				elapsed, err := rig.run(mixed, true)
-				if err != nil {
-					return nil, err
-				}
-				times[side] = elapsed
-				if side == 0 {
-					after := rig.engine.Stats()
-					hits := after.FastPathHits - before.FastPathHits
-					misses := after.FastPathMisses - before.FastPathMisses
-					if hits+misses > 0 {
-						row.ObservedHitRate = float64(hits) / float64(hits+misses)
-					}
-				}
-				if rig.pipe.InUse() != 0 {
-					return nil, fmt.Errorf("experiments: fastpath sweep leaked %d mbufs", rig.pipe.InUse())
+			r, err := newRig(name, o, ecfg)
+			if err != nil {
+				return 0, err
+			}
+			// Fill toward capacity with background flows (created once,
+			// never revisited), then warm the established pool untimed.
+			if _, err := r.run(bgFrames[:bg], false); err != nil {
+				return 0, err
+			}
+			for pass := 0; pass < warmPasses; pass++ {
+				if _, err := r.run(estFrames, false); err != nil {
+					return 0, err
 				}
 			}
-			nsOn := float64(times[0].Nanoseconds()) / float64(packets)
-			nsOff := float64(times[1].Nanoseconds()) / float64(packets)
-			if row.NsOn == 0 || nsOn < row.NsOn {
-				row.NsOn = nsOn
+			// Rig construction just allocated; collect now so the GC
+			// does not fire inside the timed window. The packet path
+			// itself is allocation-free.
+			runtime.GC()
+			before := r.engine.Stats()
+			elapsed, err := r.run(mixed, true)
+			if err != nil {
+				return 0, err
 			}
-			if row.NsOff == 0 || nsOff < row.NsOff {
-				row.NsOff = nsOff
+			if after := r.engine.Stats(); side == 1 {
+				hits := after.FastPathHits - before.FastPathHits
+				misses := after.FastPathMisses - before.FastPathMisses
+				if hits+misses > 0 {
+					row.ObservedHitRate = float64(hits) / float64(hits+misses)
+				}
 			}
+			return float64(elapsed.Nanoseconds()) / float64(packets), nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		if row.NsOn > 0 {
-			row.Speedup = row.NsOff / row.NsOn
-		}
+		// B is the cached side: its ratio to the plain side is the
+		// cache's cost, and the speedup is its inverse.
+		res := paired.Compare(t[0], t[1], paired.Lower)
+		row.NsOff, row.NsOn = paired.Median(t[0]), paired.Median(t[1])
+		row.Speedup, row.CILo, row.CIHi = 1/res.Ratio, 1/res.Hi, 1/res.Lo
+		row.PairsWon, row.Pairs = res.Won, res.Pairs
 		rows = append(rows, row)
 	}
 	return rows, nil
@@ -377,12 +253,13 @@ func FastPathSweep(cfg FastPathConfig) ([]FastPathRow, error) {
 // FormatFastpath renders the sweep as a paper-style table.
 func FormatFastpath(rows []FastPathRow) string {
 	var b strings.Builder
-	b.WriteString("(single-worker engine at the paper's near-capacity operating point; ns/pkt over Poll calls only — RX delivery and TX drain model NIC DMA and are untimed; min of rounds; firewall rows exercise the identity fast path: no rewrite template to replay)\n")
-	fmt.Fprintf(&b, "%-10s %-14s %12s %12s %9s %14s %10s\n",
-		"nf", "established", "cache ns/pkt", "plain ns/pkt", "speedup", "observed hits", "start occ")
+	b.WriteString("(single-worker engine at the paper's near-capacity operating point; ns/pkt over Poll calls only — RX delivery and TX drain model NIC DMA and are untimed; per-side medians, speedup the median paired ratio with its bootstrap 95% CI and the rounds the cache won; firewall rows exercise the identity fast path: no rewrite template to replay)\n")
+	fmt.Fprintf(&b, "%-10s %-14s %12s %12s %9s %17s %6s %14s %10s\n",
+		"nf", "established", "cache ns/pkt", "plain ns/pkt", "speedup", "95% CI", "won", "observed hits", "start occ")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-10s %-13d%% %12.1f %12.1f %8.2fx %13.1f%% %9.2f\n",
-			r.NF, r.HitPct, r.NsOn, r.NsOff, r.Speedup, 100*r.ObservedHitRate, r.StartOccupancy)
+		fmt.Fprintf(&b, "%-10s %-13d%% %12.1f %12.1f %8.2fx %17s %6s %13.1f%% %9.2f\n",
+			r.NF, r.HitPct, r.NsOn, r.NsOff, r.Speedup, fmt.Sprintf("[%.2f, %.2f]", r.CILo, r.CIHi),
+			fmt.Sprintf("%d/%d", r.PairsWon, r.Pairs), 100*r.ObservedHitRate, r.StartOccupancy)
 	}
 	return b.String()
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"sort"
 	"testing"
 	"time"
 
@@ -214,14 +215,96 @@ func TestTelemetryOverheadShape(t *testing.T) {
 		t.Fatalf("per-packet histogram undercounts the measured region: %d pkts over %d passes at stride %d, %d samples < %d",
 			g.Packets, telPasses, telemetry.TimingStride, g.PktSamples, want)
 	}
+	if !(g.CILo <= g.OverheadPct && g.OverheadPct <= g.CIHi) || g.PairsWon < 0 || g.PairsWon > g.Rounds {
+		t.Fatalf("paired reading malformed: overhead %.2f%%, CI [%.2f%%, %.2f%%], won %d of %d",
+			g.OverheadPct, g.CILo, g.CIHi, g.PairsWon, g.Rounds)
+	}
 	s := res.Split
 	if s.FastPkts == 0 || s.SlowPkts == 0 {
 		t.Fatalf("fast/slow split empty on one side: %+v", s)
+	}
+	// Every split field covers the measured region (1,200 packets at
+	// this scale), not the warm passes before it.
+	if measured := uint64(TelemetryConfig{Scale: 0.1}.Scale.applyInt(12000)); s.FastPkts+s.SlowPkts != measured {
+		t.Fatalf("split counts %d+%d packets, the measured region is %d", s.FastPkts, s.SlowPkts, measured)
 	}
 	if s.ObservedHitRate <= 0 {
 		t.Fatalf("cache never hit in the split leg: %+v", s)
 	}
 	t.Log("\n" + FormatTelemetry(res))
+}
+
+// TestTelemetryOverheadIsMedianRatio: the gate's number is what it was
+// before package paired read it — the median of the per-round on/off
+// ratios, the mean of the middle two for an even count — on odd and
+// even round counts.
+func TestTelemetryOverheadIsMedianRatio(t *testing.T) {
+	off := []float64{333.1, 340.7, 329.9, 351.2, 338.4, 336.0, 345.5}
+	on := []float64{336.8, 341.2, 335.5, 349.9, 342.0, 339.1, 351.3}
+	for _, n := range []int{len(off), len(off) - 1} {
+		ratios := make([]float64, n)
+		for i := range ratios {
+			ratios[i] = on[i] / off[i]
+		}
+		sort.Float64s(ratios)
+		median := ratios[n/2]
+		if n%2 == 0 {
+			median = (ratios[n/2-1] + ratios[n/2]) / 2
+		}
+		var g TelemetryGateway
+		g.setOverhead(off[:n], on[:n])
+		if want := 100 * (median - 1); g.OverheadPct != want {
+			t.Errorf("%d rounds: overhead %v%%, the median ratio says %v%%", n, g.OverheadPct, want)
+		}
+		if !(g.CILo <= g.OverheadPct && g.OverheadPct <= g.CIHi) {
+			t.Errorf("%d rounds: CI [%v, %v] misses the overhead %v", n, g.CILo, g.CIHi, g.OverheadPct)
+		}
+	}
+}
+
+// TestSplitIsMeasuredRegion: the split reads only what the histograms
+// gained between its two snapshots. Before them, the warm passes left
+// 2,048 flow creations at ~4 µs in the slow histogram; read whole, the
+// slow mean would be ~3.8 µs and its p50 bound 4,095 ns.
+func TestSplitIsMeasuredRegion(t *testing.T) {
+	var fast, slow telemetry.Hist
+	fast.ObserveN(60, 1000)
+	slow.ObserveN(4000, 2048)
+	before := telemetry.Snapshot{FastPktNs: fast.Snapshot(), SlowPktNs: slow.Snapshot()}
+	fast.ObserveN(100, 300)
+	slow.ObserveN(300, 100)
+	after := telemetry.Snapshot{FastPktNs: fast.Snapshot(), SlowPktNs: slow.Snapshot()}
+	want := TelemetrySplit{FastPkts: 300, SlowPkts: 100, FastMeanNs: 100, SlowMeanNs: 300, FastP50NsLE: 127, SlowP50NsLE: 511}
+	if got := splitBetween(before, after); got != want {
+		t.Fatalf("split %+v, want %+v", got, want)
+	}
+}
+
+// TestFastPathSweepShape runs the sweep scaled down over both legs:
+// the sweep fails on an mbuf any rig still holds after a pass, each
+// row's cache saw the mix it advertises, and each row carries its
+// paired reading.
+func TestFastPathSweepShape(t *testing.T) {
+	// The cache's own count over the measured region: after the warm
+	// passes only established flows whose entries collide miss, a few
+	// packets in a thousand.
+	const tolerance = 0.02
+	for _, leg := range []string{"nat", "firewall"} {
+		rows, err := FastPathSweep(FastPathConfig{NF: leg, HitPcts: []int{0, 50, 100}, Rounds: 3, Scale: 0.1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Log("\n" + FormatFastpath(rows))
+		for _, r := range rows {
+			if d := r.ObservedHitRate - float64(r.HitPct)/100; d < -tolerance || d > tolerance {
+				t.Errorf("%s %d%%: observed hit rate %.3f", leg, r.HitPct, r.ObservedHitRate)
+			}
+			if r.NsOn <= 0 || r.NsOff <= 0 || r.Pairs != 3 || r.PairsWon < 0 || r.PairsWon > r.Pairs ||
+				!(0 < r.CILo && r.CILo <= r.Speedup && r.Speedup <= r.CIHi) {
+				t.Errorf("%s %d%%: paired reading malformed: %+v", leg, r.HitPct, r)
+			}
+		}
+	}
 }
 
 func TestBuildMiddleboxUnknown(t *testing.T) {

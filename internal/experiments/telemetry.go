@@ -3,19 +3,14 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"time"
 
-	"vignat/internal/dpdk"
-	"vignat/internal/firewall"
+	"vignat/internal/catalog"
 	"vignat/internal/flow"
-	"vignat/internal/lb"
-	"vignat/internal/libvig"
-	"vignat/internal/nat"
-	"vignat/internal/netstack"
 	"vignat/internal/nf"
-	"vignat/internal/policer"
+	"vignat/internal/nf/telemetry"
+	"vignat/internal/paired"
 )
 
 // TelemetryConfig parameterizes the telemetry-overhead measurement.
@@ -63,35 +58,35 @@ const (
 	telPasses = 8
 )
 
-// telVIP is the gateway chain's DNS virtual IP.
-var telVIP = flow.MakeAddr(10, 53, 53, 53)
-
 // TelemetryGateway is the overhead leg: the same packet sequence driven
-// through two identical firewall→policer→LB→NAT gateway pipelines, one
-// with telemetry force-disabled and one with histograms plus the trace
-// ring on. NsOff/NsOn time the engine's Poll calls only (RX delivery
-// and TX drain model NIC DMA and are untimed, as in the fast-path
-// sweep) and report each side's min over every timed pass — the noise
-// floor.
+// through two identical single-worker pipelines of the catalog's
+// gateway row (firewall→policer→LB→NAT), one with telemetry
+// force-disabled and one with histograms plus the trace ring on.
+// NsOff/NsOn time the engine's Poll calls only (see rig.run): each
+// round, each side's figure is the min of telPasses short passes,
+// short enough that the min lands on a preemption-free window, and
+// NsOff/NsOn are each side's median over the rounds.
 // OverheadPct, the headline number CI tracks against the ≤3% budget,
-// is NOT the ratio of those minima: each side's min can land in a
-// different machine regime, and comparing the off side's luckiest
-// window against the on side's merely-average one fabricates percents
-// in either direction. Instead, each round runs both sides back to
-// back — each side's time the min of telPasses short passes, short
-// enough that the min lands on a preemption-free window — and the
-// per-round paired ratio of those floors cancels regime drift;
-// OverheadPct is the median of the per-round ratios, which rejects
-// the rounds that went bad anyway.
+// is NOT the ratio of those medians: the two sides of a round run back
+// to back, so their ratio cancels the host's drift, while a side's
+// median mixes the host's fast and slow states. OverheadPct is
+// 100·(median per-round on/off ratio − 1), the mean of the middle two
+// for an even count, and [CILo, CIHi] its bootstrap 95% interval in
+// the same unit; PairsWon counts the rounds the enabled rig was the
+// faster (package paired).
 type TelemetryGateway struct {
 	Packets     int     `json:"packets"`
 	Rounds      int     `json:"rounds"`
 	NsOff       float64 `json:"ns_per_pkt_off"`
 	NsOn        float64 `json:"ns_per_pkt_on"`
 	OverheadPct float64 `json:"overhead_pct"`
-	// Sample counts of the enabled rig's merged histograms over the
-	// final round's measured region — nonzero proves the scrape surface
-	// was populated by real traffic, not construction.
+	CILo        float64 `json:"ci_lo"`
+	CIHi        float64 `json:"ci_hi"`
+	PairsWon    int     `json:"pairs_won"`
+	// Sample counts of the enabled rig's merged histograms in the final
+	// round, over its warm pass and its telPasses timed passes — nonzero
+	// proves the scrape surface was populated by real traffic, not
+	// construction.
 	PollSamples    uint64 `json:"poll_samples"`
 	PktSamples     uint64 `json:"pkt_samples"`
 	BurstSamples   uint64 `json:"burst_samples"`
@@ -100,9 +95,15 @@ type TelemetryGateway struct {
 	// PollP99NsLE is the inclusive upper bound of the bucket holding the
 	// p99 poll time — the log2-resolution tail view operators get.
 	PollP99NsLE uint64 `json:"poll_p99_ns_le"`
-	// Ratios is the sorted per-round paired-ratio sample OverheadPct is
-	// the median of — diagnostic only, not persisted.
-	Ratios []float64 `json:"-"`
+}
+
+// setOverhead reads the rounds' per-side ns/pkt, off[i] and on[i] from
+// round i, as pairs.
+func (g *TelemetryGateway) setOverhead(off, on []float64) {
+	res := paired.Compare(off, on, paired.Lower)
+	g.NsOff, g.NsOn = paired.Median(off), paired.Median(on)
+	g.OverheadPct, g.CILo, g.CIHi = 100*(res.Ratio-1), 100*(res.Lo-1), 100*(res.Hi-1)
+	g.PairsWon = res.Won
 }
 
 // TelemetrySplit is the fast/slow-split leg. The gateway chain itself
@@ -112,7 +113,7 @@ type TelemetryGateway struct {
 // its default size and telemetry on, driven with a mixed
 // established/fresh sequence. Both counts nonzero is the acceptance
 // bar: the histograms separate cache-resolved bursts from full-walk
-// bursts.
+// bursts. Every field covers the measured region only.
 type TelemetrySplit struct {
 	FastPkts        uint64  `json:"fast_pkts"`
 	SlowPkts        uint64  `json:"slow_pkts"`
@@ -129,172 +130,18 @@ type TelemetryResult struct {
 	Split   TelemetrySplit   `json:"fastpath_split"`
 }
 
-// telFrame is one crafted frame plus the side it arrives on.
-type telFrame struct {
-	data     []byte
-	internal bool
-}
-
-// telRig is one telemetry mode's complete gateway stand.
-type telRig struct {
-	pool    *dpdk.Mempool
-	intPort *dpdk.Port
-	extPort *dpdk.Port
-	engine  *nf.Pipeline
-}
-
-func newTelRig(telemetry int) (*telRig, error) {
-	clock := libvig.NewSystemClock()
-	gwNAT, err := nat.New(nat.Config{
-		Capacity:     telCap,
-		Timeout:      time.Hour,
-		ExternalIP:   ExtIP,
-		PortBase:     PortBase,
-		InternalPort: 0,
-		ExternalPort: 1,
-	}, clock)
-	if err != nil {
-		return nil, err
-	}
-	fw, err := firewall.New(telCap, time.Hour, clock)
-	if err != nil {
-		return nil, err
-	}
-	// The policer's budget is generous: over-rate clipping is a
-	// behavior experiment (chain purity, fastpath conformance), not
-	// an overhead one, and a starved meter would let drop processing
-	// replace the forward path being timed.
-	pol, err := policer.New(policer.Config{
-		Rate: 1 << 30, Burst: 1 << 30, Capacity: telCap, Timeout: time.Hour,
-	}, clock)
-	if err != nil {
-		return nil, err
-	}
-	gwLB, err := lb.New(lb.Config{
-		VIP:             telVIP,
-		VIPPort:         53,
-		Capacity:        telCap,
-		Timeout:         time.Hour,
-		MaxBackends:     4,
-		ClientsInternal: true,
-		Passthrough:     true,
-	}, clock)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := gwLB.AddBackend(flow.MakeAddr(9, 9, 9, byte(9+i)), clock.Now()); err != nil {
-			return nil, err
-		}
-	}
-	chain, err := nf.NewChain("homegw",
-		firewall.AsNF(fw), policer.AsNF(pol), lb.AsNF(gwLB), nat.AsNF(gwNAT))
-	if err != nil {
-		return nil, err
-	}
-	pool, err := dpdk.NewMempool(1024)
-	if err != nil {
-		return nil, err
-	}
-	intPort, err := dpdk.NewPort(0, dpdk.DefaultRxQueue, dpdk.DefaultTxQueue, pool)
-	if err != nil {
-		return nil, err
-	}
-	extPort, err := dpdk.NewPort(1, dpdk.DefaultRxQueue, dpdk.DefaultTxQueue, pool)
-	if err != nil {
-		return nil, err
-	}
-	engine, err := nf.NewPipeline(chain, nf.Config{
-		Internal:  intPort,
-		External:  extPort,
-		Clock:     clock,
-		FastPath:  nf.FastPathDisabled, // the chain declines it anyway
-		Telemetry: telemetry,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &telRig{pool: pool, intPort: intPort, extPort: extPort, engine: engine}, nil
-}
-
-// run drives frames through the rig in chunks: each chunk is delivered
-// into the RX rings untimed, the Poll calls that consume it are timed,
-// and the TX rings are drained untimed — the same discipline as the
-// fast-path sweep.
-func (r *telRig) run(frames []telFrame, timed bool) (time.Duration, error) {
-	const chunk = 8 * nf.DefaultBurst
-	drain := make([]*dpdk.Mbuf, nf.DefaultBurst)
-	var elapsed time.Duration
-	for done := 0; done < len(frames); {
-		c := chunk
-		if done+c > len(frames) {
-			c = len(frames) - done
-		}
-		for j := 0; j < c; j++ {
-			f := frames[done+j]
-			port := r.intPort
-			if !f.internal {
-				port = r.extPort
-			}
-			if !port.DeliverRx(f.data, 0) {
-				return 0, fmt.Errorf("experiments: telemetry rx ring rejected frame %d", done+j)
-			}
-		}
-		start := time.Now()
-		for consumed := 0; consumed < c; {
-			n, err := r.engine.Poll()
-			if err != nil {
-				return 0, err
-			}
-			if n == 0 {
-				return 0, fmt.Errorf("experiments: engine idle with %d frames queued", c-consumed)
-			}
-			consumed += n
-		}
-		if timed {
-			elapsed += time.Since(start)
-		}
-		for _, port := range []*dpdk.Port{r.extPort, r.intPort} {
-			for {
-				k := port.DrainTx(drain)
-				if k == 0 {
-					break
-				}
-				for i := 0; i < k; i++ {
-					if err := drain[i].Pool().Free(drain[i]); err != nil {
-						return 0, err
-					}
-				}
-			}
-		}
-		done += c
-	}
-	return elapsed, nil
-}
-
 // telEstablishedFrames crafts each home host's warm pair: one HTTP
-// flow to the open internet and one DNS query to the gateway's VIP
-// (exercising the balancer's rewrite on every revisit).
-func telEstablishedFrames(hosts int) []telFrame {
-	out := make([]telFrame, 0, 2*hosts)
+// flow to the open internet and one DNS query to the gateway's
+// resolver VIP (exercising the balancer's rewrite on every revisit).
+func telEstablishedFrames(hosts int) []frame {
+	out := make([]frame, 0, 2*hosts)
 	for h := 0; h < hosts; h++ {
-		http := &netstack.FrameSpec{ID: flow.ID{
-			SrcIP:   flow.MakeAddr(10, 0, byte(h>>8), byte(1+h%250)),
-			SrcPort: uint16(20000 + h),
-			DstIP:   flow.MakeAddr(93, 184, 216, byte(1+h%3)),
-			DstPort: 80,
-			Proto:   flow.UDP,
-		}}
-		dns := &netstack.FrameSpec{ID: flow.ID{
-			SrcIP:   flow.MakeAddr(10, 0, byte(h>>8), byte(1+h%250)),
-			SrcPort: uint16(30000 + h),
-			DstIP:   telVIP,
-			DstPort: 53,
-			Proto:   flow.UDP,
-		}}
+		src := flow.MakeAddr(10, 0, byte(h>>8), byte(1+h%250))
 		out = append(out,
-			telFrame{netstack.Craft(make([]byte, netstack.FrameLen(http)), http), true},
-			telFrame{netstack.Craft(make([]byte, netstack.FrameLen(dns)), dns), true})
+			craft(flow.ID{SrcIP: src, SrcPort: uint16(20000 + h),
+				DstIP: flow.MakeAddr(93, 184, 216, byte(1+h%3)), DstPort: 80, Proto: flow.UDP}, true),
+			craft(flow.ID{SrcIP: src, SrcPort: uint16(30000 + h),
+				DstIP: catalog.ResolverVIP, DstPort: catalog.ResolverPort, Proto: flow.UDP}, true))
 	}
 	return out
 }
@@ -302,17 +149,11 @@ func telEstablishedFrames(hosts int) []telFrame {
 // telFreshFrames crafts n distinct internal tuples — each one walks
 // state creation through firewall, LB passthrough, and the NAT's
 // allocator on its first appearance.
-func telFreshFrames(n int) []telFrame {
-	out := make([]telFrame, n)
+func telFreshFrames(n int) []frame {
+	out := make([]frame, n)
 	for i := range out {
-		spec := &netstack.FrameSpec{ID: flow.ID{
-			SrcIP:   flow.MakeAddr(10, 1, byte(i>>8), byte(i)),
-			SrcPort: 7777,
-			DstIP:   flow.MakeAddr(93, 184, 216, 9),
-			DstPort: 443,
-			Proto:   flow.UDP,
-		}}
-		out[i] = telFrame{netstack.Craft(make([]byte, netstack.FrameLen(spec)), spec), true}
+		out[i] = craft(flow.ID{SrcIP: flow.MakeAddr(10, 1, byte(i>>8), byte(i)), SrcPort: 7777,
+			DstIP: flow.MakeAddr(93, 184, 216, 9), DstPort: 443, Proto: flow.UDP}, true)
 	}
 	return out
 }
@@ -320,17 +161,11 @@ func telFreshFrames(n int) []telFrame {
 // telJunkFrames crafts unsolicited external probes against the NAT's
 // public address: no flow matches, so each is dropped on the verified
 // unsolicited path.
-func telJunkFrames(n int) []telFrame {
-	out := make([]telFrame, n)
+func telJunkFrames(n int) []frame {
+	out := make([]frame, n)
 	for i := range out {
-		spec := &netstack.FrameSpec{ID: flow.ID{
-			SrcIP:   flow.MakeAddr(203, 0, 113, byte(1+i%250)),
-			SrcPort: uint16(1024 + i%60000),
-			DstIP:   ExtIP,
-			DstPort: uint16(PortBase + i%telCap),
-			Proto:   flow.UDP,
-		}}
-		out[i] = telFrame{netstack.Craft(make([]byte, netstack.FrameLen(spec)), spec), false}
+		out[i] = craft(flow.ID{SrcIP: flow.MakeAddr(203, 0, 113, byte(1+i%250)), SrcPort: uint16(1024 + i%60000),
+			DstIP: ExtIP, DstPort: uint16(PortBase + i%telCap), Proto: flow.UDP}, false)
 	}
 	return out
 }
@@ -338,8 +173,8 @@ func telJunkFrames(n int) []telFrame {
 // telMix interleaves the three populations into the measured sequence:
 // mostly established revisits, a fresh flow every telFreshDiv packets,
 // junk every telJunkDiv.
-func telMix(est, fresh, junk []telFrame, packets int) []telFrame {
-	mixed := make([]telFrame, 0, packets)
+func telMix(est, fresh, junk []frame, packets int) []frame {
+	mixed := make([]frame, 0, packets)
 	e, f, j := 0, 0, 0
 	for i := 0; i < packets; i++ {
 		switch {
@@ -358,8 +193,8 @@ func telMix(est, fresh, junk []telFrame, packets int) []telFrame {
 }
 
 // TelemetryOverhead measures both legs: the gateway-chain overhead of
-// enabling telemetry (min-of-rounds ns/pkt, off vs on) and the NAT
-// fast/slow histogram split.
+// enabling telemetry (paired rounds, off vs on) and the NAT fast/slow
+// histogram split.
 func TelemetryOverhead(cfg TelemetryConfig) (*TelemetryResult, error) {
 	packets := cfg.Packets
 	if packets == 0 {
@@ -368,11 +203,10 @@ func TelemetryOverhead(cfg TelemetryConfig) (*TelemetryResult, error) {
 	packets = cfg.Scale.applyInt(packets)
 	rounds := cfg.Rounds
 	if rounds == 0 {
-		// The effect being measured is ~1% on a shared single-core host
-		// where even paired min-of-passes floors differ by a few percent
-		// round to round; the median's sampling error shrinks as
-		// 1/sqrt(rounds), and 48 rounds (~4s) put it near half a
-		// percent.
+		// The effect being measured is ~1% on a shared host where even
+		// paired min-of-passes floors differ by a few percent round to
+		// round; the median's sampling error shrinks as 1/sqrt(rounds),
+		// and 48 rounds (~4s) put it near half a percent.
 		rounds = 48
 	}
 	hosts := cfg.Hosts
@@ -391,79 +225,57 @@ func TelemetryOverhead(cfg TelemetryConfig) (*TelemetryResult, error) {
 	fresh := telFreshFrames(packets/telFreshDiv + 1)
 	junk := telJunkFrames(1024)
 	mixed := telMix(est, fresh, junk, packets)
+	// The gateway row at telCap flows an element, four resolvers, and a
+	// policer budget so generous that no packet is policed: over-rate
+	// clipping is a behavior experiment, not an overhead one, and a
+	// starved meter would let drop processing replace the forward path
+	// being timed.
+	o := rowOptions(telCap)
+	o.Backends = 4
+	o.Rate, o.Bucket = 1<<30, 1<<30
 
 	res := &TelemetryResult{Gateway: TelemetryGateway{Packets: packets, Rounds: rounds}}
 	g := &res.Gateway
-	ratios := make([]float64, 0, rounds)
-	for round := 0; round < rounds; round++ {
-		var times [2]time.Duration
-		// Alternate which side runs first, so neither side's floor
-		// inherits allocator or frequency-scaling bias.
-		order := []int{0, 1}
-		if round%2 == 1 {
-			order = []int{1, 0}
+	t, err := alternate(rounds, func(side int) (float64, error) {
+		ecfg := nf.Config{FastPath: nf.FastPathDisabled, Telemetry: nf.TelemetryDisabled} // the chain declines the cache anyway
+		if side == 1 {
+			ecfg.Telemetry = 1
 		}
-		for _, side := range order {
-			mode := nf.TelemetryDisabled
-			if side == 1 {
-				mode = 1
-			}
-			rig, err := newTelRig(mode)
+		r, err := newRig("gateway", o, ecfg)
+		if err != nil {
+			return 0, err
+		}
+		// Warm pass: create every established flow's state in all
+		// four NFs, untimed.
+		if _, err := r.run(est, false); err != nil {
+			return 0, err
+		}
+		runtime.GC()
+		var best time.Duration
+		for pass := 0; pass < telPasses; pass++ {
+			elapsed, err := r.run(mixed, true)
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
-			// Warm pass: create every established flow's state in all
-			// four NFs, untimed.
-			if _, err := rig.run(est, false); err != nil {
-				return nil, err
-			}
-			runtime.GC()
-			var best time.Duration
-			for pass := 0; pass < telPasses; pass++ {
-				elapsed, err := rig.run(mixed, true)
-				if err != nil {
-					return nil, err
-				}
-				if best == 0 || elapsed < best {
-					best = elapsed
-				}
-			}
-			times[side] = best
-			if side == 1 {
-				snap := rig.engine.Telemetry().Snapshot()
-				g.PollSamples = snap.PollNs.Count
-				g.PktSamples = snap.FastPktNs.Count + snap.SlowPktNs.Count
-				g.BurstSamples = snap.BurstOccupancy.Count
-				g.TxDrainSamples = snap.TxDrain.Count
-				g.TraceRecords = len(rig.engine.Telemetry().TraceSnapshot())
-				g.PollP99NsLE = snap.PollNs.Quantile(0.99)
-			}
-			if rig.pool.InUse() != 0 {
-				return nil, fmt.Errorf("experiments: telemetry gateway leaked %d mbufs", rig.pool.InUse())
+			if best == 0 || elapsed < best {
+				best = elapsed
 			}
 		}
-		nsOff := float64(times[0].Nanoseconds()) / float64(packets)
-		nsOn := float64(times[1].Nanoseconds()) / float64(packets)
-		if g.NsOff == 0 || nsOff < g.NsOff {
-			g.NsOff = nsOff
+		if side == 1 {
+			snap := r.engine.Telemetry().Snapshot()
+			g.PollSamples = snap.PollNs.Count
+			g.PktSamples = snap.FastPktNs.Count + snap.SlowPktNs.Count
+			g.BurstSamples = snap.BurstOccupancy.Count
+			g.TxDrainSamples = snap.TxDrain.Count
+			g.TraceRecords = len(r.engine.Telemetry().TraceSnapshot())
+			g.PollP99NsLE = snap.PollNs.Quantile(0.99)
 		}
-		if g.NsOn == 0 || nsOn < g.NsOn {
-			g.NsOn = nsOn
-		}
-		if nsOff > 0 {
-			ratios = append(ratios, nsOn/nsOff)
-		}
+		return float64(best.Nanoseconds()) / float64(packets), nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	sort.Float64s(ratios)
-	g.Ratios = ratios
-	if len(ratios) > 0 {
-		mid := len(ratios) / 2
-		median := ratios[mid]
-		if len(ratios)%2 == 0 {
-			median = (ratios[mid-1] + ratios[mid]) / 2
-		}
-		g.OverheadPct = 100 * (median - 1)
-	}
+	g.setOverhead(t[0], t[1])
 
 	split, err := telemetrySplit(cfg)
 	if err != nil {
@@ -486,7 +298,10 @@ func telemetrySplit(cfg TelemetryConfig) (*TelemetrySplit, error) {
 		return nil, fmt.Errorf("experiments: telemetry split needs packets+%d+%d <= %d",
 			established, slack, Capacity)
 	}
-	rig, err := newFPRig("nat", nf.DefaultFastPathEntries, 1)
+	// The split reads exact per-burst fast/slow costs, so every poll is
+	// timed.
+	r, err := newRig("nat", rowOptions(Capacity), nf.Config{
+		FastPath: nf.DefaultFastPathEntries, Telemetry: 1, TimingStride: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -497,7 +312,7 @@ func telemetrySplit(cfg TelemetryConfig) (*TelemetrySplit, error) {
 	// so an error-diffused mix (one fresh packet in every burst, as the
 	// sweep uses) would classify everything slow. Whole bursts of
 	// established traffic alternate with whole bursts of fresh flows.
-	mixed := make([][]byte, 0, packets)
+	mixed := make([]frame, 0, packets)
 	e, f := 0, 0
 	for len(mixed) < packets {
 		for k := 0; k < 3*nf.DefaultBurst && len(mixed) < packets; k++ {
@@ -509,50 +324,60 @@ func telemetrySplit(cfg TelemetryConfig) (*TelemetrySplit, error) {
 			f++
 		}
 	}
-	// Three warm passes, as in the sweep: create, admit past the
-	// doorkeeper and install, re-warm the adaptive bypass.
-	for pass := 0; pass < 3; pass++ {
-		if _, err := rig.run(estFrames, false); err != nil {
+	for pass := 0; pass < warmPasses; pass++ {
+		if _, err := r.run(estFrames, false); err != nil {
 			return nil, err
 		}
 	}
-	before := rig.engine.Telemetry().Snapshot()
-	statsBefore := rig.engine.Stats()
-	if _, err := rig.run(mixed, false); err != nil {
+	before, statsBefore := r.engine.Telemetry().Snapshot(), r.engine.Stats()
+	if _, err := r.run(mixed, false); err != nil {
 		return nil, err
 	}
-	snap := rig.engine.Telemetry().Snapshot()
-	stats := rig.engine.Stats()
-	split := &TelemetrySplit{
-		FastPkts:    snap.FastPktNs.Count - before.FastPktNs.Count,
-		SlowPkts:    snap.SlowPktNs.Count - before.SlowPktNs.Count,
-		FastMeanNs:  snap.FastPktNs.Mean(),
-		SlowMeanNs:  snap.SlowPktNs.Mean(),
-		FastP50NsLE: snap.FastPktNs.Quantile(0.5),
-		SlowP50NsLE: snap.SlowPktNs.Quantile(0.5),
-	}
+	split := splitBetween(before, r.engine.Telemetry().Snapshot())
+	stats := r.engine.Stats()
 	hits := stats.FastPathHits - statsBefore.FastPathHits
 	misses := stats.FastPathMisses - statsBefore.FastPathMisses
 	if hits+misses > 0 {
 		split.ObservedHitRate = float64(hits) / float64(hits+misses)
 	}
-	if rig.pipe.InUse() != 0 {
-		return nil, fmt.Errorf("experiments: telemetry split leaked %d mbufs", rig.pipe.InUse())
+	return &split, nil
+}
+
+// splitBetween is the fast/slow split of what the engine observed
+// between two snapshots of its telemetry: each histogram's counts, sum
+// and buckets differenced, so no field reads the warm-up before.
+func splitBetween(before, after telemetry.Snapshot) TelemetrySplit {
+	fast, slow := histDelta(after.FastPktNs, before.FastPktNs), histDelta(after.SlowPktNs, before.SlowPktNs)
+	return TelemetrySplit{
+		FastPkts: fast.Count, SlowPkts: slow.Count,
+		FastMeanNs: fast.Mean(), SlowMeanNs: slow.Mean(),
+		FastP50NsLE: fast.Quantile(0.5), SlowP50NsLE: slow.Quantile(0.5),
 	}
-	return split, nil
+}
+
+// histDelta is what a histogram observed between its snapshots
+// before and after.
+func histDelta(after, before telemetry.HistSnapshot) telemetry.HistSnapshot {
+	for i := range after.Buckets {
+		after.Buckets[i] -= before.Buckets[i]
+	}
+	after.Count -= before.Count
+	after.Sum -= before.Sum
+	return after
 }
 
 // FormatTelemetry renders the measurement as a paper-style table.
 func FormatTelemetry(r *TelemetryResult) string {
 	var b strings.Builder
 	g := r.Gateway
-	b.WriteString("(firewall→policer→LB→NAT gateway, single worker; ns/pkt over Poll calls only, min of rounds)\n")
-	fmt.Fprintf(&b, "%-22s %14s %14s %10s\n", "telemetry", "off ns/pkt", "on ns/pkt", "overhead")
-	fmt.Fprintf(&b, "%-22s %14.1f %14.1f %9.2f%%\n", "gateway chain", g.NsOff, g.NsOn, g.OverheadPct)
+	b.WriteString("(the catalog's firewall→policer→LB→NAT gateway, single worker; ns/pkt over Poll calls only, per-side medians of each round's min of passes; overhead the median paired on/off ratio with its bootstrap 95% CI and the rounds telemetry-on won)\n")
+	fmt.Fprintf(&b, "%-22s %14s %14s %10s %18s %6s\n", "telemetry", "off ns/pkt", "on ns/pkt", "overhead", "95% CI", "won")
+	fmt.Fprintf(&b, "%-22s %14.1f %14.1f %9.2f%% %18s %6s\n", "gateway chain", g.NsOff, g.NsOn, g.OverheadPct,
+		fmt.Sprintf("[%.2f%%, %.2f%%]", g.CILo, g.CIHi), fmt.Sprintf("%d/%d", g.PairsWon, g.Rounds))
 	fmt.Fprintf(&b, "enabled-rig histograms: poll=%d pkt=%d burst=%d txdrain=%d trace=%d poll-p99≤%dns\n",
 		g.PollSamples, g.PktSamples, g.BurstSamples, g.TxDrainSamples, g.TraceRecords, g.PollP99NsLE)
 	s := r.Split
-	b.WriteString("\n(fast/slow split on the cached single-NF NAT rig, 75% established)\n")
+	b.WriteString("\n(fast/slow split on the cached single-NF NAT rig, 75% established, measured region only)\n")
 	fmt.Fprintf(&b, "%-12s %10s %12s %12s\n", "path", "packets", "mean ns/pkt", "p50 ≤ ns")
 	fmt.Fprintf(&b, "%-12s %10d %12.1f %12d\n", "fast (hit)", s.FastPkts, s.FastMeanNs, s.FastP50NsLE)
 	fmt.Fprintf(&b, "%-12s %10d %12.1f %12d\n", "slow", s.SlowPkts, s.SlowMeanNs, s.SlowP50NsLE)

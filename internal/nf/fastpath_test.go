@@ -22,6 +22,7 @@ import (
 	"vignat/internal/nat"
 	"vignat/internal/netstack"
 	"vignat/internal/nf"
+	"vignat/internal/paired"
 )
 
 // natRig is one complete NAT-on-pipeline harness with its own ports.
@@ -364,9 +365,10 @@ func TestFastPathBackendDrainInvalidation(t *testing.T) {
 // pure churn flood (every packet a never-repeating flow — the SYN-scan
 // shape), the cache never hits, and the doorkeeper keeps installs so
 // rare that total time stays within a generous constant factor of the
-// uncached pipeline. The rounds alternate uncached and cached, so a
-// change in host speed lands on both sides, and min-of-rounds damps
-// scheduler noise.
+// uncached pipeline. Each round times an uncached and a cached rig back
+// to back, so a change in host speed lands on both sides of the round's
+// ratio, and the median of those ratios (package paired) damps the
+// rounds a preemption hit.
 func TestFastPathChurnBoundedOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -417,15 +419,15 @@ func TestFastPathChurnBoundedOverhead(t *testing.T) {
 		return el
 	}
 
-	slow, fast := time.Duration(1<<62-1), time.Duration(1<<62-1)
+	var slow, fast []float64
 	for r := 0; r < rounds; r++ {
-		slow = min(slow, churnRound(nf.FastPathDisabled))
-		fast = min(fast, churnRound(4096))
+		slow = append(slow, float64(churnRound(nf.FastPathDisabled)))
+		fast = append(fast, float64(churnRound(4096)))
 	}
-	ratio := float64(fast) / float64(slow)
-	t.Logf("churn: cached %v, uncached %v, ratio %.3f", fast, slow, ratio)
-	if ratio > 1.5 {
-		t.Fatalf("churn overhead ratio %.3f exceeds 1.5 (cached %v, uncached %v)", ratio, fast, slow)
+	res := paired.Compare(slow, fast, paired.Lower)
+	t.Logf("churn: cached/uncached %.3f, 95%% CI [%.3f, %.3f], cached won %d of %d rounds", res.Ratio, res.Lo, res.Hi, res.Won, res.Pairs)
+	if res.Ratio > 1.5 {
+		t.Fatalf("churn overhead ratio %.3f exceeds 1.5 (95%% CI [%.3f, %.3f])", res.Ratio, res.Lo, res.Hi)
 	}
 }
 
