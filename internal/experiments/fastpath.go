@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"vignat/internal/catalog"
 	"vignat/internal/flow"
 	"vignat/internal/nf"
 	"vignat/internal/paired"
@@ -40,15 +41,19 @@ type FastPathConfig struct {
 	Scale Scale
 }
 
-// FastPathRow is one hit-rate data point: the same packet sequence
-// driven through two identical single-worker pipelines of the catalog
-// row, one with the flow cache enabled and one with it force-disabled.
+// FastPathRow is one data point: the same packet sequence driven
+// through two identical single-worker pipelines of the catalog row, one
+// with the flow cache enabled and one with it force-disabled. A hit-rate
+// row's sequence mixes HitPct percent established traffic with fresh
+// internal flows; the Scan row's is a port scan of the external address
+// (see fpScanFrames), HitPct 0.
 //
 // NsOn/NsOff are each side's median ns/pkt over the rounds, timing the
 // engine's Poll calls only (see rig.run). Speedup is the paired
-// reading: the median over rounds of the round's plain/cached ratio,
-// with its bootstrap 95% interval [CILo, CIHi] and the rounds the cache
-// won (package paired).
+// reading: the median over rounds of the round's plain/cached ratio
+// (the mean of the middle two for an even count), with its bootstrap
+// 95% interval [CILo, CIHi] and the rounds the cache won, those the
+// plain side did not (package paired).
 //
 // Each row runs the NF at the paper's operating point — the flow
 // table filled toward its 65,535 capacity (the evaluation's 64k-flow
@@ -61,6 +66,7 @@ type FastPathConfig struct {
 type FastPathRow struct {
 	NF              string  `json:"nf"`
 	HitPct          int     `json:"hit_pct"`
+	Scan            bool    `json:"scan"`
 	NsOn            float64 `json:"ns_per_pkt_on"`
 	NsOff           float64 `json:"ns_per_pkt_off"`
 	Speedup         float64 `json:"speedup"`
@@ -118,6 +124,26 @@ func fpTupleFrames(n int, net byte) []frame {
 	return frames
 }
 
+// fpScanFrames crafts n unsolicited external frames, a port scan of
+// the NAT's external address: no tuple belongs to a flow, so every
+// packet misses the cache and the NF's table alike, and the NF (NAT or
+// firewall) forwards none of them, so the cache is never offered one.
+// The cached side's extra work is the pre-classifier alone: extract,
+// hash, probe, doorkeeper tag.
+func fpScanFrames(n int) []frame {
+	frames := make([]frame, n)
+	for i := range frames {
+		frames[i] = craft(flow.ID{
+			SrcIP:   flow.MakeAddr(203, 0, byte(i>>8), byte(i)),
+			DstIP:   catalog.ExtIP,
+			SrcPort: uint16(1024 + i),
+			DstPort: uint16(PortBase + i%Capacity),
+			Proto:   flow.UDP,
+		}, false)
+	}
+	return frames
+}
+
 // fpMix interleaves established and fresh frames at hitPct percent
 // established, error-diffused so every burst carries the advertised
 // mix rather than alternating long runs of each. It returns the mix
@@ -140,11 +166,12 @@ func fpMix(established, fresh []frame, packets, hitPct int) ([]frame, int) {
 }
 
 // FastPathSweep measures the established-flow fast path across hit
-// rates: for each row and round it builds twin single-worker pipelines
-// of the catalog row (cache force-disabled, cache on at cfg.Entries),
-// fills each toward capacity, warms the established pool through both,
-// then times the identical mixed sequence through each engine, the two
-// back to back. The rounds' pairs are read by package paired.
+// rates, then under a port scan: for each row and round it builds twin
+// single-worker pipelines of the catalog row (cache force-disabled,
+// cache on at cfg.Entries), fills each toward capacity, warms the
+// established pool through both, then times the identical sequence
+// through each engine, the two back to back. The rounds' pairs are
+// read by package paired.
 func FastPathSweep(cfg FastPathConfig) ([]FastPathRow, error) {
 	hitPcts := cfg.HitPcts
 	if len(hitPcts) == 0 {
@@ -183,20 +210,17 @@ func FastPathSweep(cfg FastPathConfig) ([]FastPathRow, error) {
 	estFrames := fpEstablishedFrames(established)
 	freshFrames := fpTupleFrames(packets, 1)
 	// One background universe, crafted once at the largest size any row
-	// needs (the 100%-established row, which has no fresh flows).
+	// needs (the 100%-established and scan rows, which have no fresh
+	// flows).
 	bgMax := Capacity - established - slack
 	bgFrames := fpTupleFrames(bgMax, 2)
 	o := rowOptions(Capacity)
 
-	rows := make([]FastPathRow, 0, len(hitPcts))
-	for _, pct := range hitPcts {
-		mixed, fresh := fpMix(estFrames, freshFrames, packets, pct)
+	// measure times seq in rounds of paired rigs, each filled with
+	// background flows to leave room for seq's fresh ones.
+	measure := func(row FastPathRow, seq []frame, fresh int) (FastPathRow, error) {
 		bg := bgMax - fresh
-		row := FastPathRow{
-			NF:             name,
-			HitPct:         pct,
-			StartOccupancy: float64(bg+established) / float64(Capacity),
-		}
+		row.NF, row.StartOccupancy = name, float64(bg+established)/float64(Capacity)
 		t, err := alternate(rounds, func(side int) (float64, error) {
 			// Telemetry force-off: the ratio must not absorb the
 			// observability layer's (small) cost on either side.
@@ -223,7 +247,7 @@ func FastPathSweep(cfg FastPathConfig) ([]FastPathRow, error) {
 			// itself is allocation-free.
 			runtime.GC()
 			before := r.engine.Stats()
-			elapsed, err := r.run(mixed, true)
+			elapsed, err := r.run(seq, true)
 			if err != nil {
 				return 0, err
 			}
@@ -234,20 +258,35 @@ func FastPathSweep(cfg FastPathConfig) ([]FastPathRow, error) {
 					row.ObservedHitRate = float64(hits) / float64(hits+misses)
 				}
 			}
-			return float64(elapsed.Nanoseconds()) / float64(packets), nil
+			return float64(elapsed.Nanoseconds()) / float64(len(seq)), nil
 		})
+		if err != nil {
+			return row, err
+		}
+		// Read with the cached side as A, the pairs' ratio is
+		// plain/cached: the speedup itself, interval included. The
+		// rounds the plain side did not win are the cache's.
+		res := paired.Compare(t[1], t[0])
+		row.NsOff, row.NsOn = paired.Median(t[0]), paired.Median(t[1])
+		row.Speedup, row.CILo, row.CIHi = res.Ratio, res.Lo, res.Hi
+		row.PairsWon, row.Pairs = res.Pairs-res.Won, res.Pairs
+		return row, nil
+	}
+
+	rows := make([]FastPathRow, 0, len(hitPcts)+1)
+	for _, pct := range hitPcts {
+		mixed, fresh := fpMix(estFrames, freshFrames, packets, pct)
+		row, err := measure(FastPathRow{HitPct: pct}, mixed, fresh)
 		if err != nil {
 			return nil, err
 		}
-		// B is the cached side: its ratio to the plain side is the
-		// cache's cost, and the speedup is its inverse.
-		res := paired.Compare(t[0], t[1], paired.Lower)
-		row.NsOff, row.NsOn = paired.Median(t[0]), paired.Median(t[1])
-		row.Speedup, row.CILo, row.CIHi = 1/res.Ratio, 1/res.Hi, 1/res.Lo
-		row.PairsWon, row.Pairs = res.Won, res.Pairs
 		rows = append(rows, row)
 	}
-	return rows, nil
+	row, err := measure(FastPathRow{Scan: true}, fpScanFrames(packets), 0)
+	if err != nil {
+		return nil, err
+	}
+	return append(rows, row), nil
 }
 
 // FormatFastpath renders the sweep as a paper-style table.
@@ -257,8 +296,12 @@ func FormatFastpath(rows []FastPathRow) string {
 	fmt.Fprintf(&b, "%-10s %-14s %12s %12s %9s %17s %6s %14s %10s\n",
 		"nf", "established", "cache ns/pkt", "plain ns/pkt", "speedup", "95% CI", "won", "observed hits", "start occ")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-10s %-13d%% %12.1f %12.1f %8.2fx %17s %6s %13.1f%% %9.2f\n",
-			r.NF, r.HitPct, r.NsOn, r.NsOff, r.Speedup, fmt.Sprintf("[%.2f, %.2f]", r.CILo, r.CIHi),
+		traffic := fmt.Sprintf("%d%%", r.HitPct)
+		if r.Scan {
+			traffic = "0% (scan)"
+		}
+		fmt.Fprintf(&b, "%-10s %-14s %12.1f %12.1f %8.2fx %17s %6s %13.1f%% %9.2f\n",
+			r.NF, traffic, r.NsOn, r.NsOff, r.Speedup, fmt.Sprintf("[%.2f, %.2f]", r.CILo, r.CIHi),
 			fmt.Sprintf("%d/%d", r.PairsWon, r.Pairs), 100*r.ObservedHitRate, r.StartOccupancy)
 	}
 	return b.String()

@@ -295,6 +295,9 @@ func TestFastPathSweepShape(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Log("\n" + FormatFastpath(rows))
+		if len(rows) != 4 || !rows[3].Scan || rows[3].HitPct != 0 {
+			t.Fatalf("%s: want the three hit-rate rows, then the scan row: %+v", leg, rows)
+		}
 		for _, r := range rows {
 			if d := r.ObservedHitRate - float64(r.HitPct)/100; d < -tolerance || d > tolerance {
 				t.Errorf("%s %d%%: observed hit rate %.3f", leg, r.HitPct, r.ObservedHitRate)

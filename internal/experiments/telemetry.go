@@ -100,7 +100,7 @@ type TelemetryGateway struct {
 // setOverhead reads the rounds' per-side ns/pkt, off[i] and on[i] from
 // round i, as pairs.
 func (g *TelemetryGateway) setOverhead(off, on []float64) {
-	res := paired.Compare(off, on, paired.Lower)
+	res := paired.Compare(off, on)
 	g.NsOff, g.NsOn = paired.Median(off), paired.Median(on)
 	g.OverheadPct, g.CILo, g.CIHi = 100*(res.Ratio-1), 100*(res.Lo-1), 100*(res.Hi-1)
 	g.PairsWon = res.Won
@@ -142,30 +142,6 @@ func telEstablishedFrames(hosts int) []frame {
 				DstIP: flow.MakeAddr(93, 184, 216, byte(1+h%3)), DstPort: 80, Proto: flow.UDP}, true),
 			craft(flow.ID{SrcIP: src, SrcPort: uint16(30000 + h),
 				DstIP: catalog.ResolverVIP, DstPort: catalog.ResolverPort, Proto: flow.UDP}, true))
-	}
-	return out
-}
-
-// telFreshFrames crafts n distinct internal tuples — each one walks
-// state creation through firewall, LB passthrough, and the NAT's
-// allocator on its first appearance.
-func telFreshFrames(n int) []frame {
-	out := make([]frame, n)
-	for i := range out {
-		out[i] = craft(flow.ID{SrcIP: flow.MakeAddr(10, 1, byte(i>>8), byte(i)), SrcPort: 7777,
-			DstIP: flow.MakeAddr(93, 184, 216, 9), DstPort: 443, Proto: flow.UDP}, true)
-	}
-	return out
-}
-
-// telJunkFrames crafts unsolicited external probes against the NAT's
-// public address: no flow matches, so each is dropped on the verified
-// unsolicited path.
-func telJunkFrames(n int) []frame {
-	out := make([]frame, n)
-	for i := range out {
-		out[i] = craft(flow.ID{SrcIP: flow.MakeAddr(203, 0, 113, byte(1+i%250)), SrcPort: uint16(1024 + i%60000),
-			DstIP: ExtIP, DstPort: uint16(PortBase + i%telCap), Proto: flow.UDP}, false)
 	}
 	return out
 }
@@ -222,8 +198,8 @@ func TelemetryOverhead(cfg TelemetryConfig) (*TelemetryResult, error) {
 	}
 
 	est := telEstablishedFrames(hosts)
-	fresh := telFreshFrames(packets/telFreshDiv + 1)
-	junk := telJunkFrames(1024)
+	fresh := fpTupleFrames(packets/telFreshDiv+1, 1)
+	junk := fpScanFrames(1024)
 	mixed := telMix(est, fresh, junk, packets)
 	// The gateway row at telCap flows an element, four resolvers, and a
 	// policer budget so generous that no packet is policed: over-rate

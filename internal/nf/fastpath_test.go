@@ -424,7 +424,7 @@ func TestFastPathChurnBoundedOverhead(t *testing.T) {
 		slow = append(slow, float64(churnRound(nf.FastPathDisabled)))
 		fast = append(fast, float64(churnRound(4096)))
 	}
-	res := paired.Compare(slow, fast, paired.Lower)
+	res := paired.Compare(slow, fast)
 	t.Logf("churn: cached/uncached %.3f, 95%% CI [%.3f, %.3f], cached won %d of %d rounds", res.Ratio, res.Lo, res.Hi, res.Won, res.Pairs)
 	if res.Ratio > 1.5 {
 		t.Fatalf("churn overhead ratio %.3f exceeds 1.5 (95%% CI [%.3f, %.3f])", res.Ratio, res.Lo, res.Hi)

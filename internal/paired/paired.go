@@ -24,15 +24,6 @@ const (
 	seed = 0x9e3779b97f4a7c15
 )
 
-// Better says which way a metric improves.
-type Better bool
-
-// The two directions: times and costs improve downward, rates upward.
-const (
-	Lower  Better = false
-	Higher Better = true
-)
-
 // Verdict is what a Result says against a bound.
 type Verdict string
 
@@ -56,23 +47,22 @@ type Result struct {
 	Ratio float64
 	// Lo and Hi bound Ratio's 95% percentile-bootstrap interval.
 	Lo, Hi float64
-	// Won is the number of pairs B won: b < a when lower is better,
-	// b > a when higher is.
-	Won    int
-	better Better
+	// Won is the number of pairs B won, b < a.
+	Won int
 }
 
-// Compare pairs a[i] with b[i] and reads the set. The two must be the
-// same length, at least one, with every a[i] positive.
-func Compare(a, b []float64, better Better) Result {
+// Compare pairs a[i] with b[i] and reads the set, lower being better:
+// a time or a cost. The two must be the same length, at least one,
+// with every a[i] positive.
+func Compare(a, b []float64) Result {
 	if len(a) != len(b) || len(a) == 0 {
 		panic("paired: Compare needs two equally long, nonempty sets")
 	}
 	ratios := make([]float64, len(a))
-	r := Result{Pairs: len(a), better: better}
+	r := Result{Pairs: len(a)}
 	for i := range a {
 		ratios[i] = b[i] / a[i]
-		if (better == Lower && b[i] < a[i]) || (better == Higher && b[i] > a[i]) {
+		if b[i] < a[i] {
 			r.Won++
 		}
 	}
@@ -93,23 +83,18 @@ func Compare(a, b []float64, better Better) Result {
 }
 
 // Verdict reads r against bound, a share (0.05 is 5%): regressed if
-// the interval lies wholly past 1+bound on the worse side, improved if
-// it lies wholly on the better side of 1, same if it lies inside
-// [1/(1+bound), 1+bound], and unresolved otherwise. The bound is
-// symmetric in the log-ratio, so B 10% slower than A and A 10% slower
-// than B are the same distance from 1.
+// the interval lies wholly above 1+bound, improved if it lies wholly
+// below 1, same if it lies inside [1/(1+bound), 1+bound], and
+// unresolved otherwise. The bound is symmetric in the log-ratio, so B
+// 10% slower than A and A 10% slower than B are the same distance
+// from 1.
 func (r Result) Verdict(bound float64) Verdict {
-	lo, hi := r.Lo, r.Hi
-	if r.better == Higher {
-		// Read a rate as the time it buys: 1/Ratio, its interval flipped.
-		lo, hi = 1/r.Hi, 1/r.Lo
-	}
 	switch limit := 1 + bound; {
-	case lo > limit:
+	case r.Lo > limit:
 		return Regressed
-	case hi < 1:
+	case r.Hi < 1:
 		return Improved
-	case lo >= 1/limit && hi <= limit:
+	case r.Lo >= 1/limit && r.Hi <= limit:
 		return Same
 	}
 	return Unresolved

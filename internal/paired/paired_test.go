@@ -23,7 +23,7 @@ func drifting(n int, factor float64, seed uint64) (a, b []float64) {
 
 func TestTenPercentSlower(t *testing.T) {
 	a, b := drifting(20, 1.10, 7)
-	r := Compare(a, b, Lower)
+	r := Compare(a, b)
 	t.Logf("ratio %.4f, 95%% CI [%.4f, %.4f], B won %d of %d", r.Ratio, r.Lo, r.Hi, r.Won, r.Pairs)
 	if got := r.Verdict(0.05); got != Regressed {
 		t.Errorf("10%% slower at a 5%% bound reads %s, want %s", got, Regressed)
@@ -34,20 +34,8 @@ func TestTenPercentSlower(t *testing.T) {
 	if r.Won != 0 {
 		t.Errorf("B won %d pairs while 10%% slower in each", r.Won)
 	}
-	// The same timings read as rates (higher is better) say the same.
-	rate := func(v []float64) []float64 {
-		out := make([]float64, len(v))
-		for i, x := range v {
-			out[i] = 1 / x
-		}
-		return out
-	}
-	h := Compare(rate(a), rate(b), Higher)
-	if h.Verdict(0.05) != Regressed || h.Verdict(0.25) != Same || h.Won != 0 {
-		t.Errorf("as rates: %s at 5%%, %s at 25%%, won %d", h.Verdict(0.05), h.Verdict(0.25), h.Won)
-	}
 	// And B 10% faster is an improvement at any bound.
-	if got := Compare(b, a, Lower).Verdict(0.25); got != Improved {
+	if got := Compare(b, a).Verdict(0.25); got != Improved {
 		t.Errorf("10%% faster reads %s, want %s", got, Improved)
 	}
 }
@@ -55,7 +43,7 @@ func TestTenPercentSlower(t *testing.T) {
 func TestAAStraddlesOne(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		a, b := drifting(20, 1, seed)
-		r := Compare(a, b, Lower)
+		r := Compare(a, b)
 		if !(r.Lo < 1 && 1 < r.Hi) {
 			t.Errorf("seed %d: A/A interval [%.4f, %.4f] does not straddle 1", seed, r.Lo, r.Hi)
 		}
@@ -67,9 +55,9 @@ func TestAAStraddlesOne(t *testing.T) {
 
 func TestDeterministic(t *testing.T) {
 	a, b := drifting(15, 1.02, 3)
-	first := Compare(a, b, Lower)
+	first := Compare(a, b)
 	for range 3 {
-		if again := Compare(a, b, Lower); again != first {
+		if again := Compare(a, b); again != first {
 			t.Fatalf("same pairs, different reading: %+v then %+v", first, again)
 		}
 	}
@@ -80,7 +68,7 @@ func TestDeterministic(t *testing.T) {
 func TestMedianOfRatios(t *testing.T) {
 	a := []float64{100, 100, 100, 100}
 	b := []float64{101, 104, 99, 102}
-	r := Compare(a, b, Lower)
+	r := Compare(a, b)
 	if want := (1.01 + 1.02) / 2; math.Abs(r.Ratio-want) > 1e-12 {
 		t.Errorf("ratio %v, want %v", r.Ratio, want)
 	}
@@ -90,7 +78,7 @@ func TestMedianOfRatios(t *testing.T) {
 	if !(0.99 <= r.Lo && r.Lo <= r.Ratio && r.Ratio <= r.Hi && r.Hi <= 1.04) {
 		t.Errorf("interval [%v, %v] around %v is outside the pairs' range", r.Lo, r.Hi, r.Ratio)
 	}
-	one := Compare([]float64{10}, []float64{12}, Lower)
+	one := Compare([]float64{10}, []float64{12})
 	if one.Ratio != 1.2 || one.Lo != 1.2 || one.Hi != 1.2 {
 		t.Errorf("one pair: %+v, want ratio and interval 1.2", one)
 	}
@@ -101,7 +89,7 @@ func TestMedianOfRatios(t *testing.T) {
 func TestUnresolved(t *testing.T) {
 	a := []float64{100, 100, 100, 100, 100, 100}
 	b := []float64{80, 125, 95, 130, 105, 88}
-	r := Compare(a, b, Lower)
+	r := Compare(a, b)
 	if got := r.Verdict(0.05); got != Unresolved {
 		t.Errorf("interval [%.3f, %.3f] reads %s at 5%%, want %s", r.Lo, r.Hi, got, Unresolved)
 	}
