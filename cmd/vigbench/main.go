@@ -6,8 +6,11 @@
 //	vigbench [-fig 12|12x|13|14|v1|fastpath|telemetry|ablation|all] [-scale F]
 //
 // -scale shrinks experiment durations (1.0 = full paper-shaped run,
-// 0.2 = quick look). Absolute numbers are testbed-model calibrated; the
-// claim being reproduced is the *shape* (see EXPERIMENTS.md).
+// 0.2 = quick look). Every contender runs on the engine as the daemon
+// runs it; Figs. 12–14 time the engine's Poll calls, and the Linux NAT
+// crosses unix sockets, so its kernel receive and send are inside what
+// is timed. The claim being reproduced is the *shape* (see
+// EXPERIMENTS.md).
 package main
 
 import (
@@ -45,12 +48,13 @@ func main() {
 	}
 
 	run("12", func() error {
-		fmt.Println("=== Fig. 12: average probe-flow latency vs background flows (Texp = 2s) ===")
+		fmt.Println("=== Fig. 12: probe time vs background flows (Texp = 2s) ===")
+		fmt.Println("(one Poll per probe; each cell the median over rounds of a round's mean probe time less its slowest 10%; ratios paired over rounds with their bootstrap 95% CI; the Linux NAT crosses unix sockets)")
 		rows, err := experiments.Fig12(experiments.Fig12Config{Timeout: 2 * time.Second, Scale: s})
 		if err != nil {
 			return err
 		}
-		fmt.Print(experiments.FormatFig12(rows, nil))
+		fmt.Print(experiments.FormatFig12(rows))
 		return nil
 	})
 
@@ -60,13 +64,13 @@ func main() {
 		if err != nil {
 			return err
 		}
-		fmt.Print(experiments.FormatFig12(rows, nil))
+		fmt.Print(experiments.FormatFig12(rows))
 		return nil
 	})
 
 	run("13", func() error {
-		fmt.Println("=== Fig. 13: probe-latency CCDF at 60k background flows ===")
-		rows, err := experiments.Fig13(experiments.Fig13Config{Scale: s})
+		fmt.Println("=== Fig. 13: probe-time quantiles at 60k background flows ===")
+		rows, err := experiments.Fig13(s)
 		if err != nil {
 			return err
 		}
@@ -75,12 +79,13 @@ func main() {
 	})
 
 	run("14", func() error {
-		fmt.Println("=== Fig. 14: max throughput at ≤0.1% loss vs flow count (64B packets) ===")
+		fmt.Println("=== Fig. 14: lossless service rate vs flow count (64B packets) ===")
+		fmt.Println("(a lock-step rig never drops a frame, so there is no RFC 2544 loss search: the rate is 1/(Poll time per packet) over established flows, median over rounds; cost ratios paired over rounds with their bootstrap 95% CI; the Linux NAT crosses unix sockets)")
 		rows, err := experiments.Fig14(experiments.Fig14Config{Scale: s})
 		if err != nil {
 			return err
 		}
-		fmt.Print(experiments.FormatFig14(rows, nil))
+		fmt.Print(experiments.FormatFig14(rows))
 		return nil
 	})
 

@@ -2,8 +2,8 @@
 // mbuf pools, polled ports with RX/TX rings, and burst send/receive. The
 // paper's NF runs a single-core poll loop — rx_burst, process, tx_burst —
 // and this package reproduces that structure so the NF code reads exactly
-// like its C counterpart. There is no real NIC underneath: the testbed
-// package plays the role of the wire.
+// like its C counterpart. There is no real NIC underneath: a tester
+// (transporttest's wires) plays the role of the wire.
 package dpdk
 
 import (

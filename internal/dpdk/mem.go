@@ -21,7 +21,7 @@ type memQueue struct {
 }
 
 // MemTransport is the in-memory backend: per-queue RX/TX rings with
-// the testbed playing the wire. The NF side sees RxBurst/TxBurst like
+// the tester playing the wire. The NF side sees RxBurst/TxBurst like
 // any other transport; the wire side (DeliverRx/DrainTx, reached
 // through Port) injects frames with explicit timestamps and carries
 // transmitted ones away — the lock-step harness every oracle test and
@@ -129,7 +129,7 @@ func (t *MemTransport) TxBurst(q int, bufs []*Mbuf) int {
 	return n
 }
 
-// --- wire side (used by the testbed; reached through Port) ---
+// --- wire side (used by the tester; reached through Port) ---
 
 // DeliverRx places a frame arriving from the wire at time now into the
 // RX queue the RSS function steers it to (queue 0 when none is
@@ -181,7 +181,7 @@ func (t *MemTransport) DeliverRxQueue(q int, frame []byte, now libvig.Time) bool
 
 // DrainTx removes up to len(bufs) transmitted frames from the TX
 // queues (sweeping queue 0 upward) for the wire to carry. Ownership
-// transfers to the caller (the testbed frees them after copying the
+// transfers to the caller (the tester frees them after copying the
 // frame onto the wire). Lock-step harnesses use this to observe all of
 // a port's output regardless of which queue it left on; concurrent
 // per-worker drivers use DrainTxQueue instead.

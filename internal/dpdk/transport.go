@@ -4,8 +4,8 @@ package dpdk
 // that owns framing, receive timestamping, per-queue statistics, and
 // the mbuf conservation discipline, while Port keeps the stable DPDK
 // API surface the NFs program against. The in-memory ring pair
-// (MemTransport) is the first implementation — the shim the testbed
-// drives — and the socket transports (UDPTransport, UnixTransport) are
+// (MemTransport) is the first implementation — the shim lock-step
+// harnesses drive — and the socket transports (UDPTransport, UnixTransport) are
 // real wire backends carrying frames between processes.
 //
 // Ownership contract (identical to rte_eth semantics, and what the

@@ -13,7 +13,8 @@ import (
 	"vignat/internal/libvig"
 	"vignat/internal/nat"
 	"vignat/internal/netfilter"
-	"vignat/internal/testbed"
+	"vignat/internal/nf"
+	"vignat/internal/paired"
 	"vignat/internal/unverified"
 )
 
@@ -31,7 +32,7 @@ const PortBase = 1
 // flows: 1..64k).
 var FlowCounts = []int{1000, 10000, 20000, 30000, 40000, 50000, 60000, 64000}
 
-// NFKind names a middlebox variant.
+// NFKind names a contender of the evaluation.
 type NFKind int
 
 // The four NFs of the evaluation.
@@ -42,65 +43,77 @@ const (
 	NFLinux
 )
 
+// nfLabels are the paper's labels for the NFs, by kind.
+var nfLabels = [...]string{"No-op", "Unverified NAT", "Verified NAT", "Linux NAT"}
+
 // String returns the paper's label for the NF.
 func (k NFKind) String() string {
-	switch k {
-	case NFNoop:
-		return "No-op"
-	case NFUnverified:
-		return "Unverified NAT"
-	case NFVerified:
-		return "Verified NAT"
-	case NFLinux:
-		return "Linux NAT"
-	default:
+	if k < 0 || int(k) >= len(nfLabels) {
 		return "NF(?)"
 	}
+	return nfLabels[k]
 }
 
 // AllNFs lists the evaluation's middleboxes in the paper's order.
 var AllNFs = []NFKind{NFNoop, NFUnverified, NFVerified, NFLinux}
 
-// DPDKNFs lists the DPDK-based NFs (Fig. 13 compares only these).
+// DPDKNFs lists the kernel-bypass contenders (Fig. 13 compares only
+// these).
 var DPDKNFs = []NFKind{NFNoop, NFUnverified, NFVerified}
 
-// BuildMiddlebox constructs a fresh middlebox of the given kind with its
-// own virtual clock, flow timeout, and the appropriate cost model. The
-// verified NAT enters through its adapter (nat.AsNF), the one the
-// engine runs.
-func BuildMiddlebox(kind NFKind, timeout time.Duration) (*testbed.Middlebox, error) {
+// noop is the paper's no-op forwarding baseline: receive, then
+// transmit with no other processing.
+type noop struct{}
+
+func (noop) Name() string { return "noop" }
+
+func (noop) ProcessBatch(pkts []nf.Pkt, verdicts []nf.Verdict) {
+	for i := range pkts {
+		verdicts[i] = nf.Forward
+	}
+}
+
+func (noop) Expire(libvig.Time) int { return 0 }
+
+func (noop) NFStats() nf.Stats { return nf.Stats{} }
+
+// contender builds a fresh NF of the given kind on its own virtual
+// clock, with flow timeout timeout. The verified NAT enters through
+// its adapter (nat.AsNF), the one the engine runs.
+func contender(kind NFKind, timeout time.Duration) (nf.NF, *libvig.VirtualClock, error) {
 	clock := libvig.NewVirtualClock(0)
+	var n nf.NF
+	var err error
 	switch kind {
 	case NFNoop:
-		return &testbed.Middlebox{NF: testbed.Noop{}, Clock: clock, Cost: testbed.DPDKCost}, nil
+		n = noop{}
 	case NFVerified:
-		n, err := nat.New(nat.Config{
-			Capacity:     Capacity,
-			Timeout:      timeout,
-			ExternalIP:   ExtIP,
-			PortBase:     PortBase,
-			InternalPort: 0,
-			ExternalPort: 1,
-		}, clock)
-		if err != nil {
-			return nil, err
+		var v *nat.NAT
+		cfg := nat.Config{Capacity: Capacity, Timeout: timeout, ExternalIP: ExtIP, PortBase: PortBase, ExternalPort: 1}
+		if v, err = nat.New(cfg, clock); err == nil {
+			n = nat.AsNF(v)
 		}
-		return &testbed.Middlebox{NF: nat.AsNF(n), Clock: clock, Cost: testbed.DPDKCost}, nil
 	case NFUnverified:
-		n, err := unverified.New(Capacity, ExtIP, PortBase, timeout, clock)
-		if err != nil {
-			return nil, err
-		}
-		return &testbed.Middlebox{NF: n, Clock: clock, Cost: testbed.DPDKCost}, nil
+		n, err = unverified.New(Capacity, ExtIP, PortBase, timeout, clock)
 	case NFLinux:
-		n, err := netfilter.New(Capacity, ExtIP, PortBase, timeout, clock)
-		if err != nil {
-			return nil, err
-		}
-		return &testbed.Middlebox{NF: n, Clock: clock, Cost: testbed.KernelCost}, nil
+		n, err = netfilter.New(Capacity, ExtIP, PortBase, timeout, clock)
 	default:
-		return nil, fmt.Errorf("experiments: unknown NF kind %d", kind)
+		err = fmt.Errorf("experiments: unknown NF kind %d", kind)
 	}
+	return n, clock, err
+}
+
+// figureRig runs a fresh contender of the given kind on its own rig.
+// The kernel-bypass contenders poll in-memory rings; the Linux NAT
+// crosses unix sockets, so the kernel's own receive and send run
+// inside each of its polls.
+func figureRig(kind NFKind, timeout time.Duration) (*rig, *libvig.VirtualClock, error) {
+	n, clock, err := contender(kind, timeout)
+	if err != nil {
+		return nil, nil, err
+	}
+	r, err := newRig(n, clock, kind == NFLinux, nf.Config{})
+	return r, clock, err
 }
 
 // Scale shrinks experiment durations for quick runs and tests: 1.0 is
@@ -129,4 +142,31 @@ func (s Scale) applyInt(n int) int {
 		scaled = 1000
 	}
 	return scaled
+}
+
+// Rounds holds each contender's figure from every round of a figure
+// run: Rounds[k][i] is contender k's figure in round i, and the
+// contenders of a round ran back to back (see alternate), so their
+// i-th figures form pair i.
+type Rounds map[NFKind][]float64
+
+// Median is contender k's median figure over the rounds.
+func (r Rounds) Median(k NFKind) float64 { return paired.Median(r[k]) }
+
+// Compare reads contender b against contender a as pairs, a the
+// baseline (package paired): Ratio is the median of b/a.
+func (r Rounds) Compare(a, b NFKind) paired.Result { return paired.Compare(r[a], r[b]) }
+
+// contenderRounds runs leg for every contender in kinds, rounds times,
+// the contenders alternating within each round.
+func contenderRounds(kinds []NFKind, rounds int, leg func(NFKind) (float64, error)) (Rounds, error) {
+	t, err := alternate(rounds, len(kinds), func(s int) (float64, error) { return leg(kinds[s]) })
+	if err != nil {
+		return nil, err
+	}
+	out := make(Rounds, len(kinds))
+	for s, k := range kinds {
+		out[k] = t[s]
+	}
+	return out, nil
 }

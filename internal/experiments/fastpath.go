@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"time"
 
 	"vignat/internal/catalog"
 	"vignat/internal/flow"
@@ -24,20 +23,13 @@ type FastPathConfig struct {
 	// HitPcts lists the established-traffic percentages to sweep
 	// (default 0, 25, 50, 75, 100).
 	HitPcts []int
-	// Established is the warmed flow-pool size hits draw from (default
-	// 2048).
-	Established int
-	// Packets is the measured packet count per pass (default 48000 —
-	// below the NAT's capacity, so at 0% established every fresh packet
-	// is a genuine flow creation, never an allocation failure).
-	Packets int
 	// Rounds is the number of pairs per data point: each round times a
 	// fresh cache-off rig and a fresh cache-on rig back to back (default
 	// 12).
 	Rounds int
-	// Entries sizes the flow cache (default nf.DefaultFastPathEntries).
-	Entries int
-	// Scale shrinks Packets for quick runs.
+	// Scale shrinks the measured packet count, 48,000 at 1.0 (below
+	// the NAT's capacity, so at 0% established every fresh packet is a
+	// genuine flow creation, never an allocation failure).
 	Scale Scale
 }
 
@@ -167,8 +159,8 @@ func fpMix(established, fresh []frame, packets, hitPct int) ([]frame, int) {
 
 // FastPathSweep measures the established-flow fast path across hit
 // rates, then under a port scan: for each row and round it builds twin
-// single-worker pipelines of the catalog row (cache force-disabled,
-// cache on at cfg.Entries), fills each toward capacity, warms the
+// single-worker pipelines of the catalog row (cache off, cache on at
+// nf.DefaultFastPathEntries), fills each toward capacity, warms the
 // established pool through both, then times the identical sequence
 // through each engine, the two back to back. The rounds' pairs are
 // read by package paired.
@@ -177,22 +169,11 @@ func FastPathSweep(cfg FastPathConfig) ([]FastPathRow, error) {
 	if len(hitPcts) == 0 {
 		hitPcts = []int{0, 25, 50, 75, 100}
 	}
-	established := cfg.Established
-	if established == 0 {
-		established = 2048
-	}
-	packets := cfg.Packets
-	if packets == 0 {
-		packets = 48000
-	}
-	packets = cfg.Scale.applyInt(packets)
+	const established = 2048 // the warmed flow-pool size hits draw from
+	packets := cfg.Scale.applyInt(48000)
 	rounds := cfg.Rounds
 	if rounds == 0 {
 		rounds = 12
-	}
-	entries := cfg.Entries
-	if entries == 0 {
-		entries = nf.DefaultFastPathEntries
 	}
 	name := cfg.NF
 	if name == "" {
@@ -221,14 +202,14 @@ func FastPathSweep(cfg FastPathConfig) ([]FastPathRow, error) {
 	measure := func(row FastPathRow, seq []frame, fresh int) (FastPathRow, error) {
 		bg := bgMax - fresh
 		row.NF, row.StartOccupancy = name, float64(bg+established)/float64(Capacity)
-		t, err := alternate(rounds, func(side int) (float64, error) {
-			// Telemetry force-off: the ratio must not absorb the
-			// observability layer's (small) cost on either side.
-			ecfg := nf.Config{FastPath: nf.FastPathDisabled, Telemetry: nf.TelemetryDisabled}
+		t, err := alternate(rounds, 2, func(side int) (float64, error) {
+			// Telemetry stays off (the rig's default): the ratio must not
+			// absorb the observability layer's (small) cost on either side.
+			var ecfg nf.Config
 			if side == 1 {
-				ecfg.FastPath = entries
+				ecfg.FastPath = nf.DefaultFastPathEntries
 			}
-			r, err := newRig(name, o, ecfg)
+			r, err := catalogRig(name, o, ecfg)
 			if err != nil {
 				return 0, err
 			}
@@ -307,27 +288,12 @@ func FormatFastpath(rows []FastPathRow) string {
 	return b.String()
 }
 
-// FastpathBench is the machine-readable record of one fast-path sweep,
-// written as BENCH_fastpath.json so CI can track the cache's win and
-// its adversarial floor across commits.
-type FastpathBench struct {
-	Experiment  string        `json:"experiment"`
-	GeneratedAt string        `json:"generated_at"`
-	GoVersion   string        `json:"go_version"`
-	GOMAXPROCS  int           `json:"gomaxprocs"`
-	NumCPU      int           `json:"num_cpu"`
-	Rows        []FastPathRow `json:"rows"`
-}
-
-// WriteFastpathJSON writes rows (plus host metadata) to path as
-// indented JSON.
+// WriteFastpathJSON writes rows to path as BENCH_fastpath.json's
+// record, so CI can track the cache's win and its adversarial floor
+// across commits.
 func WriteFastpathJSON(path string, rows []FastPathRow) error {
-	return writeBenchJSON(path, FastpathBench{
-		Experiment:  "fastpath-sweep",
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		NumCPU:      runtime.NumCPU(),
-		Rows:        rows,
-	})
+	return writeBenchJSON(path, struct {
+		benchHeader
+		Rows []FastPathRow `json:"rows"`
+	}{newBenchHeader("fastpath-sweep"), rows})
 }

@@ -15,7 +15,7 @@ import (
 // counts the engine's Poll calls only (see rig.run).
 func benchHit100(b *testing.B, fastPath int) {
 	const flows = 256
-	r, err := newRig("nat", rowOptions(Capacity), nf.Config{FastPath: fastPath, Telemetry: nf.TelemetryDisabled})
+	r, err := catalogRig("nat", rowOptions(Capacity), nf.Config{FastPath: fastPath})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -5,14 +5,110 @@ import (
 	"strings"
 	"time"
 
-	"vignat/internal/testbed"
+	"vignat/internal/flow"
+	"vignat/internal/libvig"
+	"vignat/internal/moongen"
 )
 
-// Fig12Row is one x-axis point of Fig. 12: the average probe-flow
-// latency per NF at a given background-flow count.
-type Fig12Row struct {
-	BackgroundFlows int
-	Latency         map[NFKind]time.Duration
+// The paper's latency workload (§6, Figs. 12 and 13): background flows
+// at an aggregate 100,000 packets/s hold the flow table's occupancy,
+// and 1,000 probe flows at 0.47 packets/s each arrive after their
+// previous entry expired, so every probe takes the NAT's worst path:
+// expire, miss, insert.
+const (
+	bgRate     = 100_000
+	probeFlows = 1000
+	probeRate  = 0.47
+	// genJitter is the generator's emission jitter, ±ns.
+	genJitter = 200
+)
+
+// probeLatency replays the paper's latency schedule with bgFlows
+// background flows through r on its virtual clock: warmup, then
+// duration more of schedule time. The background packets that fall
+// between two probes travel in bursts, untimed, at the time of the
+// last of them; each probe then rides alone at its own time, and the
+// engine's Poll that carries it is timed. It records the probes timed
+// after warmup in rec, and fails if the contender drops a probe.
+func probeLatency(r *rig, clock *libvig.VirtualClock, bgFlows int, warmup, duration time.Duration, rec *moongen.LatencyRecorder) error {
+	flows, err := moongen.MakeFlows(0, bgFlows+probeFlows, 0, flow.UDP)
+	if err != nil {
+		return err
+	}
+	frames := make([]frame, len(flows))
+	for i := range flows {
+		frames[i] = frame{flows[i].Frame(), true}
+	}
+	sched, err := moongen.NewSchedule(bgFlows, bgRate, probeFlows, probeRate*probeFlows,
+		(warmup + duration).Nanoseconds(), 1, genJitter)
+	if err != nil {
+		return err
+	}
+	recorded := rec.Count()
+	var pending []frame
+	var pendingAt libvig.Time
+	flush := func() error {
+		clock.Set(pendingAt)
+		_, err := r.run(pending, false)
+		pending = pending[:0]
+		return err
+	}
+	for {
+		ev, ok := sched.Next()
+		if !ok {
+			break
+		}
+		if !ev.Probe {
+			pending, pendingAt = append(pending, frames[ev.Flow]), ev.Time
+			continue
+		}
+		if err := flush(); err != nil {
+			return err
+		}
+		clock.Set(ev.Time)
+		before := r.engine.Stats()
+		if err := r.send(frames[ev.Flow:ev.Flow+1], ev.Time); err != nil {
+			return err
+		}
+		d, err := r.poll(1)
+		if err != nil {
+			return err
+		}
+		if after := r.engine.Stats(); after.Dropped != before.Dropped || after.TxFreed != before.TxFreed {
+			return fmt.Errorf("experiments: probe of flow %d dropped at %v", ev.Flow, time.Duration(ev.Time))
+		}
+		if err := r.drain(); err != nil {
+			return err
+		}
+		if ev.Time >= warmup.Nanoseconds() {
+			rec.Record(d)
+		}
+	}
+	if err := flush(); err != nil {
+		return err
+	}
+	if rec.Count() == recorded {
+		return moongen.ErrNoSamples
+	}
+	return nil
+}
+
+// fig12Trim is the share of a round's probes, the slowest, left out of
+// its mean. A probe is one Poll of well under a microsecond on the
+// kernel-bypass rings, so the host preempting the tester once adds tens
+// of microseconds to it: at 1% one such probe in a short round still
+// moved the round's mean by a third.
+const fig12Trim = 0.1
+
+// figRounds is the number of rounds of Figs. 12 and 14, each running
+// every contender once.
+const figRounds = 5
+
+// Point is one x-axis point of Fig. 12 or 14: a flow count and each
+// contender's figure in every round there.
+type Point struct {
+	Flows  int
+	Rounds Rounds
 }
 
 // Fig12Config parameterizes the Fig. 12 run.
@@ -22,18 +118,20 @@ type Fig12Config struct {
 	Timeout time.Duration
 	// FlowCounts is the x-axis; nil means the paper's axis.
 	FlowCounts []int
-	// NFs selects middleboxes; nil means all four.
-	NFs []NFKind
 	// Scale shrinks run duration for smoke tests.
 	Scale Scale
 }
 
-// Fig12 measures average probe-flow latency as a function of the number
-// of background flows (paper Fig. 12; with Timeout=60s, the in-text
-// variant). Probe flows expire between packets when Timeout is 2 s, so
-// each probe packet exercises the miss+insert worst case; with 60 s they
-// never expire and probes take the hit path.
-func Fig12(cfg Fig12Config) ([]Fig12Row, error) {
+// Fig12 measures the probe flows' time through each contender as a
+// function of the number of background flows (paper Fig. 12; with
+// Timeout=60s, the in-text variant). Probe flows expire between
+// packets when Timeout is 2 s, so each probe exercises the miss+insert
+// worst case; with 60 s they never expire and probes take the hit
+// path. A probe's time is the Poll that carries it: for the Linux NAT
+// that includes the kernel's receive and send. A point's rounds hold
+// each round's mean probe time, ns, less the slowest fig12Trim of its
+// probes.
+func Fig12(cfg Fig12Config) ([]Point, error) {
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 2 * time.Second
 	}
@@ -41,48 +139,57 @@ func Fig12(cfg Fig12Config) ([]Fig12Row, error) {
 	if counts == nil {
 		counts = FlowCounts
 	}
-	nfs := cfg.NFs
-	if nfs == nil {
-		nfs = AllNFs
-	}
-	rows := make([]Fig12Row, 0, len(counts))
+	warmup, duration := cfg.Scale.apply(3*time.Second), cfg.Scale.apply(6*time.Second)
+	points := make([]Point, 0, len(counts))
 	for _, n := range counts {
-		row := Fig12Row{BackgroundFlows: n, Latency: make(map[NFKind]time.Duration)}
-		for _, kind := range nfs {
-			mb, err := BuildMiddlebox(kind, cfg.Timeout)
+		probe, err := contenderRounds(AllNFs, figRounds, func(kind NFKind) (float64, error) {
+			r, clock, err := figureRig(kind, cfg.Timeout)
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
-			lcfg := testbed.DefaultLatencyConfig(n)
-			lcfg.Warmup = cfg.Scale.apply(lcfg.Warmup)
-			lcfg.Duration = cfg.Scale.apply(lcfg.Duration)
-			rec, err := testbed.MeasureLatency(mb, lcfg)
-			if err != nil {
-				return nil, fmt.Errorf("fig12 %v @%d flows: %w", kind, n, err)
+			defer r.close()
+			rec := moongen.NewLatencyRecorder(int(probeRate * probeFlows * duration.Seconds()))
+			if err := probeLatency(r, clock, n, warmup, duration, rec); err != nil {
+				return 0, fmt.Errorf("fig12 %v @%d flows: %w", kind, n, err)
 			}
-			// Trimmed mean: see moongen.LatencyRecorder.TrimmedMean.
-			row.Latency[kind] = rec.TrimmedMean(0.01)
+			return float64(rec.TrimmedMean(fig12Trim).Nanoseconds()), nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		rows = append(rows, row)
+		points = append(points, Point{n, probe})
 	}
-	return rows, nil
+	return points, nil
 }
 
-// FormatFig12 renders the rows as a text table in the paper's units.
-func FormatFig12(rows []Fig12Row, nfs []NFKind) string {
-	if nfs == nil {
-		nfs = AllNFs
-	}
+// FormatFig12 renders the points: each contender's median probe time,
+// then the verified NAT's and the Linux NAT's paired ratio to the
+// unverified NAT with its bootstrap 95% CI.
+func FormatFig12(points []Point) string {
+	return formatPoints("bg flows", "", points, func(r Rounds, k NFKind) string {
+		return fmt.Sprintf("%14.3fµs", r.Median(k)/1000)
+	})
+}
+
+// formatPoints renders a figure one point a line: cell's rendering of
+// each contender's rounds, then the verified NAT's and the Linux NAT's
+// paired ratio to the unverified NAT as "ratio [lo, hi]". ratio names
+// what the ratios compare.
+func formatPoints(axis, ratio string, points []Point, cell func(Rounds, NFKind) string) string {
 	b := &strings.Builder{}
-	fmt.Fprintf(b, "%-18s", "bg flows")
-	for _, k := range nfs {
-		fmt.Fprintf(b, "%18s", k)
+	fmt.Fprintf(b, "%-10s", axis)
+	for _, k := range AllNFs {
+		fmt.Fprintf(b, "%16s", k)
 	}
-	fmt.Fprintln(b)
-	for _, r := range rows {
-		fmt.Fprintf(b, "%-18d", r.BackgroundFlows)
-		for _, k := range nfs {
-			fmt.Fprintf(b, "%15.2fµs", float64(r.Latency[k].Nanoseconds())/1000)
+	fmt.Fprintf(b, "%26s%26s\n", ratio+"verified/unverified", ratio+"linux/unverified")
+	for _, p := range points {
+		fmt.Fprintf(b, "%-10d", p.Flows)
+		for _, k := range AllNFs {
+			b.WriteString(cell(p.Rounds, k))
+		}
+		for _, k := range []NFKind{NFVerified, NFLinux} {
+			res := p.Rounds.Compare(NFUnverified, k)
+			fmt.Fprintf(b, "%26s", fmt.Sprintf("%.2f [%.2f, %.2f]", res.Ratio, res.Lo, res.Hi))
 		}
 		fmt.Fprintln(b)
 	}

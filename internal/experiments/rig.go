@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"time"
 
 	"vignat/internal/catalog"
 	"vignat/internal/dpdk"
+	"vignat/internal/dpdk/transporttest"
 	"vignat/internal/flow"
 	"vignat/internal/libvig"
 	"vignat/internal/netstack"
@@ -31,19 +34,215 @@ func rowOptions(capacity int) *catalog.Options {
 	return &catalog.Options{Options: nfkit.Options{Capacity: capacity, Timeout: time.Hour, Shards: 1}}
 }
 
-// rig is one catalog row, built as the daemon builds it, on a
-// single-worker engine over in-memory ports: the timing stand of the
-// fast-path sweep and of the telemetry experiment.
+// rig is one NF on a single-worker engine, the timing stand of every
+// experiment here. The tester holds a wire to each of the engine's two
+// ports: the in-memory rings a kernel-bypass NF polls, or, with kernel
+// set, unix SOCK_SEQPACKET sockets, so that every frame crosses the
+// kernel's receive and send paths inside the engine's Poll.
 type rig struct {
-	pool             *dpdk.Mempool
+	pools            []*dpdk.Mempool
 	intPort, extPort *dpdk.Port
 	engine           *nf.Pipeline
+	// wires are the tester's ends of the internal and external ports;
+	// drained counts the frames read off each so far.
+	wires   [2]transporttest.Wire
+	drained [2]uint64
+	// chunk is the most frames the tester queues before the engine
+	// polls: half the in-memory RX ring, or what a unix socket's
+	// default send buffer holds with room to spare (a blocked send
+	// would wait on a Poll that only this goroutine makes).
+	chunk int
+	dir   string
+	buf   []byte
 }
 
-// newRig builds the catalog row called name at o; cfg sets the
-// engine's flow cache and telemetry, and newRig fills in its ports and
-// clock.
-func newRig(name string, o *catalog.Options, cfg nf.Config) (*rig, error) {
+// newRig runs n on a single-worker engine reading its time from clock,
+// over in-memory rings or, with kernel set, unix sockets. cfg sets the
+// flow cache and telemetry; a zero FastPath or Telemetry is off, never
+// deferred to the environment, so no variable changes what a rig
+// measures.
+func newRig(n nf.NF, clock libvig.Clock, kernel bool, cfg nf.Config) (r *rig, err error) {
+	r = &rig{chunk: 8 * nf.DefaultBurst, buf: make([]byte, dpdk.DataRoomSize)}
+	defer func() {
+		if err != nil {
+			r.close()
+		}
+	}()
+	if kernel {
+		err = r.unixPorts(clock)
+	} else {
+		err = r.memPorts()
+	}
+	if err != nil {
+		return nil, err
+	}
+	if cfg.FastPath == 0 {
+		cfg.FastPath = nf.FastPathDisabled
+	}
+	if cfg.Telemetry == 0 {
+		cfg.Telemetry = nf.TelemetryDisabled
+	}
+	cfg.Internal, cfg.External, cfg.Clock = r.intPort, r.extPort, clock
+	if r.engine, err = nf.NewPipeline(n, cfg); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// memPorts gives the rig two in-memory ports over one pool.
+func (r *rig) memPorts() (err error) {
+	pool, err := dpdk.NewMempool(1024)
+	if err != nil {
+		return err
+	}
+	r.pools = []*dpdk.Mempool{pool}
+	if r.intPort, err = dpdk.NewPort(0, dpdk.DefaultRxQueue, dpdk.DefaultTxQueue, pool); err != nil {
+		return err
+	}
+	if r.extPort, err = dpdk.NewPort(1, dpdk.DefaultRxQueue, dpdk.DefaultTxQueue, pool); err != nil {
+		return err
+	}
+	r.wires = [2]transporttest.Wire{&transporttest.MemWire{Port: r.intPort}, &transporttest.MemWire{Port: r.extPort}}
+	return nil
+}
+
+// unixPorts gives the rig two unix-socket ports, each with its own
+// pool, and the tester a transporttest.UnixWire to each.
+func (r *rig) unixPorts(clock libvig.Clock) (err error) {
+	r.chunk = 2 * nf.DefaultBurst
+	if r.dir, err = os.MkdirTemp("", "vigrig"); err != nil {
+		return err
+	}
+	ports := [2]**dpdk.Port{&r.intPort, &r.extPort}
+	for id, name := range []string{"int", "ext"} {
+		nfPath, wirePath := filepath.Join(r.dir, "nf-"+name), filepath.Join(r.dir, "wire-"+name)
+		tr, err := dpdk.NewUnixTransport(dpdk.SocketConfig{Local: nfPath, Peer: wirePath, Clock: clock})
+		if err != nil {
+			return err
+		}
+		pool, err := dpdk.NewMempool(512)
+		if err == nil {
+			*ports[id], err = dpdk.NewPortOn(uint16(id), tr, []*dpdk.Mempool{pool})
+		}
+		if err != nil {
+			_ = tr.Close()
+			return err
+		}
+		r.pools = append(r.pools, pool)
+		wire, err := transporttest.NewUnixWire(wirePath)
+		if err != nil {
+			return err
+		}
+		r.wires[id] = wire
+		if err := wire.SetPeer(nfPath); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// close releases the rig's sockets and their directory.
+func (r *rig) close() {
+	for side, p := range []*dpdk.Port{r.intPort, r.extPort} {
+		if p != nil {
+			_ = p.Close()
+		}
+		if r.wires[side] != nil {
+			_ = r.wires[side].Close()
+		}
+	}
+	_ = os.RemoveAll(r.dir)
+}
+
+// send hands frames to the tester's wires, each to its side's port.
+func (r *rig) send(frames []frame, now libvig.Time) error {
+	for i, f := range frames {
+		side := 0
+		if !f.internal {
+			side = 1
+		}
+		if !r.wires[side].Send(f.data, now) {
+			return fmt.Errorf("experiments: wire refused frame %d", i)
+		}
+	}
+	return nil
+}
+
+// poll runs the engine until it has consumed want frames and returns
+// the time its Poll calls took. A unix port may answer its first poll
+// empty while it accepts the tester's connection, so idle polls are
+// retried for a while before the rig gives up.
+func (r *rig) poll(want int) (time.Duration, error) {
+	start := time.Now()
+	for consumed, idle := 0, 0; consumed < want; {
+		n, err := r.engine.Poll()
+		if err != nil {
+			return 0, err
+		}
+		if n == 0 {
+			if idle++; idle > 1000 {
+				return 0, fmt.Errorf("experiments: engine idle with %d frames sent", want-consumed)
+			}
+		}
+		consumed += n
+	}
+	return time.Since(start), nil
+}
+
+// drain reads every frame the engine has transmitted off the tester's
+// wires, then checks that no pool holds an mbuf: every frame received
+// was sent on or freed.
+func (r *rig) drain() error {
+	for side, port := range []*dpdk.Port{r.intPort, r.extPort} {
+		for want := port.Stats().TxPackets; r.drained[side] < want; r.drained[side]++ {
+			if _, ok := r.wires[side].Recv(r.buf, time.Second); !ok {
+				return fmt.Errorf("experiments: %d transmitted frames never reached the tester",
+					want-r.drained[side])
+			}
+		}
+	}
+	for _, pool := range r.pools {
+		if n := pool.InUse(); n != 0 {
+			return fmt.Errorf("experiments: rig leaked %d mbufs", n)
+		}
+	}
+	return nil
+}
+
+// run drives frames through the rig in chunks: each chunk is sent
+// untimed, the Poll calls that consume it are timed, and what the
+// engine transmitted is drained untimed. On the in-memory rings,
+// sending and draining model the NIC's DMA engines, which run
+// asynchronously to the NF core on real hardware; timing them would
+// dilute both sides of a ratio with identical harness cost. On unix
+// sockets the tester's own send and receive stay untimed and the
+// engine's receive and send syscalls are timed. run returns the summed
+// Poll time, and fails if a pool holds an mbuf afterwards.
+func (r *rig) run(frames []frame, timed bool) (time.Duration, error) {
+	var elapsed time.Duration
+	for done := 0; done < len(frames); {
+		c := min(r.chunk, len(frames)-done)
+		if err := r.send(frames[done:done+c], 0); err != nil {
+			return 0, err
+		}
+		d, err := r.poll(c)
+		if err != nil {
+			return 0, err
+		}
+		if timed {
+			elapsed += d
+		}
+		if err := r.drain(); err != nil {
+			return 0, err
+		}
+		done += c
+	}
+	return elapsed, nil
+}
+
+// catalogRig builds the catalog row called name at o, as the daemon
+// builds it, on an in-memory rig with the system clock.
+func catalogRig(name string, o *catalog.Options, cfg nf.Config) (*rig, error) {
 	row, ok := catalog.Find(catalog.Rows, name)
 	if !ok || row.New == nil {
 		return nil, fmt.Errorf("experiments: no servable catalog row %q", name)
@@ -53,86 +252,24 @@ func newRig(name string, o *catalog.Options, cfg nf.Config) (*rig, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool, err := dpdk.NewMempool(1024)
-	if err != nil {
-		return nil, err
-	}
-	r := &rig{pool: pool}
-	if r.intPort, err = dpdk.NewPort(0, dpdk.DefaultRxQueue, dpdk.DefaultTxQueue, pool); err != nil {
-		return nil, err
-	}
-	if r.extPort, err = dpdk.NewPort(1, dpdk.DefaultRxQueue, dpdk.DefaultTxQueue, pool); err != nil {
-		return nil, err
-	}
-	cfg.Internal, cfg.External, cfg.Clock = r.intPort, r.extPort, clock
-	if r.engine, err = nf.NewPipeline(run.NF, cfg); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return newRig(run.NF, clock, false, cfg)
 }
 
-// run drives frames through the rig in chunks: each chunk is delivered
-// into the RX ring of its frames' sides untimed, the Poll calls that
-// consume it are timed, and the TX rings are drained untimed. RX
-// delivery and TX drain model the NIC's DMA engines, which run
-// asynchronously to the NF core on real hardware; timing them would
-// dilute both sides of a ratio with identical harness cost. run returns
-// the summed Poll time, and fails if the rig holds an mbuf afterwards.
-func (r *rig) run(frames []frame, timed bool) (time.Duration, error) {
-	const chunk = 8 * nf.DefaultBurst // half the RX ring
-	drain := make([]*dpdk.Mbuf, nf.DefaultBurst)
-	var elapsed time.Duration
-	for done := 0; done < len(frames); {
-		c := min(chunk, len(frames)-done)
-		for j, f := range frames[done : done+c] {
-			port := r.intPort
-			if !f.internal {
-				port = r.extPort
-			}
-			if !port.DeliverRx(f.data, 0) {
-				return 0, fmt.Errorf("experiments: rx ring rejected frame %d", done+j)
-			}
-		}
-		start := time.Now()
-		for consumed := 0; consumed < c; {
-			n, err := r.engine.Poll()
-			if err != nil {
-				return 0, err
-			}
-			if n == 0 {
-				return 0, fmt.Errorf("experiments: engine idle with %d frames queued", c-consumed)
-			}
-			consumed += n
-		}
-		if timed {
-			elapsed += time.Since(start)
-		}
-		for _, port := range []*dpdk.Port{r.extPort, r.intPort} {
-			for k := port.DrainTx(drain); k > 0; k = port.DrainTx(drain) {
-				for _, m := range drain[:k] {
-					if err := m.Pool().Free(m); err != nil {
-						return 0, err
-					}
-				}
-			}
-		}
-		done += c
+// alternate runs rounds rounds of k sides back to back, rotating the
+// order every round so that each side runs in each place equally often
+// and none keeps inheriting another's allocator or frequency state. It
+// returns each side's per-round figures: t[s][i] is side s in round i,
+// and the sides' i-th figures form pair i. With two sides, side 0 (the
+// baseline, A) runs first in even rounds and side 1 (B) in odd ones.
+func alternate(rounds, k int, side func(s int) (float64, error)) ([][]float64, error) {
+	t := make([][]float64, k)
+	for s := range t {
+		t[s] = make([]float64, rounds)
 	}
-	if n := r.pool.InUse(); n != 0 {
-		return 0, fmt.Errorf("experiments: rig leaked %d mbufs", n)
-	}
-	return elapsed, nil
-}
-
-// alternate runs rounds rounds of side 0 (the baseline, A) and side 1
-// (the side under test, B) back to back, B first in odd rounds so that
-// neither side inherits the other's allocator or frequency state, and
-// returns each side's per-round figures: pair i is (t[0][i], t[1][i]).
-func alternate(rounds int, side func(s int) (float64, error)) (t [2][]float64, err error) {
-	t = [2][]float64{make([]float64, rounds), make([]float64, rounds)}
 	for round := range rounds {
-		for k := range 2 {
-			s := k ^ round&1
+		for j := range k {
+			s := (j + round) % k
+			var err error
 			if t[s][round], err = side(s); err != nil {
 				return t, err
 			}

@@ -8,6 +8,7 @@ import (
 	"vignat/internal/catalog"
 	"vignat/internal/flow"
 	"vignat/internal/libvig"
+	"vignat/internal/moongen"
 	"vignat/internal/nat"
 	"vignat/internal/nf/nfkit"
 	"vignat/internal/unverified"
@@ -168,7 +169,7 @@ func FormatAblation(rows []AblationRow) string {
 }
 
 func ablationKey(i int, miss bool) flow.ID {
-	dst := moongenServer()
+	dst := moongen.ServerIP
 	src := flow.MakeAddr(10, 0, 0, 0) + flow.Addr(1+i/1024)
 	port := uint16(10000 + i%1024)
 	if miss {
@@ -190,8 +191,6 @@ func ablationKeys(n int) (hits, misses []flow.ID) {
 	}
 	return hits, misses
 }
-
-func moongenServer() flow.Addr { return flow.MakeAddr(198, 18, 0, 1) }
 
 func newPopulatedFlowTable(n int) (*nat.FlowTable, error) {
 	t, err := nat.NewFlowTable(Capacity, ExtIP, PortBase)

@@ -15,21 +15,14 @@ import (
 
 // TelemetryConfig parameterizes the telemetry-overhead measurement.
 type TelemetryConfig struct {
-	// Packets is the measured packet count per gateway pass (default
-	// 12000 — short enough that a pass often fits between scheduler
-	// preemptions, so the min over telPasses reaches a clean floor).
-	Packets int
 	// Rounds is the number of fresh-rig repetitions; each round pairs
 	// an off rig's min-of-telPasses floor against an on rig's
 	// (default 48).
 	Rounds int
-	// Hosts is the established home-host population behind the gateway;
-	// each host keeps one HTTP flow and one DNS flow warm (default 64).
-	Hosts int
-	// SplitPackets is the measured packet count of the fast/slow-split
-	// leg (default 12000).
-	SplitPackets int
-	// Scale shrinks Packets and SplitPackets for quick runs.
+	// Scale shrinks the measured packet count of each gateway pass
+	// and of the fast/slow-split leg, 12,000 at 1.0: short enough that
+	// a pass often fits between scheduler preemptions, so the min over
+	// telPasses reaches a clean floor.
 	Scale Scale
 }
 
@@ -172,11 +165,7 @@ func telMix(est, fresh, junk []frame, packets int) []frame {
 // enabling telemetry (paired rounds, off vs on) and the NAT fast/slow
 // histogram split.
 func TelemetryOverhead(cfg TelemetryConfig) (*TelemetryResult, error) {
-	packets := cfg.Packets
-	if packets == 0 {
-		packets = 12000
-	}
-	packets = cfg.Scale.applyInt(packets)
+	packets := cfg.Scale.applyInt(12000)
 	rounds := cfg.Rounds
 	if rounds == 0 {
 		// The effect being measured is ~1% on a shared host where even
@@ -185,10 +174,9 @@ func TelemetryOverhead(cfg TelemetryConfig) (*TelemetryResult, error) {
 		// and 48 rounds (~4s) put it near half a percent.
 		rounds = 48
 	}
-	hosts := cfg.Hosts
-	if hosts == 0 {
-		hosts = 64
-	}
+	// The established home-host population behind the gateway: each
+	// host keeps one HTTP flow and one DNS flow warm.
+	const hosts = 64
 	// Capacity budget: every fresh packet must be a genuine creation in
 	// all four NFs on its first pass, never a table-full rejection.
 	const slack = 64
@@ -212,12 +200,12 @@ func TelemetryOverhead(cfg TelemetryConfig) (*TelemetryResult, error) {
 
 	res := &TelemetryResult{Gateway: TelemetryGateway{Packets: packets, Rounds: rounds}}
 	g := &res.Gateway
-	t, err := alternate(rounds, func(side int) (float64, error) {
-		ecfg := nf.Config{FastPath: nf.FastPathDisabled, Telemetry: nf.TelemetryDisabled} // the chain declines the cache anyway
+	t, err := alternate(rounds, 2, func(side int) (float64, error) {
+		var ecfg nf.Config // cache off; the chain declines it anyway
 		if side == 1 {
 			ecfg.Telemetry = 1
 		}
-		r, err := newRig("gateway", o, ecfg)
+		r, err := catalogRig("gateway", o, ecfg)
 		if err != nil {
 			return 0, err
 		}
@@ -263,11 +251,7 @@ func TelemetryOverhead(cfg TelemetryConfig) (*TelemetryResult, error) {
 
 // telemetrySplit runs the fast/slow-split leg on the cached NAT rig.
 func telemetrySplit(cfg TelemetryConfig) (*TelemetrySplit, error) {
-	packets := cfg.SplitPackets
-	if packets == 0 {
-		packets = 12000
-	}
-	packets = cfg.Scale.applyInt(packets)
+	packets := cfg.Scale.applyInt(12000)
 	const established = 2048
 	const slack = 587
 	if packets+established+slack > Capacity {
@@ -276,7 +260,7 @@ func telemetrySplit(cfg TelemetryConfig) (*TelemetrySplit, error) {
 	}
 	// The split reads exact per-burst fast/slow costs, so every poll is
 	// timed.
-	r, err := newRig("nat", rowOptions(Capacity), nf.Config{
+	r, err := catalogRig("nat", rowOptions(Capacity), nf.Config{
 		FastPath: nf.DefaultFastPathEntries, Telemetry: 1, TimingStride: 1})
 	if err != nil {
 		return nil, err
@@ -361,28 +345,11 @@ func FormatTelemetry(r *TelemetryResult) string {
 	return b.String()
 }
 
-// TelemetryBench is the machine-readable record, written as
-// BENCH_telemetry.json so CI can hold the ≤3% overhead budget.
-type TelemetryBench struct {
-	Experiment  string           `json:"experiment"`
-	GeneratedAt string           `json:"generated_at"`
-	GoVersion   string           `json:"go_version"`
-	GOMAXPROCS  int              `json:"gomaxprocs"`
-	NumCPU      int              `json:"num_cpu"`
-	Gateway     TelemetryGateway `json:"gateway"`
-	Split       TelemetrySplit   `json:"fastpath_split"`
-}
-
-// WriteTelemetryJSON writes the result (plus host metadata) to path as
-// indented JSON.
+// WriteTelemetryJSON writes r to path as BENCH_telemetry.json's
+// record, so CI can hold the ≤3% overhead budget.
 func WriteTelemetryJSON(path string, r *TelemetryResult) error {
-	return writeBenchJSON(path, TelemetryBench{
-		Experiment:  "telemetry-overhead",
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		NumCPU:      runtime.NumCPU(),
-		Gateway:     r.Gateway,
-		Split:       r.Split,
-	})
+	return writeBenchJSON(path, struct {
+		benchHeader
+		*TelemetryResult
+	}{newBenchHeader("telemetry-overhead"), r})
 }

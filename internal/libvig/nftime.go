@@ -16,13 +16,13 @@ import (
 )
 
 // Time is a timestamp in nanoseconds, the unit used throughout the NF.
-// The paper's nf_time abstraction returns seconds; nanoseconds let the
-// testbed measure microsecond latencies without a second clock.
+// The paper's nf_time abstraction returns seconds; nanoseconds let
+// expiry run on the same scale as the microsecond latencies measured.
 type Time = int64
 
 // Clock is the nf_time abstraction (§5.1.1): the single source of time for
 // an NF. Injecting it keeps expiry logic deterministic under test and lets
-// the testbed run on virtual time.
+// the evaluation's figures replay their schedules on virtual time.
 type Clock interface {
 	// Now returns the current time. Successive calls never go backwards.
 	Now() Time
@@ -44,7 +44,7 @@ func (c *SystemClock) Now() Time {
 }
 
 // VirtualClock is a manually advanced clock for deterministic tests and
-// for the virtual-time testbed. Reads and advances are atomic, so
+// for the figures' schedule replay. Reads and advances are atomic, so
 // run-to-completion workers may read it while the wire side advances it
 // (the analogue of every core reading the same TSC).
 type VirtualClock struct {

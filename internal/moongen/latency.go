@@ -8,7 +8,8 @@ import (
 
 // LatencyRecorder collects per-packet latency samples, as MoonGen does
 // with hardware timestamps (the paper cites [49] for microsecond-level
-// accuracy; our virtual testbed has exact timestamps by construction).
+// accuracy; here a sample is the monotonic clock's reading of the
+// engine's Poll that carried the packet).
 type LatencyRecorder struct {
 	samples []time.Duration
 	sorted  bool
@@ -28,23 +29,12 @@ func (r *LatencyRecorder) Record(d time.Duration) {
 // Count returns the number of samples.
 func (r *LatencyRecorder) Count() int { return len(r.samples) }
 
-// Mean returns the average latency.
-func (r *LatencyRecorder) Mean() time.Duration {
-	if len(r.samples) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, s := range r.samples {
-		sum += s
-	}
-	return sum / time.Duration(len(r.samples))
-}
-
 // TrimmedMean returns the mean of the samples after discarding the top
-// trim fraction (e.g. 0.01 drops the slowest 1%). The paper's averages
-// carry ~20 ns confidence intervals on a dedicated testbed; on a shared
-// machine the trimmed mean recovers that stability by excluding
-// scheduler artifacts. The full distribution stays available via CCDF.
+// trim fraction (e.g. 0.01 drops the slowest 1%; 0 keeps every sample).
+// The paper's averages carry ~20 ns confidence intervals on a dedicated
+// test bed; on a shared machine the trimmed mean recovers that stability
+// by excluding scheduler artifacts. The full distribution stays
+// available via Quantile.
 func (r *LatencyRecorder) TrimmedMean(trim float64) time.Duration {
 	if len(r.samples) == 0 {
 		return 0
@@ -82,30 +72,6 @@ func (r *LatencyRecorder) Quantile(q float64) time.Duration {
 		idx = len(r.samples) - 1
 	}
 	return r.samples[idx]
-}
-
-// CCDFPoint is one point of a complementary CDF: the fraction of samples
-// strictly greater than Latency.
-type CCDFPoint struct {
-	Latency  time.Duration
-	Fraction float64
-}
-
-// CCDF returns the complementary cumulative distribution evaluated at
-// the given latency thresholds (the x-axis of the paper's Fig. 13).
-func (r *LatencyRecorder) CCDF(at []time.Duration) []CCDFPoint {
-	r.ensureSorted()
-	out := make([]CCDFPoint, len(at))
-	for i, x := range at {
-		// First index with sample > x.
-		lo := sort.Search(len(r.samples), func(j int) bool { return r.samples[j] > x })
-		frac := 0.0
-		if len(r.samples) > 0 {
-			frac = float64(len(r.samples)-lo) / float64(len(r.samples))
-		}
-		out[i] = CCDFPoint{Latency: x, Fraction: frac}
-	}
-	return out
 }
 
 // ErrNoSamples reports an empty recorder where samples were required.

@@ -3,9 +3,8 @@
 // It produces the exact workload mix of the paper's experiments —
 // long-lived "background" flows that control flow-table occupancy plus
 // low-rate "probe" flows that expire after every packet (the worst case
-// for a NAT: miss, then insert) — generates RFC 2544-style fixed-rate
-// streams, and collects latency samples with virtual-hardware
-// timestamps.
+// for a NAT: miss, then insert) — merges them into one deterministic
+// emission schedule, and collects per-packet latency samples.
 package moongen
 
 import (

@@ -152,8 +152,8 @@ func TestLatencyRecorderStats(t *testing.T) {
 	if r.Count() != 5 {
 		t.Fatal("count")
 	}
-	if r.Mean() != 5*time.Microsecond {
-		t.Fatalf("mean %v", r.Mean())
+	if r.TrimmedMean(0) != 5*time.Microsecond {
+		t.Fatalf("mean %v", r.TrimmedMean(0))
 	}
 	if r.Quantile(0) != time.Microsecond || r.Quantile(1) != 9*time.Microsecond {
 		t.Fatal("quantile extremes")
@@ -169,53 +169,10 @@ func TestLatencyRecorderTrimmedMean(t *testing.T) {
 		r.Record(time.Microsecond)
 	}
 	r.Record(time.Second) // one artifact
-	if r.Mean() < time.Millisecond {
+	if r.TrimmedMean(0) < time.Millisecond {
 		t.Fatal("untrimmed mean should be dominated by the artifact")
 	}
 	if got := r.TrimmedMean(0.02); got != time.Microsecond {
 		t.Fatalf("trimmed mean %v", got)
-	}
-}
-
-func TestLatencyRecorderCCDF(t *testing.T) {
-	r := NewLatencyRecorder(4)
-	for _, v := range []int{1, 2, 3, 4} {
-		r.Record(time.Duration(v) * time.Microsecond)
-	}
-	pts := r.CCDF([]time.Duration{0, 2 * time.Microsecond, 5 * time.Microsecond})
-	if pts[0].Fraction != 1.0 {
-		t.Fatalf("CCDF(0) = %f", pts[0].Fraction)
-	}
-	if pts[1].Fraction != 0.5 {
-		t.Fatalf("CCDF(2µs) = %f", pts[1].Fraction)
-	}
-	if pts[2].Fraction != 0 {
-		t.Fatalf("CCDF(5µs) = %f", pts[2].Fraction)
-	}
-}
-
-func TestThroughputSearch(t *testing.T) {
-	// Synthetic device: loses packets above 1.5 Mpps.
-	trial := func(rate float64) float64 {
-		if rate <= 1_500_000 {
-			return 0
-		}
-		return (rate - 1_500_000) / rate
-	}
-	got, err := ThroughputSearch(trial, 100_000, 5_000_000, 10_000, 0.001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got < 1_450_000 || got > 1_550_000 {
-		t.Fatalf("search found %.0f, want ~1.5M", got)
-	}
-}
-
-func TestThroughputSearchValidation(t *testing.T) {
-	if _, err := ThroughputSearch(func(float64) float64 { return 0 }, 0, 100, 1, 0.1); err == nil {
-		t.Fatal("bad bracket accepted")
-	}
-	if _, err := ThroughputSearch(func(float64) float64 { return 1 }, 10, 100, 1, 0.001); err == nil {
-		t.Fatal("device failing at lower bracket not reported")
 	}
 }

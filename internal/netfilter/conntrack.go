@@ -6,10 +6,11 @@
 // source port when free (kernel behaviour, unlike VigNAT's allocator).
 //
 // What is real here: the conntrack data structures and per-packet
-// lookup/creation/expiry work. What is modelled: the kernel-path cost
-// (interrupts, softirq, qdisc, no kernel bypass), which the paper names
-// as the reason NetFilter is ~4× slower — the testbed package charges
-// that as a per-packet overhead constant (see testbed.KernelCost).
+// lookup/creation/expiry work. What the paper names as the reason
+// NetFilter is ~4× slower, the kernel path with no kernel bypass, is
+// not modelled: the evaluation (internal/experiments) runs this NAT
+// behind unix sockets, so each frame crosses the kernel's real receive
+// and send.
 package netfilter
 
 import (
@@ -269,7 +270,7 @@ func (n *NAT) process(frame []byte, fromInternal bool) nf.Verdict {
 	n.processed++
 	now := n.clock.Now()
 	// The kernel expires lazily via its gc worker; per-packet here keeps
-	// occupancy semantics aligned with the other NATs for the testbed.
+	// occupancy semantics aligned with the other NATs for the figures.
 	n.Expire(now)
 
 	p := &n.pkt

@@ -473,11 +473,12 @@ func TestMetricsTelemetryTraceExposition(t *testing.T) {
 	pool, intPort, extPort := twoPorts(t, 32)
 	pipe, err := nf.NewPipeline(discard.NewFrameNF(), nf.Config{
 		Internal: intPort, External: extPort,
-		Telemetry: 1, TraceSample: 1, TimingStride: 1,
+		Telemetry: 1, TimingStride: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	nf.SetTraceSample(pipe, 1)
 	m, err := nf.ServeMetrics("127.0.0.1:0",
 		nf.SourceOf("discard-tel", pipe.NF(), pipe))
 	if err != nil {

@@ -45,8 +45,7 @@ const TelemetryDisabled = -1
 const TelemetryEnv = "VIGNAT_TELEMETRY"
 
 // DefaultTraceSample is the trace ring's sampling period when
-// telemetry is enabled without an explicit Config.TraceSample: one
-// record per 1024 packets.
+// telemetry is enabled: one record per 1024 packets.
 const DefaultTraceSample = 1024
 
 // Config parameterizes a Pipeline.
@@ -90,11 +89,6 @@ type Config struct {
 	// costs a few clock reads on one poll in TimingStride (≤3%,
 	// BENCH_telemetry).
 	Telemetry int
-	// TraceSample is the trace ring's sampling period when telemetry is
-	// enabled: one record per TraceSample packets seen on timed polls
-	// (default DefaultTraceSample; negative disables tracing but keeps
-	// the histograms).
-	TraceSample int
 	// TimingStride is the poll-sampling period of the timing
 	// histograms when telemetry is enabled: one poll in TimingStride
 	// is fully timed, the rest pay a single counter increment (default
@@ -251,9 +245,6 @@ type Pipeline struct {
 	// pointer because a live worker-count change rebuilds the
 	// per-worker blocks while scrapers keep reading.
 	tel atomic.Pointer[telemetry.PipelineTel]
-	// telSample is the resolved trace sampling period, retained so a
-	// worker-count change rebuilds telemetry with the same config.
-	telSample uint64
 	// telEpoch anchors telemetry timestamps: boundaries are captured as
 	// time.Since(telEpoch), a monotonic-only read — roughly half the
 	// cost of time.Now(), which also reads the wall clock the
@@ -422,15 +413,7 @@ func NewPipeline(n NF, cfg Config) (*Pipeline, error) {
 		p.idle = make([]idleCounters, min(p.intPort.Queues(), p.extPort.Queues()))
 	}
 	if telOn {
-		sample := cfg.TraceSample
-		switch {
-		case sample == 0:
-			sample = DefaultTraceSample
-		case sample < 0:
-			sample = 0 // histograms only, no trace ring
-		}
-		p.telSample = uint64(sample)
-		p.tel.Store(telemetry.NewPipelineTel(nWorkers, uint64(sample)))
+		p.tel.Store(telemetry.NewPipelineTel(nWorkers, DefaultTraceSample))
 		p.telEpoch = time.Now()
 		stride := cfg.TimingStride
 		if stride == 0 {
@@ -787,9 +770,6 @@ func (p *Pipeline) publish(s int) {
 // telemetry enabled.
 func (wk *worker) maybeTrace(li, s, np int, perPkt uint64, pureHit bool, now libvig.Time) {
 	sample := wk.sample
-	if sample == 0 {
-		return
-	}
 	wk.traceTick += uint64(np)
 	if wk.traceTick < sample {
 		return

@@ -14,7 +14,7 @@ import (
 // is written as one straight-line imperative function — no stateless/Env
 // split, no contracts, no ownership discipline — the way a performance-
 // focused developer writes a DPDK NF. It is an nf.NF, entered a burst at
-// a time like the verified NAT's adapter, so the testbed and the
+// a time like the verified NAT's adapter, so the figures and the
 // spec-conformance tests treat all NATs uniformly.
 type NAT struct {
 	table   *ChainTable
