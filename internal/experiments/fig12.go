@@ -25,11 +25,15 @@ const (
 
 // probeLatency replays the paper's latency schedule with bgFlows
 // background flows through r on its virtual clock: warmup, then
-// duration more of schedule time. The background packets that fall
-// between two probes travel in bursts, untimed, at the time of the
-// last of them; each probe then rides alone at its own time, and the
-// engine's Poll that carries it is timed. It records the probes timed
-// after warmup in rec, and fails if the contender drops a probe.
+// duration more of schedule time. Every background flow first sends
+// one packet, untimed, at time zero, so the table holds bgFlows flows
+// however short the schedule: at 100,000 packets/s a run shorter than
+// bgFlows/100,000 s would otherwise never open them all. The
+// background packets that fall between two probes travel in bursts,
+// untimed, at the time of the last of them; each probe then rides
+// alone at its own time, and the engine's Poll that carries it is
+// timed. It records the probes timed after warmup in rec, and fails if
+// the contender drops a probe.
 func probeLatency(r *rig, clock *libvig.VirtualClock, bgFlows int, warmup, duration time.Duration, rec *moongen.LatencyRecorder) error {
 	flows, err := moongen.MakeFlows(0, bgFlows+probeFlows, 0, flow.UDP)
 	if err != nil {
@@ -42,6 +46,9 @@ func probeLatency(r *rig, clock *libvig.VirtualClock, bgFlows int, warmup, durat
 	sched, err := moongen.NewSchedule(bgFlows, bgRate, probeFlows, probeRate*probeFlows,
 		(warmup + duration).Nanoseconds(), 1, genJitter)
 	if err != nil {
+		return err
+	}
+	if _, err := r.run(frames[:bgFlows], false); err != nil {
 		return err
 	}
 	recorded := rec.Count()

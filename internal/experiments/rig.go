@@ -61,29 +61,26 @@ type rig struct {
 // flow cache and telemetry; a zero FastPath or Telemetry is off, never
 // deferred to the environment, so no variable changes what a rig
 // measures.
-func newRig(n nf.NF, clock libvig.Clock, kernel bool, cfg nf.Config) (r *rig, err error) {
-	r = &rig{chunk: 8 * nf.DefaultBurst, buf: make([]byte, dpdk.DataRoomSize)}
-	defer func() {
-		if err != nil {
-			r.close()
-		}
-	}()
+func newRig(n nf.NF, clock libvig.Clock, kernel bool, cfg nf.Config) (*rig, error) {
+	r := &rig{chunk: 8 * nf.DefaultBurst, buf: make([]byte, dpdk.DataRoomSize)}
+	var err error
 	if kernel {
 		err = r.unixPorts(clock)
 	} else {
 		err = r.memPorts()
 	}
+	if err == nil {
+		if cfg.FastPath == 0 {
+			cfg.FastPath = nf.FastPathDisabled
+		}
+		if cfg.Telemetry == 0 {
+			cfg.Telemetry = nf.TelemetryDisabled
+		}
+		cfg.Internal, cfg.External, cfg.Clock = r.intPort, r.extPort, clock
+		r.engine, err = nf.NewPipeline(n, cfg)
+	}
 	if err != nil {
-		return nil, err
-	}
-	if cfg.FastPath == 0 {
-		cfg.FastPath = nf.FastPathDisabled
-	}
-	if cfg.Telemetry == 0 {
-		cfg.Telemetry = nf.TelemetryDisabled
-	}
-	cfg.Internal, cfg.External, cfg.Clock = r.intPort, r.extPort, clock
-	if r.engine, err = nf.NewPipeline(n, cfg); err != nil {
+		r.close()
 		return nil, err
 	}
 	return r, nil

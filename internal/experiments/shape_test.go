@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"os"
 	"slices"
 	"sort"
 	"strings"
@@ -53,9 +54,10 @@ func checkShape(t *testing.T, at string, rounds Rounds, band, kernel float64) {
 // TestFig12Shape runs Fig. 12 scaled down and holds its probe times to
 // the paper's shape at low and high occupancy.
 func TestFig12Shape(t *testing.T) {
-	// Paired rounds put the verified NAT's probe at 0.77–0.88 of the
-	// unverified one's at 1,000 flows, CIs reaching 0.63 (EXPERIMENTS.md
-	// "Fig. 12"), so ±25% sat on the edge of the data.
+	// Five runs of this test put the verified NAT's probe at 0.78–0.93
+	// of the unverified one's at 1,000 flows and 0.71–0.79 at 60,000,
+	// the CIs' upper ends as low as 0.82 (EXPERIMENTS.md "Fig. 12"), so
+	// ±25% sat on the edge of the data.
 	const band = 0.5
 	points, err := Fig12(Fig12Config{Timeout: 2 * time.Second, FlowCounts: []int{1000, 60000}, Scale: 0.05})
 	if err != nil {
@@ -71,10 +73,10 @@ func TestFig12Shape(t *testing.T) {
 // to the paper's shape (paper: the verified NAT pays a 10% throughput
 // penalty; here again a band, not an ordering).
 func TestFig14Shape(t *testing.T) {
-	// Paired rounds put the verified NAT's cost at 1.2–1.5× the
-	// unverified one's at 10,000 flows, CIs reaching 1.72 (EXPERIMENTS.md
-	// "Fig. 14"): within 1.8×, the cost the old throughput floor of
-	// 0.55× allowed.
+	// Five runs of this test put the verified NAT's cost at 1.01–1.31×
+	// the unverified one's at 10,000 flows, CIs reaching 1.44
+	// (EXPERIMENTS.md "Fig. 14"): within 1.8×, the cost the old
+	// throughput floor of 0.55× allowed.
 	const band = 0.8
 	points, err := Fig14(Fig14Config{FlowCounts: []int{10000}, Scale: 0.2})
 	if err != nil {
@@ -127,6 +129,23 @@ func TestProbeDropFailsFigure(t *testing.T) {
 	err = probeLatency(r, clock, 100, 100*time.Millisecond, 100*time.Millisecond, moongen.NewLatencyRecorder(64))
 	if err == nil || !strings.Contains(err.Error(), "dropped") {
 		t.Fatalf("dropping contender gave %v, want a dropped probe", err)
+	}
+}
+
+// TestNewRigFailureCleansUp: a rig the engine refuses comes back as an
+// error on either transport, and the unix rig's sockets and directory
+// are gone.
+func TestNewRigFailureCleansUp(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	for _, kernel := range []bool{false, true} {
+		r, err := newRig(noop{}, libvig.NewVirtualClock(0), kernel, nf.Config{Burst: -1})
+		if err == nil || r != nil {
+			t.Errorf("kernel=%v: a negative burst gave rig %v, error %v", kernel, r, err)
+		}
+	}
+	if left, err := os.ReadDir(tmp); err != nil || len(left) != 0 {
+		t.Errorf("failed rigs left %d entries in the temp directory (%v)", len(left), err)
 	}
 }
 

@@ -243,7 +243,7 @@ func (p *Pipeline) reshardLocked(rs Resharder, n int) error {
 		p.base.add(wk.stats)
 	}
 	if p.tel.Load() != nil {
-		p.tel.Store(telemetry.NewPipelineTel(n, DefaultTraceSample))
+		p.tel.Store(telemetry.NewPipelineTel(n))
 	}
 	if err := p.rebuild(n); err != nil {
 		return err

@@ -44,10 +44,6 @@ const TelemetryDisabled = -1
 // telemetry disabled; "1", "on", or "true" enable it.
 const TelemetryEnv = "VIGNAT_TELEMETRY"
 
-// DefaultTraceSample is the trace ring's sampling period when
-// telemetry is enabled: one record per 1024 packets.
-const DefaultTraceSample = 1024
-
 // Config parameterizes a Pipeline.
 type Config struct {
 	// Internal and External are the two dpdk ports the NF bridges.
@@ -413,7 +409,7 @@ func NewPipeline(n NF, cfg Config) (*Pipeline, error) {
 		p.idle = make([]idleCounters, min(p.intPort.Queues(), p.extPort.Queues()))
 	}
 	if telOn {
-		p.tel.Store(telemetry.NewPipelineTel(nWorkers, DefaultTraceSample))
+		p.tel.Store(telemetry.NewPipelineTel(nWorkers))
 		p.telEpoch = time.Now()
 		stride := cfg.TimingStride
 		if stride == 0 {

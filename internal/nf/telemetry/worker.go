@@ -12,6 +12,10 @@ package telemetry
 // Must be a power of two (the hot path masks, it does not divide).
 const TimingStride = 8
 
+// TraceSample is the trace ring's sampling period: one record per
+// TraceSample packets seen on timed polls.
+const TraceSample = 1024
+
 // WorkerTel is one worker's private telemetry block: five histograms
 // and the sampled trace ring, all single-writer (the worker that owns
 // the queue pair). A worker never touches another worker's block, so
@@ -42,14 +46,14 @@ type WorkerTel struct {
 type PipelineTel struct {
 	workers []*WorkerTel
 	// Sample is the trace sampling period: every Sample-th packet
-	// leaves a trace record.
+	// leaves a trace record. It is TraceSample outside tests.
 	Sample uint64
 }
 
-// NewPipelineTel builds telemetry for nWorkers workers with the given
-// trace sampling period (0 disables tracing but keeps histograms).
-func NewPipelineTel(nWorkers int, sample uint64) *PipelineTel {
-	t := &PipelineTel{workers: make([]*WorkerTel, nWorkers), Sample: sample}
+// NewPipelineTel builds telemetry for nWorkers workers, tracing every
+// TraceSample-th packet.
+func NewPipelineTel(nWorkers int) *PipelineTel {
+	t := &PipelineTel{workers: make([]*WorkerTel, nWorkers), Sample: TraceSample}
 	for i := range t.workers {
 		t.workers[i] = &WorkerTel{}
 	}
