@@ -74,10 +74,10 @@ type Config struct {
 	Clock    libvig.Clock
 	Backends BackendManager
 	Rate     RateManager
-	// MinWorkers/MaxWorkers bound the workers verb; zero values
-	// default to [1, 64]. The pipeline's own queue limits still apply
+	// MaxWorkers bounds the workers verb from above (default 64); the
+	// floor is one worker. The pipeline's own queue limits still apply
 	// underneath.
-	MinWorkers, MaxWorkers int
+	MaxWorkers int
 }
 
 // Controller serves the /control/v1 API.
@@ -97,14 +97,11 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.Clock == nil {
 		return nil, fmt.Errorf("ctlplane: a clock is required")
 	}
-	if cfg.MinWorkers == 0 {
-		cfg.MinWorkers = 1
-	}
 	if cfg.MaxWorkers == 0 {
 		cfg.MaxWorkers = 64
 	}
-	if cfg.MinWorkers < 1 || cfg.MaxWorkers < cfg.MinWorkers {
-		return nil, fmt.Errorf("ctlplane: bad worker bounds [%d, %d]", cfg.MinWorkers, cfg.MaxWorkers)
+	if cfg.MaxWorkers < 1 {
+		return nil, fmt.Errorf("ctlplane: bad worker bound %d", cfg.MaxWorkers)
 	}
 	return &Controller{cfg: cfg}, nil
 }
@@ -317,9 +314,9 @@ func (c *Controller) handleWorkers(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("ctlplane: bad request body: %w", err))
 		return
 	}
-	if req.Workers < c.cfg.MinWorkers || req.Workers > c.cfg.MaxWorkers {
+	if req.Workers < 1 || req.Workers > c.cfg.MaxWorkers {
 		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("ctlplane: workers %d outside [%d, %d]", req.Workers, c.cfg.MinWorkers, c.cfg.MaxWorkers))
+			fmt.Errorf("ctlplane: workers %d outside [1, %d]", req.Workers, c.cfg.MaxWorkers))
 		return
 	}
 	c.mu.Lock()

@@ -37,6 +37,7 @@ import (
 
 // DefaultStagingDepth bounds each queue's software-RSS re-steering
 // buffer (frames parked for a queue other than the receiving socket's).
+// Overflow drops count as RxDropped on the receiving queue.
 const DefaultStagingDepth = 512
 
 // SocketConfig parameterizes a socket transport.
@@ -59,13 +60,9 @@ type SocketConfig struct {
 	// Clock stamps received frames (Mbuf.RxTime). Defaults to the
 	// system clock — wire backends live on real time.
 	Clock libvig.Clock
-	// StagingDepth bounds the per-queue software-RSS re-steering buffer
-	// (default DefaultStagingDepth). Overflow drops count as RxDropped
-	// on the receiving queue.
-	StagingDepth int
-	// SndBuf/RcvBuf, when positive, set SO_SNDBUF/SO_RCVBUF on every
-	// socket (tests use tiny buffers to force backpressure quickly).
-	SndBuf, RcvBuf int
+	// SndBuf, when positive, sets SO_SNDBUF on every socket (tests use
+	// a tiny buffer to force backpressure quickly).
+	SndBuf int
 }
 
 func (cfg *SocketConfig) withDefaults() SocketConfig {
@@ -76,9 +73,6 @@ func (cfg *SocketConfig) withDefaults() SocketConfig {
 	if c.Clock == nil {
 		c.Clock = libvig.NewSystemClock()
 	}
-	if c.StagingDepth == 0 {
-		c.StagingDepth = DefaultStagingDepth
-	}
 	return c
 }
 
@@ -86,10 +80,10 @@ func (cfg *SocketConfig) withDefaults() SocketConfig {
 // kernel. Frames over syscalls is the batching the wire achieved; the
 // in-memory transport makes no syscalls and reads zero throughout.
 type WireStats struct {
-	RxSyscalls uint64 `json:"rx_syscalls"` // readiness queries, accepts and recvmmsg calls
-	RxFrames   uint64 `json:"rx_frames"`   // frames those recvmmsg calls returned
-	TxSyscalls uint64 `json:"tx_syscalls"` // sendmmsg calls
-	TxAgain    uint64 `json:"tx_eagain"`   // sendmmsg calls the kernel refused with EAGAIN/ENOBUFS
+	RxSyscalls uint64 // readiness queries, accepts and recvmmsg calls
+	RxFrames   uint64 // frames those recvmmsg calls returned
+	TxSyscalls uint64 // sendmmsg calls
+	TxAgain    uint64 // sendmmsg calls the kernel refused with EAGAIN/ENOBUFS
 }
 
 // wireCounters is WireStats as its queue keeps it: written by the one
@@ -213,10 +207,10 @@ func (s *sock) init(name string, cfg SocketConfig) error {
 		qu := &s.queues[q]
 		qu.fd, qu.listen, qu.tx, qu.wake = -1, -1, -1, -1
 		qu.vec = newMmsg()
-		qu.staging = make(chan *stagedFrame, cfg.StagingDepth)
+		qu.staging = make(chan *stagedFrame, DefaultStagingDepth)
 		// Sized to every frame the queue can have parked on the others
 		// at once, so a recycled frame always finds room.
-		qu.free = make(chan *stagedFrame, (cfg.Queues-1)*cfg.StagingDepth)
+		qu.free = make(chan *stagedFrame, (cfg.Queues-1)*DefaultStagingDepth)
 	}
 	if cfg.Queues == 1 {
 		return nil
@@ -647,16 +641,11 @@ func epollReady(epfd int, events []syscall.EpollEvent) int {
 	return int(n)
 }
 
-// setBufs applies the configured socket buffer sizes to fd.
-func setBufs(fd int, cfg *SocketConfig) error {
+// setSndBuf applies the configured send buffer size to fd.
+func setSndBuf(fd int, cfg *SocketConfig) error {
 	if cfg.SndBuf > 0 {
 		if err := syscall.SetsockoptInt(fd, syscall.SOL_SOCKET, syscall.SO_SNDBUF, cfg.SndBuf); err != nil {
 			return fmt.Errorf("dpdk: SO_SNDBUF: %w", err)
-		}
-	}
-	if cfg.RcvBuf > 0 {
-		if err := syscall.SetsockoptInt(fd, syscall.SOL_SOCKET, syscall.SO_RCVBUF, cfg.RcvBuf); err != nil {
-			return fmt.Errorf("dpdk: SO_RCVBUF: %w", err)
 		}
 	}
 	return nil

@@ -61,7 +61,7 @@ func (t *UDPTransport) bindOn(q int, base *syscall.SockaddrInet4) error {
 		return fmt.Errorf("dpdk: udp socket: %w", err)
 	}
 	t.queues[q].fd = fd
-	if err := setBufs(fd, &t.cfg); err != nil {
+	if err := setSndBuf(fd, &t.cfg); err != nil {
 		return err
 	}
 	bind := *base

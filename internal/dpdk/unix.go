@@ -56,7 +56,7 @@ func (t *UnixTransport) listenOn(q int) error {
 	if qu.listen, err = syscall.Socket(syscall.AF_UNIX, syscall.SOCK_SEQPACKET|syscall.SOCK_NONBLOCK, 0); err != nil {
 		return fmt.Errorf("dpdk: unix socket: %w", err)
 	}
-	if err := setBufs(qu.listen, &t.cfg); err != nil {
+	if err := setSndBuf(qu.listen, &t.cfg); err != nil {
 		return err
 	}
 	path := t.LocalAddr(q)
@@ -96,7 +96,7 @@ func (t *UnixTransport) connect(qu *sockQueue) bool {
 	if err != nil {
 		return false
 	}
-	if setBufs(fd, &t.cfg) != nil ||
+	if setSndBuf(fd, &t.cfg) != nil ||
 		syscall.Connect(fd, &syscall.SockaddrUnix{Name: unixQueuePath(t.peerPath, 0)}) != nil {
 		_ = syscall.Close(fd)
 		return false

@@ -58,9 +58,8 @@ type rig struct {
 
 // newRig runs n on a single-worker engine reading its time from clock,
 // over in-memory rings or, with kernel set, unix sockets. cfg sets the
-// flow cache and telemetry; a zero FastPath or Telemetry is off, never
-// deferred to the environment, so no variable changes what a rig
-// measures.
+// flow cache and telemetry, both off in a zero Config; the rig fills in
+// the ports and the clock.
 func newRig(n nf.NF, clock libvig.Clock, kernel bool, cfg nf.Config) (*rig, error) {
 	r := &rig{chunk: 8 * nf.DefaultBurst, buf: make([]byte, dpdk.DataRoomSize)}
 	var err error
@@ -70,12 +69,6 @@ func newRig(n nf.NF, clock libvig.Clock, kernel bool, cfg nf.Config) (*rig, erro
 		err = r.memPorts()
 	}
 	if err == nil {
-		if cfg.FastPath == 0 {
-			cfg.FastPath = nf.FastPathDisabled
-		}
-		if cfg.Telemetry == 0 {
-			cfg.Telemetry = nf.TelemetryDisabled
-		}
 		cfg.Internal, cfg.External, cfg.Clock = r.intPort, r.extPort, clock
 		r.engine, err = nf.NewPipeline(n, cfg)
 	}

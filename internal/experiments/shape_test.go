@@ -149,28 +149,6 @@ func TestNewRigFailureCleansUp(t *testing.T) {
 	}
 }
 
-// TestFigureRigIgnoresEnvironment: with the flow cache and telemetry
-// switched on through the environment, a figure leg still runs with
-// neither, so the environment cannot change what a figure measures.
-func TestFigureRigIgnoresEnvironment(t *testing.T) {
-	t.Setenv(nf.FastPathEnv, "1")
-	t.Setenv(nf.TelemetryEnv, "1")
-	for _, kind := range []NFKind{NFVerified, NFLinux} {
-		r, clock, err := figureRig(kind, time.Minute)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.close()
-		if err := probeLatency(r, clock, 100, 100*time.Millisecond, 100*time.Millisecond, moongen.NewLatencyRecorder(64)); err != nil {
-			t.Fatal(err)
-		}
-		if s := r.engine.Stats(); s.RxPackets == 0 || s.FastPathHits != 0 || r.engine.Telemetry() != nil {
-			t.Errorf("%v: %d packets, %d cache hits, telemetry %v; want traffic, no hits, no telemetry",
-				kind, s.RxPackets, s.FastPathHits, r.engine.Telemetry() != nil)
-		}
-	}
-}
-
 // TestContendersAllocateNothing: every figure contender handles a
 // one-packet burst without allocating, on an established flow and on
 // the probe path (the flow expired: expire, miss, insert).

@@ -203,7 +203,7 @@ func TelemetryOverhead(cfg TelemetryConfig) (*TelemetryResult, error) {
 	t, err := alternate(rounds, 2, func(side int) (float64, error) {
 		var ecfg nf.Config // cache off; the chain declines it anyway
 		if side == 1 {
-			ecfg.Telemetry = 1
+			ecfg.Telemetry = true
 		}
 		r, err := catalogRig("gateway", o, ecfg)
 		if err != nil {
@@ -261,7 +261,7 @@ func telemetrySplit(cfg TelemetryConfig) (*TelemetrySplit, error) {
 	// The split reads exact per-burst fast/slow costs, so every poll is
 	// timed.
 	r, err := catalogRig("nat", rowOptions(Capacity), nf.Config{
-		FastPath: nf.DefaultFastPathEntries, Telemetry: 1, TimingStride: 1})
+		FastPath: nf.DefaultFastPathEntries, Telemetry: true, TimingStride: 1})
 	if err != nil {
 		return nil, err
 	}

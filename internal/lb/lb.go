@@ -114,9 +114,9 @@ func (v Verdict) String() string {
 	}
 }
 
-// DefaultCHTSize is the default Maglev lookup-table size: prime, and
-// ≥100× the default backend capacity so the ±1 bucket imbalance stays
-// under 1%.
+// DefaultCHTSize is every balancer's Maglev lookup-table size: prime,
+// and ≥100× the catalog's default of 8 backends so the ±1 bucket
+// imbalance stays under 1%.
 const DefaultCHTSize = 1021
 
 // Config parameterizes a Balancer.
@@ -136,9 +136,6 @@ type Config struct {
 	// last heartbeat is older drains out of the CHT. Zero disables
 	// liveness expiry (backends leave only via RemoveBackend).
 	BackendTimeout time.Duration
-	// CHTSize is the Maglev lookup-table size (prime; default
-	// DefaultCHTSize).
-	CHTSize int
 	// ClientsInternal flips the balancer's orientation: by default
 	// clients face the external port and backends the internal one
 	// (the datacenter posture); with ClientsInternal the VIP fronts an
@@ -357,11 +354,7 @@ func New(cfg Config, clock libvig.Clock) (*Balancer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	chtSize := cfg.CHTSize
-	if chtSize == 0 {
-		chtSize = DefaultCHTSize
-	}
-	cht, err := libvig.NewCHT(cfg.MaxBackends, chtSize)
+	cht, err := libvig.NewCHT(cfg.MaxBackends, DefaultCHTSize)
 	if err != nil {
 		return nil, err
 	}

@@ -664,11 +664,6 @@ func TestShardedLBValidation(t *testing.T) {
 	if _, err := lb.NewSharded(bad, clock, 1); err == nil {
 		t.Fatal("zero VIP accepted")
 	}
-	bad = cfg
-	bad.CHTSize = 1024 // composite
-	if _, err := lb.NewSharded(bad, clock, 1); err == nil {
-		t.Fatal("composite CHT size accepted")
-	}
 }
 
 // TestDeclaredStatsAllocatesNothing: the declaration's Stats runs on

@@ -6,9 +6,6 @@ package nf_test
 
 import (
 	"bytes"
-	"encoding/json"
-	"fmt"
-	"net/http"
 	"reflect"
 	"testing"
 	"time"
@@ -118,7 +115,7 @@ func TestFastPathNATMatchesSlowPath(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	natCfg := nat.Config{Capacity: 256, Timeout: time.Hour, ExternalIP: extIP, ExternalPort: 1}
 	on := newNATRig(t, clock, natCfg, 1024)
-	off := newNATRig(t, clock, natCfg, nf.FastPathDisabled)
+	off := newNATRig(t, clock, natCfg, 0)
 	if on.pipe.FastPathEntries() == 0 {
 		t.Fatal("fast rig resolved to no cache")
 	}
@@ -199,7 +196,7 @@ func TestFastPathExpiryInvalidation(t *testing.T) {
 	timeout := 100 * time.Millisecond
 	natCfg := nat.Config{Capacity: 64, Timeout: timeout, ExternalIP: extIP, ExternalPort: 1}
 	on := newNATRig(t, clock, natCfg, 512)
-	off := newNATRig(t, clock, natCfg, nf.FastPathDisabled)
+	off := newNATRig(t, clock, natCfg, 0)
 
 	buf := make([]byte, 2048)
 	id := flow.ID{
@@ -282,7 +279,7 @@ func TestFastPathBackendDrainInvalidation(t *testing.T) {
 		}
 		return &lbRig{pipe: pipe, lb: sharded, intPort: intPort, extPort: extPort}
 	}
-	on, off := mk(512), mk(nf.FastPathDisabled)
+	on, off := mk(512), mk(0)
 	backends := []flow.Addr{flow.MakeAddr(192, 0, 2, 1), flow.MakeAddr(192, 0, 2, 2)}
 	for _, rig := range []*lbRig{on, off} {
 		for _, be := range backends {
@@ -421,7 +418,7 @@ func TestFastPathChurnBoundedOverhead(t *testing.T) {
 
 	var slow, fast []float64
 	for r := 0; r < rounds; r++ {
-		slow = append(slow, float64(churnRound(nf.FastPathDisabled)))
+		slow = append(slow, float64(churnRound(0)))
 		fast = append(fast, float64(churnRound(4096)))
 	}
 	res := paired.Compare(slow, fast)
@@ -442,7 +439,7 @@ func TestFastPathAdaptiveBypass(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	natCfg := nat.Config{Capacity: 512, Timeout: time.Hour, ExternalIP: extIP, ExternalPort: 1}
 	on := newNATRig(t, clock, natCfg, 1024)
-	off := newNATRig(t, clock, natCfg, nf.FastPathDisabled)
+	off := newNATRig(t, clock, natCfg, 0)
 
 	buf := make([]byte, 2048)
 	type fr = struct {
@@ -519,7 +516,7 @@ func TestFastPathAdaptiveBypass(t *testing.T) {
 
 // TestFastPathMetricsExposure pins the observability satellite: the
 // flow-cache counters travel the whole stats plumbing — engine →
-// the shard's published block → /metrics JSON.
+// the shard's published block → /metrics.
 func TestFastPathMetricsExposure(t *testing.T) {
 	extIP := flow.MakeAddr(198, 18, 1, 1)
 	clock := libvig.NewVirtualClock(0)
@@ -551,18 +548,11 @@ func TestFastPathMetricsExposure(t *testing.T) {
 	}
 	defer m.Close()
 
-	resp, err := http.Get(fmt.Sprintf("http://%s/metrics", m.Addr()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string]nf.Stats
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	got := doc["vignat-fast"]
-	if got.FastPathHits != snap.FastPathHits || got.FastPathMisses != snap.FastPathMisses {
-		t.Fatalf("/metrics fast-path counters %+v do not match snapshot %+v", got, snap)
+	doc := scrapeProm(t, m.Addr())
+	hits := promVals(t, doc, "nf_fastpath_hits_total", `nf="vignat-fast"`)
+	misses := promVals(t, doc, "nf_fastpath_misses_total", `nf="vignat-fast"`)
+	if len(hits) != 1 || len(misses) != 1 || hits[0] != snap.FastPathHits || misses[0] != snap.FastPathMisses {
+		t.Fatalf("/metrics fast-path hits %v, misses %v do not match snapshot %+v", hits, misses, snap)
 	}
 }
 
@@ -682,7 +672,7 @@ func TestMixedBurstPublishesOnce(t *testing.T) {
 		return r.shard.batches - b, r.shard.fragments - f, r.shard.published[p:]
 	}
 
-	on, off := build(1024), build(nf.FastPathDisabled)
+	on, off := build(1024), build(0)
 	established := make([]int, flows)
 	mixed := make([]int, 0, 2*flows)
 	for i := range established {
@@ -725,86 +715,13 @@ func TestMixedBurstPublishesOnce(t *testing.T) {
 	}
 }
 
-// TestFastPathConfigResolution pins the Config.FastPath / environment
-// contract.
+// TestFastPathConfigResolution pins the Config.FastPath contract: a
+// cache size needs a clock, and an NF that declines the cache runs
+// without one whatever the size.
 func TestFastPathConfigResolution(t *testing.T) {
-	extIP := flow.MakeAddr(198, 18, 1, 1)
-	natCfg := nat.Config{Capacity: 64, Timeout: time.Hour, ExternalIP: extIP, ExternalPort: 1}
-	build := func(t *testing.T, withClock bool, fastPath int) (*nf.Pipeline, error) {
-		t.Helper()
-		var clock libvig.Clock
-		if withClock {
-			clock = libvig.NewVirtualClock(0)
-		}
-		sharded, err := nat.NewSharded(natCfg, libvig.NewVirtualClock(0), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, intPort, extPort := twoPorts(t, 8)
-		return nf.NewPipeline(sharded, nf.Config{
-			Internal: intPort, External: extPort, Clock: clock, FastPath: fastPath,
-		})
-	}
-
 	t.Run("explicit-needs-clock", func(t *testing.T) {
-		if _, err := build(t, false, 512); err == nil {
+		if _, err := newFastPathNAT(t, nil, 512); err == nil {
 			t.Fatal("explicit fast path without a clock must be rejected")
-		}
-	})
-	t.Run("disabled-overrides-env", func(t *testing.T) {
-		t.Setenv(nf.FastPathEnv, "1")
-		p, err := build(t, true, nf.FastPathDisabled)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.FastPathEntries() != 0 {
-			t.Fatal("FastPathDisabled did not override the environment")
-		}
-	})
-	t.Run("env-on", func(t *testing.T) {
-		t.Setenv(nf.FastPathEnv, "1")
-		p, err := build(t, true, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.FastPathEntries() != nf.DefaultFastPathEntries {
-			t.Fatalf("env-enabled cache resolved to %d entries", p.FastPathEntries())
-		}
-	})
-	t.Run("env-size", func(t *testing.T) {
-		t.Setenv(nf.FastPathEnv, "4096")
-		p, err := build(t, true, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.FastPathEntries() != 4096 {
-			t.Fatalf("env size resolved to %d entries", p.FastPathEntries())
-		}
-	})
-	t.Run("env-garbage", func(t *testing.T) {
-		t.Setenv(nf.FastPathEnv, "many")
-		if _, err := build(t, true, 0); err == nil {
-			t.Fatal("garbage env value must be rejected")
-		}
-	})
-	t.Run("env-off", func(t *testing.T) {
-		t.Setenv(nf.FastPathEnv, "off")
-		p, err := build(t, true, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.FastPathEntries() != 0 {
-			t.Fatal("env off did not disable")
-		}
-	})
-	t.Run("env-on-clockless-stays-off", func(t *testing.T) {
-		t.Setenv(nf.FastPathEnv, "1")
-		p, err := build(t, false, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.FastPathEntries() != 0 {
-			t.Fatal("clockless rig must silently stay uncached")
 		}
 	})
 	t.Run("non-fastpather-nf", func(t *testing.T) {
@@ -820,6 +737,40 @@ func TestFastPathConfigResolution(t *testing.T) {
 			t.Fatal("non-participating NF must resolve to no cache")
 		}
 	})
+}
+
+// TestEngineReadsNoEnvironment: Config is the engine's only switch.
+// With both variables that once switched the flow cache and telemetry
+// on set, a zero Config on the sharded NAT, clock given, runs with
+// neither, and a negative cache size is refused rather than read as
+// "off".
+func TestEngineReadsNoEnvironment(t *testing.T) {
+	t.Setenv("VIGNAT_FASTPATH", "1")
+	t.Setenv("VIGNAT_TELEMETRY", "1")
+	p, err := newFastPathNAT(t, libvig.NewVirtualClock(0), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.FastPathEntries() != 0 || p.Telemetry() != nil {
+		t.Fatalf("zero Config resolved %d cache entries, telemetry %v; want neither",
+			p.FastPathEntries(), p.Telemetry() != nil)
+	}
+	if _, err := newFastPathNAT(t, libvig.NewVirtualClock(0), -1); err == nil {
+		t.Fatal("a negative flow-cache size was accepted")
+	}
+}
+
+// newFastPathNAT builds a one-shard NAT's pipeline with the given clock
+// (nil for none) and Config.FastPath.
+func newFastPathNAT(t *testing.T, clock libvig.Clock, fastPath int) (*nf.Pipeline, error) {
+	t.Helper()
+	sharded, err := nat.NewSharded(nat.Config{Capacity: 64, Timeout: time.Hour,
+		ExternalIP: flow.MakeAddr(198, 18, 1, 1), ExternalPort: 1}, libvig.NewVirtualClock(0), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, intPort, extPort := twoPorts(t, 8)
+	return nf.NewPipeline(sharded, nf.Config{Internal: intPort, External: extPort, Clock: clock, FastPath: fastPath})
 }
 
 // TestFastPathHitSurvivesEvictingInstall is the regression test for a
@@ -847,7 +798,7 @@ func TestFastPathHitSurvivesEvictingInstall(t *testing.T) {
 	rigs := func() (on, off *natRig, clock *libvig.VirtualClock) {
 		clock = libvig.NewVirtualClock(0)
 		return newNATRig(t, clock, natCfg, nf.DefaultFastPathEntries),
-			newNATRig(t, clock, natCfg, nf.FastPathDisabled), clock
+			newNATRig(t, clock, natCfg, 0), clock
 	}
 
 	// Forced: nine flows whose cache keys share one home slot. Eight fill

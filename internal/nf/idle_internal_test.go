@@ -86,7 +86,7 @@ func TestIdlePolicyThreeStates(t *testing.T) {
 	n := &expiringNF{deadline: 1000}
 	pipe, err := NewPipeline(n, Config{
 		Internal: intPort, External: extPort, Burst: burst, Clock: clock,
-		IdleWait: idleWait, FastPath: FastPathDisabled, Telemetry: TelemetryDisabled,
+		IdleWait: idleWait,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +225,6 @@ func unixPipe(t *testing.T, n NF, clock libvig.Clock, idleWait time.Duration) (*
 	extPort, extTr := side(1, "ext")
 	pipe, err := NewPipeline(n, Config{
 		Internal: intPort, External: extPort, Clock: clock, IdleWait: idleWait,
-		FastPath: FastPathDisabled, Telemetry: TelemetryDisabled,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -69,10 +69,7 @@ func SourceOf(name string, nfi NF, pipe *Pipeline) MetricSource {
 // over the per-shard counter blocks and the per-worker telemetry blocks.
 // It serves
 //
-//	/metrics      — content-negotiated: Prometheus text exposition when
-//	                the Accept header asks for text/plain or OpenMetrics
-//	                (what a Prometheus scraper sends), JSON otherwise;
-//	                ?format=prometheus|json overrides.
+//	/metrics      — the Prometheus text exposition
 //	/debug/pprof/ — the standard Go profiling surface (heap, CPU,
 //	                goroutine, ...)
 //	/debug/trace  — the sampled per-packet trace rings as JSON, for
@@ -89,9 +86,8 @@ type Metrics struct {
 }
 
 // ServeMetrics listens on addr (e.g. ":9090", or "127.0.0.1:0" for an
-// ephemeral port) and serves the sources until Close. Source names key
-// the JSON document and label every series, so one endpoint's sources
-// must be named apart.
+// ephemeral port) and serves the sources until Close. Source names
+// label every series, so one endpoint's sources must be named apart.
 func ServeMetrics(addr string, sources ...MetricSource) (*Metrics, error) {
 	if len(sources) == 0 {
 		return nil, errors.New("nf: metrics endpoint needs at least one source")
@@ -125,64 +121,10 @@ func ServeMetrics(addr string, sources ...MetricSource) (*Metrics, error) {
 	return m, nil
 }
 
-// sourceJSON is one source's /metrics JSON rendering: the flat Stats
-// fields (unchanged on the wire — existing map[string]Stats decoders
-// keep working and ignore the additions) plus the per-reason totals.
-type sourceJSON struct {
-	Stats
-	Reasons    map[string]uint64 `json:"reasons,omitempty"`
-	Wire       []WireQueue       `json:"wire,omitempty"`
-	Mempools   []MempoolFill     `json:"mempools,omitempty"`
-	FlowTables []TableFill       `json:"flow_tables,omitempty"`
-}
-
-// wantsProm decides the /metrics rendering: Prometheus text when the
-// client asks for it (Accept: text/plain or OpenMetrics — the
-// Prometheus scraper's request), JSON otherwise; an explicit ?format=
-// wins.
-func wantsProm(r *http.Request) bool {
-	switch r.URL.Query().Get("format") {
-	case "prometheus", "text":
-		return true
-	case "json":
-		return false
-	}
-	accept := r.Header.Get("Accept")
-	return strings.Contains(accept, "text/plain") ||
-		strings.Contains(accept, "application/openmetrics-text")
-}
-
-// handleMetrics renders every source's snapshot, negotiated between
-// the JSON object and the Prometheus text exposition.
-func (m *Metrics) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if wantsProm(r) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		m.writeProm(w)
-		return
-	}
-	out := make(map[string]sourceJSON, len(m.sources))
-	for _, s := range m.sources {
-		sc := s.Read()
-		j := sourceJSON{Stats: sc.Stats}
-		if sc.Reasons != nil {
-			j.Reasons = make(map[string]uint64, sc.Reasons.Len())
-			for id, n := range sc.Counters[:sc.Reasons.Len()] {
-				j.Reasons[sc.Reasons.Name(telemetry.ReasonID(id))] = n
-			}
-		}
-		if s.Wire != nil {
-			j.Wire = s.Wire()
-		}
-		if s.Mempools != nil {
-			j.Mempools = s.Mempools()
-		}
-		if s.FlowTables != nil {
-			j.FlowTables = s.FlowTables()
-		}
-		out[s.Name] = j
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(out)
+// handleMetrics renders every source's snapshot as Prometheus text.
+func (m *Metrics) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	m.writeProm(w)
 }
 
 // wireSeries orders the wire counters for exposition: the three a

@@ -127,46 +127,21 @@ func TestBlocksConcurrentScrapeWithPolicer(t *testing.T) {
 	}
 }
 
-// scrapedSource is one source of the JSON /metrics document.
-type scrapedSource struct {
-	nf.Stats
-	Reasons map[string]uint64 `json:"reasons"`
-}
-
-// scrapeJSON fetches and decodes the JSON /metrics document.
-func scrapeJSON(t *testing.T, addr string) map[string]scrapedSource {
+// consistent reports whether one scraped document's totals for the
+// source sel names are one read of its counters: processed = Σ reasons
+// = forwarded + dropped.
+func consistent(t *testing.T, doc, sel string) bool {
 	t.Helper()
-	resp, err := http.Get(fmt.Sprintf("http://%s/metrics", addr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var doc map[string]scrapedSource
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	return doc
-}
-
-// reasonSum is the total over the source's per-reason counts.
-func (s scrapedSource) reasonSum() (sum uint64) {
-	for _, n := range s.Reasons {
-		sum += n
-	}
-	return sum
-}
-
-// consistent reports whether one scraped document's totals are one
-// read of the counters: processed = Σ reasons = forwarded + dropped.
-func consistent(processed, forwarded, dropped, reasonSum uint64) bool {
-	return processed == reasonSum && processed == forwarded+dropped
+	one := func(metric string) uint64 { return sumU64(promVals(t, doc, metric, sel)) }
+	processed := one("nf_processed_total")
+	return processed == one("nf_reason_total") && processed == one("nf_forwarded_total")+one("nf_dropped_total")
 }
 
 // TestServeMetricsScrapesUnderTraffic runs the HTTP endpoint against a
-// policer being driven concurrently and checks the JSON /metrics
-// document: every scrape taken under traffic is consistent with
-// itself, and the drill-downs (Sharded.Counters, the policer-level
-// Stats view) are safe to call alongside.
+// policer being driven concurrently and checks the /metrics document:
+// every scrape taken under traffic is consistent with itself, and the
+// drill-downs (Sharded.Counters, the policer-level Stats view) are
+// safe to call alongside.
 func TestServeMetricsScrapesUnderTraffic(t *testing.T) {
 	s, frames := buildScrapePolicer(t, generousPolicer)
 	m, err := nf.ServeMetrics("127.0.0.1:0", nf.SourceOf("vigpol-test", s, nil))
@@ -195,13 +170,12 @@ func TestServeMetricsScrapesUnderTraffic(t *testing.T) {
 	// after the join.
 	for i, running := 0, true; running || i < 3; i++ {
 		_, _ = s.Counters(), s.Stats()
-		src, ok := scrapeJSON(t, m.Addr())["vigpol-test"]
-		if !ok {
-			t.Fatal("metrics document missing source")
+		doc := scrapeProm(t, m.Addr())
+		if len(promVals(t, doc, "nf_processed_total", `nf="vigpol-test"`)) != 1 {
+			t.Fatalf("metrics document missing source:\n%s", doc)
 		}
-		if !consistent(src.Processed, src.Forwarded, src.Dropped, src.reasonSum()) {
-			t.Fatalf("scrape %d: processed %d, Σ reasons %d, forwarded %d + dropped %d",
-				i, src.Processed, src.reasonSum(), src.Forwarded, src.Dropped)
+		if !consistent(t, doc, `nf="vigpol-test"`) {
+			t.Fatalf("scrape %d is not one read of the counters:\n%s", i, doc)
 		}
 		select {
 		case <-done:
@@ -210,14 +184,14 @@ func TestServeMetricsScrapesUnderTraffic(t *testing.T) {
 		}
 	}
 
-	if got := scrapeJSON(t, m.Addr())["vigpol-test"].Processed; got != scrapeShards*2000 {
-		t.Fatalf("endpoint reports %d processed, want %d", got, scrapeShards*2000)
+	if got := promVals(t, scrapeProm(t, m.Addr()), "nf_processed_total", `nf="vigpol-test"`); len(got) != 1 || got[0] != scrapeShards*2000 {
+		t.Fatalf("endpoint reports %v processed, want [%d]", got, scrapeShards*2000)
 	}
 }
 
 // TestScrapeReadsEachSourceOnce: one /metrics document is one read of
-// each source, in either rendering — what makes its series consistent
-// with one another whatever the counters do between two reads.
+// each source — what makes its series consistent with one another
+// whatever the counters do between two reads.
 func TestScrapeReadsEachSourceOnce(t *testing.T) {
 	reads := make([]int, 2)
 	source := func(i int) nf.MetricSource {
@@ -238,43 +212,29 @@ func TestScrapeReadsEachSourceOnce(t *testing.T) {
 	}
 	defer m.Close()
 
-	for name, src := range scrapeJSON(t, m.Addr()) {
-		if !consistent(src.Processed, src.Forwarded, src.Dropped, src.reasonSum()) {
-			t.Fatalf("JSON %s: %+v with reasons %v", name, src.Stats, src.Reasons)
+	for n := 1; n <= 2; n++ {
+		doc := scrapeProm(t, m.Addr())
+		if reads[0] != n || reads[1] != n {
+			t.Fatalf("%d scrapes read the sources %v times, want %d each", n, reads, n)
 		}
-	}
-	if reads[0] != 1 || reads[1] != 1 {
-		t.Fatalf("a JSON scrape read the sources %v times, want once each", reads)
-	}
-	doc := scrapeProm(t, m.Addr())
-	if reads[0] != 2 || reads[1] != 2 {
-		t.Fatalf("a Prometheus scrape read the sources %v times in all, want twice each", reads)
-	}
-	for i := range reads {
-		sel := fmt.Sprintf(`nf="once-%d"`, i)
-		one := func(metric string) uint64 { return sumU64(promVals(t, doc, metric, sel)) }
-		if !consistent(one("nf_processed_total"), one("nf_forwarded_total"), one("nf_dropped_total"), one("nf_reason_total")) {
-			t.Fatalf("Prometheus %s is not one read:\n%s", sel, doc)
+		for i := range reads {
+			if sel := fmt.Sprintf(`nf="once-%d"`, i); !consistent(t, doc, sel) {
+				t.Fatalf("scrape %d: %s is not one read:\n%s", n, sel, doc)
+			}
 		}
 	}
 }
 
-// scrapeProm fetches /metrics the way a Prometheus scraper does and
-// returns the text exposition.
+// scrapeProm fetches /metrics and returns the text exposition.
 func scrapeProm(t *testing.T, addr string) string {
 	t.Helper()
-	req, err := http.NewRequest("GET", "http://"+addr+"/metrics", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Accept", "text/plain;version=0.0.4")
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Fatalf("prometheus scrape negotiated content-type %q", ct)
+		t.Fatalf("/metrics served content-type %q", ct)
 	}
 	b, err := io.ReadAll(resp.Body)
 	if err != nil {
@@ -324,7 +284,7 @@ func sumU64(vs []uint64) uint64 {
 }
 
 // TestServeMetricsDuplicateAndReopen: one endpoint's sources must be
-// named apart (the name keys the JSON document), and a name is free
+// named apart (the name labels every series), and a name is free
 // again the moment its endpoint closes — a fresh listener serves the
 // new source under it. Nothing about a name outlives its endpoint.
 func TestServeMetricsDuplicateAndReopen(t *testing.T) {
@@ -347,17 +307,8 @@ func TestServeMetricsDuplicateAndReopen(t *testing.T) {
 		t.Fatalf("reopen after close rejected: %v", err)
 	}
 	defer m2.Close()
-	resp, err := http.Get("http://" + m2.Addr() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var doc map[string]nf.Stats
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	if got := doc["dup-src"].Processed; got != 77 {
-		t.Fatalf("/metrics serves Processed=%d after reopen, want 77", got)
+	if got := promVals(t, scrapeProm(t, m2.Addr()), "nf_processed_total", `nf="dup-src"`); len(got) != 1 || got[0] != 77 {
+		t.Fatalf("/metrics serves processed %v after reopen, want [77]", got)
 	}
 }
 
@@ -397,8 +348,7 @@ func TestServeMetricsPrometheusReasonConformance(t *testing.T) {
 				return
 			}
 			last = vals[0]
-			one := func(metric string) uint64 { return sumU64(promVals(t, doc, metric, `nf="vigpol-prom"`)) }
-			if !consistent(vals[0], one("nf_forwarded_total"), one("nf_dropped_total"), one("nf_reason_total")) {
+			if !consistent(t, doc, `nf="vigpol-prom"`) {
 				t.Errorf("a scrape under traffic is not one read of the counters:\n%s", doc)
 				return
 			}
@@ -451,17 +401,19 @@ func TestServeMetricsPrometheusReasonConformance(t *testing.T) {
 		t.Fatalf("drop_over_rate %v, want all %d ingress drops", over, want)
 	}
 
-	// The JSON surface carries the same reasons and agrees with the
-	// snapshot the cells report.
-	src := scrapeJSON(t, m.Addr())["vigpol-prom"]
-	var jsonDropSum uint64
-	for name, n := range src.Reasons {
-		if r, ok := policer.Reasons.ByName(name); ok && r.Drop {
-			jsonDropSum += n
+	// Every reason series names a declared reason, classed as the
+	// policer's reason set declares it.
+	for _, r := range policer.Reasons.Reasons() {
+		class := "forward"
+		if r.Drop {
+			class = "drop"
+		}
+		if got := promVals(t, doc, "nf_reason_total", `nf="vigpol-prom"`, fmt.Sprintf("reason=%q,class=%q", r.Name, class)); len(got) != 1 {
+			t.Fatalf("reason %s class %s has %d series, want 1", r.Name, class, len(got))
 		}
 	}
-	if jsonDropSum != src.Dropped || src.Dropped != want {
-		t.Fatalf("JSON reasons: drop-class sum %d vs Dropped %d (want %d)", jsonDropSum, src.Dropped, want)
+	if n := len(promVals(t, doc, "nf_reason_total", `nf="vigpol-prom"`)); n != policer.Reasons.Len() {
+		t.Fatalf("%d reason series, want one per declared reason (%d)", n, policer.Reasons.Len())
 	}
 }
 
@@ -473,7 +425,7 @@ func TestMetricsTelemetryTraceExposition(t *testing.T) {
 	pool, intPort, extPort := twoPorts(t, 32)
 	pipe, err := nf.NewPipeline(discard.NewFrameNF(), nf.Config{
 		Internal: intPort, External: extPort,
-		Telemetry: 1, TimingStride: 1,
+		Telemetry: true, TimingStride: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -555,8 +507,8 @@ func TestMetricsTelemetryTraceExposition(t *testing.T) {
 
 // TestMetricsWireExposition scrapes a wire-mode pipeline: what its
 // queue pair did — frames against syscalls on each port, waits and
-// moderated sleeps — is on /metrics in both renderings, read while the
-// engine could be running.
+// moderated sleeps — is on /metrics, read while the engine could be
+// running.
 func TestMetricsWireExposition(t *testing.T) {
 	const frames = 5
 	side := func(id uint16) (*dpdk.Port, *dpdk.UDPTransport) {
@@ -648,24 +600,12 @@ func TestMetricsWireExposition(t *testing.T) {
 	if size := one("nf_mempool_size", `port="internal"`); size != 32 {
 		t.Fatalf("mempool size %d, want 32", size)
 	}
-
-	resp, err := http.Get("http://" + m.Addr() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	// One queue pair, one pool per port.
+	if n := len(promVals(t, doc, "nf_wire_waits_total", `nf="wired"`)); n != 1 {
+		t.Fatalf("%d queue pairs report waits, want 1", n)
 	}
-	defer resp.Body.Close()
-	var js map[string]struct {
-		Wire     []nf.WireQueue
-		Mempools []nf.MempoolFill
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&js); err != nil {
-		t.Fatal(err)
-	}
-	if w := js["wired"].Wire; len(w) != 1 || w[0].Internal.RxFrames != frames {
-		t.Fatalf("JSON wire section %+v, want one queue with %d frames in", w, frames)
-	}
-	if p := js["wired"].Mempools; len(p) != 2 || p[0].Port != "internal" || p[0].HighWater == 0 || p[1].HighWater != 0 {
-		t.Fatalf("JSON mempools section %+v, want the internal pool lent mbufs and the external one none", p)
+	if n := len(promVals(t, doc, "nf_mempool_size", `nf="wired"`)); n != 2 {
+		t.Fatalf("%d mempools on /metrics, want 2", n)
 	}
 }
 

@@ -107,6 +107,29 @@ func inUseTotal(pools []*dpdk.Mempool) int {
 	return n
 }
 
+// cacheLegs runs leg as two subtests: "uncached" with the flow cache
+// off, and "cached" with it at nf.DefaultFastPathEntries per worker,
+// which the leg passes as Config.FastPath. The cache may change no
+// output, so every check a leg makes must hold on both.
+func cacheLegs(t *testing.T, leg func(t *testing.T, fastPath int)) {
+	for _, fastPath := range []int{0, nf.DefaultFastPathEntries} {
+		name := "uncached"
+		if fastPath > 0 {
+			name = "cached"
+		}
+		t.Run(name, func(t *testing.T) { leg(t, fastPath) })
+	}
+}
+
+// requireCache fails a leg whose pipeline did not take the cache size
+// it asked for: a cached leg the cache never joined checks nothing new.
+func requireCache(t *testing.T, p *nf.Pipeline, fastPath int) {
+	t.Helper()
+	if got := p.FastPathEntries(); got != fastPath {
+		t.Fatalf("pipeline runs %d flow-cache entries per worker, want %d", got, fastPath)
+	}
+}
+
 func drainAllPools(t *testing.T, port *dpdk.Port) []flow.ID {
 	t.Helper()
 	var ids []flow.ID
@@ -468,7 +491,9 @@ func TestPipelineForwardsAndDrops(t *testing.T) {
 // outbound packets are translated and emerge on the external port,
 // replies to the translated tuple come back translated on the internal
 // port, unsolicited outside packets die.
-func TestPipelineNATRoundTrip(t *testing.T) {
+func TestPipelineNATRoundTrip(t *testing.T) { cacheLegs(t, pipelineNATRoundTrip) }
+
+func pipelineNATRoundTrip(t *testing.T, fastPath int) {
 	extIP := flow.MakeAddr(198, 18, 1, 1)
 	clock := libvig.NewVirtualClock(0)
 	sharded, err := nat.NewSharded(nat.Config{
@@ -479,11 +504,12 @@ func TestPipelineNATRoundTrip(t *testing.T) {
 	}
 	pools, intPort, extPort := multiQueuePorts(t, 4, 64)
 	pipe, err := nf.NewPipeline(sharded, nf.Config{
-		Internal: intPort, External: extPort, Workers: 4, Clock: clock,
+		Internal: intPort, External: extPort, Workers: 4, Clock: clock, FastPath: fastPath,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireCache(t, pipe, fastPath)
 
 	buf := make([]byte, 2048)
 	nFlows := 16
@@ -547,7 +573,9 @@ func TestPipelineNATRoundTrip(t *testing.T) {
 // feed the replies back, with zero synchronization between workers.
 // Run under -race this is the proof that no shared mutable state sits
 // on the packet path.
-func TestPipelineParallelWorkers(t *testing.T) {
+func TestPipelineParallelWorkers(t *testing.T) { cacheLegs(t, pipelineParallelWorkers) }
+
+func pipelineParallelWorkers(t *testing.T, fastPath int) {
 	const nWorkers = 4
 	const flowsPerWorker = 24
 	extIP := flow.MakeAddr(198, 18, 1, 1)
@@ -560,11 +588,12 @@ func TestPipelineParallelWorkers(t *testing.T) {
 	}
 	pools, intPort, extPort := multiQueuePorts(t, nWorkers, 256)
 	pipe, err := nf.NewPipeline(sharded, nf.Config{
-		Internal: intPort, External: extPort, Workers: nWorkers, Clock: clock,
+		Internal: intPort, External: extPort, Workers: nWorkers, Clock: clock, FastPath: fastPath,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireCache(t, pipe, fastPath)
 
 	// Pre-steer flows so each worker's wire driver delivers only frames
 	// that RSS places on its own queue — the single-producer contract a
@@ -680,6 +709,10 @@ func TestPipelineParallelWorkers(t *testing.T) {
 // each outbound frame leaves rewritten exactly as a lock-step twin
 // rewrites the same frames.
 func TestSetWorkersSweepSettlesQueuedFrames(t *testing.T) {
+	cacheLegs(t, setWorkersSweepSettlesQueuedFrames)
+}
+
+func setWorkersSweepSettlesQueuedFrames(t *testing.T, fastPath int) {
 	const outbound, unsolicited = 24, 8
 	extIP := flow.MakeAddr(198, 18, 1, 1)
 	var frames [][]byte
@@ -706,9 +739,10 @@ func TestSetWorkersSweepSettlesQueuedFrames(t *testing.T) {
 		}
 		r := rig{}
 		r.pools, r.intPort, r.extPort = multiQueuePorts(t, 2, 64)
-		if r.pipe, err = nf.NewPipeline(sharded, nf.Config{Internal: r.intPort, External: r.extPort, Workers: 2, Clock: clock}); err != nil {
+		if r.pipe, err = nf.NewPipeline(sharded, nf.Config{Internal: r.intPort, External: r.extPort, Workers: 2, Clock: clock, FastPath: fastPath}); err != nil {
 			t.Fatal(err)
 		}
+		requireCache(t, r.pipe, fastPath)
 		for i, f := range frames {
 			port := r.extPort
 			if fromInternal[i] {
@@ -775,7 +809,9 @@ func TestPipelineRejectsUnderQueuedPorts(t *testing.T) {
 
 // TestPipelineIdleExpiry: idle polls advance NF expiry when a clock is
 // configured, so state drains without traffic.
-func TestPipelineIdleExpiry(t *testing.T) {
+func TestPipelineIdleExpiry(t *testing.T) { cacheLegs(t, pipelineIdleExpiry) }
+
+func pipelineIdleExpiry(t *testing.T, fastPath int) {
 	extIP := flow.MakeAddr(198, 18, 1, 1)
 	clock := libvig.NewVirtualClock(0)
 	texp := time.Second
@@ -786,10 +822,11 @@ func TestPipelineIdleExpiry(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool, intPort, extPort := twoPorts(t, 8)
-	pipe, err := nf.NewPipeline(sharded, nf.Config{Internal: intPort, External: extPort, Clock: clock})
+	pipe, err := nf.NewPipeline(sharded, nf.Config{Internal: intPort, External: extPort, Clock: clock, FastPath: fastPath})
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireCache(t, pipe, fastPath)
 
 	buf := make([]byte, 2048)
 	id := flow.ID{SrcIP: flow.MakeAddr(10, 0, 0, 1), DstIP: flow.MakeAddr(1, 1, 1, 1), SrcPort: 1234, DstPort: 53}

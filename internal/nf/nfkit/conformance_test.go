@@ -572,7 +572,7 @@ type cntRig struct {
 func countedOnce(t *testing.T, tc shardCase) {
 	clock := libvig.NewVirtualClock(0)
 	rigs := make([]*cntRig, 2)
-	for i, fastPath := range []int{64, nf.FastPathDisabled} {
+	for i, fastPath := range []int{64, 0} {
 		c := tc.counted(t, clock)
 		r := &cntRig{counted: c, confRig: buildConfRigWith(t, c.s, clock, 2, fastPath),
 			name: fmt.Sprintf("%s-cnt%d", tc.name, i)}
@@ -801,7 +801,7 @@ func TestDiscardPublishedBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rig := buildConfRigWith(t, s, nil, 2, nf.FastPathDisabled)
+	rig := buildConfRigWith(t, s, nil, 2, 0)
 	for round := 0; round < 4; round++ {
 		for i := 0; i < 16; i++ {
 			frame := craft(flow.ID{
@@ -1070,7 +1070,7 @@ func TestPollWorkerAllocatesNothing(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		fastPath int
-	}{{"nat_cache_on", nf.DefaultFastPathEntries}, {"nat_cache_off", -1}} {
+	}{{"nat_cache_on", nf.DefaultFastPathEntries}, {"nat_cache_off", 0}} {
 		t.Run(tc.name, func(t *testing.T) {
 			clock := libvig.NewVirtualClock(0)
 			ps := run(t, shardedNAT(t, clock), clock, tc.fastPath, false)
@@ -1082,7 +1082,7 @@ func TestPollWorkerAllocatesNothing(t *testing.T) {
 	t.Run("chain", func(t *testing.T) {
 		clock := libvig.NewVirtualClock(0)
 		c, gw := gatewayChain(t, clock)
-		run(t, c, clock, -1, false)
+		run(t, c, clock, 0, false)
 		if st := gw.Stats(); st.ForwardedIn == 0 {
 			t.Fatalf("no reply came back through the chain's NAT: %+v", st)
 		}

@@ -36,8 +36,7 @@ type Options struct {
 	Workers  int
 	Burst    int
 	Metrics  string
-	// Telemetry enables the per-worker histograms and trace ring; off
-	// defers to VIGNAT_TELEMETRY (nf.Config.Telemetry 1 and 0).
+	// Telemetry enables the per-worker histograms and trace ring.
 	Telemetry bool
 	// Transport picks the packet-I/O backend: "mem" (default) drives
 	// the NF with the built-in traffic over in-memory rings on a
@@ -102,8 +101,8 @@ func (o *Options) Register(fs *flag.FlagSet, capacity int) {
 	fs.IntVar(&o.Shards, "shards", 1, "NF shards (disjoint state partitions)")
 	fs.IntVar(&o.Workers, "workers", 0, "run-to-completion workers / RSS queue pairs (0 = one per shard)")
 	fs.IntVar(&o.Burst, "burst", nf.DefaultBurst, "RX/TX burst size")
-	fs.StringVar(&o.Metrics, "metrics", "", "serve /metrics (JSON and Prometheus text), /debug/pprof/ and /debug/trace on this address (e.g. :9090)")
-	fs.BoolVar(&o.Telemetry, "telemetry", false, "per-worker latency histograms + trace ring (off defers to VIGNAT_TELEMETRY)")
+	fs.StringVar(&o.Metrics, "metrics", "", "serve /metrics (Prometheus text), /debug/pprof/ and /debug/trace on this address (e.g. :9090)")
+	fs.BoolVar(&o.Telemetry, "telemetry", false, "per-worker latency histograms + trace ring")
 	fs.StringVar(&o.Transport, "transport", "mem", "packet I/O backend: mem (in-memory harness), udp, unix")
 	fs.StringVar(&o.IntLocal, "int-local", "", "wire mode: internal port's local address (udp host:port / unix path prefix)")
 	fs.StringVar(&o.IntPeer, "int-peer", "", "wire mode: where the internal port transmits")
@@ -112,15 +111,6 @@ func (o *Options) Register(fs *flag.FlagSet, capacity int) {
 	fs.DurationVar(&o.Duration, "duration", 0, "wire mode: stop after this long (0 = until SIGINT/SIGTERM)")
 	fs.BoolVar(&o.Control, "control", false, "wire mode: mount the /control/v1 management API on the metrics mux (requires -metrics)")
 	fs.IntVar(&o.MaxWorkers, "max-workers", 0, "wire mode: queue pairs to provision per port, headroom for live worker growth (0 = workers)")
-}
-
-// telemetry is o.Telemetry as nf.Config.Telemetry: on, or defer to the
-// environment.
-func (o *Options) telemetry() int {
-	if o.Telemetry {
-		return 1
-	}
-	return 0
 }
 
 // Serve builds the NF and runs it on the shared engine, writing its
@@ -185,7 +175,7 @@ func Serve(w io.Writer, name string, o *Options, build Build) error {
 	}
 	defer extPort.Close()
 
-	cfg := nf.Config{Internal: intPort, External: extPort, Burst: o.Burst, Workers: o.Workers, Clock: clock, Telemetry: o.telemetry()}
+	cfg := nf.Config{Internal: intPort, External: extPort, Burst: o.Burst, Workers: o.Workers, Clock: clock, Telemetry: o.Telemetry}
 	if !inMemory {
 		cfg.IdleWait = wireIdleWait
 	}

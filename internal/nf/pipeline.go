@@ -3,8 +3,6 @@ package nf
 import (
 	"errors"
 	"fmt"
-	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,30 +17,19 @@ import (
 // DPDK bursts.
 const DefaultBurst = 32
 
-// DefaultFastPathEntries is the per-worker flow-cache size used when
-// the fast path is enabled without an explicit size.
+// DefaultFastPathEntries is the per-worker flow-cache size the
+// harnesses that turn the cache on give Config.FastPath.
 const DefaultFastPathEntries = 8192
 
-// FastPathDisabled forces the flow cache off regardless of the
-// environment (Config.FastPath).
-const FastPathDisabled = -1
-
-// FastPathEnv is the environment variable consulted when
-// Config.FastPath is zero: unset, empty, "0", "off", or "false" leave
-// the cache disabled; "1", "on", or "true" enable it at
-// DefaultFastPathEntries; a positive integer enables it at that
-// per-worker size. CI uses it to force the whole conformance suite
-// through the fast path.
-const FastPathEnv = "VIGNAT_FASTPATH"
-
-// TelemetryDisabled forces telemetry off regardless of the environment
-// (Config.Telemetry).
-const TelemetryDisabled = -1
-
-// TelemetryEnv is the environment variable consulted when
-// Config.Telemetry is zero: unset, empty, "0", "off", or "false" leave
-// telemetry disabled; "1", "on", or "true" enable it.
-const TelemetryEnv = "VIGNAT_TELEMETRY"
+// FastPathEnv and TelemetryEnv name the environment variables the
+// engine once read to switch the flow cache and telemetry on. Nothing
+// in this module reads them: Config is the engine's only switch. The
+// benchmark harness still strips them from its environment by these
+// names, so they stay until ROADMAP item 1(g) deletes them there.
+const (
+	FastPathEnv  = "VIGNAT_FASTPATH"
+	TelemetryEnv = "VIGNAT_TELEMETRY"
+)
 
 // Config parameterizes a Pipeline.
 type Config struct {
@@ -71,20 +58,17 @@ type Config struct {
 	// parse dispatch, ProcessPacket, and the libVig lookups, taking a
 	// pre-resolved verdict plus rewrite template instead, with outputs
 	// bit-identical to the slow path (hits replay the same state
-	// mutations in the same order). A positive value enables the cache
-	// at that size and requires Clock — hits rejuvenate state on the
-	// NF's timeline. Zero defers to the FastPathEnv environment variable
-	// (still requiring Clock; without one the cache silently stays
-	// off). FastPathDisabled forces it off. NFs that do not implement
-	// FastPather (or decline it) are unaffected either way.
+	// mutations in the same order). Zero leaves the cache off; a
+	// positive value enables it at that size and requires Clock — hits
+	// rejuvenate state on the NF's timeline; a negative value is an
+	// error. NFs that do not implement FastPather (or decline it) are
+	// unaffected either way.
 	FastPath int
 	// Telemetry switches the per-worker histograms and the sampled
-	// trace ring on (positive), off (TelemetryDisabled), or defers to
-	// the TelemetryEnv environment variable (zero). Disabled telemetry
-	// costs the hot path one nil pointer check per burst; enabled, it
-	// costs a few clock reads on one poll in TimingStride (≤3%,
-	// BENCH_telemetry).
-	Telemetry int
+	// trace ring on. Disabled telemetry costs the hot path one nil
+	// pointer check per burst; enabled, it costs a few clock reads on
+	// one poll in TimingStride (≤3%, BENCH_telemetry).
+	Telemetry bool
 	// TimingStride is the poll-sampling period of the timing
 	// histograms when telemetry is enabled: one poll in TimingStride
 	// is fully timed, the rest pay a single counter increment (default
@@ -126,58 +110,6 @@ type Config struct {
 // 50 µs of kernel timer slack plus the VM's wake latency. A wait that a
 // frame ends does not overshoot.)
 const moderationGap = 100 * time.Microsecond
-
-// resolveFastPath turns Config.FastPath plus the environment into a
-// per-worker entry count (0 = disabled).
-func resolveFastPath(cfg int, haveClock bool) (int, error) {
-	switch {
-	case cfg < 0:
-		return 0, nil
-	case cfg > 0:
-		if !haveClock {
-			return 0, errors.New("nf: the fast path needs a clock")
-		}
-		return cfg, nil
-	}
-	switch v := os.Getenv(FastPathEnv); v {
-	case "", "0", "off", "false":
-		return 0, nil
-	case "1", "on", "true":
-		if !haveClock {
-			return 0, nil // clockless rigs cannot rejuvenate; stay off
-		}
-		return DefaultFastPathEntries, nil
-	default:
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			return 0, fmt.Errorf("nf: bad %s value %q", FastPathEnv, v)
-		}
-		if !haveClock {
-			return 0, nil
-		}
-		return n, nil
-	}
-}
-
-// resolveTelemetry turns Config.Telemetry plus the environment into an
-// on/off decision, mirroring resolveFastPath's contract (zero defers
-// to TelemetryEnv, a bad value is an error rather than a silent off).
-func resolveTelemetry(cfg int) (bool, error) {
-	switch {
-	case cfg < 0:
-		return false, nil
-	case cfg > 0:
-		return true, nil
-	}
-	switch v := os.Getenv(TelemetryEnv); v {
-	case "", "0", "off", "false":
-		return false, nil
-	case "1", "on", "true":
-		return true, nil
-	default:
-		return false, fmt.Errorf("nf: bad %s value %q", TelemetryEnv, v)
-	}
-}
 
 // PipelineStats counts engine-level events.
 type PipelineStats struct {
@@ -384,13 +316,11 @@ func NewPipeline(n NF, cfg Config) (*Pipeline, error) {
 	if ns := sharder.Shards(); ns < 1 {
 		return nil, fmt.Errorf("nf: %s reports %d shards", n.Name(), ns)
 	}
-	fastEntries, err := resolveFastPath(cfg.FastPath, cfg.Clock != nil)
-	if err != nil {
-		return nil, err
+	if cfg.FastPath < 0 {
+		return nil, errors.New("nf: negative flow-cache size")
 	}
-	telOn, err := resolveTelemetry(cfg.Telemetry)
-	if err != nil {
-		return nil, err
+	if cfg.FastPath > 0 && cfg.Clock == nil {
+		return nil, errors.New("nf: the fast path needs a clock")
 	}
 	p := &Pipeline{
 		nf:          n,
@@ -401,14 +331,14 @@ func NewPipeline(n NF, cfg Config) (*Pipeline, error) {
 		clock:       cfg.Clock,
 		idleWait:    cfg.IdleWait,
 		sleep:       dpdk.Sleep,
-		fastEntries: fastEntries,
+		fastEntries: cfg.FastPath,
 	}
 	p.wait = dpdk.WaitRx
 	p.waitOn = [2]*dpdk.Port{p.intPort, p.extPort}
 	if p.idleWait > 0 {
 		p.idle = make([]idleCounters, min(p.intPort.Queues(), p.extPort.Queues()))
 	}
-	if telOn {
+	if cfg.Telemetry {
 		p.tel.Store(telemetry.NewPipelineTel(nWorkers))
 		p.telEpoch = time.Now()
 		stride := cfg.TimingStride
@@ -567,9 +497,8 @@ func (p *Pipeline) NF() NF { return p.nf }
 // Workers returns the number of run-to-completion workers.
 func (p *Pipeline) Workers() int { return len(p.workers) }
 
-// FastPathEntries returns the per-worker flow-cache size after
-// resolution (0 when the cache is disabled — explicitly, by
-// environment, or because no shard participates).
+// FastPathEntries returns the per-worker flow-cache size in force: 0
+// when Config.FastPath left the cache off or no shard participates.
 func (p *Pipeline) FastPathEntries() int { return p.fastEntries }
 
 // Telemetry returns the engine's telemetry block, nil when disabled.

@@ -41,10 +41,10 @@ func FprintEngineReport(w io.Writer, ps PipelineStats, snap Stats, pools []Mempo
 type TableFill struct {
 	// Elem names the chain element that keeps the table; it is empty
 	// for an NF that is not a chain.
-	Elem      string `json:"elem,omitempty"`
-	Shard     int    `json:"shard"`
-	Capacity  int    `json:"capacity"`
-	HighWater int    `json:"high_water"`
+	Elem      string
+	Shard     int
+	Capacity  int
+	HighWater int
 }
 
 // TableFiller is implemented by NFs whose shards keep flow tables
@@ -67,10 +67,10 @@ func FlowTablesOf(n NF) []TableFill {
 // it has had checked out at once — the number of its data rooms that
 // are resident (dpdk.Mempool.HighWater).
 type MempoolFill struct {
-	Port      string `json:"port"`
-	Queue     int    `json:"queue"`
-	Size      int    `json:"size"`
-	HighWater int    `json:"high_water"`
+	Port      string
+	Queue     int
+	Size      int
+	HighWater int
 }
 
 // Mempools returns the fill of every RX queue's mempool, the internal
@@ -96,12 +96,12 @@ func (p *Pipeline) Mempools() []MempoolFill {
 // — the three partition its idle steps — and the syscalls its queue on
 // each port made for the frames it moved.
 type WireQueue struct {
-	Queue      int            `json:"queue"`
-	Waits      uint64         `json:"waits"`
-	ReplyWaits uint64         `json:"reply_waits"`
-	Sleeps     uint64         `json:"sleeps"`
-	Internal   dpdk.WireStats `json:"internal"`
-	External   dpdk.WireStats `json:"external"`
+	Queue      int
+	Waits      uint64
+	ReplyWaits uint64
+	Sleeps     uint64
+	Internal   dpdk.WireStats
+	External   dpdk.WireStats
 }
 
 // Wire returns the wire counters of every queue pair the ports

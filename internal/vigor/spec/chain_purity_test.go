@@ -195,9 +195,9 @@ func (r *chainRig) pollAndDrain(t *testing.T, drain []*dpdk.Mbuf) map[uint32]cha
 // byte.
 func TestPrefetchObservationallyPureChain(t *testing.T) {
 	served, chain := catalogChainRig(t)
-	served.serve(t, chain, nf.FastPathDisabled)
+	served.serve(t, chain, 0)
 	runChainTrace(t, []*chainRig{
-		buildChainRig(t, nf.FastPathDisabled, true), buildChainRig(t, nf.FastPathDisabled, false), served,
+		buildChainRig(t, 0, true), buildChainRig(t, 0, false), served,
 	}, 8)
 }
 

@@ -61,6 +61,29 @@ func buildFPRig(t *testing.T, n nf.NF, clock libvig.Clock, fastPath int) *fpPipe
 	return &fpPipeRig{pipe: pipe, pool: pool, intPort: intPort, extPort: extPort}
 }
 
+// cacheLegs runs leg as two subtests: "uncached" with the flow cache
+// off, and "cached" with it at nf.DefaultFastPathEntries per worker,
+// which the leg passes as Config.FastPath. The cache may change no
+// output, so every check a leg makes must hold on both.
+func cacheLegs(t *testing.T, leg func(t *testing.T, fastPath int)) {
+	for _, fastPath := range []int{0, nf.DefaultFastPathEntries} {
+		name := "uncached"
+		if fastPath > 0 {
+			name = "cached"
+		}
+		t.Run(name, func(t *testing.T) { leg(t, fastPath) })
+	}
+}
+
+// requireCache fails a leg whose pipeline did not take the cache size
+// it asked for: a cached leg the cache never joined checks nothing new.
+func requireCache(t *testing.T, p *nf.Pipeline, fastPath int) {
+	t.Helper()
+	if got := p.FastPathEntries(); got != fastPath {
+		t.Fatalf("pipeline runs %d flow-cache entries per worker, want %d", got, fastPath)
+	}
+}
+
 // fpDrainOne empties both TX queues after a one-packet poll, returning
 // the single output (copied) and which side it left on — or ok=false
 // when the packet was dropped.
@@ -150,7 +173,7 @@ func TestFastPathNATConformanceOracle(t *testing.T) {
 	}
 	onNAT, offNAT := mkNAT(), mkNAT()
 	on := buildFPRig(t, onNAT, clock, 1024)
-	off := buildFPRig(t, offNAT, clock, nf.FastPathDisabled)
+	off := buildFPRig(t, offNAT, clock, 0)
 	if on.pipe.FastPathEntries() == 0 || off.pipe.FastPathEntries() != 0 {
 		t.Fatal("rig fast-path resolution wrong")
 	}
@@ -303,7 +326,7 @@ func TestFastPathPolicerConformanceOracle(t *testing.T) {
 	}
 	onPol, offPol := mkPol(), mkPol()
 	on := buildFPRig(t, onPol, clock, 1024)
-	off := buildFPRig(t, offPol, clock, nf.FastPathDisabled)
+	off := buildFPRig(t, offPol, clock, 0)
 	oracle := spec.NewPolicerOracle(fpPolRate, fpPolBurst, 0, fpPolTexp.Nanoseconds())
 
 	subscribers := make([]flow.Addr, 24)
@@ -536,7 +559,7 @@ func TestFastPathLBConformanceDrain(t *testing.T) {
 	}
 	onLB, offLB := mkLB(), mkLB()
 	on := buildFPRig(t, onLB, clock, 1024)
-	off := buildFPRig(t, offLB, clock, nf.FastPathDisabled)
+	off := buildFPRig(t, offLB, clock, 0)
 
 	backendIPs := make([]flow.Addr, 6)
 	backendIdx := map[flow.Addr]int{}
@@ -702,7 +725,7 @@ func TestFastPathFirewallConformance(t *testing.T) {
 	}
 	onFW, offFW := mkFW(), mkFW()
 	on := buildFPRig(t, onFW, clock, 1024)
-	off := buildFPRig(t, offFW, clock, nf.FastPathDisabled)
+	off := buildFPRig(t, offFW, clock, 0)
 	if on.pipe.FastPathEntries() == 0 || off.pipe.FastPathEntries() != 0 {
 		t.Fatal("rig fast-path resolution wrong")
 	}
@@ -811,7 +834,7 @@ func TestFastPathFirewallConformance(t *testing.T) {
 // explicitly disabled rig.
 func TestFastPathGatewayChainConformance(t *testing.T) {
 	onRig := buildChainRig(t, 4096, true)
-	offRig := buildChainRig(t, nf.FastPathDisabled, true)
+	offRig := buildChainRig(t, 0, true)
 	if onRig.pipe.FastPathEntries() != 0 {
 		t.Fatalf("composite chain must decline the cache, resolved %d entries",
 			onRig.pipe.FastPathEntries())

@@ -65,7 +65,9 @@ func lbReadSeq(t *testing.T, frame []byte) uint32 {
 // packets through the ShardedBalancer on the multi-queue pipeline,
 // including backend add/remove and expiry churn, with zero LB-oracle
 // divergences.
-func TestLBConformanceOnPipeline(t *testing.T) {
+func TestLBConformanceOnPipeline(t *testing.T) { cacheLegs(t, lbConformanceOnPipeline) }
+
+func lbConformanceOnPipeline(t *testing.T, fastPath int) {
 	clock := libvig.NewVirtualClock(0)
 	balancer, err := lb.NewSharded(lb.Config{
 		VIP:         lbVIP,
@@ -136,10 +138,12 @@ func TestLBConformanceOnPipeline(t *testing.T) {
 		External: extPort,
 		Workers:  lbShards,
 		Clock:    clock,
+		FastPath: fastPath,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireCache(t, pipe, fastPath)
 
 	// The flow universe: enough clients that stickiness, expiry, and
 	// remapping all occur, small enough that no shard's table fills.

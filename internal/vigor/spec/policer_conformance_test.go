@@ -74,7 +74,9 @@ func polReadSeq(t *testing.T, frame []byte) uint32 {
 // including bursty senders, over-rate flooders, and expiry churn, with
 // zero policer-oracle divergences — plus the closing long-run budget
 // law over the whole trace.
-func TestPolicerConformanceOnPipeline(t *testing.T) {
+func TestPolicerConformanceOnPipeline(t *testing.T) { cacheLegs(t, policerConformanceOnPipeline) }
+
+func policerConformanceOnPipeline(t *testing.T, fastPath int) {
 	clock := libvig.NewVirtualClock(0)
 	pol, err := policer.NewSharded(policer.Config{
 		Rate:     polRate,
@@ -113,10 +115,12 @@ func TestPolicerConformanceOnPipeline(t *testing.T) {
 		External: extPort,
 		Workers:  polShards,
 		Clock:    clock,
+		FastPath: fastPath,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireCache(t, pipe, fastPath)
 
 	// The subscriber universe: enough that every shard sees steady
 	// subscribers, flooders, and expiry, small enough that no shard's

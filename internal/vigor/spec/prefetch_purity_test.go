@@ -42,9 +42,10 @@ type amoRig struct {
 	oracle  *spec.Oracle
 }
 
-// buildAmoRig builds a sharded NAT on a pipeline, from the NAT's
-// declaration as shipped or with its Prefetch hook stripped.
-func buildAmoRig(t *testing.T, prefetch bool) *amoRig {
+// buildAmoRig builds a sharded NAT on a pipeline running fastPath
+// flow-cache entries per worker, from the NAT's declaration as shipped
+// or with its Prefetch hook stripped.
+func buildAmoRig(t *testing.T, prefetch bool, fastPath int) *amoRig {
 	t.Helper()
 	clock := libvig.NewVirtualClock(0)
 	decl := nat.Kit(nat.Config{
@@ -84,10 +85,12 @@ func buildAmoRig(t *testing.T, prefetch bool) *amoRig {
 		External: r.extPort,
 		Workers:  amoShards,
 		Clock:    clock,
+		FastPath: fastPath,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireCache(t, r.pipe, fastPath)
 	r.oracle = spec.NewOracle(amoCap, amoTimeout.Nanoseconds(), extIP, confPortBase, amoCap)
 	return r
 }
@@ -174,7 +177,9 @@ func (r *amoRig) pollAndDrain(t *testing.T, drain []*dpdk.Mbuf) map[uint32]amoOb
 // counts. Bursts are wide here so that each shard's run has packets to
 // prefetch for.
 func TestPrefetchObservationallyPureNAT(t *testing.T) {
-	runAmoTrace(t, []*amoRig{buildAmoRig(t, true), buildAmoRig(t, false)}, 24)
+	cacheLegs(t, func(t *testing.T, fastPath int) {
+		runAmoTrace(t, []*amoRig{buildAmoRig(t, true, fastPath), buildAmoRig(t, false, fastPath)}, 24)
+	})
 }
 
 // runAmoTrace drives every rig through one randomized conformance trace

@@ -43,7 +43,7 @@ type twRig struct {
 	pools            []*dpdk.Mempool
 }
 
-func buildTransportRig(t *testing.T, kind string, n nf.NF, clock *libvig.VirtualClock) *twRig {
+func buildTransportRig(t *testing.T, kind string, n nf.NF, clock *libvig.VirtualClock, fastPath int) *twRig {
 	t.Helper()
 	newPool := func() *dpdk.Mempool {
 		pool, err := dpdk.NewMempool(512)
@@ -124,10 +124,11 @@ func buildTransportRig(t *testing.T, kind string, n nf.NF, clock *libvig.Virtual
 	default:
 		t.Fatalf("unknown transport kind %q", kind)
 	}
-	pipe, err := nf.NewPipeline(n, nf.Config{Internal: intPort, External: extPort, Clock: clock})
+	pipe, err := nf.NewPipeline(n, nf.Config{Internal: intPort, External: extPort, Clock: clock, FastPath: fastPath})
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireCache(t, pipe, fastPath)
 	r.pipe = pipe
 	return r
 }
@@ -164,96 +165,106 @@ func (r *twRig) stepWire(t *testing.T, id flow.ID, fromInternal bool, now libvig
 	return spec.Observed{Verdict: verdict, Tuple: p.FlowID()}
 }
 
+// TestTransportSpecConformance runs the trace on each transport, with
+// the flow cache off and on. A leg spends most of its time waiting out
+// twDropWait on the packets the NAT drops, so the legs run side by side.
 func TestTransportSpecConformance(t *testing.T) {
 	for _, kind := range []string{"mem", "udp", "unix"} {
-		kind := kind
 		t.Run(kind, func(t *testing.T) {
-			clock := libvig.NewVirtualClock(0)
-			n, err := nat.NewSharded(nat.Config{
-				Capacity: twCap, Timeout: twTimeout, ExternalIP: extIP,
-				PortBase: confPortBase, InternalPort: 0, ExternalPort: 1,
-			}, clock, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rig := buildTransportRig(t, kind, n, clock)
-			oracle := spec.NewOracle(twCap, twTimeout.Nanoseconds(), extIP, confPortBase, twCap)
-			rng := rand.New(rand.NewSource(7))
-
-			// 12 internal flows against capacity 8: creation, steady
-			// traffic, capacity-full drops, and (after clock jumps)
-			// expiry all occur on a real wire.
-			intIDs := make([]flow.ID, 12)
-			for i := range intIDs {
-				proto := flow.UDP
-				if i%2 == 0 {
-					proto = flow.TCP
-				}
-				intIDs[i] = flow.ID{
-					SrcIP:   flow.MakeAddr(10, 0, 0, byte(1+i)),
-					SrcPort: uint16(20000 + i),
-					DstIP:   flow.MakeAddr(93, 184, 216, byte(1+i%3)),
-					DstPort: uint16(80 + i%2),
-					Proto:   proto,
-				}
-			}
-			extTuple := map[int]flow.ID{}
-			for s := 0; s < 300; s++ {
-				clock.Advance(libvig.Time(rng.Intn(40_000_000))) // ≤40ms
-				now := clock.Now()
-				switch rng.Intn(10) {
-				case 0, 1, 2, 3, 4: // outbound
-					i := rng.Intn(len(intIDs))
-					got := rig.stepWire(t, intIDs[i], true, now)
-					if err := oracle.Step(intIDs[i], true, true, now, got); err != nil {
-						t.Fatalf("step %d (outbound %v): %v", s, intIDs[i], err)
-					}
-					if got.Verdict == stateless.VerdictToExternal {
-						extTuple[i] = got.Tuple
-					}
-				case 5, 6, 7: // reply to the last known translation (may have expired: also a check)
-					if len(extTuple) == 0 {
-						continue
-					}
-					ks := make([]int, 0, len(extTuple))
-					for k := range extTuple {
-						ks = append(ks, k)
-					}
-					id := extTuple[ks[rng.Intn(len(ks))]].Reverse()
-					got := rig.stepWire(t, id, false, now)
-					if err := oracle.Step(id, false, true, now, got); err != nil {
-						t.Fatalf("step %d (reply %v): %v", s, id, err)
-					}
-				case 8: // unsolicited external junk
-					id := flow.ID{
-						SrcIP:   flow.MakeAddr(203, 0, 113, byte(1+rng.Intn(250))),
-						SrcPort: uint16(1024 + rng.Intn(60000)),
-						DstIP:   extIP,
-						DstPort: uint16(confPortBase + rng.Intn(twCap+4)),
-						Proto:   flow.UDP,
-					}
-					got := rig.stepWire(t, id, false, now)
-					if err := oracle.Step(id, false, true, now, got); err != nil {
-						t.Fatalf("step %d (junk %v): %v", s, id, err)
-					}
-				case 9: // expiry wave
-					clock.Advance(libvig.Time(2 * twTimeout.Nanoseconds()))
-				}
-			}
-
-			// No stray frames may remain on either wire, and every mbuf
-			// must be home: the transports moved frames, not ownership
-			// bugs.
-			recv := make([]byte, 4096)
-			if _, ok := rig.intWire.Recv(recv, 50*time.Millisecond); ok {
-				t.Fatal("stray frame on the internal wire after the trace")
-			}
-			if _, ok := rig.extWire.Recv(recv, 50*time.Millisecond); ok {
-				t.Fatal("stray frame on the external wire after the trace")
-			}
-			if err := nf.MbufAccounting(0, rig.pools...); err != nil {
-				t.Fatal(err)
-			}
+			t.Parallel()
+			cacheLegs(t, func(t *testing.T, fastPath int) {
+				t.Parallel()
+				transportSpecConformance(t, kind, fastPath)
+			})
 		})
+	}
+}
+
+func transportSpecConformance(t *testing.T, kind string, fastPath int) {
+	clock := libvig.NewVirtualClock(0)
+	n, err := nat.NewSharded(nat.Config{
+		Capacity: twCap, Timeout: twTimeout, ExternalIP: extIP,
+		PortBase: confPortBase, InternalPort: 0, ExternalPort: 1,
+	}, clock, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig := buildTransportRig(t, kind, n, clock, fastPath)
+	oracle := spec.NewOracle(twCap, twTimeout.Nanoseconds(), extIP, confPortBase, twCap)
+	rng := rand.New(rand.NewSource(7))
+
+	// 12 internal flows against capacity 8: creation, steady
+	// traffic, capacity-full drops, and (after clock jumps)
+	// expiry all occur on a real wire.
+	intIDs := make([]flow.ID, 12)
+	for i := range intIDs {
+		proto := flow.UDP
+		if i%2 == 0 {
+			proto = flow.TCP
+		}
+		intIDs[i] = flow.ID{
+			SrcIP:   flow.MakeAddr(10, 0, 0, byte(1+i)),
+			SrcPort: uint16(20000 + i),
+			DstIP:   flow.MakeAddr(93, 184, 216, byte(1+i%3)),
+			DstPort: uint16(80 + i%2),
+			Proto:   proto,
+		}
+	}
+	extTuple := map[int]flow.ID{}
+	for s := 0; s < 300; s++ {
+		clock.Advance(libvig.Time(rng.Intn(40_000_000))) // ≤40ms
+		now := clock.Now()
+		switch rng.Intn(10) {
+		case 0, 1, 2, 3, 4: // outbound
+			i := rng.Intn(len(intIDs))
+			got := rig.stepWire(t, intIDs[i], true, now)
+			if err := oracle.Step(intIDs[i], true, true, now, got); err != nil {
+				t.Fatalf("step %d (outbound %v): %v", s, intIDs[i], err)
+			}
+			if got.Verdict == stateless.VerdictToExternal {
+				extTuple[i] = got.Tuple
+			}
+		case 5, 6, 7: // reply to the last known translation (may have expired: also a check)
+			if len(extTuple) == 0 {
+				continue
+			}
+			ks := make([]int, 0, len(extTuple))
+			for k := range extTuple {
+				ks = append(ks, k)
+			}
+			id := extTuple[ks[rng.Intn(len(ks))]].Reverse()
+			got := rig.stepWire(t, id, false, now)
+			if err := oracle.Step(id, false, true, now, got); err != nil {
+				t.Fatalf("step %d (reply %v): %v", s, id, err)
+			}
+		case 8: // unsolicited external junk
+			id := flow.ID{
+				SrcIP:   flow.MakeAddr(203, 0, 113, byte(1+rng.Intn(250))),
+				SrcPort: uint16(1024 + rng.Intn(60000)),
+				DstIP:   extIP,
+				DstPort: uint16(confPortBase + rng.Intn(twCap+4)),
+				Proto:   flow.UDP,
+			}
+			got := rig.stepWire(t, id, false, now)
+			if err := oracle.Step(id, false, true, now, got); err != nil {
+				t.Fatalf("step %d (junk %v): %v", s, id, err)
+			}
+		case 9: // expiry wave
+			clock.Advance(libvig.Time(2 * twTimeout.Nanoseconds()))
+		}
+	}
+
+	// No stray frames may remain on either wire, and every mbuf
+	// must be home: the transports moved frames, not ownership
+	// bugs.
+	recv := make([]byte, 4096)
+	if _, ok := rig.intWire.Recv(recv, 50*time.Millisecond); ok {
+		t.Fatal("stray frame on the internal wire after the trace")
+	}
+	if _, ok := rig.extWire.Recv(recv, 50*time.Millisecond); ok {
+		t.Fatal("stray frame on the external wire after the trace")
+	}
+	if err := nf.MbufAccounting(0, rig.pools...); err != nil {
+		t.Fatal(err)
 	}
 }
