@@ -4,8 +4,7 @@
 //
 //	GET  /control/v1/status           — workers, engine counters, backends
 //	POST /control/v1/lb/backends      — {"op":"add","ip":"10.0.0.7"} |
-//	                                    {"op":"drain","index":2} |
-//	                                    {"op":"heartbeat","index":2}
+//	                                    {"op":"drain","index":2}
 //	POST /control/v1/policer/resize   — {"rate":50000,"burst":125000}
 //	POST /control/v1/workers          — {"workers":4}
 //
@@ -55,7 +54,6 @@ type Pipeline interface {
 type BackendManager interface {
 	AddBackend(ip flow.Addr, now libvig.Time) (int, error)
 	RemoveBackend(i int) error
-	Heartbeat(i int, now libvig.Time) error
 	LiveBackends() int
 	Backend(i int) (flow.Addr, bool)
 }
@@ -146,7 +144,7 @@ type backendInfo struct {
 
 // backendsRequest is the POST /control/v1/lb/backends body.
 type backendsRequest struct {
-	Op    string `json:"op"` // "add" | "drain" | "heartbeat"
+	Op    string `json:"op"` // "add" | "drain"
 	IP    string `json:"ip,omitempty"`
 	Index *int   `json:"index,omitempty"`
 }
@@ -247,13 +245,6 @@ func (c *Controller) handleBackends(w http.ResponseWriter, r *http.Request) {
 		}
 		reply.Index = *req.Index
 		verb = func() error { return be.RemoveBackend(*req.Index) }
-	case "heartbeat":
-		if req.Index == nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("ctlplane: heartbeat needs an index"))
-			return
-		}
-		reply.Index = *req.Index
-		verb = func() error { return be.Heartbeat(*req.Index, now) }
 	default:
 		writeError(w, http.StatusBadRequest, fmt.Errorf("ctlplane: unknown op %q", req.Op))
 		return

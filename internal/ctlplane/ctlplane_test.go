@@ -165,8 +165,8 @@ func getJSON(t *testing.T, url string, out any) {
 	}
 }
 
-// TestDrainBackendUnderTraffic drains, adds, and heartbeats balancer
-// backends over the API while both workers forward client traffic.
+// TestDrainBackendUnderTraffic drains and adds balancer backends over
+// the API while both workers forward client traffic.
 func TestDrainBackendUnderTraffic(t *testing.T) {
 	clock := libvig.NewSystemClock()
 	vip := flow.MakeAddr(198, 18, 10, 10)
@@ -210,7 +210,7 @@ func TestDrainBackendUnderTraffic(t *testing.T) {
 	}
 
 	// The control side, racing the workers: status reads, one drain,
-	// one add, heartbeats.
+	// one add.
 	var st struct {
 		Workers  int `json:"workers"`
 		Backends []struct {
@@ -235,7 +235,6 @@ func TestDrainBackendUnderTraffic(t *testing.T) {
 		t.Fatalf("add left %d live backends, want 3", br.Live)
 	}
 	for i := 0; i < 10; i++ {
-		postJSON(t, base+"/control/v1/lb/backends", map[string]any{"op": "heartbeat", "index": 1}, nil)
 		getJSON(t, base+"/control/v1/status", &st)
 	}
 	wg.Wait()

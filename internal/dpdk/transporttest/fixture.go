@@ -5,7 +5,8 @@
 // passes here is substitutable under every NF in the repository —
 // the spec suites check protocol behavior, this fixture checks the
 // I/O contract those suites stand on. Its tester-side endpoints (Wire,
-// wire.go) are also what cmd/vigwire plays the wire with.
+// wire.go) are also what cmd/vigwire plays the wire with and what
+// nfkittest.Rig drives an NF through.
 package transporttest
 
 import (

@@ -14,6 +14,7 @@ import (
 	"vignat/internal/nat"
 	"vignat/internal/netfilter"
 	"vignat/internal/nf"
+	"vignat/internal/nf/nfkit/nfkittest"
 	"vignat/internal/paired"
 	"vignat/internal/unverified"
 )
@@ -107,12 +108,16 @@ func contender(kind NFKind, timeout time.Duration) (nf.NF, *libvig.VirtualClock,
 // The kernel-bypass contenders poll in-memory rings; the Linux NAT
 // crosses unix sockets, so the kernel's own receive and send run
 // inside each of its polls.
-func figureRig(kind NFKind, timeout time.Duration) (*rig, *libvig.VirtualClock, error) {
+func figureRig(kind NFKind, timeout time.Duration) (*nfkittest.Rig, *libvig.VirtualClock, error) {
 	n, clock, err := contender(kind, timeout)
 	if err != nil {
 		return nil, nil, err
 	}
-	r, err := newRig(n, clock, kind == NFLinux, nf.Config{})
+	transport := "mem"
+	if kind == NFLinux {
+		transport = "unix"
+	}
+	r, err := nfkittest.NewRig(n, transport, 1, nf.Config{Clock: clock})
 	return r, clock, err
 }
 

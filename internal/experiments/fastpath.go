@@ -215,11 +215,11 @@ func FastPathSweep(cfg FastPathConfig) ([]FastPathRow, error) {
 			}
 			// Fill toward capacity with background flows (created once,
 			// never revisited), then warm the established pool untimed.
-			if _, err := r.run(bgFrames[:bg], false); err != nil {
+			if _, err := run(r, bgFrames[:bg], false); err != nil {
 				return 0, err
 			}
 			for pass := 0; pass < warmPasses; pass++ {
-				if _, err := r.run(estFrames, false); err != nil {
+				if _, err := run(r, estFrames, false); err != nil {
 					return 0, err
 				}
 			}
@@ -227,12 +227,12 @@ func FastPathSweep(cfg FastPathConfig) ([]FastPathRow, error) {
 			// does not fire inside the timed window. The packet path
 			// itself is allocation-free.
 			runtime.GC()
-			before := r.engine.Stats()
-			elapsed, err := r.run(seq, true)
+			before := r.Engine.Stats()
+			elapsed, err := run(r, seq, true)
 			if err != nil {
 				return 0, err
 			}
-			if after := r.engine.Stats(); side == 1 {
+			if after := r.Engine.Stats(); side == 1 {
 				hits := after.FastPathHits - before.FastPathHits
 				misses := after.FastPathMisses - before.FastPathMisses
 				if hits+misses > 0 {

@@ -21,22 +21,22 @@ func benchHit100(b *testing.B, fastPath int) {
 	}
 	frames := fpEstablishedFrames(flows)
 	for range warmPasses {
-		if _, err := r.run(frames, false); err != nil {
+		if _, err := run(r, frames, false); err != nil {
 			b.Fatal(err)
 		}
 	}
-	before := r.engine.Stats()
+	before := r.Engine.Stats()
 	b.ResetTimer()
 	var elapsed time.Duration
 	for done := 0; done < b.N; done += flows {
-		d, err := r.run(frames[:min(flows, b.N-done)], true)
+		d, err := run(r, frames[:min(flows, b.N-done)], true)
 		if err != nil {
 			b.Fatal(err)
 		}
 		elapsed += d
 	}
 	b.StopTimer()
-	if after := r.engine.Stats(); fastPath > 0 && after.FastPathHits-before.FastPathHits != uint64(b.N) {
+	if after := r.Engine.Stats(); fastPath > 0 && after.FastPathHits-before.FastPathHits != uint64(b.N) {
 		b.Fatalf("%d of %d packets hit the cache", after.FastPathHits-before.FastPathHits, b.N)
 	}
 	b.ReportMetric(float64(elapsed.Nanoseconds())/float64(b.N), "ns/pkt")

@@ -8,6 +8,7 @@ import (
 	"vignat/internal/flow"
 	"vignat/internal/libvig"
 	"vignat/internal/moongen"
+	"vignat/internal/nf/nfkit/nfkittest"
 )
 
 // The paper's latency workload (§6, Figs. 12 and 13): background flows
@@ -34,7 +35,7 @@ const (
 // alone at its own time, and the engine's Poll that carries it is
 // timed. It records the probes timed after warmup in rec, and fails if
 // the contender drops a probe.
-func probeLatency(r *rig, clock *libvig.VirtualClock, bgFlows int, warmup, duration time.Duration, rec *moongen.LatencyRecorder) error {
+func probeLatency(r *nfkittest.Rig, clock *libvig.VirtualClock, bgFlows int, warmup, duration time.Duration, rec *moongen.LatencyRecorder) error {
 	flows, err := moongen.MakeFlows(0, bgFlows+probeFlows, 0, flow.UDP)
 	if err != nil {
 		return err
@@ -48,7 +49,7 @@ func probeLatency(r *rig, clock *libvig.VirtualClock, bgFlows int, warmup, durat
 	if err != nil {
 		return err
 	}
-	if _, err := r.run(frames[:bgFlows], false); err != nil {
+	if _, err := run(r, frames[:bgFlows], false); err != nil {
 		return err
 	}
 	recorded := rec.Count()
@@ -56,7 +57,7 @@ func probeLatency(r *rig, clock *libvig.VirtualClock, bgFlows int, warmup, durat
 	var pendingAt libvig.Time
 	flush := func() error {
 		clock.Set(pendingAt)
-		_, err := r.run(pending, false)
+		_, err := run(r, pending, false)
 		pending = pending[:0]
 		return err
 	}
@@ -73,18 +74,18 @@ func probeLatency(r *rig, clock *libvig.VirtualClock, bgFlows int, warmup, durat
 			return err
 		}
 		clock.Set(ev.Time)
-		before := r.engine.Stats()
-		if err := r.send(frames[ev.Flow:ev.Flow+1], ev.Time); err != nil {
+		before := r.Engine.Stats()
+		if err := send(r, frames[ev.Flow:ev.Flow+1], ev.Time); err != nil {
 			return err
 		}
-		d, err := r.poll(1)
+		d, err := r.Poll(1)
 		if err != nil {
 			return err
 		}
-		if after := r.engine.Stats(); after.Dropped != before.Dropped || after.TxFreed != before.TxFreed {
+		if after := r.Engine.Stats(); after.Dropped != before.Dropped || after.TxFreed != before.TxFreed {
 			return fmt.Errorf("experiments: probe of flow %d dropped at %v", ev.Flow, time.Duration(ev.Time))
 		}
-		if err := r.drain(); err != nil {
+		if err := r.Drain(nil); err != nil {
 			return err
 		}
 		if ev.Time >= warmup.Nanoseconds() {
@@ -154,7 +155,7 @@ func Fig12(cfg Fig12Config) ([]Point, error) {
 			if err != nil {
 				return 0, err
 			}
-			defer r.close()
+			defer r.Close()
 			rec := moongen.NewLatencyRecorder(int(probeRate * probeFlows * duration.Seconds()))
 			if err := probeLatency(r, clock, n, warmup, duration, rec); err != nil {
 				return 0, fmt.Errorf("fig12 %v @%d flows: %w", kind, n, err)

@@ -36,7 +36,7 @@ func Fig13(scale Scale) ([]Fig13Row, error) {
 		if err != nil {
 			return 0, err
 		}
-		defer r.close()
+		defer r.Close()
 		if recs[kind] == nil {
 			recs[kind] = moongen.NewLatencyRecorder(fig13Rounds * int(probeRate*probeFlows*duration.Seconds()))
 		}

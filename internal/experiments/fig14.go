@@ -62,8 +62,8 @@ func Fig14(cfg Fig14Config) ([]Point, error) {
 			if err != nil {
 				return 0, err
 			}
-			defer r.close()
-			if _, err := r.run(established, false); err != nil {
+			defer r.Close()
+			if _, err := run(r, established, false); err != nil {
 				return 0, err
 			}
 			// Rig construction just allocated; collect now so the GC
@@ -71,7 +71,7 @@ func Fig14(cfg Fig14Config) ([]Point, error) {
 			runtime.GC()
 			costs := make([]float64, fig14Passes)
 			for i := range costs {
-				elapsed, err := r.run(seq[i*pass:(i+1)*pass], true)
+				elapsed, err := run(r, seq[i*pass:(i+1)*pass], true)
 				if err != nil {
 					return 0, fmt.Errorf("fig14 %v @%d flows: %w", kind, n, err)
 				}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 	"slices"
 	"sort"
 	"strings"
@@ -13,6 +12,7 @@ import (
 	"vignat/internal/libvig"
 	"vignat/internal/moongen"
 	"vignat/internal/nf"
+	"vignat/internal/nf/nfkit/nfkittest"
 	"vignat/internal/nf/telemetry"
 	"vignat/internal/paired"
 )
@@ -121,31 +121,14 @@ func (dropAll) ProcessBatch(pkts []nf.Pkt, verdicts []nf.Verdict) {
 // figure rather than leaving a gap in its samples.
 func TestProbeDropFailsFigure(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
-	r, err := newRig(dropAll{}, clock, false, nf.Config{})
+	r, err := nfkittest.NewRig(dropAll{}, "mem", 1, nf.Config{Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.close()
+	defer r.Close()
 	err = probeLatency(r, clock, 100, 100*time.Millisecond, 100*time.Millisecond, moongen.NewLatencyRecorder(64))
 	if err == nil || !strings.Contains(err.Error(), "dropped") {
 		t.Fatalf("dropping contender gave %v, want a dropped probe", err)
-	}
-}
-
-// TestNewRigFailureCleansUp: a rig the engine refuses comes back as an
-// error on either transport, and the unix rig's sockets and directory
-// are gone.
-func TestNewRigFailureCleansUp(t *testing.T) {
-	tmp := t.TempDir()
-	t.Setenv("TMPDIR", tmp)
-	for _, kernel := range []bool{false, true} {
-		r, err := newRig(noop{}, libvig.NewVirtualClock(0), kernel, nf.Config{Burst: -1})
-		if err == nil || r != nil {
-			t.Errorf("kernel=%v: a negative burst gave rig %v, error %v", kernel, r, err)
-		}
-	}
-	if left, err := os.ReadDir(tmp); err != nil || len(left) != 0 {
-		t.Errorf("failed rigs left %d entries in the temp directory (%v)", len(left), err)
 	}
 }
 

@@ -211,13 +211,13 @@ func TelemetryOverhead(cfg TelemetryConfig) (*TelemetryResult, error) {
 		}
 		// Warm pass: create every established flow's state in all
 		// four NFs, untimed.
-		if _, err := r.run(est, false); err != nil {
+		if _, err := run(r, est, false); err != nil {
 			return 0, err
 		}
 		runtime.GC()
 		var best time.Duration
 		for pass := 0; pass < telPasses; pass++ {
-			elapsed, err := r.run(mixed, true)
+			elapsed, err := run(r, mixed, true)
 			if err != nil {
 				return 0, err
 			}
@@ -226,12 +226,12 @@ func TelemetryOverhead(cfg TelemetryConfig) (*TelemetryResult, error) {
 			}
 		}
 		if side == 1 {
-			snap := r.engine.Telemetry().Snapshot()
+			snap := r.Engine.Telemetry().Snapshot()
 			g.PollSamples = snap.PollNs.Count
 			g.PktSamples = snap.FastPktNs.Count + snap.SlowPktNs.Count
 			g.BurstSamples = snap.BurstOccupancy.Count
 			g.TxDrainSamples = snap.TxDrain.Count
-			g.TraceRecords = len(r.engine.Telemetry().TraceSnapshot())
+			g.TraceRecords = len(r.Engine.Telemetry().TraceSnapshot())
 			g.PollP99NsLE = snap.PollNs.Quantile(0.99)
 		}
 		return float64(best.Nanoseconds()) / float64(packets), nil
@@ -285,16 +285,16 @@ func telemetrySplit(cfg TelemetryConfig) (*TelemetrySplit, error) {
 		}
 	}
 	for pass := 0; pass < warmPasses; pass++ {
-		if _, err := r.run(estFrames, false); err != nil {
+		if _, err := run(r, estFrames, false); err != nil {
 			return nil, err
 		}
 	}
-	before, statsBefore := r.engine.Telemetry().Snapshot(), r.engine.Stats()
-	if _, err := r.run(mixed, false); err != nil {
+	before, statsBefore := r.Engine.Telemetry().Snapshot(), r.Engine.Stats()
+	if _, err := run(r, mixed, false); err != nil {
 		return nil, err
 	}
-	split := splitBetween(before, r.engine.Telemetry().Snapshot())
-	stats := r.engine.Stats()
+	split := splitBetween(before, r.Engine.Telemetry().Snapshot())
+	stats := r.Engine.Stats()
 	hits := stats.FastPathHits - statsBefore.FastPathHits
 	misses := stats.FastPathMisses - statsBefore.FastPathMisses
 	if hits+misses > 0 {

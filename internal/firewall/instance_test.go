@@ -30,5 +30,5 @@ func TestInstanceMatchesInterface(t *testing.T) {
 			}
 			return nf.Forward
 		},
-		nfkittest.Trace{Clients: clients, ClientsInternal: true, Texp: time.Second, Packets: 4000})
+		nfkittest.Trace{Clients: clients, ClientsInternal: true, Texp: time.Second, Steps: 4000, Jump: 300, Vary: 8, Payload: 1400})
 }

@@ -15,12 +15,10 @@ import (
 // the proof covers, agree packet for packet over one randomized trace —
 // verdicts, rewritten frames, counters and state. Clients reach the VIP
 // and miss it, backends answer and strangers do not, the 16-entry
-// sticky table fills, and late in the trace the backends, never
-// heartbeaten, expire.
+// sticky table fills, and late in the trace the backends are removed.
 func TestInstanceMatchesInterface(t *testing.T) {
 	vip := flow.MakeAddr(198, 18, 10, 10)
-	cfg := Config{VIP: vip, VIPPort: 443, Capacity: 16, Timeout: time.Second, MaxBackends: 4,
-		BackendTimeout: 100 * time.Second}
+	cfg := Config{VIP: vip, VIPPort: 443, Capacity: 16, Timeout: time.Second, MaxBackends: 4}
 	var clients []flow.ID
 	for i := 0; i < 24; i++ {
 		dst, port := vip, uint16(443)
@@ -33,9 +31,16 @@ func TestInstanceMatchesInterface(t *testing.T) {
 		})
 	}
 	nfkittest.Differential(t, Kit(cfg, libvig.NewVirtualClock(0)),
-		func(b *Balancer) {
+		func(b *Balancer, step int) {
 			for i := 0; i < 3; i++ {
-				if _, err := b.AddBackend(flow.MakeAddr(10, 1, 0, byte(10+i)), 0); err != nil {
+				var err error
+				switch step {
+				case 0:
+					_, err = b.AddBackend(flow.MakeAddr(10, 1, 0, byte(10+i)), 0)
+				case 3200:
+					err = b.RemoveBackend(i)
+				}
+				if err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -46,5 +51,5 @@ func TestInstanceMatchesInterface(t *testing.T) {
 			ProcessPacket(e)
 			return verdictOf(e.done())
 		},
-		nfkittest.Trace{Clients: clients, Texp: cfg.Timeout, Packets: 4000})
+		nfkittest.Trace{Clients: clients, Texp: cfg.Timeout, Steps: 4000, Jump: 300, Vary: 8, Payload: 1400})
 }

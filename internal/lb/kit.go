@@ -34,7 +34,7 @@ const (
 // backend set and seeds, so every shard's table is bucket-for-bucket
 // identical, and replication is what keeps the packet path free of
 // shared cache lines. Control-plane operations (AddBackend,
-// RemoveBackend, Heartbeat) broadcast to all shards and must not run
+// RemoveBackend) broadcast to all shards and must not run
 // concurrently with packet processing — the same discipline as every
 // other control-path mutation in the repository.
 
@@ -200,11 +200,6 @@ func (s *Sharded) AddBackend(ip flow.Addr, now libvig.Time) (int, error) {
 // RemoveBackend drains backend i on every shard.
 func (s *Sharded) RemoveBackend(i int) error {
 	return s.Broadcast(func(_ int, b *Balancer) error { return b.RemoveBackend(i) })
-}
-
-// Heartbeat refreshes backend i's liveness on every shard.
-func (s *Sharded) Heartbeat(i int, now libvig.Time) error {
-	return s.Broadcast(func(_ int, b *Balancer) error { return b.Heartbeat(i, now) })
 }
 
 // Stats is the balancer-level view of the shards' published counters,

@@ -15,9 +15,9 @@
 // the same path the NAT's rewrites take. Backend replies are matched by
 // the reverse tuple, their source rewritten back to the VIP, and the
 // sticky entry rejuvenated. Sticky entries expire after Timeout of
-// inactivity with Fig. 6 expirator semantics; backends are themselves
-// expirable state, kept alive by heartbeats on a second DChain, so a
-// silent backend drains out of the CHT and its flows re-select.
+// inactivity with Fig. 6 expirator semantics. Backends come and go only
+// by the control plane's AddBackend and RemoveBackend; a second DChain
+// allocates their slots, and a removed backend's flows re-select.
 package lb
 
 import (
@@ -56,7 +56,6 @@ const (
 	ctrFlowsCreated = int(numReasons) + iota
 	ctrFlowsExpired
 	ctrFlowsUnpinned
-	ctrBackendsExpired
 	numCounters
 )
 
@@ -132,10 +131,6 @@ type Config struct {
 	Timeout time.Duration
 	// MaxBackends bounds the backend pool.
 	MaxBackends int
-	// BackendTimeout is the backend liveness expiry: a backend whose
-	// last heartbeat is older drains out of the CHT. Zero disables
-	// liveness expiry (backends leave only via RemoveBackend).
-	BackendTimeout time.Duration
 	// ClientsInternal flips the balancer's orientation: by default
 	// clients face the external port and backends the internal one
 	// (the datacenter posture); with ClientsInternal the VIP fronts an
@@ -161,9 +156,6 @@ func (c *Config) Validate() error {
 	if c.MaxBackends <= 0 {
 		return errors.New("lb: backend capacity must be positive")
 	}
-	if c.BackendTimeout < 0 {
-		return errors.New("lb: backend timeout must be non-negative")
-	}
 	return nil
 }
 
@@ -183,15 +175,14 @@ type BackendHandle int
 // entries leave either by inactivity (FlowsExpired) or because their
 // backend left and they must re-select (FlowsUnpinned).
 type Stats struct {
-	Processed       uint64
-	Dropped         uint64
-	ToBackend       uint64 // client → backend, dst rewritten
-	ToClient        uint64 // backend → client, src restored to VIP
-	Passthrough     uint64 // non-VIP traffic forwarded unmodified
-	FlowsCreated    uint64
-	FlowsExpired    uint64
-	FlowsUnpinned   uint64 // sticky entries erased because their backend left
-	BackendsExpired uint64
+	Processed     uint64
+	Dropped       uint64
+	ToBackend     uint64 // client → backend, dst rewritten
+	ToClient      uint64 // backend → client, src restored to VIP
+	Passthrough   uint64 // non-VIP traffic forwarded unmodified
+	FlowsCreated  uint64
+	FlowsExpired  uint64
+	FlowsUnpinned uint64 // sticky entries erased because their backend left
 }
 
 // statsOf is the Stats view of a balancer counter array (one core's,
@@ -201,15 +192,14 @@ type Stats struct {
 func statsOf(set *telemetry.ReasonSet, c []uint64) Stats {
 	s := nfkit.StatsOf(set, c, c[ctrFlowsExpired])
 	return Stats{
-		Processed:       s.Processed,
-		Dropped:         s.Dropped,
-		ToBackend:       c[ReasonFwdBackend],
-		ToClient:        c[ReasonFwdClient],
-		Passthrough:     s.Forwarded - c[ReasonFwdBackend] - c[ReasonFwdClient],
-		FlowsCreated:    c[ctrFlowsCreated],
-		FlowsExpired:    c[ctrFlowsExpired],
-		FlowsUnpinned:   c[ctrFlowsUnpinned],
-		BackendsExpired: c[ctrBackendsExpired],
+		Processed:     s.Processed,
+		Dropped:       s.Dropped,
+		ToBackend:     c[ReasonFwdBackend],
+		ToClient:      c[ReasonFwdClient],
+		Passthrough:   s.Forwarded - c[ReasonFwdBackend] - c[ReasonFwdClient],
+		FlowsCreated:  c[ctrFlowsCreated],
+		FlowsExpired:  c[ctrFlowsExpired],
+		FlowsUnpinned: c[ctrFlowsUnpinned],
 	}
 }
 
@@ -324,11 +314,11 @@ type backend struct {
 }
 
 // Balancer is the production binding: the stateless logic over a CHT,
-// a backend-liveness DChain, and the kit's flow table of stickies.
+// a DChain allocating backend slots, and the kit's flow table of
+// stickies.
 type Balancer struct {
 	cfg  Config
 	texp libvig.Time
-	btxp libvig.Time
 
 	cht          *libvig.CHT
 	backends     *libvig.Vector[backend]
@@ -375,7 +365,6 @@ func New(cfg Config, clock libvig.Clock) (*Balancer, error) {
 	b := &Balancer{
 		cfg:          cfg,
 		texp:         cfg.Timeout.Nanoseconds(),
-		btxp:         cfg.BackendTimeout.Nanoseconds(),
 		cht:          cht,
 		backends:     backends,
 		backendChain: backendChain,
@@ -411,7 +400,7 @@ func (b *Balancer) Backend(i int) (flow.Addr, bool) {
 	return be.IP, true
 }
 
-// AddBackend registers a backend by address, stamps its liveness at
+// AddBackend registers a backend by address, allocating its slot at
 // now, and returns its slot index. The CHT permutation derives from the
 // address, so the same backend re-added later reclaims its buckets.
 // Duplicate addresses are rejected — the reply tuple would be
@@ -456,19 +445,8 @@ func (b *Balancer) RemoveBackend(i int) error {
 	return b.removeBackend(i)
 }
 
-// Heartbeat refreshes backend i's liveness at now.
-func (b *Balancer) Heartbeat(i int, now libvig.Time) error {
-	if !b.cht.IsLive(i) {
-		return errors.New("lb: backend not live")
-	}
-	return b.backendChain.Rejuvenate(i, now)
-}
-
-// removeBackend is the shared teardown for explicit removal and
-// liveness expiry: liveness chain, CHT, and the backend's sticky
-// flows, counted as unpinned. The liveness chain is released first so
-// that even if a later step errored, the expiry loop's Oldest() has
-// moved past this backend and liveness expiry cannot wedge on it.
+// removeBackend frees backend i's slot, takes it out of the CHT, and
+// erases the sticky flows pinned to it, counted as unpinned.
 func (b *Balancer) removeBackend(i int) error {
 	if b.backendChain.IsAllocated(i) {
 		if err := b.backendChain.Free(i); err != nil {
@@ -484,28 +462,12 @@ func (b *Balancer) removeBackend(i int) error {
 	return nil
 }
 
-// ExpireAt removes every sticky entry idle since before now−Texp and
-// every backend silent since before now−BackendTimeout, without
-// processing a packet (the pipeline's idle-poll hook). It returns the
-// number of sticky entries freed.
+// ExpireAt removes every sticky entry idle since before now−Texp,
+// without processing a packet (the pipeline's idle-poll hook). It
+// returns the number of entries freed.
 func (b *Balancer) ExpireAt(now libvig.Time) int {
 	freed := b.flows.Expire(now - b.texp + 1)
 	b.counters[ctrFlowsExpired] += uint64(freed)
-	if b.btxp > 0 {
-		for {
-			i, ts, ok := b.backendChain.Oldest()
-			if !ok || ts >= now-b.btxp+1 {
-				break
-			}
-			// removeBackend frees the liveness slot first, so even on
-			// an (invariant-breach) error Oldest() has advanced and
-			// the loop cannot wedge on the same backend.
-			if err := b.removeBackend(i); err != nil {
-				break
-			}
-			b.counters[ctrBackendsExpired]++
-		}
-	}
 	return freed
 }
 

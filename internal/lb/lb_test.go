@@ -353,45 +353,6 @@ func TestBalancerUnpinnedAccounting(t *testing.T) {
 	}
 }
 
-func TestBalancerBackendLivenessExpiry(t *testing.T) {
-	clock := libvig.NewVirtualClock(0)
-	b, err := lb.New(lb.Config{
-		VIP: testVIP, VIPPort: testVIPPort,
-		Capacity: 64, Timeout: time.Hour,
-		MaxBackends: 4, BackendTimeout: time.Second,
-	}, clock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ips := addBackends(t, clock, 2, b.AddBackend)
-	buf := make([]byte, 2048)
-
-	// Keep backend 0 beating, let backend 1 fall silent.
-	clock.Advance(time.Second.Nanoseconds() / 2)
-	if err := b.Heartbeat(0, clock.Now()); err != nil {
-		t.Fatal(err)
-	}
-	clock.Advance(time.Second.Nanoseconds()/2 + 1)
-	frame := craft(t, buf, clientID(0))
-	a := lb.AsNF(b)
-	if send(t, a, frame, false) != lb.VerdictToBackend {
-		t.Fatal("drop")
-	}
-	if b.LiveBackends() != 1 {
-		t.Fatalf("%d live backends, want 1 (backend 1 silent past timeout)", b.LiveBackends())
-	}
-	var p netstack.Packet
-	if err := p.Parse(frame); err != nil {
-		t.Fatal(err)
-	}
-	if p.DstIP != ips[0] {
-		t.Fatalf("steered to %v, want the surviving backend %v", p.DstIP, ips[0])
-	}
-	if b.Stats().BackendsExpired != 1 {
-		t.Fatalf("stats %+v", b.Stats())
-	}
-}
-
 func TestBalancerDropsWithoutBackends(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	b, _ := balancerForTest(t, clock, 0)
@@ -486,9 +447,6 @@ func TestBalancerRejectsBadBackends(t *testing.T) {
 	}
 	if err := b.RemoveBackend(5); err == nil {
 		t.Fatal("removing a dead backend accepted")
-	}
-	if err := b.Heartbeat(5, 0); err == nil {
-		t.Fatal("heartbeat on a dead backend accepted")
 	}
 }
 

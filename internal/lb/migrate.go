@@ -19,7 +19,7 @@ import (
 const stickiesFamily = "stickies"
 
 // backendRec migrates one backend slot: its index and its address. The
-// liveness stamp rides beside it.
+// slot's allocation stamp rides beside it.
 type backendRec struct {
 	idx int32
 	ip  flow.Addr
@@ -48,7 +48,7 @@ func families() []nfkit.Family[*Balancer] {
 }
 
 // restoreBackend re-creates a backend in its original slot with its
-// original liveness stamp (the reason DChain.AllocateIndex exists). CHT
+// original allocation stamp (the reason DChain.AllocateIndex exists). CHT
 // population is deterministic in (slot, address), so every shard
 // rebuilds bucket-identical tables.
 func (b *Balancer) restoreBackend(r backendRec, stamp libvig.Time) error {

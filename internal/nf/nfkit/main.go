@@ -250,35 +250,11 @@ func Serve(w io.Writer, name string, o *Options, build Build) error {
 // each: in-memory rings, or a socket transport bound at local that
 // transmits to peer.
 func newPort(o *Options, name string, id uint16, queues int, local, peer string, clock libvig.Clock) (*dpdk.Port, []*dpdk.Mempool, error) {
-	var (
-		tr  dpdk.Transport
-		err error
-	)
-	cfg := dpdk.SocketConfig{Queues: queues, Local: local, Peer: peer, Clock: clock}
-	switch o.Transport {
-	case "udp":
-		tr, err = dpdk.NewUDPTransport(cfg)
-	case "unix":
-		tr, err = dpdk.NewUnixTransport(cfg)
-	default:
-		return nf.NewWorkerPorts(id, queues, 4096/queues)
+	port, pools, err := nf.NewTransportPort(o.Transport, id, queues, 4096/queues, dpdk.SocketConfig{Local: local, Peer: peer, Clock: clock})
+	if err != nil && o.Transport != "mem" {
+		err = fmt.Errorf("%s port: %w (set -%s-local / -%s-peer)", name, err, name[:3], name[:3])
 	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s port: %w (set -%s-local / -%s-peer)", name, err, name[:3], name[:3])
-	}
-	pools := make([]*dpdk.Mempool, queues)
-	for q := range pools {
-		if pools[q], err = dpdk.NewMempool(4096 / queues); err != nil {
-			_ = tr.Close()
-			return nil, nil, err
-		}
-	}
-	port, err := dpdk.NewPortOn(id, tr, pools)
-	if err != nil {
-		_ = tr.Close()
-		return nil, nil, err
-	}
-	return port, pools, nil
+	return port, pools, err
 }
 
 // drive pushes o.Packets of the built-in traffic through pipe, one

@@ -284,7 +284,7 @@ func foldCounters[C any](d *Decl[C], cores []C) ([]uint64, error) {
 
 // Broadcast runs a control-plane operation on every shard in shard
 // order, stopping at the first error — the pattern every replicated
-// control operation (backend add/remove, heartbeat) uses — and
+// control operation (backend add/remove) uses — and
 // publishes each shard it ran on (a drained backend unpins flows, a
 // counted event). Like all control-path mutations in the repository it
 // must not run concurrently with packet processing.

@@ -150,7 +150,14 @@ func FprintWireReport(w io.Writer, queues []WireQueue) {
 // per-queue rx mempools arrange). It returns the port and its pools, the
 // latter for end-of-run MbufAccounting.
 func NewWorkerPorts(id uint16, workers, poolSize int) (*dpdk.Port, []*dpdk.Mempool, error) {
-	pools := make([]*dpdk.Mempool, workers)
+	return NewTransportPort("mem", id, workers, poolSize, dpdk.SocketConfig{})
+}
+
+// NewTransportPort is NewWorkerPorts over transport: the in-memory rings
+// ("mem"), or a socket transport ("udp", "unix") that cfg binds and
+// aims.
+func NewTransportPort(transport string, id uint16, queues, poolSize int, cfg dpdk.SocketConfig) (*dpdk.Port, []*dpdk.Mempool, error) {
+	pools := make([]*dpdk.Mempool, queues)
 	for q := range pools {
 		p, err := dpdk.NewMempool(poolSize)
 		if err != nil {
@@ -158,8 +165,24 @@ func NewWorkerPorts(id uint16, workers, poolSize int) (*dpdk.Port, []*dpdk.Mempo
 		}
 		pools[q] = p
 	}
-	port, err := dpdk.NewMultiQueuePort(id, workers, dpdk.DefaultRxQueue, dpdk.DefaultTxQueue, pools)
+	var tr dpdk.Transport
+	var err error
+	switch cfg.Queues = queues; transport {
+	case "mem":
+		tr, err = dpdk.NewMemTransport(queues, dpdk.DefaultRxQueue, dpdk.DefaultTxQueue)
+	case "udp":
+		tr, err = dpdk.NewUDPTransport(cfg)
+	case "unix":
+		tr, err = dpdk.NewUnixTransport(cfg)
+	default:
+		err = fmt.Errorf("nf: unknown transport %q", transport)
+	}
 	if err != nil {
+		return nil, nil, err
+	}
+	port, err := dpdk.NewPortOn(id, tr, pools)
+	if err != nil {
+		_ = tr.Close()
 		return nil, nil, err
 	}
 	return port, pools, nil

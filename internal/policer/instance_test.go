@@ -29,5 +29,5 @@ func TestInstanceMatchesInterface(t *testing.T) {
 			ProcessPacket(e)
 			return verdictOf(e.done())
 		},
-		nfkittest.Trace{Clients: clients, Texp: cfg.Timeout, Packets: 4000})
+		nfkittest.Trace{Clients: clients, Texp: cfg.Timeout, Steps: 4000, Jump: 300, Vary: 8, Payload: 1400})
 }

@@ -31,15 +31,14 @@ import (
 	"time"
 
 	"vignat/internal/catalog"
-	"vignat/internal/dpdk"
 	"vignat/internal/firewall"
 	"vignat/internal/flow"
 	"vignat/internal/lb"
 	"vignat/internal/libvig"
 	"vignat/internal/nat"
 	"vignat/internal/nat/stateless"
-	"vignat/internal/netstack"
 	"vignat/internal/nf"
+	"vignat/internal/nf/nfkit/nfkittest"
 	"vignat/internal/policer"
 	"vignat/internal/vigor/spec"
 )
@@ -77,22 +76,7 @@ func TestHomeGatewayOracleClean(t *testing.T) {
 		resolverIdx[ip] = i
 	}
 
-	pool, err := dpdk.NewMempool(256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	intPort, err := dpdk.NewPort(0, dpdk.DefaultRxQueue, dpdk.DefaultTxQueue, pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	extPort, err := dpdk.NewPort(1, dpdk.DefaultRxQueue, dpdk.DefaultTxQueue, pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipe, err := nf.NewPipeline(chain, nf.Config{Internal: intPort, External: extPort, Clock: clock})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newRig(t, chain, clock, nf.Config{})
 
 	oracle := spec.NewOracle(o.Capacity, texp.Nanoseconds(), catalog.ExtIP, nat.DefaultPortBase, o.Capacity)
 	polOracle := spec.NewPolicerOracle(polRate, polBurst, 0, texp.Nanoseconds())
@@ -102,9 +86,6 @@ func TestHomeGatewayOracleClean(t *testing.T) {
 
 	type counters struct{ sent, dropped, policed int }
 	var c counters
-	scratch := make([]byte, 2048)
-	drain := make([]*dpdk.Mbuf, nf.DefaultBurst)
-
 	isResolver := func(a flow.Addr) bool {
 		_, ok := resolverIdx[a]
 		return ok
@@ -130,43 +111,11 @@ func TestHomeGatewayOracleClean(t *testing.T) {
 	// stepped with the reconstructed NAT output, and the clip is
 	// charged to the policer's books, which are audited at the end.
 	process := func(id flow.ID, fromInternal bool, payload int, inward flow.ID) flow.ID {
-		s := &netstack.FrameSpec{ID: id, PayloadLen: payload}
-		frame := netstack.Craft(scratch[:netstack.FrameLen(s)], s)
-		wire := len(frame)
-		rxPort := intPort
-		if !fromInternal {
-			rxPort = extPort
-		}
-		if !rxPort.DeliverRx(frame, clock.Now()) {
-			t.Fatal("RX queue rejected a frame")
-		}
-		if _, err := pipe.Poll(); err != nil {
+		obs, err := natObserved(one(t, r, id, fromInternal, payload, clock.Now()))
+		if err != nil {
 			t.Fatal(err)
 		}
-
-		obs := spec.Observed{Verdict: stateless.VerdictDrop}
-		for _, out := range []*dpdk.Port{extPort, intPort} {
-			k := out.DrainTx(drain)
-			if k == 0 {
-				continue
-			}
-			if k > 1 {
-				t.Fatal("one packet in, several out")
-			}
-			var p netstack.Packet
-			if err := p.Parse(drain[0].Data); err != nil {
-				t.Fatal(err)
-			}
-			obs.Tuple = p.FlowID()
-			if out == extPort {
-				obs.Verdict = stateless.VerdictToExternal
-			} else {
-				obs.Verdict = stateless.VerdictToInternal
-			}
-			if err := pool.Free(drain[0]); err != nil {
-				t.Fatal(err)
-			}
-		}
+		wire := len(nfkittest.Frame(id, payload, 0))
 
 		expectedInward := !fromInternal && inward != (flow.ID{})
 		if expectedInward {
@@ -369,7 +318,7 @@ func TestHomeGatewayOracleClean(t *testing.T) {
 	if fwLive != natLive {
 		t.Fatalf("firewall tracks %d sessions, the NAT %d", fwLive, natLive)
 	}
-	if pool.InUse() != 0 {
-		t.Fatalf("mbuf leak: %d in use", pool.InUse())
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -48,8 +48,8 @@ type lbOracleFlow struct {
 // vip:vipPort (vipPort 0 = any port) with sticky capacity cap (0 =
 // unbounded) and inactivity timeout texp.
 //
-// Backend liveness timeouts are deliberately absent: heartbeats and
-// expiry are control-plane behavior the harness mirrors explicitly via
+// Backends join and leave only through the control plane's add and
+// drain verbs, which the harness mirrors with AddBackend and
 // RemoveBackend, keeping the oracle's state transitions driven only by
 // what it is told.
 func NewLBOracle(vip flow.Addr, vipPort uint16, cap int, texp libvig.Time, passthrough bool) *LBOracle {

@@ -303,8 +303,6 @@ if [ "$(jget "$reply" live)" -ne 4 ]; then
     echo "wire smoke: add left $(jget "$reply" live) backends live, want 4" >&2
     exit 1
 fi
-reply=$(curl -fsS -X POST -d '{"op":"heartbeat","index":1}' "http://$lb_metrics/control/v1/lb/backends")
-rec "POST lb heartbeat 1" "$reply"
 
 wait "$blast_pid"
 blast_pid=""
