@@ -9,7 +9,7 @@
 // Usage:
 //
 //	vignat [-nf NAME] [-flows N] [-packets N] [-timeout D] [-capacity N]
-//	       [-shards N] [-workers N] [-burst N] [-metrics addr]
+//	       [-shards N] [-workers N] [-metrics addr] [-telemetry]
 //	       [-verify] [-backends N] [-rate B/s] [-bucket B] ...
 //
 // -shards > 1 partitions the NF RSS-style: each shard owns a disjoint

@@ -155,8 +155,8 @@ var Rows = []Row{
 			if err != nil {
 				return nil, err
 			}
-			return &nfkit.Run{NF: n, Banner: fmt.Sprintf("vignat: CAP=%d Texp=%v EXT_IP=%v, %d shards, %d workers, burst %d, %d flows, %d packets",
-				n.Capacity(), o.Timeout, cfg.ExternalIP, n.Shards(), o.Workers, o.Burst, o.Flows, o.Packets)}, nil
+			return &nfkit.Run{NF: n, Banner: fmt.Sprintf("vignat: CAP=%d Texp=%v EXT_IP=%v, %d shards, %d workers, %d flows, %d packets",
+				n.Capacity(), o.Timeout, cfg.ExternalIP, n.Shards(), o.Workers, o.Flows, o.Packets)}, nil
 		},
 		Cohort: clients,
 	},
@@ -292,8 +292,8 @@ func newGateway(o *Options, clock libvig.Clock) (*nfkit.Run, error) {
 
 // banner is a row's banner: what it runs, then the engine's shape.
 func banner(o *Options, what string) string {
-	return fmt.Sprintf("vignat -nf %s, %d shards, %d workers, burst %d, %d flows, %d packets",
-		what, o.Shards, o.Workers, o.Burst, o.Flows, o.Packets)
+	return fmt.Sprintf("vignat -nf %s, %d shards, %d workers, %d flows, %d packets",
+		what, o.Shards, o.Workers, o.Flows, o.Packets)
 }
 
 func natConfig(o *Options) nat.Config {

@@ -70,21 +70,18 @@ type Frame struct {
 	// env is reset per frame; a field, because a local handed to
 	// processFrame as a frameEnv would be moved to the heap.
 	env prodFrameEnv
-	// counters[r] totals frames tagged with reason r — the NF's whole
-	// counter array: it is stateless, so no lifecycle counts follow;
-	// lastReason is the most recent tag. Single-writer.
-	counters   [numReasons]uint64
-	lastReason telemetry.ReasonID
+	// counters[r] totals frames tagged with reason r, counted by the
+	// adapter — the NF's whole counter array: it is stateless, so no
+	// lifecycle counts follow.
+	counters [numReasons]uint64
 }
 
 // process runs one frame whose destination port is or is not 9.
-func (d *Frame) process(port9 bool) nf.Verdict {
+func (d *Frame) process(port9 bool) (nf.Verdict, telemetry.ReasonID) {
 	e := &d.env
 	*e = prodFrameEnv{port9: port9}
 	processFrame(e)
-	d.counters[e.reason]++
-	d.lastReason = e.reason
-	return e.verdict
+	return e.verdict, e.reason
 }
 
 // frameSym drives processFrame under the engine via the kit driver.
@@ -123,10 +120,9 @@ func Kit() nfkit.Decl[*Frame] {
 	return nfkit.Decl[*Frame]{
 		Name: "discard",
 		New:  func(_, _, _ int) (*Frame, error) { return &Frame{}, nil },
-		Process: func(d *Frame, pkt *nf.Pkt, _ libvig.Time) nf.Verdict {
+		Process: func(d *Frame, pkt *nf.Pkt, _ libvig.Time) (nf.Verdict, telemetry.ReasonID) {
 			return d.process(pkt.Parsed.Pkt.NATable() && pkt.Parsed.Pkt.DstPort == 9)
 		},
-		Stats:    func(c []uint64) nf.Stats { return nfkit.StatsOf(Reasons, c, 0) },
 		Counters: func(d *Frame) []uint64 { return d.counters[:] },
 		ShardOf: func(frame []byte, fromInternal bool, shards int) int {
 			var scratch netstack.Packet
@@ -135,9 +131,8 @@ func Kit() nfkit.Decl[*Frame] {
 			}
 			return int(scratch.FlowID().Hash() % uint64(shards))
 		},
-		Reasons:    Reasons,
-		LastReason: func(d *Frame) telemetry.ReasonID { return d.lastReason },
-		Sym:        symSpec(),
+		Reasons: Reasons,
+		Sym:     symSpec(),
 	}
 }
 

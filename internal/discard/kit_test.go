@@ -68,10 +68,10 @@ func TestFrameReasonCounts(t *testing.T) {
 	if d.counters != [numReasons]uint64{ReasonFwd: 1, ReasonDropPort9: 1} {
 		t.Fatalf("counters %v, want one each", d.counters)
 	}
-	if d.lastReason != ReasonFwd {
-		t.Fatalf("lastReason %d, want ReasonFwd", d.lastReason)
+	if got := a.LastReasonName(); got != Reasons.Name(ReasonFwd) {
+		t.Fatalf("last reason %s, want %s", got, Reasons.Name(ReasonFwd))
 	}
-	if got, want := Kit().Stats(d.counters[:]), (nf.Stats{Processed: 2, Forwarded: 1, Dropped: 1}); got != want {
+	if got, want := a.NFStats(), (nf.Stats{Processed: 2, Forwarded: 1, Dropped: 1}); got != want {
 		t.Fatalf("stats view %+v, want %+v", got, want)
 	}
 }

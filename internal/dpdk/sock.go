@@ -595,7 +595,8 @@ const pollIn = 0x1
 // sent requests out of the external port names that port alone to wake
 // for their replies. A port with nothing to poll, such as one on the
 // in-memory transport, contributes nothing, and the call then only
-// sleeps. At most two ports, a worker's pair, may be named.
+// sleeps. A signal does not end the wait. At most two ports, a
+// worker's pair, may be named.
 func WaitRx(q int, d time.Duration, ports ...*Port) {
 	var fds [2 * 2]pollFd // each port's descriptor and eventfd
 	for i := range fds {
@@ -610,9 +611,15 @@ func WaitRx(q int, d time.Duration, ports ...*Port) {
 		}
 	}
 	if !ready {
-		ts := syscall.NsecToTimespec(d.Nanoseconds())
-		_, _, _ = syscall.Syscall6(syscall.SYS_PPOLL, uintptr(unsafe.Pointer(&fds[0])), uintptr(2*len(ports)),
-			uintptr(unsafe.Pointer(&ts)), 0, 0, 0)
+		// A signal — the Go runtime preempts a thread by one — cuts ppoll
+		// short with EINTR; the wait then resumes for what is left of d.
+		for end := time.Now().Add(d); d > 0; d = time.Until(end) {
+			ts := syscall.NsecToTimespec(d.Nanoseconds())
+			if _, _, e := syscall.Syscall6(syscall.SYS_PPOLL, uintptr(unsafe.Pointer(&fds[0])), uintptr(2*len(ports)),
+				uintptr(unsafe.Pointer(&ts)), 0, 0, 0); e != syscall.EINTR {
+				break
+			}
+		}
 	}
 	for i, p := range ports {
 		if p.sock != nil {

@@ -1,16 +1,15 @@
-// Package transporttest is the shared conformance fixture every
-// dpdk.Transport backend must pass: the same burst, steering,
-// overflow, conservation, and failure-mode checks run against the
-// in-memory rings and both kernel-socket wires. A transport that
-// passes here is substitutable under every NF in the repository —
-// the spec suites check protocol behavior, this fixture checks the
-// I/O contract those suites stand on. Its tester-side endpoints (Wire,
-// wire.go) are also what cmd/vigwire plays the wire with and what
-// nfkittest.Rig drives an NF through.
+// The shared conformance fixture every dpdk.Transport backend must
+// pass: the same burst, steering, overflow, conservation, and
+// failure-mode checks run against the in-memory rings and both
+// kernel-socket wires.
+
 package transporttest
 
 import (
 	"fmt"
+	"os"
+	"runtime"
+	"syscall"
 	"testing"
 	"time"
 
@@ -104,6 +103,7 @@ func Run(t *testing.T, b Backend) {
 	t.Run("PeerDeathMidTx", func(t *testing.T) { testPeerDeathMidTx(t, b) })
 	t.Run("NoAllocs", func(t *testing.T) { testNoAllocs(t, b) })
 	t.Run("ResteerWakesParked", func(t *testing.T) { testResteerWakesParked(t, b) })
+	t.Run("WaitOutlastsSignals", func(t *testing.T) { testWaitOutlastsSignals(t, b) })
 }
 
 // testBurstRoundtrip sends a burst through the wire, receives it on
@@ -747,4 +747,42 @@ func testResteerWakesParked(t *testing.T, b Backend) {
 		t.Fatalf("queue 1 received %d frames, want the re-steered one", len(got))
 	}
 	freeAll(t, got)
+}
+
+// testWaitOutlastsSignals parks a queue of a silent port for a while
+// and signals the parked thread every few milliseconds, as the Go
+// runtime does to preempt it: every signal interrupts the wait, which
+// must resume and last its whole duration regardless.
+func testWaitOutlastsSignals(t *testing.T, b Backend) {
+	port, _ := b.New(t, 1, 8)
+	const d = 40 * time.Millisecond
+	tid := make(chan int)
+	waited := make(chan time.Duration)
+	go func() {
+		runtime.LockOSThread()
+		defer runtime.UnlockOSThread()
+		tid <- syscall.Gettid()
+		start := time.Now()
+		dpdk.WaitRx(0, d, port)
+		waited <- time.Since(start)
+	}()
+	thread, signals := <-tid, 0
+	for {
+		select {
+		case w := <-waited:
+			if w < d {
+				t.Fatalf("a wait of %v signalled %d times returned after %v", d, signals, w)
+			}
+			if signals < 2 {
+				t.Fatalf("only %d signals reached the wait", signals)
+			}
+			return
+		case <-time.After(3 * time.Millisecond):
+			// SIGURG is the runtime's own preemption signal: harmless.
+			if err := syscall.Tgkill(os.Getpid(), thread, syscall.SIGURG); err != nil {
+				t.Fatal(err)
+			}
+			signals++
+		}
+	}
 }

@@ -1,3 +1,12 @@
+// Package transporttest holds the tester's side of a dpdk.Transport
+// and the shared conformance fixture every backend must pass (its
+// tests): the same burst, steering, overflow, conservation, and
+// failure-mode checks run against the in-memory rings and both
+// kernel-socket wires. A transport that passes is substitutable under
+// every NF in the repository — the spec suites check protocol
+// behavior, the fixture checks the I/O contract those suites stand on.
+// Its tester-side endpoints (Wire) are also what cmd/vigwire plays the
+// wire with and what nfkittest.Rig drives an NF through.
 package transporttest
 
 import (

@@ -56,30 +56,6 @@ var Reasons = telemetry.MustReasonSet("firewall",
 // same capability discipline as the NAT's FlowHandle.
 type SessionHandle int
 
-// Verdict is the externally visible outcome for one packet.
-type Verdict uint8
-
-// Verdicts.
-const (
-	VerdictDrop       Verdict = iota
-	VerdictForwardOut         // internal → external, unmodified
-	VerdictForwardIn          // external → internal, unmodified
-)
-
-// String returns the verdict mnemonic.
-func (v Verdict) String() string {
-	switch v {
-	case VerdictDrop:
-		return "drop"
-	case VerdictForwardOut:
-		return "fwd-out"
-	case VerdictForwardIn:
-		return "fwd-in"
-	default:
-		return "verdict(?)"
-	}
-}
-
 // Env is the firewall's window onto the world — the same pattern as
 // stateless NAT Env, so the symbolic engine drives it identically.
 type Env interface {
@@ -171,10 +147,9 @@ type Firewall struct {
 	env   prodEnv
 
 	// counters[r] totals packets tagged with reason r — the only tally
-	// a packet moves — followed by the sessions-expired count;
-	// lastReason is the most recent tag. Single-writer.
-	counters   [numCounters]uint64
-	lastReason telemetry.ReasonID
+	// a packet moves, counted by the adapter — followed by the
+	// sessions-expired count. Single-writer.
+	counters [numCounters]uint64
 }
 
 // New builds a firewall tracking up to capacity sessions with the given
@@ -194,15 +169,10 @@ func New(capacity int, timeout time.Duration, clock libvig.Clock) (*Firewall, er
 // Table exposes the session table (tests, spec conformance checking).
 func (fw *Firewall) Table() *nfkit.FlowTable[session] { return fw.table }
 
-// nfStats is the engine-visible view of a counter array.
-func nfStats(c []uint64) nf.Stats {
-	return nfkit.StatsOf(Reasons, c, c[ctrExpired])
-}
-
 // Stats returns (processed, dropped): every packet is one reason cell,
 // the dropped ones the drop-class cells.
 func (fw *Firewall) Stats() (processed, dropped uint64) {
-	s := nfStats(fw.counters[:])
+	s := nfkit.StatsOf(Reasons, fw.counters[:])
 	return s.Processed, s.Dropped
 }
 
@@ -211,7 +181,7 @@ func (fw *Firewall) Expired() uint64 { return fw.counters[ctrExpired] }
 
 // process runs one packet through prodProcessPacket, ProcessPacket
 // instantiated at *prodEnv (process_gen.go, written by vigor/instgen).
-func (fw *Firewall) process(pkt *nf.Pkt, now libvig.Time) Verdict {
+func (fw *Firewall) process(pkt *nf.Pkt, now libvig.Time) (nf.Verdict, telemetry.ReasonID) {
 	e := &fw.env
 	e.reset(pkt, now)
 	prodProcessPacket(e)
@@ -233,7 +203,7 @@ type prodEnv struct {
 	nfkit.PktGuards // the parse chain and arrival side, over packet P
 	fw              *Firewall
 	now             libvig.Time
-	verdict         Verdict
+	verdict         nf.Verdict
 	// reason tags the packet's outcome. The decisive env-call sites
 	// overwrite the parse-failure default (the policer's
 	// overRate/tableFull flags are the same pattern): a create failure
@@ -247,16 +217,12 @@ var _ Env = (*prodEnv)(nil)
 func (e *prodEnv) reset(pkt *nf.Pkt, now libvig.Time) {
 	e.Take(pkt)
 	e.now = now
-	e.verdict = VerdictDrop
+	e.verdict = nf.Drop
 	e.reason = ReasonDropParse
 }
 
-// done counts the packet under its reason and returns its verdict.
-func (e *prodEnv) done() Verdict {
-	e.fw.counters[e.reason]++
-	e.fw.lastReason = e.reason
-	return e.verdict
-}
+// done returns the packet's verdict and reason.
+func (e *prodEnv) done() (nf.Verdict, telemetry.ReasonID) { return e.verdict, e.reason }
 
 func (e *prodEnv) ExpireSessions() {
 	// Same Fig. 6 convention as the NAT: expire when last+Texp <= now.
@@ -288,6 +254,6 @@ func (e *prodEnv) Rejuvenate(h SessionHandle) {
 	_ = e.fw.table.Rejuvenate(int(h), e.now)
 }
 
-func (e *prodEnv) ForwardOut() { e.verdict, e.reason = VerdictForwardOut, ReasonFwdOut }
-func (e *prodEnv) ForwardIn()  { e.verdict, e.reason = VerdictForwardIn, ReasonFwdIn }
-func (e *prodEnv) Drop()       { e.verdict = VerdictDrop }
+func (e *prodEnv) ForwardOut() { e.verdict, e.reason = nf.Forward, ReasonFwdOut }
+func (e *prodEnv) ForwardIn()  { e.verdict, e.reason = nf.Forward, ReasonFwdIn }
+func (e *prodEnv) Drop()       { e.verdict = nf.Drop }

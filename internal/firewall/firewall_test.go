@@ -220,7 +220,7 @@ func TestFirewallDerivedKeyNearMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := AsNF(fw)
+	a := Kit(16, time.Second, fw.clock).Adapt(fw)
 	nfkittest.Send(a, fwFrame(t, outKey(1)), true)
 	if v := nfkittest.Send(a, fwFrame(t, outKey(0)), true); v != nf.Forward {
 		t.Fatalf("outbound verdict %v", v)
@@ -245,8 +245,8 @@ func TestFirewallDerivedKeyNearMiss(t *testing.T) {
 		if k == reply {
 			want, reason = nf.Forward, ReasonFwdIn
 		}
-		if verdicts[0] != want || fw.lastReason != reason {
-			t.Fatalf("%s (%v): verdict %v reason %d, want %v reason %d", tc.name, k, verdicts[0], fw.lastReason, want, reason)
+		if verdicts[0] != want || a.LastReasonName() != Reasons.Name(reason) {
+			t.Fatalf("%s (%v): verdict %v reason %s, want %v reason %s", tc.name, k, verdicts[0], a.LastReasonName(), want, Reasons.Name(reason))
 		}
 		if allocs != 0 {
 			t.Fatalf("%s: %.1f allocations a packet", tc.name, allocs)

@@ -8,6 +8,7 @@ import (
 	"vignat/internal/libvig"
 	"vignat/internal/nf"
 	"vignat/internal/nf/nfkit/nfkittest"
+	"vignat/internal/nf/telemetry"
 )
 
 // TestInstanceMatchesInterface: prodProcessPacket, the generated
@@ -21,14 +22,11 @@ func TestInstanceMatchesInterface(t *testing.T) {
 		clients = append(clients, outKey(8*i))
 	}
 	nfkittest.Differential(t, Kit(16, time.Second, libvig.NewVirtualClock(0)), nil,
-		func(fw *Firewall, pkt *nf.Pkt, now libvig.Time) nf.Verdict {
+		func(fw *Firewall, pkt *nf.Pkt, now libvig.Time) (nf.Verdict, telemetry.ReasonID) {
 			e := &fw.env
 			e.reset(pkt, now)
 			ProcessPacket(e)
-			if e.done() == VerdictDrop {
-				return nf.Drop
-			}
-			return nf.Forward
+			return e.done()
 		},
 		nfkittest.Trace{Clients: clients, ClientsInternal: true, Texp: time.Second, Steps: 4000, Jump: 300, Vary: 8, Payload: 1400})
 }

@@ -31,19 +31,13 @@ func Kit(capacity int, timeout time.Duration, clock libvig.Clock) nfkit.Decl[*Fi
 		New: func(_, _, perShard int) (*Firewall, error) {
 			return New(perShard, timeout, clock)
 		},
-		Process: func(fw *Firewall, pkt *nf.Pkt, now libvig.Time) nf.Verdict {
-			if fw.process(pkt, now) == VerdictDrop {
-				return nf.Drop
-			}
-			return nf.Forward
-		},
+		Process: (*Firewall).process,
 		// The burst's first expiry sweep and every packet's lookup start
 		// their table loads here, together.
 		Prefetch: func(fw *Firewall, pkts []nf.Pkt, now libvig.Time) {
 			fw.table.Prefetch(pkts, now-fw.texp+1)
 		},
 		Expire:   (*Firewall).ExpireAt,
-		Stats:    nfStats,
 		Counters: func(fw *Firewall) []uint64 { return fw.counters[:] },
 		// The fast path caches live sessions: the table's Offer is the
 		// membership lookup (the established branch's only state read —
@@ -51,14 +45,11 @@ func Kit(capacity int, timeout time.Duration, clock libvig.Clock) nfkit.Decl[*Fi
 		// identity), its Hit that branch's rejuvenation.
 		FastPath: &nfkit.FastPathHooks[*Firewall]{
 			Offer: func(fw *Firewall, key fastpath.Key) (uint64, fastpath.Guard, bool) { return fw.table.Offer(key) },
-			Hit: func(fw *Firewall, aux uint64, _ int, now libvig.Time) nf.Verdict {
-				r := ReasonFwdIn
+			Hit: func(fw *Firewall, aux uint64, _ int, now libvig.Time) (nf.Verdict, telemetry.ReasonID) {
 				if fw.table.Hit(aux, now) == nfkit.AuxFst {
-					r = ReasonFwdOut
+					return nf.Forward, ReasonFwdOut
 				}
-				fw.counters[r]++
-				fw.lastReason = r
-				return nf.Forward
+				return nf.Forward, ReasonFwdIn
 			},
 		},
 		ShardOf: func(frame []byte, fromInternal bool, shards int) int {
@@ -74,8 +65,7 @@ func Kit(capacity int, timeout time.Duration, clock libvig.Clock) nfkit.Decl[*Fi
 			}
 			return int(id.Hash() % uint64(shards))
 		},
-		Reasons:    Reasons,
-		LastReason: func(fw *Firewall) telemetry.ReasonID { return fw.lastReason },
+		Reasons: Reasons,
 		// Both directions of a session steer by the outbound tuple's
 		// hash, so a session's home under any shard count is arithmetic
 		// on its own key.

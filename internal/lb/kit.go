@@ -38,23 +38,9 @@ const (
 // concurrently with packet processing — the same discipline as every
 // other control-path mutation in the repository.
 
-// verdictOf collapses the balancer's verdict onto the pipeline pair:
-// every forwarding verdict means "out the opposite interface" — a
-// client packet entering on the client side leaves on the backend side
-// and vice versa, and passthrough traffic simply crosses the box.
-func verdictOf(v Verdict) nf.Verdict {
-	if v == VerdictDrop {
-		return nf.Drop
-	}
-	return nf.Forward
-}
-
 // Kit returns the balancer's capability declaration for cfg: sticky
 // capacity split evenly across shards, the CHT replicated.
 func Kit(cfg Config, clock libvig.Clock) nfkit.Decl[*Balancer] {
-	// One taxonomy per declaration: Stats runs on every scrape and must
-	// not build it again.
-	reasons := ReasonsFor(cfg.Passthrough)
 	return nfkit.Decl[*Balancer]{
 		Name:     "viglb",
 		Clock:    clock,
@@ -64,18 +50,13 @@ func Kit(cfg Config, clock libvig.Clock) nfkit.Decl[*Balancer] {
 			shardCfg.Capacity = perShard
 			return New(shardCfg, clock)
 		},
-		Process: func(b *Balancer, pkt *nf.Pkt, now libvig.Time) nf.Verdict {
-			return verdictOf(b.process(pkt, now))
-		},
+		Process: (*Balancer).process,
 		// The burst's first sticky-expiry sweep and every packet's
 		// lookup start their table loads here, together.
 		Prefetch: func(b *Balancer, pkts []nf.Pkt, now libvig.Time) {
 			b.flows.Prefetch(pkts, now-b.texp+1)
 		},
-		Expire: (*Balancer).ExpireAt,
-		Stats: func(c []uint64) nf.Stats {
-			return nfkit.StatsOf(reasons, c, c[ctrFlowsExpired])
-		},
+		Expire:   (*Balancer).ExpireAt,
 		Counters: func(b *Balancer) []uint64 { return b.counters[:] },
 		// The fast path caches VIP flows by their sticky entry,
 		// client-side non-VIP passthrough by configuration alone, and
@@ -94,21 +75,16 @@ func Kit(cfg Config, clock libvig.Clock) nfkit.Decl[*Balancer] {
 				}
 				return aux, guard, ok
 			},
-			Hit: func(b *Balancer, aux uint64, _ int, now libvig.Time) nf.Verdict {
-				var r telemetry.ReasonID
+			Hit: func(b *Balancer, aux uint64, _ int, now libvig.Time) (nf.Verdict, telemetry.ReasonID) {
 				switch b.flows.Hit(aux, now) {
 				case nfkit.AuxFst:
-					r = ReasonFwdBackend
+					return nf.Forward, ReasonFwdBackend
 				case nfkit.AuxSnd:
-					r = ReasonFwdClient
+					return nf.Forward, ReasonFwdClient
 				case fpPassNoSession:
-					r = ReasonPassNoSession
-				default:
-					r = ReasonPassNonVIP
+					return nf.Forward, ReasonPassNoSession
 				}
-				b.counters[r]++
-				b.lastReason = r
-				return nf.Forward
+				return nf.Forward, ReasonPassNonVIP
 			},
 		},
 		ShardOf: func(frame []byte, fromInternal bool, shards int) int {
@@ -127,10 +103,9 @@ func Kit(cfg Config, clock libvig.Clock) nfkit.Decl[*Balancer] {
 		// The taxonomy and the symbolic spec share cfg.Passthrough, so
 		// the cross-check proves the deployed orientation, not a fixed
 		// one.
-		Reasons:    reasons,
-		LastReason: func(b *Balancer) telemetry.ReasonID { return b.lastReason },
-		Families:   families(),
-		Sym:        symSpecFor(ProcessPacket, cfg.Passthrough),
+		Reasons:  ReasonsFor(cfg.Passthrough),
+		Families: families(),
+		Sym:      symSpecFor(ProcessPacket, cfg.Passthrough),
 	}
 }
 

@@ -53,8 +53,8 @@ const (
 // The lifecycle counters, which follow the reason cells in the
 // balancer's counter array (the nfkit layout contract).
 const (
-	ctrFlowsCreated = int(numReasons) + iota
-	ctrFlowsExpired
+	ctrFlowsExpired = int(numReasons) + iota
+	ctrFlowsCreated
 	ctrFlowsUnpinned
 	numCounters
 )
@@ -190,7 +190,7 @@ type Stats struct {
 // taxonomy: standalone, the two not-owned classifications are drops
 // and nothing passes through.
 func statsOf(set *telemetry.ReasonSet, c []uint64) Stats {
-	s := nfkit.StatsOf(set, c, c[ctrFlowsExpired])
+	s := nfkit.StatsOf(set, c)
 	return Stats{
 		Processed:     s.Processed,
 		Dropped:       s.Dropped,
@@ -331,12 +331,10 @@ type Balancer struct {
 	// reasons is the taxonomy of this balancer's orientation
 	// (ReasonsFor(cfg.Passthrough)): its drop classes are what the
 	// Stats view reads Dropped off. counters[r] totals packets tagged
-	// with reason r — the only tally a packet moves — followed by the
-	// ctr* lifecycle counts; lastReason is the most recent tag.
-	// Single-writer.
-	reasons    *telemetry.ReasonSet
-	counters   [numCounters]uint64
-	lastReason telemetry.ReasonID
+	// with reason r — the only tally a packet moves, counted by the
+	// adapter — followed by the ctr* lifecycle counts. Single-writer.
+	reasons  *telemetry.ReasonSet
+	counters [numCounters]uint64
 }
 
 // New builds a balancer from cfg, drawing time from clock.
@@ -473,7 +471,7 @@ func (b *Balancer) ExpireAt(now libvig.Time) int {
 
 // process runs one packet through prodProcessPacket, ProcessPacket
 // instantiated at *prodEnv (process_gen.go, written by vigor/instgen).
-func (b *Balancer) process(pkt *nf.Pkt, now libvig.Time) Verdict {
+func (b *Balancer) process(pkt *nf.Pkt, now libvig.Time) (nf.Verdict, telemetry.ReasonID) {
 	e := &b.env
 	e.reset(pkt, now)
 	prodProcessPacket(e)
@@ -516,7 +514,7 @@ type prodEnv struct {
 	nfkit.PktGuards // the parse chain and arrival side, over packet P
 	lb              *Balancer
 	now             libvig.Time
-	verdict         Verdict
+	verdict         nf.Verdict
 	// reason tags the packet's outcome. The decisive env-call sites
 	// overwrite the parse-failure default: a failed backend selection
 	// means no-backend, a failed sticky creation table-full, the
@@ -530,16 +528,12 @@ var _ Env = (*prodEnv)(nil)
 func (e *prodEnv) reset(pkt *nf.Pkt, now libvig.Time) {
 	e.Take(pkt)
 	e.now = now
-	e.verdict = VerdictDrop
+	e.verdict = nf.Drop
 	e.reason = ReasonDropParse
 }
 
-// done counts the packet under its reason and returns its verdict.
-func (e *prodEnv) done() Verdict {
-	e.lb.counters[e.reason]++
-	e.lb.lastReason = e.reason
-	return e.verdict
-}
+// done returns the packet's verdict and reason.
+func (e *prodEnv) done() (nf.Verdict, telemetry.ReasonID) { return e.verdict, e.reason }
 
 // --- packet predicates ---
 
@@ -601,17 +595,17 @@ func (e *prodEnv) ForwardToBackend(h FlowHandle) {
 	if s == nil {
 		// Invariant breach (a forwarded handle with no record); keep the
 		// drop-class default reason.
-		e.verdict = VerdictDrop
+		e.verdict = nf.Drop
 		return
 	}
 	e.P.Pkt.SetDstIP(s.IP)
-	e.verdict = VerdictToBackend
+	e.verdict = nf.Forward
 	e.reason = ReasonFwdBackend
 }
 
 func (e *prodEnv) ForwardToClient(h FlowHandle) {
 	e.P.Pkt.SetSrcIP(e.lb.cfg.VIP)
-	e.verdict = VerdictToClient
+	e.verdict = nf.Forward
 	e.reason = ReasonFwdClient
 	_ = h
 }
@@ -626,10 +620,10 @@ func (e *prodEnv) Passthrough() {
 		e.reason = ReasonPassNoSession
 	}
 	if e.lb.cfg.Passthrough {
-		e.verdict = VerdictPassthrough
+		e.verdict = nf.Forward
 	} else {
-		e.verdict = VerdictDrop
+		e.verdict = nf.Drop
 	}
 }
 
-func (e *prodEnv) Drop() { e.verdict = VerdictDrop }
+func (e *prodEnv) Drop() { e.verdict = nf.Drop }

@@ -624,17 +624,23 @@ func TestShardedLBValidation(t *testing.T) {
 	}
 }
 
-// TestDeclaredStatsAllocatesNothing: the declaration's Stats runs on
+// TestDeclaredStatsAllocatesNothing: the declared stats view runs on
 // every scrape, and its taxonomy is built once, with the declaration.
 func TestDeclaredStatsAllocatesNothing(t *testing.T) {
 	for _, passthrough := range []bool{false, true} {
-		decl := lb.Kit(lb.Config{VIP: testVIP, Capacity: 4, Timeout: time.Hour, Passthrough: passthrough}, libvig.NewVirtualClock(0))
-		counters := make([]uint64, 16)
-		counters[lb.ReasonDropParse] = 3
-		if n := testing.AllocsPerRun(100, func() { decl.Stats(counters) }); n != 0 {
-			t.Fatalf("passthrough=%v: Stats allocates %v times per call", passthrough, n)
+		decl := lb.Kit(lb.Config{VIP: testVIP, Capacity: 4, Timeout: time.Hour, MaxBackends: 1, Passthrough: passthrough}, libvig.NewVirtualClock(0))
+		b, err := decl.New(0, 1, 4)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if s := decl.Stats(counters); s.Dropped != 3 || s.Processed != 3 {
+		a := decl.Adapt(b)
+		for i := 0; i < 3; i++ {
+			nfkittest.Send(a, []byte{0x45}, true) // a runt: drop_parse
+		}
+		if n := testing.AllocsPerRun(100, func() { a.NFStats() }); n != 0 {
+			t.Fatalf("passthrough=%v: NFStats allocates %v times per call", passthrough, n)
+		}
+		if s := a.NFStats(); s.Dropped != 3 || s.Processed != 3 {
 			t.Fatalf("passthrough=%v: %+v", passthrough, s)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"vignat/internal/nat/stateless"
 	"vignat/internal/nf"
 	"vignat/internal/nf/nfkit/nfkittest"
+	"vignat/internal/nf/telemetry"
 )
 
 // TestInstanceMatchesInterface: prodProcessPacket, the generated
@@ -23,11 +24,11 @@ func TestInstanceMatchesInterface(t *testing.T) {
 		clients = append(clients, intKey(8*i))
 	}
 	nfkittest.Differential(t, Kit(cfg, libvig.NewVirtualClock(0)), nil,
-		func(n *NAT, pkt *nf.Pkt, now libvig.Time) nf.Verdict {
+		func(n *NAT, pkt *nf.Pkt, now libvig.Time) (nf.Verdict, telemetry.ReasonID) {
 			e := &n.env
 			e.reset(pkt, now)
 			stateless.ProcessPacket(e)
-			return verdictOf(e.done())
+			return e.done()
 		},
 		nfkittest.Trace{Clients: clients, ClientsInternal: true, Texp: cfg.Timeout, Steps: 4000, Jump: 300, Vary: 8, Payload: 1400})
 }

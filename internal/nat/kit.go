@@ -17,15 +17,6 @@ import (
 // the sharded composition, the daemon and the proof (symspec.go)
 // need, in one place.
 
-// verdictOf collapses the NAT's directional verdict onto the pipeline
-// pair: both forward directions mean "out the opposite interface".
-func verdictOf(v stateless.Verdict) nf.Verdict {
-	if v == stateless.VerdictDrop {
-		return nf.Drop
-	}
-	return nf.Forward
-}
-
 // Kit returns the NAT's capability declaration for cfg. Shard i of n
 // owns capacity/n flows and the external port range
 // [PortBase+i·(capacity/n), PortBase+(i+1)·(capacity/n)): partitioned
@@ -52,33 +43,25 @@ func kit(cfg Config, clock libvig.Clock, steer *steering) nfkit.Decl[*NAT] {
 			shardCfg.PortBase = cfg.PortBase + uint16(shard*perShard)
 			return New(shardCfg, clock)
 		},
-		Process: func(n *NAT, pkt *nf.Pkt, now libvig.Time) nf.Verdict {
-			return verdictOf(n.process(pkt, now))
-		},
+		Process: (*NAT).process,
 		// The burst's first Fig. 6 sweep and every packet's lookup start
 		// their table loads here, together.
 		Prefetch: func(n *NAT, pkts []nf.Pkt, now libvig.Time) {
 			n.table.Prefetch(pkts, now-n.cfg.TimeoutNanos()+1)
 		},
-		Expire: (*NAT).ExpireAt,
-		Stats: func(c []uint64) nf.Stats {
-			return nfkit.StatsOf(Reasons, c, c[ctrFlowsExpired])
-		},
+		Expire:   (*NAT).ExpireAt,
 		Counters: func(n *NAT) []uint64 { return n.counters[:] },
 		// The fast path caches established flows: the table's Offer is
 		// Fig. 6's get_dmap (the only state read of the established
-		// branch), its Hit that branch's rejuvenation; the reason cell is
-		// the NAT's, the rewrite the engine's template's.
+		// branch), its Hit that branch's rejuvenation and reason; the
+		// rewrite is the engine's template's.
 		FastPath: &nfkit.FastPathHooks[*NAT]{
 			Offer: func(n *NAT, key fastpath.Key) (uint64, fastpath.Guard, bool) { return n.table.Offer(key) },
-			Hit: func(n *NAT, aux uint64, _ int, now libvig.Time) nf.Verdict {
-				r := ReasonFwdIn
+			Hit: func(n *NAT, aux uint64, _ int, now libvig.Time) (nf.Verdict, telemetry.ReasonID) {
 				if n.table.Hit(aux, now) == nfkit.AuxFst {
-					r = ReasonFwdOut
+					return nf.Forward, ReasonFwdOut
 				}
-				n.counters[r]++
-				n.lastReason = r
-				return nf.Forward
+				return nf.Forward, ReasonFwdIn
 			},
 		},
 		ShardOf: func(frame []byte, fromInternal bool, shards int) int {
@@ -102,8 +85,7 @@ func kit(cfg Config, clock libvig.Clock, steer *steering) nfkit.Decl[*NAT] {
 			}
 			return 0
 		},
-		Reasons:    Reasons,
-		LastReason: func(n *NAT) telemetry.ReasonID { return n.lastReason },
+		Reasons: Reasons,
 		// Flows migrate to the shard whose external-port range holds
 		// their port, to the index the port names there: the only
 		// placement that keeps an inbound reply's port-arithmetic steering

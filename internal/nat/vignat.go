@@ -23,8 +23,8 @@ const (
 // The lifecycle counters, which follow the reason cells in the NAT's
 // counter array (the nfkit layout contract).
 const (
-	ctrFlowsCreated = int(numReasons) + iota
-	ctrFlowsExpired
+	ctrFlowsExpired = int(numReasons) + iota
+	ctrFlowsCreated
 	numCounters
 )
 
@@ -52,7 +52,7 @@ type Stats struct {
 // statsOf is the Stats view of a NAT counter array (one core's, or the
 // cell-by-cell sum of several).
 func statsOf(c []uint64) Stats {
-	s := nfkit.StatsOf(Reasons, c, c[ctrFlowsExpired])
+	s := nfkit.StatsOf(Reasons, c)
 	return Stats{
 		Processed:     s.Processed,
 		Dropped:       s.Dropped,
@@ -83,10 +83,9 @@ type NAT struct {
 	clock libvig.Clock
 	env   prodEnv
 	// counters[r] totals packets tagged with reason r — the only tally
-	// a packet moves — followed by the ctr* lifecycle counts;
-	// lastReason is the most recent tag. Single-writer.
-	counters   [numCounters]uint64
-	lastReason telemetry.ReasonID
+	// a packet moves, counted by the adapter — followed by the ctr*
+	// lifecycle counts. Single-writer.
+	counters [numCounters]uint64
 }
 
 // New builds a NAT from cfg, drawing time from clock.
@@ -115,7 +114,7 @@ func (n *NAT) Stats() Stats { return statsOf(n.counters[:]) }
 // process runs one packet through prodProcessPacket: the verified
 // stateless.ProcessPacket instantiated at *prodEnv (process_gen.go,
 // written by vigor/instgen), so that every env call is a direct one.
-func (n *NAT) process(pkt *nf.Pkt, now libvig.Time) stateless.Verdict {
+func (n *NAT) process(pkt *nf.Pkt, now libvig.Time) (nf.Verdict, telemetry.ReasonID) {
 	e := &n.env
 	e.reset(pkt, now)
 	prodProcessPacket(e)
@@ -141,7 +140,7 @@ type prodEnv struct {
 	nfkit.PktGuards // the parse chain and arrival side, over packet P
 	nat             *NAT
 	now             libvig.Time
-	verdict         stateless.Verdict
+	verdict         nf.Verdict
 	// reason tags the packet's outcome. The decisive env-call sites
 	// overwrite the parse-failure default: an allocation failure means
 	// table-full, an external miss unsolicited, the emits stamp the
@@ -154,16 +153,12 @@ var _ stateless.Env = (*prodEnv)(nil)
 func (e *prodEnv) reset(pkt *nf.Pkt, now libvig.Time) {
 	e.Take(pkt)
 	e.now = now
-	e.verdict = stateless.VerdictDrop
+	e.verdict = nf.Drop
 	e.reason = ReasonDropParse
 }
 
-// done counts the packet under its reason and returns its verdict.
-func (e *prodEnv) done() stateless.Verdict {
-	e.nat.counters[e.reason]++
-	e.nat.lastReason = e.reason
-	return e.verdict
-}
+// done returns the packet's verdict and reason.
+func (e *prodEnv) done() (nf.Verdict, telemetry.ReasonID) { return e.verdict, e.reason }
 
 // --- libVig operations ---
 
@@ -204,7 +199,7 @@ func (e *prodEnv) EmitExternal(h stateless.FlowHandle) {
 	t := &e.nat.table
 	e.P.Pkt.SetSrcIP(t.extIP)
 	e.P.Pkt.SetSrcPort(t.extPort(int(h)))
-	e.verdict = stateless.VerdictToExternal
+	e.verdict = nf.Forward
 	e.reason = ReasonFwdOut
 }
 
@@ -212,8 +207,8 @@ func (e *prodEnv) EmitInternal(h stateless.FlowHandle) {
 	id := e.nat.table.Value(int(h)) // the internal key: src = internal host
 	e.P.Pkt.SetDstIP(id.SrcIP)
 	e.P.Pkt.SetDstPort(id.SrcPort)
-	e.verdict = stateless.VerdictToInternal
+	e.verdict = nf.Forward
 	e.reason = ReasonFwdIn
 }
 
-func (e *prodEnv) Drop() { e.verdict = stateless.VerdictDrop }
+func (e *prodEnv) Drop() { e.verdict = nf.Drop }

@@ -400,7 +400,7 @@ func TestConfigValidation(t *testing.T) {
 // derived one past the index's (portBase+index+1).
 func TestNATDerivedKeyNearMiss(t *testing.T) {
 	n := testNAT(t, 16, time.Second, libvig.NewVirtualClock(0))
-	a := AsNF(n)
+	a := Kit(n.cfg, n.clock).Adapt(n)
 	nfkittest.Send(a, frameFor(t, intKey(9)), true) // a neighbour at index 0
 	id := intKey(3)
 	out := frameFor(t, id)
@@ -434,8 +434,8 @@ func TestNATDerivedKeyNearMiss(t *testing.T) {
 		if k == reply {
 			want, reason = nf.Forward, ReasonFwdIn
 		}
-		if verdicts[0] != want || n.lastReason != reason {
-			t.Fatalf("%s (%v): verdict %v reason %d, want %v reason %d", tc.name, k, verdicts[0], n.lastReason, want, reason)
+		if verdicts[0] != want || a.LastReasonName() != Reasons.Name(reason) {
+			t.Fatalf("%s (%v): verdict %v reason %s, want %v reason %s", tc.name, k, verdicts[0], a.LastReasonName(), want, Reasons.Name(reason))
 		}
 		if back := parseTuple(t, pkts[0].Frame); k == reply && (back.DstIP != id.SrcIP || back.DstPort != id.SrcPort) {
 			t.Fatalf("exact reply de-NATed to %v", back)

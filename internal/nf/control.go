@@ -277,7 +277,7 @@ const sweepMax = 4096
 // on every path; counters fold into the pipeline base.
 func (p *Pipeline) sweepQueues() error {
 	var frames []sweptFrame
-	bufs := make([]*dpdk.Mbuf, p.burst)
+	bufs := make([]*dpdk.Mbuf, DefaultBurst)
 	collect := func(port *dpdk.Port, fromInternal bool) {
 		for q := 0; q < port.Queues(); q++ {
 			for drained := 0; drained < sweepMax; {

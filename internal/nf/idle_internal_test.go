@@ -74,7 +74,7 @@ func (r *idleRecorder) install(p *Pipeline) {
 // the last idle step was such a wait; otherwise sleep the gap); a full
 // burst (poll again at once).
 func TestIdlePolicyThreeStates(t *testing.T) {
-	const burst = 4
+	const burst = DefaultBurst
 	const idleWait = 7 * time.Millisecond
 	pool, err := dpdk.NewMempool(64)
 	if err != nil {
@@ -85,7 +85,7 @@ func TestIdlePolicyThreeStates(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	n := &expiringNF{deadline: 1000}
 	pipe, err := NewPipeline(n, Config{
-		Internal: intPort, External: extPort, Burst: burst, Clock: clock,
+		Internal: intPort, External: extPort, Clock: clock,
 		IdleWait: idleWait,
 	})
 	if err != nil {
@@ -179,7 +179,7 @@ func TestIdlePolicyThreeStates(t *testing.T) {
 // (every in-process harness) a poll never waits or sleeps.
 func TestBusyPollHasNoIdlePolicy(t *testing.T) {
 	pool, _ := dpdk.NewMempool(8)
-	pipe, intPort, extPort := buildPipe(t, pool, 64, 4)
+	pipe, intPort, extPort := buildPipe(t, pool, 64)
 	var rec idleRecorder
 	rec.install(pipe)
 	for _, n := range []int{0, 1, 4} {

@@ -6,6 +6,7 @@ import (
 	"vignat/internal/fastpath"
 	"vignat/internal/libvig"
 	"vignat/internal/nf"
+	"vignat/internal/nf/telemetry"
 )
 
 // Adapter is the derived production binding of one core onto the
@@ -13,12 +14,16 @@ import (
 // its own nf.go — and the one loop that runs a burst on a core:
 // ProcessBatchAt gives every packet one parse, calls the declared
 // Prefetch on the burst and the declared Process on each packet. The
-// adapter adds nothing to the per-packet path beyond that parse and the
-// declared verdict mapping; batches read the clock once, like every NF
-// in the repository.
+// adapter adds nothing to the per-packet path beyond that parse and
+// counting the packet's reason; batches read the clock once, like every
+// NF in the repository.
 type Adapter[C any] struct {
 	d    Decl[C]
 	core C
+	// counters is the core's Counters array, taken once; last is the
+	// reason of the most recently processed packet.
+	counters []uint64
+	last     telemetry.ReasonID
 	// parses holds the parses of the burst in flight that the adapter
 	// made itself (grown on demand, stable afterwards).
 	parses []nf.Parsed
@@ -37,7 +42,7 @@ func (d Decl[C]) Adapt(core C) *Adapter[C] {
 	if err := d.validate(false); err != nil {
 		panic(fmt.Sprintf("nfkit: Adapt on an invalid declaration: %v", err))
 	}
-	return &Adapter[C]{d: d, core: core}
+	return &Adapter[C]{d: d, core: core, counters: d.Counters(core)}
 }
 
 // Core returns the adapted production core (tests, stats drill-down).
@@ -78,9 +83,14 @@ func (a *Adapter[C]) ProcessBatchAt(pkts []nf.Pkt, verdicts []nf.Verdict, now li
 	if a.d.Prefetch != nil && len(pkts) > 1 {
 		a.d.Prefetch(a.core, pkts, now)
 	}
+	counters, last := a.counters, a.last
 	for i := range pkts {
-		verdicts[i] = a.d.Process(a.core, &pkts[i], now)
+		v, r := a.d.Process(a.core, &pkts[i], now)
+		verdicts[i] = v
+		counters[r]++
+		last = r
 	}
+	a.last = last
 	for i := range pkts {
 		if pkts[i].Parsed == &a.parses[i] {
 			pkts[i].Parsed = nil
@@ -98,26 +108,12 @@ func (a *Adapter[C]) Expire(now libvig.Time) int {
 
 // NFStats is the declared view of the core's own counter array (owner
 // goroutine only, like everything else on a bare adapter).
-func (a *Adapter[C]) NFStats() nf.Stats { return a.d.Stats(a.counters()) }
-
-// counters returns the core's live counter array, nil when the
-// declaration keeps none.
-func (a *Adapter[C]) counters() []uint64 {
-	if a.d.Counters == nil {
-		return nil
-	}
-	return a.d.Counters(a.core)
-}
+func (a *Adapter[C]) NFStats() nf.Stats { return a.d.stats(a.counters) }
 
 // LastReasonName returns the declared label of the reason tagged on
-// the most recently processed packet, "" when no taxonomy is declared
-// — the trace ring's best-effort label (owner goroutine only).
-func (a *Adapter[C]) LastReasonName() string {
-	if a.d.Reasons == nil {
-		return ""
-	}
-	return a.d.Reasons.Name(a.d.LastReason(a.core))
-}
+// the most recently processed packet — the trace ring's best-effort
+// label (owner goroutine only).
+func (a *Adapter[C]) LastReasonName() string { return a.d.Reasons.Name(a.last) }
 
 // FastPathEnabled reports whether the declaration opts into the
 // engine's established-flow cache.
@@ -132,20 +128,20 @@ func (a *Adapter[C]) FastOffer(key fastpath.Key) (uint64, fastpath.Guard, bool) 
 }
 
 // FastHit replays the established branch for one cached packet through
-// the declared hook.
+// the declared hook and counts its reason.
 func (a *Adapter[C]) FastHit(aux uint64, pktLen int, now libvig.Time) nf.Verdict {
-	return a.d.FastPath.Hit(a.core, aux, pktLen, now)
+	v, r := a.d.FastPath.Hit(a.core, aux, pktLen, now)
+	a.counters[r]++
+	a.last = r
+	return v
 }
 
-// FastHitFunc returns the hit hook pre-bound to the core: one closure
-// call per cache hit instead of the adapter's interface dispatch (the
-// engine resolves this once at pipeline construction — nf.FastHitFunc).
+// FastHitFunc returns FastHit pre-bound to the core: one closure call
+// per cache hit instead of the adapter's interface dispatch (the engine
+// resolves this once at pipeline construction — nf.FastHitFunc).
 func (a *Adapter[C]) FastHitFunc() nf.FastHitFunc {
 	if a.d.FastPath == nil {
 		return nil
 	}
-	core, hit := a.core, a.d.FastPath.Hit
-	return func(aux uint64, pktLen int, now libvig.Time) nf.Verdict {
-		return hit(core, aux, pktLen, now)
-	}
+	return a.FastHit
 }

@@ -10,6 +10,7 @@ import (
 	"vignat/internal/nat"
 	"vignat/internal/nf"
 	"vignat/internal/nf/nfkit"
+	"vignat/internal/nf/telemetry"
 )
 
 func burstOf(n int) []nf.Pkt {
@@ -25,10 +26,14 @@ func burstOf(n int) []nf.Pkt {
 
 // probe is a core that records what its declaration's hooks are handed.
 type probe struct {
-	log     []int        // -len(burst), now per Prefetch; 1 per Process
-	fetched []*nf.Parsed // the parses Prefetch saw, in burst order
-	seen    []*nf.Parsed // the parse each Process saw
+	log      []int        // -len(burst), now per Prefetch; 1 per Process
+	fetched  []*nf.Parsed // the parses Prefetch saw, in burst order
+	seen     []*nf.Parsed // the parse each Process saw
+	counters [1]uint64
 }
+
+// probeReasons is probe's one outcome.
+var probeReasons = telemetry.MustReasonSet("probe", telemetry.Reason{ID: 0, Name: "fwd"})
 
 // probeDecl declares probe, one shard or, with steer, several.
 func probeDecl(steer func(frame []byte, fromInternal bool, shards int) int) nfkit.Decl[*probe] {
@@ -41,13 +46,14 @@ func probeDecl(steer func(frame []byte, fromInternal bool, shards int) int) nfki
 				c.fetched = append(c.fetched, pkts[i].Parsed)
 			}
 		},
-		Process: func(c *probe, pkt *nf.Pkt, _ libvig.Time) nf.Verdict {
+		Process: func(c *probe, pkt *nf.Pkt, _ libvig.Time) (nf.Verdict, telemetry.ReasonID) {
 			c.log = append(c.log, 1)
 			c.seen = append(c.seen, pkt.Parsed)
-			return nf.Forward
+			return nf.Forward, 0
 		},
-		Stats:   func([]uint64) nf.Stats { return nf.Stats{} },
-		ShardOf: steer,
+		Counters: func(c *probe) []uint64 { return c.counters[:] },
+		Reasons:  probeReasons,
+		ShardOf:  steer,
 	}
 }
 

@@ -6,8 +6,8 @@
 // output actions. From that declaration the kit derives:
 //
 //   - the allocation-free production binding onto the engine (Adapter:
-//     clock-once batches, verdict mapping, the reason-count prefix of
-//     the declared counter array), whose ProcessBatchAt is the one loop
+//     clock-once batches, each packet's reason counted into the
+//     declared counter array), whose ProcessBatchAt is the one loop
 //     that runs a burst on a core, and its only entry: it gives every
 //     packet one parse — the one it carries when a chain made one,
 //     refreshed, else the adapter's own — then calls Decl.Prefetch on
@@ -47,19 +47,22 @@
 // A new NF — the roadmap's DNS cache or NAT64 — therefore costs its
 // stateless logic, the record type of its table, and one Decl.
 //
-// Counting is declared once and published once. A core keeps one flat
-// []uint64 and hands it out through Decl.Counters; the layout contract
-// is: the reason cells first, one per declared Reason in ReasonID
-// order, then whatever lifecycle counters the NF keeps (flows created,
-// entries expired, ...), in an order only the NF's own Stats view
-// needs to know. Each packet increments exactly one reason cell. A
-// sharded core's array is copied, whole, into its shard's nf.Block
-// once per burst (nf.Publisher), and everything a reader sees is a
-// function of one read of those blocks: Decl.Stats and the per-NF
-// Stats types are views of the array computed from it and the
-// ReasonSet's drop classes (StatsOf), the reason totals are its
-// prefix, Sharded.Counters its sum over shards, and Reshard folds it
-// into the new composition cell by cell.
+// Counting is done once, by the kit, and published once. A core keeps
+// one flat []uint64 and hands it out through Decl.Counters; the layout
+// contract is: the reason cells first, one per declared Reason in
+// ReasonID order, then the expired count when the NF declares Expire,
+// then whatever else the NF keeps (flows created, ...), in an order
+// only the NF's own Stats view needs to know. Decl.Process and the
+// fast path's Hit return each packet's reason beside its verdict, and
+// the adapter, not the core, increments that one reason cell and keeps
+// the reason as the trace ring's label. A sharded core's array is
+// copied, whole, into its shard's nf.Block once per burst
+// (nf.Publisher), and everything a reader sees is a function of one
+// read of those blocks: the engine's Stats and the per-NF Stats types
+// are views of the array computed from it and the ReasonSet's drop
+// classes (StatsOf), the reason totals are its prefix,
+// Sharded.Counters its sum over shards, and Reshard folds it into the
+// new composition cell by cell.
 package nfkit
 
 import (
@@ -100,12 +103,12 @@ type Decl[C any] struct {
 	New func(shard, shards, perShard int) (C, error)
 
 	// Process runs one packet through the core at an explicit time,
-	// returning the engine-level verdict (the NF's own richer verdict
-	// collapses here). It must be allocation-free on the steady state.
-	// It is the core's one entry: the adapter (and, in tests,
-	// nfkittest.Differential) calls it with the packet's parse in
-	// pkt.Parsed.
-	Process func(core C, pkt *nf.Pkt, now libvig.Time) nf.Verdict
+	// returning the engine-level verdict and the reason the packet is
+	// tagged with. It must be allocation-free on the steady state and
+	// count no reason itself: the caller does. It is the core's one
+	// entry: the adapter (and, in tests, nfkittest.Differential) calls
+	// it with the packet's parse in pkt.Parsed.
+	Process func(core C, pkt *nf.Pkt, now libvig.Time) (nf.Verdict, telemetry.ReasonID)
 
 	// Prefetch, when set, runs once before the per-packet loop of a
 	// burst of more than one packet, at the burst's timestamp and with
@@ -124,20 +127,13 @@ type Decl[C any] struct {
 	// NF (nothing ever expires).
 	Expire func(core C, now libvig.Time) int
 
-	// Stats is the engine-visible view of a Counters array — the
-	// core's own, or a published copy of it, or several shards' summed
-	// (StatsOf computes everything but Expired from the reason cells).
-	// The kit never counts on the core's behalf: counters stay
-	// single-writer inside the core and the declaration only maps them
-	// out. A declaration without Counters is handed nil.
-	Stats func(counters []uint64) nf.Stats
-
 	// Counters returns the core's live counter array — its own
-	// single-writer storage, not a copy, read (to publish it) and, by
-	// Reshard only, added to by the goroutine that owns the core.
-	// Layout: reason cells first, in ReasonID order, then the NF's
-	// lifecycle counters; every core of one declaration returns the
-	// same length.
+	// single-writer storage, not a copy, which the adapter counts each
+	// packet's reason into, is read to publish it and, by Reshard only,
+	// is added to by the goroutine that owns the core. Layout: reason
+	// cells first, in ReasonID order, then the expired count when the
+	// NF declares Expire, then anything else the NF counts; every core
+	// of one declaration returns the same length.
 	Counters func(core C) []uint64
 
 	// ShardOf steers a frame to the shard owning its flow, for the
@@ -155,24 +151,19 @@ type Decl[C any] struct {
 	// interface for the contract; the short form is that Offer is a
 	// read-only lookup returning the state handle a hit touches plus
 	// its invalidation guard, and Hit replays exactly the established
-	// branch's state mutations and counters. Nil keeps the NF on the
-	// slow path unconditionally.
+	// branch's state mutations and returns its reason. Nil keeps the NF
+	// on the slow path unconditionally.
 	FastPath *FastPathHooks[C]
 
-	// Reasons, when set, declares the NF's outcome taxonomy: every
-	// packet the core processes is tagged with one ReasonID from this
-	// set and counted in that reason's cell of Counters. The
-	// taxonomy is cross-checked against the symbolic path enumeration
-	// (VerifyReasons, fed by the reason Sym.Spec names for each path):
-	// every declared reason must be reachable by ≥1 enumerated path and
-	// every drop path must map to exactly one drop-class reason — the
-	// labels are derived from the proof, not hand-maintained. Requires
-	// Counters and LastReason.
+	// Reasons declares the NF's outcome taxonomy: every packet the core
+	// processes is tagged with one ReasonID from this set and counted in
+	// that reason's cell of Counters. The taxonomy is cross-checked
+	// against the symbolic path enumeration (VerifyReasons, fed by the
+	// reason Sym.Spec names for each path): every declared reason must
+	// be reachable by ≥1 enumerated path and every drop path must map to
+	// exactly one drop-class reason — the labels are derived from the
+	// proof, not hand-maintained.
 	Reasons *telemetry.ReasonSet
-
-	// LastReason returns the reason tagged on the core's most recently
-	// processed packet (the sampled trace ring's label).
-	LastReason func(core C) telemetry.ReasonID
 
 	// Families, when set, lists the record families the core's state is
 	// made of, in restore order — a family whose records name another's
@@ -207,10 +198,10 @@ type FastPathHooks[C any] struct {
 	// lives must decline).
 	Offer func(core C, key fastpath.Key) (aux uint64, guard fastpath.Guard, ok bool)
 	// Hit replays the established branch for one packet: the same
-	// state mutations (rejuvenate, charge, ...) and counter movements
-	// as the slow path, returning the same verdict. The engine replays
-	// the header rewrite from the cached template.
-	Hit func(core C, aux uint64, pktLen int, now libvig.Time) nf.Verdict
+	// state mutations (rejuvenate, charge, ...) as the slow path,
+	// returning the same verdict and reason, which the adapter counts.
+	// The engine replays the header rewrite from the cached template.
+	Hit func(core C, aux uint64, pktLen int, now libvig.Time) (nf.Verdict, telemetry.ReasonID)
 }
 
 // validate checks the fields every derived artifact needs; forSharding
@@ -222,8 +213,8 @@ func (d *Decl[C]) validate(forSharding bool) error {
 	if d.Process == nil {
 		return fmt.Errorf("nfkit: %s declares no Process", d.Name)
 	}
-	if d.Stats == nil {
-		return fmt.Errorf("nfkit: %s declares no Stats", d.Name)
+	if d.Reasons == nil || d.Counters == nil {
+		return fmt.Errorf("nfkit: %s declares no Reasons/Counters", d.Name)
 	}
 	if forSharding && d.New == nil {
 		return fmt.Errorf("nfkit: %s declares no shard constructor", d.Name)
@@ -231,34 +222,41 @@ func (d *Decl[C]) validate(forSharding bool) error {
 	if d.FastPath != nil && (d.FastPath.Offer == nil || d.FastPath.Hit == nil) {
 		return fmt.Errorf("nfkit: %s declares a partial fast path (needs both Offer and Hit)", d.Name)
 	}
-	if d.Reasons != nil && (d.Counters == nil || d.LastReason == nil) {
-		return fmt.Errorf("nfkit: %s declares a reason taxonomy without Counters/LastReason", d.Name)
-	}
-	if d.Reasons == nil && d.LastReason != nil {
-		return fmt.Errorf("nfkit: %s declares LastReason without a Reasons taxonomy", d.Name)
-	}
 	return nil
 }
 
 // StatsOf is the engine-visible view of a counter array laid out per
 // the package contract: every packet lands in exactly one reason cell,
 // so Processed is the sum of the reason cells, Dropped the sum of the
-// drop-class ones, and Forwarded the rest. expired is the NF's own
-// lifecycle count of state entries freed.
-func StatsOf(set *telemetry.ReasonSet, counters []uint64, expired uint64) nf.Stats {
-	var processed uint64
+// drop-class ones, and Forwarded the rest; Expired is the cell after
+// the reasons, 0 for an array of reason cells only.
+func StatsOf(set *telemetry.ReasonSet, counters []uint64) nf.Stats {
+	var processed, expired uint64
 	for _, n := range counters[:set.Len()] {
 		processed += n
+	}
+	if len(counters) > set.Len() {
+		expired = counters[set.Len()]
 	}
 	dropped := set.SumDrops(counters)
 	return nf.Stats{Processed: processed, Forwarded: processed - dropped, Dropped: dropped, Expired: expired}
 }
 
+// stats is StatsOf under the declaration: an NF that declares no
+// Expire expires nothing, whatever its array holds after the reasons.
+func (d *Decl[C]) stats(counters []uint64) nf.Stats {
+	s := StatsOf(d.Reasons, counters)
+	if d.Expire == nil {
+		s.Expired = 0
+	}
+	return s
+}
+
 // scrape is every reader-side surface of one read of published
-// counters: the declared Stats view with the engine's flow-cache cells
+// counters: the Stats view (StatsOf) with the engine's flow-cache cells
 // beside it, and the array itself under the declared taxonomy.
 func (d *Decl[C]) scrape(counters []uint64, fc nf.FlowCache) nf.Scrape {
-	return nf.Scrape{Stats: d.Stats(counters).With(fc), Reasons: d.Reasons, Counters: counters}
+	return nf.Scrape{Stats: d.stats(counters).With(fc), Reasons: d.Reasons, Counters: counters}
 }
 
 // now reads the declared clock, or 0 for clockless NFs.

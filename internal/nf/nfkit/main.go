@@ -24,7 +24,7 @@ import (
 // traffic (internal/catalog); the kit runs the engine.
 
 // Options are the shared engine flags (Register): -packets, -timeout,
-// -capacity, -shards, -workers, -burst, -metrics, -telemetry, plus the
+// -capacity, -shards, -workers, -metrics, -telemetry, plus the
 // transport selection (-transport with its address flags and
 // -duration). Workers is resolved (0 → one per shard) and validated
 // before Build runs.
@@ -34,7 +34,6 @@ type Options struct {
 	Capacity int
 	Shards   int
 	Workers  int
-	Burst    int
 	Metrics  string
 	// Telemetry enables the per-worker histograms and trace ring.
 	Telemetry bool
@@ -100,7 +99,6 @@ func (o *Options) Register(fs *flag.FlagSet, capacity int) {
 	fs.IntVar(&o.Capacity, "capacity", capacity, "state capacity (CAP), split evenly over -shards; at most 65,535 per shard")
 	fs.IntVar(&o.Shards, "shards", 1, "NF shards (disjoint state partitions)")
 	fs.IntVar(&o.Workers, "workers", 0, "run-to-completion workers / RSS queue pairs (0 = one per shard)")
-	fs.IntVar(&o.Burst, "burst", nf.DefaultBurst, "RX/TX burst size")
 	fs.StringVar(&o.Metrics, "metrics", "", "serve /metrics (Prometheus text), /debug/pprof/ and /debug/trace on this address (e.g. :9090)")
 	fs.BoolVar(&o.Telemetry, "telemetry", false, "per-worker latency histograms + trace ring")
 	fs.StringVar(&o.Transport, "transport", "mem", "packet I/O backend: mem (in-memory harness), udp, unix")
@@ -123,10 +121,6 @@ func (o *Options) Register(fs *flag.FlagSet, capacity int) {
 func Serve(w io.Writer, name string, o *Options, build Build) error {
 	if o.Shards < 1 {
 		return fmt.Errorf("shard count must be at least 1")
-	}
-	if o.Burst == 0 {
-		o.Burst = nf.DefaultBurst // same convention as nf.NewPipeline,
-		// which also rejects negative bursts before the drive loop runs
 	}
 	if o.Workers == 0 {
 		o.Workers = o.Shards
@@ -175,7 +169,7 @@ func Serve(w io.Writer, name string, o *Options, build Build) error {
 	}
 	defer extPort.Close()
 
-	cfg := nf.Config{Internal: intPort, External: extPort, Burst: o.Burst, Workers: o.Workers, Clock: clock, Telemetry: o.Telemetry}
+	cfg := nf.Config{Internal: intPort, External: extPort, Workers: o.Workers, Clock: clock, Telemetry: o.Telemetry}
 	if !inMemory {
 		cfg.IdleWait = wireIdleWait
 	}
@@ -294,10 +288,10 @@ func drive(o *Options, b *Run, pipe *nf.Pipeline, intPort, extPort *dpdk.Port, c
 		wg.Add(1)
 		go func(wk int) {
 			defer wg.Done()
-			drain := make([]*dpdk.Mbuf, o.Burst)
+			drain := make([]*dpdk.Mbuf, nf.DefaultBurst)
 			list := lists[wk]
-			for off := 0; off < len(list); off += o.Burst {
-				for _, f := range list[off:min(off+o.Burst, len(list))] {
+			for off := 0; off < len(list); off += nf.DefaultBurst {
+				for _, f := range list[off:min(off+nf.DefaultBurst, len(list))] {
 					clock.Advance(1000) // 1 µs between arrivals
 					rxPort.DeliverRxQueue(wk, frames[f], clock.Now())
 				}

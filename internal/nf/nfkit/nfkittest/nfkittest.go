@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"testing"
 	"time"
 
 	"vignat/internal/flow"
@@ -184,27 +183,34 @@ func (w *Walk) next(ps []Packet) []Packet {
 	return ps
 }
 
+// TB is the part of testing.TB that Differential reports through.
+type TB interface {
+	Helper()
+	Fatalf(format string, args ...any)
+}
+
 // Differential builds two cores of d and runs one randomized trace
 // through both, applying at (if set) to each before every step: core a
 // through d.Process, which runs the NF's generated instance, core b
 // through iface, which runs the interface function the proof covers
 // over the same production Env, each handed the packet with its parse
 // attached, as the adapter hands it.
-// After every packet the verdicts, the frame bytes and the counter
-// arrays must agree, and every few hundred packets and at the end so
-// must d.Snapshot; by the end the trace must have reached every reason
-// d declares.
-func Differential[C any](t *testing.T, d nfkit.Decl[C], at func(core C, step int), iface func(C, *nf.Pkt, libvig.Time) nf.Verdict, tr Trace) {
+// After every packet the verdicts and reasons, the frame bytes and the
+// counter arrays must agree, and every few hundred packets and at the
+// end so must d.Snapshot; by the end the trace must have reached every
+// reason d declares.
+func Differential[C any](t TB, d nfkit.Decl[C], at func(core C, step int), iface func(C, *nf.Pkt, libvig.Time) (nf.Verdict, telemetry.ReasonID), tr Trace) {
 	t.Helper()
 	cores := make([]C, 2)
 	for i := range cores {
 		c, err := d.New(0, 1, d.Capacity)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%v", err)
 		}
 		cores[i] = c
 	}
 	a, b := cores[0], cores[1]
+	reached := make([]bool, d.Reasons.Len())
 	w := tr.Walk()
 	var now libvig.Time
 	for i := 0; i < tr.Steps; i++ {
@@ -221,10 +227,13 @@ func Differential[C any](t *testing.T, d nfkit.Decl[C], at func(core C, step int
 			pb := nf.Pkt{Frame: slices.Clone(p.Frame), FromInternal: p.Internal, Parsed: &qb}
 			qa.Parse(pa.Frame)
 			qb.Parse(pb.Frame)
-			va, vb := d.Process(a, &pa, now), iface(b, &pb, now)
-			if va != vb || !slices.Equal(pa.Frame, pb.Frame) {
-				t.Fatalf("packet %d (%v, internal=%v): instance %v % x, interface %v % x", i, p.ID, p.Internal, va, pa.Frame, vb, pb.Frame)
+			va, ra := d.Process(a, &pa, now)
+			vb, rb := iface(b, &pb, now)
+			if va != vb || ra != rb || !slices.Equal(pa.Frame, pb.Frame) {
+				t.Fatalf("packet %d (%v, internal=%v): instance %v/%s % x, interface %v/%s % x", i, p.ID, p.Internal,
+					va, d.Reasons.Name(ra), pa.Frame, vb, d.Reasons.Name(rb), pb.Frame)
 			}
+			reached[ra] = true
 			if ca, cb := d.Counters(a), d.Counters(b); !slices.Equal(ca, cb) {
 				t.Fatalf("packet %d: counters diverged: instance %v, interface %v", i, ca, cb)
 			}
@@ -238,9 +247,13 @@ func Differential[C any](t *testing.T, d nfkit.Decl[C], at func(core C, step int
 			}
 		}
 	}
-	for r, n := range d.Counters(a)[:d.Reasons.Len()] {
-		if n == 0 {
-			t.Errorf("the trace never reached %s", d.Reasons.Name(telemetry.ReasonID(r)))
+	var missed []string
+	for r, ok := range reached {
+		if !ok {
+			missed = append(missed, d.Reasons.Name(telemetry.ReasonID(r)))
 		}
+	}
+	if len(missed) > 0 {
+		t.Fatalf("the trace never reached %v", missed)
 	}
 }

@@ -30,9 +30,9 @@ func TestNewRigFailureCleansUp(t *testing.T) {
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp)
 	for _, transport := range []string{"mem", "udp", "unix"} {
-		r, err := nfkittest.NewRig(pass{}, transport, 1, nf.Config{Burst: -1, Clock: libvig.NewVirtualClock(0)})
+		r, err := nfkittest.NewRig(pass{}, transport, 1, nf.Config{FastPath: -1, Clock: libvig.NewVirtualClock(0)})
 		if err == nil || r != nil {
-			t.Errorf("%s: a negative burst gave rig %v, error %v", transport, r, err)
+			t.Errorf("%s: a negative flow-cache size gave rig %v, error %v", transport, r, err)
 		}
 	}
 	if left, err := os.ReadDir(tmp); err != nil || len(left) != 0 {

@@ -75,7 +75,7 @@ type shard[C any] struct {
 
 // Publish copies the core's counter array into the shard's block and
 // adds the burst's flow-cache counters.
-func (sh *shard[C]) Publish(fc nf.FlowCache) { sh.block.Publish(sh.counters(), fc) }
+func (sh *shard[C]) Publish(fc nf.FlowCache) { sh.block.Publish(sh.counters, fc) }
 
 // published reads every shard's block once and sums them cell by cell.
 func (st *shardedState[C]) published() ([]uint64, nf.FlowCache) {
@@ -111,7 +111,7 @@ func buildState[C any](d *Decl[C], nShards int) (*shardedState[C], error) {
 			return nil, fmt.Errorf("nfkit: %s shard %d: %w", d.Name, i, err)
 		}
 		a := d.Adapt(core)
-		st.shards[i] = &shard[C]{Adapter: a, block: nf.NewBlock(len(a.counters()))}
+		st.shards[i] = &shard[C]{Adapter: a, block: nf.NewBlock(len(a.counters))}
 	}
 	return st, nil
 }
@@ -266,9 +266,6 @@ func (s *Sharded[C]) Counters() []uint64 {
 // arrays of differing lengths: a cell with no counterpart would have
 // to be dropped, and a counter may not vanish silently.
 func foldCounters[C any](d *Decl[C], cores []C) ([]uint64, error) {
-	if d.Counters == nil {
-		return nil, nil
-	}
 	sum := make([]uint64, len(d.Counters(cores[0])))
 	for i, core := range cores {
 		v := d.Counters(core)
@@ -367,15 +364,13 @@ func (s *Sharded[C]) Reshard(n int) error {
 		moved, dropped = moved+m, dropped+dr
 	}
 
-	if counters != nil {
-		into := d.Counters(to[0])
-		if len(into) != len(counters) {
-			return fmt.Errorf("nfkit: %s reshard to %d: new shard 0 keeps %d counters, the old shards kept %d",
-				d.Name, n, len(into), len(counters))
-		}
-		for i, v := range counters {
-			into[i] += v
-		}
+	into := st.shards[0].counters
+	if len(into) != len(counters) {
+		return fmt.Errorf("nfkit: %s reshard to %d: new shard 0 keeps %d counters, the old shards kept %d",
+			d.Name, n, len(into), len(counters))
+	}
+	for i, v := range counters {
+		into[i] += v
 	}
 	// Pre-publish the new blocks, shard 0's with the old blocks'
 	// flow-cache cells folded in like the counters above, so the commit

@@ -39,8 +39,6 @@ type Config struct {
 	// function, so the wire places every frame on the queue of the
 	// worker owning its flow.
 	Internal, External *dpdk.Port
-	// Burst is the RX/TX burst size (default DefaultBurst).
-	Burst int
 	// Workers is the number of run-to-completion workers (default 1).
 	// Worker w owns queue pair w on both ports and shards
 	// {s : s mod Workers == w} end-to-end: rx_burst → steer →
@@ -154,7 +152,6 @@ type Pipeline struct {
 	sharder  Sharder
 	intPort  *dpdk.Port
 	extPort  *dpdk.Port
-	burst    int
 	clock    libvig.Clock
 	shardNFs []NF
 	// fastNFs[s] is shard s's NF as a FastPather, nil when the shard
@@ -291,13 +288,6 @@ func NewPipeline(n NF, cfg Config) (*Pipeline, error) {
 	if cfg.Internal == nil || cfg.External == nil {
 		return nil, errors.New("nf: pipeline needs both ports")
 	}
-	burst := cfg.Burst
-	if burst == 0 {
-		burst = DefaultBurst
-	}
-	if burst < 0 {
-		return nil, errors.New("nf: negative burst")
-	}
 	nWorkers := cfg.Workers
 	if nWorkers == 0 {
 		nWorkers = 1
@@ -327,7 +317,6 @@ func NewPipeline(n NF, cfg Config) (*Pipeline, error) {
 		sharder:     sharder,
 		intPort:     cfg.Internal,
 		extPort:     cfg.External,
-		burst:       burst,
 		clock:       cfg.Clock,
 		idleWait:    cfg.IdleWait,
 		sleep:       dpdk.Sleep,
@@ -390,13 +379,12 @@ func (p *Pipeline) rebuild(nWorkers int) error {
 		fastEntries = 0 // no participating shard: no cache, no extraction cost
 	}
 	p.fastEntries = fastEntries
-	burst := p.burst
 	tel := p.tel.Load()
 	for w := 0; w < nWorkers; w++ {
 		wk := &worker{
 			p:      p,
 			id:     w,
-			rxBufs: make([]*dpdk.Mbuf, burst),
+			rxBufs: make([]*dpdk.Mbuf, DefaultBurst),
 		}
 		if tel != nil {
 			wk.tel = tel.Worker(w)
@@ -406,7 +394,7 @@ func (p *Pipeline) rebuild(nWorkers int) error {
 			wk.shards = append(wk.shards, s)
 		}
 		// Worst case both ports' bursts land in one shard.
-		perShard := 2 * burst
+		perShard := 2 * DefaultBurst
 		wk.pkts = make([][]Pkt, len(wk.shards))
 		wk.bufs = make([][]*dpdk.Mbuf, len(wk.shards))
 		wk.verd = make([][]Verdict, len(wk.shards))
@@ -424,11 +412,11 @@ func (p *Pipeline) rebuild(nWorkers int) error {
 			wk.offer = make([]int32, 0, perShard)
 		}
 		var err error
-		wk.toInternal, err = libvig.NewBatcher[*dpdk.Mbuf](burst, wk.txFlush(p.intPort, w, nil))
+		wk.toInternal, err = libvig.NewBatcher[*dpdk.Mbuf](DefaultBurst, wk.txFlush(p.intPort, w, nil))
 		if err != nil {
 			return err
 		}
-		wk.toExternal, err = libvig.NewBatcher[*dpdk.Mbuf](burst, wk.txFlush(p.extPort, w, &wk.outbound))
+		wk.toExternal, err = libvig.NewBatcher[*dpdk.Mbuf](DefaultBurst, wk.txFlush(p.extPort, w, &wk.outbound))
 		if err != nil {
 			return err
 		}
@@ -658,7 +646,7 @@ func (p *Pipeline) PollWorker(w int) (int, error) {
 	if timed {
 		tel.PollNs.Observe(uint64(time.Since(p.telEpoch) - pollStart))
 	}
-	if p.idleWait > 0 && nInt < p.burst && nExt < p.burst {
+	if p.idleWait > 0 && nInt < DefaultBurst && nExt < DefaultBurst {
 		// Neither burst filled, so both queues are drained: let the next
 		// few packets gather instead of waking for each (see
 		// moderationGap). Requests just sent out of the external port

@@ -27,8 +27,8 @@ func (passNF) Expire(libvig.Time) int { return 0 }
 func (passNF) NFStats() Stats         { return Stats{} }
 
 // buildPipe returns a 1-worker pipeline over fresh single-queue ports
-// with the given TX queue depth and burst.
-func buildPipe(t *testing.T, pool *dpdk.Mempool, txDepth, burst int) (*Pipeline, *dpdk.Port, *dpdk.Port) {
+// with the given TX queue depth.
+func buildPipe(t *testing.T, pool *dpdk.Mempool, txDepth int) (*Pipeline, *dpdk.Port, *dpdk.Port) {
 	t.Helper()
 	intPort, err := dpdk.NewPort(0, 64, txDepth, pool)
 	if err != nil {
@@ -38,7 +38,7 @@ func buildPipe(t *testing.T, pool *dpdk.Mempool, txDepth, burst int) (*Pipeline,
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := NewPipeline(passNF{}, Config{Internal: intPort, External: extPort, Burst: burst})
+	pipe, err := NewPipeline(passNF{}, Config{Internal: intPort, External: extPort})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestEmitConservesMbufsOnFreeError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, _, extPort := buildPipe(t, pool, 64, DefaultBurst)
+	pipe, _, extPort := buildPipe(t, pool, 64)
 	mbufs := loadWorker(t, pipe, pool, []Verdict{Forward, Drop, Forward, Drop})
 
 	// Sabotage: mbufs[1] is freed out from under the engine, so emit's
@@ -103,18 +103,23 @@ func TestEmitConservesMbufsOnFreeError(t *testing.T) {
 }
 
 // TestTxFlushConservesMbufsOnFreeError injects a double-free into the
-// TX-reject path with a full TX queue and a 2-packet burst: the first
-// flush fails inside Batcher.Push, and every rejected mbuf — before
-// and after the failing one — must still return to its pool.
+// TX-reject path with a full TX queue: two more forwards than a burst,
+// so that the first flush runs inside Batcher.Push and fails there, and
+// every rejected mbuf — before and after the failing one, in that flush
+// and in the last — must still return to its pool.
 func TestTxFlushConservesMbufsOnFreeError(t *testing.T) {
-	pool, err := dpdk.NewMempool(8)
+	pool, err := dpdk.NewMempool(2 * DefaultBurst)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// TX depth 1: the first flushed packet is accepted, everything
 	// later is rejected and must be freed.
-	pipe, _, extPort := buildPipe(t, pool, 1, 2)
-	mbufs := loadWorker(t, pipe, pool, []Verdict{Forward, Forward, Forward, Forward})
+	pipe, _, extPort := buildPipe(t, pool, 1)
+	verdicts := make([]Verdict, DefaultBurst+2)
+	for i := range verdicts {
+		verdicts[i] = Forward
+	}
+	mbufs := loadWorker(t, pipe, pool, verdicts)
 
 	// Sabotage: mbufs[2] will be TX-rejected and its free will fail.
 	if err := pool.Free(mbufs[2]); err != nil {
@@ -132,8 +137,8 @@ func TestTxFlushConservesMbufsOnFreeError(t *testing.T) {
 			pool.InUse(), extPort.TxQueueLen(), pool.InUse()-extPort.TxQueueLen())
 	}
 	st := pipe.Stats()
-	if st.TxPackets != 1 || st.TxFreed != 3 {
-		t.Fatalf("stats %+v, want tx=1 tx_freed=3", st)
+	if st.TxPackets != 1 || st.TxFreed != uint64(len(verdicts)-1) {
+		t.Fatalf("stats %+v, want tx=1 tx_freed=%d", st, len(verdicts)-1)
 	}
 }
 
@@ -144,7 +149,7 @@ func TestEmitHappyPathAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, _, extPort := buildPipe(t, pool, 64, DefaultBurst)
+	pipe, _, extPort := buildPipe(t, pool, 64)
 	loadWorker(t, pipe, pool, []Verdict{Forward, Drop, Forward, Forward})
 	if err := pipe.workers[0].emit(); err != nil {
 		t.Fatal(err)

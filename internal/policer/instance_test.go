@@ -8,6 +8,7 @@ import (
 	"vignat/internal/libvig"
 	"vignat/internal/nf"
 	"vignat/internal/nf/nfkit/nfkittest"
+	"vignat/internal/nf/telemetry"
 )
 
 // TestInstanceMatchesInterface: prodProcessPacket, the generated
@@ -23,11 +24,11 @@ func TestInstanceMatchesInterface(t *testing.T) {
 		clients = append(clients, subscriberID(i))
 	}
 	nfkittest.Differential(t, Kit(cfg, libvig.NewVirtualClock(0)), nil,
-		func(p *Policer, pkt *nf.Pkt, now libvig.Time) nf.Verdict {
+		func(p *Policer, pkt *nf.Pkt, now libvig.Time) (nf.Verdict, telemetry.ReasonID) {
 			e := &p.env
 			e.reset(pkt, now)
 			ProcessPacket(e)
-			return verdictOf(e.done())
+			return e.done()
 		},
 		nfkittest.Trace{Clients: clients, Texp: cfg.Timeout, Steps: 4000, Jump: 300, Vary: 8, Payload: 1400})
 }

@@ -19,15 +19,6 @@ import (
 // egress by source IP, so both directions of a subscriber's traffic
 // land on the same shard anyway.
 
-// verdictOf collapses the policer's verdict onto the pipeline pair:
-// both forwarding verdicts mean "out the opposite interface".
-func verdictOf(v Verdict) nf.Verdict {
-	if v == VerdictDrop {
-		return nf.Drop
-	}
-	return nf.Forward
-}
-
 // Kit returns the policer's capability declaration for cfg: capacity
 // subscribers split evenly across shards; rate and burst are
 // per-subscriber, so every shard polices with the full configured
@@ -42,13 +33,8 @@ func Kit(cfg Config, clock libvig.Clock) nfkit.Decl[*Policer] {
 			shardCfg.Capacity = perShard
 			return New(shardCfg, clock)
 		},
-		Process: func(p *Policer, pkt *nf.Pkt, now libvig.Time) nf.Verdict {
-			return verdictOf(p.process(pkt, now))
-		},
-		Expire: (*Policer).ExpireAt,
-		Stats: func(c []uint64) nf.Stats {
-			return nfkit.StatsOf(Reasons, c, c[ctrBucketsExpired])
-		},
+		Process:  (*Policer).process,
+		Expire:   (*Policer).ExpireAt,
 		Counters: func(p *Policer) []uint64 { return p.counters[:] },
 		// The fast path never bypasses rate limiting: a meter hit
 		// carries only the bucket index, and Hit re-runs the real
@@ -68,22 +54,16 @@ func Kit(cfg Config, clock libvig.Clock) nfkit.Decl[*Policer] {
 				}
 				return uint64(idx) << 1, p.fpGens.Guard(idx), true
 			},
-			Hit: func(p *Policer, aux uint64, pktLen int, now libvig.Time) nf.Verdict {
-				r := ReasonPassthrough
-				if aux&1 == 0 {
-					idx := int(aux >> 1)
-					_ = p.chain.Rejuvenate(idx, now)
-					r = ReasonConform
-					if !p.buckets.Charge(idx, pktLen, now) {
-						r = ReasonDropOverRate
-					}
+			Hit: func(p *Policer, aux uint64, pktLen int, now libvig.Time) (nf.Verdict, telemetry.ReasonID) {
+				if aux&1 != 0 {
+					return nf.Forward, ReasonPassthrough
 				}
-				p.counters[r]++
-				p.lastReason = r
-				if r == ReasonDropOverRate {
-					return nf.Drop
+				idx := int(aux >> 1)
+				_ = p.chain.Rejuvenate(idx, now)
+				if !p.buckets.Charge(idx, pktLen, now) {
+					return nf.Drop, ReasonDropOverRate
 				}
-				return nf.Forward
+				return nf.Forward, ReasonConform
 			},
 		},
 		ShardOf: func(frame []byte, fromInternal bool, shards int) int {
@@ -97,10 +77,9 @@ func Kit(cfg Config, clock libvig.Clock) nfkit.Decl[*Policer] {
 			}
 			return int(addr.Hash() % uint64(shards))
 		},
-		Reasons:    Reasons,
-		LastReason: func(p *Policer) telemetry.ReasonID { return p.lastReason },
-		Families:   families(),
-		Sym:        symSpecFor(ProcessPacket),
+		Reasons:  Reasons,
+		Families: families(),
+		Sym:      symSpecFor(ProcessPacket),
 	}
 }
 

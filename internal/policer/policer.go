@@ -50,8 +50,8 @@ const (
 // The lifecycle counters, which follow the reason cells in the
 // policer's counter array (the nfkit layout contract).
 const (
-	ctrBucketsCreated = int(numReasons) + iota
-	ctrBucketsExpired
+	ctrBucketsExpired = int(numReasons) + iota
+	ctrBucketsCreated
 	numCounters
 )
 
@@ -152,7 +152,7 @@ func (s Stats) Dropped() uint64 {
 // statsOf is the Stats view of a policer counter array (one core's, or
 // the cell-by-cell sum of several).
 func statsOf(c []uint64) Stats {
-	s := nfkit.StatsOf(Reasons, c, c[ctrBucketsExpired])
+	s := nfkit.StatsOf(Reasons, c)
 	return Stats{
 		Processed:        s.Processed,
 		Passthrough:      c[ReasonPassthrough],
@@ -249,10 +249,9 @@ type Policer struct {
 	clock libvig.Clock
 	env   prodEnv
 	// counters[r] totals packets tagged with reason r — the only tally
-	// a packet moves — followed by the ctr* lifecycle counts;
-	// lastReason is the most recent tag. Single-writer.
-	counters   [numCounters]uint64
-	lastReason telemetry.ReasonID
+	// a packet moves, counted by the adapter — followed by the ctr*
+	// lifecycle counts. Single-writer.
+	counters [numCounters]uint64
 	// fpGens invalidates engine flow-cache entries: one generation per
 	// bucket index, bumped when the subscriber's state is erased.
 	fpGens *fastpath.GenTable
@@ -364,7 +363,7 @@ func (p *Policer) ExpireAt(now libvig.Time) int {
 
 // process runs one packet through prodProcessPacket, ProcessPacket
 // instantiated at *prodEnv (process_gen.go, written by vigor/instgen).
-func (p *Policer) process(pkt *nf.Pkt, now libvig.Time) Verdict {
+func (p *Policer) process(pkt *nf.Pkt, now libvig.Time) (nf.Verdict, telemetry.ReasonID) {
 	e := &p.env
 	e.reset(pkt, now)
 	prodProcessPacket(e)
@@ -380,7 +379,7 @@ type prodEnv struct {
 	nfkit.PktGuards
 	pol     *Policer
 	now     libvig.Time
-	verdict Verdict
+	verdict nf.Verdict
 	// reason tags the packet's outcome. The decisive env-call sites
 	// overwrite the malformed default: a creation failure means
 	// table-full, a refused charge over-rate, the forwarding outputs
@@ -393,16 +392,12 @@ var _ Env = (*prodEnv)(nil)
 func (e *prodEnv) reset(pkt *nf.Pkt, now libvig.Time) {
 	e.Take(pkt)
 	e.now = now
-	e.verdict = VerdictDrop
+	e.verdict = nf.Drop
 	e.reason = ReasonDropMalformed
 }
 
-// done counts the packet under its reason and returns its verdict.
-func (e *prodEnv) done() Verdict {
-	e.pol.counters[e.reason]++
-	e.pol.lastReason = e.reason
-	return e.verdict
-}
+// done returns the packet's verdict and reason.
+func (e *prodEnv) done() (nf.Verdict, telemetry.ReasonID) { return e.verdict, e.reason }
 
 // --- libVig operations ---
 
@@ -443,6 +438,6 @@ func (e *prodEnv) Charge(h BucketHandle) bool {
 
 // --- output actions ---
 
-func (e *prodEnv) Forward()     { e.verdict, e.reason = VerdictConform, ReasonConform }
-func (e *prodEnv) Passthrough() { e.verdict, e.reason = VerdictPassthrough, ReasonPassthrough }
-func (e *prodEnv) Drop()        { e.verdict = VerdictDrop }
+func (e *prodEnv) Forward()     { e.verdict, e.reason = nf.Forward, ReasonConform }
+func (e *prodEnv) Passthrough() { e.verdict, e.reason = nf.Forward, ReasonPassthrough }
+func (e *prodEnv) Drop()        { e.verdict = nf.Drop }

@@ -19,6 +19,7 @@ import (
 	"vignat/internal/nf/nfkit"
 	"vignat/internal/nf/nfkit/nfkittest"
 	"vignat/internal/policer"
+	"vignat/internal/vigor/spec"
 )
 
 const (
@@ -54,6 +55,23 @@ func (g *gateway) decls(t *testing.T, clock libvig.Clock, prefetch bool) (nfkit.
 		fwD.Prefetch, polD.Prefetch, lbD.Prefetch, natD.Prefetch = nil, nil, nil, nil
 	}
 	return fwD, polD, lbD, natD
+}
+
+// judge is a gwJudge for g, its oracles configured as g's NFs are, and
+// the balancer's oracle, which a backend drain must be mirrored in.
+func (g *gateway) judge(t *testing.T) (judge, *spec.LBOracle) {
+	t.Helper()
+	nc, pc, lc := g.nat.Config(), g.pol.Config(), g.lb.Config()
+	bal := spec.NewLBOracle(lc.VIP, lc.VIPPort, lc.Capacity, lc.Timeout.Nanoseconds(), lc.Passthrough)
+	for i := range lc.MaxBackends {
+		if ip, live := g.lb.Backend(i); live {
+			if err := bal.AddBackend(ip); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return gwJudge(spec.NewOracle(nc.Capacity, nc.Timeout.Nanoseconds(), nc.ExternalIP, nc.PortBase, nc.Capacity),
+		bal, spec.NewPolicerOracle(pc.Rate, pc.Burst, pc.Capacity, pc.Timeout.Nanoseconds()), lc.VIP, chainTimeout.Nanoseconds()), bal
 }
 
 // catalogGateway builds the gateway the daemon serves (`vignat -nf
@@ -130,7 +148,8 @@ func gatewayTrace(seed int64, steps int) nfkittest.Trace {
 // them let through, and stripping all three hooks must change nothing.
 // The third subject is the gateway the daemon serves, four 1-shard
 // compositions in a chain: it must match the adapters' chain byte for
-// byte, and all three must end in the same state, NF by NF.
+// byte, and all three must end in the same state, NF by NF. The
+// first's output is held to the three oracles by gwJudge.
 func TestPrefetchObservationallyPureChain(t *testing.T) {
 	clock := libvig.NewVirtualClock(0)
 	gws := []*gateway{adaptedGateway(t, clock, true), adaptedGateway(t, clock, false), catalogGateway(t, clock)}
@@ -138,7 +157,8 @@ func TestPrefetchObservationallyPureChain(t *testing.T) {
 	for i, g := range gws {
 		rigs[i] = newRig(t, g.chain, clock, nf.Config{})
 	}
-	play(t, clock, gatewayTrace(131, 1200), rigs, nil, nil)
+	j, _ := gws[0].judge(t)
+	play(t, clock, gatewayTrace(131, 1200), rigs, j, nil)
 	ref := gws[0]
 	for _, g := range gws[1:] {
 		fwD, polD, lbD, natD := g.decls(t, clock, true)

@@ -230,8 +230,13 @@ func TestFastPathGatewayChainConformance(t *testing.T) {
 	if n := rigs[0].Engine.FastPathEntries(); n != 0 {
 		t.Fatalf("composite chain must decline the cache, resolved %d entries", n)
 	}
-	play(t, clock, gatewayTrace(23, 500), rigs, nil, func(step int) {
+	j, bal := gws[0].judge(t)
+	play(t, clock, gatewayTrace(23, 500), rigs, j, func(step int) {
 		if step == 250 {
+			ip, _ := gws[0].lb.Backend(0)
+			if err := bal.RemoveBackend(ip); err != nil {
+				t.Fatal(err)
+			}
 			for _, g := range gws {
 				if err := g.lb.RemoveBackend(0); err != nil {
 					t.Fatal(err)

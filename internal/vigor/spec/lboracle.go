@@ -104,6 +104,21 @@ func (o *LBOracle) expire(now libvig.Time) {
 	}
 }
 
+// clientOf is the client tuple a backend-side packet answers.
+func (o *LBOracle) clientOf(reply flow.ID) flow.ID {
+	return flow.ID{SrcIP: reply.DstIP, SrcPort: reply.DstPort, DstIP: o.vip, DstPort: reply.SrcPort, Proto: reply.Proto}
+}
+
+// Restores reports whether a backend-side packet with 5-tuple id is the
+// reply of a live sticky flow at now, which the balancer must return to
+// its client from the VIP; anything else it passes or drops by policy.
+// It moves no flow.
+func (o *LBOracle) Restores(id flow.ID, now libvig.Time) bool {
+	o.expire(now)
+	f := o.flows[o.clientOf(id)]
+	return f != nil && f.backend == id.SrcIP
+}
+
 // LBObserved is what the real balancer did with a packet: its verdict
 // and the (possibly rewritten) 5-tuple, meaningful when forwarded.
 type LBObserved struct {
@@ -194,18 +209,11 @@ func (o *LBOracle) Step(id flow.ID, fromClient bool, lbable bool, now libvig.Tim
 
 	// Backend-side packet: a reply of a live sticky flow returns to the
 	// client as the VIP; anything else is not the balancer's traffic.
-	client := flow.ID{
-		SrcIP:   id.DstIP,
-		SrcPort: id.DstPort,
-		DstIP:   o.vip,
-		DstPort: id.SrcPort,
-		Proto:   id.Proto,
-	}
-	f := o.flows[client]
-	if f == nil || f.backend != id.SrcIP {
+	if !o.Restores(id, now) {
 		return o.passOrDrop(id, "unmatched backend-side packet", got)
 	}
-	f.last = now
+	client := o.clientOf(id)
+	o.flows[client].last = now
 	if got.Verdict != lb.VerdictToClient {
 		return fmt.Errorf("spec: reply of live flow %v must be forwarded, balancer did %v", client, got.Verdict)
 	}

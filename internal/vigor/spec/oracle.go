@@ -153,26 +153,32 @@ func (o *Oracle) Step(id flow.ID, fromInternal bool, natable bool, now libvig.Ti
 	}
 
 	// External packet (Fig. 6 ll.29-39).
-	f := o.byExt[id]
-	if f == nil {
+	want, live := o.Inbound(id, now)
+	if !live {
 		if got.Verdict != stateless.VerdictDrop {
 			return fmt.Errorf("spec: unsolicited external packet %v must be dropped, NAT did %v", id, got.Verdict)
 		}
 		return nil
 	}
-	f.last = now
+	o.byExt[id].last = now
 	if got.Verdict != stateless.VerdictToInternal {
 		return fmt.Errorf("spec: external packet of live session %v must be forwarded, NAT did %v", id, got.Verdict)
-	}
-	want := flow.ID{
-		SrcIP:   id.SrcIP,
-		SrcPort: id.SrcPort,
-		DstIP:   f.intKey.SrcIP,
-		DstPort: f.intKey.SrcPort,
-		Proto:   id.Proto,
 	}
 	if got.Tuple != want {
 		return fmt.Errorf("spec: inbound rewrite mismatch: want %v, got %v", want, got.Tuple)
 	}
 	return nil
+}
+
+// Inbound returns what the NAT must translate an external packet with
+// 5-tuple id into at now, and false when no live session admits it (the
+// NAT must drop it). It moves no session: a caller that sees only what
+// an element after the NAT let through learns here what the NAT did.
+func (o *Oracle) Inbound(id flow.ID, now libvig.Time) (flow.ID, bool) {
+	o.expire(now)
+	f := o.byExt[id]
+	if f == nil {
+		return flow.ID{}, false
+	}
+	return flow.ID{SrcIP: id.SrcIP, SrcPort: id.SrcPort, DstIP: f.intKey.SrcIP, DstPort: f.intKey.SrcPort, Proto: id.Proto}, true
 }

@@ -234,6 +234,102 @@ func policerJudge(o *spec.PolicerOracle, conformed *int64) judge {
 	}
 }
 
+// gwJudge holds the home gateway — firewall → policer → balancer →
+// NAT, clients internal, the balancer fronting vip in passthrough mode —
+// to the NAT, balancer and policer oracles at once, the way the
+// benchmark's gate holds its gateway row. Only the chain's output is
+// visible, so each element's own action is reconstructed from it: an
+// outbound packet reaches the NAT with the balancer's choice of backend
+// in its destination; an inbound one leaves the NAT with the sender's
+// source, before the balancer restores the VIP on a reply. Where an
+// inbound packet was dropped is what the oracles say the elements did
+// with it: the NAT drops it when no session admits it; else the
+// balancer passes it on, the policer drops it when it is over budget,
+// and else the firewall did, its session gone. The firewall has no
+// oracle; the judge keeps its sessions' last-seen stamps, which every
+// packet that reaches it moves: outbound ones, and inbound ones the
+// policer let through. It drops every frame no NF here translates.
+func gwJudge(nat *spec.Oracle, bal *spec.LBOracle, pol *spec.PolicerOracle, vip flow.Addr, texp libvig.Time) judge {
+	sessions := map[flow.ID]libvig.Time{} // by outbound tuple
+	return func(p nfkittest.Packet, out nfkittest.Out, ok bool, now libvig.Time) error {
+		if _, translatable := parses(p); !translatable {
+			if ok {
+				return fmt.Errorf("a frame no NF translates came through")
+			}
+			return nil
+		}
+		got, err := natObserved(out, ok)
+		if err != nil {
+			return err
+		}
+		id, wire := p.ID, len(p.Frame)
+		if p.Internal {
+			if !ok {
+				return fmt.Errorf("outbound dropped; no table fills and egress is never policed")
+			}
+			sessions[id] = now
+			if err := pol.Step(id.SrcIP, wire, false, true, now, policer.VerdictPassthrough); err != nil {
+				return err
+			}
+			resolved, lbGot := id, spec.LBObserved{Verdict: lb.VerdictPassthrough, Tuple: id}
+			if id.DstIP == vip {
+				resolved.DstIP = got.Tuple.DstIP
+				lbGot = spec.LBObserved{Verdict: lb.VerdictToBackend, Tuple: resolved}
+			}
+			if err := bal.Step(id, true, true, now, lbGot); err != nil {
+				return err
+			}
+			return nat.Step(resolved, true, true, now, got)
+		}
+
+		natOut, live := nat.Inbound(id, now)
+		lbGot := spec.LBObserved{Verdict: lb.VerdictPassthrough, Tuple: natOut}
+		if ok {
+			lbGot.Tuple = got.Tuple
+			natOut = got.Tuple
+			natOut.SrcIP = id.SrcIP // before the balancer restored the VIP
+			got.Tuple = natOut
+			if lbGot.Tuple != natOut {
+				lbGot.Verdict = lb.VerdictToClient
+			}
+		} else if live {
+			got = spec.Observed{Verdict: stateless.VerdictToInternal, Tuple: natOut}
+			if bal.Restores(natOut, now) {
+				lbGot.Verdict, lbGot.Tuple.SrcIP = lb.VerdictToClient, vip
+			}
+		}
+		if err := nat.Step(id, false, true, now, got); err != nil {
+			return err
+		}
+		if !ok && !live {
+			return nil // the NAT dropped it
+		}
+		if err := bal.Step(natOut, false, true, now, lbGot); err != nil {
+			return err
+		}
+		polGot := policer.VerdictDrop
+		if ok || pol.Conforms(natOut.DstIP, wire, now) {
+			polGot = policer.VerdictConform
+		}
+		if err := pol.Step(natOut.DstIP, wire, true, true, now, polGot); err != nil {
+			return err
+		}
+		if polGot == policer.VerdictDrop {
+			return nil
+		}
+		session := lbGot.Tuple.Reverse()
+		last, known := sessions[session]
+		if admitted := known && last+texp > now; admitted != ok {
+			return fmt.Errorf("firewall session %v (known %v, last seen %d) let the reply through: %v, want %v",
+				session, known, last, ok, admitted)
+		}
+		if ok {
+			sessions[session] = now
+		}
+		return nil
+	}
+}
+
 // clients is a universe of n client tuples from 10.0.0.0/24, TCP and
 // UDP alternating, towards dsts servers on ports from 80.
 func clients(n, dsts, ports int) []flow.ID {

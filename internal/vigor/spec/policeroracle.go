@@ -94,6 +94,22 @@ func (o *PolicerOracle) refill(b *oracleBucket, now libvig.Time) {
 	b.refill = now
 }
 
+// Conforms reports whether an ingress packet of wireBytes bytes for
+// subscriber client fits its budget at now: what the policer must
+// forward. It moves no budget: a caller that sees only what an element
+// after the policer let through learns here what the policer did.
+func (o *PolicerOracle) Conforms(client flow.Addr, wireBytes int, now libvig.Time) bool {
+	o.expire(now)
+	b := oracleBucket{level: o.burstU, refill: now}
+	if cur := o.subs[client]; cur != nil {
+		b = *cur
+		o.refill(&b, now)
+	} else if o.cap > 0 && len(o.subs) >= o.cap {
+		return false
+	}
+	return int64(wireBytes)*policerOracleUnit <= b.level
+}
+
 // Step advances the spec state for a packet of wireBytes bytes headed
 // for subscriber client, arriving on the external side (ingress) or the
 // internal side at time now; policeable says whether the frame parsed
